@@ -27,7 +27,9 @@ steady state; see :class:`repro.protocols.tcp.machine.TcpMachine`).
 
 ``--quick`` is the CI smoke: storm gate + 16-host tree + TCP fast-path
 gate, plus a regression guard against ``baselines/scale_quick.json``
-(fail on a >20% events/sec drop in storm or fabric).  The full sweep
+(fail on a >20% events/sec drop in storm or fabric; wall-seconds per
+simulated second is printed beside it, because a change that removes
+events lowers events/sec on a run that got faster).  The full sweep
 runs 16/64/256 hosts (the 256-host tree carries >= 1k concurrent
 flows); ``--huge`` adds the 1024-host k=16 tree and the 4096-host
 k=16 tree.  Topology build time is reported separately from the run:
@@ -368,6 +370,14 @@ def check_baseline(storm: dict, fabric_batched: dict) -> str:
             f"below baseline {recorded:,.0f} (floor {floor:,.0f})"
         )
         notes.append(f"{key} {current:,.0f} vs {recorded:,.0f} ok")
+    # Events/sec falls when a change removes events from a run that got
+    # faster; wall time per simulated second is the figure that cannot
+    # mislead that way.  Informational: wall clock is never gated here.
+    notes.append(
+        f"fabric wall-s/sim-s {fabric_batched['wall_per_sim_second']:.2f} "
+        f"vs {baseline['fabric_wall_per_sim_second']:.2f} recorded "
+        f"({fabric_batched['events']:,d} vs {baseline['fabric_events']:,d} events)"
+    )
     return "baseline: " + "; ".join(notes)
 
 
@@ -408,6 +418,7 @@ def _print_size(result: dict) -> None:
             f"{'':>5s} legacy  {'':>10s} "
             f"{legacy['events']:>10,d} events  "
             f"{legacy['events_per_sec']:>10,.0f} ev/s  "
+            f"{legacy['wall_per_sim_second']:>7.2f} wall-s/sim-s  "
             f"end-to-end ratio {result['fabric_ratio']:.2f}x"
         )
 
@@ -519,6 +530,9 @@ def main(argv=None) -> int:
                         ),
                         "fabric_ratio": fabric["fabric_ratio"],
                         "fabric_events": batched["events"],
+                        "fabric_wall_per_sim_second": (
+                            batched["wall_per_sim_second"]
+                        ),
                         "fabric_events_per_step": (
                             batched["events_per_step"]
                         ),

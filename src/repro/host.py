@@ -40,7 +40,7 @@ from .protocols.icmp import (
 )
 from .protocols.ip import IpStack
 from .protocols.udp import UdpPortTable
-from .sim import Simulator, Timeout
+from .sim import Simulator
 
 #: Kernel-side TCP consumer installed by the organization:
 #: ``handler(tcp_payload, src_ip, link_info)`` as a generator.
@@ -172,23 +172,10 @@ class Host:
         prof = _profile.PROFILER
         if prof is not None:
             prof.charge("ip.input", costs.ip_input)
-        # Open-coded cpu.consume (here and for the UDP charge below):
-        # identical event sequence, one less generator frame per
-        # delivered datagram (see CPU.claim).
         cpu = self.kernel.cpu
         cost = costs.ip_input
         if cost:
-            request = cpu.claim()
-            try:
-                yield request
-            except BaseException:
-                cpu.abandon(request)
-                raise
-            try:
-                yield Timeout(self.sim, cost)
-                cpu.busy_time += cost
-            finally:
-                cpu.unclaim(request)
+            yield cpu.charge(cost)
         if datagram.protocol == PROTO_TCP:
             if self.tcp_kernel_handler is not None:
                 yield from self.tcp_kernel_handler(
@@ -197,17 +184,7 @@ class Host:
         elif datagram.protocol == PROTO_UDP:
             cost = costs.udp_packet
             if cost:
-                request = cpu.claim()
-                try:
-                    yield request
-                except BaseException:
-                    cpu.abandon(request)
-                    raise
-                try:
-                    yield Timeout(self.sim, cost)
-                    cpu.busy_time += cost
-                finally:
-                    cpu.unclaim(request)
+                yield cpu.charge(cost)
             forwarded = yield from self._forward_udp(datagram, link_info)
             if not forwarded:
                 delivered = self.udp_ports.deliver(

@@ -39,7 +39,7 @@ from ...protocols.icmp import (
     make_reply,
 )
 from ...protocols.ip import IpError, forwarded_copy
-from ...sim import Simulator, Store, Timeout
+from ...sim import Simulator, Store
 from ..buf import prepend
 from ..headers import (
     ETHERTYPE_ARP,
@@ -187,21 +187,9 @@ class Router:
             header = Ipv4Header.unpack(payload)
         except HeaderError:
             return
-        # Open-coded cpu.consume(ip_input): per-packet on every hop.
-        cpu = self.kernel.cpu
         cost = self.kernel.cost_table.ip_input
         if cost:
-            request = cpu.claim()
-            try:
-                yield request
-            except BaseException:
-                cpu.abandon(request)
-                raise
-            try:
-                yield Timeout(self.sim, cost)
-                cpu.busy_time += cost
-            finally:
-                cpu.unclaim(request)
+            yield self.kernel.cpu.charge(cost)
         if header.dst in self.local_ips:
             yield from self._local_rx(iface, header, payload, link_info)
             return
@@ -247,7 +235,6 @@ class Router:
 
     def _worker(self) -> Generator:
         cpu = self.kernel.cpu
-        sim = self.sim
         while True:
             job = yield self._input.get()
             kind, iface, header, packet = job
@@ -263,17 +250,7 @@ class Router:
                     detail=f"ttl={header.ttl}", cost=cost,
                 )
             if cost:
-                request = cpu.claim()
-                try:
-                    yield request
-                except BaseException:
-                    cpu.abandon(request)
-                    raise
-                try:
-                    yield Timeout(sim, cost)
-                    cpu.busy_time += cost
-                finally:
-                    cpu.unclaim(request)
+                yield cpu.charge(cost)
             # Forwarding logic lives inline (not in a helper generator):
             # every CPU charge and transmit below resumes through this
             # frame, and the extra delegation hop is measurable at

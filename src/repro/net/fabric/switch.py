@@ -21,7 +21,7 @@ from __future__ import annotations
 from ...counters import Counters
 from typing import Callable, Generator, Optional
 
-from ...sim import Simulator
+from ...sim import Event, Simulator
 from ..buf import as_wire_bytes
 from ..headers import BROADCAST_MAC, EthernetHeader, HeaderError, mac_to_str
 from ..link import Link
@@ -156,10 +156,7 @@ class Switch:
             self.stats["forwarded"] += 1
             targets = [out]
         for target in targets:
-            self._after(
-                self.forward_latency,
-                lambda t=target, f=frame: t.queue.offer(f),
-            )
+            self._after(self.forward_latency, target.queue.offer, frame)
 
     def _learn(self, src: bytes, port: SwitchPort) -> None:
         if src == BROADCAST_MAC:
@@ -178,10 +175,10 @@ class Switch:
             return None
         return port
 
-    def _after(self, delay: float, fn: Callable[[], object]) -> None:
-        """Run ``fn`` after ``delay`` (the store-and-forward latency)."""
-        event = self.sim.event()
-        event.callbacks.append(lambda _: fn())
+    def _after(self, delay: float, fn: Callable[[bytes], object], frame: bytes) -> None:
+        """Run ``fn(frame)`` after ``delay`` (the store-and-forward latency)."""
+        event = Event(self.sim)
+        event.callbacks.append(lambda _: fn(frame))
         event._ok = True
         event._value = None
         self.sim.schedule(event, delay=delay)

@@ -15,7 +15,7 @@ import abc
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..obs import spans as _spans
-from ..sim import Event, Resource, Simulator, Timeout
+from ..sim import Event, Serial, Simulator
 from .buf import as_wire_bytes
 from .faults import FaultInjector, FaultPlan, PERFECT
 from .headers import An1Header, BROADCAST_MAC, EthernetHeader
@@ -131,48 +131,10 @@ class Link(abc.ABC):
                     nic, data, self.propagation_delay + extra_delay
                 )
 
-    @staticmethod
-    def _claim(resource: Resource) -> Event:
-        """Inline capacity-1 acquire: the returned event fires once the
-        caller holds ``resource``.
-
-        Event-for-event identical to ``resource.request()`` (grant
-        scheduled at ``now`` when free, FIFO queueing otherwise) without
-        the generic request/trigger machinery — transmit serialization
-        runs once per frame on every link in the fabric.
-        """
-        sim = resource.sim
-        request = Event(sim)
-        users = resource._users
-        if not users:
-            users.append(request)
-            request._ok = True
-            request._value = request
-            sim.schedule(request)
-        else:
-            resource._queue.append(request)
-        return request
-
-    @staticmethod
-    def _unclaim(resource: Resource, request: Event) -> None:
-        """Release an inline claim; grants the next FIFO waiter."""
-        users = resource._users
-        users.remove(request)
-        queue = resource._queue
-        if queue:
-            nxt = queue.popleft()
-            users.append(nxt)
-            nxt._ok = True
-            nxt._value = nxt
-            resource.sim.schedule(nxt)
-
     def _schedule_delivery(self, nic: "Nic", data: bytes, delay: float) -> None:
-        def callback(event) -> None:
-            nic.wire_deliver(data)
-
         sim = self.sim
         event = Event(sim)
-        event.callbacks.append(callback)
+        event.callbacks.append(lambda _: nic.wire_deliver(data))
         event._ok = True
         event._value = None
         sim.schedule(event, delay=delay)
@@ -203,7 +165,7 @@ class EthernetLink(Link):
         faults: Optional[FaultInjector] = None,
     ) -> None:
         super().__init__(sim, bit_rate, propagation_delay, faults)
-        self._medium = Resource(sim, capacity=1)
+        self._medium = Serial(sim)
 
     @property
     def max_frame(self) -> int:
@@ -221,26 +183,20 @@ class EthernetLink(Link):
                 f"{self.max_frame}"
             )
         frame = as_wire_bytes(frame)
-        medium = self._medium
-        request = self._claim(medium)
-        yield request
-        try:
-            busy = self.frame_time(len(frame)) + self.IFG
-            yield Timeout(self.sim, busy)
-            self._frames += 1
-            self._tx_bytes += len(frame)
-            self._busy_time += busy
-            # The wire only routes on the destination MAC; decoding the
-            # full header per frame is receiver-side work.
-            dst = frame[:6]
-            receivers = [
-                nic
-                for nic in self.nics
-                if nic is not sender and nic.accepts(dst)
-            ]
-            self._deliver_later(receivers, frame)
-        finally:
-            self._unclaim(medium, request)
+        busy = self.frame_time(len(frame)) + self.IFG
+        yield self._medium.hold(busy)
+        self._frames += 1
+        self._tx_bytes += len(frame)
+        self._busy_time += busy
+        # The wire only routes on the destination MAC; decoding the
+        # full header per frame is receiver-side work.
+        dst = frame[:6]
+        receivers = [
+            nic
+            for nic in self.nics
+            if nic is not sender and nic.accepts(dst)
+        ]
+        self._deliver_later(receivers, frame)
 
 
 class DuplexLink(EthernetLink):
@@ -263,8 +219,8 @@ class DuplexLink(EthernetLink):
         faults: Optional[FaultInjector] = None,
     ) -> None:
         super().__init__(sim, bit_rate, propagation_delay, faults)
-        #: One serialization resource per transmitter (full duplex).
-        self._tx_channels: dict[int, Resource] = {}
+        #: One serialization timeline per transmitter (full duplex).
+        self._tx_channels: dict[int, Serial] = {}
 
     def transmit(self, sender: "Nic", frame: bytes):
         if len(frame) > self.max_frame:
@@ -275,26 +231,19 @@ class DuplexLink(EthernetLink):
         frame = as_wire_bytes(frame)
         channel = self._tx_channels.get(id(sender))
         if channel is None:
-            channel = self._tx_channels[id(sender)] = Resource(
-                self.sim, capacity=1
-            )
-        request = self._claim(channel)
-        yield request
-        try:
-            busy = self.frame_time(len(frame)) + self.IFG
-            yield Timeout(self.sim, busy)
-            self._frames += 1
-            self._tx_bytes += len(frame)
-            self._busy_time += busy
-            dst = frame[:6]
-            receivers = [
-                nic
-                for nic in self.nics
-                if nic is not sender and nic.accepts(dst)
-            ]
-            self._deliver_later(receivers, frame)
-        finally:
-            self._unclaim(channel, request)
+            channel = self._tx_channels[id(sender)] = Serial(self.sim)
+        busy = self.frame_time(len(frame)) + self.IFG
+        yield channel.hold(busy)
+        self._frames += 1
+        self._tx_bytes += len(frame)
+        self._busy_time += busy
+        dst = frame[:6]
+        receivers = [
+            nic
+            for nic in self.nics
+            if nic is not sender and nic.accepts(dst)
+        ]
+        self._deliver_later(receivers, frame)
 
 
 class An1Link(Link):
@@ -321,7 +270,7 @@ class An1Link(Link):
         faults: Optional[FaultInjector] = None,
     ) -> None:
         super().__init__(sim, bit_rate, propagation_delay, faults)
-        self._channels: dict[int, Resource] = {}
+        self._channels: dict[int, Serial] = {}
 
     @property
     def max_frame(self) -> int:
@@ -338,23 +287,16 @@ class An1Link(Link):
         frame = as_wire_bytes(frame)
         channel = self._channels.get(id(sender))
         if channel is None:
-            channel = self._channels[id(sender)] = Resource(
-                self.sim, capacity=1
-            )
-        request = self._claim(channel)
-        yield request
-        try:
-            busy = self.frame_time(len(frame)) + self.GAP
-            yield Timeout(self.sim, busy)
-            self._frames += 1
-            self._tx_bytes += len(frame)
-            self._busy_time += busy
-            header = An1Header.unpack(frame)
-            receivers = [
-                nic
-                for nic in self.nics
-                if nic is not sender and nic.accepts(header.dst)
-            ]
-            self._deliver_later(receivers, frame)
-        finally:
-            self._unclaim(channel, request)
+            channel = self._channels[id(sender)] = Serial(self.sim)
+        busy = self.frame_time(len(frame)) + self.GAP
+        yield channel.hold(busy)
+        self._frames += 1
+        self._tx_bytes += len(frame)
+        self._busy_time += busy
+        header = An1Header.unpack(frame)
+        receivers = [
+            nic
+            for nic in self.nics
+            if nic is not sender and nic.accepts(header.dst)
+        ]
+        self._deliver_later(receivers, frame)

@@ -18,7 +18,7 @@ from typing import Any, Generator
 from ...counters import Counters
 from ...mach.kernel import Kernel
 from ...obs import spans as _spans
-from ...sim import Store, Timeout
+from ...sim import Store
 from ..headers import BROADCAST_MAC, EthernetHeader
 from ..link import EthernetLink
 from .base import Nic
@@ -89,21 +89,8 @@ class PmaddNic(Nic):
         rec = _spans.RECORDER
         if rec is not None:
             rec.touch(frame, "nic.tx", self.sim.now, self.name, cost=cost)
-        # Open-coded cpu.consume(cost): identical event sequence, one
-        # less generator frame per transmitted frame (see CPU.claim).
-        cpu = self.kernel.cpu
         if cost:
-            request = cpu.claim()
-            try:
-                yield request
-            except BaseException:
-                cpu.abandon(request)
-                raise
-            try:
-                yield Timeout(self.sim, cost)
-                cpu.busy_time += cost
-            finally:
-                cpu.unclaim(request)
+            yield self.kernel.cpu.charge(cost)
         # Blocks when all staging buffers are full: natural backpressure.
         yield self._tx_buffers.put(frame)
         self._tx_frames += 1
@@ -136,41 +123,17 @@ class PmaddNic(Nic):
     def _rx_interrupt(self) -> Generator:
         costs = self.kernel.cost_table
         cpu = self.kernel.cpu
-        sim = self.sim
         try:
             while self._rx_buffers:
-                # Two open-coded cpu.consume charges (interrupt entry,
-                # then the PIO copy): same events, no delegating frames
-                # on the hottest per-frame path in the simulator.
                 cost = costs.interrupt
                 if cost:
-                    request = cpu.claim()
-                    try:
-                        yield request
-                    except BaseException:
-                        cpu.abandon(request)
-                        raise
-                    try:
-                        yield Timeout(sim, cost)
-                        cpu.busy_time += cost
-                    finally:
-                        cpu.unclaim(request)
+                    yield cpu.charge(cost)
                 # Drain every frame staged by the time we got the CPU —
                 # the natural interrupt-coalescing a busy receiver sees.
                 frame = self._rx_buffers.pop(0)
                 cost = costs.pio_cost(len(frame))
                 if cost:
-                    request = cpu.claim()
-                    try:
-                        yield request
-                    except BaseException:
-                        cpu.abandon(request)
-                        raise
-                    try:
-                        yield Timeout(sim, cost)
-                        cpu.busy_time += cost
-                    finally:
-                        cpu.unclaim(request)
+                    yield cpu.charge(cost)
                 self._rx_frames += 1
                 self._rx_byte_count += len(frame)
                 # Dispatch straight to the handler: the _run_rx_handler

@@ -36,7 +36,6 @@ from ..net.headers import (
 from ..net.nic.an1ctrl import An1Nic, BufferRing
 from ..net.nic.base import Nic
 from ..obs import hist as _hist
-from ..sim import Timeout
 from ..obs import profile as _profile
 from ..obs import spans as _spans
 from .channels import Channel
@@ -673,20 +672,7 @@ class NetworkIoModule:
             prof.charge("demux.classify", decision.cost, perf_counter() - t0)
         cost = decision.cost
         if cost:
-            # Open-coded cpu.consume: the demux charge runs once per
-            # received IP frame (see CPU.claim).
-            cpu = self.kernel.cpu
-            request = cpu.claim()
-            try:
-                yield request
-            except BaseException:
-                cpu.abandon(request)
-                raise
-            try:
-                yield Timeout(self.kernel.sim, cost)
-                cpu.busy_time += cost
-            finally:
-                cpu.unclaim(request)
+            yield self.kernel.cpu.charge(cost)
         rec = _spans.RECORDER
         if rec is not None:
             rec.touch(

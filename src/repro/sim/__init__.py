@@ -18,7 +18,7 @@ from .events import (
     Process,
     Timeout,
 )
-from .resources import CPU, Resource, ResourceRequest, Store, StoreGet, StorePut
+from .resources import CPU, Serial, Store, StoreGet, StorePut
 
 __all__ = [
     "Simulator",
@@ -32,8 +32,7 @@ __all__ = [
     "Store",
     "StoreGet",
     "StorePut",
-    "Resource",
-    "ResourceRequest",
+    "Serial",
     "CPU",
     "Interrupt",
     "SimError",

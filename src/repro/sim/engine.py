@@ -174,6 +174,29 @@ class Simulator:
                 nb.urgent.append(event)
             buckets[t] = nb
 
+    def schedule_at(self, event: Event, t: float) -> None:
+        """Place a triggered event on the schedule at absolute time ``t``.
+
+        NORMAL priority.  For callers that computed the instant itself
+        (a :class:`~repro.sim.resources.Serial` completion): the event
+        fires at exactly the float ``t``, which ``now + (t - now)``
+        through :meth:`schedule` does not guarantee.
+        """
+        if t < self._now:
+            raise ValueError(f"t={t} is in the past (now={self._now})")
+        buckets = self._buckets
+        b = buckets.get(t)
+        if b is None:
+            buckets[t] = event
+            _heappush(self._heap, t)
+        elif type(b) is _Bucket:
+            b.normal.append(event)
+        else:
+            nb = _Bucket()
+            nb.normal.append(b)
+            nb.normal.append(event)
+            buckets[t] = nb
+
     def step(self) -> None:
         """Advance to the next timestamp and process its whole batch."""
         try:
@@ -338,6 +361,11 @@ class LegacySimulator(Simulator):
         _heappush(
             self._queue, (self._now + delay, priority, next(self._eid), event)
         )
+
+    def schedule_at(self, event: Event, t: float) -> None:
+        if t < self._now:
+            raise ValueError(f"t={t} is in the past (now={self._now})")
+        _heappush(self._queue, (t, NORMAL, next(self._eid), event))
 
     def step(self) -> None:
         try:

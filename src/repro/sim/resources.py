@@ -4,21 +4,21 @@ Three primitives cover everything the substrate needs:
 
 * :class:`Store` — an unbounded-or-bounded FIFO of items; the universal
   mailbox/queue used by NICs, IPC, and device drivers.
-* :class:`Resource` — a counted resource with FIFO service; used to model
-  a host CPU (capacity 1) so that protocol processing, application work,
-  and interrupt handling contend for cycles.
-* :class:`CPU` — a thin convenience wrapper over a capacity-1 Resource
-  that charges a cost-model duration while holding the resource.
+* :class:`Serial` — a capacity-1 FIFO timeline whose holders know their
+  hold time up front, so a turn costs one engine event; link media and
+  transmit channels are these.
+* :class:`CPU` — the Serial that cost-model durations are charged to,
+  so protocol processing, application work, and interrupt handling
+  contend for one host's cycles.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque, Generator
 
 from .engine import Simulator
-from .errors import SimError
-from .events import PENDING, Event, Timeout
+from .events import PENDING, Event
 
 
 class StorePut(Event):
@@ -81,9 +81,13 @@ class Store:
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; returns False if the store is full."""
-        if len(self.items) >= self.capacity and not self._get_queue:
+        if len(self.items) >= self.capacity:
             return False
-        StorePut(self, item)
+        # Room in the store means no put is blocked ahead of this one
+        # (``_trigger`` admits blocked puts the moment space frees), so
+        # the item goes straight in: no StorePut event nobody waits on.
+        self.items.append(item)
+        self._trigger()
         return True
 
     def try_get(self) -> Any:
@@ -113,200 +117,61 @@ class Store:
                 return
 
 
-class ResourceRequest(Event):
-    """A pending claim on one unit of a :class:`Resource`."""
+class Serial:
+    """A capacity-1, strictly FIFO timeline: the one serialization
+    mechanism (host CPUs, link media, per-transmitter channels).
 
-    __slots__ = ("resource",)
+    Every holder knows how long it will hold at the moment it asks, so
+    its turn needs no grant event: it ends at ``max(now, busy_until) +
+    duration``, and :meth:`hold` schedules that one instant.  The time
+    is committed when asked for — a process interrupted while waiting
+    on a hold does not hand its slot back; later holds keep the
+    instants they reserved, and ``busy_time`` keeps the duration.
+    """
 
-    def __init__(self, resource: "Resource") -> None:
-        self.sim = resource.sim
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = None
-        self._cancelled = False
-        self.resource = resource
-        resource._queue.append(self)
-        resource._trigger()
-
-    def release(self) -> None:
-        self.resource.release(self)
-
-    def cancel(self) -> None:
-        """Withdraw a not-yet-granted request."""
-        if self.triggered:
-            raise SimError("cannot cancel a granted request; release instead")
-        try:
-            self.resource._queue.remove(self)
-        except ValueError:
-            pass
-
-
-class Resource:
-    """``capacity`` units served strictly FIFO."""
-
-    def __init__(self, sim: Simulator, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.capacity = capacity
-        self._users: list[ResourceRequest] = []
-        self._queue: Deque[ResourceRequest] = deque()
+        #: When the last turn handed out so far ends.
+        self.busy_until = 0.0
+        #: Simulated seconds of turns handed out so far.
+        self.busy_time = 0.0
 
-    @property
-    def count(self) -> int:
-        """Units currently in use."""
-        return len(self._users)
-
-    @property
-    def queued(self) -> int:
-        """Requests waiting for a unit."""
-        return len(self._queue)
-
-    def request(self) -> ResourceRequest:
-        """Event granted when a unit becomes available."""
-        return ResourceRequest(self)
-
-    def release(self, request: ResourceRequest) -> None:
-        """Return the unit held by ``request``."""
-        try:
-            self._users.remove(request)
-        except ValueError:
-            raise SimError("releasing a request that holds no unit") from None
-        self._trigger()
-
-    def _trigger(self) -> None:
-        while self._queue and len(self._users) < self.capacity:
-            request = self._queue.popleft()
-            self._users.append(request)
-            request.succeed(request)
+    def hold(self, duration: float) -> Event:
+        """Event that fires when a ``duration``-long turn, queued FIFO
+        behind every earlier hold, completes."""
+        if duration < 0:
+            raise ValueError(f"negative duration {duration}")
+        sim = self.sim
+        start = self.busy_until
+        if start < sim._now:
+            start = sim._now
+        self.busy_until = done = start + duration
+        self.busy_time += duration
+        event = Event(sim)
+        event._ok = True
+        event._value = None
+        sim.schedule_at(event, done)
+        return event
 
 
-class CPU:
-    """A host processor: a capacity-1 FIFO resource plus a cost meter.
-
-    All costed work on a host funnels through :meth:`consume`, so
-    concurrent activities (interrupt handling, protocol processing,
-    application copies) serialize exactly as they would on the paper's
-    uniprocessor DECstations.
+class CPU(Serial):
+    """A host processor: the :class:`Serial` timeline all costed work
+    on a host funnels through, so concurrent activities (interrupt
+    handling, protocol processing, application copies) serialize
+    exactly as they would on the paper's uniprocessor DECstations.
     """
 
     def __init__(self, sim: Simulator, name: str = "cpu") -> None:
-        self.sim = sim
+        super().__init__(sim)
         self.name = name
-        self._resource = Resource(sim, capacity=1)
-        self.busy_time = 0.0
 
-    @property
-    def utilization_time(self) -> float:
-        """Total simulated seconds this CPU has spent busy."""
-        return self.busy_time
-
-    def claim(self) -> Event:
-        """Inline capacity-1 acquire for open-coded hot paths.
-
-        Returns the grant event (fires once the CPU is held).  The
-        caller must ``yield`` it, guard the wait with
-        :meth:`abandon`, and pair it with :meth:`unclaim` — the pattern
-        :meth:`consume` wraps.  Hot receive/transmit paths open-code
-        that pattern in their own generator frame: it saves one
-        delegating generator per CPU charge, which is the dominant
-        per-event cost at fabric scale.
-        """
-        res = self._resource
-        users = res._users
-        sim = self.sim
-        request = Event(sim)
-        if not users:
-            users.append(request)
-            request._ok = True
-            request._value = request
-            sim.schedule(request)
-        else:
-            res._queue.append(request)
-        return request
-
-    def abandon(self, request: Event) -> None:
-        """Back out of a claim after an exception at the wait point."""
-        if request._value is PENDING:
-            try:
-                self._resource._queue.remove(request)
-            except ValueError:
-                pass
-        else:
-            self._resource._users.remove(request)
-            self._resource._trigger()
-
-    def unclaim(self, request: Event) -> None:
-        """Release a granted claim; grants the next FIFO waiter."""
-        res = self._resource
-        res._users.remove(request)
-        queue = res._queue
-        if queue:
-            nxt = queue.popleft()
-            res._users.append(nxt)
-            nxt._ok = True
-            nxt._value = nxt
-            self.sim.schedule(nxt)
+    #: ``yield host.cpu.charge(costs.trap)``: spend ``cost`` seconds of
+    #: this CPU, FIFO behind everything charged earlier.  Callers skip
+    #: zero costs (``if cost:``) — a zero-length turn would still wait
+    #: its place in line.
+    charge = Serial.hold
 
     def consume(self, cost: float) -> Generator[Event, Any, None]:
-        """Generator: acquire the CPU, hold it ``cost`` seconds, release.
-
-        Usage inside a process::
-
-            yield from host.cpu.consume(costs.trap)
-
-        This is the single hottest function in the simulator (every
-        costed instruction on every host funnels through it), so the
-        capacity-1 grant/queue/release dance is inlined here rather than
-        going through the generic :class:`Resource` machinery.  The
-        event sequence — grant scheduled at ``now``, then a cost-long
-        timeout — is identical to what ``request()``/``release()`` would
-        produce, and the inlined paths share ``_users``/``_queue`` with
-        the Resource so external ``cpu._resource.request()`` holders
-        still contend correctly.
-        """
-        if cost < 0:
-            raise ValueError(f"negative cost {cost}")
-        if cost == 0.0:
-            return
-        res = self._resource
-        users = res._users
-        sim = self.sim
-        request = Event(sim)
-        if not users:
-            # Uncontended (the common case): grant immediately.  A free
-            # capacity-1 resource always has an empty queue, so FIFO
-            # order is preserved.
-            users.append(request)
-            request._ok = True
-            request._value = request
-            sim.schedule(request)
-        else:
-            res._queue.append(request)
-        try:
-            yield request
-        except BaseException:
-            # Interrupted while queued for the CPU: withdraw the claim
-            # (or return the unit if the grant raced the interrupt) so
-            # the processor is never leaked.
-            if request._value is PENDING:
-                try:
-                    res._queue.remove(request)
-                except ValueError:
-                    pass
-            else:
-                users.remove(request)
-                res._trigger()
-            raise
-        try:
-            yield Timeout(sim, cost)
-            self.busy_time += cost
-        finally:
-            users.remove(request)
-            queue = res._queue
-            if queue:
-                nxt = queue.popleft()
-                users.append(nxt)
-                nxt._ok = True
-                nxt._value = nxt
-                sim.schedule(nxt)
+        """Generator form of :meth:`charge`; a zero cost is free."""
+        if cost:
+            yield self.charge(cost)

@@ -199,17 +199,20 @@ def test_pmadd_charges_pio_costs():
 
 def test_pmadd_rx_overflow_drops():
     # Real costs so interrupt handling actually needs the CPU, which we
-    # hog for the whole test: the board's staging buffers must overflow.
+    # hog past the whole burst: the board's staging buffers must overflow.
     sim, link, kernels, nics = make_eth_world(costs=DECSTATION_5000_200)
-    request = nics[1].kernel.cpu._resource.request()  # Hog B's CPU.
+    nics[1].kernel.cpu.charge(1.0)  # Hog B's CPU for a simulated second.
 
     def send_many():
         for _ in range(PmaddNic.BOARD_BUFFERS + 4):
             yield from nics[0].driver_transmit(eth_frame(MAC_B, MAC_A))
 
     sim.process(send_many())
-    sim.run()
+    sim.run(until=1.0)
     assert nics[1].stats["rx_dropped_no_buffer"] >= 1
+    assert nics[1].stats["rx_frames"] == 0  # Still waiting for the CPU.
+    sim.run()
+    assert nics[1].stats["rx_frames"] == PmaddNic.BOARD_BUFFERS
 
 
 def test_pmadd_corruption_reaches_handler():

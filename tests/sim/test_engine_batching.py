@@ -41,7 +41,12 @@ def _recorded_event(sim, order, label, rng=None, depth=0):
             )
             delay = rng.choice([0.0, 0.0, 1e-3, 2e-3])
             priority = rng.choice([NORMAL, NORMAL, NORMAL, URGENT])
-            sim.schedule(child, delay=delay, priority=priority)
+            if priority == NORMAL and rng.random() < 0.5:
+                # The absolute-time entry lands on the same timestamps
+                # (and live batches) as the relative one.
+                sim.schedule_at(child, sim.now + delay)
+            else:
+                sim.schedule(child, delay=delay, priority=priority)
 
     event.callbacks.append(callback)
     return event
@@ -123,6 +128,38 @@ def test_mid_batch_same_time_normal_joins_batch_tail(sim_cls):
     sim.schedule(_recorded_event(sim, order, "mid"), delay=1e-3)
     sim.run()
     assert order == ["head", "mid", "tail"]
+
+
+@pytest.mark.parametrize("sim_cls", [Simulator, LegacySimulator])
+def test_schedule_at_fires_at_the_exact_float(sim_cls):
+    sim = sim_cls()
+    order = []
+    fired_at = []
+    # 0.1 + 0.2 is not the float 0.3: an absolute instant must survive
+    # scheduling unchanged, which ``now + (t - now)`` does not promise.
+    target = 0.1 + 0.2
+
+    def hop(_ev):
+        probe = _recorded_event(sim, order, "probe")
+        probe.callbacks.append(lambda _: fired_at.append(sim.now))
+        sim.schedule_at(probe, target)
+        sim.schedule_at(_recorded_event(sim, order, "same-instant"), sim.now)
+
+    first = Event(sim)
+    first._ok = True
+    first.callbacks.append(hop)
+    sim.schedule(first, delay=0.1)
+    sim.schedule(_recorded_event(sim, order, "queued"), delay=0.1)
+    sim.run()
+    assert fired_at == [target]
+    assert order == ["queued", "same-instant", "probe"]
+
+
+@pytest.mark.parametrize("sim_cls", [Simulator, LegacySimulator])
+def test_schedule_at_rejects_the_past(sim_cls):
+    sim = sim_cls(initial_time=1.0)
+    with pytest.raises(ValueError):
+        sim.schedule_at(Event(sim), 0.5)
 
 
 def test_cancelled_timer_never_fires_and_is_counted():

@@ -1,8 +1,23 @@
-"""Unit tests for Store, Resource, and CPU primitives."""
+"""Unit tests for Store, Serial, and CPU primitives."""
+
+import random
+from collections import deque
 
 import pytest
 
-from repro.sim import CPU, Resource, SimError, Simulator, Store
+from repro.net.fabric import fat_tree
+from repro.net.headers import PROTO_UDP
+from repro.protocols.udp import encode_datagram
+from repro.sim import (
+    CPU,
+    Event,
+    Interrupt,
+    LegacySimulator,
+    Serial,
+    Simulator,
+    Store,
+    Timeout,
+)
 
 
 # ----------------------------------------------------------------------
@@ -85,6 +100,37 @@ def test_store_try_put_and_try_get():
     assert store.try_get() == "z"
 
 
+def test_store_try_put_schedules_no_event():
+    sim = Simulator()
+    store = Store(sim)
+    assert store.try_put("x")
+    sim.run()
+    assert sim.engine_stats()["events"] == 0  # Nobody waits on a try_put.
+    got = []
+
+    def consumer():
+        got.append((yield store.get()))
+        got.append((yield store.get()))
+
+    sim.process(consumer())
+    sim.run()
+    assert store.try_put("y")  # Handed straight to the blocked getter.
+    sim.run()
+    assert got == ["x", "y"]
+
+
+def test_store_try_put_stays_behind_blocked_put():
+    sim = Simulator()
+    store = Store(sim, capacity=1)
+    store.put("first")
+    store.put("blocked")  # Full: waits for space.
+    assert not store.try_put("jumper")
+    assert store.try_get() == "first"
+    assert store.try_get() == "blocked"
+    assert store.try_put("late")
+    assert store.try_get() == "late"
+
+
 def test_store_len():
     sim = Simulator()
     store = Store(sim)
@@ -122,115 +168,215 @@ def test_store_waiting_getter_receives_direct_put():
 
 
 # ----------------------------------------------------------------------
-# Resource
+# Serial
 # ----------------------------------------------------------------------
 
 
 def test_resource_serializes_users():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Serial(sim)
     spans = []
 
     def worker(tag, hold):
-        req = res.request()
-        yield req
-        start = sim.now
-        yield sim.timeout(hold)
-        res.release(req)
-        spans.append((tag, start, sim.now))
+        yield res.hold(hold)
+        spans.append((tag, sim.now - hold, sim.now))
 
     sim.process(worker("a", 2.0))
     sim.process(worker("b", 3.0))
     sim.run()
     assert spans == [("a", 0.0, 2.0), ("b", 2.0, 5.0)]
+    assert res.busy_until == 5.0
 
 
-def test_resource_capacity_two_admits_two():
+def test_serial_idle_gap_starts_at_now():
     sim = Simulator()
-    res = Resource(sim, capacity=2)
-    starts = []
-
-    def worker(tag):
-        req = res.request()
-        yield req
-        starts.append((tag, sim.now))
-        yield sim.timeout(1.0)
-        res.release(req)
-
-    for tag in ("a", "b", "c"):
-        sim.process(worker(tag))
-    sim.run()
-    assert starts == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
-
-
-def test_resource_release_unheld_raises():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
+    res = Serial(sim)
+    done = []
 
     def worker():
-        req = res.request()
-        yield req
-        res.release(req)
-        with pytest.raises(SimError):
-            res.release(req)
+        yield res.hold(1.0)
+        yield sim.timeout(4.0)  # Idle from 1.0 to 5.0.
+        yield res.hold(0.5)
+        done.append(sim.now)
 
     sim.process(worker())
     sim.run()
+    assert done == [5.5]
 
 
-def test_resource_cancel_pending_request():
+def test_serial_hold_is_one_engine_event():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def holder():
-        req = res.request()
-        yield req
-        yield sim.timeout(10.0)
-        res.release(req)
-
-    sim.process(holder())
-
-    def impatient():
-        yield sim.timeout(1.0)
-        req = res.request()
-        # Not granted yet; withdraw.
-        req.cancel()
-        return "gave-up"
-
-    p = sim.process(impatient())
-    assert sim.run(until=p) == "gave-up"
-    assert res.queued == 0
-
-
-def test_resource_counts():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    observed = []
-
-    def holder():
-        req = res.request()
-        yield req
-        observed.append((res.count, res.queued))
-        yield sim.timeout(2.0)
-        res.release(req)
-
-    def waiter():
-        yield sim.timeout(1.0)
-        req = res.request()
-        observed.append((res.count, res.queued))
-        yield req
-        res.release(req)
-
-    sim.process(holder())
-    sim.process(waiter())
+    res = Serial(sim)
+    res.hold(1.0)
+    res.hold(1.0)
     sim.run()
-    assert observed == [(1, 0), (1, 1)]
+    assert sim.now == 2.0
+    assert sim.engine_stats()["events"] == 2
 
 
-def test_resource_invalid_capacity():
+def test_serial_negative_duration_rejected():
     sim = Simulator()
+    res = Serial(sim)
     with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
+        res.hold(-1.0)
+    assert res.busy_until == 0.0
+
+
+class ReferenceFifo:
+    """The mechanism Serial replaced, kept as its timing oracle: a
+    capacity-1 FIFO granted by an event, then held by a timeout."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.held = False
+        self.waiting = deque()
+
+    def use(self, duration):
+        grant = Event(self.sim)
+        if self.held:
+            self.waiting.append(grant)
+        else:
+            self.held = True
+            grant.succeed()
+        yield grant
+        yield Timeout(self.sim, duration)
+        if self.waiting:
+            self.waiting.popleft().succeed()
+        else:
+            self.held = False
+
+
+def _fuzz_transcript(sim_cls, seed, use_serial):
+    """``(tag, completion instant)`` for seeded processes making seeded
+    back-to-back charges, plus the arrival instants.  Arrivals sit on a
+    coarse grid, so several processes ask at the same float instant and
+    some arrive exactly as a turn ends; think times are off-grid."""
+    rng = random.Random(seed)
+    sim = sim_cls()
+    serial, reference = Serial(sim), ReferenceFifo(sim)
+    costs = [160e-6, 0.1, 1e-3, 57.6e-6, 0.3]
+    log = []
+    arrivals = set()
+
+    def proc(tag, arrival, charges):
+        yield sim.timeout(arrival)
+        for k, (cost, think) in enumerate(charges):
+            if use_serial:
+                yield serial.hold(cost)
+            else:
+                yield from reference.use(cost)
+            log.append((f"{tag}.{k}", sim.now))
+            if think:
+                yield sim.timeout(think)
+
+    # First in line at 0.0 for 0.1: its turn ends exactly as "late" arrives.
+    sim.process(proc("first", 0.0, [(0.1, 0.0)]))
+    sim.process(proc("late", 0.1, [(1e-3, 0.0)]))
+    for i in range(30):
+        arrival = rng.choice([0.0, 0.1, 0.1, 0.2, 0.3]) * rng.randrange(0, 4)
+        arrivals.add(arrival)
+        charges = [
+            (rng.choice(costs), rng.choice([0.0, 0.0, rng.random() * 1e-3]))
+            for _ in range(rng.randrange(1, 5))
+        ]
+        sim.process(proc(f"p{i}", arrival, charges))
+    sim.run()
+    return log, arrivals
+
+
+@pytest.mark.parametrize("sim_cls", [Simulator, LegacySimulator])
+@pytest.mark.parametrize("seed", range(6))
+def test_serial_matches_reference_fifo_to_the_float(sim_cls, seed):
+    got, arrivals = _fuzz_transcript(sim_cls, seed, use_serial=True)
+    want, _ = _fuzz_transcript(sim_cls, seed, use_serial=False)
+    assert got == want  # Same order, same floats: no tolerance.
+    assert len(arrivals) < 30  # Several processes arrived at one instant.
+    assert got[0] == ("first.0", 0.1)
+
+
+def _three_chargers(sim, cpu, log):
+    """a, b, c each charge 1.0 at t=0: turns end at 1.0, 2.0, 3.0."""
+
+    def proc(tag):
+        try:
+            yield cpu.charge(1.0)
+            log.append((tag, "done", sim.now))
+        except Interrupt:
+            log.append((tag, "interrupted", sim.now))
+
+    return [sim.process(proc(tag)) for tag in "abc"]
+
+
+def _interrupt_at(sim, victim, when):
+    def proc():
+        yield sim.timeout(when)
+        victim.interrupt()
+
+    sim.process(proc())
+
+
+def test_interrupt_during_queued_charge_keeps_reservations():
+    sim = Simulator()
+    cpu = CPU(sim)
+    log = []
+    _, b, _ = _three_chargers(sim, cpu, log)
+    _interrupt_at(sim, b, 0.5)  # b's turn (1.0-2.0) has not started.
+    sim.run()
+    # The time was committed when charged: c is not pulled forward into
+    # b's abandoned slot, and the meter keeps b's second.
+    assert log == [
+        ("b", "interrupted", 0.5),
+        ("a", "done", 1.0),
+        ("c", "done", 3.0),
+    ]
+    assert cpu.busy_time == 3.0
+    assert cpu.busy_until == 3.0
+
+
+def test_interrupt_during_running_charge_keeps_reservations():
+    sim = Simulator()
+    cpu = CPU(sim)
+    log = []
+    a, _, _ = _three_chargers(sim, cpu, log)
+    _interrupt_at(sim, a, 0.5)  # a's turn (0.0-1.0) is under way.
+    sim.run()
+    assert log == [
+        ("a", "interrupted", 0.5),
+        ("b", "done", 2.0),
+        ("c", "done", 3.0),
+    ]
+    assert cpu.busy_time == 3.0
+
+
+def test_fat_tree_events_per_datagram_gate():
+    """Deterministic stand-in for a wall-clock gate: the 16-host
+    fat-tree arm (k=4, two flows a host, twelve 64-byte datagrams a
+    flow, 2 ms pacing) costs a pinned number of engine events per
+    delivered datagram.  It read 95.6 when a CPU charge or a link
+    transmit cost two events (grant, timeout); one event each is 60.6.
+    """
+    sim = Simulator()
+    hosts = fat_tree(sim, k=4, hosts_per_edge=2).hosts
+    n = len(hosts)
+    received = []
+    for host in hosts:
+        host.udp_ports.bind(9000, received.append)
+
+    def sender(src, dst_ip, sport):
+        for seq in range(12):
+            at = seq * 2e-3
+            if at > sim.now:
+                yield sim.timeout(at - sim.now)
+            datagram = encode_datagram(sport, 9000, bytes(64), src.ip, dst_ip)
+            yield from src.ip_send(dst_ip, PROTO_UDP, datagram)
+
+    for i, src in enumerate(hosts):
+        for flow in range(2):
+            dst = hosts[(i + n // 2 + flow * 2) % n]
+            sim.process(sender(src, dst.ip, 9001 + flow))
+    sim.run()
+    assert len(received) == n * 2 * 12
+    assert sim.engine_stats()["events"] / len(received) <= 61.0
 
 
 # ----------------------------------------------------------------------

@@ -18,21 +18,24 @@ from __future__ import annotations
 from ...counters import Counters
 import random
 from collections import deque
-from typing import Deque, Optional
+from typing import TYPE_CHECKING, Deque, Optional
 
 from ...obs import hist as _hist
 from ...obs import spans as _spans
 from ...sim import Simulator
-from ...sim.events import Event
+
+if TYPE_CHECKING:
+    from ..link import Transmitter
 
 
 class EgressQueue:
     """Byte-capacity FIFO with tail drop; base class for disciplines.
 
-    The kernel side calls :meth:`offer` (non-blocking: the frame is
-    queued or dropped, never back-pressured — a switch cannot pause the
-    wire); the port's transmit loop calls :meth:`get` and blocks until
-    a frame is available.
+    The switch calls :meth:`offer` (non-blocking: the frame is queued
+    or dropped, never back-pressured — a switch cannot pause the wire).
+    An admitted frame that finds the port's :attr:`transmitter` idle is
+    handed straight to it; otherwise it waits here until the
+    transmitter, at the end of a turn, takes it with :meth:`pop`.
     """
 
     #: Occupancy histogram resolution: fraction-of-capacity buckets.
@@ -46,7 +49,9 @@ class EgressQueue:
         #: Span/netstat label; the owning port overwrites it with its own.
         self.name = "queue"
         self._frames: Deque[bytes] = deque()
-        self._getters: Deque[Event] = deque()
+        #: The owning port's transmitter; None for a free-standing
+        #: queue, which then only accumulates.
+        self.transmitter: Optional["Transmitter"] = None
         self.depth_bytes = 0
         self.peak_bytes = 0
         #: Histogram of queue occupancy (depth/capacity) sampled at
@@ -92,32 +97,29 @@ class EgressQueue:
                 frame, "queue.enq", self.sim.now, self.name,
                 detail=f"depth={self.depth_bytes}/{self.capacity}",
             )
-        if self._getters:
-            # The transmitter is idle and waiting: hand the frame
-            # straight over without it ever occupying the queue.
-            getter = self._getters.popleft()
+        transmitter = self.transmitter
+        if transmitter is not None and not transmitter.busy:
+            # The transmitter is idle: hand the frame straight over
+            # without it ever occupying the queue.
             self.stats["dequeued"] += 1
-            getter.succeed(frame)
+            transmitter.start(frame)
             return True
         self._frames.append(frame)
         self.depth_bytes += len(frame)
         self.peak_bytes = max(self.peak_bytes, self.depth_bytes)
         return True
 
-    def get(self) -> Event:
-        """Port side: event that fires with the next frame to send."""
-        event = Event(self.sim)
-        if self._frames:
-            frame = self._frames.popleft()
-            self.depth_bytes -= len(frame)
-            self.stats["dequeued"] += 1
-            rec = _spans.RECORDER
-            if rec is not None:
-                rec.touch(frame, "queue.deq", self.sim.now, self.name)
-            event.succeed(frame)
-        else:
-            self._getters.append(event)
-        return event
+    def pop(self) -> Optional[bytes]:
+        """Port side: the next frame to send, or None when empty."""
+        if not self._frames:
+            return None
+        frame = self._frames.popleft()
+        self.depth_bytes -= len(frame)
+        self.stats["dequeued"] += 1
+        rec = _spans.RECORDER
+        if rec is not None:
+            rec.touch(frame, "queue.deq", self.sim.now, self.name)
+        return frame
 
     def mean_occupancy(self) -> float:
         """Average sampled occupancy as a fraction of capacity."""

@@ -236,7 +236,12 @@ class Router:
     def _worker(self) -> Generator:
         cpu = self.kernel.cpu
         while True:
-            job = yield self._input.get()
+            # Packets that arrived while the last one was being
+            # forwarded are taken directly; only an empty queue parks
+            # the worker on an event.
+            job = self._input.try_get()
+            if job is None:
+                job = yield self._input.get()
             kind, iface, header, packet = job
             assert kind == "forward"
             cost = self.kernel.cost_table.ip_forward

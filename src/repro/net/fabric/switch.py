@@ -12,19 +12,19 @@ expects (``accepts``/``wire_deliver``) but belongs to no host kernel:
 switching consumes no host CPU, only wire time and queue space.  Frames
 arrive fully serialized (the ingress link delivers whole frames), are
 bridged by destination MAC — learned from source addresses, flooded
-while unknown — and then queued on the egress port, whose transmit loop
+while unknown — and then queued on the egress port, whose transmitter
 drains one frame at a time through the egress link.
 """
 
 from __future__ import annotations
 
 from ...counters import Counters
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
-from ...sim import Event, Simulator
+from ...sim import Simulator
 from ..buf import as_wire_bytes
 from ..headers import BROADCAST_MAC, EthernetHeader, HeaderError, mac_to_str
-from ..link import Link
+from ..link import Link, Transmitter
 from .queues import EgressQueue, TailDropQueue
 
 
@@ -45,12 +45,23 @@ class SwitchPort:
         self.name = f"{switch.name}[{index}]"
         # Label the queue for span timelines and netstat tables.
         queue.name = self.name
-        self.stats = Counters()
+        self._stats = Counters()
         link.attach(self)
-        switch.sim.process(self._tx_loop(), name=f"{self.name}-tx")
+        # The queue hands a frame straight to the transmitter when it is
+        # idle; the transmitter pulls from the queue when a turn ends.
+        self._tx = queue.transmitter = Transmitter(link, self, pull=queue.pop)
 
     def __repr__(self) -> str:
         return f"<SwitchPort {self.name}>"
+
+    @property
+    def stats(self) -> Counters:
+        """Receive counters plus what the transmitter has offered to
+        the wire (a fresh merged copy per read)."""
+        merged = Counters(self._stats)
+        merged["tx_frames"] = self._tx.frames
+        merged["tx_bytes"] = self._tx.bytes
+        return merged
 
     @property
     def drops(self) -> int:
@@ -68,18 +79,9 @@ class SwitchPort:
         # ingress, egress queue, retransmission — holds one buffer by
         # reference and never copies it per hop.
         frame = as_wire_bytes(frame)
-        self.stats["rx_frames"] += 1
-        self.stats["rx_bytes"] += len(frame)
+        self._stats["rx_frames"] += 1
+        self._stats["rx_bytes"] += len(frame)
         self.switch._ingress(self, frame)
-
-    # Egress ------------------------------------------------------------
-
-    def _tx_loop(self) -> Generator:
-        while True:
-            frame = yield self.queue.get()
-            self.stats["tx_frames"] += 1
-            self.stats["tx_bytes"] += len(frame)
-            yield from self.link.transmit(self, frame)
 
 
 class Switch:
@@ -156,7 +158,8 @@ class Switch:
             self.stats["forwarded"] += 1
             targets = [out]
         for target in targets:
-            self._after(self.forward_latency, target.queue.offer, frame)
+            # Store-and-forward latency, then the egress queue.
+            self.sim.call_later(self.forward_latency, target.queue.offer, frame)
 
     def _learn(self, src: bytes, port: SwitchPort) -> None:
         if src == BROADCAST_MAC:
@@ -174,11 +177,3 @@ class Switch:
             del self._macs[dst]
             return None
         return port
-
-    def _after(self, delay: float, fn: Callable[[bytes], object], frame: bytes) -> None:
-        """Run ``fn(frame)`` after ``delay`` (the store-and-forward latency)."""
-        event = Event(self.sim)
-        event.callbacks.append(lambda _: fn(frame))
-        event._ok = True
-        event._value = None
-        self.sim.schedule(event, delay=delay)

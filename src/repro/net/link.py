@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from ..counters import Counters
 import abc
-from typing import TYPE_CHECKING, Callable, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
 
 from ..obs import spans as _spans
 from ..sim import Event, Serial, Simulator
@@ -29,9 +30,23 @@ if TYPE_CHECKING:
 #: corrupted, or duplicated (the wire tracer only sees pre-fault bytes).
 FaultObserver = Callable[["Link", bytes, FaultPlan], None]
 
+#: Wire tap: called with the flat frame at the instant a transmitter
+#: offers it to the wire, before serialization and fault injection
+#: (what a tcpdump on the sending interface would capture).
+Tap = Callable[[bytes], None]
+
 
 class Link(abc.ABC):
-    """Base class for simulated network segments."""
+    """Base class for simulated network segments.
+
+    A link class says how long a frame occupies the wire
+    (:meth:`wire_time`) and who hears it (:meth:`receivers`); taking
+    turns on the wire is the :class:`Transmitter`'s job.
+    """
+
+    #: True when every sender contends for one medium; otherwise each
+    #: transmitter serializes on a timeline of its own (full duplex).
+    SHARED_MEDIUM = False
 
     def __init__(
         self,
@@ -46,6 +61,8 @@ class Link(abc.ABC):
         self.faults = faults or PERFECT
         self.nics: list["Nic"] = []
         self.fault_observers: list[FaultObserver] = []
+        self.taps: list[Tap] = []
+        self._medium = Serial(sim) if self.SHARED_MEDIUM else None
         # Per-frame traffic counters live as plain attributes: three
         # dict-subclass item assignments per transmitted frame show up
         # at fabric scale.  ``stats`` materializes them on read.
@@ -85,12 +102,14 @@ class Link(abc.ABC):
         """Largest frame the link accepts, link headers included."""
 
     @abc.abstractmethod
-    def transmit(self, sender: "Nic", frame: bytes):
-        """Generator: serialize ``frame`` onto the wire and deliver it.
+    def wire_time(self, length: int) -> float:
+        """Seconds a ``length``-byte frame keeps its sender's turn:
+        serialization plus the mandatory gap before the next frame."""
 
-        ``frame`` may be a fragment chain; the wire is where it becomes
-        flat octets (the simulated DMA/PIO boundary), so fault injection
-        and receivers always see real bytes."""
+    @abc.abstractmethod
+    def receivers(self, sender: "Nic", frame: bytes) -> list["Nic"]:
+        """The attached NICs, other than ``sender``, whose address
+        filter accepts the flat ``frame``."""
 
     def _deliver_later(self, receivers: list["Nic"], frame: bytes) -> None:
         faults = self.faults
@@ -99,8 +118,9 @@ class Link(abc.ABC):
             # FaultPlan allocation entirely.  Same deliveries, same
             # engine events as the planned path would produce.
             delay = self.propagation_delay
+            call_later = self.sim.call_later
             for nic in receivers:
-                self._schedule_delivery(nic, frame, delay)
+                call_later(delay, nic.wire_deliver, frame)
             return
         plan = faults.plan(frame)
         for observer in self.fault_observers:
@@ -127,17 +147,155 @@ class Link(abc.ABC):
                             rec.bind_wire(data, tid)
         for extra_delay, data in plan.deliveries:
             for nic in receivers:
-                self._schedule_delivery(
-                    nic, data, self.propagation_delay + extra_delay
+                self.sim.call_later(
+                    self.propagation_delay + extra_delay, nic.wire_deliver, data
                 )
 
-    def _schedule_delivery(self, nic: "Nic", data: bytes, delay: float) -> None:
-        sim = self.sim
-        event = Event(sim)
-        event.callbacks.append(lambda _: nic.wire_deliver(data))
-        event._ok = True
-        event._value = None
-        sim.schedule(event, delay=delay)
+
+class Transmitter:
+    """One sender's FIFO turn-taking onto a link, run by callbacks.
+
+    A frame handed over while the transmitter is idle is offered to the
+    wire in the handing-over event itself: flattened (the simulated
+    DMA/PIO boundary, so taps, fault injection and receivers always see
+    real bytes), shown to the link's taps, and given a turn of
+    ``link.wire_time`` on the sender's :class:`~repro.sim.Serial`.  When
+    the turn ends the frame is counted on the link, delivered after the
+    propagation delay (the fault plan is drawn there), and the next
+    frame is pulled — from the transmitter's own bounded staging, or
+    from ``pull`` when the owner queues frames itself (a switch port's
+    egress queue).  No engine event is spent on a hand-off; the only
+    events are the turns themselves.
+
+    Two entries: :meth:`start` for an owner that has seen ``busy``
+    false, :meth:`submit` for a driver that wants FIFO staging and
+    back-pressure.
+    """
+
+    def __init__(
+        self,
+        link: Link,
+        sender: "Nic",
+        capacity: int = 0,
+        pull: Optional[Callable[[], Any]] = None,
+        fetch_delay: float = 0.0,
+    ) -> None:
+        """``capacity`` frames may wait staged behind the one in flight
+        (which does not count against it).  ``fetch_delay`` precedes
+        each frame's wire time (a controller fetching the frame by DMA)
+        and, like the wire time, is not overlapped with the previous
+        frame."""
+        self.link = link
+        self.sender = sender
+        #: True from a frame's hand-over until the last queued frame's
+        #: turn has ended.
+        self.busy = False
+        #: Frames and bytes offered to the wire so far (counted when a
+        #: frame's turn begins; staged frames are not in yet).
+        self.frames = 0
+        self.bytes = 0
+        medium = link._medium
+        self._serial = medium if medium is not None else Serial(link.sim)
+        self._max_frame = link.max_frame
+        self._capacity = capacity
+        self._staged: Deque[Any] = deque()
+        #: ``(frame, admitted_event)`` of senders waiting for a slot.
+        self._blocked: Deque[tuple[Any, Event]] = deque()
+        self._pull = pull if pull is not None else self._next_staged
+        self._fetch_delay = fetch_delay
+        # The frame in flight, its length and wire time (one at a time,
+        # so plain attributes rather than a closure per frame).
+        self._frame: Optional[bytes] = None
+        self._length = 0
+        self._wire_time = 0.0
+
+    def _oversized(self, length: int) -> ValueError:
+        return ValueError(
+            f"frame of {length} bytes exceeds {type(self.link).__name__} "
+            f"maximum {self._max_frame}"
+        )
+
+    def start(self, frame: Any) -> None:
+        """Offer ``frame`` to the wire now; only while ``busy`` is false.
+
+        Raises ``ValueError`` for a frame larger than the link accepts,
+        in the caller, leaving the transmitter idle and usable.  Frames
+        a ``pull`` source hands over later are not checked again.
+        """
+        length = len(frame)
+        if length > self._max_frame:
+            raise self._oversized(length)
+        self.busy = True
+        if self._fetch_delay:
+            self.link.sim.call_later(self._fetch_delay, self._wire, frame)
+        else:
+            self._wire(frame)
+
+    def submit(self, frame: Any) -> Optional[Event]:
+        """Send ``frame`` after everything submitted earlier.
+
+        Returns None when the frame was admitted — on the wire, or in
+        one of the ``capacity`` staging slots — and otherwise an event
+        the sender must wait on: it fires when a slot has been assigned,
+        strictly in arrival order.  An oversized frame raises
+        ``ValueError`` before anything is staged.
+        """
+        if not self.busy:
+            self.start(frame)
+            return None
+        length = len(frame)
+        if length > self._max_frame:
+            raise self._oversized(length)
+        staged = self._staged
+        if len(staged) >= self._capacity:
+            admitted = Event(self.link.sim)
+            self._blocked.append((frame, admitted))
+            return admitted
+        staged.append(frame)
+        return None
+
+    def _next_staged(self) -> Any:
+        staged = self._staged
+        if not staged:
+            return None
+        frame = staged.popleft()
+        if self._blocked:
+            # The freed slot goes to the longest-blocked sender *now*,
+            # not when that sender next runs: one arriving later in this
+            # same instant finds staging full again and waits behind it
+            # (what ``Store._trigger`` does for blocked puts).
+            waiting, admitted = self._blocked.popleft()
+            staged.append(waiting)
+            admitted.succeed()
+        return frame
+
+    def _wire(self, frame: Any) -> None:
+        link = self.link
+        frame = as_wire_bytes(frame)
+        for tap in link.taps:
+            tap(frame)
+        self._frame = frame
+        self._length = length = len(frame)
+        self.frames += 1
+        self.bytes += length
+        self._wire_time = wire_time = link.wire_time(length)
+        self._serial.hold(wire_time).callbacks.append(self._turn_over)
+
+    def _turn_over(self, _event: Event) -> None:
+        link = self.link
+        frame = self._frame
+        link._frames += 1
+        link._tx_bytes += self._length
+        link._busy_time += self._wire_time
+        link._deliver_later(link.receivers(self.sender, frame), frame)
+        frame = self._pull()
+        if frame is None:
+            self.busy = False
+            self._frame = None
+        elif self._fetch_delay:
+            link.sim.call_later(self._fetch_delay, self._wire, frame)
+        else:
+            self._wire(frame)
 
 
 class EthernetLink(Link):
@@ -151,6 +309,7 @@ class EthernetLink(Link):
     than 10.
     """
 
+    SHARED_MEDIUM = True
     PREAMBLE = 8
     FCS = 4
     MIN_FRAME = 64
@@ -165,7 +324,6 @@ class EthernetLink(Link):
         faults: Optional[FaultInjector] = None,
     ) -> None:
         super().__init__(sim, bit_rate, propagation_delay, faults)
-        self._medium = Serial(sim)
 
     @property
     def max_frame(self) -> int:
@@ -176,27 +334,21 @@ class EthernetLink(Link):
         on_wire = self.PREAMBLE + max(length, self.MIN_FRAME) + self.FCS
         return on_wire * 8 / self.bit_rate
 
-    def transmit(self, sender: "Nic", frame: bytes):
-        if len(frame) > self.max_frame:
-            raise ValueError(
-                f"frame of {len(frame)} bytes exceeds Ethernet maximum "
-                f"{self.max_frame}"
-            )
-        frame = as_wire_bytes(frame)
-        busy = self.frame_time(len(frame)) + self.IFG
-        yield self._medium.hold(busy)
-        self._frames += 1
-        self._tx_bytes += len(frame)
-        self._busy_time += busy
+    def wire_time(self, length: int) -> float:
+        # ``frame_time(length) + IFG`` spelled out (same float): this
+        # runs once per frame per hop.
+        on_wire = self.PREAMBLE + max(length, self.MIN_FRAME) + self.FCS
+        return on_wire * 8 / self.bit_rate + self.IFG
+
+    def receivers(self, sender: "Nic", frame: bytes) -> list["Nic"]:
         # The wire only routes on the destination MAC; decoding the
         # full header per frame is receiver-side work.
         dst = frame[:6]
-        receivers = [
+        return [
             nic
             for nic in self.nics
             if nic is not sender and nic.accepts(dst)
         ]
-        self._deliver_later(receivers, frame)
 
 
 class DuplexLink(EthernetLink):
@@ -211,6 +363,8 @@ class DuplexLink(EthernetLink):
     unmodified.
     """
 
+    SHARED_MEDIUM = False
+
     def __init__(
         self,
         sim: Simulator,
@@ -219,31 +373,6 @@ class DuplexLink(EthernetLink):
         faults: Optional[FaultInjector] = None,
     ) -> None:
         super().__init__(sim, bit_rate, propagation_delay, faults)
-        #: One serialization timeline per transmitter (full duplex).
-        self._tx_channels: dict[int, Serial] = {}
-
-    def transmit(self, sender: "Nic", frame: bytes):
-        if len(frame) > self.max_frame:
-            raise ValueError(
-                f"frame of {len(frame)} bytes exceeds Ethernet maximum "
-                f"{self.max_frame}"
-            )
-        frame = as_wire_bytes(frame)
-        channel = self._tx_channels.get(id(sender))
-        if channel is None:
-            channel = self._tx_channels[id(sender)] = Serial(self.sim)
-        busy = self.frame_time(len(frame)) + self.IFG
-        yield channel.hold(busy)
-        self._frames += 1
-        self._tx_bytes += len(frame)
-        self._busy_time += busy
-        dst = frame[:6]
-        receivers = [
-            nic
-            for nic in self.nics
-            if nic is not sender and nic.accepts(dst)
-        ]
-        self._deliver_later(receivers, frame)
 
 
 class An1Link(Link):
@@ -251,7 +380,7 @@ class An1Link(Link):
 
     The paper used "a switchless, private segment": effectively a
     full-duplex point-to-point link, so each transmitter gets its own
-    serialization resource.  The frame-size limit is NOT the hardware's
+    serialization timeline.  The frame-size limit is NOT the hardware's
     (AN1 frames can reach 64 KB) — the paper's driver "encapsulates data
     into an Ethernet datagram and restricts network transmissions to
     1500-byte packets", an artifact the benchmarks must reproduce, so
@@ -270,7 +399,6 @@ class An1Link(Link):
         faults: Optional[FaultInjector] = None,
     ) -> None:
         super().__init__(sim, bit_rate, propagation_delay, faults)
-        self._channels: dict[int, Serial] = {}
 
     @property
     def max_frame(self) -> int:
@@ -279,24 +407,14 @@ class An1Link(Link):
     def frame_time(self, length: int) -> float:
         return (length + self.OVERHEAD) * 8 / self.bit_rate
 
-    def transmit(self, sender: "Nic", frame: bytes):
-        if len(frame) > self.max_frame:
-            raise ValueError(
-                f"frame of {len(frame)} bytes exceeds AN1 maximum"
-            )
-        frame = as_wire_bytes(frame)
-        channel = self._channels.get(id(sender))
-        if channel is None:
-            channel = self._channels[id(sender)] = Serial(self.sim)
-        busy = self.frame_time(len(frame)) + self.GAP
-        yield channel.hold(busy)
-        self._frames += 1
-        self._tx_bytes += len(frame)
-        self._busy_time += busy
-        header = An1Header.unpack(frame)
-        receivers = [
+    def wire_time(self, length: int) -> float:
+        # ``frame_time(length) + GAP`` spelled out, as for Ethernet.
+        return (length + self.OVERHEAD) * 8 / self.bit_rate + self.GAP
+
+    def receivers(self, sender: "Nic", frame: bytes) -> list["Nic"]:
+        dst = An1Header.unpack(frame).dst
+        return [
             nic
             for nic in self.nics
-            if nic is not sender and nic.accepts(header.dst)
+            if nic is not sender and nic.accepts(dst)
         ]
-        self._deliver_later(receivers, frame)

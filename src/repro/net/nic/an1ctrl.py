@@ -19,9 +19,8 @@ from typing import Any, Generator, Optional
 
 from ...mach.kernel import Kernel
 from ...obs import spans as _spans
-from ...sim import Store
 from ..headers import An1Header, HeaderError
-from ..link import An1Link
+from ..link import An1Link, Transmitter
 from .base import Nic
 
 #: AN1 broadcast station address.
@@ -71,6 +70,8 @@ class An1Nic(Nic):
 
     #: DMA engine latency per packet (bus arbitration + transfer start).
     DMA_LATENCY = 5e-6
+    #: Transmit descriptors the driver may have outstanding.
+    TX_DESCRIPTORS = 32
 
     def __init__(
         self,
@@ -88,12 +89,15 @@ class An1Nic(Nic):
             raise ValueError(f"bad station address {station}")
         self._driver_mtu_data = driver_mtu_data
         self.station = station
-        self._tx_queue: Store = Store(kernel.sim, capacity=32)
+        # The controller fetches each frame by DMA, then sends it.
+        self._tx = Transmitter(
+            link, self, capacity=self.TX_DESCRIPTORS,
+            fetch_delay=self.DMA_LATENCY,
+        )
         #: The hardware BQI table.  Entry 0 (kernel default) is installed
         #: by the network I/O module at boot.
         self.bqi_table: dict[int, BufferRing] = {}
         self._next_bqi = 1
-        kernel.sim.process(self._tx_loop(), name=f"{name}-tx")
 
     @property
     def mtu_data(self) -> int:
@@ -142,15 +146,11 @@ class An1Nic(Nic):
         if rec is not None:
             rec.touch(frame, "nic.tx", self.sim.now, self.name, cost=cost)
         yield from self.kernel.cpu.consume(cost)
-        yield self._tx_queue.put(frame)
+        descriptors_full = self._tx.submit(frame)
+        if descriptors_full is not None:
+            yield descriptors_full
         self.stats["tx_frames"] += 1
         self.stats["tx_bytes"] += len(frame)
-
-    def _tx_loop(self) -> Generator:
-        while True:
-            frame = yield self._tx_queue.get()
-            yield self.sim.timeout(self.DMA_LATENCY)  # Fetch via DMA.
-            yield from self.link.transmit(self, frame)
 
     # ------------------------------------------------------------------
     # Receive: hardware BQI demux straight into a host ring.

@@ -18,9 +18,8 @@ from typing import Any, Generator
 from ...counters import Counters
 from ...mach.kernel import Kernel
 from ...obs import spans as _spans
-from ...sim import Store
 from ..headers import BROADCAST_MAC, EthernetHeader
-from ..link import EthernetLink
+from ..link import EthernetLink, Transmitter
 from .base import Nic
 
 
@@ -43,7 +42,7 @@ class PmaddNic(Nic):
         if len(mac) != 6:
             raise ValueError("MAC must be 6 bytes")
         self.mac = mac
-        self._tx_buffers: Store = Store(kernel.sim, capacity=self.BOARD_BUFFERS)
+        self._tx = Transmitter(link, self, capacity=self.BOARD_BUFFERS)
         self._rx_buffers: list[bytes] = []
         self._rx_interrupt_pending = False
         self._rxintr_name = f"{name}-rxintr"
@@ -54,7 +53,6 @@ class PmaddNic(Nic):
         self._tx_byte_count = 0
         self._rx_frames = 0
         self._rx_byte_count = 0
-        kernel.sim.process(self._tx_loop(), name=f"{name}-tx")
 
     @property
     def stats(self):
@@ -92,14 +90,11 @@ class PmaddNic(Nic):
         if cost:
             yield self.kernel.cpu.charge(cost)
         # Blocks when all staging buffers are full: natural backpressure.
-        yield self._tx_buffers.put(frame)
+        staging_full = self._tx.submit(frame)
+        if staging_full is not None:
+            yield staging_full
         self._tx_frames += 1
         self._tx_byte_count += len(frame)
-
-    def _tx_loop(self) -> Generator:
-        while True:
-            frame = yield self._tx_buffers.get()
-            yield from self.link.transmit(self, frame)
 
     # ------------------------------------------------------------------
     # Receive: stage on board, interrupt, PIO copy to host, hand off.

@@ -197,6 +197,16 @@ class Simulator:
             nb.normal.append(event)
             buckets[t] = nb
 
+    def call_later(self, delay: float, fn, arg: Any) -> None:
+        """Run ``fn(arg)`` ``delay`` seconds from now: one event, one
+        callback, no process (a frame's propagation, a switch's
+        forwarding latency, a controller's DMA fetch)."""
+        event = Event(self)
+        event.callbacks.append(lambda _: fn(arg))
+        event._ok = True
+        event._value = None
+        self.schedule(event, delay=delay)
+
     def step(self) -> None:
         """Advance to the next timestamp and process its whole batch."""
         try:
@@ -239,12 +249,12 @@ class Simulator:
         ln = len(n)
         try:
             while True:
-                # ``len(u)`` is re-read every iteration (an URGENT
-                # arrival must preempt immediately); the NORMAL bound is
-                # cached and only refreshed once the cached run drains,
-                # halving the len() traffic of the common all-NORMAL
-                # batch.
-                if ui < len(u):
+                # ``u`` is re-examined every iteration (an URGENT
+                # arrival must preempt immediately), by truth test first
+                # so the common all-NORMAL batch never calls len() on
+                # it; the NORMAL bound is cached and only refreshed once
+                # the cached run drains.
+                if u and ui < len(u):
                     event = u[ui]
                     ui += 1
                 elif ni < ln:

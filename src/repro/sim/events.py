@@ -230,12 +230,12 @@ class Process(Event):
             except StopIteration as exc:
                 self._ok = True
                 self._value = exc.value
-                sim.schedule(self)
+                self._finish()
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
-                sim.schedule(self)
+                self._finish()
                 break
 
             # ``target.callbacks`` doubles as the Event duck-type check:
@@ -244,21 +244,15 @@ class Process(Event):
             try:
                 callbacks = target.callbacks
             except AttributeError:
-                exc = SimError(
+                # Throw the complaint in at the offending yield, through
+                # the same advance-and-handle code as any failed event.
+                event = Event(sim)
+                event._ok = False
+                event._value = SimError(
                     f"process {self.name!r} yielded {target!r}, "
                     "which is not an Event"
                 )
-                try:
-                    gen.throw(exc)
-                except StopIteration as stop:
-                    self._ok = True
-                    self._value = stop.value
-                    sim.schedule(self)
-                except BaseException as err:
-                    self._ok = False
-                    self._value = err
-                    sim.schedule(self)
-                break
+                continue
 
             if callbacks is not None:
                 # Event not yet processed: wait for it.
@@ -268,6 +262,22 @@ class Process(Event):
             # Already-processed event: continue immediately with its value.
             event = target
         sim._active_process = None
+
+    def _finish(self) -> None:
+        """The generator has ended and ``_ok``/``_value`` are set.
+
+        With someone waiting, the process fires like any event, one
+        zero-delay event later.  With nobody waiting (an interrupt
+        handler, a per-connection worker — most processes are never
+        joined) it is *processed* here and now: no engine event is spent
+        on a completion nobody observes, and a later ``yield proc``,
+        ``run(until=proc)`` or condition over it sees a processed event
+        and continues at once with its value or exception.
+        """
+        if self.callbacks:
+            self.sim.schedule(self)
+        else:
+            self.callbacks = None
 
 
 class Condition(Event):

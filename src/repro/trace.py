@@ -13,7 +13,6 @@ import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .net.buf import as_wire_bytes
 from .net.headers import (
     ARP_REQUEST,
     An1Header,
@@ -86,9 +85,11 @@ def _tcp_flags(flags: int) -> str:
 class WireTrace:
     """Observe every frame on a link.
 
-    Wraps the link's ``transmit`` so captures see exactly what was
-    offered to the wire (before any fault injection).  Records accumulate
-    in :attr:`records`; pass ``printer`` to also emit lines live.
+    A tap on the link (``link.taps``), so captures see exactly what
+    was offered to the wire (before any fault injection).  Records
+    accumulate in :attr:`records`; pass ``printer`` to also emit lines
+    live.  Any number of traces may share a link and detach in any
+    order.
     """
 
     def __init__(
@@ -101,24 +102,21 @@ class WireTrace:
         self.printer = printer
         self.capture = capture
         self.records: list[TraceRecord] = []
-        self._original_transmit = link.transmit
-        link.transmit = self._traced_transmit  # type: ignore[method-assign]
+        link.taps.append(self._tap)
 
     def detach(self) -> None:
-        """Stop tracing; restores the link's transmit."""
-        self.link.transmit = self._original_transmit  # type: ignore[method-assign]
+        """Stop tracing: remove this trace's tap from the link
+        (detaching twice is harmless)."""
+        if self._tap in self.link.taps:
+            self.link.taps.remove(self._tap)
 
-    def _traced_transmit(self, sender, frame: bytes):
-        # Materialize fragment chains once here; the fused image is
-        # cached, so the link's own wire boundary reuses it.
-        frame = as_wire_bytes(frame)
+    def _tap(self, frame: bytes) -> None:
         record = self.decode(self.link.sim.now, frame)
         record.raw = bytes(frame)
         if self.capture:
             self.records.append(record)
         if self.printer is not None:
             self.printer(str(record))
-        return self._original_transmit(sender, frame)
 
     # ------------------------------------------------------------------
     # Decoding

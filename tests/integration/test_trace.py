@@ -65,6 +65,43 @@ def test_trace_printer_and_detach():
     assert testbed2_proc_count == captured
 
 
+def test_two_traces_detach_in_attach_order():
+    """Detaching the first of two traces used to restore the bare
+    transmit and silently un-trace the second."""
+    testbed = Testbed(network="ethernet", organization="userlib")
+    first = WireTrace(testbed.link)
+    second = WireTrace(testbed.link)
+
+    def ping(port):
+        def server():
+            listener = yield from testbed.service_b.listen(port)
+            conn = yield from listener.accept()
+            yield from conn.send((yield from conn.recv_exactly(10)))
+
+        def client():
+            conn = yield from testbed.service_a.connect(IP_B, port)
+            yield from conn.send(b"p" * 10)
+            yield from conn.recv_exactly(10)
+
+        testbed.spawn(server(), name="server")
+        testbed.run(until=testbed.spawn(client(), name="client"))
+
+    ping(9101)
+    assert first.records
+    # Both taps saw the same frames at the same instants.
+    assert [(r.time, r.raw) for r in first.records] == [
+        (r.time, r.raw) for r in second.records
+    ]
+    seen = len(first.records)
+    first.detach()
+    first.detach()  # Harmless.
+    ping(9102)
+    assert len(first.records) == seen
+    assert len(second.records) > seen
+    second.detach()
+    assert testbed.link.taps == []
+
+
 def test_trace_summary_counts():
     testbed = Testbed(network="ethernet", organization="userlib")
     trace = WireTrace(testbed.link)

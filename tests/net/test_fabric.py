@@ -12,7 +12,7 @@ from repro.net.fabric import (
 )
 from repro.net.faults import FaultInjector
 from repro.net.headers import PROTO_ICMP, PROTO_UDP, str_to_ip
-from repro.net.link import DuplexLink, EthernetLink
+from repro.net.link import DuplexLink, EthernetLink, Transmitter
 from repro.protocols.icmp import encode_echo
 from repro.sim import Simulator
 
@@ -51,11 +51,7 @@ def test_link_counts_injected_faults():
     link = DuplexLink(sim, faults=faults)
     sender = FakeNic(link, "tx")
     receiver = FakeNic(link, "rx")
-
-    def send():
-        yield from link.transmit(sender, b"x" * 100)
-
-    sim.process(send())
+    Transmitter(link, sender).start(b"x" * 100)
     sim.run(until=0.1)
     assert receiver.received == []
     # The plan's outcome is visible on the link itself, not only
@@ -67,11 +63,7 @@ def test_link_counts_injected_faults():
     link2 = DuplexLink(sim, faults=faults2)
     sender2 = FakeNic(link2, "tx2")
     receiver2 = FakeNic(link2, "rx2")
-
-    def send2():
-        yield from link2.transmit(sender2, b"y" * 100)
-
-    sim.process(send2())
+    Transmitter(link2, sender2).start(b"y" * 100)
     sim.run(until=0.2)
     assert link2.stats["corrupted"] == 1
     assert link2.stats["duplicated"] == 1
@@ -95,20 +87,42 @@ def test_taildrop_queue_drops_at_capacity():
     assert queue.depth_bytes == 800
     assert queue.peak_bytes == 800
     # Draining frees capacity again.
-    got = queue.get()
-    assert got.triggered and got._value == frame
+    assert queue.pop() == frame
+    assert queue.depth_bytes == 400
+    assert queue.stats["dequeued"] == 1
     assert queue.offer(frame)
     assert 0.0 < queue.mean_occupancy() < 1.0
+    assert queue.pop() == frame and queue.pop() == frame
+    assert queue.pop() is None  # Empty: nothing to hand over.
+    assert queue.stats["dequeued"] == 3
 
 
 def test_queue_hands_frame_to_waiting_getter():
+    """The waiting getter is the port's idle transmitter (it was an
+    event the port's transmit process parked on)."""
     sim = Simulator()
+    link = DuplexLink(sim)
+    port = FakeNic(link, "port")
+    peer = FakeNic(link, "peer")
     queue = TailDropQueue(sim, capacity_bytes=1000)
-    event = queue.get()  # Transmitter waiting before any arrival.
-    assert not event.triggered
-    queue.offer(b"hello")
-    assert event.triggered and event._value == b"hello"
-    assert queue.depth_bytes == 0  # Never occupied the queue.
+    queue.transmitter = Transmitter(link, port, pull=queue.pop)
+    # Transmitter idle before any arrival: the frame goes straight to
+    # the wire and never occupies the queue.
+    assert queue.offer(b"hello")
+    assert queue.transmitter.busy
+    assert len(queue) == 0
+    assert queue.depth_bytes == 0 and queue.peak_bytes == 0
+    assert queue.stats["enqueued"] == 1 and queue.stats["dequeued"] == 1
+    # While that frame is on the wire, arrivals do queue...
+    assert queue.offer(b"world")
+    assert queue.depth_bytes == 5 and queue.peak_bytes == 5
+    assert queue.stats["dequeued"] == 1
+    # ...and the transmitter pulls them, in order, as each turn ends.
+    sim.run()
+    assert peer.received == [b"hello", b"world"]
+    assert queue.depth_bytes == 0 and queue.peak_bytes == 5
+    assert queue.stats["dequeued"] == 2
+    assert not queue.transmitter.busy
 
 
 def test_red_queue_early_drops_between_thresholds():

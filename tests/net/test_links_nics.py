@@ -16,6 +16,7 @@ from repro.net import (
     PmaddNic,
     str_to_mac,
 )
+from repro.net.link import Transmitter
 from repro.sim import Simulator
 
 MAC_A = str_to_mac("02:00:00:00:00:01")
@@ -168,12 +169,40 @@ def test_ethernet_serializes_transmissions():
 
 def test_ethernet_oversized_frame_rejected():
     sim, link, kernels, nics = make_eth_world()
+    transmitter = Transmitter(link, nics[0], capacity=1)
+    with pytest.raises(ValueError):
+        transmitter.start(b"z" * 2000)
+    assert not transmitter.busy
+    # Rejected on the staging path too, before anything is staged.
+    transmitter.start(b"a" * 100)
+    with pytest.raises(ValueError):
+        transmitter.submit(b"z" * 2000)
+    sim.run()
+    assert link.stats["frames"] == 1
+
+
+def test_pmadd_oversized_frame_raises_in_caller_and_nic_stays_usable():
+    """An oversized frame used to be staged, kill the NIC's transmit
+    process out of sight, and wedge every later frame behind it."""
+    sim, link, kernels, nics = make_eth_world()
+    got = []
+    nics[1].rx_handler = collect_handler(got)
+    valid = eth_frame(MAC_B, MAC_A)
+    raised = []
 
     def send():
-        with pytest.raises(ValueError):
-            yield from link.transmit(nics[0], b"z" * 2000)
+        try:
+            yield from nics[0].driver_transmit(eth_frame(MAC_B, MAC_A, b"z" * 2500))
+        except ValueError:
+            raised.append(sim.now)
+        yield from nics[0].driver_transmit(valid)
 
     sim.run(until=sim.process(send()))
+    sim.run()
+    assert len(raised) == 1
+    assert [frame for frame, _ in got] == [valid]
+    assert link.stats["frames"] == 1
+    assert nics[0].stats["tx_frames"] == 1
 
 
 def test_pmadd_charges_pio_costs():

@@ -2,7 +2,7 @@
 under adversarial network conditions."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.protocols.tcp import State, TcpConfig
@@ -42,18 +42,31 @@ def make_pair(drop_set_ab=(), drop_set_ba=(), dup_set=(), latencies=None):
     drops_ab=st.sets(st.integers(min_value=0, max_value=40), max_size=8),
     drops_ba=st.sets(st.integers(min_value=0, max_value=40), max_size=8),
 )
+# The handshake ACK and every SYN-ACK retry lost: a connects, b rightly
+# gives up with "timeout" — a reported failure, not a broken stream.
+@example(payload=b"\x00", drops_ab={1, 2, 3, 4}, drops_ba={1, 2, 3, 4})
 def test_lossy_transfer_delivers_exact_stream(payload, drops_ab, drops_ba):
+    """Either the whole stream arrives, or a failure is reported on at
+    least one side and what did arrive is a prefix of the stream."""
     pair = make_pair(drop_set_ab=drops_ab, drop_set_ba=drops_ba)
     pair.connect(run=False)
-    pair.run(until=120.0)
-    if not (pair.a.connected and pair.b.connected):
-        # Handshake segments were among the dropped indices and the
-        # retry budget ran out only if we stopped too early; run longer.
-        pair.run(until=600.0)
-    assert pair.a.connected and pair.b.connected
-    pair.app_send("a", payload)
-    pair.run(until=1200.0)
-    assert bytes(pair.b.received) == payload
+    # Long enough for every handshake retry budget to run out.
+    pair.run(until=600.0)
+
+    def failure_reported():
+        return (
+            pair.a.closed_reason is not None
+            or pair.b.closed_reason is not None
+        )
+
+    if pair.a.connected and pair.b.connected:
+        pair.app_send("a", payload)
+        pair.run(until=1200.0)
+        if not failure_reported():
+            assert bytes(pair.b.received) == payload
+            return
+    assert failure_reported()
+    assert payload.startswith(bytes(pair.b.received))
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, SimError, Simulator
+from repro.sim import Interrupt, LegacySimulator, SimError, Simulator
 
 
 def test_process_returns_value():
@@ -250,3 +250,170 @@ def test_condition_empty_fires_immediately():
         return sim.now
 
     assert sim.run(until=sim.process(proc())) == 0.0
+
+
+# ----------------------------------------------------------------------
+# A process nobody waits for finishes without an engine event
+# ----------------------------------------------------------------------
+
+ENGINES = [Simulator, LegacySimulator]
+
+
+@pytest.mark.parametrize("sim_cls", ENGINES)
+def test_unjoined_process_is_processed_on_the_spot(sim_cls):
+    sim = sim_cls()
+
+    def worker():
+        yield sim.timeout(1.0)
+        return "done"
+
+    p = sim.process(worker())
+    sim.run()
+    assert p.processed is True
+    assert p.ok and p.value == "done"
+    # Initialize and the timeout; no completion event for nobody.
+    assert sim.engine_stats()["events"] == 2
+
+
+@pytest.mark.parametrize("sim_cls", ENGINES)
+def test_joined_process_still_fires_as_an_event(sim_cls):
+    sim = sim_cls()
+
+    def child():
+        yield sim.timeout(1.0)
+        return "child"
+
+    def parent():
+        return (yield sim.process(child()))
+
+    p = sim.process(parent())
+    sim.run()
+    assert p.value == "child"
+    # Two Initializes, the timeout, and the child's completion event
+    # that wakes the parent; the parent's own completion is unobserved.
+    assert sim.engine_stats()["events"] == 4
+
+
+@pytest.mark.parametrize("sim_cls", ENGINES)
+def test_late_yield_of_finished_process_continues_immediately(sim_cls):
+    sim = sim_cls()
+
+    def early():
+        yield sim.timeout(1.0)
+        return "early"
+
+    def failing():
+        yield sim.timeout(1.0)
+        raise KeyError("lost")
+
+    done, failed = sim.process(early()), sim.process(failing())
+    sim.run()
+    assert done.processed and failed.processed and not failed.ok
+
+    def late():
+        before = sim.now
+        value = yield done
+        try:
+            yield failed
+        except KeyError as exc:
+            return value, exc.args[0], sim.now - before
+
+    events_before = sim.engine_stats()["events"]
+    assert sim.run(until=sim.process(late())) == ("early", "lost", 0.0)
+    # Only the late process's own Initialize and completion ran.
+    assert sim.engine_stats()["events"] == events_before + 2
+
+
+@pytest.mark.parametrize("sim_cls", ENGINES)
+def test_run_until_finished_process_returns_or_raises(sim_cls):
+    sim = sim_cls()
+
+    def good():
+        yield sim.timeout(1.0)
+        return 5
+
+    def bad():
+        yield sim.timeout(1.0)
+        raise ValueError("escapes")
+
+    p, q = sim.process(good()), sim.process(bad())
+    sim.run()
+    assert sim.run(until=p) == 5
+    with pytest.raises(ValueError):
+        sim.run(until=q)
+    # And the unfinished case is unchanged: run() drives it to the end.
+    r = sim.process(good())
+    assert sim.run(until=r) == 5
+
+
+@pytest.mark.parametrize("sim_cls", ENGINES)
+def test_conditions_over_finished_and_unfinished_processes(sim_cls):
+    sim = sim_cls()
+
+    def after(delay, value):
+        yield sim.timeout(delay)
+        return value
+
+    finished = sim.process(after(1.0, "first"))
+    sim.run()
+    assert finished.processed
+    pending = sim.process(after(2.0, "second"))
+
+    def waiter():
+        any_result = yield sim.any_of([finished, pending])
+        at_any = sim.now
+        all_result = yield sim.all_of([finished, pending])
+        return list(any_result.values()), at_any, list(all_result.values()), sim.now
+
+    assert sim.run(until=sim.process(waiter())) == (
+        ["first"], 1.0, ["first", "second"], 3.0,
+    )
+
+
+@pytest.mark.parametrize("sim_cls", ENGINES)
+def test_all_of_over_failed_finished_process_fails(sim_cls):
+    sim = sim_cls()
+
+    def bad():
+        yield sim.timeout(1.0)
+        raise ValueError("boom")
+
+    failed = sim.process(bad())
+    sim.run()
+
+    def waiter():
+        try:
+            yield sim.all_of([failed, sim.timeout(1.0)])
+        except ValueError:
+            return "saw failure"
+
+    assert sim.run(until=sim.process(waiter())) == "saw failure"
+
+
+@pytest.mark.parametrize("sim_cls", ENGINES)
+def test_interrupt_of_unjoined_finished_process_rejected(sim_cls):
+    sim = sim_cls()
+
+    def quick():
+        yield sim.timeout(1.0)
+
+    p = sim.process(quick())
+    sim.run()
+    assert p.processed and not p.is_alive
+    with pytest.raises(SimError):
+        p.interrupt()
+
+
+@pytest.mark.parametrize("sim_cls", ENGINES)
+def test_generator_may_catch_the_non_event_complaint_and_go_on(sim_cls):
+    sim = sim_cls()
+
+    def proc():
+        try:
+            yield "not an event"
+        except SimError:
+            pass
+        yield sim.timeout(1.0)
+        return sim.now
+
+    assert sim.run(until=sim.process(proc())) == 1.0

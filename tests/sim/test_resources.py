@@ -353,7 +353,10 @@ def test_fat_tree_events_per_datagram_gate():
     fat-tree arm (k=4, two flows a host, twelve 64-byte datagrams a
     flow, 2 ms pacing) costs a pinned number of engine events per
     delivered datagram.  It read 95.6 when a CPU charge or a link
-    transmit cost two events (grant, timeout); one event each is 60.6.
+    transmit cost two events (grant, timeout), 60.6 with one event
+    each, and reads 44.6 now that a frame changes hands (driver to NIC,
+    switch to port, router interrupt to worker) without an event and an
+    unjoined process ends without one.
     """
     sim = Simulator()
     hosts = fat_tree(sim, k=4, hosts_per_edge=2).hosts
@@ -376,7 +379,7 @@ def test_fat_tree_events_per_datagram_gate():
             sim.process(sender(src, dst.ip, 9001 + flow))
     sim.run()
     assert len(received) == n * 2 * 12
-    assert sim.engine_stats()["events"] / len(received) <= 61.0
+    assert sim.engine_stats()["events"] / len(received) <= 45.0
 
 
 # ----------------------------------------------------------------------

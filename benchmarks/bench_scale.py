@@ -1,41 +1,38 @@
-"""Simulator-at-scale: events/sec across fat-tree sizes, batched vs legacy.
+"""Simulator-at-scale: engine events and events/sec across fat-tree sizes.
 
 The ROADMAP's scale goal is "hundreds of hosts in one simulated world";
-this bench grades the engine on it, in two parts:
+this bench grades the engine on it, in three parts:
 
 **Timer storm** — W synchronized self-rescheduling timers with trivial
 callbacks.  All W fire at each tick, so every tick is one bucket: this
 saturates the *scheduler* and isolates the engine from protocol code.
-The batched engine's >= 1.5x events/sec acceptance gate lives here,
-measured against :class:`~repro.sim.LegacySimulator` (the original
-one-heap-entry-per-event engine, kept verbatim for this comparison).
+Its events/sec is printed as information.
 
 **Fat-tree sweep** — a k-ary fat-tree (:func:`repro.net.fabric.fat_tree`)
 carrying a synchronized many-flow UDP workload: every host runs several
 periodic senders whose wake times stay phase-aligned (absolute-time
 pacing), the pattern that fills same-timestamp buckets in real protocol
 runs.  Reported per size: events/sec, wall-clock per simulated second,
-and mean batch size.  The end-to-end batched/legacy ratio is reported
-too but only sanity-gated (~1x): protocol callbacks dominate wall time
-there, so heap savings are a minor term — which is exactly why the
-engine gate uses the storm.
+and mean batch size.
 
 **TCP bulk fast path** — an in-order bulk transfer on the two-host
 Ethernet bed, graded on the header-prediction hit rate (the receive
 fast path must absorb >= 90% of segments in the no-loss, in-order
 steady state; see :class:`repro.protocols.tcp.machine.TcpMachine`).
 
-``--quick`` is the CI smoke: storm gate + 16-host tree + TCP fast-path
-gate, plus a regression guard against ``baselines/scale_quick.json``:
-the storm fails on a >20% events/sec drop; the fabric fails when the
-run takes *more engine events* than recorded — a deterministic count,
-where events/sec points the wrong way (a change that deletes the
-cheapest events lowers it on a run that got faster).  Fabric events/sec
-and wall-seconds per simulated second are printed beside it.  The full sweep
-runs 16/64/256 hosts (the 256-host tree carries >= 1k concurrent
-flows); ``--huge`` adds the 1024-host k=16 tree and the 4096-host
-k=16 tree.  Topology build time is reported separately from the run:
-the events/sec figures time :meth:`Simulator.run` only.
+Every gate rides on a deterministic count; events/sec and wall-seconds
+per simulated second are printed, never asserted (a wall-clock ratio
+flips under load, and events/sec falls when a change deletes the
+cheapest events from a run that got faster).  ``--quick`` is the CI
+smoke: storm + 16-host tree + TCP bulk, gated on the delivery rate, the
+events-per-step batching floor, the fast-path hit floor, and the fabric
+taking no *more engine events* than ``baselines/scale_quick.json``
+records.  The full sweep runs 16/64/256 hosts (the 256-host tree
+carries >= 1k concurrent flows); ``--huge`` adds the 1024-host k=16
+tree and the 4096-host k=16 tree.  Topology build time is reported
+separately from the run: the events/sec figures time
+:meth:`Simulator.run` only.  Speed claims belong to the ledger
+(``benchmarks/ledger``), not here.
 """
 
 import argparse
@@ -48,7 +45,7 @@ from repro.metrics import engine_profile
 from repro.net.fabric import fat_tree
 from repro.net.headers import PROTO_UDP
 from repro.protocols.udp import encode_datagram
-from repro.sim import LegacySimulator, Simulator, Timeout
+from repro.sim import Simulator, Timeout
 
 FLOW_PORT = 9000
 PAYLOAD = bytes(64)
@@ -74,37 +71,29 @@ HUGE_SWEEP = [
     ("4096", 16, 32, 1, 2),  # k=16, 32 hosts/edge: 4096 hosts.
 ]
 
-#: Acceptance: batched engine events/sec over legacy on the timer storm.
-MIN_SPEEDUP = 1.5
-#: Sanity floor for the end-to-end fabric ratio: the batched engine must
-#: not make real protocol workloads meaningfully *slower*.
-MIN_FABRIC_RATIO = 0.85
 #: The 256-host tree must carry at least this many concurrent flows.
 MIN_FLOWS_AT_256 = 1000
 #: Header-prediction floor: fraction of received segments the TCP
 #: receive fast path must absorb on an in-order bulk transfer.
 MIN_FASTPATH_HIT = 0.9
 
+#: Batching floor: mean events per heap pop on the quick fat-tree.
+MIN_EVENTS_PER_STEP = 1.5
+
 BASELINE_PATH = Path(__file__).parent / "baselines" / "scale_quick.json"
-#: Regression guard: fail if the storm's batched events/sec drops more
-#: than 20% below the recorded baseline.
-BASELINE_DROP = 0.8
 
 
 # ----------------------------------------------------------------------
 # Part 1: scheduler-saturating timer storm
 # ----------------------------------------------------------------------
 
-def run_storm(sim_cls, width=STORM_WIDTH, ticks=STORM_TICKS) -> dict:
+def run_storm(width=STORM_WIDTH, ticks=STORM_TICKS) -> dict:
     """``width`` synchronized timers, each rescheduling for ``ticks``
     rounds.  Absolute-time pacing keeps every round on one timestamp.
 
     ``events_per_sec`` here is events per *CPU* second
-    (``time.process_time``): the storm arms run ~0.2s each, short
-    enough that wall-clock preemption noise on a shared machine swings
-    a measurement 30%, and the gate is about engine work, not
-    scheduling luck."""
-    sim = sim_cls()
+    (``time.process_time``), and information only."""
+    sim = Simulator()
 
     def retick(timer: Timeout) -> None:
         tick = timer._value
@@ -121,9 +110,8 @@ def run_storm(sim_cls, width=STORM_WIDTH, ticks=STORM_TICKS) -> dict:
     cpu0 = time.process_time()
     sim.run()
     cpu = time.process_time() - cpu0
-    profile = engine_profile(sim, sim_cls.__name__, cpu, sim.now)
+    profile = engine_profile(sim, "Simulator", cpu, sim.now)
     return {
-        "engine": sim_cls.__name__,
         "events": profile.events,
         "steps": profile.steps,
         "events_per_step": profile.events_per_step,
@@ -132,42 +120,18 @@ def run_storm(sim_cls, width=STORM_WIDTH, ticks=STORM_TICKS) -> dict:
     }
 
 
-def run_storm_comparison(reps: int = 3) -> dict:
-    """Best-of-``reps`` per arm, interleaved.  The storm runs ~0.2s per
-    arm, short enough that one scheduler hiccup on a shared machine can
-    swing a single measurement 30%; best-of keeps the gate meaningful."""
-    legacy = batched = None
-    for _ in range(reps):
-        lraw = run_storm(LegacySimulator)
-        braw = run_storm(Simulator)
-        assert lraw["events"] == braw["events"]
-        if legacy is None or lraw["events_per_sec"] > legacy["events_per_sec"]:
-            legacy = lraw
-        if batched is None or braw["events_per_sec"] > batched["events_per_sec"]:
-            batched = braw
-    return {
-        "legacy": legacy,
-        "batched": batched,
-        "speedup": (
-            batched["events_per_sec"] / legacy["events_per_sec"]
-            if legacy["events_per_sec"]
-            else float("inf")
-        ),
-    }
-
-
 # ----------------------------------------------------------------------
 # Part 2: fat-tree many-flow sweep
 # ----------------------------------------------------------------------
 
-def run_arm(sim_cls, k, hosts_per_edge, flows_per_host, datagrams) -> dict:
-    """One fat-tree many-flow workload on one engine; returns the facts.
+def run_arm(k, hosts_per_edge, flows_per_host, datagrams) -> dict:
+    """One fat-tree many-flow workload; returns the facts.
 
     Topology construction is timed separately (``build_seconds``): at
     4096 hosts the build is minutes of allocation while the run is
     seconds, and folding it into events/sec would grade the allocator,
     not the engine."""
-    sim = sim_cls()
+    sim = Simulator()
     build0 = time.perf_counter()
     topo = fat_tree(sim, k=k, hosts_per_edge=hosts_per_edge)
     hosts = topo.hosts
@@ -195,7 +159,7 @@ def run_arm(sim_cls, k, hosts_per_edge, flows_per_host, datagrams) -> dict:
 
     # Deterministic flow pattern: flow f of host i targets the host
     # n//2 + f*hosts_per_edge slots away — off-subnet, spread over
-    # pods, identical in both arms.
+    # pods.
     flows = 0
     for i, src in enumerate(hosts):
         for f in range(flows_per_host):
@@ -217,10 +181,9 @@ def run_arm(sim_cls, k, hosts_per_edge, flows_per_host, datagrams) -> dict:
     # events/sec over CPU time (stable under machine contention, and
     # what the baseline guards); wall-clock feeds the wall-s/sim-s
     # figure the sweep table reports.
-    profile = engine_profile(sim, sim_cls.__name__, cpu, sim.now)
+    profile = engine_profile(sim, "Simulator", cpu, sim.now)
     sent = flows * datagrams
     return {
-        "engine": sim_cls.__name__,
         "hosts": n,
         "flows": flows,
         "datagrams_sent": sent,
@@ -240,28 +203,10 @@ def run_arm(sim_cls, k, hosts_per_edge, flows_per_host, datagrams) -> dict:
     }
 
 
-def run_size(config, compare: bool) -> dict:
-    """One sweep point; with ``compare``, the legacy arm runs too."""
+def run_size(config) -> dict:
+    """One sweep point."""
     label, k, hpe, fph, dgrams = config
-    batched = run_arm(Simulator, k, hpe, fph, dgrams)
-    result = {"label": label, "batched": batched}
-    if compare:
-        legacy = run_arm(LegacySimulator, k, hpe, fph, dgrams)
-        result["legacy"] = legacy
-        # Same workload, same simulated outcome: the engines must agree
-        # on what happened, or the ratio is comparing different runs.
-        assert legacy["datagrams_received"] == batched["datagrams_received"]
-        assert abs(legacy["sim_seconds"] - batched["sim_seconds"]) < 1e-9
-        assert legacy["events"] == batched["events"], (
-            f"engines processed different event counts: "
-            f"{legacy['events']} vs {batched['events']}"
-        )
-        result["fabric_ratio"] = (
-            batched["events_per_sec"] / legacy["events_per_sec"]
-            if legacy["events_per_sec"]
-            else float("inf")
-        )
-    return result
+    return {"label": label, **run_arm(k, hpe, fph, dgrams)}
 
 
 # ----------------------------------------------------------------------
@@ -330,23 +275,14 @@ def run_tcp_bulk(total_bytes=192 * 1024, chunk=4096, port=4500) -> dict:
 # Acceptance and baseline checks
 # ----------------------------------------------------------------------
 
-def check_quick(storm: dict, fabric: dict, tcp: dict) -> None:
-    assert storm["speedup"] >= MIN_SPEEDUP, (
-        f"batched engine {storm['speedup']:.2f}x legacy events/sec on the "
-        f"timer storm, acceptance >= {MIN_SPEEDUP}x"
-    )
-    batched = fabric["batched"]
-    assert batched["delivery_rate"] > 0.95, (
-        f"workload broken: only {batched['delivery_rate']:.0%} of "
+def check_quick(fabric: dict, tcp: dict) -> None:
+    assert fabric["delivery_rate"] > 0.95, (
+        f"workload broken: only {fabric['delivery_rate']:.0%} of "
         f"datagrams delivered"
     )
-    assert batched["events_per_step"] > 1.5, (
+    assert fabric["events_per_step"] > MIN_EVENTS_PER_STEP, (
         f"batching never engaged on the fabric: "
-        f"{batched['events_per_step']:.2f} events/step"
-    )
-    assert fabric["fabric_ratio"] >= MIN_FABRIC_RATIO, (
-        f"batched engine slows real workloads: fabric ratio "
-        f"{fabric['fabric_ratio']:.2f}x < {MIN_FABRIC_RATIO}x"
+        f"{fabric['events_per_step']:.2f} events/step"
     )
     assert tcp["fastpath_hit_rate"] >= MIN_FASTPATH_HIT, (
         f"header prediction missed the in-order bulk workload: hit rate "
@@ -355,38 +291,27 @@ def check_quick(storm: dict, fabric: dict, tcp: dict) -> None:
     )
 
 
-def check_baseline(storm: dict, fabric_batched: dict) -> str:
-    """Guard the storm's events/sec and the fabric's event count
-    against the baseline."""
+def check_baseline(storm: dict, fabric: dict) -> str:
+    """Guard the fabric's engine-event count against the baseline: the
+    same workload must not need more engine events than recorded.
+    Events/sec and wall time per simulated second are information."""
     if not BASELINE_PATH.exists():
         return "baseline: none recorded (run --update-baseline)"
     baseline = json.loads(BASELINE_PATH.read_text())
-    current = storm["batched"]["events_per_sec"]
-    recorded = baseline["storm_events_per_sec_batched"]
-    floor = recorded * BASELINE_DROP
-    assert current >= floor, (
-        f"events/sec regression (storm_events_per_sec_batched): "
-        f"{current:,.0f} is >20% below baseline {recorded:,.0f} "
-        f"(floor {floor:,.0f})"
-    )
-    notes = [f"storm_events_per_sec_batched {current:,.0f} vs {recorded:,.0f} ok"]
-    # The fabric rides on the deterministic count: the same workload
-    # must not need more engine events than recorded.  Its events/sec
-    # falls when a change removes events from a run that got faster,
-    # so that and wall time per simulated second are information only.
-    events, ceiling = fabric_batched["events"], baseline["fabric_events"]
+    events, ceiling = fabric["events"], baseline["fabric_events"]
     assert events <= ceiling, (
         f"fabric event-count regression: {events:,d} engine events for the "
         f"quick fat-tree, baseline {ceiling:,d}"
     )
-    notes.append(f"fabric_events {events:,d} vs {ceiling:,d} ok")
-    notes.append(
-        f"(info) fabric {fabric_batched['events_per_sec']:,.0f} ev/s vs "
+    return (
+        f"baseline: fabric_events {events:,d} vs {ceiling:,d} ok; "
+        f"(info) storm {storm['events_per_sec']:,.0f} ev/s vs "
+        f"{baseline['storm_events_per_sec_batched']:,.0f} recorded, "
+        f"fabric {fabric['events_per_sec']:,.0f} ev/s vs "
         f"{baseline['fabric_events_per_sec_batched']:,.0f} recorded, "
-        f"wall-s/sim-s {fabric_batched['wall_per_sim_second']:.2f} vs "
+        f"wall-s/sim-s {fabric['wall_per_sim_second']:.2f} vs "
         f"{baseline['fabric_wall_per_sim_second']:.2f} recorded"
     )
-    return "baseline: " + "; ".join(notes)
 
 
 def _print_tcp(tcp: dict) -> None:
@@ -399,64 +324,41 @@ def _print_tcp(tcp: dict) -> None:
 
 
 def _print_storm(storm: dict) -> None:
-    legacy, batched = storm["legacy"], storm["batched"]
     print(
         f"storm ({STORM_WIDTH}x{STORM_TICKS} timers)  "
-        f"legacy {legacy['events_per_sec']:>10,.0f} ev/s  "
-        f"batched {batched['events_per_sec']:>10,.0f} ev/s  "
-        f"speedup {storm['speedup']:.2f}x  "
-        f"(batch avg {batched['events_per_step']:.0f})"
+        f"{storm['events']:>10,d} events  "
+        f"{storm['events_per_sec']:>10,.0f} ev/s  "
+        f"(batch avg {storm['events_per_step']:.0f})"
     )
 
 
 def _print_size(result: dict) -> None:
-    batched = result["batched"]
     print(
-        f"{result['label']:>5s} hosts  {batched['flows']:>4d} flows  "
-        f"{batched['events']:>10,d} events  "
-        f"{batched['events_per_sec']:>10,.0f} ev/s  "
-        f"{batched['wall_per_sim_second']:>7.2f} wall-s/sim-s  "
-        f"build {batched['build_seconds']:>6.1f}s  "
-        f"batch avg {batched['events_per_step']:.1f} "
-        f"max {batched['max_batch']}"
+        f"{result['label']:>5s} hosts  {result['flows']:>4d} flows  "
+        f"{result['events']:>10,d} events  "
+        f"{result['events_per_sec']:>10,.0f} ev/s  "
+        f"{result['wall_per_sim_second']:>7.2f} wall-s/sim-s  "
+        f"build {result['build_seconds']:>6.1f}s  "
+        f"batch avg {result['events_per_step']:.1f} "
+        f"max {result['max_batch']}"
     )
-    if "legacy" in result:
-        legacy = result["legacy"]
-        print(
-            f"{'':>5s} legacy  {'':>10s} "
-            f"{legacy['events']:>10,d} events  "
-            f"{legacy['events_per_sec']:>10,.0f} ev/s  "
-            f"{legacy['wall_per_sim_second']:>7.2f} wall-s/sim-s  "
-            f"end-to-end ratio {result['fabric_ratio']:.2f}x"
-        )
 
 
 # ----------------------------------------------------------------------
 # pytest-benchmark entry points
 # ----------------------------------------------------------------------
 
-def test_scale_quick_speedup(benchmark, report):
+def test_scale_quick(benchmark, report):
     def both():
-        return (
-            run_storm_comparison(),
-            run_size(QUICK_CONFIG, compare=True),
-            run_tcp_bulk(),
-        )
+        return run_size(QUICK_CONFIG), run_tcp_bulk()
 
-    storm, fabric, tcp = benchmark.pedantic(both, rounds=1, iterations=1)
-    check_quick(storm, fabric, tcp)
-    report(
-        "Simulator at scale",
-        "batched/legacy events-per-sec (timer storm)",
-        storm["speedup"],
-        MIN_SPEEDUP,
-        "x",
-    )
+    fabric, tcp = benchmark.pedantic(both, rounds=1, iterations=1)
+    check_quick(fabric, tcp)
     report(
         "Simulator at scale",
         "events per heap pop (quick fat-tree)",
-        fabric["batched"]["events_per_step"],
-        1.5,
+        fabric["events_per_step"],
+        MIN_EVENTS_PER_STEP,
         "",
     )
     report(
@@ -468,34 +370,23 @@ def test_scale_quick_speedup(benchmark, report):
     )
 
 
-def test_scale_engines_agree():
-    """Engine choice is a performance knob, not a semantics knob."""
-    result = run_size(QUICK_CONFIG, compare=True)
-    assert result["legacy"]["datagrams_received"] == (
-        result["batched"]["datagrams_received"]
-    )
-    assert result["legacy"]["sim_seconds"] == (
-        result["batched"]["sim_seconds"]
-    )
-
-
 # ----------------------------------------------------------------------
 # Standalone / CI entry point
 # ----------------------------------------------------------------------
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="events/sec vs fat-tree size, batched vs legacy engine"
+        description="engine events and events/sec vs fat-tree size"
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke: storm gate + 16-host tree + baseline guard",
+        help="CI smoke: storm + 16-host tree + TCP bulk + baseline guard",
     )
     parser.add_argument(
         "--update-baseline",
         action="store_true",
-        help="record quick batched events/sec as the new baseline",
+        help="record the quick run as the new baseline",
     )
     parser.add_argument(
         "--huge",
@@ -504,17 +395,16 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    storm = run_storm_comparison()
+    storm = run_storm()
     _print_storm(storm)
 
     if args.quick or args.update_baseline:
-        fabric = run_size(QUICK_CONFIG, compare=True)
+        fabric = run_size(QUICK_CONFIG)
         _print_size(fabric)
         tcp = run_tcp_bulk()
         _print_tcp(tcp)
-        check_quick(storm, fabric, tcp)
+        check_quick(fabric, tcp)
         if args.update_baseline:
-            batched = fabric["batched"]
             BASELINE_PATH.parent.mkdir(parents=True, exist_ok=True)
             BASELINE_PATH.write_text(
                 json.dumps(
@@ -530,20 +420,16 @@ def main(argv=None) -> int:
                             "datagrams_per_flow": QUICK_CONFIG[4],
                         },
                         "storm_events_per_sec_batched": (
-                            storm["batched"]["events_per_sec"]
+                            storm["events_per_sec"]
                         ),
-                        "storm_speedup": storm["speedup"],
                         "fabric_events_per_sec_batched": (
-                            batched["events_per_sec"]
+                            fabric["events_per_sec"]
                         ),
-                        "fabric_ratio": fabric["fabric_ratio"],
-                        "fabric_events": batched["events"],
+                        "fabric_events": fabric["events"],
                         "fabric_wall_per_sim_second": (
-                            batched["wall_per_sim_second"]
+                            fabric["wall_per_sim_second"]
                         ),
-                        "fabric_events_per_step": (
-                            batched["events_per_step"]
-                        ),
+                        "fabric_events_per_step": fabric["events_per_step"],
                         "tcp_fastpath_hit_rate": tcp["fastpath_hit_rate"],
                         "tcp_fastpath_segments": tcp["segments"],
                     },
@@ -553,19 +439,16 @@ def main(argv=None) -> int:
             )
             print(f"baseline written to {BASELINE_PATH}")
         else:
-            print(check_baseline(storm, fabric["batched"]))
+            print(check_baseline(storm, fabric))
         print("ok")
         return 0
 
-    assert storm["speedup"] >= MIN_SPEEDUP
     sweep = list(FULL_SWEEP) + (HUGE_SWEEP if args.huge else [])
     for config in sweep:
-        # Legacy comparison on the small sizes only; the big trees are
-        # about absolute throughput, not the A/B.
-        result = run_size(config, compare=config[1] <= 4)
+        result = run_size(config)
         _print_size(result)
         if result["label"] == "256":
-            assert result["batched"]["flows"] >= MIN_FLOWS_AT_256
+            assert result["flows"] >= MIN_FLOWS_AT_256
     print("ok")
     return 0
 

@@ -8,11 +8,10 @@ registry that network I/O modules attach to.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator
 
 from ..costs import CostModel, interned_costs
 from ..sim import CPU, Simulator
-from ..timers import CoalescedTimers, HierarchicalWheel
 
 if TYPE_CHECKING:
     from .task import Task
@@ -36,26 +35,6 @@ class Kernel:
         #: Counters for structural assertions in tests and benches
         #: (e.g. Figure 2's "registry bypassed on the data path").
         self.counters: dict[str, int] = {}
-        self._timer_service: Optional[CoalescedTimers] = None
-
-    @property
-    def timer_service(self) -> CoalescedTimers:
-        """This host's coalesced timer wheels, created on first use.
-
-        All of a host's TCP retransmit/delayed-ACK/keepalive timers
-        share one :class:`HierarchicalWheel` behind one engine wakeup
-        per earliest deadline, instead of one engine event per timer
-        (the paper's §2.1 point that every message involves timer
-        operations).  The default wheel horizon (~1.9 days) covers
-        every TcpConfig interval incl. keepalive_idle; longer deadlines
-        fall back to the caller's legacy path.
-        """
-        service = self._timer_service
-        if service is None:
-            service = self._timer_service = CoalescedTimers(
-                self.sim, HierarchicalWheel()
-            )
-        return service
 
     def __repr__(self) -> str:
         return f"<Kernel {self.name}>"

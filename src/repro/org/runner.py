@@ -41,13 +41,6 @@ EmitFn = Callable[[Segment], Generator]
 class MachineRunner:
     """One connection's machine plus its simulator plumbing."""
 
-    #: Arm TCP timers on the kernel's coalesced wheels (one engine
-    #: wakeup per earliest deadline across the whole host) instead of
-    #: one engine event + generator process per timer.  The off switch
-    #: exists for the equivalence tests that prove both wirings yield
-    #: identical traces.
-    use_coalesced_timers = True
-
     def __init__(
         self,
         kernel: Kernel,
@@ -70,12 +63,11 @@ class MachineRunner:
         self.closed_reason: Optional[str] = None
         self._connect_waiters: list[Event] = []
         self._close_waiters: list[Event] = []
-        # Timers: name -> generation; stale firings are discarded.
-        self._timer_gen: dict[str, int] = {}
-        #: name -> live wheel handle (coalesced wiring only).  Handles
-        #: are cancelled eagerly so the wheels don't scan tombstones of
-        #: the many set-then-cancel retransmit timers.
-        self._timer_handles: dict[str, object] = {}
+        #: name -> (deadline, the engine event that will fire it), or
+        #: None once it fired or was cancelled.  A name enters on its
+        #: first SetTimer: cancelling a never-armed name charges no
+        #: timer_op.
+        self._timers: dict[str, Optional[tuple[float, Event]]] = {}
         #: True while the emit_fn started by _execute is for a segment
         #: the machine flagged as a retransmission.  Set immediately
         #: before the emit generator's first resumption, so an emit_fn
@@ -88,20 +80,21 @@ class MachineRunner:
 
     def handle(self, event) -> Generator:
         """Feed one event to the machine and execute its actions."""
+        now = self.sim.now
         prof = _profile.PROFILER
         if prof is None:
-            actions = self.machine.handle(event, self.sim.now)
+            actions = self.machine.handle(event, now)
         else:
             # The machine is the synchronous protocol callback: this is
             # the one place its real CPU time can be measured whole.
             t0 = perf_counter()
-            actions = self.machine.handle(event, self.sim.now)
+            actions = self.machine.handle(event, now)
             prof.charge(_machine_site(event), 0.0, perf_counter() - t0)
-        yield from self._execute(actions)
+        yield from self._execute(actions, now)
 
     def start(self, active: bool) -> Generator:
-        actions = self.machine.open(self.sim.now, active=active)
-        yield from self._execute(actions)
+        now = self.sim.now
+        yield from self._execute(self.machine.open(now, active=active), now)
 
     def feed_segment(self, segment: Segment) -> Generator:
         """Deliver one received segment to the machine.
@@ -114,20 +107,21 @@ class MachineRunner:
         split is visible in its report.
         """
         machine = self.machine
+        now = self.sim.now
         prof = _profile.PROFILER
         if prof is None:
-            actions = machine.fast_input(segment, self.sim.now)
+            actions = machine.fast_input(segment, now)
             if actions is None:
-                actions = machine.handle(SegmentArrives(segment), self.sim.now)
+                actions = machine.handle(SegmentArrives(segment), now)
         else:
             t0 = perf_counter()
-            actions = machine.fast_input(segment, self.sim.now)
+            actions = machine.fast_input(segment, now)
             site = "tcp.machine.fastpath"
             if actions is None:
-                actions = machine.handle(SegmentArrives(segment), self.sim.now)
+                actions = machine.handle(SegmentArrives(segment), now)
                 site = "tcp.machine.input"
             prof.charge(site, 0.0, perf_counter() - t0)
-        yield from self._execute(actions)
+        yield from self._execute(actions, now)
 
     def app_send(self, data: bytes) -> Generator:
         """Blocking write: waits for send-buffer space, then queues."""
@@ -191,10 +185,10 @@ class MachineRunner:
     # Action execution
     # ------------------------------------------------------------------
 
-    def _execute(self, actions) -> Generator:
-        """Run one handle()'s actions.
+    def _execute(self, actions, now: float) -> Generator:
+        """Run the actions one handle() returned at ``now``.
 
-        Bookkeeping (timer generations, buffers, wakeups) is applied
+        Bookkeeping (timers, buffers, wakeups) is applied
         *synchronously*, before any simulated time passes, so it always
         matches the machine's decision order.  Several host processes
         (the app thread, the reader thread, timer processes) drive the
@@ -211,16 +205,14 @@ class MachineRunner:
                 emissions.append((action.segment, action.retransmit))
             elif isinstance(action, SetTimer):
                 timer_ops += 1
-                generation = self._timer_gen.get(action.name, 0) + 1
-                self._timer_gen[action.name] = generation
-                self._arm_timer(action.name, generation, action.delay)
+                self._arm_timer(action.name, now, action.delay)
             elif isinstance(action, CancelTimer):
-                if action.name in self._timer_gen:
+                if action.name in self._timers:
                     timer_ops += 1
-                    self._timer_gen[action.name] += 1
-                    handle = self._timer_handles.pop(action.name, None)
-                    if handle is not None:
-                        handle.cancel()
+                    timer = self._timers[action.name]
+                    if timer is not None:
+                        timer[1].cancel()
+                        self._timers[action.name] = None
             elif isinstance(action, DeliverData):
                 self.rx_buffer.extend(action.data)
                 self._wake(self._readers)
@@ -232,7 +224,7 @@ class MachineRunner:
                 self._wake(self._connect_waiters)
             elif isinstance(action, NotifyClosed):
                 self.closed_reason = action.reason
-                self._cancel_all_timers()
+                self.stop_timers()
                 self._wake(self._readers)
                 self._wake(self._writers)
                 self._wake(self._connect_waiters)
@@ -253,67 +245,48 @@ class MachineRunner:
             finally:
                 self.emitting_retransmit = False
 
-    def _arm_timer(self, name: str, generation: int, delay: float) -> None:
-        """Arm one named timer, preferring the coalesced wheels.
-
-        Both wirings resolve a firing identically: check the generation
-        (stale set/cancel races are discarded), check liveness, consume
-        the generation, then feed ``TimerExpires`` to the machine in
-        process context.  A deadline beyond the wheel horizon falls
-        back to a dedicated engine event — correctness never depends on
-        the wheel's range.
-        """
-        if self.use_coalesced_timers:
-            old = self._timer_handles.pop(name, None)
-            if old is not None:
-                old.cancel()
-            try:
-                self._timer_handles[name] = self.kernel.timer_service.schedule(
-                    delay, lambda: self._wheel_fire(name, generation)
-                )
-                return
-            except ValueError:
-                pass  # Beyond the wheel horizon.
-        self.sim.process(
-            self._timer(name, generation, delay),
-            name=f"{self.name}-{name}",
+    def _arm_timer(self, name: str, now: float, delay: float) -> None:
+        """(Re-)arm one named timer: one cancellable engine event, any
+        horizon.  A re-armed or cancelled timer leaves a tombstone the
+        engine skips; its callback never runs."""
+        old = self._timers.get(name)
+        if old is not None:
+            old[1].cancel()
+        self._timers[name] = (
+            now + delay,
+            self.sim.call_later(delay, self._timer_fired, name),
         )
 
-    def _wheel_fire(self, name: str, generation: int) -> None:
-        """Wheel callback: resume the timer in a fresh process.
-
-        Runs synchronously inside the engine's wakeup event, so it must
-        not block; it performs the same generation/liveness gate as the
-        legacy timer process, then spawns the TimerExpires handling,
-        which the engine resumes immediately after the wakeup (spawns
-        are urgent at the current timestamp).
-        """
-        if self._timer_gen.get(name) != generation:
-            return  # Cancelled or re-armed since.
+    def _timer_fired(self, name: str) -> None:
+        """Engine callback, so it must not block: feed ``TimerExpires``
+        to the machine in a fresh process, which the engine resumes
+        right after this event (spawns are urgent at the current
+        timestamp)."""
+        self._timers[name] = None
         if self.closed_reason is not None:
-            return
-        self._timer_gen[name] = generation + 1  # Consumed.
-        self._timer_handles.pop(name, None)
+            return  # Armed by the machine's last actions, after close.
         self.sim.process(
             self.handle(TimerExpires(name)), name=f"{self.name}-{name}"
         )
 
-    def _timer(self, name: str, generation: int, delay: float) -> Generator:
-        yield self.sim.timeout(delay)
-        if self._timer_gen.get(name) != generation:
-            return  # Cancelled or re-armed since.
-        if self.closed_reason is not None:
-            return
-        self._timer_gen[name] = generation + 1  # Consumed.
-        yield from self.handle(TimerExpires(name))
+    def stop_timers(self) -> dict[str, float]:
+        """Cancel every armed timer.  Returns name -> deadline of those
+        that were live: the machine still expects them, so whoever takes
+        the machine over passes them to :meth:`resume_timers`."""
+        live = {}
+        for name, timer in self._timers.items():
+            if timer is not None:
+                live[name], event = timer
+                event.cancel()
+                self._timers[name] = None
+        return live
 
-    def _cancel_all_timers(self) -> None:
-        for name in self._timer_gen:
-            self._timer_gen[name] += 1
-        if self._timer_handles:
-            for handle in self._timer_handles.values():
-                handle.cancel()
-            self._timer_handles.clear()
+    def resume_timers(self, deadlines: dict[str, float]) -> None:
+        """Re-arm the timers the machine's previous runner stopped; one
+        that came due in between fires now."""
+        now = self.sim.now
+        for name, deadline in deadlines.items():
+            self._arm_timer(name, now, max(0.0, deadline - now))
 
     @staticmethod
     def _wake(waiters: list[Event]) -> None:

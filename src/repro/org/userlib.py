@@ -182,6 +182,7 @@ class LibraryConnection(TcpConnection):
         )
         self.runner.connected = True
         self.runner.rx_buffer.extend(grant.rx_pending)
+        self.runner.resume_timers(grant.timers)
         self._released = False
         #: The per-connection upcalled receive thread (paper §3.2:
         #: "protocol control block lookups are eliminated by having
@@ -372,7 +373,6 @@ class LibraryConnection(TcpConnection):
         from ..registry.server import ConnectionGrant
 
         # Quiesce our plumbing without touching the connection state.
-        self.runner._cancel_all_timers()
         if self._reader.is_alive:
             self._reader.interrupt("handed-off")
         self.channel.owner = new_app  # Capability moves with the message.
@@ -384,6 +384,7 @@ class LibraryConnection(TcpConnection):
             remote_port=self.remote_port,
             link_dst=None,
             rx_pending=bytes(self.runner.rx_buffer),
+            timers=self.runner.stop_timers(),
         )
         self._released = True  # The new owner releases, not us.
         return LibraryConnection(new_service, grant)

@@ -58,6 +58,9 @@ class ConnectionGrant:
     link_dst: object
     #: Data that arrived while the registry still owned the machine.
     rx_pending: bytes = b""
+    #: Timers the machine had armed at the hand-over (name -> deadline),
+    #: stopped in the old runner and re-armed by the one that takes over.
+    timers: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -328,7 +331,7 @@ class RegistryServer:
             # remote peer, return every resource, report the refusal.
             self._peer_bqi.pop(key, None)
             self.host.netio.release_ring(self.task, ring)
-            runner._cancel_all_timers()
+            runner.stop_timers()
             self.task.spawn(
                 self._send_rst(
                     local_port,
@@ -562,7 +565,7 @@ class RegistryServer:
             # return the ring; the listening port itself stays bound.
             self._peer_bqi.pop(key, None)
             self.host.netio.release_ring(self.task, ring)
-            runner._cancel_all_timers()
+            runner.stop_timers()
             yield from self._send_rst(
                 local_port,
                 remote_port,
@@ -604,7 +607,6 @@ class RegistryServer:
         tenant = self._tenant_of(app)
         if tenant is not None:
             tenant.note_bound(local_port)
-        runner._cancel_all_timers()
         grant = ConnectionGrant(
             machine=runner.machine,
             channel=channel,
@@ -613,6 +615,7 @@ class RegistryServer:
             remote_port=remote_port,
             link_dst=link_dst,
             rx_pending=bytes(runner.rx_buffer),
+            timers=runner.stop_timers(),
         )
         record = _ConnectionRecord(grant=grant, owner=app)
         self._records.append(record)

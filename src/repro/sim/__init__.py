@@ -5,7 +5,7 @@ substrate on which the Mach-like kernel, the simulated networks, and all
 protocol organizations run.
 """
 
-from .engine import LegacySimulator, Simulator
+from .engine import Simulator
 from .errors import EmptySchedule, Interrupt, SimError, StopSimulation
 from .events import (
     NORMAL,
@@ -22,7 +22,6 @@ from .resources import CPU, Serial, Store, StoreGet, StorePut
 
 __all__ = [
     "Simulator",
-    "LegacySimulator",
     "Event",
     "Timeout",
     "Process",

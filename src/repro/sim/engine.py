@@ -20,14 +20,13 @@ Ordering is byte-identical to the original tuple-heap engine: URGENT
 before NORMAL at equal times, FIFO within a priority, and events
 scheduled *during* a batch at the same timestamp join the live batch in
 the same order the tuple heap would have given them
-(``tests/sim/test_engine_batching.py`` locks this in against
-:class:`LegacySimulator`, the original engine kept for comparison).
+(``tests/sim/test_engine_batching.py`` locks this in against the original
+engine, kept as the test oracle ``tests/sim/legacy_engine.py``).
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import count
 from typing import Any, Generator, Optional, Union
 
 from .errors import EmptySchedule, StopSimulation
@@ -197,15 +196,17 @@ class Simulator:
             nb.normal.append(event)
             buckets[t] = nb
 
-    def call_later(self, delay: float, fn, arg: Any) -> None:
+    def call_later(self, delay: float, fn, arg: Any) -> Event:
         """Run ``fn(arg)`` ``delay`` seconds from now: one event, one
         callback, no process (a frame's propagation, a switch's
-        forwarding latency, a controller's DMA fetch)."""
+        forwarding latency, a controller's DMA fetch, a TCP timer).
+        The returned event's ``cancel()`` retires the call."""
         event = Event(self)
         event.callbacks.append(lambda _: fn(arg))
         event._ok = True
         event._value = None
         self.schedule(event, delay=delay)
+        return event
 
     def step(self) -> None:
         """Advance to the next timestamp and process its whole batch."""
@@ -346,54 +347,6 @@ class Simulator:
         """Run until the schedule empties or the clock exceeds ``limit``."""
         heap, step = self._heap, self.step
         while heap and heap[0] <= limit:
-            step()
-
-
-class LegacySimulator(Simulator):
-    """The original one-event-per-heap-entry engine.
-
-    Kept as the comparison arm for ``benchmarks/bench_scale.py`` (the
-    events/sec speedup of the batched engine is measured against this)
-    and as the ordering oracle for the batching tests.  Semantics are the
-    pre-refactor engine's, verbatim, plus the same stats counters the
-    batched engine keeps.
-    """
-
-    def __init__(self, initial_time: float = 0.0) -> None:
-        super().__init__(initial_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
-        self._eid = count()
-
-    def peek(self) -> float:
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        _heappush(
-            self._queue, (self._now + delay, priority, next(self._eid), event)
-        )
-
-    def schedule_at(self, event: Event, t: float) -> None:
-        if t < self._now:
-            raise ValueError(f"t={t} is in the past (now={self._now})")
-        _heappush(self._queue, (t, NORMAL, next(self._eid), event))
-
-    def step(self) -> None:
-        try:
-            self._now, _, _, event = _heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-        self.steps += 1
-        self.events_processed += 1
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:
-            self.skipped += 1
-            return
-        for callback in callbacks:
-            callback(event)
-
-    def run_all(self, limit: float = float("inf")) -> None:
-        queue, step = self._queue, self.step
-        while queue and queue[0][0] <= limit:
             step()
 
 

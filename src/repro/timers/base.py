@@ -5,8 +5,7 @@ departure involves timer operations" and points at hashed and
 hierarchical timing wheels [Varghese & Lauck] for fast implementations.
 We provide three interchangeable facilities — a binary-heap baseline, a
 hashed wheel, and hierarchical wheels — behind one interface, so the
-protocol plumbing can use any of them and the ablation bench can compare
-them.
+ablation bench can compare them.
 
 Time is float seconds.  A facility is driven by calling
 :meth:`TimerFacility.advance_to` with monotonically non-decreasing times;

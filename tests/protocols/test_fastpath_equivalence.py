@@ -1,15 +1,13 @@
 """Fast-path equivalence and cache-invalidation suite.
 
 The hot-path optimisations claim to be *invisible* on the wire: header
-prediction, the demux last-flow memo, the router next-hop cache, and
-the coalesced timer wiring each bypass a general mechanism only when
-the outcome is provably the same.  This suite holds them to it:
+prediction, the demux last-flow memo and the router next-hop cache
+each bypass a general mechanism only when the outcome is provably the
+same.  This suite holds them to it:
 
 * fuzzed loss/corruption/duplication/delay runs are raced with the
   fast path on vs off and must produce identical wire digests and
   identical delivered byte streams;
-* the same race covers the legacy engine-event timer wiring vs the
-  coalesced wheels;
 * the next-hop cache and the demux memo (including the miss memo) get
   unit coverage of their invalidation rules.
 """
@@ -31,7 +29,6 @@ from repro.net.headers import (
     str_to_mac,
 )
 from repro.netio import FlowKey, FlowTable
-from repro.org.runner import MachineRunner
 from repro.protocols.tcp import Segment, encode_segment
 
 COSTS = DECSTATION_5000_200
@@ -131,26 +128,6 @@ def test_fastpath_actually_engages_on_clean_run():
         misses += machine.stats["fastpath_misses"]
     assert hits > 0
     assert hits / (hits + misses) >= 0.5
-
-
-def test_timer_wiring_equivalence(monkeypatch):
-    """Coalesced wheels vs one-engine-event-per-timer must be
-    byte-identical: retransmit timing under loss is the sharpest
-    observer of timer behaviour, so race a lossy cell both ways."""
-    spec = CellSpec(
-        seed=31,
-        drop_rate=0.03,
-        duplicate_rate=0.02,
-        transfers=1,
-        payload_bytes=8192,
-        deadline=30.0,
-    )
-    assert MachineRunner.use_coalesced_timers  # wheels are the default
-    digest_wheel, streams_wheel = _run(spec)
-    monkeypatch.setattr(MachineRunner, "use_coalesced_timers", False)
-    digest_legacy, streams_legacy = _run(spec)
-    assert digest_wheel == digest_legacy
-    assert streams_wheel == streams_legacy
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The bucket-heap engine against the original tuple-heap engine.
 
-:class:`~repro.sim.LegacySimulator` is the pre-refactor engine kept
-verbatim; these tests use it as the ordering oracle.  The batched
+:class:`~tests.sim.legacy_engine.LegacySimulator` is the pre-refactor
+engine kept verbatim; these tests use it as the ordering oracle.  The batched
 engine must execute every workload in byte-identical order — URGENT
 before NORMAL at equal times, FIFO within a priority, events scheduled
 mid-batch joining the live batch exactly where the tuple heap would
@@ -15,11 +15,12 @@ import pytest
 from repro.sim import (
     NORMAL,
     URGENT,
-    LegacySimulator,
     Simulator,
     Timeout,
 )
 from repro.sim.events import Event
+
+from .legacy_engine import LegacySimulator
 
 
 def _recorded_event(sim, order, label, rng=None, depth=0):

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim import Interrupt, LegacySimulator, SimError, Simulator
+from repro.sim import Interrupt, SimError, Simulator
+
+from .legacy_engine import LegacySimulator
 
 
 def test_process_returns_value():

@@ -12,12 +12,13 @@ from repro.sim import (
     CPU,
     Event,
     Interrupt,
-    LegacySimulator,
     Serial,
     Simulator,
     Store,
     Timeout,
 )
+
+from .legacy_engine import LegacySimulator
 
 
 # ----------------------------------------------------------------------

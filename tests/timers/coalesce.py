@@ -1,24 +1,21 @@
-"""Engine-coalesced timer service: many timers, one engine event.
+"""Test fixture: a :class:`TimerFacility` driven from the engine clock.
 
-The paper (§2.1) observes that practically every message involves timer
-operations; a naive port schedules one engine event per timer, so a
-host with hundreds of live retransmit/delayed-ack timers pollutes the
-global schedule with hundreds of heap entries — most of which are
-cancelled before firing.  :class:`CoalescedTimers` keeps the timers in
-one of the O(1) wheel facilities and arms exactly **one** engine wakeup
-for the earliest pending deadline.  When the wakeup fires, a single
-``advance_to(now)`` call fires *every* due timer in that one engine
-event.  Re-arming at an earlier deadline lazily cancels the stale wakeup
-(``Event.cancel`` leaves a tombstone the engine skips), so wakeup churn
-never costs a heap deletion.
+This was the stack's timer wiring (``Kernel.timer_service``) until TCP
+timers became plain engine events; it left ``src/`` with that change and
+nothing in ``repro`` or ``benchmarks/`` uses it.  It stays here as the
+harness ``test_coalesce.py`` runs the three ablation-arm facilities
+under: many timers in one facility, exactly one engine wakeup armed for
+the earliest pending deadline, every due timer fired by one
+``advance_to(now)``, a stale wakeup retired by an ``Event.cancel``
+tombstone.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from ..sim import Simulator, Timeout
-from .base import TimerFacility, TimerHandle
+from repro.sim import Simulator, Timeout
+from repro.timers import TimerFacility, TimerHandle
 
 
 class CoalescedTimers:

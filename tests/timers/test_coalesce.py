@@ -8,12 +8,9 @@ arrive and retired by ``Event.cancel`` tombstones the engine skips.
 import pytest
 
 from repro.sim import Simulator
-from repro.timers import (
-    CoalescedTimers,
-    HashedWheel,
-    HeapTimers,
-    HierarchicalWheel,
-)
+from repro.timers import HashedWheel, HeapTimers, HierarchicalWheel
+
+from .coalesce import CoalescedTimers
 
 
 @pytest.fixture(params=[HeapTimers, HashedWheel, HierarchicalWheel])

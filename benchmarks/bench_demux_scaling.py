@@ -20,10 +20,10 @@ indifferent.
 
 from repro.costs import DECSTATION_5000_200
 from repro.mach import Kernel
-from repro.metrics import demux_profile
 from repro.net import EthernetLink, PmaddNic, str_to_ip, str_to_mac
 from repro.net.headers import ETHERTYPE_IP, EthernetHeader, Ipv4Header, PROTO_TCP, TCP_ACK
 from repro.netio import NetworkIoModule, tcp_send_template
+from repro.netstat import demux_table
 from repro.protocols.tcp import Segment, encode_segment
 from repro.sim import Simulator
 
@@ -145,7 +145,7 @@ def test_demux_scaling_tier_counters():
     """The flow table's own counters corroborate the cost shape."""
     sim_cost = measure_demux_us("synthesized", 64)
     assert sim_cost > 0
-    # Re-run one config and inspect the profile directly.
+    # Re-run one config and inspect netstat's demux row directly.
     sim = Simulator()
     link = EthernetLink(sim)
     kernel_a = Kernel(sim, COSTS, name="A")
@@ -161,6 +161,9 @@ def test_demux_scaling_tier_counters():
         name = "B"
         netio = io_b
 
+    class BedView:
+        hosts = [HostView]
+
     def scenario():
         target = yield from io_b.create_channel(
             registry_b, app_b,
@@ -174,7 +177,7 @@ def test_demux_scaling_tier_counters():
             yield from target.receive_batch()
 
     sim.run(until=sim.process(scenario(), name="bench"))
-    profile = demux_profile(HostView)
-    assert profile.exact_hits == 10
-    assert profile.misses == 0
-    assert profile.mean_scan_len == 0.0
+    (row,) = demux_table(BedView)
+    assert row.exact_hits == 10
+    assert row.misses == 0
+    assert row.mean_scan == 0.0

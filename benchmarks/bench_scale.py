@@ -41,7 +41,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.metrics import engine_profile
 from repro.net.fabric import fat_tree
 from repro.net.headers import PROTO_UDP
 from repro.protocols.udp import encode_datagram
@@ -83,6 +82,10 @@ MIN_EVENTS_PER_STEP = 1.5
 BASELINE_PATH = Path(__file__).parent / "baselines" / "scale_quick.json"
 
 
+def _ratio(count: float, per: float) -> float:
+    return count / per if per else 0.0
+
+
 # ----------------------------------------------------------------------
 # Part 1: scheduler-saturating timer storm
 # ----------------------------------------------------------------------
@@ -110,12 +113,12 @@ def run_storm(width=STORM_WIDTH, ticks=STORM_TICKS) -> dict:
     cpu0 = time.process_time()
     sim.run()
     cpu = time.process_time() - cpu0
-    profile = engine_profile(sim, "Simulator", cpu, sim.now)
+    engine = sim.engine_stats()
     return {
-        "events": profile.events,
-        "steps": profile.steps,
-        "events_per_step": profile.events_per_step,
-        "events_per_sec": profile.events_per_sec,
+        "events": engine["events"],
+        "steps": engine["steps"],
+        "events_per_step": _ratio(engine["events"], engine["steps"]),
+        "events_per_sec": _ratio(engine["events"], cpu),
         "cpu_seconds": cpu,
     }
 
@@ -181,7 +184,7 @@ def run_arm(k, hosts_per_edge, flows_per_host, datagrams) -> dict:
     # events/sec over CPU time (stable under machine contention, and
     # what the baseline guards); wall-clock feeds the wall-s/sim-s
     # figure the sweep table reports.
-    profile = engine_profile(sim, "Simulator", cpu, sim.now)
+    engine = sim.engine_stats()
     sent = flows * datagrams
     return {
         "hosts": n,
@@ -189,17 +192,17 @@ def run_arm(k, hosts_per_edge, flows_per_host, datagrams) -> dict:
         "datagrams_sent": sent,
         "datagrams_received": received[0],
         "delivery_rate": received[0] / sent if sent else 0.0,
-        "events": profile.events,
-        "steps": profile.steps,
-        "events_per_step": profile.events_per_step,
-        "max_batch": profile.max_batch,
-        "skipped": profile.skipped,
+        "events": engine["events"],
+        "steps": engine["steps"],
+        "events_per_step": _ratio(engine["events"], engine["steps"]),
+        "max_batch": engine["max_batch"],
+        "skipped": engine["skipped"],
         "sim_seconds": sim.now,
         "build_seconds": build_seconds,
         "wall_seconds": wall,
         "cpu_seconds": cpu,
-        "events_per_sec": profile.events_per_sec,
-        "wall_per_sim_second": wall / sim.now if sim.now else 0.0,
+        "events_per_sec": _ratio(engine["events"], cpu),
+        "wall_per_sim_second": _ratio(wall, sim.now),
     }
 
 

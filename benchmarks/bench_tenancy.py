@@ -27,9 +27,11 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
-from repro.metrics import jain_fairness, measure_fabric_transfers, tenant_profile
+from repro.metrics import jain_fairness, measure_fabric_transfers
+from repro.netstat import tenant_table
 from repro.tenancy import PortGrant, TenantBudget, attach_tenancy
 from repro.testbed import FabricTestbed
 
@@ -102,16 +104,7 @@ def run_arm(tenants: int, flows_per_tenant: int, bytes_per_flow: int,
         "bottleneck_drops": result.bottleneck_drops,
     }
     if manager is not None:
-        arm["profiles"] = [
-            {
-                "tenant": p.tenant_id,
-                "channels": p.channels,
-                "peak_region_bytes": p.peak_region_bytes,
-                "tx_bytes": p.tx_bytes,
-                "rejections": p.rejections,
-            }
-            for p in tenant_profile(manager)
-        ]
+        arm["profiles"] = [asdict(row) for row in tenant_table(fabric)]
         arm["leaks"] = {
             t.tenant_id: leaks
             for t in manager

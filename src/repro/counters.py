@@ -1,13 +1,13 @@
-"""Lazy stat counters for per-host bookkeeping.
+"""Stat counters: a dict that reads untouched keys as 0.
 
-Every host carries a dozen stats dicts (NIC, link, IP, ARP, demux,
-channels, ...).  Eagerly materializing every key costs a 1k-host world
-tens of thousands of dict entries before a single packet moves — and the
-entries are almost all zero.  :class:`Counters` is a dict that *reads*
-missing keys as 0 without storing them, so a counter is allocated only
-on its first increment and snapshots stay cheap.  ``stats["x"] += 1``
-and ``stats["x"]`` work exactly as with the old eager dicts; iteration
-yields only the keys actually touched.
+Every layer object (NIC, link, IP, ARP, demux, channels, ...) counts in
+one :class:`Counters`.  A missing key *reads* as 0 without being stored,
+so a counter is allocated on its first increment and a 1k-host world
+does not pay for tens of thousands of zero entries before a packet
+moves.  Nothing else is overridden: ``stats["x"] += 1`` is the builtin
+dict item assignment and costs no Python-level call, which is what lets
+the per-packet path count in a ``Counters`` directly (DESIGN.md,
+"Counting").
 """
 
 from __future__ import annotations
@@ -22,28 +22,6 @@ class Counters(dict):
         # Read-only default: do NOT store, so pure reads never allocate.
         return 0
 
-    def __setitem__(self, key, value):
-        # Never materialize a zero: ``stats["x"] += 0``, merge loops that
-        # copy untouched fields, and flight-recorder sampling all round-
-        # trip through assignment, and storing the zeros they produce is
-        # exactly the memory creep the lazy read avoids.  Assigning zero
-        # over a live counter deletes it (reads still return 0).
-        if value:
-            dict.__setitem__(self, key, value)
-        elif dict.__contains__(self, key):
-            dict.__delitem__(self, key)
-
-    def update(self, *args, **kwargs):
-        # Route dict.update through __setitem__ so bulk merges obey the
-        # same no-zero-store rule as single assignments.
-        if args:
-            (other,) = args
-            items = other.items() if hasattr(other, "items") else other
-            for key, value in items:
-                self[key] = value
-        for key, value in kwargs.items():
-            self[key] = value
-
     def snapshot(self) -> dict:
-        """A plain-dict copy of the touched (non-zero) counters."""
+        """A plain-dict copy of the non-zero counters."""
         return {key: value for key, value in self.items() if value}

@@ -11,8 +11,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
+from .netstat import profile_table
 from .obs import hist as _hist
-from .obs import profile as _obs_profile
 from .testbed import IP_B, Testbed
 
 
@@ -48,140 +48,6 @@ class LatencyResult:
     def rtt_ms(self) -> float:
         """Mean round-trip time in milliseconds (paper Table 3)."""
         return self.total_time / self.rounds * 1e3
-
-
-@dataclass
-class DemuxProfile:
-    """Snapshot of one host's demux-engine behaviour over a workload.
-
-    ``per_packet_us`` is filled by benchmarks that isolate the
-    receive-path demux cost (Table 5 methodology); the tier counters
-    come straight from the flow table.
-    """
-
-    host: str
-    style: str
-    flows: int
-    exact_hits: int
-    wildcard_hits: int
-    scan_hits: int
-    misses: int
-    filters_scanned: int
-    per_packet_us: float = 0.0
-
-    @property
-    def lookups(self) -> int:
-        return (
-            self.exact_hits + self.wildcard_hits
-            + self.scan_hits + self.misses
-        )
-
-    @property
-    def mean_scan_len(self) -> float:
-        """Average legacy filters interpreted per classified packet."""
-        if not self.lookups:
-            return 0.0
-        return self.filters_scanned / self.lookups
-
-
-def demux_profile(host, per_packet_us: float = 0.0) -> DemuxProfile:
-    """Read one host's flow-table counters into a :class:`DemuxProfile`."""
-    table = host.netio.flow_table
-    stats = table.stats
-    return DemuxProfile(
-        host=host.name,
-        style=getattr(table, "style", "custom"),
-        flows=len(table),
-        exact_hits=stats["exact_hits"],
-        wildcard_hits=stats["wildcard_hits"],
-        scan_hits=stats["scan_hits"],
-        misses=stats["misses"],
-        filters_scanned=stats["filters_scanned"],
-        per_packet_us=per_packet_us,
-    )
-
-
-@dataclass
-class PacketCostProfile:
-    """Copy accounting for the datapath over one workload.
-
-    Collected from the module-global :data:`repro.net.buf.STATS`
-    counters, the per-host demux tiers, and the template-encoder
-    aggregate — the "bytes copied per delivered segment" quantity the
-    paper's shared packet buffers eliminate.
-    """
-
-    mode: str
-    copied_bytes: int
-    copy_ops: int
-    avoided_bytes: int
-    materialized_bytes: int
-    materialize_ops: int
-    segments_delivered: int
-    #: Demux tier: payloads handed to channels as views, and the bytes
-    #: a legacy slice-copy would have moved there.
-    payload_views: int
-    demux_bytes_avoided: int
-    #: Template encoder aggregate (all connections).
-    full_encodes: int
-    template_patches: int
-    retransmit_reuses: int
-
-    @property
-    def total_copied(self) -> int:
-        """Host copies plus wire-image fusion."""
-        return self.copied_bytes + self.materialized_bytes
-
-    @property
-    def copied_per_segment(self) -> float:
-        """Bytes copied per delivered segment — the headline number."""
-        if not self.segments_delivered:
-            return 0.0
-        return self.total_copied / self.segments_delivered
-
-    @property
-    def template_hit_rate(self) -> float:
-        """Fraction of TCP encodes served from a cached header image."""
-        hits = self.template_patches + self.retransmit_reuses
-        total = hits + self.full_encodes
-        return hits / total if total else 0.0
-
-
-def packet_cost_profile(hosts=()) -> PacketCostProfile:
-    """Snapshot the copy counters after a workload.
-
-    ``hosts`` supplies the delivered-segment denominator (the sum of
-    each host's ``rx_demuxed``) and the demux-tier view counters; the
-    buf and encoder counters are process-global, so reset them
-    (:func:`repro.net.buf.reset_stats`,
-    :meth:`TcpSegmentEncoder.reset_global_stats`) before the workload.
-    """
-    from .net.buf import STATS, get_mode
-    from .protocols.tcp.wire import TcpSegmentEncoder
-
-    segments = 0
-    views = 0
-    demux_avoided = 0
-    for host in hosts:
-        segments += host.netio.stats["rx_demuxed"]
-        table_stats = getattr(host.netio.flow_table, "stats", None)
-        if table_stats:
-            views += table_stats.get("payload_views", 0)
-            demux_avoided += table_stats.get("bytes_copy_avoided", 0)
-    return PacketCostProfile(
-        mode=get_mode(),
-        copied_bytes=STATS.copied_bytes,
-        copy_ops=STATS.copy_ops,
-        avoided_bytes=STATS.avoided_bytes,
-        materialized_bytes=STATS.materialized_bytes,
-        materialize_ops=STATS.materialize_ops,
-        segments_delivered=segments,
-        payload_views=views,
-        demux_bytes_avoided=demux_avoided,
-        full_encodes=TcpSegmentEncoder.GLOBAL_STATS["full_encodes"],
-        template_patches=TcpSegmentEncoder.GLOBAL_STATS["template_patches"],
-        retransmit_reuses=TcpSegmentEncoder.GLOBAL_STATS["retransmit_reuses"],
-    )
 
 
 @dataclass
@@ -652,146 +518,9 @@ def run_checked_transfers(
     return results
 
 
-@dataclass
-class EngineProfile:
-    """Engine-level throughput of one simulation run.
-
-    ``events`` and friends are deltas over the measured window (the
-    scale bench snapshots ``sim.engine_stats()`` around the run), so
-    events/sec is the engine's processing rate and *wall-clock per
-    simulated second* says how expensive one second of simulated time
-    is to compute — the two numbers the ROADMAP's "hundreds of hosts"
-    goal is graded on.
-    """
-
-    label: str
-    events: int
-    steps: int
-    wall_seconds: float
-    sim_seconds: float
-    max_batch: int = 0
-    skipped: int = 0
-    cancelled: int = 0
-
-    @property
-    def events_per_sec(self) -> float:
-        return self.events / self.wall_seconds if self.wall_seconds else 0.0
-
-    @property
-    def wall_per_sim_second(self) -> float:
-        return self.wall_seconds / self.sim_seconds if self.sim_seconds else 0.0
-
-    @property
-    def events_per_step(self) -> float:
-        return self.events / self.steps if self.steps else 0.0
-
-
-def engine_profile(
-    sim,
-    label: str,
-    wall_seconds: float,
-    sim_seconds: float,
-    baseline: Optional[dict] = None,
-) -> EngineProfile:
-    """Build an :class:`EngineProfile` from ``sim.engine_stats()``.
-
-    ``baseline`` (an earlier ``engine_stats()`` snapshot) turns the
-    cumulative counters into deltas for the measured window.
-    """
-    stats = sim.engine_stats()
-    base = baseline or {}
-    return EngineProfile(
-        label=label,
-        events=stats["events"] - base.get("events", 0),
-        steps=stats["steps"] - base.get("steps", 0),
-        wall_seconds=wall_seconds,
-        sim_seconds=sim_seconds,
-        max_batch=stats["max_batch"],
-        skipped=stats["skipped"] - base.get("skipped", 0),
-        cancelled=stats["cancelled"] - base.get("cancelled", 0),
-    )
-
-
-@dataclass
-class TenantProfile:
-    """One tenant's resource occupancy and enforcement history.
-
-    Read from the :class:`~repro.tenancy.tenant.TenantManager` the
-    trusted layers share; ``rejections`` counts every audited refusal
-    (quota, grant, template), ``throttle_events`` every token-bucket
-    refusal at the send trap.
-    """
-
-    tenant_id: str
-    channels: int
-    region_bytes_used: int
-    region_bytes_quota: int
-    bqi_buffers_used: int
-    bqi_buffers_quota: int
-    tx_bytes: int
-    rx_bytes: int
-    throttle_events: int
-    rejections: int
-    peak_region_bytes: int
-    peak_channels: int
-
-    @property
-    def region_occupancy(self) -> float:
-        """Fraction of the region quota currently held."""
-        if not self.region_bytes_quota:
-            return 0.0
-        return self.region_bytes_used / self.region_bytes_quota
-
-    @property
-    def bqi_occupancy(self) -> float:
-        if not self.bqi_buffers_quota:
-            return 0.0
-        return self.bqi_buffers_used / self.bqi_buffers_quota
-
-
-def tenant_profile(manager) -> list[TenantProfile]:
-    """Snapshot every tenant known to ``manager`` (a
-    :class:`~repro.tenancy.tenant.TenantManager`), sorted by id."""
-    profiles = []
-    for tenant in sorted(manager, key=lambda t: t.tenant_id):
-        counters = tenant.counters
-        profiles.append(
-            TenantProfile(
-                tenant_id=tenant.tenant_id,
-                channels=tenant.channel_count,
-                region_bytes_used=tenant.region_bytes_used,
-                region_bytes_quota=tenant.budget.region_bytes,
-                bqi_buffers_used=tenant.bqi_buffers_used,
-                bqi_buffers_quota=tenant.budget.bqi_buffers,
-                tx_bytes=counters["tx_bytes"],
-                rx_bytes=counters["rx_bytes"],
-                throttle_events=counters["throttle_events"],
-                rejections=counters["rejections"],
-                peak_region_bytes=counters["peak_region_bytes"],
-                peak_channels=counters["peak_channels"],
-            )
-        )
-    return profiles
-
-
-def obs_profile(top: Optional[int] = None):
-    """The sim-time profiler's report, sorted by self time.
-
-    Returns a list of :class:`repro.obs.profile.SiteReport` rows from
-    the live profiler, or ``[]`` when profiling is disabled.  The
-    benchmark pattern is ``repro.obs.enable()`` → workload →
-    ``metrics.obs_profile()``.
-    """
-    profiler = _obs_profile.PROFILER
-    if profiler is None:
-        return []
-    return profiler.report(top)
-
-
-def obs_histograms() -> dict[str, dict]:
-    """Summaries (count/mean/p50/p90/p99/p999) of every live histogram,
-    or ``{}`` when histograms are disabled."""
-    registry = _hist.REGISTRY
-    if registry is None:
-        return {}
-    return registry.summaries()
+#: The sim-time profiler's report, sorted by self time: a list of
+#: :class:`repro.obs.profile.SiteReport` rows, or ``[]`` when profiling
+#: is disabled.  The benchmark pattern is ``repro.obs.enable()`` →
+#: workload → ``metrics.obs_profile()``; it is netstat's profile table
+#: under the name the ledger harness calls.
+obs_profile = profile_table

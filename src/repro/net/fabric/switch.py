@@ -45,23 +45,16 @@ class SwitchPort:
         self.name = f"{switch.name}[{index}]"
         # Label the queue for span timelines and netstat tables.
         queue.name = self.name
-        self._stats = Counters()
         link.attach(self)
         # The queue hands a frame straight to the transmitter when it is
         # idle; the transmitter pulls from the queue when a turn ends.
-        self._tx = queue.transmitter = Transmitter(link, self, pull=queue.pop)
+        queue.transmitter = Transmitter(link, self, pull=queue.pop)
+        #: One dict for the port: the transmitter counts ``tx_*`` in it,
+        #: ``wire_deliver`` counts ``rx_*``.
+        self.stats = queue.transmitter.stats
 
     def __repr__(self) -> str:
         return f"<SwitchPort {self.name}>"
-
-    @property
-    def stats(self) -> Counters:
-        """Receive counters plus what the transmitter has offered to
-        the wire (a fresh merged copy per read)."""
-        merged = Counters(self._stats)
-        merged["tx_frames"] = self._tx.frames
-        merged["tx_bytes"] = self._tx.bytes
-        return merged
 
     @property
     def drops(self) -> int:
@@ -79,8 +72,8 @@ class SwitchPort:
         # ingress, egress queue, retransmission — holds one buffer by
         # reference and never copies it per hop.
         frame = as_wire_bytes(frame)
-        self._stats["rx_frames"] += 1
-        self._stats["rx_bytes"] += len(frame)
+        self.stats["rx_frames"] += 1
+        self.stats["rx_bytes"] += len(frame)
         self.switch._ingress(self, frame)
 
 

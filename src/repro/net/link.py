@@ -63,27 +63,21 @@ class Link(abc.ABC):
         self.fault_observers: list[FaultObserver] = []
         self.taps: list[Tap] = []
         self._medium = Serial(sim) if self.SHARED_MEDIUM else None
-        # Per-frame traffic counters live as plain attributes: three
-        # dict-subclass item assignments per transmitted frame show up
-        # at fabric scale.  ``stats`` materializes them on read.
-        self._frames = 0
-        self._tx_bytes = 0
-        self._busy_time = 0.0
+        #: Live traffic counters: frames, bytes, busy_time.
+        self._traffic = Counters()
 
     @property
-    def stats(self) -> dict:
-        """Traffic counters plus the injector's authoritative fault
-        counters.  The fault numbers are *read* from the injector rather
-        than counted a second time here, so ``Link.stats`` and
-        ``FaultInjector.stats`` can never disagree."""
-        merged = Counters()
-        merged["frames"] = self._frames
-        merged["bytes"] = self._tx_bytes
-        merged["busy_time"] = self._busy_time
+    def stats(self) -> Counters:
+        """A copy of the traffic counters plus the injector's
+        authoritative fault counters.  The fault numbers are *read* from
+        the injector rather than counted a second time here, so
+        ``Link.stats`` and ``FaultInjector.stats`` can never disagree —
+        which makes this the one ``stats`` in the tree that is a fresh
+        dict per read (watch it through ``lambda: link.stats``)."""
+        merged = Counters(self._traffic)
         fault_stats = self.faults.stats
-        merged["dropped"] = fault_stats["dropped"]
-        merged["corrupted"] = fault_stats["corrupted"]
-        merged["duplicated"] = fault_stats["duplicated"]
+        for kind in ("dropped", "corrupted", "duplicated"):
+            merged[kind] = fault_stats[kind]
         return merged
 
     def attach(self, nic: "Nic") -> None:
@@ -190,10 +184,10 @@ class Transmitter:
         #: True from a frame's hand-over until the last queued frame's
         #: turn has ended.
         self.busy = False
-        #: Frames and bytes offered to the wire so far (counted when a
-        #: frame's turn begins; staged frames are not in yet).
-        self.frames = 0
-        self.bytes = 0
+        #: ``tx_frames`` / ``tx_bytes`` offered to the wire so far
+        #: (counted when a frame's turn begins; staged frames are not in
+        #: yet).  A switch port adopts this dict as its own ``stats``.
+        self.stats = Counters()
         medium = link._medium
         self._serial = medium if medium is not None else Serial(link.sim)
         self._max_frame = link.max_frame
@@ -276,17 +270,19 @@ class Transmitter:
             tap(frame)
         self._frame = frame
         self._length = length = len(frame)
-        self.frames += 1
-        self.bytes += length
+        stats = self.stats
+        stats["tx_frames"] += 1
+        stats["tx_bytes"] += length
         self._wire_time = wire_time = link.wire_time(length)
         self._serial.hold(wire_time).callbacks.append(self._turn_over)
 
     def _turn_over(self, _event: Event) -> None:
         link = self.link
         frame = self._frame
-        link._frames += 1
-        link._tx_bytes += self._length
-        link._busy_time += self._wire_time
+        traffic = link._traffic
+        traffic["frames"] += 1
+        traffic["bytes"] += self._length
+        traffic["busy_time"] += self._wire_time
         link._deliver_later(link.receivers(self.sender, frame), frame)
         frame = self._pull()
         if frame is None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from ...counters import Counters
 from ...mach.kernel import Kernel
 from ...obs import spans as _spans
 from ..headers import BROADCAST_MAC, EthernetHeader
@@ -46,29 +45,6 @@ class PmaddNic(Nic):
         self._rx_buffers: list[bytes] = []
         self._rx_interrupt_pending = False
         self._rxintr_name = f"{name}-rxintr"
-        # Per-frame counters as plain attributes (two Counters item
-        # assignments per frame each way are measurable at fabric
-        # scale); ``stats`` merges them with the base dict on read.
-        self._tx_frames = 0
-        self._tx_byte_count = 0
-        self._rx_frames = 0
-        self._rx_byte_count = 0
-
-    @property
-    def stats(self):
-        merged = Counters()
-        merged.update(self._stats)
-        merged["tx_frames"] = self._tx_frames
-        merged["tx_bytes"] = self._tx_byte_count
-        merged["rx_frames"] = self._rx_frames
-        merged["rx_bytes"] = self._rx_byte_count
-        return merged
-
-    @stats.setter
-    def stats(self, value) -> None:
-        # The base __init__ assigns ``self.stats = Counters()``; route
-        # that (and any test override) to the rare-counter dict.
-        self._stats = value
 
     @property
     def mtu_data(self) -> int:
@@ -93,8 +69,8 @@ class PmaddNic(Nic):
         staging_full = self._tx.submit(frame)
         if staging_full is not None:
             yield staging_full
-        self._tx_frames += 1
-        self._tx_byte_count += len(frame)
+        self.stats["tx_frames"] += 1
+        self.stats["tx_bytes"] += len(frame)
 
     # ------------------------------------------------------------------
     # Receive: stage on board, interrupt, PIO copy to host, hand off.
@@ -103,7 +79,7 @@ class PmaddNic(Nic):
     def wire_deliver(self, frame: bytes) -> None:
         rec = _spans.RECORDER
         if len(self._rx_buffers) >= self.BOARD_BUFFERS:
-            self._stats["rx_dropped_no_buffer"] += 1
+            self.stats["rx_dropped_no_buffer"] += 1
             if rec is not None:
                 rec.touch(frame, "nic.drop", self.sim.now, self.name,
                           detail="no rx buffer")
@@ -129,14 +105,14 @@ class PmaddNic(Nic):
                 cost = costs.pio_cost(len(frame))
                 if cost:
                     yield cpu.charge(cost)
-                self._rx_frames += 1
-                self._rx_byte_count += len(frame)
+                self.stats["rx_frames"] += 1
+                self.stats["rx_bytes"] += len(frame)
                 # Dispatch straight to the handler: the _run_rx_handler
                 # wrapper would add a generator frame to every resume of
                 # the whole downstream receive path.
                 handler = self.rx_handler
                 if handler is None:
-                    self._stats["rx_ignored"] += 1
+                    self.stats["rx_ignored"] += 1
                 else:
                     yield from handler(frame, None)
         finally:

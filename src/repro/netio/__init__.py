@@ -5,7 +5,6 @@ from .channels import Channel, ChannelClosed
 from .demux import (
     KERNEL_FLOW,
     DemuxDecision,
-    DemuxEngine,
     DemuxError,
     FlowKey,
     FlowTable,
@@ -34,7 +33,6 @@ __all__ = [
     "Channel",
     "ChannelClosed",
     "DemuxDecision",
-    "DemuxEngine",
     "DemuxError",
     "FlowKey",
     "FlowTable",

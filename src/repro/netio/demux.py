@@ -31,11 +31,6 @@ offsets into the kernel, and the equivalence property test in
 ``tests/netio/test_filter_fuzz.py`` relies on the three classifier
 forms agreeing on every input, including truncated and malformed
 frames.
-
-The engine is pluggable: :class:`NetworkIoModule` accepts any object
-implementing the :class:`DemuxEngine` interface, so alternative
-organizations (hash-over-masks, tries, hardware offload models) can be
-swapped in without touching the receive path.
 """
 
 from __future__ import annotations
@@ -121,34 +116,14 @@ class _WildcardEntry:
     owner: object = None
 
 
-class DemuxEngine:
-    """Interface the network I/O module drives.
+class FlowTable:
+    """The three-tier demux engine (exact / wildcard / legacy scan).
 
-    Implementations map installed flows to channels; they never touch
-    the kernel or charge costs themselves — :meth:`classify` *reports*
-    the cost of the decision and the module consumes it, keeping the
-    engine a pure data structure that benchmarks can drive directly.
+    It maps installed flows to channels and never touches the kernel or
+    charges costs itself — :meth:`classify` *reports* the cost of the
+    decision and the module consumes it, keeping the engine a pure data
+    structure that benchmarks can drive directly.
     """
-
-    def install(
-        self, key: FlowKey, target: object, filter=None, owner: object = None
-    ) -> None:
-        raise NotImplementedError
-
-    def remove(self, key: FlowKey, target: object = None) -> None:
-        raise NotImplementedError
-
-    def classify(self, frame: bytes, costs: CostModel) -> DemuxDecision:
-        raise NotImplementedError
-
-    def wildcard_target(
-        self, proto: int, local_port: int, local_ip: int = 0
-    ) -> object:
-        raise NotImplementedError
-
-
-class FlowTable(DemuxEngine):
-    """The default three-tier engine (exact / wildcard / legacy scan)."""
 
     def __init__(self, style: str = "synthesized") -> None:
         if style not in ("synthesized", "cspf", "bpf"):

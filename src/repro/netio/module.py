@@ -39,7 +39,7 @@ from ..obs import hist as _hist
 from ..obs import profile as _profile
 from ..obs import spans as _spans
 from .channels import Channel
-from .demux import DemuxEngine, FlowKey, FlowTable, KERNEL_FLOW
+from .demux import FlowKey, FlowTable, KERNEL_FLOW
 from .pktfilter import (
     FilterProgram,
     tcp_filter_program,
@@ -85,7 +85,6 @@ class NetworkIoModule:
         demux_style: DemuxStyle = "synthesized",
         name: str = "",
         batching: bool = True,
-        engine: Optional[DemuxEngine] = None,
     ) -> None:
         if demux_style not in ("synthesized", "cspf", "bpf"):
             raise ValueError(f"unknown demux style {demux_style!r}")
@@ -95,12 +94,9 @@ class NetworkIoModule:
         self.demux_style = demux_style
         self.name = name or f"netio-{nic.name}"
         self.channels: list[Channel] = []
-        #: The pluggable demux engine; the receive path asks it to
-        #: classify every IP frame instead of scanning channels.
-        self.flow_table: DemuxEngine = engine or FlowTable(demux_style)
-        #: The demux engine's counter dict, resolved once (``flow_table``
-        #: never changes after construction); None for engines without one.
-        self._table_stats = getattr(self.flow_table, "stats", None)
+        #: The demux engine; the receive path asks it to classify every
+        #: IP frame instead of scanning channels.
+        self.flow_table = FlowTable(demux_style)
         self.kernel_rx: Optional[KernelRx] = None
         #: TenantManager when the stack is shared among principals;
         #: None (the default) keeps every check a no-op.
@@ -120,27 +116,6 @@ class NetworkIoModule:
         if self.is_an1 and 0 not in nic.bqi_table:
             nic.install_default_ring()
         self.stats = Counters()
-        # Per-frame counters as plain attributes — two Python-level
-        # Counters assignments per frame are measurable at fabric scale.
-        # ``stats`` merges them with the rare-counter dict on read.
-        self._tx_count = 0
-        self._rx_to_kernel = 0
-        self._rx_demuxed = 0
-
-    @property
-    def stats(self):
-        merged = Counters()
-        merged.update(self._stats)
-        merged["tx"] = self._stats["tx"] + self._tx_count
-        merged["rx_to_kernel"] = self._rx_to_kernel
-        merged["rx_demuxed"] = self._rx_demuxed
-        return merged
-
-    @stats.setter
-    def stats(self, value) -> None:
-        # ``__init__`` (and tests) assign a fresh Counters; the rare,
-        # off-path counters keep living in that dict.
-        self._stats = value
 
     # ------------------------------------------------------------------
     # Tenancy plumbing
@@ -158,7 +133,7 @@ class NetworkIoModule:
         if self.region_pool_bytes is None:
             return
         if self.region_pool_used + nbytes > self.region_pool_bytes:
-            self._stats["region_pool_refused"] += 1
+            self.stats["region_pool_refused"] += 1
             raise QuotaExceeded(
                 f"wired packet-buffer pool exhausted "
                 f"({self.region_pool_used}/{self.region_pool_bytes}B used,"
@@ -482,7 +457,7 @@ class NetworkIoModule:
         if channel.closed or channel not in self.channels:
             raise SecurityViolation(f"channel {channel.name} is not active")
         if task is not channel.owner:
-            self._stats["tx_refused"] += 1
+            self.stats["tx_refused"] += 1
             raise SecurityViolation(
                 f"task {task.name!r} does not own channel {channel.name}"
             )
@@ -501,7 +476,7 @@ class NetworkIoModule:
                     f"channel {channel.name} belongs to {channel.tenant_id}",
                 )
                 if manager.enforcing:
-                    self._stats["tx_refused"] += 1
+                    self.stats["tx_refused"] += 1
                     raise SecurityViolation(
                         f"task {task.name!r} (tenant {sender_id}) may not"
                         f" send on tenant {channel.tenant_id}'s channel"
@@ -515,7 +490,7 @@ class NetworkIoModule:
                         # Refused, not queued: the module holds no
                         # tenant state beyond the bucket; the *library*
                         # decides whether to retry after the hint.
-                        self._stats["tx_throttled"] += 1
+                        self.stats["tx_throttled"] += 1
                         raise RateLimited(retry_after)
                     # Sabotaged stack: the frame goes out anyway, so
                     # the tx ledger must say so — rate conformance is
@@ -527,10 +502,10 @@ class NetworkIoModule:
         try:
             channel.template.verify(ip_packet)
         except TemplateViolation:
-            self._stats["tx_refused"] += 1
+            self.stats["tx_refused"] += 1
             raise
         channel.stats["tx_packets"] += 1
-        self._stats["tx"] += 1
+        self.stats["tx"] += 1
         prof = _profile.PROFILER
         if prof is not None:
             prof.charge("netio.send", costs.template_check)
@@ -564,7 +539,7 @@ class NetworkIoModule:
         generator but removes one frame from every resume of the
         transmit path beneath it.
         """
-        self._tx_count += 1
+        self.stats["tx"] += 1
         rec = _spans.RECORDER
         if rec is not None:
             rec.touch(payload, "netio.send", self.kernel.sim.now, self.name,
@@ -642,7 +617,7 @@ class NetworkIoModule:
         # straight out of the octets instead of decoding a full header
         # object per frame.
         if len(frame) < EthernetHeader.LENGTH:
-            self._stats["rx_dropped"] += 1
+            self.stats["rx_dropped"] += 1
             return
         ethertype = (frame[12] << 8) | frame[13]
         src = frame[6:12]
@@ -650,9 +625,9 @@ class NetworkIoModule:
             # Non-IP (ARP) goes straight to the kernel consumer.
             kernel_rx = self.kernel_rx
             if kernel_rx is None:
-                self._stats["rx_dropped"] += 1
+                self.stats["rx_dropped"] += 1
                 return
-            self._rx_to_kernel += 1
+            self.stats["rx_to_kernel"] += 1
             yield from kernel_rx(
                 ethertype,
                 slice_view(frame, EthernetHeader.LENGTH),
@@ -677,24 +652,23 @@ class NetworkIoModule:
         if rec is not None:
             rec.touch(
                 frame, "demux", self.kernel.sim.now, self.name,
-                detail=getattr(decision, "tier", ""), cost=decision.cost,
+                detail=decision.tier, cost=decision.cost,
             )
         matched = decision.channel
         payload = slice_view(frame, EthernetHeader.LENGTH)
         # Copies-avoided accounting rides with the per-tier demux stats:
         # the payload entering the ring is a view, not a sliced copy.
-        table_stats = self._table_stats
-        if table_stats is not None:
-            table_stats["payload_views"] += 1
-            table_stats["bytes_copy_avoided"] += len(payload)
+        table_stats = self.flow_table.stats
+        table_stats["payload_views"] += 1
+        table_stats["bytes_copy_avoided"] += len(payload)
         if matched is not None:
             yield from self._deliver(matched, payload, LinkInfo(src))
             return
         kernel_rx = self.kernel_rx
         if kernel_rx is None:
-            self._stats["rx_dropped"] += 1
+            self.stats["rx_dropped"] += 1
             return
-        self._rx_to_kernel += 1
+        self.stats["rx_to_kernel"] += 1
         yield from kernel_rx(ETHERTYPE_IP, payload, LinkInfo(src))
 
     def _deliver(
@@ -730,14 +704,14 @@ class NetworkIoModule:
                     f" {channel.name}",
                 )
                 if manager.enforcing:
-                    self._stats["rx_refused"] += 1
+                    self.stats["rx_refused"] += 1
                     flow_tenant = manager.get(channel.tenant_id)
                     if flow_tenant is not None:
                         flow_tenant.counters["rx_dropped"] += 1
                     return
             elif owner_tenant is not None:
                 owner_tenant.note_rx(len(payload))
-        self._rx_demuxed += 1
+        self.stats["rx_demuxed"] += 1
         deliver_cost = 0.0
         if not self.is_an1:
             # Ethernet-only: the staging/placement premium of user-level
@@ -769,14 +743,14 @@ class NetworkIoModule:
                         )
         channel.deliver(payload, link_info)
         if signal_due:
-            self._stats["signals_charged"] += 1
+            self.stats["signals_charged"] += 1
             yield from self.kernel.cpu.consume(
                 self.kernel.cost_table.semaphore_signal
             )
 
     def _to_kernel(self, ethertype: int, payload: bytes, link_info: LinkInfo) -> Generator:
         if self.kernel_rx is None:
-            self._stats["rx_dropped"] += 1
+            self.stats["rx_dropped"] += 1
             return
-        self._rx_to_kernel += 1
+        self.stats["rx_to_kernel"] += 1
         yield from self.kernel_rx(ethertype, payload, link_info)

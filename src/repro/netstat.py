@@ -171,7 +171,7 @@ def demux_table(testbed: "Testbed") -> list[DemuxEntry]:
         entries.append(
             DemuxEntry(
                 host=host.name,
-                style=getattr(table, "style", "custom"),
+                style=table.style,
                 exact=table.exact_count,
                 wildcard=table.wildcard_count,
                 scan=table.scan_count,
@@ -349,7 +349,7 @@ def switch_table(testbed) -> list[SwitchPortEntry]:
                     rx_frames=port.stats["rx_frames"],
                     tx_frames=port.stats["tx_frames"],
                     drops=queue.stats["dropped"],
-                    early_drops=queue.stats.get("early_dropped", 0),
+                    early_drops=queue.stats["early_dropped"],
                     depth_bytes=queue.depth_bytes,
                     peak_bytes=queue.peak_bytes,
                     mean_occupancy=queue.mean_occupancy(),
@@ -419,14 +419,14 @@ def copy_table(testbed: "Testbed") -> list[CopyEntry]:
         )
     )
     for host in _hosts(testbed):
-        stats = getattr(host.netio.flow_table, "stats", None) or {}
+        stats = host.netio.flow_table.stats
         entries.append(
             CopyEntry(
                 scope=host.name,
                 detail="demux payload views",
                 copied_bytes=0,
-                avoided_bytes=stats.get("bytes_copy_avoided", 0),
-                ops=stats.get("payload_views", 0),
+                avoided_bytes=stats["bytes_copy_avoided"],
+                ops=stats["payload_views"],
             )
         )
     return entries

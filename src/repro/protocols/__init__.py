@@ -6,7 +6,7 @@ a particular protocol organization lives in :mod:`repro.org`.
 """
 
 from .arp import ArpStack, Resolved, SendArp
-from .checksum import internet_checksum, pseudo_header, verify_checksum
+from ..net.checksum import internet_checksum, pseudo_header, verify_checksum
 from .icmp import (
     EchoMessage,
     UNREACH_PORT,

@@ -14,7 +14,7 @@ from ..net.headers import (
     HeaderError,
     IcmpHeader,
 )
-from .checksum import internet_checksum
+from ..net.checksum import internet_checksum
 
 #: Destination-unreachable codes (RFC 792).
 UNREACH_NET = 0

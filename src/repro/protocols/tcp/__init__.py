@@ -28,7 +28,6 @@ from .cc import (
     algorithms as cc_algorithms,
     make_cc,
 )
-from .congestion import CongestionControl
 from .events import (
     AppAbort,
     AppClose,
@@ -64,7 +63,6 @@ __all__ = [
     "ChecksumError",
     "CC_ALGORITHMS",
     "CongestionAlgorithm",
-    "CongestionControl",
     "cc_algorithms",
     "make_cc",
     "RttEstimator",

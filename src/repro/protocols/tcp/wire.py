@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ...net.buf import prepend, slice_view
-from ...net.checksum import checksum_parts, incremental_update
+from ...net.checksum import checksum_parts, incremental_update, pseudo_header
 from ...net.headers import (
     PROTO_TCP,
     TCP_ACK,
@@ -33,7 +33,6 @@ from ...net.headers import (
     HeaderError,
     TcpHeader,
 )
-from ..checksum import internet_checksum, pseudo_header
 
 
 class ChecksumError(ValueError):

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..net.buf import STATS, prepend, slice_view
-from ..net.checksum import checksum_parts
+from ..net.checksum import checksum_parts, pseudo_header
 from ..net.headers import PROTO_UDP, HeaderError, UdpHeader
-from .checksum import internet_checksum, pseudo_header  # noqa: F401 (re-export)
 
 
 class UdpError(ValueError):

@@ -1,5 +1,7 @@
 """Tests for the netstat introspection and multi-host demux isolation."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro import netstat
@@ -71,6 +73,40 @@ def test_channel_table_shows_bqi_on_an1():
     testbed.run(until=proc)
     channels = netstat.channel_table(testbed)
     assert all(entry.kind.startswith("bqi ") for entry in channels)
+
+
+def test_tables_agree_with_the_counters_they_render():
+    """netstat is the one read surface: its rows are the raw counters."""
+    from repro.metrics import measure_throughput
+    from repro.net import buf
+    from repro.protocols.tcp.wire import TcpSegmentEncoder
+
+    buf.reset_stats()
+    TcpSegmentEncoder.reset_global_stats()
+    testbed = Testbed(network="ethernet", organization="userlib")
+    measure_throughput(testbed, total_bytes=192 * 1024)
+
+    # Hits and misses are counted inside FlowTable.classify; the module
+    # counts one payload view per frame it had classified.
+    for host, row in zip(testbed.hosts, netstat.demux_table(testbed)):
+        classified = host.netio.flow_table.stats["payload_views"]
+        assert classified > 0
+        assert (
+            row.exact_hits + row.wildcard_hits + row.scan_hits + row.misses
+            == classified
+        )
+    copies, fusion = (
+        row for row in netstat.copy_table(testbed) if row.scope == "datapath"
+    )
+    assert (copies.copied_bytes, copies.avoided_bytes, copies.ops) == (
+        buf.STATS.copied_bytes, buf.STATS.avoided_bytes, buf.STATS.copy_ops
+    )
+    assert (fusion.copied_bytes, fusion.ops) == (
+        buf.STATS.materialized_bytes, buf.STATS.materialize_ops
+    )
+    assert fusion.ops > 0
+    (engine,) = netstat.engine_table(testbed)
+    assert asdict(engine) == testbed.sim.engine_stats()
 
 
 def test_netstat_empty_testbed():

@@ -87,8 +87,8 @@ def test_transmitter_sends_fifo_back_to_back():
         assert arrived == pytest.approx(at + link.propagation_delay)
     assert link.stats["frames"] == 5
     assert link.stats["bytes"] == sum(map(len, frames))
-    assert transmitter.frames == 5
-    assert transmitter.bytes == sum(map(len, frames))
+    assert transmitter.stats["tx_frames"] == 5
+    assert transmitter.stats["tx_bytes"] == sum(map(len, frames))
 
 
 def test_idle_hand_off_costs_no_engine_event():

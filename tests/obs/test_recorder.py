@@ -4,8 +4,10 @@ import csv
 import json
 
 from repro.counters import Counters
+from repro.metrics import measure_fabric_transfers
 from repro.obs.recorder import FlightRecorder
 from repro.sim import Simulator
+from repro.testbed import FabricTestbed
 
 
 def test_periodic_sampling_of_counters_and_callables():
@@ -101,16 +103,31 @@ def test_json_and_csv_export(tmp_path):
 
 
 def test_counters_snapshot_never_materializes_zero_keys():
-    """Sampling a Counters must not create keys as a side effect, and
-    zero-valued stores must not linger (the lazy-read fix)."""
+    """A pure read allocates nothing, and ``snapshot()`` omits zeros."""
     counters = Counters()
-    _ = counters["never_written"]  # defaultdict-style read
-    assert "never_written" not in counters.snapshot()
+    assert counters["never_written"] == 0  # defaultdict-style read
+    assert dict(counters) == {}
     counters["x"] += 1
-    counters["x"] -= 1  # back to zero -> key evicted
+    counters["x"] -= 1  # back to zero: stored, but not sampled
     counters["y"] += 2
     assert counters.snapshot() == {"y": 2}
-    assert "x" not in dict(counters)
-    # update() routes through the same zero-skip logic.
-    counters.update({"z": 0, "w": 4})
-    assert counters.snapshot() == {"y": 2, "w": 4}
+
+
+def test_watching_a_layers_stats_records_its_live_counters():
+    """``watch(name, obj.stats)`` keeps the dict it is handed, so
+    ``stats`` has to be the dict the layer increments.  On the PMADD
+    NIC, the netio module and the switch port it was a merged copy per
+    read, and their series stayed ``{}`` for the whole run."""
+    bed = FabricTestbed(kind="dumbbell", organization="userlib", pairs=1)
+    host = bed.hosts[0]
+    watched = {"nic": host.nic, "netio": host.netio, "port": bed.bottleneck}
+    rec = FlightRecorder(bed.sim, interval=0.02)
+    for name, layer in watched.items():
+        rec.watch(name, layer.stats)
+    rec.start()
+    measure_fabric_transfers(bed, bytes_per_flow=20_000)
+    rec.sample_now()
+    for name, layer in watched.items():
+        _, last = rec.series(name)[-1]
+        assert last, name
+        assert last == layer.stats.snapshot(), name

@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.protocols.checksum import (
+from repro.net.checksum import (
     internet_checksum,
     pseudo_header,
     verify_checksum,

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from repro.net.headers import TCP_ACK, TCP_SYN
 from repro.protocols.tcp import (
     ChecksumError,
-    CongestionControl,
     ReassemblyQueue,
     RttEstimator,
     Segment,
     decode_segment,
     encode_segment,
 )
+from repro.protocols.tcp.cc.reno import Reno
 
 # ----------------------------------------------------------------------
 # RttEstimator
@@ -96,12 +96,12 @@ def test_rto_floor():
 
 
 # ----------------------------------------------------------------------
-# CongestionControl
+# Reno congestion control
 # ----------------------------------------------------------------------
 
 
 def test_slow_start_doubles_per_rtt():
-    cc = CongestionControl(mss=1000)
+    cc = Reno(mss=1000)
     assert cc.cwnd == 1000
     cc.on_new_ack(1000)
     assert cc.cwnd == 2000
@@ -111,7 +111,7 @@ def test_slow_start_doubles_per_rtt():
 
 
 def test_congestion_avoidance_linear():
-    cc = CongestionControl(mss=1000, ssthresh=2000)
+    cc = Reno(mss=1000, ssthresh=2000)
     cc.cwnd = 2000
     cc.on_new_ack(1000)
     # Above ssthresh: additive increase of mss*mss/cwnd.
@@ -119,7 +119,7 @@ def test_congestion_avoidance_linear():
 
 
 def test_timeout_collapses_window():
-    cc = CongestionControl(mss=1000)
+    cc = Reno(mss=1000)
     cc.cwnd = 8000
     cc.on_timeout(flight_size=8000)
     assert cc.cwnd == 1000
@@ -127,13 +127,13 @@ def test_timeout_collapses_window():
 
 
 def test_ssthresh_floor_two_mss():
-    cc = CongestionControl(mss=1000)
+    cc = Reno(mss=1000)
     cc.on_timeout(flight_size=1000)
     assert cc.ssthresh == 2000
 
 
 def test_fast_retransmit_on_third_dupack():
-    cc = CongestionControl(mss=1000, flavor="reno")
+    cc = Reno(mss=1000, flavor="reno")
     cc.cwnd = 10000
     assert not cc.on_duplicate_ack(10000)
     assert not cc.on_duplicate_ack(10000)
@@ -144,7 +144,7 @@ def test_fast_retransmit_on_third_dupack():
 
 
 def test_reno_recovery_deflates_on_new_ack():
-    cc = CongestionControl(mss=1000, flavor="reno")
+    cc = Reno(mss=1000, flavor="reno")
     cc.cwnd = 10000
     for _ in range(3):
         cc.on_duplicate_ack(10000)
@@ -156,7 +156,7 @@ def test_reno_recovery_deflates_on_new_ack():
 
 
 def test_tahoe_collapses_on_fast_retransmit():
-    cc = CongestionControl(mss=1000, flavor="tahoe")
+    cc = Reno(mss=1000, flavor="tahoe")
     cc.cwnd = 10000
     for _ in range(3):
         cc.on_duplicate_ack(10000)
@@ -166,7 +166,7 @@ def test_tahoe_collapses_on_fast_retransmit():
 
 def test_unknown_flavor_rejected():
     with pytest.raises(ValueError):
-        CongestionControl(mss=1000, flavor="vegas")
+        Reno(mss=1000, flavor="vegas")
 
 
 # ----------------------------------------------------------------------

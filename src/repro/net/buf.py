@@ -4,10 +4,11 @@ The paper's second host mechanism is *protected shared packet buffers*:
 the library builds a segment in place and the device sends it "without
 copies".  :class:`PacketBuffer` is the simulator's equivalent of a BSD
 mbuf chain or an iovec: an ordered list of read-only fragments
-(``bytes``/``memoryview``) that supports cheap header prepend, trim and
-split, with the flat ``bytes`` image produced lazily — once — when the
-frame actually reaches a wire (or a tracer / fault injector that needs
-real octets to corrupt).
+(``bytes``/``memoryview``), immutable once built — encapsulation makes
+a new chain around the old one, :func:`prepend` — with the flat
+``bytes`` image produced lazily — once — when the frame actually
+reaches a wire (or a tracer / fault injector that needs real octets to
+corrupt).
 
 Copy accounting
 ---------------
@@ -102,101 +103,41 @@ def reset_stats() -> None:
 
 
 class PacketBuffer:
-    """An immutable-content chain of packet fragments.
+    """An immutable chain of packet fragments.
 
-    Fragments are stored outermost-header-first.  The chain itself can
-    grow at the front (:meth:`prepend_header`) and shrink at the tail
-    (:meth:`trim`), mirroring mbuf usage; the underlying fragment bytes
-    are never mutated, so a cached segment image can appear in many
-    frames at once (the retransmit path relies on this).
+    Fragments are stored outermost-header-first.  Neither the chain nor
+    the fragment bytes under it change after construction — a header
+    goes on by building a new chain that shares the old one's fragments
+    (:func:`prepend`) — so a cached segment image can appear in many
+    frames at once (the retransmit path relies on this) and the fused
+    wire image, once made, stays valid.
     """
 
     __slots__ = ("_frags", "_length", "_fused", "trace_id")
 
     def __init__(self, fragments: "Iterator[Fragment] | tuple | list" = ()) -> None:
         frags: list[Fragment] = []
+        length = 0
         trace_id = None
         for frag in fragments:
-            if isinstance(frag, PacketBuffer):
-                frags.extend(frag._frags)
+            if type(frag) is PacketBuffer:
+                frags += frag._frags
+                length += frag._length
                 # Encapsulation builds a new chain around the payload
                 # chain; inheriting the payload's trace id here is what
                 # lets one id minted at encode survive IP and link
                 # framing without per-layer plumbing.
                 if trace_id is None:
                     trace_id = frag.trace_id
-            elif len(frag):
-                frags.append(frag)
+            else:
+                size = len(frag)
+                if size:
+                    frags.append(frag)
+                    length += size
         self._frags = frags
-        self._length = sum(len(f) for f in frags)
+        self._length = length
         self._fused: bytes | None = None
         self.trace_id = trace_id
-
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def from_bytes(cls, data: Fragment) -> "PacketBuffer":
-        return cls((data,))
-
-    def prepend_header(self, header: Fragment) -> "PacketBuffer":
-        """Attach ``header`` in front of the chain (in place, O(1))."""
-        if isinstance(header, PacketBuffer):
-            self._frags[:0] = header._frags
-            self._length += len(header)
-        elif len(header):
-            self._frags.insert(0, header)
-            self._length += len(header)
-        self._fused = None
-        return self
-
-    def append(self, frag: Fragment) -> "PacketBuffer":
-        if isinstance(frag, PacketBuffer):
-            self._frags.extend(frag._frags)
-            self._length += len(frag)
-        elif len(frag):
-            self._frags.append(frag)
-            self._length += len(frag)
-        self._fused = None
-        return self
-
-    # -- mbuf-style editing ---------------------------------------------
-
-    def trim(self, n: int) -> "PacketBuffer":
-        """Drop the last ``n`` bytes (in place, no data copied)."""
-        if n <= 0:
-            return self
-        remaining = n
-        while remaining and self._frags:
-            tail = self._frags[-1]
-            if len(tail) <= remaining:
-                remaining -= len(tail)
-                self._frags.pop()
-            else:
-                keep = len(tail) - remaining
-                view = tail if isinstance(tail, memoryview) else memoryview(tail)
-                self._frags[-1] = view[:keep]
-                remaining = 0
-        self._length -= n - remaining
-        self._fused = None
-        return self
-
-    def split(self, offset: int) -> "tuple[PacketBuffer, PacketBuffer]":
-        """Split into two chains at ``offset`` without copying data."""
-        head: list[Fragment] = []
-        tail: list[Fragment] = []
-        remaining = offset
-        for frag in self._frags:
-            if remaining >= len(frag):
-                head.append(frag)
-                remaining -= len(frag)
-            elif remaining > 0:
-                view = frag if isinstance(frag, memoryview) else memoryview(frag)
-                head.append(view[:remaining])
-                tail.append(view[remaining:])
-                remaining = 0
-            else:
-                tail.append(frag)
-        return PacketBuffer(head), PacketBuffer(tail)
 
     # -- reading --------------------------------------------------------
 
@@ -207,13 +148,7 @@ class PacketBuffer:
     def tobytes(self) -> bytes:
         """The flat wire image; fused once, then cached."""
         if self._fused is None:
-            if len(self._frags) == 1:
-                self._fused = bytes(self._frags[0])
-            else:
-                self._fused = b"".join(
-                    f if isinstance(f, bytes) else bytes(f)
-                    for f in self._frags
-                )
+            self._fused = b"".join(self._frags)
             STATS.materialized_bytes += self._length
             STATS.materialize_ops += 1
             if self.trace_id is not None and SPAN_BINDER is not None:
@@ -303,7 +238,9 @@ def prepend(header: Fragment, payload) -> "PacketBuffer | bytes":
     eager mode performs the legacy concatenation and counts the copy.
     """
     if _MODE == "chain":
-        STATS.avoided_bytes += len(payload)
+        STATS.avoided_bytes += (
+            payload._length if type(payload) is PacketBuffer else len(payload)
+        )
         return PacketBuffer((header, payload))
     flat = _flatten(header) + _flatten(payload)
     STATS.copied_bytes += len(flat)
@@ -317,13 +254,11 @@ def slice_view(data, start: int, stop: "int | None" = None):
     Chain mode returns a ``memoryview`` (zero copy, counted as avoided);
     eager mode returns a fresh ``bytes`` slice (counted as copied).
     """
-    if isinstance(data, PacketBuffer):
+    if type(data) is PacketBuffer:
         data = data.tobytes()
-    if stop is None:
-        stop = len(data)
     if _MODE == "chain":
         view = memoryview(data)[start:stop]
-        STATS.avoided_bytes += len(view)
+        STATS.avoided_bytes += view.nbytes
         return view
     piece = bytes(data[start:stop])
     STATS.copied_bytes += len(piece)
@@ -337,9 +272,10 @@ def as_wire_bytes(frame) -> bytes:
     Idempotent and cached: a chain fused for a tracer is not fused again
     by the link.  Plain ``bytes`` pass through untouched.
     """
-    if isinstance(frame, bytes):
+    kind = type(frame)
+    if kind is bytes:
         return frame
-    if isinstance(frame, PacketBuffer):
+    if kind is PacketBuffer:
         return frame.tobytes()
     flat = bytes(frame)
     STATS.materialized_bytes += len(flat)

@@ -4,12 +4,19 @@ The real 16-bit one's-complement sum over real bytes.  TCP/IP/UDP wire
 encoding uses it, corruption injection in the link layer really breaks
 it, and the protocol input paths really discard segments that fail it.
 
-The implementation sums 16-bit words via :mod:`array` for speed (the
-simulation checksums every packet of every benchmark transfer).  It
-accepts ``bytes``, ``bytearray`` and ``memoryview`` without conversion,
-and an odd-length buffer costs one integer add — not a full copy of the
-data — because the trailing byte folds in arithmetically as the high
-octet of a zero-padded word.
+The kernel is one C operation per buffer (the simulation checksums
+every packet of every benchmark transfer).  One's-complement addition
+of 16-bit words is addition modulo 0xFFFF, and 2**16 is 1 modulo
+0xFFFF, so a buffer read as one big integer leaves the same residue as
+the sum of its 16-bit digits.  Reading it *little*-endian gives every
+byte the weight 256**(offset % 2) wherever the buffer ends — an odd
+tail needs no padding and no length test — and yields the sum with its
+two octets exchanged, which RFC 1071 §2(B) (byte-order independence)
+says to swap back.  The one thing a residue cannot tell apart is the
+two zeros: a one's-complement sum of anything non-zero is never 0x0000,
+so a zero residue of non-zero data stands for 0xFFFF.  ``bytes``,
+``bytearray`` and ``memoryview`` (of any item format) are all summed
+in place.
 
 :func:`checksum_parts` checksums a scatter-gather sequence of fragments
 without joining them (RFC 1071 §2(C): a part starting at an odd offset
@@ -20,39 +27,35 @@ patch via RFC 1624 equation 3 — the template fast path's tool.
 
 from __future__ import annotations
 
-import array
-import sys
+import struct
+
+_PSEUDO = struct.Struct("!IIBBH")
+_FLAT = (bytes, memoryview, bytearray)
+
+
+def _unswap(total: int) -> int:
+    """The folded sum a little-endian integer ``total`` stands for: its
+    residue with the two octets swapped back, a zero residue of a
+    non-zero total being 0xFFFF."""
+    swapped = total % 0xFFFF
+    if swapped:
+        return (swapped & 0xFF) << 8 | swapped >> 8
+    return total and 0xFFFF
 
 
 def sum16(data) -> int:
-    """Unfolded 16-bit one's-complement partial sum of ``data``.
+    """Folded 16-bit one's-complement sum of ``data``, in [0, 0xFFFF].
 
-    ``data`` is any bytes-like object; it is summed in place, with no
-    copy made for odd lengths (the tail byte is added as ``byte << 8``,
-    i.e. the high octet of the zero-padded final word).
+    ``data`` is any bytes-like object, zero-padded to a whole word if
+    its length is odd.  The result is already folded (carries added
+    back in) and is 0 only when every byte is zero.
     """
-    view = data if isinstance(data, memoryview) else memoryview(data)
-    if view.itemsize != 1:
-        view = view.cast("B")
-    n = len(view)
-    if n == 0:
-        return 0
-    tail = 0
-    if n % 2:
-        tail = view[n - 1] << 8
-        view = view[: n - 1]
-    words = array.array("H")
-    words.frombytes(view)
-    if sys.byteorder == "little":
-        words.byteswap()
-    return sum(words) + tail
+    return _unswap(int.from_bytes(data, "little"))
 
 
 def fold(total: int) -> int:
     """Fold a partial sum to 16 bits, adding carries back in."""
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
+    return total % 0xFFFF or (total and 0xFFFF)
 
 
 def internet_checksum(data) -> int:
@@ -62,31 +65,27 @@ def internet_checksum(data) -> int:
     value is what should be *stored* in a header whose checksum field was
     zero while summing.
     """
-    return ~fold(sum16(data)) & 0xFFFF
+    return 0xFFFF - _unswap(int.from_bytes(data, "little"))
 
 
 def checksum_parts(*parts) -> int:
     """RFC 1071 checksum of the concatenation of ``parts``, unjoined.
 
     Equivalent to ``internet_checksum(b"".join(parts))`` but never
-    builds the joined buffer: each part is summed where it lies, and a
-    part that begins at an odd global offset contributes its sum
-    byte-swapped (RFC 1071 §2(C)).  Parts may be bytes-like objects or
-    fragment chains exposing ``.fragments``.
+    builds the joined buffer: each part is read where it lies, and a
+    part that begins at an odd global offset is weighted by 256 — its
+    sum byte-swapped (RFC 1071 §2(C)).  Parts may be bytes-like objects
+    or fragment chains exposing ``.fragments``.
     """
     total = 0
-    odd = False
-    for part in _iter_leaves(parts):
-        n = len(part)
-        if n == 0:
-            continue
-        s = fold(sum16(part))
-        if odd:
-            s = ((s & 0xFF) << 8) | (s >> 8)
-        total += s
-        if n % 2:
-            odd = not odd
-    return ~fold(total) & 0xFFFF
+    shift = 0  # 8 while the running offset is odd.
+    for part in parts:
+        if type(part) not in _FLAT and hasattr(part, "fragments"):
+            return checksum_parts(*_iter_leaves(parts))
+        total += int.from_bytes(part, "little") << shift
+        if len(part) & 1:
+            shift ^= 8
+    return 0xFFFF - _unswap(total)
 
 
 def _iter_leaves(parts):
@@ -106,14 +105,17 @@ def incremental_update(old_checksum: int, old_bytes, new_bytes) -> int:
     ``new_bytes`` of the same (even) length.  Returns the new stored
     checksum without resumming the buffer:  HC' = ~(~HC + ~m + m').
     """
-    if len(old_bytes) != len(new_bytes):
+    length = len(old_bytes)
+    if length != len(new_bytes):
         raise ValueError("patched field must keep its length")
-    if len(old_bytes) % 2:
+    if length % 2:
         raise ValueError("patched field must be 16-bit aligned")
-    total = ~old_checksum & 0xFFFF
-    total += fold(~fold(sum16(old_bytes)) & 0xFFFF)
-    total += fold(sum16(new_bytes))
-    return ~fold(total) & 0xFFFF
+    total = (
+        (~old_checksum & 0xFFFF)
+        + (0xFFFF - sum16(old_bytes))
+        + sum16(new_bytes)
+    )
+    return 0xFFFF - fold(total)
 
 
 def verify_checksum(data) -> bool:
@@ -127,9 +129,4 @@ def verify_checksum(data) -> bool:
 
 def pseudo_header(src_ip: int, dst_ip: int, protocol: int, length: int) -> bytes:
     """IPv4 pseudo-header used by TCP and UDP checksums (RFC 793 §3.1)."""
-    return (
-        src_ip.to_bytes(4, "big")
-        + dst_ip.to_bytes(4, "big")
-        + bytes((0, protocol))
-        + length.to_bytes(2, "big")
-    )
+    return _PSEUDO.pack(src_ip, dst_ip, 0, protocol, length)

@@ -187,6 +187,9 @@ class Router:
             header = Ipv4Header.unpack(payload)
         except HeaderError:
             return
+        if not Ipv4Header.LENGTH <= header.total_length <= len(payload):
+            self.stats["bad_length"] += 1
+            return
         cost = self.kernel.cost_table.ip_input
         if cost:
             yield self.kernel.cpu.charge(cost)

@@ -16,6 +16,9 @@ from typing import Optional
 from .checksum import internet_checksum
 
 
+_FLAT = (bytes, memoryview, bytearray)
+
+
 def _octets(data):
     """Normalize ``data`` for ``struct.unpack_from``.
 
@@ -23,7 +26,7 @@ def _octets(data):
     (anything else with ``tobytes``, e.g. :class:`~repro.net.buf.PacketBuffer`)
     is fused — its flat image is cached, so repeated unpacks stay cheap.
     """
-    if isinstance(data, (bytes, bytearray, memoryview)):
+    if type(data) in _FLAT:
         return data
     tobytes = getattr(data, "tobytes", None)
     return tobytes() if tobytes is not None else bytes(data)

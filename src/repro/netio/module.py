@@ -77,6 +77,9 @@ class NetworkIoModule:
 
     DEFAULT_REGION_SIZE = 64 * 1024
     DEFAULT_RING_CAPACITY = 32
+    #: Packed link headers kept per interface; BQIs come and go with
+    #: connections, so the memo is emptied when it fills.
+    LINK_HEADER_MEMO = 256
 
     def __init__(
         self,
@@ -116,6 +119,7 @@ class NetworkIoModule:
         if self.is_an1 and 0 not in nic.bqi_table:
             nic.install_default_ring()
         self.stats = Counters()
+        self._link_headers: dict[tuple, bytes] = {}
 
     # ------------------------------------------------------------------
     # Tenancy plumbing
@@ -557,17 +561,27 @@ class NetworkIoModule:
     ) -> bytes:
         if link_dst is None:
             raise ValueError("channel has no link destination")
-        if self.is_an1:
-            header = An1Header(
-                dst=link_dst,
-                src=self.nic.station,
-                ethertype=ethertype,
-                bqi=bqi,
-                adv_bqi=adv_bqi,
-            )
-        else:
-            header = EthernetHeader(link_dst, self.nic.mac, ethertype)
-        return prepend(header.pack(), payload)
+        # The paper's preformatted header: one packed image per distinct
+        # link header this interface sends, its field ranges checked when
+        # it is first built.
+        key = (link_dst, ethertype, bqi, adv_bqi)
+        try:
+            header = self._link_headers[key]
+        except KeyError:
+            if self.is_an1:
+                header = An1Header(
+                    dst=link_dst,
+                    src=self.nic.station,
+                    ethertype=ethertype,
+                    bqi=bqi,
+                    adv_bqi=adv_bqi,
+                ).pack()
+            else:
+                header = EthernetHeader(link_dst, self.nic.mac, ethertype).pack()
+            if len(self._link_headers) >= self.LINK_HEADER_MEMO:
+                self._link_headers.clear()
+            self._link_headers[key] = header
+        return prepend(header, payload)
 
     # ------------------------------------------------------------------
     # Reception

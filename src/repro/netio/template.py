@@ -45,15 +45,23 @@ class HeaderTemplate:
         self.name = name
         self.checks = 0
         self.violations = 0
+        #: Bytes from the front of the packet the constraints reach.
+        self._span = max(c.offset + len(c.value) for c in self.constraints)
 
     def __len__(self) -> int:
         return len(self.constraints)
 
     def matches(self, packet: bytes) -> bool:
-        """True when every constraint holds."""
+        """True when every constraint holds.
+
+        The constrained prefix is read out of ``packet`` once — one
+        walk of a fragment chain — and every constraint compares against
+        that flat copy.
+        """
         self.checks += 1
+        prefix = packet[: self._span]
         for constraint in self.constraints:
-            if not constraint.check(packet):
+            if not constraint.check(prefix):
                 self.violations += 1
                 return False
         return True

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..net.buf import prepend, slice_view
-from ..net.checksum import incremental_update
 from ..net.headers import (
     IP_FLAG_DF,
     IP_FLAG_MF,
@@ -31,6 +30,12 @@ class IpError(ValueError):
     """Invalid IP operation or datagram."""
 
 
+#: Bit positions in the 20-byte header read big-endian as one integer:
+#: the checksum at bytes 10-11, and one TTL step at byte 8.
+_SUM_SHIFT = (Ipv4Header.LENGTH - 12) * 8
+_TTL_ONE = 1 << (Ipv4Header.LENGTH - 9) * 8
+
+
 def forwarded_copy(header: Ipv4Header, packet):
     """The per-hop rewrite: ``packet`` with TTL decremented and the
     header checksum patched incrementally (RFC 1624) — the payload is
@@ -40,17 +45,24 @@ def forwarded_copy(header: Ipv4Header, packet):
     Raises :class:`IpError` if the TTL cannot be decremented — the
     caller (a router) must instead drop the packet and send ICMP
     time-exceeded.
+
+    The patch is arithmetic on the header read as one 160-bit integer.
+    The TTL is the high octet of the word m at bytes 8-9, so m' is
+    m - 0x0100 and RFC 1624 eqn. 3, HC' = ~(~HC + ~m + m'), closes to
+    HC' = ~(~HC + 0xFEFF) whatever m is: nothing is summed.
     """
     if header.ttl <= 1:
         raise IpError("TTL expired in transit")
-    head = bytearray(packet[: Ipv4Header.LENGTH])
-    old = head[8:10]  # TTL byte + protocol byte: one 16-bit word.
-    new = bytes(((header.ttl - 1), head[9]))
-    checksum = int.from_bytes(head[10:12], "big")
-    checksum = incremental_update(checksum, old, new)
-    head[8:10] = new
-    head[10:12] = checksum.to_bytes(2, "big")
-    return prepend(bytes(head), slice_view(packet, Ipv4Header.LENGTH))
+    head = int.from_bytes(packet[: Ipv4Header.LENGTH], "big")
+    checksum = head >> _SUM_SHIFT & 0xFFFF
+    # ~HC + 0xFEFF is never zero, so its fold is its residue with 0
+    # standing for 0xFFFF.
+    patched = 0xFFFF - (((~checksum & 0xFFFF) + 0xFEFF) % 0xFFFF or 0xFFFF)
+    head += ((patched - checksum) << _SUM_SHIFT) - _TTL_ONE
+    return prepend(
+        head.to_bytes(Ipv4Header.LENGTH, "big"),
+        slice_view(packet, Ipv4Header.LENGTH),
+    )
 
 
 @dataclass(frozen=True)
@@ -169,6 +181,9 @@ class IpStack:
             return None
         if header.dst != self.local_ip:
             self.stats["not_ours"] += 1
+            return None
+        if header.total_length < Ipv4Header.LENGTH:
+            self.stats["bad_length"] += 1
             return None
         if header.total_length > len(packet):
             self.stats["bad_checksum"] += 1

@@ -7,12 +7,20 @@ from repro.net.fabric import (
     RouteTable,
     Switch,
     TailDropQueue,
+    chain,
     prefix_mask,
     star,
 )
 from repro.net.faults import FaultInjector
-from repro.net.headers import PROTO_ICMP, PROTO_UDP, str_to_ip
+from repro.net.headers import (
+    ETHERTYPE_IP,
+    PROTO_ICMP,
+    PROTO_UDP,
+    Ipv4Header,
+    str_to_ip,
+)
 from repro.net.link import DuplexLink, EthernetLink, Transmitter
+from repro.netio.module import LinkInfo
 from repro.protocols.icmp import encode_echo
 from repro.sim import Simulator
 
@@ -271,3 +279,39 @@ def test_switch_ignores_malformed_frames():
     switch._ingress(port, b"short")
     assert switch.stats["malformed"] == 1
     assert switch.stats["frames"] == 0
+
+
+# ----------------------------------------------------------------------
+# Router input validation
+# ----------------------------------------------------------------------
+
+
+def test_router_drops_packets_whose_total_length_lies():
+    """A valid header checksum says nothing about ``total_length``: a
+    router must not forward a packet that claims fewer bytes than its
+    own header, nor one that claims more bytes than arrived."""
+    sim = Simulator()
+    topo = chain(sim, n_routers=1)
+    host_a, host_b = topo.hosts
+    router = topo.routers[0]
+    iface = router.interfaces[0]
+
+    def arrive(total_length):
+        header = Ipv4Header(
+            src=host_a.ip, dst=host_b.ip, protocol=PROTO_UDP,
+            total_length=total_length,
+        )
+        packet = header.pack() + b"x" * 30
+        sim.process(router._rx(iface, ETHERTYPE_IP, packet, LinkInfo(host_a.nic.mac)))
+
+    arrive(5)    # Below the header length.
+    arrive(51)   # One byte more than arrived.
+    sim.run(until=0.1)
+    assert router.stats["bad_length"] == 2
+    assert router.stats["forwarded"] == 0
+    assert host_b.ip_stack.stats["received"] == 0
+
+    arrive(50)   # The control: an honest packet still goes through.
+    sim.run(until=0.2)
+    assert router.stats["bad_length"] == 2
+    assert host_b.ip_stack.stats["received"] == 1

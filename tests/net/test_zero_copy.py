@@ -82,13 +82,6 @@ def test_packet_buffer_basic_ops():
     assert list(chain) == list(b"headbody-odd")
     assert chain == b"headbody-odd"
 
-    chain.prepend_header(b"eth|")
-    assert chain.tobytes() == b"eth|headbody-odd"
-    head, tail = chain.split(8)
-    assert head.tobytes() == b"eth|head"
-    assert tail.tobytes() == b"body-odd"
-    assert tail.trim(4).tobytes() == b"body"
-
 
 def test_packet_buffer_concat_operators():
     chain = b"one" + PacketBuffer((b"two",)) + b"three"

@@ -9,6 +9,7 @@ from repro.net.headers import (
     ARP_REQUEST,
     ArpPacket,
     BROADCAST_MAC,
+    Ipv4Header,
     PROTO_TCP,
     PROTO_UDP,
     str_to_ip,
@@ -50,6 +51,26 @@ def test_ip_small_payload_single_packet():
     assert datagram.payload == b"hello"
     assert datagram.src == IP_A
     assert datagram.protocol == PROTO_TCP
+
+
+def test_ip_total_length_below_header_is_dropped():
+    """A valid header checksum does not vouch for ``total_length``: a
+    packet claiming fewer bytes than its own header used to come back as
+    an empty-payload datagram and be counted ``received``."""
+    packet = Ipv4Header(
+        src=IP_A, dst=IP_B, protocol=PROTO_UDP, total_length=5
+    ).pack() + b"x" * 30
+    receiver = IpStack(IP_B)
+    assert receiver.receive(packet) is None
+    assert receiver.stats["bad_length"] == 1
+    assert receiver.stats["received"] == 0
+    # The boundary: a bare header is a legal (empty) datagram.
+    bare = Ipv4Header(
+        src=IP_A, dst=IP_B, protocol=PROTO_UDP, total_length=Ipv4Header.LENGTH
+    ).pack()
+    datagram = receiver.receive(bare)
+    assert datagram is not None and len(datagram.payload) == 0
+    assert receiver.stats["received"] == 1
 
 
 def test_ip_fragmentation_and_reassembly():

@@ -2,14 +2,19 @@
 """Condense a ledger result file into the per-PR trajectory snapshot.
 
 ROADMAP item 2: each PR commits a compact ``BENCH_<pr>.json`` at the
-repo root — the four end-to-end metrics, the ``sim.*`` rows,
+repo root — the four end-to-end metrics, every layer's
+``<layer>.calls_per_op``, the ``sim.*`` and ``net.buf.*`` rows,
 ``paper_err_pct`` and the outcome digest of the six workloads — so a
 re-anchor reads a trajectory instead of reconstructing one from prose::
 
-    python -m benchmarks.ledger run all --out /tmp/ledger.json
-    python tools/bench_snapshot.py /tmp/ledger.json BENCH_16.json
+    python -m benchmarks.ledger run all --out ledger.json
+    python tools/bench_snapshot.py ledger.json BENCH_17.json
 
-Host-time values (``host_us_per_op``, ``setup_s``, ``sim.self_us_per_op``)
+Every layer's call count is kept because the largest layer is not the
+same on every workload: ``BENCH_16.json`` carried ``sim.*`` alone, and
+``net.buf`` being the largest layer on ``fabric`` went unseen.
+
+Host-time values (``host_us_per_op``, ``setup_s``, ``*.self_us_per_op``)
 are one run on one box: trend only.  The counted rows are exact.
 """
 
@@ -32,7 +37,9 @@ def snapshot(ledger: dict) -> dict:
         row.update(
             (name, _round(metric["value"]))
             for name, metric in layers.items()
-            if name.startswith("sim.") or name == "paper_err_pct"
+            if name.startswith(("sim.", "net.buf."))
+            or name.endswith(".calls_per_op")
+            or name == "paper_err_pct"
         )
         row["outcome_digest"] = result["outcome_digest"]
         workloads[result["workload"]] = row

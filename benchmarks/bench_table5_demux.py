@@ -9,8 +9,8 @@ We measure the receiver-CPU time attributable to demultiplexing by
 delivering single packets through the network I/O module on an
 otherwise idle host and subtracting the itemized non-demux costs.
 Additionally, pytest-benchmark times our actual classifier
-implementations (interpreted stack machine vs synthesized predicate) in
-wall-clock terms.
+implementations (interpreted stack machine vs the indexed flow table)
+in wall-clock terms.
 """
 
 import pytest
@@ -25,7 +25,7 @@ from repro.net.headers import (
     TCP_ACK,
     str_to_ip,
 )
-from repro.netio import compile_tcp_demux, tcp_filter_program
+from repro.netio import FlowKey, FlowTable, tcp_filter_program
 from repro.protocols.tcp import Segment, encode_segment
 from repro.testbed import IP_A, IP_B, MAC_A, MAC_B, Testbed
 
@@ -148,6 +148,9 @@ def test_classifier_wallclock_interpreted(benchmark):
 
 
 def test_classifier_wallclock_synthesized(benchmark):
-    demux = compile_tcp_demux(IP_B, 6000, IP_A, 5000)
-    assert demux.run(FRAME)
-    benchmark(demux.run, FRAME)
+    """What the receive path runs per frame: ``FlowTable.classify``."""
+    table = FlowTable()
+    channel = object()
+    table.install(FlowKey(PROTO_TCP, IP_B, 6000, IP_A, 5000), channel)
+    assert table.classify(FRAME, COSTS).channel is channel
+    benchmark(table.classify, FRAME, COSTS)

@@ -32,8 +32,8 @@ from repro.testbed import IP_B, Testbed
 
 INTERACTIVE = TcpConfig(nagle=False, delack_time=0.05)
 STOCK = TcpConfig()
-RENO_BULK = TcpConfig(flavor="reno", min_rto=0.3, initial_rto=0.6)
-TAHOE_BULK = TcpConfig(flavor="tahoe", min_rto=0.3, initial_rto=0.6)
+RENO_BULK = TcpConfig(cc="reno", min_rto=0.3, initial_rto=0.6)
+TAHOE_BULK = TcpConfig(cc="tahoe", min_rto=0.3, initial_rto=0.6)
 
 
 def measure_keystroke_bursts(config: TcpConfig, bursts: int = 10) -> float:

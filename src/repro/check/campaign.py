@@ -57,10 +57,6 @@ class CellSpec:
     dup_ack_threshold: int = 3
     #: Congestion-control algorithm under test ("reno", "cubic", "bbr").
     cc: str = "reno"
-    #: Receive-side header prediction (the TCP fast path).  On by
-    #: default; campaigns race fast-path-on against fast-path-off cells
-    #: to prove the optimization never changes wire behaviour.
-    header_prediction: bool = True
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -166,7 +162,6 @@ def build_bed(spec: CellSpec):
     config = TcpConfig(
         dup_ack_threshold=spec.dup_ack_threshold,
         cc=spec.cc,
-        header_prediction=spec.header_prediction,
     )
     if spec.topology == "loopback":
         return Testbed(

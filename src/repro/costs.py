@@ -264,59 +264,6 @@ class CostModel:
         return self.mach_ipc + self.mach_ipc_per_byte * nbytes
 
 
-_COST_FIELDS = tuple(CostModel.__dataclass_fields__)
-
-
-class CostTable:
-    """Interned, slotted mirror of a :class:`CostModel` for hot paths.
-
-    The per-packet code paths read several cost fields per packet via an
-    attribute walk (``self.kernel.costs.<field>``); at thousands of hosts
-    that walk is measurable.  A ``CostTable`` is a plain slotted object —
-    one slot per cost field, values precomputed — shared by every kernel
-    built from the same (frozen, hashable) model, so hot paths bind it
-    once and read slots.  Obtain one via :func:`interned_costs`; never
-    mutate it.
-    """
-
-    __slots__ = _COST_FIELDS + ("model",)
-
-    def __init__(self, model: CostModel) -> None:
-        for name in _COST_FIELDS:
-            setattr(self, name, getattr(model, name))
-        self.model = model
-
-    def __repr__(self) -> str:
-        return f"<CostTable for {self.model!r}>"
-
-    def copy_cost(self, nbytes: int) -> float:
-        """CPU time to copy ``nbytes`` memory-to-memory."""
-        return self.copy_per_byte * nbytes
-
-    def checksum_cost(self, nbytes: int) -> float:
-        """CPU time to Internet-checksum ``nbytes``."""
-        return self.checksum_per_byte * nbytes
-
-    def pio_cost(self, nbytes: int) -> float:
-        """CPU time for programmed I/O of ``nbytes`` to/from the PMADD."""
-        return self.pmadd_pio_per_byte * nbytes
-
-    def ipc_cost(self, nbytes: int) -> float:
-        """CPU time for a one-way Mach IPC carrying ``nbytes`` in-line."""
-        return self.mach_ipc + self.mach_ipc_per_byte * nbytes
-
-
-_INTERNED: dict[CostModel, CostTable] = {}
-
-
-def interned_costs(model: CostModel) -> CostTable:
-    """The shared :class:`CostTable` for ``model`` (one per distinct model)."""
-    table = _INTERNED.get(model)
-    if table is None:
-        table = _INTERNED[model] = CostTable(model)
-    return table
-
-
 #: The paper's host: DECstation 5000/200, 25 MHz R3000.
 DECSTATION_5000_200 = CostModel()
 

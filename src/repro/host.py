@@ -168,7 +168,7 @@ class Host:
             if self.ip_stack.pending_reassemblies:
                 self._arm_slow_timer()
             return
-        costs = self.kernel.cost_table
+        costs = self.kernel.costs
         prof = _profile.PROFILER
         if prof is not None:
             prof.charge("ip.input", costs.ip_input)
@@ -219,7 +219,7 @@ class Host:
             expired = self.ip_stack.expire(self.sim.now)
             if expired:
                 yield from self.kernel.cpu.consume(
-                    self.kernel.cost_table.timer_op * expired
+                    self.kernel.costs.timer_op * expired
                 )
         self._slow_timer_armed = False
 
@@ -243,7 +243,7 @@ class Host:
         )
         if not isinstance(channel, Channel):
             return False
-        yield from self.kernel.cpu.consume(self.kernel.cost_table.sw_demux)
+        yield from self.kernel.cpu.consume(self.kernel.costs.sw_demux)
         packet = prepend(
             Ipv4Header(
                 src=datagram.src,
@@ -290,7 +290,7 @@ class Host:
     ) -> Generator:
         """Encapsulate and transmit one transport payload from kernel
         context, fragmenting to the device MTU if needed."""
-        costs = self.kernel.cost_table
+        costs = self.kernel.costs
         if link_dst is None:
             link_dst = yield from self.resolve_link(dst_ip)
         yield from self.kernel.cpu.consume(costs.ip_output)

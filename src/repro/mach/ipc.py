@@ -70,7 +70,7 @@ def send(task: Task, dest: PortRight, message: Message) -> Generator:
         task.check_right(message.reply_to)
 
     yield from kernel.cpu.consume(kernel.costs.ipc_cost(message.inline_bytes))
-    kernel.count("ipc_messages")
+    kernel.counters["ipc_messages"] += 1
 
     if dest.port.dead:
         # The receiver died while the message was being copied.

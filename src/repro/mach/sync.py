@@ -41,7 +41,7 @@ class Semaphore:
 
     def wait(self) -> Generator:
         """P operation: decrement, blocking while the count is zero."""
-        yield from self.kernel.cpu.consume(self.kernel.cost_table.cthread_sync_op)
+        yield from self.kernel.cpu.consume(self.kernel.costs.cthread_sync_op)
         if self._count > 0:
             self._count -= 1
             return

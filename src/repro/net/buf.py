@@ -15,18 +15,11 @@ Copy accounting
 Every byte the datapath copies, avoids copying, or fuses for the wire is
 counted in a module-global :class:`CopyStats`, so benchmarks can report
 *bytes copied per delivered segment* — the quantity the paper's shared
-buffers eliminate.  Two global modes exist so the before/after
-comparison runs the same code:
-
-``chain`` (default)
-    :func:`prepend` builds fragment chains and :func:`slice_view`
-    returns ``memoryview`` windows; the bytes that the legacy path
-    would have copied are counted as *avoided*.
-
-``eager``
-    Both helpers degrade to the legacy behaviour — real concatenation
-    and real slice copies — and the copied bytes are counted.  This is
-    the "before" arm of ``benchmarks/bench_zero_copy.py``.
+buffers eliminate.  :func:`prepend` builds fragment chains and
+:func:`slice_view` returns ``memoryview`` windows; the bytes that a
+copy-per-layer datapath would have moved are counted as *avoided*.
+That datapath itself — real concatenation, real slice copies — is the
+test oracle ``tests/net/eager_datapath.py``.
 """
 
 from __future__ import annotations
@@ -34,9 +27,6 @@ from __future__ import annotations
 from typing import Iterator, Union
 
 Fragment = Union[bytes, bytearray, memoryview]
-
-#: Global datapath mode: "chain" (zero-copy) or "eager" (legacy copies).
-_MODE = "chain"
 
 
 class CopyStats:
@@ -84,18 +74,6 @@ STATS = CopyStats()
 #: id after the chain itself is gone.  ``None`` (the default) keeps the
 #: fusion path free of any tracing cost beyond this one identity test.
 SPAN_BINDER = None
-
-
-def set_mode(mode: str) -> None:
-    """Switch the datapath between "chain" and "eager" behaviour."""
-    global _MODE
-    if mode not in ("chain", "eager"):
-        raise ValueError(f"unknown buffer mode {mode!r}")
-    _MODE = mode
-
-
-def get_mode() -> str:
-    return _MODE
 
 
 def reset_stats() -> None:
@@ -230,40 +208,26 @@ class PacketBuffer:
 # Datapath helpers — every encode/decode site goes through these.
 # ----------------------------------------------------------------------
 
-def prepend(header: Fragment, payload) -> "PacketBuffer | bytes":
+def prepend(header: Fragment, payload) -> PacketBuffer:
     """Put ``header`` in front of ``payload`` — the encapsulation step.
 
-    Chain mode returns a fresh :class:`PacketBuffer` (the payload chain
-    is shared, not copied, so cached segment images stay reusable);
-    eager mode performs the legacy concatenation and counts the copy.
+    Returns a fresh :class:`PacketBuffer`: the payload chain is shared,
+    not copied, so cached segment images stay reusable.
     """
-    if _MODE == "chain":
-        STATS.avoided_bytes += (
-            payload._length if type(payload) is PacketBuffer else len(payload)
-        )
-        return PacketBuffer((header, payload))
-    flat = _flatten(header) + _flatten(payload)
-    STATS.copied_bytes += len(flat)
-    STATS.copy_ops += 1
-    return flat
+    STATS.avoided_bytes += (
+        payload._length if type(payload) is PacketBuffer else len(payload)
+    )
+    return PacketBuffer((header, payload))
 
 
-def slice_view(data, start: int, stop: "int | None" = None):
-    """A window into ``data`` — the decapsulation step.
-
-    Chain mode returns a ``memoryview`` (zero copy, counted as avoided);
-    eager mode returns a fresh ``bytes`` slice (counted as copied).
-    """
+def slice_view(data, start: int, stop: "int | None" = None) -> memoryview:
+    """A window into ``data`` — the decapsulation step (zero copy,
+    counted as avoided)."""
     if type(data) is PacketBuffer:
         data = data.tobytes()
-    if _MODE == "chain":
-        view = memoryview(data)[start:stop]
-        STATS.avoided_bytes += view.nbytes
-        return view
-    piece = bytes(data[start:stop])
-    STATS.copied_bytes += len(piece)
-    STATS.copy_ops += 1
-    return piece
+    view = memoryview(data)[start:stop]
+    STATS.avoided_bytes += view.nbytes
+    return view
 
 
 def as_wire_bytes(frame) -> bytes:
@@ -281,11 +245,3 @@ def as_wire_bytes(frame) -> bytes:
     STATS.materialized_bytes += len(flat)
     STATS.materialize_ops += 1
     return flat
-
-
-def _flatten(data) -> bytes:
-    if isinstance(data, bytes):
-        return data
-    if isinstance(data, PacketBuffer):
-        return data.tobytes()
-    return bytes(data)

@@ -190,7 +190,7 @@ class Router:
         if not Ipv4Header.LENGTH <= header.total_length <= len(payload):
             self.stats["bad_length"] += 1
             return
-        cost = self.kernel.cost_table.ip_input
+        cost = self.kernel.costs.ip_input
         if cost:
             yield self.kernel.cpu.charge(cost)
         if header.dst in self.local_ips:
@@ -247,7 +247,7 @@ class Router:
                 job = yield self._input.get()
             kind, iface, header, packet = job
             assert kind == "forward"
-            cost = self.kernel.cost_table.ip_forward
+            cost = self.kernel.costs.ip_forward
             prof = _profile.PROFILER
             if prof is not None:
                 prof.charge("router.forward", cost)
@@ -330,7 +330,7 @@ class Router:
             if link_dst is None:
                 self.stats["arp_failed"] += 1
                 return
-        yield from self.kernel.cpu.consume(self.kernel.cost_table.ip_output)
+        yield from self.kernel.cpu.consume(self.kernel.costs.ip_output)
         ip_packet = prepend(
             Ipv4Header(
                 src=out_iface.ip,

@@ -106,7 +106,6 @@ def _edge_host(
     mac: bytes,
     rate: float,
     costs: CostModel,
-    demux_style: str,
     topo: Topology,
 ) -> Host:
     """One host on its own duplex cable into ``switch``."""
@@ -118,7 +117,6 @@ def _edge_host(
         ip,
         mac,
         costs=costs,
-        demux_style=demux_style,
     )
     switch.add_port(cable)
     topo.links.append(cable)
@@ -132,7 +130,6 @@ def star(
     edge_rate: float = 10e6,
     queue_bytes: Optional[int] = None,
     costs: CostModel = DECSTATION_5000_200,
-    demux_style: str = "synthesized",
 ) -> Topology:
     """One switch, ``n_hosts`` hosts (10.0.0.1..N), one subnet."""
     if n_hosts < 2:
@@ -144,7 +141,7 @@ def star(
     for i in range(n_hosts):
         _edge_host(
             sim, switch, f"h{i}", base + i + 1, topo.alloc_mac(i + 1),
-            edge_rate, costs, demux_style, topo,
+            edge_rate, costs, topo,
         )
     return topo
 
@@ -154,7 +151,6 @@ def chain(
     n_routers: int,
     edge_rate: float = 10e6,
     costs: CostModel = DECSTATION_5000_200,
-    demux_style: str = "synthesized",
 ) -> Topology:
     """host_a — r0 — r1 — … — host_b, one /24 per segment.
 
@@ -174,12 +170,12 @@ def chain(
 
     host_a = Host(
         sim, segments[0], "ha", seg_ip(0, 1), topo.alloc_mac(mac()),
-        costs=costs, demux_style=demux_style,
+        costs=costs,
     )
     last = n_routers
     host_b = Host(
         sim, segments[last], "hb", seg_ip(last, 2), topo.alloc_mac(mac()),
-        costs=costs, demux_style=demux_style,
+        costs=costs,
     )
     topo.hosts.extend([host_a, host_b])
 
@@ -216,7 +212,6 @@ def dumbbell(
     red: bool = False,
     red_seed: int = 0,
     costs: CostModel = DECSTATION_5000_200,
-    demux_style: str = "synthesized",
 ) -> Topology:
     """``pairs`` clients and servers joined by one slow trunk.
 
@@ -251,11 +246,11 @@ def dumbbell(
     for i in range(pairs):
         client = _edge_host(
             sim, sw_l, f"c{i}", client_base + i + 1,
-            topo.alloc_mac(0x100 + i), edge_rate, costs, demux_style, topo,
+            topo.alloc_mac(0x100 + i), edge_rate, costs, topo,
         )
         server = _edge_host(
             sim, sw_r, f"s{i}", server_base + i + 1,
-            topo.alloc_mac(0x200 + i), edge_rate, costs, demux_style, topo,
+            topo.alloc_mac(0x200 + i), edge_rate, costs, topo,
         )
         topo.clients.append(client)
         topo.servers.append(server)
@@ -280,7 +275,6 @@ def fat_tree(
     agg_queue_packets: int = 128,
     core_queue_packets: int = 256,
     costs: CostModel = DECSTATION_5000_200,
-    demux_style: str = "synthesized",
 ) -> Topology:
     """A k-ary fat-tree/Clos: L2 edge switches, L3 aggregation and core.
 
@@ -377,7 +371,7 @@ def fat_tree(
                 host = _edge_host(
                     sim, switch, f"h-p{p}e{e}n{h}",
                     subnet + h + 1, mac(),
-                    edge_rate, costs, demux_style, topo,
+                    edge_rate, costs, topo,
                 )
                 host.routes = RouteTable()
                 host.routes.add(subnet, 24)  # On-link.

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
+from ...counters import Counters
 from ...mach.kernel import Kernel
 from ...obs import spans as _spans
 from ..headers import An1Header, HeaderError
@@ -25,6 +26,10 @@ from .base import Nic
 
 #: AN1 broadcast station address.
 AN1_BROADCAST = 0xFFFF
+
+
+class BqiTableFull(Exception):
+    """Every index the link header can carry names a live ring."""
 
 
 @dataclass(eq=False)  # identity semantics: rings are charged/attributed by object
@@ -45,7 +50,7 @@ class BufferRing:
     #: Tenant attribution (a tenant_id string), stamped by the network
     #: I/O module when the ring is charged against a tenant's BQI quota.
     tenant_id: Any = None
-    stats: dict = field(default_factory=lambda: {"delivered": 0, "dropped": 0})
+    stats: Counters = field(default_factory=Counters)
 
     def __post_init__(self) -> None:
         if self.available == 0:
@@ -113,9 +118,21 @@ class An1Nic(Nic):
     # ------------------------------------------------------------------
 
     def allocate_bqi(self, capacity: int, owner: Any = None) -> BufferRing:
-        """Install a fresh ring and return it (its index is ring.bqi)."""
-        bqi = self._next_bqi
-        self._next_bqi += 1
+        """Install a fresh ring and return it (its index is ring.bqi).
+
+        Indices go round 1…``An1Header.MAX_BQI`` — the link header field
+        is 16 bits — skipping those still live, so a released index is
+        reused only after every other one has had its turn.
+        """
+        table = self.bqi_table
+        bqi = start = self._next_bqi
+        while bqi in table:
+            bqi = bqi % An1Header.MAX_BQI + 1
+            if bqi == start:
+                raise BqiTableFull(
+                    f"{self.name}: all {An1Header.MAX_BQI} BQIs are live"
+                )
+        self._next_bqi = bqi % An1Header.MAX_BQI + 1
         ring = BufferRing(bqi=bqi, capacity=capacity, owner=owner)
         self.bqi_table[bqi] = ring
         return ring
@@ -141,7 +158,7 @@ class An1Nic(Nic):
                 f"frame of {len(frame)} bytes exceeds driver MTU "
                 f"{self.mtu_data}"
             )
-        cost = self.kernel.cost_table.an1_dma_setup
+        cost = self.kernel.costs.an1_dma_setup
         rec = _spans.RECORDER
         if rec is not None:
             rec.touch(frame, "nic.tx", self.sim.now, self.name, cost=cost)
@@ -182,7 +199,7 @@ class An1Nic(Nic):
 
     def _rx_dma(self, frame: bytes, ring: BufferRing) -> Generator:
         yield self.sim.timeout(self.DMA_LATENCY)  # DMA into the ring.
-        yield from self.kernel.cpu.consume(self.kernel.cost_table.interrupt)
+        yield from self.kernel.cpu.consume(self.kernel.costs.interrupt)
         self.stats["rx_frames"] += 1
         self.stats["rx_bytes"] += len(frame)
         yield from self._run_rx_handler(frame, ring)

@@ -58,7 +58,7 @@ class PmaddNic(Nic):
     # ------------------------------------------------------------------
 
     def driver_transmit(self, frame: bytes) -> Generator:
-        costs = self.kernel.cost_table
+        costs = self.kernel.costs
         cost = costs.pio_cost(len(frame)) + costs.pmadd_per_packet
         rec = _spans.RECORDER
         if rec is not None:
@@ -92,7 +92,7 @@ class PmaddNic(Nic):
             self.sim.process(self._rx_interrupt(), name=self._rxintr_name)
 
     def _rx_interrupt(self) -> Generator:
-        costs = self.kernel.cost_table
+        costs = self.kernel.costs
         cpu = self.kernel.cpu
         try:
             while self._rx_buffers:

@@ -11,12 +11,11 @@ from .demux import (
 )
 from .module import NetworkIoModule, SecurityViolation
 from .pktfilter import (
-    CompiledDemux,
     FilterError,
     FilterProgram,
     Instruction,
     Op,
-    compile_tcp_demux,
+    ScanTable,
     tcp_filter_program,
 )
 from .template import (
@@ -37,13 +36,12 @@ __all__ = [
     "FlowKey",
     "FlowTable",
     "KERNEL_FLOW",
+    "ScanTable",
     "FilterProgram",
-    "CompiledDemux",
     "FilterError",
     "Instruction",
     "Op",
     "tcp_filter_program",
-    "compile_tcp_demux",
     "HeaderTemplate",
     "ByteConstraint",
     "TemplateViolation",

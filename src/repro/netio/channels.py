@@ -22,7 +22,7 @@ from .template import HeaderTemplate
 if TYPE_CHECKING:
     from ..net.nic.an1ctrl import BufferRing
     from .demux import FlowKey
-    from .pktfilter import CompiledDemux, FilterProgram
+    from .pktfilter import FilterProgram
 
 
 class ChannelClosed(Exception):
@@ -39,7 +39,7 @@ class Channel:
         owner: Task,
         template: HeaderTemplate,
         region: SharedRegion,
-        demux_filter: "FilterProgram | CompiledDemux | None" = None,
+        demux_filter: "Optional[FilterProgram]" = None,
         ring: "Optional[BufferRing]" = None,
         name: str = "",
         batching: bool = True,
@@ -56,7 +56,8 @@ class Channel:
         self.owner = owner
         self.template = template
         self.region = region
-        #: Legacy scan-tier filter (interpreted demux styles only).
+        #: The filter program claiming this channel's frames in a
+        #: ``ScanTable`` (interpreted demux styles only).
         self.demux_filter = demux_filter
         #: The flow-table entry this channel owns, set by the network
         #: I/O module when the flow is registered.

@@ -3,8 +3,8 @@
 The paper's synthesized demux "requires only a few instructions" and
 costs the same 52 µs whether one connection or hundreds are registered
 (Table 5).  That claim is only honest if the implementation is actually
-indexed: this module replaces the receive path's O(channels) scan of
-per-channel predicates with a :class:`FlowTable` of three tiers.
+indexed: the receive path asks a :class:`FlowTable` of two tiers, never
+an O(channels) scan of per-channel predicates.
 
 * **Exact tier** — a dict keyed on the full 5-tuple
   ``(proto, local_ip, local_port, remote_ip, remote_port)``.  Installed
@@ -17,20 +17,18 @@ per-channel predicates with a :class:`FlowTable` of three tiers.
   may target either a channel (UDP binds) or the kernel
   (:data:`KERNEL_FLOW`: SYNs for a listening port go to the registry's
   handshake path).
-* **Legacy scan tier** — an ordered list of interpreted filter programs
-  (CSPF/BPF style), preserved so the Table 5 ablation can still run the
-  historical organizations with their per-instruction cost accounting.
-  Scanned only after the indexed tiers miss; under the interpreted
-  demux styles it is the *only* tier consulted, faithful to kernels
-  that predate flow tables.
 
-Key extraction uses the same fixed header offsets as the synthesized
-predicates in :mod:`repro.netio.pktfilter` (Ethernet 14 bytes, IPv4
+The historical regime — an ordered list of interpreted CSPF/BPF filter
+programs with per-instruction costs, Table 5's other arm — is
+:class:`~repro.netio.pktfilter.ScanTable`, beside the interpreter it
+runs.
+
+Key extraction uses the same fixed header offsets as the filter
+programs in :mod:`repro.netio.pktfilter` (Ethernet 14 bytes, IPv4
 without options): the paper's synthesized demux compiled exactly these
 offsets into the kernel, and the equivalence property test in
-``tests/netio/test_filter_fuzz.py`` relies on the three classifier
-forms agreeing on every input, including truncated and malformed
-frames.
+``tests/netio/test_filter_fuzz.py`` relies on the classifier forms
+agreeing on every input, including truncated and malformed frames.
 """
 
 from __future__ import annotations
@@ -91,7 +89,7 @@ class DemuxDecision:
     ``target`` is the matched channel, :data:`KERNEL_FLOW`, or ``None``
     on a miss; ``cost`` is the CPU charge the receive path owes for the
     classification under the active cost model; ``scanned`` counts
-    legacy filters executed.
+    the filter programs a ``ScanTable`` executed.
     """
 
     target: object
@@ -117,7 +115,7 @@ class _WildcardEntry:
 
 
 class FlowTable:
-    """The three-tier demux engine (exact / wildcard / legacy scan).
+    """The indexed demux engine (exact tier, then wildcard tier).
 
     It maps installed flows to channels and never touches the kernel or
     charges costs itself — :meth:`classify` *reports* the cost of the
@@ -125,17 +123,9 @@ class FlowTable:
     structure that benchmarks can drive directly.
     """
 
-    def __init__(self, style: str = "synthesized") -> None:
-        if style not in ("synthesized", "cspf", "bpf"):
-            raise DemuxError(f"unknown demux style {style!r}")
-        #: Which cost regime classification runs under.  "synthesized"
-        #: consults the indexed tiers at the fixed flow_lookup charge;
-        #: "cspf"/"bpf" model the historical kernels: scan tier only,
-        #: per-instruction interpretation costs.
-        self.style = style
+    def __init__(self) -> None:
         self._exact: dict[FlowKey, object] = {}
         self._wildcard: dict[tuple[int, int], _WildcardEntry] = {}
-        self._scan: list[tuple[object, object]] = []  # (filter, target)
         #: Tenant attribution of exact-tier flows: key -> owner, plus a
         #: per-(proto, port) owner multiset so a wildcard install can
         #: check for cross-tenant shadowing in O(1).
@@ -147,10 +137,7 @@ class FlowTable:
         #: bytes the 5-tuple is parsed from (proto byte + addresses +
         #: ports — never the checksum/length fields, which vary per
         #: segment), so a memo hit provably reproduces the full
-        #: classification.  Only consulted under the synthesized style
-        #: with an empty scan tier: interpreted styles charge per
-        #: instruction, and legacy filters may match ahead of the
-        #: indexed answer.  Invalidated on any install/remove.
+        #: classification.  Invalidated on any install/remove.
         self._memo_key: object = None
         self._memo_target: object = None
         self._memo_tier: str = ""
@@ -159,15 +146,8 @@ class FlowTable:
     # Installation
     # ------------------------------------------------------------------
 
-    def install(
-        self, key: FlowKey, target: object, filter=None, owner: object = None
-    ) -> None:
+    def install(self, key: FlowKey, target: object, owner: object = None) -> None:
         """Register ``key`` → ``target``, attributed to tenant ``owner``.
-
-        With ``filter`` the flow additionally (for interpreted styles,
-        exclusively) joins the legacy scan tier.  The indexed entry is
-        always maintained so kernel-side consumers (the UDP forwarder)
-        can resolve flows regardless of style.
 
         A wildcard install whose port already carries another tenant's
         exact-match flows is refused (``wildcard_rejected`` audit
@@ -203,26 +183,25 @@ class FlowTable:
                         f" exact flows of tenant(s) {sorted(foreign)}"
                     )
             self._wildcard[wkey] = _WildcardEntry(key.local_ip, target, owner)
-        if filter is not None:
-            self._scan.append((filter, target))
         self._memo_key = None
 
-    def remove(self, key: FlowKey, target: object = None) -> None:
+    def remove(self, key: FlowKey) -> None:
         """Tear one flow down; unknown keys are ignored (teardown must
         be idempotent — inheritance and explicit release may race)."""
         if key.is_exact:
             self._exact.pop(key, None)
             owner = self._exact_owners.pop(key, None)
             if owner is not None:
-                owners = self._port_owners.get((key.proto, key.local_port))
-                if owners is not None:
-                    owners[owner] -= 1
+                port = (key.proto, key.local_port)
+                owners = self._port_owners[port]
+                owners[owner] -= 1
+                if not any(owners.values()):
+                    # The port's last owned flow: under tenanted churn
+                    # every ephemeral port would otherwise leave a
+                    # zeroed multiset behind for good.
+                    del self._port_owners[port]
         else:
             self._wildcard.pop((key.proto, key.local_port), None)
-        if target is not None:
-            self._scan = [
-                entry for entry in self._scan if entry[1] is not target
-            ]
         self._memo_key = None
 
     def wildcard_owner(self, proto: int, local_port: int) -> object:
@@ -265,80 +244,46 @@ class FlowTable:
         )
 
     def classify(self, frame: bytes, costs: CostModel) -> DemuxDecision:
-        """Resolve one IP frame to its flow target.
-
-        Synthesized style: one indexed lookup at the fixed
-        ``flow_lookup`` charge (hit or miss — the lookup runs either
-        way), then any legacy filters.  Interpreted styles: scan tier
-        only, charged per program executed, stopping at the first
-        match — the O(channels) behaviour the ablation measures.
-        """
-        frame = as_wire_bytes(frame)  # filters need the flat image
-        cost = 0.0
-        mkey = None
-        if self.style == "synthesized":
-            cost = costs.flow_lookup
-            memoable = (
-                not self._scan
-                and len(frame) >= _IP_OFF + 4
-                and frame[12] == 0x08
-                and frame[13] == 0x00
-            )
-            if memoable:
-                mkey = (frame[_ETH + 9], frame[_ETH + 12 : _IP_OFF + 4])
-                if mkey == self._memo_key:
-                    tier = self._memo_tier
-                    self.stats["memo_hits"] += 1
-                    if tier == "miss":
-                        # Routers classify every forwarded frame and
-                        # never match a flow; the repeated miss is as
-                        # memoable as a hit (same fixed lookup charge).
-                        self.stats["misses"] += 1
-                        return DemuxDecision(None, "miss", cost)
-                    self.stats[tier + "_hits"] += 1
-                    return DemuxDecision(self._memo_target, tier, cost)
-            key = self.extract_key(frame)
-            if key is not None:
-                target = self._exact.get(key)
-                if target is not None:
-                    self.stats["exact_hits"] += 1
-                    if memoable:
-                        self._memo_key = mkey
-                        self._memo_target = target
-                        self._memo_tier = "exact"
-                    return DemuxDecision(target, "exact", cost)
-                entry = self._wildcard.get((key.proto, key.local_port))
-                if entry is not None and entry.local_ip in (0, key.local_ip):
-                    self.stats["wildcard_hits"] += 1
-                    if memoable:
-                        self._memo_key = mkey
-                        self._memo_target = entry.target
-                        self._memo_tier = "wildcard"
-                    return DemuxDecision(entry.target, "wildcard", cost)
-        bpf = self.style == "bpf"
-        scanned = 0
-        for filt, target in self._scan:
-            scanned += 1
-            cost += filt.interpretation_cost(costs, bpf_style=bpf)
-            if filt.run(frame):
-                self.stats["scan_hits"] += 1
-                self._note_scan(scanned)
-                return DemuxDecision(target, "scan", cost, scanned)
-        self._note_scan(scanned)
-        self.stats["misses"] += 1
-        if mkey is not None:
-            # Only reachable with an empty scan tier (``memoable``), so
-            # the memoized miss repeats the same fixed lookup charge.
-            self._memo_key = mkey
-            self._memo_target = None
-            self._memo_tier = "miss"
-        return DemuxDecision(None, "miss", cost, scanned)
-
-    def _note_scan(self, scanned: int) -> None:
-        if scanned:
-            self.stats["filters_scanned"] += scanned
-            if scanned > self.stats["max_scan_len"]:
-                self.stats["max_scan_len"] = scanned
+        """Resolve one IP frame to its flow target: one indexed lookup
+        at the fixed ``flow_lookup`` charge, hit or miss — the lookup
+        runs either way."""
+        frame = as_wire_bytes(frame)  # keys are read off the flat image
+        cost = costs.flow_lookup
+        if len(frame) < _IP_OFF + 4 or frame[12] != 0x08 or frame[13] != 0x00:
+            # Too short to carry both ports, or not IPv4: no key, and
+            # nothing to remember the frame by.
+            self.stats["misses"] += 1
+            return DemuxDecision(None, "miss", cost)
+        mkey = (frame[_ETH + 9], frame[_ETH + 12 : _IP_OFF + 4])
+        if mkey == self._memo_key:
+            tier = self._memo_tier
+            self.stats["memo_hits"] += 1
+            if tier == "miss":
+                # Routers classify every forwarded frame and never
+                # match a flow; the repeated miss is as memoable as a
+                # hit (same fixed lookup charge).
+                self.stats["misses"] += 1
+                return DemuxDecision(None, "miss", cost)
+            self.stats[tier + "_hits"] += 1
+            return DemuxDecision(self._memo_target, tier, cost)
+        key = self.extract_key(frame)
+        target = self._exact.get(key)
+        if target is not None:
+            tier = "exact"
+            self.stats["exact_hits"] += 1
+        else:
+            entry = self._wildcard.get((key.proto, key.local_port))
+            if entry is not None and entry.local_ip in (0, key.local_ip):
+                target = entry.target
+                tier = "wildcard"
+                self.stats["wildcard_hits"] += 1
+            else:
+                tier = "miss"
+                self.stats["misses"] += 1
+        self._memo_key = mkey
+        self._memo_target = target
+        self._memo_tier = tier
+        return DemuxDecision(target, tier, cost)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -352,15 +297,11 @@ class FlowTable:
     def wildcard_count(self) -> int:
         return len(self._wildcard)
 
-    @property
-    def scan_count(self) -> int:
-        return len(self._scan)
-
     def __len__(self) -> int:
         return self.exact_count + self.wildcard_count
 
     def __repr__(self) -> str:
         return (
-            f"<FlowTable {self.style} exact={self.exact_count}"
-            f" wildcard={self.wildcard_count} scan={self.scan_count}>"
+            f"<{type(self).__name__} exact={self.exact_count}"
+            f" wildcard={self.wildcard_count}>"
         )

@@ -33,7 +33,7 @@ from ..net.headers import (
     An1Header,
     EthernetHeader,
 )
-from ..net.nic.an1ctrl import An1Nic, BufferRing
+from ..net.nic.an1ctrl import An1Nic, BqiTableFull, BufferRing
 from ..net.nic.base import Nic
 from ..obs import hist as _hist
 from ..obs import profile as _profile
@@ -42,6 +42,7 @@ from .channels import Channel
 from .demux import FlowKey, FlowTable, KERNEL_FLOW
 from .pktfilter import (
     FilterProgram,
+    ScanTable,
     tcp_filter_program,
     udp_filter_program,
 )
@@ -89,17 +90,19 @@ class NetworkIoModule:
         name: str = "",
         batching: bool = True,
     ) -> None:
-        if demux_style not in ("synthesized", "cspf", "bpf"):
-            raise ValueError(f"unknown demux style {demux_style!r}")
         self.kernel = kernel
         self.nic = nic
         self.batching = batching
         self.demux_style = demux_style
         self.name = name or f"netio-{nic.name}"
         self.channels: list[Channel] = []
-        #: The demux engine; the receive path asks it to classify every
-        #: IP frame instead of scanning channels.
-        self.flow_table = FlowTable(demux_style)
+        #: The demux engine, chosen once: the receive path asks it to
+        #: classify every IP frame.  The interpreted styles are the
+        #: Table 5 / ``bench_ablation_filterstyle`` arm (an unknown
+        #: style is refused by ``ScanTable``).
+        self.flow_table = (
+            FlowTable() if demux_style == "synthesized" else ScanTable(demux_style)
+        )
         self.kernel_rx: Optional[KernelRx] = None
         #: TenantManager when the stack is shared among principals;
         #: None (the default) keeps every check a no-op.
@@ -148,6 +151,17 @@ class NetworkIoModule:
     def _release_region(self, nbytes: int) -> None:
         if self.region_pool_bytes is not None:
             self.region_pool_used -= nbytes
+
+    def _allocate_bqi(self, capacity: int) -> BufferRing:
+        """Claim a hardware ring.  Like the region pool this is real
+        scarcity, not policy: a full BQI table refuses tenanted and
+        untenanted callers alike, as the quota refusal the registry
+        already unwinds."""
+        try:
+            return self.nic.allocate_bqi(capacity=capacity)
+        except BqiTableFull as exc:
+            self.stats["bqi_refused"] += 1
+            raise QuotaExceeded(str(exc)) from None
 
     # ------------------------------------------------------------------
     # Channel setup (privileged)
@@ -221,13 +235,15 @@ class NetworkIoModule:
         if install_demux:
             if self.is_an1:
                 if ring is None:
-                    ring = self.nic.allocate_bqi(
-                        capacity=self.DEFAULT_RING_CAPACITY
-                    )
+                    try:
+                        ring = self._allocate_bqi(self.DEFAULT_RING_CAPACITY)
+                    except QuotaExceeded:
+                        self._release_region(region_size)
+                        raise
                     yield from self.kernel.cpu.consume(costs.bqi_setup)
             elif self.demux_style != "synthesized":
                 # Interpreted styles carry a real filter program for the
-                # legacy scan tier, with its per-instruction costs.
+                # scan table, with its per-instruction costs.
                 if protocol == "udp":
                     demux = udp_filter_program(local_ip, local_port)
                 else:
@@ -262,7 +278,7 @@ class NetworkIoModule:
             # resolution (the UDP forwarder) and observability.
             try:
                 self.flow_table.install(
-                    flow_key, channel, filter=demux, owner=channel.tenant_id
+                    flow_key, channel, owner=channel.tenant_id
                 )
             except Exception:
                 # Unwind everything already built (region pool, ring,
@@ -283,6 +299,8 @@ class NetworkIoModule:
                     )
                 raise
             channel.flow_key = flow_key
+            if demux is not None:
+                self.flow_table.add_filter(flow_key, demux, channel)
         if tenant is not None:
             tenant.attach_channel(channel, region_size)
             tenant.counters["channels_created"] += 1
@@ -293,7 +311,7 @@ class NetworkIoModule:
         """Tear a channel down (privileged, or the owner itself).
 
         This is the *single* release path for everything a channel
-        holds: flow entry (exact or wildcard), legacy filter, BQI ring,
+        holds: flow entry (exact or wildcard), filter program, BQI ring,
         wired region bytes, and every tenant-attributed charge — so a
         crashed tenant swept through here leaks nothing.
         """
@@ -306,7 +324,7 @@ class NetworkIoModule:
         if channel in self.channels:
             self.channels.remove(channel)
         if channel.flow_key is not None:
-            self.flow_table.remove(channel.flow_key, channel)
+            self.flow_table.remove(channel.flow_key)
             channel.flow_key = None
         if channel.ring is not None and self.is_an1:
             # Disown the ring before handing the BQI back: frames in
@@ -410,7 +428,7 @@ class NetworkIoModule:
                 )
                 if self.tenants.enforcing:
                     raise
-        ring = self.nic.allocate_bqi(capacity=capacity)
+        ring = self._allocate_bqi(capacity)
         if tenant is not None:
             ring.tenant_id = tenant.tenant_id
             tenant.attach_ring(ring)
@@ -456,7 +474,7 @@ class NetworkIoModule:
         destination grants no impersonation power); ``adv_bqi``
         advertises the sender's own ring for peer BQI discovery.
         """
-        costs = self.kernel.cost_table
+        costs = self.kernel.costs
         yield from self.kernel.fast_trap()
         if channel.closed or channel not in self.channels:
             raise SecurityViolation(f"channel {channel.name} is not active")
@@ -588,7 +606,7 @@ class NetworkIoModule:
     # ------------------------------------------------------------------
 
     def _rx_handler(self, frame: bytes, context: object) -> Generator:
-        costs = self.kernel.cost_table
+        costs = self.kernel.costs
         if self.is_an1:
             yield from self.kernel.cpu.consume(costs.an1_bqi_bookkeeping)
             ring = context
@@ -649,9 +667,9 @@ class NetworkIoModule:
             )
             return
         # One engine call classifies the frame; the decision carries the
-        # CPU charge its tier incurred (a fixed indexed lookup for the
-        # synthesized style, per-instruction interpretation for the
-        # legacy scan tier — Table 5's cost regimes).
+        # CPU charge it incurred (a fixed indexed lookup for the
+        # synthesized style, per-instruction interpretation for a scan
+        # table — Table 5's cost regimes).
         prof = _profile.PROFILER
         if prof is None:
             decision = self.flow_table.classify(frame, costs)
@@ -730,11 +748,11 @@ class NetworkIoModule:
         if not self.is_an1:
             # Ethernet-only: the staging/placement premium of user-level
             # delivery without hardware demux (see costs.eth_user_delivery).
-            deliver_cost = self.kernel.cost_table.eth_user_delivery
+            deliver_cost = self.kernel.costs.eth_user_delivery
             yield from self.kernel.cpu.consume(deliver_cost)
         signal_due = channel.signal_cost_due
         if signal_due:
-            deliver_cost += self.kernel.cost_table.semaphore_signal
+            deliver_cost += self.kernel.costs.semaphore_signal
         prof = _profile.PROFILER
         if prof is not None:
             prof.charge("netio.deliver", deliver_cost)
@@ -759,7 +777,7 @@ class NetworkIoModule:
         if signal_due:
             self.stats["signals_charged"] += 1
             yield from self.kernel.cpu.consume(
-                self.kernel.cost_table.semaphore_signal
+                self.kernel.costs.semaphore_signal
             )
 
     def _to_kernel(self, ethertype: int, payload: bytes, link_info: LinkInfo) -> Generator:

@@ -1,4 +1,4 @@
-"""Input packet demultiplexing: interpreted filters vs synthesized demux.
+"""Input packet demultiplexing by interpreted filter programs.
 
 The paper contrasts three generations of software demux:
 
@@ -12,11 +12,13 @@ The paper contrasts three generations of software demux:
   model its cost class with a cheaper per-instruction charge.
 * **Synthesized demux** [Massalin/Pu-style]: "the demultiplexing logic
   requires only a few instructions" compiled into the kernel when a
-  connection is registered.  :class:`CompiledDemux` is a direct closure
-  with the paper's measured fixed cost (Table 5: 52 µs).
+  connection is registered — :class:`~repro.netio.demux.FlowTable`, at
+  the paper's measured fixed cost (Table 5: 52 µs).
 
 All three *really classify* the same packets; only their cost models
-differ, which is what the ablation bench measures.
+differ, which is what the ablation bench measures.  :class:`ScanTable`
+is the first two as a demux engine: the Table 5 /
+``bench_ablation_filterstyle`` arm.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from ..costs import CostModel
 from ..net.buf import as_wire_bytes
@@ -35,6 +36,7 @@ from ..net.headers import (
     PROTO_TCP,
     PROTO_UDP,
 )
+from .demux import DemuxDecision, DemuxError, FlowKey, FlowTable
 
 
 class Op(enum.Enum):
@@ -171,55 +173,6 @@ def tcp_filter_program(
     )
 
 
-class CompiledDemux:
-    """Synthesized demux code: a direct predicate with fixed cost.
-
-    The paper: "The logic required for address demultiplexing is simple
-    and can be incorporated into the kernel either via run time code
-    synthesis or via compilation when new protocols are added ...
-    requires only a few instructions."
-    """
-
-    def __init__(
-        self,
-        predicate: Callable[[bytes], bool],
-        name: str = "demux",
-    ) -> None:
-        self._predicate = predicate
-        self.name = name
-        self.executed = 0
-
-    def run(self, packet: bytes) -> bool:
-        self.executed += 1
-        return self._predicate(packet)
-
-    def interpretation_cost(self, costs: CostModel, bpf_style: bool = False) -> float:
-        return costs.sw_demux
-
-
-def compile_tcp_demux(
-    local_ip: int, local_port: int, remote_ip: int, remote_port: int
-) -> CompiledDemux:
-    """The synthesized equivalent of :func:`tcp_filter_program`."""
-    eth = EthernetHeader.LENGTH
-    ip_off = eth + Ipv4Header.LENGTH
-    want_ips = remote_ip.to_bytes(4, "big") + local_ip.to_bytes(4, "big")
-    want_ports = struct.pack("!HH", remote_port, local_port)
-
-    def predicate(packet: bytes) -> bool:
-        return (
-            len(packet) >= ip_off + 4
-            and packet[12:14] == b"\x08\x00"
-            and packet[eth + 9] == PROTO_TCP
-            and packet[eth + 12 : eth + 20] == want_ips
-            and packet[ip_off : ip_off + 4] == want_ports
-        )
-
-    return CompiledDemux(
-        predicate, name=f"tcp {remote_ip:#x}:{remote_port}->{local_port}"
-    )
-
-
 def udp_filter_program(local_ip: int, local_port: int) -> FilterProgram:
     """CSPF program matching UDP datagrams to one bound local port."""
     eth = EthernetHeader.LENGTH
@@ -249,20 +202,56 @@ def udp_filter_program(local_ip: int, local_port: int) -> FilterProgram:
     return FilterProgram(instrs, name=f"udp :{local_port}")
 
 
-def compile_udp_demux(local_ip: int, local_port: int) -> CompiledDemux:
-    """Synthesized demux for one UDP port binding."""
-    eth = EthernetHeader.LENGTH
-    ip_off = eth + Ipv4Header.LENGTH
-    want_dst = local_ip.to_bytes(4, "big")
-    want_port = local_port.to_bytes(2, "big")
+class ScanTable(FlowTable):
+    """The demux of kernels that predate flow tables: an ordered list
+    of interpreted filter programs, run until the first accepts.
 
-    def predicate(packet: bytes) -> bool:
-        return (
-            len(packet) >= ip_off + 4
-            and packet[12:14] == b"\x08\x00"
-            and packet[eth + 9] == PROTO_UDP
-            and packet[eth + 16 : eth + 20] == want_dst
-            and packet[ip_off + 2 : ip_off + 4] == want_port
-        )
+    Classification is O(installed filters) and charged per program
+    executed (``"cspf"``, or ``"bpf"`` at a third of the per-instruction
+    cost).  The indexed entries of :class:`FlowTable` are still kept —
+    kernel-side consumers (the UDP forwarder) resolve port bindings
+    through them — but :meth:`classify` never consults them.
+    """
 
-    return CompiledDemux(predicate, name=f"udp :{local_port}")
+    def __init__(self, style: str) -> None:
+        if style not in ("cspf", "bpf"):
+            raise DemuxError(
+                f"unknown demux style {style!r}: a scan table is 'cspf' or 'bpf'"
+            )
+        super().__init__()
+        self.style = style
+        self._scan: list[tuple[FlowKey, FilterProgram, object]] = []
+
+    def add_filter(self, key: FlowKey, program: FilterProgram, target: object) -> None:
+        """Append the program that claims frames for ``target``, the
+        flow installed under ``key``.  A flow without one (a listener)
+        is indexed only; the kernel consumer reaches it by miss."""
+        self._scan.append((key, program, target))
+
+    def remove(self, key: FlowKey) -> None:
+        super().remove(key)
+        self._scan = [entry for entry in self._scan if entry[0] != key]
+
+    def classify(self, frame: bytes, costs: CostModel) -> DemuxDecision:
+        """Run the filters in installation order, charging each one
+        executed, and stop at the first that accepts the frame."""
+        frame = as_wire_bytes(frame)  # the interpreter reads flat octets
+        bpf = self.style == "bpf"
+        stats = self.stats
+        cost = 0.0
+        scanned = 0
+        for _key, program, target in self._scan:
+            scanned += 1
+            cost += program.interpretation_cost(costs, bpf_style=bpf)
+            if program.run(frame):
+                stats["scan_hits"] += 1
+                tier = "scan"
+                break
+        else:
+            stats["misses"] += 1
+            target, tier = None, "miss"
+        if scanned:
+            stats["filters_scanned"] += scanned
+            if scanned > stats["max_scan_len"]:
+                stats["max_scan_len"] = scanned
+        return DemuxDecision(target, tier, cost, scanned)

@@ -164,17 +164,18 @@ def demux_table(testbed: "Testbed") -> list[DemuxEntry]:
     (exact/wildcard/scan) and the hit/miss counters of each."""
     entries: list[DemuxEntry] = []
     for host in _hosts(testbed):
-        table = host.netio.flow_table
+        netio = host.netio
+        table = netio.flow_table
         stats = table.stats
         scans = stats["exact_hits"] + stats["wildcard_hits"] \
             + stats["scan_hits"] + stats["misses"]
         entries.append(
             DemuxEntry(
                 host=host.name,
-                style=table.style,
+                style=netio.demux_style,
                 exact=table.exact_count,
                 wildcard=table.wildcard_count,
-                scan=table.scan_count,
+                scan=sum(c.demux_filter is not None for c in netio.channels),
                 exact_hits=stats["exact_hits"],
                 wildcard_hits=stats["wildcard_hits"],
                 scan_hits=stats["scan_hits"],
@@ -385,13 +386,13 @@ class CopyEntry:
 def copy_table(testbed: "Testbed") -> list[CopyEntry]:
     """Copy accounting: global buf counters, template-encoder hits, and
     per-host demux payload views (the ``netstat -m`` of this stack)."""
-    from .net.buf import STATS, get_mode
+    from .net.buf import STATS
     from .protocols.tcp.wire import TcpSegmentEncoder
 
     entries = [
         CopyEntry(
             scope="datapath",
-            detail=f"mode={get_mode()} host copies",
+            detail="host copies",
             copied_bytes=STATS.copied_bytes,
             avoided_bytes=STATS.avoided_bytes,
             ops=STATS.copy_ops,

@@ -2,7 +2,7 @@
 
 Attribution of *simulated* microseconds to call sites.  The cost model
 already prices every kernel operation (``kernel.cpu.consume`` charges
-from ``kernel.cost_table``); the profiler rides next to those charges so
+from ``kernel.costs``); the profiler rides next to those charges so
 each one is tagged with a hierarchical dotted site name — ``tcp.input``,
 ``demux.classify``, ``router.forward`` — instead of vanishing into a
 single busy-time scalar.  Sites that wrap a synchronous protocol

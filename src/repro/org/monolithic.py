@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..costs import CostModel
+from ..counters import Counters
 from ..host import Host
 from ..net.headers import PROTO_TCP
 from ..netio.module import LinkInfo
@@ -137,7 +138,7 @@ class MonolithicTcpStack(TcpService):
         self._next_port = 1024
         self._next_iss = 1
         host.tcp_kernel_handler = self._tcp_rx
-        self.stats = {"rx_segments": 0, "rx_bad_checksum": 0, "rx_no_match": 0}
+        self.stats = Counters()
 
     # ------------------------------------------------------------------
     # Service API
@@ -148,7 +149,7 @@ class MonolithicTcpStack(TcpService):
             raise OSError(f"port {port} already listening")
         listener = MonoListener(self, port)
         self._listeners[port] = listener
-        yield from self.kernel.cpu.consume(self.kernel.cost_table.socket_op)
+        yield from self.kernel.cpu.consume(self.kernel.costs.socket_op)
         return listener
 
     def connect(self, remote_ip: int, remote_port: int, local_port: int = 0) -> Generator:
@@ -217,7 +218,7 @@ class MonolithicTcpStack(TcpService):
         costs = self.kernel.costs
         self.stats["rx_segments"] += 1
         if self.profile.ipc_counts[2]:
-            self.kernel.count("ipc_messages", self.profile.ipc_counts[2])
+            self.kernel.counters["ipc_messages"] += self.profile.ipc_counts[2]
         yield from self.kernel.cpu.consume(costs.checksum_cost(len(payload)))
         try:
             segment = decode_segment(payload, src_ip, self.host.ip)
@@ -284,7 +285,7 @@ class MonolithicTcpStack(TcpService):
     def _transmit(self, segment: Segment, remote_ip: int, link_dst: object) -> Generator:
         costs = self.kernel.costs
         if self.profile.ipc_counts[1]:
-            self.kernel.count("ipc_messages", self.profile.ipc_counts[1])
+            self.kernel.counters["ipc_messages"] += self.profile.ipc_counts[1]
         payload = encode_segment(segment, self.host.ip, remote_ip)
         yield from self.kernel.cpu.consume(
             costs.tcp_output
@@ -329,9 +330,9 @@ class MonoConnection(TcpConnection):
         profile = self.stack.profile
         kernel = self.stack.kernel
         if profile.ipc_counts[0]:
-            kernel.count("ipc_messages", profile.ipc_counts[0])
+            kernel.counters["ipc_messages"] += profile.ipc_counts[0]
         else:
-            kernel.count("traps")
+            kernel.counters["traps"] += 1
         yield from kernel.cpu.consume(
             profile.send_entry(self._costs, len(data))
         )
@@ -343,9 +344,9 @@ class MonoConnection(TcpConnection):
         profile = self.stack.profile
         kernel = self.stack.kernel
         if profile.ipc_counts[3]:
-            kernel.count("ipc_messages", profile.ipc_counts[3])
+            kernel.counters["ipc_messages"] += profile.ipc_counts[3]
         else:
-            kernel.count("traps")
+            kernel.counters["traps"] += 1
         cost = profile.recv_exit(self._costs, len(data))
         if blocked:
             # The reader slept; waking it costs a context switch.

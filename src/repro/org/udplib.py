@@ -151,14 +151,12 @@ class UdpEndpoint:
             self._readers.append(event)
             yield event
         datagram = self._datagrams.popleft()
-        yield from self.kernel.cpu.consume(self.kernel.cost_table.socket_op)
-        payload = datagram.payload
-        if not isinstance(payload, (bytes, bytearray)):
-            # Application boundary: the read hands back owned bytes —
-            # the single user copy the receive path still pays.
-            payload = bytes(payload)
-            STATS.copied_bytes += len(payload)
-            STATS.copy_ops += 1
+        yield from self.kernel.cpu.consume(self.kernel.costs.socket_op)
+        # Application boundary: the read hands back owned bytes — the
+        # single user copy the receive path still pays.
+        payload = bytes(datagram.payload)
+        STATS.copied_bytes += len(payload)
+        STATS.copy_ops += 1
         return payload, (datagram.src_ip, datagram.src_port)
 
     def _receive_loop(self) -> Generator:

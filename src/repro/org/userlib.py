@@ -18,7 +18,6 @@ from typing import Generator, Optional
 from ..host import Host
 from ..mach.ipc import Message, rpc, send
 from ..mach.task import Task
-from ..net.buf import PacketBuffer
 from ..net.headers import HeaderError, PROTO_TCP
 from ..obs import profile as _profile
 from ..obs import spans as _spans
@@ -221,10 +220,7 @@ class LibraryConnection(TcpConnection):
                 + (" retransmit" if retransmit else "")
             )
             tid = rec.mint(self.sim.now, detail)
-            if isinstance(payload, PacketBuffer):
-                payload.trace_id = tid
-            else:
-                rec.bind_wire(payload, tid)  # eager-mode fallback
+            payload.trace_id = tid
             rec.record(
                 tid, "encode", self.sim.now, self.service.app.name,
                 detail=detail, cost=cost,
@@ -320,9 +316,9 @@ class LibraryConnection(TcpConnection):
     # ------------------------------------------------------------------
 
     def send(self, data: bytes) -> Generator:
-        cost = self.kernel.cost_table.socket_op
+        cost = self.kernel.costs.socket_op
         if not self.service.zero_copy:
-            cost += self.kernel.cost_table.copy_cost(len(data))
+            cost += self.kernel.costs.copy_cost(len(data))
         yield from self.kernel.cpu.consume(cost)
         yield from self.runner.app_send(data)
 
@@ -330,9 +326,9 @@ class LibraryConnection(TcpConnection):
         data = yield from self.runner.app_recv(max_bytes)
         # Shared-region buffer organization: no kernel->user copy
         # (unless the ablation re-enables conventional copying).
-        cost = self.kernel.cost_table.socket_op
+        cost = self.kernel.costs.socket_op
         if not self.service.zero_copy:
-            cost += self.kernel.cost_table.copy_cost(len(data))
+            cost += self.kernel.costs.copy_cost(len(data))
         yield from self.kernel.cpu.consume(cost)
         return data
 

@@ -21,7 +21,7 @@ Shipped algorithms:
 Registering a new algorithm is one call::
 
     @register("vegas")
-    def _make_vegas(mss, flavor, dup_threshold):
+    def _make_vegas(mss, dup_threshold):
         return Vegas(mss=mss, dup_threshold=dup_threshold)
 
 after which ``TcpConfig(cc="vegas")`` threads it through every
@@ -37,7 +37,7 @@ from .bbr import BbrModel
 from .cubic import Cubic
 from .reno import Reno
 
-#: name -> factory(mss, flavor, dup_threshold) -> CongestionAlgorithm.
+#: name -> factory(mss, dup_threshold) -> CongestionAlgorithm.
 _REGISTRY: dict[str, Callable[..., CongestionAlgorithm]] = {}
 
 #: The racing set: one entry per distinct algorithm (flavours excluded).
@@ -59,15 +59,9 @@ def algorithms() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def make_cc(
-    name: str,
-    mss: int,
-    flavor: str = "reno",
-    dup_threshold: int = 3,
-) -> CongestionAlgorithm:
+def make_cc(name: str, mss: int, dup_threshold: int = 3) -> CongestionAlgorithm:
     """Construct the named algorithm.
 
-    ``flavor`` only matters to ``reno`` (Tahoe vs Reno recovery);
     ``dup_threshold`` — the conformance campaign's sabotage knob —
     reaches *every* algorithm.
     """
@@ -77,26 +71,26 @@ def make_cc(
             f"unknown congestion algorithm {name!r} "
             f"(registered: {', '.join(algorithms())})"
         )
-    return factory(mss=mss, flavor=flavor, dup_threshold=dup_threshold)
+    return factory(mss=mss, dup_threshold=dup_threshold)
 
 
 @register("reno")
-def _make_reno(mss: int, flavor: str, dup_threshold: int) -> Reno:
-    return Reno(mss=mss, flavor=flavor, dup_threshold=dup_threshold)
+def _make_reno(mss: int, dup_threshold: int) -> Reno:
+    return Reno(mss=mss, dup_threshold=dup_threshold)
 
 
 @register("tahoe")
-def _make_tahoe(mss: int, flavor: str, dup_threshold: int) -> Reno:
+def _make_tahoe(mss: int, dup_threshold: int) -> Reno:
     return Reno(mss=mss, flavor="tahoe", dup_threshold=dup_threshold)
 
 
 @register("cubic")
-def _make_cubic(mss: int, flavor: str, dup_threshold: int) -> Cubic:
+def _make_cubic(mss: int, dup_threshold: int) -> Cubic:
     return Cubic(mss=mss, dup_threshold=dup_threshold)
 
 
 @register("bbr")
-def _make_bbr(mss: int, flavor: str, dup_threshold: int) -> BbrModel:
+def _make_bbr(mss: int, dup_threshold: int) -> BbrModel:
     return BbrModel(mss=mss, dup_threshold=dup_threshold)
 
 

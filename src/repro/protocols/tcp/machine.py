@@ -174,7 +174,6 @@ class TcpMachine:
         flags = segment.flags
         if (
             tcb.state is not State.ESTABLISHED
-            or not tcb.config.header_prediction
             or flags & ~self._PREDICTED_FLAGS
             or not flags & TCP_ACK
             or segment.seq != tcb.rcv_nxt

@@ -73,22 +73,10 @@ class TcpConfig:
     #: Congestion-control algorithm, by registry name: "reno", "tahoe",
     #: "cubic", or "bbr" (see :mod:`repro.protocols.tcp.cc`).
     cc: str = "reno"
-    #: Congestion flavour: "reno" or "tahoe" (only meaningful when the
-    #: algorithm is Reno-family; kept distinct from ``cc`` for the
-    #: pre-extraction API).
-    flavor: str = "reno"
     #: Duplicate ACKs before fast retransmit.  3 is the conformant BSD
     #: value; other values exist so the conformance campaign can seed a
     #: deliberately broken stack and prove the invariant checkers fire.
     dup_ack_threshold: int = 3
-    #: Van Jacobson receive-side header prediction: route the common
-    #: case (pure in-window ACK, or next-in-sequence data, on an
-    #: ESTABLISHED connection) through :meth:`TcpMachine.fast_input`
-    #: instead of the full RFC 793 segment-arrival machinery.  The fast
-    #: path is proven byte-identical to the slow path by the golden
-    #: wire-digest regression and the fuzz equivalence suite, so this
-    #: knob exists for those A/B tests, not for behaviour.
-    header_prediction: bool = True
     #: Minimum/initial RTO bounds (seconds).  The floor must exceed the
     #: peer's delayed-ACK interval or every delayed ACK races the
     #: retransmission timer (BSD kept a >= 0.5 s floor for this reason).
@@ -162,7 +150,6 @@ class Tcb:
             self.cc = make_cc(
                 self.config.cc,
                 mss=self.config.mss,
-                flavor=self.config.flavor,
                 dup_threshold=self.config.dup_ack_threshold,
             )
         self.rtt.min_rto = self.config.min_rto

@@ -121,8 +121,8 @@ def _build_header(segment: Segment, src_ip: int, dst_ip: int) -> bytes:
 def encode_segment(segment: Segment, src_ip: int, dst_ip: int):
     """Serialize with a correct pseudo-header checksum.
 
-    Returns the header prepended onto the *unsliced* payload — a
-    fragment chain in zero-copy mode, flat ``bytes`` in eager mode.
+    Returns the header prepended onto the *unsliced* payload as a
+    fragment chain.
     """
     return prepend(_build_header(segment, src_ip, dst_ip), segment.payload)
 

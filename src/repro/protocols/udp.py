@@ -36,8 +36,8 @@ def encode_datagram(
 ):
     """Serialize one UDP datagram with a real checksum.
 
-    The header is prepended onto the unsliced payload — a fragment
-    chain in zero-copy mode, flat ``bytes`` in eager mode."""
+    The header is prepended onto the unsliced payload: the result is
+    a fragment chain, fused when it reaches a wire."""
     length = UdpHeader.LENGTH + len(payload)
     header = UdpHeader(sport=sport, dport=dport, length=length, checksum=0)
     head = bytearray(header.pack())
@@ -112,17 +112,15 @@ class UdpPortTable:
         except HeaderError:
             self.stats["bad_datagram"] += 1
             return False
-        if not isinstance(datagram.payload, (bytes, bytearray)):
-            # Application boundary: the kernel-path software demux hands
-            # handlers owned bytes, not a view into the rx frame — this
-            # copy is the one the legacy kernel UDP path genuinely pays.
-            payload = bytes(datagram.payload)
-            STATS.copied_bytes += len(payload)
-            STATS.copy_ops += 1
-            datagram = UdpDatagram(
-                datagram.src_ip, datagram.src_port,
-                datagram.dst_port, payload,
-            )
+        # Application boundary: the kernel-path software demux hands
+        # handlers owned bytes, not a view into the rx frame — this
+        # copy is the one the legacy kernel UDP path genuinely pays.
+        payload = bytes(datagram.payload)
+        STATS.copied_bytes += len(payload)
+        STATS.copy_ops += 1
+        datagram = UdpDatagram(
+            datagram.src_ip, datagram.src_port, datagram.dst_port, payload
+        )
         handler = self._bound.get(datagram.dst_port)
         if handler is None:
             self.stats["no_port"] += 1

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
+from ..counters import Counters
 from ..host import Host
 from ..mach.ipc import Message, receive, reply_to, send
 from ..mach.task import Task
@@ -106,14 +107,7 @@ class RegistryServer:
         self.tenants = None
         host.tcp_kernel_handler = self._tcp_rx
         self.task.spawn(self._main_loop(), name="main")
-        self.stats = {
-            "connects": 0,
-            "accepts": 0,
-            "handshake_segments": 0,
-            "resets_sent": 0,
-            "inherited": 0,
-            "data_path_requests": 0,
-        }
+        self.stats = Counters()
         #: Phase timings of the most recent active open, in seconds —
         #: the paper's Table 4 breakdown (measured, not assumed).
         self.last_breakdown: dict[str, float] = {}

@@ -74,19 +74,23 @@ def specialize(profile: AppProfile, base: Optional[TcpConfig] = None) -> TcpConf
         changes["nagle"] = False
         changes["delack_time"] = min(base.delack_time, 0.05)
 
+    lossy = profile.expected_loss is not None and profile.expected_loss > 0.001
+
     if profile.bulk:
-        # Big windows keep the pipe full; Reno recovers from isolated
-        # losses without collapsing the window.
+        # Big windows keep the pipe full.
         changes["snd_buffer"] = max(base.snd_buffer, 32768)
         changes["rcv_buffer"] = max(base.rcv_buffer, 32768)
-        changes["flavor"] = "reno"
 
-    if profile.expected_loss is not None and profile.expected_loss > 0.001:
-        # Lossy path: fast recovery plus a snappier retransmission
-        # floor so stalls stay short.
-        changes["flavor"] = "reno"
+    if lossy:
+        # Lossy path: a snappier retransmission floor so stalls stay
+        # short.
         changes["min_rto"] = min(base.min_rto, 0.3)
         changes["initial_rto"] = min(base.initial_rto, 0.6)
+
+    if (profile.bulk or lossy) and base.cc == "tahoe":
+        # Fast recovery gets over isolated losses without collapsing
+        # the window; an algorithm chosen on purpose is left alone.
+        changes["cc"] = "reno"
 
     if profile.long_lived_idle:
         changes["keepalive"] = True

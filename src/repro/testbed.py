@@ -188,7 +188,6 @@ class FabricTestbed:
         costs: CostModel = DECSTATION_5000_200,
         config: Optional[TcpConfig] = None,
         faults: Optional[FaultInjector] = None,
-        demux_style: str = "synthesized",
         zero_copy: bool = True,
         config_for=None,
         **builder_kwargs,
@@ -211,7 +210,7 @@ class FabricTestbed:
         self.config_for = config_for
         self.sim = Simulator()
         self.topology = builders[kind](
-            self.sim, costs=costs, demux_style=demux_style, **builder_kwargs
+            self.sim, costs=costs, **builder_kwargs
         )
         # Chaos faults go on the trunk (dumbbell) or the first link, so
         # every flow crosses the faulted segment.

@@ -34,8 +34,8 @@ def _two_host(network):
     return bed
 
 
-def _fabric(kind, **kwargs):
-    bed = FabricTestbed(kind=kind, organization="userlib", **kwargs)
+def _fabric(kind, organization="userlib", **kwargs):
+    bed = FabricTestbed(kind=kind, organization=organization, **kwargs)
     hosts = bed.hosts
     _open_connection(
         bed, bed.service(hosts[0]), bed.service(hosts[-1]), hosts[-1].ip
@@ -49,8 +49,15 @@ def _counting_objects(bed):
     for router in getattr(bed, "routers", []):
         yield f"{router.name} router", router
         nodes.extend(router.interfaces)
+    for registry in bed.registries:
+        yield f"{registry.host.name} registry", registry
+    for service in bed.services:
+        if hasattr(service, "stats"):  # the in-kernel stacks count rx
+            yield f"{service.host.name} service", service
     for node in nodes:
         yield f"{node.name} nic", node.nic
+        for ring in getattr(node.nic, "bqi_table", {}).values():
+            yield f"{node.name} bqi ring {ring.bqi}", ring
         yield f"{node.name} netio", node.netio
         yield f"{node.name} flow table", node.netio.flow_table
         for channel in node.netio.channels:
@@ -73,8 +80,9 @@ def _counting_objects(bed):
         lambda: _two_host("an1"),
         lambda: _fabric("dumbbell", pairs=1),
         lambda: _fabric("chain", n_routers=1),
+        lambda: _fabric("dumbbell", organization="ultrix", pairs=1),
     ],
-    ids=["ethernet", "an1", "dumbbell", "chain"],
+    ids=["ethernet", "an1", "dumbbell", "chain", "ultrix"],
 )
 def test_stats_is_the_live_counters_everywhere_but_link(build):
     bed = build()
@@ -83,10 +91,20 @@ def test_stats_is_the_live_counters_everywhere_but_link(build):
         labels.append(label)
         assert isinstance(obj.stats, Counters), label
         assert obj.stats is obj.stats, label
+    for host in bed.hosts:
+        counters = host.kernel.counters
+        assert isinstance(counters, Counters), host.name
+        assert counters["ipc_messages"] + counters["traps"] > 0, host.name
     # The walk reached every kind of counter this bed has.
-    assert any(" channel " in label for label in labels)
-    if bed.switches:
-        assert any(label.endswith(" queue") for label in labels)
+    kinds = {
+        " channel ": bed.organization == "userlib",
+        " registry": bed.organization == "userlib",
+        " service": bed.organization != "userlib",
+        " bqi ring ": bed.network == "an1",
+        " queue": bool(bed.switches),
+    }
+    for kind, expected in kinds.items():
+        assert any(kind in label for label in labels) == expected, kind
     # Link folds the fault injector's authoritative counts over its
     # live traffic dict on every read: the one fresh-copy ``stats``.
     for link in bed.links:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.headers import An1Header
 from repro.netio import SecurityViolation, TemplateViolation
 from repro.protocols.tcp import State, TcpConfig
 from repro.registry.namespace import PortInUse, PortNamespace
@@ -287,3 +288,45 @@ def test_owner_cannot_spoof_other_connection():
     testbed.spawn(server(), name="server")
     proc = testbed.spawn(client(), name="client")
     assert testbed.run(until=proc)
+
+
+def test_exhausted_bqi_table_refuses_the_connect_and_leaks_nothing():
+    """An AN1 interface has 65,535 BQIs.  With all of them live the
+    registry refuses an active open the way it refuses a ring over a
+    tenant's quota — an error reply, the reserved port handed back —
+    and the next open after one ring is released goes through."""
+    testbed = Testbed(network="an1", organization="userlib")
+    nic = testbed.host_a.nic
+    registry = testbed.registry_a
+    filler = nic.allocate_bqi(capacity=1)
+    nic.bqi_table.update(
+        dict.fromkeys(range(1, An1Header.MAX_BQI + 1), filler)
+    )
+    outcome = {}
+
+    def server():
+        listener = yield from testbed.service_b.listen(8000)
+        conn = yield from listener.accept()
+        outcome["served"] = yield from conn.recv(64)
+
+    def client():
+        try:
+            yield from testbed.service_a.connect(IP_B, 8000)
+        except ConnectionError as exc:
+            outcome["refused"] = str(exc)
+        outcome["ports_after_refusal"] = len(registry.ports)
+        nic.release_bqi(7)
+        conn = yield from testbed.service_a.connect(IP_B, 8000)
+        outcome["bqi"] = conn.channel.ring.bqi
+        yield from conn.send(b"after the refusal")
+        yield testbed.sim.timeout(0.3)
+
+    testbed.spawn(server(), name="server")
+    testbed.run(until=testbed.spawn(client(), name="client"))
+    assert "BQIs are live" in outcome["refused"]
+    assert outcome["ports_after_refusal"] == 0
+    assert testbed.host_a.netio.stats["bqi_refused"] == 1
+    assert registry.stats["connects"] == 2
+    assert outcome["bqi"] == 7
+    assert outcome["served"] == b"after the refusal"
+    assert len(testbed.host_a.netio.channels) == 1

@@ -26,12 +26,15 @@ def test_bulk_profile_grows_windows_and_uses_reno():
     config = specialize(FILE_TRANSFER)
     assert config.snd_buffer >= 32768
     assert config.rcv_buffer >= 32768
-    assert config.flavor == "reno"
+    assert config.cc == "reno"
+    # Fast recovery replaces Tahoe; a chosen modern algorithm is kept.
+    assert specialize(FILE_TRANSFER, TcpConfig(cc="tahoe")).cc == "reno"
+    assert specialize(FILE_TRANSFER, TcpConfig(cc="cubic")).cc == "cubic"
 
 
 def test_lossy_profile_tunes_recovery():
-    config = specialize(WAN_BULK)
-    assert config.flavor == "reno"
+    config = specialize(WAN_BULK, TcpConfig(cc="tahoe"))
+    assert config.cc == "reno"
     assert config.min_rto <= 0.3
 
 

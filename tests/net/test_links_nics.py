@@ -17,6 +17,7 @@ from repro.net import (
     str_to_mac,
 )
 from repro.net.link import Transmitter
+from repro.net.nic.an1ctrl import BqiTableFull
 from repro.sim import Simulator
 
 MAC_A = str_to_mac("02:00:00:00:00:01")
@@ -425,6 +426,46 @@ def test_an1_bqi_release():
     assert ring.bqi not in nics[1].bqi_table
     with pytest.raises(ValueError):
         nics[1].release_bqi(0)
+
+
+def test_an1_bqi_allocation_wraps_onto_a_freed_index():
+    """The link header carries the BQI in 16 bits: the allocation after
+    0xFFFF goes round to the lowest index no ring holds — never to
+    0x10000, which no frame can be stamped with."""
+    sim, link, kernels, nics = make_an1_world()
+    nic = nics[1]
+    live = nic.allocate_bqi(capacity=1)
+    freed = nic.allocate_bqi(capacity=1)
+    nic.release_bqi(freed.bqi)
+    nic._next_bqi = An1Header.MAX_BQI
+    assert nic.allocate_bqi(capacity=1).bqi == An1Header.MAX_BQI
+    ring = nic.allocate_bqi(capacity=1, owner="app")
+    # Round past the kernel's 0 and the still-live 1 onto the freed 2.
+    assert (live.bqi, ring.bqi) == (1, 2)
+    assert nic.bqi_table[ring.bqi] is ring
+    got = []
+    nic.rx_handler = collect_handler(got)
+
+    def send():
+        yield from nics[0].driver_transmit(an1_frame(2, 1, bqi=ring.bqi))
+
+    sim.process(send())
+    sim.run()
+    assert [context for _frame, context in got] == [ring]
+
+
+def test_an1_full_bqi_table_refuses_allocation():
+    sim, link, kernels, nics = make_an1_world()
+    nic = nics[1]
+    first = nic.allocate_bqi(capacity=1)
+    nic.bqi_table.update(
+        dict.fromkeys(range(1, An1Header.MAX_BQI + 1), first)
+    )
+    with pytest.raises(BqiTableFull):
+        nic.allocate_bqi(capacity=1)
+    assert len(nic.bqi_table) == An1Header.MAX_BQI + 1  # nothing installed
+    nic.release_bqi(40_000)
+    assert nic.allocate_bqi(capacity=1).bqi == 40_000
 
 
 def test_link_stats_read_through_to_injector():

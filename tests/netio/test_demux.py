@@ -13,7 +13,7 @@ from repro.net.headers import (
     str_to_ip,
     str_to_mac,
 )
-from repro.netio import KERNEL_FLOW, DemuxError, FlowKey, FlowTable
+from repro.netio import KERNEL_FLOW, DemuxError, FlowKey, FlowTable, ScanTable
 from repro.netio.pktfilter import tcp_filter_program, udp_filter_program
 from repro.protocols.tcp import Segment, encode_segment
 
@@ -47,7 +47,7 @@ def test_flow_key_tiers():
 
 
 def test_exact_tier_hit():
-    table = FlowTable("synthesized")
+    table = FlowTable()
     chan = object()
     table.install(FlowKey(PROTO_TCP, IP_B, 80, IP_A, 5000), chan)
     decision = table.classify(tcp_frame(5000, 80), COSTS)
@@ -58,7 +58,7 @@ def test_exact_tier_hit():
 
 
 def test_exact_miss_goes_to_miss_with_fixed_cost():
-    table = FlowTable("synthesized")
+    table = FlowTable()
     table.install(FlowKey(PROTO_TCP, IP_B, 80, IP_A, 5000), object())
     decision = table.classify(tcp_frame(5000, 81), COSTS)
     assert decision.channel is None
@@ -69,7 +69,7 @@ def test_exact_miss_goes_to_miss_with_fixed_cost():
 
 
 def test_wildcard_tier_and_kernel_flow():
-    table = FlowTable("synthesized")
+    table = FlowTable()
     table.install(FlowKey(PROTO_TCP, IP_B, 80), KERNEL_FLOW)
     decision = table.classify(tcp_frame(12345, 80), COSTS)
     # A listener flow is a wildcard *hit* that still has no channel.
@@ -79,19 +79,19 @@ def test_wildcard_tier_and_kernel_flow():
 
 
 def test_wildcard_checks_local_ip():
-    table = FlowTable("synthesized")
+    table = FlowTable()
     chan = object()
     table.install(FlowKey(PROTO_UDP, IP_B, 53), chan)
     other_ip_frame = tcp_frame(5000, 53, dst_ip=IP_A)
     assert table.classify(other_ip_frame, COSTS).channel is None
     # local_ip 0 in the entry means any destination address.
-    table2 = FlowTable("synthesized")
+    table2 = FlowTable()
     table2.install(FlowKey(PROTO_TCP, 0, 53), chan)
     assert table2.classify(tcp_frame(5000, 53), COSTS).channel is chan
 
 
 def test_exact_beats_wildcard():
-    table = FlowTable("synthesized")
+    table = FlowTable()
     listener = object()
     conn = object()
     table.install(FlowKey(PROTO_TCP, IP_B, 80), listener)
@@ -101,7 +101,7 @@ def test_exact_beats_wildcard():
 
 
 def test_duplicate_installs_refused():
-    table = FlowTable("synthesized")
+    table = FlowTable()
     key = FlowKey(PROTO_TCP, IP_B, 80, IP_A, 5000)
     table.install(key, object())
     with pytest.raises(DemuxError):
@@ -113,27 +113,27 @@ def test_duplicate_installs_refused():
 
 
 def test_remove_is_idempotent():
-    table = FlowTable("synthesized")
+    table = FlowTable()
     chan = object()
     key = FlowKey(PROTO_TCP, IP_B, 80, IP_A, 5000)
     table.install(key, chan)
-    table.remove(key, chan)
-    table.remove(key, chan)  # Second teardown must not raise.
+    table.remove(key)
+    table.remove(key)  # Second teardown must not raise.
     assert table.classify(tcp_frame(5000, 80), COSTS).channel is None
     assert len(table) == 0
 
 
 def test_scan_tier_charges_per_program_until_match():
-    table = FlowTable("cspf")
+    table = ScanTable("cspf")
     decoy = tcp_filter_program(IP_B, 9999, IP_A, 8888)
     target_filter = tcp_filter_program(IP_B, 80, IP_A, 5000)
     chan = object()
-    table.install(
-        FlowKey(PROTO_TCP, IP_B, 9999, IP_A, 8888), object(), filter=decoy
-    )
-    table.install(
-        FlowKey(PROTO_TCP, IP_B, 80, IP_A, 5000), chan, filter=target_filter
-    )
+    for key, target, program in (
+        (FlowKey(PROTO_TCP, IP_B, 9999, IP_A, 8888), object(), decoy),
+        (FlowKey(PROTO_TCP, IP_B, 80, IP_A, 5000), chan, target_filter),
+    ):
+        table.install(key, target)
+        table.add_filter(key, program, target)
     decision = table.classify(tcp_frame(5000, 80), COSTS)
     assert decision.channel is chan
     assert decision.tier == "scan"
@@ -145,16 +145,21 @@ def test_scan_tier_charges_per_program_until_match():
     assert table.stats["scan_hits"] == 1
     assert table.stats["filters_scanned"] == 2
     assert table.stats["max_scan_len"] == 2
+    table.remove(key)  # The flow's filter goes with it; the decoy stays.
+    gone = table.classify(tcp_frame(5000, 80), COSTS)
+    assert (gone.tier, gone.scanned) == ("miss", 1)
 
 
 def test_interpreted_style_skips_indexed_tiers():
-    """Historical kernels had no flow table: under cspf/bpf the indexed
-    tiers are bypassed, so classification runs the filters even though
-    an exact entry exists."""
-    table = FlowTable("cspf")
+    """Historical kernels had no flow table: a ScanTable bypasses the
+    indexed tiers, so classification runs the filters even though an
+    indexed entry exists."""
+    table = ScanTable("cspf")
     chan = object()
     filt = udp_filter_program(IP_B, 53)
-    table.install(FlowKey(PROTO_UDP, IP_B, 53), chan, filter=filt)
+    key = FlowKey(PROTO_UDP, IP_B, 53)
+    table.install(key, chan)
+    table.add_filter(key, filt, chan)
     frame = tcp_frame(5000, 80)  # TCP: the UDP filter rejects it.
     decision = table.classify(frame, COSTS)
     assert decision.tier == "miss"
@@ -163,10 +168,12 @@ def test_interpreted_style_skips_indexed_tiers():
 
 
 def test_kernel_side_wildcard_resolution():
-    table = FlowTable("cspf")
+    table = ScanTable("cspf")
     chan = object()
     filt = udp_filter_program(IP_B, 53)
-    table.install(FlowKey(PROTO_UDP, IP_B, 53), chan, filter=filt)
+    key = FlowKey(PROTO_UDP, IP_B, 53)
+    table.install(key, chan)
+    table.add_filter(key, filt, chan)
     # The forwarder resolves the binding regardless of demux style.
     assert table.wildcard_target(PROTO_UDP, 53, IP_B) is chan
     assert table.wildcard_target(PROTO_UDP, 53) is chan
@@ -185,7 +192,7 @@ def test_extract_key_rejects_malformed():
 
 
 def test_lookup_cost_independent_of_flow_count():
-    table = FlowTable("synthesized")
+    table = FlowTable()
     chan = object()
     table.install(FlowKey(PROTO_TCP, IP_B, 80, IP_A, 5000), chan)
     cost_1 = table.classify(tcp_frame(5000, 80), COSTS).cost
@@ -198,6 +205,24 @@ def test_lookup_cost_independent_of_flow_count():
 
 
 def test_free_cost_model_classifies_for_nothing():
-    table = FlowTable("synthesized")
+    table = FlowTable()
     table.install(FlowKey(PROTO_TCP, IP_B, 80, IP_A, 5000), object())
     assert table.classify(tcp_frame(5000, 80), FREE).cost == 0.0
+
+
+def test_port_owner_multiset_goes_with_its_last_exact_flow():
+    """Tenanted churn on ephemeral ports must not leave one zeroed
+    multiset per port behind."""
+    table = FlowTable()
+    keys = [FlowKey(PROTO_TCP, IP_B, 4000, IP_A, 5000 + i) for i in range(2)]
+    table.install(keys[0], object(), owner="alpha")
+    table.install(keys[1], object(), owner="beta")
+    table.remove(keys[0])
+    assert table._port_owners[(PROTO_TCP, 4000)].snapshot() == {"beta": 1}
+    # alpha is gone from the port, so only beta's flows shadow-protect it.
+    with pytest.raises(DemuxError):
+        table.install(FlowKey(PROTO_TCP, IP_B, 4000), object(), owner="alpha")
+    table.remove(keys[1])
+    table.remove(keys[1])  # Idempotent here too.
+    assert table._port_owners == {} and table._exact_owners == {}
+    table.install(FlowKey(PROTO_TCP, IP_B, 4000), object(), owner="alpha")

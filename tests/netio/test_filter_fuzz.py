@@ -13,12 +13,14 @@ from repro.net.headers import PROTO_TCP, PROTO_UDP, str_to_ip
 from repro.netio import (
     FlowKey,
     FlowTable,
-    compile_tcp_demux,
+    ScanTable,
     tcp_filter_program,
     tcp_send_template,
     udp_send_template,
 )
-from repro.netio.pktfilter import compile_udp_demux, udp_filter_program
+from repro.netio.pktfilter import udp_filter_program
+
+from .compiled_demux import compile_tcp_demux, compile_udp_demux
 
 IP_A = str_to_ip("10.0.0.1")
 IP_B = str_to_ip("10.0.0.2")
@@ -79,16 +81,21 @@ def test_templates_never_crash(data):
 @settings(max_examples=300, deadline=None)
 @given(data=fuzz_frames)
 def test_tcp_classifiers_agree_three_ways(data):
-    """FilterProgram, CompiledDemux and the FlowTable exact tier are
-    three implementations of the same predicate; on every frame —
-    valid, mutated, or truncated — they must classify identically."""
+    """FilterProgram, the CompiledDemux oracle and the FlowTable exact
+    tier are three implementations of the same predicate; on every
+    frame — valid, mutated, or truncated — they must classify
+    identically, and a ScanTable must deliver what its program accepts."""
     interpreted = tcp_filter_program(IP_B, 80, IP_A, 5000)
     compiled = compile_tcp_demux(IP_B, 80, IP_A, 5000)
-    table = FlowTable("synthesized")
+    key = FlowKey(PROTO_TCP, IP_B, 80, IP_A, 5000)
+    table, scan = FlowTable(), ScanTable("cspf")
     chan = object()
-    table.install(FlowKey(PROTO_TCP, IP_B, 80, IP_A, 5000), chan)
+    table.install(key, chan)
+    scan.install(key, chan)
+    scan.add_filter(key, interpreted, chan)
     hit = table.classify(data, FREE).channel is chan
     assert interpreted.run(data) == compiled.run(data) == hit
+    assert (scan.classify(data, FREE).channel is chan) == hit
 
 
 @settings(max_examples=300, deadline=None)
@@ -97,11 +104,15 @@ def test_udp_classifiers_agree_three_ways(data):
     """Same three-way agreement for the UDP wildcard (listen) tier."""
     interpreted = udp_filter_program(IP_B, 53)
     compiled = compile_udp_demux(IP_B, 53)
-    table = FlowTable("synthesized")
+    key = FlowKey(PROTO_UDP, IP_B, 53)
+    table, scan = FlowTable(), ScanTable("bpf")
     chan = object()
-    table.install(FlowKey(PROTO_UDP, IP_B, 53), chan)
+    table.install(key, chan)
+    scan.install(key, chan)
+    scan.add_filter(key, interpreted, chan)
     hit = table.classify(data, FREE).channel is chan
     assert interpreted.run(data) == compiled.run(data) == hit
+    assert (scan.classify(data, FREE).channel is chan) == hit
 
 
 @settings(max_examples=200, deadline=None)

@@ -22,13 +22,14 @@ from repro.netio import (
     Instruction,
     Op,
     TemplateViolation,
-    compile_tcp_demux,
     tcp_filter_program,
     tcp_send_template,
     udp_send_template,
 )
 from repro.protocols.tcp import Segment, encode_segment
 from repro.net.headers import TCP_ACK
+
+from .compiled_demux import compile_tcp_demux
 
 IP_A = str_to_ip("10.0.0.1")
 IP_B = str_to_ip("10.0.0.2")

@@ -33,9 +33,7 @@ def test_conformant_threshold_needs_three(name):
 
 @pytest.mark.parametrize("name", ALGOS)
 def test_tcb_threads_threshold_from_config(name):
-    flavor = "tahoe" if name == "tahoe" else "reno"
-    cc_name = "reno" if name == "tahoe" else name
-    config = TcpConfig(cc=cc_name, flavor=flavor, dup_ack_threshold=2)
+    config = TcpConfig(cc=name, dup_ack_threshold=2)
     tcb = Tcb(local_port=1, remote_port=2, config=config)
     assert tcb.cc.dup_threshold == 2
     if name == "tahoe":

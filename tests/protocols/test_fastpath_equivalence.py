@@ -6,8 +6,9 @@ each bypass a general mechanism only when the outcome is provably the
 same.  This suite holds them to it:
 
 * fuzzed loss/corruption/duplication/delay runs are raced with the
-  fast path on vs off and must produce identical wire digests and
-  identical delivered byte streams;
+  fast path on vs off — off meaning every segment takes the general
+  path, :meth:`TcpMachine.handle`, which is the oracle here — and must
+  produce identical wire digests and identical delivered byte streams;
 * the next-hop cache and the demux memo (including the miss memo) get
   unit coverage of their invalidation rules.
 """
@@ -28,8 +29,9 @@ from repro.net.headers import (
     str_to_ip,
     str_to_mac,
 )
-from repro.netio import FlowKey, FlowTable
-from repro.protocols.tcp import Segment, encode_segment
+from repro.netio import FlowKey, FlowTable, ScanTable
+from repro.netio.pktfilter import tcp_filter_program
+from repro.protocols.tcp import Segment, TcpMachine, encode_segment
 
 COSTS = DECSTATION_5000_200
 IP_A = str_to_ip("10.0.0.1")
@@ -80,15 +82,16 @@ FUZZ_CELLS = [
     "seed,drop,corrupt,duplicate,delay,topology", FUZZ_CELLS
 )
 def test_fuzz_equivalence_fastpath_on_vs_off(
-    seed, drop, corrupt, duplicate, delay, topology
+    seed, drop, corrupt, duplicate, delay, topology, monkeypatch
 ):
     """Header prediction must not change one byte of wire behaviour.
 
-    Identical CellSpecs differing only in ``header_prediction`` must
+    One CellSpec run twice — as shipped, then with ``fast_input``
+    declining every segment so all of them take the slow path — must
     yield the same segment-by-segment wire digest and the same bytes
     delivered to the receiving sockets, under every fault mix.
     """
-    base = dict(
+    spec = CellSpec(
         topology=topology,
         seed=seed,
         drop_rate=drop,
@@ -99,8 +102,9 @@ def test_fuzz_equivalence_fastpath_on_vs_off(
         payload_bytes=8192,
         deadline=30.0,
     )
-    digest_on, streams_on = _run(CellSpec(header_prediction=True, **base))
-    digest_off, streams_off = _run(CellSpec(header_prediction=False, **base))
+    digest_on, streams_on = _run(spec)
+    monkeypatch.setattr(TcpMachine, "fast_input", lambda self, segment, now: None)
+    digest_off, streams_off = _run(spec)
     assert digest_on == digest_off
     assert streams_on == streams_off
     for payload, received in streams_on:
@@ -174,7 +178,7 @@ def test_route_cache_negative_entry_invalidated_by_new_route():
 
 
 def test_demux_memo_hit_reproduces_classification():
-    table = FlowTable("synthesized")
+    table = FlowTable()
     chan = object()
     table.install(FlowKey(PROTO_TCP, IP_B, 80, IP_A, 5000), chan)
     frame = tcp_frame(5000, 80)
@@ -188,7 +192,7 @@ def test_demux_memo_hit_reproduces_classification():
 
 
 def test_demux_memo_invalidated_on_remove():
-    table = FlowTable("synthesized")
+    table = FlowTable()
     chan = object()
     key = FlowKey(PROTO_TCP, IP_B, 80, IP_A, 5000)
     table.install(key, chan)
@@ -204,7 +208,7 @@ def test_demux_memo_invalidated_on_remove():
 def test_demux_memo_invalidated_on_install():
     """A fresh install may shadow the memoized answer (e.g. an exact
     flow arriving over a memoized wildcard hit): any install clears it."""
-    table = FlowTable("synthesized")
+    table = FlowTable()
     listener = object()
     table.install(FlowKey(PROTO_TCP, IP_B, 80), listener)
     frame = tcp_frame(5000, 80)
@@ -221,7 +225,7 @@ def test_demux_miss_memo_counts_and_invalidates():
     """Routers classify every forwarded frame and never match a flow:
     the repeated miss is memoized too, and a later install must break
     the memo so the flow becomes reachable."""
-    table = FlowTable("synthesized")
+    table = FlowTable()
     frame = tcp_frame(5000, 80)
     assert table.classify(frame, COSTS).tier == "miss"
     second = table.classify(frame, COSTS)
@@ -234,15 +238,18 @@ def test_demux_miss_memo_counts_and_invalidates():
 
 
 def test_demux_memo_not_used_with_scan_tier():
-    """Legacy filters may match ahead of the indexed answer, so the
-    memo must stay out of the way whenever the scan tier is non-empty."""
-    from repro.netio.pktfilter import tcp_filter_program
-
-    table = FlowTable("synthesized")
+    """Interpreted styles charge per instruction executed, so a scan
+    table must run its filters on every frame: no memo in front."""
+    table = ScanTable("cspf")
     chan = object()
     filt = tcp_filter_program(IP_B, 80, IP_A, 5000)
-    table.install(FlowKey(PROTO_TCP, IP_B, 80, IP_A, 5000), chan, filter=filt)
+    key = FlowKey(PROTO_TCP, IP_B, 80, IP_A, 5000)
+    table.install(key, chan)
+    table.add_filter(key, filt, chan)
     frame = tcp_frame(5000, 80)
-    table.classify(frame, COSTS)
-    table.classify(frame, COSTS)
+    first = table.classify(frame, COSTS)
+    second = table.classify(frame, COSTS)
+    assert first.tier == second.tier == "scan"
+    assert second.cost == first.cost == filt.interpretation_cost(COSTS)
     assert table.stats["memo_hits"] == 0
+    assert table.stats["filters_scanned"] == 2

@@ -9,6 +9,7 @@ user-level library) is attached on top by :mod:`repro.org` /
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Generator, Optional, Union
 
 from .costs import CostModel, DECSTATION_5000_200
@@ -23,13 +24,15 @@ from .net.headers import (
     PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
+    UdpHeader,
     ip_to_str,
 )
 from .net.buf import prepend
 from .net.link import An1Link, EthernetLink, Link
 from .net.nic.an1ctrl import An1Nic
 from .net.nic.pmadd import PmaddNic
-from .netio.module import LinkInfo, NetworkIoModule
+from .netio.channels import Channel
+from .netio.module import Done, LinkInfo, NetworkIoModule, work_then
 from .obs import profile as _profile
 from .protocols.arp import ArpStack, Resolved, SendArp
 from .protocols.icmp import (
@@ -43,7 +46,8 @@ from .protocols.udp import UdpPortTable
 from .sim import Simulator
 
 #: Kernel-side TCP consumer installed by the organization:
-#: ``handler(tcp_payload, src_ip, link_info)`` as a generator.
+#: ``handler(tcp_payload, src_ip, link_info)`` as a generator, run as
+#: a kernel thread (it transmits).
 TcpKernelHandler = Callable[[bytes, int, LinkInfo], Generator]
 
 
@@ -157,51 +161,84 @@ class Host:
     # Kernel receive dispatch
     # ------------------------------------------------------------------
 
-    def _kernel_rx(self, ethertype: int, payload: bytes, link_info: LinkInfo) -> Generator:
+    def _kernel_rx(
+        self, ethertype: int, payload: bytes, link_info: LinkInfo, done: Done
+    ) -> None:
+        """Interrupt context up to a port handler or a channel's ring;
+        whatever answers on the wire runs as a kernel thread."""
         if ethertype == ETHERTYPE_ARP and self.arp is not None:
-            yield from self._arp_rx(payload)
+            self.sim.process(work_then(self._arp_rx(payload), done))
             return
         if ethertype != ETHERTYPE_IP:
+            done()
             return
         datagram = self.ip_stack.receive(payload, now=self.sim.now)
         if datagram is None:
             if self.ip_stack.pending_reassemblies:
                 self._arm_slow_timer()
+            done()
             return
-        costs = self.kernel.costs
+        cost = self.kernel.costs.ip_input
         prof = _profile.PROFILER
         if prof is not None:
-            prof.charge("ip.input", costs.ip_input)
-        cpu = self.kernel.cpu
-        cost = costs.ip_input
+            prof.charge("ip.input", cost)
+        stage = partial(self._ip_input, datagram, payload, link_info, done)
         if cost:
-            yield cpu.charge(cost)
-        if datagram.protocol == PROTO_TCP:
-            if self.tcp_kernel_handler is not None:
-                yield from self.tcp_kernel_handler(
-                    datagram.payload, datagram.src, link_info
-                )
-        elif datagram.protocol == PROTO_UDP:
-            cost = costs.udp_packet
+            self.kernel.cpu.charge(cost, stage)
+        else:
+            stage(None)
+
+    def _ip_input(
+        self, datagram, payload: bytes, link_info: LinkInfo, done: Done,
+        _event: object,
+    ) -> None:
+        protocol = datagram.protocol
+        if protocol == PROTO_UDP:
+            stage = partial(self._udp_input, datagram, payload, link_info, done)
+            cost = self.kernel.costs.udp_packet
             if cost:
-                yield cpu.charge(cost)
-            forwarded = yield from self._forward_udp(datagram, link_info)
-            if not forwarded:
-                delivered = self.udp_ports.deliver(
-                    datagram.payload, datagram.src, self.ip
-                )
-                if not delivered and self.icmp_echo_enabled:
-                    # RFC 1122: a datagram to a closed port draws an
-                    # ICMP port-unreachable quoting the offender.
-                    original = payload[: Ipv4Header.LENGTH + 8]
-                    yield from self.ip_send(
-                        datagram.src,
-                        PROTO_ICMP,
-                        encode_unreachable(UNREACH_PORT, original),
-                        link_info.src,
-                    )
-        elif datagram.protocol == PROTO_ICMP and self.icmp_echo_enabled:
-            yield from self._icmp_rx(datagram.payload, datagram.src, link_info)
+                self.kernel.cpu.charge(cost, stage)
+            else:
+                stage(None)
+        elif protocol == PROTO_TCP and self.tcp_kernel_handler is not None:
+            work = self.tcp_kernel_handler(datagram.payload, datagram.src, link_info)
+            self.sim.process(work_then(work, done))
+        elif protocol == PROTO_ICMP and self.icmp_echo_enabled:
+            work = self._icmp_rx(datagram.payload, datagram.src, link_info)
+            self.sim.process(work_then(work, done))
+        else:
+            done()
+
+    def _udp_input(
+        self, datagram, payload: bytes, link_info: LinkInfo, done: Done,
+        _event: object,
+    ) -> None:
+        channel = self._udp_channel(datagram.payload)
+        if channel is not None:
+            # Relay into the user-level channel bound to the port: the
+            # software demux fallback the paper's §5 anticipates for
+            # connectionless protocols before BQI discovery completes.
+            stage = partial(self._relay_udp, channel, datagram, link_info, done)
+            cost = self.kernel.costs.sw_demux
+            if cost:
+                self.kernel.cpu.charge(cost, stage)
+            else:
+                stage(None)
+            return
+        delivered = self.udp_ports.deliver(datagram.payload, datagram.src, self.ip)
+        if delivered or not self.icmp_echo_enabled:
+            done()
+            return
+        # RFC 1122: a datagram to a closed port draws an ICMP
+        # port-unreachable quoting the offender.
+        original = payload[: Ipv4Header.LENGTH + 8]
+        work = self.ip_send(
+            datagram.src,
+            PROTO_ICMP,
+            encode_unreachable(UNREACH_PORT, original),
+            link_info.src,
+        )
+        self.sim.process(work_then(work, done))
 
     def _arm_slow_timer(self) -> None:
         if not self._slow_timer_armed:
@@ -223,27 +260,23 @@ class Host:
                 )
         self._slow_timer_armed = False
 
-    def _forward_udp(self, datagram, link_info: LinkInfo) -> Generator:
-        """Relay a kernel-path datagram into a user-level UDP channel.
-
-        This is the software demux fallback the paper's §5 anticipates
-        for connectionless protocols before BQI discovery completes.
-        The bound channel is resolved through the flow table's wildcard
-        tier — the same entry the Ethernet receive path demuxes on.
-        """
-        from .net.headers import UdpHeader
-        from .netio.channels import Channel
-
+    def _udp_channel(self, udp_payload: bytes) -> Optional[Channel]:
+        """The user-level channel bound to a datagram's port, if any —
+        resolved through the flow table's wildcard tier, the same entry
+        the Ethernet receive path demuxes on."""
         try:
-            header = UdpHeader.unpack(datagram.payload)
+            header = UdpHeader.unpack(udp_payload)
         except HeaderError:
-            return False
+            return None
         channel = self.netio.flow_table.wildcard_target(
             PROTO_UDP, header.dport, local_ip=self.ip
         )
-        if not isinstance(channel, Channel):
-            return False
-        yield from self.kernel.cpu.consume(self.kernel.costs.sw_demux)
+        return channel if isinstance(channel, Channel) else None
+
+    def _relay_udp(
+        self, channel: Channel, datagram, link_info: LinkInfo, done: Done,
+        _event: object,
+    ) -> None:
         packet = prepend(
             Ipv4Header(
                 src=datagram.src,
@@ -253,8 +286,7 @@ class Host:
             ).pack(),
             datagram.payload,
         )
-        yield from self.netio._deliver(channel, packet, link_info)
-        return True
+        self.netio._deliver(channel, packet, link_info, done)
 
     def _arp_rx(self, payload: bytes) -> Generator:
         try:

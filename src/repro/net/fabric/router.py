@@ -21,14 +21,17 @@ like a switch port does.
 
 from __future__ import annotations
 
+from collections import deque
+from functools import partial
+from typing import Deque, Generator, Optional
+
 from ...counters import Counters
-from typing import Generator, Optional
 
 from ...costs import CostModel, DECSTATION_5000_200
 from ...mach import Kernel
 from ...obs import profile as _profile
 from ...obs import spans as _spans
-from ...netio.module import LinkInfo, NetworkIoModule
+from ...netio.module import Done, LinkInfo, NetworkIoModule, work_then
 from ...protocols.arp import ArpStack, SendArp
 from ...protocols.icmp import (
     UNREACH_NET,
@@ -39,7 +42,7 @@ from ...protocols.icmp import (
     make_reply,
 )
 from ...protocols.ip import IpError, forwarded_copy
-from ...sim import Simulator, Store
+from ...sim import Event, Simulator
 from ..buf import prepend
 from ..headers import (
     ETHERTYPE_ARP,
@@ -76,18 +79,11 @@ class RouterInterface:
         self.name = f"{router.name}-eth{index}"
         self.nic = PmaddNic(router.kernel, link, mac, name=self.name)
         self.netio = NetworkIoModule(router.kernel, self.nic)
-        self.netio.kernel_rx = self._kernel_rx
+        self.netio.kernel_rx = partial(router._rx, self)
         self.arp = ArpStack(ip, mac)
 
     def __repr__(self) -> str:
         return f"<RouterInterface {self.name} {ip_to_str(self.ip)}/{self.prefix_len}>"
-
-    def _kernel_rx(
-        self, ethertype: int, payload: bytes, link_info: LinkInfo
-    ) -> Generator:
-        # Plain call returning the router's generator (not a delegating
-        # generator itself): one less frame on every receive resume.
-        return self.router._rx(self, ethertype, payload, link_info)
 
 
 class Router:
@@ -111,9 +107,11 @@ class Router:
         self.routes = RouteTable()
         # Per-tier capacity: fat-tree builders give aggregation/core
         # routers deeper input queues than the class default.
-        self._input: Store = Store(
-            sim, capacity=input_queue_packets or self.INPUT_QUEUE_PACKETS
-        )
+        self._input_limit = input_queue_packets or self.INPUT_QUEUE_PACKETS
+        self._input: Deque[tuple] = deque()
+        #: The event the idle worker waits on; the next arrival is
+        #: handed over through it without occupying a queue slot.
+        self._parked: Optional[Event] = None
         self.stats = Counters()
         sim.process(self._worker(), name=f"{name}-fwd")
 
@@ -168,7 +166,7 @@ class Router:
         }
 
     # ------------------------------------------------------------------
-    # Receive (interrupt context — must never block on the network)
+    # Receive (interrupt context — callbacks, which cannot block)
     # ------------------------------------------------------------------
 
     def _rx(
@@ -177,27 +175,53 @@ class Router:
         ethertype: int,
         payload: bytes,
         link_info: LinkInfo,
-    ) -> Generator:
+        done: Done,
+    ) -> None:
         if ethertype == ETHERTYPE_ARP:
-            yield from self._arp_rx(iface, payload)
+            self.sim.process(work_then(self._arp_rx(iface, payload), done))
             return
         if ethertype != ETHERTYPE_IP:
+            done()
             return
         try:
             header = Ipv4Header.unpack(payload)
         except HeaderError:
+            done()
             return
         if not Ipv4Header.LENGTH <= header.total_length <= len(payload):
             self.stats["bad_length"] += 1
+            done()
             return
+        stage = partial(self._ip_input, iface, header, payload, link_info, done)
         cost = self.kernel.costs.ip_input
         if cost:
-            yield self.kernel.cpu.charge(cost)
+            self.kernel.cpu.charge(cost, stage)
+        else:
+            stage(None)
+
+    def _ip_input(
+        self,
+        iface: RouterInterface,
+        header: Ipv4Header,
+        payload: bytes,
+        link_info: LinkInfo,
+        done: Done,
+        _event: object,
+    ) -> None:
         if header.dst in self.local_ips:
-            yield from self._local_rx(iface, header, payload, link_info)
+            work = self._local_rx(iface, header, payload, link_info)
+            self.sim.process(work_then(work, done))
             return
-        if not self._input.try_put(("forward", iface, header, payload)):
+        job = (iface, header, payload)
+        parked = self._parked
+        if parked is not None:
+            self._parked = None
+            parked.succeed(job)
+        elif len(self._input) < self._input_limit:
+            self._input.append(job)
+        else:
             self.stats["input_dropped"] += 1
+        done()
 
     def _arp_rx(self, iface: RouterInterface, payload: bytes) -> Generator:
         try:
@@ -242,11 +266,12 @@ class Router:
             # Packets that arrived while the last one was being
             # forwarded are taken directly; only an empty queue parks
             # the worker on an event.
-            job = self._input.try_get()
-            if job is None:
-                job = yield self._input.get()
-            kind, iface, header, packet = job
-            assert kind == "forward"
+            if self._input:
+                job = self._input.popleft()
+            else:
+                self._parked = Event(self.sim)
+                job = yield self._parked
+            iface, header, packet = job
             cost = self.kernel.costs.ip_forward
             prof = _profile.PROFILER
             if prof is not None:

@@ -256,8 +256,7 @@ class Transmitter:
         if self._blocked:
             # The freed slot goes to the longest-blocked sender *now*,
             # not when that sender next runs: one arriving later in this
-            # same instant finds staging full again and waits behind it
-            # (what ``Store._trigger`` does for blocked puts).
+            # same instant finds staging full again and waits behind it.
             waiting, admitted = self._blocked.popleft()
             staged.append(waiting)
             admitted.succeed()
@@ -274,7 +273,7 @@ class Transmitter:
         stats["tx_frames"] += 1
         stats["tx_bytes"] += length
         self._wire_time = wire_time = link.wire_time(length)
-        self._serial.hold(wire_time).callbacks.append(self._turn_over)
+        self._serial.hold(wire_time, self._turn_over)
 
     def _turn_over(self, _event: Event) -> None:
         link = self.link

@@ -15,6 +15,7 @@ module on the registry server's instruction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Generator, Optional
 
 from ...counters import Counters
@@ -193,13 +194,27 @@ class An1Nic(Nic):
         if rec is not None:
             rec.touch(frame, "nic.rx", self.sim.now, self.name,
                       detail=f"bqi={ring.bqi}")
-        self.sim.process(
-            self._rx_dma(frame, ring), name=f"{self.name}-rxdma"
-        )
+        # DMA into the ring, then the interrupt.  Frames are independent
+        # on this controller, so each carries its own state along.
+        self.sim.call_later(self.DMA_LATENCY, self._rx_arrived, (frame, ring))
 
-    def _rx_dma(self, frame: bytes, ring: BufferRing) -> Generator:
-        yield self.sim.timeout(self.DMA_LATENCY)  # DMA into the ring.
-        yield from self.kernel.cpu.consume(self.kernel.costs.interrupt)
+    def _rx_arrived(self, arrival: tuple[bytes, BufferRing]) -> None:
+        stage = partial(self._rx_dispatch, *arrival)
+        cost = self.kernel.costs.interrupt
+        if cost:
+            self.kernel.cpu.charge(cost, stage)
+        else:
+            stage(None)
+
+    def _rx_dispatch(self, frame: bytes, ring: BufferRing, _event: object) -> None:
         self.stats["rx_frames"] += 1
         self.stats["rx_bytes"] += len(frame)
-        yield from self._run_rx_handler(frame, ring)
+        handler = self.rx_handler
+        if handler is None:
+            self.stats["rx_ignored"] += 1
+        else:
+            handler(frame, ring, _consumed)
+
+
+def _consumed() -> None:
+    """``done`` of a controller that holds nothing back meanwhile."""

@@ -14,10 +14,12 @@ from typing import Any, Callable, Generator, Optional
 from ...mach.kernel import Kernel
 from ..link import Link
 
-#: Installed by the network I/O module: ``handler(frame, context)`` is a
-#: generator run in interrupt context.  ``context`` is None for NICs
-#: without hardware demux, or the ring the hardware selected.
-RxHandler = Callable[[bytes, Any], Generator]
+#: Installed by the network I/O module: ``handler(frame, context, done)``
+#: runs in interrupt context — a plain call that never blocks.
+#: ``context`` is None for NICs without hardware demux, or the ring the
+#: hardware selected.  The handler calls ``done()`` exactly once when it
+#: has consumed the frame, before it returns or from a later completion.
+RxHandler = Callable[[bytes, Any, Callable[[], None]], None]
 
 
 class Nic(abc.ABC):
@@ -51,9 +53,3 @@ class Nic(abc.ABC):
     @abc.abstractmethod
     def wire_deliver(self, frame: bytes) -> None:
         """Called by the link when a frame arrives at this NIC."""
-
-    def _run_rx_handler(self, frame: bytes, context: Any) -> Generator:
-        if self.rx_handler is None:
-            self.stats["rx_ignored"] += 1
-            return
-        yield from self.rx_handler(frame, context)

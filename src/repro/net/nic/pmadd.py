@@ -13,7 +13,7 @@ path, and the reason AN1 (DMA) changes the balance in Tables 2/3.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, Generator, Optional
 
 from ...mach.kernel import Kernel
 from ...obs import spans as _spans
@@ -44,7 +44,8 @@ class PmaddNic(Nic):
         self._tx = Transmitter(link, self, capacity=self.BOARD_BUFFERS)
         self._rx_buffers: list[bytes] = []
         self._rx_interrupt_pending = False
-        self._rxintr_name = f"{name}-rxintr"
+        #: The frame being copied to the host (one at a time).
+        self._rx_frame: Optional[bytes] = None
 
     @property
     def mtu_data(self) -> int:
@@ -73,7 +74,8 @@ class PmaddNic(Nic):
         self.stats["tx_bytes"] += len(frame)
 
     # ------------------------------------------------------------------
-    # Receive: stage on board, interrupt, PIO copy to host, hand off.
+    # Receive: stage on board, interrupt, PIO copy to host, hand off —
+    # interrupt context, so callbacks chained on the CPU charges.
     # ------------------------------------------------------------------
 
     def wire_deliver(self, frame: bytes) -> None:
@@ -89,33 +91,38 @@ class PmaddNic(Nic):
         self._rx_buffers.append(frame)
         if not self._rx_interrupt_pending:
             self._rx_interrupt_pending = True
-            self.sim.process(self._rx_interrupt(), name=self._rxintr_name)
+            self._rx_take()
 
-    def _rx_interrupt(self) -> Generator:
-        costs = self.kernel.costs
-        cpu = self.kernel.cpu
-        try:
-            while self._rx_buffers:
-                cost = costs.interrupt
-                if cost:
-                    yield cpu.charge(cost)
-                # Drain every frame staged by the time we got the CPU —
-                # the natural interrupt-coalescing a busy receiver sees.
-                frame = self._rx_buffers.pop(0)
-                cost = costs.pio_cost(len(frame))
-                if cost:
-                    yield cpu.charge(cost)
-                self.stats["rx_frames"] += 1
-                self.stats["rx_bytes"] += len(frame)
-                # Dispatch straight to the handler: the _run_rx_handler
-                # wrapper would add a generator frame to every resume of
-                # the whole downstream receive path.
-                handler = self.rx_handler
-                if handler is None:
-                    self.stats["rx_ignored"] += 1
-                else:
-                    yield from handler(frame, None)
-        finally:
-            # Never wedge the interrupt path: even if a handler raised,
-            # the next delivery must be able to spawn a fresh handler.
+    def _rx_take(self) -> None:
+        """Raise the interrupt for the next staged frame, or stand down.
+        Also the handler's ``done``: a frame is taken only when the one
+        before it has been consumed."""
+        if not self._rx_buffers:
             self._rx_interrupt_pending = False
+            return
+        cost = self.kernel.costs.interrupt
+        if cost:
+            self.kernel.cpu.charge(cost, self._rx_pio)
+        else:
+            self._rx_pio(None)
+
+    def _rx_pio(self, _event: object) -> None:
+        # Popped only once the CPU took the interrupt: frames staged
+        # while it was busy drain in arrival order, one after another.
+        self._rx_frame = frame = self._rx_buffers.pop(0)
+        cost = self.kernel.costs.pio_cost(len(frame))
+        if cost:
+            self.kernel.cpu.charge(cost, self._rx_dispatch)
+        else:
+            self._rx_dispatch(None)
+
+    def _rx_dispatch(self, _event: object) -> None:
+        frame, self._rx_frame = self._rx_frame, None
+        self.stats["rx_frames"] += 1
+        self.stats["rx_bytes"] += len(frame)
+        handler = self.rx_handler
+        if handler is None:
+            self.stats["rx_ignored"] += 1
+            self._rx_take()
+        else:
+            handler(frame, None, self._rx_take)

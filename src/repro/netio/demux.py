@@ -247,8 +247,14 @@ class FlowTable:
         """Resolve one IP frame to its flow target: one indexed lookup
         at the fixed ``flow_lookup`` charge, hit or miss — the lookup
         runs either way."""
-        frame = as_wire_bytes(frame)  # keys are read off the flat image
         cost = costs.flow_lookup
+        if not self._exact and not self._wildcard:
+            # Nothing installed (every router interface; a host that
+            # binds kernel ports, not channels): the lookup is charged
+            # and misses, with no key to read and nothing to remember.
+            self.stats["misses"] += 1
+            return DemuxDecision(None, "miss", cost)
+        frame = as_wire_bytes(frame)  # keys are read off the flat image
         if len(frame) < _IP_OFF + 4 or frame[12] != 0x08 or frame[13] != 0x00:
             # Too short to carry both ports, or not IPv4: no key, and
             # nothing to remember the frame by.
@@ -259,9 +265,8 @@ class FlowTable:
             tier = self._memo_tier
             self.stats["memo_hits"] += 1
             if tier == "miss":
-                # Routers classify every forwarded frame and never
-                # match a flow; the repeated miss is as memoable as a
-                # hit (same fixed lookup charge).
+                # A repeated miss is as memoable as a hit (same fixed
+                # lookup charge).
                 self.stats["misses"] += 1
                 return DemuxDecision(None, "miss", cost)
             self.stats[tier + "_hits"] += 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from ..counters import Counters
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import Callable, Generator, Optional
 
@@ -39,7 +40,7 @@ from ..obs import hist as _hist
 from ..obs import profile as _profile
 from ..obs import spans as _spans
 from .channels import Channel
-from .demux import FlowKey, FlowTable, KERNEL_FLOW
+from .demux import DemuxDecision, FlowKey, FlowTable, KERNEL_FLOW
 from .pktfilter import (
     FilterProgram,
     ScanTable,
@@ -65,10 +66,30 @@ class LinkInfo:
     adv_bqi: int = 0
 
 
+#: What an interrupt-context consumer calls, exactly once, when it has
+#: consumed the packet it was handed — before it returns, or from a
+#: later completion.  The interface takes its next frame only then.
+Done = Callable[[], None]
+
 #: Kernel-side consumer for packets no channel claims (the monolithic
-#: stack, the registry server's handshake path, ARP).  Called as a
-#: generator with (ethertype, payload, link_info).
-KernelRx = Callable[[int, bytes, LinkInfo], Generator]
+#: stack, the registry server's handshake path, ARP): a plain call
+#: ``kernel_rx(ethertype, payload, link_info, done)`` in interrupt
+#: context.  It never blocks; work that transmits or may wait runs as
+#: a kernel thread through :func:`work_then`.
+KernelRx = Callable[[int, bytes, LinkInfo, Done], None]
+
+
+def work_then(work: Generator, done: Done) -> Generator:
+    """Body of a kernel thread: the part of a kernel consumer that
+    answers on the wire (ARP, ICMP, the organization's TCP input) runs
+    as the generator ``work``; the interface is held until it ends."""
+    try:
+        yield from work
+    except Exception:
+        done()
+        raise
+    done()
+
 
 DemuxStyle = str  # "synthesized" | "cspf" | "bpf"
 
@@ -605,41 +626,17 @@ class NetworkIoModule:
     # Reception
     # ------------------------------------------------------------------
 
-    def _rx_handler(self, frame: bytes, context: object) -> Generator:
+    def _rx_handler(self, frame: bytes, context: object, done: Done) -> None:
+        """Interrupt context: every stage runs to completion and chains
+        the next on its CPU charge; ``done()`` once on every exit."""
         costs = self.kernel.costs
         if self.is_an1:
-            yield from self.kernel.cpu.consume(costs.an1_bqi_bookkeeping)
-            ring = context
-            owner = getattr(ring, "owner", None)
-            if isinstance(owner, Channel):
-                # Hardware demuxed straight to the channel's ring: the
-                # ring buffer receives a view of the DMAed frame, not a
-                # fresh copy.
-                header = An1Header.unpack(frame)
-                payload = slice_view(frame, An1Header.LENGTH)
-                rec = _spans.RECORDER
-                if rec is not None:
-                    rec.touch(
-                        frame, "demux", self.kernel.sim.now, self.name,
-                        detail=f"bqi={header.bqi}",
-                        cost=costs.an1_bqi_bookkeeping,
-                    )
-                yield from self._deliver(
-                    owner,
-                    payload,
-                    LinkInfo(header.src, header.bqi, header.adv_bqi),
-                )
-                return
-            header = An1Header.unpack(frame)
-            yield from self._to_kernel(
-                header.ethertype,
-                slice_view(frame, An1Header.LENGTH),
-                LinkInfo(header.src, header.bqi, header.adv_bqi),
-            )
-            # The kernel's (or an unowned) ring lent the buffer; hand
-            # it back once the kernel path has consumed the packet.
-            if ring is not None and not isinstance(owner, Channel):
-                ring.replenish(1)
+            stage = partial(self._rx_ring, frame, context, done)
+            cost = costs.an1_bqi_bookkeeping
+            if cost:
+                self.kernel.cpu.charge(cost, stage)
+            else:
+                stage(None)
             return
 
         # Ethernet: software demultiplexing over the whole frame.
@@ -650,20 +647,16 @@ class NetworkIoModule:
         # object per frame.
         if len(frame) < EthernetHeader.LENGTH:
             self.stats["rx_dropped"] += 1
+            done()
             return
         ethertype = (frame[12] << 8) | frame[13]
-        src = frame[6:12]
         if ethertype != ETHERTYPE_IP:
             # Non-IP (ARP) goes straight to the kernel consumer.
-            kernel_rx = self.kernel_rx
-            if kernel_rx is None:
-                self.stats["rx_dropped"] += 1
-                return
-            self.stats["rx_to_kernel"] += 1
-            yield from kernel_rx(
+            self._kernel_input(
                 ethertype,
                 slice_view(frame, EthernetHeader.LENGTH),
-                LinkInfo(src),
+                LinkInfo(frame[6:12]),
+                done,
             )
             return
         # One engine call classifies the frame; the decision carries the
@@ -677,9 +670,16 @@ class NetworkIoModule:
             t0 = perf_counter()
             decision = self.flow_table.classify(frame, costs)
             prof.charge("demux.classify", decision.cost, perf_counter() - t0)
+        stage = partial(self._rx_classified, frame, decision, done)
         cost = decision.cost
         if cost:
-            yield self.kernel.cpu.charge(cost)
+            self.kernel.cpu.charge(cost, stage)
+        else:
+            stage(None)
+
+    def _rx_classified(
+        self, frame: bytes, decision: DemuxDecision, done: Done, _event: object
+    ) -> None:
         rec = _spans.RECORDER
         if rec is not None:
             rec.touch(
@@ -693,19 +693,63 @@ class NetworkIoModule:
         table_stats = self.flow_table.stats
         table_stats["payload_views"] += 1
         table_stats["bytes_copy_avoided"] += len(payload)
+        link_info = LinkInfo(frame[6:12])
         if matched is not None:
-            yield from self._deliver(matched, payload, LinkInfo(src))
-            return
+            self._deliver(matched, payload, link_info, done)
+        else:
+            self._kernel_input(ETHERTYPE_IP, payload, link_info, done)
+
+    def _rx_ring(
+        self, frame: bytes, ring: object, done: Done, _event: object
+    ) -> None:
+        """AN1: the hardware already chose ``ring`` by the frame's BQI."""
+        header = An1Header.unpack(frame)
+        payload = slice_view(frame, An1Header.LENGTH)
+        link_info = LinkInfo(header.src, header.bqi, header.adv_bqi)
+        owner = getattr(ring, "owner", None)
+        if isinstance(owner, Channel):
+            # Hardware demuxed straight to the channel's ring: the
+            # ring buffer receives a view of the DMAed frame, not a
+            # fresh copy.
+            rec = _spans.RECORDER
+            if rec is not None:
+                rec.touch(
+                    frame, "demux", self.kernel.sim.now, self.name,
+                    detail=f"bqi={header.bqi}",
+                    cost=self.kernel.costs.an1_bqi_bookkeeping,
+                )
+            self._deliver(owner, payload, link_info, done)
+        elif ring is None:
+            self._kernel_input(header.ethertype, payload, link_info, done)
+        else:
+            # The kernel's (or an unowned) ring lent the buffer; hand
+            # it back once the kernel path has consumed the packet.
+            def consumed() -> None:
+                ring.replenish(1)
+                done()
+
+            self._kernel_input(header.ethertype, payload, link_info, consumed)
+
+    def _kernel_input(
+        self, ethertype: int, payload: bytes, link_info: LinkInfo, done: Done
+    ) -> None:
         kernel_rx = self.kernel_rx
         if kernel_rx is None:
             self.stats["rx_dropped"] += 1
+            done()
             return
         self.stats["rx_to_kernel"] += 1
-        yield from kernel_rx(ETHERTYPE_IP, payload, LinkInfo(src))
+        kernel_rx(ethertype, payload, link_info, done)
 
     def _deliver(
-        self, channel: Channel, payload: bytes, link_info: Optional[LinkInfo] = None
-    ) -> Generator:
+        self,
+        channel: Channel,
+        payload: bytes,
+        link_info: Optional[LinkInfo],
+        done: Done,
+    ) -> None:
+        """Place ``payload`` in ``channel``'s ring and signal its owner
+        (also the kernel UDP input's relay into a bound channel)."""
         manager = self.tenants
         if manager is not None and channel.tenant_id is not None:
             # The flow matched the tenant the registry installed it
@@ -740,16 +784,29 @@ class NetworkIoModule:
                     flow_tenant = manager.get(channel.tenant_id)
                     if flow_tenant is not None:
                         flow_tenant.counters["rx_dropped"] += 1
+                    done()
                     return
             elif owner_tenant is not None:
                 owner_tenant.note_rx(len(payload))
         self.stats["rx_demuxed"] += 1
-        deliver_cost = 0.0
-        if not self.is_an1:
-            # Ethernet-only: the staging/placement premium of user-level
-            # delivery without hardware demux (see costs.eth_user_delivery).
-            deliver_cost = self.kernel.costs.eth_user_delivery
-            yield from self.kernel.cpu.consume(deliver_cost)
+        # Ethernet-only: the staging/placement premium of user-level
+        # delivery without hardware demux (see costs.eth_user_delivery).
+        cost = 0.0 if self.is_an1 else self.kernel.costs.eth_user_delivery
+        stage = partial(self._place, channel, payload, link_info, done, cost)
+        if cost:
+            self.kernel.cpu.charge(cost, stage)
+        else:
+            stage(None)
+
+    def _place(
+        self,
+        channel: Channel,
+        payload: bytes,
+        link_info: Optional[LinkInfo],
+        done: Done,
+        deliver_cost: float,
+        _event: object,
+    ) -> None:
         signal_due = channel.signal_cost_due
         if signal_due:
             deliver_cost += self.kernel.costs.semaphore_signal
@@ -776,13 +833,8 @@ class NetworkIoModule:
         channel.deliver(payload, link_info)
         if signal_due:
             self.stats["signals_charged"] += 1
-            yield from self.kernel.cpu.consume(
-                self.kernel.costs.semaphore_signal
-            )
-
-    def _to_kernel(self, ethertype: int, payload: bytes, link_info: LinkInfo) -> Generator:
-        if self.kernel_rx is None:
-            self.stats["rx_dropped"] += 1
-            return
-        self.stats["rx_to_kernel"] += 1
-        yield from self.kernel_rx(ethertype, payload, link_info)
+            cost = self.kernel.costs.semaphore_signal
+            if cost:
+                self.kernel.cpu.charge(cost, lambda _: done())
+                return
+        done()

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ...obs import hist as _hist
+from .seq import seq_ge
 
 
 @dataclass
@@ -60,8 +61,6 @@ class RttEstimator:
         """Process a cumulative ACK; take an RTT sample if it covers the
         timed segment.  Returns the sample (seconds) when one was taken
         — congestion control (BBR's min-RTT filter) consumes it too."""
-        from .seq import seq_ge
-
         sample = None
         if self._timed_seq is not None and seq_ge(ack, self._timed_seq):
             sample = now - self._timed_at

@@ -9,6 +9,7 @@ from typing import Optional
 from .cc import CongestionAlgorithm, make_cc
 from .reassembly import ReassemblyQueue
 from .rto import RttEstimator
+from .seq import seq_diff, seq_gt
 
 
 class State(enum.Enum):
@@ -182,8 +183,6 @@ class Tcb:
     @property
     def flight_size(self) -> int:
         """Unacknowledged bytes in the network."""
-        from .seq import seq_diff
-
         return max(0, seq_diff(self.snd_nxt, self.snd_una))
 
     @property
@@ -199,12 +198,8 @@ class Tcb:
     @property
     def sent_data_bytes(self) -> int:
         """Buffered bytes already transmitted at least once."""
-        from .seq import seq_diff
-
         sent = seq_diff(self.snd_nxt, self.buf_base)
         if self.fin_sent and self.fin_seq is not None:
-            from .seq import seq_gt
-
             if seq_gt(self.snd_nxt, self.fin_seq):
                 sent -= 1  # Exclude the FIN's sequence slot.
         return min(max(0, sent), len(self.send_buffer))

@@ -18,7 +18,7 @@ from .events import (
     Process,
     Timeout,
 )
-from .resources import CPU, Serial, Store, StoreGet, StorePut
+from .resources import CPU, Serial, Store
 
 __all__ = [
     "Simulator",
@@ -29,8 +29,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Store",
-    "StoreGet",
-    "StorePut",
     "Serial",
     "CPU",
     "Interrupt",

@@ -267,9 +267,9 @@ class Process(Event):
         """The generator has ended and ``_ok``/``_value`` are set.
 
         With someone waiting, the process fires like any event, one
-        zero-delay event later.  With nobody waiting (an interrupt
-        handler, a per-connection worker — most processes are never
-        joined) it is *processed* here and now: no engine event is spent
+        zero-delay event later.  With nobody waiting (a kernel thread,
+        a per-connection worker — most processes are never joined) it
+        is *processed* here and now: no engine event is spent
         on a completion nobody observes, and a later ``yield proc``,
         ``run(until=proc)`` or condition over it sees a processed event
         and continues at once with its value or exception.

@@ -2,8 +2,8 @@
 
 Three primitives cover everything the substrate needs:
 
-* :class:`Store` — an unbounded-or-bounded FIFO of items; the universal
-  mailbox/queue used by NICs, IPC, and device drivers.
+* :class:`Store` — an unbounded FIFO of items; the mailbox behind Mach
+  ports and accept backlogs.
 * :class:`Serial` — a capacity-1 FIFO timeline whose holders know their
   hold time up front, so a turn costs one engine event; link media and
   transmit channels are these.
@@ -15,106 +15,41 @@ Three primitives cover everything the substrate needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator
+from typing import Any, Callable, Deque, Generator, Optional
 
 from .engine import Simulator
-from .events import PENDING, Event
-
-
-class StorePut(Event):
-    """Request to place ``item`` into a store."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any) -> None:
-        self.sim = store.sim
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = None
-        self._cancelled = False
-        self.item = item
-        store._put_queue.append(self)
-        store._trigger()
-
-
-class StoreGet(Event):
-    """Request to take the next item out of a store."""
-
-    __slots__ = ()
-
-    def __init__(self, store: "Store") -> None:
-        self.sim = store.sim
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = None
-        self._cancelled = False
-        store._get_queue.append(self)
-        store._trigger()
+from .events import Event
 
 
 class Store:
-    """A FIFO of items with event-based put/get.
+    """An unbounded FIFO of items with event-based put/get."""
 
-    ``capacity`` bounds the number of buffered items; puts beyond the
-    bound block until space frees.  The default is unbounded.
-    """
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.capacity = capacity
         self.items: Deque[Any] = deque()
-        self._put_queue: Deque[StorePut] = deque()
-        self._get_queue: Deque[StoreGet] = deque()
+        self._getters: Deque[Event] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def put(self, item: Any) -> StorePut:
-        """Event that fires when ``item`` has entered the store."""
-        return StorePut(self, item)
+    def put(self, item: Any) -> Event:
+        """Event that fires when ``item`` has entered the store — ahead
+        of the event of a getter that was waiting for it."""
+        event = Event(self.sim).succeed()
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            self.items.append(item)
+        return event
 
-    def get(self) -> StoreGet:
+    def get(self) -> Event:
         """Event that fires with the next item."""
-        return StoreGet(self)
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False if the store is full."""
-        if len(self.items) >= self.capacity:
-            return False
-        # Room in the store means no put is blocked ahead of this one
-        # (``_trigger`` admits blocked puts the moment space frees), so
-        # the item goes straight in: no StorePut event nobody waits on.
-        self.items.append(item)
-        self._trigger()
-        return True
-
-    def try_get(self) -> Any:
-        """Non-blocking get; returns None if the store is empty."""
-        if not self.items:
-            return None
-        item = self.items.popleft()
-        self._trigger()
-        return item
-
-    def _trigger(self) -> None:
-        items = self.items
-        put_queue = self._put_queue
-        get_queue = self._get_queue
-        capacity = self.capacity
-        while True:
-            progressed = False
-            while put_queue and len(items) < capacity:
-                put = put_queue.popleft()
-                items.append(put.item)
-                put.succeed()
-                progressed = True
-            while get_queue and items:
-                get_queue.popleft().succeed(items.popleft())
-                progressed = True
-            if not progressed:
-                return
+        event = Event(self.sim)
+        if self.items:
+            event.succeed(self.items.popleft())
+        else:
+            self._getters.append(event)
+        return event
 
 
 class Serial:
@@ -136,9 +71,10 @@ class Serial:
         #: Simulated seconds of turns handed out so far.
         self.busy_time = 0.0
 
-    def hold(self, duration: float) -> Event:
+    def hold(self, duration: float, then: Optional[Callable[[Event], None]] = None) -> Event:
         """Event that fires when a ``duration``-long turn, queued FIFO
-        behind every earlier hold, completes."""
+        behind every earlier hold, completes.  ``then(event)`` runs
+        first when it does: the next stage of a callback chain."""
         if duration < 0:
             raise ValueError(f"negative duration {duration}")
         sim = self.sim
@@ -148,6 +84,8 @@ class Serial:
         self.busy_until = done = start + duration
         self.busy_time += duration
         event = Event(sim)
+        if then is not None:
+            event.callbacks = [then]
         event._ok = True
         event._value = None
         sim.schedule_at(event, done)
@@ -166,9 +104,11 @@ class CPU(Serial):
         self.name = name
 
     #: ``yield host.cpu.charge(costs.trap)``: spend ``cost`` seconds of
-    #: this CPU, FIFO behind everything charged earlier.  Callers skip
-    #: zero costs (``if cost:``) — a zero-length turn would still wait
-    #: its place in line.
+    #: this CPU, FIFO behind everything charged earlier; interrupt
+    #: context, which cannot yield, passes its next stage instead
+    #: (``cpu.charge(cost, stage)``).  Callers skip zero costs
+    #: (``if cost:``) — a zero-length turn would still wait its place
+    #: in line.
     charge = Serial.hold
 
     def consume(self, cost: float) -> Generator[Event, Any, None]:

@@ -45,7 +45,7 @@ def test_udp_to_closed_port_draws_port_unreachable():
 
     original_rx = testbed.host_a._kernel_rx
 
-    def spying_rx(ethertype, payload, link_info):
+    def spying_rx(ethertype, payload, link_info, done):
         from repro.net.headers import ETHERTYPE_IP
 
         if ethertype == ETHERTYPE_IP:
@@ -57,7 +57,7 @@ def test_udp_to_closed_port_draws_port_unreachable():
                 message = decode_unreachable(payload[Ipv4Header.LENGTH:])
                 if message is not None:
                     unreachables.append(message)
-        yield from original_rx(ethertype, payload, link_info)
+        original_rx(ethertype, payload, link_info, done)
 
     testbed.host_a.netio.kernel_rx = spying_rx
 
@@ -81,7 +81,7 @@ def test_udp_to_bound_port_draws_no_unreachable():
 
     original_rx = testbed.host_a._kernel_rx
 
-    def spying_rx(ethertype, payload, link_info):
+    def spying_rx(ethertype, payload, link_info, done):
         from repro.net.headers import ETHERTYPE_IP
 
         if ethertype == ETHERTYPE_IP:
@@ -91,7 +91,7 @@ def test_udp_to_bound_port_draws_no_unreachable():
                     icmp_seen.append(payload)
             except Exception:
                 pass
-        yield from original_rx(ethertype, payload, link_info)
+        original_rx(ethertype, payload, link_info, done)
 
     testbed.host_a.netio.kernel_rx = spying_rx
 

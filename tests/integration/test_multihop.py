@@ -20,7 +20,7 @@ def capture_icmp(host):
     captured = []
     original = host.netio.kernel_rx
 
-    def spy(ethertype, payload, link_info):
+    def spy(ethertype, payload, link_info, done):
         if ethertype == ETHERTYPE_IP:
             try:
                 header = Ipv4Header.unpack(payload)
@@ -30,7 +30,7 @@ def capture_icmp(host):
                 captured.append(
                     (payload[Ipv4Header.LENGTH : header.total_length], header.src)
                 )
-        yield from original(ethertype, payload, link_info)
+        original(ethertype, payload, link_info, done)
 
     host.netio.kernel_rx = spy
     return captured

@@ -190,7 +190,7 @@ def test_icmp_ping_works_alongside_tcp(organization):
     # Capture ICMP replies on host A via the kernel dispatch.
     original = testbed.host_a._kernel_rx
 
-    def spying_rx(ethertype, payload, link_info):
+    def spying_rx(ethertype, payload, link_info, done):
         from repro.net.headers import ETHERTYPE_IP, Ipv4Header
 
         if ethertype == ETHERTYPE_IP:
@@ -199,7 +199,7 @@ def test_icmp_ping_works_alongside_tcp(organization):
                 echo = decode_echo(payload[20:])
                 if echo and not echo.is_request:
                     replies.append(echo)
-        yield from original(ethertype, payload, link_info)
+        original(ethertype, payload, link_info, done)
 
     testbed.host_a.netio.kernel_rx = spying_rx
 

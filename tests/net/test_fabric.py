@@ -295,6 +295,7 @@ def test_router_drops_packets_whose_total_length_lies():
     host_a, host_b = topo.hosts
     router = topo.routers[0]
     iface = router.interfaces[0]
+    consumed = []
 
     def arrive(total_length):
         header = Ipv4Header(
@@ -302,7 +303,10 @@ def test_router_drops_packets_whose_total_length_lies():
             total_length=total_length,
         )
         packet = header.pack() + b"x" * 30
-        sim.process(router._rx(iface, ETHERTYPE_IP, packet, LinkInfo(host_a.nic.mac)))
+        router._rx(
+            iface, ETHERTYPE_IP, packet, LinkInfo(host_a.nic.mac),
+            lambda: consumed.append(total_length),
+        )
 
     arrive(5)    # Below the header length.
     arrive(51)   # One byte more than arrived.
@@ -315,3 +319,67 @@ def test_router_drops_packets_whose_total_length_lies():
     sim.run(until=0.2)
     assert router.stats["bad_length"] == 2
     assert host_b.ip_stack.stats["received"] == 1
+    assert consumed == [5, 51, 50]  # ``done`` once each, dropped or not.
+
+
+# ----------------------------------------------------------------------
+# Router input queue: a deque plus the event the idle worker waits on
+# ----------------------------------------------------------------------
+
+
+def _forwardable(topo, ident):
+    host_a, host_b = topo.hosts
+    header = Ipv4Header(
+        src=host_a.ip, dst=host_b.ip, protocol=PROTO_UDP,
+        total_length=Ipv4Header.LENGTH + 30, ident=ident,
+    )
+    return header.pack() + b"x" * 30
+
+
+def test_router_parked_worker_takes_a_packet_without_using_a_slot():
+    sim = Simulator()
+    topo = chain(sim, n_routers=1)
+    router = topo.routers[0]
+    iface = router.interfaces[0]
+    link_info = LinkInfo(topo.hosts[0].nic.mac)
+    sim.run(until=0.001)  # The worker has started and found nothing.
+    assert router._parked is not None
+    consumed = []
+    limit = router.INPUT_QUEUE_PACKETS
+    # The worker's ``ip_forward`` charge queues behind every ``ip_input``
+    # charged here, so it takes nothing more meanwhile: the first packet
+    # is handed to it directly, ``limit`` more fill the queue, one is shed.
+    for ident in range(limit + 2):
+        router._rx(
+            iface, ETHERTYPE_IP, _forwardable(topo, ident), link_info,
+            lambda ident=ident: consumed.append(ident),
+        )
+    sim.run(until=sim.now + router.kernel.costs.ip_input * (limit + 2) * 1.5)
+    assert consumed == list(range(limit + 2))
+    assert router.stats["input_dropped"] == 1
+    sim.run(until=5.0)
+    assert topo.hosts[1].ip_stack.stats["received"] == limit + 1
+    assert router._parked is not None and not router._input
+
+
+def test_router_queue_neither_loses_nor_reorders():
+    sim = Simulator()
+    topo = chain(sim, n_routers=1)
+    host_a, host_b = topo.hosts
+    router = topo.routers[0]
+    forwarded = []
+
+    def tap(frame):
+        if frame[12:14] == b"\x08\x00" and frame[23] == PROTO_UDP:
+            forwarded.append(int.from_bytes(frame[18:20], "big"))
+
+    topo.links[-1].taps.append(tap)
+    for ident in range(1, 41):
+        router._rx(
+            router.interfaces[0], ETHERTYPE_IP, _forwardable(topo, ident),
+            LinkInfo(host_a.nic.mac), lambda: None,
+        )
+    sim.run(until=5.0)
+    assert router.stats["input_dropped"] == 0
+    assert forwarded == list(range(1, 41))
+    assert host_b.ip_stack.stats["received"] == 40

@@ -47,9 +47,9 @@ def make_eth_world(costs=FREE, n_hosts=2, faults=None):
 
 
 def collect_handler(received):
-    def handler(frame, context):
+    def handler(frame, context, done):
         received.append((frame, context))
-        yield from ()
+        done()
 
     return handler
 
@@ -245,6 +245,70 @@ def test_pmadd_rx_overflow_drops():
     assert nics[1].stats["rx_frames"] == PmaddNic.BOARD_BUFFERS
 
 
+def test_pmadd_drains_staged_frames_in_order_one_interrupt_each():
+    """Frames that arrive while the handler holds the one before them
+    are staged, and taken in arrival order — each behind an interrupt
+    charge of its own — only once ``done`` is called."""
+    costs = DECSTATION_5000_200
+    sim, link, kernels, nics = make_eth_world(costs=costs)
+    frames = [eth_frame(MAC_B, MAC_A, bytes([i]) * 64) for i in range(4)]
+    got, held = [], []
+
+    def handler(frame, context, done):
+        got.append(frame)
+        held.append(done)
+
+    nics[1].rx_handler = handler
+    nics[1].wire_deliver(frames[0])
+    sim.run()
+    assert got == frames[:1] and nics[1]._rx_interrupt_pending
+    for frame in frames[1:]:
+        nics[1].wire_deliver(frame)
+    sim.run()
+    assert got == frames[:1]  # The handler has not let go yet.
+    while held:
+        held.pop()()
+        sim.run()
+    assert got == frames
+    assert not nics[1]._rx_interrupt_pending and not nics[1]._rx_buffers
+    assert nics[1].stats["rx_frames"] == 4
+    assert kernels[1].cpu.busy_time == pytest.approx(
+        sum(costs.interrupt + costs.pio_cost(len(frame)) for frame in frames)
+    )
+
+
+def test_pmadd_frame_arriving_with_all_buffers_staged_is_dropped():
+    sim, link, kernels, nics = make_eth_world(costs=DECSTATION_5000_200)
+    got = []
+    nics[1].rx_handler = collect_handler(got)
+    kernels[1].cpu.charge(0.01)  # Interrupts wait: everything stages.
+    for i in range(PmaddNic.BOARD_BUFFERS + 1):
+        nics[1].wire_deliver(eth_frame(MAC_B, MAC_A, bytes([i]) * 64))
+    assert len(nics[1]._rx_buffers) == PmaddNic.BOARD_BUFFERS
+    assert nics[1].stats["rx_dropped_no_buffer"] == 1
+    sim.run()
+    assert [frame[-1] for frame, _ in got] == list(range(PmaddNic.BOARD_BUFFERS))
+
+
+def test_exception_in_interrupt_context_leaves_the_simulator():
+    """It used to die with the unjoined ``-rxintr`` process: ``run()``
+    returned normally, the exception was visible nowhere, and the two
+    frames staged behind the first sat on the board with no interrupt
+    pending until some unrelated frame arrived."""
+    sim, link, kernels, nics = make_eth_world(costs=DECSTATION_5000_200)
+    kernels[1].cpu.charge(0.01)  # Three frames stage behind one interrupt.
+
+    def handler(frame, context, done):
+        raise RuntimeError("handler bug")
+
+    nics[1].rx_handler = handler
+    for i in range(3):
+        nics[1].wire_deliver(eth_frame(MAC_B, MAC_A, bytes([i]) * 64))
+    with pytest.raises(RuntimeError, match="handler bug"):
+        sim.run()
+    assert nics[1].stats["rx_frames"] == 1
+
+
 def test_pmadd_corruption_reaches_handler():
     injector = FaultInjector(corrupt_rate=1.0, seed=1)
     sim, link, kernels, nics = make_eth_world(faults=injector)
@@ -346,10 +410,10 @@ def test_an1_ring_replenish_resumes_delivery():
     ring = nics[1].allocate_bqi(capacity=1, owner="app")
     got = []
 
-    def handler(frame, ctx):
+    def handler(frame, ctx, done):
         got.append(frame)
         ctx.replenish()  # Library hands the buffer back.
-        yield from ()
+        done()
 
     nics[1].rx_handler = handler
 

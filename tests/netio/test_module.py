@@ -6,7 +6,20 @@ import pytest
 from repro.costs import DECSTATION_5000_200, FREE
 from repro.mach import Kernel
 from repro.net import An1Link, An1Nic, EthernetLink, PmaddNic, str_to_ip, str_to_mac
-from repro.net.headers import ETHERTYPE_IP, Ipv4Header, PROTO_TCP, TCP_ACK
+from repro.host import Host
+from repro.net.headers import (
+    ARP_REQUEST,
+    ETHERTYPE_ARP,
+    ETHERTYPE_IP,
+    PROTO_ICMP,
+    PROTO_TCP,
+    PROTO_UDP,
+    TCP_ACK,
+    An1Header,
+    ArpPacket,
+    EthernetHeader,
+    Ipv4Header,
+)
 from repro.netio import (
     Channel,
     ChannelClosed,
@@ -15,8 +28,12 @@ from repro.netio import (
     TemplateViolation,
     tcp_send_template,
 )
+from repro.netio.module import LinkInfo
+from repro.protocols.icmp import encode_echo
 from repro.protocols.tcp import Segment, encode_segment
+from repro.protocols.udp import encode_datagram
 from repro.sim import Simulator
+from repro.tenancy.tenant import TenantManager
 
 IP_A = str_to_ip("10.0.0.1")
 IP_B = str_to_ip("10.0.0.2")
@@ -155,9 +172,9 @@ def test_unauthorized_traffic_goes_to_kernel_not_channel():
     chan_a, chan_b = world.channel_pair()
     kernel_got = []
 
-    def kernel_rx(ethertype, payload, link_src):
+    def kernel_rx(ethertype, payload, link_src, done):
         kernel_got.append(payload)
-        yield from ()
+        done()
 
     world.io_b.kernel_rx = kernel_rx
     # A different connection's packet (port 9999, no channel).
@@ -370,9 +387,9 @@ def test_an1_bqi_zero_goes_to_kernel():
     world = An1World()
     kernel_got = []
 
-    def kernel_rx(ethertype, payload, link_src):
+    def kernel_rx(ethertype, payload, link_src, done):
         kernel_got.append((ethertype, payload))
-        yield from ()
+        done()
 
     world.io_b.kernel_rx = kernel_rx
     packet = ip_packet(IP_A, IP_B, 5000, 80)
@@ -399,3 +416,220 @@ def test_an1_channel_teardown_releases_bqi():
     assert bqi in world.nic_b.bqi_table
     world.io_b.destroy_channel(world.registry_b, chan_b)
     assert bqi not in world.nic_b.bqi_table
+
+
+# ----------------------------------------------------------------------
+# The interrupt-context contract: ``done()`` exactly once on every exit
+# ----------------------------------------------------------------------
+
+
+def eth_frame(packet, ethertype=ETHERTYPE_IP):
+    return EthernetHeader(MAC_B, MAC_A, ethertype).pack() + packet
+
+
+def rx_once(world, frame, context=None):
+    """Feed one frame to B's receive handler; how often it said done."""
+    calls = []
+    world.io_b._rx_handler(frame, context, lambda: calls.append(world.sim.now))
+    world.sim.run()
+    return calls
+
+
+def holding_consumer(world):
+    """A kernel consumer that keeps ``done`` instead of calling it."""
+    held = []
+    world.io_b.kernel_rx = lambda ethertype, payload, link_info, done: held.append(
+        (ethertype, bytes(payload), done)
+    )
+    return held
+
+
+def test_rx_handler_truncated_frame_is_dropped_and_done():
+    world = EthWorld(costs=DECSTATION_5000_200)
+    assert len(rx_once(world, b"\x02" * 10)) == 1
+    assert world.io_b.stats["rx_dropped"] == 1
+
+
+@pytest.mark.parametrize("ethertype", [0x0806, ETHERTYPE_IP])
+def test_rx_handler_without_kernel_consumer_drops_and_is_done(ethertype):
+    world = EthWorld(costs=DECSTATION_5000_200)
+    frame = eth_frame(ip_packet(IP_A, IP_B, 5000, 9999), ethertype)
+    assert len(rx_once(world, frame)) == 1
+    assert world.io_b.stats["rx_dropped"] == 1
+    assert world.io_b.stats["rx_to_kernel"] == 0
+
+
+@pytest.mark.parametrize("ethertype", [0x0806, ETHERTYPE_IP])
+def test_rx_handler_leaves_done_to_the_kernel_consumer(ethertype):
+    """Non-IP frames and demux misses: the consumer owns ``done``."""
+    world = EthWorld(costs=DECSTATION_5000_200)
+    held = holding_consumer(world)
+    packet = ip_packet(IP_A, IP_B, 5000, 9999)
+    calls = rx_once(world, eth_frame(packet, ethertype))
+    assert calls == []  # Not the module's to call.
+    (got_type, got_payload, done), = held
+    assert (got_type, got_payload) == (ethertype, packet)
+    done()
+    assert len(calls) == 1
+    assert world.io_b.stats["rx_to_kernel"] == 1
+
+
+def test_rx_handler_demux_hit_is_done_after_the_signal_charge():
+    costs = DECSTATION_5000_200
+    world = EthWorld(costs=costs)
+    chan_a, chan_b = world.channel_pair()
+    held = holding_consumer(world)
+    start = world.sim.now
+    calls = rx_once(world, eth_frame(ip_packet(IP_A, IP_B, 5000, 80)))
+    assert held == [] and chan_b.stats["delivered"] == 1
+    assert calls == [
+        pytest.approx(
+            start + costs.flow_lookup + costs.eth_user_delivery
+            + costs.semaphore_signal
+        )
+    ]
+    # A second frame rides the pending notification: no signal charge.
+    start = world.sim.now
+    calls = rx_once(world, eth_frame(ip_packet(IP_A, IP_B, 5000, 80)))
+    assert calls == [
+        pytest.approx(start + costs.flow_lookup + costs.eth_user_delivery)
+    ]
+    assert world.io_b.stats["signals_charged"] == 1
+
+
+def test_rx_handler_tenant_refused_delivery_is_done():
+    world = EthWorld(costs=DECSTATION_5000_200)
+    manager = TenantManager()
+    world.io_b.tenants = manager
+    victim = manager.create_tenant("victim")
+    thief = manager.create_tenant("thief")
+    manager.bind_task(world.app_b, victim)
+    chan_a, chan_b = world.channel_pair()
+    # The channel crosses the tenant boundary after the flow was
+    # installed for its first owner.
+    chan_b.owner = world.k_b.create_task("thief-app")
+    manager.bind_task(chan_b.owner, thief)
+    assert len(rx_once(world, eth_frame(ip_packet(IP_A, IP_B, 5000, 80)))) == 1
+    assert world.io_b.stats["rx_refused"] == 1
+    assert chan_b.stats["delivered"] == 0
+    assert [entry[-1] for entry in manager.delivery_log] == [False]
+    assert manager.audit["cross_tenant_delivery_blocked"] == 1
+
+
+def test_rx_handler_an1_channel_ring_is_done():
+    world = An1World(costs=DECSTATION_5000_200)
+    chan_b = world.run(
+        world.io_b.create_channel(
+            world.registry_b, world.app_b,
+            tcp_send_template(IP_B, 80, IP_A, 5000),
+            local_ip=IP_B, local_port=80,
+            remote_ip=IP_A, remote_port=5000, link_dst=1,
+        )
+    )
+    held = holding_consumer(world)
+    packet = ip_packet(IP_A, IP_B, 5000, 80)
+    frame = An1Header(2, 1, ETHERTYPE_IP, chan_b.ring.bqi).pack() + packet
+    assert len(rx_once(world, frame, chan_b.ring)) == 1
+    assert held == [] and list(chan_b.rx_queue) == [packet]
+
+
+def test_rx_handler_an1_kernel_ring_replenished_only_after_done():
+    world = An1World(costs=DECSTATION_5000_200)
+    held = holding_consumer(world)
+    ring = world.nic_b.bqi_table[0]
+    packet = ip_packet(IP_A, IP_B, 5000, 80)
+    frame = An1Header(2, 1, ETHERTYPE_IP, 0).pack() + packet
+    assert ring.take()  # What the controller does on arrival.
+    calls = rx_once(world, frame, ring)
+    assert calls == [] and ring.available == ring.capacity - 1
+    (_, got_payload, done), = held
+    assert got_payload == packet
+    done()
+    assert len(calls) == 1 and ring.available == ring.capacity
+
+
+# ----------------------------------------------------------------------
+# The host's kernel consumer under the same contract
+# ----------------------------------------------------------------------
+
+
+class HostPair:
+    def __init__(self):
+        self.sim = Simulator()
+        link = EthernetLink(self.sim)
+        self.a = Host(self.sim, link, "a", IP_A, MAC_A)
+        self.b = Host(self.sim, link, "b", IP_B, MAC_B)
+        self.link_info = LinkInfo(MAC_A)
+
+    def kernel_rx_once(self, ethertype, payload):
+        calls = []
+        self.b._kernel_rx(
+            ethertype, payload, self.link_info, lambda: calls.append(self.sim.now)
+        )
+        self.sim.run()
+        return calls
+
+
+def udp_packet(dport, payload=b"data"):
+    wire = encode_datagram(4444, dport, payload, IP_A, IP_B)
+    return Ipv4Header(
+        src=IP_A, dst=IP_B, protocol=PROTO_UDP,
+        total_length=Ipv4Header.LENGTH + len(wire),
+    ).pack() + bytes(wire)
+
+
+def icmp_echo_packet():
+    echo = encode_echo(True, ident=1, seq=1, payload=b"ping")
+    return Ipv4Header(
+        src=IP_A, dst=IP_B, protocol=PROTO_ICMP,
+        total_length=Ipv4Header.LENGTH + len(echo),
+    ).pack() + echo
+
+
+def test_kernel_rx_is_done_once_on_every_exit():
+    pair = HostPair()
+    got = []
+    pair.b.udp_ports.bind(53, got.append)
+    request = ArpPacket(ARP_REQUEST, MAC_A, IP_A, bytes(6), IP_B).pack()
+    exits = {
+        "arp request (answered on the wire)": (ETHERTYPE_ARP, request),
+        "arp garbage": (ETHERTYPE_ARP, b"\x00" * 5),
+        "unknown ethertype": (0x88B5, b"whatever"),
+        "bad ip header": (ETHERTYPE_IP, b"\x45" + b"\x00" * 30),
+        "udp to a bound port": (ETHERTYPE_IP, udp_packet(53)),
+        "udp to a closed port (unreachable sent)": (ETHERTYPE_IP, udp_packet(9)),
+        "tcp with no organization attached": (
+            ETHERTYPE_IP, ip_packet(IP_A, IP_B, 5000, 80)
+        ),
+        "icmp echo (answered on the wire)": (ETHERTYPE_IP, icmp_echo_packet()),
+    }
+    for name, (ethertype, payload) in exits.items():
+        assert len(pair.kernel_rx_once(ethertype, payload)) == 1, name
+    assert len(got) == 1
+    # ARP reply, port-unreachable and echo reply all left the host.
+    assert pair.b.nic.stats["tx_frames"] == 3
+
+    def failing_tcp_input(payload, src_ip, link_info):
+        yield pair.sim.timeout(1e-3)
+        raise RuntimeError("organization bug")
+
+    # A kernel thread that dies still lets go of the interface.
+    pair.b.tcp_kernel_handler = failing_tcp_input
+    tcp = ip_packet(IP_A, IP_B, 5000, 80)
+    assert len(pair.kernel_rx_once(ETHERTYPE_IP, tcp)) == 1
+
+
+def test_kernel_consumer_that_transmits_holds_the_next_frame_back():
+    """The interface takes its next frame only when the echo reply has
+    been handed to the device, as when the whole path was one process."""
+    pair = HostPair()
+    seen = []
+    pair.b.udp_ports.bind(
+        53, lambda datagram: seen.append(pair.b.nic.stats["tx_frames"])
+    )
+    nic = pair.b.nic
+    nic.wire_deliver(eth_frame(icmp_echo_packet()))
+    nic.wire_deliver(eth_frame(udp_packet(53)))
+    pair.sim.run()
+    assert seen == [1]
+    assert nic.stats["rx_frames"] == 2 and not nic._rx_interrupt_pending

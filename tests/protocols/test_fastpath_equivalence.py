@@ -222,11 +222,18 @@ def test_demux_memo_invalidated_on_install():
 
 
 def test_demux_miss_memo_counts_and_invalidates():
-    """Routers classify every forwarded frame and never match a flow:
-    the repeated miss is memoized too, and a later install must break
-    the memo so the flow becomes reachable."""
+    """A repeated miss is memoized too, and a later install must break
+    the memo so the flow becomes reachable.  A table with nothing
+    installed (every router interface) misses without reading a key or
+    consulting the memo — same charge, still counted."""
     table = FlowTable()
     frame = tcp_frame(5000, 80)
+    empty = [table.classify(frame, COSTS) for _ in range(2)]
+    assert [(d.tier, d.cost) for d in empty] == [("miss", COSTS.flow_lookup)] * 2
+    assert table.stats == {"misses": 2}
+    assert table.stats["memo_hits"] == 0
+    table = FlowTable()
+    table.install(FlowKey(PROTO_TCP, IP_B, 443, IP_A, 6000), object())
     assert table.classify(frame, COSTS).tier == "miss"
     second = table.classify(frame, COSTS)
     assert second.tier == "miss"

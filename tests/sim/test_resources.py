@@ -1,5 +1,6 @@
 """Unit tests for Store, Serial, and CPU primitives."""
 
+import cProfile
 import random
 from collections import deque
 
@@ -65,91 +66,29 @@ def test_store_get_blocks_until_put():
     assert times == [(5.0, "late")]
 
 
-def test_store_capacity_blocks_put():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    log = []
-
-    def producer():
-        yield store.put(1)
-        log.append(("put1", sim.now))
-        yield store.put(2)
-        log.append(("put2", sim.now))
-
-    def consumer():
-        yield sim.timeout(3.0)
-        item = yield store.get()
-        log.append(("got", item, sim.now))
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert ("put1", 0.0) in log
-    assert ("put2", 3.0) in log  # Second put waited for the get.
-
-
-def test_store_try_put_and_try_get():
-    sim = Simulator()
-    store = Store(sim, capacity=2)
-    assert store.try_get() is None
-    assert store.try_put("x")
-    assert store.try_put("y")
-    assert not store.try_put("z")  # Full.
-    assert store.try_get() == "x"
-    assert store.try_put("z")
-    assert store.try_get() == "y"
-    assert store.try_get() == "z"
-
-
-def test_store_try_put_schedules_no_event():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.try_put("x")
-    sim.run()
-    assert sim.engine_stats()["events"] == 0  # Nobody waits on a try_put.
-    got = []
-
-    def consumer():
-        got.append((yield store.get()))
-        got.append((yield store.get()))
-
-    sim.process(consumer())
-    sim.run()
-    assert store.try_put("y")  # Handed straight to the blocked getter.
-    sim.run()
-    assert got == ["x", "y"]
-
-
-def test_store_try_put_stays_behind_blocked_put():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    store.put("first")
-    store.put("blocked")  # Full: waits for space.
-    assert not store.try_put("jumper")
-    assert store.try_get() == "first"
-    assert store.try_get() == "blocked"
-    assert store.try_put("late")
-    assert store.try_get() == "late"
-
-
 def test_store_len():
     sim = Simulator()
     store = Store(sim)
     assert len(store) == 0
-    store.try_put(1)
-    store.try_put(2)
+    store.put(1)
+    store.put(2)
     assert len(store) == 2
 
 
-def test_store_invalid_capacity():
+def test_store_put_event_fires_before_the_waiting_getters():
     sim = Simulator()
-    with pytest.raises(ValueError):
-        Store(sim, capacity=0)
+    store = Store(sim)
+    order = []
+    store.get().callbacks.append(lambda event: order.append(("got", event.value)))
+    store.put("x").callbacks.append(lambda event: order.append("put"))
+    assert len(store) == 0  # Handed to the getter, never queued.
+    sim.run()
+    assert order == ["put", ("got", "x")]
 
 
 def test_store_waiting_getter_receives_direct_put():
     sim = Simulator()
-    store = Store(sim, capacity=1)
+    store = Store(sim)
     got = []
 
     def consumer(tag):
@@ -349,16 +288,9 @@ def test_interrupt_during_running_charge_keeps_reservations():
     assert cpu.busy_time == 3.0
 
 
-def test_fat_tree_events_per_datagram_gate():
-    """Deterministic stand-in for a wall-clock gate: the 16-host
-    fat-tree arm (k=4, two flows a host, twelve 64-byte datagrams a
-    flow, 2 ms pacing) costs a pinned number of engine events per
-    delivered datagram.  It read 95.6 when a CPU charge or a link
-    transmit cost two events (grant, timeout), 60.6 with one event
-    each, and reads 44.6 now that a frame changes hands (driver to NIC,
-    switch to port, router interrupt to worker) without an event and an
-    unjoined process ends without one.
-    """
+def _fat_tree_arm():
+    """The 16-host fat-tree arm: k=4, two flows a host, twelve 64-byte
+    datagrams a flow, 2 ms pacing.  Returns (simulator, delivered)."""
     sim = Simulator()
     hosts = fat_tree(sim, k=4, hosts_per_edge=2).hosts
     n = len(hosts)
@@ -380,7 +312,36 @@ def test_fat_tree_events_per_datagram_gate():
             sim.process(sender(src, dst.ip, 9001 + flow))
     sim.run()
     assert len(received) == n * 2 * 12
-    assert sim.engine_stats()["events"] / len(received) <= 45.0
+    return sim, len(received)
+
+
+def test_fat_tree_events_per_datagram_gate():
+    """Deterministic stand-in for a wall-clock gate: the 16-host
+    fat-tree arm costs a pinned number of engine events per delivered
+    datagram.  It read 95.6 when a CPU charge or a link transmit cost
+    two events (grant, timeout), 60.6 with one event each, 44.6 once a
+    frame changed hands (driver to NIC, switch to port, router
+    interrupt to worker) without an event and an unjoined process ended
+    without one, and reads 42.3 now that a receive interrupt is a chain
+    of callbacks and starts no process.
+    """
+    sim, delivered = _fat_tree_arm()
+    assert sim.engine_stats()["events"] / delivered <= 42.5
+
+
+def test_fat_tree_calls_per_datagram_gate():
+    """The same arm in the ledger's other exact currency: every call
+    cProfile sees, Python and C, per delivered datagram, world-building
+    included.  1095.5 while the receive path was a generator process
+    per interrupt; 927.5 as callbacks chained on the CPU charges."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        _, delivered = _fat_tree_arm()
+    finally:
+        profiler.disable()
+    calls = sum(entry.callcount for entry in profiler.getstats())
+    assert calls / delivered <= 950.0
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ egress queue, under both tail-drop and RED.  Nothing is scripted: loss
 dynamics, so this is where the pluggable congestion-control extraction
 either reproduces the textbook behaviours or doesn't.
 
-Reported per algorithm and discipline:
+``summarize`` returns, per algorithm and discipline:
 
 * aggregate goodput vs the 10 Mb/s trunk;
 * Jain's fairness index across flows of the *same* algorithm
@@ -16,15 +16,7 @@ Reported per algorithm and discipline:
 * bottleneck queue occupancy (mean and p99 of the sampled
   fraction-of-capacity histogram) — the bufferbloat axis, where a
   rate-based model should sit well below the loss-based probers.
-
-Run standalone for CI smoke: ``python benchmarks/bench_congestion.py
---quick`` (guarded against ``baselines/congestion_quick.json``).
 """
-
-import argparse
-import json
-import sys
-from pathlib import Path
 
 from repro.metrics import jain_fairness, measure_fabric_transfers
 from repro.protocols.tcp import CC_ALGORITHMS, TcpConfig
@@ -43,12 +35,6 @@ RACE_BYTES = 800_000
 #: so the standing-queue difference is the algorithm's doing.
 BLOAT_PAIRS = 3
 BLOAT_BYTES = 250_000
-
-BASELINE_PATH = Path(__file__).parent / "baselines" / "congestion_quick.json"
-#: Regression guards on the quick arm: goodput may not fall below
-#: recorded/GOODPUT_SLACK; fairness not below recorded - FAIRNESS_DELTA.
-GOODPUT_SLACK = 1.25
-FAIRNESS_DELTA = 0.05
 
 
 def percentile(values, q: float) -> float:
@@ -145,31 +131,6 @@ def run_matrix(pairs: int, bytes_per_flow: int) -> dict:
     return matrix
 
 
-def check_acceptance(matrix: dict, bloat: dict) -> list[str]:
-    """The PR's acceptance bars, returned as human-readable lines."""
-    lines = []
-    # Loss-based algorithms converge to a fair share at 16 flows.
-    for cc in ("reno", "cubic"):
-        fairness = matrix[f"taildrop/{cc}"]["fairness"]
-        assert fairness >= 0.9, f"{cc} fairness {fairness:.3f} < 0.9"
-        lines.append(f"{cc} intra-fairness {fairness:.3f} >= 0.9")
-    # The bufferbloat claim: BBR keeps the tail-drop queue visibly
-    # shorter than every loss-based prober (judged where its inflight
-    # cap can bind: the few-flow arm).
-    bbr_p99 = bloat["bbr"]["queue_p99"]
-    for cc in ("reno", "cubic"):
-        loss_p99 = bloat[cc]["queue_p99"]
-        assert bbr_p99 < loss_p99, (
-            f"bbr p99 occupancy {bbr_p99:.2f} not below {cc} {loss_p99:.2f}"
-        )
-    lines.append(
-        "bbr p99 queue occupancy "
-        f"{bbr_p99:.2f} < reno {bloat['reno']['queue_p99']:.2f}, "
-        f"cubic {bloat['cubic']['queue_p99']:.2f} (taildrop)"
-    )
-    return lines
-
-
 # ----------------------------------------------------------------------
 # pytest entry points
 # ----------------------------------------------------------------------
@@ -183,7 +144,27 @@ def test_congestion_race(benchmark, report):
         cc: summarize(*run_race(cc, BLOAT_PAIRS, BLOAT_BYTES))
         for cc in CC_ALGORITHMS
     }
-    check_acceptance(matrix, bloat)
+    # Nobody collapses: every algorithm under either discipline keeps
+    # the trunk at least 70% busy.
+    for key, stats in matrix.items():
+        assert stats["aggregate_mbps"] >= 0.7 * TRUNK_MBPS, (key, stats)
+    # Loss-based algorithms reach loss and converge to a fair share at
+    # 16 flows.
+    for cc in ("reno", "cubic"):
+        stats = matrix[f"taildrop/{cc}"]
+        assert stats["bottleneck_drops"] > 0, f"{cc} never overflowed the queue"
+        assert stats["fairness"] >= 0.9, f"{cc} fairness {stats['fairness']:.3f}"
+    # ...and the race tells them apart (an arm that never reaches loss
+    # runs Reno and CUBIC through identical slow starts).
+    assert matrix["taildrop/reno"] != matrix["taildrop/cubic"]
+    # The bufferbloat claim: BBR keeps the tail-drop queue visibly
+    # shorter than every loss-based prober (judged where its inflight
+    # cap can bind: the few-flow arm).
+    for cc in ("reno", "cubic"):
+        assert bloat["bbr"]["queue_p99"] < bloat[cc]["queue_p99"], (
+            f"bbr p99 occupancy {bloat['bbr']['queue_p99']:.2f} not below "
+            f"{cc} {bloat[cc]['queue_p99']:.2f}"
+        )
     for key, stats in matrix.items():
         report(
             "Congestion race (16 flows, 10 Mb/s trunk)",
@@ -204,6 +185,8 @@ def test_congestion_race(benchmark, report):
 def test_congestion_mixed(report):
     _, result, mixed = run_mixed(RACE_PAIRS, RACE_BYTES)
     assert all(f.bytes_moved == RACE_BYTES for f in result.flows)
+    # Sharing one queue, no algorithm starves another.
+    assert mixed["inter_fairness"] >= 0.9
     report(
         "Congestion race (16 flows, 10 Mb/s trunk)",
         "mixed: inter-algorithm fairness",
@@ -211,114 +194,3 @@ def test_congestion_mixed(report):
         1.0,
         "",
     )
-
-
-# ----------------------------------------------------------------------
-# Standalone CLI (CI smoke + baseline guard)
-# ----------------------------------------------------------------------
-
-
-def quick_stats() -> dict:
-    """The small deterministic arm the baseline guards."""
-    stats = {}
-    for cc in CC_ALGORITHMS:
-        fabric, result = run_race(cc, BLOAT_PAIRS, 80_000)
-        stats[cc] = summarize(fabric, result)
-    _, _, mixed = run_mixed(BLOAT_PAIRS * 2, 80_000)
-    stats["mixed_inter_fairness"] = mixed["inter_fairness"]
-    return stats
-
-
-def check_baseline(stats: dict) -> str:
-    if not BASELINE_PATH.exists():
-        return "baseline: none recorded (run --update-baseline)"
-    baseline = json.loads(BASELINE_PATH.read_text())
-    for cc in CC_ALGORITHMS:
-        floor = baseline[cc]["aggregate_mbps"] / GOODPUT_SLACK
-        assert stats[cc]["aggregate_mbps"] >= floor, (
-            f"{cc} goodput {stats[cc]['aggregate_mbps']:.3f} Mb/s < floor "
-            f"{floor:.3f} (recorded {baseline[cc]['aggregate_mbps']:.3f})"
-        )
-        fairness_floor = baseline[cc]["fairness"] - FAIRNESS_DELTA
-        assert stats[cc]["fairness"] >= fairness_floor, (
-            f"{cc} fairness {stats[cc]['fairness']:.3f} < floor "
-            f"{fairness_floor:.3f}"
-        )
-    mixed_floor = baseline["mixed_inter_fairness"] - FAIRNESS_DELTA
-    assert stats["mixed_inter_fairness"] >= mixed_floor, (
-        f"mixed inter-fairness {stats['mixed_inter_fairness']:.3f} < "
-        f"floor {mixed_floor:.3f}"
-    )
-    return (
-        "baseline: ok ("
-        + ", ".join(
-            f"{cc} {stats[cc]['aggregate_mbps']:.2f} Mb/s vs recorded "
-            f"{baseline[cc]['aggregate_mbps']:.2f}"
-            for cc in CC_ALGORITHMS
-        )
-        + ")"
-    )
-
-
-def print_stats(title: str, stats: dict) -> None:
-    print(f"--- {title} ---")
-    for key, s in stats.items():
-        if not isinstance(s, dict):
-            continue
-        print(
-            f"  {key:16s} goodput {s['aggregate_mbps']:5.2f} Mb/s  "
-            f"fair {s['fairness']:.3f}  "
-            f"fct p50/p99 {s['fct_p50'] * 1e3:6.1f}/{s['fct_p99'] * 1e3:6.1f} ms  "
-            f"queue mean/p99 {s['queue_mean']:.2f}/{s['queue_p99']:.2f}  "
-            f"drops {s['bottleneck_drops']}"
-        )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Reno vs CUBIC vs BBR through the dumbbell bottleneck"
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke: small per-algorithm runs + the baseline guard",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="record the quick arm as the new baseline",
-    )
-    args = parser.parse_args(argv)
-
-    if args.quick or args.update_baseline:
-        stats = quick_stats()
-        print_stats("quick race (4 pairs, 80 KB)", stats)
-        print(f"  mixed inter-fairness {stats['mixed_inter_fairness']:.3f}")
-        if args.update_baseline:
-            BASELINE_PATH.parent.mkdir(exist_ok=True)
-            BASELINE_PATH.write_text(json.dumps(stats, indent=2) + "\n")
-            print(f"baseline recorded to {BASELINE_PATH}")
-        else:
-            print(check_baseline(stats))
-        print("ok")
-        return 0
-
-    matrix = run_matrix(RACE_PAIRS, RACE_BYTES)
-    print_stats(f"race ({RACE_PAIRS} pairs, {RACE_BYTES // 1000} KB)", matrix)
-    bloat = {
-        cc: summarize(*run_race(cc, BLOAT_PAIRS, BLOAT_BYTES))
-        for cc in CC_ALGORITHMS
-    }
-    print_stats(f"bufferbloat arm ({BLOAT_PAIRS} pairs, taildrop)", bloat)
-    _, _, mixed = run_mixed(RACE_PAIRS, RACE_BYTES)
-    print(f"mixed inter-algorithm fairness: {mixed['inter_fairness']:.3f}")
-    for cc, mbps in mixed["per_algorithm_mbps"].items():
-        print(f"  {cc:6s} mean per-flow {mbps:.3f} Mb/s")
-    for line in check_acceptance(matrix, bloat):
-        print(f"accept: {line}")
-    print("ok")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

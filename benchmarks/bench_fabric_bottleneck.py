@@ -13,15 +13,8 @@ Reported per flow count:
 * Jain's fairness index across per-flow goodputs;
 * drops at the bottleneck port (and the requirement that *no other*
   port drops anything).
-
-Run standalone for CI smoke: ``python benchmarks/bench_fabric_bottleneck.py
---quick``.
 """
 
-import argparse
-import sys
-
-from repro import netstat
 from repro.metrics import measure_fabric_transfers
 from repro.testbed import FabricTestbed
 
@@ -114,42 +107,3 @@ def test_fabric_red_vs_taildrop(report):
         taildrop.aggregate_mbps,
         "Mbps",
     )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="TCP flows through a dumbbell bottleneck"
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke: one small run instead of the full sweep",
-    )
-    parser.add_argument(
-        "--netstat",
-        action="store_true",
-        help="dump the netstat report of the last run",
-    )
-    args = parser.parse_args(argv)
-    sweep = ((4, 150_000),) if args.quick else SWEEP
-
-    fabric = None
-    for pairs, bytes_per_flow in sweep:
-        fabric, result = run_dumbbell(pairs, bytes_per_flow)
-        check_result(pairs, bytes_per_flow, result)
-        print(
-            f"{pairs:3d} flows x {bytes_per_flow // 1000:3d} KB: "
-            f"aggregate {result.aggregate_mbps:5.2f} Mb/s  "
-            f"fairness {result.fairness:.3f}  "
-            f"drops {result.bottleneck_drops} (bottleneck) "
-            f"/ {result.other_drops} (elsewhere)"
-        )
-    if args.netstat and fabric is not None:
-        print()
-        print(netstat.render(fabric))
-    print("ok")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

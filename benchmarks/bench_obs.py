@@ -19,18 +19,11 @@ Gates (every call the profiler sees, Python and C):
 * the simulated throughput is bit-identical across the three —
   observability must never change what the simulation *does*.
 
-CPU time is printed as information: the on/off ratio (min of several
-rounds each) and, with ``--quick``, the off arm against the recorded
-``baselines/obs_quick.json``.  This box shares its cores; neither
-number can gate.
+The CPU-time on/off ratio is a speed, and the ledger's row
+(``obs.overhead_ratio``): this box shares its cores, it cannot gate.
 """
 
-import argparse
 import cProfile
-import json
-import sys
-import time
-from pathlib import Path
 
 from repro import obs
 from repro.metrics import measure_throughput
@@ -39,36 +32,30 @@ from repro.testbed import Testbed
 NETWORK = "ethernet"
 ORGANIZATION = "userlib"
 CHUNK_SIZE = 4096
-FULL_BYTES = 500_000
 QUICK_BYTES = 150_000
-ROUNDS = 5
 
 #: Calls the enabled plane may add to the quick arm (20,5xx today: one
 #: ``touch``/``charge``/``record`` and its bookkeeping per instrumented
 #: site a segment passes).
 MAX_ADDED_CALLS = 21_000
 
-BASELINE_PATH = Path(__file__).parent / "baselines" / "obs_quick.json"
 
-
-def run_once(enabled: bool, total_bytes: int, profiler=None) -> dict:
-    """One seeded transfer; the plane on or off, optionally profiled."""
+def count_calls(enabled: bool) -> dict:
+    """One seeded transfer of the quick arm under cProfile, the plane on
+    or off: every call it makes, exactly."""
+    profiler = cProfile.Profile()
     plane = {}
     if enabled:
         session = obs.enable()
     try:
         testbed = Testbed(network=NETWORK, organization=ORGANIZATION)
-        cpu0 = time.process_time()
-        if profiler is not None:
-            profiler.enable()
+        profiler.enable()
         try:
             result = measure_throughput(
-                testbed, total_bytes=total_bytes, chunk_size=CHUNK_SIZE
+                testbed, total_bytes=QUICK_BYTES, chunk_size=CHUNK_SIZE
             )
         finally:
-            if profiler is not None:
-                profiler.disable()
-        cpu = time.process_time() - cpu0
+            profiler.disable()
     finally:
         if enabled:
             plane = {
@@ -78,19 +65,15 @@ def run_once(enabled: bool, total_bytes: int, profiler=None) -> dict:
                 "histograms": session.histograms.names(),
             }
             obs.disable()
-    return {"cpu_seconds": cpu, "throughput_mbps": result.throughput_mbps, **plane}
-
-
-def count_calls(enabled: bool) -> dict:
-    """The quick arm under cProfile: every call it makes, exactly."""
-    profiler = cProfile.Profile()
-    run = run_once(enabled, QUICK_BYTES, profiler)
-    run["calls"] = sum(entry.callcount for entry in profiler.getstats())
-    return run
+    return {
+        "throughput_mbps": result.throughput_mbps,
+        "calls": sum(entry.callcount for entry in profiler.getstats()),
+        **plane,
+    }
 
 
 def run_call_comparison() -> dict:
-    run_once(False, QUICK_BYTES)  # Lazy imports and caches, paid once.
+    count_calls(False)  # Lazy imports and caches, paid once.
     off = count_calls(False)
     on = count_calls(True)
     off_again = count_calls(False)
@@ -120,27 +103,6 @@ def check_calls(comparison: dict) -> None:
     assert "tcp.rtt" in on["histograms"]
 
 
-def cpu_times(total_bytes: int, rounds: int = ROUNDS) -> dict:
-    """Information only: min-of-N CPU seconds per arm, interleaved."""
-    best = {False: float("inf"), True: float("inf")}
-    for _ in range(rounds):
-        for enabled in (False, True):
-            best[enabled] = min(
-                best[enabled], run_once(enabled, total_bytes)["cpu_seconds"]
-            )
-    return {"off": best[False], "on": best[True], "ratio": best[True] / best[False]}
-
-
-def baseline_note(off_cpu: float) -> str:
-    if not BASELINE_PATH.exists():
-        return "baseline: none recorded (run --update-baseline)"
-    recorded = json.loads(BASELINE_PATH.read_text())["cpu_seconds_disabled"]
-    return (
-        f"(info) disabled arm {off_cpu:.3f}s CPU vs {recorded:.3f}s recorded "
-        f"in {BASELINE_PATH.name} ({off_cpu / recorded:.2f}x)"
-    )
-
-
 # ----------------------------------------------------------------------
 # pytest entry points
 # ----------------------------------------------------------------------
@@ -155,75 +117,3 @@ def test_obs_overhead(report):
         MAX_ADDED_CALLS,
         "calls",
     )
-
-
-# ----------------------------------------------------------------------
-# Standalone / CI entry point
-# ----------------------------------------------------------------------
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="observability plane overhead: disabled vs enabled"
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke: CPU-time information on the short transfer only",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="record the quick arm's CPU times as the new baseline",
-    )
-    args = parser.parse_args(argv)
-
-    comparison = run_call_comparison()
-    off, on, off_again = (comparison[k] for k in ("off", "on", "off_again"))
-    print(
-        f"workload: {NETWORK}/{ORGANIZATION}, {QUICK_BYTES} bytes in "
-        f"{CHUNK_SIZE}-byte chunks, under cProfile"
-    )
-    print(
-        f"calls  off {off['calls']}  on {on['calls']}  off again "
-        f"{off_again['calls']}  (+{on['calls'] - off['calls']} enabled, gate "
-        f"<= {MAX_ADDED_CALLS}; off again must equal off)"
-    )
-    print(
-        f"throughput {off['throughput_mbps']:.2f} Mb/s in all three  "
-        f"({on['spans_minted']} traces, {on['span_events']} span events, "
-        f"{on['profile_sites']} profile sites)"
-    )
-    check_calls(comparison)
-
-    total_bytes = QUICK_BYTES if args.quick or args.update_baseline else FULL_BYTES
-    cpu = cpu_times(total_bytes)
-    print(
-        f"(info) CPU time, {total_bytes} bytes, min of {ROUNDS} rounds: off "
-        f"{cpu['off']:.3f}s  on {cpu['on']:.3f}s  ratio {cpu['ratio']:.2f}x"
-    )
-    if args.update_baseline:
-        BASELINE_PATH.parent.mkdir(parents=True, exist_ok=True)
-        BASELINE_PATH.write_text(
-            json.dumps(
-                {
-                    "workload": f"{NETWORK}/{ORGANIZATION}",
-                    "total_bytes": total_bytes,
-                    "chunk_size": CHUNK_SIZE,
-                    "rounds": ROUNDS,
-                    "cpu_seconds_disabled": cpu["off"],
-                    "cpu_seconds_enabled": cpu["on"],
-                    "enabled_ratio": cpu["ratio"],
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-        print(f"baseline written to {BASELINE_PATH}")
-    elif args.quick:
-        print(baseline_note(cpu["off"]))
-    print("ok")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -57,22 +57,19 @@ def measure_demux_cost(network: str) -> float:
     results = {}
 
     def scenario():
-        chan_a = yield from netio_a.create_channel(
-            testbed.registry_a.task, testbed.app_a,
-            tcp_send_template(IP_A, 5000, IP_B, 6000),
-            local_ip=IP_A, local_port=5000,
-            remote_ip=IP_B, remote_port=6000, link_dst=link_a,
-        )
         chan_b = yield from netio_b.create_channel(
             testbed.registry_b.task, testbed.app_b,
             tcp_send_template(IP_B, 6000, IP_A, 5000),
             local_ip=IP_B, local_port=6000,
             remote_ip=IP_A, remote_port=5000, link_dst=link_b,
         )
-        if network == "an1":
-            netio_a.set_peer_bqi(
-                testbed.registry_a.task, chan_a, chan_b.ring.bqi
-            )
+        chan_a = yield from netio_a.create_channel(
+            testbed.registry_a.task, testbed.app_a,
+            tcp_send_template(IP_A, 5000, IP_B, 6000),
+            local_ip=IP_A, local_port=5000,
+            remote_ip=IP_B, remote_port=6000, link_dst=link_a,
+            peer_bqi=chan_b.ring.bqi if network == "an1" else 0,
+        )
         n = 50
         busy_before = testbed.host_b.kernel.cpu.busy_time
         for _ in range(n):

@@ -51,6 +51,11 @@ class RequestResponseClient:
         if event is not None:
             event.succeed(datagram.payload[4:])
 
+    def _expire(self, tid):
+        event = self._waiting.pop(tid, None)
+        if event is not None:
+            event.succeed(None)  # Timed out: no response to hand over.
+
     def call(self, server_ip, request: bytes, timeout=0.5):
         """Generator: one remote call, with retransmission."""
         tid = self._next_tid
@@ -60,15 +65,17 @@ class RequestResponseClient:
             tid.to_bytes(4, "big") + request,
             self.host.ip, server_ip,
         )
+        sim = self.testbed.sim
         for _ in range(5):
-            event = self.testbed.sim.event()
+            event = sim.event()
             self._waiting[tid] = event
             yield from self.host.ip_send(server_ip, PROTO_UDP, wire)
-            expiry = self.testbed.sim.timeout(timeout)
-            result = yield self.testbed.sim.any_of([event, expiry])
-            if event in result:
-                return result[event]
-            self._waiting.pop(tid, None)  # Timed out; retransmit.
+            expiry = sim.call_later(timeout, self._expire, tid)
+            result = yield event
+            expiry.cancel()
+            if result is not None:
+                return result
+            # Timed out; retransmit.
         raise TimeoutError(f"request {tid} got no response")
 
 

@@ -14,7 +14,7 @@ from .ports import (
     PortRight,
     RightType,
 )
-from .sync import Condition, Mutex, Semaphore
+from .sync import Semaphore
 from .task import Task
 from .vm import (
     PAGE_SIZE,
@@ -39,8 +39,6 @@ __all__ = [
     "rpc",
     "reply_to",
     "Semaphore",
-    "Mutex",
-    "Condition",
     "SharedRegion",
     "PAGE_SIZE",
     "vm_allocate",

@@ -1,9 +1,9 @@
-"""User-level synchronization: C-Threads-style semaphores and mutexes.
+"""User-level synchronization: the C-Threads-style semaphore.
 
 The paper's library is multithreaded with user-level primitives ("multiple
 threads of control and synchronization are provided by user-level C Thread
 primitives rather than kernel primitives"), and packet arrival is signalled
-to the library through a lightweight semaphore.  These primitives charge
+to the library through a lightweight semaphore.  The semaphore charges
 the (small) user-level sync cost; the kernel-to-user *notification*
 semaphore cost is charged by the network I/O module at signal time.
 """
@@ -11,7 +11,7 @@ semaphore cost is charged by the network I/O module at signal time.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, Optional
+from typing import Deque, Generator
 
 from ..sim import Event, Simulator
 from .kernel import Kernel
@@ -60,13 +60,6 @@ class Semaphore:
                     self.signal()
             raise
 
-    def try_wait(self) -> bool:
-        """Non-blocking P: returns False instead of blocking."""
-        if self._count > 0:
-            self._count -= 1
-            return True
-        return False
-
     def signal(self, n: int = 1) -> None:
         """V operation: wake ``n`` waiters (or bank the count).
 
@@ -79,51 +72,3 @@ class Semaphore:
             else:
                 self._count += 1
 
-
-class Mutex:
-    """A binary lock built on :class:`Semaphore`."""
-
-    def __init__(self, kernel: Kernel, name: str = "mutex") -> None:
-        self._sem = Semaphore(kernel, value=1, name=name)
-        self._holder: Optional[object] = None
-
-    @property
-    def locked(self) -> bool:
-        return self._sem.value == 0
-
-    def acquire(self) -> Generator:
-        yield from self._sem.wait()
-
-    def release(self) -> None:
-        if self._sem.value != 0:
-            raise RuntimeError("releasing an unlocked mutex")
-        self._sem.signal()
-
-
-class Condition:
-    """Condition variable used with a :class:`Mutex`."""
-
-    def __init__(self, kernel: Kernel, mutex: Mutex, name: str = "cond") -> None:
-        self.kernel = kernel
-        self.sim = kernel.sim
-        self.mutex = mutex
-        self.name = name
-        self._waiters: Deque[Event] = deque()
-
-    def wait(self) -> Generator:
-        """Atomically release the mutex and block until signalled."""
-        if not self.mutex.locked:
-            raise RuntimeError("condition wait without holding the mutex")
-        event = self.sim.event()
-        self._waiters.append(event)
-        self.mutex.release()
-        yield event
-        yield from self.mutex.acquire()
-
-    def signal(self) -> None:
-        if self._waiters:
-            self._waiters.popleft().succeed()
-
-    def broadcast(self) -> None:
-        while self._waiters:
-            self._waiters.popleft().succeed()

@@ -177,7 +177,7 @@ def measure_fabric_transfers(
         yield sim.timeout(i * stagger)
         marks[i]["start"] = sim.now
         conn = yield from clients[i].connect(
-            fabric.topology.servers[i].ip, base_port + i
+            fabric.server_ip(i), base_port + i
         )
         marks[i]["conn"] = conn
         sent = 0
@@ -419,8 +419,9 @@ def run_checked_transfers(
     """Run ``transfers`` concurrent one-way transfers and collect the
     socket-layer evidence for the conformance checkers.
 
-    Works on both testbed shapes: on a two-host :class:`Testbed` every
-    transfer runs a→b on its own port; on a
+    Works on both testbed shapes through their ``client_services`` /
+    ``server_services`` / ``server_ip``: on a two-host :class:`Testbed`
+    every transfer runs a→b on its own port; on a
     :class:`~repro.testbed.FabricTestbed` dumbbell, transfer ``i`` runs
     client ``i % pairs`` → server ``i % pairs``.  Payloads are
     deterministic functions of ``seed`` so a campaign cell replays
@@ -431,29 +432,8 @@ def run_checked_transfers(
     conformant.
     """
     sim = bed.sim
-    if hasattr(bed, "service_a"):
-
-        def client_service(i):
-            return bed.service_a
-
-        def server_service(i):
-            return bed.service_b
-
-        def server_ip(i):
-            return IP_B
-
-    else:
-        clients = bed.client_services
-        servers = bed.server_services
-
-        def client_service(i):
-            return clients[i % len(clients)]
-
-        def server_service(i):
-            return servers[i % len(servers)]
-
-        def server_ip(i):
-            return bed.topology.servers[i % len(servers)].ip
+    clients = bed.client_services
+    servers = bed.server_services
 
     results = [
         CheckedTransfer(
@@ -468,7 +448,7 @@ def run_checked_transfers(
     def server(i: int):
         t = results[i]
         try:
-            listener = yield from server_service(i).listen(t.port)
+            listener = yield from servers[i % len(servers)].listen(t.port)
             conn = yield from listener.accept()
             runners[i]["server"] = conn.runner
             t.server_machine = conn.runner.machine
@@ -488,7 +468,9 @@ def run_checked_transfers(
         t = results[i]
         try:
             yield sim.timeout(i * stagger)
-            conn = yield from client_service(i).connect(server_ip(i), t.port)
+            conn = yield from clients[i % len(clients)].connect(
+                bed.server_ip(i), t.port
+            )
             runners[i]["client"] = conn.runner
             t.client_machine = conn.runner.machine
             sent = 0

@@ -104,6 +104,9 @@ class Router:
         self.name = name
         self.kernel = Kernel(sim, costs, name=name)
         self.interfaces: list[RouterInterface] = []
+        #: The interfaces' addresses; ``_ip_input`` tests every packet's
+        #: destination against it.
+        self.local_ips: set[int] = set()
         self.routes = RouteTable()
         # Per-tier capacity: fat-tree builders give aggregation/core
         # routers deeper input queues than the class default.
@@ -126,6 +129,7 @@ class Router:
             self, link, ip, mac, prefix_len, len(self.interfaces)
         )
         self.interfaces.append(iface)
+        self.local_ips.add(ip)
         self.routes.add(ip & prefix_mask(prefix_len), prefix_len, None, iface)
         return iface
 
@@ -150,10 +154,6 @@ class Router:
         if interface is None:
             raise ValueError("route needs a gateway or an interface")
         self.routes.add(prefix, prefix_len, gateway, interface)
-
-    @property
-    def local_ips(self) -> set[int]:
-        return {iface.ip for iface in self.interfaces}
 
     @property
     def route_cache_stats(self) -> dict[str, int]:

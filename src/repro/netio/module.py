@@ -200,7 +200,6 @@ class NetworkIoModule:
         link_dst: object = None,
         peer_bqi: int = 0,
         region_size: int = DEFAULT_REGION_SIZE,
-        install_demux: bool = True,
         ring: Optional[BufferRing] = None,
         protocol: str = "tcp",
         with_link_info: bool = False,
@@ -227,12 +226,11 @@ class NetworkIoModule:
         manager = self.tenants
         if tenant is not None:
             ring_buffers = self.DEFAULT_RING_CAPACITY if (
-                install_demux and self.is_an1 and ring is None
+                self.is_an1 and ring is None
             ) else 0
             try:
                 tenant.check_template(template)
-                if install_demux:
-                    tenant.check_flow_key(flow_key)
+                tenant.check_flow_key(flow_key)
                 tenant.precheck_channel(region_size, ring_buffers)
             except TenantViolation as exc:
                 manager.note(
@@ -253,24 +251,23 @@ class NetworkIoModule:
         yield from vm_wire(self.kernel, region)
 
         demux: Optional[FilterProgram] = None
-        if install_demux:
-            if self.is_an1:
-                if ring is None:
-                    try:
-                        ring = self._allocate_bqi(self.DEFAULT_RING_CAPACITY)
-                    except QuotaExceeded:
-                        self._release_region(region_size)
-                        raise
-                    yield from self.kernel.cpu.consume(costs.bqi_setup)
-            elif self.demux_style != "synthesized":
-                # Interpreted styles carry a real filter program for the
-                # scan table, with its per-instruction costs.
-                if protocol == "udp":
-                    demux = udp_filter_program(local_ip, local_port)
-                else:
-                    demux = tcp_filter_program(
-                        local_ip, local_port, remote_ip, remote_port
-                    )
+        if self.is_an1:
+            if ring is None:
+                try:
+                    ring = self._allocate_bqi(self.DEFAULT_RING_CAPACITY)
+                except QuotaExceeded:
+                    self._release_region(region_size)
+                    raise
+                yield from self.kernel.cpu.consume(costs.bqi_setup)
+        elif self.demux_style != "synthesized":
+            # Interpreted styles carry a real filter program for the
+            # scan table, with its per-instruction costs.
+            if protocol == "udp":
+                demux = udp_filter_program(local_ip, local_port)
+            else:
+                demux = tcp_filter_program(
+                    local_ip, local_port, remote_ip, remote_port
+                )
 
         channel = Channel(
             owner=owner,
@@ -292,36 +289,35 @@ class NetworkIoModule:
             if tenant is not None:
                 ring.tenant_id = tenant.tenant_id
                 tenant.attach_ring(ring)  # no-op if charged at pre-alloc
-        if install_demux:
-            # The flow entry is installed on every network and style:
-            # on Ethernet it *is* the demux; on AN1 (hardware demux) and
-            # under interpreted styles it still serves kernel-side flow
-            # resolution (the UDP forwarder) and observability.
-            try:
-                self.flow_table.install(
-                    flow_key, channel, owner=channel.tenant_id
+        # The flow entry is installed on every network and style:
+        # on Ethernet it *is* the demux; on AN1 (hardware demux) and
+        # under interpreted styles it still serves kernel-side flow
+        # resolution (the UDP forwarder) and observability.
+        try:
+            self.flow_table.install(
+                flow_key, channel, owner=channel.tenant_id
+            )
+        except Exception:
+            # Unwind everything already built (region pool, ring,
+            # BQI charge) — a refused flow must allocate nothing.
+            self._release_region(region_size)
+            if ring is not None and self.is_an1:
+                ring.owner = None
+                if tenant is not None:
+                    tenant.release_ring(ring)
+                self.nic.release_bqi(ring.bqi)
+            channel.close()
+            if tenant is not None and manager is not None:
+                manager.note(
+                    self.kernel.sim.now,
+                    "flow_install_refused",
+                    tenant.tenant_id,
+                    str(flow_key),
                 )
-            except Exception:
-                # Unwind everything already built (region pool, ring,
-                # BQI charge) — a refused flow must allocate nothing.
-                self._release_region(region_size)
-                if ring is not None and self.is_an1:
-                    ring.owner = None
-                    if tenant is not None:
-                        tenant.release_ring(ring)
-                    self.nic.release_bqi(ring.bqi)
-                channel.close()
-                if tenant is not None and manager is not None:
-                    manager.note(
-                        self.kernel.sim.now,
-                        "flow_install_refused",
-                        tenant.tenant_id,
-                        str(flow_key),
-                    )
-                raise
-            channel.flow_key = flow_key
-            if demux is not None:
-                self.flow_table.add_filter(flow_key, demux, channel)
+            raise
+        channel.flow_key = flow_key
+        if demux is not None:
+            self.flow_table.add_filter(flow_key, demux, channel)
         if tenant is not None:
             tenant.attach_channel(channel, region_size)
             tenant.counters["channels_created"] += 1
@@ -410,12 +406,6 @@ class NetworkIoModule:
         if not caller.privileged:
             raise SecurityViolation("only the registry may remove listeners")
         self.flow_table.remove(FlowKey(proto, local_ip, local_port))
-
-    def set_peer_bqi(self, caller: Task, channel: Channel, bqi: int) -> None:
-        """Record the BQI the remote side told us to stamp on packets."""
-        if not caller.privileged:
-            raise SecurityViolation("only the registry may set peer BQIs")
-        channel.peer_bqi = bqi
 
     def allocate_ring(
         self,

@@ -9,8 +9,8 @@ the network I/O modules' protected channels; :func:`link_table` and
 per-switch-port queue behaviour (depth, drops, occupancy).
 
 Works over anything exposing the testbed surface: ``hosts``,
-``registries``, ``links``, ``switches`` (both :class:`~repro.testbed.Testbed`
-and :class:`~repro.testbed.FabricTestbed`).
+``registries``, ``services``, ``links``, ``switches``, ``routers`` (both
+:class:`~repro.testbed.Testbed` and :class:`~repro.testbed.FabricTestbed`).
 """
 
 from __future__ import annotations
@@ -25,20 +25,6 @@ from .obs import spans as _spans
 
 if TYPE_CHECKING:
     from .testbed import Testbed
-
-
-def _hosts(testbed) -> list:
-    hosts = getattr(testbed, "hosts", None)
-    if hosts is not None:
-        return list(hosts)
-    return [testbed.host_a, testbed.host_b]
-
-
-def _registries(testbed) -> list:
-    registries = getattr(testbed, "registries", None)
-    if registries is not None:
-        return list(registries)
-    return [r for r in (testbed.registry_a, testbed.registry_b) if r is not None]
 
 
 @dataclass(frozen=True)
@@ -109,7 +95,7 @@ class DemuxEntry:
 def connection_table(testbed: "Testbed") -> list[ConnectionEntry]:
     """All TCP connections the registries have granted (userlib only)."""
     entries: list[ConnectionEntry] = []
-    for registry in _registries(testbed):
+    for registry in testbed.registries:
         host = registry.host
         for record in registry._records:
             grant = record.grant
@@ -135,7 +121,7 @@ def connection_table(testbed: "Testbed") -> list[ConnectionEntry]:
 def channel_table(testbed: "Testbed") -> list[ChannelEntry]:
     """All protected channels in both network I/O modules."""
     entries: list[ChannelEntry] = []
-    for host in _hosts(testbed):
+    for host in testbed.hosts:
         for channel in host.netio.channels:
             if channel.ring is not None:
                 kind = f"bqi {channel.ring.bqi}"
@@ -163,7 +149,7 @@ def demux_table(testbed: "Testbed") -> list[DemuxEntry]:
     """Per-host flow-table engine state: installed entries per tier
     (exact/wildcard/scan) and the hit/miss counters of each."""
     entries: list[DemuxEntry] = []
-    for host in _hosts(testbed):
+    for host in testbed.hosts:
         netio = host.netio
         table = netio.flow_table
         stats = table.stats
@@ -229,20 +215,20 @@ def fastpath_table(testbed) -> list[FastpathEntry]:
     """Per-node fast-path counters: header-prediction hits/misses and
     demux memo hits for hosts, next-hop cache behaviour for routers."""
     machines_by_host: dict[str, list] = {}
-    for registry in _registries(testbed):
+    for registry in testbed.registries:
         rows = machines_by_host.setdefault(registry.host.name, [])
         for record in registry._records:
             machine = record.grant.machine
             if machine is not None:
                 rows.append(machine)
-    for service in getattr(testbed, "services", []):
+    for service in testbed.services:
         connections = getattr(service, "_connections", None)
         if connections is None:
             continue  # Library service: its machines came via the registry.
         rows = machines_by_host.setdefault(service.host.name, [])
         rows.extend(c.runner.machine for c in connections.values())
     entries: list[FastpathEntry] = []
-    for host in _hosts(testbed):
+    for host in testbed.hosts:
         ack = data = miss = 0
         for machine in machines_by_host.get(host.name, ()):
             stats = machine.stats
@@ -261,7 +247,7 @@ def fastpath_table(testbed) -> list[FastpathEntry]:
                 memo_hits=host.netio.flow_table.stats["memo_hits"],
             )
         )
-    for router in getattr(testbed, "routers", []):
+    for router in testbed.routers:
         cache = router.route_cache_stats
         entries.append(
             FastpathEntry(
@@ -322,7 +308,7 @@ class SwitchPortEntry:
 def link_table(testbed) -> list[LinkEntry]:
     """Per-link frame counts and fault-injection accounting."""
     entries: list[LinkEntry] = []
-    for i, link in enumerate(getattr(testbed, "links", [])):
+    for i, link in enumerate(testbed.links):
         stats = link.stats
         entries.append(
             LinkEntry(
@@ -340,7 +326,7 @@ def link_table(testbed) -> list[LinkEntry]:
 def switch_table(testbed) -> list[SwitchPortEntry]:
     """Every switch port's counters and egress-queue occupancy."""
     entries: list[SwitchPortEntry] = []
-    for switch in getattr(testbed, "switches", []):
+    for switch in testbed.switches:
         for port in switch.ports:
             queue = port.queue
             entries.append(
@@ -419,7 +405,7 @@ def copy_table(testbed: "Testbed") -> list[CopyEntry]:
             ops=sum(enc.values()),
         )
     )
-    for host in _hosts(testbed):
+    for host in testbed.hosts:
         stats = host.netio.flow_table.stats
         entries.append(
             CopyEntry(

@@ -34,8 +34,9 @@ from ..protocols.tcp import (
     TcpMachine,
     decode_segment,
     encode_segment,
+    reset_for,
 )
-from ..net.headers import HeaderError, TCP_RST, TCP_ACK
+from ..net.headers import HeaderError
 from ..sim import Event, Store
 from .base import PathProfile, TcpConnection, TcpListener, TcpService, no_cost
 from .runner import MachineRunner
@@ -270,17 +271,9 @@ class MonolithicTcpStack(TcpService):
 
     def _respond_rst(self, segment: Segment, src_ip: int) -> Generator:
         """RFC 793: segments for nonexistent connections draw a RST."""
-        if segment.rst:
-            return
-        closed = TcpMachine(segment.dport, segment.sport, config=self.config)
-        from ..protocols.tcp.events import SegmentArrives
-
-        actions = closed.handle(SegmentArrives(segment), self.sim.now)
-        for action in actions:
-            if hasattr(action, "segment"):
-                yield from self._transmit(
-                    action.segment, src_ip, None
-                )
+        rst = reset_for(segment, segment.dport, segment.sport)
+        if rst is not None:
+            yield from self._transmit(rst, src_ip, None)
 
     def _transmit(self, segment: Segment, remote_ip: int, link_dst: object) -> Generator:
         costs = self.kernel.costs

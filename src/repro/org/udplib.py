@@ -38,7 +38,7 @@ from ..net.buf import STATS, PacketBuffer, prepend, slice_view
 from ..net.headers import HeaderError, Ipv4Header, PROTO_UDP
 from ..netio.channels import Channel, ChannelClosed
 from ..protocols.udp import UdpDatagram, decode_datagram, encode_datagram
-from ..sim import Event
+from ..sim import Event, Interrupt
 from ..tenancy.tenant import RateLimited
 
 if TYPE_CHECKING:
@@ -166,12 +166,10 @@ class UdpEndpoint:
                 batch = yield from self.channel.receive_batch()
             except (ChannelClosed, GeneratorExit):
                 return
-            except BaseException as exc:
-                from ..sim import Interrupt
-
-                if isinstance(exc, Interrupt):
-                    return  # Task terminated.
-                raise  # Real bugs must surface, not hang the endpoint.
+            except Interrupt:
+                # Task terminated.  Anything else is a real bug and
+                # surfaces, not hangs the endpoint.
+                return
             yield from self.kernel.cpu.consume(
                 costs.user_wakeup + 2 * costs.cthread_switch
             )

@@ -13,7 +13,7 @@ upcall threads (no PCB lookup).
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from ..host import Host
 from ..mach.ipc import Message, rpc, send
@@ -32,15 +32,12 @@ from ..protocols.tcp import (
     TcpSegmentEncoder,
     decode_segment,
 )
-from ..sim import Store
+from ..sim import Interrupt
 from .base import TcpConnection, TcpListener, TcpService
 from .runner import MachineRunner
 
-if True:  # Deferred to break the registry<->userlib import cycle.
-    from typing import TYPE_CHECKING
-
-    if TYPE_CHECKING:
-        from ..registry.server import ConnectionGrant, RegistryServer
+if TYPE_CHECKING:  # Breaks the registry<->userlib import cycle.
+    from ..registry.server import ConnectionGrant, RegistryServer
 
 
 class LibraryTcpService(TcpService):
@@ -257,12 +254,10 @@ class LibraryConnection(TcpConnection):
                 batch = yield from self.channel.receive_batch()
             except (ChannelClosed, GeneratorExit):
                 return
-            except BaseException as exc:
-                from ..sim import Interrupt
-
-                if isinstance(exc, Interrupt):
-                    return  # Task terminated or connection handed off.
-                raise  # Real bugs must surface, not hang the reader.
+            except Interrupt:
+                # Task terminated or connection handed off.  Anything
+                # else is a real bug and surfaces, not hangs the reader.
+                return
             # Per-notification costs, amortized over the whole batch:
             # the kernel->user wakeup of the library thread (paid only
             # when the thread actually slept - a saturated receiver

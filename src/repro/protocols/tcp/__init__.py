@@ -47,6 +47,7 @@ from .wire import (
     TcpSegmentEncoder,
     decode_segment,
     encode_segment,
+    reset_for,
 )
 
 __all__ = [
@@ -59,6 +60,7 @@ __all__ = [
     "Segment",
     "encode_segment",
     "decode_segment",
+    "reset_for",
     "TcpSegmentEncoder",
     "ChecksumError",
     "CC_ALGORITHMS",

@@ -49,7 +49,7 @@ from .events import (
 )
 from .seq import seq_add, seq_diff, seq_ge, seq_gt, seq_le, seq_lt, seq_max
 from .tcb import State, SYNCHRONIZED_STATES, Tcb, TcpConfig
-from .wire import Segment
+from .wire import Segment, reset_for
 
 
 class TcpError(Exception):
@@ -343,28 +343,14 @@ class TcpMachine:
 
     def _emit_rst_for(self, segment: Segment, actions: list[TcpAction]) -> None:
         """RST in response to an unacceptable segment (RFC 793 p.36)."""
-        if segment.rst:
-            return
-        if segment.has_ack:
-            rst = Segment(
-                sport=self.tcb.local_port,
-                dport=self.tcb.remote_port or segment.sport,
-                seq=segment.ack,
-                ack=0,
-                flags=TCP_RST,
-                window=0,
-            )
-        else:
-            rst = Segment(
-                sport=self.tcb.local_port,
-                dport=self.tcb.remote_port or segment.sport,
-                seq=0,
-                ack=seq_add(segment.seq, segment.seg_len),
-                flags=TCP_RST | TCP_ACK,
-                window=0,
-            )
-        self.stats["segments_sent"] += 1
-        actions.append(EmitSegment(rst))
+        rst = reset_for(
+            segment,
+            self.tcb.local_port,
+            self.tcb.remote_port or segment.sport,
+        )
+        if rst is not None:
+            self.stats["segments_sent"] += 1
+            actions.append(EmitSegment(rst))
 
     # ------------------------------------------------------------------
     # Application events

@@ -33,6 +33,7 @@ from ...net.headers import (
     HeaderError,
     TcpHeader,
 )
+from .seq import seq_add
 
 
 class ChecksumError(ValueError):
@@ -95,6 +96,25 @@ class Segment:
         """Bytes of TCP header + payload on the wire."""
         header = TcpHeader.LENGTH + (4 if self.mss is not None else 0)
         return header + len(self.payload)
+
+
+def reset_for(segment: Segment, sport: int, dport: int) -> Optional[Segment]:
+    """The reset RFC 793 p.36 prescribes for a segment no connection
+    claims, sent ``sport`` → ``dport``: none for a reset; sequenced at
+    the segment's ACK if it bears one; otherwise sequence zero,
+    acknowledging everything the segment occupies."""
+    if segment.rst:
+        return None
+    if segment.has_ack:
+        return Segment(
+            sport=sport, dport=dport,
+            seq=segment.ack, ack=0, flags=TCP_RST, window=0,
+        )
+    return Segment(
+        sport=sport, dport=dport,
+        seq=0, ack=seq_add(segment.seq, segment.seg_len),
+        flags=TCP_RST | TCP_ACK, window=0,
+    )
 
 
 def _build_header(segment: Segment, src_ip: int, dst_ip: int) -> bytes:

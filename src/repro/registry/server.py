@@ -29,7 +29,7 @@ from ..counters import Counters
 from ..host import Host
 from ..mach.ipc import Message, receive, reply_to, send
 from ..mach.task import Task
-from ..net.headers import PROTO_TCP, TCP_ACK, TCP_RST
+from ..net.headers import PROTO_TCP, TCP_RST
 from ..netio.module import LinkInfo
 from ..protocols.tcp import (
     ChecksumError,
@@ -38,6 +38,7 @@ from ..protocols.tcp import (
     TcpMachine,
     decode_segment,
     encode_segment,
+    reset_for,
 )
 from ..net.headers import HeaderError
 from ..sim import Store
@@ -672,21 +673,9 @@ class RegistryServer:
         yield from self.host.ip_send(remote_ip, PROTO_TCP, payload, link_dst)
 
     def _respond_rst(self, segment: Segment, src_ip: int, link_src: object) -> Generator:
-        if segment.rst:
+        rst = reset_for(segment, segment.dport, segment.sport)
+        if rst is None:
             return
-        if segment.has_ack:
-            rst = Segment(
-                sport=segment.dport, dport=segment.sport,
-                seq=segment.ack, ack=0, flags=TCP_RST, window=0,
-            )
-        else:
-            from ..protocols.tcp.seq import seq_add
-
-            rst = Segment(
-                sport=segment.dport, dport=segment.sport,
-                seq=0, ack=seq_add(segment.seq, segment.seg_len),
-                flags=TCP_RST | TCP_ACK, window=0,
-            )
         self.stats["resets_sent"] += 1
         payload = encode_segment(rst, self.host.ip, src_ip)
         yield from self.host.ip_send(src_ip, PROTO_TCP, payload, link_src)

@@ -11,9 +11,6 @@ from .events import (
     NORMAL,
     PENDING,
     URGENT,
-    AllOf,
-    AnyOf,
-    Condition,
     Event,
     Process,
     Timeout,
@@ -25,9 +22,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Condition",
-    "AllOf",
-    "AnyOf",
     "Store",
     "Serial",
     "CPU",

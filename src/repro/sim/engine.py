@@ -32,8 +32,6 @@ from typing import Any, Generator, Optional, Union
 from .errors import EmptySchedule, StopSimulation
 from .events import (
     NORMAL,
-    AllOf,
-    AnyOf,
     Event,
     Process,
     Timeout,
@@ -128,14 +126,6 @@ class Simulator:
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events) -> AllOf:
-        """Event that fires when all of ``events`` have fired."""
-        return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """Event that fires when any of ``events`` fires."""
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # Scheduling and execution

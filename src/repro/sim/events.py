@@ -8,7 +8,7 @@ exception; failed events re-raise inside the waiting process.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from .errors import Interrupt, SimError
 
@@ -270,90 +270,12 @@ class Process(Event):
         zero-delay event later.  With nobody waiting (a kernel thread,
         a per-connection worker — most processes are never joined) it
         is *processed* here and now: no engine event is spent
-        on a completion nobody observes, and a later ``yield proc``,
-        ``run(until=proc)`` or condition over it sees a processed event
-        and continues at once with its value or exception.
+        on a completion nobody observes, and a later ``yield proc`` or
+        ``run(until=proc)`` sees a processed event and continues at
+        once with its value or exception.
         """
         if self.callbacks:
             self.sim.schedule(self)
         else:
             self.callbacks = None
 
-
-class Condition(Event):
-    """An event that fires when ``evaluate`` says enough children fired.
-
-    The value is an ordered dict mapping each triggered child event to its
-    value, in the order the children were given.
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        sim: "Simulator",  # noqa: F821
-        evaluate: Callable[[list[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
-        super().__init__(sim)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.sim is not sim:
-                raise ValueError("cannot mix events from different simulators")
-
-        if not self._events:
-            self.succeed(self._collect())
-            return
-
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _collect(self) -> dict[Event, Any]:
-        # Only *processed* children count: a Timeout carries its value from
-        # creation, so `triggered` alone would claim not-yet-fired timeouts.
-        return {
-            event: event._value
-            for event in self._events
-            if event.callbacks is None and event._ok and not event._cancelled
-        }
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._count += 1
-        if not event._ok:
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect())
-
-    @staticmethod
-    def all_events(events: list[Event], count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: list[Event], count: int) -> bool:
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Fires when every child event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:  # noqa: F821
-        super().__init__(sim, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Fires when the first child event fires."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:  # noqa: F821
-        super().__init__(sim, Condition.any_events, events)

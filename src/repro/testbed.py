@@ -148,6 +148,22 @@ class Testbed:
     def switches(self) -> list:
         return []
 
+    @property
+    def routers(self) -> list:
+        return []
+
+    @property
+    def client_services(self) -> list[TcpService]:
+        return [self.service_a]
+
+    @property
+    def server_services(self) -> list[TcpService]:
+        return [self.service_b]
+
+    def server_ip(self, i: int) -> int:
+        """Where transfer ``i`` connects: always host b."""
+        return IP_B
+
     def spawn(self, generator: Generator, name: str = "proc"):
         return self.sim.process(generator, name=name)
 
@@ -174,9 +190,10 @@ class FabricTestbed:
     Builds a :mod:`~repro.net.fabric` topology (``star``, ``chain``, or
     ``dumbbell``) and attaches the chosen TCP organization to every
     host.  Exposes the same duck-typed surface :mod:`~repro.netstat`
-    walks on :class:`Testbed` (``hosts`` / ``registries`` / ``links`` /
-    ``switches``), plus per-host service lookup and — on dumbbells —
-    index-paired ``client_services`` / ``server_services``.
+    and the transfer drivers walk on :class:`Testbed` (``hosts`` /
+    ``registries`` / ``services`` / ``links`` / ``switches`` /
+    ``routers``; index-paired ``client_services`` / ``server_services``
+    / ``server_ip`` — empty off dumbbells), plus per-host service lookup.
     """
 
     __test__ = False  # Not a pytest test class despite the name.
@@ -284,6 +301,11 @@ class FabricTestbed:
     @property
     def server_services(self) -> list[TcpService]:
         return [self.service(h) for h in self.topology.servers]
+
+    def server_ip(self, i: int) -> int:
+        """Where transfer ``i`` connects: server ``i``, wrapping."""
+        servers = self.topology.servers
+        return servers[i % len(servers)].ip
 
     def spawn(self, generator: Generator, name: str = "proc"):
         return self.sim.process(generator, name=name)

@@ -4,9 +4,7 @@ import pytest
 
 from repro.costs import DECSTATION_5000_200, FREE
 from repro.mach import (
-    Condition,
     Kernel,
-    Mutex,
     PAGE_SIZE,
     Semaphore,
     SharedRegion,
@@ -82,13 +80,6 @@ def test_semaphore_fifo_wakeup():
     assert order == ["a", "b", "c"]
 
 
-def test_semaphore_try_wait():
-    _, kernel = make_kernel()
-    sem = Semaphore(kernel, value=1)
-    assert sem.try_wait()
-    assert not sem.try_wait()
-
-
 def test_semaphore_initial_value_validation():
     _, kernel = make_kernel()
     with pytest.raises(ValueError):
@@ -121,112 +112,6 @@ def test_semaphore_waiting_count():
     sem.signal(2)
     sim.run()
     assert sem.waiting == 0
-
-
-# ----------------------------------------------------------------------
-# Mutex / Condition
-# ----------------------------------------------------------------------
-
-
-def test_mutex_mutual_exclusion():
-    sim, kernel = make_kernel()
-    mutex = Mutex(kernel)
-    trace = []
-
-    def critical(tag):
-        yield from mutex.acquire()
-        trace.append(("enter", tag, sim.now))
-        yield sim.timeout(2.0)
-        trace.append(("exit", tag, sim.now))
-        mutex.release()
-
-    sim.process(critical("a"))
-    sim.process(critical("b"))
-    sim.run()
-    assert trace == [
-        ("enter", "a", 0.0),
-        ("exit", "a", 2.0),
-        ("enter", "b", 2.0),
-        ("exit", "b", 4.0),
-    ]
-
-
-def test_mutex_double_release_rejected():
-    sim, kernel = make_kernel()
-    mutex = Mutex(kernel)
-
-    def proc():
-        yield from mutex.acquire()
-        mutex.release()
-        with pytest.raises(RuntimeError):
-            mutex.release()
-
-    sim.run(until=sim.process(proc()))
-
-
-def test_condition_wait_signal():
-    sim, kernel = make_kernel()
-    mutex = Mutex(kernel)
-    cond = Condition(kernel, mutex)
-    state = {"ready": False}
-    woke = []
-
-    def consumer():
-        yield from mutex.acquire()
-        while not state["ready"]:
-            yield from cond.wait()
-        woke.append(sim.now)
-        mutex.release()
-
-    def producer():
-        yield sim.timeout(3.0)
-        yield from mutex.acquire()
-        state["ready"] = True
-        cond.signal()
-        mutex.release()
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert woke == [3.0]
-
-
-def test_condition_wait_without_mutex_rejected():
-    sim, kernel = make_kernel()
-    mutex = Mutex(kernel)
-    cond = Condition(kernel, mutex)
-
-    def proc():
-        with pytest.raises(RuntimeError):
-            yield from cond.wait()
-
-    sim.run(until=sim.process(proc()))
-
-
-def test_condition_broadcast_wakes_all():
-    sim, kernel = make_kernel()
-    mutex = Mutex(kernel)
-    cond = Condition(kernel, mutex)
-    woke = []
-
-    def consumer(tag):
-        yield from mutex.acquire()
-        yield from cond.wait()
-        woke.append(tag)
-        mutex.release()
-
-    for tag in ("a", "b"):
-        sim.process(consumer(tag))
-
-    def producer():
-        yield sim.timeout(1.0)
-        yield from mutex.acquire()
-        cond.broadcast()
-        mutex.release()
-
-    sim.process(producer())
-    sim.run()
-    assert sorted(woke) == ["a", "b"]
 
 
 # ----------------------------------------------------------------------

@@ -168,54 +168,3 @@ def test_run_all_respects_limit():
     sim.process(ticker())
     sim.run_all(limit=3.0)
     assert seen == [1.0, 2.0, 3.0]
-
-
-def test_condition_rejects_mixed_simulators():
-    import pytest
-    from repro.sim import AllOf
-
-    sim1, sim2 = Simulator(), Simulator()
-    t1 = sim1.timeout(1.0)
-    t2 = sim2.timeout(1.0)
-    with pytest.raises(ValueError):
-        AllOf(sim1, [t1, t2])
-
-
-def test_any_of_propagates_failure():
-    import pytest
-
-    sim = Simulator()
-    ev = sim.event()
-
-    def proc():
-        with pytest.raises(RuntimeError):
-            yield sim.any_of([ev, sim.timeout(10.0)])
-        return "handled"
-
-    def failer():
-        yield sim.timeout(1.0)
-        ev.fail(RuntimeError("child failed"))
-
-    sim.process(failer())
-    assert sim.run(until=sim.process(proc())) == "handled"
-
-
-def test_all_of_fails_fast_on_first_failure():
-    import pytest
-
-    sim = Simulator()
-    ev = sim.event()
-    slow = sim.timeout(100.0)
-
-    def proc():
-        with pytest.raises(ValueError):
-            yield sim.all_of([ev, slow])
-        return sim.now
-
-    def failer():
-        yield sim.timeout(2.0)
-        ev.fail(ValueError("nope"))
-
-    sim.process(failer())
-    # Fails at 2.0, well before the 100 s timeout.
-    assert sim.run(until=sim.process(proc())) == 2.0

@@ -217,43 +217,6 @@ def test_yield_already_processed_event_continues_immediately():
     assert sim.run(until=sim.process(proc())) == "early"
 
 
-def test_condition_all_of():
-    sim = Simulator()
-    t1 = sim.timeout(1.0, value="a")
-    t2 = sim.timeout(2.0, value="b")
-
-    def proc():
-        results = yield sim.all_of([t1, t2])
-        return sorted(results.values())
-
-    assert sim.run(until=sim.process(proc())) == ["a", "b"]
-    assert sim.now == 2.0
-
-
-def test_condition_any_of():
-    sim = Simulator()
-    t1 = sim.timeout(1.0, value="fast")
-    t2 = sim.timeout(9.0, value="slow")
-
-    def proc():
-        results = yield sim.any_of([t1, t2])
-        return list(results.values())
-
-    sim_result = sim.run(until=sim.process(proc()))
-    assert sim_result == ["fast"]
-    assert sim.now == 1.0
-
-
-def test_condition_empty_fires_immediately():
-    sim = Simulator()
-
-    def proc():
-        yield sim.all_of([])
-        return sim.now
-
-    assert sim.run(until=sim.process(proc())) == 0.0
-
-
 # ----------------------------------------------------------------------
 # A process nobody waits for finishes without an engine event
 # ----------------------------------------------------------------------
@@ -346,50 +309,6 @@ def test_run_until_finished_process_returns_or_raises(sim_cls):
     # And the unfinished case is unchanged: run() drives it to the end.
     r = sim.process(good())
     assert sim.run(until=r) == 5
-
-
-@pytest.mark.parametrize("sim_cls", ENGINES)
-def test_conditions_over_finished_and_unfinished_processes(sim_cls):
-    sim = sim_cls()
-
-    def after(delay, value):
-        yield sim.timeout(delay)
-        return value
-
-    finished = sim.process(after(1.0, "first"))
-    sim.run()
-    assert finished.processed
-    pending = sim.process(after(2.0, "second"))
-
-    def waiter():
-        any_result = yield sim.any_of([finished, pending])
-        at_any = sim.now
-        all_result = yield sim.all_of([finished, pending])
-        return list(any_result.values()), at_any, list(all_result.values()), sim.now
-
-    assert sim.run(until=sim.process(waiter())) == (
-        ["first"], 1.0, ["first", "second"], 3.0,
-    )
-
-
-@pytest.mark.parametrize("sim_cls", ENGINES)
-def test_all_of_over_failed_finished_process_fails(sim_cls):
-    sim = sim_cls()
-
-    def bad():
-        yield sim.timeout(1.0)
-        raise ValueError("boom")
-
-    failed = sim.process(bad())
-    sim.run()
-
-    def waiter():
-        try:
-            yield sim.all_of([failed, sim.timeout(1.0)])
-        except ValueError:
-            return "saw failure"
-
-    assert sim.run(until=sim.process(waiter())) == "saw failure"
 
 
 @pytest.mark.parametrize("sim_cls", ENGINES)

@@ -21,10 +21,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: to import, or None for any function in it.
 ALLOWED = {
     "mach/kernel.py": {"create_task"},
-    "org/userlib.py": {"_receive_loop", "hand_off"},
-    "org/udplib.py": {"_receive_loop"},
-    "org/monolithic.py": {"_respond_rst"},
-    "registry/server.py": {"_op_bind_udp", "_finish_connection", "_respond_rst"},
+    "org/userlib.py": {"hand_off"},
+    "registry/server.py": {"_op_bind_udp", "_finish_connection"},
     "netstat.py": {"copy_table", "main"},
     "obs/spans.py": {"enable", "disable"},
     "specialize.py": {"specialize"},

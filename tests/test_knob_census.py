@@ -78,6 +78,15 @@ CENSUS = {
         "kernel": D, "nic": D, "demux_style": FILTERSTYLE, "name": D,
         "batching": BATCHING,
     },
+    # The privileged call, not a constructor: every argument says whose
+    # connection is being granted (tasks, addresses, ring, region size).
+    # Listed so the next one arrives with a tag.
+    NetworkIoModule.create_channel: {
+        "caller": D, "owner": D, "template": D, "local_ip": D,
+        "local_port": D, "remote_ip": D, "remote_port": D, "link_dst": D,
+        "peer_bqi": D, "region_size": D, "ring": D, "protocol": D,
+        "with_link_info": D,
+    },
     FlowTable: {},
     LibraryTcpService: {
         "host": D, "app": D, "registry": D, "config": D,

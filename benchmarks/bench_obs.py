@@ -24,6 +24,7 @@ The CPU-time on/off ratio is a speed, and the ledger's row
 """
 
 import cProfile
+import gc
 
 from repro import obs
 from repro.metrics import measure_throughput
@@ -49,6 +50,10 @@ def count_calls(enabled: bool) -> dict:
         session = obs.enable()
     try:
         testbed = Testbed(network=NETWORK, organization=ORGANIZATION)
+        # Earlier worlds are cyclic garbage full of suspended generators,
+        # and closing one is a counted call: collect them here, not at
+        # whatever point of the profiled run the allocator gets to it.
+        gc.collect()
         profiler.enable()
         try:
             result = measure_throughput(

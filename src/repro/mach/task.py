@@ -103,8 +103,12 @@ class Task:
         return process
 
     def on_exit(self, hook: Callable[["Task"], None]) -> None:
-        """Register a callback to run when the task terminates."""
-        self._exit_hooks.append(hook)
+        """Register a callback to run when the task terminates — at
+        once if it already has."""
+        if self.alive:
+            self._exit_hooks.append(hook)
+        else:
+            hook(self)
 
     def terminate(self) -> None:
         """Kill the task: interrupt threads, drop rights, run exit hooks.
@@ -115,8 +119,13 @@ class Task:
         if not self.alive:
             return
         self.alive = False
+        active = self.sim.active_process
         for thread in self.threads:
-            if thread.is_alive:
+            if thread is active:
+                # exit() from one of the task's own threads: a process
+                # cannot interrupt itself, so it ends at its next wait.
+                self.sim.call_later(0.0, _stop, thread)
+            elif thread.is_alive:
                 thread.interrupt("task-terminated")
         for right in list(self._rights):
             if right.is_receive:
@@ -124,3 +133,8 @@ class Task:
         self._rights.clear()
         for hook in self._exit_hooks:
             hook(self)
+
+
+def _stop(thread: Process) -> None:
+    if thread.is_alive:
+        thread.interrupt("task-terminated")

@@ -40,7 +40,7 @@ from ..obs import hist as _hist
 from ..obs import profile as _profile
 from ..obs import spans as _spans
 from .channels import Channel
-from .demux import DemuxDecision, FlowKey, FlowTable, KERNEL_FLOW
+from .demux import DemuxDecision, DemuxError, FlowKey, FlowTable, KERNEL_FLOW
 from .pktfilter import (
     FilterProgram,
     ScanTable,
@@ -48,7 +48,7 @@ from .pktfilter import (
     udp_filter_program,
 )
 from .template import HeaderTemplate, TemplateViolation
-from ..tenancy.tenant import QuotaExceeded, RateLimited, TenantViolation
+from ..tenancy.tenant import QuotaExceeded, RateLimited
 
 
 class SecurityViolation(Exception):
@@ -149,11 +149,13 @@ class NetworkIoModule:
     # Tenancy plumbing
     # ------------------------------------------------------------------
 
-    def _tenant_for(self, task: Task):
-        """The tenant a task belongs to, or None (untenanted stack)."""
+    def _admit(self, task: Optional[Task], kind: str, check):
+        """Tenancy admission for ``task`` before anything is built for
+        it: its tenant, or None (untenanted stack); a refusal is
+        audited as ``kind`` (see :meth:`TenantManager.admit`)."""
         if self.tenants is None or task is None:
             return None
-        return self.tenants.tenant_of(task)
+        return self.tenants.admit(task, self.kernel.sim.now, kind, check)
 
     def _reserve_region(self, nbytes: int) -> None:
         """Debit the physical wired-memory pool (independent of tenant
@@ -219,96 +221,84 @@ class NetworkIoModule:
         flow_key = FlowKey(proto, local_ip, local_port, remote_ip, remote_port)
 
         # Tenancy admission: template and flow key vetted against the
-        # owner's grant, quotas debited — all before any resource is
-        # built, so a refusal allocates nothing.  Refusals are audited
-        # facts even when a sabotaged stack chooses not to act on them.
-        tenant = self._tenant_for(owner)
-        manager = self.tenants
-        if tenant is not None:
-            ring_buffers = self.DEFAULT_RING_CAPACITY if (
-                self.is_an1 and ring is None
-            ) else 0
-            try:
-                tenant.check_template(template)
-                tenant.check_flow_key(flow_key)
-                tenant.precheck_channel(region_size, ring_buffers)
-            except TenantViolation as exc:
-                manager.note(
-                    self.kernel.sim.now,
-                    "admission_refused",
-                    tenant.tenant_id,
-                    str(exc),
-                )
-                if manager.enforcing:
-                    raise
+        # owner's grant, quotas checked — all before any resource is
+        # built, so a refusal allocates nothing.
+        ring_buffers = self.DEFAULT_RING_CAPACITY if (
+            self.is_an1 and ring is None
+        ) else 0
+
+        def vet(tenant) -> None:
+            tenant.check_template(template)
+            tenant.check_flow_key(flow_key)
+            tenant.precheck_channel(region_size, ring_buffers)
+
+        tenant = self._admit(owner, "admission_refused", vet)
         # Physical pool admission is unconditional: memory is memory.
         self._reserve_region(region_size)
-
-        # Shared, pinned packet-buffer region mapped into the library.
-        region = SharedRegion(self.kernel, region_size)
-        region.mapped.add(owner)
-        yield from self.kernel.cpu.consume(costs.vm_map_region)
-        yield from vm_wire(self.kernel, region)
-
-        demux: Optional[FilterProgram] = None
-        if self.is_an1:
-            if ring is None:
-                try:
-                    ring = self._allocate_bqi(self.DEFAULT_RING_CAPACITY)
-                except QuotaExceeded:
-                    self._release_region(region_size)
-                    raise
-                yield from self.kernel.cpu.consume(costs.bqi_setup)
-        elif self.demux_style != "synthesized":
-            # Interpreted styles carry a real filter program for the
-            # scan table, with its per-instruction costs.
-            if protocol == "udp":
-                demux = udp_filter_program(local_ip, local_port)
-            else:
-                demux = tcp_filter_program(
-                    local_ip, local_port, remote_ip, remote_port
-                )
-
-        channel = Channel(
-            owner=owner,
-            template=template,
-            region=region,
-            demux_filter=demux,
-            ring=ring,
-            name=f"{owner.name}:{local_port}",
-            batching=self.batching,
-            with_link_info=with_link_info,
-        )
-        channel.link_dst = link_dst
-        channel.peer_bqi = peer_bqi
-        channel.module = self
-        if tenant is not None:
-            channel.tenant_id = tenant.tenant_id
-        if ring is not None:
-            ring.owner = channel
-            if tenant is not None:
-                ring.tenant_id = tenant.tenant_id
-                tenant.attach_ring(ring)  # no-op if charged at pre-alloc
-        # The flow entry is installed on every network and style:
-        # on Ethernet it *is* the demux; on AN1 (hardware demux) and
-        # under interpreted styles it still serves kernel-side flow
-        # resolution (the UDP forwarder) and observability.
+        own_ring = channel = None
         try:
-            self.flow_table.install(
-                flow_key, channel, owner=channel.tenant_id
+            # Shared, pinned packet-buffer region mapped into the library.
+            region = SharedRegion(self.kernel, region_size)
+            region.mapped.add(owner)
+            yield from self.kernel.cpu.consume(costs.vm_map_region)
+            yield from vm_wire(self.kernel, region)
+
+            demux: Optional[FilterProgram] = None
+            if self.is_an1:
+                if ring is None:
+                    ring = own_ring = self._allocate_bqi(
+                        self.DEFAULT_RING_CAPACITY
+                    )
+                    yield from self.kernel.cpu.consume(costs.bqi_setup)
+            elif self.demux_style != "synthesized":
+                # Interpreted styles carry a real filter program for the
+                # scan table, with its per-instruction costs.
+                if protocol == "udp":
+                    demux = udp_filter_program(local_ip, local_port)
+                else:
+                    demux = tcp_filter_program(
+                        local_ip, local_port, remote_ip, remote_port
+                    )
+
+            channel = Channel(
+                owner=owner,
+                template=template,
+                region=region,
+                demux_filter=demux,
+                ring=ring,
+                name=f"{owner.name}:{local_port}",
+                batching=self.batching,
+                with_link_info=with_link_info,
             )
-        except Exception:
-            # Unwind everything already built (region pool, ring,
-            # BQI charge) — a refused flow must allocate nothing.
-            self._release_region(region_size)
-            if ring is not None and self.is_an1:
-                ring.owner = None
+            channel.link_dst = link_dst
+            channel.peer_bqi = peer_bqi
+            channel.module = self
+            if tenant is not None:
+                channel.tenant_id = tenant.tenant_id
+            if ring is not None:
+                ring.owner = channel
                 if tenant is not None:
-                    tenant.release_ring(ring)
-                self.nic.release_bqi(ring.bqi)
-            channel.close()
-            if tenant is not None and manager is not None:
-                manager.note(
+                    ring.tenant_id = tenant.tenant_id
+                    tenant.attach_ring(ring)  # no-op if charged at pre-alloc
+            # The flow entry is installed on every network and style:
+            # on Ethernet it *is* the demux; on AN1 (hardware demux) and
+            # under interpreted styles it still serves kernel-side flow
+            # resolution (the UDP forwarder) and observability.
+            self.flow_table.install(flow_key, channel, owner=channel.tenant_id)
+        except Exception as exc:
+            # One unwind for whatever stopped the build — a full BQI
+            # table, a refused flow, the caller interrupted while the
+            # region was being wired: a refused channel allocates
+            # nothing.  A ring the caller pre-allocated is disowned and
+            # stays the caller's to release.
+            self._release_region(region_size)
+            if ring is not None:
+                ring.owner = None
+            self._drop_ring(own_ring)
+            if channel is not None:
+                channel.close()
+            if tenant is not None and isinstance(exc, DemuxError):
+                self.tenants.note(
                     self.kernel.sim.now,
                     "flow_install_refused",
                     tenant.tenant_id,
@@ -321,6 +311,7 @@ class NetworkIoModule:
         if tenant is not None:
             tenant.attach_channel(channel, region_size)
             tenant.counters["channels_created"] += 1
+            tenant.note_bound(local_port)
         self.channels.append(channel)
         return channel
 
@@ -343,18 +334,11 @@ class NetworkIoModule:
         if channel.flow_key is not None:
             self.flow_table.remove(channel.flow_key)
             channel.flow_key = None
-        if channel.ring is not None and self.is_an1:
-            # Disown the ring before handing the BQI back: frames in
-            # flight toward a recycled index must land in the kernel,
-            # never in the closed channel.
-            channel.ring.owner = None
-            self.nic.release_bqi(channel.ring.bqi)
+        self._drop_ring(channel.ring)
         self._release_region(channel.region.size)
         if self.tenants is not None and channel.tenant_id is not None:
             tenant = self.tenants.get(channel.tenant_id)
             if tenant is not None:
-                if channel.ring is not None:
-                    tenant.release_ring(channel.ring)
                 tenant.release_channel(channel)
                 tenant.counters["channels_destroyed"] += 1
         channel.close()
@@ -379,19 +363,9 @@ class NetworkIoModule:
         """
         if not caller.privileged:
             raise SecurityViolation("only the registry may install listeners")
-        tenant = self._tenant_for(owner)
-        if tenant is not None:
-            try:
-                tenant.check_port(local_port)
-            except TenantViolation as exc:
-                self.tenants.note(
-                    self.kernel.sim.now,
-                    "listen_refused",
-                    tenant.tenant_id,
-                    str(exc),
-                )
-                if self.tenants.enforcing:
-                    raise
+        tenant = self._admit(
+            owner, "listen_refused", lambda t: t.check_port(local_port)
+        )
         self.flow_table.install(
             FlowKey(proto, local_ip, local_port),
             KERNEL_FLOW,
@@ -426,19 +400,9 @@ class NetworkIoModule:
             raise SecurityViolation("only the registry may allocate rings")
         if not self.is_an1:
             return None
-        tenant = self._tenant_for(owner)
-        if tenant is not None:
-            try:
-                tenant.admit_ring(capacity)
-            except TenantViolation as exc:
-                self.tenants.note(
-                    self.kernel.sim.now,
-                    "ring_refused",
-                    tenant.tenant_id,
-                    str(exc),
-                )
-                if self.tenants.enforcing:
-                    raise
+        tenant = self._admit(
+            owner, "ring_refused", lambda t: t.admit_ring(capacity)
+        )
         ring = self._allocate_bqi(capacity)
         if tenant is not None:
             ring.tenant_id = tenant.tenant_id
@@ -451,14 +415,20 @@ class NetworkIoModule:
         the tenant."""
         if not caller.privileged:
             raise SecurityViolation("only the registry may release rings")
+        self._drop_ring(ring)
+
+    def _drop_ring(self, ring: Optional[BufferRing]) -> None:
         if ring is None or not self.is_an1:
             return
+        # Disowned before the BQI goes back: frames in flight toward a
+        # recycled index must land in the kernel, never in a closed
+        # channel.
         ring.owner = None
         if self.tenants is not None and ring.tenant_id is not None:
             tenant = self.tenants.get(ring.tenant_id)
             if tenant is not None:
                 tenant.release_ring(ring)
-        if ring.bqi in self.nic.bqi_table:
+        if self.nic.bqi_table.get(ring.bqi) is ring:
             self.nic.release_bqi(ring.bqi)
 
     # ------------------------------------------------------------------

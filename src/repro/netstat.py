@@ -97,16 +97,16 @@ def connection_table(testbed: "Testbed") -> list[ConnectionEntry]:
     entries: list[ConnectionEntry] = []
     for registry in testbed.registries:
         host = registry.host
-        for record in registry._records:
-            grant = record.grant
+        for lease in registry._leases.values():
+            grant = lease.grant
+            if grant is None:
+                continue  # Not granted yet, a listener, or a UDP binding.
             machine = grant.machine
-            if machine is None:
-                continue  # A UDP binding, listed by channel_table.
             tcb = machine.tcb
             entries.append(
                 ConnectionEntry(
                     host=host.name,
-                    owner=record.owner.name,
+                    owner=lease.owner.name,
                     local=f"{ip_to_str(host.ip)}:{grant.local_port}",
                     remote=f"{ip_to_str(grant.remote_ip)}:{grant.remote_port}",
                     state=machine.state.value,
@@ -217,10 +217,11 @@ def fastpath_table(testbed) -> list[FastpathEntry]:
     machines_by_host: dict[str, list] = {}
     for registry in testbed.registries:
         rows = machines_by_host.setdefault(registry.host.name, [])
-        for record in registry._records:
-            machine = record.grant.machine
-            if machine is not None:
-                rows.append(machine)
+        rows.extend(
+            lease.grant.machine
+            for lease in registry._leases.values()
+            if lease.grant is not None
+        )
     for service in testbed.services:
         connections = getattr(service, "_connections", None)
         if connections is None:

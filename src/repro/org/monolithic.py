@@ -266,7 +266,11 @@ class MonolithicTcpStack(TcpService):
         ok = yield from connection.runner.wait_connected()
         if ok and not listener.closed:
             yield listener.backlog.put(connection)
-        elif not ok:
+        elif ok:
+            # Established on a listener closed meanwhile: nobody will
+            # accept it, so the peer is reset rather than left hanging.
+            yield from connection.abort()
+        else:
             self._remove_connection(connection)
 
     def _respond_rst(self, segment: Segment, src_ip: int) -> Generator:
@@ -380,3 +384,5 @@ class MonoListener(TcpListener):
     def close(self) -> None:
         self.closed = True
         self.stack._listeners.pop(self.port, None)
+        while self.backlog.items:  # Established, never accepted: reset.
+            self.stack.sim.process(self.backlog.items.popleft().abort())

@@ -212,7 +212,7 @@ class UdpEndpoint:
         yield from send(
             self.service.app,
             self.service._registry_right,
-            Message("release_udp", body={"channel": self.channel}),
+            Message("release", body={"channel": self.channel}),
         )
         while self._readers:
             self._readers.pop().succeed()

@@ -16,12 +16,9 @@ event API driven by :class:`~repro.protocols.tcp.machine.TcpMachine`:
 ``on_rtt_sample(rtt, now)``
     The RTT estimator took a clean (Karn-valid) sample.
 ``window`` (property)
-    Bytes the algorithm currently allows in flight.
-``pacing_rate()``
-    Bytes/second the algorithm would pace at, or ``None`` for classic
-    ack-clocked (unpaced) sending.  The machine does not enforce
-    pacing; rate-based algorithms (BBR) bound in-flight data through
-    ``window`` and expose the rate for observability and benchmarks.
+    Bytes the algorithm currently allows in flight.  Sending is
+    ack-clocked for every algorithm: a rate-based one (BBR) bounds
+    in-flight data through ``window`` too and is never paced.
 
 ``now`` is simulated seconds, always supplied by the machine; the
 default of 0.0 keeps hand-driven unit tests terse.  Time-based
@@ -35,8 +32,6 @@ the dumbbell race (``benchmarks/bench_congestion.py``) come for free.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 #: Congestion-window ceiling (the classic pre-window-scaling maximum).
 MAX_WINDOW = 65535
@@ -91,10 +86,6 @@ class CongestionAlgorithm:
     def window(self) -> int:
         """Bytes the congestion window currently allows in flight."""
         return min(self.cwnd, MAX_WINDOW)
-
-    def pacing_rate(self) -> Optional[float]:
-        """Bytes/second to pace at; None means ack-clocked (unpaced)."""
-        return None
 
     def set_mss(self, mss: int) -> None:
         """The handshake learned the effective MSS: adopt it and reset

@@ -217,10 +217,3 @@ class BbrModel(CongestionAlgorithm):
         """Adopt the negotiated MSS, keeping BBR's 4-segment floor."""
         self.mss = mss
         self.cwnd = self.min_cwnd_segments * mss
-
-    def pacing_rate(self) -> Optional[float]:
-        """Bytes/second: pacing_gain times the bandwidth estimate."""
-        bw = self.max_bw
-        if bw is None:
-            return None
-        return self.pacing_gain * bw

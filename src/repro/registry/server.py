@@ -23,17 +23,22 @@ A privileged task, one per protocol per host, that:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Generator, Optional
 
 from ..counters import Counters
 from ..host import Host
-from ..mach.ipc import Message, receive, reply_to, send
+from ..mach.ipc import Message, receive, reply_to
 from ..mach.task import Task
 from ..net.headers import PROTO_TCP, TCP_RST
+from ..net.nic.an1ctrl import BufferRing
+from ..netio.channels import Channel
 from ..netio.module import LinkInfo
+from ..netio.template import tcp_send_template, udp_send_template
 from ..protocols.tcp import (
     ChecksumError,
     Segment,
+    State,
     TcpConfig,
     TcpMachine,
     decode_segment,
@@ -41,9 +46,8 @@ from ..protocols.tcp import (
     reset_for,
 )
 from ..net.headers import HeaderError
-from ..sim import Store
-from ..tenancy.tenant import TenantViolation
-from .namespace import PortInUse, PortNamespace
+from ..sim import Process, Store
+from .namespace import PortNamespace
 from ..org.runner import MachineRunner
 
 
@@ -52,7 +56,7 @@ class ConnectionGrant:
     """Everything the library needs to take over an established
     connection: the live machine, the channel, and addressing."""
 
-    machine: Optional[TcpMachine]
+    machine: TcpMachine
     channel: object
     local_port: int
     remote_ip: int
@@ -65,21 +69,39 @@ class ConnectionGrant:
     timers: dict[str, float] = field(default_factory=dict)
 
 
-@dataclass
-class _ConnectionRecord:
-    """Registry-side bookkeeping for a granted connection."""
+@dataclass(eq=False)
+class _Lease:
+    """What one registry operation has acquired so far, and for whom.
 
-    grant: ConnectionGrant
+    Created at the operation's first allocation and tied to its
+    owner's exit from that moment; every later acquisition is a field
+    set here, so :meth:`RegistryServer._release` can hand back exactly
+    what is held at whatever point the operation stops.  A listener is
+    the lease keyed ``(port, 0, 0)`` with a ``backlog``; a UDP binding
+    is keyed the same way and holds a channel but no machine.
+    """
+
     owner: Task
+    #: The thread working on the lease; its owner's exit interrupts it.
+    worker: Process
+    local_port: int
+    remote_ip: int = 0
+    remote_port: int = 0
+    #: False for a passive open: the port is its listener's.
+    holds_port: bool = True
+    link_dst: object = None
+    #: The peer registry's ring, read off the link header of a segment
+    #: that reached this lease (AN1 BQI exchange).
+    peer_bqi: int = 0
+    ring: Optional[BufferRing] = None
+    #: The handshake's machine and its timers, until the grant is built.
+    runner: Optional[MachineRunner] = None
+    channel: Optional[Channel] = None
+    #: What the library is handed once the channel exists.
+    grant: Optional[ConnectionGrant] = None
+    #: A listener's established, not yet accepted connections (leases).
+    backlog: Optional[Store] = None
     released: bool = False
-
-
-@dataclass
-class _Listener:
-    port: int
-    owner: Task
-    backlog: Store
-    closed: bool = False
 
 
 class RegistryServer:
@@ -96,11 +118,10 @@ class RegistryServer:
         self.task = host.create_task("registry", privileged=True)
         self._service_rx = self.task.allocate_port("registry-svc")
         self.ports = PortNamespace(msl=self.config.msl)
-        self._listeners: dict[int, _Listener] = {}
-        #: In-flight handshakes keyed by (local_port, remote_ip, remote_port).
-        self._pending: dict[tuple[int, int, int], MachineRunner] = {}
-        self._peer_bqi: dict[tuple[int, int, int], int] = {}
-        self._records: list[_ConnectionRecord] = []
+        #: Everything handed out and not yet given back, keyed by
+        #: (local_port, remote_ip, remote_port): handshakes in flight,
+        #: granted connections, UDP bindings and listeners alike.
+        self._leases: dict[tuple[int, int, int], _Lease] = {}
         self._next_iss = 1
         #: TenantManager when the host is shared among principals; the
         #: registry is the second enforcement point (port grants), the
@@ -136,123 +157,173 @@ class RegistryServer:
             )
 
     def _dispatch(self, message: Message) -> Generator:
-        handler = {
-            "listen": self._op_listen,
-            "unlisten": self._op_unlisten,
-            "accept": self._op_accept,
-            "connect": self._op_connect,
-            "release": self._op_release,
-            "bind_udp": self._op_bind_udp,
-            "release_udp": self._op_release_udp,
-        }.get(message.op)
-        if handler is None:
-            if message.reply_to is not None:
-                yield from reply_to(
-                    self.task, message, Message("error", body="bad op")
-                )
-            return
+        """One request worker.  Whatever escapes the operation — a
+        refusal, a failed handshake, the requester's exit interrupting
+        it, a bug — gives back the lease it was working on and, while
+        the requester can still hear it, is answered with an error: a
+        worker never ends holding anything."""
         try:
+            handler = getattr(self, f"_op_{message.op}", None)
+            if handler is None:
+                raise LookupError("bad op")
             yield from handler(message)
-        except (PortInUse, ConnectionError, LookupError, TenantViolation) as exc:
-            if message.reply_to is not None:
+        except Exception as exc:
+            worker = self.sim.active_process
+            for lease in [x for x in self._leases.values() if x.worker is worker]:
+                self._release(lease, reset=True)
+            reply = message.reply_to
+            if reply is not None and not reply.port.dead:
                 yield from reply_to(
                     self.task, message, Message("error", body=str(exc))
                 )
 
     # ------------------------------------------------------------------
-    # Tenancy guard
+    # Tenancy
     # ------------------------------------------------------------------
 
-    def _tenant_of(self, task: Task):
-        if self.tenants is None:
-            return None
-        return self.tenants.tenant_of(task)
+    def _admit(self, app: Task, kind: str, check) -> None:
+        """One tenancy admission check for ``app``, audited as ``kind``
+        (see :meth:`TenantManager.admit`)."""
+        if self.tenants is not None:
+            self.tenants.admit(app, self.sim.now, kind, check)
 
-    def _guard(self, app: Task, kind: str, check) -> None:
-        """Run one tenancy admission check for ``app``.
+    # ------------------------------------------------------------------
+    # Leases: one way in, one way back
+    # ------------------------------------------------------------------
 
-        Refusals are audited facts regardless; they only *raise* (and
-        so reach the app as an error reply) when the manager enforces.
+    def _open(
+        self,
+        owner: Task,
+        local_port: int,
+        remote_ip: int = 0,
+        remote_port: int = 0,
+        holds_port: bool = True,
+        **held,
+    ) -> _Lease:
+        """An operation's first allocation: the lease itself and, unless
+        it is a passive open's (``holds_port=False``), the port —
+        ``local_port`` if given, else an ephemeral one minted here."""
+        if not owner.alive:
+            raise ConnectionError(f"{owner.name} has exited")
+        if holds_port:
+            if local_port:
+                self.ports.reserve(local_port, owner.name, self.sim.now)
+            else:
+                local_port = self.ports.allocate_ephemeral(
+                    owner.name, self.sim.now
+                )
+                tenant = self.tenants and self.tenants.tenant_of(owner)
+                if tenant:
+                    tenant.grant_ephemeral(local_port)
+        lease = _Lease(
+            owner, self.sim.active_process, local_port, remote_ip, remote_port,
+            holds_port, **held,
+        )
+        self._leases[local_port, remote_ip, remote_port] = lease
+        owner.on_exit(partial(self._owner_exited, lease))
+        return lease
+
+    def _release(
+        self, lease: _Lease, linger: bool = False, reset: bool = False
+    ) -> None:
+        """Give back everything ``lease`` holds — the only way anything
+        the registry handed out returns, at whatever stage.
+
+        ``linger`` holds a connection's port for the protocol-specified
+        2MSL before reuse (a lease with no machine never lingers);
+        ``reset`` tells the remote peer, which may believe in a
+        connection nobody here will serve, unless the machine already
+        said goodbye.
         """
-        tenant = self._tenant_of(app)
-        if tenant is None:
+        if lease.released:
             return
-        try:
-            check(tenant)
-        except TenantViolation as exc:
-            self.tenants.note(self.sim.now, kind, tenant.tenant_id, str(exc))
-            if self.tenants.enforcing:
-                raise
+        lease.released = True
+        del self._leases[lease.local_port, lease.remote_ip, lease.remote_port]
+        netio = self.host.netio
+        runner = lease.runner
+        if runner is not None:
+            if lease.grant is None:
+                runner.stop_timers()  # The handshake's: no grant took them over.
+            if reset and runner.machine.state not in (State.CLOSED, State.TIME_WAIT):
+                self.task.spawn(
+                    self._send_rst(lease, runner.machine.tcb.snd_nxt), name="rst"
+                )
+        if lease.backlog is not None:
+            netio.remove_listener(
+                self.task, PROTO_TCP, lease.local_port, local_ip=self.host.ip
+            )
+            # Connections nobody will accept die with their listener.
+            while lease.backlog.items:
+                self._release(lease.backlog.items.popleft(), reset=True)
+        if lease.channel is not None:
+            netio.destroy_channel(self.task, lease.channel)  # and its ring
+        else:
+            netio.release_ring(self.task, lease.ring)
+        if lease.holds_port:
+            self.ports.release(
+                lease.local_port, self.sim.now,
+                linger=linger and runner is not None,
+            )
+        # Its owner's exit hook outlives it: hold nothing through that.
+        lease.runner = lease.channel = lease.grant = None
+
+    def _owner_exited(self, lease: _Lease, task: Task) -> None:
+        """Exit hook: inherit a dead application's lease — reset the
+        peer if it terminated abnormally, keep the 2MSL delay — and
+        stop the operation still working on it, if any."""
+        if lease.released:
+            return
+        holder = lease.channel.owner if lease.channel is not None else task
+        if holder is not task:
+            # The capability was handed off without involving the
+            # registry (paper §3.2): the lease follows the channel.
+            lease.owner = holder
+            holder.on_exit(partial(self._owner_exited, lease))
+            return
+        self.stats["inherited"] += 1
+        self._release(lease, linger=True, reset=True)
+        if lease.worker.is_alive:
+            lease.worker.interrupt("owner-exited")
+
+    def _listener(self, port: int) -> Optional[_Lease]:
+        lease = self._leases.get((port, 0, 0))
+        return lease if lease is not None and lease.backlog is not None else None
 
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
 
     def _op_listen(self, message: Message) -> Generator:
-        port = message.body["port"]
         app = message.sender
-        self.ports.reserve(port, app.name, self.sim.now)
-        listener = _Listener(port=port, owner=app, backlog=Store(self.sim))
+        lease = self._open(app, message.body["port"])
         # Wildcard flow to the kernel: SYNs for this port classify as a
         # listener hit feeding the handshake path, not a stray miss.
         # The module vets the owner's port grant and attributes the
-        # wildcard entry; on refusal the reservation must not leak.
-        try:
-            self.host.netio.install_listener(
-                self.task, PROTO_TCP, port, local_ip=self.host.ip, owner=app
-            )
-        except Exception:
-            self.ports.release(port, self.sim.now, linger=False)
-            raise
-        self._listeners[port] = listener
-        # A dead application's listener must release its port and
-        # wildcard flow exactly like its connections are inherited.
-        app.on_exit(lambda task, p=port, a=app: self._inherit_listener(p, a))
+        # wildcard entry.
+        self.host.netio.install_listener(
+            self.task, PROTO_TCP, lease.local_port, local_ip=self.host.ip, owner=app
+        )
+        lease.backlog = Store(self.sim)
         yield from reply_to(self.task, message, Message("ok"))
 
-    def _inherit_listener(self, port: int, app: Task) -> None:
-        listener = self._listeners.get(port)
-        if listener is None or listener.owner is not app or listener.closed:
-            return
-        self._listeners.pop(port, None)
-        listener.closed = True
-        self.stats["inherited"] += 1
-        self.host.netio.remove_listener(
-            self.task, PROTO_TCP, port, local_ip=self.host.ip
-        )
-        self.ports.release(port, self.sim.now, linger=False)
-
     def _op_unlisten(self, message: Message) -> Generator:
-        port = message.body["port"]
-        listener = self._listeners.pop(port, None)
-        if listener is not None:
-            listener.closed = True
-            self.host.netio.remove_listener(
-                self.task, PROTO_TCP, port, local_ip=self.host.ip
-            )
-            self.ports.release(port, self.sim.now, linger=False)
+        lease = self._listener(message.body["port"])
+        if lease is not None:
+            self._release(lease)
         yield from reply_to(self.task, message, Message("ok"))
 
     def _op_accept(self, message: Message) -> Generator:
         port = message.body["port"]
-        listener = self._listeners.get(port)
+        listener = self._listener(port)
         if listener is None:
-            yield from reply_to(
-                self.task, message, Message("error", body=f"not listening on {port}")
-            )
-            return
-        grant = yield from self._grant_from_store(listener.backlog)
+            raise LookupError(f"not listening on {port}")
+        lease = yield listener.backlog.get()
         self.stats["accepts"] += 1
-        yield from self._transfer(message, grant)
-
-    def _grant_from_store(self, backlog: Store) -> Generator:
-        grant = yield backlog.get()
-        return grant
+        yield from self._transfer(message, lease)
 
     def _op_connect(self, message: Message) -> Generator:
-        remote_ip = message.body["remote_ip"]
-        remote_port = message.body["remote_port"]
-        local_port = message.body.get("local_port", 0)
+        body = message.body
+        local_port = body.get("local_port", 0)
         app = message.sender
         costs = self.kernel.costs
         self.stats["connects"] += 1
@@ -267,97 +338,43 @@ class RegistryServer:
         # connection will need must fit the budget — refusing now costs
         # the network nothing.
         if local_port:
-            self._guard(app, "connect_refused", lambda t: t.check_port(local_port))
-        self._guard(
+            self._admit(app, "connect_refused", lambda t: t.check_port(local_port))
+        self._admit(
             app,
             "connect_refused",
-            lambda t: t.precheck_channel(
-                self.host.netio.DEFAULT_REGION_SIZE
-            ),
+            lambda t: t.precheck_channel(self.host.netio.DEFAULT_REGION_SIZE),
         )
-        if local_port:
-            self.ports.reserve(local_port, app.name, self.sim.now)
-        else:
-            local_port = self.ports.allocate_ephemeral(app.name, self.sim.now)
-            tenant = self._tenant_of(app)
-            if tenant is not None:
-                tenant.grant_ephemeral(local_port)
-
-        link_dst = yield from self.host.resolve_link(remote_ip)
-        try:
-            ring = self.host.netio.allocate_ring(self.task, owner=app)
-        except TenantViolation:
-            self.ports.release(local_port, self.sim.now, linger=False)
-            raise
-        if ring is not None:
+        lease = self._open(app, local_port, body["remote_ip"], body["remote_port"])
+        lease.link_dst = yield from self.host.resolve_link(lease.remote_ip)
+        lease.ring = self.host.netio.allocate_ring(self.task, owner=app)
+        if lease.ring is not None:
             yield from self.kernel.cpu.consume(costs.bqi_setup)
         breakdown["non_overlapped_outbound"] = self.sim.now - mark
 
-        runner = self._make_handshake_runner(
-            local_port, remote_ip, remote_port, link_dst, ring
-        )
-        key = (local_port, remote_ip, remote_port)
-        self._pending[key] = runner
+        runner = lease.runner = self._handshake_runner(lease)
         mark = self.sim.now
         yield from runner.start(active=True)
-        ok = yield from runner.wait_connected()
+        if not (yield from runner.wait_connected()):
+            raise ConnectionError(f"connect: {runner.closed_reason}")
         breakdown["remote_and_back"] = self.sim.now - mark
-        self._pending.pop(key, None)
-        if not ok:
-            self._peer_bqi.pop(key, None)
-            self.ports.release(local_port, self.sim.now, linger=False)
-            # The pre-allocated BQI ring never reached a channel; hand
-            # it (and its tenant charge) back or the index leaks.
-            self.host.netio.release_ring(self.task, ring)
-            yield from reply_to(
-                self.task,
-                message,
-                Message("error", body=f"connect: {runner.closed_reason}"),
-            )
-            return
         mark = self.sim.now
-        try:
-            grant = yield from self._finish_connection(
-                app, runner, local_port, remote_ip, remote_port, link_dst, ring
-            )
-        except TenantViolation:
-            # The handshake succeeded but the channel was refused
-            # (quota exhausted while we were connecting): reset the
-            # remote peer, return every resource, report the refusal.
-            self._peer_bqi.pop(key, None)
-            self.host.netio.release_ring(self.task, ring)
-            runner.stop_timers()
-            self.task.spawn(
-                self._send_rst(
-                    local_port,
-                    remote_port,
-                    runner.machine.tcb.snd_nxt,
-                    remote_ip,
-                    link_dst,
-                ),
-                name="refused-rst",
-            )
-            self.ports.release(local_port, self.sim.now, linger=False)
-            raise
+        yield from self._finish_connection(lease)
         breakdown["channel_setup"] = self.sim.now - mark
         mark = self.sim.now
-        yield from self._transfer(message, grant)
+        yield from self._transfer(message, lease)
         breakdown["state_transfer"] = self.sim.now - mark
         breakdown["reply_at"] = self.sim.now
         self.last_breakdown = breakdown
 
     def _op_release(self, message: Message) -> Generator:
-        """The library finished closing a connection."""
-        body = message.body
-        for record in list(self._records):
-            if record.grant.channel is body.get("channel") and not record.released:
-                record.released = True
-                self.host.netio.destroy_channel(self.task, record.grant.channel)
-                self.ports.release(
-                    record.grant.local_port, self.sim.now, linger=True
-                )
-                self._records.remove(record)
-                break
+        """The library is done with a connection or a UDP binding."""
+        channel = message.body["channel"]
+        flow = channel.flow_key  # None once destroyed: nothing left to name.
+        lease = flow and self._leases.get(
+            (flow.local_port, flow.remote_ip, flow.remote_port)
+        )
+        if lease and lease.channel is channel:
+            self._release(lease, linger=True)
         yield from ()  # One-way message; no reply.
 
     def _op_bind_udp(self, message: Message) -> Generator:
@@ -366,79 +383,31 @@ class RegistryServer:
         Connectionless binding is the paper's §5 'address binding
         phase': it authorizes the end-point once, after which datagrams
         bypass every server."""
-        from ..netio.template import udp_send_template
-
         port = message.body.get("port", 0)
         app = message.sender
-        costs = self.kernel.costs
-        yield from self.kernel.cpu.consume(costs.registry_alloc / 2)
+        yield from self.kernel.cpu.consume(self.kernel.costs.registry_alloc / 2)
         if port:
-            self._guard(app, "bind_refused", lambda t: t.check_port(port))
-            self.ports.reserve(port, app.name, self.sim.now)
-        else:
-            port = self.ports.allocate_ephemeral(app.name, self.sim.now)
-            tenant = self._tenant_of(app)
-            if tenant is not None:
-                tenant.grant_ephemeral(port)
-        try:
-            channel = yield from self.host.netio.create_channel(
-                self.task,
-                app,
-                udp_send_template(self.host.ip, port),
-                local_ip=self.host.ip,
-                local_port=port,
-                protocol="udp",
-                with_link_info=True,
-            )
-        except TenantViolation:
-            self.ports.release(port, self.sim.now, linger=False)
-            raise
-        tenant = self._tenant_of(app)
-        if tenant is not None:
-            tenant.note_bound(port)
+            self._admit(app, "bind_refused", lambda t: t.check_port(port))
+        lease = self._open(app, port)
+        port = lease.local_port
         # Kernel fallback needs no extra bookkeeping: the channel's
         # wildcard flow entry doubles as the forwarder lookup, so
         # datagrams arriving via the kernel path (BQI 0 on AN1, or
         # pre-filter races) still reach the channel.
-        record = _ConnectionRecord(
-            grant=ConnectionGrant(
-                machine=None, channel=channel, local_port=port,
-                remote_ip=0, remote_port=0, link_dst=None,
-            ),
-            owner=app,
+        lease.channel = yield from self.host.netio.create_channel(
+            self.task,
+            app,
+            udp_send_template(self.host.ip, port),
+            local_ip=self.host.ip,
+            local_port=port,
+            protocol="udp",
+            with_link_info=True,
         )
-        self._records.append(record)
-        app.on_exit(lambda task, r=record: self._inherit_udp(r))
         yield from reply_to(
             self.task,
             message,
-            Message("grant", body={"port": port, "channel": channel}),
+            Message("grant", body={"port": port, "channel": lease.channel}),
         )
-
-    def _op_release_udp(self, message: Message) -> Generator:
-        channel = message.body.get("channel")
-        for record in list(self._records):
-            if record.grant.channel is channel and not record.released:
-                record.released = True
-                self._release_udp_record(record)
-                self._records.remove(record)
-                break
-        yield from ()
-
-    def _inherit_udp(self, record: _ConnectionRecord) -> None:
-        if record.released:
-            return
-        record.released = True
-        if record in self._records:
-            self._records.remove(record)
-        self.stats["inherited"] += 1
-        self._release_udp_record(record)
-
-    def _release_udp_record(self, record: _ConnectionRecord) -> None:
-        port = record.grant.local_port
-        self.host.netio.destroy_channel(self.task, record.grant.channel)
-        # Datagram ports carry no TIME-WAIT obligation.
-        self.ports.release(port, self.sim.now, linger=False)
 
     # ------------------------------------------------------------------
     # Handshake machinery
@@ -449,18 +418,12 @@ class RegistryServer:
         self._next_iss = (self._next_iss + 64_000) % (1 << 32)
         return iss
 
-    def _make_handshake_runner(
-        self,
-        local_port: int,
-        remote_ip: int,
-        remote_port: int,
-        link_dst: object,
-        ring,
-    ) -> MachineRunner:
+    def _handshake_runner(self, lease: _Lease) -> MachineRunner:
         machine = TcpMachine(
-            local_port, remote_port, config=self.config, iss=self._iss()
+            lease.local_port, lease.remote_port, config=self.config, iss=self._iss()
         )
-        adv_bqi = ring.bqi if ring is not None else 0
+        remote_ip = lease.remote_ip
+        adv_bqi = lease.ring.bqi if lease.ring is not None else 0
 
         def emit(segment: Segment) -> Generator:
             costs = self.kernel.costs
@@ -473,15 +436,13 @@ class RegistryServer:
                 + costs.checksum_cost(segment.wire_length)
             )
             payload = encode_segment(segment, self.host.ip, remote_ip)
-            key = (local_port, remote_ip, remote_port)
-            peer_bqi = self._peer_bqi.get(key, 0)
             yield from self.host.ip_send(
-                remote_ip, PROTO_TCP, payload, link_dst,
-                bqi=peer_bqi, adv_bqi=adv_bqi,
+                remote_ip, PROTO_TCP, payload, lease.link_dst,
+                bqi=lease.peer_bqi, adv_bqi=adv_bqi,
             )
 
         return MachineRunner(
-            self.kernel, machine, emit, name=f"registry:{local_port}"
+            self.kernel, machine, emit, name=f"registry:{lease.local_port}"
         )
 
     def _tcp_rx(self, payload: bytes, src_ip: int, link_info: LinkInfo) -> Generator:
@@ -498,126 +459,95 @@ class RegistryServer:
             return
         yield from self.kernel.cpu.consume(costs.tcp_input)
         self.stats["handshake_segments"] += 1
-        key = (segment.dport, src_ip, segment.sport)
-        if link_info.adv_bqi:
-            self._peer_bqi[key] = link_info.adv_bqi
-        runner = self._pending.get(key)
-        if runner is not None:
-            yield from runner.feed_segment(segment)
-            return
-        listener = self._listeners.get(segment.dport)
-        if listener is not None and segment.syn and not segment.has_ack:
-            yield from self._passive_open(listener, segment, src_ip, link_info)
+        lease = self._leases.get((segment.dport, src_ip, segment.sport))
+        if lease is None:
+            listener = self._listener(segment.dport)
+            if listener is not None and segment.syn and not segment.has_ack:
+                yield from self._passive_open(listener, segment, src_ip, link_info)
+                return
+        elif lease.runner is not None and lease.channel is None:
+            # A handshake in flight.  The peer's advertised ring is a
+            # field of the lease the segment reached, or is not stored.
+            if link_info.adv_bqi:
+                lease.peer_bqi = link_info.adv_bqi
+            yield from lease.runner.feed_segment(segment)
             return
         yield from self._respond_rst(segment, src_ip, link_info.src)
 
     def _passive_open(
         self,
-        listener: _Listener,
+        listener: _Lease,
         syn: Segment,
         src_ip: int,
         link_info: LinkInfo,
     ) -> Generator:
+        lease = self._open(
+            listener.owner, syn.dport, src_ip, syn.sport,
+            link_dst=link_info.src, peer_bqi=link_info.adv_bqi, holds_port=False,
+        )
         try:
-            ring = self.host.netio.allocate_ring(
-                self.task, owner=listener.owner
-            )
-        except TenantViolation:
-            # Listener's tenant out of BQI budget: refuse the SYN.
+            lease.ring = self.host.netio.allocate_ring(self.task, owner=lease.owner)
+            if lease.ring is not None:
+                yield from self.kernel.cpu.consume(self.kernel.costs.bqi_setup)
+            lease.runner = self._handshake_runner(lease)
+            yield from lease.runner.start(active=False)
+            yield from lease.runner.feed_segment(syn)
+        except Exception:
+            # No ring within the listener's budget, or its owner gone
+            # mid-answer: the SYN is refused like one to a closed port.
+            self._release(lease, reset=True)
             yield from self._respond_rst(syn, src_ip, link_info.src)
             return
-        if ring is not None:
-            yield from self.kernel.cpu.consume(self.kernel.costs.bqi_setup)
-        runner = self._make_handshake_runner(
-            syn.dport, src_ip, syn.sport, link_info.src, ring
-        )
-        key = (syn.dport, src_ip, syn.sport)
-        self._pending[key] = runner
-        yield from runner.start(active=False)
-        yield from runner.feed_segment(syn)
-        self.task.spawn(
-            self._complete_passive(listener, runner, key, src_ip, link_info.src, ring),
-            name=f"passive-{syn.sport}",
+        lease.worker = self.task.spawn(
+            self._complete_passive(lease, listener), name=f"passive-{syn.sport}"
         )
 
-    def _complete_passive(
-        self, listener, runner, key, src_ip, link_src, ring
-    ) -> Generator:
-        ok = yield from runner.wait_connected()
-        self._pending.pop(key, None)
-        if not ok or listener.closed:
-            self._peer_bqi.pop(key, None)
-            self.host.netio.release_ring(self.task, ring)
-            return
-        local_port, remote_ip, remote_port = key
+    def _complete_passive(self, lease: _Lease, listener: _Lease) -> Generator:
         try:
-            grant = yield from self._finish_connection(
-                listener.owner, runner, local_port, remote_ip, remote_port,
-                link_src, ring,
-            )
-        except TenantViolation:
-            # Channel refused after the peer connected: reset it and
-            # return the ring; the listening port itself stays bound.
-            self._peer_bqi.pop(key, None)
-            self.host.netio.release_ring(self.task, ring)
-            runner.stop_timers()
-            yield from self._send_rst(
-                local_port,
-                remote_port,
-                runner.machine.tcb.snd_nxt,
-                remote_ip,
-                link_src,
-            )
-            return
-        yield listener.backlog.put(grant)
+            if not (yield from lease.runner.wait_connected()):
+                raise ConnectionError(lease.runner.closed_reason)
+            yield from self._finish_connection(lease)
+            if listener.released:
+                raise ConnectionError("listener closed")
+            yield listener.backlog.put(lease)
+        except Exception:
+            # Failed, refused a channel, or nobody left to accept it:
+            # the listening port itself stays its listener's.
+            self._release(lease, reset=True)
 
-    def _finish_connection(
-        self,
-        app: Task,
-        runner: MachineRunner,
-        local_port: int,
-        remote_ip: int,
-        remote_port: int,
-        link_dst: object,
-        ring,
-    ) -> Generator:
+    def _finish_connection(self, lease: _Lease) -> Generator:
         """Channel setup after a successful handshake (breakdown item 3)."""
-        from ..netio.template import tcp_send_template
-
-        costs = self.kernel.costs
-        key = (local_port, remote_ip, remote_port)
-        channel = yield from self.host.netio.create_channel(
+        runner = lease.runner
+        lease.channel = yield from self.host.netio.create_channel(
             self.task,
-            app,
-            tcp_send_template(self.host.ip, local_port, remote_ip, remote_port),
+            lease.owner,
+            tcp_send_template(
+                self.host.ip, lease.local_port, lease.remote_ip, lease.remote_port
+            ),
             local_ip=self.host.ip,
-            local_port=local_port,
-            remote_ip=remote_ip,
-            remote_port=remote_port,
-            link_dst=link_dst,
-            peer_bqi=self._peer_bqi.pop(key, 0),
-            ring=ring,
+            local_port=lease.local_port,
+            remote_ip=lease.remote_ip,
+            remote_port=lease.remote_port,
+            link_dst=lease.link_dst,
+            peer_bqi=lease.peer_bqi,
+            ring=lease.ring,
         )
-        yield from self.kernel.cpu.consume(costs.registry_channel_misc)
-        tenant = self._tenant_of(app)
-        if tenant is not None:
-            tenant.note_bound(local_port)
-        grant = ConnectionGrant(
+        yield from self.kernel.cpu.consume(self.kernel.costs.registry_channel_misc)
+        if runner.closed_reason is not None:
+            # The peer gave up while the channel was being built.
+            raise ConnectionError(f"connect: {runner.closed_reason}")
+        lease.grant = ConnectionGrant(
             machine=runner.machine,
-            channel=channel,
-            local_port=local_port,
-            remote_ip=remote_ip,
-            remote_port=remote_port,
-            link_dst=link_dst,
+            channel=lease.channel,
+            local_port=lease.local_port,
+            remote_ip=lease.remote_ip,
+            remote_port=lease.remote_port,
+            link_dst=lease.link_dst,
             rx_pending=bytes(runner.rx_buffer),
             timers=runner.stop_timers(),
         )
-        record = _ConnectionRecord(grant=grant, owner=app)
-        self._records.append(record)
-        app.on_exit(lambda task, r=record: self._inherit(r))
-        return grant
 
-    def _transfer(self, request: Message, grant: ConnectionGrant) -> Generator:
+    def _transfer(self, request: Message, lease: _Lease) -> Generator:
         """Move the established connection's state to the library
         (breakdown item 5), then answer the app's RPC (item 4)."""
         yield from self.kernel.cpu.consume(
@@ -626,51 +556,28 @@ class RegistryServer:
         yield from reply_to(
             self.task,
             request,
-            Message("grant", body=grant, inline_bytes=self.STATE_BYTES),
+            Message("grant", body=lease.grant, inline_bytes=self.STATE_BYTES),
         )
 
     # ------------------------------------------------------------------
-    # Inheritance and resets
+    # Resets
     # ------------------------------------------------------------------
 
-    def _inherit(self, record: _ConnectionRecord) -> None:
-        """Exit hook: reclaim a dead application's connection."""
-        if record.released:
-            return
-        record.released = True
-        if record in self._records:
-            self._records.remove(record)
-        self.stats["inherited"] += 1
-        machine = record.grant.machine
-        grant = record.grant
-        if machine.state.value not in ("CLOSED", "TIME-WAIT"):
-            # Abnormal termination: reset the remote peer.
-            self.task.spawn(
-                self._send_rst(
-                    grant.local_port,
-                    grant.remote_port,
-                    machine.tcb.snd_nxt,
-                    grant.remote_ip,
-                    grant.link_dst,
-                ),
-                name="inherit-rst",
-            )
-        self.host.netio.destroy_channel(self.task, grant.channel)
-        # Hold the port for the protocol-specified delay before reuse.
-        self.ports.release(grant.local_port, self.sim.now, linger=True)
-
-    def _send_rst(
-        self, sport: int, dport: int, seq: int, remote_ip: int, link_dst: object
-    ) -> Generator:
+    def _send_rst(self, lease: _Lease, seq: int) -> Generator:
         self.stats["resets_sent"] += 1
         rst = Segment(
-            sport=sport, dport=dport, seq=seq, ack=0, flags=TCP_RST, window=0
+            sport=lease.local_port, dport=lease.remote_port,
+            seq=seq, ack=0, flags=TCP_RST, window=0,
         )
-        payload = encode_segment(rst, self.host.ip, remote_ip)
+        payload = encode_segment(rst, self.host.ip, lease.remote_ip)
         yield from self.kernel.cpu.consume(
             self.kernel.costs.registry_device_access
         )
-        yield from self.host.ip_send(remote_ip, PROTO_TCP, payload, link_dst)
+        # To the peer's ring: BQI 0 would land in its kernel, whose
+        # registry no longer owns the connection.
+        yield from self.host.ip_send(
+            lease.remote_ip, PROTO_TCP, payload, lease.link_dst, bqi=lease.peer_bqi
+        )
 
     def _respond_rst(self, segment: Segment, src_ip: int, link_src: object) -> Generator:
         rst = reset_for(segment, segment.dport, segment.sport)

@@ -173,6 +173,9 @@ class Tenant:
         #: the grant-respected invariant; recorded even when enforcement
         #: is off so a sabotaged stack leaves a judgeable trail).
         self.bound_ports: list = []
+        #: Ephemeral ports the trusted registry minted for this tenant:
+        #: implicitly granted, since no forgery is possible.
+        self._ephemeral_ports: set = set()
         self.tasks: list = []
 
     def __repr__(self) -> str:
@@ -197,9 +200,7 @@ class Tenant:
     def check_port(self, port: int) -> None:
         """An explicit bind/listen/reserve must be inside the grant (or
         a port the registry's trusted allocator already minted)."""
-        if port in self._ephemeral_ports:
-            return
-        if not self.budget.ports.allows(port):
+        if not self._granted(port):
             self._refuse(
                 GrantViolation,
                 "out_of_grant_binds",
@@ -229,9 +230,7 @@ class Tenant:
                 f"template {template.name!r} does not pin source "
                 "address and port",
             )
-        if not self.budget.ports.allows(local_port) and not self._ephemeral(
-            local_port
-        ):
+        if not self._granted(local_port):
             self._refuse(
                 GrantViolation,
                 "forged_templates",
@@ -240,26 +239,15 @@ class Tenant:
             )
 
     def check_flow_key(self, flow_key) -> None:
-        if not self.budget.ports.allows(flow_key.local_port) and not (
-            self._ephemeral(flow_key.local_port)
-        ):
+        if not self._granted(flow_key.local_port):
             self._refuse(
                 GrantViolation,
                 "out_of_grant_flows",
                 f"flow {flow_key} outside grant {self.budget.ports}",
             )
 
-    def _ephemeral(self, port: int) -> bool:
-        """Registry-minted ephemeral ports are implicitly granted."""
-        return port in self._ephemeral_ports
-
-    #: Ephemeral ports the trusted registry allocated for this tenant.
-    @property
-    def _ephemeral_ports(self) -> set:
-        ports = self.__dict__.get("_ephemeral_port_set")
-        if ports is None:
-            ports = self.__dict__["_ephemeral_port_set"] = set()
-        return ports
+    def _granted(self, port: int) -> bool:
+        return port in self._ephemeral_ports or self.budget.ports.allows(port)
 
     def grant_ephemeral(self, port: int) -> None:
         self._ephemeral_ports.add(port)
@@ -285,14 +273,8 @@ class Tenant:
                 f"region quota {self.budget.region_bytes}B exhausted "
                 f"({self.region_bytes_used}B used, {region_bytes}B asked)",
             )
-        if ring_buffers and (
-            self.bqi_buffers_used + ring_buffers > self.budget.bqi_buffers
-        ):
-            self._refuse(
-                QuotaExceeded,
-                "quota_bqi",
-                f"BQI buffer quota {self.budget.bqi_buffers} exhausted",
-            )
+        if ring_buffers:
+            self.admit_ring(ring_buffers)
 
     def attach_channel(self, channel, region_bytes: int) -> None:
         """Debit and record one created channel (+ its template)."""
@@ -452,12 +434,24 @@ class TenantManager:
         return iter(self.tenants.values())
 
     # ------------------------------------------------------------------
-    # Enforcement wrappers (no-ops when not enforcing, but audited)
+    # Enforcement (a no-op when not enforcing, but audited)
     # ------------------------------------------------------------------
 
-    def refused(self, counter: str) -> None:
-        """Record one audited refusal."""
-        self.audit[counter] += 1
+    def admit(self, task, time: float, kind: str, check) -> Optional[Tenant]:
+        """Run one admission ``check(tenant)`` for ``task``'s tenant on
+        behalf of a trusted layer; returns the tenant (None for a task
+        no tenant owns).  A refusal is an audited fact of ``kind``
+        regardless; it only *raises* — and so reaches the application —
+        when this manager enforces."""
+        tenant = self._task_tenant.get(task)
+        if tenant is not None:
+            try:
+                check(tenant)
+            except TenantViolation as exc:
+                self.note(time, kind, tenant.tenant_id, str(exc))
+                if self.enforcing:
+                    raise
+        return tenant
 
     def note(self, time: float, kind: str, tenant_id, detail: str = "") -> None:
         """Record one audited fact for the invariant checkers."""

@@ -13,7 +13,7 @@ from repro.mach import (
     rpc,
     send,
 )
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 
 
 def make_kernel(costs=FREE):
@@ -247,6 +247,10 @@ def test_task_terminate_destroys_ports_and_runs_hooks():
     # Idempotent.
     app.terminate()
     assert hooked == ["app"]
+    # A hook registered on a task already dead runs at once: nobody
+    # will walk the list again.
+    app.on_exit(lambda task: hooked.append("late"))
+    assert hooked == ["app", "late"]
 
 
 def test_task_terminate_interrupts_threads():
@@ -270,6 +274,45 @@ def test_task_terminate_interrupts_threads():
     sim.process(killer())
     sim.run()
     assert outcomes == ["Interrupt"]
+
+
+def test_task_terminate_from_its_own_thread_completes_and_ends_it():
+    """exit() from a thread of the task: rights dropped and hooks run
+    (it used to raise "a process cannot interrupt itself" half way,
+    leaving a dead task nothing inherited), siblings interrupted, and
+    the caller itself stopped at its next wait."""
+    sim, kernel = make_kernel()
+    app = kernel.create_task("app")
+    rx = app.allocate_port()
+    outcomes = []
+    app.on_exit(lambda task: outcomes.append("hook"))
+
+    def sibling():
+        try:
+            yield sim.timeout(1000.0)
+        except Interrupt:
+            outcomes.append(f"sibling interrupted at {sim.now}")
+
+    def caller():
+        yield sim.timeout(1.0)
+        app.terminate()
+        outcomes.append("terminate returned")
+        try:
+            yield sim.timeout(1000.0)
+            outcomes.append("outlived its task")
+        except Interrupt:
+            outcomes.append(f"caller interrupted at {sim.now}")
+
+    app.spawn(sibling(), name="s")
+    app.spawn(caller(), name="c")
+    sim.run()
+    assert rx.port.dead and not app.alive
+    assert outcomes == [
+        "hook",
+        "terminate returned",
+        "sibling interrupted at 1.0",
+        "caller interrupted at 1.0",
+    ]
 
 
 def test_spawn_on_dead_task_rejected():

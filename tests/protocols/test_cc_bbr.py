@@ -139,15 +139,6 @@ def test_timeout_collapses_but_filters_survive():
     assert cc.cwnd >= 4 * MSS
 
 
-def test_pacing_rate_follows_gain_and_bandwidth():
-    cc = make_cc("bbr", mss=MSS)
-    assert cc.pacing_rate() is None  # No bandwidth estimate yet.
-    cc, _ = drained()
-    assert math.isclose(
-        cc.pacing_rate(), cc.pacing_gain * cc.max_bw, rel_tol=1e-9
-    )
-
-
 def test_set_mss_keeps_four_segment_floor():
     cc = make_cc("bbr", mss=1460)
     cc.set_mss(536)

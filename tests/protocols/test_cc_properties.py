@@ -56,11 +56,6 @@ def check_shared_invariants(cc) -> None:
     for attr in ("cwnd", "ssthresh", "dupacks"):
         value = getattr(cc, attr)
         assert isinstance(value, int), f"{cc.name}.{attr} drifted to {value!r}"
-    rate = cc.pacing_rate()
-    if rate is not None:
-        assert math.isfinite(rate) and rate >= 0.0, (
-            f"{cc.name}: pacing rate {rate!r}"
-        )
     assert cc.dupacks >= 0
 
 

@@ -22,7 +22,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 ALLOWED = {
     "mach/kernel.py": {"create_task"},
     "org/userlib.py": {"hand_off"},
-    "registry/server.py": {"_op_bind_udp", "_finish_connection"},
     "netstat.py": {"copy_table", "main"},
     "obs/spans.py": {"enable", "disable"},
     "specialize.py": {"specialize"},

@@ -47,7 +47,7 @@ from .events import (
     TcpInputEvent,
     TimerExpires,
 )
-from .seq import seq_add, seq_diff, seq_ge, seq_gt, seq_le, seq_lt, seq_max
+from .seq import unwrap
 from .tcb import State, SYNCHRONIZED_STATES, Tcb, TcpConfig
 from .wire import Segment, reset_for
 
@@ -119,7 +119,7 @@ class TcpMachine:
         tcb.snd_una = tcb.iss
         tcb.snd_nxt = tcb.iss
         tcb.snd_max = tcb.iss
-        tcb.buf_base = seq_add(tcb.iss, 1)
+        tcb.buf_base = tcb.iss + 1
         self._set_state(State.SYN_SENT)
         self._emit_syn(actions, with_ack=False)
         actions.append(SetTimer(TIMER_REXMT, tcb.rtt.rto))
@@ -176,12 +176,12 @@ class TcpMachine:
             tcb.state is not State.ESTABLISHED
             or flags & ~self._PREDICTED_FLAGS
             or not flags & TCP_ACK
-            or segment.seq != tcb.rcv_nxt
+            or (seq := unwrap(segment.seq, tcb.rcv_nxt)) != tcb.rcv_nxt
         ):
             self.stats["fastpath_misses"] += 1
             return None
         payload = segment.payload
-        ack = segment.ack
+        ack = unwrap(segment.ack, tcb.snd_una)
         advancing = False
         if not payload:
             # Pure-ACK arm: either snd_una advances through sent
@@ -190,7 +190,7 @@ class TcpMachine:
             # unchanged window and data in flight — provably ignores.
             # A countable duplicate ACK deliberately misses: its
             # fast-retransmit accounting belongs to the slow path.
-            advancing = seq_gt(ack, tcb.snd_una) and seq_le(ack, tcb.snd_max)
+            advancing = tcb.snd_una < ack <= tcb.snd_max
             if not advancing and not (
                 ack == tcb.snd_una
                 and not (segment.window == tcb.snd_wnd and tcb.flight_size > 0)
@@ -220,12 +220,10 @@ class TcpMachine:
         # with every app read, and the full update block (snd_wl1/wl2
         # refresh plus the zero-window persist cancel) costs one
         # comparison to replicate exactly.
-        if seq_lt(tcb.snd_wl1, segment.seq) or (
-            tcb.snd_wl1 == segment.seq and seq_le(tcb.snd_wl2, ack)
-        ):
+        if tcb.snd_wl1 < seq or (tcb.snd_wl1 == seq and tcb.snd_wl2 <= ack):
             old_wnd = tcb.snd_wnd
             tcb.snd_wnd = segment.window
-            tcb.snd_wl1 = segment.seq
+            tcb.snd_wl1 = seq
             tcb.snd_wl2 = ack
             if old_wnd == 0 and tcb.snd_wnd > 0:
                 tcb.persist_shift = 0
@@ -233,7 +231,7 @@ class TcpMachine:
         if payload:
             # Direct delivery: with an empty queue, _process_payload's
             # insert/extract round trip returns ``payload`` itself.
-            tcb.rcv_nxt = seq_add(tcb.rcv_nxt, len(payload))
+            tcb.rcv_nxt += len(payload)
             tcb.rcv_user += len(payload)
             self.stats["bytes_delivered"] += len(payload)
             actions.append(DeliverData(payload))
@@ -283,12 +281,14 @@ class TcpMachine:
     # Segment construction helpers
     # ------------------------------------------------------------------
 
+    #: The window field is 16 bits and this stack predates window
+    #: scaling (RFC 1323), so large buffers clamp at 65535.
+    _MAX_WINDOW = 0xFFFF
+
     def _advertised_window(self) -> int:
         tcb = self.tcb
-        # The window field is 16 bits and this stack predates window
-        # scaling (RFC 1323), so large buffers clamp at 65535.
-        window = min(tcb.rcv_wnd, 0xFFFF)
-        tcb.rcv_adv = seq_add(tcb.rcv_nxt, window)
+        window = min(tcb.rcv_wnd, self._MAX_WINDOW)
+        tcb.rcv_adv = tcb.rcv_nxt + window
         return window
 
     def _emit(
@@ -298,18 +298,16 @@ class TcpMachine:
         flags: int,
         payload: bytes = b"",
         mss: Optional[int] = None,
-        ack_override: Optional[int] = None,
         retransmit: bool = False,
     ) -> None:
+        """Build a segment from TCB state: the one place an unwrapped
+        sequence number is masked onto the 32-bit wire circle."""
         tcb = self.tcb
-        ack = 0
-        if flags & TCP_ACK:
-            ack = tcb.rcv_nxt if ack_override is None else ack_override
         segment = Segment(
             sport=tcb.local_port,
             dport=tcb.remote_port,
-            seq=seq,
-            ack=ack,
+            seq=seq & 0xFFFFFFFF,
+            ack=tcb.rcv_nxt & 0xFFFFFFFF if flags & TCP_ACK else 0,
             flags=flags,
             window=self._advertised_window(),
             payload=payload,
@@ -335,8 +333,8 @@ class TcpMachine:
             mss=tcb.config.mss,
             retransmit=retransmit,
         )
-        tcb.snd_nxt = seq_max(tcb.snd_nxt, seq_add(tcb.iss, 1))
-        tcb.snd_max = seq_max(tcb.snd_max, tcb.snd_nxt)
+        tcb.snd_nxt = max(tcb.snd_nxt, tcb.iss + 1)
+        tcb.snd_max = max(tcb.snd_max, tcb.snd_nxt)
 
     def _emit_ack(self, actions: list[TcpAction]) -> None:
         self._emit(actions, seq=self.tcb.snd_nxt, flags=TCP_ACK)
@@ -390,8 +388,9 @@ class TcpMachine:
         actions: list[TcpAction] = []
         # Receiver silly-window avoidance: only announce a window update
         # when it opens the advertised edge by >= 2 segments or half the
-        # buffer (BSD's rule).
-        opening = seq_diff(seq_add(tcb.rcv_nxt, tcb.rcv_wnd), tcb.rcv_adv)
+        # buffer (BSD's rule) — as the peer would see it: buffer freed
+        # above what the window field can carry opens nothing.
+        opening = tcb.rcv_nxt + min(tcb.rcv_wnd, self._MAX_WINDOW) - tcb.rcv_adv
         if tcb.state in SYNCHRONIZED_STATES and opening >= min(
             2 * tcb.mss, tcb.config.rcv_buffer // 2
         ):
@@ -488,7 +487,7 @@ class TcpMachine:
         if tcb.state is State.SYN_RCVD:
             self._emit_syn(actions, with_ack=True, retransmit=True)
             return
-        offset = seq_diff(tcb.snd_una, tcb.buf_base)
+        offset = tcb.snd_una - tcb.buf_base
         if offset < 0:
             # snd_una still covers our SYN (shouldn't happen outside the
             # handshake states, but be safe).
@@ -497,7 +496,7 @@ class TcpMachine:
         chunk = bytes(tcb.send_buffer[offset : offset + tcb.mss])
         if chunk:
             flags = TCP_ACK
-            end = seq_add(tcb.snd_una, len(chunk))
+            end = tcb.snd_una + len(chunk)
             fin_too = (
                 tcb.fin_sent
                 and tcb.fin_seq is not None
@@ -506,13 +505,13 @@ class TcpMachine:
             )
             if fin_too:
                 flags |= TCP_FIN  # Piggyback the FIN retransmission.
-                end = seq_add(end, 1)
+                end += 1
             self._emit(actions, seq=tcb.snd_una, flags=flags, payload=chunk, retransmit=True)
             # The retransmission may coalesce bytes never sent before
             # (small writes that arrived after the original segment);
             # sequence bookkeeping must cover them.
-            tcb.snd_nxt = seq_max(tcb.snd_nxt, end)
-            tcb.snd_max = seq_max(tcb.snd_max, end)
+            tcb.snd_nxt = max(tcb.snd_nxt, end)
+            tcb.snd_max = max(tcb.snd_max, end)
         elif tcb.fin_sent and tcb.fin_seq is not None:
             self._emit(actions, seq=tcb.fin_seq, flags=TCP_FIN | TCP_ACK, retransmit=True)
         else:
@@ -529,13 +528,13 @@ class TcpMachine:
             self._try_output(actions, now)
             return actions
         # Send a one-byte window probe beyond the zero window.
-        offset = seq_diff(tcb.snd_nxt, tcb.buf_base)
+        offset = tcb.snd_nxt - tcb.buf_base
         if 0 <= offset < len(tcb.send_buffer):
             probe = bytes(tcb.send_buffer[offset : offset + 1])
             self.stats["probes_sent"] += 1
             self._emit(actions, seq=tcb.snd_nxt, flags=TCP_ACK, payload=probe)
-            tcb.snd_nxt = seq_add(tcb.snd_nxt, 1)
-            tcb.snd_max = seq_max(tcb.snd_max, tcb.snd_nxt)
+            tcb.snd_nxt += 1
+            tcb.snd_max = max(tcb.snd_max, tcb.snd_nxt)
         elif tcb.fin_pending and not tcb.fin_sent and tcb.unsent_bytes == 0:
             # The only thing left to probe with is the FIN itself.
             self._send_fin(actions)
@@ -595,9 +594,7 @@ class TcpMachine:
         tcb.keepalive_count += 1
         self.stats["probes_sent"] += 1
         # The classic garbage-seq probe: seq = snd_una - 1, no data.
-        self._emit(
-            actions, seq=seq_add(tcb.snd_una, -1), flags=TCP_ACK
-        )
+        self._emit(actions, seq=tcb.snd_una - 1, flags=TCP_ACK)
         actions.append(
             SetTimer(TIMER_KEEPALIVE, tcb.config.keepalive_interval)
         )
@@ -608,18 +605,25 @@ class TcpMachine:
     # ------------------------------------------------------------------
 
     def _segment_arrives(self, segment: Segment, now: float) -> list[TcpAction]:
-        self.tcb.last_heard = now
-        self.tcb.keepalive_count = 0
-        state = self.tcb.state
+        """Dispatch on state, lifting ``seq``/``ack`` off the 32-bit
+        circle on the way in: ``ack`` to the value nearest ``snd_una``,
+        ``seq`` to the one nearest ``rcv_nxt`` — except a SYN's, which
+        *founds* the receive sequence space and is taken as it reads."""
+        tcb = self.tcb
+        tcb.last_heard = now
+        tcb.keepalive_count = 0
+        state = tcb.state
         if state is State.CLOSED:
             actions: list[TcpAction] = []
             self._emit_rst_for(segment, actions)
             return actions
         if state is State.LISTEN:
             return self._arrives_listen(segment, now)
+        ack = unwrap(segment.ack, tcb.snd_una)
         if state is State.SYN_SENT:
-            return self._arrives_syn_sent(segment, now)
-        return self._arrives_synchronized(segment, now)
+            return self._arrives_syn_sent(segment, ack, now)
+        seq = unwrap(segment.seq, tcb.rcv_nxt)
+        return self._arrives_synchronized(segment, seq, ack, now)
 
     def _arrives_listen(self, segment: Segment, now: float) -> list[TcpAction]:
         tcb = self.tcb
@@ -634,29 +638,29 @@ class TcpMachine:
         # Passive open proceeds.
         tcb.remote_port = segment.sport if tcb.remote_port == 0 else tcb.remote_port
         tcb.irs = segment.seq
-        tcb.rcv_nxt = seq_add(segment.seq, 1)
+        tcb.rcv_nxt = segment.seq + 1
         tcb.rcv_adv = tcb.rcv_nxt
         tcb.peer_mss = segment.mss
         tcb.cc.set_mss(tcb.mss)
         tcb.snd_wnd = segment.window
         tcb.snd_wl1 = segment.seq
-        tcb.snd_wl2 = 0
+        tcb.snd_wl2 = tcb.iss
         tcb.snd_una = tcb.iss
         tcb.snd_nxt = tcb.iss
         tcb.snd_max = tcb.iss
-        tcb.buf_base = seq_add(tcb.iss, 1)
+        tcb.buf_base = tcb.iss + 1
         self._set_state(State.SYN_RCVD)
         self._emit_syn(actions, with_ack=True)
         actions.append(SetTimer(TIMER_REXMT, tcb.rtt.rto))
         actions.append(SetTimer(TIMER_CONN, tcb.config.conn_timeout))
         return actions
 
-    def _arrives_syn_sent(self, segment: Segment, now: float) -> list[TcpAction]:
+    def _arrives_syn_sent(self, segment: Segment, ack: int, now: float) -> list[TcpAction]:
         tcb = self.tcb
         actions: list[TcpAction] = []
         ack_acceptable = False
         if segment.has_ack:
-            if seq_le(segment.ack, tcb.iss) or seq_gt(segment.ack, tcb.snd_nxt):
+            if not tcb.iss < ack <= tcb.snd_nxt:
                 self._emit_rst_for(segment, actions)
                 return actions
             ack_acceptable = True
@@ -668,16 +672,16 @@ class TcpMachine:
             return actions
 
         tcb.irs = segment.seq
-        tcb.rcv_nxt = seq_add(segment.seq, 1)
+        tcb.rcv_nxt = segment.seq + 1
         tcb.rcv_adv = tcb.rcv_nxt
         tcb.peer_mss = segment.mss
         tcb.cc.set_mss(tcb.mss)
         if segment.has_ack:
-            self._ack_advances(segment.ack, actions, now)
+            self._ack_advances(ack, actions, now)
         tcb.snd_wnd = segment.window
         tcb.snd_wl1 = segment.seq
-        tcb.snd_wl2 = segment.ack
-        if seq_gt(tcb.snd_una, tcb.iss):
+        tcb.snd_wl2 = ack
+        if tcb.snd_una > tcb.iss:
             # Our SYN is acknowledged: connection established.
             self._set_state(State.ESTABLISHED)
             actions.append(CancelTimer(TIMER_REXMT))
@@ -692,29 +696,27 @@ class TcpMachine:
             self._emit_syn(actions, with_ack=True, retransmit=True)
         return actions
 
-    def _acceptable(self, segment: Segment) -> bool:
+    def _acceptable(self, seq: int, seg_len: int) -> bool:
         """RFC 793 p.69 sequence acceptability test."""
         tcb = self.tcb
         wnd = tcb.rcv_wnd
-        seg_len = segment.seg_len
-        seq = segment.seq
         if seg_len == 0 and wnd == 0:
             return seq == tcb.rcv_nxt
+        edge = tcb.rcv_nxt + wnd
         if seg_len == 0:
-            return seq_le(tcb.rcv_nxt, seq) and seq_lt(seq, seq_add(tcb.rcv_nxt, wnd))
+            return tcb.rcv_nxt <= seq < edge
         if wnd == 0:
             return False
-        first_ok = seq_le(tcb.rcv_nxt, seq) and seq_lt(seq, seq_add(tcb.rcv_nxt, wnd))
-        last = seq_add(seq, seg_len - 1)
-        last_ok = seq_le(tcb.rcv_nxt, last) and seq_lt(last, seq_add(tcb.rcv_nxt, wnd))
-        return first_ok or last_ok
+        return tcb.rcv_nxt <= seq < edge or tcb.rcv_nxt <= seq + seg_len - 1 < edge
 
-    def _arrives_synchronized(self, segment: Segment, now: float) -> list[TcpAction]:
+    def _arrives_synchronized(
+        self, segment: Segment, seq: int, ack: int, now: float
+    ) -> list[TcpAction]:
         tcb = self.tcb
         actions: list[TcpAction] = []
 
         # Step 1: sequence acceptability.
-        if not self._acceptable(segment):
+        if not self._acceptable(seq, segment.seg_len):
             if not segment.rst:
                 self._emit_ack(actions)
             return actions
@@ -728,7 +730,7 @@ class TcpMachine:
             return actions
 
         # Step 4: SYN in window is an error.
-        if segment.syn and seq_ge(segment.seq, tcb.rcv_nxt):
+        if segment.syn and seq >= tcb.rcv_nxt:
             self._emit(actions, seq=tcb.snd_nxt, flags=TCP_RST)
             self._teardown(actions, "reset")
             return actions
@@ -738,27 +740,27 @@ class TcpMachine:
             return actions
 
         if tcb.state is State.SYN_RCVD:
-            if seq_le(tcb.snd_una, segment.ack) and seq_le(segment.ack, tcb.snd_nxt):
+            if tcb.snd_una <= ack <= tcb.snd_nxt:
                 self._set_state(State.ESTABLISHED)
                 actions.append(CancelTimer(TIMER_CONN))
                 actions.append(NotifyConnected())
                 self._arm_keepalive(actions)
                 tcb.snd_wnd = segment.window
-                tcb.snd_wl1 = segment.seq
-                tcb.snd_wl2 = segment.ack
+                tcb.snd_wl1 = seq
+                tcb.snd_wl2 = ack
             else:
                 self._emit_rst_for(segment, actions)
                 return actions
 
-        if seq_gt(segment.ack, tcb.snd_max):
+        if ack > tcb.snd_max:
             # ACK for data never sent.
             self._emit_ack(actions)
             return actions
 
-        if seq_gt(segment.ack, tcb.snd_una):
-            self._ack_advances(segment.ack, actions, now)
+        if ack > tcb.snd_una:
+            self._ack_advances(ack, actions, now)
         elif (
-            segment.ack == tcb.snd_una
+            ack == tcb.snd_una
             and not segment.payload
             and segment.window == tcb.snd_wnd
             and tcb.flight_size > 0
@@ -775,13 +777,11 @@ class TcpMachine:
                 self._fast_retransmit(actions, now)
 
         # Window update (RFC 793 p.72).
-        if seq_lt(tcb.snd_wl1, segment.seq) or (
-            tcb.snd_wl1 == segment.seq and seq_le(tcb.snd_wl2, segment.ack)
-        ):
+        if tcb.snd_wl1 < seq or (tcb.snd_wl1 == seq and tcb.snd_wl2 <= ack):
             old_wnd = tcb.snd_wnd
             tcb.snd_wnd = segment.window
-            tcb.snd_wl1 = segment.seq
-            tcb.snd_wl2 = segment.ack
+            tcb.snd_wl1 = seq
+            tcb.snd_wl2 = ack
             if old_wnd == 0 and tcb.snd_wnd > 0:
                 tcb.persist_shift = 0
                 actions.append(CancelTimer(TIMER_PERSIST))
@@ -795,11 +795,11 @@ class TcpMachine:
             State.FIN_WAIT_1,
             State.FIN_WAIT_2,
         ):
-            self._process_payload(segment, actions)
+            self._process_payload(seq, segment.payload, actions)
 
         # Step 8: FIN processing.
         if segment.fin:
-            self._process_fin(segment, actions, now)
+            self._process_fin(seq + len(segment.payload), actions)
 
         # Try to move data (window may have opened, ACK freed buffer...).
         if tcb.state in (
@@ -819,7 +819,7 @@ class TcpMachine:
     def _ack_advances(self, ack: int, actions: list[TcpAction], now: float) -> None:
         """Process a cumulative ACK advancing snd_una to ``ack``."""
         tcb = self.tcb
-        acked = seq_diff(ack, tcb.snd_una)
+        acked = ack - tcb.snd_una
         if acked <= 0:
             return
         rtt_sample = tcb.rtt.on_ack(ack, now)
@@ -830,14 +830,13 @@ class TcpMachine:
         tcb.rexmt_count = 0
 
         # Drop acknowledged bytes from the send buffer.
-        drop = seq_diff(ack, tcb.buf_base)
-        drop = min(max(0, drop), len(tcb.send_buffer))
+        drop = min(max(0, ack - tcb.buf_base), len(tcb.send_buffer))
         if drop:
             del tcb.send_buffer[:drop]
-            tcb.buf_base = seq_add(tcb.buf_base, drop)
+            tcb.buf_base += drop
             actions.append(SendSpaceAvailable(drop))
 
-        if seq_lt(tcb.snd_nxt, tcb.snd_una):
+        if tcb.snd_nxt < tcb.snd_una:
             tcb.snd_nxt = tcb.snd_una
 
         # Retransmission timer: restart while data remains outstanding.
@@ -847,11 +846,7 @@ class TcpMachine:
             actions.append(CancelTimer(TIMER_REXMT))
 
         # Our FIN acknowledged?
-        if (
-            tcb.fin_sent
-            and tcb.fin_seq is not None
-            and seq_gt(ack, tcb.fin_seq)
-        ):
+        if tcb.fin_sent and tcb.fin_seq is not None and ack > tcb.fin_seq:
             if tcb.state is State.FIN_WAIT_1:
                 self._set_state(State.FIN_WAIT_2)
             elif tcb.state is State.CLOSING:
@@ -870,22 +865,22 @@ class TcpMachine:
     # Receive path
     # ------------------------------------------------------------------
 
-    def _process_payload(self, segment: Segment, actions: list[TcpAction]) -> None:
+    def _process_payload(self, seq: int, payload, actions: list[TcpAction]) -> None:
         tcb = self.tcb
-        if segment.seq != tcb.rcv_nxt:
+        if seq != tcb.rcv_nxt:
             # Out of order: queue it and ACK immediately so the sender
             # sees duplicate ACKs (fast-retransmit trigger).
-            tcb.reassembly.insert(segment.seq, segment.payload, tcb.rcv_nxt)
+            tcb.reassembly.insert(seq, payload, tcb.rcv_nxt)
             self._emit_ack(actions)
             return
         # Trim to the advertised window before accepting.
-        payload = segment.payload[: max(0, tcb.rcv_wnd)]
+        payload = payload[: max(0, tcb.rcv_wnd)]
         if not payload:
             self._emit_ack(actions)
             return
-        tcb.reassembly.insert(segment.seq, payload, tcb.rcv_nxt)
+        tcb.reassembly.insert(seq, payload, tcb.rcv_nxt)
         data = tcb.reassembly.extract(tcb.rcv_nxt)
-        tcb.rcv_nxt = seq_add(tcb.rcv_nxt, len(data))
+        tcb.rcv_nxt += len(data)
         tcb.rcv_user += len(data)
         self.stats["bytes_delivered"] += len(data)
         actions.append(DeliverData(data))
@@ -899,16 +894,15 @@ class TcpMachine:
             self.stats["acks_delayed"] += 1
             actions.append(SetTimer(TIMER_DELACK, tcb.config.delack_time))
 
-    def _process_fin(self, segment: Segment, actions: list[TcpAction], now: float) -> None:
+    def _process_fin(self, fin_seq: int, actions: list[TcpAction]) -> None:
         tcb = self.tcb
         if tcb.state in (State.CLOSED, State.LISTEN, State.SYN_SENT):
             return
-        fin_seq = seq_add(segment.seq, len(segment.payload))
         if tcb.rcv_nxt != fin_seq:
             return  # Data before the FIN is still missing; don't advance.
         if not tcb.fin_rcvd:
             tcb.fin_rcvd = True
-            tcb.rcv_nxt = seq_add(tcb.rcv_nxt, 1)
+            tcb.rcv_nxt += 1
             actions.append(DeliverFin())
         self._emit_ack(actions)
         if tcb.state is State.ESTABLISHED:
@@ -952,7 +946,7 @@ class TcpMachine:
                 break
             if not self._should_send(length, unsent, flight):
                 break
-            offset = seq_diff(tcb.snd_nxt, tcb.buf_base)
+            offset = tcb.snd_nxt - tcb.buf_base
             chunk = bytes(tcb.send_buffer[offset : offset + length])
             flags = TCP_ACK
             is_last = offset + length == len(tcb.send_buffer)
@@ -968,11 +962,11 @@ class TcpMachine:
                 flags |= TCP_FIN
             self._emit(actions, seq=tcb.snd_nxt, flags=flags, payload=chunk)
             if not tcb.rtt.timing:
-                tcb.rtt.start_timing(seq_add(tcb.snd_nxt, length), now)
-            tcb.snd_nxt = seq_add(tcb.snd_nxt, length + (1 if fin_now else 0))
-            tcb.snd_max = seq_max(tcb.snd_max, tcb.snd_nxt)
+                tcb.rtt.start_timing(tcb.snd_nxt + length, now)
+            tcb.snd_nxt += length + (1 if fin_now else 0)
+            tcb.snd_max = max(tcb.snd_max, tcb.snd_nxt)
             if fin_now:
-                self._mark_fin_sent(seq_add(tcb.snd_nxt, -1))
+                self._mark_fin_sent(tcb.snd_nxt - 1)
             sent_any = True
 
         # A FIN with no data left to carry it.
@@ -1013,8 +1007,8 @@ class TcpMachine:
         tcb = self.tcb
         self._emit(actions, seq=tcb.snd_nxt, flags=TCP_FIN | TCP_ACK)
         self._mark_fin_sent(tcb.snd_nxt)
-        tcb.snd_nxt = seq_add(tcb.snd_nxt, 1)
-        tcb.snd_max = seq_max(tcb.snd_max, tcb.snd_nxt)
+        tcb.snd_nxt += 1
+        tcb.snd_max = max(tcb.snd_max, tcb.snd_nxt)
         actions.append(SetTimer(TIMER_REXMT, tcb.rtt.rto))
 
     def _mark_fin_sent(self, fin_seq: int) -> None:

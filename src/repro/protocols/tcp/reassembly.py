@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from .seq import seq_add, seq_diff, seq_ge, seq_le, seq_lt
-
 
 class ReassemblyQueue:
     """Holds payload beyond ``rcv_nxt`` until the gap before it fills.
 
-    Stored as a sorted list of non-overlapping ``(seq, bytes)`` runs;
+    Stored as a sorted list of non-overlapping ``(seq, bytes)`` runs
+    (``seq`` unwrapped, like every sequence number the TCB holds);
     inserts trim overlap against both existing runs and the given
     ``rcv_nxt`` so the queue never holds already-delivered data.
     """
@@ -34,31 +33,29 @@ class ReassemblyQueue:
         if not len(data):
             return
         # Trim anything at or below rcv_nxt.
-        behind = seq_diff(rcv_nxt, seq)
+        behind = rcv_nxt - seq
         if behind > 0:
             if behind >= len(data):
                 return
             data = memoryview(data)[behind:]
             seq = rcv_nxt
-        end = seq_add(seq, len(data))
+        end = seq + len(data)
 
         merged: list[tuple[int, bytes]] = []
         for run_seq, run_data in self._runs:
-            run_end = seq_add(run_seq, len(run_data))
-            if seq_le(run_end, seq) or seq_ge(run_seq, end):
+            run_end = run_seq + len(run_data)
+            if run_end <= seq or run_seq >= end:
                 merged.append((run_seq, run_data))
                 continue
             # Overlap: extend the incoming data to cover the union.
-            if seq_lt(run_seq, seq):
-                prefix_len = seq_diff(seq, run_seq)
-                data = bytes(run_data[:prefix_len]) + bytes(data)
+            if run_seq < seq:
+                data = bytes(run_data[: seq - run_seq]) + bytes(data)
                 seq = run_seq
-            if seq_lt(end, run_end):
-                keep_from = seq_diff(end, run_seq)
-                data = bytes(data) + bytes(run_data[keep_from:])
+            if end < run_end:
+                data = bytes(data) + bytes(run_data[end - run_seq :])
                 end = run_end
         merged.append((seq, data))
-        merged.sort(key=lambda run: seq_diff(run[0], rcv_nxt))
+        merged.sort(key=lambda run: run[0])
         self._runs = merged
 
     def extract(self, rcv_nxt: int):
@@ -71,16 +68,16 @@ class ReassemblyQueue:
         cursor = rcv_nxt
         while self._runs:
             run_seq, run_data = self._runs[0]
-            if seq_diff(run_seq, cursor) > 0:
+            if run_seq > cursor:
                 break  # A gap remains before this run.
             self._runs.pop(0)
-            skip = seq_diff(cursor, run_seq)
+            skip = cursor - run_seq
             if skip >= len(run_data):
                 continue  # Entirely stale.
             parts.append(
                 memoryview(run_data)[skip:] if skip else run_data
             )
-            cursor = seq_add(run_seq, len(run_data))
+            cursor = run_seq + len(run_data)
         if not parts:
             return b""
         if len(parts) == 1:
@@ -91,4 +88,4 @@ class ReassemblyQueue:
         """Sequence of the first missing byte after queued data, if any."""
         if not self._runs:
             return None
-        return self._runs[0][0] if seq_diff(self._runs[0][0], rcv_nxt) > 0 else None
+        return self._runs[0][0] if self._runs[0][0] > rcv_nxt else None

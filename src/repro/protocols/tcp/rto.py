@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ...obs import hist as _hist
-from .seq import seq_ge
 
 
 @dataclass
@@ -62,7 +61,7 @@ class RttEstimator:
         timed segment.  Returns the sample (seconds) when one was taken
         — congestion control (BBR's min-RTT filter) consumes it too."""
         sample = None
-        if self._timed_seq is not None and seq_ge(ack, self._timed_seq):
+        if self._timed_seq is not None and ack >= self._timed_seq:
             sample = now - self._timed_at
             self._sample(sample)
             self._timed_seq = None

@@ -9,7 +9,6 @@ from typing import Optional
 from .cc import CongestionAlgorithm, make_cc
 from .reassembly import ReassemblyQueue
 from .rto import RttEstimator
-from .seq import seq_diff, seq_gt
 
 
 class State(enum.Enum):
@@ -92,6 +91,10 @@ class Tcb:
 
     Variable names follow the RFC: ``snd_una``/``snd_nxt``/``snd_wnd``
     for the send side, ``rcv_nxt``/``rcv_wnd`` for the receive side.
+    Sequence numbers are held *unwrapped* — plain integers that start
+    at the ISS (or the peer's, as its SYN reads) and grow past 2**32 —
+    so they compare with ``<`` and subtract with ``-``; the 32-bit
+    circle is the wire's business (:mod:`.seq`).
     """
 
     local_port: int
@@ -183,7 +186,7 @@ class Tcb:
     @property
     def flight_size(self) -> int:
         """Unacknowledged bytes in the network."""
-        return max(0, seq_diff(self.snd_nxt, self.snd_una))
+        return max(0, self.snd_nxt - self.snd_una)
 
     @property
     def send_window(self) -> int:
@@ -198,9 +201,9 @@ class Tcb:
     @property
     def sent_data_bytes(self) -> int:
         """Buffered bytes already transmitted at least once."""
-        sent = seq_diff(self.snd_nxt, self.buf_base)
+        sent = self.snd_nxt - self.buf_base
         if self.fin_sent and self.fin_seq is not None:
-            if seq_gt(self.snd_nxt, self.fin_seq):
+            if self.snd_nxt > self.fin_seq:
                 sent -= 1  # Exclude the FIN's sequence slot.
         return min(max(0, sent), len(self.send_buffer))
 

@@ -33,7 +33,6 @@ from ...net.headers import (
     HeaderError,
     TcpHeader,
 )
-from .seq import seq_add
 
 
 class ChecksumError(ValueError):
@@ -112,7 +111,7 @@ def reset_for(segment: Segment, sport: int, dport: int) -> Optional[Segment]:
         )
     return Segment(
         sport=sport, dport=dport,
-        seq=0, ack=seq_add(segment.seq, segment.seg_len),
+        seq=0, ack=(segment.seq + segment.seg_len) & 0xFFFFFFFF,
         flags=TCP_RST | TCP_ACK, window=0,
     )
 

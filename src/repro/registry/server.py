@@ -45,6 +45,7 @@ from ..protocols.tcp import (
     encode_segment,
     reset_for,
 )
+from ..protocols.tcp.seq import MOD
 from ..net.headers import HeaderError
 from ..sim import Process, Store
 from .namespace import PortNamespace
@@ -246,7 +247,7 @@ class RegistryServer:
                 runner.stop_timers()  # The handshake's: no grant took them over.
             if reset and runner.machine.state not in (State.CLOSED, State.TIME_WAIT):
                 self.task.spawn(
-                    self._send_rst(lease, runner.machine.tcb.snd_nxt), name="rst"
+                    self._send_rst(lease, runner.machine.tcb.snd_nxt % MOD), name="rst"
                 )
         if lease.backlog is not None:
             netio.remove_listener(

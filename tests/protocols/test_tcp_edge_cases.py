@@ -211,3 +211,48 @@ def test_half_close_data_delivered_with_fin():
     pair.run(until=pair.now + 30.0)
     assert pair.a.machine.state is State.CLOSED
     assert pair.b.machine.state is State.CLOSED
+
+
+@pytest.mark.parametrize("rcv_buffer", [65535, 131072])
+def test_app_read_announces_only_a_window_the_field_can_carry(rcv_buffer):
+    """The window field clamps at 65,535, so a read that frees buffer
+    above it opens nothing the peer can see: a window-update sized
+    from the unclamped ``rcv_wnd`` went out on every read, defeating
+    delayed ACKs and — with data in flight and the reader behind —
+    reaching the peer as duplicate ACKs: a fast retransmit, cwnd
+    collapsed, and not one segment lost."""
+    pair = TcpPair(
+        config_a=TcpConfig(msl=0.5, snd_buffer=65536),
+        config_b=TcpConfig(msl=0.5, rcv_buffer=rcv_buffer),
+    )
+    pair.connect()
+    a, b = pair.a.machine, pair.b.machine
+    total = 256 * 1024
+    sent = 0
+    while sent < total:
+        room = min(4096, a.tcb.send_buffer_space, total - sent)
+        if room:
+            pair.app_send("a", b"x" * room)
+            sent += room
+        pair.run(until=pair.now + 0.01)
+    pair.run(until=pair.now + 2.0)
+    assert len(pair.b.received) == total
+    data_segments = sum(1 for seg in pair.a.emitted if seg.payload)
+    pure_acks = sum(1 for seg in pair.b.emitted if not seg.payload and not seg.syn)
+    # Every other segment, plus the odd delayed-ACK timeout.
+    assert pure_acks <= data_segments // 2 + 40
+    assert a.stats["dup_acks_received"] == 0
+
+    # The reader falls behind while more data is on its way.
+    pair.b.auto_read = False
+    cwnd = a.tcb.cc.cwnd
+    pair.app_send("a", b"y" * 32768)
+    pair.run(until=pair.now + 0.01)
+    assert a.tcb.flight_size > 0 and b.tcb.rcv_user >= 12 * 512
+    for _ in range(12):
+        pair.app_read("b", 512)
+    pair.run(until=pair.now + 0.02)
+    assert a.stats["dup_acks_received"] == 0
+    assert a.stats["fast_retransmits"] == 0
+    assert a.tcb.cc.cwnd >= cwnd
+    assert not pair.dropped

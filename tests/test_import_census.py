@@ -2,7 +2,7 @@
 
 An ``import`` statement inside a function body runs on every call: a
 function reading a module global takes 0.02 µs, one whose body is
-``from .seq import seq_ge`` 1.0 µs (a relative import re-resolves the
+``from .seq import unwrap`` 1.0 µs (a relative import re-resolves the
 package from ``__spec__`` each time), and four of them on per-segment
 paths were 5 % of the ``sansio`` workload's calls (EXPERIMENTS.md
 "Simulator at scale").  Imports belong at module level; the ones

@@ -325,7 +325,8 @@ class Host:
         costs = self.kernel.costs
         if link_dst is None:
             link_dst = yield from self.resolve_link(dst_ip)
-        yield from self.kernel.cpu.consume(costs.ip_output)
+        if costs.ip_output:
+            yield self.kernel.cpu.charge(costs.ip_output)
         packets = self.ip_stack.send(dst_ip, protocol, payload, mtu=self.mtu, ttl=ttl)
         for packet in packets:
             yield from self.netio.kernel_send(

@@ -58,4 +58,6 @@ class Kernel:
     def fast_trap(self) -> Generator:
         """Specialized entry point used by the library→device path."""
         self.counters["fast_traps"] += 1
-        yield from self.cpu.consume(self.costs.fast_trap)
+        cost = self.costs.fast_trap
+        if cost:
+            yield self.cpu.charge(cost)

@@ -41,7 +41,9 @@ class Semaphore:
 
     def wait(self) -> Generator:
         """P operation: decrement, blocking while the count is zero."""
-        yield from self.kernel.cpu.consume(self.kernel.costs.cthread_sync_op)
+        cost = self.kernel.costs.cthread_sync_op
+        if cost:
+            yield self.kernel.cpu.charge(cost)
         if self._count > 0:
             self._count -= 1
             return

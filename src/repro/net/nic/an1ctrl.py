@@ -163,7 +163,8 @@ class An1Nic(Nic):
         rec = _spans.RECORDER
         if rec is not None:
             rec.touch(frame, "nic.tx", self.sim.now, self.name, cost=cost)
-        yield from self.kernel.cpu.consume(cost)
+        if cost:
+            yield self.kernel.cpu.charge(cost)
         descriptors_full = self._tx.submit(frame)
         if descriptors_full is not None:
             yield descriptors_full

@@ -501,7 +501,8 @@ class NetworkIoModule:
                     # bucket would have admitted.
                     tenant.counters["tx_bytes"] += len(ip_packet)
                     tenant.counters["tx_packets"] += 1
-        yield from self.kernel.cpu.consume(costs.template_check)
+        if costs.template_check:
+            yield self.kernel.cpu.charge(costs.template_check)
         try:
             channel.template.verify(ip_packet)
         except TemplateViolation:

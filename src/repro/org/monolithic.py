@@ -150,7 +150,9 @@ class MonolithicTcpStack(TcpService):
             raise OSError(f"port {port} already listening")
         listener = MonoListener(self, port)
         self._listeners[port] = listener
-        yield from self.kernel.cpu.consume(self.kernel.costs.socket_op)
+        cost = self.kernel.costs.socket_op
+        if cost:
+            yield self.kernel.cpu.charge(cost)
         return listener
 
     def connect(self, remote_ip: int, remote_port: int, local_port: int = 0) -> Generator:
@@ -158,9 +160,9 @@ class MonolithicTcpStack(TcpService):
         if local_port == 0:
             local_port = self._allocate_port()
         # Crossings to reach the stack with the request.
-        yield from self.kernel.cpu.consume(
-            self.profile.setup_overhead + costs.socket_op
-        )
+        cost = self.profile.setup_overhead + costs.socket_op
+        if cost:
+            yield self.kernel.cpu.charge(cost)
         link_dst = yield from self.host.resolve_link(remote_ip)
         connection = self._make_connection(
             local_port, remote_ip, remote_port, link_dst
@@ -220,18 +222,22 @@ class MonolithicTcpStack(TcpService):
         self.stats["rx_segments"] += 1
         if self.profile.ipc_counts[2]:
             self.kernel.counters["ipc_messages"] += self.profile.ipc_counts[2]
-        yield from self.kernel.cpu.consume(costs.checksum_cost(len(payload)))
+        cost = costs.checksum_cost(len(payload))
+        if cost:
+            yield self.kernel.cpu.charge(cost)
         try:
             segment = decode_segment(payload, src_ip, self.host.ip)
         except (ChecksumError, HeaderError):
             self.stats["rx_bad_checksum"] += 1
             return
         tcp_cost = costs.tcp_input if segment.payload else costs.tcp_input_ack
-        yield from self.kernel.cpu.consume(
+        cost = (
             self.profile.recv_dispatch(costs, len(payload))
             + (costs.tcp_pcb_lookup if self.profile.pcb_lookup else 0.0)
             + tcp_cost
         )
+        if cost:
+            yield self.kernel.cpu.charge(cost)
         key = (segment.dport, src_ip, segment.sport)
         connection = self._connections.get(key)
         if connection is not None:
@@ -284,11 +290,13 @@ class MonolithicTcpStack(TcpService):
         if self.profile.ipc_counts[1]:
             self.kernel.counters["ipc_messages"] += self.profile.ipc_counts[1]
         payload = encode_segment(segment, self.host.ip, remote_ip)
-        yield from self.kernel.cpu.consume(
+        cost = (
             costs.tcp_output
             + costs.checksum_cost(len(payload))
             + self.profile.send_device(costs, len(payload))
         )
+        if cost:
+            yield self.kernel.cpu.charge(cost)
         yield from self.host.ip_send(remote_ip, PROTO_TCP, payload, link_dst)
 
 
@@ -330,9 +338,9 @@ class MonoConnection(TcpConnection):
             kernel.counters["ipc_messages"] += profile.ipc_counts[0]
         else:
             kernel.counters["traps"] += 1
-        yield from kernel.cpu.consume(
-            profile.send_entry(self._costs, len(data))
-        )
+        cost = profile.send_entry(self._costs, len(data))
+        if cost:
+            yield kernel.cpu.charge(cost)
         yield from self.runner.app_send(data)
 
     def recv(self, max_bytes: int) -> Generator:
@@ -348,16 +356,17 @@ class MonoConnection(TcpConnection):
         if blocked:
             # The reader slept; waking it costs a context switch.
             cost += self._costs.context_switch
-        yield from kernel.cpu.consume(cost)
+        if cost:
+            yield kernel.cpu.charge(cost)
         return data
 
     def close(self) -> Generator:
         """Orderly release.  Returns once the close is initiated (BSD
         semantics: close() does not wait out TIME-WAIT); the connection
         is reaped in the background when it reaches CLOSED."""
-        yield from self.stack.kernel.cpu.consume(
-            self._costs.syscall_trap + self._costs.socket_op
-        )
+        cost = self._costs.syscall_trap + self._costs.socket_op
+        if cost:
+            yield self.stack.kernel.cpu.charge(cost)
         yield from self.runner.app_close()
         self.stack.sim.process(self._finalize(), name="close-reap")
 

@@ -75,64 +75,58 @@ class MachineRunner:
         self.emitting_retransmit = False
 
     # ------------------------------------------------------------------
-    # Event entry points (all are generators; costs ride on emit_fn)
+    # Event entry points (``yield from`` each; costs ride on emit_fn)
     # ------------------------------------------------------------------
 
     def handle(self, event) -> Generator:
-        """Feed one event to the machine and execute its actions."""
+        """Feed one event to the machine *now* and return the generator
+        that executes its actions.  A plain method, not a generator: a
+        frame here would be re-entered on every yield beneath it."""
         now = self.sim.now
+        # The machine is the synchronous protocol callback: this is the
+        # one place its real CPU time can be measured whole.
         prof = _profile.PROFILER
-        if prof is None:
-            actions = self.machine.handle(event, now)
-        else:
-            # The machine is the synchronous protocol callback: this is
-            # the one place its real CPU time can be measured whole.
-            t0 = perf_counter()
-            actions = self.machine.handle(event, now)
-            prof.charge(_machine_site(event), 0.0, perf_counter() - t0)
-        yield from self._execute(actions, now)
+        t0 = perf_counter() if prof is not None else 0.0
+        actions = self.machine.handle(event, now)
+        if prof is not None:
+            site = _MACHINE_SITES.get(event.__class__, "tcp.machine.app")
+            prof.charge(site, 0.0, perf_counter() - t0)
+        return self._execute(actions, now)
 
     def start(self, active: bool) -> Generator:
         now = self.sim.now
-        yield from self._execute(self.machine.open(now, active=active), now)
+        return self._execute(self.machine.open(now, active=active), now)
 
     def feed_segment(self, segment: Segment) -> Generator:
-        """Deliver one received segment to the machine.
-
-        Header prediction runs first: :meth:`TcpMachine.fast_input`
-        handles the predicted ESTABLISHED-state shapes (pure in-window
-        ACK, next-in-sequence data) without event dispatch; a miss falls
-        back to the full :meth:`handle` machinery.  The profiler
-        attributes the two outcomes to distinct sites so the fast/slow
-        split is visible in its report.
-        """
+        """Deliver one received segment to the machine: header
+        prediction first (:meth:`TcpMachine.fast_input`: pure in-window
+        ACK, next-in-sequence data), the full :meth:`handle` machinery
+        on a miss.  The profiler attributes the two outcomes to distinct
+        sites, so the fast/slow split is visible in its report."""
         machine = self.machine
         now = self.sim.now
         prof = _profile.PROFILER
-        if prof is None:
-            actions = machine.fast_input(segment, now)
-            if actions is None:
-                actions = machine.handle(SegmentArrives(segment), now)
-        else:
-            t0 = perf_counter()
-            actions = machine.fast_input(segment, now)
-            site = "tcp.machine.fastpath"
-            if actions is None:
-                actions = machine.handle(SegmentArrives(segment), now)
-                site = "tcp.machine.input"
+        t0 = perf_counter() if prof is not None else 0.0
+        actions = machine.fast_input(segment, now)
+        site = "tcp.machine.fastpath"
+        if actions is None:
+            actions = machine.handle(SegmentArrives(segment), now)
+            site = "tcp.machine.input"
+        if prof is not None:
             prof.charge(site, 0.0, perf_counter() - t0)
-        yield from self._execute(actions, now)
+        return self._execute(actions, now)
 
     def app_send(self, data: bytes) -> Generator:
         """Blocking write: waits for send-buffer space, then queues."""
         offset = 0
-        while offset < len(data):
+        total = len(data)
+        while offset < total:
+            # Checked on every turn: teardown empties the send buffer,
+            # so a writer woken by it would find space on a dead machine.
+            if self.closed_reason is not None:
+                raise ConnectionResetError(f"connection closed ({self.closed_reason})")
             space = self.machine.tcb.send_buffer_space
             if space == 0:
-                if self.closed_reason is not None:
-                    raise ConnectionResetError(
-                        f"connection closed ({self.closed_reason})"
-                    )
                 event = self.sim.event()
                 self._writers.append(event)
                 yield event
@@ -158,10 +152,10 @@ class MachineRunner:
         return data
 
     def app_close(self) -> Generator:
-        yield from self.handle(AppClose())
+        return self.handle(AppClose())
 
     def app_abort(self) -> Generator:
-        yield from self.handle(AppAbort())
+        return self.handle(AppAbort())
 
     def wait_connected(self) -> Generator:
         if self.connected:
@@ -197,51 +191,54 @@ class MachineRunner:
         handle and silently kill the fresh timer.  Only the costed work
         (timer-op CPU charges and segment emission) yields.
         """
-        costs = self.kernel.costs
-        emissions: list[tuple[Segment, bool]] = []
+        emissions: list[EmitSegment] = []
         timer_ops = 0
+        timers = self._timers
         for action in actions:
-            if isinstance(action, EmitSegment):
-                emissions.append((action.segment, action.retransmit))
-            elif isinstance(action, SetTimer):
+            kind = action.__class__
+            if kind is EmitSegment:
+                emissions.append(action)
+            elif kind is SetTimer:
                 timer_ops += 1
                 self._arm_timer(action.name, now, action.delay)
-            elif isinstance(action, CancelTimer):
-                if action.name in self._timers:
+            elif kind is CancelTimer:
+                if action.name in timers:
                     timer_ops += 1
-                    timer = self._timers[action.name]
+                    timer = timers[action.name]
                     if timer is not None:
                         timer[1].cancel()
-                        self._timers[action.name] = None
-            elif isinstance(action, DeliverData):
+                        timers[action.name] = None
+            elif kind is DeliverData:
                 self.rx_buffer.extend(action.data)
                 self._wake(self._readers)
-            elif isinstance(action, DeliverFin):
+            elif kind is SendSpaceAvailable:
+                self._wake(self._writers)
+            elif kind is DeliverFin:
                 self.eof = True
                 self._wake(self._readers)
-            elif isinstance(action, NotifyConnected):
+            elif kind is NotifyConnected:
                 self.connected = True
                 self._wake(self._connect_waiters)
-            elif isinstance(action, NotifyClosed):
+            elif kind is NotifyClosed:
                 self.closed_reason = action.reason
                 self.stop_timers()
                 self._wake(self._readers)
                 self._wake(self._writers)
                 self._wake(self._connect_waiters)
                 self._wake(self._close_waiters)
-            elif isinstance(action, SendSpaceAvailable):
-                self._wake(self._writers)
             else:
                 raise AssertionError(f"unhandled action {action!r}")
         if timer_ops:
+            cost = self.kernel.costs.timer_op * timer_ops
             prof = _profile.PROFILER
             if prof is not None:
-                prof.charge("tcp.timer_op", costs.timer_op * timer_ops)
-            yield from self.kernel.cpu.consume(costs.timer_op * timer_ops)
-        for segment, retransmit in emissions:
-            self.emitting_retransmit = retransmit
+                prof.charge("tcp.timer_op", cost)
+            if cost:
+                yield self.kernel.cpu.charge(cost)
+        for action in emissions:
+            self.emitting_retransmit = action.retransmit
             try:
-                yield from self.emit_fn(segment)
+                yield from self.emit_fn(action.segment)
             finally:
                 self.emitting_retransmit = False
 
@@ -265,9 +262,12 @@ class MachineRunner:
         self._timers[name] = None
         if self.closed_reason is not None:
             return  # Armed by the machine's last actions, after close.
-        self.sim.process(
-            self.handle(TimerExpires(name)), name=f"{self.name}-{name}"
-        )
+        self.sim.process(self._expire(name), name=f"{self.name}-{name}")
+
+    def _expire(self, name: str) -> Generator:
+        # A generator, so the machine runs when the process first
+        # resumes, not in the engine callback that spawned it.
+        yield from self.handle(TimerExpires(name))
 
     def stop_timers(self) -> dict[str, float]:
         """Cancel every armed timer.  Returns name -> deadline of those
@@ -294,10 +294,9 @@ class MachineRunner:
             waiters.pop().succeed()
 
 
-def _machine_site(event) -> str:
-    """Profiler site for one machine callback, by event kind."""
-    if isinstance(event, SegmentArrives):
-        return "tcp.machine.input"
-    if isinstance(event, TimerExpires):
-        return "tcp.machine.timer"
-    return "tcp.machine.app"
+#: Profiler site of one machine callback, by event class (the rest are
+#: the application's: "tcp.machine.app").
+_MACHINE_SITES = {
+    SegmentArrives: "tcp.machine.input",
+    TimerExpires: "tcp.machine.timer",
+}

@@ -225,7 +225,8 @@ class LibraryConnection(TcpConnection):
         # TCP output + checksum run in the library (application CPU
         # time); the segment is built directly in the shared region, so
         # there is no extra copy toward the kernel.
-        yield from self.kernel.cpu.consume(cost)
+        if cost:
+            yield self.kernel.cpu.charge(cost)
         packets = self.service.ip_lib.send(
             self.remote_ip, PROTO_TCP, payload, mtu=self.service.host.mtu
         )
@@ -269,7 +270,8 @@ class LibraryConnection(TcpConnection):
             prof = _profile.PROFILER
             if prof is not None:
                 prof.charge("lib.wakeup", wakeup_cost)
-            yield from self.kernel.cpu.consume(wakeup_cost)
+            if wakeup_cost:
+                yield self.kernel.cpu.charge(wakeup_cost)
             for packet in batch:
                 datagram = self.service.ip_lib.receive(packet, now=self.sim.now)
                 if datagram is None:
@@ -301,7 +303,8 @@ class LibraryConnection(TcpConnection):
                         detail=f"seq={segment.seq} ack={segment.ack}",
                         cost=rx_cost,
                     )
-                yield from self.kernel.cpu.consume(rx_cost)
+                if rx_cost:
+                    yield self.kernel.cpu.charge(rx_cost)
                 yield from self.runner.feed_segment(segment)
             if self.runner.closed_reason is not None and not self.channel.rx_queue:
                 return
@@ -314,7 +317,8 @@ class LibraryConnection(TcpConnection):
         cost = self.kernel.costs.socket_op
         if not self.service.zero_copy:
             cost += self.kernel.costs.copy_cost(len(data))
-        yield from self.kernel.cpu.consume(cost)
+        if cost:
+            yield self.kernel.cpu.charge(cost)
         yield from self.runner.app_send(data)
 
     def recv(self, max_bytes: int) -> Generator:
@@ -324,7 +328,8 @@ class LibraryConnection(TcpConnection):
         cost = self.kernel.costs.socket_op
         if not self.service.zero_copy:
             cost += self.kernel.costs.copy_cost(len(data))
-        yield from self.kernel.cpu.consume(cost)
+        if cost:
+            yield self.kernel.cpu.charge(cost)
         return data
 
     def close(self) -> Generator:

@@ -28,7 +28,6 @@ class AppSend(TcpInputEvent):
     """The application wrote ``data`` to the connection."""
 
     data: bytes
-    push: bool = True
 
 
 @dataclass(frozen=True)

@@ -116,9 +116,7 @@ class TcpMachine:
             return actions
         if tcb.remote_port == 0:
             raise TcpError("active open requires a remote port")
-        tcb.snd_una = tcb.iss
-        tcb.snd_nxt = tcb.iss
-        tcb.snd_max = tcb.iss
+        tcb.snd_una = tcb.snd_nxt = tcb.snd_max = tcb.iss
         tcb.buf_base = tcb.iss + 1
         self._set_state(State.SYN_SENT)
         self._emit_syn(actions, with_ack=False)
@@ -128,18 +126,19 @@ class TcpMachine:
 
     def handle(self, event: TcpInputEvent, now: float) -> list[TcpAction]:
         """Feed one input event; returns the actions to execute."""
-        if isinstance(event, SegmentArrives):
+        kind = event.__class__
+        if kind is SegmentArrives:
             self.stats["segments_received"] += 1
             return self._segment_arrives(event.segment, now)
-        if isinstance(event, AppSend):
+        if kind is AppSend:
             return self._app_send(event.data, now)
-        if isinstance(event, AppRead):
+        if kind is AppRead:
             return self._app_read(event.nbytes, now)
-        if isinstance(event, AppClose):
+        if kind is AppClose:
             return self._app_close(now)
-        if isinstance(event, AppAbort):
+        if kind is AppAbort:
             return self._app_abort(now)
-        if isinstance(event, TimerExpires):
+        if kind is TimerExpires:
             return self._timer_expires(event.name, now)
         raise TcpError(f"unknown event {event!r}")
 
@@ -152,8 +151,8 @@ class TcpMachine:
 
         One comparison row decides whether ``segment`` is the *expected*
         next segment of an ESTABLISHED connection — flags carry nothing
-        beyond ACK|PSH, the sequence number is exactly ``rcv_nxt``, and
-        the advertised window is unchanged.  Two shapes then qualify:
+        beyond ACK|PSH, the sequence number is exactly ``rcv_nxt``.  Two
+        shapes then qualify:
 
         * a **pure ACK** advancing ``snd_una`` within what we have sent
           (the sender side of a bulk transfer), and
@@ -161,14 +160,13 @@ class TcpMachine:
           the receive window while the reassembly queue is empty (the
           receiver side).
 
-        Hits run the short path below — the very same bookkeeping
-        helpers the slow path uses, in the same order, so the emitted
-        action list is identical; the full :meth:`handle` machinery
-        (event dispatch, acceptability tests, reassembly, FIN and state
-        transitions) is skipped, not approximated.  Anything else
-        returns ``None`` and the caller falls back to :meth:`handle`
-        unchanged.  The golden wire digests and the fuzz equivalence
-        suite pin the identity.
+        Hits run the short path below — the slow path's bookkeeping in
+        the same order, so the emitted action list is identical; event
+        dispatch, acceptability tests, reassembly, FIN and state
+        transitions are skipped, not approximated.  Anything else
+        returns ``None`` and the caller falls back to :meth:`handle`.
+        The golden wire digests and test_fastpath_equivalence pin the
+        identity.
         """
         tcb = self.tcb
         flags = segment.flags
@@ -181,9 +179,10 @@ class TcpMachine:
             self.stats["fastpath_misses"] += 1
             return None
         payload = segment.payload
+        size = len(payload)
         ack = unwrap(segment.ack, tcb.snd_una)
         advancing = False
-        if not payload:
+        if not size:
             # Pure-ACK arm: either snd_una advances through sent
             # territory, or a bare window update (ack == snd_una) that
             # the slow path's duplicate-ACK test — which needs an
@@ -193,15 +192,15 @@ class TcpMachine:
             advancing = tcb.snd_una < ack <= tcb.snd_max
             if not advancing and not (
                 ack == tcb.snd_una
-                and not (segment.window == tcb.snd_wnd and tcb.flight_size > 0)
+                and not (segment.window == tcb.snd_wnd and tcb.snd_nxt > tcb.snd_una)
             ):
                 self.stats["fastpath_misses"] += 1
                 return None
             self.stats["fastpath_ack_hits"] += 1
         elif (
             ack != tcb.snd_una
-            or len(payload) > tcb.rcv_wnd
-            or len(tcb.reassembly)
+            or size > tcb.config.rcv_buffer - tcb.rcv_user  # > rcv_wnd
+            or tcb.reassembly.runs
         ):
             self.stats["fastpath_misses"] += 1
             return None
@@ -228,12 +227,11 @@ class TcpMachine:
             if old_wnd == 0 and tcb.snd_wnd > 0:
                 tcb.persist_shift = 0
                 actions.append(CancelTimer(TIMER_PERSIST))
-        if payload:
-            # Direct delivery: with an empty queue, _process_payload's
-            # insert/extract round trip returns ``payload`` itself.
-            tcb.rcv_nxt += len(payload)
-            tcb.rcv_user += len(payload)
-            self.stats["bytes_delivered"] += len(payload)
+        if size:
+            # Direct delivery, as _process_payload's empty-queue arm.
+            tcb.rcv_nxt += size
+            tcb.rcv_user += size
+            self.stats["bytes_delivered"] += size
             actions.append(DeliverData(payload))
             if tcb.delack_pending:
                 tcb.delack_pending = False
@@ -285,12 +283,6 @@ class TcpMachine:
     #: scaling (RFC 1323), so large buffers clamp at 65535.
     _MAX_WINDOW = 0xFFFF
 
-    def _advertised_window(self) -> int:
-        tcb = self.tcb
-        window = min(tcb.rcv_wnd, self._MAX_WINDOW)
-        tcb.rcv_adv = tcb.rcv_nxt + window
-        return window
-
     def _emit(
         self,
         actions: list[TcpAction],
@@ -301,22 +293,31 @@ class TcpMachine:
         retransmit: bool = False,
     ) -> None:
         """Build a segment from TCB state: the one place an unwrapped
-        sequence number is masked onto the 32-bit wire circle."""
+        sequence number is masked onto the 32-bit wire circle, and the
+        one place ``rcv_wnd`` becomes an advertisement (``rcv_adv``)."""
         tcb = self.tcb
+        stats = self.stats
+        window = tcb.config.rcv_buffer - tcb.rcv_user  # rcv_wnd, clamped:
+        if window < 0:
+            window = 0
+        elif window > self._MAX_WINDOW:
+            window = self._MAX_WINDOW
+        tcb.rcv_adv = tcb.rcv_nxt + window
         segment = Segment(
             sport=tcb.local_port,
             dport=tcb.remote_port,
             seq=seq & 0xFFFFFFFF,
             ack=tcb.rcv_nxt & 0xFFFFFFFF if flags & TCP_ACK else 0,
             flags=flags,
-            window=self._advertised_window(),
+            window=window,
             payload=payload,
             mss=mss,
         )
-        self.stats["segments_sent"] += 1
-        self.stats["bytes_sent"] += len(payload)
+        stats["segments_sent"] += 1
+        if payload:
+            stats["bytes_sent"] += len(payload)
         if retransmit:
-            self.stats["retransmits"] += 1
+            stats["retransmits"] += 1
         actions.append(EmitSegment(segment, retransmit=retransmit))
         # Any segment carrying an ACK satisfies a pending delayed ACK.
         if flags & TCP_ACK and tcb.delack_pending:
@@ -356,15 +357,8 @@ class TcpMachine:
 
     def _app_send(self, data: bytes, now: float) -> list[TcpAction]:
         tcb = self.tcb
-        if tcb.state in (
-            State.CLOSED,
-            State.LISTEN,
-            State.FIN_WAIT_1,
-            State.FIN_WAIT_2,
-            State.CLOSING,
-            State.LAST_ACK,
-            State.TIME_WAIT,
-        ):
+        writable = (State.ESTABLISHED, State.CLOSE_WAIT, State.SYN_SENT, State.SYN_RCVD)
+        if tcb.state not in writable:
             raise TcpError(f"send in state {tcb.state}")
         if tcb.fin_pending:
             raise TcpError("send after close")
@@ -390,9 +384,22 @@ class TcpMachine:
         # when it opens the advertised edge by >= 2 segments or half the
         # buffer (BSD's rule) — as the peer would see it: buffer freed
         # above what the window field can carry opens nothing.
-        opening = tcb.rcv_nxt + min(tcb.rcv_wnd, self._MAX_WINDOW) - tcb.rcv_adv
-        if tcb.state in SYNCHRONIZED_STATES and opening >= min(
-            2 * tcb.mss, tcb.config.rcv_buffer // 2
+        config = tcb.config
+        window = config.rcv_buffer - tcb.rcv_user  # rcv_wnd, clamped:
+        if window < 0:
+            window = 0
+        elif window > self._MAX_WINDOW:
+            window = self._MAX_WINDOW
+        mss = config.mss
+        if tcb.peer_mss is not None and tcb.peer_mss < mss:
+            mss = tcb.peer_mss
+        threshold = config.rcv_buffer // 2
+        if 2 * mss < threshold:
+            threshold = 2 * mss
+        # The arithmetic first: a state outside the set costs a hash.
+        if (
+            tcb.rcv_nxt + window - tcb.rcv_adv >= threshold
+            and tcb.state in SYNCHRONIZED_STATES
         ):
             self._emit_ack(actions)
         return actions
@@ -481,17 +488,11 @@ class TcpMachine:
     def _retransmit_head(self, actions: list[TcpAction], now: float) -> None:
         """Resend whatever sits at snd_una: SYN, data, or FIN."""
         tcb = self.tcb
-        if tcb.state is State.SYN_SENT:
-            self._emit_syn(actions, with_ack=False, retransmit=True)
-            return
-        if tcb.state is State.SYN_RCVD:
-            self._emit_syn(actions, with_ack=True, retransmit=True)
-            return
         offset = tcb.snd_una - tcb.buf_base
-        if offset < 0:
-            # snd_una still covers our SYN (shouldn't happen outside the
-            # handshake states, but be safe).
-            self._emit_syn(actions, with_ack=True, retransmit=True)
+        if offset < 0 or tcb.state in (State.SYN_SENT, State.SYN_RCVD):
+            # snd_una still covers our SYN (outside the handshake states
+            # that shouldn't happen, but be safe).
+            self._emit_syn(actions, tcb.state is not State.SYN_SENT, retransmit=True)
             return
         chunk = bytes(tcb.send_buffer[offset : offset + tcb.mss])
         if chunk:
@@ -569,9 +570,7 @@ class TcpMachine:
 
     def _arm_keepalive(self, actions: list[TcpAction]) -> None:
         if self.tcb.config.keepalive:
-            actions.append(
-                SetTimer(TIMER_KEEPALIVE, self.tcb.config.keepalive_idle)
-            )
+            actions.append(SetTimer(TIMER_KEEPALIVE, self.tcb.config.keepalive_idle))
 
     def _on_keepalive(self, now: float) -> list[TcpAction]:
         """BSD keepalive: probe an idle connection with a segment one
@@ -595,9 +594,7 @@ class TcpMachine:
         self.stats["probes_sent"] += 1
         # The classic garbage-seq probe: seq = snd_una - 1, no data.
         self._emit(actions, seq=tcb.snd_una - 1, flags=TCP_ACK)
-        actions.append(
-            SetTimer(TIMER_KEEPALIVE, tcb.config.keepalive_interval)
-        )
+        actions.append(SetTimer(TIMER_KEEPALIVE, tcb.config.keepalive_interval))
         return actions
 
     # ------------------------------------------------------------------
@@ -645,9 +642,7 @@ class TcpMachine:
         tcb.snd_wnd = segment.window
         tcb.snd_wl1 = segment.seq
         tcb.snd_wl2 = tcb.iss
-        tcb.snd_una = tcb.iss
-        tcb.snd_nxt = tcb.iss
-        tcb.snd_max = tcb.iss
+        tcb.snd_una = tcb.snd_nxt = tcb.snd_max = tcb.iss
         tcb.buf_base = tcb.iss + 1
         self._set_state(State.SYN_RCVD)
         self._emit_syn(actions, with_ack=True)
@@ -699,7 +694,9 @@ class TcpMachine:
     def _acceptable(self, seq: int, seg_len: int) -> bool:
         """RFC 793 p.69 sequence acceptability test."""
         tcb = self.tcb
-        wnd = tcb.rcv_wnd
+        wnd = tcb.config.rcv_buffer - tcb.rcv_user  # rcv_wnd
+        if wnd < 0:
+            wnd = 0
         if seg_len == 0 and wnd == 0:
             return seq == tcb.rcv_nxt
         edge = tcb.rcv_nxt + wnd
@@ -714,15 +711,19 @@ class TcpMachine:
     ) -> list[TcpAction]:
         tcb = self.tcb
         actions: list[TcpAction] = []
+        flags = segment.flags
+        payload = segment.payload
+        size = len(payload)
 
-        # Step 1: sequence acceptability.
-        if not self._acceptable(seq, segment.seg_len):
-            if not segment.rst:
+        # Step 1: sequence acceptability (SYN and FIN occupy a slot).
+        seg_len = size + (1 if flags & TCP_SYN else 0) + (1 if flags & TCP_FIN else 0)
+        if not self._acceptable(seq, seg_len):
+            if not flags & TCP_RST:
                 self._emit_ack(actions)
             return actions
 
         # Step 2: RST processing.
-        if segment.rst:
+        if flags & TCP_RST:
             if tcb.state is State.SYN_RCVD:
                 self._teardown(actions, "refused")
             else:
@@ -730,13 +731,13 @@ class TcpMachine:
             return actions
 
         # Step 4: SYN in window is an error.
-        if segment.syn and seq >= tcb.rcv_nxt:
+        if flags & TCP_SYN and seq >= tcb.rcv_nxt:
             self._emit(actions, seq=tcb.snd_nxt, flags=TCP_RST)
             self._teardown(actions, "reset")
             return actions
 
         # Step 5: ACK processing.
-        if not segment.has_ack:
+        if not flags & TCP_ACK:
             return actions
 
         if tcb.state is State.SYN_RCVD:
@@ -761,20 +762,19 @@ class TcpMachine:
             self._ack_advances(ack, actions, now)
         elif (
             ack == tcb.snd_una
-            and not segment.payload
+            and not size
             and segment.window == tcb.snd_wnd
-            and tcb.flight_size > 0
+            and tcb.snd_nxt > tcb.snd_una  # flight_size > 0
         ):
             self.stats["dup_acks_received"] += 1
             flight = tcb.flight_size
             cwnd_before = tcb.cc.cwnd
             if tcb.cc.on_duplicate_ack(flight, now):
                 self.stats["fast_retransmits"] += 1
-                self._note_cc_event(
-                    "fast_retransmit", now, cwnd_before, flight
-                )
+                self._note_cc_event("fast_retransmit", now, cwnd_before, flight)
                 tcb.rtt.cancel_timing()  # Karn: retransmitted data.
-                self._fast_retransmit(actions, now)
+                self._retransmit_head(actions, now)
+                actions.append(SetTimer(TIMER_REXMT, tcb.rtt.rto))
 
         # Window update (RFC 793 p.72).
         if tcb.snd_wl1 < seq or (tcb.snd_wl1 == seq and tcb.snd_wl2 <= ack):
@@ -790,26 +790,19 @@ class TcpMachine:
         # acknowledged are handled inside _ack_advances.
 
         # Step 7: payload processing.
-        if segment.payload and tcb.state in (
+        if size and tcb.state in (
             State.ESTABLISHED,
             State.FIN_WAIT_1,
             State.FIN_WAIT_2,
         ):
-            self._process_payload(seq, segment.payload, actions)
+            self._process_payload(seq, payload, actions)
 
         # Step 8: FIN processing.
-        if segment.fin:
-            self._process_fin(seq + len(segment.payload), actions)
+        if flags & TCP_FIN:
+            self._process_fin(seq + size, actions)
 
         # Try to move data (window may have opened, ACK freed buffer...).
-        if tcb.state in (
-            State.ESTABLISHED,
-            State.CLOSE_WAIT,
-            State.FIN_WAIT_1,
-            State.CLOSING,
-            State.LAST_ACK,
-        ):
-            self._try_output(actions, now)
+        self._try_output(actions, now)
         return actions
 
     # ------------------------------------------------------------------
@@ -825,22 +818,24 @@ class TcpMachine:
         rtt_sample = tcb.rtt.on_ack(ack, now)
         if rtt_sample is not None:
             tcb.cc.on_rtt_sample(rtt_sample, now)
-        tcb.cc.on_new_ack(acked, now, max(0, tcb.flight_size - acked))
+        left = tcb.snd_nxt - ack  # flight_size once snd_una moves
+        tcb.cc.on_new_ack(acked, now, left if left > 0 else 0)
         tcb.snd_una = ack
         tcb.rexmt_count = 0
 
         # Drop acknowledged bytes from the send buffer.
-        drop = min(max(0, ack - tcb.buf_base), len(tcb.send_buffer))
-        if drop:
+        drop = ack - tcb.buf_base
+        if drop > 0 and tcb.send_buffer:
+            drop = min(drop, len(tcb.send_buffer))
             del tcb.send_buffer[:drop]
             tcb.buf_base += drop
             actions.append(SendSpaceAvailable(drop))
 
-        if tcb.snd_nxt < tcb.snd_una:
-            tcb.snd_nxt = tcb.snd_una
+        if left < 0:
+            tcb.snd_nxt = ack
 
         # Retransmission timer: restart while data remains outstanding.
-        if tcb.flight_size > 0:
+        if left > 0:
             actions.append(SetTimer(TIMER_REXMT, tcb.rtt.rto))
         else:
             actions.append(CancelTimer(TIMER_REXMT))
@@ -857,10 +852,6 @@ class TcpMachine:
                     actions.append(CancelTimer(name))
                 actions.append(NotifyClosed("done"))
 
-    def _fast_retransmit(self, actions: list[TcpAction], now: float) -> None:
-        self._retransmit_head(actions, now)
-        actions.append(SetTimer(TIMER_REXMT, self.tcb.rtt.rto))
-
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
@@ -874,15 +865,20 @@ class TcpMachine:
             self._emit_ack(actions)
             return
         # Trim to the advertised window before accepting.
-        payload = payload[: max(0, tcb.rcv_wnd)]
+        payload = payload[: tcb.rcv_wnd]
         if not payload:
             self._emit_ack(actions)
             return
-        tcb.reassembly.insert(seq, payload, tcb.rcv_nxt)
-        data = tcb.reassembly.extract(tcb.rcv_nxt)
-        tcb.rcv_nxt += len(data)
-        tcb.rcv_user += len(data)
-        self.stats["bytes_delivered"] += len(data)
+        data = payload
+        if tcb.reassembly.runs:
+            tcb.reassembly.insert(seq, payload, tcb.rcv_nxt)
+            data = tcb.reassembly.extract(tcb.rcv_nxt)
+        # (An empty queue's insert/extract round trip returns
+        # ``payload`` itself.)
+        size = len(data)
+        tcb.rcv_nxt += size
+        tcb.rcv_user += size
+        self.stats["bytes_delivered"] += size
         actions.append(DeliverData(data))
         # Delayed ACK: every second segment, or after delack_time.
         if tcb.delack_pending:
@@ -926,6 +922,11 @@ class TcpMachine:
     # ------------------------------------------------------------------
 
     def _try_output(self, actions: list[TcpAction], now: float) -> None:
+        """Send what the windows, Nagle and sender SWS avoidance allow.
+        ``Tcb.mss`` and ``send_window`` hold still for a pass and are
+        read once; ``flight`` / ``unsent`` are ``Tcb.flight_size`` /
+        ``unsent_bytes`` in plain arithmetic (the properties are their
+        oracle: tests/protocols/test_tcp_inlined_arithmetic.py)."""
         tcb = self.tcb
         if tcb.state not in (
             State.ESTABLISHED,
@@ -936,72 +937,79 @@ class TcpMachine:
             State.SYN_RCVD,
         ):
             return
+        buffer = tcb.send_buffer
+        fin_due = tcb.fin_pending and not tcb.fin_sent
+        if not buffer and not fin_due:
+            return  # Nothing to send and nothing to persist for.
+        config = tcb.config
+        mss = config.mss
+        if tcb.peer_mss is not None and tcb.peer_mss < mss:
+            mss = tcb.peer_mss
+        window = tcb.cc.window
+        if tcb.snd_wnd < window:
+            window = tcb.snd_wnd
+        buffered = len(buffer)
         sent_any = False
         while True:
-            flight = tcb.flight_size
-            usable = tcb.send_window - flight
-            unsent = tcb.unsent_bytes
-            length = min(tcb.mss, unsent, max(0, usable))
+            nxt = tcb.snd_nxt
+            flight = nxt - tcb.snd_una
+            if flight < 0:
+                flight = 0
+            usable = window - flight
+            offset = sent = nxt - tcb.buf_base
+            if tcb.fin_sent and tcb.fin_seq is not None and nxt > tcb.fin_seq:
+                sent -= 1  # Exclude the FIN's sequence slot.
+            if sent < 0:
+                sent = 0
+            elif sent > buffered:
+                sent = buffered
+            unsent = buffered - sent
+            length = mss if mss < unsent else unsent
+            if usable < length:
+                length = usable
             if length <= 0:
                 break
-            if not self._should_send(length, unsent, flight):
+            # Sender silly-window avoidance + Nagle (BSD tcp_output
+            # rules): a short segment goes only if it is all we have
+            # and the line is idle (or Nagle is off), or if it is a
+            # decent fraction of the peer's buffer.
+            if (
+                length < mss
+                and not (length == unsent and (flight == 0 or not config.nagle))
+                and length * 2 < config.rcv_buffer
+            ):
                 break
-            offset = tcb.snd_nxt - tcb.buf_base
-            chunk = bytes(tcb.send_buffer[offset : offset + length])
+            chunk = bytes(buffer[offset : offset + length])
             flags = TCP_ACK
-            is_last = offset + length == len(tcb.send_buffer)
+            is_last = offset + length == buffered
             if is_last:
                 flags |= TCP_PSH
-            fin_now = (
-                tcb.fin_pending
-                and not tcb.fin_sent
-                and is_last
-                and usable > length  # Room for the FIN's sequence slot.
-            )
+            # The FIN rides along if its sequence slot fits too.
+            fin_now = fin_due and is_last and usable > length
             if fin_now:
                 flags |= TCP_FIN
-            self._emit(actions, seq=tcb.snd_nxt, flags=flags, payload=chunk)
-            if not tcb.rtt.timing:
-                tcb.rtt.start_timing(tcb.snd_nxt + length, now)
-            tcb.snd_nxt += length + (1 if fin_now else 0)
-            tcb.snd_max = max(tcb.snd_max, tcb.snd_nxt)
+            self._emit(actions, seq=nxt, flags=flags, payload=chunk)
+            tcb.rtt.start_timing(nxt + length, now)  # No-op while timing.
+            nxt += length + (1 if fin_now else 0)
+            tcb.snd_nxt = nxt
+            if tcb.snd_max < nxt:
+                tcb.snd_max = nxt
             if fin_now:
-                self._mark_fin_sent(tcb.snd_nxt - 1)
+                self._mark_fin_sent(nxt - 1)
+                fin_due = False
             sent_any = True
 
-        # A FIN with no data left to carry it.
-        if (
-            tcb.fin_pending
-            and not tcb.fin_sent
-            and tcb.unsent_bytes == 0
-            and tcb.flight_size < tcb.send_window + 1
-        ):
+        # A FIN with no data left to carry it.  (``flight`` / ``unsent``
+        # are current: the iteration that broke out sent nothing.)
+        if fin_due and unsent == 0 and flight < window + 1:
             self._send_fin(actions)
             sent_any = True
 
         if sent_any:
             actions.append(SetTimer(TIMER_REXMT, tcb.rtt.rto))
-        elif (
-            tcb.snd_wnd == 0
-            and tcb.flight_size == 0
-            and (tcb.unsent_bytes > 0 or (tcb.fin_pending and not tcb.fin_sent))
-        ):
+        elif tcb.snd_wnd == 0 and flight == 0 and (unsent > 0 or fin_due):
             # Zero window with data waiting: persist.
             actions.append(SetTimer(TIMER_PERSIST, self._persist_interval()))
-
-    def _should_send(self, length: int, unsent: int, flight: int) -> bool:
-        """Sender silly-window avoidance + Nagle (BSD tcp_output rules)."""
-        tcb = self.tcb
-        if length >= tcb.mss:
-            return True
-        if length == unsent:
-            # All we have; send if idle or Nagle disabled.
-            if flight == 0 or not tcb.config.nagle:
-                return True
-        # A decent fraction of the peer's buffer also justifies sending.
-        if length * 2 >= tcb.config.rcv_buffer:
-            return True
-        return False
 
     def _send_fin(self, actions: list[TcpAction]) -> None:
         tcb = self.tcb

@@ -13,15 +13,17 @@ class ReassemblyQueue:
     """
 
     def __init__(self) -> None:
-        self._runs: list[tuple[int, bytes]] = []
+        #: Public for its truth value: the machine's receive path asks
+        #: "is anything queued?" once per data segment.
+        self.runs: list[tuple[int, bytes]] = []
 
     def __len__(self) -> int:
-        return len(self._runs)
+        return len(self.runs)
 
     @property
     def buffered_bytes(self) -> int:
         """Total payload bytes waiting in the queue."""
-        return sum(len(data) for _, data in self._runs)
+        return sum(len(data) for _, data in self.runs)
 
     def insert(self, seq: int, data, rcv_nxt: int) -> None:
         """Add ``data`` starting at ``seq``, trimming any overlap.
@@ -42,7 +44,7 @@ class ReassemblyQueue:
         end = seq + len(data)
 
         merged: list[tuple[int, bytes]] = []
-        for run_seq, run_data in self._runs:
+        for run_seq, run_data in self.runs:
             run_end = run_seq + len(run_data)
             if run_end <= seq or run_seq >= end:
                 merged.append((run_seq, run_data))
@@ -56,7 +58,7 @@ class ReassemblyQueue:
                 end = run_end
         merged.append((seq, data))
         merged.sort(key=lambda run: run[0])
-        self._runs = merged
+        self.runs = merged
 
     def extract(self, rcv_nxt: int):
         """Remove and return bytes now contiguous with ``rcv_nxt``.
@@ -66,11 +68,11 @@ class ReassemblyQueue:
         copying; only multi-run extraction joins."""
         parts: list = []
         cursor = rcv_nxt
-        while self._runs:
-            run_seq, run_data = self._runs[0]
+        while self.runs:
+            run_seq, run_data = self.runs[0]
             if run_seq > cursor:
                 break  # A gap remains before this run.
-            self._runs.pop(0)
+            self.runs.pop(0)
             skip = cursor - run_seq
             if skip >= len(run_data):
                 continue  # Entirely stale.
@@ -86,6 +88,6 @@ class ReassemblyQueue:
 
     def next_gap(self, rcv_nxt: int) -> int | None:
         """Sequence of the first missing byte after queued data, if any."""
-        if not self._runs:
+        if not self.runs:
             return None
-        return self._runs[0][0] if self._runs[0][0] > rcv_nxt else None
+        return self.runs[0][0] if self.runs[0][0] > rcv_nxt else None

@@ -23,5 +23,6 @@ def seq_diff(a: int, b: int) -> int:
 
 def unwrap(wire: int, ref: int) -> int:
     """The unwrapped number nearest ``ref`` that reads ``wire`` on the
-    wire: within ``[ref - 2**31, ref + 2**31)``."""
-    return ref + seq_diff(wire, ref)
+    wire: within ``[ref - 2**31, ref + 2**31)`` — ``ref + seq_diff(wire,
+    ref)``, spelled without the call (twice per arriving segment)."""
+    return ref + (wire - ref + HALF) % MOD - HALF

@@ -27,18 +27,11 @@ class State(enum.Enum):
     TIME_WAIT = "TIME-WAIT"
 
 
-#: States in which the connection is usable for data transfer.
-SYNCHRONIZED_STATES = frozenset(
-    {
-        State.ESTABLISHED,
-        State.FIN_WAIT_1,
-        State.FIN_WAIT_2,
-        State.CLOSE_WAIT,
-        State.CLOSING,
-        State.LAST_ACK,
-        State.TIME_WAIT,
-    }
-)
+#: States in which the connection is usable for data transfer: every
+#: one past the handshake.
+SYNCHRONIZED_STATES = frozenset(State) - {
+    State.CLOSED, State.LISTEN, State.SYN_SENT, State.SYN_RCVD
+}
 
 
 @dataclass(frozen=True)

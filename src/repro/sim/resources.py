@@ -112,6 +112,8 @@ class CPU(Serial):
     charge = Serial.hold
 
     def consume(self, cost: float) -> Generator[Event, Any, None]:
-        """Generator form of :meth:`charge`; a zero cost is free."""
+        """Generator form of :meth:`charge`; a zero cost is free.  For
+        set-up paths: a per-segment site charges in place, since this
+        frame is entered twice per charge (DESIGN.md "Serial")."""
         if cost:
             yield self.charge(cost)

@@ -64,3 +64,28 @@ def test_no_import_inside_a_function_outside_the_census():
         if (place, function) not in sites
     ]
     assert not stale, f"ALLOWED lists functions that no longer import: {stale}"
+
+
+#: Files on the per-segment thread-context path.  A charge there reads
+#: ``if cost: yield cpu.charge(cost)``: ``yield from cpu.consume(cost)``
+#: puts a generator frame under every charge that cProfile (and
+#: CPython) enters twice — 42 calls per ``pingpong`` round trip before
+#: PR 24 (DESIGN.md "Serial").  Set-up paths elsewhere keep ``consume``.
+PER_SEGMENT_FILES = (
+    "org/runner.py",
+    "org/userlib.py",
+    "org/monolithic.py",
+    "mach/sync.py",
+    "mach/kernel.py",
+    "net/nic/an1ctrl.py",
+)
+
+
+def test_per_segment_files_charge_without_the_consume_frame():
+    strays = [
+        f"src/repro/{relative}:{number}"
+        for relative in PER_SEGMENT_FILES
+        for number, line in enumerate((SRC / relative).read_text().splitlines(), 1)
+        if ".consume(" in line
+    ]
+    assert not strays, "charge in place (if cost: yield cpu.charge(cost)):\n" + "\n".join(strays)

@@ -528,14 +528,20 @@ class TcpMachine:
             tcb.persist_shift = 0
             self._try_output(actions, now)
             return actions
-        # Send a one-byte window probe beyond the zero window.
+        # Send a one-byte window probe beyond the zero window.  As in
+        # 4.4BSD's persist case it leaves snd_nxt at snd_una (only
+        # snd_max covers it): a shut window refuses the probe, and a
+        # pure ACK sent past the peer's rcv_nxt is unacceptable to a
+        # peer whose own window is shut (RFC 793 p.69) — two such peers
+        # would answer each other's ACKs for ever.  A probe the peer
+        # takes is acknowledged past snd_nxt, which ``_ack_advances``
+        # follows.
         offset = tcb.snd_nxt - tcb.buf_base
         if 0 <= offset < len(tcb.send_buffer):
             probe = bytes(tcb.send_buffer[offset : offset + 1])
             self.stats["probes_sent"] += 1
             self._emit(actions, seq=tcb.snd_nxt, flags=TCP_ACK, payload=probe)
-            tcb.snd_nxt += 1
-            tcb.snd_max = max(tcb.snd_max, tcb.snd_nxt)
+            tcb.snd_max = max(tcb.snd_max, tcb.snd_nxt + 1)
         elif tcb.fin_pending and not tcb.fin_sent and tcb.unsent_bytes == 0:
             # The only thing left to probe with is the FIN itself.
             self._send_fin(actions)
@@ -691,19 +697,22 @@ class TcpMachine:
             self._emit_syn(actions, with_ack=True, retransmit=True)
         return actions
 
-    def _acceptable(self, seq: int, seg_len: int) -> bool:
-        """RFC 793 p.69 sequence acceptability test."""
+    def _acceptable(self, seq: int, size: int, flags: int) -> bool:
+        """RFC 793 p.69 sequence acceptability test (SYN and FIN occupy
+        a slot), reading a shut window as 4.4BSD does: it takes a
+        segment at rcv_nxt that brings no data — a pure ACK, or a bare
+        FIN, which needs no buffer space.  A refused FIN would leave its
+        sender's snd_nxt one past rcv_nxt, where each of its pure ACKs
+        is refused and answered in turn: for ever, if that side's
+        window is shut too."""
         tcb = self.tcb
         wnd = tcb.config.rcv_buffer - tcb.rcv_user  # rcv_wnd
-        if wnd < 0:
-            wnd = 0
-        if seg_len == 0 and wnd == 0:
-            return seq == tcb.rcv_nxt
+        if wnd <= 0:
+            return seq == tcb.rcv_nxt and not size and not flags & TCP_SYN
+        seg_len = size + (1 if flags & TCP_SYN else 0) + (1 if flags & TCP_FIN else 0)
         edge = tcb.rcv_nxt + wnd
         if seg_len == 0:
             return tcb.rcv_nxt <= seq < edge
-        if wnd == 0:
-            return False
         return tcb.rcv_nxt <= seq < edge or tcb.rcv_nxt <= seq + seg_len - 1 < edge
 
     def _arrives_synchronized(
@@ -715,9 +724,8 @@ class TcpMachine:
         payload = segment.payload
         size = len(payload)
 
-        # Step 1: sequence acceptability (SYN and FIN occupy a slot).
-        seg_len = size + (1 if flags & TCP_SYN else 0) + (1 if flags & TCP_FIN else 0)
-        if not self._acceptable(seq, seg_len):
+        # Step 1: sequence acceptability.
+        if not self._acceptable(seq, size, flags):
             if not flags & TCP_RST:
                 self._emit_ack(actions)
             return actions

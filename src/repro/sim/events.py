@@ -103,7 +103,8 @@ class Event:
             raise SimError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.sim.schedule(self)
+        sim = self.sim
+        sim.schedule_at(self, sim.now)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -114,7 +115,8 @@ class Event:
             raise SimError(f"{self!r} has already been triggered")
         self._ok = False
         self._value = exception
-        self.sim.schedule(self)
+        sim = self.sim
+        sim.schedule_at(self, sim.now)
         return self
 
 
@@ -134,10 +136,22 @@ class Timeout(Event):
         self._ok = True
         self._cancelled = False
         self._delay = delay
-        sim.schedule(self, delay=delay)
+        sim.schedule_at(self, sim.now + delay)
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self._delay}>"
+
+
+class Triggered(Event):
+    """An event its maker builds already triggered with value None (a
+    :class:`~repro.sim.resources.Serial` turn's end, a
+    ``Simulator.call_later``): ``Triggered()`` runs no ``__init__``
+    frame, and the maker sets the five slots itself.  One is made for
+    every CPU charge, link turn and timer, so the frame was a per-event
+    cost."""
+
+    __slots__ = ()
+    __init__ = object.__init__
 
 
 class Initialize(Event):
@@ -151,7 +165,7 @@ class Initialize(Event):
         self._value = None
         self._ok = True
         self._cancelled = False
-        sim.schedule(self, priority=URGENT)
+        sim.schedule_at(self, sim.now, URGENT)
 
 
 class Interruption(Event):
@@ -169,7 +183,8 @@ class Interruption(Event):
         self._ok = False
         self._value = Interrupt(cause)
         self._process = process
-        self.sim.schedule(self, priority=URGENT)
+        sim = self.sim
+        sim.schedule_at(self, sim.now, URGENT)
 
     def _deliver(self, event: Event) -> None:
         process = self._process
@@ -221,7 +236,7 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         sim = self.sim
-        sim._active_process = self
+        sim.active_process = self
         gen = self._generator
         while True:
             advance = gen.send if event._ok else gen.throw
@@ -261,7 +276,7 @@ class Process(Event):
                 break
             # Already-processed event: continue immediately with its value.
             event = target
-        sim._active_process = None
+        sim.active_process = None
 
     def _finish(self) -> None:
         """The generator has ended and ``_ok``/``_value`` are set.
@@ -275,7 +290,8 @@ class Process(Event):
         once with its value or exception.
         """
         if self.callbacks:
-            self.sim.schedule(self)
+            sim = self.sim
+            sim.schedule_at(self, sim.now)
         else:
             self.callbacks = None
 

@@ -18,7 +18,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Generator, Optional
 
 from .engine import Simulator
-from .events import Event
+from .events import Event, Triggered
 
 
 class Store:
@@ -79,15 +79,17 @@ class Serial:
             raise ValueError(f"negative duration {duration}")
         sim = self.sim
         start = self.busy_until
-        if start < sim._now:
-            start = sim._now
+        now = sim.now
+        if start < now:
+            start = now
         self.busy_until = done = start + duration
         self.busy_time += duration
-        event = Event(sim)
-        if then is not None:
-            event.callbacks = [then]
-        event._ok = True
+        event = Triggered()
+        event.sim = sim
+        event.callbacks = [] if then is None else [then]
         event._value = None
+        event._ok = True
+        event._cancelled = False
         sim.schedule_at(event, done)
         return event
 

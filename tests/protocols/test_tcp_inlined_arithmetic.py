@@ -16,7 +16,7 @@ the same TCB, step for step.
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.net.headers import TCP_ACK, TCP_FIN, TCP_PSH
+from repro.net.headers import TCP_ACK, TCP_FIN, TCP_PSH, TCP_SYN
 from repro.protocols.tcp import (
     CancelTimer,
     EmitSegment,
@@ -82,16 +82,15 @@ class OracleMachine(TcpMachine):
             self._emit_ack(actions)
         return actions
 
-    def _acceptable(self, seq, seg_len):
+    def _acceptable(self, seq, size, flags):
         tcb = self.tcb
         wnd = tcb.rcv_wnd
-        if seg_len == 0 and wnd == 0:
-            return seq == tcb.rcv_nxt
+        if wnd == 0:
+            return seq == tcb.rcv_nxt and not size and not flags & TCP_SYN
+        seg_len = size + (1 if flags & TCP_SYN else 0) + (1 if flags & TCP_FIN else 0)
         edge = tcb.rcv_nxt + wnd
         if seg_len == 0:
             return tcb.rcv_nxt <= seq < edge
-        if wnd == 0:
-            return False
         return tcb.rcv_nxt <= seq < edge or tcb.rcv_nxt <= seq + seg_len - 1 < edge
 
     def _ack_advances(self, ack, actions, now):
@@ -277,7 +276,7 @@ STEPS = st.lists(
     steps=STEPS,
     drops=st.sets(st.integers(min_value=0, max_value=60), max_size=8),
     dups=st.sets(st.integers(min_value=0, max_value=60), max_size=4),
-    stalled=st.sampled_from(["", "a", "b"]),
+    stalled=st.sampled_from(["", "a", "b", "ab"]),
 )
 # The edges a random walk rarely lands on.  A short segment that is
 # exactly half the peer's buffer goes out past Nagle:
@@ -306,10 +305,8 @@ def test_inlined_arithmetic_agrees_with_the_tcb_properties(
     pair.a.machine = Twin(5000, 80, config_a, 1000)
     pair.b.machine = Twin(80, 5000, config_b, 0xFFFFF000)  # Wraps in-flight.
     # A stalled reader consumes only on "read" steps: its window shuts.
-    # One at most — two shut windows with both sides' probes refused is
-    # an ACK war older than this test (ROADMAP item 2).
-    pair.a.auto_read = stalled != "a"
-    pair.b.auto_read = stalled != "b"
+    pair.a.auto_read = "a" not in stalled
+    pair.b.auto_read = "b" not in stalled
     pair.connect(run=False)
     pair.run(until=30.0)
     for kind, who, amount in steps:

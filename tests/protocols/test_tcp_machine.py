@@ -322,6 +322,48 @@ def test_window_update_reopens_stalled_sender():
     assert bytes(pair.b.received) == data
 
 
+@pytest.mark.parametrize("shape", ["probes", "fins"])
+def test_two_shut_windows_go_quiet_and_both_streams_arrive(shape):
+    """Neither reader reads, so both windows shut.  ``probes``: 7,000 B
+    a→b and 2,000 B b→a, both sides persist-probing; ``fins``: 600 B
+    each way (one window's worth), then both close, so each FIN meets a
+    shut window.  A refused probe or FIN must not leave its sender's
+    snd_nxt past the peer's rcv_nxt: there every pure ACK is
+    unacceptable to the shut peer (RFC 793 p.69) and draws another —
+    both pairs used to trade ACKs for ever (5,000 segments by 8.05
+    simulated seconds)."""
+    pair = TcpPair(
+        config_a=TcpConfig(rcv_buffer=600), config_b=TcpConfig(rcv_buffer=600)
+    )
+    pair.a.auto_read = pair.b.auto_read = False
+    pair.connect()
+    size_a, size_b = (7000, 2000) if shape == "probes" else (600, 600)
+    sent = {"a": bytes(i % 251 for i in range(size_a)),
+            "b": bytes(i % 241 for i in range(size_b))}
+    pair.app_send("a", sent["a"])
+    pair.app_send("b", sent["b"])
+    if shape == "fins":
+        pair.run(until=pair.now + 1.0)
+        pair.app_close("a")
+        pair.app_close("b")
+    before = len(pair.wire_log)
+    pair.run(until=pair.now + 60.0, max_events=1000)
+    # A minute of shut windows is persist probes on a backing-off timer
+    # and one answer each: no more than a few dozen segments.
+    assert len(pair.wire_log) - before <= 40
+    for me, peer in ((pair.a, pair.b), (pair.b, pair.a)):
+        assert me.machine.tcb.snd_nxt == peer.machine.tcb.rcv_nxt
+    # Both readers drain; both streams arrive whole.
+    for _ in range(40):
+        for who, endpoint in (("a", pair.a), ("b", pair.b)):
+            unread = endpoint.machine.tcb.rcv_user
+            if unread:
+                pair.app_read(who, unread)
+        pair.run(until=pair.now + 1.0)
+    assert bytes(pair.b.received) == sent["a"]
+    assert bytes(pair.a.received) == sent["b"]
+
+
 # ----------------------------------------------------------------------
 # Close sequences
 # ----------------------------------------------------------------------

@@ -11,14 +11,18 @@ paired runs (DESIGN.md, "Scaling the simulator").
 from heapq import heappop, heappush
 from itertools import count
 
-from repro.sim import NORMAL, EmptySchedule, Event, Simulator
+from repro.sim import NORMAL, Event, Simulator
 
 
 class LegacySimulator(Simulator):
     """The original one-event-per-heap-entry engine.
 
     Semantics are the pre-refactor engine's, verbatim, plus the same
-    stats counters the batched engine keeps.
+    stats counters the batched engine keeps.  It overrides the engine's
+    three schedule-facing methods — the one insertion path, the one
+    drain loop, ``peek`` — so ``run``, ``run_all``, ``step``,
+    ``schedule``, ``call_later`` and every event class drive it through
+    the same entry points as the bucket heap.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -29,31 +33,20 @@ class LegacySimulator(Simulator):
     def peek(self) -> float:
         return self._queue[0][0] if self._queue else float("inf")
 
-    def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        heappush(
-            self._queue, (self._now + delay, priority, next(self._eid), event)
-        )
+    def schedule_at(self, event: Event, t: float, priority: int = NORMAL) -> None:
+        if t < self.now:
+            raise ValueError(f"t={t} is in the past (now={self.now})")
+        heappush(self._queue, (t, priority, next(self._eid), event))
 
-    def schedule_at(self, event: Event, t: float) -> None:
-        if t < self._now:
-            raise ValueError(f"t={t} is in the past (now={self._now})")
-        heappush(self._queue, (t, NORMAL, next(self._eid), event))
-
-    def step(self) -> None:
-        try:
-            self._now, _, _, event = heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-        self.steps += 1
-        self.events_processed += 1
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:
-            self.skipped += 1
-            return
-        for callback in callbacks:
-            callback(event)
-
-    def run_all(self, limit: float = float("inf")) -> None:
-        queue, step = self._queue, self.step
+    def _drain(self, limit: float) -> None:
+        queue = self._queue
         while queue and queue[0][0] <= limit:
-            step()
+            self.now, _, _, event = heappop(queue)
+            self.steps += 1
+            self.events_processed += 1
+            callbacks, event.callbacks = event.callbacks, None
+            if callbacks is None:
+                self.skipped += 1
+                continue
+            for callback in callbacks:
+                callback(event)

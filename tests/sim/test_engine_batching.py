@@ -9,10 +9,12 @@ have put them — and its lazy-cancellation bookkeeping must add up.
 """
 
 import random
+from functools import partial
 
 import pytest
 
 from repro.sim import (
+    CPU,
     NORMAL,
     URGENT,
     Simulator,
@@ -68,9 +70,56 @@ def _run_script(sim_cls, seed):
     return order
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_batched_order_identical_to_legacy(seed):
-    assert _run_script(Simulator, seed) == _run_script(LegacySimulator, seed)
+def _timer_and_serial_ties(sim_cls):
+    """The same race through the entry points the stack schedules by:
+    ``call_later`` and ``cpu.charge(cost, then)`` (on two CPUs) beside
+    plain NORMAL and URGENT events.  Delays and costs are multiples of
+    2**-10 s, so every sum is exact and a timer and a charge completion
+    land on one instant again and again (asserted)."""
+    rng = random.Random(25)
+    sim = sim_cls()
+    cpus = [CPU(sim), CPU(sim)]
+    order = []
+    tick = 2.0**-10
+
+    def start(label, depth):
+        how = rng.choice(["later", "charge", "charge", "normal", "urgent"])
+        delay = tick * rng.randrange(0, 3)
+        label = f"{label}:{how}"
+
+        def callback(_arg):
+            order.append((sim.now, label))
+            if depth < 3:
+                for k in range(rng.randrange(0, 3)):
+                    start(f"{label}.{k}", depth + 1)
+
+        if how == "later":
+            sim.call_later(delay, callback, None)
+        elif how == "charge":
+            rng.choice(cpus).charge(delay, callback)
+        else:
+            event = Event(sim)
+            event._ok = True
+            event.callbacks.append(callback)
+            sim.schedule(event, delay, URGENT if how == "urgent" else NORMAL)
+
+    for i in range(30):
+        start(f"s{i}", 0)
+    sim.run()
+    kinds = {}
+    for at, label in order:
+        kinds.setdefault(at, set()).add(label.rsplit(":", 1)[1])
+    assert sum({"later", "charge"} <= found for found in kinds.values()) >= 3
+    return order
+
+
+@pytest.mark.parametrize(
+    "script",
+    [pytest.param(partial(_run_script, seed=seed), id=str(seed)) for seed in range(8)]
+    + [pytest.param(_timer_and_serial_ties, id="call_later-charge-ties")],
+)
+def test_batched_order_identical_to_legacy(script):
+    assert script(Simulator) == script(LegacySimulator)
 
 
 @pytest.mark.parametrize("sim_cls", [Simulator, LegacySimulator])

@@ -74,7 +74,7 @@ def _problems(command: str) -> list[str]:
             continue
         if not (ROOT / token).exists():
             problems.append(f"no file {token}")
-        elif Path(token).name.startswith("bench_") and "pytest" not in tokens:
+        elif ROOT / token in BENCHES and "pytest" not in tokens:
             problems.append(f"{token} has no front end but pytest")
     return problems
 

@@ -161,7 +161,6 @@ def segments_from_trace(records, an1: bool = False) -> list[WireSegment]:
         tcp = record.layers[2]
         if not isinstance(ip, Ipv4Header):
             continue
-        data_len = ip.total_length - Ipv4Header.LENGTH - tcp.header_length
         segments.append(
             WireSegment(
                 time=record.time,
@@ -173,7 +172,7 @@ def segments_from_trace(records, an1: bool = False) -> list[WireSegment]:
                 ack=tcp.ack,
                 flags=tcp.flags,
                 window=tcp.window,
-                data_len=max(0, data_len),
+                data_len=len(tcp.payload),
             )
         )
     return segments

@@ -34,7 +34,7 @@ from .net.nic.pmadd import PmaddNic
 from .netio.channels import Channel
 from .netio.module import Done, LinkInfo, NetworkIoModule, work_then
 from .obs import profile as _profile
-from .protocols.arp import ArpStack, Resolved, SendArp
+from .protocols.arp import ArpStack
 from .protocols.icmp import (
     UNREACH_PORT,
     decode_echo,
@@ -146,12 +146,11 @@ class Host:
             mac = self.arp.lookup(hop_ip, self.sim.now)
             if mac is not None:
                 return mac
-            actions = self.arp.resolve(hop_ip, None, self.sim.now)
-            for action in actions:
-                if isinstance(action, SendArp):
-                    yield from self.netio.kernel_send(
-                        action.packet.pack(), action.dst_mac, ETHERTYPE_ARP
-                    )
+            request = self.arp.resolve(hop_ip, self.sim.now)
+            if request is not None:
+                yield from self.netio.kernel_send(
+                    request.packet.pack(), request.dst_mac, ETHERTYPE_ARP
+                )
             # Poll at sub-millisecond granularity; replies land within a
             # couple of wire times on an idle segment.
             yield self.sim.timeout(0.5e-3)
@@ -293,11 +292,10 @@ class Host:
             packet = ArpPacket.unpack(payload)
         except HeaderError:
             return
-        for action in self.arp.receive(packet, self.sim.now):
-            if isinstance(action, SendArp):
-                yield from self.netio.kernel_send(
-                    action.packet.pack(), action.dst_mac, ETHERTYPE_ARP
-                )
+        for reply in self.arp.receive(packet, self.sim.now):
+            yield from self.netio.kernel_send(
+                reply.packet.pack(), reply.dst_mac, ETHERTYPE_ARP
+            )
 
     def _icmp_rx(self, payload: bytes, src_ip: int, link_info: LinkInfo) -> Generator:
         echo = decode_echo(payload)

@@ -32,7 +32,7 @@ from ...mach import Kernel
 from ...obs import profile as _profile
 from ...obs import spans as _spans
 from ...netio.module import Done, LinkInfo, NetworkIoModule, work_then
-from ...protocols.arp import ArpStack, SendArp
+from ...protocols.arp import ArpStack
 from ...protocols.icmp import (
     UNREACH_NET,
     decode_echo,
@@ -228,11 +228,10 @@ class Router:
             packet = ArpPacket.unpack(payload)
         except HeaderError:
             return
-        for action in iface.arp.receive(packet, self.sim.now):
-            if isinstance(action, SendArp):
-                yield from iface.netio.kernel_send(
-                    action.packet.pack(), action.dst_mac, ETHERTYPE_ARP
-                )
+        for reply in iface.arp.receive(packet, self.sim.now):
+            yield from iface.netio.kernel_send(
+                reply.packet.pack(), reply.dst_mac, ETHERTYPE_ARP
+            )
 
     def _local_rx(
         self,
@@ -379,10 +378,10 @@ class Router:
             mac = iface.arp.lookup(next_hop, self.sim.now)
             if mac is not None:
                 return mac
-            for action in iface.arp.resolve(next_hop, None, self.sim.now):
-                if isinstance(action, SendArp):
-                    yield from iface.netio.kernel_send(
-                        action.packet.pack(), action.dst_mac, ETHERTYPE_ARP
-                    )
+            request = iface.arp.resolve(next_hop, self.sim.now)
+            if request is not None:
+                yield from iface.netio.kernel_send(
+                    request.packet.pack(), request.dst_mac, ETHERTYPE_ARP
+                )
             yield self.sim.timeout(0.5e-3)
         return None

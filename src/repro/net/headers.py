@@ -2,16 +2,16 @@
 
 Everything that crosses a simulated link is real bytes produced and
 parsed by these classes — Ethernet, AN1 (with its buffer-queue-index
-field), ARP, IPv4, UDP, TCP, and ICMP.  Checksums are genuine RFC 1071
-sums; the fault-injection layer flips real bits and receivers really
-reject the damage.
+field), ARP, IPv4, UDP, and ICMP; TCP's header is the one codec in
+``repro.protocols.tcp.wire``, and only its flag bits live here.
+Checksums are genuine RFC 1071 sums; the fault-injection layer flips
+real bits and receivers really reject the damage.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .checksum import internet_checksum
 
@@ -362,7 +362,7 @@ class UdpHeader:
 
 
 # ----------------------------------------------------------------------
-# TCP
+# TCP flag bits (the header codec is repro.protocols.tcp.wire)
 # ----------------------------------------------------------------------
 
 TCP_FIN = 0x01
@@ -371,132 +371,6 @@ TCP_RST = 0x04
 TCP_PSH = 0x08
 TCP_ACK = 0x10
 TCP_URG = 0x20
-
-TCPOPT_END = 0
-TCPOPT_NOP = 1
-TCPOPT_MSS = 2
-
-
-@dataclass(frozen=True)
-class TcpHeader:
-    """TCP header (RFC 793) with MSS-option support."""
-
-    sport: int
-    dport: int
-    seq: int
-    ack: int
-    flags: int
-    window: int
-    checksum: int = 0
-    urgent: int = 0
-    mss: Optional[int] = None  # MSS option, SYN segments only.
-
-    LENGTH = 20
-    _STRUCT = struct.Struct("!HHIIBBHHH")
-
-    def __post_init__(self) -> None:
-        for name, value in (("sport", self.sport), ("dport", self.dport)):
-            if not 0 <= value <= 0xFFFF:
-                raise HeaderError(f"bad TCP {name} {value}")
-        for name, value in (("seq", self.seq), ("ack", self.ack)):
-            if not 0 <= value <= 0xFFFFFFFF:
-                raise HeaderError(f"bad TCP {name} {value}")
-        if not 0 <= self.window <= 0xFFFF:
-            raise HeaderError(f"bad TCP window {self.window}")
-        if self.mss is not None and not 0 < self.mss <= 0xFFFF:
-            raise HeaderError(f"bad TCP MSS {self.mss}")
-
-    @property
-    def header_length(self) -> int:
-        """Header length in bytes including options."""
-        return self.LENGTH + (4 if self.mss is not None else 0)
-
-    def _flag(self, bit: int) -> bool:
-        return bool(self.flags & bit)
-
-    @property
-    def syn(self) -> bool:
-        return self._flag(TCP_SYN)
-
-    @property
-    def ack_flag(self) -> bool:
-        return self._flag(TCP_ACK)
-
-    @property
-    def fin(self) -> bool:
-        return self._flag(TCP_FIN)
-
-    @property
-    def rst(self) -> bool:
-        return self._flag(TCP_RST)
-
-    @property
-    def psh(self) -> bool:
-        return self._flag(TCP_PSH)
-
-    def pack(self) -> bytes:
-        options = b""
-        if self.mss is not None:
-            options = struct.pack("!BBH", TCPOPT_MSS, 4, self.mss)
-        offset_words = (self.LENGTH + len(options)) // 4
-        return (
-            self._STRUCT.pack(
-                self.sport,
-                self.dport,
-                self.seq,
-                self.ack,
-                offset_words << 4,
-                self.flags,
-                self.window,
-                self.checksum,
-                self.urgent,
-            )
-            + options
-        )
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "TcpHeader":
-        data = _octets(data)
-        if len(data) < cls.LENGTH:
-            raise HeaderError(f"short TCP header ({len(data)} bytes)")
-        (
-            sport,
-            dport,
-            seq,
-            ack,
-            offset_byte,
-            flags,
-            window,
-            checksum,
-            urgent,
-        ) = cls._STRUCT.unpack_from(data)
-        header_len = (offset_byte >> 4) * 4
-        if header_len < cls.LENGTH or header_len > len(data):
-            raise HeaderError(f"bad TCP data offset {header_len}")
-        mss = cls._parse_mss(data[cls.LENGTH : header_len])
-        return cls(sport, dport, seq, ack, flags, window, checksum, urgent, mss)
-
-    @staticmethod
-    def _parse_mss(options: bytes) -> Optional[int]:
-        i = 0
-        while i < len(options):
-            kind = options[i]
-            if kind == TCPOPT_END:
-                break
-            if kind == TCPOPT_NOP:
-                i += 1
-                continue
-            if i + 1 >= len(options):
-                raise HeaderError("truncated TCP option")
-            length = options[i + 1]
-            if length < 2 or i + length > len(options):
-                raise HeaderError("bad TCP option length")
-            if kind == TCPOPT_MSS:
-                if length != 4:
-                    raise HeaderError("bad MSS option length")
-                return struct.unpack_from("!H", options, i + 2)[0]
-            i += length
-        return None
 
 
 # ----------------------------------------------------------------------

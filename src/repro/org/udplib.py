@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Generator, Optional, TYPE_CHECKING
 
+from ..counters import Counters
 from ..host import Host
 from ..mach.ipc import Message, rpc, send
 from ..mach.task import Task
@@ -90,7 +91,7 @@ class UdpEndpoint:
         self._reader = service.app.spawn(
             self._receive_loop(), name=f"udp-rx-{port}"
         )
-        self.stats = {"sent": 0, "received": 0, "bqi_learned": 0, "throttled": 0}
+        self.stats = Counters()
 
     # ------------------------------------------------------------------
     # Send path

@@ -5,7 +5,7 @@ is a pure event-in/action-out engine; the plumbing that runs them inside
 a particular protocol organization lives in :mod:`repro.org`.
 """
 
-from .arp import ArpStack, Resolved, SendArp
+from .arp import ArpStack, SendArp
 from ..net.checksum import internet_checksum, pseudo_header, verify_checksum
 from .icmp import (
     EchoMessage,
@@ -40,7 +40,6 @@ __all__ = [
     "RrpError",
     "ArpStack",
     "SendArp",
-    "Resolved",
     "UdpPortTable",
     "UdpDatagram",
     "UdpError",

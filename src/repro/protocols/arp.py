@@ -1,16 +1,16 @@
 """Sans-io ARP: IPv4-to-MAC resolution with a timed cache.
 
 The paper's applications link an ARP library alongside TCP and IP; this
-is that library's core.  ``resolve`` either answers from the cache or
-tells the caller to broadcast a request while it queues the outbound
-payload; ``receive`` processes requests/replies, releasing queued
-payloads when a reply lands.
+is that library's core.  A caller polls ``lookup`` and, on a miss, asks
+``resolve`` for a broadcast request (rate-limited per destination);
+``receive`` processes requests/replies, learning bindings and answering
+requests for the local address.
 """
 
 from __future__ import annotations
 
 from ..counters import Counters
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..net.headers import (
@@ -29,15 +29,6 @@ class SendArp:
     dst_mac: bytes
 
 
-@dataclass(frozen=True)
-class Resolved:
-    """A queued payload can now go to ``mac``."""
-
-    ip: int
-    mac: bytes
-    payload: object
-
-
 @dataclass
 class _CacheEntry:
     mac: bytes
@@ -51,14 +42,11 @@ class ArpStack:
     CACHE_TTL = 1200.0
     #: Re-request interval while resolution is outstanding.
     RETRY_INTERVAL = 1.0
-    #: Queued payloads per destination (BSD kept exactly one).
-    QUEUE_LIMIT = 8
 
     def __init__(self, local_ip: int, local_mac: bytes) -> None:
         self.local_ip = local_ip
         self.local_mac = local_mac
         self._cache: dict[int, _CacheEntry] = {}
-        self._pending: dict[int, list[object]] = {}
         self._last_request: dict[int, float] = {}
         self.stats = Counters()
 
@@ -76,54 +64,35 @@ class ArpStack:
             return None
         return entry.mac
 
-    def resolve(self, ip: int, payload: object, now: float) -> list[object]:
-        """Resolve ``ip`` for ``payload``.
-
-        Returns actions: a single :class:`Resolved` on a cache hit, or a
-        :class:`SendArp` broadcast (rate-limited) with the payload queued.
-        """
-        mac = self.lookup(ip, now)
-        if mac is not None:
-            self.stats["cache_hits"] += 1
-            return [Resolved(ip, mac, payload)]
+    def resolve(self, ip: int, now: float) -> Optional[SendArp]:
+        """The broadcast request for ``ip`` after a ``lookup`` miss, or
+        None while one sent less than ``RETRY_INTERVAL`` ago is
+        outstanding."""
         self.stats["cache_misses"] += 1
-        queue = self._pending.setdefault(ip, [])
-        if len(queue) >= self.QUEUE_LIMIT:
-            self.stats["queue_drops"] += 1
-            queue.pop(0)
-        queue.append(payload)
-        actions: list[object] = []
         last = self._last_request.get(ip)
-        if last is None or now - last >= self.RETRY_INTERVAL:
-            self._last_request[ip] = now
-            self.stats["requests_sent"] += 1
-            actions.append(
-                SendArp(
-                    ArpPacket(
-                        ARP_REQUEST,
-                        self.local_mac,
-                        self.local_ip,
-                        b"\x00" * 6,
-                        ip,
-                    ),
-                    BROADCAST_MAC,
-                )
-            )
-        return actions
+        if last is not None and now - last < self.RETRY_INTERVAL:
+            return None
+        self._last_request[ip] = now
+        self.stats["requests_sent"] += 1
+        return SendArp(
+            ArpPacket(ARP_REQUEST, self.local_mac, self.local_ip, b"\x00" * 6, ip),
+            BROADCAST_MAC,
+        )
 
     # ------------------------------------------------------------------
     # Input
     # ------------------------------------------------------------------
 
-    def receive(self, packet: ArpPacket, now: float) -> list[object]:
-        """Process an incoming ARP packet."""
-        actions: list[object] = []
+    def receive(self, packet: ArpPacket, now: float) -> list[SendArp]:
+        """Process an incoming ARP packet; returns the reply to send, if
+        it asked for the local address."""
         # Opportunistically learn the sender's binding (RFC 826).
         if packet.sender_ip != 0:
-            self._learn(packet.sender_ip, packet.sender_mac, now, actions)
+            self._cache[packet.sender_ip] = _CacheEntry(packet.sender_mac, now)
+            self._last_request.pop(packet.sender_ip, None)
         if packet.oper == ARP_REQUEST and packet.target_ip == self.local_ip:
             self.stats["replies_sent"] += 1
-            actions.append(
+            return [
                 SendArp(
                     ArpPacket(
                         ARP_REPLY,
@@ -134,44 +103,7 @@ class ArpStack:
                     ),
                     packet.sender_mac,
                 )
-            )
-        elif packet.oper == ARP_REPLY:
+            ]
+        if packet.oper == ARP_REPLY:
             self.stats["replies_received"] += 1
-        return actions
-
-    def _learn(self, ip: int, mac: bytes, now: float, actions: list[object]) -> None:
-        self._cache[ip] = _CacheEntry(mac, now)
-        queued = self._pending.pop(ip, [])
-        self._last_request.pop(ip, None)
-        for payload in queued:
-            actions.append(Resolved(ip, mac, payload))
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-
-    def retry(self, now: float) -> list[object]:
-        """Re-broadcast requests for destinations still unresolved."""
-        actions: list[object] = []
-        for ip in list(self._pending):
-            last = self._last_request.get(ip, 0.0)
-            if now - last >= self.RETRY_INTERVAL:
-                self._last_request[ip] = now
-                self.stats["requests_sent"] += 1
-                actions.append(
-                    SendArp(
-                        ArpPacket(
-                            ARP_REQUEST,
-                            self.local_mac,
-                            self.local_ip,
-                            b"\x00" * 6,
-                            ip,
-                        ),
-                        BROADCAST_MAC,
-                    )
-                )
-        return actions
-
-    @property
-    def cache_size(self) -> int:
-        return len(self._cache)
+        return []

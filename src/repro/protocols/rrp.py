@@ -30,8 +30,10 @@ Wire format (on top of UDP)::
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
+
+from ..counters import Counters
 
 _HEADER = struct.Struct("!BBHI")
 
@@ -135,7 +137,7 @@ class RrpClient:
         self.retries = retries
         self._next_transaction = 1
         self._pending: dict[int, _PendingCall] = {}
-        self.stats = {"calls": 0, "retransmits": 0, "duplicates": 0}
+        self.stats = Counters()
 
     def call(self, ip: int, port: int, payload: bytes) -> tuple[int, list]:
         """Begin a transaction.  Returns (transaction id, actions)."""
@@ -206,7 +208,7 @@ class RrpServer:
         self.cache_ttl = cache_ttl
         #: (client_addr, transaction) -> (response wire bytes, expiry).
         self._cache: dict[tuple, tuple[bytes, float]] = {}
-        self.stats = {"executed": 0, "replayed": 0, "expired": 0}
+        self.stats = Counters()
 
     def on_datagram(self, data: bytes, client: tuple, now: float) -> list:
         """Feed a received datagram from ``client``, an ``(ip, port)``

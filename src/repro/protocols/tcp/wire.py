@@ -1,10 +1,12 @@
-"""TCP segments and their wire encoding.
+"""TCP segments and their wire encoding — the one TCP codec.
 
 :class:`Segment` is the in-machine representation (header fields +
-payload bytes).  :func:`encode_segment` / :func:`decode_segment` convert
-to and from real bytes, computing and verifying the genuine
-pseudo-header checksum — corrupted segments fail to decode and the
-plumbing drops them, exactly as a real input path would.
+payload bytes) and the only TCP header record there is.
+:func:`encode_segment` / :func:`decode_segment` pack it into and parse
+it out of real RFC 793 bytes (with the MSS option on a SYN), computing
+and verifying the genuine pseudo-header checksum — corrupted segments
+fail to decode and the plumbing drops them, exactly as a real input
+path would.
 
 Encoding is zero-copy: the 20-byte header is built once and *prepended*
 onto the caller's payload as a fragment chain (no payload copy), with
@@ -17,11 +19,13 @@ segment reuses its header image outright.
 
 from __future__ import annotations
 
+import struct
+
 from ...counters import Counters
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from ...net.buf import prepend, slice_view
+from ...net.buf import PacketBuffer, prepend, slice_view
 from ...net.checksum import checksum_parts, incremental_update, pseudo_header
 from ...net.headers import (
     PROTO_TCP,
@@ -31,8 +35,17 @@ from ...net.headers import (
     TCP_RST,
     TCP_SYN,
     HeaderError,
-    TcpHeader,
 )
+
+TCPOPT_END = 0
+TCPOPT_NOP = 1
+TCPOPT_MSS = 2
+
+#: sport, dport, seq, ack, data offset, flags, window, checksum, urgent.
+_HEADER = struct.Struct("!HHIIBBHHH")
+#: The same with the one option a SYN carries: kind, length, MSS.
+_SYN_HEADER = struct.Struct("!HHIIBBHHHBBH")
+HEADER_LENGTH = _HEADER.size
 
 
 class ChecksumError(ValueError):
@@ -93,7 +106,7 @@ class Segment:
     @property
     def wire_length(self) -> int:
         """Bytes of TCP header + payload on the wire."""
-        header = TcpHeader.LENGTH + (4 if self.mss is not None else 0)
+        header = HEADER_LENGTH + (4 if self.mss is not None else 0)
         return header + len(self.payload)
 
 
@@ -117,24 +130,34 @@ def reset_for(segment: Segment, sport: int, dport: int) -> Optional[Segment]:
 
 
 def _build_header(segment: Segment, src_ip: int, dst_ip: int) -> bytes:
-    """The segment's TCP header bytes with a correct checksum in place."""
-    header = TcpHeader(
-        sport=segment.sport,
-        dport=segment.dport,
-        seq=segment.seq,
-        ack=segment.ack,
-        flags=segment.flags,
-        window=segment.window,
-        checksum=0,
-        mss=segment.mss,
-    )
-    head = bytearray(header.pack())
+    """The segment's TCP header bytes with a correct checksum in place.
+
+    ``struct`` refuses a field wider than its slot; that refusal is the
+    alarm for a sequence number nobody masked, raised as
+    :class:`HeaderError` rather than written as a silently wrong byte.
+    """
+    mss = segment.mss
+    try:
+        if mss is None:
+            head = _HEADER.pack(
+                segment.sport, segment.dport, segment.seq, segment.ack,
+                5 << 4, segment.flags, segment.window, 0, 0,
+            )
+        else:
+            if not 0 < mss <= 0xFFFF:
+                raise HeaderError(f"bad TCP MSS {mss}")
+            head = _SYN_HEADER.pack(
+                segment.sport, segment.dport, segment.seq, segment.ack,
+                6 << 4, segment.flags, segment.window, 0, 0,
+                TCPOPT_MSS, 4, mss,
+            )
+    except struct.error as exc:
+        raise HeaderError(f"TCP header field out of range: {exc}") from None
     pseudo = pseudo_header(
         src_ip, dst_ip, PROTO_TCP, len(head) + len(segment.payload)
     )
     checksum = checksum_parts(pseudo, head, segment.payload)
-    head[16:18] = checksum.to_bytes(2, "big")
-    return bytes(head)
+    return head[:16] + checksum.to_bytes(2, "big") + head[18:]
 
 
 def encode_segment(segment: Segment, src_ip: int, dst_ip: int):
@@ -158,18 +181,43 @@ def decode_segment(data, src_ip: int, dst_ip: int, verify: bool = True) -> Segme
         pseudo = pseudo_header(src_ip, dst_ip, PROTO_TCP, len(data))
         if checksum_parts(pseudo, data) != 0:
             raise ChecksumError("TCP checksum mismatch")
-    header = TcpHeader.unpack(data)
-    payload = slice_view(data, header.header_length)
+    if type(data) is PacketBuffer:
+        data = data.tobytes()
+    if len(data) < HEADER_LENGTH:
+        raise HeaderError(f"short TCP header ({len(data)} bytes)")
+    sport, dport, seq, ack, offset, flags, window, _, _ = _HEADER.unpack_from(data)
+    header_length = (offset >> 4) * 4
+    mss = None
+    if header_length != HEADER_LENGTH:
+        if header_length < HEADER_LENGTH or header_length > len(data):
+            raise HeaderError(f"bad TCP data offset {header_length}")
+        mss = _parse_mss(data[HEADER_LENGTH:header_length])
     return Segment(
-        sport=header.sport,
-        dport=header.dport,
-        seq=header.seq,
-        ack=header.ack,
-        flags=header.flags,
-        window=header.window,
-        payload=payload,
-        mss=header.mss,
+        sport, dport, seq, ack, flags, window, slice_view(data, header_length), mss
     )
+
+
+def _parse_mss(options) -> Optional[int]:
+    """The MSS option's value among ``options``, or None without one."""
+    i = 0
+    while i < len(options):
+        kind = options[i]
+        if kind == TCPOPT_END:
+            break
+        if kind == TCPOPT_NOP:
+            i += 1
+            continue
+        if i + 1 >= len(options):
+            raise HeaderError("truncated TCP option")
+        length = options[i + 1]
+        if length < 2 or i + length > len(options):
+            raise HeaderError("bad TCP option length")
+        if kind == TCPOPT_MSS:
+            if length != 4:
+                raise HeaderError("bad MSS option length")
+            return int.from_bytes(options[i + 2 : i + 4], "big")
+        i += length
+    return None
 
 
 class TcpSegmentEncoder:

@@ -26,12 +26,12 @@ from .net.headers import (
     PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
-    TcpHeader,
     UdpHeader,
     ip_to_str,
     mac_to_str,
 )
 from .net.link import An1Link, Link
+from .protocols.tcp.wire import decode_segment
 
 
 @dataclass
@@ -226,12 +226,12 @@ class WireTrace:
     def _decode_tcp(self, record: TraceRecord, body: bytes, src: str, dst: str) -> None:
         record.protocol = "tcp"
         try:
-            tcp = TcpHeader.unpack(body)
+            tcp = decode_segment(body, 0, 0, verify=False)
         except HeaderError:
             record.summary = f"TCP {src} > {dst} (malformed)"
             return
         record.layers.append(tcp)
-        data_len = len(body) - tcp.header_length
+        data_len = len(tcp.payload)
         record.summary = (
             f"TCP {src}:{tcp.sport} > {dst}:{tcp.dport}"
             f" [{_tcp_flags(tcp.flags)}] seq={tcp.seq}"

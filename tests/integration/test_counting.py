@@ -8,6 +8,8 @@ import pytest
 
 from repro.counters import Counters
 from repro.net.link import Link
+from repro.org.udplib import LibraryUdpService
+from repro.protocols.rrp import Complete, RrpClient, RrpServer
 from repro.testbed import IP_B, FabricTestbed, Testbed
 
 
@@ -43,6 +45,33 @@ def _fabric(kind, organization="userlib", **kwargs):
     return bed
 
 
+def _udplib_rrp():
+    """One RRP transaction between two bound udplib endpoints; the
+    endpoints and the sans-io engines are not reachable from the bed,
+    so they come back beside it."""
+    bed = Testbed(network="ethernet", organization="userlib")
+    client, server = RrpClient(), RrpServer(lambda request: b"re:" + request)
+    extras = [("rrp client", client), ("rrp server", server)]
+
+    def exchange():
+        udp_a = LibraryUdpService(bed.host_a, bed.app_a, bed.registry_a)
+        udp_b = LibraryUdpService(bed.host_b, bed.app_b, bed.registry_b)
+        server_end = yield from udp_b.bind(6100)
+        client_end = yield from udp_a.bind(0)
+        extras.append((f"{bed.host_a.name} udp endpoint", client_end))
+        extras.append((f"{bed.host_b.name} udp endpoint", server_end))
+        _, (request, _retry) = client.call(IP_B, 6100, b"counted")
+        yield from client_end.sendto(request.ip, request.port, request.data)
+        data, peer = yield from server_end.recvfrom()
+        (answer,) = server.on_datagram(data, peer, bed.sim.now)
+        yield from server_end.sendto(answer.ip, answer.port, answer.data)
+        data, _ = yield from client_end.recvfrom()
+        assert isinstance(client.on_datagram(data)[0], Complete)
+
+    bed.run(until=bed.spawn(exchange(), name="rrp"))
+    return bed, extras
+
+
 def _counting_objects(bed):
     """Everything under ``bed`` that counts, labelled."""
     nodes = list(bed.hosts)
@@ -76,18 +105,19 @@ def _counting_objects(bed):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: _two_host("ethernet"),
-        lambda: _two_host("an1"),
-        lambda: _fabric("dumbbell", pairs=1),
-        lambda: _fabric("chain", n_routers=1),
-        lambda: _fabric("dumbbell", organization="ultrix", pairs=1),
+        lambda: (_two_host("ethernet"), []),
+        lambda: (_two_host("an1"), []),
+        lambda: (_fabric("dumbbell", pairs=1), []),
+        lambda: (_fabric("chain", n_routers=1), []),
+        lambda: (_fabric("dumbbell", organization="ultrix", pairs=1), []),
+        _udplib_rrp,
     ],
-    ids=["ethernet", "an1", "dumbbell", "chain", "ultrix"],
+    ids=["ethernet", "an1", "dumbbell", "chain", "ultrix", "udplib-rrp"],
 )
 def test_stats_is_the_live_counters_everywhere_but_link(build):
-    bed = build()
+    bed, extras = build()
     labels = []
-    for label, obj in _counting_objects(bed):
+    for label, obj in [*_counting_objects(bed), *extras]:
         labels.append(label)
         assert isinstance(obj.stats, Counters), label
         assert obj.stats is obj.stats, label
@@ -102,6 +132,8 @@ def test_stats_is_the_live_counters_everywhere_but_link(build):
         " service": bed.organization != "userlib",
         " bqi ring ": bed.network == "an1",
         " queue": bool(bed.switches),
+        " udp endpoint": bool(extras),
+        "rrp ": bool(extras),
     }
     for kind, expected in kinds.items():
         assert any(kind in label for label in labels) == expected, kind

@@ -4,11 +4,14 @@ The way ``test_fat_tree_events_per_datagram_gate`` pins engine events
 per datagram, these pin *profiled calls* (cProfile's count, Python and
 C alike — the ledger's ``py_calls_per_op`` currency) for the byte work
 of one packet with no simulator around it, so a regression in
-``net/checksum.py``, ``net/buf.py``, ``net/headers.py`` or the per-hop
-rewrite fails tier-1 instead of waiting for a ledger run.
+``net/checksum.py``, ``net/buf.py``, ``net/headers.py``, the TCP codec
+in ``protocols/tcp/wire.py`` or the per-hop rewrite fails tier-1
+instead of waiting for a ledger run.
 """
 
 import cProfile
+
+import pytest
 
 from repro.net.buf import as_wire_bytes, slice_view
 from repro.net.fabric import chain
@@ -17,6 +20,7 @@ from repro.net.headers import (
     Ipv4Header,
     PROTO_UDP,
     TCP_ACK,
+    TCP_SYN,
 )
 from repro.protocols.ip import forwarded_copy
 from repro.protocols.tcp.wire import Segment, TcpSegmentEncoder, decode_segment
@@ -66,25 +70,39 @@ def test_router_hop_byte_work_call_gate():
     assert profiled_calls(hop) <= 34
 
 
-def test_tcp_segment_byte_work_call_gate():
-    """One 1460-byte data segment through ``TcpSegmentEncoder.encode``
-    and, as flat wire bytes, ``decode_segment(verify=True)`` costs 60
-    profiled calls; it cost 126 (and this gate failed by 63) when each
-    checksum part went through the ``array`` word sum and a leaf
-    generator and every chain was walked twice to build it.
+@pytest.mark.parametrize(
+    "flags, payload, mss, ceiling",
+    [
+        (TCP_ACK, (bytes(range(256)) * 6)[:1460], None, 50),
+        (TCP_SYN, b"", 1460, 53),
+    ],
+    ids=["data", "syn-mss"],
+)
+def test_tcp_segment_byte_work_call_gate(flags, payload, mss, ceiling):
+    """One segment through ``TcpSegmentEncoder.encode`` and, as flat
+    wire bytes, ``decode_segment(verify=True)``: a 1460-byte data
+    segment costs 48 profiled calls, a SYN carrying the MSS option 51.
+
+    History: the data segment cost 126 (and this gate failed by 63)
+    when each checksum part went through the ``array`` word sum and a
+    leaf generator and every chain was walked twice to build it; then
+    60 (SYN 61) while every full encode and every decode built a frozen
+    ``TcpHeader`` — range checks in ``__post_init__``, one
+    ``object.__setattr__`` per field, an option walk on every segment —
+    only to copy it field by field into or out of the ``Segment``.
     """
     encoder = TcpSegmentEncoder(sport=5000, dport=80, src_ip=IP_A, dst_ip=IP_B)
-    payload = (bytes(range(256)) * 6)[:1460]
     seq = iter(range(1, 1 << 30, 1460))
 
     def segment_round_trip():
         segment = Segment(
             sport=5000, dport=80, seq=next(seq), ack=7,
-            flags=TCP_ACK, window=8192, payload=payload,
+            flags=flags, window=8192, payload=payload, mss=mss,
         )
         wire = as_wire_bytes(encoder.encode(segment))
         return decode_segment(wire, IP_A, IP_B, verify=True)
 
-    assert bytes(segment_round_trip().payload) == payload
-    assert profiled_calls(segment_round_trip) <= 63
+    decoded = segment_round_trip()
+    assert bytes(decoded.payload) == payload and decoded.mss == mss
+    assert profiled_calls(segment_round_trip) <= ceiling
     assert encoder.stats["full_encodes"] == 2  # Fresh data, not a cache hit.

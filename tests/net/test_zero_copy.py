@@ -29,7 +29,6 @@ from repro.net.headers import (
     TCP_SYN,
     Ipv4Header,
     PROTO_UDP,
-    TcpHeader,
 )
 from repro.protocols.ip import IpStack, forwarded_copy
 from repro.protocols.tcp.wire import (

@@ -1,9 +1,15 @@
-"""Tests for wire-format headers: pack/unpack round trips and validation."""
+"""Tests for wire-format headers: pack/unpack round trips and validation.
+
+TCP's header has no record of its own: ``Segment`` is packed and parsed
+by ``repro.protocols.tcp.wire``, so its cases go through
+``encode_segment`` / ``decode_segment(verify=False)``.
+"""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.net.buf import as_wire_bytes
 from repro.net.headers import (
     ARP_REPLY,
     ARP_REQUEST,
@@ -17,7 +23,6 @@ from repro.net.headers import (
     IcmpHeader,
     Ipv4Header,
     PROTO_TCP,
-    TcpHeader,
     TCP_ACK,
     TCP_SYN,
     UdpHeader,
@@ -26,9 +31,17 @@ from repro.net.headers import (
     str_to_ip,
     str_to_mac,
 )
+from repro.protocols.tcp.wire import (
+    HEADER_LENGTH,
+    Segment,
+    decode_segment,
+    encode_segment,
+)
 
 MAC_A = str_to_mac("02:00:00:00:00:01")
 MAC_B = str_to_mac("02:00:00:00:00:02")
+IP_A = str_to_ip("10.0.0.1")
+IP_B = str_to_ip("10.0.0.2")
 
 
 # ----------------------------------------------------------------------
@@ -220,83 +233,86 @@ def test_udp_validation():
         UdpHeader(sport=1, dport=1, length=4)
 
 
+def _tcp_wire(**fields) -> bytes:
+    """A segment's flat wire bytes (header and payload)."""
+    segment = Segment(**{"sport": 1, "dport": 2, "seq": 0, "ack": 0,
+                         "flags": 0, "window": 0, **fields})
+    return as_wire_bytes(encode_segment(segment, IP_A, IP_B))
+
+
+def _tcp_parse(data) -> Segment:
+    return decode_segment(bytes(data), IP_A, IP_B, verify=False)
+
+
 def test_tcp_round_trip_no_options():
-    header = TcpHeader(
+    segment = Segment(
         sport=1234,
         dport=80,
         seq=0xDEADBEEF,
         ack=0x12345678,
         flags=TCP_ACK,
         window=8192,
-        checksum=0x55AA,
-        urgent=0,
     )
-    data = header.pack()
-    assert len(data) == TcpHeader.LENGTH
-    assert TcpHeader.unpack(data) == header
+    data = as_wire_bytes(encode_segment(segment, IP_A, IP_B))
+    assert len(data) == HEADER_LENGTH
+    assert _tcp_parse(data) == segment
 
 
 def test_tcp_round_trip_with_mss_option():
-    header = TcpHeader(
-        sport=1,
-        dport=2,
-        seq=100,
-        ack=0,
-        flags=TCP_SYN,
-        window=4096,
-        mss=1460,
-    )
-    data = header.pack()
-    assert len(data) == TcpHeader.LENGTH + 4
-    parsed = TcpHeader.unpack(data)
+    data = _tcp_wire(seq=100, flags=TCP_SYN, window=4096, mss=1460)
+    assert len(data) == HEADER_LENGTH + 4
+    parsed = _tcp_parse(data)
     assert parsed.mss == 1460
     assert parsed.syn
 
 
 def test_tcp_flags_properties():
-    header = TcpHeader(
-        sport=1, dport=2, seq=0, ack=0, flags=TCP_SYN | TCP_ACK, window=0
-    )
-    assert header.syn and header.ack_flag
-    assert not header.fin and not header.rst
+    parsed = _tcp_parse(_tcp_wire(flags=TCP_SYN | TCP_ACK))
+    assert parsed.syn and parsed.has_ack
+    assert not parsed.fin and not parsed.rst
 
 
 def test_tcp_bad_offset_rejected():
-    data = bytearray(
-        TcpHeader(sport=1, dport=2, seq=0, ack=0, flags=0, window=0).pack()
-    )
+    data = bytearray(_tcp_wire())
     data[12] = 0x30  # Offset 3 words < minimum 5.
     with pytest.raises(HeaderError):
-        TcpHeader.unpack(bytes(data))
+        _tcp_parse(data)
 
 
 def test_tcp_truncated_option_rejected():
-    base = TcpHeader(sport=1, dport=2, seq=0, ack=0, flags=0, window=0).pack()
     # A 6-word header whose option claims 5 bytes but only 4 exist.
-    data = bytearray(base + b"\x03\x05\x01\x00")
+    data = bytearray(_tcp_wire() + b"\x03\x05\x01\x00")
     data[12] = 6 << 4
     with pytest.raises(HeaderError):
-        TcpHeader.unpack(bytes(data))
+        _tcp_parse(data)
 
 
 def test_tcp_bad_mss_length_rejected():
-    base = TcpHeader(sport=1, dport=2, seq=0, ack=0, flags=0, window=0).pack()
     # MSS option with a wrong length byte.
-    data = bytearray(base + b"\x02\x03\x05\x00")
+    data = bytearray(_tcp_wire() + b"\x02\x03\x05\x00")
     data[12] = 6 << 4
     with pytest.raises(HeaderError):
-        TcpHeader.unpack(bytes(data))
+        _tcp_parse(data)
 
 
 def test_tcp_nop_padding_parsed():
-    base = bytearray(
-        TcpHeader(sport=1, dport=2, seq=0, ack=0, flags=0, window=0).pack()
-    )
     options = b"\x01\x01\x02\x04\x05\xb4\x00\x00"  # NOP NOP MSS(1460) END.
-    data = bytearray(base + options)
+    data = bytearray(_tcp_wire() + options)
     data[12] = (7 << 4)  # 28-byte header.
-    parsed = TcpHeader.unpack(bytes(data))
+    parsed = _tcp_parse(data)
     assert parsed.mss == 1460
+    assert len(parsed.payload) == 0
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"seq": 1 << 32}, {"ack": -1}, {"mss": 0}, {"mss": 0x10000}],
+    ids=["seq", "ack", "mss-zero", "mss-wide"],
+)
+def test_tcp_out_of_range_field_rejected(fields):
+    """A sequence number nobody masked is refused, not truncated."""
+    with pytest.raises(HeaderError):
+        _tcp_wire(**fields)
 
 
 def test_icmp_round_trip():

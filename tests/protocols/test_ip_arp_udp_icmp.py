@@ -19,7 +19,6 @@ from repro.protocols import (
     ArpStack,
     IpError,
     IpStack,
-    Resolved,
     SendArp,
     UdpError,
     UdpPortTable,
@@ -183,57 +182,30 @@ def test_ip_fragmentation_round_trip_property(payload, mtu):
 def test_arp_request_reply_cycle():
     a = ArpStack(IP_A, MAC_A)
     b = ArpStack(IP_B, MAC_B)
-    actions = a.resolve(IP_B, payload="pkt1", now=0.0)
-    assert len(actions) == 1
-    assert isinstance(actions[0], SendArp)
-    request = actions[0]
+    assert a.lookup(IP_B, now=0.0) is None
+    request = a.resolve(IP_B, now=0.0)
+    assert isinstance(request, SendArp)
     assert request.dst_mac == BROADCAST_MAC
+    assert request.packet.oper == ARP_REQUEST and request.packet.target_ip == IP_B
     # b answers and learns a's binding.
-    replies = b.receive(request.packet, now=0.0)
-    reply = next(x for x in replies if isinstance(x, SendArp))
+    (reply,) = b.receive(request.packet, now=0.0)
     assert reply.packet.oper == ARP_REPLY
     assert reply.dst_mac == MAC_A
-    # a processes the reply: queued payload released.
-    released = a.receive(reply.packet, now=0.1)
-    resolved = [x for x in released if isinstance(x, Resolved)]
-    assert resolved == [Resolved(IP_B, MAC_B, "pkt1")]
-    # Subsequent sends hit the cache.
-    assert a.resolve(IP_B, "pkt2", now=0.2) == [Resolved(IP_B, MAC_B, "pkt2")]
-    assert a.stats["cache_hits"] == 1
+    assert b.lookup(IP_A, now=0.0) == MAC_A
+    # a learns b from the reply, sends nothing back, and the next
+    # lookup hits the cache.
+    assert a.receive(reply.packet, now=0.1) == []
+    assert a.lookup(IP_B, now=0.2) == MAC_B
+    assert a.stats["requests_sent"] == 1
+    assert a.stats["replies_received"] == 1
 
 
 def test_arp_request_rate_limited():
     a = ArpStack(IP_A, MAC_A)
-    first = a.resolve(IP_B, "p1", now=0.0)
-    second = a.resolve(IP_B, "p2", now=0.1)  # Within retry interval.
-    assert any(isinstance(x, SendArp) for x in first)
-    assert not any(isinstance(x, SendArp) for x in second)
-    third = a.resolve(IP_B, "p3", now=2.0)
-    assert any(isinstance(x, SendArp) for x in third)
-
-
-def test_arp_queue_released_in_order():
-    a = ArpStack(IP_A, MAC_A)
-    for i in range(3):
-        a.resolve(IP_B, f"p{i}", now=0.0)
-    actions = a.receive(
-        ArpPacket(ARP_REPLY, MAC_B, IP_B, MAC_A, IP_A), now=0.1
-    )
-    released = [x.payload for x in actions if isinstance(x, Resolved)]
-    assert released == ["p0", "p1", "p2"]
-
-
-def test_arp_queue_limit_drops_oldest():
-    a = ArpStack(IP_A, MAC_A)
-    for i in range(ArpStack.QUEUE_LIMIT + 2):
-        a.resolve(IP_B, f"p{i}", now=0.0)
-    actions = a.receive(
-        ArpPacket(ARP_REPLY, MAC_B, IP_B, MAC_A, IP_A), now=0.1
-    )
-    released = [x.payload for x in actions if isinstance(x, Resolved)]
-    assert len(released) == ArpStack.QUEUE_LIMIT
-    assert released[0] == "p2"  # p0 and p1 were dropped.
-    assert a.stats["queue_drops"] == 2
+    assert a.resolve(IP_B, now=0.0) is not None
+    assert a.resolve(IP_B, now=0.1) is None  # Within retry interval.
+    assert a.resolve(IP_B, now=2.0) is not None
+    assert a.stats["requests_sent"] == 2
 
 
 def test_arp_cache_expiry():
@@ -260,15 +232,6 @@ def test_arp_ignores_requests_for_others():
         now=0.0,
     )
     assert not any(isinstance(x, SendArp) for x in actions)
-
-
-def test_arp_retry_rebroadcasts():
-    a = ArpStack(IP_A, MAC_A)
-    a.resolve(IP_B, "p", now=0.0)
-    assert a.retry(now=0.5) == []  # Too soon.
-    actions = a.retry(now=1.5)
-    assert len(actions) == 1
-    assert isinstance(actions[0], SendArp)
 
 
 # ----------------------------------------------------------------------

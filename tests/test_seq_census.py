@@ -28,7 +28,6 @@ LITERALS = {
     ("protocols/tcp/seq.py", None): "MOD, the circle itself",
     ("protocols/tcp/machine.py", "_emit"): "TCB state masked into a segment",
     ("protocols/tcp/wire.py", "reset_for"): "wire seq + seg_len, for a segment no TCB claims",
-    ("net/headers.py", "__post_init__"): "TcpHeader's range check: a forgotten mask raises",
     ("registry/server.py", "_iss"): "ISS allocator",
     ("org/monolithic.py", "_iss"): "ISS allocator",
     # Not sequence numbers: 32 bits of something else.
@@ -97,6 +96,20 @@ def test_the_stack_takes_only_unwrap_from_seq():
             for alias in node.names
         }
         assert imported <= {"unwrap"}, (name, imported)
+
+
+def test_one_tcp_codec_holds_the_alarm():
+    """A forgotten mask is caught where the header is packed: the
+    ``struct`` refusal in ``protocols/tcp/wire.py``, the one TCP codec.
+    No second header record, and no option kind named anywhere else."""
+    names = {relative: _names(tree) for relative, tree in _trees()}
+    assert {relative for relative, found in names.items() if "TcpHeader" in found} == set()
+    option_namers = {
+        relative
+        for relative, found in names.items()
+        if any(name and name.startswith("TCPOPT_") for name in found)
+    }
+    assert option_namers == {"protocols/tcp/wire.py"}
 
 
 def test_a_literal_mask_only_where_the_census_says():

@@ -1,4 +1,4 @@
-"""The Internet checksum (RFC 1071) and incremental updates (RFC 1624).
+"""The Internet checksum (RFC 1071).
 
 The real 16-bit one's-complement sum over real bytes.  TCP/IP/UDP wire
 encoding uses it, corruption injection in the link layer really breaks
@@ -20,9 +20,7 @@ in place.
 
 :func:`checksum_parts` checksums a scatter-gather sequence of fragments
 without joining them (RFC 1071 §2(C): a part starting at an odd offset
-contributes the byte-swap of its own sum), and
-:func:`incremental_update` recomputes a checksum after a small header
-patch via RFC 1624 equation 3 — the template fast path's tool.
+contributes the byte-swap of its own sum).
 """
 
 from __future__ import annotations
@@ -41,21 +39,6 @@ def _unswap(total: int) -> int:
     if swapped:
         return (swapped & 0xFF) << 8 | swapped >> 8
     return total and 0xFFFF
-
-
-def sum16(data) -> int:
-    """Folded 16-bit one's-complement sum of ``data``, in [0, 0xFFFF].
-
-    ``data`` is any bytes-like object, zero-padded to a whole word if
-    its length is odd.  The result is already folded (carries added
-    back in) and is 0 only when every byte is zero.
-    """
-    return _unswap(int.from_bytes(data, "little"))
-
-
-def fold(total: int) -> int:
-    """Fold a partial sum to 16 bits, adding carries back in."""
-    return total % 0xFFFF or (total and 0xFFFF)
 
 
 def internet_checksum(data) -> int:
@@ -95,27 +78,6 @@ def _iter_leaves(parts):
             yield from _iter_leaves(frags)
         else:
             yield part
-
-
-def incremental_update(old_checksum: int, old_bytes, new_bytes) -> int:
-    """RFC 1624 eqn. 3: the checksum after ``old_bytes`` → ``new_bytes``.
-
-    ``old_checksum`` is the stored (complemented) checksum of a buffer in
-    which the even-aligned field ``old_bytes`` is being overwritten with
-    ``new_bytes`` of the same (even) length.  Returns the new stored
-    checksum without resumming the buffer:  HC' = ~(~HC + ~m + m').
-    """
-    length = len(old_bytes)
-    if length != len(new_bytes):
-        raise ValueError("patched field must keep its length")
-    if length % 2:
-        raise ValueError("patched field must be 16-bit aligned")
-    total = (
-        (~old_checksum & 0xFFFF)
-        + (0xFFFF - sum16(old_bytes))
-        + sum16(new_bytes)
-    )
-    return 0xFFFF - fold(total)
 
 
 def verify_checksum(data) -> bool:

@@ -351,9 +351,8 @@ def switch_table(testbed) -> list[SwitchPortEntry]:
 class CopyEntry:
     """One row of the copy-accounting table.
 
-    Process-global rows (``datapath``, ``tcp-encoder``) cover the buf
-    counters and the template-encoder aggregate; per-host rows cover the
-    demux tier's view accounting.
+    Process-global rows (``datapath``) cover the buf counters; per-host
+    rows cover the demux tier's view accounting.
     """
 
     scope: str
@@ -371,10 +370,9 @@ class CopyEntry:
 
 
 def copy_table(testbed: "Testbed") -> list[CopyEntry]:
-    """Copy accounting: global buf counters, template-encoder hits, and
-    per-host demux payload views (the ``netstat -m`` of this stack)."""
+    """Copy accounting: global buf counters and per-host demux payload
+    views (the ``netstat -m`` of this stack)."""
     from .net.buf import STATS
-    from .protocols.tcp.wire import TcpSegmentEncoder
 
     entries = [
         CopyEntry(
@@ -392,20 +390,6 @@ def copy_table(testbed: "Testbed") -> list[CopyEntry]:
             ops=STATS.materialize_ops,
         ),
     ]
-    enc = TcpSegmentEncoder.GLOBAL_STATS
-    entries.append(
-        CopyEntry(
-            scope="tcp-encoder",
-            detail=(
-                f"full={enc['full_encodes']}"
-                f" patch={enc['template_patches']}"
-                f" reuse={enc['retransmit_reuses']}"
-            ),
-            copied_bytes=0,
-            avoided_bytes=0,
-            ops=sum(enc.values()),
-        )
-    )
     for host in testbed.hosts:
         stats = host.netio.flow_table.stats
         entries.append(

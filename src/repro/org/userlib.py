@@ -29,8 +29,8 @@ from ..protocols.tcp import (
     Segment,
     TcpConfig,
     TcpMachine,
-    TcpSegmentEncoder,
     decode_segment,
+    encode_segment,
 )
 from ..sim import Interrupt
 from .base import TcpConnection, TcpListener, TcpService
@@ -160,16 +160,6 @@ class LibraryConnection(TcpConnection):
             raise ConnectionError(
                 f"grant addressing does not match flow {self.flow_key}"
             )
-        #: Template fast-path encoder (paper: the send side preformats
-        #: headers; only seq/ack/len/flags change between segments, so
-        #: retransmissions reuse the cached image and ack/window moves
-        #: are patched with RFC 1624 incremental checksum updates).
-        self.encoder = TcpSegmentEncoder(
-            sport=grant.local_port,
-            dport=grant.remote_port,
-            src_ip=service.host.ip,
-            dst_ip=grant.remote_ip,
-        )
         self.runner = MachineRunner(
             self.kernel,
             grant.machine,
@@ -197,7 +187,7 @@ class LibraryConnection(TcpConnection):
         # before starting this generator, so the read cannot race other
         # simulation processes.
         retransmit = self.runner.emitting_retransmit
-        payload = self.encoder.encode(segment)
+        payload = encode_segment(segment, self.service.host.ip, self.remote_ip)
         cost = (
             costs.tcp_output
             + costs.checksum_cost(len(payload))

@@ -51,6 +51,10 @@ from .seq import unwrap
 from .tcb import State, SYNCHRONIZED_STATES, Tcb, TcpConfig
 from .wire import Segment, reset_for
 
+#: The states in which the peer may still send data: its FIN has not
+#: arrived, so a window it has not been told of can still be used.
+_PEER_MAY_SEND = frozenset({State.ESTABLISHED, State.FIN_WAIT_1, State.FIN_WAIT_2})
+
 
 class TcpError(Exception):
     """API misuse (e.g. sending on a closed connection)."""
@@ -396,10 +400,12 @@ class TcpMachine:
         threshold = config.rcv_buffer // 2
         if 2 * mss < threshold:
             threshold = 2 * mss
-        # The arithmetic first: a state outside the set costs a hash.
+        # After the peer's FIN no more data can come, so nothing is
+        # announced: a window update from TIME_WAIT draws a closed peer's
+        # RST.  The arithmetic first: a state outside the set costs a hash.
         if (
             tcb.rcv_nxt + window - tcb.rcv_adv >= threshold
-            and tcb.state in SYNCHRONIZED_STATES
+            and tcb.state in _PEER_MAY_SEND
         ):
             self._emit_ack(actions)
         return actions

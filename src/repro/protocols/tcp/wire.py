@@ -10,23 +10,19 @@ path would.
 
 Encoding is zero-copy: the 20-byte header is built once and *prepended*
 onto the caller's payload as a fragment chain (no payload copy), with
-the checksum computed over the unjoined parts.  On top of that,
-:class:`TcpSegmentEncoder` gives each connection a template fast path —
-the previous headers are cached and, when only ack/window moved, patched
-with RFC 1624 incremental checksum updates; a retransmission of a cached
-segment reuses its header image outright.
+the checksum computed over the unjoined parts.  Every header is packed
+by ``_build_header``; no header image is cached between segments.
 """
 
 from __future__ import annotations
 
 import struct
 
-from ...counters import Counters
 from dataclasses import dataclass
 from typing import Optional
 
 from ...net.buf import PacketBuffer, prepend, slice_view
-from ...net.checksum import checksum_parts, incremental_update, pseudo_header
+from ...net.checksum import checksum_parts, pseudo_header
 from ...net.headers import (
     PROTO_TCP,
     TCP_ACK,
@@ -221,108 +217,19 @@ def _parse_mss(options) -> Optional[int]:
 
 
 class TcpSegmentEncoder:
-    """Per-connection template encoder with an incremental-checksum
-    fast path.
+    """:func:`encode_segment` with one connection's address pair bound.
 
-    The paper's send path preformats what it can; this encoder goes one
-    step further in the spirit of ``netio/template.py``: the header
-    image of each recently sent segment is cached under
-    ``(seq, len, flags)``.  A retransmission reuses the image outright;
-    a segment where only ack/window advanced patches those fields and
-    updates the checksum per RFC 1624 instead of resumming header and
-    payload.  SYN segments (MSS option changes the header length) take
-    the ordinary full-encode path.
-
-    Output is byte-identical to :func:`encode_segment` — the
-    equivalence fuzz suite holds it to that.
+    It caches nothing: every header is packed by :func:`_build_header`.
+    Nothing under ``src/`` constructs one; it stays only because the
+    ledger's ``sansio.py`` and ``probes.py`` import it.
     """
-
-    #: Cached header images kept per connection (covers the usual
-    #: retransmit window without unbounded growth).
-    CACHE_DEPTH = 32
-
-    #: Process-wide aggregate across every encoder instance, so
-    #: benchmarks can report template hit rates without tracking each
-    #: connection object.  Reset alongside the buf copy counters.
-    GLOBAL_STATS = {
-        "full_encodes": 0,
-        "template_patches": 0,
-        "retransmit_reuses": 0,
-    }
-
-    _ACK_OFF = 8     # 32-bit ack field.
-    _WIN_OFF = 14    # 16-bit window field.
-    _SUM_OFF = 16    # 16-bit checksum field.
 
     def __init__(self, sport: int, dport: int, src_ip: int, dst_ip: int) -> None:
         self.sport = sport
         self.dport = dport
         self.src_ip = src_ip
         self.dst_ip = dst_ip
-        #: (seq, payload_len, flags) -> [header bytes, payload ref].
-        self._cache: dict = {}
-        self.stats = Counters()
 
     def encode(self, segment: Segment):
-        """Encode ``segment``; equivalent to :func:`encode_segment`."""
-        if (
-            segment.mss is not None
-            or segment.sport != self.sport
-            or segment.dport != self.dport
-        ):
-            self._bump("full_encodes")
-            return encode_segment(segment, self.src_ip, self.dst_ip)
-
-        payload = segment.payload
-        key = (segment.seq, len(payload), segment.flags)
-        entry = self._cache.get(key)
-        if entry is not None and self._same_payload(entry[1], payload):
-            head = entry[0]
-            patched = self._patch(head, segment)
-            if patched is None:
-                # Bit-for-bit retransmission: reuse the cached image.
-                self._bump("retransmit_reuses")
-                return prepend(head, entry[1])
-            entry[0] = patched
-            self._bump("template_patches")
-            return prepend(patched, entry[1])
-
-        head = _build_header(segment, self.src_ip, self.dst_ip)
-        self._bump("full_encodes")
-        if len(self._cache) >= self.CACHE_DEPTH:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = [head, payload]
-        return prepend(head, payload)
-
-    def _bump(self, key: str) -> None:
-        self.stats[key] += 1
-        TcpSegmentEncoder.GLOBAL_STATS[key] += 1
-
-    @classmethod
-    def reset_global_stats(cls) -> None:
-        for key in cls.GLOBAL_STATS:
-            cls.GLOBAL_STATS[key] = 0
-
-    @staticmethod
-    def _same_payload(cached, payload) -> bool:
-        return cached is payload or bytes(cached) == bytes(payload)
-
-    def _patch(self, head: bytes, segment: Segment):
-        """Header image for ``segment`` from cached ``head``, or ``None``
-        if the cached image is already exact."""
-        old_ack = head[self._ACK_OFF : self._ACK_OFF + 4]
-        old_win = head[self._WIN_OFF : self._WIN_OFF + 2]
-        new_ack = segment.ack.to_bytes(4, "big")
-        new_win = segment.window.to_bytes(2, "big")
-        if old_ack == new_ack and old_win == new_win:
-            return None
-        checksum = int.from_bytes(head[self._SUM_OFF : self._SUM_OFF + 2], "big")
-        patched = bytearray(head)
-        if old_ack != new_ack:
-            checksum = incremental_update(checksum, old_ack, new_ack)
-            patched[self._ACK_OFF : self._ACK_OFF + 4] = new_ack
-        if old_win != new_win:
-            checksum = incremental_update(checksum, old_win, new_win)
-            patched[self._WIN_OFF : self._WIN_OFF + 2] = new_win
-        patched[self._SUM_OFF : self._SUM_OFF + 2] = checksum.to_bytes(2, "big")
-        return bytes(patched)
+        """Exactly ``encode_segment(segment, src_ip, dst_ip)``."""
+        return encode_segment(segment, self.src_ip, self.dst_ip)

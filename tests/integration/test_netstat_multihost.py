@@ -79,10 +79,8 @@ def test_tables_agree_with_the_counters_they_render():
     """netstat is the one read surface: its rows are the raw counters."""
     from repro.metrics import measure_throughput
     from repro.net import buf
-    from repro.protocols.tcp.wire import TcpSegmentEncoder
 
     buf.reset_stats()
-    TcpSegmentEncoder.reset_global_stats()
     testbed = Testbed(network="ethernet", organization="userlib")
     measure_throughput(testbed, total_bytes=192 * 1024)
 

@@ -1,6 +1,6 @@
 """Sequence wrap through the whole stack: the ISS allocators started
 just below 2**32, so every connection's TCB crosses it 20,000 bytes in
-— on the receive fast path, the template encoder and the registry's
+— on the receive fast path, the header pack and the registry's
 hand-over, none of which the sans-io wrap tests reach."""
 
 import pytest

@@ -16,13 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net.buf import PacketBuffer, as_wire_bytes
-from repro.net.checksum import (
-    checksum_parts,
-    fold,
-    incremental_update,
-    internet_checksum,
-    sum16,
-)
+from repro.net.checksum import checksum_parts, internet_checksum
 from repro.net.headers import Ipv4Header
 from repro.protocols.ip import IpError, forwarded_copy
 
@@ -41,10 +35,8 @@ def _shapes(data: bytes):
 
 
 def _assert_kernel_matches(data: bytes) -> None:
-    want_sum = legacy.fold(legacy.sum16(data))
     want = legacy.internet_checksum(data)
     for shape in _shapes(data):
-        assert sum16(shape) == want_sum
         assert internet_checksum(shape) == want
         assert checksum_parts(shape) == want
 
@@ -57,8 +49,9 @@ def test_kernel_matches_word_sum(data):
 @pytest.mark.parametrize("length", [0, 1, 2, 3, 19, 20, 1459, 1460, 4096, 65535])
 @pytest.mark.parametrize("fill", ["zero", "ones", "random"])
 def test_kernel_at_boundary_lengths_and_the_two_zeros(length, fill):
-    """All-zero data sums to 0x0000 and nothing else does: a zero
-    residue of non-zero data (all-0xFF is the extreme) is 0xFFFF."""
+    """All-zero data sums to 0x0000 (checksum 0xFFFF) and nothing else
+    does: a zero residue of non-zero data (all-0xFF is the extreme) is
+    0xFFFF (checksum 0)."""
     if fill == "zero":
         data = bytes(length)
     elif fill == "ones":
@@ -67,9 +60,9 @@ def test_kernel_at_boundary_lengths_and_the_two_zeros(length, fill):
         data = random.Random(length).randbytes(length)
     _assert_kernel_matches(data)
     if fill == "zero":
-        assert sum16(data) == 0 and internet_checksum(data) == 0xFFFF
+        assert internet_checksum(data) == 0xFFFF
     elif fill == "ones" and length and length % 2 == 0:
-        assert sum16(data) == 0xFFFF and internet_checksum(data) == 0
+        assert internet_checksum(data) == 0
 
 
 @given(words=st.lists(st.integers(0, 0xFFFF), max_size=40))
@@ -78,13 +71,7 @@ def test_kernel_reads_any_item_format_as_raw_octets(words):
     octets) is summed over its raw memory, as the word sum did."""
     view = memoryview(array.array("H", words))
     raw = view.tobytes()
-    assert sum16(view) == legacy.fold(legacy.sum16(raw))
     assert internet_checksum(view) == legacy.internet_checksum(raw)
-
-
-@given(total=st.integers(0, 1 << 40))
-def test_fold_matches_carry_loop(total):
-    assert fold(total) == legacy.fold(total)
 
 
 @given(
@@ -104,25 +91,6 @@ def test_checksum_parts_matches_word_sum_of_the_join(data, cuts, nest):
     if nest and len(parts) > 1:
         parts = [parts[0], PacketBuffer(parts[1:])]
     assert checksum_parts(*parts) == legacy.internet_checksum(data)
-
-
-@given(
-    data=st.binary(min_size=4, max_size=64).map(lambda b: b[: len(b) & ~1]),
-    new=st.binary(min_size=4, max_size=4),
-    width=st.sampled_from([2, 4]),
-    where=st.integers(0, 31),
-)
-def test_incremental_update_matches_word_sum_resum(data, new, width, where):
-    offset = 2 * where % (len(data) - width + 2)
-    patched = bytearray(data)
-    patched[offset : offset + width] = new[:width]
-    got = incremental_update(
-        legacy.internet_checksum(data), data[offset : offset + width], new[:width]
-    )
-    # RFC 1624 §3: eqn. 3 and a resum can differ only in which zero
-    # they store; both verify.
-    want = legacy.internet_checksum(patched)
-    assert got == want or {got, want} == {0x0000, 0xFFFF}
 
 
 # ----------------------------------------------------------------------

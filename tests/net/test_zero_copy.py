@@ -2,11 +2,11 @@
 
 The scatter-gather datapath must be invisible on the wire: every frame a
 chain builds has to be bit-identical to what the concatenating oracle
-(:mod:`.eager_datapath`) produces, the RFC 1624 incremental checksums
-must equal full resums, and the template encoder must match
-:func:`encode_segment` exactly — including across retransmissions and
-ack/window patches.  The last test is the copy-regression guard: bytes
-copied per delivered segment on a Table 2 bulk transfer, chain vs oracle.
+(:mod:`.eager_datapath`) produces — including across retransmissions,
+which prepend a fresh header onto the same payload — and the one RFC
+1624 incremental checksum left, the router's TTL patch, must equal a
+full resum.  The last test is the copy-regression guard: bytes copied
+per delivered segment on a Table 2 bulk transfer, chain vs oracle.
 """
 
 import random
@@ -15,18 +15,11 @@ import pytest
 
 from repro.net import buf
 from repro.net.buf import PacketBuffer, as_wire_bytes, prepend, slice_view
-from repro.net.checksum import (
-    checksum_parts,
-    incremental_update,
-    internet_checksum,
-    pseudo_header,
-)
+from repro.net.checksum import checksum_parts, internet_checksum
 from repro.net.headers import (
-    PROTO_TCP,
     TCP_ACK,
     TCP_FIN,
     TCP_PSH,
-    TCP_SYN,
     Ipv4Header,
     PROTO_UDP,
 )
@@ -94,7 +87,8 @@ def test_packet_buffer_concat_operators():
 
 
 def test_prepend_shares_but_never_mutates_payload_chain():
-    """The retransmit cache depends on prepend not growing its input."""
+    """A chain caches its fused wire image, and a tap or a queue may
+    still hold it: prepend shares its input and never grows it."""
     segment_image = PacketBuffer((b"tcp-header", b"payload"))
     framed = prepend(b"ip-header", segment_image)
     prepend(b"eth-header", framed)
@@ -113,7 +107,7 @@ def test_materialization_is_cached_and_counted_once():
 
 
 # ----------------------------------------------------------------------
-# Checksums: parts == flat, incremental == full resum
+# Checksums: parts == flat, the TTL patch == full resum
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("trial", range(40))
@@ -138,20 +132,21 @@ def test_checksum_parts_matches_flat_sum(trial):
 
 @pytest.mark.parametrize("trial", range(40))
 def test_incremental_update_matches_full_resum(trial):
+    """``forwarded_copy`` patches the header checksum for the TTL
+    decrement (RFC 1624) instead of resumming: on a random header it
+    must store what a full re-pack stores."""
     rng = random.Random(1000 + trial)
-    data = bytearray(
-        rng.randrange(256) for _ in range(2 * rng.randrange(2, 40))
+    payload = payload_of(rng.randrange(0, 64), seed=trial)
+    fields = dict(
+        src=rng.getrandbits(32), dst=rng.getrandbits(32),
+        protocol=rng.getrandbits(8), total_length=20 + len(payload),
+        ident=rng.getrandbits(16), tos=rng.getrandbits(8),
     )
-    checksum = internet_checksum(data)
-    width = rng.choice([2, 4])
-    offset = rng.randrange(0, len(data) - width + 1, 2)
-    old = bytes(data[offset:offset + width])
-    new = bytes(rng.randrange(256) for _ in range(width))
-    updated = incremental_update(checksum, old, new)
-    data[offset:offset + width] = new
-    assert updated == internet_checksum(data), (
-        f"offset={offset} old={old.hex()} new={new.hex()}"
-    )
+    ttl = rng.randrange(2, 256)
+    header = Ipv4Header(ttl=ttl, **fields)
+    updated = as_wire_bytes(forwarded_copy(header, header.pack() + payload))
+    resummed = Ipv4Header(ttl=ttl - 1, **fields).pack() + payload
+    assert updated == resummed, f"{header!r}"
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +207,7 @@ def test_forwarded_copy_chain_equals_eager_and_resums():
 
 
 # ----------------------------------------------------------------------
-# Template encoder == encode_segment, always
+# TCP encode == concatenating encode, across retransmissions
 # ----------------------------------------------------------------------
 
 def _random_segment(rng, seq, payload):
@@ -230,11 +225,15 @@ def _random_segment(rng, seq, payload):
 
 @pytest.mark.parametrize("trial", range(10))
 def test_template_encoder_fuzz_matches_full_encode(trial):
-    """Random send/retransmit/ack-advance traffic: every image the
-    template encoder emits equals a from-scratch encode."""
+    """Random send/retransmit/ack-advance traffic, each retransmission
+    prepending a fresh header onto the payload object it was first sent
+    with: every image ``TcpSegmentEncoder`` emits (the ledger's sans-io
+    workload encodes with it) equals the concatenating oracle's encode
+    and decodes back to its segment."""
     rng = random.Random(5000 + trial)
     encoder = TcpSegmentEncoder(sport=5000, dport=80, src_ip=IP_A, dst_ip=IP_B)
     history = []
+    retransmits = 0
     seq = rng.randrange(1 << 32)
     for _ in range(120):
         if history and rng.random() < 0.3:
@@ -247,70 +246,22 @@ def test_template_encoder_fuzz_matches_full_encode(trial):
                 window=rng.choice([base.window, rng.randrange(1 << 16)]),
                 payload=base.payload,
             )
+            retransmits += 1
         else:
             size = rng.choice(SIZES)
             segment = _random_segment(rng, seq, payload_of(size, rng.randrange(99)))
             seq = (seq + max(size, 1)) % (1 << 32)
             history.append(segment)
-        fast = as_wire_bytes(encoder.encode(segment))
-        slow = as_wire_bytes(encode_segment(segment, IP_A, IP_B))
-        assert fast == slow, f"template mismatch on {segment!r}"
-    hits = (
-        encoder.stats["template_patches"] + encoder.stats["retransmit_reuses"]
-    )
-    assert hits > 0, "fuzz traffic never exercised the fast path"
-
-
-def test_template_encoder_syn_and_foreign_ports_take_slow_path():
-    encoder = TcpSegmentEncoder(sport=5000, dport=80, src_ip=IP_A, dst_ip=IP_B)
-    syn = Segment(
-        sport=5000, dport=80, seq=1, ack=0,
-        flags=TCP_SYN, window=4096, mss=1460,
-    )
-    assert as_wire_bytes(encoder.encode(syn)) == as_wire_bytes(
-        encode_segment(syn, IP_A, IP_B)
-    )
-    other = Segment(
-        sport=6000, dport=80, seq=1, ack=2, flags=TCP_ACK, window=4096,
-    )
-    assert as_wire_bytes(encoder.encode(other)) == as_wire_bytes(
-        encode_segment(other, IP_A, IP_B)
-    )
-    assert encoder.stats["template_patches"] == 0
-    assert encoder.stats["retransmit_reuses"] == 0
-
-
-def test_template_patch_is_checksum_correct():
-    """An ack/window patch must leave a segment that verifies."""
-    encoder = TcpSegmentEncoder(sport=5000, dport=80, src_ip=IP_A, dst_ip=IP_B)
-    data = payload_of(555)
-    first = Segment(
-        sport=5000, dport=80, seq=10, ack=20,
-        flags=TCP_ACK, window=1000, payload=data,
-    )
-    encoder.encode(first)
-    patched = Segment(
-        sport=5000, dport=80, seq=10, ack=0xFFFF0001,
-        flags=TCP_ACK, window=0, payload=data,
-    )
-    wire = as_wire_bytes(encoder.encode(patched))
-    assert encoder.stats["template_patches"] == 1
-    pseudo = pseudo_header(IP_A, IP_B, PROTO_TCP, len(wire))
-    assert checksum_parts(pseudo, wire) == 0
-    decoded = decode_segment(wire, IP_A, IP_B)
-    assert (decoded.ack, decoded.window) == (0xFFFF0001, 0)
-
-
-def test_retransmit_reuses_cached_header_image():
-    encoder = TcpSegmentEncoder(sport=5000, dport=80, src_ip=IP_A, dst_ip=IP_B)
-    segment = Segment(
-        sport=5000, dport=80, seq=42, ack=7,
-        flags=TCP_ACK, window=512, payload=payload_of(128),
-    )
-    first = as_wire_bytes(encoder.encode(segment))
-    again = as_wire_bytes(encoder.encode(segment))
-    assert first == again
-    assert encoder.stats["retransmit_reuses"] == 1
+        chained = as_wire_bytes(encoder.encode(segment))
+        with eager.eager_datapath():
+            copied = encode_segment(segment, IP_A, IP_B)
+        assert chained == copied, f"encode mismatch on {segment!r}"
+        decoded = decode_segment(chained, IP_A, IP_B)
+        assert (decoded.seq, decoded.ack, decoded.window, decoded.flags) == (
+            segment.seq, segment.ack, segment.window, segment.flags
+        )
+        assert bytes(decoded.payload) == segment.payload
+    assert retransmits > 0, "fuzz traffic never retransmitted"
 
 
 # ----------------------------------------------------------------------
@@ -360,22 +311,17 @@ MIN_REDUCTION = 2.0
 
 def _bulk_transfer_copy_facts() -> dict:
     buf.reset_stats()
-    TcpSegmentEncoder.reset_global_stats()
     testbed = Testbed(network="ethernet", organization="userlib")
     result = measure_throughput(
         testbed, total_bytes=TRANSFER_BYTES, chunk_size=4096
     )
     hosts = testbed.hosts
     segments = sum(host.netio.stats["rx_demuxed"] for host in hosts)
-    encoder = TcpSegmentEncoder.GLOBAL_STATS
-    template_hits = encoder["template_patches"] + encoder["retransmit_reuses"]
     return {
         "throughput_mbps": result.throughput_mbps,
         "segments": segments,
         "host_copied_bytes": buf.STATS.copied_bytes,
         "copied_per_segment": buf.STATS.total_copied / segments,
-        "template_hit_rate": template_hits
-        / (template_hits + encoder["full_encodes"]),
         "payload_views": sum(
             host.netio.flow_table.stats["payload_views"] for host in hosts
         ),
@@ -396,6 +342,5 @@ def test_chain_datapath_copies_at_least_2x_less_than_the_oracle():
         copying["copied_per_segment"]
         >= MIN_REDUCTION * chain["copied_per_segment"]
     )
-    # The fast paths actually engage on a bulk transfer.
-    assert chain["template_hit_rate"] > 0.0
+    # The demux hands channels views, not copies, on a bulk transfer.
     assert chain["payload_views"] > 0

@@ -26,7 +26,6 @@ from repro.protocols.tcp import (
     SendSpaceAvailable,
     SetTimer,
     State,
-    SYNCHRONIZED_STATES,
     TcpConfig,
     TcpError,
     TcpMachine,
@@ -76,7 +75,10 @@ class OracleMachine(TcpMachine):
         tcb.rcv_user -= nbytes
         actions = []
         opening = tcb.rcv_nxt + min(tcb.rcv_wnd, self._MAX_WINDOW) - tcb.rcv_adv
-        if tcb.state in SYNCHRONIZED_STATES and opening >= min(
+        peer_may_send = tcb.state in (
+            State.ESTABLISHED, State.FIN_WAIT_1, State.FIN_WAIT_2
+        )
+        if peer_may_send and opening >= min(
             2 * tcb.mss, tcb.config.rcv_buffer // 2
         ):
             self._emit_ack(actions)

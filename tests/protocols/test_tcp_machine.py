@@ -481,6 +481,32 @@ def test_time_wait_acks_retransmitted_fin():
     assert pair.a.machine.state is State.TIME_WAIT
 
 
+def test_read_after_both_fins_announces_no_window():
+    """b sends 4,000 B that a does not read; a closes, then b.  When a
+    reads them it is in TIME_WAIT and b is CLOSED: after the peer's FIN
+    no more data can come, so there is no window to announce.  A window
+    update there drew b's RST and marked the finished connection
+    ``reset``, though both streams had arrived whole."""
+    pair = TcpPair()
+    pair.a.auto_read = False
+    pair.connect()
+    data = bytes(i % 251 for i in range(4000))
+    pair.app_send("b", data)
+    pair.run(until=pair.now + 1.0)
+    pair.app_close("a")
+    pair.run(until=pair.now + 1.0)
+    pair.app_close("b")
+    pair.run(until=pair.now + 0.5)
+    assert pair.a.machine.state is State.TIME_WAIT
+    assert pair.b.machine.state is State.CLOSED
+    emitted = len(pair.a.emitted)
+    pair.app_read("a", len(data))
+    pair.run()
+    assert pair.a.closed_reason == "done"
+    assert len(pair.a.emitted) == emitted
+    assert bytes(pair.a.received) == data
+
+
 # ----------------------------------------------------------------------
 # Reset handling
 # ----------------------------------------------------------------------

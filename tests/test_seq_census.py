@@ -53,7 +53,7 @@ def _names(tree: ast.AST) -> set[str]:
             found.add(node.attr)
         elif isinstance(node, ast.alias):
             found.update((node.name, node.asname))
-        elif isinstance(node, ast.FunctionDef):
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             found.add(node.name)
     return found
 
@@ -101,9 +101,21 @@ def test_the_stack_takes_only_unwrap_from_seq():
 def test_one_tcp_codec_holds_the_alarm():
     """A forgotten mask is caught where the header is packed: the
     ``struct`` refusal in ``protocols/tcp/wire.py``, the one TCP codec.
-    No second header record, and no option kind named anywhere else."""
+    No second header record, no second encode path (a cached header
+    image patched per RFC 1624, counted in a process global), and no
+    option kind named anywhere else."""
     names = {relative: _names(tree) for relative, tree in _trees()}
     assert {relative for relative, found in names.items() if "TcpHeader" in found} == set()
+    encoder_namers = {
+        relative for relative, found in names.items() if "TcpSegmentEncoder" in found
+    }
+    assert encoder_namers == {"protocols/tcp/wire.py", "protocols/tcp/__init__.py"}
+    patch_namers = {
+        relative
+        for relative, found in names.items()
+        if found & {"incremental_update", "GLOBAL_STATS"}
+    }
+    assert patch_namers == set()
     option_namers = {
         relative
         for relative, found in names.items()

@@ -16,6 +16,7 @@ notifications.  No TCP machine runs.
 
 from paper_targets import TABLE1_MIN_FRACTION
 
+from repro.net.buf import prepend
 from repro.net.headers import EthernetHeader, Ipv4Header, PROTO_TCP, TCP_ACK
 from repro.net.link import EthernetLink
 from repro.netio.channels import ChannelClosed
@@ -35,7 +36,7 @@ def build_packet(size: int) -> bytes:
         src=IP_A, dst=IP_B, protocol=PROTO_TCP,
         total_length=Ipv4Header.LENGTH + len(tcp),
     )
-    return header.pack() + tcp
+    return prepend(header.pack(), tcp)
 
 
 def run_mechanism_benchmark(npackets: int = 300) -> dict:

@@ -41,7 +41,7 @@ def frame_for(size: int = 64) -> bytes:
     ip = Ipv4Header(
         src=IP_A, dst=IP_B, protocol=PROTO_TCP,
         total_length=Ipv4Header.LENGTH + len(tcp),
-    ).pack() + tcp
+    ).pack() + tcp.tobytes()
     return EthernetHeader(MAC_B, MAC_A, ETHERTYPE_IP).pack() + ip
 
 

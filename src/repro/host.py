@@ -13,6 +13,7 @@ from functools import partial
 from typing import Callable, Generator, Optional, Union
 
 from .costs import CostModel, DECSTATION_5000_200
+from .counters import Counters
 from .mach import Kernel, Task
 from .net.headers import (
     ARP_REPLY,
@@ -110,6 +111,9 @@ class Host:
         #: and a quiet 1k-host world doesn't tick 1k perpetual timers.
         self._slow_timer_armed = False
         self.icmp_echo_enabled = True
+        #: Frames the kernel dispatch itself drops, by reason (the IP
+        #: and UDP layers count theirs in their own ``stats``).
+        self.stats = Counters()
 
     def __repr__(self) -> str:
         return f"<Host {self.name} {ip_to_str(self.ip)}>"
@@ -169,6 +173,7 @@ class Host:
             self.sim.process(work_then(self._arp_rx(payload), done))
             return
         if ethertype != ETHERTYPE_IP:
+            self.stats["unknown_ethertype"] += 1
             done()
             return
         datagram = self.ip_stack.receive(payload, now=self.sim.now)
@@ -262,13 +267,13 @@ class Host:
     def _udp_channel(self, udp_payload: bytes) -> Optional[Channel]:
         """The user-level channel bound to a datagram's port, if any —
         resolved through the flow table's wildcard tier, the same entry
-        the Ethernet receive path demuxes on."""
-        try:
-            header = UdpHeader.unpack(udp_payload)
-        except HeaderError:
+        the Ethernet receive path demuxes on.  Only the destination port
+        is read, straight out of the octets: ``decode_datagram`` is the
+        datagram's one full UDP decode."""
+        if len(udp_payload) < UdpHeader.LENGTH:
             return None
         channel = self.netio.flow_table.wildcard_target(
-            PROTO_UDP, header.dport, local_ip=self.ip
+            PROTO_UDP, udp_payload[2] << 8 | udp_payload[3], local_ip=self.ip
         )
         return channel if isinstance(channel, Channel) else None
 

@@ -6,9 +6,9 @@ copies".  :class:`PacketBuffer` is the simulator's equivalent of a BSD
 mbuf chain or an iovec: an ordered list of read-only fragments
 (``bytes``/``memoryview``), immutable once built — encapsulation makes
 a new chain around the old one, :func:`prepend` — with the flat
-``bytes`` image produced lazily — once — when the frame actually
-reaches a wire (or a tracer / fault injector that needs real octets to
-corrupt).
+``bytes`` image produced lazily — once — where the frame's device reads
+it: the PMADD's programmed-I/O copy onto the board, or the AN1
+controller's DMA fetch.
 
 Copy accounting
 ---------------
@@ -89,6 +89,11 @@ class PacketBuffer:
     (:func:`prepend`) — so a cached segment image can appear in many
     frames at once (the retransmit path relies on this) and the fused
     wire image, once made, stays valid.
+
+    The surface is what the datapath reads: the length, an index or a
+    slice (the send-template check), ``fragments`` (``checksum_parts``)
+    and the fused image.  A chain has no value equality, hash or
+    concatenation; compare ``tobytes()``.
     """
 
     __slots__ = ("_frags", "_length", "_fused", "trace_id")
@@ -136,14 +141,6 @@ class PacketBuffer:
     def __len__(self) -> int:
         return self._length
 
-    def __bool__(self) -> bool:
-        return self._length > 0
-
-    def __iter__(self) -> Iterator[int]:
-        for frag in self._frags:
-            yield from (frag if isinstance(frag, (bytes, bytearray))
-                        else bytes(frag))
-
     def __getitem__(self, key):
         if isinstance(key, int):
             if key < 0:
@@ -176,27 +173,6 @@ class PacketBuffer:
             return bytes(out)
         raise TypeError(f"bad PacketBuffer index {key!r}")
 
-    def __add__(self, other) -> "PacketBuffer":
-        """Concatenation composes chains without fusing either side."""
-        if isinstance(other, (PacketBuffer, bytes, bytearray, memoryview)):
-            return PacketBuffer((self, other))
-        return NotImplemented
-
-    def __radd__(self, other) -> "PacketBuffer":
-        if isinstance(other, (bytes, bytearray, memoryview)):
-            return PacketBuffer((other, self))
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PacketBuffer):
-            return self.tobytes() == other.tobytes()
-        if isinstance(other, (bytes, bytearray, memoryview)):
-            return self.tobytes() == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.tobytes())
-
     def __repr__(self) -> str:
         return (
             f"PacketBuffer({len(self._frags)} frags, {self._length} bytes"
@@ -212,12 +188,27 @@ def prepend(header: Fragment, payload) -> PacketBuffer:
     """Put ``header`` in front of ``payload`` — the encapsulation step.
 
     Returns a fresh :class:`PacketBuffer`: the payload chain is shared,
-    not copied, so cached segment images stay reusable.
+    not copied, so cached segment images stay reusable.  The chain is
+    built here in one step — a payload chain's length and trace id are
+    read off its fields, not re-walked by :class:`PacketBuffer`'s
+    constructor — because every frame pays for it once per layer.
     """
-    STATS.avoided_bytes += (
-        payload._length if type(payload) is PacketBuffer else len(payload)
-    )
-    return PacketBuffer((header, payload))
+    chain = object.__new__(PacketBuffer)  # The four slots are set below.
+    if type(payload) is PacketBuffer:
+        length = payload._length
+        chain._frags = [header, *payload._frags]
+        # Inheriting the payload's trace id is what lets one id minted
+        # at encode survive IP and link framing without per-layer
+        # plumbing.
+        chain.trace_id = payload.trace_id
+    else:
+        length = len(payload)
+        chain._frags = [header, payload] if length else [header]
+        chain.trace_id = None
+    STATS.avoided_bytes += length
+    chain._length = len(header) + length
+    chain._fused = None
+    return chain
 
 
 def slice_view(data, start: int, stop: "int | None" = None) -> memoryview:

@@ -181,11 +181,14 @@ class Router:
             self.sim.process(work_then(self._arp_rx(iface, payload), done))
             return
         if ethertype != ETHERTYPE_IP:
+            self.stats["unknown_ethertype"] += 1
             done()
             return
         try:
             header = Ipv4Header.unpack(payload)
         except HeaderError:
+            # Bad checksum, not version 4, options, or short.
+            self.stats["bad_header"] += 1
             done()
             return
         if not Ipv4Header.LENGTH <= header.total_length <= len(payload):

@@ -22,8 +22,7 @@ from ...counters import Counters
 from typing import Callable, Optional
 
 from ...sim import Simulator
-from ..buf import as_wire_bytes
-from ..headers import BROADCAST_MAC, EthernetHeader, HeaderError, mac_to_str
+from ..headers import BROADCAST_MAC, EthernetHeader, mac_to_str
 from ..link import Link, Transmitter
 from .queues import EgressQueue, TailDropQueue
 
@@ -67,11 +66,10 @@ class SwitchPort:
         return True  # Promiscuous: a bridge sees every frame.
 
     def wire_deliver(self, frame: bytes) -> None:
-        # Links deliver flat wire bytes; enforce that invariant locally
-        # (idempotent for bytes) so the whole store-and-forward path —
-        # ingress, egress queue, retransmission — holds one buffer by
-        # reference and never copies it per hop.
-        frame = as_wire_bytes(frame)
+        # Links deliver the flat bytes a sender's transmitter made, so
+        # the whole store-and-forward path — ingress, egress queue,
+        # retransmission — holds that one buffer by reference and never
+        # copies it per hop.
         self.stats["rx_frames"] += 1
         self.stats["rx_bytes"] += len(frame)
         self.switch._ingress(self, frame)
@@ -132,15 +130,17 @@ class Switch:
     # Bridging ----------------------------------------------------------
 
     def _ingress(self, port: SwitchPort, frame: bytes) -> None:
-        try:
-            header = EthernetHeader.unpack(frame)
-        except HeaderError:
+        # A bridge reads two fields, the MACs, straight out of the
+        # octets; the ethertype and everything behind it are the
+        # receiving host's business.
+        if len(frame) < EthernetHeader.LENGTH:
             self.stats["malformed"] += 1
             return
         self.stats["frames"] += 1
-        self._learn(header.src, port)
-        out = self._lookup(header.dst)
-        if header.dst == BROADCAST_MAC or out is None:
+        dst = frame[:6]
+        self._learn(frame[6:12], port)
+        out = self._lookup(dst)
+        if dst == BROADCAST_MAC or out is None:
             self.stats["flooded"] += 1
             targets = [p for p in self.ports if p is not port]
         elif out is port:

@@ -13,23 +13,14 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from .buf import as_wire_bytes
 from .checksum import internet_checksum
 
 
+#: What a decode hands ``struct.unpack_from`` as it stands; anything
+#: else (a :class:`~repro.net.buf.PacketBuffer`) is read through its
+#: fused image, which the chain caches.
 _FLAT = (bytes, memoryview, bytearray)
-
-
-def _octets(data):
-    """Normalize ``data`` for ``struct.unpack_from``.
-
-    bytes/bytearray/memoryview pass through; a scatter-gather chain
-    (anything else with ``tobytes``, e.g. :class:`~repro.net.buf.PacketBuffer`)
-    is fused — its flat image is cached, so repeated unpacks stay cheap.
-    """
-    if type(data) in _FLAT:
-        return data
-    tobytes = getattr(data, "tobytes", None)
-    return tobytes() if tobytes is not None else bytes(data)
 
 
 # ----------------------------------------------------------------------
@@ -109,7 +100,8 @@ class EthernetHeader:
 
     @classmethod
     def unpack(cls, data: bytes) -> "EthernetHeader":
-        data = _octets(data)
+        if type(data) not in _FLAT:
+            data = as_wire_bytes(data)
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short Ethernet header ({len(data)} bytes)")
         dst, src, ethertype = cls._STRUCT.unpack_from(data)
@@ -166,7 +158,8 @@ class An1Header:
 
     @classmethod
     def unpack(cls, data: bytes) -> "An1Header":
-        data = _octets(data)
+        if type(data) not in _FLAT:
+            data = as_wire_bytes(data)
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short AN1 header ({len(data)} bytes)")
         dst, src, ethertype, bqi, adv_bqi = cls._STRUCT.unpack_from(data)
@@ -219,7 +212,8 @@ class ArpPacket:
 
     @classmethod
     def unpack(cls, data: bytes) -> "ArpPacket":
-        data = _octets(data)
+        if type(data) not in _FLAT:
+            data = as_wire_bytes(data)
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short ARP packet ({len(data)} bytes)")
         htype, ptype, hlen, plen, oper, sha, spa, tha, tpa = cls._STRUCT.unpack_from(data)
@@ -289,7 +283,8 @@ class Ipv4Header:
 
     @classmethod
     def unpack(cls, data: bytes, verify: bool = True) -> "Ipv4Header":
-        data = _octets(data)
+        if type(data) not in _FLAT:
+            data = as_wire_bytes(data)
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short IPv4 header ({len(data)} bytes)")
         (
@@ -310,8 +305,13 @@ class Ipv4Header:
             raise HeaderError(f"not IPv4 (version={version})")
         if ihl != 5:
             raise HeaderError(f"IPv4 options unsupported (ihl={ihl})")
-        if verify and internet_checksum(data[: cls.LENGTH]) != 0:
-            raise HeaderError("IPv4 header checksum mismatch")
+        if verify:
+            # ``internet_checksum(header) == 0`` in one read: the header
+            # as a little-endian integer sums to 0xFFFF exactly when it
+            # is non-zero with zero residue mod 0xFFFF (net/checksum.py).
+            total = int.from_bytes(data[: cls.LENGTH], "little")
+            if not total or total % 0xFFFF:
+                raise HeaderError("IPv4 header checksum mismatch")
         return cls(
             src=src,
             dst=dst,
@@ -354,7 +354,8 @@ class UdpHeader:
 
     @classmethod
     def unpack(cls, data: bytes) -> "UdpHeader":
-        data = _octets(data)
+        if type(data) not in _FLAT:
+            data = as_wire_bytes(data)
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short UDP header ({len(data)} bytes)")
         sport, dport, length, checksum = cls._STRUCT.unpack_from(data)
@@ -403,7 +404,8 @@ class IcmpHeader:
 
     @classmethod
     def unpack(cls, data: bytes) -> "IcmpHeader":
-        data = _octets(data)
+        if type(data) not in _FLAT:
+            data = as_wire_bytes(data)
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short ICMP header ({len(data)} bytes)")
         icmp_type, code, checksum, ident, seq = cls._STRUCT.unpack_from(data)

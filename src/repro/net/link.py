@@ -150,9 +150,10 @@ class Transmitter:
     """One sender's FIFO turn-taking onto a link, run by callbacks.
 
     A frame handed over while the transmitter is idle is offered to the
-    wire in the handing-over event itself: flattened (the simulated
-    DMA/PIO boundary, so taps, fault injection and receivers always see
-    real bytes), shown to the link's taps, and given a turn of
+    wire in the handing-over event itself: flattened if it is still a
+    chain (AN1's DMA fetch; a PMADD hands over the bytes its PIO copy
+    made), so taps, fault injection and receivers always see real
+    bytes, shown to the link's taps, and given a turn of
     ``link.wire_time`` on the sender's :class:`~repro.sim.Serial`.  When
     the turn ends the frame is counted on the link, delivered after the
     propagation delay (the fault plan is drawn there), and the next
@@ -264,7 +265,11 @@ class Transmitter:
 
     def _wire(self, frame: Any) -> None:
         link = self.link
-        frame = as_wire_bytes(frame)
+        if type(frame) is not bytes:
+            # The controller's DMA fetch (AN1): the chain becomes octets
+            # here.  A PMADD copied it flat already, and a switch port
+            # forwards the bytes a link delivered.
+            frame = as_wire_bytes(frame)
         for tap in link.taps:
             tap(frame)
         self._frame = frame
@@ -407,7 +412,9 @@ class An1Link(Link):
         return (length + self.OVERHEAD) * 8 / self.bit_rate + self.GAP
 
     def receivers(self, sender: "Nic", frame: bytes) -> list["Nic"]:
-        dst = An1Header.unpack(frame).dst
+        # The wire only routes on the destination station, the header's
+        # first 16-bit word; a runt is the receiving controller's to drop.
+        dst = frame[0] << 8 | frame[1]
         return [
             nic
             for nic in self.nics

@@ -21,7 +21,7 @@ from typing import Any, Generator, Optional
 from ...counters import Counters
 from ...mach.kernel import Kernel
 from ...obs import spans as _spans
-from ..headers import An1Header, HeaderError
+from ..headers import An1Header
 from ..link import An1Link, Transmitter
 from .base import Nic
 
@@ -154,9 +154,10 @@ class An1Nic(Nic):
     # ------------------------------------------------------------------
 
     def driver_transmit(self, frame: bytes) -> Generator:
-        if len(frame) > self.mtu_data + An1Header.LENGTH:
+        length = len(frame)
+        if length > self.mtu_data + An1Header.LENGTH:
             raise ValueError(
-                f"frame of {len(frame)} bytes exceeds driver MTU "
+                f"frame of {length} bytes exceeds driver MTU "
                 f"{self.mtu_data}"
             )
         cost = self.kernel.costs.an1_dma_setup
@@ -169,19 +170,19 @@ class An1Nic(Nic):
         if descriptors_full is not None:
             yield descriptors_full
         self.stats["tx_frames"] += 1
-        self.stats["tx_bytes"] += len(frame)
+        self.stats["tx_bytes"] += length
 
     # ------------------------------------------------------------------
     # Receive: hardware BQI demux straight into a host ring.
     # ------------------------------------------------------------------
 
     def wire_deliver(self, frame: bytes) -> None:
-        try:
-            header = An1Header.unpack(frame)
-        except HeaderError:
+        # The hardware demuxes on one header field, the BQI at bytes 6-7;
+        # the network I/O module decodes the header once, at the ring.
+        if len(frame) < An1Header.LENGTH:
             self.stats["rx_ignored"] += 1
             return
-        ring = self.bqi_table.get(header.bqi)
+        ring = self.bqi_table.get(frame[6] << 8 | frame[7])
         if ring is None:
             # Unknown BQI: hardware falls back to the kernel's ring.
             ring = self.bqi_table.get(0)

@@ -17,7 +17,8 @@ from typing import Any, Generator, Optional
 
 from ...mach.kernel import Kernel
 from ...obs import spans as _spans
-from ..headers import BROADCAST_MAC, EthernetHeader
+from ..buf import as_wire_bytes
+from ..headers import BROADCAST_MAC
 from ..link import EthernetLink, Transmitter
 from .base import Nic
 
@@ -59,8 +60,14 @@ class PmaddNic(Nic):
     # ------------------------------------------------------------------
 
     def driver_transmit(self, frame: bytes) -> Generator:
+        # The host copies the frame onto the board word by word (§3.3):
+        # that copy, charged below, is where a chain becomes octets, so
+        # staging, the transmitter and the wire all hold flat bytes.
+        if type(frame) is not bytes:
+            frame = as_wire_bytes(frame)
+        length = len(frame)
         costs = self.kernel.costs
-        cost = costs.pio_cost(len(frame)) + costs.pmadd_per_packet
+        cost = costs.pio_cost(length) + costs.pmadd_per_packet
         rec = _spans.RECORDER
         if rec is not None:
             rec.touch(frame, "nic.tx", self.sim.now, self.name, cost=cost)
@@ -71,7 +78,7 @@ class PmaddNic(Nic):
         if staging_full is not None:
             yield staging_full
         self.stats["tx_frames"] += 1
-        self.stats["tx_bytes"] += len(frame)
+        self.stats["tx_bytes"] += length
 
     # ------------------------------------------------------------------
     # Receive: stage on board, interrupt, PIO copy to host, hand off —

@@ -182,11 +182,8 @@ class IpStack:
         if header.dst != self.local_ip:
             self.stats["not_ours"] += 1
             return None
-        if header.total_length < Ipv4Header.LENGTH:
+        if not Ipv4Header.LENGTH <= header.total_length <= len(packet):
             self.stats["bad_length"] += 1
-            return None
-        if header.total_length > len(packet):
-            self.stats["bad_checksum"] += 1
             return None
         payload = slice_view(packet, Ipv4Header.LENGTH, header.total_length)
         self.stats["received"] += 1

@@ -226,7 +226,7 @@ def _tcp_frame(payload):
         total_length=Ipv4Header.LENGTH + len(body),
     )
     eth = EthernetHeader(dst=MAC_B, src=MAC_A, ethertype=ETHERTYPE_IP)
-    return eth.pack() + ip.pack() + body
+    return eth.pack() + ip.pack() + body.tobytes()
 
 
 def test_checksum_checker_fires_on_collision():

@@ -15,7 +15,7 @@ from repro.testbed import IP_A, IP_B, Testbed
 def test_unreachable_codec_round_trip():
     original = (
         Ipv4Header(src=IP_A, dst=IP_B, protocol=PROTO_UDP, total_length=36).pack()
-        + encode_datagram(1111, 2222, b"lost", IP_A, IP_B)
+        + encode_datagram(1111, 2222, b"lost", IP_A, IP_B).tobytes()
     )
     wire = encode_unreachable(UNREACH_PORT, original)
     message = decode_unreachable(wire)

@@ -257,6 +257,7 @@ def test_intruder_cannot_use_anothers_channel():
 
 def test_owner_cannot_spoof_other_connection():
     """Template matching: even the owner can't send forged headers."""
+    from repro.net.buf import prepend
     from repro.net.headers import Ipv4Header, PROTO_TCP
     from repro.protocols.tcp import Segment, encode_segment
     from repro.net.headers import TCP_ACK
@@ -270,12 +271,12 @@ def test_owner_cannot_spoof_other_connection():
             sport=9999, dport=8700, seq=1, ack=1, flags=TCP_ACK, window=0
         )
         tcp = encode_segment(seg, IP_A, IP_B)
-        packet = (
+        packet = prepend(
             Ipv4Header(
                 src=IP_A, dst=IP_B, protocol=PROTO_TCP,
                 total_length=20 + len(tcp),
-            ).pack()
-            + tcp
+            ).pack(),
+            tcp,
         )
         with pytest.raises(TemplateViolation):
             yield from testbed.host_a.netio.send(

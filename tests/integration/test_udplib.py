@@ -102,6 +102,7 @@ def test_udp_an1_bqi_discovery():
 
 
 def test_udp_template_blocks_spoofed_source():
+    from repro.net.buf import prepend
     from repro.net.headers import Ipv4Header, PROTO_UDP
     from repro.protocols.udp import encode_datagram
 
@@ -111,12 +112,12 @@ def test_udp_template_blocks_spoofed_source():
         endpoint = yield from udp_a.bind(4000)
         # Forge a datagram claiming a different source port.
         udp = encode_datagram(4999, 53, b"spoof", IP_A, IP_B)
-        packet = (
+        packet = prepend(
             Ipv4Header(
                 src=IP_A, dst=IP_B, protocol=PROTO_UDP,
                 total_length=Ipv4Header.LENGTH + len(udp),
-            ).pack()
-            + udp
+            ).pack(),
+            udp,
         )
         from repro.testbed import MAC_B
 

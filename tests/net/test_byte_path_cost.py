@@ -6,22 +6,30 @@ C alike — the ledger's ``py_calls_per_op`` currency) for the byte work
 of one packet with no simulator around it, so a regression in
 ``net/checksum.py``, ``net/buf.py``, ``net/headers.py``, the TCP codec
 in ``protocols/tcp/wire.py`` or the per-hop rewrite fails tier-1
-instead of waiting for a ledger run.
+instead of waiting for a ledger run — and so does a second decode of
+one AN1 link header on its way to the kernel.
 """
 
 import cProfile
 
 import pytest
 
+from repro.costs import FREE
+from repro.mach import Kernel
 from repro.net.buf import as_wire_bytes, slice_view
 from repro.net.fabric import chain
 from repro.net.headers import (
+    ETHERTYPE_IP,
+    An1Header,
     EthernetHeader,
     Ipv4Header,
     PROTO_UDP,
     TCP_ACK,
     TCP_SYN,
 )
+from repro.net.link import An1Link
+from repro.net.nic.an1ctrl import An1Nic
+from repro.netio.module import LinkInfo, NetworkIoModule
 from repro.protocols.ip import forwarded_copy
 from repro.protocols.tcp.wire import Segment, decode_segment, encode_segment
 from repro.protocols.udp import encode_datagram
@@ -41,19 +49,21 @@ def profiled_calls(work) -> int:
 def test_router_hop_byte_work_call_gate():
     """One router hop's byte work on a 64-byte UDP datagram — strip the
     link header, unpack and verify the IP header, decrement the TTL,
-    put the next hop's link header on, fuse for the wire — costs 31
+    put the next hop's link header on, fuse for the wire — costs 24
     profiled calls.  It cost 100 (and this gate failed by 66) before the
     big-integer checksum kernel, the closed-form TTL patch, chain
     construction without re-walking and the per-neighbour packed link
-    header.
+    header; then 31 while the header checksum went through
+    ``internet_checksum`` and ``_unswap`` rather than one residue test,
+    and each ``prepend`` walked its parts in ``PacketBuffer.__init__``.
     """
     netio = chain(Simulator(), n_routers=1).routers[0].interfaces[1].netio
     next_hop = b"\x02\x00\x00\x00\x00\x09"
-    packet = as_wire_bytes(
+    packet = (
         Ipv4Header(
             src=IP_A, dst=IP_B, protocol=PROTO_UDP, total_length=20 + 8 + 64
         ).pack()
-        + encode_datagram(4000, 9000, bytes(64), IP_A, IP_B)
+        + encode_datagram(4000, 9000, bytes(64), IP_A, IP_B).tobytes()
     )
     frame = EthernetHeader(netio.nic.mac, next_hop, 0x0800).pack() + packet
 
@@ -67,7 +77,38 @@ def test_router_hop_byte_work_call_gate():
     assert out[EthernetHeader.LENGTH + 8] == 63  # TTL 64, one hop on.
     assert Ipv4Header.unpack(out[EthernetHeader.LENGTH:], verify=True).ttl == 63
     assert out[EthernetHeader.LENGTH + 20:] == packet[20:]
-    assert profiled_calls(hop) <= 34
+    assert profiled_calls(hop) <= 26
+
+
+def test_an1_frame_decodes_its_link_header_once():
+    """One AN1 frame from the sending driver to the receiving kernel:
+    ``An1Link.receivers`` routes on the destination station and
+    ``An1Nic.wire_deliver`` demuxes on the BQI, each read straight out
+    of the octets, so the network I/O module's ``_rx_ring`` is the one
+    ``An1Header`` decode on the path.  It was three, one per stage."""
+    sim = Simulator()
+    link = An1Link(sim)
+    sender = An1Nic(Kernel(sim, FREE, name="a"), link, station=1)
+    receiver = An1Nic(Kernel(sim, FREE, name="b"), link, station=2)
+    netio = NetworkIoModule(receiver.kernel, receiver)
+    arrived = []
+
+    def kernel_rx(ethertype, payload, link_info, done):
+        arrived.append((ethertype, bytes(payload), link_info))
+        done()
+
+    netio.kernel_rx = kernel_rx
+    frame = An1Header(2, 1, ETHERTYPE_IP, bqi=0, adv_bqi=7).pack() + bytes(64)
+    sim.process(sender.driver_transmit(frame))
+    profiler = cProfile.Profile()
+    profiler.runcall(sim.run)
+    decodes = sum(
+        entry.callcount
+        for entry in profiler.getstats()
+        if entry.code is An1Header.unpack.__code__
+    )
+    assert arrived == [(ETHERTYPE_IP, bytes(64), LinkInfo(1, 0, 7))]
+    assert decodes == 1
 
 
 @pytest.mark.parametrize(

@@ -322,6 +322,68 @@ def test_router_drops_packets_whose_total_length_lies():
     assert consumed == [5, 51, 50]  # ``done`` once each, dropped or not.
 
 
+#: An ethertype neither IP nor ARP (IEEE 802 local experimental).
+FOREIGN_ETHERTYPE = 0x88B5
+
+
+def _corrupted_and_foreign(topo):
+    """The two frames no receiver may lose without a reason: an IPv4
+    packet whose header checksum a flipped TTL bit broke, and a frame of
+    an ethertype nobody speaks."""
+    host_a, host_b = topo.hosts
+    packet = bytearray(Ipv4Header(
+        src=host_a.ip, dst=host_b.ip, protocol=PROTO_UDP,
+        total_length=Ipv4Header.LENGTH + 30,
+    ).pack() + b"x" * 30)
+    packet[8] ^= 0x01
+    return (
+        ("corrupted", ETHERTYPE_IP, bytes(packet)),
+        ("foreign", FOREIGN_ETHERTYPE, b"\x00" * 46),
+    )
+
+
+def test_router_books_every_frame_it_drops_before_forwarding():
+    """``Router._rx`` used to drop an unparseable IPv4 header and a
+    non-IP, non-ARP frame without a trace.  Each is booked under its
+    reason, and the interface is released once per frame."""
+    sim = Simulator()
+    topo = chain(sim, n_routers=1)
+    host_a, host_b = topo.hosts
+    router = topo.routers[0]
+    consumed = []
+    for tag, ethertype, payload in _corrupted_and_foreign(topo):
+        router._rx(
+            router.interfaces[0], ethertype, payload,
+            LinkInfo(host_a.nic.mac), lambda tag=tag: consumed.append(tag),
+        )
+    sim.run(until=0.1)
+    assert router.stats["bad_header"] == 1
+    assert router.stats["unknown_ethertype"] == 1
+    assert router.stats["forwarded"] == 0
+    assert host_b.ip_stack.stats["received"] == 0
+    assert consumed == ["corrupted", "foreign"]
+
+
+def test_host_books_every_frame_its_kernel_drops():
+    """``Host._kernel_rx`` dropped a non-IP, non-ARP frame without a
+    trace; now the host books it.  A broken IPv4 header is the IP
+    layer's to book, as ``bad_checksum``.  ``done`` runs once per frame."""
+    sim = Simulator()
+    topo = chain(sim, n_routers=1)
+    host_a, host_b = topo.hosts
+    consumed = []
+    for tag, ethertype, payload in _corrupted_and_foreign(topo):
+        host_b._kernel_rx(
+            ethertype, payload, LinkInfo(host_a.nic.mac),
+            lambda tag=tag: consumed.append(tag),
+        )
+    sim.run(until=0.1)
+    assert host_b.ip_stack.stats["bad_checksum"] == 1
+    assert host_b.stats["unknown_ethertype"] == 1
+    assert host_b.ip_stack.stats["received"] == 0
+    assert consumed == ["corrupted", "foreign"]
+
+
 # ----------------------------------------------------------------------
 # Router input queue: a deque plus the event the idle worker waits on
 # ----------------------------------------------------------------------

@@ -13,16 +13,25 @@ import random
 
 import pytest
 
+from repro.costs import FREE
+from repro.mach import Kernel
 from repro.net import buf
 from repro.net.buf import PacketBuffer, as_wire_bytes, prepend, slice_view
 from repro.net.checksum import checksum_parts, internet_checksum
 from repro.net.headers import (
+    BROADCAST_MAC,
+    ETHERTYPE_IP,
     TCP_ACK,
     TCP_FIN,
     TCP_PSH,
+    An1Header,
+    EthernetHeader,
     Ipv4Header,
     PROTO_UDP,
 )
+from repro.net.link import An1Link, EthernetLink
+from repro.net.nic.an1ctrl import An1Nic
+from repro.net.nic.pmadd import PmaddNic
 from repro.protocols.ip import IpStack, forwarded_copy
 from repro.protocols.tcp.wire import (
     Segment,
@@ -32,12 +41,14 @@ from repro.protocols.tcp.wire import (
 )
 from repro.metrics import measure_throughput
 from repro.protocols.udp import decode_datagram, encode_datagram
+from repro.sim import Simulator
 from repro.testbed import Testbed
 
 from . import eager_datapath as eager
 
 IP_A = 0x0A000001
 IP_B = 0x0A000002
+MAC_A = b"\x02\x00\x00\x00\x00\x01"
 
 #: Payload sizes that have historically hidden bugs: empty, single byte,
 #: odd lengths (checksum tail byte), and a full MTU's worth.
@@ -76,14 +87,6 @@ def test_packet_buffer_basic_ops():
     assert chain.tobytes() == b"headbody-odd"
     assert chain[0] == ord("h") and chain[-1] == ord("d")
     assert chain[4:8] == b"body"
-    assert list(chain) == list(b"headbody-odd")
-    assert chain == b"headbody-odd"
-
-
-def test_packet_buffer_concat_operators():
-    chain = b"one" + PacketBuffer((b"two",)) + b"three"
-    assert isinstance(chain, PacketBuffer)
-    assert chain.tobytes() == b"onetwothree"
 
 
 def test_prepend_shares_but_never_mutates_payload_chain():
@@ -104,6 +107,56 @@ def test_materialization_is_cached_and_counted_once():
     assert first is second
     assert buf.STATS.materialized_bytes == 150
     assert buf.STATS.materialize_ops == 1
+
+
+def _transmit_one_chain(network):
+    """Hand one link-framed chain to a driver and run it onto the wire.
+    Returns the chain, what the driver handed its ``Transmitter`` (each
+    as its type and the fusions counted so far) and what the wire saw."""
+    sim = Simulator()
+    if network == "ethernet":
+        link = EthernetLink(sim)
+        nic = PmaddNic(Kernel(sim, FREE, name="a"), link, MAC_A)
+        header = EthernetHeader(BROADCAST_MAC, MAC_A, ETHERTYPE_IP).pack()
+    else:
+        link = An1Link(sim)
+        nic = An1Nic(Kernel(sim, FREE, name="a"), link, station=1)
+        header = An1Header(2, 1, ETHERTYPE_IP).pack()
+    chain = prepend(header, encode_datagram(4000, 53, payload_of(64), IP_A, IP_B))
+    handed, submit = [], nic._tx.submit
+
+    def spy(frame):
+        handed.append((type(frame), buf.STATS.materialize_ops))
+        return submit(frame)
+
+    nic._tx.submit = spy
+    wired = []
+    link.taps.append(wired.append)
+    sim.process(nic.driver_transmit(chain))
+    sim.run()
+    return chain, handed, wired
+
+
+def test_pmadd_fuses_a_frame_at_its_pio_copy():
+    """The PMADD has no DMA: the host copies every frame onto the board
+    (§3.3), and that copy is the frame's one fusion.  Staging, the
+    transmitter and the wire all hold the bytes it made."""
+    chain, handed, wired = _transmit_one_chain("ethernet")
+    assert handed == [(bytes, 1)]
+    assert buf.STATS.materialize_ops == 1
+    assert buf.STATS.materialized_bytes == len(chain)
+    assert len(wired) == 1 and wired[0] is chain.tobytes()
+
+
+def test_an1_fuses_a_frame_at_its_dma_fetch():
+    """The AN1 controller fetches a frame by DMA after the driver posts
+    its descriptor: the chain reaches the transmitter unfused and
+    becomes octets once, at the fetch."""
+    chain, handed, wired = _transmit_one_chain("an1")
+    assert handed == [(PacketBuffer, 0)]
+    assert buf.STATS.materialize_ops == 1
+    assert buf.STATS.materialized_bytes == len(chain)
+    assert len(wired) == 1 and wired[0] is chain.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +240,7 @@ def test_ip_send_chain_equals_eager(size):
     def build():
         stack = IpStack(IP_A)
         packets = stack.send(IP_B, PROTO_UDP, data, mtu=1500)
-        return PacketBuffer(as_wire_bytes(p) for p in packets)
+        return b"".join(as_wire_bytes(p) for p in packets)
 
     chained, copied = in_both_modes(build)
     assert chained == copied

@@ -48,7 +48,7 @@ def tcp_frame(src_ip, dst_ip, sport, dport, payload=b""):
     ip = Ipv4Header(
         src=src_ip, dst=dst_ip, protocol=PROTO_TCP,
         total_length=Ipv4Header.LENGTH + len(tcp),
-    ).pack() + tcp
+    ).pack() + tcp.tobytes()
     return EthernetHeader(MAC_B, MAC_A, ETHERTYPE_IP).pack() + ip
 
 
@@ -228,7 +228,7 @@ def test_udp_template_allows_any_destination():
         packet = Ipv4Header(
             src=IP_A, dst=dst, protocol=PROTO_UDP,
             total_length=Ipv4Header.LENGTH + len(udp),
-        ).pack() + udp
+        ).pack() + udp.tobytes()
         template.verify(packet)
 
 
@@ -240,7 +240,7 @@ def test_udp_template_pins_source_port():
     packet = Ipv4Header(
         src=IP_A, dst=IP_B, protocol=PROTO_UDP,
         total_length=Ipv4Header.LENGTH + len(udp),
-    ).pack() + udp
+    ).pack() + udp.tobytes()
     with pytest.raises(TemplateViolation):
         template.verify(packet)
 

@@ -52,7 +52,7 @@ def ip_packet(src_ip, dst_ip, sport, dport, payload=b"hi"):
             src=src_ip, dst=dst_ip, protocol=PROTO_TCP,
             total_length=Ipv4Header.LENGTH + len(tcp),
         ).pack()
-        + tcp
+        + tcp.tobytes()
     )
 
 

@@ -49,7 +49,7 @@ def tcp_frame(sport, dport, src_ip=IP_A, dst_ip=IP_B):
     ip = Ipv4Header(
         src=src_ip, dst=dst_ip, protocol=PROTO_TCP,
         total_length=Ipv4Header.LENGTH + len(tcp),
-    ).pack() + tcp
+    ).pack() + tcp.tobytes()
     return EthernetHeader(MAC_B, MAC_A, ETHERTYPE_IP).pack() + ip
 
 

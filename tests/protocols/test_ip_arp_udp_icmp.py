@@ -55,21 +55,30 @@ def test_ip_small_payload_single_packet():
 def test_ip_total_length_below_header_is_dropped():
     """A valid header checksum does not vouch for ``total_length``: a
     packet claiming fewer bytes than its own header used to come back as
-    an empty-payload datagram and be counted ``received``."""
-    packet = Ipv4Header(
-        src=IP_A, dst=IP_B, protocol=PROTO_UDP, total_length=5
-    ).pack() + b"x" * 30
+    an empty-payload datagram and be counted ``received``.  One claiming
+    a byte more than arrived is the same lie, booked under the same
+    reason (it used to be counted ``bad_checksum``), as the router books
+    both."""
     receiver = IpStack(IP_B)
-    assert receiver.receive(packet) is None
-    assert receiver.stats["bad_length"] == 1
+
+    def arrive(total_length):
+        return receiver.receive(Ipv4Header(
+            src=IP_A, dst=IP_B, protocol=PROTO_UDP, total_length=total_length
+        ).pack() + b"x" * 30)
+
+    assert arrive(5) is None     # Below the header length.
+    assert arrive(51) is None    # One byte more than arrived.
+    assert receiver.stats["bad_length"] == 2
+    assert receiver.stats["bad_checksum"] == 0
     assert receiver.stats["received"] == 0
+    assert arrive(50) is not None  # The control: every byte is there.
     # The boundary: a bare header is a legal (empty) datagram.
     bare = Ipv4Header(
         src=IP_A, dst=IP_B, protocol=PROTO_UDP, total_length=Ipv4Header.LENGTH
     ).pack()
     datagram = receiver.receive(bare)
     assert datagram is not None and len(datagram.payload) == 0
-    assert receiver.stats["received"] == 1
+    assert receiver.stats["received"] == 2
 
 
 def test_ip_fragmentation_and_reassembly():

@@ -7,6 +7,7 @@ import pytest
 from repro.costs import FREE
 from repro.mach import Kernel
 from repro.net import An1Link, An1Nic, EthernetLink, PmaddNic, str_to_mac
+from repro.net.buf import prepend
 from repro.net.headers import Ipv4Header, PROTO_TCP, TCP_ACK
 from repro.netio import NetworkIoModule, tcp_send_template
 from repro.netio.template import ByteConstraint, HeaderTemplate
@@ -74,12 +75,12 @@ def ip_packet(src_ip, dst_ip, sport, dport, payload=b"x" * 40):
         window=100, payload=payload,
     )
     tcp = encode_segment(seg, src_ip, dst_ip)
-    return (
+    return prepend(
         Ipv4Header(
             src=src_ip, dst=dst_ip, protocol=PROTO_TCP,
             total_length=Ipv4Header.LENGTH + len(tcp),
-        ).pack()
-        + tcp
+        ).pack(),
+        tcp,
     )
 
 

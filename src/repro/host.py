@@ -16,7 +16,6 @@ from .costs import CostModel, DECSTATION_5000_200
 from .counters import Counters
 from .mach import Kernel, Task
 from .net.headers import (
-    ARP_REPLY,
     ETHERTYPE_ARP,
     ETHERTYPE_IP,
     ArpPacket,
@@ -28,7 +27,6 @@ from .net.headers import (
     UdpHeader,
     ip_to_str,
 )
-from .net.buf import prepend
 from .net.link import An1Link, EthernetLink, Link
 from .net.nic.an1ctrl import An1Nic
 from .net.nic.pmadd import PmaddNic
@@ -42,7 +40,7 @@ from .protocols.icmp import (
     encode_unreachable,
     make_reply,
 )
-from .protocols.ip import IpStack
+from .protocols.ip import IpStack, encapsulate
 from .protocols.udp import UdpPortTable
 from .sim import Simulator
 
@@ -281,15 +279,7 @@ class Host:
         self, channel: Channel, datagram, link_info: LinkInfo, done: Done,
         _event: object,
     ) -> None:
-        packet = prepend(
-            Ipv4Header(
-                src=datagram.src,
-                dst=self.ip,
-                protocol=PROTO_UDP,
-                total_length=Ipv4Header.LENGTH + len(datagram.payload),
-            ).pack(),
-            datagram.payload,
-        )
+        packet = encapsulate(datagram.src, self.ip, PROTO_UDP, datagram.payload)
         self.netio._deliver(channel, packet, link_info, done)
 
     def _arp_rx(self, payload: bytes) -> Generator:

@@ -41,9 +41,8 @@ from ...protocols.icmp import (
     is_icmp_error,
     make_reply,
 )
-from ...protocols.ip import IpError, forwarded_copy
+from ...protocols.ip import IpError, encapsulate, forwarded_copy
 from ...sim import Event, Simulator
-from ..buf import prepend
 from ..headers import (
     ETHERTYPE_ARP,
     ETHERTYPE_IP,
@@ -358,15 +357,7 @@ class Router:
                 self.stats["arp_failed"] += 1
                 return
         yield from self.kernel.cpu.consume(self.kernel.costs.ip_output)
-        ip_packet = prepend(
-            Ipv4Header(
-                src=out_iface.ip,
-                dst=dst_ip,
-                protocol=PROTO_ICMP,
-                total_length=Ipv4Header.LENGTH + len(icmp_payload),
-            ).pack(),
-            icmp_payload,
-        )
+        ip_packet = encapsulate(out_iface.ip, dst_ip, PROTO_ICMP, icmp_payload)
         yield from out_iface.netio.kernel_send(ip_packet, link_dst)
 
     def _resolve(

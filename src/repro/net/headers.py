@@ -6,12 +6,27 @@ field), ARP, IPv4, UDP, and ICMP; TCP's header is the one codec in
 ``repro.protocols.tcp.wire``, and only its flag bits live here.
 Checksums are genuine RFC 1071 sums; the fault-injection layer flips
 real bits and receivers really reject the damage.
+
+Every header follows the TCP codec's rule.  A header is a plain record
+(a ``NamedTuple``) checked in the one place that can see each kind of
+value:
+
+* *Caller values* are checked by ``pack()``: ``struct`` refuses a field
+  wider than its slot, and the refusal is raised as
+  :class:`HeaderError`.  Only what ``struct`` cannot see is tested by
+  hand: a MAC that is not six bytes, and an IPv4 fragment offset
+  sharing its 16-bit slot with the flags.
+* *Wire values* are checked by ``unpack()``, which reads the header
+  with one ``unpack_from`` and builds its record from that tuple in one
+  step.  A slot read off the wire cannot overflow, so only what the
+  protocol forbids is tested: short headers, IPv4 version, IHL and
+  checksum, ARP hardware types and operation, a UDP length below eight.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .buf import as_wire_bytes
 from .checksum import internet_checksum
@@ -21,6 +36,10 @@ from .checksum import internet_checksum
 #: else (a :class:`~repro.net.buf.PacketBuffer`) is read through its
 #: fused image, which the chain caches.
 _FLAT = (bytes, memoryview, bytearray)
+
+#: A record straight from an ``unpack_from`` tuple, with no ``__new__``
+#: frame in between.
+_record = tuple.__new__
 
 
 # ----------------------------------------------------------------------
@@ -73,13 +92,16 @@ class HeaderError(ValueError):
     """A header failed to parse or validate."""
 
 
+def _refused(name: str, exc: struct.error) -> HeaderError:
+    return HeaderError(f"{name} header field out of range: {exc}")
+
+
 # ----------------------------------------------------------------------
 # Link level: Ethernet and AN1
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EthernetHeader:
+class EthernetHeader(NamedTuple):
     """Classic DIX Ethernet II header: dst, src, ethertype."""
 
     dst: bytes
@@ -89,14 +111,14 @@ class EthernetHeader:
     LENGTH = 14
     _STRUCT = struct.Struct("!6s6sH")
 
-    def __post_init__(self) -> None:
+    def pack(self) -> bytes:
+        # ``6s`` pads or truncates silently: the one check struct cannot make.
         if len(self.dst) != 6 or len(self.src) != 6:
             raise HeaderError("MAC addresses must be 6 bytes")
-        if not 0 <= self.ethertype <= 0xFFFF:
-            raise HeaderError(f"bad ethertype {self.ethertype:#x}")
-
-    def pack(self) -> bytes:
-        return self._STRUCT.pack(self.dst, self.src, self.ethertype)
+        try:
+            return self._STRUCT.pack(*self)
+        except struct.error as exc:
+            raise _refused("Ethernet", exc) from None
 
     @classmethod
     def unpack(cls, data: bytes) -> "EthernetHeader":
@@ -104,12 +126,10 @@ class EthernetHeader:
             data = as_wire_bytes(data)
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short Ethernet header ({len(data)} bytes)")
-        dst, src, ethertype = cls._STRUCT.unpack_from(data)
-        return cls(dst, src, ethertype)
+        return _record(cls, cls._STRUCT.unpack_from(data))
 
 
-@dataclass(frozen=True)
-class An1Header:
+class An1Header(NamedTuple):
     """DEC SRC AN1 link header.
 
     The field that matters to the paper is ``bqi``, the *buffer queue
@@ -140,21 +160,11 @@ class An1Header:
     _STRUCT = struct.Struct("!HHHHH")
     MAX_BQI = 0xFFFF
 
-    def __post_init__(self) -> None:
-        for name, value in (
-            ("dst", self.dst),
-            ("src", self.src),
-            ("ethertype", self.ethertype),
-            ("bqi", self.bqi),
-            ("adv_bqi", self.adv_bqi),
-        ):
-            if not 0 <= value <= 0xFFFF:
-                raise HeaderError(f"bad AN1 {name} {value:#x}")
-
     def pack(self) -> bytes:
-        return self._STRUCT.pack(
-            self.dst, self.src, self.ethertype, self.bqi, self.adv_bqi
-        )
+        try:
+            return self._STRUCT.pack(*self)
+        except struct.error as exc:
+            raise _refused("AN1", exc) from None
 
     @classmethod
     def unpack(cls, data: bytes) -> "An1Header":
@@ -162,12 +172,7 @@ class An1Header:
             data = as_wire_bytes(data)
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short AN1 header ({len(data)} bytes)")
-        dst, src, ethertype, bqi, adv_bqi = cls._STRUCT.unpack_from(data)
-        return cls(dst, src, ethertype, bqi, adv_bqi)
-
-    def with_bqi(self, bqi: int) -> "An1Header":
-        """Copy with a different buffer queue index."""
-        return An1Header(self.dst, self.src, self.ethertype, bqi, self.adv_bqi)
+        return _record(cls, cls._STRUCT.unpack_from(data))
 
 
 # ----------------------------------------------------------------------
@@ -178,8 +183,7 @@ ARP_REQUEST = 1
 ARP_REPLY = 2
 
 
-@dataclass(frozen=True)
-class ArpPacket:
+class ArpPacket(NamedTuple):
     """ARP for IPv4-over-Ethernet (RFC 826)."""
 
     oper: int
@@ -191,24 +195,19 @@ class ArpPacket:
     LENGTH = 28
     _STRUCT = struct.Struct("!HHBBH6sI6sI")
 
-    def __post_init__(self) -> None:
-        if self.oper not in (ARP_REQUEST, ARP_REPLY):
-            raise HeaderError(f"bad ARP operation {self.oper}")
+    def pack(self) -> bytes:
         if len(self.sender_mac) != 6 or len(self.target_mac) != 6:
             raise HeaderError("ARP MAC addresses must be 6 bytes")
-
-    def pack(self) -> bytes:
-        return self._STRUCT.pack(
-            1,  # htype: Ethernet
-            ETHERTYPE_IP,
-            6,
-            4,
-            self.oper,
-            self.sender_mac,
-            self.sender_ip,
-            self.target_mac,
-            self.target_ip,
-        )
+        try:
+            return self._STRUCT.pack(
+                1,  # htype: Ethernet
+                ETHERTYPE_IP,
+                6,
+                4,
+                *self,
+            )
+        except struct.error as exc:
+            raise _refused("ARP", exc) from None
 
     @classmethod
     def unpack(cls, data: bytes) -> "ArpPacket":
@@ -219,19 +218,19 @@ class ArpPacket:
         htype, ptype, hlen, plen, oper, sha, spa, tha, tpa = cls._STRUCT.unpack_from(data)
         if htype != 1 or ptype != ETHERTYPE_IP or hlen != 6 or plen != 4:
             raise HeaderError("unsupported ARP hardware/protocol types")
-        return cls(oper, sha, spa, tha, tpa)
+        if oper not in (ARP_REQUEST, ARP_REPLY):
+            raise HeaderError(f"bad ARP operation {oper}")
+        return _record(cls, (oper, sha, spa, tha, tpa))
 
 
 # ----------------------------------------------------------------------
 # IPv4
 # ----------------------------------------------------------------------
 
-IP_FLAG_DF = 0x2
 IP_FLAG_MF = 0x1
 
 
-@dataclass(frozen=True)
-class Ipv4Header:
+class Ipv4Header(NamedTuple):
     """IPv4 header without options (RFC 791)."""
 
     src: int
@@ -247,25 +246,15 @@ class Ipv4Header:
     LENGTH = 20
     _STRUCT = struct.Struct("!BBHHHBBHII")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.total_length <= 0xFFFF:
-            raise HeaderError(f"bad total length {self.total_length}")
-        if not 0 <= self.frag_offset <= 0x1FFF:
-            raise HeaderError(f"bad fragment offset {self.frag_offset}")
-        if not 0 <= self.ident <= 0xFFFF:
-            raise HeaderError(f"bad ident {self.ident}")
-        if not 0 <= self.ttl <= 0xFF:
-            raise HeaderError(f"bad TTL {self.ttl}")
-
     @property
     def more_fragments(self) -> bool:
         return bool(self.flags & IP_FLAG_MF)
 
-    @property
-    def dont_fragment(self) -> bool:
-        return bool(self.flags & IP_FLAG_DF)
-
     def pack(self) -> bytes:
+        # The offset shares a 16-bit slot with the flags, so struct
+        # would take an offset too wide for its 13 bits.
+        if not 0 <= self.frag_offset <= 0x1FFF:
+            raise HeaderError(f"bad fragment offset {self.frag_offset}")
         fields = [
             (4 << 4) | 5,  # Version 4, IHL 5 words.
             self.tos,
@@ -278,7 +267,10 @@ class Ipv4Header:
             self.src,
             self.dst,
         ]
-        fields[7] = internet_checksum(self._STRUCT.pack(*fields))
+        try:
+            fields[7] = internet_checksum(self._STRUCT.pack(*fields))
+        except struct.error as exc:
+            raise _refused("IPv4", exc) from None
         return self._STRUCT.pack(*fields)
 
     @classmethod
@@ -312,17 +304,10 @@ class Ipv4Header:
             total = int.from_bytes(data[: cls.LENGTH], "little")
             if not total or total % 0xFFFF:
                 raise HeaderError("IPv4 header checksum mismatch")
-        return cls(
-            src=src,
-            dst=dst,
-            protocol=protocol,
-            total_length=total_length,
-            ident=ident,
-            flags=flags_frag >> 13,
-            frag_offset=flags_frag & 0x1FFF,
-            ttl=ttl,
-            tos=tos,
-        )
+        return _record(cls, (
+            src, dst, protocol, total_length, ident,
+            flags_frag >> 13, flags_frag & 0x1FFF, ttl, tos,
+        ))
 
 
 # ----------------------------------------------------------------------
@@ -330,8 +315,7 @@ class Ipv4Header:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UdpHeader:
+class UdpHeader(NamedTuple):
     """UDP header (RFC 768)."""
 
     sport: int
@@ -342,15 +326,11 @@ class UdpHeader:
     LENGTH = 8
     _STRUCT = struct.Struct("!HHHH")
 
-    def __post_init__(self) -> None:
-        for name, value in (("sport", self.sport), ("dport", self.dport)):
-            if not 0 <= value <= 0xFFFF:
-                raise HeaderError(f"bad UDP {name} {value}")
-        if self.length < self.LENGTH:
-            raise HeaderError(f"bad UDP length {self.length}")
-
     def pack(self) -> bytes:
-        return self._STRUCT.pack(self.sport, self.dport, self.length, self.checksum)
+        try:
+            return self._STRUCT.pack(*self)
+        except struct.error as exc:
+            raise _refused("UDP", exc) from None
 
     @classmethod
     def unpack(cls, data: bytes) -> "UdpHeader":
@@ -358,8 +338,10 @@ class UdpHeader:
             data = as_wire_bytes(data)
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short UDP header ({len(data)} bytes)")
-        sport, dport, length, checksum = cls._STRUCT.unpack_from(data)
-        return cls(sport, dport, length, checksum)
+        fields = cls._STRUCT.unpack_from(data)
+        if fields[2] < cls.LENGTH:
+            raise HeaderError(f"bad UDP length {fields[2]}")
+        return _record(cls, fields)
 
 
 # ----------------------------------------------------------------------
@@ -384,9 +366,9 @@ ICMP_DEST_UNREACHABLE = 3
 ICMP_TIME_EXCEEDED = 11
 
 
-@dataclass(frozen=True)
-class IcmpHeader:
-    """ICMP header for echo request/reply (RFC 792)."""
+class IcmpHeader(NamedTuple):
+    """ICMP header (RFC 792): type, code, and the echo identifier and
+    sequence number, which error messages leave zero."""
 
     icmp_type: int
     code: int
@@ -398,9 +380,12 @@ class IcmpHeader:
     _STRUCT = struct.Struct("!BBHHH")
 
     def pack(self) -> bytes:
-        return self._STRUCT.pack(
-            self.icmp_type, self.code, self.checksum, self.ident, self.seq
-        )
+        try:
+            return self._STRUCT.pack(
+                self.icmp_type, self.code, self.checksum, self.ident, self.seq
+            )
+        except struct.error as exc:
+            raise _refused("ICMP", exc) from None
 
     @classmethod
     def unpack(cls, data: bytes) -> "IcmpHeader":
@@ -409,4 +394,4 @@ class IcmpHeader:
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short ICMP header ({len(data)} bytes)")
         icmp_type, code, checksum, ident, seq = cls._STRUCT.unpack_from(data)
-        return cls(icmp_type, code, ident, seq, checksum)
+        return _record(cls, (icmp_type, code, ident, seq, checksum))

@@ -35,9 +35,10 @@ from ..counters import Counters
 from ..host import Host
 from ..mach.ipc import Message, rpc, send
 from ..mach.task import Task
-from ..net.buf import STATS, PacketBuffer, prepend, slice_view
+from ..net.buf import STATS, PacketBuffer, slice_view
 from ..net.headers import HeaderError, Ipv4Header, PROTO_UDP
 from ..netio.channels import Channel, ChannelClosed
+from ..protocols.ip import encapsulate
 from ..protocols.udp import UdpDatagram, decode_datagram, encode_datagram
 from ..sim import Event, Interrupt
 from ..tenancy.tenant import RateLimited
@@ -109,15 +110,7 @@ class UdpEndpoint:
         udp = encode_datagram(
             self.port, dst_port, data, self.service.host.ip, dst_ip
         )
-        packet = prepend(
-            Ipv4Header(
-                src=self.service.host.ip,
-                dst=dst_ip,
-                protocol=PROTO_UDP,
-                total_length=Ipv4Header.LENGTH + len(udp),
-            ).pack(),
-            udp,
-        )
+        packet = encapsulate(self.service.host.ip, dst_ip, PROTO_UDP, udp)
         link_dst = yield from self.service.host.resolve_link(dst_ip)
         own_bqi = self.channel.ring.bqi if self.channel.ring else 0
         try:
@@ -183,14 +176,20 @@ class UdpEndpoint:
                     # Locally forwarded chains (the kernel UDP relay)
                     # fuse here — the one copy the legacy concat made.
                     packet = packet.tobytes()
+                # Wire input, untrusted like any other: the IP header
+                # bounds the datagram, as ``IpStack.receive`` bounds it.
                 try:
                     header = Ipv4Header.unpack(packet)
+                    if not Ipv4Header.LENGTH <= header.total_length <= len(packet):
+                        self.stats["bad_length"] += 1
+                        continue
                     datagram = decode_datagram(
-                        slice_view(packet, Ipv4Header.LENGTH),
+                        slice_view(packet, Ipv4Header.LENGTH, header.total_length),
                         header.src,
                         header.dst,
                     )
                 except HeaderError:
+                    self.stats["bad_header"] += 1
                     continue
                 # BQI discovery: remember the peer's advertised ring.
                 if link_info is not None and getattr(link_info, "adv_bqi", 0):

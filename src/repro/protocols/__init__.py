@@ -9,8 +9,8 @@ from .arp import ArpStack, SendArp
 from ..net.checksum import internet_checksum, pseudo_header, verify_checksum
 from .icmp import (
     EchoMessage,
+    ErrorMessage,
     UNREACH_PORT,
-    UnreachableMessage,
     decode_echo,
     decode_unreachable,
     encode_echo,
@@ -46,7 +46,7 @@ __all__ = [
     "encode_datagram",
     "decode_datagram",
     "EchoMessage",
-    "UnreachableMessage",
+    "ErrorMessage",
     "encode_unreachable",
     "decode_unreachable",
     "UNREACH_PORT",

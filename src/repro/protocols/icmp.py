@@ -27,6 +27,33 @@ TTL_EXPIRED_IN_TRANSIT = 0
 FRAGMENT_REASSEMBLY_EXCEEDED = 1
 
 
+#: Bytes of the offending datagram an error message quotes: its IP
+#: header plus eight payload bytes, enough for the sender to identify
+#: the flow (the ports) — what traceroute depends on.
+_QUOTED = 20 + 8
+
+
+def _encode(icmp_type: int, code: int, ident: int, seq: int, body) -> bytes:
+    """One ICMP message with a correct checksum: the one encoder."""
+    message = IcmpHeader(icmp_type, code, ident, seq).pack() + bytes(body)
+    checksum = internet_checksum(message)
+    return message[:2] + checksum.to_bytes(2, "big") + message[4:]
+
+
+def _decode(data, types: tuple, verify: bool) -> Optional[IcmpHeader]:
+    """``data``'s header if its type is one of ``types`` (and, with
+    ``verify``, its checksum holds); None otherwise: the one decoder."""
+    try:
+        header = IcmpHeader.unpack(data)
+    except HeaderError:
+        return None
+    if header.icmp_type not in types:
+        return None
+    if verify and internet_checksum(data) != 0:
+        return None
+    return header
+
+
 @dataclass(frozen=True)
 class EchoMessage:
     """A parsed ICMP echo request or reply."""
@@ -42,21 +69,13 @@ def encode_echo(
 ) -> bytes:
     """Build an echo request/reply with a correct checksum."""
     icmp_type = ICMP_ECHO_REQUEST if is_request else ICMP_ECHO_REPLY
-    header = IcmpHeader(icmp_type=icmp_type, code=0, ident=ident, seq=seq)
-    body = header.pack() + bytes(payload)
-    checksum = internet_checksum(body)
-    return body[:2] + checksum.to_bytes(2, "big") + body[4:]
+    return _encode(icmp_type, 0, ident, seq, payload)
 
 
 def decode_echo(data: bytes, verify: bool = True) -> Optional[EchoMessage]:
     """Parse an echo message; None for other ICMP types or bad checksums."""
-    try:
-        header = IcmpHeader.unpack(data)
-    except HeaderError:
-        return None
-    if header.icmp_type not in (ICMP_ECHO_REQUEST, ICMP_ECHO_REPLY):
-        return None
-    if verify and internet_checksum(data) != 0:
+    header = _decode(data, (ICMP_ECHO_REQUEST, ICMP_ECHO_REPLY), verify)
+    if header is None:
         return None
     return EchoMessage(
         is_request=header.icmp_type == ICMP_ECHO_REQUEST,
@@ -74,8 +93,8 @@ def make_reply(request: EchoMessage) -> bytes:
 
 
 @dataclass(frozen=True)
-class UnreachableMessage:
-    """A parsed ICMP destination-unreachable message."""
+class ErrorMessage:
+    """A parsed ICMP error: destination unreachable or time exceeded."""
 
     code: int
     #: The offending datagram's IP header + first 8 payload bytes.
@@ -83,78 +102,37 @@ class UnreachableMessage:
 
 
 def encode_unreachable(code: int, original_packet: bytes) -> bytes:
-    """Build a destination-unreachable message (RFC 792).
-
-    ``original_packet`` is the full IP packet that could not be
-    delivered; the message quotes its header plus eight bytes of its
-    payload — enough for the sender to identify the flow (the ports).
-    """
-    quoted = bytes(original_packet[: 20 + 8])
-    header = IcmpHeader(icmp_type=ICMP_DEST_UNREACHABLE, code=code)
-    body = header.pack() + quoted
-    checksum = internet_checksum(body)
-    return body[:2] + checksum.to_bytes(2, "big") + body[4:]
+    """Build a destination-unreachable message (RFC 792) quoting
+    ``original_packet``, the full IP packet that could not be delivered."""
+    return _encode(ICMP_DEST_UNREACHABLE, code, 0, 0, original_packet[:_QUOTED])
 
 
-def decode_unreachable(data: bytes, verify: bool = True) -> Optional[UnreachableMessage]:
+def decode_unreachable(data: bytes, verify: bool = True) -> Optional[ErrorMessage]:
     """Parse a destination-unreachable message; None for other types."""
-    try:
-        header = IcmpHeader.unpack(data)
-    except HeaderError:
+    header = _decode(data, (ICMP_DEST_UNREACHABLE,), verify)
+    if header is None:
         return None
-    if header.icmp_type != ICMP_DEST_UNREACHABLE:
-        return None
-    if verify and internet_checksum(data) != 0:
-        return None
-    return UnreachableMessage(
-        code=header.code, original=bytes(data[IcmpHeader.LENGTH :])
-    )
-
-
-@dataclass(frozen=True)
-class TimeExceededMessage:
-    """A parsed ICMP time-exceeded message (routers: TTL hit zero)."""
-
-    code: int
-    #: The expired datagram's IP header + first 8 payload bytes.
-    original: bytes
+    return ErrorMessage(header.code, bytes(data[IcmpHeader.LENGTH :]))
 
 
 def encode_time_exceeded(
     original_packet: bytes, code: int = TTL_EXPIRED_IN_TRANSIT
 ) -> bytes:
-    """Build a time-exceeded message quoting the expired packet
-    (RFC 792): its IP header plus eight payload bytes, enough for the
-    sender to identify the flow — what traceroute depends on."""
-    quoted = bytes(original_packet[: 20 + 8])
-    header = IcmpHeader(icmp_type=ICMP_TIME_EXCEEDED, code=code)
-    body = header.pack() + quoted
-    checksum = internet_checksum(body)
-    return body[:2] + checksum.to_bytes(2, "big") + body[4:]
+    """Build a time-exceeded message (RFC 792; routers: TTL hit zero)
+    quoting the expired packet."""
+    return _encode(ICMP_TIME_EXCEEDED, code, 0, 0, original_packet[:_QUOTED])
 
 
-def decode_time_exceeded(
-    data: bytes, verify: bool = True
-) -> Optional[TimeExceededMessage]:
+def decode_time_exceeded(data: bytes, verify: bool = True) -> Optional[ErrorMessage]:
     """Parse a time-exceeded message; None for other types."""
-    try:
-        header = IcmpHeader.unpack(data)
-    except HeaderError:
+    header = _decode(data, (ICMP_TIME_EXCEEDED,), verify)
+    if header is None:
         return None
-    if header.icmp_type != ICMP_TIME_EXCEEDED:
-        return None
-    if verify and internet_checksum(data) != 0:
-        return None
-    return TimeExceededMessage(
-        code=header.code, original=bytes(data[IcmpHeader.LENGTH :])
-    )
+    return ErrorMessage(header.code, bytes(data[IcmpHeader.LENGTH :]))
 
 
 def is_icmp_error(payload: bytes) -> bool:
     """True when an ICMP payload is itself an error message — which a
     router must never answer with another ICMP error (RFC 1122)."""
-    try:
-        header = IcmpHeader.unpack(payload)
-    except HeaderError:
-        return False
-    return header.icmp_type in (ICMP_DEST_UNREACHABLE, ICMP_TIME_EXCEEDED)
+    errors = (ICMP_DEST_UNREACHABLE, ICMP_TIME_EXCEEDED)
+    return _decode(payload, errors, verify=False) is not None

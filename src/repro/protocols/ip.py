@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..net.buf import prepend, slice_view
-from ..net.headers import (
-    IP_FLAG_DF,
-    IP_FLAG_MF,
-    HeaderError,
-    Ipv4Header,
-)
+from ..net.headers import IP_FLAG_MF, HeaderError, Ipv4Header
 
 
 class IpError(ValueError):
@@ -63,6 +58,26 @@ def forwarded_copy(header: Ipv4Header, packet):
         head.to_bytes(Ipv4Header.LENGTH, "big"),
         slice_view(packet, Ipv4Header.LENGTH),
     )
+
+
+def encapsulate(
+    src: int,
+    dst: int,
+    protocol: int,
+    payload,
+    ident: int = 0,
+    flags: int = 0,
+    frag_offset: int = 0,
+    ttl: int = 64,
+):
+    """``payload`` behind an IPv4 header — the one place a header is
+    built.  The header is prepended onto the unsliced payload as a
+    fragment chain, fused when it reaches a wire."""
+    header = Ipv4Header(
+        src, dst, protocol, Ipv4Header.LENGTH + len(payload),
+        ident, flags, frag_offset, ttl,
+    )
+    return prepend(header.pack(), payload)
 
 
 @dataclass(frozen=True)
@@ -113,7 +128,6 @@ class IpStack:
         payload: bytes,
         mtu: int = 1500,
         ttl: int = 64,
-        dont_fragment: bool = False,
     ) -> list:
         """Build the wire packet(s) for one transport payload.
 
@@ -126,21 +140,7 @@ class IpStack:
         self.stats["sent"] += 1
         max_data = mtu - Ipv4Header.LENGTH
         if len(payload) <= max_data:
-            header = Ipv4Header(
-                src=self.local_ip,
-                dst=dst,
-                protocol=protocol,
-                total_length=Ipv4Header.LENGTH + len(payload),
-                ident=ident,
-                flags=IP_FLAG_DF if dont_fragment else 0,
-                ttl=ttl,
-            )
-            return [prepend(header.pack(), payload)]
-        if dont_fragment:
-            raise IpError(
-                f"payload of {len(payload)} bytes needs fragmentation "
-                f"but DF is set (MTU {mtu})"
-            )
+            return [encapsulate(self.local_ip, dst, protocol, payload, ident, ttl=ttl)]
         # Fragment: each fragment's data length a multiple of 8 except the last.
         chunk = (max_data // 8) * 8
         packets = []
@@ -148,17 +148,10 @@ class IpStack:
         while offset < len(payload):
             data = slice_view(payload, offset, min(offset + chunk, len(payload)))
             last = offset + len(data) >= len(payload)
-            header = Ipv4Header(
-                src=self.local_ip,
-                dst=dst,
-                protocol=protocol,
-                total_length=Ipv4Header.LENGTH + len(data),
-                ident=ident,
-                flags=0 if last else IP_FLAG_MF,
-                frag_offset=offset // 8,
-                ttl=ttl,
-            )
-            packets.append(prepend(header.pack(), data))
+            packets.append(encapsulate(
+                self.local_ip, dst, protocol, data, ident,
+                0 if last else IP_FLAG_MF, offset // 8, ttl,
+            ))
             offset += len(data)
         self.stats["fragments_sent"] += len(packets)
         return packets
@@ -177,7 +170,8 @@ class IpStack:
         try:
             header = Ipv4Header.unpack(packet)
         except HeaderError:
-            self.stats["bad_checksum"] += 1
+            # Bad checksum, not version 4, options, or short.
+            self.stats["bad_header"] += 1
             return None
         if header.dst != self.local_ip:
             self.stats["not_ours"] += 1

@@ -34,9 +34,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
-from ..net.headers import Ipv4Header, PROTO_UDP
-from ..net.buf import prepend
+from ..net.headers import PROTO_UDP
 from ..org.udplib import LibraryUdpService
+from ..protocols.ip import encapsulate
 from ..protocols.udp import encode_datagram
 from ..testbed import IP_A, IP_B, Testbed
 from .invariants import (
@@ -257,15 +257,7 @@ def run_cell(
         datagram = encode_datagram(
             TELEMETRY_PORT, 9, b"spoof", bed.host_a.ip, IP_B
         )
-        packet = prepend(
-            Ipv4Header(
-                src=bed.host_a.ip,
-                dst=IP_B,
-                protocol=PROTO_UDP,
-                total_length=Ipv4Header.LENGTH + len(datagram),
-            ).pack(),
-            datagram,
-        )
+        packet = encapsulate(bed.host_a.ip, IP_B, PROTO_UDP, datagram)
         link_dst = yield from bed.host_a.resolve_link(IP_B)
         for _ in range(5):
             try:

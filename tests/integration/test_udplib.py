@@ -131,6 +131,43 @@ def test_udp_template_blocks_spoofed_source():
     assert testbed.run(until=proc)
 
 
+def test_udp_ignores_bytes_beyond_ip_total_length():
+    """The IP header bounds the datagram: a 13-byte UDP datagram behind a
+    header claiming ``total_length`` 28 (eight bytes of UDP) is cut to
+    eight bytes, which cannot hold what its UDP length claims, so the
+    endpoint drops it instead of delivering ``b"hello"``.  A
+    ``total_length`` past the packet's end is dropped before decoding."""
+    from repro.net.headers import Ipv4Header, PROTO_UDP
+    from repro.protocols.udp import encode_datagram
+    from repro.testbed import MAC_B
+
+    testbed, udp_a, udp_b = make_services("ethernet")
+    got = []
+
+    def server(endpoint):
+        data, _ = yield from endpoint.recvfrom()
+        got.append(data)
+
+    def scenario():
+        endpoint = yield from udp_b.bind(6000)
+        testbed.spawn(server(endpoint), name="server")
+        udp = encode_datagram(5000, 6000, b"hello", IP_A, IP_B).tobytes()
+        for total_length in (Ipv4Header.LENGTH + 8, Ipv4Header.LENGTH + len(udp) + 1):
+            header = Ipv4Header(
+                src=IP_A, dst=IP_B, protocol=PROTO_UDP, total_length=total_length
+            ).pack()
+            yield from testbed.host_a.netio.kernel_send(header + udp, MAC_B)
+        yield testbed.sim.timeout(0.1)
+        return endpoint
+
+    proc = testbed.spawn(scenario(), name="scenario")
+    endpoint = testbed.run(until=proc)
+    assert got == []
+    assert endpoint.stats["received"] == 0
+    assert endpoint.stats["bad_header"] == 1
+    assert endpoint.stats["bad_length"] == 1
+
+
 def test_udp_port_conflict_via_registry():
     testbed, udp_a, udp_b = make_services("ethernet")
     udp_a2 = LibraryUdpService(

@@ -30,9 +30,9 @@ from repro.net.headers import (
 from repro.net.link import An1Link
 from repro.net.nic.an1ctrl import An1Nic
 from repro.netio.module import LinkInfo, NetworkIoModule
-from repro.protocols.ip import forwarded_copy
+from repro.protocols.ip import IpStack, forwarded_copy
 from repro.protocols.tcp.wire import Segment, decode_segment, encode_segment
-from repro.protocols.udp import encode_datagram
+from repro.protocols.udp import decode_datagram, encode_datagram
 from repro.sim import Simulator
 
 IP_A = 0x0A000001
@@ -46,24 +46,35 @@ def profiled_calls(work) -> int:
     return sum(entry.callcount for entry in profiler.getstats())
 
 
-def test_router_hop_byte_work_call_gate():
-    """One router hop's byte work on a 64-byte UDP datagram — strip the
-    link header, unpack and verify the IP header, decrement the TTL,
-    put the next hop's link header on, fuse for the wire — costs 24
-    profiled calls.  It cost 100 (and this gate failed by 66) before the
-    big-integer checksum kernel, the closed-form TTL patch, chain
-    construction without re-walking and the per-neighbour packed link
-    header; then 31 while the header checksum went through
-    ``internet_checksum`` and ``_unswap`` rather than one residue test,
-    and each ``prepend`` walked its parts in ``PacketBuffer.__init__``.
+@pytest.mark.parametrize(
+    "case, ceiling", [("hop", 24), ("send", 48), ("receive", 31)],
+    ids=["hop", "send", "receive"],
+)
+def test_router_hop_byte_work_call_gate(case, ceiling):
+    """The byte work on a 64-byte UDP datagram at each end of a path and
+    at one router hop, in profiled calls.
+
+    ``hop`` — strip the link header, unpack and verify the IP header,
+    decrement the TTL, put the next hop's link header on, fuse for the
+    wire — costs 23.  ``send`` — ``encode_datagram``, ``IpStack.send``
+    (one ``encapsulate``), the link header, the fuse — costs 47.
+    ``receive`` — ``IpStack.receive`` and ``decode_datagram`` — costs 30.
+
+    History: ``hop`` cost 100 before the big-integer checksum kernel,
+    the closed-form TTL patch, chain construction without re-walking
+    and the per-neighbour packed link header, then 31 while the header
+    checksum went through ``internet_checksum`` and ``_unswap`` and each
+    ``prepend`` walked its parts; 24, 46 and 32 while every header was a
+    frozen dataclass whose decode ran ``__init__`` and ``__post_init__``
+    range checks (``send`` gained one ``encapsulate`` frame when the
+    five hand-built IPv4 headers became one function).
     """
     netio = chain(Simulator(), n_routers=1).routers[0].interfaces[1].netio
     next_hop = b"\x02\x00\x00\x00\x00\x09"
-    packet = (
-        Ipv4Header(
-            src=IP_A, dst=IP_B, protocol=PROTO_UDP, total_length=20 + 8 + 64
-        ).pack()
-        + encode_datagram(4000, 9000, bytes(64), IP_A, IP_B).tobytes()
+    body = bytes(64)
+    sender, receiver = IpStack(IP_A), IpStack(IP_B)
+    packet = as_wire_bytes(
+        sender.send(IP_B, PROTO_UDP, encode_datagram(4000, 9000, body, IP_A, IP_B))[0]
     )
     frame = EthernetHeader(netio.nic.mac, next_hop, 0x0800).pack() + packet
 
@@ -73,11 +84,27 @@ def test_router_hop_byte_work_call_gate():
         rewritten = forwarded_copy(header, payload)
         return as_wire_bytes(netio._encapsulate(rewritten, next_hop, 0))
 
-    out = hop()  # The steady state: this neighbour's link header is known.
-    assert out[EthernetHeader.LENGTH + 8] == 63  # TTL 64, one hop on.
-    assert Ipv4Header.unpack(out[EthernetHeader.LENGTH:], verify=True).ttl == 63
-    assert out[EthernetHeader.LENGTH + 20:] == packet[20:]
-    assert profiled_calls(hop) <= 26
+    def send():
+        datagram = encode_datagram(4000, 9000, body, IP_A, IP_B)
+        (out,) = sender.send(IP_B, PROTO_UDP, datagram)
+        return as_wire_bytes(netio._encapsulate(out, next_hop, 0))
+
+    def receive():
+        datagram = receiver.receive(slice_view(frame, EthernetHeader.LENGTH))
+        return decode_datagram(datagram.payload, datagram.src, datagram.dst)
+
+    work = {"hop": hop, "send": send, "receive": receive}[case]
+    out = work()  # The steady state: this neighbour's link header is known.
+    if case == "hop":
+        assert out[EthernetHeader.LENGTH + 8] == 63  # TTL 64, one hop on.
+        assert Ipv4Header.unpack(out[EthernetHeader.LENGTH:], verify=True).ttl == 63
+        assert out[EthernetHeader.LENGTH + 20:] == packet[20:]
+    elif case == "send":
+        assert Ipv4Header.unpack(out[EthernetHeader.LENGTH:]).total_length == len(packet)
+        assert out[EthernetHeader.LENGTH + 20:] == packet[20:]
+    else:
+        assert bytes(out.payload) == body
+    assert profiled_calls(work) <= ceiling
 
 
 def test_an1_frame_decodes_its_link_header_once():

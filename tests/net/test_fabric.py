@@ -367,7 +367,8 @@ def test_router_books_every_frame_it_drops_before_forwarding():
 def test_host_books_every_frame_its_kernel_drops():
     """``Host._kernel_rx`` dropped a non-IP, non-ARP frame without a
     trace; now the host books it.  A broken IPv4 header is the IP
-    layer's to book, as ``bad_checksum``.  ``done`` runs once per frame."""
+    layer's to book, as ``bad_header`` — the router's label for the same
+    failures.  ``done`` runs once per frame."""
     sim = Simulator()
     topo = chain(sim, n_routers=1)
     host_a, host_b = topo.hosts
@@ -378,7 +379,7 @@ def test_host_books_every_frame_its_kernel_drops():
             lambda tag=tag: consumed.append(tag),
         )
     sim.run(until=0.1)
-    assert host_b.ip_stack.stats["bad_checksum"] == 1
+    assert host_b.ip_stack.stats["bad_header"] == 1
     assert host_b.stats["unknown_ethertype"] == 1
     assert host_b.ip_stack.stats["received"] == 0
     assert consumed == ["corrupted", "foreign"]

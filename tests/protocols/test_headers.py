@@ -2,8 +2,15 @@
 
 TCP's header has no record of its own: ``Segment`` is packed and parsed
 by ``repro.protocols.tcp.wire``, so its cases go through
-``encode_segment`` / ``decode_segment(verify=False)``.
+``encode_segment`` / ``decode_segment(verify=False)``.  Every other
+header is a record whose caller values ``pack()`` checks and whose wire
+values ``unpack()`` checks, so a validation case packs a bad record or
+unpacks crafted bytes.
 """
+
+import ast
+import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -96,7 +103,9 @@ def test_ethernet_short_data_rejected():
 
 def test_ethernet_bad_mac_rejected():
     with pytest.raises(HeaderError):
-        EthernetHeader(b"\x00" * 5, MAC_B, ETHERTYPE_IP)
+        EthernetHeader(b"\x00" * 5, MAC_B, ETHERTYPE_IP).pack()
+    with pytest.raises(HeaderError):
+        EthernetHeader(MAC_A, MAC_B, 0x10000).pack()
 
 
 def test_an1_round_trip_with_bqi():
@@ -108,17 +117,12 @@ def test_an1_round_trip_with_bqi():
     assert parsed.bqi == 42
 
 
-def test_an1_with_bqi_copies():
-    header = An1Header(dst=3, src=7, ethertype=ETHERTYPE_IP)
-    assert header.bqi == 0  # BQI zero is the protected-kernel default.
-    rebadged = header.with_bqi(9)
-    assert rebadged.bqi == 9
-    assert rebadged.dst == header.dst
-
-
 def test_an1_field_validation():
+    assert An1Header(dst=3, src=7, ethertype=ETHERTYPE_IP).bqi == 0
     with pytest.raises(HeaderError):
-        An1Header(dst=0x10000, src=0, ethertype=0)
+        An1Header(dst=0x10000, src=0, ethertype=0).pack()
+    with pytest.raises(HeaderError):
+        An1Header(dst=1, src=0, ethertype=0, bqi=-1).pack()
 
 
 # ----------------------------------------------------------------------
@@ -143,8 +147,14 @@ def test_arp_reply_round_trip():
 
 
 def test_arp_bad_operation_rejected():
+    """The operation is a wire value, refused on decode; a bad MAC is
+    the caller's, refused on pack."""
+    wire = bytearray(ArpPacket(ARP_REQUEST, MAC_A, 0, MAC_B, 0).pack())
+    wire[7] = 3  # Operation 3: neither request nor reply.
     with pytest.raises(HeaderError):
-        ArpPacket(3, MAC_A, 0, MAC_B, 0)
+        ArpPacket.unpack(bytes(wire))
+    with pytest.raises(HeaderError):
+        ArpPacket(ARP_REQUEST, MAC_A[:5], 0, MAC_B, 0).pack()
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +206,6 @@ def test_ipv4_fragment_fields():
     )
     parsed = Ipv4Header.unpack(header.pack())
     assert parsed.more_fragments
-    assert not parsed.dont_fragment
     assert parsed.frag_offset == 185
 
 
@@ -210,10 +219,12 @@ def test_ipv4_rejects_non_v4():
 
 
 def test_ipv4_field_validation():
-    with pytest.raises(HeaderError):
-        Ipv4Header(src=1, dst=2, protocol=6, total_length=0x10000)
-    with pytest.raises(HeaderError):
-        Ipv4Header(src=1, dst=2, protocol=6, total_length=20, ttl=300)
+    """``frag_offset`` is checked by hand: it shares its 16-bit slot
+    with the flags, so ``struct`` would pack 0x2000 as a flag bit."""
+    for fields in ({"total_length": 0x10000}, {"ttl": 300}, {"frag_offset": 0x2000}):
+        header = Ipv4Header(src=1, dst=2, protocol=6, **{"total_length": 20, **fields})
+        with pytest.raises(HeaderError):
+            header.pack()
 
 
 # ----------------------------------------------------------------------
@@ -228,9 +239,10 @@ def test_udp_round_trip():
 
 def test_udp_validation():
     with pytest.raises(HeaderError):
-        UdpHeader(sport=70000, dport=1, length=8)
+        UdpHeader(sport=70000, dport=1, length=8).pack()
+    # A length below the header's own is a wire value, refused on decode.
     with pytest.raises(HeaderError):
-        UdpHeader(sport=1, dport=1, length=4)
+        UdpHeader.unpack(struct.pack("!HHHH", 1, 1, 4, 0))
 
 
 def _tcp_wire(**fields) -> bytes:
@@ -321,3 +333,33 @@ def test_icmp_round_trip():
     assert parsed.icmp_type == 8
     assert parsed.ident == 77
     assert parsed.seq == 3
+
+
+# ----------------------------------------------------------------------
+# Census
+# ----------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+def test_every_header_is_a_record_checked_where_packed():
+    """``net/headers.py`` holds records, not dataclasses re-checking
+    ranges on every construction and every decode, and one function,
+    ``protocols/ip.py``'s ``encapsulate``, builds every IPv4 header."""
+    tree = ast.parse((SRC / "net" / "headers.py").read_text())
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    decorated = {
+        cls.name for cls in classes for decorator in cls.decorator_list
+        if "dataclass" in ast.unparse(decorator)
+    }
+    post_inits = {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+    }
+    builders = {
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "Ipv4Header"
+    }
+    assert (decorated, post_inits, builders) == (set(), set(), {"protocols/ip.py"})

@@ -17,7 +17,6 @@ from repro.net.headers import (
 )
 from repro.protocols import (
     ArpStack,
-    IpError,
     IpStack,
     SendArp,
     UdpError,
@@ -69,7 +68,7 @@ def test_ip_total_length_below_header_is_dropped():
     assert arrive(5) is None     # Below the header length.
     assert arrive(51) is None    # One byte more than arrived.
     assert receiver.stats["bad_length"] == 2
-    assert receiver.stats["bad_checksum"] == 0
+    assert receiver.stats["bad_header"] == 0
     assert receiver.stats["received"] == 0
     assert arrive(50) is not None  # The control: every byte is there.
     # The boundary: a bare header is a legal (empty) datagram.
@@ -133,12 +132,6 @@ def test_ip_reassembly_expiry():
     assert receiver.pending_reassemblies == 0
 
 
-def test_ip_df_prevents_fragmentation():
-    ip = IpStack(IP_A)
-    with pytest.raises(IpError):
-        ip.send(IP_B, PROTO_TCP, b"x" * 3000, mtu=1500, dont_fragment=True)
-
-
 def test_ip_wrong_destination_dropped():
     ip = IpStack(IP_A)
     packets = ip.send(IP_B, PROTO_TCP, b"hi")
@@ -153,7 +146,7 @@ def test_ip_corrupted_header_dropped():
     packet[12] ^= 0xFF  # Corrupt the source address.
     receiver = IpStack(IP_B)
     assert receiver.receive(bytes(packet)) is None
-    assert receiver.stats["bad_checksum"] == 1
+    assert receiver.stats["bad_header"] == 1
 
 
 def test_ip_interleaved_reassemblies_by_ident():

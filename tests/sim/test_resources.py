@@ -345,7 +345,8 @@ def test_fat_tree_calls_per_datagram_gate():
     or timer, ``now`` an attribute; 649.3 once the byte work cost once
     per frame — ``prepend`` building its chain in one step, the PMADD
     fusing a frame at its PIO copy, and each link and IP header read
-    once per hop."""
+    once per hop; 644.5 once every link, IP and UDP header was a record
+    decoded without a constructor frame."""
     profiler = cProfile.Profile()
     profiler.enable()
     try:
@@ -353,7 +354,7 @@ def test_fat_tree_calls_per_datagram_gate():
     finally:
         profiler.disable()
     calls = sum(entry.callcount for entry in profiler.getstats())
-    assert calls / delivered <= 660.0
+    assert calls / delivered <= 655.0
 
 
 # ----------------------------------------------------------------------

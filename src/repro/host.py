@@ -70,7 +70,9 @@ class Host:
         self.ip = ip
         self.link_addr = link_addr
         self.kernel = Kernel(sim, costs, name=name)
-        if isinstance(link, An1Link):
+        #: Set once: every kernel IP send asks, through ``resolve_link``.
+        self.is_an1 = isinstance(link, An1Link)
+        if self.is_an1:
             self.nic = An1Nic(
                 self.kernel,
                 link,
@@ -115,10 +117,6 @@ class Host:
 
     def __repr__(self) -> str:
         return f"<Host {self.name} {ip_to_str(self.ip)}>"
-
-    @property
-    def is_an1(self) -> bool:
-        return isinstance(self.nic, An1Nic)
 
     @property
     def mtu(self) -> int:

@@ -41,8 +41,9 @@ from ...protocols.icmp import (
     is_icmp_error,
     make_reply,
 )
-from ...protocols.ip import IpError, encapsulate, forwarded_copy
+from ...protocols.ip import encapsulate, forwarded_header
 from ...sim import Event, Simulator
+from ..buf import slice_view
 from ..headers import (
     ETHERTYPE_ARP,
     ETHERTYPE_IP,
@@ -303,18 +304,22 @@ class Router:
                     iface, header, packet, encode_time_exceeded(packet)
                 )
                 continue
-            try:
-                rewritten = forwarded_copy(header, packet)
-            except IpError:
-                continue
+            head = forwarded_header(header, packet)
             out_iface = route.interface
             next_hop = route.gateway if route.gateway is not None else header.dst
-            link_dst = yield from self._resolve(out_iface, next_hop)
+            # The ARP cache hit inline; only a miss enters the resolver.
+            link_dst = out_iface.arp.lookup(next_hop, self.sim.now)
             if link_dst is None:
-                self.stats["arp_failed"] += 1
-                continue
+                link_dst = yield from self._resolve(out_iface, next_hop)
+                if link_dst is None:
+                    self.stats["arp_failed"] += 1
+                    continue
             self.stats["forwarded"] += 1
-            yield from out_iface.netio.kernel_send(rewritten, link_dst)
+            # One chain per hop: the next hop's link header and the
+            # patched IP header in front of a view of the rest.
+            yield from out_iface.netio.kernel_send(
+                slice_view(packet, Ipv4Header.LENGTH), link_dst, head=head
+            )
 
     def _icmp_error(
         self,

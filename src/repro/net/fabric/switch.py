@@ -62,7 +62,7 @@ class SwitchPort:
 
     # The link-facing NIC protocol -------------------------------------
 
-    def accepts(self, dst: object) -> bool:
+    def accepts(self, frame: bytes) -> bool:
         return True  # Promiscuous: a bridge sees every frame.
 
     def wire_deliver(self, frame: bytes) -> None:

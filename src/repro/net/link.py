@@ -19,7 +19,7 @@ from ..obs import spans as _spans
 from ..sim import Event, Serial, Simulator
 from .buf import as_wire_bytes
 from .faults import FaultInjector, FaultPlan, PERFECT
-from .headers import An1Header, BROADCAST_MAC, EthernetHeader
+from .headers import An1Header, EthernetHeader
 
 if TYPE_CHECKING:
     from .nic.base import Nic
@@ -40,8 +40,10 @@ class Link(abc.ABC):
     """Base class for simulated network segments.
 
     A link class says how long a frame occupies the wire
-    (:meth:`wire_time`) and who hears it (:meth:`receivers`); taking
-    turns on the wire is the :class:`Transmitter`'s job.
+    (:meth:`wire_time`).  Who hears a frame is learned at attach — each
+    NIC's peers, the other attached NICs — and narrowed per frame by
+    each peer's own address filter, ``accepts(frame)``.  Taking turns on
+    the wire is the :class:`Transmitter`'s job.
     """
 
     #: True when every sender contends for one medium; otherwise each
@@ -59,7 +61,9 @@ class Link(abc.ABC):
         self.bit_rate = bit_rate
         self.propagation_delay = propagation_delay
         self.faults = faults or PERFECT
-        self.nics: list["Nic"] = []
+        #: Every attached NIC, in attach order, mapped to the others in
+        #: attach order: everyone who hears its frames.
+        self._peers: dict["Nic", tuple["Nic", ...]] = {}
         self.fault_observers: list[FaultObserver] = []
         self.taps: list[Tap] = []
         self._medium = Serial(sim) if self.SHARED_MEDIUM else None
@@ -86,9 +90,12 @@ class Link(abc.ABC):
         A NIC may appear on the segment only once: a double attach would
         silently double-deliver every frame addressed to it.
         """
-        if nic in self.nics:
+        peers = self._peers
+        if nic in peers:
             raise ValueError(f"{nic!r} is already attached to this link")
-        self.nics.append(nic)
+        for other in peers:
+            peers[other] += (nic,)
+        peers[nic] = tuple(peers)
 
     @property
     @abc.abstractmethod
@@ -100,23 +107,17 @@ class Link(abc.ABC):
         """Seconds a ``length``-byte frame keeps its sender's turn:
         serialization plus the mandatory gap before the next frame."""
 
-    @abc.abstractmethod
     def receivers(self, sender: "Nic", frame: bytes) -> list["Nic"]:
         """The attached NICs, other than ``sender``, whose address
         filter accepts the flat ``frame``."""
+        return [nic for nic in self._peers[sender] if nic.accepts(frame)]
 
-    def _deliver_later(self, receivers: list["Nic"], frame: bytes) -> None:
-        faults = self.faults
-        if faults.inert and not self.fault_observers and _spans.RECORDER is None:
-            # No fault model, nobody watching: skip the per-frame
-            # FaultPlan allocation entirely.  Same deliveries, same
-            # engine events as the planned path would produce.
-            delay = self.propagation_delay
-            call_later = self.sim.call_later
-            for nic in receivers:
-                call_later(delay, nic.wire_deliver, frame)
-            return
-        plan = faults.plan(frame)
+    def _deliver_later(self, sender: "Nic", frame: bytes) -> None:
+        """Deliver ``sender``'s ``frame`` as the fault injector plans it,
+        shown to the fault observers and the span recorder.  A quiet
+        link never comes here (:meth:`Transmitter._turn_over`)."""
+        receivers = self.receivers(sender, frame)
+        plan = self.faults.plan(frame)
         for observer in self.fault_observers:
             observer(self, frame, plan)
         rec = _spans.RECORDER
@@ -156,7 +157,9 @@ class Transmitter:
     bytes, shown to the link's taps, and given a turn of
     ``link.wire_time`` on the sender's :class:`~repro.sim.Serial`.  When
     the turn ends the frame is counted on the link, delivered after the
-    propagation delay (the fault plan is drawn there), and the next
+    propagation delay to the sender's peers whose filter accepts it (a
+    fault plan is drawn there only when the link has a fault model or
+    a watcher, :meth:`Link._deliver_later`), and the next
     frame is pulled — from the transmitter's own bounded staging, or
     from ``pull`` when the owner queues frames itself (a switch port's
     egress queue).  No engine event is spent on a hand-off; the only
@@ -287,7 +290,17 @@ class Transmitter:
         traffic["frames"] += 1
         traffic["bytes"] += self._length
         traffic["busy_time"] += self._wire_time
-        link._deliver_later(link.receivers(self.sender, frame), frame)
+        if link.faults.inert and not link.fault_observers and _spans.RECORDER is None:
+            # No fault model, nobody watching: no FaultPlan and no
+            # receiver list per frame.  Same deliveries, same engine
+            # events as the planned path would produce.
+            delay = link.propagation_delay
+            call_later = link.sim.call_later
+            for peer in link._peers[self.sender]:
+                if peer.accepts(frame):
+                    call_later(delay, peer.wire_deliver, frame)
+        else:
+            link._deliver_later(self.sender, frame)
         frame = self._pull()
         if frame is None:
             self.busy = False
@@ -335,20 +348,12 @@ class EthernetLink(Link):
         return on_wire * 8 / self.bit_rate
 
     def wire_time(self, length: int) -> float:
-        # ``frame_time(length) + IFG`` spelled out (same float): this
-        # runs once per frame per hop.
-        on_wire = self.PREAMBLE + max(length, self.MIN_FRAME) + self.FCS
-        return on_wire * 8 / self.bit_rate + self.IFG
-
-    def receivers(self, sender: "Nic", frame: bytes) -> list["Nic"]:
-        # The wire only routes on the destination MAC; decoding the
-        # full header per frame is receiver-side work.
-        dst = frame[:6]
-        return [
-            nic
-            for nic in self.nics
-            if nic is not sender and nic.accepts(dst)
-        ]
+        # ``frame_time(length) + IFG`` spelled out, the runt padding
+        # without a ``max`` call (same float): this runs once per frame
+        # per hop.
+        if length < self.MIN_FRAME:
+            length = self.MIN_FRAME
+        return (self.PREAMBLE + length + self.FCS) * 8 / self.bit_rate + self.IFG
 
 
 class DuplexLink(EthernetLink):
@@ -410,13 +415,3 @@ class An1Link(Link):
     def wire_time(self, length: int) -> float:
         # ``frame_time(length) + GAP`` spelled out, as for Ethernet.
         return (length + self.OVERHEAD) * 8 / self.bit_rate + self.GAP
-
-    def receivers(self, sender: "Nic", frame: bytes) -> list["Nic"]:
-        # The wire only routes on the destination station, the header's
-        # first 16-bit word; a runt is the receiving controller's to drop.
-        dst = frame[0] << 8 | frame[1]
-        return [
-            nic
-            for nic in self.nics
-            if nic is not sender and nic.accepts(dst)
-        ]

@@ -27,6 +27,7 @@ from .base import Nic
 
 #: AN1 broadcast station address.
 AN1_BROADCAST = 0xFFFF
+_BROADCAST_OCTETS = AN1_BROADCAST.to_bytes(2, "big")
 
 
 class BqiTableFull(Exception):
@@ -95,6 +96,8 @@ class An1Nic(Nic):
             raise ValueError(f"bad station address {station}")
         self._driver_mtu_data = driver_mtu_data
         self.station = station
+        #: ``station`` as it stands in a frame's first 16-bit word.
+        self._station_octets = station.to_bytes(2, "big")
         # The controller fetches each frame by DMA, then sends it.
         self._tx = Transmitter(
             link, self, capacity=self.TX_DESCRIPTORS,
@@ -111,8 +114,11 @@ class An1Nic(Nic):
             self._driver_mtu_data, self.link.max_frame - An1Header.LENGTH
         )
 
-    def accepts(self, dst: Any) -> bool:
-        return dst == self.station or dst == AN1_BROADCAST
+    def accepts(self, frame: bytes) -> bool:
+        # The destination station, the header's first 16-bit word.  A
+        # runt shorter than that matches no station and is dropped here.
+        dst = frame[:2]
+        return dst == self._station_octets or dst == _BROADCAST_OCTETS
 
     # ------------------------------------------------------------------
     # BQI table management (privileged; called via the netio module)

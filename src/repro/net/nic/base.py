@@ -43,8 +43,9 @@ class Nic(abc.ABC):
         """Payload bytes available above the link header."""
 
     @abc.abstractmethod
-    def accepts(self, dst: Any) -> bool:
-        """Hardware address filter (free: done by the controller)."""
+    def accepts(self, frame: bytes) -> bool:
+        """Hardware address filter on the flat ``frame`` (free: done by
+        the controller, which reads its own address field)."""
 
     @abc.abstractmethod
     def driver_transmit(self, frame: bytes) -> Generator:

@@ -13,7 +13,7 @@ path, and the reason AN1 (DMA) changes the balance in Tables 2/3.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Generator, Optional
 
 from ...mach.kernel import Kernel
 from ...obs import spans as _spans
@@ -52,7 +52,9 @@ class PmaddNic(Nic):
     def mtu_data(self) -> int:
         return EthernetLink.MTU_DATA
 
-    def accepts(self, dst: Any) -> bool:
+    def accepts(self, frame: bytes) -> bool:
+        # The destination MAC, the frame's first six octets.
+        dst = frame[:6]
         return dst == self.mac or dst == BROADCAST_MAC
 
     # ------------------------------------------------------------------
@@ -67,7 +69,9 @@ class PmaddNic(Nic):
             frame = as_wire_bytes(frame)
         length = len(frame)
         costs = self.kernel.costs
-        cost = costs.pio_cost(length) + costs.pmadd_per_packet
+        # ``pio_cost(length)`` spelled out (same float), here and at the
+        # receive copy: both run once per frame.
+        cost = costs.pmadd_pio_per_byte * length + costs.pmadd_per_packet
         rec = _spans.RECORDER
         if rec is not None:
             rec.touch(frame, "nic.tx", self.sim.now, self.name, cost=cost)
@@ -117,7 +121,7 @@ class PmaddNic(Nic):
         # Popped only once the CPU took the interrupt: frames staged
         # while it was busy drain in arrival order, one after another.
         self._rx_frame = frame = self._rx_buffers.pop(0)
-        cost = self.kernel.costs.pio_cost(len(frame))
+        cost = self.kernel.costs.pmadd_pio_per_byte * len(frame)
         if cost:
             self.kernel.cpu.charge(cost, self._rx_dispatch)
         else:

@@ -519,13 +519,16 @@ class NetworkIoModule:
                 ip_packet, "netio.send", self.kernel.sim.now, self.name,
                 detail=channel.name, cost=costs.template_check,
             )
-        frame = self._encapsulate(
-            ip_packet,
-            channel.link_dst if link_dst is None else link_dst,
-            channel.peer_bqi if bqi is None else bqi,
-            adv_bqi=adv_bqi,
-        )
-        yield from self.nic.driver_transmit(frame)
+        if link_dst is None:
+            link_dst = channel.link_dst
+        if bqi is None:
+            bqi = channel.peer_bqi
+        key = (link_dst, ETHERTYPE_IP, bqi, adv_bqi)
+        try:
+            header = self._link_headers[key]
+        except KeyError:
+            header = self._link_header(key)
+        yield from self.nic.driver_transmit(prepend(header, ip_packet))
 
     def kernel_send(
         self,
@@ -534,9 +537,15 @@ class NetworkIoModule:
         ethertype: int = ETHERTYPE_IP,
         bqi: int = 0,
         adv_bqi: int = 0,
+        head: bytes = b"",
     ) -> Generator:
         """Trusted in-kernel transmission (monolithic stacks, registry,
-        ARP).  No trap, no template.
+        ARP, a router's forwarding).  No trap, no template.
+
+        ``head`` goes on between the link header and ``payload`` in the
+        same chain: a router passes the TTL-patched IP header there and
+        a view of the packet's unchanged rest as ``payload``, so a hop
+        builds one chain.
 
         A plain function returning the driver's generator: under
         ``yield from`` this behaves identically to a delegating
@@ -544,44 +553,49 @@ class NetworkIoModule:
         transmit path beneath it.
         """
         self.stats["tx"] += 1
-        rec = _spans.RECORDER
-        if rec is not None:
-            rec.touch(payload, "netio.send", self.kernel.sim.now, self.name,
-                      detail="kernel")
-        frame = self._encapsulate(payload, link_dst, bqi, ethertype, adv_bqi)
-        return self.nic.driver_transmit(frame)
-
-    def _encapsulate(
-        self,
-        payload: bytes,
-        link_dst: object,
-        bqi: int,
-        ethertype: int = ETHERTYPE_IP,
-        adv_bqi: int = 0,
-    ) -> bytes:
-        if link_dst is None:
-            raise ValueError("channel has no link destination")
-        # The paper's preformatted header: one packed image per distinct
-        # link header this interface sends, its field ranges checked when
-        # it is first built.
         key = (link_dst, ethertype, bqi, adv_bqi)
         try:
             header = self._link_headers[key]
         except KeyError:
-            if self.is_an1:
-                header = An1Header(
-                    dst=link_dst,
-                    src=self.nic.station,
-                    ethertype=ethertype,
-                    bqi=bqi,
-                    adv_bqi=adv_bqi,
-                ).pack()
-            else:
-                header = EthernetHeader(link_dst, self.nic.mac, ethertype).pack()
-            if len(self._link_headers) >= self.LINK_HEADER_MEMO:
-                self._link_headers.clear()
-            self._link_headers[key] = header
-        return prepend(header, payload)
+            header = self._link_header(key)
+        frame = prepend(header + head, payload)
+        rec = _spans.RECORDER
+        if rec is not None:
+            # A forwarded payload is a view of the frame the router
+            # received, not a chain: the id it resolves to goes on the
+            # new chain, so the bytes it fuses into are bound to it too.
+            frame.trace_id = rec.touch(
+                payload, "netio.send", self.kernel.sim.now, self.name,
+                detail="kernel",
+            )
+        return self.nic.driver_transmit(frame)
+
+    def _link_header(self, key: tuple) -> bytes:
+        """Pack and remember the link header ``send`` and
+        ``kernel_send`` did not find in ``_link_headers`` under
+        ``key``, ``(link_dst, ethertype, bqi, adv_bqi)``.
+
+        The paper's preformatted header: one packed image per distinct
+        link header this interface sends, its field ranges checked when
+        it is first built.
+        """
+        link_dst, ethertype, bqi, adv_bqi = key
+        if link_dst is None:
+            raise ValueError("channel has no link destination")
+        if self.is_an1:
+            header = An1Header(
+                dst=link_dst,
+                src=self.nic.station,
+                ethertype=ethertype,
+                bqi=bqi,
+                adv_bqi=adv_bqi,
+            ).pack()
+        else:
+            header = EthernetHeader(link_dst, self.nic.mac, ethertype).pack()
+        if len(self._link_headers) >= self.LINK_HEADER_MEMO:
+            self._link_headers.clear()
+        self._link_headers[key] = header
+        return header
 
     # ------------------------------------------------------------------
     # Reception

@@ -4,8 +4,8 @@ per-hop rewrite forwarding needs.
 The paper's IP library "does not implement the functions required for
 handling gateway traffic" — end hosts here likewise do no forwarding,
 but the switched-fabric :class:`~repro.net.fabric.router.Router` does:
-:func:`forwarded_copy` performs the one per-hop mutation IPv4 requires
-(TTL decrement + checksum rebuild).  Fragmentation/reassembly is real:
+:func:`forwarded_header` performs the one per-hop mutation IPv4 requires
+(TTL decrement + checksum patch).  Fragmentation/reassembly is real:
 a TCP/UDP payload larger than the link MTU leaves as multiple fragments
 and is reassembled at the final destination (fragments forward like any
 other packet; only endpoints reassemble).
@@ -31,10 +31,12 @@ _SUM_SHIFT = (Ipv4Header.LENGTH - 12) * 8
 _TTL_ONE = 1 << (Ipv4Header.LENGTH - 9) * 8
 
 
-def forwarded_copy(header: Ipv4Header, packet):
-    """The per-hop rewrite: ``packet`` with TTL decremented and the
-    header checksum patched incrementally (RFC 1624) — the payload is
-    carried forward by reference, not copied.
+def forwarded_header(header: Ipv4Header, packet) -> bytes:
+    """The per-hop rewrite: the 20 bytes of ``packet``'s header with the
+    TTL decremented and the checksum patched incrementally (RFC 1624).
+    The rest of the packet is not touched: the router puts these bytes
+    and the next hop's link header in front of a view of it, one chain
+    per hop (``NetworkIoModule.kernel_send(..., head=)``).
 
     ``header`` must be the already-unpacked header of ``packet``.
     Raises :class:`IpError` if the TTL cannot be decremented — the
@@ -54,10 +56,7 @@ def forwarded_copy(header: Ipv4Header, packet):
     # standing for 0xFFFF.
     patched = 0xFFFF - (((~checksum & 0xFFFF) + 0xFEFF) % 0xFFFF or 0xFFFF)
     head += ((patched - checksum) << _SUM_SHIFT) - _TTL_ONE
-    return prepend(
-        head.to_bytes(Ipv4Header.LENGTH, "big"),
-        slice_view(packet, Ipv4Header.LENGTH),
-    )
+    return head.to_bytes(Ipv4Header.LENGTH, "big")
 
 
 def encapsulate(

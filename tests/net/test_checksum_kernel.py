@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.buf import PacketBuffer, as_wire_bytes
+from repro.net.buf import PacketBuffer
 from repro.net.checksum import checksum_parts, internet_checksum
 from repro.net.headers import Ipv4Header
-from repro.protocols.ip import IpError, forwarded_copy
+from repro.protocols.ip import IpError, forwarded_header
 
 from . import legacy_checksum as legacy
 
@@ -136,7 +136,7 @@ def test_forwarded_copy_equals_repacked_header(ttl):
             tos=header.tos, ttl=ttl - 1,
         ).pack() + payload
         for shape in (packet, memoryview(packet)):
-            rewritten = as_wire_bytes(forwarded_copy(header, shape))
+            rewritten = forwarded_header(header, shape) + payload
             assert rewritten == expected, f"ttl={ttl} checksum={want:#06x}"
             assert Ipv4Header.unpack(rewritten, verify=True).ttl == ttl - 1
 
@@ -149,13 +149,14 @@ def test_forwarded_copy_of_a_negative_zero_checksum(ttl):
     packet = bytearray(header.pack() + b"tail")
     packet[10:12] = b"\xff\xff"
     assert Ipv4Header.unpack(packet, verify=True) == header
-    rewritten = as_wire_bytes(forwarded_copy(header, bytes(packet)))
-    assert Ipv4Header.unpack(rewritten, verify=True).ttl == ttl - 1
-    assert rewritten[12:] == bytes(packet[12:])
+    rewritten = forwarded_header(header, bytes(packet))
+    assert len(rewritten) == Ipv4Header.LENGTH
+    assert Ipv4Header.unpack(rewritten + b"tail", verify=True).ttl == ttl - 1
+    assert rewritten[12:] == bytes(packet[12:20])
 
 
 @pytest.mark.parametrize("ttl", [0, 1])
 def test_forwarded_copy_refuses_an_expired_ttl(ttl):
     header = Ipv4Header(src=1, dst=2, protocol=17, total_length=20, ttl=ttl)
     with pytest.raises(IpError):
-        forwarded_copy(header, header.pack())
+        forwarded_header(header, header.pack())

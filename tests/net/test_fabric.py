@@ -33,7 +33,7 @@ class FakeNic:
         self.received = []
         link.attach(self)
 
-    def accepts(self, dst):
+    def accepts(self, frame):
         return True
 
     def wire_deliver(self, frame):

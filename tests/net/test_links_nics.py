@@ -142,6 +142,54 @@ def test_ethernet_broadcast_reaches_all_others():
     assert len(got_b) == 1 and len(got_c) == 1
 
 
+def test_shared_ethernet_delivers_in_attach_order():
+    """The peer table learned at attach: a broadcast reaches every other
+    NIC in the order they attached, a unicast only its addressee."""
+    sim, link, kernels, nics = make_eth_world(n_hosts=3)
+    heard = []
+
+    def hear(name):
+        def handler(frame, context, done):
+            heard.append((name, frame[:6]))
+            done()
+
+        return handler
+
+    for nic in nics:
+        nic.rx_handler = hear(nic.name)
+
+    def send(nic, dst):
+        yield from nic.driver_transmit(eth_frame(dst, nic.mac))
+
+    for sender, dst in [(2, BROADCAST_MAC), (0, BROADCAST_MAC), (1, MAC_C)]:
+        sim.process(send(nics[sender], dst))
+        sim.run()
+    assert heard == [
+        ("nic0", BROADCAST_MAC), ("nic1", BROADCAST_MAC),
+        ("nic1", BROADCAST_MAC), ("nic2", BROADCAST_MAC),
+        ("nic2", MAC_C),
+    ]
+
+
+def test_nic_attached_after_the_first_frame_hears_the_next():
+    sim, link, kernels, nics = make_eth_world()
+    first, second = eth_frame(BROADCAST_MAC, MAC_A), eth_frame(MAC_C, MAC_A)
+    sim.process(nics[0].driver_transmit(first))
+    sim.run()
+    late = PmaddNic(Kernel(sim, FREE, name="h2"), link, MAC_C, name="late")
+    got = []
+    late.rx_handler = collect_handler(got)
+    sim.process(nics[0].driver_transmit(second))
+    sim.run()
+    assert [frame for frame, _ in got] == [second]
+    # And it is heard in turn by the NICs that were there before it.
+    heard = []
+    nics[1].rx_handler = collect_handler(heard)
+    sim.process(late.driver_transmit(eth_frame(BROADCAST_MAC, MAC_C)))
+    sim.run()
+    assert len(heard) == 1
+
+
 def test_ethernet_wire_time_includes_overheads():
     link_sim = Simulator()
     link = EthernetLink(link_sim)
@@ -357,6 +405,25 @@ def test_an1_delivers_via_default_bqi():
     assert len(got) == 1
     frame, ring = got[0]
     assert ring.bqi == 0
+
+
+def test_an1_runt_frame_is_dropped_and_the_run_goes_on():
+    """A frame too short to hold a destination station used to raise
+    ``IndexError`` out of ``sim.run()``: the link read the station's two
+    octets itself, inside the engine callback that ends the turn."""
+    sim, link, kernels, nics = make_an1_world()
+    got = []
+    nics[1].rx_handler = collect_handler(got)
+    frame = an1_frame(2, 1)
+
+    def send():
+        yield from nics[0].driver_transmit(b"\x00")
+        yield from nics[0].driver_transmit(frame)
+
+    sim.process(send())
+    sim.run()
+    assert [received for received, _ in got] == [frame]
+    assert link.stats["frames"] == 2
 
 
 def test_an1_nonzero_bqi_selects_ring():

@@ -2,6 +2,8 @@
 staging and back-pressure, taps, and the hand-offs that cost no engine
 event."""
 
+import cProfile
+
 import pytest
 
 from repro.costs import FREE
@@ -34,7 +36,7 @@ class Endpoint:
         self.received = []
         link.attach(self)
 
-    def accepts(self, dst):
+    def accepts(self, frame):
         return True
 
     def wire_deliver(self, frame):
@@ -102,6 +104,35 @@ def test_idle_hand_off_costs_no_engine_event():
     assert len(peer.received) == 3
     # Per frame: the turn on the wire and the delivery.  Nothing else.
     assert sim.engine_stats()["events"] == 6
+
+
+def test_link_turn_call_gate():
+    """One 78-byte frame across a quiet ``DuplexLink``, from
+    ``Transmitter.start`` to the peer's ``wire_deliver``, ``sim.run``
+    included, in profiled calls (cProfile's count, the ledger's
+    ``py_calls_per_op`` currency): 26.  The link delivers to the peers
+    it learned at attach, each filtering the frame itself.
+
+    History: 30 while each turn built a receiver list — one
+    ``receivers`` call, its list comprehension, one ``_deliver_later``
+    — and ``wire_time`` padded a runt with ``max``.
+    """
+    sim = Simulator()
+    link = DuplexLink(sim)
+    sender, peer = Endpoint(link, sim), Endpoint(link, sim)
+    transmitter = Transmitter(link, sender)
+    frame = eth_frame(1, size=64)
+    assert len(frame) == 78
+
+    def turn():
+        transmitter.start(frame)
+        sim.run()
+
+    turn()  # The steady state: every counter has been touched once.
+    profiler = cProfile.Profile()
+    profiler.runcall(turn)
+    assert [received for _, received in peer.received] == [frame, frame]
+    assert sum(entry.callcount for entry in profiler.getstats()) <= 27
 
 
 def test_taps_see_flat_frame_at_the_instant_its_turn_begins():

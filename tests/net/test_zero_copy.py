@@ -32,7 +32,7 @@ from repro.net.headers import (
 from repro.net.link import An1Link, EthernetLink
 from repro.net.nic.an1ctrl import An1Nic
 from repro.net.nic.pmadd import PmaddNic
-from repro.protocols.ip import IpStack, forwarded_copy
+from repro.protocols.ip import IpStack, forwarded_header
 from repro.protocols.tcp.wire import (
     Segment,
     TcpSegmentEncoder,
@@ -185,7 +185,7 @@ def test_checksum_parts_matches_flat_sum(trial):
 
 @pytest.mark.parametrize("trial", range(40))
 def test_incremental_update_matches_full_resum(trial):
-    """``forwarded_copy`` patches the header checksum for the TTL
+    """``forwarded_header`` patches the header checksum for the TTL
     decrement (RFC 1624) instead of resumming: on a random header it
     must store what a full re-pack stores."""
     rng = random.Random(1000 + trial)
@@ -197,7 +197,7 @@ def test_incremental_update_matches_full_resum(trial):
     )
     ttl = rng.randrange(2, 256)
     header = Ipv4Header(ttl=ttl, **fields)
-    updated = as_wire_bytes(forwarded_copy(header, header.pack() + payload))
+    updated = forwarded_header(header, header.pack() + payload) + payload
     resummed = Ipv4Header(ttl=ttl - 1, **fields).pack() + payload
     assert updated == resummed, f"{header!r}"
 
@@ -253,7 +253,16 @@ def test_forwarded_copy_chain_equals_eager_and_resums():
     )
     header = Ipv4Header.unpack(packet)
 
-    chained, copied = in_both_modes(lambda: forwarded_copy(header, packet))
+    def forward():
+        # The router's chain, link header aside: the patched header in
+        # front of a view of the packet's rest (read through ``buf``,
+        # which the oracle rebinds).
+        return buf.prepend(
+            forwarded_header(header, packet),
+            buf.slice_view(packet, Ipv4Header.LENGTH),
+        )
+
+    chained, copied = in_both_modes(forward)
     assert chained == copied
     rewritten = Ipv4Header.unpack(chained, verify=True)  # checksum still valid
     assert rewritten.ttl == header.ttl - 1

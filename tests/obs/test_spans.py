@@ -5,7 +5,7 @@ from repro import obs
 from repro.net.buf import PacketBuffer, as_wire_bytes, prepend
 from repro.net.faults import FaultInjector
 from repro.obs.spans import SpanRecorder
-from repro.testbed import IP_B, Testbed
+from repro.testbed import IP_B, FabricTestbed, Testbed
 
 
 def transfer(testbed, nbytes=4000, port=9200):
@@ -147,6 +147,40 @@ def test_duplicated_frames_are_annotated_and_delivered_twice():
     tid = dup_events[0].trace_id
     nic_rx = [e for e in rec.timeline(tid) if e.stage == "nic.rx"]
     assert len(nic_rx) >= 2
+
+
+def test_spans_follow_a_segment_through_every_router():
+    """A forwarded packet used to leave each router as a chain built
+    around a view of the received frame: no trace id, so its fused bytes
+    were never bound and the timeline stopped at the first router."""
+    session = obs.enable(profile_on=False, hist_on=False)
+    fabric = FabricTestbed(kind="chain", organization="userlib", n_routers=2)
+    host_a, host_b = fabric.hosts
+
+    def server():
+        listener = yield from fabric.service(host_b).listen(9300)
+        conn = yield from listener.accept()
+        yield from conn.recv_exactly(5000)
+
+    def client():
+        conn = yield from fabric.service(host_a).connect(host_b.ip, 9300)
+        yield from conn.send(b"x" * 5000)
+        yield from conn.close()
+
+    proc = fabric.spawn(server(), name="server")
+    fabric.spawn(client(), name="client")
+    fabric.run(until=proc)
+    rec = session.spans
+    timeline = rec.timeline(rec.traces_matching("len=1460")[0])
+    forwarded = [e.node for e in timeline if e.stage == "router.fwd"]
+    assert forwarded == [router.name for router in fabric.routers]
+    # Each router's transmit hop is on it too, and so is the far end.
+    sent = [e.node for e in timeline if e.stage == "netio.send"]
+    assert sent[1:] == [router.interfaces[1].netio.name for router in fabric.routers]
+    assert [(e.stage, e.node) for e in timeline[-2:]] == [
+        ("deliver", host_b.netio.name), ("tcp.input", f"app-{host_b.name}"),
+    ]
+    assert len(timeline) == 20
 
 
 def test_disabled_plane_records_nothing():

@@ -346,7 +346,8 @@ def test_fat_tree_calls_per_datagram_gate():
     per frame — ``prepend`` building its chain in one step, the PMADD
     fusing a frame at its PIO copy, and each link and IP header read
     once per hop; 644.5 once every link, IP and UDP header was a record
-    decoded without a constructor frame."""
+    decoded without a constructor frame; 590.6 once a link delivered to
+    the peers it learned at attach and a router hop built one chain."""
     profiler = cProfile.Profile()
     profiler.enable()
     try:
@@ -354,7 +355,7 @@ def test_fat_tree_calls_per_datagram_gate():
     finally:
         profiler.disable()
     calls = sum(entry.callcount for entry in profiler.getstats())
-    assert calls / delivered <= 655.0
+    assert calls / delivered <= 595.0
 
 
 # ----------------------------------------------------------------------

@@ -1,19 +1,16 @@
-"""Protocol-conformance checking: trace-driven invariants plus the
-seeded chaos campaign that sweeps them over fault grids.
+"""Protocol-conformance checking and the campaign engine.
 
 The paper's correctness claim — a user-level TCP that behaves like the
 kernel's under loss, corruption, duplication, and reordering — is only
 as good as what is *checked*.  This package closes the loop: a run's
 wire trace, fault log, and socket transcripts become
 :class:`~repro.check.evidence.RunEvidence`, the invariant checkers in
-:mod:`~repro.check.invariants` judge it, and
-:mod:`~repro.check.campaign` sweeps seeded fault grids over both
-protocol organizations, with deterministic replay and shrinking of any
-failure.
+:mod:`~repro.check.invariants` judge it, and :mod:`~repro.check.campaign`
+runs, reports, replays and shrinks the cells of every campaign axis.
 
 Quick start::
 
-    PYTHONPATH=src python -m repro.check run --quick
+    PYTHONPATH=src python -m repro.check run --axis chaos --quick
 """
 
 from .evidence import FaultEvent, RunEvidence, WireSegment, collect_evidence

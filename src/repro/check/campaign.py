@@ -1,23 +1,38 @@
-"""The chaos campaign: seeded fault grids swept over topologies and
-protocol organizations, every cell judged by every invariant.
+"""One campaign engine: every axis's cells are run, judged, reported,
+replayed and shrunk the same way.
 
-A **cell** is one fully specified run — topology, organization, fault
-rates, seed, workload — captured in a frozen :class:`CellSpec`, which
-is also the replay token: because every source of randomness (fault
-injector, payloads) is seeded from the spec and the simulator is
-deterministic, re-running a spec reproduces the run bit-for-bit.  A
-campaign's JSON report therefore records, for each violation, exactly
-the tuple needed to bring the failure back to life
-(:func:`replay_cell`), and :func:`shrink_cell` bisects a failing spec
-down to the smallest payload and lowest fault rates that still fail,
-dumping the decoded wire trace around the violation.
+A **cell** is one fully specified run, captured in a frozen
+:class:`Spec` that is also its replay token: every source of randomness
+is seeded from the spec and the simulator is deterministic, so
+re-running a spec reproduces the run bit-for-bit.  An :class:`Axis`
+says how its spec becomes a bed, the bed evidence and the evidence a
+list of :class:`~repro.check.invariants.CheckResult`; the engine does
+the rest alike for every axis.  A report records each cell's spec
+beside its verdicts, so :func:`replay_cell` brings any cell back from
+the report alone, and :func:`shrink_cell` halves the fields an axis
+names while the cell still fails, dumping the decoded wire trace around
+the violation where the axis keeps one.
+
+Three axes plug in:
+
+``chaos`` (this module)
+    seeded drop × corrupt × duplicate × delay × cc grids over two
+    topologies and both protocol organizations, judged by the seven
+    conformance invariants;
+``isolation`` (:mod:`repro.tenancy.campaign`)
+    one adversarial tenant beside a victim, enforced and sabotaged,
+    judged by the four isolation invariants — a sabotaged cell passes by
+    being convicted;
+``failure`` (:mod:`repro.check.failure`)
+    an operation stopped at every point the registry's §3 contract
+    covers, judged by "nothing held".
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Callable, Optional
 
 from ..net.faults import FaultInjector
 from ..protocols.tcp import TcpConfig
@@ -25,18 +40,224 @@ from ..testbed import FabricTestbed, Testbed
 from .evidence import collect_evidence
 from .invariants import check_all
 
+
+class Spec:
+    """Base of every axis's frozen spec dataclass: the replay token.
+
+    A subclass also names itself in reports and progress with ``label``.
+    """
+
+    #: Whether a conformant stack leaves the cell without violations;
+    #: only a sabotaged isolation cell expects a conviction.
+    expect_ok = True
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """Read a report's spec back; keys from a newer format are ignored."""
+        known = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in data.items() if k in known})
+
+
+@dataclass
+class CellResult:
+    """One cell's verdicts, and what its axis measured beside them."""
+
+    spec: Spec
+    results: list  # CheckResult per invariant.
+    facts: dict = field(default_factory=dict)  # Recorded in the cell dict.
+    evidence: Optional[object] = None  # Kept only when asked for.
+
+    @property
+    def violations(self) -> list:
+        return [v for r in self.results for v in r.violations]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    @property
+    def passed(self) -> bool:
+        """The verdict is the one the spec expects."""
+        return self.ok == self.spec.expect_ok
+
+    def status(self) -> str:
+        if self.spec.expect_ok:
+            return "ok" if self.ok else f"{len(self.violations)} VIOLATION(S)"
+        fired = sorted({v.invariant for v in self.violations})
+        return f"convicted by {', '.join(fired)}" if fired else "MISSED: no invariant fired"
+
+    def as_dict(self) -> dict:
+        return {
+            "spec": self.spec.as_dict(),
+            "ok": self.ok,
+            **self.facts,
+            "checked": {r.invariant: r.checked for r in self.results},
+            "violations": [v.as_dict() for v in self.violations],
+        }
+
+
+@dataclass
+class CampaignReport:
+    """Every cell of one campaign on one axis, JSON-serializable for replay."""
+
+    axis: str
+    cells: list = field(default_factory=list)  # CellResult
+
+    @property
+    def violations(self) -> list:
+        return [v for cell in self.cells for v in cell.violations]
+
+    @property
+    def failing_cells(self) -> list:
+        return [cell for cell in self.cells if not cell.passed]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failing_cells
+
+    def as_dict(self) -> dict:
+        return {
+            "axis": self.axis,
+            "ok": self.ok,
+            "cells": [cell.as_dict() for cell in self.cells],
+            "total_cells": len(self.cells),
+            "failing_cells": len(self.failing_cells),
+            "total_violations": len(self.violations),
+        }
+
+    def save(self, path) -> None:
+        with open(path, "w") as fh:
+            json.dump(self.as_dict(), fh, indent=2)
+
+    def summary(self) -> str:
+        lines = [
+            f"{self.axis} campaign: {len(self.cells)} cells, "
+            f"{len(self.failing_cells)} failing, "
+            f"{len(self.violations)} violation(s)"
+        ]
+        for index, cell in enumerate(self.cells):
+            if not cell.passed:
+                lines.append(f"  cell {index}: {cell.spec.label}: {cell.status()}")
+                lines.extend(f"    {v}" for v in cell.violations)
+        return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One family of cells the engine runs."""
+
+    name: str
+    spec: type  # The Spec subclass a report's cells are read back as.
+    run: Callable  # (spec, keep_evidence=False) -> CellResult
+    plan: Callable  # (quick, **options) -> [spec]: the grid `run` sweeps.
+    #: (field, floor) pairs shrink_cell halves, in order; with none it replays.
+    shrink: tuple = ()
+
+
+def run_campaign(axis: Axis, specs: list, progress=None) -> CampaignReport:
+    report = CampaignReport(axis.name)
+    for index, spec in enumerate(specs, 1):
+        cell = axis.run(spec)
+        report.cells.append(cell)
+        if progress is not None:
+            progress(f"[{index}/{len(specs)}] {spec.label}: {cell.status()}")
+    return report
+
+
+def replay_cell(axis: Axis, cell: dict) -> CellResult:
+    """Re-run one recorded cell (a report's ``cells[i]``) from its spec.
+
+    For a deterministic run the fresh ``as_dict()`` equals ``cell``.
+    """
+    return axis.run(axis.spec.from_dict(cell["spec"]))
+
+
+@dataclass
+class ShrinkResult:
+    """Outcome of minimizing a failing spec."""
+
+    original: Spec
+    minimal: Spec
+    steps: list = field(default_factory=list)  # (description, still_failing)
+    trace_excerpt: list = field(default_factory=list)  # str lines
+    violations: list = field(default_factory=list)
+
+    def as_dict(self) -> dict:
+        return {
+            "original": self.original.as_dict(),
+            "minimal": self.minimal.as_dict(),
+            "steps": list(self.steps),
+            "violations": [v.as_dict() for v in self.violations],
+            "trace_excerpt": list(self.trace_excerpt),
+        }
+
+
+def shrink_cell(axis: Axis, spec: Spec, context_records: int = 12) -> ShrinkResult:
+    """Halve each field the axis names, in order, while the cell still
+    fails, then replay the minimal spec and dump the decoded wire trace
+    around the first violation.
+
+    A rate (a float field) is first zeroed — is it necessary at all? —
+    and otherwise halved down to its floor; a size is halved down to its
+    floor.  Every candidate is a full deterministic re-run, so the result
+    is exact, not probabilistic.
+    """
+    result = ShrinkResult(original=spec, minimal=spec)
+
+    def still_fails(candidate: Spec, description: str) -> bool:
+        failing = not axis.run(candidate).ok
+        result.steps.append((description, failing))
+        return failing
+
+    current = spec
+    for name, floor in axis.shrink:
+        value = getattr(current, name)
+        if isinstance(value, float) and value:
+            candidate = replace(current, **{name: 0.0})
+            if still_fails(candidate, f"{name}=0"):
+                current = candidate
+                continue
+        while value:
+            half = value // 2 if isinstance(value, int) else value / 2
+            if half < floor:
+                break
+            candidate = replace(current, **{name: half})
+            if not still_fails(candidate, f"{name}={half:g}"):
+                break
+            value, current = half, candidate
+    final = axis.run(current, keep_evidence=True)
+    result.minimal = current
+    result.violations = final.violations
+    # Only the chaos axis's evidence carries a wire trace.
+    records = getattr(final.evidence, "trace_records", None)
+    if final.violations and records:
+        timed = [v.time for v in final.violations if v.time > 0]
+        first = min(timed) if timed else 0.0
+        anchor = next(
+            (i for i, r in enumerate(records) if r.time >= first),
+            len(records) - 1,
+        )
+        lo = max(0, anchor - context_records)
+        hi = min(len(records), anchor + context_records + 1)
+        result.trace_excerpt = [str(r) for r in records[lo:hi]]
+    return result
+
+
+# ----------------------------------------------------------------------
+# The chaos axis
+# ----------------------------------------------------------------------
+
 #: Topologies the campaign understands.  "loopback" is the paper's
 #: two-host private Ethernet segment; "dumbbell" routes every flow
 #: through a switched bottleneck trunk (which is where the faults go).
 TOPOLOGIES = ("loopback", "dumbbell")
 
-#: Organization aliases: the paper's comparison is user-level library
-#: vs. in-kernel monolithic; "monolithic" maps to the Ultrix profile.
-ORGANIZATION_ALIASES = {"monolithic": "ultrix"}
-
 
 @dataclass(frozen=True)
-class CellSpec:
+class CellSpec(Spec):
     """One deterministic chaos run: the replay token."""
 
     topology: str = "loopback"
@@ -58,100 +279,17 @@ class CellSpec:
     #: Congestion-control algorithm under test ("reno", "cubic", "bbr").
     cc: str = "reno"
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CellSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
-
-
-@dataclass
-class CellResult:
-    """One cell's verdict."""
-
-    spec: CellSpec
-    results: list  # CheckResult per invariant.
-    completed_transfers: int = 0
-    total_transfers: int = 0
-    evidence: Optional[object] = None  # RunEvidence when kept.
-
     @property
-    def violations(self) -> list:
-        return [v for r in self.results for v in r.violations]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def as_dict(self) -> dict:
-        return {
-            "spec": self.spec.as_dict(),
-            "ok": self.ok,
-            "completed_transfers": self.completed_transfers,
-            "total_transfers": self.total_transfers,
-            "checked": {r.invariant: r.checked for r in self.results},
-            "violations": [v.as_dict() for v in self.violations],
-        }
-
-
-@dataclass
-class CampaignReport:
-    """Every cell of one campaign, JSON-serializable for replay."""
-
-    cells: list = field(default_factory=list)  # CellResult
-
-    @property
-    def violations(self) -> list:
-        return [v for cell in self.cells for v in cell.violations]
-
-    @property
-    def failing_cells(self) -> list:
-        return [cell for cell in self.cells if not cell.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failing_cells
-
-    def as_dict(self) -> dict:
-        return {
-            "cells": [cell.as_dict() for cell in self.cells],
-            "total_cells": len(self.cells),
-            "failing_cells": len(self.failing_cells),
-            "total_violations": len(self.violations),
-        }
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2)
-
-    def summary(self) -> str:
-        lines = [
-            f"campaign: {len(self.cells)} cells, "
-            f"{len(self.failing_cells)} failing, "
-            f"{len(self.violations)} violation(s)"
-        ]
-        for index, cell in enumerate(self.cells):
-            if cell.ok:
-                continue
-            spec = cell.spec
-            lines.append(
-                f"  cell {index}: {spec.topology}/{spec.organization} "
-                f"cc={spec.cc} seed={spec.seed} drop={spec.drop_rate} "
-                f"corrupt={spec.corrupt_rate} dup={spec.duplicate_rate} "
-                f"delay={spec.max_extra_delay}"
-            )
-            for v in cell.violations:
-                lines.append(f"    {v}")
-        return "\n".join(lines)
+    def label(self) -> str:
+        return (
+            f"{self.topology}/{self.organization} cc={self.cc} seed={self.seed} "
+            f"drop={self.drop_rate} corrupt={self.corrupt_rate} "
+            f"dup={self.duplicate_rate} delay={self.max_extra_delay}"
+        )
 
 
 def build_bed(spec: CellSpec):
     """Construct the testbed a spec describes (fresh simulator each time)."""
-    organization = ORGANIZATION_ALIASES.get(
-        spec.organization, spec.organization
-    )
     faults = FaultInjector(
         drop_rate=spec.drop_rate,
         corrupt_rate=spec.corrupt_rate,
@@ -166,14 +304,14 @@ def build_bed(spec: CellSpec):
     if spec.topology == "loopback":
         return Testbed(
             network="ethernet",
-            organization=organization,
+            organization=spec.organization,
             config=config,
             faults=faults,
         )
     if spec.topology == "dumbbell":
         return FabricTestbed(
             kind="dumbbell",
-            organization=organization,
+            organization=spec.organization,
             config=config,
             faults=faults,
             pairs=spec.pairs,
@@ -183,26 +321,29 @@ def build_bed(spec: CellSpec):
     raise ValueError(f"unknown topology {spec.topology!r}")
 
 
-def run_cell(spec: CellSpec, keep_evidence: bool = False) -> CellResult:
-    """Run one cell and judge it with every invariant."""
-    bed = build_bed(spec)
-    evidence = collect_evidence(
-        bed,
+def cell_evidence(spec: CellSpec):
+    """Run the spec's transfers on its bed: the cell's RunEvidence."""
+    return collect_evidence(
+        build_bed(spec),
         transfers=spec.transfers,
         payload_bytes=spec.payload_bytes,
         chunk_size=spec.chunk_size,
         seed=spec.seed,
         deadline=spec.deadline,
     )
-    results = check_all(evidence)
+
+
+def run_cell(spec: CellSpec, keep_evidence: bool = False) -> CellResult:
+    """Run one cell and judge it with every invariant."""
+    evidence = cell_evidence(spec)
     return CellResult(
-        spec=spec,
-        results=results,
-        completed_transfers=sum(
-            1 for t in evidence.transfers if t.complete
-        ),
-        total_transfers=len(evidence.transfers),
-        evidence=evidence if keep_evidence else None,
+        spec,
+        check_all(evidence),
+        {
+            "completed_transfers": sum(1 for t in evidence.transfers if t.complete),
+            "total_transfers": len(evidence.transfers),
+        },
+        evidence if keep_evidence else None,
     )
 
 
@@ -270,130 +411,20 @@ def quick_specs(seed: int = 1, ccs=("reno",)) -> list[CellSpec]:
     )
 
 
-def run_campaign(
-    specs: list[CellSpec], progress=None, keep_evidence: bool = False
-) -> CampaignReport:
-    report = CampaignReport()
-    for index, spec in enumerate(specs):
-        result = run_cell(spec, keep_evidence=keep_evidence)
-        report.cells.append(result)
-        if progress is not None:
-            status = "ok" if result.ok else (
-                f"{len(result.violations)} VIOLATION(S)"
-            )
-            progress(
-                f"[{index + 1}/{len(specs)}] {spec.topology}/"
-                f"{spec.organization} cc={spec.cc} drop={spec.drop_rate} "
-                f"corrupt={spec.corrupt_rate} dup={spec.duplicate_rate} "
-                f"delay={spec.max_extra_delay} seed={spec.seed}: {status}"
-            )
-    return report
+def chaos_specs(quick: bool = False, seed: int = 1, ccs=("reno",)) -> list[CellSpec]:
+    return (quick_specs if quick else grid_specs)(seed=seed, ccs=ccs)
 
 
-# ----------------------------------------------------------------------
-# Replay & shrink
-# ----------------------------------------------------------------------
-
-
-def replay_cell(report: dict, cell_index: int, keep_evidence: bool = False):
-    """Re-run one cell of a saved report, deterministically.
-
-    ``report`` is the parsed JSON (``json.load``); the cell's spec dict
-    is the replay tuple.  Returns the fresh :class:`CellResult` — for a
-    genuine failure the same violations come back, every time.
-    """
-    spec = CellSpec.from_dict(report["cells"][cell_index]["spec"])
-    return run_cell(spec, keep_evidence=keep_evidence)
-
-
-@dataclass
-class ShrinkResult:
-    """Outcome of minimizing a failing spec."""
-
-    original: CellSpec
-    minimal: CellSpec
-    steps: list = field(default_factory=list)  # (description, still_failing)
-    trace_excerpt: list = field(default_factory=list)  # str lines
-    violations: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "original": self.original.as_dict(),
-            "minimal": self.minimal.as_dict(),
-            "steps": list(self.steps),
-            "violations": [v.as_dict() for v in self.violations],
-            "trace_excerpt": list(self.trace_excerpt),
-        }
-
-
-def shrink_cell(
-    spec: CellSpec,
-    min_payload: int = 1024,
-    min_rate: float = 0.005,
-    context_records: int = 12,
-) -> ShrinkResult:
-    """Bisect a failing spec to the smallest configuration that still
-    fails, then dump the decoded wire trace around the violation.
-
-    Payload size is halved while the failure persists, then each
-    non-zero fault rate is first zeroed (is it necessary at all?) and
-    otherwise halved down to ``min_rate``.  Every candidate is a full
-    deterministic re-run, so the result is exact, not probabilistic.
-    """
-    result = ShrinkResult(original=spec, minimal=spec)
-
-    def fails(candidate: CellSpec):
-        return run_cell(candidate)
-
-    current = spec
-    # 1. Shrink the payload.
-    while current.payload_bytes // 2 >= min_payload:
-        candidate = replace(
-            current, payload_bytes=current.payload_bytes // 2
-        )
-        outcome = fails(candidate)
-        result.steps.append(
-            (f"payload {candidate.payload_bytes}", not outcome.ok)
-        )
-        if outcome.ok:
-            break
-        current = candidate
-    # 2. Shrink each fault rate: drop it entirely if possible, else halve.
-    for rate_field in (
-        "drop_rate", "corrupt_rate", "duplicate_rate", "max_extra_delay"
-    ):
-        value = getattr(current, rate_field)
-        if not value:
-            continue
-        candidate = replace(current, **{rate_field: 0.0})
-        outcome = fails(candidate)
-        result.steps.append((f"{rate_field}=0", not outcome.ok))
-        if not outcome.ok:
-            current = candidate
-            continue
-        while value / 2 >= min_rate:
-            candidate = replace(current, **{rate_field: value / 2})
-            outcome = fails(candidate)
-            result.steps.append(
-                (f"{rate_field}={value / 2:g}", not outcome.ok)
-            )
-            if outcome.ok:
-                break
-            value = value / 2
-            current = candidate
-    # 3. Final deterministic run of the minimal spec, with the trace.
-    final = run_cell(current, keep_evidence=True)
-    result.minimal = current
-    result.violations = final.violations
-    if final.violations and final.evidence is not None:
-        records = final.evidence.trace_records
-        timed = [v.time for v in final.violations if v.time > 0]
-        first = min(timed) if timed else 0.0
-        anchor = next(
-            (i for i, r in enumerate(records) if r.time >= first),
-            len(records) - 1,
-        )
-        lo = max(0, anchor - context_records)
-        hi = min(len(records), anchor + context_records + 1)
-        result.trace_excerpt = [str(r) for r in records[lo:hi]]
-    return result
+CHAOS = Axis(
+    "chaos",
+    CellSpec,
+    run_cell,
+    chaos_specs,
+    shrink=(
+        ("payload_bytes", 1024),
+        ("drop_rate", 0.005),
+        ("corrupt_rate", 0.005),
+        ("duplicate_rate", 0.005),
+        ("max_extra_delay", 0.005),
+    ),
+)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 
+from .campaign import cell_evidence
+
 
 def wire_digest(evidence) -> str:
     """sha256 over the decoded wire trace of one run's evidence."""
@@ -37,15 +39,5 @@ def golden_cell_key(spec) -> str:
 
 def digest_cell(spec) -> tuple[str, int]:
     """Run ``spec`` deterministically; return (digest, segment count)."""
-    from .campaign import build_bed
-    from .evidence import collect_evidence
-
-    evidence = collect_evidence(
-        build_bed(spec),
-        transfers=spec.transfers,
-        payload_bytes=spec.payload_bytes,
-        chunk_size=spec.chunk_size,
-        seed=spec.seed,
-        deadline=spec.deadline,
-    )
+    evidence = cell_evidence(spec)
     return wire_digest(evidence), len(evidence.segments)

@@ -2,7 +2,8 @@
 
 See :mod:`repro.tenancy.tenant` for the enforcement model,
 :mod:`repro.tenancy.invariants` for the isolation checkers, and
-:mod:`repro.tenancy.campaign` for the adversarial-tenant campaign.
+:mod:`repro.tenancy.campaign` for the adversarial-tenant cells, the
+campaign engine's ``isolation`` axis.
 """
 
 from .tenant import (  # noqa: F401

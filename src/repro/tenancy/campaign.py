@@ -1,5 +1,6 @@
-"""The adversarial-tenant campaign: prove isolation, then prove the
-proof bites.
+"""The isolation axis of the campaign engine
+(:mod:`repro.check.campaign`): prove isolation, then prove the proof
+bites.
 
 Each cell runs one victim tenant's workload — a bulk TCP transfer
 alice→bob plus a UDP telemetry flow bob→alice — while one adversarial
@@ -25,15 +26,16 @@ Every cell's evidence is judged by the four isolation invariants
 must pass and the victim's goodput stays within ε of its solo
 baseline.  The same cells re-run with ``enforcing=False`` (the
 sabotage arm) must each be *caught* — at least one invariant fires —
-or the invariants themselves are vacuous.
+or the invariants themselves are vacuous.  ``python -m repro.check run
+--axis isolation`` runs the grid.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional
 
+from ..check.campaign import Axis, CellResult, Spec
 from ..net.headers import PROTO_UDP
 from ..org.udplib import LibraryUdpService
 from ..protocols.ip import encapsulate
@@ -75,18 +77,28 @@ ADVERSARY_BUDGET = TenantBudget(
 HOST_POOL_BYTES = 4 * 64 * 1024
 
 
+#: The victim's transfer: large enough to saturate the whole cell, so
+#: goodput is the *sustained* rate over the deadline window and a
+#: discrete TCP loss event amortizes identically in the solo and
+#: adversary cells instead of dominating a short completion time.
+VICTIM_BYTES = 10_000_000
+
+
 @dataclass(frozen=True)
-class IsolationSpec:
-    """One campaign cell."""
+class IsolationSpec(Spec):
+    """One isolation cell: the replay token."""
 
     adversary: str = "none"
     enforcing: bool = True
-    #: Large enough that the victim transfer saturates the whole cell:
-    #: goodput is the *sustained* rate over the deadline window, so a
-    #: discrete TCP loss event amortizes identically in the solo and
-    #: adversary cells instead of dominating a short completion time.
-    total_bytes: int = 10_000_000
     deadline: float = 5.0  # Sim-seconds per cell.
+    #: The victim's goodput in the solo cell, which the goodput verdict
+    #: compares with; None for the solo cell itself, which measures it.
+    solo_goodput: Optional[float] = None
+
+    @property
+    def expect_ok(self) -> bool:
+        """A sabotaged cell passes by being convicted."""
+        return self.enforcing
 
     @property
     def label(self) -> str:
@@ -94,29 +106,13 @@ class IsolationSpec:
         return f"{self.adversary}/{mode}"
 
 
-@dataclass
-class CellReport:
-    """One cell's evidence and verdicts."""
-
-    spec: IsolationSpec
-    evidence: IsolationEvidence
-    results: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(result.ok for result in self.results)
-
-    @property
-    def caught(self) -> bool:
-        """At least one invariant fired (the sabotage arm's pass bar)."""
-        return not self.ok
+class IsolationCell(CellResult):
+    """An isolation cell's dict: each check's violations as text."""
 
     def as_dict(self) -> dict:
         return {
-            "adversary": self.spec.adversary,
-            "enforcing": self.spec.enforcing,
-            "victim_goodput": self.evidence.victim_goodput,
-            "solo_goodput": self.evidence.solo_goodput,
+            "spec": self.spec.as_dict(),
+            **self.facts,
             "checks": {
                 result.invariant: [str(v) for v in result.violations]
                 for result in self.results
@@ -125,14 +121,8 @@ class CellReport:
         }
 
 
-def run_cell(
-    spec: IsolationSpec, solo_goodput: Optional[float] = None
-) -> CellReport:
-    """Run one cell and judge it.
-
-    ``solo_goodput`` is the victim's baseline from a clean cell; pass
-    None to have this cell measure itself (used for the baseline run).
-    """
+def run_cell(spec: IsolationSpec, keep_evidence: bool = False) -> IsolationCell:
+    """Run one cell and judge it."""
     bed = Testbed(network="ethernet", organization="userlib")
     manager = attach_tenancy(bed, enforcing=spec.enforcing)
     victim = manager.create_tenant("victim", VICTIM_BUDGET)
@@ -177,8 +167,8 @@ def run_cell(
         try:
             conn = yield from bed.service_a.connect(IP_B, VICTIM_PORT)
             sent = 0
-            while sent < spec.total_bytes:
-                chunk = payload[: min(4096, spec.total_bytes - sent)]
+            while sent < VICTIM_BYTES:
+                chunk = payload[: min(4096, VICTIM_BYTES - sent)]
                 yield from conn.send(chunk)
                 sent += len(chunk)
             yield from conn.close()
@@ -327,117 +317,42 @@ def run_cell(
 
     evidence = IsolationEvidence(
         adversary=spec.adversary,
-        enforcing=spec.enforcing,
         victim="victim",
         duration=duration,
         victim_goodput=goodput,
-        solo_goodput=solo_goodput if solo_goodput is not None else goodput,
+        solo_goodput=goodput if spec.solo_goodput is None else spec.solo_goodput,
         delivery_log=list(manager.delivery_log),
-        fact_log=list(manager.fact_log),
-        audit=dict(manager.audit),
         tenants=snapshots,
     )
-    return CellReport(spec=spec, evidence=evidence, results=run_checks(evidence))
-
-
-@dataclass
-class CampaignReport:
-    """The full grid's outcome."""
-
-    cells: list = field(default_factory=list)
-
-    @property
-    def enforced_ok(self) -> bool:
-        return all(c.ok for c in self.cells if c.spec.enforcing)
-
-    @property
-    def sabotage_caught(self) -> bool:
-        sabotaged = [c for c in self.cells if not c.spec.enforcing]
-        return bool(sabotaged) and all(c.caught for c in sabotaged)
-
-    @property
-    def ok(self) -> bool:
-        return self.enforced_ok and self.sabotage_caught
-
-    def as_dict(self) -> dict:
-        return {
-            "cells": [c.as_dict() for c in self.cells],
-            "enforced_ok": self.enforced_ok,
-            "sabotage_caught": self.sabotage_caught,
-            "ok": self.ok,
-        }
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2)
-
-
-def run_campaign(
-    quick: bool = False,
-    total_bytes: int = 10_000_000,
-    log=print,
-) -> CampaignReport:
-    """The full grid: every adversary enforced, every adversary
-    sabotaged.  ``quick`` shrinks the cell window and the sabotage arm
-    to the two highest-signal adversaries for CI."""
-    enforced = ADVERSARIES
-    if quick:
-        deadline = 3.0
-        sabotaged = ("flooder", "leaker")
-    else:
-        deadline = 5.0
-        sabotaged = tuple(a for a in ADVERSARIES if a != "none")
-
-    report = CampaignReport()
-    baseline = run_cell(
-        IsolationSpec(
-            adversary="none", total_bytes=total_bytes, deadline=deadline
-        )
+    return IsolationCell(
+        spec,
+        run_checks(evidence),
+        {
+            "adversary": spec.adversary,
+            "enforcing": spec.enforcing,
+            "victim_goodput": evidence.victim_goodput,
+            "solo_goodput": evidence.solo_goodput,
+        },
+        evidence if keep_evidence else None,
     )
-    solo = baseline.evidence.victim_goodput
-    log(
-        f"[tenancy] solo baseline: {solo:.0f} B/s"
-        f" ({baseline.evidence.duration:.2f}s sim)"
+
+
+def isolation_specs(quick: bool = False) -> list[IsolationSpec]:
+    """The solo cell, every adversary enforced, then sabotaged.
+
+    The solo cell is run here once to measure the baseline every other
+    cell's spec carries.  ``quick`` shortens the window and sabotages
+    only the two highest-signal adversaries, for CI.
+    """
+    deadline = 3.0 if quick else 5.0
+    sabotaged = ("flooder", "leaker") if quick else ADVERSARIES[1:]
+    solo = IsolationSpec(deadline=deadline)
+    baseline = run_cell(solo).facts["victim_goodput"]
+    return (
+        [solo]
+        + [IsolationSpec(a, True, deadline, baseline) for a in ADVERSARIES[1:]]
+        + [IsolationSpec(a, False, deadline, baseline) for a in sabotaged]
     )
-    report.cells.append(baseline)
 
-    for adversary in enforced:
-        if adversary == "none":
-            continue
-        cell = run_cell(
-            IsolationSpec(
-                adversary=adversary,
-                total_bytes=total_bytes,
-                deadline=deadline,
-            ),
-            solo_goodput=solo,
-        )
-        verdict = "ok" if cell.ok else "VIOLATED"
-        log(
-            f"[tenancy] {cell.spec.label:20s}"
-            f" goodput={cell.evidence.victim_goodput:8.0f} B/s  {verdict}"
-        )
-        report.cells.append(cell)
 
-    for adversary in sabotaged:
-        cell = run_cell(
-            IsolationSpec(
-                adversary=adversary,
-                enforcing=False,
-                total_bytes=total_bytes,
-                deadline=deadline,
-            ),
-            solo_goodput=solo,
-        )
-        fired = sorted(
-            {
-                result.invariant
-                for result in cell.results
-                if result.violations
-            }
-        )
-        verdict = f"caught by {', '.join(fired)}" if fired else "MISSED"
-        log(f"[tenancy] {cell.spec.label:20s} {verdict}")
-        report.cells.append(cell)
-
-    return report
+ISOLATION = Axis("isolation", IsolationSpec, run_cell, isolation_specs)

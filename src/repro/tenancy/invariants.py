@@ -1,13 +1,13 @@
 """Isolation invariants: machine-checkable tenancy properties.
 
 Like the six conformance checkers in :mod:`repro.check.invariants`,
-these consume *evidence* — the tenant manager's delivery log and audit
-facts, per-tenant counters, and the measured victim goodput — and
+these consume *evidence* — the tenant manager's delivery log,
+per-tenant counters and facts, and the measured victim goodput — and
 return :class:`~repro.check.invariants.CheckResult` rows.  They only
-read; the adversarial campaign in :mod:`repro.tenancy.campaign` drives
-the simulation and hands them the bundle, and a sabotaged stack (the
-same adversaries with ``TenantManager.enforcing = False``) must make at
-least one of them fire.
+read; the campaign's isolation axis (:mod:`repro.tenancy.campaign`)
+drives the simulation and hands them the bundle, and a sabotaged stack
+(the same adversaries with ``TenantManager.enforcing = False``) must
+make at least one of them fire.
 
 The four invariants:
 
@@ -73,7 +73,6 @@ class IsolationEvidence:
     """Everything the isolation checkers judge one campaign cell from."""
 
     adversary: str  # "none" | "forger" | "flooder" | "leaker" | "hoarder"
-    enforcing: bool
     victim: str  # The victim tenant id.
     duration: float  # Sim seconds the cell ran.
     victim_goodput: float  # bytes/sec achieved by the victim transfer.
@@ -81,16 +80,7 @@ class IsolationEvidence:
     #: (time, flow_tenant, owner_tenant, nbytes, delivered) per frame
     #: the module classified to a tenanted channel.
     delivery_log: list = field(default_factory=list)
-    #: (time, kind, tenant_id, detail) audited facts.
-    fact_log: list = field(default_factory=list)
-    audit: dict = field(default_factory=dict)
     tenants: list = field(default_factory=list)  # TenantSnapshot rows.
-
-    def tenant(self, tenant_id: str):
-        for snapshot in self.tenants:
-            if snapshot.tenant_id == tenant_id:
-                return snapshot
-        return None
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Campaign runner: grid sweeps, JSON reports, deterministic replay of a
-seeded violation, and shrinking a failing cell to its minimal config."""
+"""Campaign engine on the chaos axis: grid sweeps, JSON reports,
+deterministic replay of a seeded violation, and shrinking a failing cell
+to its minimal config."""
 
 import json
 
 from repro.check.campaign import (
+    CHAOS,
     CampaignReport,
     CellSpec,
     grid_specs,
@@ -32,11 +34,11 @@ SABOTAGED = CellSpec(
 
 
 def test_quick_campaign_passes_clean():
-    report = run_campaign(quick_specs(seed=1))
+    report = run_campaign(CHAOS, quick_specs(seed=1))
     assert report.cells
     assert report.ok, report.summary()
     for cell in report.cells:
-        assert cell.completed_transfers == cell.total_transfers
+        assert cell.facts["completed_transfers"] == cell.facts["total_transfers"]
 
 
 def test_full_grid_shape_covers_both_topologies_and_orgs():
@@ -94,24 +96,23 @@ def test_sabotaged_stack_is_caught():
 def test_seeded_violation_replays_deterministically(tmp_path):
     first = run_cell(SABOTAGED)
     assert first.violations
-    report = CampaignReport(cells=[first])
+    report = CampaignReport("chaos", [first])
     path = tmp_path / "report.json"
     report.save(path)
 
     loaded = json.loads(path.read_text())
-    replayed = replay_cell(loaded, 0)
-    assert [v.as_dict() for v in replayed.violations] == loaded["cells"][0][
-        "violations"
-    ]
+    replayed = replay_cell(CHAOS, loaded["cells"][0])
+    assert replayed.as_dict() == loaded["cells"][0]
 
 
 def test_report_records_failing_cells(tmp_path):
     clean = run_cell(CellSpec(transfers=1, payload_bytes=4096))
     bad = run_cell(SABOTAGED)
-    report = CampaignReport(cells=[clean, bad])
+    report = CampaignReport("chaos", [clean, bad])
     assert not report.ok
     assert report.failing_cells == [bad]
     data = report.as_dict()
+    assert data["axis"] == "chaos" and not data["ok"]
     assert data["total_cells"] == 2
     assert data["failing_cells"] == 1
     assert data["total_violations"] == len(bad.violations)
@@ -119,7 +120,7 @@ def test_report_records_failing_cells(tmp_path):
 
 
 def test_shrink_finds_smaller_failing_config():
-    shrunk = shrink_cell(SABOTAGED)
+    shrunk = shrink_cell(CHAOS, SABOTAGED)
     assert shrunk.violations  # The minimal spec still fails...
     assert shrunk.minimal.payload_bytes <= SABOTAGED.payload_bytes
     rate_budget = (
@@ -140,9 +141,17 @@ def test_cli_run_quick_and_replay(tmp_path, capsys):
     from repro.check.__main__ import main
 
     out = tmp_path / "report.json"
-    assert main(["run", "--quick", "--out", str(out)]) == 0
+    assert main(["run", "--axis", "chaos", "--quick", "--out", str(out)]) == 0
     assert out.exists()
     captured = capsys.readouterr().out
     assert "Conformance invariants" in captured
 
     assert main(["replay", str(out), "--cell", "0"]) == 0
+    # Replay compares the whole cell, not the violation count: a clean
+    # cell whose recorded counts were edited is a mismatch.
+    report = json.loads(out.read_text())
+    cell = report["cells"][0]
+    cell["completed_transfers"] = 99
+    cell["checked"] = {name: n + 1000 for name, n in cell["checked"].items()}
+    out.write_text(json.dumps(report))
+    assert main(["replay", str(out), "--cell", "0"]) == 2

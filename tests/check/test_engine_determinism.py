@@ -11,32 +11,22 @@ produce identical JSON, and that replay-from-report still matches.
 import json
 
 from repro.check.campaign import (
+    CHAOS,
     CampaignReport,
-    CellSpec,
     quick_specs,
     replay_cell,
     run_campaign,
     run_cell,
 )
 
-# Same deliberately broken stack the campaign tests use: premature fast
+# The campaign tests' deliberately broken stack: premature fast
 # retransmit on the first duplicate ACK, guaranteed violations on seed 1.
-SABOTAGED = CellSpec(
-    topology="loopback",
-    organization="userlib",
-    seed=1,
-    drop_rate=0.05,
-    duplicate_rate=0.2,
-    transfers=2,
-    payload_bytes=16_384,
-    deadline=60.0,
-    dup_ack_threshold=1,
-)
+from .test_campaign import SABOTAGED
 
 
 def test_quick_campaign_runs_are_bit_identical():
-    first = run_campaign(quick_specs(seed=7))
-    second = run_campaign(quick_specs(seed=7))
+    first = run_campaign(CHAOS, quick_specs(seed=7))
+    second = run_campaign(CHAOS, quick_specs(seed=7))
     assert json.dumps(first.as_dict(), sort_keys=True) == json.dumps(
         second.as_dict(), sort_keys=True
     )
@@ -53,6 +43,6 @@ def test_sabotaged_cell_violations_are_bit_identical():
 
 def test_replay_from_report_matches_under_batched_engine():
     result = run_cell(SABOTAGED)
-    report = json.loads(json.dumps(CampaignReport(cells=[result]).as_dict()))
-    replayed = replay_cell(report, 0)
+    report = json.loads(json.dumps(CampaignReport("chaos", [result]).as_dict()))
+    replayed = replay_cell(CHAOS, report["cells"][0])
     assert replayed.as_dict() == report["cells"][0]

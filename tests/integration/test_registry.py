@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.check.failure import (
+    NETWORKS,
+    REGISTRY_CELLS,
+    ULTRIX_CELLS,
+    FailureSpec,
+    run_cell,
+)
 from repro.net.headers import An1Header
 from repro.netio import SecurityViolation, TemplateViolation
-from repro.netio.demux import DemuxError
-from repro.protocols.tcp import State, TcpConfig
+from repro.protocols.tcp import TcpConfig
 from repro.registry.namespace import PortInUse, PortNamespace
-from repro.tenancy import QuotaExceeded
 from repro.testbed import IP_A, IP_B, Testbed
 
 
@@ -336,306 +341,23 @@ def test_exhausted_bqi_table_refuses_the_connect_and_leaks_nothing():
 
 
 # ----------------------------------------------------------------------
-# The failure axis: wherever an operation stops, nothing stays held
+# The failure axis (repro.check.failure): wherever an operation stops,
+# nothing stays held
 # ----------------------------------------------------------------------
 
-FAILURE_CONFIG = TcpConfig(msl=0.5, conn_timeout=3.0)
-#: Every cell has failed, been reset and waited out TIME-WAIT and the
-#: port linger (2*MSL each) well before this.
-SETTLED = 12.0
 
-
-def failure_bed(network, organization="userlib"):
-    bed = Testbed(network=network, organization=organization, config=FAILURE_CONFIG)
-    for host in bed.hosts:
-        host.netio.region_pool_bytes = 1 << 20  # Wired-pool bytes are counted.
-    return bed
-
-
-def drain(conn):
-    """Read a connection to its end (EOF or reset), then close it."""
-    while (yield from conn.recv(1024)):
-        pass
-    yield from conn.close()
-
-
-def serve(bed, seen):
-    """Server on host b: accept and drain whatever arrives on port 80,
-    stop listening 8 s in."""
-
-    def acceptor(listener):
-        while True:
-            conn = yield from listener.accept()
-            seen["conns"].append(conn)
-            bed.spawn(drain(conn))
-
-    def server():
-        listener = seen["listener"] = yield from bed.service_b.listen(80)
-        bed.spawn(acceptor(listener))
-        yield bed.sim.timeout(8.0)
-        if not listener.closed:
-            listener.close()
-
-    bed.spawn(server())
-
-
-def request(bed, seen, port=80, then=drain, **kwargs):
-    """Client, a thread of the application on host a: one ``connect``
-    50 ms in; the error it is answered with lands in ``seen['errors']``,
-    a connection is handed to ``then``."""
-
-    def client():
-        yield bed.sim.timeout(0.05)
-        try:
-            conn = yield from bed.service_a.connect(IP_B, port, **kwargs)
-        except ConnectionError as exc:
-            seen["errors"].append(str(exc))
-            return
-        seen["conns"].append(conn)
-        yield from then(conn)
-
-    spawn = bed.app_a.spawn if bed.registries else bed.spawn
-    seen["requesters"].append(spawn(client()))
-
-
-def at(bed, delay, action):
-    """Run ``action()`` ``delay`` seconds after the request starts."""
-    bed.sim.call_later(0.05 + delay, lambda _: action(), None)
-
-
-def cell_ring_refused(bed, seen):
-    def refuse(caller, **kwargs):
-        raise QuotaExceeded("no ring to spare")
-
-    bed.host_a.netio.allocate_ring = refuse
-    request(bed, seen)
-
-
-def cell_handshake_times_out(bed, seen):
-    bed.host_b.tcp_kernel_handler = lambda payload, src_ip, link_info: iter(())
-    request(bed, seen)
-
-
-def cell_peer_refuses(bed, seen):
-    request(bed, seen)
-
-
-def cell_channel_over_quota(bed, seen):
-    bed.host_a.netio.region_pool_bytes = 0
-    serve(bed, seen)
-    request(bed, seen, local_port=5555)
-
-
-def cell_channel_flow_refused(bed, seen):
-    table = bed.host_a.netio.flow_table
-    install = table.install
-
-    def refuse_exact(key, target, owner=None):
-        if key.is_exact:
-            raise DemuxError(f"flow {key} refused")
-        install(key, target, owner=owner)
-
-    table.install = refuse_exact
-    serve(bed, seen)
-    request(bed, seen, local_port=5555)
-
-
-def cell_requester_dies_mid_handshake(bed, seen):
-    serve(bed, seen)
-    request(bed, seen)
-    at(bed, 0.004, bed.app_a.terminate)
-
-
-def cell_requester_dies_before_the_reply(bed, seen):
-    netio = bed.host_a.netio
-    create_channel = netio.create_channel
-
-    def create_then_kill(*args, **kwargs):
-        channel = yield from create_channel(*args, **kwargs)
-        # At the registry's next wait, the channel in its lease.
-        bed.sim.call_later(0.0, lambda _: bed.app_a.terminate(), None)
-        return channel
-
-    netio.create_channel = create_then_kill
-    serve(bed, seen)
-    request(bed, seen)
-
-
-def cell_listener_closed_mid_handshake(bed, seen):
-    serve(bed, seen)
-    request(bed, seen)
-    at(bed, 0.0097, lambda: seen["listener"].close())
-
-
-def cell_listener_closed_with_a_connection_in_its_backlog(bed, seen):
-    def server():  # Listens, never accepts.
-        seen["listener"] = yield from bed.service_b.listen(80)
-
-    bed.spawn(server())
-    request(bed, seen)
-    at(bed, 0.1, lambda: seen["listener"].close())
-
-
-def cell_listener_owner_dies_mid_handshake(bed, seen):
-    serve(bed, seen)
-    request(bed, seen)
-    at(bed, 0.0097, bed.app_b.terminate)
-
-
-def cell_handoff_then_first_owner_exits(bed, seen):
-    worker_service = bed.library_service("bob", "worker")
-
-    def inetd():
-        listener = yield from bed.service_b.listen(80)
-        conn = yield from listener.accept()
-        handed = conn.hand_off(worker_service.app, worker_service)
-        seen["conns"].append(handed)
-        bed.spawn(worker(handed))
-        bed.app_b.terminate()  # inetd exits; the worker serves on.
-
-    def worker(conn):
-        data = yield from conn.recv_exactly(5)
-        yield from conn.send(data.upper())
-        seen["inherited_while_served"] = bed.registry_b.stats["inherited"]
-        yield bed.sim.timeout(0.5)
-        worker_service.app.terminate()  # Abnormal exit: now it is inherited.
-
-    def client(conn):
-        yield from conn.send(b"hello")
-        seen["echo"] = yield from conn.recv_exactly(5)
-        yield from drain(conn)
-
-    bed.spawn(inetd())
-    request(bed, seen, then=client)
-
-
-def cell_terminate_from_own_thread(bed, seen):
-    def then(conn):
-        yield from conn.send(b"last words")
-        yield bed.sim.timeout(0.1)
-        bed.app_a.terminate()
-        yield bed.sim.timeout(60.0)  # Never served: the thread ends here.
-        seen["outlived_its_task"] = True
-
-    serve(bed, seen)
-    request(bed, seen, then=then)
-
-
-def cell_refused_syns_on_a_closed_port(bed, seen):
-    for _ in range(5):
-        request(bed, seen, port=81)
-
-
-FAILURE_CELLS = [
-    cell_ring_refused,
-    cell_handshake_times_out,
-    cell_peer_refuses,
-    cell_channel_over_quota,
-    cell_channel_flow_refused,
-    cell_requester_dies_mid_handshake,
-    cell_requester_dies_before_the_reply,
-    cell_listener_closed_mid_handshake,
-    cell_listener_closed_with_a_connection_in_its_backlog,
-    cell_listener_owner_dies_mid_handshake,
-    cell_handoff_then_first_owner_exits,
-    cell_terminate_from_own_thread,
-    cell_refused_syns_on_a_closed_port,
-]
-
-
-def run_failure_cell(bed, cell):
-    """Run one cell to quiescence and judge it by "nothing held"."""
-    seen = {"conns": [], "errors": [], "requesters": []}
-    handshakes = []
-    for registry in bed.registries:
-        def recorded(lease, make=registry._handshake_runner):
-            handshakes.append(make(lease))
-            return handshakes[-1]
-
-        registry._handshake_runner = recorded
-    cell(bed, seen)
-    bed.run(until=SETTLED)
-    now = bed.sim.now
-    # 1. Nothing held, on either host.
-    for registry in bed.registries:
-        assert not registry._leases, registry._leases
-        ports = registry.ports
-        assert not [
-            p for p in list(ports._ports)
-            if ports.is_bound(p, now) or ports.is_lingering(p, now)
-        ]
-        # No worker ended with an exception (so none died holding a lease).
-        assert all(t.is_alive or t.ok for t in registry.task.threads)
-    for service in bed.services:
-        assert not getattr(service, "_connections", None)
-    for host in bed.hosts:
-        netio = host.netio
-        assert not netio.channels
-        assert (netio.flow_table.exact_count, netio.flow_table.wildcard_count) == (0, 0)
-        assert netio.region_pool_used == 0
-        if host.is_an1:
-            assert set(host.nic.bqi_table) == {0}
-    # No timer of a handshake, abandoned or completed, is still armed.
-    for runner in handshakes:
-        assert not any(runner._timers.values()), runner.name
-    # 2. Every requester was answered — an error, or a grant — or is dead.
-    assert seen["requesters"]
-    assert not any(requester.is_alive for requester in seen["requesters"])
-    # 3. No connection hangs: each one a living application holds has ended.
-    for conn in seen["conns"]:
-        if not bed.registries or conn.service.app.alive:
-            assert conn.runner.closed_reason is not None, conn
-    return seen
-
-
-@pytest.mark.parametrize("network", ["ethernet", "an1"])
-@pytest.mark.parametrize("cell", FAILURE_CELLS, ids=lambda c: c.__name__[5:])
+@pytest.mark.parametrize("network", NETWORKS)
+@pytest.mark.parametrize("cell", REGISTRY_CELLS)
 def test_failure_leaves_nothing_held(network, cell):
-    bed = failure_bed(network)
-    seen = run_failure_cell(bed, cell)
-    ended = {c.service.app.name: c.runner.closed_reason for c in seen["conns"]}
-    if cell is cell_handoff_then_first_owner_exits:
-        # The connection outlived its first owner, untouched, and was
-        # inherited (and reset) only when the worker died.
-        assert seen["echo"] == b"HELLO"
-        assert seen["inherited_while_served"] == 1  # The listener only.
-        assert bed.registry_b.stats["inherited"] == 2
-        assert ended["app-a"] == "reset"
-    elif cell is cell_terminate_from_own_thread:
-        assert "outlived_its_task" not in seen and not bed.app_a.alive
-        assert bed.registry_a.stats["inherited"] == 1
-        assert ended["app-b"] == "reset"
-    elif cell in (
-        cell_listener_closed_mid_handshake,
-        cell_listener_closed_with_a_connection_in_its_backlog,
-        cell_listener_owner_dies_mid_handshake,
-    ):
-        # The handshake completed from the client's side, or was cut
-        # short: either way the client is told, not left in recv().
-        assert seen["errors"] or ended["app-a"] == "reset"
-    else:
-        # The requester got an error reply or is dead, and a peer that
-        # saw the connection was reset.
-        assert seen["errors"] or not bed.app_a.alive
-        assert ended.get("app-b", "reset") == "reset"
-
-
-def cell_listener_closed_mid_handshake_on_ultrix(bed, seen):
-    serve(bed, seen)
-    request(bed, seen)
-    at(bed, 0.0025, lambda: seen["listener"].close())
+    result = run_cell(FailureSpec(cell, network))
+    assert result.ok, [str(v) for v in result.violations]
 
 
 @pytest.mark.parametrize(
-    "cell",
-    [
-        cell_listener_closed_mid_handshake_on_ultrix,
-        cell_listener_closed_with_a_connection_in_its_backlog,
-    ],
-    ids=["mid_handshake", "with_a_connection_in_its_backlog"],
+    "cell", ULTRIX_CELLS, ids=["mid_handshake", "with_a_connection_in_its_backlog"]
 )
 def test_listener_closed_resets_the_client_on_ultrix(cell):
     """The monolithic stack's twin of the registry's passive open: a
     connection nobody will accept is aborted, not kept ESTABLISHED."""
-    seen = run_failure_cell(failure_bed("ethernet", organization="ultrix"), cell)
-    assert [c.runner.closed_reason for c in seen["conns"]] == ["reset"]
+    result = run_cell(FailureSpec(cell, "ethernet", "ultrix"))
+    assert result.ok, [str(v) for v in result.violations]

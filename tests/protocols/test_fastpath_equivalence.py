@@ -16,8 +16,7 @@ same.  This suite holds them to it:
 import pytest
 
 from repro.check import wire_digest
-from repro.check.campaign import CellSpec, build_bed
-from repro.check.evidence import collect_evidence
+from repro.check.campaign import CellSpec, cell_evidence
 from repro.costs import DECSTATION_5000_200
 from repro.net.fabric.routing import RouteTable
 from repro.net.headers import (
@@ -55,14 +54,7 @@ def tcp_frame(sport, dport, src_ip=IP_A, dst_ip=IP_B):
 
 def _run(spec: CellSpec):
     """One deterministic run: (wire digest, delivered byte streams)."""
-    evidence = collect_evidence(
-        build_bed(spec),
-        transfers=spec.transfers,
-        payload_bytes=spec.payload_bytes,
-        chunk_size=spec.chunk_size,
-        seed=spec.seed,
-        deadline=spec.deadline,
-    )
+    evidence = cell_evidence(spec)
     streams = [(t.payload, bytes(t.received)) for t in evidence.transfers]
     assert all(t.complete for t in evidence.transfers)
     return wire_digest(evidence), streams
@@ -115,15 +107,8 @@ def test_fastpath_actually_engages_on_clean_run():
     """The equivalence above is vacuous if the fast path never fires:
     on a clean in-order run the predicted path must carry most
     segments on both endpoints combined."""
-    spec = CellSpec(transfers=1, payload_bytes=16_384, seed=21)
-    bed = build_bed(spec)
-    evidence = collect_evidence(
-        bed,
-        transfers=1,
-        payload_bytes=16_384,
-        chunk_size=2048,
-        seed=21,
-        deadline=30.0,
+    evidence = cell_evidence(
+        CellSpec(transfers=1, payload_bytes=16_384, seed=21, deadline=30.0)
     )
     hits = misses = 0
     for _name, machine in evidence.machines:

@@ -2,6 +2,8 @@
 trusted layers when enforcement is on, and leaves evidence the
 isolation invariants convict on when it is off."""
 
+import json
+
 import pytest
 
 from repro.costs import FREE
@@ -23,7 +25,8 @@ from repro.tenancy import (
     TenantManager,
     attach_tenancy,
 )
-from repro.tenancy.campaign import IsolationSpec, run_cell
+from repro.check.campaign import replay_cell
+from repro.tenancy.campaign import ISOLATION, IsolationSpec, run_cell
 from repro.testbed import Testbed
 
 IP_1 = 0x0A000001
@@ -289,21 +292,22 @@ def test_bqi_exhaustion_contained_by_quota():
 # ----------------------------------------------------------------------
 
 
+def _cell(adversary, enforcing):
+    solo = run_cell(IsolationSpec(deadline=2.0)).facts["victim_goodput"]
+    return run_cell(IsolationSpec(adversary, enforcing, 2.0, solo))
+
+
 @pytest.mark.parametrize("adversary", ["flooder", "leaker"])
 def test_enforced_adversary_is_contained(adversary):
-    solo = run_cell(IsolationSpec(adversary="none", deadline=2.0))
-    cell = run_cell(
-        IsolationSpec(adversary=adversary, deadline=2.0),
-        solo_goodput=solo.evidence.victim_goodput,
-    )
-    assert cell.ok, [str(v) for r in cell.results for v in r.violations]
+    cell = _cell(adversary, enforcing=True)
+    assert cell.ok and cell.passed, [str(v) for v in cell.violations]
 
 
 @pytest.mark.parametrize("adversary", ["flooder", "leaker"])
 def test_sabotaged_adversary_is_caught(adversary):
-    solo = run_cell(IsolationSpec(adversary="none", deadline=2.0))
-    cell = run_cell(
-        IsolationSpec(adversary=adversary, enforcing=False, deadline=2.0),
-        solo_goodput=solo.evidence.victim_goodput,
-    )
-    assert cell.caught
+    cell = _cell(adversary, enforcing=False)
+    assert not cell.ok and cell.passed
+    # The cell's dict alone, solo baseline included, brings the
+    # conviction back.
+    recorded = json.loads(json.dumps(cell.as_dict()))
+    assert replay_cell(ISOLATION, recorded).as_dict() == recorded

@@ -7,7 +7,7 @@ and its own JSON baseline with hand-picked slack, and then every perf
 PR refreshes a second copy of a number a test already pins — DESIGN.md
 "Gates" says where each kind of fact is asserted instead.  The second
 half keeps the documents honest about it: a command they quote must
-name files that exist, and must run a bench through pytest.
+name files and modules that exist, and must run a bench through pytest.
 """
 
 import ast
@@ -19,6 +19,8 @@ BENCHES = sorted((ROOT / "benchmarks").glob("bench_*.py"))
 DOCUMENTS = (
     ".github/workflows/ci.yml",
     "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
     "benchmarks/README.md",
     ".claude/skills/verify/SKILL.md",
 )
@@ -63,9 +65,24 @@ def test_a_bench_file_has_no_front_end_but_pytest():
 COMMAND = re.compile(r"\b(?:python3?|pytest) [^`#\n]*")
 
 
+#: Where a ``python -m`` module of this repo's two packages lives.
+MODULE_ROOTS = {"repro": ROOT / "src", "benchmarks": ROOT}
+
+
+def _module_exists(module: str) -> bool:
+    """``python -m module`` runs a file: ``module.py`` or a package's
+    ``__main__.py``."""
+    path = MODULE_ROOTS[module.split(".")[0]].joinpath(*module.split("."))
+    return path.with_suffix(".py").is_file() or (path / "__main__.py").is_file()
+
+
 def _problems(command: str) -> list[str]:
     tokens = command.split()
     problems = []
+    if "-m" in tokens[:-1]:
+        module = tokens[tokens.index("-m") + 1].strip("'\".,;:()")
+        if module.split(".")[0] in MODULE_ROOTS and not _module_exists(module):
+            problems.append(f"no module {module}")
     for token in tokens[1:]:
         token = token.split("::")[0].strip("'\".,;:()")
         if "<" in token or token.startswith(("/", "$", "-")):

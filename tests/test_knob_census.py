@@ -8,7 +8,8 @@ cover, so an option has to say what it is for:
     a per-connection TCP parameter the machine honours as behaviour;
 ``deployment``
     which world to build — topology, sizes, rates, addresses, the cost
-    model, the fault plan, a campaign cell's replay token;
+    model, the fault plan, a campaign cell's replay token, the campaign
+    a run sweeps;
 ``paper-arm: <bench file>``
     an ablation of one of the paper's mechanisms, with the benchmark
     that runs both sides of it.
@@ -19,18 +20,22 @@ belongs in the test (see ``tests/net/eager_datapath.py`` and the
 ``fast_input`` monkeypatch in ``test_fastpath_equivalence.py``).
 """
 
+import argparse
 import dataclasses
 import inspect
 from pathlib import Path
 
 import pytest
 
+from repro.check.__main__ import build_parser
 from repro.check.campaign import CellSpec
+from repro.check.failure import FailureSpec
 from repro.host import Host
 from repro.net.fabric import chain, dumbbell, fat_tree, star
 from repro.netio import FlowTable, NetworkIoModule
 from repro.org.userlib import LibraryTcpService
 from repro.protocols.tcp import TcpConfig
+from repro.tenancy.campaign import IsolationSpec
 from repro.testbed import FabricTestbed, Testbed
 
 P = "protocol"
@@ -39,6 +44,15 @@ FILTERSTYLE = "paper-arm: bench_ablation_filterstyle.py"
 BATCHING = "paper-arm: bench_ablation_batching.py"
 AN1FRAMES = "paper-arm: bench_ablation_an1frames.py"
 SHAREDMEM = "paper-arm: bench_ablation_sharedmem.py"
+
+
+def _subcommand(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices[name]
+
+
+#: ``python -m repro.check run``: the campaign a run sweeps.
+CHECK_RUN = _subcommand(build_parser(), "run")
 
 CENSUS = {
     TcpConfig: {
@@ -58,6 +72,12 @@ CENSUS = {
         "deadline": D, "pairs": D, "red": D,
         "dup_ack_threshold": P, "cc": P,
     },
+    # The isolation axis's sabotage knob is tenancy enforcement itself.
+    IsolationSpec: {
+        "adversary": D, "enforcing": D, "deadline": D, "solo_goodput": D,
+    },
+    FailureSpec: {"cell": D, "network": D, "organization": D},
+    CHECK_RUN: {"axis": D, "quick": D, "seed": D, "cc": P, "out": D},
     Testbed: {
         "network": D, "organization": D, "costs": D, "config": D,
         "faults": D, "demux_style": FILTERSTYLE,
@@ -110,13 +130,15 @@ CENSUS = {
 
 
 def _options(surface) -> list:
+    if isinstance(surface, argparse.ArgumentParser):
+        return [action.dest for action in surface._actions if action.dest != "help"]
     if dataclasses.is_dataclass(surface):
         return [f.name for f in dataclasses.fields(surface)]
     target = surface.__init__ if inspect.isclass(surface) else surface
     return [name for name in inspect.signature(target).parameters if name != "self"]
 
 
-@pytest.mark.parametrize("surface", CENSUS, ids=lambda s: s.__name__)
+@pytest.mark.parametrize("surface", CENSUS, ids=lambda s: getattr(s, "__name__", None) or s.prog)
 def test_every_option_is_in_the_census(surface):
     assert _options(surface) == list(CENSUS[surface])
 

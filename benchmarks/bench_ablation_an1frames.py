@@ -41,14 +41,7 @@ def run_frame_ablation() -> dict:
     return out
 
 
-def test_ablation_an1_frame_size(benchmark, report):
+def test_ablation_an1_frame_size(benchmark):
     r = benchmark.pedantic(run_frame_ablation, rounds=1, iterations=1)
-    report(
-        "Ablation: AN1 frame size",
-        "64KB frames vs 1500B encapsulation",
-        r["full-an1-frames"],
-        r["driver-limited-1500"],
-        "Mb/s",
-    )
     # Large frames amortize per-packet costs: at least 3x the throughput.
     assert r["full-an1-frames"] >= 3.0 * r["driver-limited-1500"]

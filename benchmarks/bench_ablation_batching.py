@@ -27,16 +27,9 @@ def run_batching_ablation() -> dict:
     return out
 
 
-def test_ablation_batching(benchmark, report):
+def test_ablation_batching(benchmark):
     r = benchmark.pedantic(run_batching_ablation, rounds=1, iterations=1)
     for network in ("ethernet", "an1"):
-        report(
-            "Ablation: notification batching",
-            f"{network} batching ON vs OFF",
-            r[(network, True)],
-            r[(network, False)],
-            "Mb/s",
-        )
         # Batching must help (or at worst be neutral).
         assert r[(network, True)] >= r[(network, False)]
     # The AN1's faster wire makes batches bigger, so losing batching

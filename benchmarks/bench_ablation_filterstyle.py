@@ -60,16 +60,8 @@ def run_filter_ablation() -> dict:
     return out
 
 
-def test_ablation_filter_style(benchmark, report):
+def test_ablation_filter_style(benchmark):
     r = benchmark.pedantic(run_filter_ablation, rounds=1, iterations=1)
-    for style in STYLES:
-        report(
-            "Ablation: demux style (Ethernet)",
-            f"{style}: 0 vs 16 extra connections",
-            r[(style, 0)],
-            r[(style, 16)],
-            "Mb/s",
-        )
     # With one connection: synthesized >= bpf >= cspf.
     assert r[("synthesized", 0)] >= r[("bpf", 0)] >= r[("cspf", 0)]
     # Interpretation degrades with connection count; synthesized demux

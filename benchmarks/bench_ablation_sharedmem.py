@@ -30,16 +30,9 @@ def run_sharedmem_ablation() -> dict:
     return out
 
 
-def test_ablation_shared_memory(benchmark, report):
+def test_ablation_shared_memory(benchmark):
     r = benchmark.pedantic(run_sharedmem_ablation, rounds=1, iterations=1)
     for size in (512, 4096):
-        report(
-            "Ablation: zero-copy buffers (AN1)",
-            f"@{size}B zero-copy vs copying",
-            r[(True, size)],
-            r[(False, size)],
-            "Mb/s",
-        )
         # Copy elimination always helps.
         assert r[(True, size)] > r[(False, size)]
     # Copies hurt small packets *relatively more* per byte moved?  No:

@@ -47,18 +47,11 @@ def tcp_like_workload(factory, connections: int = 50, rounds: int = 200):
 
 
 @pytest.mark.parametrize("name", list(FACTORIES))
-def test_ablation_timer_facility(benchmark, report, name):
+def test_ablation_timer_facility(benchmark, name):
     ops, fired = benchmark.pedantic(
         tcp_like_workload, args=(FACTORIES[name],), rounds=3, iterations=1
     )
     heap_ops, heap_fired = tcp_like_workload(FACTORIES["heap"])
-    report(
-        "Ablation: timer facility (basic ops)",
-        f"{name} vs heap baseline",
-        float(ops),
-        float(heap_ops),
-        "ops",
-    )
     # All facilities fire the same timers.
     assert fired == heap_fired
     if name != "heap":

@@ -136,7 +136,7 @@ def run_matrix(pairs: int, bytes_per_flow: int) -> dict:
 # ----------------------------------------------------------------------
 
 
-def test_congestion_race(benchmark, report):
+def test_congestion_race(benchmark):
     matrix = benchmark.pedantic(
         run_matrix, args=(RACE_PAIRS, RACE_BYTES), rounds=1, iterations=1
     )
@@ -165,32 +165,10 @@ def test_congestion_race(benchmark, report):
             f"bbr p99 occupancy {bloat['bbr']['queue_p99']:.2f} not below "
             f"{cc} {bloat[cc]['queue_p99']:.2f}"
         )
-    for key, stats in matrix.items():
-        report(
-            "Congestion race (16 flows, 10 Mb/s trunk)",
-            f"{key}: goodput",
-            stats["aggregate_mbps"],
-            TRUNK_MBPS,
-            "Mbps",
-        )
-        report(
-            "Congestion race (16 flows, 10 Mb/s trunk)",
-            f"{key}: Jain fairness",
-            stats["fairness"],
-            1.0,
-            "",
-        )
 
 
-def test_congestion_mixed(report):
+def test_congestion_mixed():
     _, result, mixed = run_mixed(RACE_PAIRS, RACE_BYTES)
     assert all(f.bytes_moved == RACE_BYTES for f in result.flows)
     # Sharing one queue, no algorithm starves another.
     assert mixed["inter_fairness"] >= 0.9
-    report(
-        "Congestion race (16 flows, 10 Mb/s trunk)",
-        "mixed: inter-algorithm fairness",
-        mixed["inter_fairness"],
-        1.0,
-        "",
-    )

@@ -41,16 +41,8 @@ def run_all_organizations() -> dict:
     return out
 
 
-def test_figure1_organization_taxonomy(benchmark, report):
+def test_figure1_organization_taxonomy(benchmark):
     results = benchmark.pedantic(run_all_organizations, rounds=1, iterations=1)
-    for org in ORGANIZATIONS:
-        report(
-            "Figure 1 (organizations, Ethernet @4096B)",
-            f"{org} throughput",
-            results[org]["throughput"],
-            results["ultrix"]["throughput"],  # Relative to in-kernel.
-            "Mb/s",
-        )
 
     # The 'rare case' dedicated-servers organization loses on the common
     # path: every packet crosses extra address spaces.

@@ -112,13 +112,6 @@ def check_calls(comparison: dict) -> None:
 # pytest entry points
 # ----------------------------------------------------------------------
 
-def test_obs_overhead(report):
+def test_obs_overhead():
     comparison = run_call_comparison()
     check_calls(comparison)
-    report(
-        "Observability plane",
-        "calls added to the quick arm",
-        comparison["on"]["calls"] - comparison["off"]["calls"],
-        MAX_ADDED_CALLS,
-        "calls",
-    )

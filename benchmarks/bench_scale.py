@@ -131,7 +131,7 @@ def run_tcp_bulk() -> float:
     return hits / (hits + sum(row.slow_path for row in rows))
 
 
-def test_scale_quick(benchmark, report):
+def test_scale_quick(benchmark):
     def both():
         return run_arm(*SWEEP[16]), run_tcp_bulk()
 
@@ -142,20 +142,6 @@ def test_scale_quick(benchmark, report):
     assert hit_rate >= MIN_FASTPATH_HIT, (
         f"header prediction missed the in-order bulk workload: {hit_rate:.3f}"
     )
-    report(
-        "Simulator at scale",
-        "events per heap pop (quick fat-tree)",
-        fabric["events_per_step"],
-        MIN_EVENTS_PER_STEP,
-        "",
-    )
-    report(
-        "Simulator at scale",
-        "TCP header-prediction hit rate (in-order bulk)",
-        hit_rate,
-        MIN_FASTPATH_HIT,
-        "",
-    )
 
 
 @pytest.mark.parametrize(
@@ -163,7 +149,7 @@ def test_scale_quick(benchmark, report):
     [16, 64, 256]
     + [pytest.param(n, marks=pytest.mark.huge) for n in (1024, 4096)],
 )
-def test_scale_sweep(hosts, report):
+def test_scale_sweep(hosts):
     result = run_arm(*SWEEP[hosts])
     assert result["hosts"] == hosts
     if hosts >= 256:
@@ -173,10 +159,3 @@ def test_scale_sweep(hosts, report):
     # queues tail-drop): some datagrams arrive, none is invented.
     assert 0 < result["datagrams_received"] <= result["datagrams_sent"]
     assert result["events_per_step"] >= MIN_EVENTS_PER_STEP
-    report(
-        "Simulator at scale",
-        f"{hosts} hosts, {result['flows']} flows: events per heap pop",
-        result["events_per_step"],
-        MIN_EVENTS_PER_STEP,
-        "",
-    )

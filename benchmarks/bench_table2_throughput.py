@@ -4,47 +4,28 @@ Reproduces the paper's central result: a user-level library TCP
 outperforms the Mach/UX single-server organization and approaches (but
 does not match) the in-kernel Ultrix implementation on Ethernet, while
 on AN1 the copy-eliminating buffer organization makes the library *win*
-at small packet sizes.
+at small packet sizes.  The cells are measured once per session by
+``repro.paper.grid`` (the ``grid`` fixture).
 """
 
 import pytest
-from paper_targets import TABLE2, TABLE2_SIZES
 
-from repro.metrics import measure_throughput
-from repro.testbed import Testbed
+from repro.paper import TABLE2, TABLE2_SIZES
 
-#: One full row per bench invocation keeps pytest-benchmark output sane.
 CONFIGS = [
     pytest.param(net, org, id=f"{net}-{org}")
     for (net, org) in TABLE2
 ]
 
 
-def run_row(network: str, organization: str) -> dict:
-    row = {}
-    for size in TABLE2_SIZES:
-        testbed = Testbed(network=network, organization=organization)
-        result = measure_throughput(
-            testbed, total_bytes=400_000, chunk_size=size
-        )
-        row[size] = result.throughput_mbps
-    return row
+def mbps(grid, network, organization, size):
+    return grid["table2", network, organization, size].measured
 
 
 @pytest.mark.parametrize("network,organization", CONFIGS)
-def test_table2_row(benchmark, report, network, organization):
-    row = benchmark.pedantic(
-        run_row, args=(network, organization), rounds=1, iterations=1
-    )
+def test_table2_row(grid, network, organization):
+    row = {size: mbps(grid, network, organization, size) for size in TABLE2_SIZES}
     paper_row = TABLE2[(network, organization)]
-    for size in TABLE2_SIZES:
-        report(
-            "Table 2 (throughput)",
-            f"{network} {organization} @{size}B",
-            row[size],
-            paper_row[size],
-            "Mb/s",
-        )
     # Shape: throughput is monotone non-decreasing in packet size
     # (within a small tolerance for scheduling noise).
     sizes = list(TABLE2_SIZES)
@@ -57,23 +38,12 @@ def test_table2_row(benchmark, report, network, organization):
         assert 0.5 <= row[size] / paper_row[size] <= 2.0
 
 
-def _measure(network, organization, size, total=400_000):
-    testbed = Testbed(network=network, organization=organization)
-    return measure_throughput(
-        testbed, total_bytes=total, chunk_size=size
-    ).throughput_mbps
-
-
-def test_table2_ethernet_ordering(benchmark):
+def test_table2_ethernet_ordering(grid):
     """Paper: ours outperforms Mach/UX; Ultrix outperforms ours."""
-
-    def run():
-        return {
-            org: _measure("ethernet", org, 4096)
-            for org in ("ultrix", "userlib", "mach-ux")
-        }
-
-    r = benchmark.pedantic(run, rounds=1, iterations=1)
+    r = {
+        org: mbps(grid, "ethernet", org, 4096)
+        for org in ("ultrix", "userlib", "mach-ux")
+    }
     assert r["ultrix"] > r["userlib"] > r["mach-ux"]
     # Paper: ours is ~40% faster than Mach/UX at 4 KB.
     assert r["userlib"] / r["mach-ux"] >= 1.25
@@ -81,34 +51,15 @@ def test_table2_ethernet_ordering(benchmark):
     assert r["ultrix"] / r["userlib"] >= 1.15
 
 
-def test_table2_an1_library_wins_small_packets(benchmark):
+def test_table2_an1_library_wins_small_packets(grid):
     """Paper: "We achieve better performance than Ultrix with 512-byte
     user packets because our implementation uses a buffer organization
     that eliminates byte copying."""
-
-    def run():
-        return {
-            org: _measure("an1", org, 512)
-            for org in ("ultrix", "userlib")
-        }
-
-    r = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert r["userlib"] > r["ultrix"]
+    assert mbps(grid, "an1", "userlib", 512) > mbps(grid, "an1", "ultrix", 512)
 
 
-def test_table2_an1_narrows_gap(benchmark):
+def test_table2_an1_narrows_gap(grid):
     """Paper: "on AN1, the difference is far less pronounced"."""
-
-    def run():
-        out = {}
-        for net in ("ethernet", "an1"):
-            out[net] = {
-                org: _measure(net, org, 1024)
-                for org in ("ultrix", "userlib")
-            }
-        return out
-
-    r = benchmark.pedantic(run, rounds=1, iterations=1)
-    eth_ratio = r["ethernet"]["ultrix"] / r["ethernet"]["userlib"]
-    an1_ratio = r["an1"]["ultrix"] / r["an1"]["userlib"]
+    eth_ratio = mbps(grid, "ethernet", "ultrix", 1024) / mbps(grid, "ethernet", "userlib", 1024)
+    an1_ratio = mbps(grid, "an1", "ultrix", 1024) / mbps(grid, "an1", "userlib", 1024)
     assert an1_ratio < eth_ratio

@@ -2,14 +2,14 @@
 
 Paper §4: "The latency is measured by doing a simple ping-pong test
 between two applications.  The first application sends data to the
-second, which in turn, sends the same amount of data back."
+second, which in turn, sends the same amount of data back."  The cells
+are measured once per session by ``repro.paper.grid`` (the ``grid``
+fixture).
 """
 
 import pytest
-from paper_targets import TABLE3, TABLE3_SIZES
 
-from repro.metrics import measure_latency
-from repro.testbed import Testbed
+from repro.paper import TABLE3, TABLE3_SIZES
 
 CONFIGS = [
     pytest.param(net, org, id=f"{net}-{org}")
@@ -17,29 +17,14 @@ CONFIGS = [
 ]
 
 
-def run_row(network: str, organization: str) -> dict:
-    row = {}
-    for size in TABLE3_SIZES:
-        testbed = Testbed(network=network, organization=organization)
-        result = measure_latency(testbed, message_size=size, rounds=40)
-        row[size] = result.rtt_ms
-    return row
+def rtt(grid, network, organization, size):
+    return grid["table3", network, organization, size].measured
 
 
 @pytest.mark.parametrize("network,organization", CONFIGS)
-def test_table3_row(benchmark, report, network, organization):
-    row = benchmark.pedantic(
-        run_row, args=(network, organization), rounds=1, iterations=1
-    )
+def test_table3_row(grid, network, organization):
+    row = {size: rtt(grid, network, organization, size) for size in TABLE3_SIZES}
     paper_row = TABLE3[(network, organization)]
-    for size in TABLE3_SIZES:
-        report(
-            "Table 3 (round-trip latency)",
-            f"{network} {organization} @{size}B",
-            row[size],
-            paper_row[size],
-            "ms",
-        )
     # Shape: latency increases with message size.
     sizes = list(TABLE3_SIZES)
     for small, large in zip(sizes, sizes[1:]):
@@ -49,50 +34,25 @@ def test_table3_row(benchmark, report, network, organization):
         assert 0.5 <= row[size] / paper_row[size] <= 2.0
 
 
-def _rtt(network, organization, size):
-    testbed = Testbed(network=network, organization=organization)
-    return measure_latency(testbed, message_size=size, rounds=40).rtt_ms
-
-
-def test_table3_ethernet_ordering(benchmark):
+def test_table3_ethernet_ordering(grid):
     """Paper: "latencies on the Ethernet are significantly reduced from
     the Mach/UX monolithic implementation and [are] on average about
     61% higher than the Ultrix implementation"."""
-
-    def run():
-        return {
-            org: _rtt("ethernet", org, 512)
-            for org in ("ultrix", "userlib", "mach-ux")
-        }
-
-    r = benchmark.pedantic(run, rounds=1, iterations=1)
+    r = {
+        org: rtt(grid, "ethernet", org, 512)
+        for org in ("ultrix", "userlib", "mach-ux")
+    }
     assert r["ultrix"] < r["userlib"] < r["mach-ux"]
     assert r["mach-ux"] / r["userlib"] >= 1.3
 
 
-def test_table3_an1_latencies_lower_than_ethernet(benchmark):
+def test_table3_an1_latencies_lower_than_ethernet(grid):
     """The 100 Mb/s link cuts transmission time dramatically."""
-
-    def run():
-        return {
-            net: _rtt(net, "userlib", 1460)
-            for net in ("ethernet", "an1")
-        }
-
-    r = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert r["an1"] < r["ethernet"] * 0.6
+    assert rtt(grid, "an1", "userlib", 1460) < rtt(grid, "ethernet", "userlib", 1460) * 0.6
 
 
-def test_table3_an1_gap_about_40_percent(benchmark):
+def test_table3_an1_gap_about_40_percent(grid):
     """Paper: "On the AN1, the difference between Ultrix and our
     implementation is about 40%" (we assert it stays well under the
     Ethernet-era multiples)."""
-
-    def run():
-        return {
-            org: _rtt("an1", org, 512)
-            for org in ("ultrix", "userlib")
-        }
-
-    r = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert 1.0 <= r["userlib"] / r["ultrix"] <= 1.6
+    assert 1.0 <= rtt(grid, "an1", "userlib", 512) / rtt(grid, "an1", "ultrix", 512) <= 1.6

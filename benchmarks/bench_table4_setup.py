@@ -1,18 +1,18 @@
-"""Table 4: connection setup cost, plus the paper's §4 breakdown of our
-11.9 ms Ethernet setup into five components.
+"""Table 4: connection setup cost, plus the paper's §4 breakdown of the
+library's Ethernet setup into five components.
 
 Setup is where the user-level organization pays for its security: the
 registry server allocates the end-point, runs the handshake over its
 (slow, IPC-based) device path, builds the protected channel, and
 transfers the TCP state to the library — "a reasonable overhead if it
-can be amortized over multiple subsequent data exchanges".
+can be amortized over multiple subsequent data exchanges".  The cells
+are measured once per session by ``repro.paper.grid`` (the ``grid``
+fixture).
 """
 
 import pytest
-from paper_targets import TABLE4, TABLE4_BREAKDOWN
 
-from repro.metrics import measure_setup
-from repro.testbed import IP_B, Testbed
+from repro.paper import TABLE4, TABLE4_BREAKDOWN
 
 CONFIGS = [
     pytest.param(net, org, id=f"{net}-{org}")
@@ -20,105 +20,46 @@ CONFIGS = [
 ]
 
 
-def run_setup(network: str, organization: str) -> float:
-    testbed = Testbed(network=network, organization=organization)
-    return measure_setup(testbed, rounds=8).setup_ms
+def setup_ms(grid, network, organization):
+    return grid["table4", network, organization, None].measured
 
 
 @pytest.mark.parametrize("network,organization", CONFIGS)
-def test_table4_setup_cost(benchmark, report, network, organization):
-    setup_ms = benchmark.pedantic(
-        run_setup, args=(network, organization), rounds=1, iterations=1
-    )
+def test_table4_setup_cost(grid, network, organization):
     paper = TABLE4[(network, organization)]
-    report(
-        "Table 4 (connection setup)",
-        f"{network} {organization}",
-        setup_ms,
-        paper,
-        "ms",
-    )
-    assert 0.5 <= setup_ms / paper <= 2.0
+    assert 0.5 <= setup_ms(grid, network, organization) / paper <= 2.0
 
 
-def test_table4_ordering(benchmark):
+def test_table4_ordering(grid):
     """Ultrix < Mach/UX < ours: each layer of indirection at setup."""
-
-    def run():
-        return {
-            org: run_setup("ethernet", org)
-            for org in ("ultrix", "mach-ux", "userlib")
-        }
-
-    r = benchmark.pedantic(run, rounds=1, iterations=1)
+    r = {
+        org: setup_ms(grid, "ethernet", org)
+        for org in ("ultrix", "mach-ux", "userlib")
+    }
     assert r["ultrix"] < r["mach-ux"] < r["userlib"]
     # Paper: ours is a noticeable multiple of the kernel's cost.
     assert r["userlib"] / r["ultrix"] >= 3.0
 
 
-def test_table4_an1_bqi_premium(benchmark):
+def test_table4_an1_bqi_premium(grid):
     """Paper: "slightly higher for the AN1 because the machinery
     involved to setup the BQI has to be exercised"."""
-
-    def run():
-        return {
-            net: run_setup(net, "userlib")
-            for net in ("ethernet", "an1")
-        }
-
-    r = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert r["an1"] > r["ethernet"]
-    assert r["an1"] - r["ethernet"] < 2.0  # "slightly": well under 2 ms.
+    ethernet, an1 = (setup_ms(grid, net, "userlib") for net in ("ethernet", "an1"))
+    assert an1 > ethernet
+    assert an1 - ethernet < 2.0  # "slightly": well under 2 ms.
 
 
-def run_breakdown() -> dict:
-    """One instrumented connect; returns phase durations in ms."""
-    testbed = Testbed(network="ethernet", organization="userlib")
-    done = {}
-
-    def server():
-        listener = yield from testbed.service_b.listen(4300)
-        conn = yield from listener.accept()
-        yield from conn.recv(64)
-
-    def client():
-        # Warm the ARP cache so the breakdown is pure setup.
-        yield from testbed.host_a.resolve_link(IP_B)
-        start = testbed.sim.now
-        conn = yield from testbed.service_a.connect(IP_B, 4300)
-        done["total_ms"] = (testbed.sim.now - start) * 1e3
-        yield from conn.send(b"ok")
-
-    testbed.spawn(server(), name="server")
-    proc = testbed.spawn(client(), name="client")
-    testbed.run(until=proc)
-    b = testbed.registry_a.last_breakdown
-    out = {
-        "total": done["total_ms"],
-        "remote_and_back": b["remote_and_back"] * 1e3,
-        "non_overlapped_outbound": b["non_overlapped_outbound"] * 1e3,
-        "channel_setup": b["channel_setup"] * 1e3,
-        "state_transfer": b["state_transfer"] * 1e3,
-    }
-    # App<->server IPC: what the app saw minus what the registry spent.
-    registry_span = (b["reply_at"] - b["request_at"]) * 1e3
-    out["app_server_ipc"] = max(0.0, out["total"] - registry_span)
-    return out
-
-
-def test_table4_breakdown(benchmark, report):
+def test_table4_breakdown(grid):
     """The five components of our Ethernet setup cost (paper §4)."""
-    r = benchmark.pedantic(run_breakdown, rounds=1, iterations=1)
-    for key, paper in TABLE4_BREAKDOWN.items():
-        report("Table 4 breakdown (ours, Ethernet)", key, r[key], paper, "ms")
+    r = {
+        key: grid["table4-breakdown", "ethernet", "userlib", key].measured
+        for key in TABLE4_BREAKDOWN
+    }
     # The bulk of the cost is reaching the remote peer through the
-    # registry's slow device path (paper: 4.6 of 11.9 ms).
-    assert r["remote_and_back"] == max(
-        r[k] for k in TABLE4_BREAKDOWN
-    )
-    # Channel setup is the second-largest component (paper: 3.4 ms).
+    # registry's slow device path, as in the paper.
+    assert r["remote_and_back"] == max(r.values())
+    # Channel setup is the second-largest component, as in the paper.
     assert r["channel_setup"] >= r["state_transfer"]
     assert r["channel_setup"] >= r["non_overlapped_outbound"]
-    # Components are all non-trivial and sum close to the total.
-    component_sum = sum(r[k] for k in TABLE4_BREAKDOWN)
-    assert component_sum == pytest.approx(r["total"], rel=0.25)
+    # The components sum close to the whole setup they break down.
+    assert sum(r.values()) == pytest.approx(setup_ms(grid, "ethernet", "userlib"), rel=0.25)

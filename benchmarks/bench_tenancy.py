@@ -129,7 +129,7 @@ def check_comparison(comparison: dict) -> None:
     [(2, 60_000), (3, 150_000)],
     ids=["2x60KB", "3x150KB"],
 )
-def test_tenancy_overhead_and_fairness(tenants, bytes_per_flow, benchmark, report):
+def test_tenancy_overhead_and_fairness(tenants, bytes_per_flow, benchmark):
     comparison = benchmark.pedantic(
         run_comparison,
         args=(tenants, FLOWS_PER_TENANT, bytes_per_flow),
@@ -139,20 +139,3 @@ def test_tenancy_overhead_and_fairness(tenants, bytes_per_flow, benchmark, repor
     check_comparison(comparison)
     fairness = comparison["tenanted"]["tenant_fairness"]
     assert fairness >= MIN_TENANT_FAIRNESS, comparison["tenanted"]
-    report(
-        "Multi-tenant fabric",
-        f"{tenants} tenants: tenant Jain fairness",
-        fairness,
-        MIN_TENANT_FAIRNESS,
-        "",
-    )
-    report(
-        "Multi-tenant fabric",
-        f"{tenants} tenants: simulated goodput drift under enforcement",
-        abs(
-            comparison["tenanted"]["aggregate_mbps"]
-            - comparison["untenanted"]["aggregate_mbps"]
-        ),
-        0.0,
-        "Mb/s",
-    )

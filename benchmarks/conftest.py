@@ -1,43 +1,28 @@
 """Shared benchmark fixtures and the paper-vs-measured report.
 
-Benchmarks run the simulated workloads under pytest-benchmark (wall-time
-of the simulation run) while asserting the *simulated-time* results
-reproduce the paper's shape.  A session-scoped collector prints the full
-paper-vs-measured comparison at the end of the run.
+Benchmarks assert that the *simulated-time* results reproduce the
+paper's shape.  The paper's 47 Table 2–5 cells are measured once per
+session by :func:`repro.paper.grid`; when a bench read them, the end of
+the run prints them beside the paper's numbers.
 """
-
-import sys
-from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
+from repro import paper
 
-_REPORT_ROWS: list[tuple[str, str, float, float, str]] = []
-
-
-def record(table: str, label: str, measured: float, paper: float, unit: str) -> None:
-    """Collect one paper-vs-measured datum for the end-of-run report."""
-    _REPORT_ROWS.append((table, label, measured, paper, unit))
+GRID = pytest.StashKey[dict]()
 
 
-@pytest.fixture
-def report():
-    return record
+@pytest.fixture(scope="session")
+def grid(request):
+    """The paper's cells, each measured once per session."""
+    rows = request.config.stash[GRID] = paper.grid()
+    return rows
 
 
-def pytest_terminal_summary(terminalreporter):
-    if not _REPORT_ROWS:
-        return
-    tr = terminalreporter
-    tr.section("paper vs measured")
-    current_table = None
-    for table, label, measured, paper, unit in _REPORT_ROWS:
-        if table != current_table:
-            tr.write_line(f"--- {table} ---")
-            current_table = table
-        ratio = measured / paper if paper else float("nan")
-        tr.write_line(
-            f"  {label:42s} measured {measured:9.2f} {unit:5s}"
-            f"  paper {paper:9.2f}  (x{ratio:.2f})"
-        )
+def pytest_terminal_summary(terminalreporter, config):
+    rows = config.stash.get(GRID, None)
+    if rows:
+        terminalreporter.section("paper vs measured")
+        for line in paper.render(rows):
+            terminalreporter.write_line(line)

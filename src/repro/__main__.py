@@ -1,9 +1,10 @@
 """``python -m repro`` — a quick tour of the reproduction.
 
 Runs a condensed version of the paper's evaluation (one throughput row,
-one latency row, connection setup) and prints the paper's numbers
-alongside, so a fresh checkout shows the headline results in under a
-minute.  The full grid lives in ``pytest benchmarks/ --benchmark-only``.
+one latency row, connection setup) and prints the paper's numbers from
+``repro.paper`` alongside, so a fresh checkout shows the headline
+results in under a minute.  ``python tools/calibrate.py`` prints the
+whole grid.
 """
 
 from __future__ import annotations
@@ -11,29 +12,8 @@ from __future__ import annotations
 import argparse
 
 from .metrics import measure_latency, measure_setup, measure_throughput
+from .paper import TABLE2, TABLE3, TABLE4
 from .testbed import Testbed
-
-PAPER_THROUGHPUT_4096 = {
-    ("ethernet", "ultrix"): 7.6,
-    ("ethernet", "mach-ux"): 3.5,
-    ("ethernet", "userlib"): 5.0,
-    ("an1", "ultrix"): 11.9,
-    ("an1", "userlib"): 11.9,
-}
-PAPER_RTT_512 = {
-    ("ethernet", "ultrix"): 3.5,
-    ("ethernet", "mach-ux"): 10.8,
-    ("ethernet", "userlib"): 5.2,
-    ("an1", "ultrix"): 2.7,
-    ("an1", "userlib"): 3.4,
-}
-PAPER_SETUP = {
-    ("ethernet", "ultrix"): 2.6,
-    ("ethernet", "mach-ux"): 6.8,
-    ("ethernet", "userlib"): 11.9,
-    ("an1", "ultrix"): 2.9,
-    ("an1", "userlib"): 12.3,
-}
 
 
 def main() -> None:
@@ -58,7 +38,7 @@ def main() -> None:
         print(f"{'system':10s} {'tput@4096':>12s} {'rtt@512':>10s} {'setup':>9s}"
               f"   (paper in parentheses)")
         for org in ("ultrix", "mach-ux", "userlib"):
-            if (network, org) not in PAPER_THROUGHPUT_4096:
+            if (network, org) not in TABLE2:
                 continue
             tput = measure_throughput(
                 Testbed(network=network, organization=org),
@@ -74,9 +54,9 @@ def main() -> None:
                 Testbed(network=network, organization=org), rounds=5
             ).setup_ms
             paper = (
-                PAPER_THROUGHPUT_4096[(network, org)],
-                PAPER_RTT_512[(network, org)],
-                PAPER_SETUP[(network, org)],
+                TABLE2[network, org][4096],
+                TABLE3[network, org][512],
+                TABLE4[network, org],
             )
             print(
                 f"{org:10s} {tput:6.2f} ({paper[0]:4.1f}) Mb/s"
@@ -87,7 +67,7 @@ def main() -> None:
     print("\nshape reproduced: the user-level library beats the single")
     print("server, trails the kernel on Ethernet, and converges on AN1 —")
     print("while paying its one real cost at connection setup.")
-    print("full evaluation: pytest benchmarks/ --benchmark-only")
+    print("full grid: python tools/calibrate.py; shapes: pytest benchmarks/")
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ SITES = {
     ("netio/pktfilter.py", "run"): "the filter interpreter reads flat octets",
     ("netio/pktfilter.py", "classify"): "the filter scan reads flat octets",
     ("check/evidence.py", "strict_decode"): "the campaign's evidence",
+    ("paper.py", "demux_frame"): "the Table 5 probe frame, built before its run",
 }
 
 

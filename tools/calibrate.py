@@ -1,66 +1,17 @@
 #!/usr/bin/env python3
-"""Calibration sweep: run the paper's whole evaluation grid and print
-measured vs published values.  Development tool for tuning
-repro/costs.py; the benchmark suite asserts only shape relations.
+"""Calibration sweep: measure the paper's 47 Table 2–5 cells and print
+each beside the published value.  A development tool for tuning
+``repro/costs.py``; the bench estate asserts only shape relations.
 
-Usage: python tools/calibrate.py [table2|table3|table4|all]
+Usage: python tools/calibrate.py   (about 2 s; runs from any directory)
 """
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "benchmarks")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from paper_targets import TABLE2, TABLE2_SIZES, TABLE3, TABLE3_SIZES, TABLE4
+from repro.paper import grid, render  # noqa: E402
 
-from repro.metrics import measure_latency, measure_setup, measure_throughput
-from repro.testbed import Testbed
-
-
-def table2():
-    print("=== Table 2: throughput (Mb/s), measured vs paper ===")
-    for network in ("ethernet", "an1"):
-        for org in ("ultrix", "mach-ux", "userlib"):
-            if (network, org) not in TABLE2:
-                continue
-            row = []
-            for size in TABLE2_SIZES:
-                tb = Testbed(network=network, organization=org)
-                result = measure_throughput(
-                    tb, total_bytes=400_000, chunk_size=size
-                )
-                paper = TABLE2[(network, org)][size]
-                row.append(f"{size}: {result.throughput_mbps:5.2f} ({paper})")
-            print(f"  {network:9s} {org:9s} " + "  ".join(row))
-
-
-def table3():
-    print("=== Table 3: RTT (ms), measured vs paper ===")
-    for network in ("ethernet", "an1"):
-        for org in ("ultrix", "mach-ux", "userlib"):
-            if (network, org) not in TABLE3:
-                continue
-            row = []
-            for size in TABLE3_SIZES:
-                tb = Testbed(network=network, organization=org)
-                result = measure_latency(tb, message_size=size, rounds=40)
-                paper = TABLE3[(network, org)][size]
-                row.append(f"{size}: {result.rtt_ms:5.2f} ({paper})")
-            print(f"  {network:9s} {org:9s} " + "  ".join(row))
-
-
-def table4():
-    print("=== Table 4: connection setup (ms), measured vs paper ===")
-    for (network, org), paper in TABLE4.items():
-        tb = Testbed(network=network, organization=org)
-        result = measure_setup(tb, rounds=8)
-        print(f"  {network:9s} {org:9s} {result.setup_ms:6.2f} ({paper})")
-
-
-if __name__ == "__main__":
-    which = sys.argv[1] if len(sys.argv) > 1 else "all"
-    if which in ("table2", "all"):
-        table2()
-    if which in ("table3", "all"):
-        table3()
-    if which in ("table4", "all"):
-        table4()
+for line in render(grid()):
+    print(line)

@@ -84,6 +84,9 @@ class Host:
             self.nic = PmaddNic(self.kernel, link, link_addr, name=f"{name}-eth")
         else:
             raise TypeError(f"unsupported link {link!r}")
+        #: Payload bytes a frame carries above the link header: fixed
+        #: once the NIC is attached, read on every send.
+        self.mtu: int = self.nic.mtu_data
         self.netio = NetworkIoModule(
             self.kernel, self.nic, demux_style, batching=batching
         )
@@ -117,10 +120,6 @@ class Host:
 
     def __repr__(self) -> str:
         return f"<Host {self.name} {ip_to_str(self.ip)}>"
-
-    @property
-    def mtu(self) -> int:
-        return self.nic.mtu_data
 
     def create_task(self, name: str, privileged: bool = False) -> Task:
         return self.kernel.create_task(name, privileged=privileged)
@@ -255,9 +254,9 @@ class Host:
             yield self.sim.timeout(0.5)
             expired = self.ip_stack.expire(self.sim.now)
             if expired:
-                yield from self.kernel.cpu.consume(
-                    self.kernel.costs.timer_op * expired
-                )
+                cost = self.kernel.costs.timer_op * expired
+                if cost:
+                    yield self.kernel.cpu.charge(cost)
         self._slow_timer_armed = False
 
     def _udp_channel(self, udp_payload: bytes) -> Optional[Channel]:

@@ -54,43 +54,54 @@ def send(task: Task, dest: PortRight, message: Message) -> Generator:
 
     Charges trap + one-way IPC + in-line copy cost, validates the
     capability, consumes send-once rights, and moves carried rights.
+    Each held-right test is one set-membership test here;
+    :meth:`Task.check_right` raises for the one that fails.
     """
     kernel = task.kernel
-    task.check_right(dest)
+    rights = task._rights
+    if dest not in rights:
+        task.check_right(dest)
     if not dest.is_send:
         raise CapabilityViolation(f"{dest!r} is not a send right")
-    if dest.right is RightType.SEND_ONCE and dest.consumed:
+    send_once = dest.right is RightType.SEND_ONCE
+    if send_once and dest.consumed:
         raise CapabilityViolation("send-once right already used")
-    if dest.port.dead:
-        raise DeadPortError(f"send to dead port {dest.port.name}")
+    port = dest.port
+    if port.dead:
+        raise DeadPortError(f"send to dead port {port.name}")
 
-    for right in message.moved_rights:
-        task.check_right(right)
-    if message.reply_to is not None:
-        task.check_right(message.reply_to)
+    moved = message.moved_rights
+    for right in moved:
+        if right not in rights:
+            task.check_right(right)
+    reply = message.reply_to
+    if reply is not None and reply not in rights:
+        task.check_right(reply)
 
-    yield from kernel.cpu.consume(kernel.costs.ipc_cost(message.inline_bytes))
+    cost = kernel.costs.ipc_cost(message.inline_bytes)
+    if cost:
+        yield kernel.cpu.charge(cost)
     kernel.counters["ipc_messages"] += 1
 
-    if dest.port.dead:
+    if port.dead:
         # The receiver died while the message was being copied.
-        raise DeadPortError(f"port {dest.port.name} died during send")
+        raise DeadPortError(f"port {port.name} died during send")
 
-    if dest.right is RightType.SEND_ONCE:
+    if send_once:
         dest.consumed = True
-        task.remove_right(dest)
+        rights.discard(dest)
 
-    receiver = dest.port.receiver
-    for right in message.moved_rights:
-        task.remove_right(right)
+    receiver = port.receiver
+    for right in moved:
+        rights.discard(right)
         if receiver is not None:
-            receiver.insert_right(right)
-    if message.reply_to is not None and receiver is not None:
-        task.remove_right(message.reply_to)
-        receiver.insert_right(message.reply_to)
+            receiver._rights.add(right)
+    if reply is not None and receiver is not None:
+        rights.discard(reply)
+        receiver._rights.add(reply)
 
     message.sender = task
-    yield dest.port.queue.put(message)
+    yield port.queue.put(message)
 
 
 def receive(task: Task, receive_right: PortRight) -> Generator:
@@ -98,7 +109,8 @@ def receive(task: Task, receive_right: PortRight) -> Generator:
 
     Blocks until a message arrives.  Returns the :class:`Message`.
     """
-    task.check_right(receive_right)
+    if receive_right not in task._rights:
+        task.check_right(receive_right)
     if not receive_right.is_receive:
         raise CapabilityViolation(f"{receive_right!r} is not a receive right")
     if receive_right.port.dead:
@@ -112,18 +124,28 @@ def rpc(task: Task, dest: PortRight, message: Message) -> Generator:
 
     Returns the reply :class:`Message`.  This is the app↔registry and
     (in the single-server organization) app↔UX-server interaction shape.
+    The reply port and its send-once right are given back on every
+    exit: a refused send or an interrupted wait leaves neither behind.
     """
     reply_receive = task.allocate_port(name=f"{task.name}-reply")
     reply_send = task.make_send_right(reply_receive, once=True)
     message.reply_to = reply_send
-    yield from send(task, dest, message)
-    reply = yield from receive(task, reply_receive)
-    task.destroy_port(reply_receive)
+    try:
+        yield from send(task, dest, message)
+        reply = yield from receive(task, reply_receive)
+    finally:
+        # Moved to the receiver by a send that went through; still
+        # ours if it did not.  A terminated task holds nothing.
+        rights = task._rights
+        rights.discard(reply_send)
+        if reply_receive in rights:
+            task.destroy_port(reply_receive)
     return reply
 
 
 def reply_to(task: Task, request: Message, message: Message) -> Generator:
-    """Answer an RPC ``request`` using its reply right."""
+    """Answer an RPC ``request`` using its reply right: :func:`send`'s
+    generator, returned for the caller to ``yield from``."""
     if request.reply_to is None:
         raise ValueError("request carried no reply port")
-    yield from send(task, request.reply_to, message)
+    return send(task, request.reply_to, message)

@@ -8,11 +8,11 @@ registry that network I/O modules attach to.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..costs import CostModel
 from ..counters import Counters
-from ..sim import CPU, Simulator
+from ..sim import CPU, Event, Simulator
 
 if TYPE_CHECKING:
     from .task import Task
@@ -55,9 +55,10 @@ class Kernel:
     # Costed kernel crossings
     # ------------------------------------------------------------------
 
-    def fast_trap(self) -> Generator:
-        """Specialized entry point used by the library→device path."""
+    def fast_trap(self) -> Optional[Event]:
+        """Specialized entry point used by the library→device path:
+        counts the trap and returns its CPU charge for the caller to
+        yield, or None when the cost model makes the trap free."""
         self.counters["fast_traps"] += 1
         cost = self.costs.fast_trap
-        if cost:
-            yield self.cpu.charge(cost)
+        return self.cpu.charge(cost) if cost else None

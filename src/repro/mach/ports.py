@@ -66,17 +66,12 @@ class PortRight:
         self.port = port
         self.right = right
         self.consumed = False
+        # A right's type never changes: its kind is read off once, here.
+        self.is_receive = right is RightType.RECEIVE
+        self.is_send = not self.is_receive
 
     def __repr__(self) -> str:
         return f"<{self.right.value} right to {self.port.name}>"
-
-    @property
-    def is_send(self) -> bool:
-        return self.right in (RightType.SEND, RightType.SEND_ONCE)
-
-    @property
-    def is_receive(self) -> bool:
-        return self.right is RightType.RECEIVE
 
 
 class CapabilityViolation(Exception):

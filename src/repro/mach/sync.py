@@ -26,13 +26,9 @@ class Semaphore:
         self.kernel = kernel
         self.sim: Simulator = kernel.sim
         self.name = name
-        self._count = value
+        #: Current count (never negative: waiters queue instead).
+        self.value = value
         self._waiters: Deque[Event] = deque()
-
-    @property
-    def value(self) -> int:
-        """Current count (negative is never exposed; waiters queue)."""
-        return self._count
 
     @property
     def waiting(self) -> int:
@@ -44,8 +40,8 @@ class Semaphore:
         cost = self.kernel.costs.cthread_sync_op
         if cost:
             yield self.kernel.cpu.charge(cost)
-        if self._count > 0:
-            self._count -= 1
+        if self.value > 0:
+            self.value -= 1
             return
         event = self.sim.event()
         self._waiters.append(event)
@@ -72,5 +68,5 @@ class Semaphore:
             if self._waiters:
                 self._waiters.popleft().succeed()
             else:
-                self._count += 1
+                self.value += 1
 

@@ -24,6 +24,7 @@ class Task:
         self.privileged = privileged
         #: Capability space: the set of rights this task may exercise.
         self._rights: set[PortRight] = set()
+        #: Live threads, and those that died of an exception.
         self.threads: list[Process] = []
         self.alive = True
         #: Callbacks run when the task terminates (the registry uses this
@@ -99,7 +100,14 @@ class Task:
             raise RuntimeError(f"task {self.name} has terminated")
         label = f"{self.name}/{name or 'thread'}"
         process = self.sim.process(generator, name=label)
-        self.threads.append(process)
+        # Threads that ended cleanly are forgotten here, so a long-lived
+        # task holds its live threads and the ones that died of an
+        # exception — never its history.  A thread's ``callbacks`` go
+        # None once it has ended and its end has been processed.
+        self.threads = [
+            thread for thread in self.threads
+            if thread.callbacks is not None or not thread.ok
+        ] + [process]
         return process
 
     def on_exit(self, hook: Callable[["Task"], None]) -> None:

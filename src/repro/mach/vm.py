@@ -33,6 +33,8 @@ class SharedRegion:
         SharedRegion._counter += 1
         self.kernel = kernel
         self.size = size
+        #: Number of pages the region spans.
+        self.pages = (size + PAGE_SIZE - 1) // PAGE_SIZE
         self.name = name or f"region-{SharedRegion._counter}"
         self.pinned = False
         self.mapped: Set[Task] = set()
@@ -41,11 +43,6 @@ class SharedRegion:
         wired = " pinned" if self.pinned else ""
         return f"<SharedRegion {self.name} {self.size}B{wired} maps={len(self.mapped)}>"
 
-    @property
-    def pages(self) -> int:
-        """Number of pages the region spans."""
-        return (self.size + PAGE_SIZE - 1) // PAGE_SIZE
-
     def is_mapped(self, task: Task) -> bool:
         return task in self.mapped
 
@@ -53,7 +50,8 @@ class SharedRegion:
 def vm_allocate(kernel: Kernel, task: Task, size: int, name: str = "") -> Generator:
     """Allocate a region mapped into ``task``.  Returns the region."""
     region = SharedRegion(kernel, size, name=name)
-    yield from kernel.cpu.consume(kernel.costs.vm_map_region)
+    if kernel.costs.vm_map_region:
+        yield kernel.cpu.charge(kernel.costs.vm_map_region)
     region.mapped.add(task)
     return region
 
@@ -62,7 +60,8 @@ def vm_map(kernel: Kernel, region: SharedRegion, task: Task) -> Generator:
     """Map an existing region into another task (shared mapping)."""
     if task in region.mapped:
         return region
-    yield from kernel.cpu.consume(kernel.costs.vm_map_region)
+    if kernel.costs.vm_map_region:
+        yield kernel.cpu.charge(kernel.costs.vm_map_region)
     region.mapped.add(task)
     return region
 
@@ -71,7 +70,9 @@ def vm_wire(kernel: Kernel, region: SharedRegion) -> Generator:
     """Pin the region's pages so DMA/interrupt paths can use them."""
     if region.pinned:
         return region
-    yield from kernel.cpu.consume(kernel.costs.vm_wire_page * region.pages)
+    cost = kernel.costs.vm_wire_page * region.pages
+    if cost:
+        yield kernel.cpu.charge(cost)
     region.pinned = True
     return region
 

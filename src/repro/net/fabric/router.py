@@ -361,7 +361,8 @@ class Router:
             if link_dst is None:
                 self.stats["arp_failed"] += 1
                 return
-        yield from self.kernel.cpu.consume(self.kernel.costs.ip_output)
+        if self.kernel.costs.ip_output:
+            yield self.kernel.cpu.charge(self.kernel.costs.ip_output)
         ip_packet = encapsulate(out_iface.ip, dst_ip, PROTO_ICMP, icmp_payload)
         yield from out_iface.netio.kernel_send(ip_packet, link_dst)
 

@@ -240,7 +240,8 @@ class NetworkIoModule:
             # Shared, pinned packet-buffer region mapped into the library.
             region = SharedRegion(self.kernel, region_size)
             region.mapped.add(owner)
-            yield from self.kernel.cpu.consume(costs.vm_map_region)
+            if costs.vm_map_region:
+                yield self.kernel.cpu.charge(costs.vm_map_region)
             yield from vm_wire(self.kernel, region)
 
             demux: Optional[FilterProgram] = None
@@ -249,7 +250,8 @@ class NetworkIoModule:
                     ring = own_ring = self._allocate_bqi(
                         self.DEFAULT_RING_CAPACITY
                     )
-                    yield from self.kernel.cpu.consume(costs.bqi_setup)
+                    if costs.bqi_setup:
+                        yield self.kernel.cpu.charge(costs.bqi_setup)
             elif self.demux_style != "synthesized":
                 # Interpreted styles carry a real filter program for the
                 # scan table, with its per-instruction costs.
@@ -456,7 +458,9 @@ class NetworkIoModule:
         advertises the sender's own ring for peer BQI discovery.
         """
         costs = self.kernel.costs
-        yield from self.kernel.fast_trap()
+        trap = self.kernel.fast_trap()
+        if trap is not None:
+            yield trap
         if channel.closed or channel not in self.channels:
             raise SecurityViolation(f"channel {channel.name} is not active")
         if task is not channel.owner:

@@ -8,14 +8,15 @@ a library from impersonating another connection.
 
 A template is a set of byte-range constraints checked against the IP
 packet a library asks the module to transmit.  The check really
-compares bytes; impersonation tests flip header fields and must be
-refused.
+compares bytes — compiled to one masked compare of the constrained
+prefix; impersonation tests flip header fields and must be refused.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Optional
 
 from ..net.headers import Ipv4Header, PROTO_TCP, PROTO_UDP
 
@@ -36,42 +37,120 @@ class ByteConstraint:
 
 
 class HeaderTemplate:
-    """An ordered set of byte constraints over an outgoing IP packet."""
+    """An ordered set of byte constraints over an outgoing IP packet,
+    compiled to one compare.
+
+    The constraints are the template's readable definition (and what
+    tenancy vets at registration); the check itself reads the packet's
+    constrained prefix as one big-endian integer ``p`` and accepts it
+    when ``p & mask == want`` — every constrained byte set in ``mask``
+    and its required value in ``want``.  A packet shorter than the
+    prefix is refused, exactly as a constraint past its end fails.
+    """
 
     def __init__(self, constraints: list[ByteConstraint], name: str = "") -> None:
         if not constraints:
             raise ValueError("a template needs at least one constraint")
-        self.constraints = list(constraints)
+        constraints = list(constraints)
+        span = max(
+            (c.offset + len(c.value) for c in constraints if c.value), default=0
+        )
+        mask = want = 0
+        for constraint in constraints:
+            width = len(constraint.value)
+            if not width:
+                continue  # An empty constraint holds on any packet.
+            shift = 8 * (span - constraint.offset - width)
+            field = ((1 << 8 * width) - 1) << shift
+            value = int.from_bytes(constraint.value, "big") << shift
+            if (want ^ value) & mask & field:
+                value = -1  # Two constraints disagree on a byte: nothing matches.
+            mask |= field
+            want |= value
+        self._set_compiled(span, mask, want, name)
+        self._constraints: Optional[list[ByteConstraint]] = constraints
+
+    def _set_compiled(self, span: int, mask: int, want: int, name: str) -> None:
         self.name = name
         self.checks = 0
         self.violations = 0
         #: Bytes from the front of the packet the constraints reach.
-        self._span = max(c.offset + len(c.value) for c in self.constraints)
+        self._span = span
+        self._mask = mask
+        self._want = want
+
+    @classmethod
+    def _packed(
+        cls, image: bytes, mask: int, fields: tuple[tuple[int, int], ...], name: str
+    ) -> "HeaderTemplate":
+        """A template whose constrained bytes are ``image`` under
+        ``mask``, already packed: the factories' path, with no compile
+        loop.  ``fields`` lists each constrained field's ``(offset,
+        length)``, from which :attr:`constraints` is derived."""
+        template = cls.__new__(cls)
+        template._set_compiled(len(image), mask, int.from_bytes(image, "big"), name)
+        template._constraints = None
+        template._fields = fields
+        return template
+
+    @property
+    def constraints(self) -> list[ByteConstraint]:
+        """One :class:`ByteConstraint` per constrained field."""
+        if self._constraints is None:
+            image = self._want.to_bytes(self._span, "big")
+            self._constraints = [
+                ByteConstraint(offset, image[offset : offset + length])
+                for offset, length in self._fields
+            ]
+        return self._constraints
 
     def __len__(self) -> int:
         return len(self.constraints)
 
-    def matches(self, packet: bytes) -> bool:
-        """True when every constraint holds.
+    def verify(self, packet: bytes) -> None:
+        """Raise :class:`TemplateViolation` if the packet doesn't match.
 
         The constrained prefix is read out of ``packet`` once — one
-        walk of a fragment chain — and every constraint compares against
-        that flat copy.
+        walk of a fragment chain — and compared in one operation.
         """
         self.checks += 1
-        prefix = packet[: self._span]
-        for constraint in self.constraints:
-            if not constraint.check(prefix):
-                self.violations += 1
-                return False
-        return True
-
-    def verify(self, packet: bytes) -> None:
-        """Raise :class:`TemplateViolation` if the packet doesn't match."""
-        if not self.matches(packet):
+        span = self._span
+        prefix = packet[:span]
+        if len(prefix) != span or int.from_bytes(prefix, "big") & self._mask != self._want:
+            self.violations += 1
             raise TemplateViolation(
                 f"packet violates send template {self.name!r}"
             )
+
+    def matches(self, packet: bytes) -> bool:
+        """True when every constraint holds."""
+        try:
+            self.verify(packet)
+        except TemplateViolation:
+            return False
+        return True
+
+
+def _mask(span: int, fields: tuple[tuple[int, int], ...]) -> int:
+    """The compare mask of ``fields``, ``(offset, length)`` pairs, over
+    a ``span``-byte prefix."""
+    mask = 0
+    for offset, length in fields:
+        mask |= ((1 << 8 * length) - 1) << 8 * (span - offset - length)
+    return mask
+
+
+#: The constrained bytes of a TCP send template, packed in one go: IP
+#: protocol (9), source address (12), destination address (16), and the
+#: TCP source and destination ports (the first four octets of the IP
+#: payload).
+_TCP_IMAGE = struct.Struct("!9xB2xIIHH")
+_TCP_FIELDS = ((9, 1), (12, 4), (16, 4), (Ipv4Header.LENGTH, 4))
+_TCP_MASK = _mask(_TCP_IMAGE.size, _TCP_FIELDS)
+#: A UDP binding's: protocol, source address, source port.
+_UDP_IMAGE = struct.Struct("!9xB2xI4xH")
+_UDP_FIELDS = ((9, 1), (12, 4), (Ipv4Header.LENGTH, 2))
+_UDP_MASK = _mask(_UDP_IMAGE.size, _UDP_FIELDS)
 
 
 def tcp_send_template(
@@ -83,15 +162,11 @@ def tcp_send_template(
     source address (no address spoofing), destination address, and the
     TCP source/destination ports (no port hijacking).
     """
-    ip_off = Ipv4Header.LENGTH
-    return HeaderTemplate(
-        [
-            ByteConstraint(9, bytes([PROTO_TCP])),
-            ByteConstraint(12, local_ip.to_bytes(4, "big")),
-            ByteConstraint(16, remote_ip.to_bytes(4, "big")),
-            ByteConstraint(ip_off, struct.pack("!HH", local_port, remote_port)),
-        ],
-        name=f"tcp {local_ip:#x}:{local_port}->{remote_ip:#x}:{remote_port}",
+    return HeaderTemplate._packed(
+        _TCP_IMAGE.pack(PROTO_TCP, local_ip, remote_ip, local_port, remote_port),
+        _TCP_MASK,
+        _TCP_FIELDS,
+        f"tcp {local_ip:#x}:{local_port}->{remote_ip:#x}:{remote_port}",
     )
 
 
@@ -100,12 +175,9 @@ def udp_send_template(
 ) -> HeaderTemplate:
     """Template for a UDP port binding: fixes protocol, source address,
     and source port; the destination is unconstrained (datagrams)."""
-    ip_off = Ipv4Header.LENGTH
-    return HeaderTemplate(
-        [
-            ByteConstraint(9, bytes([PROTO_UDP])),
-            ByteConstraint(12, local_ip.to_bytes(4, "big")),
-            ByteConstraint(ip_off, struct.pack("!H", local_port)),
-        ],
-        name=f"udp {local_ip:#x}:{local_port}",
+    return HeaderTemplate._packed(
+        _UDP_IMAGE.pack(PROTO_UDP, local_ip, local_port),
+        _UDP_MASK,
+        _UDP_FIELDS,
+        f"udp {local_ip:#x}:{local_port}",
     )

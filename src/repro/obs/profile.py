@@ -1,7 +1,7 @@
 """Sim-time profiler.
 
 Attribution of *simulated* microseconds to call sites.  The cost model
-already prices every kernel operation (``kernel.cpu.consume`` charges
+already prices every kernel operation (``kernel.cpu.charge`` charges
 from ``kernel.costs``); the profiler rides next to those charges so
 each one is tagged with a hierarchical dotted site name — ``tcp.input``,
 ``demux.classify``, ``router.forward`` — instead of vanishing into a

@@ -196,6 +196,7 @@ class MachineRunner:
         timers = self._timers
         for action in actions:
             kind = action.__class__
+            woken = ()
             if kind is EmitSegment:
                 emissions.append(action)
             elif kind is SetTimer:
@@ -210,24 +211,29 @@ class MachineRunner:
                         timers[action.name] = None
             elif kind is DeliverData:
                 self.rx_buffer.extend(action.data)
-                self._wake(self._readers)
+                woken = (self._readers,)
             elif kind is SendSpaceAvailable:
-                self._wake(self._writers)
+                woken = (self._writers,)
             elif kind is DeliverFin:
                 self.eof = True
-                self._wake(self._readers)
+                woken = (self._readers,)
             elif kind is NotifyConnected:
                 self.connected = True
-                self._wake(self._connect_waiters)
+                woken = (self._connect_waiters,)
             elif kind is NotifyClosed:
                 self.closed_reason = action.reason
                 self.stop_timers()
-                self._wake(self._readers)
-                self._wake(self._writers)
-                self._wake(self._connect_waiters)
-                self._wake(self._close_waiters)
+                woken = (
+                    self._readers, self._writers,
+                    self._connect_waiters, self._close_waiters,
+                )
             else:
                 raise AssertionError(f"unhandled action {action!r}")
+            # Wake in place, LIFO, before the next action: most of these
+            # lists are empty, so no helper call per action.
+            for waiters in woken:
+                while waiters:
+                    waiters.pop().succeed()
         if timer_ops:
             cost = self.kernel.costs.timer_op * timer_ops
             prof = _profile.PROFILER
@@ -287,11 +293,6 @@ class MachineRunner:
         now = self.sim.now
         for name, deadline in deadlines.items():
             self._arm_timer(name, now, max(0.0, deadline - now))
-
-    @staticmethod
-    def _wake(waiters: list[Event]) -> None:
-        while waiters:
-            waiters.pop().succeed()
 
 
 #: Profiler site of one machine callback, by event class (the rest are

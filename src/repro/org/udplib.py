@@ -103,10 +103,12 @@ class UdpEndpoint:
         if self._closed:
             raise OSError("endpoint is closed")
         costs = self.kernel.costs
-        yield from self.kernel.cpu.consume(
+        cost = (
             costs.socket_op + costs.udp_packet
             + costs.checksum_cost(len(data) + 8)
         )
+        if cost:
+            yield self.kernel.cpu.charge(cost)
         udp = encode_datagram(
             self.port, dst_port, data, self.service.host.ip, dst_ip
         )
@@ -145,7 +147,9 @@ class UdpEndpoint:
             self._readers.append(event)
             yield event
         datagram = self._datagrams.popleft()
-        yield from self.kernel.cpu.consume(self.kernel.costs.socket_op)
+        cost = self.kernel.costs.socket_op
+        if cost:
+            yield self.kernel.cpu.charge(cost)
         # Application boundary: the read hands back owned bytes — the
         # single user copy the receive path still pays.
         payload = bytes(datagram.payload)
@@ -154,7 +158,7 @@ class UdpEndpoint:
         return payload, (datagram.src_ip, datagram.src_port)
 
     def _receive_loop(self) -> Generator:
-        costs = self.kernel.costs
+        costs, cpu = self.kernel.costs, self.kernel.cpu
         while True:
             try:
                 batch = yield from self.channel.receive_batch()
@@ -164,14 +168,14 @@ class UdpEndpoint:
                 # Task terminated.  Anything else is a real bug and
                 # surfaces, not hangs the endpoint.
                 return
-            yield from self.kernel.cpu.consume(
-                costs.user_wakeup + 2 * costs.cthread_switch
-            )
+            cost = costs.user_wakeup + 2 * costs.cthread_switch
+            if cost:
+                yield cpu.charge(cost)
             for item in batch:
                 packet, link_info = item
-                yield from self.kernel.cpu.consume(
-                    costs.ip_input + costs.udp_packet
-                )
+                cost = costs.ip_input + costs.udp_packet
+                if cost:
+                    yield cpu.charge(cost)
                 if isinstance(packet, PacketBuffer):
                     # Locally forwarded chains (the kernel UDP relay)
                     # fuse here — the one copy the legacy concat made.

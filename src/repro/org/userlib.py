@@ -97,7 +97,9 @@ class LibraryTcpService(TcpService):
         return LibraryListener(self, port)
 
     def _release(self, channel: Channel) -> Generator:
-        yield from send(
+        """Tell the registry ``channel`` is done with: :func:`send`'s
+        generator, returned."""
+        return send(
             self.app,
             self._registry_right,
             Message("release", body={"channel": channel}),
@@ -339,10 +341,12 @@ class LibraryConnection(TcpConnection):
         yield from self._do_release()
 
     def _do_release(self) -> Generator:
+        """The release message's send, for the caller to ``yield from``
+        (nothing to send once released)."""
         if self._released:
-            return
+            return iter(())
         self._released = True
-        yield from self.service._release(self.channel)
+        return self.service._release(self.channel)
 
     # ------------------------------------------------------------------
     # Connection hand-off (inetd-style, paper §3.2)

@@ -173,10 +173,14 @@ class RegistryServer:
             for lease in [x for x in self._leases.values() if x.worker is worker]:
                 self._release(lease, reset=True)
             reply = message.reply_to
-            if reply is not None and not reply.port.dead:
-                yield from reply_to(
-                    self.task, message, Message("error", body=str(exc))
-                )
+            if reply is not None:
+                if reply.port.dead:
+                    # Nobody is left to answer: drop the dead name.
+                    self.task.remove_right(reply)
+                else:
+                    yield from reply_to(
+                        self.task, message, Message("error", body=str(exc))
+                    )
 
     # ------------------------------------------------------------------
     # Tenancy
@@ -333,7 +337,8 @@ class RegistryServer:
         # Paper breakdown item 2: allocating connection identifiers and
         # the non-overlappable start of connection setup.
         mark = self.sim.now
-        yield from self.kernel.cpu.consume(costs.registry_alloc)
+        if costs.registry_alloc:
+            yield self.kernel.cpu.charge(costs.registry_alloc)
         # Tenancy admission *before* any handshake traffic: an explicit
         # source port must be in the caller's grant, and the channel the
         # connection will need must fit the budget — refusing now costs
@@ -348,8 +353,8 @@ class RegistryServer:
         lease = self._open(app, local_port, body["remote_ip"], body["remote_port"])
         lease.link_dst = yield from self.host.resolve_link(lease.remote_ip)
         lease.ring = self.host.netio.allocate_ring(self.task, owner=app)
-        if lease.ring is not None:
-            yield from self.kernel.cpu.consume(costs.bqi_setup)
+        if lease.ring is not None and costs.bqi_setup:
+            yield self.kernel.cpu.charge(costs.bqi_setup)
         breakdown["non_overlapped_outbound"] = self.sim.now - mark
 
         runner = lease.runner = self._handshake_runner(lease)
@@ -386,7 +391,9 @@ class RegistryServer:
         bypass every server."""
         port = message.body.get("port", 0)
         app = message.sender
-        yield from self.kernel.cpu.consume(self.kernel.costs.registry_alloc / 2)
+        cost = self.kernel.costs.registry_alloc / 2
+        if cost:
+            yield self.kernel.cpu.charge(cost)
         if port:
             self._admit(app, "bind_refused", lambda t: t.check_port(port))
         lease = self._open(app, port)
@@ -431,11 +438,13 @@ class RegistryServer:
             self.stats["handshake_segments"] += 1
             # The registry reaches the device through standard Mach IPC,
             # not shared memory (paper breakdown item 1).
-            yield from self.kernel.cpu.consume(
+            cost = (
                 costs.registry_device_access
                 + costs.tcp_output
                 + costs.checksum_cost(segment.wire_length)
             )
+            if cost:
+                yield self.kernel.cpu.charge(cost)
             payload = encode_segment(segment, self.host.ip, remote_ip)
             yield from self.host.ip_send(
                 remote_ip, PROTO_TCP, payload, lease.link_dst,
@@ -451,14 +460,16 @@ class RegistryServer:
         demultiplexer sends established-connection traffic straight to
         library channels, bypassing this entirely."""
         costs = self.kernel.costs
-        yield from self.kernel.cpu.consume(
-            costs.registry_device_access + costs.checksum_cost(len(payload))
-        )
+        cpu = self.kernel.cpu
+        cost = costs.registry_device_access + costs.checksum_cost(len(payload))
+        if cost:
+            yield cpu.charge(cost)
         try:
             segment = decode_segment(payload, src_ip, self.host.ip)
         except (ChecksumError, HeaderError):
             return
-        yield from self.kernel.cpu.consume(costs.tcp_input)
+        if costs.tcp_input:
+            yield cpu.charge(costs.tcp_input)
         self.stats["handshake_segments"] += 1
         lease = self._leases.get((segment.dport, src_ip, segment.sport))
         if lease is None:
@@ -488,8 +499,9 @@ class RegistryServer:
         )
         try:
             lease.ring = self.host.netio.allocate_ring(self.task, owner=lease.owner)
-            if lease.ring is not None:
-                yield from self.kernel.cpu.consume(self.kernel.costs.bqi_setup)
+            cost = self.kernel.costs.bqi_setup
+            if lease.ring is not None and cost:
+                yield self.kernel.cpu.charge(cost)
             lease.runner = self._handshake_runner(lease)
             yield from lease.runner.start(active=False)
             yield from lease.runner.feed_segment(syn)
@@ -533,7 +545,9 @@ class RegistryServer:
             peer_bqi=lease.peer_bqi,
             ring=lease.ring,
         )
-        yield from self.kernel.cpu.consume(self.kernel.costs.registry_channel_misc)
+        cost = self.kernel.costs.registry_channel_misc
+        if cost:
+            yield self.kernel.cpu.charge(cost)
         if runner.closed_reason is not None:
             # The peer gave up while the channel was being built.
             raise ConnectionError(f"connect: {runner.closed_reason}")
@@ -551,9 +565,9 @@ class RegistryServer:
     def _transfer(self, request: Message, lease: _Lease) -> Generator:
         """Move the established connection's state to the library
         (breakdown item 5), then answer the app's RPC (item 4)."""
-        yield from self.kernel.cpu.consume(
-            self.kernel.costs.registry_state_transfer
-        )
+        cost = self.kernel.costs.registry_state_transfer
+        if cost:
+            yield self.kernel.cpu.charge(cost)
         yield from reply_to(
             self.task,
             request,
@@ -571,9 +585,9 @@ class RegistryServer:
             seq=seq, ack=0, flags=TCP_RST, window=0,
         )
         payload = encode_segment(rst, self.host.ip, lease.remote_ip)
-        yield from self.kernel.cpu.consume(
-            self.kernel.costs.registry_device_access
-        )
+        cost = self.kernel.costs.registry_device_access
+        if cost:
+            yield self.kernel.cpu.charge(cost)
         # To the peer's ring: BQI 0 would land in its kernel, whose
         # registry no longer owns the connection.
         yield from self.host.ip_send(

@@ -15,7 +15,7 @@ Three primitives cover everything the substrate needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Optional
+from typing import Any, Callable, Deque, Optional
 
 from .engine import Simulator
 from .events import Event, Triggered
@@ -112,10 +112,3 @@ class CPU(Serial):
     #: (``if cost:``) — a zero-length turn would still wait its place
     #: in line.
     charge = Serial.hold
-
-    def consume(self, cost: float) -> Generator[Event, Any, None]:
-        """Generator form of :meth:`charge`; a zero cost is free.  For
-        set-up paths: a per-segment site charges in place, since this
-        frame is entered twice per charge (DESIGN.md "Serial")."""
-        if cost:
-            yield self.charge(cost)

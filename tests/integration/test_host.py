@@ -97,7 +97,7 @@ def test_hosts_have_independent_cpus():
     testbed = Testbed(network="ethernet", organization="ultrix")
 
     def burn(host):
-        yield from host.kernel.cpu.consume(0.5)
+        yield host.kernel.cpu.charge(0.5)
 
     start = testbed.sim.now
     a = testbed.spawn(burn(testbed.host_a), name="a")

@@ -161,6 +161,30 @@ def test_abnormal_exit_resets_peer():
     assert server_conn.runner.closed_reason == "reset"
 
 
+def test_exit_mid_connect_leaves_the_registry_no_dead_reply_right():
+    """An application that dies while the registry works on its connect
+    cannot be answered; the registry drops the send-once reply right it
+    was handed instead of holding a dead name for good."""
+    testbed = Testbed(network="ethernet", organization="userlib")
+
+    def server():
+        listener = yield from testbed.service_b.listen(8250)
+        yield from listener.accept()
+
+    def client():
+        yield from testbed.service_a.connect(IP_B, 8250)
+
+    testbed.spawn(server(), name="server")
+    testbed.spawn(client(), name="client")
+    registry = testbed.registry_a.task
+    testbed.run(until=0.003)  # Mid-handshake: the reply right is held.
+    assert len(registry._rights) == 2
+    testbed.app_a.terminate()
+    testbed.run(until=5.0)
+    assert testbed.registry_a.stats["inherited"] == 1
+    assert [right.port.name for right in registry._rights] == ["registry-svc"]
+
+
 def test_clean_exit_does_not_reset():
     testbed = Testbed(network="ethernet", organization="userlib")
 

@@ -195,6 +195,95 @@ def test_send_to_dead_port_fails():
     sim.run(until=sim.process(proc()))
 
 
+def test_failed_rpc_gives_back_its_reply_port():
+    """Five RPCs to a dead port each fail, and each leaves the caller
+    holding only the right it sent on: the reply port it allocated is
+    destroyed and its send-once right dropped.  (Each failure used to
+    keep both, and a live port: 3, 5, 7, 9, then 11 rights.)"""
+    sim, kernel = make_kernel()
+    server = kernel.create_task("server")
+    client = kernel.create_task("client")
+    rx = server.allocate_port()
+    tx = server.make_send_right(rx)
+    client.insert_right(tx)
+    server.destroy_port(rx)
+    reply_ports = []
+    allocate = client.allocate_port
+
+    def allocate_port(name=""):
+        right = allocate(name)
+        reply_ports.append(right.port)
+        return right
+
+    client.allocate_port = allocate_port
+    held = []
+
+    def proc():
+        for _ in range(5):
+            with pytest.raises(DeadPortError):
+                yield from rpc(client, tx, Message("lost"))
+            held.append(set(client._rights))
+
+    sim.run(until=sim.process(proc()))
+    assert held == [{tx}] * 5
+    assert len(reply_ports) == 5 and all(port.dead for port in reply_ports)
+
+
+def test_interrupted_rpc_gives_back_its_reply_port():
+    """An RPC whose reply never comes, interrupted while it waits: the
+    request (and its send-once right) reached the server, and the reply
+    port dies with the wait, so the server's answer has nowhere to go."""
+    sim, kernel = make_kernel()
+    server = kernel.create_task("server")
+    client = kernel.create_task("client")
+    rx = server.allocate_port()
+    tx = server.make_send_right(rx)
+    client.insert_right(tx)
+    requests = []
+
+    def server_proc():
+        requests.append((yield from receive(server, rx)))
+
+    def client_proc():
+        with pytest.raises(Interrupt):
+            yield from rpc(client, tx, Message("slow"))
+
+    sim.process(server_proc())
+    caller = sim.process(client_proc())
+    sim.run(until=1.0)
+    caller.interrupt("give up")
+    sim.run(until=caller)
+    assert client._rights == {tx}
+    (request,) = requests
+    assert server.holds(request.reply_to) and request.reply_to.port.dead
+
+
+def test_threads_keep_the_live_and_the_failed_only():
+    """A task forgets a thread that ended cleanly at its next spawn; a
+    live thread and one that died of an exception stay listed."""
+    sim, kernel = make_kernel()
+    task = kernel.create_task("t")
+
+    def quick():
+        yield sim.timeout(0)
+
+    def broken():
+        yield sim.timeout(0)
+        raise RuntimeError("worker bug")
+
+    def parked():
+        yield sim.event()
+
+    live = task.spawn(parked(), "parked")
+    failed = task.spawn(broken(), "broken")
+    for _ in range(3):
+        task.spawn(quick(), "quick")
+    sim.run()
+    latest = task.spawn(quick(), "quick")
+    assert task.threads == [live, failed, latest]
+    assert not failed.ok
+
+
 def test_ipc_charges_cost_model():
     sim = Simulator()
     kernel = Kernel(sim, DECSTATION_5000_200, name="h")

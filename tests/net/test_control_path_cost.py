@@ -1,0 +1,105 @@
+"""Deterministic call gates on the connection set-up path (Table 4).
+
+The companion of ``test_byte_path_cost.py`` for the control plane: one
+userlib connect–send–close cycle — the ledger's ``churn`` shape, with
+the registry's handshake, the channel and template install over Mach
+IPC, and the release — and one send-template check, each pinned in
+profiled calls (cProfile's count, the ledger's ``py_calls_per_op``
+currency).  The same driver checks that a long run of cycles leaves
+each task's thread list where one cycle left it.
+"""
+
+import cProfile
+
+import pytest
+
+from repro.net.buf import prepend
+from repro.net.headers import PROTO_TCP, Ipv4Header
+from repro.netio.template import tcp_send_template
+from repro.protocols.tcp import TcpConfig
+from repro.testbed import IP_A, IP_B, Testbed
+
+#: Simulated seconds between cycles, so each close drains first.
+GAP = 0.5
+PORT = 4200
+MESSAGE = bytes(64)
+
+
+def profiled_calls(work) -> int:
+    """Every call cProfile sees under ``work()``, itself included."""
+    profiler = cProfile.Profile()
+    profiler.runcall(work)
+    return sum(entry.callcount for entry in profiler.getstats())
+
+
+def churn(bed: Testbed, cycles: int) -> None:
+    """Spawn ``cycles`` connect–send–close cycles, one every ``GAP``."""
+
+    def acceptor():
+        listener = yield from bed.service_b.listen(PORT)
+        for _ in range(cycles):
+            conn = yield from listener.accept()
+            yield from conn.recv_exactly(len(MESSAGE))
+            yield from conn.close()
+
+    def connector():
+        for _ in range(cycles):
+            conn = yield from bed.service_a.connect(IP_B, PORT)
+            yield from conn.send(MESSAGE)
+            yield from conn.close()
+            yield bed.sim.timeout(GAP)
+
+    bed.spawn(acceptor(), "accept")
+    bed.spawn(connector(), "connect")
+
+
+@pytest.mark.parametrize(
+    "network, ceiling", [("ethernet", 3140), ("an1", 3165)], ids=["ethernet", "an1"]
+)
+def test_connect_send_close_cycle_call_gate(network, ceiling):
+    """One steady-state cycle (the first primed ARP and the listener),
+    in profiled calls: 3136 on Ethernet and 3160 on AN1.
+
+    History: 3302 and 3345 while every set-up charge went through the
+    ``CPU.consume`` generator, Mach IPC checked rights through a
+    property and a method per right, ``Kernel.fast_trap`` was a
+    generator, and a send template was a loop over its constraints.
+    """
+    bed = Testbed(network=network, organization="userlib")
+    churn(bed, 3)
+    bed.run(until=GAP)
+    assert profiled_calls(lambda: bed.run(until=2 * GAP)) <= ceiling
+    bed.run()
+    assert bed.registry_b.stats["accepts"] == 3
+
+
+def test_template_verify_call_gate():
+    """One ``HeaderTemplate.verify`` of a TCP segment as the library
+    submits it — the IP header prepended to the TCP chain — costs 15
+    profiled calls, 10 of them reading the 24-byte prefix out of the
+    chain.  It was 22 while the check walked its four constraints."""
+    template = tcp_send_template(IP_A, 5000, IP_B, 80)
+    ip = Ipv4Header(src=IP_A, dst=IP_B, protocol=PROTO_TCP, total_length=60).pack()
+    tcp = (5000).to_bytes(2, "big") + (80).to_bytes(2, "big") + bytes(36)
+    packet = prepend(ip, tcp)
+    template.verify(packet)
+    assert profiled_calls(lambda: template.verify(packet)) <= 15
+    assert template.violations == 0
+
+
+@pytest.mark.parametrize("network", ["ethernet", "an1"])
+def test_churn_leaves_thread_lists_at_a_fixed_point(network):
+    """Every task's thread list is as long after 2k cycles as after k.
+    A task used to keep every thread it ever spawned: the registries
+    and both applications grew by one to three entries a cycle."""
+
+    def thread_counts(cycles):
+        # A short MSL lets TIME-WAIT end inside the gap.
+        bed = Testbed(network=network, organization="userlib", config=TcpConfig(msl=0.1))
+        churn(bed, cycles)
+        bed.run()
+        assert bed.registry_b.stats["accepts"] == cycles
+        tasks = (bed.registry_a.task, bed.registry_b.task, bed.app_a, bed.app_b)
+        return [len(task.threads) for task in tasks]
+
+    assert thread_counts(4) == thread_counts(8)

@@ -363,12 +363,12 @@ def test_fat_tree_calls_per_datagram_gate():
 # ----------------------------------------------------------------------
 
 
-def test_cpu_consume_advances_clock_and_meters():
+def test_cpu_charge_advances_clock_and_meters():
     sim = Simulator()
     cpu = CPU(sim)
 
     def proc():
-        yield from cpu.consume(0.5)
+        yield cpu.charge(0.5)
 
     sim.run(until=sim.process(proc()))
     assert sim.now == 0.5
@@ -381,7 +381,7 @@ def test_cpu_serializes_consumers():
     done = []
 
     def proc(tag, cost):
-        yield from cpu.consume(cost)
+        yield cpu.charge(cost)
         done.append((tag, sim.now))
 
     sim.process(proc("a", 1.0))
@@ -396,7 +396,7 @@ def test_cpu_zero_cost_is_free():
     cpu = CPU(sim)
 
     def proc():
-        yield from cpu.consume(0.0)
+        yield cpu.charge(0.0)
         yield sim.timeout(0)
 
     sim.run(until=sim.process(proc()))
@@ -410,7 +410,7 @@ def test_cpu_negative_cost_rejected():
 
     def proc():
         with pytest.raises(ValueError):
-            yield from cpu.consume(-1.0)
+            yield cpu.charge(-1.0)
         yield sim.timeout(0)
 
     sim.run(until=sim.process(proc()))

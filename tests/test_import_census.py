@@ -15,6 +15,8 @@ one fails this test until it is hoisted or listed.
 import ast
 from pathlib import Path
 
+from repro.sim import CPU
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: file (or directory, with a trailing slash) -> the functions allowed
@@ -66,26 +68,19 @@ def test_no_import_inside_a_function_outside_the_census():
     assert not stale, f"ALLOWED lists functions that no longer import: {stale}"
 
 
-#: Files on the per-segment thread-context path.  A charge there reads
-#: ``if cost: yield cpu.charge(cost)``: ``yield from cpu.consume(cost)``
-#: puts a generator frame under every charge that cProfile (and
-#: CPython) enters twice — 42 calls per ``pingpong`` round trip before
-#: PR 24 (DESIGN.md "Serial").  Set-up paths elsewhere keep ``consume``.
-PER_SEGMENT_FILES = (
-    "org/runner.py",
-    "org/userlib.py",
-    "org/monolithic.py",
-    "mach/sync.py",
-    "mach/kernel.py",
-    "net/nic/an1ctrl.py",
-)
-
-
-def test_per_segment_files_charge_without_the_consume_frame():
+def test_src_charges_without_the_consume_frame():
+    """Every CPU charge under ``src/`` reads ``if cost: yield
+    cpu.charge(cost)``.  ``CPU.consume`` was the same two lines as a
+    generator, and a ``yield from`` frame under a charge is entered
+    twice per charge by cProfile (and CPython): 42 calls per
+    ``pingpong`` round trip before the per-segment sites went in place,
+    and 50.9 per ``churn`` cycle on the set-up paths after (DESIGN.md
+    "Serial").  It is gone, and does not come back as a call site."""
+    assert not hasattr(CPU, "consume")
     strays = [
-        f"src/repro/{relative}:{number}"
-        for relative in PER_SEGMENT_FILES
-        for number, line in enumerate((SRC / relative).read_text().splitlines(), 1)
+        f"src/repro/{path.relative_to(SRC).as_posix()}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
         if ".consume(" in line
     ]
     assert not strays, "charge in place (if cost: yield cpu.charge(cost)):\n" + "\n".join(strays)

@@ -35,10 +35,12 @@ ORGANIZATION = "userlib"
 CHUNK_SIZE = 4096
 QUICK_BYTES = 150_000
 
-#: Calls the enabled plane may add to the quick arm (20,5xx today: one
-#: ``touch``/``charge``/``record`` and its bookkeeping per instrumented
-#: site a segment passes).
-MAX_ADDED_CALLS = 21_000
+#: Calls the enabled plane may add to the quick arm: 15,761 measured
+#: (off 57,939 -> on 73,700), one session call and its bookkeeping per
+#: instrumented stage a segment passes, plus the wall-time reads around
+#: the TCP machine and the classifier.  The gate is that count plus
+#: 1.5 %.
+MAX_ADDED_CALLS = 16_000
 
 
 def count_calls(enabled: bool) -> dict:

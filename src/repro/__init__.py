@@ -40,7 +40,6 @@ from .metrics import (
     measure_setup,
     measure_throughput,
 )
-from .netstat import channel_table, connection_table, render as netstat_render
 from .specialize import AppProfile, specialize
 from .testbed import NETWORKS, ORGANIZATIONS, Testbed
 from .trace import WireTrace
@@ -64,8 +63,5 @@ __all__ = [
     "WireTrace",
     "AppProfile",
     "specialize",
-    "connection_table",
-    "channel_table",
-    "netstat_render",
     "__version__",
 ]

@@ -32,7 +32,7 @@ from .net.nic.an1ctrl import An1Nic
 from .net.nic.pmadd import PmaddNic
 from .netio.channels import Channel
 from .netio.module import Done, LinkInfo, NetworkIoModule, work_then
-from .obs import profile as _profile
+from . import obs as _obs
 from .protocols.arp import ArpStack
 from .protocols.icmp import (
     UNREACH_PORT,
@@ -178,9 +178,9 @@ class Host:
             done()
             return
         cost = self.kernel.costs.ip_input
-        prof = _profile.PROFILER
-        if prof is not None:
-            prof.charge("ip.input", cost)
+        obs = _obs.SESSION
+        if obs is not None:
+            obs.profiler.charge("ip.input", cost)
         stage = partial(self._ip_input, datagram, payload, link_info, done)
         if cost:
             self.kernel.cpu.charge(cost, stage)

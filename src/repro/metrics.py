@@ -11,8 +11,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
-from .netstat import profile_table
-from .obs import hist as _hist
+from . import obs
 from .testbed import IP_B, Testbed
 
 
@@ -207,11 +206,11 @@ def measure_fabric_transfers(
         )
         for i in range(len(clients))
     ]
-    reg = _hist.REGISTRY
-    if reg is not None:
+    session = obs.SESSION
+    if session is not None:
         for flow in flows:
             if flow.bytes_moved and flow.elapsed > 0:
-                reg.record("flow.completion", flow.elapsed)
+                session.histograms.record("flow.completion", flow.elapsed)
     bottleneck = getattr(fabric, "bottleneck", None)
     bottleneck_drops = bottleneck.drops if bottleneck is not None else 0
     other_drops = sum(
@@ -500,9 +499,10 @@ def run_checked_transfers(
     return results
 
 
-#: The sim-time profiler's report, sorted by self time: a list of
-#: :class:`repro.obs.profile.SiteReport` rows, or ``[]`` when profiling
-#: is disabled.  The benchmark pattern is ``repro.obs.enable()`` →
-#: workload → ``metrics.obs_profile()``; it is netstat's profile table
-#: under the name the ledger harness calls.
-obs_profile = profile_table
+def obs_profile(top: Optional[int] = None) -> list:
+    """The sim-time profiler's report, sorted by self time: a list of
+    :class:`repro.obs.profile.SiteReport` rows, or ``[]`` when the plane
+    is off.  The benchmark pattern is ``repro.obs.enable()`` → workload
+    → ``metrics.obs_profile()``."""
+    session = obs.SESSION
+    return session.profiler.report(top) if session is not None else []

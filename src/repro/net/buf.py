@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import Iterator, Union
 
+from .. import obs as _obs
+
 Fragment = Union[bytes, bytearray, memoryview]
 
 
@@ -66,15 +68,6 @@ class CopyStats:
 
 #: The process-wide accounting instance (reset per benchmark arm).
 STATS = CopyStats()
-
-#: Observability hook: when packet-lifecycle tracing is enabled
-#: (``repro.obs.spans.enable``), this holds a ``bind(fused_bytes,
-#: trace_id)`` callable so the flat wire image produced by
-#: :meth:`PacketBuffer.tobytes` stays associated with the chain's trace
-#: id after the chain itself is gone.  ``None`` (the default) keeps the
-#: fusion path free of any tracing cost beyond this one identity test.
-SPAN_BINDER = None
-
 
 def reset_stats() -> None:
     STATS.reset()
@@ -134,8 +127,13 @@ class PacketBuffer:
             self._fused = b"".join(self._frags)
             STATS.materialized_bytes += self._length
             STATS.materialize_ops += 1
-            if self.trace_id is not None and SPAN_BINDER is not None:
-                SPAN_BINDER(self._fused, self.trace_id)
+            # A traced chain binds its wire image to the trace, so the
+            # id outlives the chain (repro.obs.spans).
+            tid = self.trace_id
+            if tid is not None:
+                obs = _obs.SESSION
+                if obs is not None:
+                    obs.spans.bind_wire(self._fused, tid)
         return self._fused
 
     def __len__(self) -> int:

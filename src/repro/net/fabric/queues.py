@@ -20,8 +20,7 @@ import random
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional
 
-from ...obs import hist as _hist
-from ...obs import spans as _spans
+from ... import obs as _obs
 from ...sim import Simulator
 
 if TYPE_CHECKING:
@@ -77,26 +76,19 @@ class EgressQueue:
             int(self.depth_bytes * self.BUCKETS / self.capacity),
         )
         self.occupancy[bucket] += 1
-        reg = _hist.REGISTRY
-        if reg is not None:
-            reg.record("queue.occupancy", self.depth_bytes / self.capacity)
-        rec = _spans.RECORDER
-        if not self._admit(frame):
+        admitted = self._admit(frame)
+        obs = _obs.SESSION
+        if obs is not None:
+            obs.enqueue(
+                frame, self.sim.now, self.name, self.depth_bytes, self.capacity,
+                admitted,
+            )
+        if not admitted:
             self.stats["dropped"] += 1
             self.stats["dropped_bytes"] += len(frame)
-            if rec is not None:
-                rec.touch(
-                    frame, "queue.drop", self.sim.now, self.name,
-                    detail=f"depth={self.depth_bytes}/{self.capacity}",
-                )
             return False
         self.stats["enqueued"] += 1
         self.stats["enqueued_bytes"] += len(frame)
-        if rec is not None:
-            rec.touch(
-                frame, "queue.enq", self.sim.now, self.name,
-                detail=f"depth={self.depth_bytes}/{self.capacity}",
-            )
         transmitter = self.transmitter
         if transmitter is not None and not transmitter.busy:
             # The transmitter is idle: hand the frame straight over
@@ -116,9 +108,9 @@ class EgressQueue:
         frame = self._frames.popleft()
         self.depth_bytes -= len(frame)
         self.stats["dequeued"] += 1
-        rec = _spans.RECORDER
-        if rec is not None:
-            rec.touch(frame, "queue.deq", self.sim.now, self.name)
+        obs = _obs.SESSION
+        if obs is not None:
+            obs.spans.touch(frame, "queue.deq", self.sim.now, self.name)
         return frame
 
     def mean_occupancy(self) -> float:

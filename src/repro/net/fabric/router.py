@@ -27,10 +27,9 @@ from typing import Deque, Generator, Optional
 
 from ...counters import Counters
 
+from ... import obs as _obs
 from ...costs import CostModel, DECSTATION_5000_200
 from ...mach import Kernel
-from ...obs import profile as _profile
-from ...obs import spans as _spans
 from ...netio.module import Done, LinkInfo, NetworkIoModule, work_then
 from ...protocols.arp import ArpStack
 from ...protocols.icmp import (
@@ -275,14 +274,11 @@ class Router:
                 job = yield self._parked
             iface, header, packet = job
             cost = self.kernel.costs.ip_forward
-            prof = _profile.PROFILER
-            if prof is not None:
-                prof.charge("router.forward", cost)
-            rec = _spans.RECORDER
-            if rec is not None:
-                rec.touch(
-                    packet, "router.fwd", self.sim.now, self.name,
-                    detail=f"ttl={header.ttl}", cost=cost,
+            obs = _obs.SESSION
+            if obs is not None:
+                obs.book(
+                    "router.forward", packet, self.sim.now, self.name, cost,
+                    f"ttl={header.ttl}",
                 )
             if cost:
                 yield cpu.charge(cost)

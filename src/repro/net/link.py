@@ -15,7 +15,7 @@ import abc
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
 
-from ..obs import spans as _spans
+from .. import obs as _obs
 from ..sim import Event, Serial, Simulator
 from .buf import as_wire_bytes
 from .faults import FaultInjector, FaultPlan, PERFECT
@@ -112,34 +112,17 @@ class Link(abc.ABC):
         filter accepts the flat ``frame``."""
         return [nic for nic in self._peers[sender] if nic.accepts(frame)]
 
-    def _deliver_later(self, sender: "Nic", frame: bytes) -> None:
+    def _deliver_later(self, sender: "Nic", frame: bytes, obs) -> None:
         """Deliver ``sender``'s ``frame`` as the fault injector plans it,
-        shown to the fault observers and the span recorder.  A quiet
-        link never comes here (:meth:`Transmitter._turn_over`)."""
+        shown to the fault observers and to ``obs``, the plane's session
+        (or ``None``).  A quiet link never comes here
+        (:meth:`Transmitter._turn_over`)."""
         receivers = self.receivers(sender, frame)
         plan = self.faults.plan(frame)
         for observer in self.fault_observers:
             observer(self, frame, plan)
-        rec = _spans.RECORDER
-        if rec is not None:
-            tid = rec.trace_of(frame)
-            if tid is not None:
-                node = type(self).__name__
-                if not plan.deliveries:
-                    rec.record(tid, "link.drop", self.sim.now, node, detail="fault")
-                else:
-                    detail = ""
-                    if plan.corrupted:
-                        detail = "corrupt"
-                    if len(plan.deliveries) > 1:
-                        detail = (detail + f" dup x{len(plan.deliveries)}").strip()
-                    rec.record(tid, "link.tx", self.sim.now, node, detail=detail)
-                    # Corruption and duplication replace or copy the wire
-                    # bytes; re-bind the delivered objects so the receive
-                    # side still resolves them to this trace.
-                    for _, data in plan.deliveries:
-                        if data is not frame:
-                            rec.bind_wire(data, tid)
+        if obs is not None:
+            obs.wire(frame, plan, self.sim.now, type(self).__name__)
         for extra_delay, data in plan.deliveries:
             for nic in receivers:
                 self.sim.call_later(
@@ -290,7 +273,8 @@ class Transmitter:
         traffic["frames"] += 1
         traffic["bytes"] += self._length
         traffic["busy_time"] += self._wire_time
-        if link.faults.inert and not link.fault_observers and _spans.RECORDER is None:
+        obs = _obs.SESSION
+        if obs is None and link.faults.inert and not link.fault_observers:
             # No fault model, nobody watching: no FaultPlan and no
             # receiver list per frame.  Same deliveries, same engine
             # events as the planned path would produce.
@@ -300,7 +284,7 @@ class Transmitter:
                 if peer.accepts(frame):
                     call_later(delay, peer.wire_deliver, frame)
         else:
-            link._deliver_later(self.sender, frame)
+            link._deliver_later(self.sender, frame, obs)
         frame = self._pull()
         if frame is None:
             self.busy = False

@@ -20,7 +20,7 @@ from typing import Any, Generator, Optional
 
 from ...counters import Counters
 from ...mach.kernel import Kernel
-from ...obs import spans as _spans
+from ... import obs as _obs
 from ..headers import An1Header
 from ..link import An1Link, Transmitter
 from .base import Nic
@@ -167,9 +167,9 @@ class An1Nic(Nic):
                 f"{self.mtu_data}"
             )
         cost = self.kernel.costs.an1_dma_setup
-        rec = _spans.RECORDER
-        if rec is not None:
-            rec.touch(frame, "nic.tx", self.sim.now, self.name, cost=cost)
+        obs = _obs.SESSION
+        if obs is not None:
+            obs.spans.touch(frame, "nic.tx", self.sim.now, self.name, cost=cost)
         if cost:
             yield self.kernel.cpu.charge(cost)
         descriptors_full = self._tx.submit(frame)
@@ -192,16 +192,16 @@ class An1Nic(Nic):
         if ring is None:
             # Unknown BQI: hardware falls back to the kernel's ring.
             ring = self.bqi_table.get(0)
-        rec = _spans.RECORDER
+        obs = _obs.SESSION
         if ring is None or not ring.take():
             self.stats["rx_dropped_no_buffer"] += 1
-            if rec is not None:
-                rec.touch(frame, "nic.drop", self.sim.now, self.name,
-                          detail="no ring buffer")
+            if obs is not None:
+                obs.spans.touch(frame, "nic.drop", self.sim.now, self.name,
+                                detail="no ring buffer")
             return
-        if rec is not None:
-            rec.touch(frame, "nic.rx", self.sim.now, self.name,
-                      detail=f"bqi={ring.bqi}")
+        if obs is not None:
+            obs.spans.touch(frame, "nic.rx", self.sim.now, self.name,
+                            detail=f"bqi={ring.bqi}")
         # DMA into the ring, then the interrupt.  Frames are independent
         # on this controller, so each carries its own state along.
         self.sim.call_later(self.DMA_LATENCY, self._rx_arrived, (frame, ring))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ...mach.kernel import Kernel
-from ...obs import spans as _spans
+from ... import obs as _obs
 from ..buf import as_wire_bytes
 from ..headers import BROADCAST_MAC
 from ..link import EthernetLink, Transmitter
@@ -72,9 +72,9 @@ class PmaddNic(Nic):
         # ``pio_cost(length)`` spelled out (same float), here and at the
         # receive copy: both run once per frame.
         cost = costs.pmadd_pio_per_byte * length + costs.pmadd_per_packet
-        rec = _spans.RECORDER
-        if rec is not None:
-            rec.touch(frame, "nic.tx", self.sim.now, self.name, cost=cost)
+        obs = _obs.SESSION
+        if obs is not None:
+            obs.spans.touch(frame, "nic.tx", self.sim.now, self.name, cost=cost)
         if cost:
             yield self.kernel.cpu.charge(cost)
         # Blocks when all staging buffers are full: natural backpressure.
@@ -90,15 +90,15 @@ class PmaddNic(Nic):
     # ------------------------------------------------------------------
 
     def wire_deliver(self, frame: bytes) -> None:
-        rec = _spans.RECORDER
+        obs = _obs.SESSION
         if len(self._rx_buffers) >= self.BOARD_BUFFERS:
             self.stats["rx_dropped_no_buffer"] += 1
-            if rec is not None:
-                rec.touch(frame, "nic.drop", self.sim.now, self.name,
-                          detail="no rx buffer")
+            if obs is not None:
+                obs.spans.touch(frame, "nic.drop", self.sim.now, self.name,
+                                detail="no rx buffer")
             return
-        if rec is not None:
-            rec.touch(frame, "nic.rx", self.sim.now, self.name)
+        if obs is not None:
+            obs.spans.touch(frame, "nic.rx", self.sim.now, self.name)
         self._rx_buffers.append(frame)
         if not self._rx_interrupt_pending:
             self._rx_interrupt_pending = True

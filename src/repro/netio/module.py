@@ -23,6 +23,7 @@ from functools import partial
 from time import perf_counter
 from typing import Callable, Generator, Optional
 
+from .. import obs as _obs
 from ..mach.kernel import Kernel
 from ..mach.task import Task
 from ..mach.vm import SharedRegion, vm_wire
@@ -36,9 +37,6 @@ from ..net.headers import (
 )
 from ..net.nic.an1ctrl import An1Nic, BqiTableFull, BufferRing
 from ..net.nic.base import Nic
-from ..obs import hist as _hist
-from ..obs import profile as _profile
-from ..obs import spans as _spans
 from .channels import Channel
 from .demux import DemuxDecision, DemuxError, FlowKey, FlowTable, KERNEL_FLOW
 from .pktfilter import (
@@ -514,14 +512,11 @@ class NetworkIoModule:
             raise
         channel.stats["tx_packets"] += 1
         self.stats["tx"] += 1
-        prof = _profile.PROFILER
-        if prof is not None:
-            prof.charge("netio.send", costs.template_check)
-        rec = _spans.RECORDER
-        if rec is not None:
-            rec.touch(
-                ip_packet, "netio.send", self.kernel.sim.now, self.name,
-                detail=channel.name, cost=costs.template_check,
+        obs = _obs.SESSION
+        if obs is not None:
+            obs.book(
+                "netio.send", ip_packet, self.kernel.sim.now, self.name,
+                costs.template_check, channel.name,
             )
         if link_dst is None:
             link_dst = channel.link_dst
@@ -563,12 +558,12 @@ class NetworkIoModule:
         except KeyError:
             header = self._link_header(key)
         frame = prepend(header + head, payload)
-        rec = _spans.RECORDER
-        if rec is not None:
+        obs = _obs.SESSION
+        if obs is not None:
             # A forwarded payload is a view of the frame the router
             # received, not a chain: the id it resolves to goes on the
             # new chain, so the bytes it fuses into are bound to it too.
-            frame.trace_id = rec.touch(
+            frame.trace_id = obs.spans.touch(
                 payload, "netio.send", self.kernel.sim.now, self.name,
                 detail="kernel",
             )
@@ -641,14 +636,18 @@ class NetworkIoModule:
         # One engine call classifies the frame; the decision carries the
         # CPU charge it incurred (a fixed indexed lookup for the
         # synthesized style, per-instruction interpretation for a scan
-        # table — Table 5's cost regimes).
-        prof = _profile.PROFILER
-        if prof is None:
+        # table — Table 5's cost regimes).  The plane books the stage
+        # as the classifier runs, its wall time included.
+        obs = _obs.SESSION
+        if obs is None:
             decision = self.flow_table.classify(frame, costs)
         else:
             t0 = perf_counter()
             decision = self.flow_table.classify(frame, costs)
-            prof.charge("demux.classify", decision.cost, perf_counter() - t0)
+            obs.book(
+                "demux.classify", frame, self.kernel.sim.now, self.name,
+                decision.cost, decision.tier, perf_counter() - t0,
+            )
         stage = partial(self._rx_classified, frame, decision, done)
         cost = decision.cost
         if cost:
@@ -659,12 +658,6 @@ class NetworkIoModule:
     def _rx_classified(
         self, frame: bytes, decision: DemuxDecision, done: Done, _event: object
     ) -> None:
-        rec = _spans.RECORDER
-        if rec is not None:
-            rec.touch(
-                frame, "demux", self.kernel.sim.now, self.name,
-                detail=decision.tier, cost=decision.cost,
-            )
         matched = decision.channel
         payload = slice_view(frame, EthernetHeader.LENGTH)
         # Copies-avoided accounting rides with the per-tier demux stats:
@@ -690,9 +683,9 @@ class NetworkIoModule:
             # Hardware demuxed straight to the channel's ring: the
             # ring buffer receives a view of the DMAed frame, not a
             # fresh copy.
-            rec = _spans.RECORDER
-            if rec is not None:
-                rec.touch(
+            obs = _obs.SESSION
+            if obs is not None:
+                obs.spans.touch(
                     frame, "demux", self.kernel.sim.now, self.name,
                     detail=f"bqi={header.bqi}",
                     cost=self.kernel.costs.an1_bqi_bookkeeping,
@@ -789,26 +782,11 @@ class NetworkIoModule:
         signal_due = channel.signal_cost_due
         if signal_due:
             deliver_cost += self.kernel.costs.semaphore_signal
-        prof = _profile.PROFILER
-        if prof is not None:
-            prof.charge("netio.deliver", deliver_cost)
-        now = self.kernel.sim.now
-        rec = _spans.RECORDER
-        if rec is not None:
-            tid = rec.touch(
-                payload, "deliver", now, self.name,
-                detail=channel.name, cost=deliver_cost,
+        obs = _obs.SESSION
+        if obs is not None:
+            obs.deliver(
+                payload, self.kernel.sim.now, self.name, channel, deliver_cost
             )
-            reg = _hist.REGISTRY
-            if reg is not None and tid is not None:
-                born = rec.birth(tid)
-                if born is not None:
-                    latency = now - born
-                    reg.record("delivery.latency", latency)
-                    if channel.tenant_id is not None:
-                        reg.record(
-                            f"tenant.{channel.tenant_id}.latency", latency
-                        )
         channel.deliver(payload, link_info)
         if signal_due:
             self.stats["signals_charged"] += 1

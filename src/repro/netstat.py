@@ -19,9 +19,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .net.headers import ip_to_str
-from .obs import hist as _hist
-from .obs import profile as _profile
-from .obs import spans as _spans
+from . import obs
 
 if TYPE_CHECKING:
     from .testbed import Testbed
@@ -550,18 +548,19 @@ class SpanTraceEntry:
 def span_table(limit: Optional[int] = None) -> list[SpanTraceEntry]:
     """One row per trace retained in the span ring (newest last).
 
-    Empty when span tracing is disabled.  ``limit`` keeps only the last
-    N traces.
+    Empty when the plane is off.  ``limit`` keeps only the last N
+    traces.
     """
-    recorder = _spans.RECORDER
-    if recorder is None:
+    session = obs.SESSION
+    if session is None:
         return []
+    recorder = session.spans
     entries: list[SpanTraceEntry] = []
     timelines: dict[int, list] = {}
     for event in recorder.events:
         timelines.setdefault(event.trace_id, []).append(event)
     for tid, events in timelines.items():
-        birth = recorder._births.get(tid)
+        birth = recorder.birth(tid)
         entries.append(
             SpanTraceEntry(
                 trace=tid,
@@ -578,11 +577,9 @@ def span_table(limit: Optional[int] = None) -> list[SpanTraceEntry]:
 
 
 def profile_table(top: Optional[int] = None) -> list:
-    """Sim-time profiler report rows (empty when profiling is off)."""
-    profiler = _profile.PROFILER
-    if profiler is None:
-        return []
-    return profiler.report(top)
+    """Sim-time profiler report rows (empty when the plane is off)."""
+    session = obs.SESSION
+    return session.profiler.report(top) if session is not None else []
 
 
 @dataclass(frozen=True)
@@ -626,23 +623,23 @@ def _ratio(value: float) -> str:
 
 
 def hist_table() -> list[HistEntry]:
-    """All registered histograms' summaries (empty when disabled)."""
-    registry = _hist.REGISTRY
-    if registry is None:
+    """All registered histograms' summaries (empty when the plane is off)."""
+    session = obs.SESSION
+    if session is None:
         return []
     return [
         HistEntry(name=name, **summary)
-        for name, summary in sorted(registry.summaries().items())
+        for name, summary in sorted(session.histograms.summaries().items())
     ]
 
 
 def render_spans(limit: Optional[int] = 20) -> str:
     lines = ["Packet spans (trace · hops · lifecycle)"]
-    recorder = _spans.RECORDER
-    if recorder is None:
-        lines.append("  (span tracing disabled — repro.obs.enable())")
+    session = obs.SESSION
+    if session is None:
+        lines.append("  (obs plane off — repro.obs.enable())")
         return "\n".join(lines)
-    stats = recorder.stats()
+    stats = session.spans.stats()
     lines.append(
         f"  minted={stats['minted']} recorded={stats['recorded']}"
         f" retained={stats['retained']}/{stats['capacity']}"
@@ -652,19 +649,19 @@ def render_spans(limit: Optional[int] = 20) -> str:
 
 
 def render_profile(top: Optional[int] = 15) -> str:
-    profiler = _profile.PROFILER
-    if profiler is None:
+    session = obs.SESSION
+    if session is None:
         return (
-            "Sim-time profile\n  (profiling disabled — repro.obs.enable())"
+            "Sim-time profile\n  (obs plane off — repro.obs.enable())"
         )
-    return profiler.render(top)
+    return session.profiler.render(top)
 
 
 def render_hist() -> str:
     lines = ["Latency histograms (log-bucketed)"]
     entries = hist_table()
-    if _hist.REGISTRY is None:
-        lines.append("  (histograms disabled — repro.obs.enable())")
+    if obs.SESSION is None:
+        lines.append("  (obs plane off — repro.obs.enable())")
     elif not entries:
         lines.append("  (no samples)")
     else:
@@ -676,9 +673,9 @@ def as_json(testbed: "Testbed", tenant: Optional[str] = None) -> dict:
     """Every netstat table as one JSON-safe dict.
 
     Observability sections (``spans``/``profile``/``histograms``) are
-    present but empty when the corresponding plane is disabled.
+    present but empty when the plane is off.
     """
-    recorder = _spans.RECORDER
+    session = obs.SESSION
     return {
         "connections": [asdict(e) for e in connection_table(testbed)],
         "channels": [asdict(e) for e in channel_table(testbed)],
@@ -690,12 +687,12 @@ def as_json(testbed: "Testbed", tenant: Optional[str] = None) -> dict:
         "tenants": [asdict(e) for e in tenant_table(testbed, tenant=tenant)],
         "engine": [asdict(e) for e in engine_table(testbed)],
         "spans": {
-            "stats": recorder.stats() if recorder is not None else {},
+            "stats": session.spans.stats() if session is not None else {},
             "traces": [asdict(e) for e in span_table()],
         },
         "profile": [r.as_dict() for r in profile_table()],
         "histograms": (
-            _hist.REGISTRY.summaries() if _hist.REGISTRY is not None else {}
+            session.histograms.summaries() if session is not None else {}
         ),
     }
 
@@ -774,30 +771,25 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument(
         "--spans", action="store_true",
-        help="enable span tracing and print the packet-span table",
+        help="turn the obs plane on and print the packet-span table",
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="enable the sim-time profiler and print its report",
+        help="turn the obs plane on and print the sim-time profile",
     )
     parser.add_argument(
         "--hist", action="store_true",
-        help="enable latency histograms and print their summaries",
+        help="turn the obs plane on and print the histogram summaries",
     )
     args = parser.parse_args(argv)
 
-    from . import obs
     from .metrics import measure_throughput
     from .tenancy.tenant import TenantBudget, attach_tenancy
     from .testbed import Testbed
 
     want_obs = args.spans or args.profile or args.hist or args.json
     if want_obs:
-        obs.enable(
-            spans_on=args.spans or args.json,
-            profile_on=args.profile or args.json,
-            hist_on=args.hist or args.json,
-        )
+        obs.enable()
     try:
         bed = Testbed(network="ethernet", organization="userlib")
         manager = attach_tenancy(bed)

@@ -3,8 +3,8 @@
 Four coordinated pieces, all off by default:
 
 * :mod:`repro.obs.spans` — packet-lifecycle tracing: a trace id minted
-  at encode rides the packet through every hop (netio send, NIC ring,
-  link, switch queue, demux, delivery) into a bounded event ring.
+  at TCP output rides the packet through every hop (netio send, NIC
+  ring, link, switch queue, demux, delivery) into a bounded event ring.
 * :mod:`repro.obs.profile` — sim-time profiler attributing simulated
   microseconds (and wall time for synchronous callbacks) to call sites.
 * :mod:`repro.obs.hist` — HDR-style log-bucketed histograms (fixed
@@ -13,10 +13,11 @@ Four coordinated pieces, all off by default:
 * :mod:`repro.obs.recorder` — flight recorder sampling counter sets on
   a sim-timer into bounded time series with JSON/CSV export.
 
-Instrumented call sites throughout the stack guard on the module
-globals (``spans.RECORDER`` / ``profile.PROFILER`` / ``hist.REGISTRY``
-being ``None``), so the disabled cost is one attribute load and one
-identity test per site — measured by ``benchmarks/bench_obs.py``.
+The first three are one switch: :data:`SESSION` is ``None`` when the
+plane is off and otherwise the :class:`ObservabilitySession` that owns
+them.  An instrumented stage reads ``SESSION`` once, so the disabled
+cost is one attribute load and one identity test per site — measured
+by ``benchmarks/bench_obs.py``.
 
 Typical use::
 
@@ -30,12 +31,10 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import hist, profile, spans
 from .hist import HistogramRegistry, LogHistogram
 from .profile import SimProfiler
 from .recorder import FlightRecorder
+from .session import ObservabilitySession
 from .spans import SpanEvent, SpanRecorder
 
 __all__ = [
@@ -46,45 +45,24 @@ __all__ = [
     "SpanEvent",
     "FlightRecorder",
     "ObservabilitySession",
+    "SESSION",
     "enable",
     "disable",
-    "enabled",
 ]
 
-
-@dataclass
-class ObservabilitySession:
-    """Handles to whatever parts of the plane are currently enabled."""
-
-    spans: SpanRecorder | None
-    profiler: SimProfiler | None
-    histograms: HistogramRegistry | None
+#: The plane: ``None`` when off (the default), else the session every
+#: instrumented site books into.
+SESSION: ObservabilitySession | None = None
 
 
-def enable(
-    *,
-    spans_on: bool = True,
-    profile_on: bool = True,
-    hist_on: bool = True,
-    span_capacity: int = 8192,
-) -> ObservabilitySession:
-    """Turn on the selected pieces of the plane and return their handles."""
-    recorder = spans.enable(capacity=span_capacity) if spans_on else spans.RECORDER
-    profiler = profile.enable() if profile_on else profile.PROFILER
-    registry = hist.enable() if hist_on else hist.REGISTRY
-    return ObservabilitySession(spans=recorder, profiler=profiler, histograms=registry)
+def enable(*, span_capacity: int = 8192) -> ObservabilitySession:
+    """Turn the plane on with a fresh session and return it."""
+    global SESSION
+    SESSION = ObservabilitySession(span_capacity=span_capacity)
+    return SESSION
 
 
 def disable() -> None:
-    """Turn off every piece of the plane."""
-    spans.disable()
-    profile.disable()
-    hist.disable()
-
-
-def enabled() -> bool:
-    return (
-        spans.RECORDER is not None
-        or profile.PROFILER is not None
-        or hist.REGISTRY is not None
-    )
+    """Turn the plane off."""
+    global SESSION
+    SESSION = None

@@ -12,10 +12,10 @@ Histograms with identical configuration merge by adding bucket counts,
 so per-host or per-worker histograms can be combined into a fleet-wide
 view without keeping raw samples.
 
-The module-level :data:`REGISTRY` is the observability plane's shared
-named-histogram registry.  It is ``None`` when histograms are disabled;
-instrumented call sites guard on that, which keeps the disabled cost to
-one attribute load and one ``is None`` test.
+The observability plane's session (:data:`repro.obs.SESSION`) owns one
+:func:`default_registry`; instrumented call sites guard on the session,
+which keeps the disabled cost to one attribute load and one ``is None``
+test.
 """
 
 from __future__ import annotations
@@ -233,24 +233,8 @@ class HistogramRegistry:
         return {name: hist.to_dict() for name, hist in self.items()}
 
 
-#: Global registry consulted by instrumented call sites; ``None`` when
-#: histograms are disabled (the default).
-REGISTRY: HistogramRegistry | None = None
-
-
-def enable(registry: HistogramRegistry | None = None) -> HistogramRegistry:
-    """Install (or replace) the global histogram registry."""
-    global REGISTRY
-    REGISTRY = registry if registry is not None else _default_registry()
-    return REGISTRY
-
-
-def disable() -> None:
-    global REGISTRY
-    REGISTRY = None
-
-
-def _default_registry() -> HistogramRegistry:
+def default_registry() -> HistogramRegistry:
+    """The plane's registry, with ranges for the names the stack records."""
     reg = HistogramRegistry()
     # Latencies in simulated seconds: 100 ns .. 100 s.
     for name in ("tcp.rtt", "flow.completion", "delivery.latency"):

@@ -16,7 +16,9 @@ sidesteps maintaining a call stack across interleaved simulation
 generators — there is no meaningful stack when a hundred coroutines
 take turns.
 
-Disabled cost is one attribute load and an ``is None`` test per site.
+The profiler is owned by the plane's one switch,
+:data:`repro.obs.SESSION`: the disabled cost is one attribute load and
+an ``is None`` test per site.
 """
 
 from __future__ import annotations
@@ -60,10 +62,10 @@ class SimProfiler:
         self._sites: dict[str, _Site] = {}
 
     def charge(self, site: str, sim_seconds: float, wall_seconds: float = 0.0) -> None:
-        entry = self._sites.get(site)
-        if entry is None:
-            entry = _Site()
-            self._sites[site] = entry
+        try:
+            entry = self._sites[site]
+        except KeyError:
+            entry = self._sites[site] = _Site()
         entry.calls += 1
         entry.sim_self += sim_seconds
         entry.wall_self += wall_seconds
@@ -112,19 +114,3 @@ class SimProfiler:
                 f"{row.wall_seconds * 1e3:>9.2f}"
             )
         return "\n".join(lines)
-
-
-#: Global profiler consulted by instrumented call sites; ``None`` when
-#: profiling is disabled (the default).
-PROFILER: SimProfiler | None = None
-
-
-def enable() -> SimProfiler:
-    global PROFILER
-    PROFILER = SimProfiler()
-    return PROFILER
-
-
-def disable() -> None:
-    global PROFILER
-    PROFILER = None

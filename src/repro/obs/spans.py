@@ -15,9 +15,9 @@ hosts.  Reconstructing a packet's end-to-end timeline — including queue
 wait, fault drops, duplications, and which transmissions were
 retransmits — is then a filter over the ring.
 
-Everything is off unless :func:`enable` has installed the module-global
-:data:`RECORDER`; instrumented sites pay one attribute load and an
-``is None`` test when tracing is disabled.
+The recorder is owned by the plane's one switch,
+:data:`repro.obs.SESSION`; instrumented sites pay one attribute load
+and an ``is None`` test when the plane is off.
 """
 
 from __future__ import annotations
@@ -98,21 +98,24 @@ class SpanRecorder:
     def trace_of(self, obj) -> int | None:
         """Recover the trace id carried by a packet at any layer.
 
-        Accepts a ``PacketBuffer`` (reads the ``trace_id`` slot), a
+        Accepts flat ``bytes`` (looked up in the identity map), a
+        ``PacketBuffer`` (reads the ``trace_id`` slot), or a
         ``memoryview`` (looks up its exporting base object — the fused
-        frame — in the identity map), or flat ``bytes``.
+        frame — in the identity map).
         """
-        tid = getattr(obj, "trace_id", None)
-        if tid is not None:
-            return tid
-        base = getattr(obj, "obj", None)  # memoryview -> exporter
-        if base is not None:
-            obj = base
+        kind = type(obj)
+        if kind is memoryview:
+            obj = obj.obj  # the exporter: the fused frame
+        elif kind is not bytes:
+            tid = getattr(obj, "trace_id", None)
+            if tid is not None:
+                return tid
         return self._wire.get(id(obj))
 
-    def birth(self, tid: int) -> float | None:
-        entry = self._births.get(tid)
-        return entry[0] if entry is not None else None
+    def birth(self, tid: int) -> tuple[float, str] | None:
+        """``(sim_time, detail)`` of the trace's mint, or ``None`` once
+        the bounded birth table has evicted it."""
+        return self._births.get(tid)
 
     # -- recording ----------------------------------------------------
 
@@ -140,7 +143,8 @@ class SpanRecorder:
         """Record a stage for a packet if (and only if) it carries a trace."""
         tid = self.trace_of(obj)
         if tid is not None:
-            self.record(tid, stage, time, node, detail, cost)
+            self.recorded += 1
+            self.events.append(SpanEvent(tid, stage, time, node, detail, cost))
         return tid
 
     # -- reconstruction -----------------------------------------------
@@ -186,26 +190,3 @@ class SpanRecorder:
             "capacity": self.capacity,
             "wire_bindings": len(self._wire),
         }
-
-
-#: Global recorder consulted by instrumented call sites; ``None`` when
-#: span tracing is disabled (the default).
-RECORDER: SpanRecorder | None = None
-
-
-def enable(capacity: int = 8192) -> SpanRecorder:
-    """Install the global span recorder and hook wire-bytes fusion."""
-    global RECORDER
-    RECORDER = SpanRecorder(capacity=capacity)
-    from ..net import buf
-
-    buf.SPAN_BINDER = RECORDER.bind_wire
-    return RECORDER
-
-
-def disable() -> None:
-    global RECORDER
-    RECORDER = None
-    from ..net import buf
-
-    buf.SPAN_BINDER = None

@@ -13,7 +13,7 @@ from time import perf_counter
 from typing import Callable, Generator, Optional
 
 from ..mach.kernel import Kernel
-from ..obs import profile as _profile
+from .. import obs as _obs
 from ..protocols.tcp import (
     AppAbort,
     AppClose,
@@ -85,12 +85,12 @@ class MachineRunner:
         now = self.sim.now
         # The machine is the synchronous protocol callback: this is the
         # one place its real CPU time can be measured whole.
-        prof = _profile.PROFILER
-        t0 = perf_counter() if prof is not None else 0.0
+        obs = _obs.SESSION
+        t0 = perf_counter() if obs is not None else 0.0
         actions = self.machine.handle(event, now)
-        if prof is not None:
+        if obs is not None:
             site = _MACHINE_SITES.get(event.__class__, "tcp.machine.app")
-            prof.charge(site, 0.0, perf_counter() - t0)
+            obs.profiler.charge(site, 0.0, perf_counter() - t0)
         return self._execute(actions, now)
 
     def start(self, active: bool) -> Generator:
@@ -105,15 +105,15 @@ class MachineRunner:
         sites, so the fast/slow split is visible in its report."""
         machine = self.machine
         now = self.sim.now
-        prof = _profile.PROFILER
-        t0 = perf_counter() if prof is not None else 0.0
+        obs = _obs.SESSION
+        t0 = perf_counter() if obs is not None else 0.0
         actions = machine.fast_input(segment, now)
         site = "tcp.machine.fastpath"
         if actions is None:
             actions = machine.handle(SegmentArrives(segment), now)
             site = "tcp.machine.input"
-        if prof is not None:
-            prof.charge(site, 0.0, perf_counter() - t0)
+        if obs is not None:
+            obs.profiler.charge(site, 0.0, perf_counter() - t0)
         return self._execute(actions, now)
 
     def app_send(self, data: bytes) -> Generator:
@@ -236,9 +236,9 @@ class MachineRunner:
                     waiters.pop().succeed()
         if timer_ops:
             cost = self.kernel.costs.timer_op * timer_ops
-            prof = _profile.PROFILER
-            if prof is not None:
-                prof.charge("tcp.timer_op", cost)
+            obs = _obs.SESSION
+            if obs is not None:
+                obs.profiler.charge("tcp.timer_op", cost)
             if cost:
                 yield self.kernel.cpu.charge(cost)
         for action in emissions:

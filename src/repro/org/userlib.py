@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
+from .. import obs as _obs
 from ..host import Host
 from ..mach.ipc import Message, rpc, send
 from ..mach.task import Task
 from ..net.headers import HeaderError, PROTO_TCP
-from ..obs import profile as _profile
-from ..obs import spans as _spans
 from ..netio.channels import Channel, ChannelClosed
 from ..protocols.ip import IpStack
 from ..tenancy.tenant import RateLimited
@@ -195,24 +194,16 @@ class LibraryConnection(TcpConnection):
             + costs.checksum_cost(len(payload))
             + costs.ip_output
         )
-        prof = _profile.PROFILER
-        if prof is not None:
-            prof.charge("tcp.output", cost)
-        rec = _spans.RECORDER
-        if rec is not None:
+        obs = _obs.SESSION
+        if obs is not None:
             # Birth of the trace: every transmission (including each
             # retransmission) gets its own id, so one seq number can be
             # followed through several wire attempts.
-            detail = (
+            obs.mint(
+                "tcp.output", payload, self.sim.now, self.service.app.name, cost,
                 f"seq={segment.seq} len={len(segment.payload)}"
                 f" flags={segment.flags:#04x}"
-                + (" retransmit" if retransmit else "")
-            )
-            tid = rec.mint(self.sim.now, detail)
-            payload.trace_id = tid
-            rec.record(
-                tid, "encode", self.sim.now, self.service.app.name,
-                detail=detail, cost=cost,
+                + (" retransmit" if retransmit else ""),
             )
         # TCP output + checksum run in the library (application CPU
         # time); the segment is built directly in the shared region, so
@@ -259,9 +250,9 @@ class LibraryConnection(TcpConnection):
             # per-connection thread and back).  The paper's batching
             # optimization is exactly this amortization.
             wakeup_cost = costs.user_wakeup + 2 * costs.cthread_switch
-            prof = _profile.PROFILER
-            if prof is not None:
-                prof.charge("lib.wakeup", wakeup_cost)
+            obs = _obs.SESSION
+            if obs is not None:
+                obs.profiler.charge("lib.wakeup", wakeup_cost)
             if wakeup_cost:
                 yield self.kernel.cpu.charge(wakeup_cost)
             for packet in batch:
@@ -284,16 +275,12 @@ class LibraryConnection(TcpConnection):
                     + costs.checksum_cost(len(datagram.payload))
                     + tcp_cost
                 )
-                prof = _profile.PROFILER
-                if prof is not None:
-                    prof.charge("tcp.input", rx_cost)
-                rec = _spans.RECORDER
-                if rec is not None:
-                    rec.touch(
-                        packet, "tcp.input", self.sim.now,
-                        self.service.app.name,
-                        detail=f"seq={segment.seq} ack={segment.ack}",
-                        cost=rx_cost,
+                obs = _obs.SESSION
+                if obs is not None:
+                    obs.book(
+                        "tcp.input", packet, self.sim.now,
+                        self.service.app.name, rx_cost,
+                        f"seq={segment.seq} ack={segment.ack}",
                     )
                 if rx_cost:
                     yield self.kernel.cpu.charge(rx_cost)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ...obs import hist as _hist
+from ... import obs as _obs
 
 
 @dataclass
@@ -78,9 +78,9 @@ class RttEstimator:
     def _sample(self, rtt: float) -> None:
         if rtt < 0:
             return
-        reg = _hist.REGISTRY
-        if reg is not None:
-            reg.record("tcp.rtt", rtt)
+        obs = _obs.SESSION
+        if obs is not None:
+            obs.histograms.record("tcp.rtt", rtt)
         if self.srtt is None:
             self.srtt = rtt
             self.rttvar = rtt / 2.0

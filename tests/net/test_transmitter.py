@@ -20,7 +20,7 @@ from repro.net import (
 )
 from repro.net.fabric import TailDropQueue
 from repro.net.link import DuplexLink, Transmitter
-from repro.obs import spans
+from repro import obs
 from repro.sim import Simulator
 
 MAC_A = str_to_mac("02:00:00:00:00:01")
@@ -305,7 +305,7 @@ def test_queued_frames_record_deq_span_idle_hand_off_does_not():
     queue = TailDropQueue(sim, capacity_bytes=4000)
     queue.name = "port"
     queue.transmitter = Transmitter(link, port, pull=queue.pop)
-    recorder = spans.enable()
+    recorder = obs.enable().spans
     try:
         frames = [eth_frame(tag) for tag in range(3)]
         for frame in frames:
@@ -313,7 +313,7 @@ def test_queued_frames_record_deq_span_idle_hand_off_does_not():
             assert queue.offer(frame)
         sim.run()
     finally:
-        spans.disable()
+        obs.disable()
     stages = [
         [event.stage for event in recorder.timeline(tid) if event.node == "port"]
         for tid in recorder.traces()

@@ -71,8 +71,8 @@ def test_retransmitted_segment_timeline(session_artifacts):
             complete = stages
             break
     assert complete is not None
-    for expected in ("encode", "nic.tx", "link.tx", "queue.enq",
-                     "demux", "deliver", "tcp.input"):
+    for expected in ("tcp.output", "nic.tx", "link.tx", "queue.enq",
+                     "demux.classify", "netio.deliver", "tcp.input"):
         assert expected in complete, f"missing {expected} in {complete}"
     # Queue *wait* is recorded whenever a frame could not be handed
     # straight to an idle port — with two flows sharing the trunk that

@@ -32,16 +32,16 @@ def transfer(testbed, nbytes=4000, port=9200):
 def test_mint_record_timeline_order():
     rec = SpanRecorder()
     tid = rec.mint(1.0, "seq=1")
-    rec.record(tid, "encode", 1.0, "app-a")
-    rec.record(tid, "deliver", 1.5, "netio-b", cost=1e-6)
+    rec.record(tid, "tcp.output", 1.0, "app-a")
+    rec.record(tid, "netio.deliver", 1.5, "netio-b", cost=1e-6)
     other = rec.mint(1.2)
-    rec.record(other, "encode", 1.2, "app-b")
+    rec.record(other, "tcp.output", 1.2, "app-b")
     events = rec.timeline(tid)
-    assert [e.stage for e in events] == ["encode", "deliver"]
+    assert [e.stage for e in events] == ["tcp.output", "netio.deliver"]
     assert rec.traces() == [tid, other]
-    assert rec.birth(tid) == 1.0
+    assert rec.birth(tid) == (1.0, "seq=1")
     text = rec.render_timeline(tid)
-    assert "encode" in text and "@netio-b" in text
+    assert "tcp.output" in text and "@netio-b" in text
 
 
 def test_trace_of_resolves_every_carrier_shape():
@@ -65,10 +65,10 @@ def test_trace_of_resolves_every_carrier_shape():
 def test_event_ring_is_bounded():
     rec = SpanRecorder(capacity=64)
     first = rec.mint(0.0)
-    rec.record(first, "encode", 0.0, "a")
+    rec.record(first, "tcp.output", 0.0, "a")
     for i in range(200):
         tid = rec.mint(float(i))
-        rec.record(tid, "encode", float(i), "a")
+        rec.record(tid, "tcp.output", float(i), "a")
     assert len(rec.events) == 64
     assert rec.timeline(first) == []  # evicted
     assert rec.recorded == 201
@@ -89,7 +89,7 @@ def test_wire_map_is_bounded():
 
 
 def test_clean_transfer_spans_cover_every_hop():
-    session = obs.enable(profile_on=False, hist_on=False)
+    session = obs.enable()
     testbed = Testbed(network="ethernet", organization="userlib")
     transfer(testbed)
     rec = session.spans
@@ -99,16 +99,16 @@ def test_clean_transfer_spans_cover_every_hop():
     assert data_traces
     stages = [e.stage for e in rec.timeline(data_traces[0])]
     for expected in (
-        "encode", "netio.send", "nic.tx", "link.tx",
-        "nic.rx", "demux", "deliver", "tcp.input",
+        "tcp.output", "netio.send", "nic.tx", "link.tx",
+        "nic.rx", "demux.classify", "netio.deliver", "tcp.input",
     ):
         assert expected in stages, f"missing {expected} in {stages}"
     # Hops are recorded in time order ending at the receiving TCP.
-    assert stages[0] == "encode" and stages[-1] == "tcp.input"
+    assert stages[0] == "tcp.output" and stages[-1] == "tcp.input"
 
 
 def test_dropped_frames_end_at_link_drop_and_retransmit_is_flagged():
-    session = obs.enable(profile_on=False, hist_on=False)
+    session = obs.enable()
     testbed = Testbed(
         network="ethernet",
         organization="userlib",
@@ -128,11 +128,11 @@ def test_dropped_frames_end_at_link_drop_and_retransmit_is_flagged():
     retrans = rec.traces_matching("retransmit")
     assert retrans, "no retransmission traces despite drops"
     first = rec.timeline(retrans[0])[0]
-    assert first.stage == "encode" and "retransmit" in first.detail
+    assert first.stage == "tcp.output" and "retransmit" in first.detail
 
 
 def test_duplicated_frames_are_annotated_and_delivered_twice():
-    session = obs.enable(profile_on=False, hist_on=False)
+    session = obs.enable()
     testbed = Testbed(
         network="ethernet",
         organization="userlib",
@@ -153,7 +153,7 @@ def test_spans_follow_a_segment_through_every_router():
     """A forwarded packet used to leave each router as a chain built
     around a view of the received frame: no trace id, so its fused bytes
     were never bound and the timeline stopped at the first router."""
-    session = obs.enable(profile_on=False, hist_on=False)
+    session = obs.enable()
     fabric = FabricTestbed(kind="chain", organization="userlib", n_routers=2)
     host_a, host_b = fabric.hosts
 
@@ -172,13 +172,13 @@ def test_spans_follow_a_segment_through_every_router():
     fabric.run(until=proc)
     rec = session.spans
     timeline = rec.timeline(rec.traces_matching("len=1460")[0])
-    forwarded = [e.node for e in timeline if e.stage == "router.fwd"]
+    forwarded = [e.node for e in timeline if e.stage == "router.forward"]
     assert forwarded == [router.name for router in fabric.routers]
     # Each router's transmit hop is on it too, and so is the far end.
     sent = [e.node for e in timeline if e.stage == "netio.send"]
     assert sent[1:] == [router.interfaces[1].netio.name for router in fabric.routers]
     assert [(e.stage, e.node) for e in timeline[-2:]] == [
-        ("deliver", host_b.netio.name), ("tcp.input", f"app-{host_b.name}"),
+        ("netio.deliver", host_b.netio.name), ("tcp.input", f"app-{host_b.name}"),
     ]
     assert len(timeline) == 20
 
@@ -186,6 +186,4 @@ def test_spans_follow_a_segment_through_every_router():
 def test_disabled_plane_records_nothing():
     testbed = Testbed(network="ethernet", organization="userlib")
     transfer(testbed)
-    from repro.obs import spans as spans_mod
-
-    assert spans_mod.RECORDER is None  # and the transfer still worked
+    assert obs.SESSION is None  # and the transfer still worked

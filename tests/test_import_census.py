@@ -25,7 +25,6 @@ ALLOWED = {
     "mach/kernel.py": {"create_task"},
     "org/userlib.py": {"hand_off"},
     "netstat.py": {"copy_table", "main"},
-    "obs/spans.py": {"enable", "disable"},
     "specialize.py": {"specialize"},
     "testbed.py": {"__init__"},
     "check/": None,

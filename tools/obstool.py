@@ -105,7 +105,7 @@ def main(argv=None) -> int:
         if not retrans:
             print("no retransmissions observed (raise --drop or --bytes)")
         for tid in retrans[: args.timelines]:
-            birth = recorder._births.get(tid)
+            birth = recorder.birth(tid)
             detail = birth[1] if birth else ""
             seq = next(
                 (tok for tok in detail.split() if tok.startswith("seq=")), None

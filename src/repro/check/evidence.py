@@ -1,16 +1,19 @@
 """Evidence collection: everything the invariant checkers judge.
 
-A conformance run produces four bodies of evidence:
+A conformance run produces four bodies of evidence.  The first two
+come from the one :class:`~repro.trace.WireTrace` attached to the
+faulted link:
 
-* the **wire trace** — every frame offered to the faulted link, decoded
-  into :class:`WireSegment` records (captured *before* fault injection,
-  so it shows what each sender actually did);
-* the **fault log** — one :class:`FaultEvent` per frame, recording the
-  injector's decision (drop/corrupt/duplicate/delay) and the exact
-  post-fault bytes, via the link's ``fault_observers`` hook;
+* the **wire trace** — every frame offered to the link, decoded into
+  :class:`WireSegment` records (captured *before* fault injection, so
+  it shows what each sender actually did);
+* the **fault log** — the trace's :class:`~repro.trace.FaultEvent` per
+  frame, recording the injector's decision (drop/corrupt/duplicate/
+  delay) and the exact post-fault bytes;
 * the **socket transcripts** — the
-  :class:`~repro.metrics.CheckedTransfer` records: payload offered,
-  bytes the receiving socket saw, endpoint machines, close reasons;
+  :class:`~repro.metrics.CheckedTransfer` records of
+  :func:`~repro.metrics.run_transfers`: payload offered, bytes the
+  receiving socket saw, endpoint machines, close reasons;
 * the **counters** — fault-injector and link statistics plus switch
   queue drops, for the conservation invariant.
 
@@ -27,8 +30,7 @@ from ..counters import Counters
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..metrics import run_checked_transfers
-from ..net.faults import FaultPlan
+from ..metrics import run_transfers
 from ..net.headers import (
     ETHERTYPE_IP,
     PROTO_TCP,
@@ -42,7 +44,7 @@ from ..net.headers import (
     ip_to_str,
 )
 from ..net.link import An1Link
-from ..trace import WireTrace
+from ..trace import FaultEvent, WireTrace
 
 
 @dataclass(frozen=True)
@@ -108,19 +110,6 @@ class WireSegment:
 
 
 @dataclass
-class FaultEvent:
-    """The injector's decision for one frame on the faulted link."""
-
-    time: float
-    frame: bytes  # Pre-fault bytes, exactly as offered to the wire.
-    plan: FaultPlan
-
-    @property
-    def duplicated(self) -> bool:
-        return len(self.plan.deliveries) > 1
-
-
-@dataclass
 class RunEvidence:
     """Everything one conformance run produced, ready for judgement.
 
@@ -133,7 +122,7 @@ class RunEvidence:
     segments: list = field(default_factory=list)  # WireSegment, time order
     transfers: list = field(default_factory=list)  # CheckedTransfer
     machines: list = field(default_factory=list)  # (name, TcpMachine)
-    fault_events: list = field(default_factory=list)  # FaultEvent
+    fault_events: list = field(default_factory=list)  # trace.FaultEvent
     injector_stats: dict = field(
         default_factory=lambda: {
             "dropped": 0, "corrupted": 0, "duplicated": 0, "delayed": 0,
@@ -190,20 +179,13 @@ def machines_from_transfers(transfers) -> list:
 
 
 def collect_evidence(bed, **transfer_kwargs) -> RunEvidence:
-    """Instrument ``bed``'s faulted link, run the checked-transfer
-    workload, and assemble the full :class:`RunEvidence`."""
+    """Trace ``bed``'s faulted link, run the transfers, and assemble the
+    full :class:`RunEvidence`."""
     link = bed.faulted_link
-    trace = WireTrace(link, capture=True)
-    fault_events: list[FaultEvent] = []
-
-    def observer(obs_link, frame: bytes, plan: FaultPlan) -> None:
-        fault_events.append(FaultEvent(obs_link.sim.now, frame, plan))
-
-    link.fault_observers.append(observer)
+    trace = WireTrace(link)
     try:
-        transfers = run_checked_transfers(bed, **transfer_kwargs)
+        transfers = run_transfers(bed, **transfer_kwargs)
     finally:
-        link.fault_observers.remove(observer)
         trace.detach()
 
     an1 = isinstance(link, An1Link)
@@ -214,7 +196,7 @@ def collect_evidence(bed, **transfer_kwargs) -> RunEvidence:
         segments=segments_from_trace(trace.records, an1=an1),
         transfers=transfers,
         machines=machines_from_transfers(transfers),
-        fault_events=fault_events,
+        fault_events=trace.fault_events,
         injector_stats=link.faults.snapshot(),
         link_stats=Counters(link.stats),
         queue_drops=queue_drops,

@@ -76,14 +76,36 @@ def jain_fairness(values: list[float]) -> float:
 
 
 @dataclass
-class FlowResult:
-    """One flow of a many-flow fabric workload."""
+class CheckedTransfer:
+    """One transfer of :func:`run_transfers`, with the evidence the
+    benches and the invariant checkers need: the exact payload offered,
+    the exact bytes the receiving socket saw, when the client started
+    and when the server's last byte arrived, both endpoint machines, and
+    how each side's connection ended."""
 
     index: int
-    bytes_moved: int
-    start: float
-    end: float
-    retransmits: int = 0
+    port: int
+    payload: bytes = b""
+    received: bytes = b""
+    #: Simulated instant the client began to connect.
+    start: float = 0.0
+    #: Simulated instant the server read its last byte (0.0 before any).
+    end: float = 0.0
+    client_done: bool = False
+    server_done: bool = False
+    errors: list = field(default_factory=list)
+    client_machine: object = None
+    server_machine: object = None
+    client_close_reason: Optional[str] = None
+    server_close_reason: Optional[str] = None
+
+    @property
+    def complete(self) -> bool:
+        return self.client_done and self.server_done and not self.errors
+
+    @property
+    def bytes_moved(self) -> int:
+        return len(self.received)
 
     @property
     def elapsed(self) -> float:
@@ -95,12 +117,121 @@ class FlowResult:
             return 0.0
         return self.bytes_moved * 8 / self.elapsed / 1e6
 
+    @property
+    def retransmits(self) -> int:
+        """The client machine's retransmission count (0 before connect)."""
+        machine = self.client_machine
+        return machine.stats["retransmits"] if machine is not None else 0
+
+
+def run_transfers(
+    bed,
+    transfers: int = 2,
+    payload_bytes: int = 20_000,
+    chunk_size: int = 2048,
+    base_port: int = 7000,
+    seed: int = 0,
+    deadline: Optional[float] = 60.0,
+    stagger: float = 0.05,
+) -> list[CheckedTransfer]:
+    """Run ``transfers`` staggered one-way transfers, client → server,
+    and record each one.
+
+    Works on both testbed shapes through their ``client_services`` /
+    ``server_services`` / ``server_ip``: on a two-host :class:`Testbed`
+    every transfer runs a→b on its own port; on a
+    :class:`~repro.testbed.FabricTestbed` dumbbell, transfer ``i`` runs
+    client ``i % pairs`` → server ``i % pairs``.  Client ``i`` starts
+    ``i * stagger`` seconds in; each server reads to end of stream.
+    Payloads are deterministic functions of ``seed`` so a campaign cell
+    replays bit-identically.  An exception in either endpoint is
+    recorded in the transfer's ``errors``, not raised: under heavy
+    faults a transfer may legitimately give up (max retransmits), and
+    the checkers, not this function, decide whether that outcome was
+    conformant.  The run is bounded by ``deadline`` simulated seconds,
+    or with ``deadline=None`` lasts until every server has finished.
+    """
+    sim = bed.sim
+    clients = bed.client_services
+    servers = bed.server_services
+
+    results = [
+        CheckedTransfer(
+            index=i,
+            port=base_port + i,
+            payload=random.Random((seed << 16) + i).randbytes(payload_bytes),
+        )
+        for i in range(transfers)
+    ]
+    runners: dict[int, dict] = {i: {} for i in range(transfers)}
+
+    def server(i: int):
+        t = results[i]
+        try:
+            listener = yield from servers[i % len(servers)].listen(t.port)
+            conn = yield from listener.accept()
+            runners[i]["server"] = conn.runner
+            t.server_machine = conn.runner.machine
+            chunks = []
+            while True:
+                data = yield from conn.recv(chunk_size)
+                if not data:
+                    break
+                chunks.append(data)
+                t.end = sim.now
+            t.received = b"".join(chunks)
+            yield from conn.close()
+            t.server_done = True
+        except Exception as exc:  # Evidence, not a crash: checkers judge.
+            t.errors.append(f"server: {exc!r}")
+
+    def client(i: int):
+        t = results[i]
+        try:
+            yield sim.timeout(i * stagger)
+            t.start = sim.now
+            conn = yield from clients[i % len(clients)].connect(
+                bed.server_ip(i), t.port
+            )
+            runners[i]["client"] = conn.runner
+            t.client_machine = conn.runner.machine
+            sent = 0
+            while sent < len(t.payload):
+                chunk = t.payload[sent : sent + chunk_size]
+                yield from conn.send(chunk)
+                sent += len(chunk)
+            yield from conn.close()
+            t.client_done = True
+        except Exception as exc:
+            t.errors.append(f"client: {exc!r}")
+
+    receivers = []
+    for i in range(transfers):
+        receivers.append(bed.spawn(server(i), name=f"srv{i}"))
+        bed.spawn(client(i), name=f"cli{i}")
+    if deadline is None:
+        for proc in receivers:
+            sim.run(until=proc)
+    else:
+        # TCP keepalive/retransmit machinery can keep the queue from
+        # quiescing on its own; the clock bound is what ends the run.
+        sim.run_all(limit=deadline)
+
+    for i, t in enumerate(results):
+        client_runner = runners[i].get("client")
+        server_runner = runners[i].get("server")
+        if client_runner is not None:
+            t.client_close_reason = client_runner.closed_reason
+        if server_runner is not None:
+            t.server_close_reason = server_runner.closed_reason
+    return results
+
 
 @dataclass
 class FabricResult:
     """Outcome of N concurrent transfers through a fabric."""
 
-    flows: list[FlowResult]
+    flows: list[CheckedTransfer]
     bottleneck_drops: int
     other_drops: int
     organization: str
@@ -124,15 +255,6 @@ class FabricResult:
         return sum(f.retransmits for f in self.flows)
 
 
-def _conn_retransmits(conn) -> int:
-    """The sender-side retransmission count of one connection (0 when
-    the organization does not expose a machine)."""
-    machine = getattr(getattr(conn, "runner", None), "machine", None)
-    if machine is None:
-        return 0
-    return machine.stats["retransmits"]
-
-
 def measure_fabric_transfers(
     fabric,
     bytes_per_flow: int = 150_000,
@@ -146,66 +268,27 @@ def measure_fabric_transfers(
 
     Client ``i`` connects to server ``i`` (starts staggered by
     ``stagger`` seconds to avoid synchronized slow starts) and streams
-    ``bytes_per_flow``; per-flow goodput is measured from connect to
-    the server's last byte.  Fairness across the finished flows is the
-    headline number — with everyone's cwnd probing the same queue, a
-    broken retransmit or demux path shows up as a starved flow.
+    ``bytes_per_flow`` (:func:`run_transfers`); per-flow goodput is
+    measured from connect to the server's last byte.  Fairness across
+    the finished flows is the headline number — with everyone's cwnd
+    probing the same queue, a broken retransmit or demux path shows up
+    as a starved flow.  A transfer that recorded an error raises
+    ``RuntimeError``.
     """
-    clients = fabric.client_services
-    servers = fabric.server_services
-    if not clients:
+    if not fabric.client_services:
         raise ValueError("fabric has no client/server pairs (need a dumbbell)")
-    sim = fabric.sim
-    marks: dict[int, dict] = {i: {} for i in range(len(clients))}
-    payload = (bytes(range(256)) * (chunk_size // 256 + 1))[:chunk_size]
-
-    def server(i: int):
-        listener = yield from servers[i].listen(base_port + i)
-        conn = yield from listener.accept()
-        received = 0
-        while received < bytes_per_flow:
-            data = yield from conn.recv(chunk_size)
-            if not data:
-                break
-            received += len(data)
-        marks[i]["received"] = received
-        marks[i]["end"] = sim.now
-        yield from conn.close()
-
-    def client(i: int):
-        yield sim.timeout(i * stagger)
-        marks[i]["start"] = sim.now
-        conn = yield from clients[i].connect(
-            fabric.server_ip(i), base_port + i
-        )
-        marks[i]["conn"] = conn
-        sent = 0
-        while sent < bytes_per_flow:
-            chunk = payload[: min(chunk_size, bytes_per_flow - sent)]
-            yield from conn.send(chunk)
-            sent += len(chunk)
-        yield from conn.close()
-
-    receivers = []
-    for i in range(len(clients)):
-        receivers.append(fabric.spawn(server(i), name=f"srv{i}"))
-        fabric.spawn(client(i), name=f"cli{i}")
-    if deadline is not None:
-        fabric.run(until=deadline)
-    else:
-        for proc in receivers:
-            fabric.run(until=proc)
-
-    flows = [
-        FlowResult(
-            index=i,
-            bytes_moved=marks[i].get("received", 0),
-            start=marks[i].get("start", 0.0),
-            end=marks[i].get("end", sim.now),
-            retransmits=_conn_retransmits(marks[i].get("conn")),
-        )
-        for i in range(len(clients))
-    ]
+    flows = run_transfers(
+        fabric,
+        transfers=len(fabric.client_services),
+        payload_bytes=bytes_per_flow,
+        chunk_size=chunk_size,
+        base_port=base_port,
+        deadline=deadline,
+        stagger=stagger,
+    )
+    errors = [error for flow in flows for error in flow.errors]
+    if errors:
+        raise RuntimeError(f"fabric transfers failed: {errors}")
     session = obs.SESSION
     if session is not None:
         for flow in flows:
@@ -379,124 +462,6 @@ def measure_setup(
         organization=testbed.organization,
         network=testbed.network,
     )
-
-
-@dataclass
-class CheckedTransfer:
-    """One transfer of a conformance-campaign cell, with the evidence
-    the invariant checkers need: the exact payload offered, the exact
-    bytes the receiving socket saw, both endpoint machines, and how each
-    side's connection ended."""
-
-    index: int
-    port: int
-    payload: bytes = b""
-    received: bytes = b""
-    client_done: bool = False
-    server_done: bool = False
-    errors: list = field(default_factory=list)
-    client_machine: object = None
-    server_machine: object = None
-    client_close_reason: Optional[str] = None
-    server_close_reason: Optional[str] = None
-
-    @property
-    def complete(self) -> bool:
-        return self.client_done and self.server_done and not self.errors
-
-
-def run_checked_transfers(
-    bed,
-    transfers: int = 2,
-    payload_bytes: int = 20_000,
-    chunk_size: int = 2048,
-    base_port: int = 7000,
-    seed: int = 0,
-    deadline: float = 60.0,
-    stagger: float = 0.05,
-) -> list[CheckedTransfer]:
-    """Run ``transfers`` concurrent one-way transfers and collect the
-    socket-layer evidence for the conformance checkers.
-
-    Works on both testbed shapes through their ``client_services`` /
-    ``server_services`` / ``server_ip``: on a two-host :class:`Testbed`
-    every transfer runs a→b on its own port; on a
-    :class:`~repro.testbed.FabricTestbed` dumbbell, transfer ``i`` runs
-    client ``i % pairs`` → server ``i % pairs``.  Payloads are
-    deterministic functions of ``seed`` so a campaign cell replays
-    bit-identically.  The run is bounded by ``deadline`` simulated
-    seconds rather than by process completion, because under heavy
-    faults a transfer may legitimately give up (max retransmits) — the
-    checkers, not this function, decide whether that outcome was
-    conformant.
-    """
-    sim = bed.sim
-    clients = bed.client_services
-    servers = bed.server_services
-
-    results = [
-        CheckedTransfer(
-            index=i,
-            port=base_port + i,
-            payload=random.Random((seed << 16) + i).randbytes(payload_bytes),
-        )
-        for i in range(transfers)
-    ]
-    runners: dict[int, dict] = {i: {} for i in range(transfers)}
-
-    def server(i: int):
-        t = results[i]
-        try:
-            listener = yield from servers[i % len(servers)].listen(t.port)
-            conn = yield from listener.accept()
-            runners[i]["server"] = conn.runner
-            t.server_machine = conn.runner.machine
-            chunks = []
-            while True:
-                data = yield from conn.recv(chunk_size)
-                if not data:
-                    break
-                chunks.append(data)
-            t.received = b"".join(chunks)
-            yield from conn.close()
-            t.server_done = True
-        except Exception as exc:  # Evidence, not a crash: checkers judge.
-            t.errors.append(f"server: {exc!r}")
-
-    def client(i: int):
-        t = results[i]
-        try:
-            yield sim.timeout(i * stagger)
-            conn = yield from clients[i % len(clients)].connect(
-                bed.server_ip(i), t.port
-            )
-            runners[i]["client"] = conn.runner
-            t.client_machine = conn.runner.machine
-            sent = 0
-            while sent < len(t.payload):
-                chunk = t.payload[sent : sent + chunk_size]
-                yield from conn.send(chunk)
-                sent += len(chunk)
-            yield from conn.close()
-            t.client_done = True
-        except Exception as exc:
-            t.errors.append(f"client: {exc!r}")
-
-    for i in range(transfers):
-        bed.spawn(server(i), name=f"chk-srv{i}")
-        bed.spawn(client(i), name=f"chk-cli{i}")
-    # TCP keepalive/retransmit machinery can keep the queue from
-    # quiescing on its own; the clock bound is what ends the run.
-    sim.run_all(limit=deadline)
-
-    for i, t in enumerate(results):
-        client_runner = runners[i].get("client")
-        server_runner = runners[i].get("server")
-        if client_runner is not None:
-            t.client_close_reason = client_runner.closed_reason
-        if server_runner is not None:
-            t.server_close_reason = server_runner.closed_reason
-    return results
 
 
 def obs_profile(top: Optional[int] = None) -> list:

@@ -18,23 +18,11 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
 from .. import obs as _obs
 from ..sim import Event, Serial, Simulator
 from .buf import as_wire_bytes
-from .faults import FaultInjector, FaultPlan, PERFECT
+from .faults import FaultInjector, PERFECT
 from .headers import An1Header, EthernetHeader
 
 if TYPE_CHECKING:
     from .nic.base import Nic
-
-#: Observer of fault decisions: ``(link, offered_frame, plan)``.  Called
-#: for every frame after the injector decides its fate — the hook the
-#: conformance campaign uses to log exactly which frames were dropped,
-#: corrupted, or duplicated (the wire tracer only sees pre-fault bytes).
-FaultObserver = Callable[["Link", bytes, FaultPlan], None]
-
-#: Wire tap: called with the flat frame at the instant a transmitter
-#: offers it to the wire, before serialization and fault injection
-#: (what a tcpdump on the sending interface would capture).
-Tap = Callable[[bytes], None]
-
 
 class Link(abc.ABC):
     """Base class for simulated network segments.
@@ -64,8 +52,14 @@ class Link(abc.ABC):
         #: Every attached NIC, in attach order, mapped to the others in
         #: attach order: everyone who hears its frames.
         self._peers: dict["Nic", tuple["Nic", ...]] = {}
-        self.fault_observers: list[FaultObserver] = []
-        self.taps: list[Tap] = []
+        #: Who watches this link's frames (a
+        #: :class:`~repro.trace.WireTrace`, or any object with the same
+        #: two methods).  Each is told of a frame twice:
+        #: ``offered(frame)`` at the instant a transmitter offers the
+        #: flat bytes to the wire (what a tcpdump on the sending
+        #: interface would capture), and ``planned(frame, plan)`` when
+        #: its turn ends and the fault injector has decided its fate.
+        self.watchers: list[Any] = []
         self._medium = Serial(sim) if self.SHARED_MEDIUM else None
         #: Live traffic counters: frames, bytes, busy_time.
         self._traffic = Counters()
@@ -114,13 +108,13 @@ class Link(abc.ABC):
 
     def _deliver_later(self, sender: "Nic", frame: bytes, obs) -> None:
         """Deliver ``sender``'s ``frame`` as the fault injector plans it,
-        shown to the fault observers and to ``obs``, the plane's session
+        shown to the link's watchers and to ``obs``, the plane's session
         (or ``None``).  A quiet link never comes here
         (:meth:`Transmitter._turn_over`)."""
         receivers = self.receivers(sender, frame)
         plan = self.faults.plan(frame)
-        for observer in self.fault_observers:
-            observer(self, frame, plan)
+        for watcher in self.watchers:
+            watcher.planned(frame, plan)
         if obs is not None:
             obs.wire(frame, plan, self.sim.now, type(self).__name__)
         for extra_delay, data in plan.deliveries:
@@ -136,8 +130,8 @@ class Transmitter:
     A frame handed over while the transmitter is idle is offered to the
     wire in the handing-over event itself: flattened if it is still a
     chain (AN1's DMA fetch; a PMADD hands over the bytes its PIO copy
-    made), so taps, fault injection and receivers always see real
-    bytes, shown to the link's taps, and given a turn of
+    made), so watchers, fault injection and receivers always see real
+    bytes, offered to the link's watchers, and given a turn of
     ``link.wire_time`` on the sender's :class:`~repro.sim.Serial`.  When
     the turn ends the frame is counted on the link, delivered after the
     propagation delay to the sender's peers whose filter accepts it (a
@@ -256,8 +250,8 @@ class Transmitter:
             # here.  A PMADD copied it flat already, and a switch port
             # forwards the bytes a link delivered.
             frame = as_wire_bytes(frame)
-        for tap in link.taps:
-            tap(frame)
+        for watcher in link.watchers:
+            watcher.offered(frame)
         self._frame = frame
         self._length = length = len(frame)
         stats = self.stats
@@ -274,7 +268,7 @@ class Transmitter:
         traffic["bytes"] += self._length
         traffic["busy_time"] += self._wire_time
         obs = _obs.SESSION
-        if obs is None and link.faults.inert and not link.fault_observers:
+        if obs is None and link.faults.inert and not link.watchers:
             # No fault model, nobody watching: no FaultPlan and no
             # receiver list per frame.  Same deliveries, same engine
             # events as the planned path would produce.

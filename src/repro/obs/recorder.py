@@ -55,9 +55,6 @@ class FlightRecorder:
             fn = lambda src=source: dict(src)
         self._watches[name] = _Watch(name, fn, self.depth)
 
-    def unwatch(self, name: str) -> None:
-        self._watches.pop(name, None)
-
     # -- sampling -----------------------------------------------------
 
     def sample_now(self) -> None:

@@ -1,4 +1,4 @@
-"""Pluggable congestion control: the registry and its algorithms.
+"""Pluggable congestion control: the name table and its algorithms.
 
 Any connection picks its algorithm by name through
 :attr:`~repro.protocols.tcp.tcb.TcpConfig.cc`; :func:`make_cc` is the
@@ -18,18 +18,15 @@ Shipped algorithms:
            capped at ``cwnd_gain * BDP`` instead of loss-driven cwnd.
 =========  =========================================================
 
-Registering a new algorithm is one call::
-
-    @register("vegas")
-    def _make_vegas(mss, dup_threshold):
-        return Vegas(mss=mss, dup_threshold=dup_threshold)
-
-after which ``TcpConfig(cc="vegas")`` threads it through every
-organization, the conformance campaign, and the dumbbell race.
+A new algorithm is one :class:`CongestionAlgorithm` subclass and one
+entry in the name table below; ``TcpConfig(cc=name)`` then threads it
+through every organization, the conformance campaign, and the
+dumbbell race.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from .base import CongestionAlgorithm, MAX_WINDOW
@@ -37,26 +34,21 @@ from .bbr import BbrModel
 from .cubic import Cubic
 from .reno import Reno
 
-#: name -> factory(mss, dup_threshold) -> CongestionAlgorithm.
-_REGISTRY: dict[str, Callable[..., CongestionAlgorithm]] = {}
+#: name -> factory(mss=, dup_threshold=) -> CongestionAlgorithm.
+_FACTORIES: dict[str, Callable[..., CongestionAlgorithm]] = {
+    "reno": Reno,
+    "tahoe": partial(Reno, flavor="tahoe"),
+    "cubic": Cubic,
+    "bbr": BbrModel,
+}
 
 #: The racing set: one entry per distinct algorithm (flavours excluded).
 CC_ALGORITHMS = ("reno", "cubic", "bbr")
 
 
-def register(name: str):
-    """Decorator registering a congestion-control factory under ``name``."""
-
-    def wrap(factory: Callable[..., CongestionAlgorithm]):
-        _REGISTRY[name] = factory
-        return factory
-
-    return wrap
-
-
 def algorithms() -> tuple[str, ...]:
-    """Every registered algorithm name."""
-    return tuple(sorted(_REGISTRY))
+    """Every algorithm name :func:`make_cc` accepts."""
+    return tuple(sorted(_FACTORIES))
 
 
 def make_cc(name: str, mss: int, dup_threshold: int = 3) -> CongestionAlgorithm:
@@ -65,33 +57,13 @@ def make_cc(name: str, mss: int, dup_threshold: int = 3) -> CongestionAlgorithm:
     ``dup_threshold`` — the conformance campaign's sabotage knob —
     reaches *every* algorithm.
     """
-    factory = _REGISTRY.get(name)
+    factory = _FACTORIES.get(name)
     if factory is None:
         raise ValueError(
             f"unknown congestion algorithm {name!r} "
             f"(registered: {', '.join(algorithms())})"
         )
     return factory(mss=mss, dup_threshold=dup_threshold)
-
-
-@register("reno")
-def _make_reno(mss: int, dup_threshold: int) -> Reno:
-    return Reno(mss=mss, dup_threshold=dup_threshold)
-
-
-@register("tahoe")
-def _make_tahoe(mss: int, dup_threshold: int) -> Reno:
-    return Reno(mss=mss, flavor="tahoe", dup_threshold=dup_threshold)
-
-
-@register("cubic")
-def _make_cubic(mss: int, dup_threshold: int) -> Cubic:
-    return Cubic(mss=mss, dup_threshold=dup_threshold)
-
-
-@register("bbr")
-def _make_bbr(mss: int, dup_threshold: int) -> BbrModel:
-    return BbrModel(mss=mss, dup_threshold=dup_threshold)
 
 
 __all__ = [
@@ -103,5 +75,4 @@ __all__ = [
     "BbrModel",
     "algorithms",
     "make_cc",
-    "register",
 ]

@@ -4,7 +4,9 @@ Attach a :class:`WireTrace` to any link and every frame that crosses it
 is decoded (link header, IP, TCP/UDP/ICMP/ARP) into a
 :class:`TraceRecord` and optionally pretty-printed — the debugging tool
 the paper's "ease of prototyping, debugging, and maintenance"
-motivation calls for, usable because the wire carries real bytes.
+motivation calls for, usable because the wire carries real bytes.  The
+same trace logs the fault injector's decision for every frame as a
+:class:`FaultEvent`, which is the conformance campaign's fault log.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .net.faults import FaultPlan
 from .net.headers import (
     ARP_REQUEST,
     An1Header,
@@ -36,7 +39,8 @@ from .protocols.tcp.wire import decode_segment
 
 @dataclass
 class TraceRecord:
-    """One decoded frame."""
+    """One decoded frame.  ``time`` is the instant a transmitter offered
+    it to the wire, before serialization and fault injection."""
 
     time: float
     link_src: str
@@ -68,6 +72,22 @@ class TraceRecord:
         }
 
 
+@dataclass
+class FaultEvent:
+    """The fault injector's decision for one frame.  ``time`` is the
+    instant the frame's turn on the wire ended, when its fate was drawn
+    (at least its wire time after its :class:`TraceRecord`'s offer
+    instant)."""
+
+    time: float
+    frame: bytes  # Pre-fault bytes, exactly as offered to the wire.
+    plan: FaultPlan
+
+    @property
+    def duplicated(self) -> bool:
+        return len(self.plan.deliveries) > 1
+
+
 _TCP_FLAG_NAMES = (
     (0x02, "S"),
     (0x10, "."),
@@ -85,11 +105,13 @@ def _tcp_flags(flags: int) -> str:
 class WireTrace:
     """Observe every frame on a link.
 
-    A tap on the link (``link.taps``), so captures see exactly what
-    was offered to the wire (before any fault injection).  Records
-    accumulate in :attr:`records`; pass ``printer`` to also emit lines
-    live.  Any number of traces may share a link and detach in any
-    order.
+    One of the link's ``watchers``: each frame is decoded when it is
+    offered to the wire, so :attr:`records` show exactly what each
+    sender did (before any fault injection), and the injector's
+    decision for it lands in :attr:`fault_events` when its turn ends.
+    Pass ``printer`` to also emit records live, ``capture=False`` to
+    keep nothing.  Any number of traces may share a link and detach in
+    any order.
     """
 
     def __init__(
@@ -102,21 +124,26 @@ class WireTrace:
         self.printer = printer
         self.capture = capture
         self.records: list[TraceRecord] = []
-        link.taps.append(self._tap)
+        self.fault_events: list[FaultEvent] = []
+        link.watchers.append(self)
 
     def detach(self) -> None:
-        """Stop tracing: remove this trace's tap from the link
-        (detaching twice is harmless)."""
-        if self._tap in self.link.taps:
-            self.link.taps.remove(self._tap)
+        """Stop tracing: leave the link's watchers (detaching twice is
+        harmless)."""
+        if self in self.link.watchers:
+            self.link.watchers.remove(self)
 
-    def _tap(self, frame: bytes) -> None:
+    def offered(self, frame: bytes) -> None:
         record = self.decode(self.link.sim.now, frame)
         record.raw = bytes(frame)
         if self.capture:
             self.records.append(record)
         if self.printer is not None:
             self.printer(str(record))
+
+    def planned(self, frame: bytes, plan: FaultPlan) -> None:
+        if self.capture:
+            self.fault_events.append(FaultEvent(self.link.sim.now, frame, plan))
 
     # ------------------------------------------------------------------
     # Decoding
@@ -357,7 +384,9 @@ def read_pcap(path) -> tuple[int, list[tuple[float, bytes]]]:
     linktype = header.unpack_from(data)[6]
     frames: list[tuple[float, bytes]] = []
     offset = header.size
-    while offset + record.size <= len(data):
+    while offset < len(data):
+        if offset + record.size > len(data):
+            raise ValueError("truncated pcap: partial record header")
         ts_sec, ts_frac, incl_len, _orig = record.unpack_from(data, offset)
         offset += record.size
         if offset + incl_len > len(data):

@@ -74,6 +74,17 @@ def test_write_pcap_skips_rawless_records(tmp_path):
     assert write_pcap(path, trace.records) == len(trace.records) - 1
 
 
+def test_read_pcap_rejects_a_partial_record_header(tmp_path):
+    testbed = Testbed(network="ethernet", organization="userlib")
+    trace = WireTrace(testbed.link)
+    run_small_transfer(testbed)
+    path = tmp_path / "capture.pcap"
+    trace.export_pcap(path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)  # Half a 16-byte header.
+    with pytest.raises(ValueError, match="truncated pcap: partial record header"):
+        read_pcap(path)
+
+
 def test_read_pcap_rejects_garbage(tmp_path):
     path = tmp_path / "not.pcap"
     path.write_bytes(b"\x00" * 64)

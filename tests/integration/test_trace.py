@@ -88,7 +88,7 @@ def test_two_traces_detach_in_attach_order():
 
     ping(9101)
     assert first.records
-    # Both taps saw the same frames at the same instants.
+    # Both traces saw the same frames at the same instants.
     assert [(r.time, r.raw) for r in first.records] == [
         (r.time, r.raw) for r in second.records
     ]
@@ -99,7 +99,7 @@ def test_two_traces_detach_in_attach_order():
     assert len(first.records) == seen
     assert len(second.records) > seen
     second.detach()
-    assert testbed.link.taps == []
+    assert testbed.link.watchers == []
 
 
 def test_trace_summary_counts():
@@ -157,12 +157,9 @@ def test_trace_decode_never_raises_on_corrupted_frames():
     sweep of single-byte mutations of real frames decode to *some*
     record, with garbage tagged ``malformed`` rather than raised."""
     testbed = Testbed(network="ethernet", organization="userlib")
-    trace = WireTrace(testbed.link, capture=False)
-    frames = []
-    testbed.link.fault_observers.append(
-        lambda link, frame, plan: frames.append(frame)
-    )
+    trace = WireTrace(testbed.link)
     run_small_transfer(testbed)
+    frames = [event.frame for event in trace.fault_events]
     assert frames
 
     sample = frames[0]
@@ -200,3 +197,37 @@ def test_trace_export_is_json_serializable():
     assert round_tripped == exported
     first = exported[0]
     assert {"time", "summary", "protocol", "length", "layers"} <= set(first)
+
+
+@pytest.mark.parametrize("network", ["ethernet", "an1"])
+def test_tracing_an_inert_link_moves_nothing(network):
+    """A watcher takes an inert link off its quiet path (no fault plan
+    is drawn there), yet the planned path must give the same
+    deliveries and the same engine events: tracing changes nothing it
+    observes."""
+
+    def run(traced):
+        testbed = Testbed(network=network, organization="userlib")
+        assert testbed.link.faults.inert
+        trace = WireTrace(testbed.link) if traced else None
+        received = []
+
+        def server():
+            listener = yield from testbed.service_b.listen(9100)
+            conn = yield from listener.accept()
+            received.append((yield from conn.recv_exactly(3000)))
+            yield from conn.close()
+
+        def client():
+            conn = yield from testbed.service_a.connect(IP_B, 9100)
+            yield from conn.send(bytes(range(256)) * 11 + b"x" * 184)
+            yield from conn.close()
+
+        testbed.spawn(client(), name="client")
+        testbed.run(until=testbed.spawn(server(), name="server"))
+        if traced:
+            assert trace.records and trace.fault_events
+        nics = [dict(host.nic.stats) for host in testbed.hosts]
+        return testbed.sim.now, testbed.sim.engine_stats(), nics, received
+
+    assert run(traced=True) == run(traced=False)

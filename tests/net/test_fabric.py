@@ -1,5 +1,7 @@
 """Unit tests for the switched fabric: links, queues, switches, routes."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.net.fabric import (
@@ -432,11 +434,13 @@ def test_router_queue_neither_loses_nor_reorders():
     router = topo.routers[0]
     forwarded = []
 
-    def tap(frame):
+    def offered(frame):
         if frame[12:14] == b"\x08\x00" and frame[23] == PROTO_UDP:
             forwarded.append(int.from_bytes(frame[18:20], "big"))
 
-    topo.links[-1].taps.append(tap)
+    topo.links[-1].watchers.append(
+        SimpleNamespace(offered=offered, planned=lambda frame, plan: None)
+    )
     for ident in range(1, 41):
         router._rx(
             router.interfaces[0], ETHERTYPE_IP, _forwardable(topo, ident),

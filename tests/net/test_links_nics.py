@@ -1,5 +1,7 @@
 """Tests for simulated links, fault injection, and the two NICs."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.costs import DECSTATION_5000_200, FREE
@@ -621,12 +623,15 @@ def test_link_stats_read_through_to_injector():
     assert snap["dropped"] == 11
 
 
-def test_fault_observers_see_every_plan():
+def test_watchers_see_every_plan():
     injector = FaultInjector(drop_rate=1.0, seed=3)
     sim, link, kernels, nics = make_eth_world(faults=injector)
     seen = []
-    link.fault_observers.append(
-        lambda lnk, frame, plan: seen.append((frame, plan))
+    link.watchers.append(
+        SimpleNamespace(
+            offered=lambda frame: None,
+            planned=lambda frame, plan: seen.append((frame, plan)),
+        )
     )
 
     def send():

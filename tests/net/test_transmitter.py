@@ -1,8 +1,9 @@
 """Tests for the callback `Transmitter`: FIFO turns on a link, bounded
-staging and back-pressure, taps, and the hand-offs that cost no engine
+staging and back-pressure, watchers, and the hand-offs that cost no engine
 event."""
 
 import cProfile
+from types import SimpleNamespace
 
 import pytest
 
@@ -135,13 +136,18 @@ def test_link_turn_call_gate():
     assert sum(entry.callcount for entry in profiler.getstats()) <= 27
 
 
-def test_taps_see_flat_frame_at_the_instant_its_turn_begins():
+def test_watchers_see_flat_frame_at_the_instant_its_turn_begins():
     sim = Simulator()
     link = DuplexLink(sim)
     sender = Endpoint(link, sim)
     Endpoint(link, sim)
     seen = []
-    link.taps.append(lambda frame: seen.append((sim.now, frame)))
+    link.watchers.append(
+        SimpleNamespace(
+            offered=lambda frame: seen.append((sim.now, frame)),
+            planned=lambda frame, plan: None,
+        )
+    )
     transmitter = Transmitter(link, sender, capacity=4)
     first, second = eth_frame(1, size=1000), eth_frame(2)
     transmitter.submit(first)
@@ -246,7 +252,10 @@ def test_blocked_senders_admitted_fifo_and_never_overtaken(world):
             sim.process(sender(newcomer))
         released.append(sim.now)
 
-    link.taps.append(on_release)  # Runs as each later turn begins.
+    # Runs as each later turn begins.
+    link.watchers.append(
+        SimpleNamespace(offered=on_release, planned=lambda frame, plan: None)
+    )
     sim.run()
     assert order == list(range(capacity + 4))
     assert [frame[-1] for _, frame in peer.received] == list(range(capacity + 4))

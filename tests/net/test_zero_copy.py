@@ -10,6 +10,7 @@ per delivered segment on a Table 2 bulk transfer, chain vs oracle.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -90,7 +91,7 @@ def test_packet_buffer_basic_ops():
 
 
 def test_prepend_shares_but_never_mutates_payload_chain():
-    """A chain caches its fused wire image, and a tap or a queue may
+    """A chain caches its fused wire image, and a watcher or a queue may
     still hold it: prepend shares its input and never grows it."""
     segment_image = PacketBuffer((b"tcp-header", b"payload"))
     framed = prepend(b"ip-header", segment_image)
@@ -131,7 +132,9 @@ def _transmit_one_chain(network):
 
     nic._tx.submit = spy
     wired = []
-    link.taps.append(wired.append)
+    link.watchers.append(
+        SimpleNamespace(offered=wired.append, planned=lambda frame, plan: None)
+    )
     sim.process(nic.driver_transmit(chain))
     sim.run()
     return chain, handed, wired

@@ -23,11 +23,13 @@ Run:  python examples/bqi_discovery.py
 
 from repro.org.udplib import LibraryUdpService
 from repro.testbed import IP_B, Testbed
+from repro.trace import WireTrace
 
 
 def main() -> None:
     testbed = Testbed(network="an1", organization="userlib")
     sim = testbed.sim
+    trace = WireTrace(testbed.link)
     udp_a = LibraryUdpService(testbed.host_a, testbed.app_a, testbed.registry_a)
     udp_b = LibraryUdpService(testbed.host_b, testbed.app_b, testbed.registry_b)
 
@@ -35,15 +37,18 @@ def main() -> None:
         ring = endpoint.channel.ring
         return "hardware ring" if ring.stats["delivered"] > before else "kernel fallback"
 
+    paths = []
+
     def server():
         endpoint = yield from udp_b.bind(9999)
         print(f"server bound port 9999; its ring is BQI {endpoint.channel.ring.bqi}")
         while True:
             before = endpoint.channel.ring.stats["delivered"]
             data, (src_ip, src_port) = yield from endpoint.recvfrom()
+            paths.append(via(endpoint, before))
             print(
                 f"[{sim.now * 1e3:7.2f} ms] server: {data!r} arrived via "
-                f"{via(endpoint, before)}; knows peer rings {endpoint.peer_bqi}"
+                f"{paths[-1]}; knows peer rings {endpoint.peer_bqi}"
             )
             yield from endpoint.sendto(src_ip, src_port, b"ack:" + data)
 
@@ -71,6 +76,10 @@ def main() -> None:
     print(f"  client ring: {endpoint.channel.ring.stats}")
     print("only the very first datagram in each direction needed the kernel;")
     print("every subsequent one was demultiplexed by the AN1 hardware.")
+    assert paths == ["kernel fallback"] + ["hardware ring"] * 3, paths
+    udp = [record for record in trace.records if record.protocol == "udp"]
+    print(f"on the wire: {len(udp)} UDP datagrams, the first {udp[0].summary}")
+    assert len(udp) == 8  # Four requests, four answers: nothing else.
 
 
 if __name__ == "__main__":

@@ -82,6 +82,9 @@ def main() -> None:
           f"dup ACKs seen: {stats['dup_acks_received']}")
     print("the sawtooth is Reno: loss -> fast retransmit -> half the "
           "window -> additive increase.")
+    cwnds = [cwnd for _, cwnd, _ in samples]
+    assert faults.stats["dropped"] and stats["fast_retransmits"]
+    assert any(later < earlier / 1.5 for earlier, later in zip(cwnds, cwnds[1:]))
 
 
 if __name__ == "__main__":

@@ -45,6 +45,10 @@ def main() -> None:
         f"{result.other_drops} anywhere else"
     )
 
+    # The trunk's queue is the only place loss happens, and it is shared.
+    assert result.bottleneck_drops and not result.other_drops
+    assert result.aggregate_mbps <= trunk_mbps and result.fairness > 0.5
+
     print("\n--- netstat: switch ports ---")
     for entry in netstat.switch_table(fabric):
         print(entry)

@@ -38,6 +38,8 @@ def main() -> None:
         print(f"[{sim.now * 1e3:7.2f} ms] client: connecting to "
               f"{ip_to_str(IP_B)}:7 ...")
         yield from sock.connect(IP_B, 7)
+        # The registry handed the established connection to the library.
+        assert sock.connected and sock.connection.channel is not None
         print(f"[{sim.now * 1e3:7.2f} ms] client: connected "
               "(three-way handshake ran inside the registry server)")
         for message in (b"hello, user-level TCP!", b"x" * 10_000):
@@ -49,6 +51,7 @@ def main() -> None:
                 f"{len(message)} bytes"
             )
         yield from sock.close()
+        assert not sock.connected
 
     testbed.spawn(server(), name="server")
     done = testbed.spawn(client(), name="client")
@@ -62,6 +65,8 @@ def main() -> None:
     print(f"  channel packets sent      : {testbed.host_a.netio.stats['tx']}")
     print(f"  packets demuxed to channel: "
           f"{testbed.host_b.netio.stats['rx_demuxed']}")
+    assert testbed.registry_a.stats["handshake_segments"] == 3
+    assert testbed.host_a.netio.stats["tx"] > 3 and testbed.host_b.netio.stats["rx_demuxed"]
 
 
 if __name__ == "__main__":

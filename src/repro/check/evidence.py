@@ -63,14 +63,6 @@ class WireSegment:
     data_len: int
 
     @property
-    def syn(self) -> bool:
-        return bool(self.flags & TCP_SYN)
-
-    @property
-    def fin(self) -> bool:
-        return bool(self.flags & TCP_FIN)
-
-    @property
     def rst(self) -> bool:
         return bool(self.flags & TCP_RST)
 

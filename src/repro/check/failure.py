@@ -40,13 +40,18 @@ def serve(bed, seen):
 
     def acceptor(listener):
         while True:
-            conn = yield from listener.accept()
+            try:
+                conn = yield from listener.accept()
+            except ConnectionError:  # The listener closed under it.
+                return
             seen["conns"].append(conn)
             bed.spawn(drain(conn))
 
     def server():
         listener = seen["listener"] = yield from bed.service_b.listen(80)
-        bed.spawn(acceptor(listener))
+        # A requester too: an accept still parked at the end was never answered.
+        spawn = bed.app_b.spawn if bed.registries else bed.spawn
+        seen["requesters"].append(spawn(acceptor(listener)))
         yield bed.sim.timeout(8.0)
         if not listener.closed:
             listener.close()
@@ -279,6 +284,9 @@ def _held(bed, handshakes):
         # A worker that ended with an exception may have died holding a lease.
         failed = [t.name for t in registry.task.threads if not (t.is_alive or t.ok)]
         yield name, "failed workers", failed
+        # A worker still parked (an accept on a closed listener) holds its requester.
+        main = f"{registry.task.name}/main"
+        yield name, "live workers", [t.name for t in registry.task.threads if t.is_alive and t.name != main]
     for service in bed.services:
         connections = getattr(service, "_connections", None) or ()
         yield service.host.name, "library connections", len(connections)

@@ -14,13 +14,12 @@ hard-code durations — they read them from the host's ``CostModel``.
 
 Costs are data, not code: experiments that ablate a mechanism (e.g. run
 our library organization *without* notification batching) do so by
-replacing one field via :meth:`CostModel.replace`.
+replacing one field with :func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -242,10 +241,6 @@ class CostModel:
     #: setup ("the machinery involved to setup the BQI has to be
     #: exercised"): Table 4 shows +0.4 ms vs Ethernet.
     bqi_setup: float = 300e-6
-
-    def replace(self, **changes: Any) -> "CostModel":
-        """Return a copy with the given fields replaced (for ablations)."""
-        return replace(self, **changes)
 
     def copy_cost(self, nbytes: int) -> float:
         """CPU time to copy ``nbytes`` memory-to-memory."""

@@ -16,14 +16,7 @@ from .ports import (
 )
 from .sync import Semaphore
 from .task import Task
-from .vm import (
-    PAGE_SIZE,
-    SharedRegion,
-    vm_allocate,
-    vm_map,
-    vm_unmap,
-    vm_wire,
-)
+from .vm import PAGE_SIZE, SharedRegion, vm_wire
 
 __all__ = [
     "Kernel",
@@ -41,8 +34,5 @@ __all__ = [
     "Semaphore",
     "SharedRegion",
     "PAGE_SIZE",
-    "vm_allocate",
-    "vm_map",
-    "vm_unmap",
     "vm_wire",
 ]

@@ -3,7 +3,8 @@
 The network I/O module and the protocol library share a pinned region
 that packets move through without copies — the paper's central buffering
 mechanism.  We model a region's identity, size, pinning, and the tasks it
-is mapped into; mapping and wiring charge their (setup-time-only) costs.
+is mapped into.  Wiring charges its (setup-time-only) cost here; the
+network I/O module charges the mapping when it builds a channel.
 """
 
 from __future__ import annotations
@@ -43,28 +44,6 @@ class SharedRegion:
         wired = " pinned" if self.pinned else ""
         return f"<SharedRegion {self.name} {self.size}B{wired} maps={len(self.mapped)}>"
 
-    def is_mapped(self, task: Task) -> bool:
-        return task in self.mapped
-
-
-def vm_allocate(kernel: Kernel, task: Task, size: int, name: str = "") -> Generator:
-    """Allocate a region mapped into ``task``.  Returns the region."""
-    region = SharedRegion(kernel, size, name=name)
-    if kernel.costs.vm_map_region:
-        yield kernel.cpu.charge(kernel.costs.vm_map_region)
-    region.mapped.add(task)
-    return region
-
-
-def vm_map(kernel: Kernel, region: SharedRegion, task: Task) -> Generator:
-    """Map an existing region into another task (shared mapping)."""
-    if task in region.mapped:
-        return region
-    if kernel.costs.vm_map_region:
-        yield kernel.cpu.charge(kernel.costs.vm_map_region)
-    region.mapped.add(task)
-    return region
-
 
 def vm_wire(kernel: Kernel, region: SharedRegion) -> Generator:
     """Pin the region's pages so DMA/interrupt paths can use them."""
@@ -75,8 +54,3 @@ def vm_wire(kernel: Kernel, region: SharedRegion) -> Generator:
         yield kernel.cpu.charge(cost)
     region.pinned = True
     return region
-
-
-def vm_unmap(region: SharedRegion, task: Task) -> None:
-    """Remove ``task``'s mapping (free; teardown is not on a hot path)."""
-    region.mapped.discard(task)

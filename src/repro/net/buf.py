@@ -24,7 +24,7 @@ test oracle ``tests/net/eager_datapath.py``.
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+from typing import Union
 
 from .. import obs as _obs
 
@@ -50,27 +50,9 @@ class CopyStats:
         self.materialized_bytes = 0
         self.materialize_ops = 0
 
-    @property
-    def total_copied(self) -> int:
-        """All bytes that crossed a copy: host copies plus wire fusion."""
-        return self.copied_bytes + self.materialized_bytes
-
-    def snapshot(self) -> dict:
-        return {
-            "copied_bytes": self.copied_bytes,
-            "copy_ops": self.copy_ops,
-            "avoided_bytes": self.avoided_bytes,
-            "materialized_bytes": self.materialized_bytes,
-            "materialize_ops": self.materialize_ops,
-            "total_copied": self.total_copied,
-        }
-
 
 #: The process-wide accounting instance (reset per benchmark arm).
 STATS = CopyStats()
-
-def reset_stats() -> None:
-    STATS.reset()
 
 
 class PacketBuffer:
@@ -83,43 +65,15 @@ class PacketBuffer:
     frames at once (the retransmit path relies on this) and the fused
     wire image, once made, stays valid.
 
-    The surface is what the datapath reads: the length, an index or a
-    slice (the send-template check), ``fragments`` (``checksum_parts``)
-    and the fused image.  A chain has no value equality, hash or
+    A chain is built only by :func:`prepend`.  The surface is what the
+    datapath reads: the length, an index or a slice (the send-template
+    check) and the fused image.  A chain has no value equality, hash or
     concatenation; compare ``tobytes()``.
     """
 
     __slots__ = ("_frags", "_length", "_fused", "trace_id")
 
-    def __init__(self, fragments: "Iterator[Fragment] | tuple | list" = ()) -> None:
-        frags: list[Fragment] = []
-        length = 0
-        trace_id = None
-        for frag in fragments:
-            if type(frag) is PacketBuffer:
-                frags += frag._frags
-                length += frag._length
-                # Encapsulation builds a new chain around the payload
-                # chain; inheriting the payload's trace id here is what
-                # lets one id minted at encode survive IP and link
-                # framing without per-layer plumbing.
-                if trace_id is None:
-                    trace_id = frag.trace_id
-            else:
-                size = len(frag)
-                if size:
-                    frags.append(frag)
-                    length += size
-        self._frags = frags
-        self._length = length
-        self._fused: bytes | None = None
-        self.trace_id = trace_id
-
     # -- reading --------------------------------------------------------
-
-    @property
-    def fragments(self) -> "tuple[Fragment, ...]":
-        return tuple(self._frags)
 
     def tobytes(self) -> bytes:
         """The flat wire image; fused once, then cached."""
@@ -188,8 +142,8 @@ def prepend(header: Fragment, payload) -> PacketBuffer:
     Returns a fresh :class:`PacketBuffer`: the payload chain is shared,
     not copied, so cached segment images stay reusable.  The chain is
     built here in one step — a payload chain's length and trace id are
-    read off its fields, not re-walked by :class:`PacketBuffer`'s
-    constructor — because every frame pays for it once per layer.
+    read off its fields, not re-walked — because every frame pays for it
+    once per layer.
     """
     chain = object.__new__(PacketBuffer)  # The four slots are set below.
     if type(payload) is PacketBuffer:

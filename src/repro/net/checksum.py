@@ -28,7 +28,6 @@ from __future__ import annotations
 import struct
 
 _PSEUDO = struct.Struct("!IIBBH")
-_FLAT = (bytes, memoryview, bytearray)
 
 
 def _unswap(total: int) -> int:
@@ -57,36 +56,15 @@ def checksum_parts(*parts) -> int:
     Equivalent to ``internet_checksum(b"".join(parts))`` but never
     builds the joined buffer: each part is read where it lies, and a
     part that begins at an odd global offset is weighted by 256 — its
-    sum byte-swapped (RFC 1071 §2(C)).  Parts may be bytes-like objects
-    or fragment chains exposing ``.fragments``.
+    sum byte-swapped (RFC 1071 §2(C)).  Parts are bytes-like objects.
     """
     total = 0
     shift = 0  # 8 while the running offset is odd.
     for part in parts:
-        if type(part) not in _FLAT and hasattr(part, "fragments"):
-            return checksum_parts(*_iter_leaves(parts))
         total += int.from_bytes(part, "little") << shift
         if len(part) & 1:
             shift ^= 8
     return 0xFFFF - _unswap(total)
-
-
-def _iter_leaves(parts):
-    for part in parts:
-        frags = getattr(part, "fragments", None)
-        if frags is not None:
-            yield from _iter_leaves(frags)
-        else:
-            yield part
-
-
-def verify_checksum(data) -> bool:
-    """True if ``data`` (with its checksum field in place) sums to zero.
-
-    RFC 1071: summing a datagram *including* a correct checksum field
-    yields 0xFFFF, whose complement is zero.
-    """
-    return internet_checksum(data) == 0
 
 
 def pseudo_header(src_ip: int, dst_ip: int, protocol: int, length: int) -> bytes:

@@ -5,14 +5,14 @@ package adds the middle of the network so many-flow congestion and
 multi-hop forwarding experiments are possible: learning switches with
 finite per-port egress queues (tail-drop or RED), IP routers lifting
 the library's no-gateway-traffic restriction, and topology builders
-(star / chain / dumbbell / fat_tree) that wire them to :class:`~repro.host.Host`.
+(chain / dumbbell / fat_tree) that wire them to :class:`~repro.host.Host`.
 """
 
 from .queues import EgressQueue, RedQueue, TailDropQueue
 from .router import Router, RouterInterface
 from .routing import Route, RouteTable, prefix_mask
 from .switch import Switch, SwitchPort
-from .topology import Topology, chain, dumbbell, fabric_mac, fat_tree, star
+from .topology import Topology, chain, dumbbell, fabric_mac, fat_tree
 
 __all__ = [
     "EgressQueue",
@@ -26,7 +26,6 @@ __all__ = [
     "Router",
     "RouterInterface",
     "Topology",
-    "star",
     "chain",
     "dumbbell",
     "fat_tree",

@@ -58,9 +58,6 @@ class EgressQueue:
         self.occupancy = [0] * self.BUCKETS
         self.stats = Counters()
 
-    def __len__(self) -> int:
-        return len(self._frames)
-
     @property
     def discipline(self) -> str:
         return "taildrop"

@@ -10,7 +10,7 @@ on-link or must go via a gateway (hosts' ``resolve_link``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..headers import ip_to_str
 
@@ -48,10 +48,6 @@ class Route:
     gateway: Optional[int] = None
     interface: object = None
 
-    def matches(self, dst: int) -> bool:
-        mask = _MASKS[self.prefix_len]
-        return (dst & mask) == (self.prefix & mask)
-
     def __str__(self) -> str:
         via = ip_to_str(self.gateway) if self.gateway is not None else "link"
         return f"{ip_to_str(self.prefix)}/{self.prefix_len} via {via}"
@@ -85,12 +81,6 @@ class RouteTable:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_invalidations = 0
-
-    def __len__(self) -> int:
-        return len(self._routes)
-
-    def __iter__(self) -> Iterator[Route]:
-        return iter(self._routes)
 
     def add(
         self,

@@ -22,7 +22,7 @@ from ...counters import Counters
 from typing import Callable, Optional
 
 from ...sim import Simulator
-from ..headers import BROADCAST_MAC, EthernetHeader, mac_to_str
+from ..headers import BROADCAST_MAC, EthernetHeader
 from ..link import Link, Transmitter
 from .queues import EgressQueue, TailDropQueue
 
@@ -118,14 +118,6 @@ class Switch:
         port = SwitchPort(self, link, len(self.ports), queue)
         self.ports.append(port)
         return port
-
-    @property
-    def mac_table(self) -> dict[str, int]:
-        """Learned forwarding table as ``mac string -> port index``."""
-        return {
-            mac_to_str(mac): port.index
-            for mac, (port, _) in self._macs.items()
-        }
 
     # Bridging ----------------------------------------------------------
 

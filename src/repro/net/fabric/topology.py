@@ -1,11 +1,9 @@
 """Topology builders: wiring hosts, switches, and routers into fabrics.
 
 The paper measured two hosts on "a switchless, private segment".  These
-builders grow that testbed into the three canonical shapes congestion
-and forwarding experiments need:
+builders grow that testbed into the shapes congestion and forwarding
+experiments need:
 
-* :func:`star` — one switch, N hosts, one subnet.  Contention appears
-  only when two senders target one receiver's edge port.
 * :func:`chain` — two hosts joined through N routers, one /24 per
   segment.  Exercises gateway forwarding, TTL, and ICMP errors.
 * :func:`dumbbell` — N client/server pairs on fast edges joined by one
@@ -122,28 +120,6 @@ def _edge_host(
     topo.links.append(cable)
     topo.hosts.append(host)
     return host
-
-
-def star(
-    sim: Simulator,
-    n_hosts: int,
-    edge_rate: float = 10e6,
-    queue_bytes: Optional[int] = None,
-    costs: CostModel = DECSTATION_5000_200,
-) -> Topology:
-    """One switch, ``n_hosts`` hosts (10.0.0.1..N), one subnet."""
-    if n_hosts < 2:
-        raise ValueError("a star needs at least two hosts")
-    topo = Topology(sim, f"star{n_hosts}")
-    switch = Switch(sim, "sw0", default_queue_bytes=queue_bytes or Switch.DEFAULT_QUEUE_BYTES)
-    topo.switches.append(switch)
-    base = str_to_ip("10.0.0.0")
-    for i in range(n_hosts):
-        _edge_host(
-            sim, switch, f"h{i}", base + i + 1, topo.alloc_mac(i + 1),
-            edge_rate, costs, topo,
-        )
-    return topo
 
 
 def chain(

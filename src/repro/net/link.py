@@ -11,7 +11,6 @@ the network I/O modules.
 from __future__ import annotations
 
 from ..counters import Counters
-import abc
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
 
@@ -24,7 +23,7 @@ from .headers import An1Header, EthernetHeader
 if TYPE_CHECKING:
     from .nic.base import Nic
 
-class Link(abc.ABC):
+class Link:
     """Base class for simulated network segments.
 
     A link class says how long a frame occupies the wire
@@ -90,16 +89,6 @@ class Link(abc.ABC):
         for other in peers:
             peers[other] += (nic,)
         peers[nic] = tuple(peers)
-
-    @property
-    @abc.abstractmethod
-    def max_frame(self) -> int:
-        """Largest frame the link accepts, link headers included."""
-
-    @abc.abstractmethod
-    def wire_time(self, length: int) -> float:
-        """Seconds a ``length``-byte frame keeps its sender's turn:
-        serialization plus the mandatory gap before the next frame."""
 
     def receivers(self, sender: "Nic", frame: bytes) -> list["Nic"]:
         """The attached NICs, other than ``sender``, whose address
@@ -387,9 +376,6 @@ class An1Link(Link):
     def max_frame(self) -> int:
         return An1Header.LENGTH + self.HARDWARE_MAX_DATA
 
-    def frame_time(self, length: int) -> float:
-        return (length + self.OVERHEAD) * 8 / self.bit_rate
-
     def wire_time(self, length: int) -> float:
-        # ``frame_time(length) + GAP`` spelled out, as for Ethernet.
+        # Serialization of the frame and its overhead, then the gap.
         return (length + self.OVERHEAD) * 8 / self.bit_rate + self.GAP

@@ -37,11 +37,6 @@ class Nic(abc.ABC):
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
 
-    @property
-    @abc.abstractmethod
-    def mtu_data(self) -> int:
-        """Payload bytes available above the link header."""
-
     @abc.abstractmethod
     def accepts(self, frame: bytes) -> bool:
         """Hardware address filter on the flat ``frame`` (free: done by

@@ -204,11 +204,6 @@ class FlowTable:
             self._wildcard.pop((key.proto, key.local_port), None)
         self._memo_key = None
 
-    def wildcard_owner(self, proto: int, local_port: int) -> object:
-        """Tenant attribution of a wildcard entry (netstat/audit)."""
-        entry = self._wildcard.get((proto, local_port))
-        return entry.owner if entry is not None else None
-
     def wildcard_target(
         self, proto: int, local_port: int, local_ip: int = 0
     ) -> object:
@@ -301,9 +296,6 @@ class FlowTable:
     @property
     def wildcard_count(self) -> int:
         return len(self._wildcard)
-
-    def __len__(self) -> int:
-        return self.exact_count + self.wildcard_count
 
     def __repr__(self) -> str:
         return (

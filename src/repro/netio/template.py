@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional
 
 from ..net.headers import Ipv4Header, PROTO_TCP, PROTO_UDP
 
@@ -48,47 +47,22 @@ class HeaderTemplate:
     prefix is refused, exactly as a constraint past its end fails.
     """
 
-    def __init__(self, constraints: list[ByteConstraint], name: str = "") -> None:
-        if not constraints:
-            raise ValueError("a template needs at least one constraint")
-        constraints = list(constraints)
-        span = max(
-            (c.offset + len(c.value) for c in constraints if c.value), default=0
-        )
-        mask = want = 0
-        for constraint in constraints:
-            width = len(constraint.value)
-            if not width:
-                continue  # An empty constraint holds on any packet.
-            shift = 8 * (span - constraint.offset - width)
-            field = ((1 << 8 * width) - 1) << shift
-            value = int.from_bytes(constraint.value, "big") << shift
-            if (want ^ value) & mask & field:
-                value = -1  # Two constraints disagree on a byte: nothing matches.
-            mask |= field
-            want |= value
-        self._set_compiled(span, mask, want, name)
-        self._constraints: Optional[list[ByteConstraint]] = constraints
-
-    def _set_compiled(self, span: int, mask: int, want: int, name: str) -> None:
-        self.name = name
-        self.checks = 0
-        self.violations = 0
-        #: Bytes from the front of the packet the constraints reach.
-        self._span = span
-        self._mask = mask
-        self._want = want
-
     @classmethod
     def _packed(
         cls, image: bytes, mask: int, fields: tuple[tuple[int, int], ...], name: str
     ) -> "HeaderTemplate":
         """A template whose constrained bytes are ``image`` under
-        ``mask``, already packed: the factories' path, with no compile
-        loop.  ``fields`` lists each constrained field's ``(offset,
-        length)``, from which :attr:`constraints` is derived."""
+        ``mask``, packed by a factory.  ``fields`` lists each
+        constrained field's ``(offset, length)``, from which
+        :attr:`constraints` is derived."""
         template = cls.__new__(cls)
-        template._set_compiled(len(image), mask, int.from_bytes(image, "big"), name)
+        template.name = name
+        template.checks = 0
+        template.violations = 0
+        #: Bytes from the front of the packet the constraints reach.
+        template._span = len(image)
+        template._mask = mask
+        template._want = int.from_bytes(image, "big")
         template._constraints = None
         template._fields = fields
         return template
@@ -104,9 +78,6 @@ class HeaderTemplate:
             ]
         return self._constraints
 
-    def __len__(self) -> int:
-        return len(self.constraints)
-
     def verify(self, packet: bytes) -> None:
         """Raise :class:`TemplateViolation` if the packet doesn't match.
 
@@ -121,14 +92,6 @@ class HeaderTemplate:
             raise TemplateViolation(
                 f"packet violates send template {self.name!r}"
             )
-
-    def matches(self, packet: bytes) -> bool:
-        """True when every constraint holds."""
-        try:
-            self.verify(packet)
-        except TemplateViolation:
-            return False
-        return True
 
 
 def _mask(span: int, fields: tuple[tuple[int, int], ...]) -> int:

@@ -8,7 +8,7 @@ Four coordinated pieces, all off by default:
 * :mod:`repro.obs.profile` — sim-time profiler attributing simulated
   microseconds (and wall time for synchronous callbacks) to call sites.
 * :mod:`repro.obs.hist` — HDR-style log-bucketed histograms (fixed
-  memory, mergeable) for RTT, queue occupancy, flow completion, and
+  memory) for RTT, queue occupancy, flow completion, and
   per-tenant delivery latency.
 * :mod:`repro.obs.recorder` — flight recorder sampling counter sets on
   a sim-timer into bounded time series with JSON/CSV export.

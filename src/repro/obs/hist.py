@@ -8,10 +8,6 @@ bucket width (about 12%), while memory stays fixed no matter how many
 samples are recorded — the property HdrHistogram popularised and the
 reason ad-hoc latency lists do not survive 10k-host sweeps.
 
-Histograms with identical configuration merge by adding bucket counts,
-so per-host or per-worker histograms can be combined into a fleet-wide
-view without keeping raw samples.
-
 The observability plane's session (:data:`repro.obs.SESSION`) owns one
 :func:`default_registry`; instrumented call sites guard on the session,
 which keeps the disabled cost to one attribute load and one ``is None``
@@ -135,65 +131,6 @@ class LogHistogram:
             "p999": self.percentile(99.9),
         }
 
-    # -- merging / serialisation --------------------------------------
-
-    def _same_config(self, other: "LogHistogram") -> bool:
-        return (
-            self.min_value == other.min_value
-            and self.max_value == other.max_value
-            and self.buckets_per_decade == other.buckets_per_decade
-        )
-
-    def merge(self, other: "LogHistogram") -> None:
-        """Fold ``other`` into this histogram (configs must match)."""
-        if not self._same_config(other):
-            raise ValueError("cannot merge histograms with different configurations")
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.underflow += other.underflow
-        self.overflow += other.overflow
-        self.zeros += other.zeros
-        self.count += other.count
-        self.sum += other.sum
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-
-    def to_dict(self) -> dict:
-        return {
-            "min_value": self.min_value,
-            "max_value": self.max_value,
-            "buckets_per_decade": self.buckets_per_decade,
-            # Sparse encoding: only non-zero buckets.
-            "buckets": {str(i): n for i, n in enumerate(self.counts) if n},
-            "underflow": self.underflow,
-            "overflow": self.overflow,
-            "zeros": self.zeros,
-            "count": self.count,
-            "sum": self.sum,
-            "min": None if self.min == math.inf else self.min,
-            "max": None if self.max == -math.inf else self.max,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LogHistogram":
-        hist = cls(
-            min_value=data["min_value"],
-            max_value=data["max_value"],
-            buckets_per_decade=data["buckets_per_decade"],
-        )
-        for key, n in data.get("buckets", {}).items():
-            hist.counts[int(key)] = n
-        hist.underflow = data.get("underflow", 0)
-        hist.overflow = data.get("overflow", 0)
-        hist.zeros = data.get("zeros", 0)
-        hist.count = data.get("count", 0)
-        hist.sum = data.get("sum", 0.0)
-        hist.min = math.inf if data.get("min") is None else data["min"]
-        hist.max = -math.inf if data.get("max") is None else data["max"]
-        return hist
-
 
 class HistogramRegistry:
     """Named histograms created on first record.
@@ -228,9 +165,6 @@ class HistogramRegistry:
 
     def summaries(self) -> dict[str, dict]:
         return {name: hist.summary() for name, hist in self.items()}
-
-    def to_dict(self) -> dict[str, dict]:
-        return {name: hist.to_dict() for name, hist in self.items()}
 
 
 def default_registry() -> HistogramRegistry:

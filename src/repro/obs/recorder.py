@@ -82,10 +82,6 @@ class FlightRecorder:
 
     # -- export -------------------------------------------------------
 
-    def series(self, name: str) -> list[tuple[float, dict]]:
-        watch = self._watches.get(name)
-        return list(watch.samples) if watch is not None else []
-
     def to_dict(self) -> dict:
         """All series as parallel times/series arrays, JSON-friendly."""
         out: dict[str, dict] = {}

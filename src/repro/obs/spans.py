@@ -35,16 +35,6 @@ class SpanEvent:
     detail: str = ""
     cost: float = 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "stage": self.stage,
-            "time": self.time,
-            "node": self.node,
-            "detail": self.detail,
-            "cost": self.cost,
-        }
-
 
 class SpanRecorder:
     """Bounded ring of span events plus the wire-bytes identity map.
@@ -152,13 +142,6 @@ class SpanRecorder:
     def timeline(self, tid: int) -> list[SpanEvent]:
         """All events for one trace, in recorded (time) order."""
         return [ev for ev in self.events if ev.trace_id == tid]
-
-    def traces(self) -> list[int]:
-        """Distinct trace ids present in the ring, in first-seen order."""
-        seen: dict[int, None] = {}
-        for ev in self.events:
-            seen.setdefault(ev.trace_id, None)
-        return list(seen)
 
     def traces_matching(self, substring: str) -> list[int]:
         """Trace ids whose events' detail contains ``substring``."""

@@ -387,6 +387,8 @@ class MonoListener(TcpListener):
         self.closed = False
 
     def accept(self) -> Generator:
+        if self.closed:
+            raise ConnectionError(f"listener on port {self.port} closed")
         connection = yield self.backlog.get()
         return connection
 
@@ -395,3 +397,4 @@ class MonoListener(TcpListener):
         self.stack._listeners.pop(self.port, None)
         while self.backlog.items:  # Established, never accepted: reset.
             self.stack.sim.process(self.backlog.items.popleft().abort())
+        self.backlog.fail_getters(ConnectionError(f"listener on port {self.port} closed"))

@@ -39,6 +39,7 @@ from ..net.buf import STATS, PacketBuffer, slice_view
 from ..net.headers import HeaderError, Ipv4Header, PROTO_UDP
 from ..netio.channels import Channel, ChannelClosed
 from ..protocols.ip import encapsulate
+from ..protocols.rrp import Complete, RrpClient, RrpServer, SendDatagram, SetRetry
 from ..protocols.udp import UdpDatagram, decode_datagram, encode_datagram
 from ..sim import Event, Interrupt
 from ..tenancy.tenant import RateLimited
@@ -220,3 +221,53 @@ class UdpEndpoint:
         )
         while self._readers:
             self._readers.pop().succeed()
+
+
+def run_rrp(endpoint: UdpEndpoint, engine: "RrpClient | RrpServer"):
+    """Drive a sans-io RRP engine over ``endpoint``: a receive loop feeds
+    it every datagram and carries out the actions it returns.
+
+    Returns ``call(ip, port, payload)``, a generator for an
+    :class:`~repro.protocols.rrp.RrpClient` engine: it starts a
+    transaction and returns its response, or ``None`` once the client
+    gives up.  The loop ends when the endpoint closes.
+    """
+    sim = endpoint.sim
+    waiting: dict[int, Event] = {}
+
+    def execute(actions):
+        for action in actions:
+            if isinstance(action, SendDatagram):
+                yield from endpoint.sendto(action.ip, action.port, action.data)
+            elif isinstance(action, SetRetry):
+                sim.process(retry(action.transaction, action.delay))
+            else:  # Complete or Failed: the transaction is over.
+                done = waiting.pop(action.transaction, None)
+                if done is not None:
+                    done.succeed(action.payload if isinstance(action, Complete) else None)
+
+    def retry(transaction, delay):
+        yield sim.timeout(delay)
+        yield from execute(engine.on_retry(transaction))
+
+    def receive_loop():
+        serving = isinstance(engine, RrpServer)
+        while True:
+            try:
+                data, addr = yield from endpoint.recvfrom()
+            except OSError:
+                return
+            if serving:
+                actions = engine.on_datagram(data, addr, sim.now)
+            else:
+                actions = engine.on_datagram(data)
+            yield from execute(actions)
+
+    def call(ip: int, port: int, payload: bytes):
+        transaction, actions = engine.call(ip, port, payload)
+        done = waiting[transaction] = sim.event()
+        yield from execute(actions)
+        return (yield done)
+
+    sim.process(receive_loop(), name=f"rrp-rx-{endpoint.port}")
+    return call

@@ -25,7 +25,6 @@ from .actions import (
 from .cc import (
     CC_ALGORITHMS,
     CongestionAlgorithm,
-    algorithms as cc_algorithms,
     make_cc,
 )
 from .events import (
@@ -65,7 +64,6 @@ __all__ = [
     "ChecksumError",
     "CC_ALGORITHMS",
     "CongestionAlgorithm",
-    "cc_algorithms",
     "make_cc",
     "RttEstimator",
     "ReassemblyQueue",

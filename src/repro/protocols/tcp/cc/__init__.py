@@ -46,11 +46,6 @@ _FACTORIES: dict[str, Callable[..., CongestionAlgorithm]] = {
 CC_ALGORITHMS = ("reno", "cubic", "bbr")
 
 
-def algorithms() -> tuple[str, ...]:
-    """Every algorithm name :func:`make_cc` accepts."""
-    return tuple(sorted(_FACTORIES))
-
-
 def make_cc(name: str, mss: int, dup_threshold: int = 3) -> CongestionAlgorithm:
     """Construct the named algorithm.
 
@@ -61,7 +56,7 @@ def make_cc(name: str, mss: int, dup_threshold: int = 3) -> CongestionAlgorithm:
     if factory is None:
         raise ValueError(
             f"unknown congestion algorithm {name!r} "
-            f"(registered: {', '.join(algorithms())})"
+            f"(registered: {', '.join(sorted(_FACTORIES))})"
         )
     return factory(mss=mss, dup_threshold=dup_threshold)
 
@@ -73,6 +68,5 @@ __all__ = [
     "Reno",
     "Cubic",
     "BbrModel",
-    "algorithms",
     "make_cc",
 ]

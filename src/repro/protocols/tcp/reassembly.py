@@ -17,14 +17,6 @@ class ReassemblyQueue:
         #: "is anything queued?" once per data segment.
         self.runs: list[tuple[int, bytes]] = []
 
-    def __len__(self) -> int:
-        return len(self.runs)
-
-    @property
-    def buffered_bytes(self) -> int:
-        """Total payload bytes waiting in the queue."""
-        return sum(len(data) for _, data in self.runs)
-
     def insert(self, seq: int, data, rcv_nxt: int) -> None:
         """Add ``data`` starting at ``seq``, trimming any overlap.
 
@@ -85,9 +77,3 @@ class ReassemblyQueue:
         if len(parts) == 1:
             return parts[0]
         return b"".join(bytes(p) for p in parts)
-
-    def next_gap(self, rcv_nxt: int) -> int | None:
-        """Sequence of the first missing byte after queued data, if any."""
-        if not self.runs:
-            return None
-        return self.runs[0][0] if self.runs[0][0] > rcv_nxt else None

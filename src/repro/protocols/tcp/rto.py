@@ -41,11 +41,6 @@ class RttEstimator:
             base = self.srtt + 4.0 * (self.rttvar or 0.0)
         return min(self.max_rto, max(self.min_rto, base) * (1 << self.backoff))
 
-    @property
-    def timing(self) -> bool:
-        """True while a segment is being timed."""
-        return self._timed_seq is not None
-
     def start_timing(self, seq: int, now: float) -> None:
         """Begin timing the segment whose last byte+1 is ``seq``."""
         if self._timed_seq is None:

@@ -102,9 +102,6 @@ class UdpPortTable:
                 return port
         raise UdpError("no ephemeral ports left")
 
-    def is_bound(self, port: int) -> bool:
-        return port in self._bound
-
     def deliver(self, data: bytes, src_ip: int, dst_ip: int) -> bool:
         """Decode and dispatch; returns True if a handler consumed it."""
         try:

@@ -41,9 +41,6 @@ class PortNamespace:
         self._ports: dict[int, _Reservation] = {}
         self._next_ephemeral = self.EPHEMERAL_START
 
-    def __len__(self) -> int:
-        return len(self._ports)
-
     def _gc(self, now: float) -> None:
         stale = [
             port

@@ -257,9 +257,13 @@ class RegistryServer:
             netio.remove_listener(
                 self.task, PROTO_TCP, lease.local_port, local_ip=self.host.ip
             )
-            # Connections nobody will accept die with their listener.
+            # Connections nobody will accept die with their listener,
+            # and an accept parked on it is told.
             while lease.backlog.items:
                 self._release(lease.backlog.items.popleft(), reset=True)
+            lease.backlog.fail_getters(
+                ConnectionError(f"listener on port {lease.local_port} closed")
+            )
         if lease.channel is not None:
             netio.destroy_channel(self.task, lease.channel)  # and its ring
         else:

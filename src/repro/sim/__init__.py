@@ -6,7 +6,7 @@ protocol organizations run.
 """
 
 from .engine import Simulator
-from .errors import EmptySchedule, Interrupt, SimError, StopSimulation
+from .errors import Interrupt, SimError, StopSimulation
 from .events import (
     NORMAL,
     PENDING,
@@ -27,7 +27,6 @@ __all__ = [
     "CPU",
     "Interrupt",
     "SimError",
-    "EmptySchedule",
     "StopSimulation",
     "PENDING",
     "NORMAL",

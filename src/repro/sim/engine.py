@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Generator, Optional, Union
 
-from .errors import EmptySchedule, StopSimulation
+from .errors import StopSimulation
 from .events import (
     NORMAL,
     Event,
@@ -94,10 +94,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._heap[0] if self._heap else _INF
 
     def engine_stats(self) -> dict[str, int]:
         """Snapshot of the engine counters (cheap; plain ints)."""
@@ -291,13 +287,6 @@ class Simulator:
             self.events_processed += batch
             if batch > self.max_batch:
                 self.max_batch = batch
-
-    def step(self) -> None:
-        """Advance to the next timestamp and process everything due then."""
-        t = self.peek()
-        if t == _INF:
-            raise EmptySchedule()
-        self._drain(t)
 
     def run(self, until: Until = None) -> Any:
         """Run until the schedule empties, a time passes, or an event fires.

@@ -7,10 +7,6 @@ class SimError(Exception):
     """Base class for all simulation-engine errors."""
 
 
-class EmptySchedule(SimError):
-    """Raised by :meth:`Simulator.step` when no events remain."""
-
-
 class StopSimulation(Exception):
     """Raised internally to halt :meth:`Simulator.run` at a target event.
 
@@ -25,13 +21,9 @@ class StopSimulation(Exception):
 class Interrupt(Exception):
     """Thrown into a process that another process interrupted.
 
-    The interrupting party supplies ``cause``, an arbitrary object that
-    the interrupted process can inspect to decide how to react.
+    The interrupting party supplies a cause, an arbitrary object the
+    interrupted process can inspect (``args[0]``) to decide how to react.
     """
 
     def __init__(self, cause: object = None) -> None:
         super().__init__(cause)
-
-    @property
-    def cause(self) -> object:
-        return self.args[0]

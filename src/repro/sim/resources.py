@@ -29,9 +29,6 @@ class Store:
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
 
-    def __len__(self) -> int:
-        return len(self.items)
-
     def put(self, item: Any) -> Event:
         """Event that fires when ``item`` has entered the store — ahead
         of the event of a getter that was waiting for it."""
@@ -50,6 +47,12 @@ class Store:
         else:
             self._getters.append(event)
         return event
+
+    def fail_getters(self, exception: BaseException) -> None:
+        """Fail every waiting getter with ``exception``: the consumer
+        side is gone (a listener closed), and nothing will be put."""
+        while self._getters:
+            self._getters.popleft().fail(exception)
 
 
 class Serial:

@@ -124,11 +124,6 @@ class Socket:
             self._listener.close()
         self._state = _State.CLOSED
 
-    def abort(self) -> Generator:
-        if self._state is _State.CONNECTED:
-            yield from self._connection.abort()
-        self._state = _State.CLOSED
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -76,8 +76,10 @@ def specialize(profile: AppProfile, base: Optional[TcpConfig] = None) -> TcpConf
 
     lossy = profile.expected_loss is not None and profile.expected_loss > 0.001
 
-    if profile.bulk:
-        # Big windows keep the pipe full.
+    if profile.bulk and not lossy:
+        # Big windows keep a clean pipe full.  On a lossy path they put
+        # more of one window at risk, and Reno's fast recovery repairs
+        # one loss per window: a second costs a timeout.
         changes["snd_buffer"] = max(base.snd_buffer, 32768)
         changes["rcv_buffer"] = max(base.rcv_buffer, 32768)
 

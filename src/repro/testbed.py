@@ -187,7 +187,7 @@ class Testbed:
 class FabricTestbed:
     """Many hosts on a switched fabric, one protocol organization.
 
-    Builds a :mod:`~repro.net.fabric` topology (``star``, ``chain``, or
+    Builds a :mod:`~repro.net.fabric` topology (``chain`` or
     ``dumbbell``) and attaches the chosen TCP organization to every
     host.  Exposes the same duck-typed surface :mod:`~repro.netstat`
     and the transfer drivers walk on :class:`Testbed` (``hosts`` /
@@ -209,9 +209,9 @@ class FabricTestbed:
         config_for=None,
         **builder_kwargs,
     ) -> None:
-        from .net.fabric import chain, dumbbell, star
+        from .net.fabric import chain, dumbbell
 
-        builders = {"star": star, "chain": chain, "dumbbell": dumbbell}
+        builders = {"chain": chain, "dumbbell": dumbbell}
         if kind not in builders:
             raise ValueError(f"unknown fabric kind {kind!r}")
         if organization not in ORGANIZATIONS:

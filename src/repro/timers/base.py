@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import abc
 import itertools
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 
 class TimerHandle:
@@ -38,10 +38,6 @@ class TimerHandle:
     def cancel(self) -> None:
         """Cancel the timer; a no-op if it already fired."""
         self.cancelled = True
-
-    @property
-    def active(self) -> bool:
-        return not (self.cancelled or self.fired)
 
     def __repr__(self) -> str:
         state = "fired" if self.fired else "cancelled" if self.cancelled else "armed"
@@ -70,15 +66,6 @@ class TimerFacility(abc.ABC):
     @abc.abstractmethod
     def advance_to(self, time: float) -> int:
         """Move the clock to ``time``, firing due timers.  Returns count fired."""
-
-    @property
-    @abc.abstractmethod
-    def pending(self) -> int:
-        """Number of armed (not fired, not cancelled) timers."""
-
-    @abc.abstractmethod
-    def next_deadline(self) -> Optional[float]:
-        """Earliest armed deadline, or None if none are armed."""
 
     def _check_advance(self, time: float) -> None:
         if time < self.now:

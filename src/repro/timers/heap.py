@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from .base import TimerFacility, TimerHandle
 
@@ -43,14 +43,3 @@ class HeapTimers(TimerFacility):
             handle.callback()
         self.now = time
         return fired
-
-    @property
-    def pending(self) -> int:
-        # Exclude lazily-cancelled entries.
-        return sum(1 for _, _, h in self._heap if h.active)
-
-    def next_deadline(self) -> Optional[float]:
-        for deadline, _, handle in sorted(self._heap):
-            if handle.active:
-                return deadline
-        return None

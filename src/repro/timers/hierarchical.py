@@ -14,7 +14,7 @@ Slot arithmetic is integer-tick-based with an epsilon guard, matching
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from .base import TimerFacility, TimerHandle
 
@@ -139,23 +139,3 @@ class HierarchicalWheel(TimerFacility):
                 break
         self.now = time
         return fired
-
-    @property
-    def pending(self) -> int:
-        return sum(
-            1
-            for wheel in self._wheels
-            for slot in wheel
-            for handle in slot
-            if handle.active
-        )
-
-    def next_deadline(self) -> Optional[float]:
-        deadlines = [
-            handle.deadline
-            for wheel in self._wheels
-            for slot in wheel
-            for handle in slot
-            if handle.active
-        ]
-        return min(deadlines) if deadlines else None

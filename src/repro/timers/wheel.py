@@ -14,7 +14,7 @@ float deadlines that land exactly on tick boundaries (0.3 / 0.01 =
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from .base import TimerFacility, TimerHandle
 
@@ -95,11 +95,3 @@ class HashedWheel(TimerFacility):
                 break
         self.now = time
         return fired
-
-    @property
-    def pending(self) -> int:
-        return sum(1 for slot in self._wheel for h in slot if h.active)
-
-    def next_deadline(self) -> Optional[float]:
-        deadlines = [h.deadline for slot in self._wheel for h in slot if h.active]
-        return min(deadlines) if deadlines else None

@@ -59,18 +59,6 @@ class TraceRecord:
             f"  {self.summary}  ({self.length} bytes)"
         )
 
-    def as_dict(self) -> dict:
-        """Structured export (JSON-safe: layers become class names)."""
-        return {
-            "time": self.time,
-            "link_src": self.link_src,
-            "link_dst": self.link_dst,
-            "summary": self.summary,
-            "protocol": self.protocol,
-            "length": self.length,
-            "layers": [type(layer).__name__ for layer in self.layers],
-        }
-
 
 @dataclass
 class FaultEvent:
@@ -297,19 +285,6 @@ class WireTrace:
     # Queries
     # ------------------------------------------------------------------
 
-    def matching(self, protocol: str) -> list[TraceRecord]:
-        """Captured records for one protocol ('tcp', 'udp', 'arp', ...)."""
-        return [r for r in self.records if r.protocol == protocol]
-
-    def export(self) -> list[dict]:
-        """All captured records as JSON-safe dicts (see TraceRecord.as_dict)."""
-        return [record.as_dict() for record in self.records]
-
-    def summary_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for record in self.records:
-            counts[record.protocol] = counts.get(record.protocol, 0) + 1
-        return counts
 
     # ------------------------------------------------------------------
     # pcap export

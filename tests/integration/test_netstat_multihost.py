@@ -80,7 +80,7 @@ def test_tables_agree_with_the_counters_they_render():
     from repro.metrics import measure_throughput
     from repro.net import buf
 
-    buf.reset_stats()
+    buf.STATS.reset()
     testbed = Testbed(network="ethernet", organization="userlib")
     measure_throughput(testbed, total_bytes=192 * 1024)
 

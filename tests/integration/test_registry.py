@@ -346,7 +346,7 @@ def test_exhausted_bqi_table_refuses_the_connect_and_leaks_nothing():
             yield from testbed.service_a.connect(IP_B, 8000)
         except ConnectionError as exc:
             outcome["refused"] = str(exc)
-        outcome["ports_after_refusal"] = len(registry.ports)
+        outcome["ports_after_refusal"] = len(registry.ports._ports)
         nic.release_bqi(7)
         conn = yield from testbed.service_a.connect(IP_B, 8000)
         outcome["bqi"] = conn.channel.ring.bqi

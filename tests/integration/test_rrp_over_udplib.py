@@ -5,76 +5,30 @@ user-level libraries on the same hosts."""
 import pytest
 
 from repro.net.faults import FaultInjector
-from repro.org.udplib import LibraryUdpService
-from repro.protocols.rrp import (
-    Complete,
-    Failed,
-    RrpClient,
-    RrpServer,
-    SendDatagram,
-    SetRetry,
-)
-from repro.testbed import IP_A, IP_B, Testbed
+from repro.org.udplib import LibraryUdpService, run_rrp
+from repro.protocols.rrp import RrpClient, RrpServer
+from repro.testbed import IP_B, Testbed
 
 
-def run_rrp_endpoint(testbed, endpoint, engine, is_server):
-    """Plumbing: drive a sans-io RRP engine over a UdpEndpoint."""
-    sim = testbed.sim
-    completions = {}
-
-    def execute(actions):
-        for action in actions:
-            if isinstance(action, SendDatagram):
-                yield from endpoint.sendto(action.ip, action.port, action.data)
-            elif isinstance(action, SetRetry):
-                sim.process(retry_timer(action.transaction, action.delay))
-            elif isinstance(action, Complete):
-                completions[action.transaction] = action.payload
-            elif isinstance(action, Failed):
-                completions[action.transaction] = None
-
-    def retry_timer(transaction, delay):
-        yield sim.timeout(delay)
-        yield from execute(engine.on_retry(transaction))
-
-    def receive_loop():
-        while True:
-            try:
-                data, addr = yield from endpoint.recvfrom()
-            except OSError:
-                return
-            if is_server:
-                actions = engine.on_datagram(data, addr, sim.now)
-            else:
-                actions = engine.on_datagram(data)
-            yield from execute(actions)
-
-    testbed.spawn(receive_loop(), name="rrp-rx")
-    return execute, completions
+def udp_services(testbed):
+    return (
+        LibraryUdpService(testbed.host_a, testbed.app_a, testbed.registry_a),
+        LibraryUdpService(testbed.host_b, testbed.app_b, testbed.registry_b),
+    )
 
 
 @pytest.mark.parametrize("network", ["ethernet", "an1"])
 def test_rrp_call_over_udplib(network):
     testbed = Testbed(network=network, organization="userlib")
-    udp_a = LibraryUdpService(testbed.host_a, testbed.app_a, testbed.registry_a)
-    udp_b = LibraryUdpService(testbed.host_b, testbed.app_b, testbed.registry_b)
+    udp_a, udp_b = udp_services(testbed)
     results = {}
 
     def scenario():
-        server_ep = yield from udp_b.bind(6100)
-        client_ep = yield from udp_a.bind(0)
         server = RrpServer(lambda req: b"answered:" + req)
-        client = RrpClient()
-        run_rrp_endpoint(testbed, server_ep, server, is_server=True)
-        execute, completions = run_rrp_endpoint(
-            testbed, client_ep, client, is_server=False
-        )
+        run_rrp((yield from udp_b.bind(6100)), server)
+        call = run_rrp((yield from udp_a.bind(0)), RrpClient())
         for i in range(3):
-            tid, actions = client.call(IP_B, 6100, f"q{i}".encode())
-            yield from execute(actions)
-            while tid not in completions:
-                yield testbed.sim.timeout(0.01)
-            results[i] = completions[tid]
+            results[i] = yield from call(IP_B, 6100, f"q{i}".encode())
         results["executed"] = server.stats["executed"]
 
     proc = testbed.spawn(scenario(), name="scenario")
@@ -92,29 +46,19 @@ def test_rrp_at_most_once_under_loss():
         organization="userlib",
         faults=FaultInjector(drop_rate=0.25, seed=13),
     )
-    udp_a = LibraryUdpService(testbed.host_a, testbed.app_a, testbed.registry_a)
-    udp_b = LibraryUdpService(testbed.host_b, testbed.app_b, testbed.registry_b)
+    udp_a, udp_b = udp_services(testbed)
     executions = []
     results = {}
 
     def scenario():
-        server_ep = yield from udp_b.bind(6200)
-        client_ep = yield from udp_a.bind(0)
         server = RrpServer(
             lambda req: (executions.append(req) or b"ok:" + req)
         )
         client = RrpClient(timeout=0.3, retries=10)
-        run_rrp_endpoint(testbed, server_ep, server, is_server=True)
-        execute, completions = run_rrp_endpoint(
-            testbed, client_ep, client, is_server=False
-        )
+        run_rrp((yield from udp_b.bind(6200)), server)
+        call = run_rrp((yield from udp_a.bind(0)), client)
         for i in range(4):
-            tid, actions = client.call(IP_B, 6200, f"tx{i}".encode())
-            yield from execute(actions)
-            deadline = testbed.sim.now + 20.0
-            while tid not in completions and testbed.sim.now < deadline:
-                yield testbed.sim.timeout(0.05)
-            results[i] = completions.get(tid)
+            results[i] = yield from call(IP_B, 6200, f"tx{i}".encode())
         results["stats"] = dict(client.stats)
 
     proc = testbed.spawn(scenario(), name="scenario")
@@ -130,26 +74,16 @@ def test_rrp_latency_beats_tcp_setup():
     """The motivation quantified: one RRP exchange completes in less
     time than a TCP connect() alone (no handshake, no registry work)."""
     testbed = Testbed(network="ethernet", organization="userlib")
-    udp_a = LibraryUdpService(testbed.host_a, testbed.app_a, testbed.registry_a)
-    udp_b = LibraryUdpService(testbed.host_b, testbed.app_b, testbed.registry_b)
+    udp_a, udp_b = udp_services(testbed)
     timings = {}
 
     def scenario():
-        server_ep = yield from udp_b.bind(6300)
-        client_ep = yield from udp_a.bind(0)
+        run_rrp((yield from udp_b.bind(6300)), RrpServer(lambda req: b"r"))
+        call = run_rrp((yield from udp_a.bind(0)), RrpClient())
         # Warm ARP so both measurements start level.
         yield from testbed.host_a.resolve_link(IP_B)
-        server = RrpServer(lambda req: b"r")
-        client = RrpClient()
-        run_rrp_endpoint(testbed, server_ep, server, is_server=True)
-        execute, completions = run_rrp_endpoint(
-            testbed, client_ep, client, is_server=False
-        )
         start = testbed.sim.now
-        tid, actions = client.call(IP_B, 6300, b"quick")
-        yield from execute(actions)
-        while tid not in completions:
-            yield testbed.sim.timeout(0.001)
+        yield from call(IP_B, 6300, b"quick")
         timings["rrp"] = testbed.sim.now - start
 
         start = testbed.sim.now

@@ -36,6 +36,8 @@ def test_lossy_profile_tunes_recovery():
     config = specialize(WAN_BULK, TcpConfig(cc="tahoe"))
     assert config.cc == "reno"
     assert config.min_rto <= 0.3
+    # No bigger window on a lossy path: more losses per window.
+    assert (config.snd_buffer, config.rcv_buffer) == (16384, 16384)
 
 
 def test_remote_login_enables_keepalive():

@@ -179,6 +179,35 @@ def test_connect_to_closed_port_refused():
     assert testbed.run(until=proc)
 
 
+@pytest.mark.parametrize("organization", ["ultrix", "mach-ux", "userlib"])
+def test_closing_a_listener_fails_its_parked_accept(organization):
+    """An accept blocked when its listener closes is told, not stranded:
+    the registry's accept worker and the kernel's backlog both wake it."""
+    testbed = Testbed(network="ethernet", organization=organization)
+    out = {}
+
+    def acceptor(listener):
+        try:
+            yield from listener.accept()
+        except ConnectionError as exc:
+            out["error"] = str(exc)
+        out["at"] = testbed.sim.now
+
+    def server():
+        listener = yield from testbed.service_b.listen(7100)
+        testbed.spawn(acceptor(listener), name="acceptor")
+        yield testbed.sim.timeout(0.1)
+        out["closed_at"] = testbed.sim.now
+        listener.close()
+
+    testbed.spawn(server(), name="server")
+    testbed.run(until=5.0)
+    assert "closed" in out.get("error", ""), out
+    assert out["at"] - out["closed_at"] < 0.1
+    for registry in testbed.registries:
+        assert [t.name for t in registry.task.threads if t.is_alive] == ["registry/main"]
+
+
 @pytest.mark.parametrize("organization", ["ultrix", "userlib"])
 def test_icmp_ping_works_alongside_tcp(organization):
     from repro.net.headers import PROTO_ICMP

@@ -8,9 +8,6 @@ from repro.mach import (
     PAGE_SIZE,
     Semaphore,
     SharedRegion,
-    vm_allocate,
-    vm_map,
-    vm_unmap,
     vm_wire,
 )
 from repro.sim import Simulator
@@ -119,57 +116,26 @@ def test_semaphore_waiting_count():
 # ----------------------------------------------------------------------
 
 
-def test_vm_allocate_maps_into_task():
-    sim, kernel = make_kernel()
-    task = kernel.create_task("app")
-
-    def proc():
-        region = yield from vm_allocate(kernel, task, 8192, name="bufs")
-        return region
-
-    region = sim.run(until=sim.process(proc()))
-    assert region.is_mapped(task)
-    assert region.pages == 2
-
-
-def test_vm_map_shares_region():
-    sim, kernel = make_kernel()
-    a = kernel.create_task("a")
-    b = kernel.create_task("b")
-
-    def proc():
-        region = yield from vm_allocate(kernel, a, PAGE_SIZE)
-        yield from vm_map(kernel, region, b)
-        return region
-
-    region = sim.run(until=sim.process(proc()))
-    assert region.is_mapped(a) and region.is_mapped(b)
-    vm_unmap(region, b)
-    assert not region.is_mapped(b)
-
-
 def test_vm_wire_pins_and_charges_per_page():
     sim = Simulator()
     kernel = Kernel(sim, DECSTATION_5000_200)
-    task = kernel.create_task("app")
 
     def proc():
-        region = yield from vm_allocate(kernel, task, 3 * PAGE_SIZE)
+        region = SharedRegion(kernel, 3 * PAGE_SIZE)
         before = sim.now
         yield from vm_wire(kernel, region)
         return region, sim.now - before
 
     region, wire_time = sim.run(until=sim.process(proc()))
-    assert region.pinned
+    assert region.pinned and region.pages == 3
     assert wire_time == pytest.approx(3 * DECSTATION_5000_200.vm_wire_page)
 
 
 def test_vm_wire_idempotent():
     sim, kernel = make_kernel()
-    task = kernel.create_task("app")
 
     def proc():
-        region = yield from vm_allocate(kernel, task, PAGE_SIZE)
+        region = SharedRegion(kernel, PAGE_SIZE)
         yield from vm_wire(kernel, region)
         yield from vm_wire(kernel, region)
         return region

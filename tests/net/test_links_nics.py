@@ -549,7 +549,7 @@ def test_an1_full_duplex():
     assert len(got0) == 1 and len(got1) == 1
     # Both directions proceeded concurrently: total elapsed well under
     # two serialized frame times plus interrupt handling.
-    assert sim.now < 2 * link.frame_time(1408)
+    assert sim.now < 2 * (1408 + link.OVERHEAD) * 8 / link.bit_rate
 
 
 def test_an1_bqi_release():

@@ -18,7 +18,6 @@ from repro.netio import (
     ByteConstraint,
     FilterError,
     FilterProgram,
-    HeaderTemplate,
     Instruction,
     Op,
     TemplateViolation,
@@ -243,11 +242,6 @@ def test_udp_template_pins_source_port():
     ).pack() + udp.tobytes()
     with pytest.raises(TemplateViolation):
         template.verify(packet)
-
-
-def test_template_requires_constraints():
-    with pytest.raises(ValueError):
-        HeaderTemplate([])
 
 
 def test_byte_constraint_check():

@@ -117,7 +117,7 @@ def test_channel_region_is_mapped_and_pinned():
     world = EthWorld()
     chan_a, _ = world.channel_pair()
     assert chan_a.region.pinned
-    assert chan_a.region.is_mapped(world.app_a)
+    assert world.app_a in chan_a.region.mapped
 
 
 def test_send_and_demux_to_peer_channel():

@@ -68,58 +68,6 @@ def test_overflow_dominated_histogram_reports_observed_max():
     assert h.percentile(50) == 7.0  # clamped to observed extremes
 
 
-def test_merge_of_disjoint_ranges():
-    a = LogHistogram(min_value=1e-6, max_value=10.0)
-    b = LogHistogram(min_value=1e-6, max_value=10.0)
-    for _ in range(100):
-        a.record(1e-4)
-    for _ in range(100):
-        b.record(1e-1)
-    a.merge(b)
-    assert a.count == 200
-    assert a.min == pytest.approx(1e-4)
-    assert a.max == pytest.approx(1e-1)
-    # Median sits at the boundary between the two populations.
-    assert a.percentile(25) == pytest.approx(1e-4, rel=0.13)
-    assert a.percentile(75) == pytest.approx(1e-1, rel=0.13)
-    # b is unchanged by the merge.
-    assert b.count == 100
-
-
-def test_merge_rejects_mismatched_configuration():
-    a = LogHistogram(min_value=1e-6, max_value=10.0)
-    b = LogHistogram(min_value=1e-6, max_value=100.0)
-    with pytest.raises(ValueError, match="different configurations"):
-        a.merge(b)
-    c = LogHistogram(min_value=1e-6, max_value=10.0, buckets_per_decade=30)
-    with pytest.raises(ValueError):
-        a.merge(c)
-
-
-def test_merge_with_empty_histogram_is_identity():
-    a = LogHistogram()
-    a.record(0.5)
-    a.merge(LogHistogram())
-    assert a.count == 1
-    assert a.percentile(50) == 0.5
-
-
-def test_serialization_round_trip_preserves_quantiles():
-    h = LogHistogram(min_value=1e-6, max_value=10.0)
-    rng = random.Random(7)
-    for _ in range(1000):
-        h.record(rng.uniform(1e-3, 1.0))
-    h.record(0.0)
-    h.record(100.0)
-    data = json.loads(json.dumps(h.to_dict()))  # must be JSON-safe
-    back = LogHistogram.from_dict(data)
-    assert back.count == h.count
-    assert back.summary() == h.summary()
-    # And the round-tripped histogram still merges with the original.
-    back.merge(h)
-    assert back.count == 2 * h.count
-
-
 def test_fixed_memory_regardless_of_sample_count():
     h = LogHistogram(min_value=1e-6, max_value=10.0)
     buckets = len(h.counts)
@@ -138,4 +86,4 @@ def test_registry_creates_on_first_record_and_honours_config():
     assert reg.get("rtt").buckets_per_decade == 20  # default
     summaries = reg.summaries()
     assert summaries["queue"]["count"] == 1
-    assert json.dumps(reg.to_dict())  # JSON-safe
+    assert json.dumps(summaries)  # JSON-safe

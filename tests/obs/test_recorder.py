@@ -10,6 +10,11 @@ from repro.sim import Simulator
 from repro.testbed import FabricTestbed
 
 
+def samples_of(rec, name):
+    """One watch's samples, oldest first: ``[(time, values), ...]``."""
+    return list(rec._watches[name].samples)
+
+
 def test_periodic_sampling_of_counters_and_callables():
     sim = Simulator()
     counters = Counters()
@@ -26,13 +31,13 @@ def test_periodic_sampling_of_counters_and_callables():
     rec.start()
     sim.process(workload(), name="workload")
     sim.run_all()
-    series = rec.series("counters")
+    series = samples_of(rec, "counters")
     assert len(series) >= 9
     times = [t for t, _ in series]
     assert times == sorted(times)
     # Samples reflect the counter's value *at sample time*.
     assert series[-1][1]["ticks"] > series[0][1].get("ticks", 0)
-    assert rec.series("derived")[-1][1]["t"] >= 0.09
+    assert samples_of(rec, "derived")[-1][1]["t"] >= 0.09
 
 
 def test_ring_depth_bounds_memory():
@@ -48,7 +53,7 @@ def test_ring_depth_bounds_memory():
     sim.process(workload(), name="workload")
     sim.run_all()
     assert rec.samples_taken > 16
-    samples = rec.series("w")
+    samples = samples_of(rec, "w")
     assert len(samples) == 16
     # The ring keeps the newest samples (counter is incremented before
     # sources run, so the last sample sees the final value).
@@ -128,6 +133,6 @@ def test_watching_a_layers_stats_records_its_live_counters():
     measure_fabric_transfers(bed, bytes_per_flow=20_000)
     rec.sample_now()
     for name, layer in watched.items():
-        _, last = rec.series(name)[-1]
+        _, last = samples_of(rec, name)[-1]
         assert last, name
         assert last == layer.stats.snapshot(), name

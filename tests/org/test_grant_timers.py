@@ -79,7 +79,7 @@ def test_hand_off_keeps_a_pending_delayed_ack():
     bed.spawn(client.send(b"x"), name="send")
     # One small segment: the receiver holds its ACK for delack_time.
     while not inetd.runner.rx_buffer:
-        bed.sim.step()
+        bed.run(until=bed.sim.now + 1e-4)
     assert inetd.runner.machine.stats["acks_delayed"] == 1
     worker = inetd.hand_off(worker_service.app, worker_service)
     bed.run(until=bed.sim.now + 2 * bed.config.delack_time)

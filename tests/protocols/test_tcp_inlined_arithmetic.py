@@ -163,8 +163,7 @@ class OracleMachine(TcpMachine):
             if fin_now:
                 flags |= TCP_FIN
             self._emit(actions, seq=tcb.snd_nxt, flags=flags, payload=chunk)
-            if not tcb.rtt.timing:
-                tcb.rtt.start_timing(tcb.snd_nxt + length, now)
+            tcb.rtt.start_timing(tcb.snd_nxt + length, now)  # A no-op while timing.
             tcb.snd_nxt += length + (1 if fin_now else 0)
             tcb.snd_max = max(tcb.snd_max, tcb.snd_nxt)
             if fin_now:

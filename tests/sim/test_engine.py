@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import EmptySchedule, Event, SimError, Simulator
+from repro.sim import Event, SimError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -61,12 +61,6 @@ def test_run_until_unreachable_event_raises():
         sim.run(until=ev)
 
 
-def test_step_on_empty_schedule_raises():
-    sim = Simulator()
-    with pytest.raises(EmptySchedule):
-        sim.step()
-
-
 def test_events_fire_in_time_order():
     sim = Simulator()
     fired = []
@@ -99,13 +93,6 @@ def test_negative_timeout_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.timeout(-1.0)
-
-
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.timeout(7.0)
-    assert sim.peek() == 7.0
 
 
 def test_event_value_unavailable_before_trigger():

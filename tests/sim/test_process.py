@@ -93,7 +93,7 @@ def test_interrupt_delivers_cause():
         try:
             yield sim.timeout(100.0)
         except Interrupt as intr:
-            log.append((sim.now, intr.cause))
+            log.append((sim.now, intr.args[0]))
 
     victim = sim.process(sleeper())
 

@@ -69,10 +69,10 @@ def test_store_get_blocks_until_put():
 def test_store_len():
     sim = Simulator()
     store = Store(sim)
-    assert len(store) == 0
+    assert len(store.items) == 0
     store.put(1)
     store.put(2)
-    assert len(store) == 2
+    assert len(store.items) == 2
 
 
 def test_store_put_event_fires_before_the_waiting_getters():
@@ -81,7 +81,7 @@ def test_store_put_event_fires_before_the_waiting_getters():
     order = []
     store.get().callbacks.append(lambda event: order.append(("got", event.value)))
     store.put("x").callbacks.append(lambda event: order.append("put"))
-    assert len(store) == 0  # Handed to the getter, never queued.
+    assert len(store.items) == 0  # Handed to the getter, never queued.
     sim.run()
     assert order == ["put", ("got", "x")]
 

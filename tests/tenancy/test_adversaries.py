@@ -12,7 +12,7 @@ from repro.net import An1Link, An1Nic, EthernetLink, PmaddNic, str_to_mac
 from repro.net.buf import prepend
 from repro.net.headers import Ipv4Header, PROTO_TCP, TCP_ACK
 from repro.netio import NetworkIoModule, tcp_send_template
-from repro.netio.template import ByteConstraint, HeaderTemplate
+from repro.netio.template import HeaderTemplate
 from repro.org.udplib import LibraryUdpService
 from repro.protocols.tcp import Segment, encode_segment
 from repro.sim import Simulator
@@ -111,9 +111,11 @@ def test_template_not_pinning_source_refused():
     # A hand-built template image that omits the source-address pin
     # would let its holder spoof arbitrary senders.
     world = TwoTenantWorld()
-    forged = HeaderTemplate(
-        [ByteConstraint(Ipv4Header.LENGTH, (7000).to_bytes(2, "big"))],
-        name="no-src-pin",
+    forged = HeaderTemplate._packed(
+        bytes(Ipv4Header.LENGTH) + (7000).to_bytes(2, "big"),
+        0xFFFF,
+        ((Ipv4Header.LENGTH, 2),),
+        "no-src-pin",
     )
     with pytest.raises(GrantViolation):
         world.run(

@@ -147,7 +147,7 @@ def test_wildcard_install_rejected_when_shadowing_other_tenant():
     assert table.stats["wildcard_rejected"] == 1
     # The same tenant (or an unowned kernel entry) may still install.
     table.install(wild, "chanA2", owner="alpha")
-    assert table.wildcard_owner(PROTO_TCP, 4000) == "alpha"
+    assert table._wildcard[PROTO_TCP, 4000].owner == "alpha"
 
 
 def test_wildcard_allowed_after_exact_flows_removed():
@@ -156,7 +156,7 @@ def test_wildcard_allowed_after_exact_flows_removed():
     table.install(exact, "chanA", owner="alpha")
     table.remove(exact)
     table.install(FlowKey(PROTO_UDP, IP_1, 4000), "chanB", owner="beta")
-    assert table.wildcard_owner(PROTO_UDP, 4000) == "beta"
+    assert table._wildcard[PROTO_UDP, 4000].owner == "beta"
 
 
 # ----------------------------------------------------------------------

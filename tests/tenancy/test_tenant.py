@@ -162,9 +162,9 @@ def test_check_template_rejects_out_of_grant_port():
 def test_check_template_rejects_unpinned_source():
     # A template with no source-address constraint is a spoofing
     # capability regardless of what port it names.
-    from repro.netio.template import ByteConstraint, HeaderTemplate
+    from repro.netio.template import HeaderTemplate
 
-    loose = HeaderTemplate([ByteConstraint(0, b"\x45")], name="loose")
+    loose = HeaderTemplate._packed(b"\x45", 0xFF, ((0, 1),), "loose")
     tenant = make_tenant()
     with pytest.raises(GrantViolation):
         tenant.check_template(loose)

@@ -31,7 +31,7 @@ from repro.check.__main__ import build_parser
 from repro.check.campaign import CellSpec
 from repro.check.failure import FailureSpec
 from repro.host import Host
-from repro.net.fabric import chain, dumbbell, fat_tree, star
+from repro.net.fabric import chain, dumbbell, fat_tree
 from repro.netio import FlowTable, NetworkIoModule
 from repro.org.userlib import LibraryTcpService
 from repro.protocols.tcp import TcpConfig
@@ -111,10 +111,6 @@ CENSUS = {
     LibraryTcpService: {
         "host": D, "app": D, "registry": D, "config": D,
         "zero_copy": SHAREDMEM,
-    },
-    star: {
-        "sim": D, "n_hosts": D, "edge_rate": D, "queue_bytes": D,
-        "costs": D,
     },
     chain: {"sim": D, "n_routers": D, "edge_rate": D, "costs": D},
     dumbbell: {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Condense a ledger result file into the per-PR trajectory snapshot.
 
-ROADMAP item 2: each PR commits a compact ``BENCH_<pr>.json`` at the
+ROADMAP item 6: each PR commits a compact ``BENCH_<pr>.json`` at the
 repo root — the four end-to-end metrics, every layer's
 ``<layer>.calls_per_op``, the ``sim.*`` and ``net.buf.*`` rows,
 ``paper_err_pct`` and the outcome digest of the six workloads — so a

@@ -6,7 +6,7 @@ reset, and nothing else is kept.  Each cell stops a connection set-up
 at one point, runs the two-host testbed to quiescence and judges it by
 ``nothing-held``, ``requesters-answered``, ``no-hung-connection`` and
 the cell's ``expected-outcome`` (who was reset, who inherited what).
-Thirteen cells run against the registry on both networks; two hold the
+Fourteen cells run against the registry on both networks; two hold the
 in-kernel stack to the same contract for a closing listener.
 """
 
@@ -25,6 +25,9 @@ FAILURE_CONFIG = TcpConfig(msl=0.5, conn_timeout=3.0)
 #: Every cell has failed, been reset and waited out TIME-WAIT and the
 #: port linger (2*MSL each) well before this.
 SETTLED = 12.0
+#: The exhaustion storm: channels in the connector's wired pool, and
+#: the concurrent connects that outnumber them.
+STORM_POOL, STORM_CONNECTS = 2, 5
 
 
 def drain(conn):
@@ -211,6 +214,17 @@ def refused_syns_on_a_closed_port(bed, seen):
         request(bed, seen, port=81)
 
 
+def exhaustion_storm(bed, seen):
+    """More concurrent connects from one application than its host's
+    wired pool has channels: as many as fit are granted (and closed),
+    the rest are refused at channel setup with their peers reset."""
+    netio = bed.host_a.netio
+    netio.region_pool_bytes = STORM_POOL * netio.DEFAULT_REGION_SIZE
+    serve(bed, seen)
+    for _ in range(STORM_CONNECTS):
+        request(bed, seen, then=lambda conn: conn.close())
+
+
 def listener_closed_mid_handshake_on_ultrix(bed, seen):
     serve(bed, seen)
     request(bed, seen)
@@ -233,6 +247,7 @@ CELLS = {
         handoff_then_first_owner_exits,
         terminate_from_own_thread,
         refused_syns_on_a_closed_port,
+        exhaustion_storm,
         listener_closed_mid_handshake_on_ultrix,
     )
 }
@@ -266,7 +281,7 @@ class FailureSpec(Spec):
 
 
 def failure_specs(quick: bool = False) -> list[FailureSpec]:
-    """All 28 cells; ``quick`` runs them all too (about 1.5 s)."""
+    """All 30 cells; ``quick`` runs them all too (about 1.5 s)."""
     return [
         FailureSpec(cell, network) for cell in REGISTRY_CELLS for network in NETWORKS
     ] + [FailureSpec(cell, "ethernet", "ultrix") for cell in ULTRIX_CELLS]
@@ -276,11 +291,9 @@ def _held(bed, handshakes):
     """Every resource of either host: (subject, resource, what is held)."""
     now = bed.sim.now
     for registry in bed.registries:
-        ports, name = registry.ports, f"{registry.host.name} registry"
-        yield name, "leases", sorted(registry._leases)
-        yield name, "ports bound or lingering", [
-            p for p in list(ports._ports) if ports.is_bound(p, now) or ports.is_lingering(p, now)
-        ]
+        name = f"{registry.host.name} registry"
+        yield name, "leases", sorted(registry.core.leases)
+        yield name, "ports bound or lingering", sorted(registry.core.held(now))
         # A worker that ended with an exception may have died holding a lease.
         failed = [t.name for t in registry.task.threads if not (t.is_alive or t.ok)]
         yield name, "failed workers", failed
@@ -302,7 +315,7 @@ def _held(bed, handshakes):
         yield runner.name, "armed handshake timers", armed
 
 
-def _expected(spec: FailureSpec, bed, seen) -> list:
+def _expected(spec: FailureSpec, bed, seen, handshakes) -> list:
     """The cell's own outcome, beyond "nothing held": (expectation, holds)."""
     if spec.organization == "ultrix":
         reasons = [c.runner.closed_reason for c in seen["conns"]]
@@ -323,6 +336,18 @@ def _expected(spec: FailureSpec, bed, seen) -> list:
             ("the task and its threads gone", not (bed.app_a.alive or "outlived_its_task" in seen)),
             ("the connection inherited", inherited_a == 1),
             ("the server reset", ended.get("app-b") == "reset"),
+        ]
+    if spec.cell == "exhaustion_storm":
+        # A refused connection's peer is reset in its registry's
+        # handshake (where SYN-RECEIVED reads a RST as "refused") or,
+        # once accepted, in its library.
+        peers = [r.closed_reason for r in handshakes if r.name == "registry:80"]
+        peers += [c.runner.closed_reason for c in seen["conns"] if c.service.app is bed.app_b]
+        refused = len(seen["errors"])
+        peers_reset = peers.count("refused") + peers.count("reset")
+        return [
+            ("the pool's worth granted, the rest refused", refused == STORM_CONNECTS - STORM_POOL),
+            ("each refused connection's peer reset", peers_reset == refused),
         ]
     if spec.cell in LISTENER_CELLS:
         # The handshake completed from the client's side, or was cut
@@ -345,11 +370,11 @@ def run_cell(spec: FailureSpec, keep_evidence: bool = False) -> CellResult:
     handshakes = []
     for registry in bed.registries:
 
-        def recorded(lease, make=registry._handshake_runner):
+        def recorded(lease, make=registry.handshake_runner):
             handshakes.append(make(lease))
             return handshakes[-1]
 
-        registry._handshake_runner = recorded
+        registry.handshake_runner = recorded
     CELLS[spec.cell](bed, seen)
     bed.run(until=SETTLED)
     now = bed.sim.now
@@ -367,7 +392,8 @@ def run_cell(spec: FailureSpec, keep_evidence: bool = False) -> CellResult:
             if not bed.registries or c.service.app.alive
         ],
         "expected-outcome": [
-            (spec.cell, f"expected {e}", not holds) for e, holds in _expected(spec, bed, seen)
+            (spec.cell, f"expected {e}", not holds)
+            for e, holds in _expected(spec, bed, seen, handshakes)
         ],
     }
     results = [

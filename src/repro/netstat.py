@@ -95,7 +95,7 @@ def connection_table(testbed: "Testbed") -> list[ConnectionEntry]:
     entries: list[ConnectionEntry] = []
     for registry in testbed.registries:
         host = registry.host
-        for lease in registry._leases.values():
+        for lease in registry.core.leases.values():
             grant = lease.grant
             if grant is None:
                 continue  # Not granted yet, a listener, or a UDP binding.
@@ -217,7 +217,7 @@ def fastpath_table(testbed) -> list[FastpathEntry]:
         rows = machines_by_host.setdefault(registry.host.name, [])
         rows.extend(
             lease.grant.machine
-            for lease in registry._leases.values()
+            for lease in registry.core.leases.values()
             if lease.grant is not None
         )
     for service in testbed.services:

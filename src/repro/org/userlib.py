@@ -22,6 +22,7 @@ from ..mach.task import Task
 from ..net.headers import HeaderError, PROTO_TCP
 from ..netio.channels import Channel, ChannelClosed
 from ..protocols.ip import IpStack
+from ..registry.core import ConnectionGrant
 from ..tenancy.tenant import RateLimited
 from ..protocols.tcp import (
     ChecksumError,
@@ -36,7 +37,7 @@ from .base import TcpConnection, TcpListener, TcpService
 from .runner import MachineRunner
 
 if TYPE_CHECKING:  # Breaks the registry<->userlib import cycle.
-    from ..registry.server import ConnectionGrant, RegistryServer
+    from ..registry.server import RegistryServer
 
 
 class LibraryTcpService(TcpService):
@@ -347,21 +348,13 @@ class LibraryConnection(TcpConnection):
         new task; this side must stop using it."""
         if self.runner.closed_reason is not None:
             raise ConnectionError("cannot hand off a closed connection")
-        from ..registry.server import ConnectionGrant
-
         # Quiesce our plumbing without touching the connection state.
         if self._reader.is_alive:
             self._reader.interrupt("handed-off")
         self.channel.owner = new_app  # Capability moves with the message.
-        grant = ConnectionGrant(
-            machine=self.runner.machine,
-            channel=self.channel,
-            local_port=self.local_port,
-            remote_ip=self.remote_ip,
-            remote_port=self.remote_port,
-            link_dst=None,
-            rx_pending=bytes(self.runner.rx_buffer),
-            timers=self.runner.stop_timers(),
+        grant = ConnectionGrant.take_over(
+            self.runner, self.channel, self.local_port, self.remote_ip,
+            self.remote_port, None,
         )
         self._released = True  # The new owner releases, not us.
         return LibraryConnection(new_service, grant)

@@ -1,7 +1,7 @@
 """The registry server: trusted endpoint allocation, handshake
 execution, channel setup, and connection inheritance."""
 
-from .namespace import PortInUse, PortNamespace
-from .server import ConnectionGrant, RegistryServer
+from .core import ConnectionGrant, PortInUse, RegistryCore
+from .server import RegistryServer
 
-__all__ = ["RegistryServer", "ConnectionGrant", "PortNamespace", "PortInUse"]
+__all__ = ["RegistryServer", "RegistryCore", "ConnectionGrant", "PortInUse"]

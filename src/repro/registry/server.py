@@ -18,11 +18,16 @@ A privileged task, one per protocol per host, that:
 * inherits connections at application exit — maintaining the 2MSL
   delay before ports are reused, and issuing a RST to the remote peer
   if the application terminated abnormally.
+
+What is held, for whom, and what goes back when is decided by
+:class:`~repro.registry.core.RegistryCore`.  This module is the
+Mach-IPC shell around it: the request threads with their waits and CPU
+charges, the handshake's wire, and :meth:`RegistryServer._give_back`,
+which applies what the core hands back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Generator, Optional
 
@@ -30,79 +35,14 @@ from ..counters import Counters
 from ..host import Host
 from ..mach.ipc import Message, receive, reply_to
 from ..mach.task import Task
-from ..net.headers import PROTO_TCP, TCP_RST
-from ..net.nic.an1ctrl import BufferRing
-from ..netio.channels import Channel
+from ..net.headers import PROTO_TCP, TCP_RST, HeaderError
 from ..netio.module import LinkInfo
 from ..netio.template import tcp_send_template, udp_send_template
-from ..protocols.tcp import (
-    ChecksumError,
-    Segment,
-    State,
-    TcpConfig,
-    TcpMachine,
-    decode_segment,
-    encode_segment,
-    reset_for,
-)
-from ..protocols.tcp.seq import MOD
-from ..net.headers import HeaderError
-from ..sim import Process, Store
-from .namespace import PortNamespace
 from ..org.runner import MachineRunner
-
-
-@dataclass
-class ConnectionGrant:
-    """Everything the library needs to take over an established
-    connection: the live machine, the channel, and addressing."""
-
-    machine: TcpMachine
-    channel: object
-    local_port: int
-    remote_ip: int
-    remote_port: int
-    link_dst: object
-    #: Data that arrived while the registry still owned the machine.
-    rx_pending: bytes = b""
-    #: Timers the machine had armed at the hand-over (name -> deadline),
-    #: stopped in the old runner and re-armed by the one that takes over.
-    timers: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass(eq=False)
-class _Lease:
-    """What one registry operation has acquired so far, and for whom.
-
-    Created at the operation's first allocation and tied to its
-    owner's exit from that moment; every later acquisition is a field
-    set here, so :meth:`RegistryServer._release` can hand back exactly
-    what is held at whatever point the operation stops.  A listener is
-    the lease keyed ``(port, 0, 0)`` with a ``backlog``; a UDP binding
-    is keyed the same way and holds a channel but no machine.
-    """
-
-    owner: Task
-    #: The thread working on the lease; its owner's exit interrupts it.
-    worker: Process
-    local_port: int
-    remote_ip: int = 0
-    remote_port: int = 0
-    #: False for a passive open: the port is its listener's.
-    holds_port: bool = True
-    link_dst: object = None
-    #: The peer registry's ring, read off the link header of a segment
-    #: that reached this lease (AN1 BQI exchange).
-    peer_bqi: int = 0
-    ring: Optional[BufferRing] = None
-    #: The handshake's machine and its timers, until the grant is built.
-    runner: Optional[MachineRunner] = None
-    channel: Optional[Channel] = None
-    #: What the library is handed once the channel exists.
-    grant: Optional[ConnectionGrant] = None
-    #: A listener's established, not yet accepted connections (leases).
-    backlog: Optional[Store] = None
-    released: bool = False
+from ..protocols.tcp import ChecksumError, Segment, TcpConfig, TcpMachine
+from ..protocols.tcp import decode_segment, encode_segment, reset_for
+from ..sim import Store
+from .core import ConnectionGrant, HandBack, Lease, RegistryCore
 
 
 class RegistryServer:
@@ -118,12 +58,7 @@ class RegistryServer:
         self.config = config or TcpConfig()
         self.task = host.create_task("registry", privileged=True)
         self._service_rx = self.task.allocate_port("registry-svc")
-        self.ports = PortNamespace(msl=self.config.msl)
-        #: Everything handed out and not yet given back, keyed by
-        #: (local_port, remote_ip, remote_port): handshakes in flight,
-        #: granted connections, UDP bindings and listeners alike.
-        self._leases: dict[tuple[int, int, int], _Lease] = {}
-        self._next_iss = 1
+        self.core = RegistryCore(msl=self.config.msl)
         #: TenantManager when the host is shared among principals; the
         #: registry is the second enforcement point (port grants), the
         #: network I/O module the first (quotas, templates, rate).
@@ -135,10 +70,6 @@ class RegistryServer:
         #: the paper's Table 4 breakdown (measured, not assumed).
         self.last_breakdown: dict[str, float] = {}
 
-    # ------------------------------------------------------------------
-    # Client-side helpers
-    # ------------------------------------------------------------------
-
     def client_right(self, task: Task):
         """Mint a send right to the registry for an application."""
         right = self.task.make_send_right(self._service_rx)
@@ -146,16 +77,10 @@ class RegistryServer:
         task.insert_right(right)
         return right
 
-    # ------------------------------------------------------------------
-    # Main loop: one worker per request
-    # ------------------------------------------------------------------
-
     def _main_loop(self) -> Generator:
         while True:
             message = yield from receive(self.task, self._service_rx)
-            self.task.spawn(
-                self._dispatch(message), name=f"req-{message.op}"
-            )
+            self.task.spawn(self._dispatch(message), name=f"req-{message.op}")
 
     def _dispatch(self, message: Message) -> Generator:
         """One request worker.  Whatever escapes the operation — a
@@ -169,22 +94,14 @@ class RegistryServer:
                 raise LookupError("bad op")
             yield from handler(message)
         except Exception as exc:
-            worker = self.sim.active_process
-            for lease in [x for x in self._leases.values() if x.worker is worker]:
-                self._release(lease, reset=True)
+            self._give_back(self.core.failed(self.sim.active_process, self.sim.now))
             reply = message.reply_to
             if reply is not None:
                 if reply.port.dead:
                     # Nobody is left to answer: drop the dead name.
                     self.task.remove_right(reply)
                 else:
-                    yield from reply_to(
-                        self.task, message, Message("error", body=str(exc))
-                    )
-
-    # ------------------------------------------------------------------
-    # Tenancy
-    # ------------------------------------------------------------------
+                    yield from reply_to(self.task, message, Message("error", body=str(exc)))
 
     def _admit(self, app: Task, kind: str, check) -> None:
         """One tenancy admission check for ``app``, audited as ``kind``
@@ -192,111 +109,57 @@ class RegistryServer:
         if self.tenants is not None:
             self.tenants.admit(app, self.sim.now, kind, check)
 
-    # ------------------------------------------------------------------
-    # Leases: one way in, one way back
-    # ------------------------------------------------------------------
-
-    def _open(
-        self,
-        owner: Task,
-        local_port: int,
-        remote_ip: int = 0,
-        remote_port: int = 0,
-        holds_port: bool = True,
-        **held,
-    ) -> _Lease:
-        """An operation's first allocation: the lease itself and, unless
-        it is a passive open's (``holds_port=False``), the port —
-        ``local_port`` if given, else an ephemeral one minted here."""
+    def _open(self, owner: Task, local_port: int, *addressing, **fields) -> Lease:
+        """The core's lease for the running thread, tied to its owner's
+        exit from this instant."""
         if not owner.alive:
             raise ConnectionError(f"{owner.name} has exited")
-        if holds_port:
-            if local_port:
-                self.ports.reserve(local_port, owner.name, self.sim.now)
-            else:
-                local_port = self.ports.allocate_ephemeral(
-                    owner.name, self.sim.now
-                )
-                tenant = self.tenants and self.tenants.tenant_of(owner)
-                if tenant:
-                    tenant.grant_ephemeral(local_port)
-        lease = _Lease(
-            owner, self.sim.active_process, local_port, remote_ip, remote_port,
-            holds_port, **held,
+        lease = self.core.open(
+            owner, self.sim.active_process, self.sim.now, local_port, *addressing, **fields
         )
-        self._leases[local_port, remote_ip, remote_port] = lease
+        tenant = not local_port and self.tenants and self.tenants.tenant_of(owner)
+        if tenant:
+            tenant.grant_ephemeral(lease.local_port)  # Minted here.
         owner.on_exit(partial(self._owner_exited, lease))
         return lease
 
-    def _release(
-        self, lease: _Lease, linger: bool = False, reset: bool = False
-    ) -> None:
-        """Give back everything ``lease`` holds — the only way anything
-        the registry handed out returns, at whatever stage.
-
-        ``linger`` holds a connection's port for the protocol-specified
-        2MSL before reuse (a lease with no machine never lingers);
-        ``reset`` tells the remote peer, which may believe in a
-        connection nobody here will serve, unless the machine already
-        said goodbye.
-        """
-        if lease.released:
-            return
-        lease.released = True
-        del self._leases[lease.local_port, lease.remote_ip, lease.remote_port]
+    def _give_back(self, records: list[HandBack]) -> None:
+        """Apply what the core handed back: the only code here that
+        stops a dead handshake's timers, sends an unsolicited RST, or
+        returns a channel, a ring or a listener's flow to the network
+        I/O module."""
         netio = self.host.netio
-        runner = lease.runner
-        if runner is not None:
-            if lease.grant is None:
-                runner.stop_timers()  # The handshake's: no grant took them over.
-            if reset and runner.machine.state not in (State.CLOSED, State.TIME_WAIT):
-                self.task.spawn(
-                    self._send_rst(lease, runner.machine.tcb.snd_nxt % MOD), name="rst"
+        for lease, stop_timers, rst_seq, _ in records:
+            if stop_timers:
+                lease.runner.stop_timers()
+            if rst_seq is not None:
+                self.task.spawn(self._send_rst(lease, rst_seq), name="rst")
+            if lease.backlog is not None:
+                netio.remove_listener(
+                    self.task, PROTO_TCP, lease.local_port, local_ip=self.host.ip
                 )
-        if lease.backlog is not None:
-            netio.remove_listener(
-                self.task, PROTO_TCP, lease.local_port, local_ip=self.host.ip
-            )
-            # Connections nobody will accept die with their listener,
-            # and an accept parked on it is told.
-            while lease.backlog.items:
-                self._release(lease.backlog.items.popleft(), reset=True)
-            lease.backlog.fail_getters(
-                ConnectionError(f"listener on port {lease.local_port} closed")
-            )
-        if lease.channel is not None:
-            netio.destroy_channel(self.task, lease.channel)  # and its ring
-        else:
-            netio.release_ring(self.task, lease.ring)
-        if lease.holds_port:
-            self.ports.release(
-                lease.local_port, self.sim.now,
-                linger=linger and runner is not None,
-            )
-        # Its owner's exit hook outlives it: hold nothing through that.
-        lease.runner = lease.channel = lease.grant = None
+                lease.backlog.fail_getters(
+                    ConnectionError(f"listener on port {lease.local_port} closed")
+                )
+            if lease.channel is not None:
+                netio.destroy_channel(self.task, lease.channel)  # and its ring
+            else:
+                netio.release_ring(self.task, lease.ring)
+            # Its owner's exit hook outlives it: hold nothing through that.
+            lease.runner = lease.channel = lease.grant = None
 
-    def _owner_exited(self, lease: _Lease, task: Task) -> None:
-        """Exit hook: inherit a dead application's lease — reset the
-        peer if it terminated abnormally, keep the 2MSL delay — and
-        stop the operation still working on it, if any."""
-        if lease.released:
-            return
-        holder = lease.channel.owner if lease.channel is not None else task
-        if holder is not task:
-            # The capability was handed off without involving the
-            # registry (paper §3.2): the lease follows the channel.
-            lease.owner = holder
-            holder.on_exit(partial(self._owner_exited, lease))
-            return
-        self.stats["inherited"] += 1
-        self._release(lease, linger=True, reset=True)
-        if lease.worker.is_alive:
-            lease.worker.interrupt("owner-exited")
-
-    def _listener(self, port: int) -> Optional[_Lease]:
-        lease = self._leases.get((port, 0, 0))
-        return lease if lease is not None and lease.backlog is not None else None
+    def _owner_exited(self, lease: Lease, task: Task) -> None:
+        """Exit hook: what the core inherits goes back, and the
+        operation still working on it, if any, is stopped; a lease that
+        followed its channel to a new owner waits for that one's exit."""
+        records = self.core.exited(lease, task, self.sim.now)
+        if records:
+            self.stats["inherited"] += 1
+            self._give_back(records)
+            if lease.worker.is_alive:
+                lease.worker.interrupt("owner-exited")
+        elif lease.owner is not task:
+            lease.owner.on_exit(partial(self._owner_exited, lease))
 
     # ------------------------------------------------------------------
     # Operations
@@ -306,9 +169,8 @@ class RegistryServer:
         app = message.sender
         lease = self._open(app, message.body["port"])
         # Wildcard flow to the kernel: SYNs for this port classify as a
-        # listener hit feeding the handshake path, not a stray miss.
-        # The module vets the owner's port grant and attributes the
-        # wildcard entry.
+        # listener hit feeding the handshake path, not a stray miss (the
+        # module vets the owner's port grant and attributes the entry).
         self.host.netio.install_listener(
             self.task, PROTO_TCP, lease.local_port, local_ip=self.host.ip, owner=app
         )
@@ -316,19 +178,24 @@ class RegistryServer:
         yield from reply_to(self.task, message, Message("ok"))
 
     def _op_unlisten(self, message: Message) -> Generator:
-        lease = self._listener(message.body["port"])
+        lease = self.core.listener(message.body["port"])
         if lease is not None:
-            self._release(lease)
+            self._give_back(self.core.release(lease, self.sim.now))
         yield from reply_to(self.task, message, Message("ok"))
 
     def _op_accept(self, message: Message) -> Generator:
         port = message.body["port"]
-        listener = self._listener(port)
+        listener = self.core.listener(port)
         if listener is None:
             raise LookupError(f"not listening on {port}")
         lease = yield listener.backlog.get()
         self.stats["accepts"] += 1
-        yield from self._transfer(message, lease)
+        # Breakdown items 5 and 4, as in a connect.
+        cost = self.kernel.costs.registry_state_transfer
+        if cost:
+            yield self.kernel.cpu.charge(cost)
+        grant = Message("grant", body=lease.grant, inline_bytes=self.STATE_BYTES)
+        yield from reply_to(self.task, message, grant)
 
     def _op_connect(self, message: Message) -> Generator:
         body = message.body
@@ -349,29 +216,43 @@ class RegistryServer:
         # the network nothing.
         if local_port:
             self._admit(app, "connect_refused", lambda t: t.check_port(local_port))
-        self._admit(
-            app,
-            "connect_refused",
-            lambda t: t.precheck_channel(self.host.netio.DEFAULT_REGION_SIZE),
-        )
+        region = self.host.netio.DEFAULT_REGION_SIZE
+        self._admit(app, "connect_refused", lambda t: t.precheck_channel(region))
         lease = self._open(app, local_port, body["remote_ip"], body["remote_port"])
+        addressing = (lease.local_port, lease.remote_ip, lease.remote_port)
         lease.link_dst = yield from self.host.resolve_link(lease.remote_ip)
         lease.ring = self.host.netio.allocate_ring(self.task, owner=app)
         if lease.ring is not None and costs.bqi_setup:
             yield self.kernel.cpu.charge(costs.bqi_setup)
         breakdown["non_overlapped_outbound"] = self.sim.now - mark
 
-        runner = lease.runner = self._handshake_runner(lease)
+        runner = lease.runner = self.handshake_runner(lease)
         mark = self.sim.now
         yield from runner.start(active=True)
         if not (yield from runner.wait_connected()):
             raise ConnectionError(f"connect: {runner.closed_reason}")
         breakdown["remote_and_back"] = self.sim.now - mark
+        # Channel setup (breakdown item 3).
         mark = self.sim.now
-        yield from self._finish_connection(lease)
+        lease.channel = yield from self.host.netio.create_channel(
+            self.task, app, tcp_send_template(self.host.ip, *addressing),
+            local_ip=self.host.ip, local_port=lease.local_port, remote_ip=lease.remote_ip,
+            remote_port=lease.remote_port, link_dst=lease.link_dst, peer_bqi=lease.peer_bqi,
+            ring=lease.ring,
+        )
+        if costs.registry_channel_misc:
+            yield self.kernel.cpu.charge(costs.registry_channel_misc)
+        if runner.closed_reason is not None:  # The peer gave up meanwhile.
+            raise ConnectionError(f"connect: {runner.closed_reason}")
+        lease.grant = ConnectionGrant.take_over(runner, lease.channel, *addressing, lease.link_dst)
         breakdown["channel_setup"] = self.sim.now - mark
+        # Move the established connection's state to the library
+        # (breakdown item 5), then answer the app's RPC (item 4).
         mark = self.sim.now
-        yield from self._transfer(message, lease)
+        if costs.registry_state_transfer:
+            yield self.kernel.cpu.charge(costs.registry_state_transfer)
+        grant = Message("grant", body=lease.grant, inline_bytes=self.STATE_BYTES)
+        yield from reply_to(self.task, message, grant)
         breakdown["state_transfer"] = self.sim.now - mark
         breakdown["reply_at"] = self.sim.now
         self.last_breakdown = breakdown
@@ -380,19 +261,14 @@ class RegistryServer:
         """The library is done with a connection or a UDP binding."""
         channel = message.body["channel"]
         flow = channel.flow_key  # None once destroyed: nothing left to name.
-        lease = flow and self._leases.get(
-            (flow.local_port, flow.remote_ip, flow.remote_port)
-        )
+        lease = flow and self.core.leases.get((flow.local_port, flow.remote_ip, flow.remote_port))
         if lease and lease.channel is channel:
-            self._release(lease, linger=True)
+            self._give_back(self.core.release(lease, self.sim.now, linger=True))
         yield from ()  # One-way message; no reply.
 
     def _op_bind_udp(self, message: Message) -> Generator:
-        """Bind a UDP port and build its protected channel.
-
-        Connectionless binding is the paper's §5 'address binding
-        phase': it authorizes the end-point once, after which datagrams
-        bypass every server."""
+        """Bind a UDP port and build its protected channel: the paper's §5
+        'address binding phase', after which datagrams bypass every server."""
         port = message.body.get("port", 0)
         app = message.sender
         cost = self.kernel.costs.registry_alloc / 2
@@ -402,37 +278,23 @@ class RegistryServer:
             self._admit(app, "bind_refused", lambda t: t.check_port(port))
         lease = self._open(app, port)
         port = lease.local_port
-        # Kernel fallback needs no extra bookkeeping: the channel's
-        # wildcard flow entry doubles as the forwarder lookup, so
-        # datagrams arriving via the kernel path (BQI 0 on AN1, or
-        # pre-filter races) still reach the channel.
+        # The channel's wildcard flow entry doubles as the kernel path's
+        # forwarder lookup (BQI 0 on AN1, pre-filter races).
         lease.channel = yield from self.host.netio.create_channel(
-            self.task,
-            app,
-            udp_send_template(self.host.ip, port),
-            local_ip=self.host.ip,
-            local_port=port,
-            protocol="udp",
-            with_link_info=True,
+            self.task, app, udp_send_template(self.host.ip, port),
+            local_ip=self.host.ip, local_port=port, protocol="udp", with_link_info=True,
         )
-        yield from reply_to(
-            self.task,
-            message,
-            Message("grant", body={"port": port, "channel": lease.channel}),
-        )
+        grant = Message("grant", body={"port": port, "channel": lease.channel})
+        yield from reply_to(self.task, message, grant)
 
     # ------------------------------------------------------------------
-    # Handshake machinery
+    # Handshake machinery and resets
     # ------------------------------------------------------------------
 
-    def _iss(self) -> int:
-        iss = self._next_iss
-        self._next_iss = (self._next_iss + 64_000) % (1 << 32)
-        return iss
-
-    def _handshake_runner(self, lease: _Lease) -> MachineRunner:
+    def handshake_runner(self, lease: Lease) -> MachineRunner:
+        """The runner of ``lease``'s handshake, on the core's next ISS."""
         machine = TcpMachine(
-            lease.local_port, lease.remote_port, config=self.config, iss=self._iss()
+            lease.local_port, lease.remote_port, config=self.config, iss=self.core.iss()
         )
         remote_ip = lease.remote_ip
         adv_bqi = lease.ring.bqi if lease.ring is not None else 0
@@ -442,11 +304,8 @@ class RegistryServer:
             self.stats["handshake_segments"] += 1
             # The registry reaches the device through standard Mach IPC,
             # not shared memory (paper breakdown item 1).
-            cost = (
-                costs.registry_device_access
-                + costs.tcp_output
-                + costs.checksum_cost(segment.wire_length)
-            )
+            cost = costs.registry_device_access + costs.tcp_output
+            cost += costs.checksum_cost(segment.wire_length)
             if cost:
                 yield self.kernel.cpu.charge(cost)
             payload = encode_segment(segment, self.host.ip, remote_ip)
@@ -455,9 +314,7 @@ class RegistryServer:
                 bqi=lease.peer_bqi, adv_bqi=adv_bqi,
             )
 
-        return MachineRunner(
-            self.kernel, machine, emit, name=f"registry:{lease.local_port}"
-        )
+        return MachineRunner(self.kernel, machine, emit, name=f"registry:{lease.local_port}")
 
     def _tcp_rx(self, payload: bytes, src_ip: int, link_info: LinkInfo) -> Generator:
         """Kernel-path TCP segments: handshakes and strays only — the
@@ -475,27 +332,16 @@ class RegistryServer:
         if costs.tcp_input:
             yield cpu.charge(costs.tcp_input)
         self.stats["handshake_segments"] += 1
-        lease = self._leases.get((segment.dport, src_ip, segment.sport))
-        if lease is None:
-            listener = self._listener(segment.dport)
-            if listener is not None and segment.syn and not segment.has_ack:
-                yield from self._passive_open(listener, segment, src_ip, link_info)
-                return
-        elif lease.runner is not None and lease.channel is None:
-            # A handshake in flight.  The peer's advertised ring is a
-            # field of the lease the segment reached, or is not stored.
-            if link_info.adv_bqi:
-                lease.peer_bqi = link_info.adv_bqi
+        route, lease = self.core.route(segment, src_ip, link_info.adv_bqi)
+        if route == "handshake":
             yield from lease.runner.feed_segment(segment)
-            return
-        yield from self._respond_rst(segment, src_ip, link_info.src)
+        elif route == "passive":
+            yield from self._passive_open(lease, segment, src_ip, link_info)
+        else:
+            yield from self._respond_rst(segment, src_ip, link_info.src)
 
     def _passive_open(
-        self,
-        listener: _Lease,
-        syn: Segment,
-        src_ip: int,
-        link_info: LinkInfo,
+        self, listener: Lease, syn: Segment, src_ip: int, link_info: LinkInfo
     ) -> Generator:
         lease = self._open(
             listener.owner, syn.dport, src_ip, syn.sport,
@@ -506,87 +352,51 @@ class RegistryServer:
             cost = self.kernel.costs.bqi_setup
             if lease.ring is not None and cost:
                 yield self.kernel.cpu.charge(cost)
-            lease.runner = self._handshake_runner(lease)
+            lease.runner = self.handshake_runner(lease)
             yield from lease.runner.start(active=False)
             yield from lease.runner.feed_segment(syn)
         except Exception:
             # No ring within the listener's budget, or its owner gone
             # mid-answer: the SYN is refused like one to a closed port.
-            self._release(lease, reset=True)
+            self._give_back(self.core.release(lease, self.sim.now, reset=True))
             yield from self._respond_rst(syn, src_ip, link_info.src)
             return
-        lease.worker = self.task.spawn(
+        self.core.assign(lease, self.task.spawn(
             self._complete_passive(lease, listener), name=f"passive-{syn.sport}"
-        )
+        ))
 
-    def _complete_passive(self, lease: _Lease, listener: _Lease) -> Generator:
+    def _complete_passive(self, lease: Lease, listener: Lease) -> Generator:
         try:
-            if not (yield from lease.runner.wait_connected()):
-                raise ConnectionError(lease.runner.closed_reason)
-            yield from self._finish_connection(lease)
+            runner = lease.runner
+            if not (yield from runner.wait_connected()):
+                raise ConnectionError(runner.closed_reason)
+            addressing = (lease.local_port, lease.remote_ip, lease.remote_port)
+            lease.channel = yield from self.host.netio.create_channel(
+                self.task, lease.owner, tcp_send_template(self.host.ip, *addressing),
+                local_ip=self.host.ip, local_port=lease.local_port, remote_ip=lease.remote_ip,
+                remote_port=lease.remote_port, link_dst=lease.link_dst,
+                peer_bqi=lease.peer_bqi, ring=lease.ring,
+            )
+            cost = self.kernel.costs.registry_channel_misc
+            if cost:
+                yield self.kernel.cpu.charge(cost)
+            if runner.closed_reason is not None:
+                raise ConnectionError(f"connect: {runner.closed_reason}")
+            lease.grant = ConnectionGrant.take_over(
+                runner, lease.channel, *addressing, lease.link_dst
+            )
             if listener.released:
                 raise ConnectionError("listener closed")
             yield listener.backlog.put(lease)
         except Exception:
             # Failed, refused a channel, or nobody left to accept it:
             # the listening port itself stays its listener's.
-            self._release(lease, reset=True)
+            self._give_back(self.core.release(lease, self.sim.now, reset=True))
 
-    def _finish_connection(self, lease: _Lease) -> Generator:
-        """Channel setup after a successful handshake (breakdown item 3)."""
-        runner = lease.runner
-        lease.channel = yield from self.host.netio.create_channel(
-            self.task,
-            lease.owner,
-            tcp_send_template(
-                self.host.ip, lease.local_port, lease.remote_ip, lease.remote_port
-            ),
-            local_ip=self.host.ip,
-            local_port=lease.local_port,
-            remote_ip=lease.remote_ip,
-            remote_port=lease.remote_port,
-            link_dst=lease.link_dst,
-            peer_bqi=lease.peer_bqi,
-            ring=lease.ring,
-        )
-        cost = self.kernel.costs.registry_channel_misc
-        if cost:
-            yield self.kernel.cpu.charge(cost)
-        if runner.closed_reason is not None:
-            # The peer gave up while the channel was being built.
-            raise ConnectionError(f"connect: {runner.closed_reason}")
-        lease.grant = ConnectionGrant(
-            machine=runner.machine,
-            channel=lease.channel,
-            local_port=lease.local_port,
-            remote_ip=lease.remote_ip,
-            remote_port=lease.remote_port,
-            link_dst=lease.link_dst,
-            rx_pending=bytes(runner.rx_buffer),
-            timers=runner.stop_timers(),
-        )
-
-    def _transfer(self, request: Message, lease: _Lease) -> Generator:
-        """Move the established connection's state to the library
-        (breakdown item 5), then answer the app's RPC (item 4)."""
-        cost = self.kernel.costs.registry_state_transfer
-        if cost:
-            yield self.kernel.cpu.charge(cost)
-        yield from reply_to(
-            self.task,
-            request,
-            Message("grant", body=lease.grant, inline_bytes=self.STATE_BYTES),
-        )
-
-    # ------------------------------------------------------------------
-    # Resets
-    # ------------------------------------------------------------------
-
-    def _send_rst(self, lease: _Lease, seq: int) -> Generator:
+    def _send_rst(self, lease: Lease, seq: int) -> Generator:
         self.stats["resets_sent"] += 1
         rst = Segment(
-            sport=lease.local_port, dport=lease.remote_port,
-            seq=seq, ack=0, flags=TCP_RST, window=0,
+            sport=lease.local_port, dport=lease.remote_port, seq=seq, ack=0, flags=TCP_RST, window=0
         )
         payload = encode_segment(rst, self.host.ip, lease.remote_ip)
         cost = self.kernel.costs.registry_device_access

@@ -12,48 +12,50 @@ from repro.check.failure import (
 from repro.net.headers import An1Header
 from repro.netio import SecurityViolation, TemplateViolation
 from repro.protocols.tcp import TcpConfig
-from repro.registry.namespace import PortInUse, PortNamespace
+from repro.registry import PortInUse, RegistryCore
+from repro.registry.core import EPHEMERAL_START
 from repro.testbed import IP_A, IP_B, Testbed
 
 
 # ----------------------------------------------------------------------
-# Port namespace unit behaviour
+# Port namespace unit behaviour (the core's; tests/registry holds the
+# lease rules' model test and the old namespace as an oracle)
 # ----------------------------------------------------------------------
 
 
 def test_namespace_reserve_and_conflict():
-    ns = PortNamespace(msl=1.0)
+    ns = RegistryCore(msl=1.0)
     ns.reserve(80, "a", now=0.0)
     with pytest.raises(PortInUse):
         ns.reserve(80, "b", now=0.0)
 
 
 def test_namespace_linger_blocks_until_2msl():
-    ns = PortNamespace(msl=1.0)
+    ns = RegistryCore(msl=1.0)
     ns.reserve(80, "a", now=0.0)
-    ns.release(80, now=10.0, linger=True)
-    assert ns.is_lingering(80, now=10.5)
+    ns.free(80, now=10.0, linger=True)
+    assert ns.held(now=10.5)[80] is not None  # Lingering.
     with pytest.raises(PortInUse):
         ns.reserve(80, "b", now=11.0)  # Within 2*MSL.
     ns.reserve(80, "b", now=12.5)  # After 2*MSL: free again.
 
 
 def test_namespace_release_without_linger():
-    ns = PortNamespace(msl=1.0)
+    ns = RegistryCore(msl=1.0)
     ns.reserve(80, "a", now=0.0)
-    ns.release(80, now=0.0, linger=False)
+    ns.free(80, now=0.0, linger=False)
     ns.reserve(80, "b", now=0.0)
 
 
 def test_namespace_ephemeral_unique():
-    ns = PortNamespace()
-    ports = {ns.allocate_ephemeral("x", 0.0) for _ in range(100)}
+    ns = RegistryCore()
+    ports = {ns.allocate("x", 0.0) for _ in range(100)}
     assert len(ports) == 100
-    assert all(p >= PortNamespace.EPHEMERAL_START for p in ports)
+    assert all(p >= EPHEMERAL_START for p in ports)
 
 
 def test_namespace_bad_port_rejected():
-    ns = PortNamespace()
+    ns = RegistryCore()
     with pytest.raises(ValueError):
         ns.reserve(0, "a", 0.0)
     with pytest.raises(ValueError):
@@ -115,13 +117,12 @@ def test_port_lingers_after_release():
         yield from server_conn.close()
         # Still bound through FIN exchange and TIME-WAIT (2*MSL = 10 s).
         yield testbed.sim.timeout(1.0)
-        bound_during = testbed.registry_a.ports.is_bound(port, testbed.sim.now)
+        held = testbed.registry_a.core.held(testbed.sim.now)
+        bound_during = port in held and held[port] is None
         # After TIME-WAIT ends the library releases; the registry then
         # holds the port lingering for another protocol delay.
         yield testbed.sim.timeout(10.0)
-        lingering_after = testbed.registry_a.ports.is_lingering(
-            port, testbed.sim.now
-        )
+        lingering_after = testbed.registry_a.core.held(testbed.sim.now).get(port) is not None
         return bound_during and lingering_after
 
     proc = testbed.spawn(scenario(), name="scenario")
@@ -176,13 +177,13 @@ def test_exit_mid_connect_leaves_the_registry_no_dead_reply_right():
 
     testbed.spawn(server(), name="server")
     testbed.spawn(client(), name="client")
-    registry = testbed.registry_a.task
+    task = testbed.registry_a.task
     testbed.run(until=0.003)  # Mid-handshake: the reply right is held.
-    assert len(registry._rights) == 2
+    assert len(task._rights) == 2
     testbed.app_a.terminate()
     testbed.run(until=5.0)
     assert testbed.registry_a.stats["inherited"] == 1
-    assert [right.port.name for right in registry._rights] == ["registry-svc"]
+    assert [right.port.name for right in task._rights] == ["registry-svc"]
 
 
 def test_clean_exit_does_not_reset():
@@ -346,7 +347,7 @@ def test_exhausted_bqi_table_refuses_the_connect_and_leaks_nothing():
             yield from testbed.service_a.connect(IP_B, 8000)
         except ConnectionError as exc:
             outcome["refused"] = str(exc)
-        outcome["ports_after_refusal"] = len(registry.ports._ports)
+        outcome["ports_after_refusal"] = len(registry.core.held(testbed.sim.now))
         nic.release_bqi(7)
         conn = yield from testbed.service_a.connect(IP_B, 8000)
         outcome["bqi"] = conn.channel.ring.bqi

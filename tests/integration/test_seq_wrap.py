@@ -16,8 +16,11 @@ WRAP_ISS = MOD - 20000
 
 def wrapping_testbed(organization: str, network: str) -> Testbed:
     bed = Testbed(network=network, organization=organization)
-    for allocator in bed.registries or (bed.service_a, bed.service_b):
-        allocator._next_iss = WRAP_ISS
+    for registry in bed.registries:
+        registry.core.next_iss = WRAP_ISS
+    if not bed.registries:
+        for stack in (bed.service_a, bed.service_b):
+            stack._next_iss = WRAP_ISS
     return bed
 
 

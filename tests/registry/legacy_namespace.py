@@ -1,16 +1,11 @@
-"""TCP port namespace management for the registry server.
+"""Test oracle: the port namespace the registry kept before its lease
+rules became one sans-io core (``repro.registry.core.RegistryCore``).
 
-The paper (§3.4): "connection end-points act as names of the
-communicating entities and are therefore unique across a machine for a
-particular protocol.  Thus, having untrusted user libraries allocate
-these names is a security and administrative concern" — the registry
-owns the namespace.
-
-It also owns post-mortem state: "when the application exits, the
-registry server inherits the connections and ensures that the protocol
-specified delay period is maintained before the connection is reused" —
-modelled here as lingering reservations that expire 2*MSL after
-release.
+It scanned every reservation for expired lingers on each reserve,
+allocate or query; the core expires lingering ports from the head of a
+FIFO instead.  ``test_core_ports.py`` holds the core to this class's
+bound / lingering / free answers and its next ephemeral port.  It is
+not production code.
 """
 
 from __future__ import annotations

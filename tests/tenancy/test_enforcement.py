@@ -184,13 +184,13 @@ def test_listener_cleanup_on_task_exit():
     bed.spawn(scenario())
     bed.run(until=0.5)
     registry = bed.registry_b
-    assert registry._listener(4000) is not None
+    assert registry.core.listener(4000) is not None
     bed.app_b.terminate()
     bed.run(until=1.0)
-    assert registry._listener(4000) is None
+    assert registry.core.listener(4000) is None
     assert registry.stats["inherited"] >= 1
     # The port is reusable afterwards (released, not lingering).
-    assert not registry.ports.is_bound(4000, bed.sim.now)
+    assert 4000 not in registry.core.held(bed.sim.now)
 
 
 def test_failed_connect_releases_port_and_leaves_no_leaks():

@@ -23,7 +23,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: to import, or None for any function in it.
 ALLOWED = {
     "mach/kernel.py": {"create_task"},
-    "org/userlib.py": {"hand_off"},
     "netstat.py": {"copy_table", "main"},
     "specialize.py": {"specialize"},
     "testbed.py": {"__init__"},

@@ -5,27 +5,41 @@ allocates the port, has the network I/O module build the channel, and
 takes everything back at exit.  Written once per failure site, that
 ownership leaked — a hung ``connect()``, a port reserved for good, a
 peer left ESTABLISHED to a dead application — so it is written once:
-a lease records what an operation holds and ``RegistryServer._release``
-is the only code that hands any of it back (DESIGN.md "Leases").  A
-second hand-back path, a side table beside the lease, or a tenancy
+a lease records what an operation holds, ``RegistryCore.release`` is
+the only rule that hands any of it back, and ``RegistryServer._give_back``
+the only code that applies what it hands back (DESIGN.md "Leases").  A
+second hand-back path, a side table beside the lease, a read of the
+registry's private state from outside ``registry/``, or a tenancy
 refusal acted on outside ``TenantManager.admit`` fails this test until
 it says why.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 REGISTRY = (SRC / "registry" / "server.py").read_text()
+CORE = (SRC / "registry" / "core.py").read_text()
 NETIO = (SRC / "netio" / "module.py").read_text()
 
-#: Each occurs once in the registry, inside ``_release``.
-HAND_BACKS = ("ports.release(", "release_ring(", "destroy_channel(", "remove_listener(")
+#: Each occurs once in the shell, inside ``_give_back``.
+HAND_BACKS = ("release_ring(", "destroy_channel(", "remove_listener(", "stop_timers(", "self._send_rst(")
+#: The core's port namespace: call -> the lease rules that make it
+#: (``open`` frees only the port it has just taken for a four-tuple
+#: a live lease already names).
+PORT_CALLS = {
+    "self.reserve(": {"open"}, "self.allocate(": {"open"}, "self.free(": {"open", "release"},
+}
 #: The side tables the lease replaced, and the sabotage knob only the
 #: tenant manager and the two data-path sites may read.
 GONE = ("_peer_bqi", "self._pending", "self._records", "self._listeners", "enforcing")
 #: The data-path sites that log what they would have refused.
 ENFORCING_READERS = {"send", "_deliver"}
+#: An expression naming a registry (``registry``, ``bed.registry_a``)
+#: or its core.
+REGISTRY_NAME = re.compile(r"(\bregistr(y|ies)\w*|\bcore)$")
 
 
 def _functions_containing(tree: ast.AST, wanted) -> set[str]:
@@ -38,21 +52,47 @@ def _functions_containing(tree: ast.AST, wanted) -> set[str]:
     }
 
 
+def _callers(source: str, call: str) -> set[str]:
+    method = call.rstrip("(").split(".")[-1]
+    return _functions_containing(
+        ast.parse(source),
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == method,
+    )
+
+
 def test_the_registry_hands_back_through_one_function():
     counts = {call: REGISTRY.count(call) for call in HAND_BACKS}
     assert counts == dict.fromkeys(HAND_BACKS, 1), counts
-    methods = {call.split(".")[-1].rstrip("(") for call in HAND_BACKS}
-    callers = _functions_containing(
-        ast.parse(REGISTRY),
-        lambda node: isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in methods,
-    )
-    assert callers == {"_release"}, callers
+    callers = set().union(*(_callers(REGISTRY, call) for call in HAND_BACKS))
+    assert callers == {"_give_back"}, callers
+
+
+def test_the_core_moves_ports_only_in_its_lease_rules():
+    assert {call: _callers(CORE, call) for call in PORT_CALLS} == PORT_CALLS
+    assert [call for call in PORT_CALLS if call.replace("self.", "core.") in REGISTRY] == []
+
+
+def test_nothing_outside_the_registry_reads_its_private_state():
+    """The registry's one read surface is its core's ``leases`` and
+    ``held(now)``: no module outside ``registry/`` reads an
+    ``_``-prefixed attribute of a registry or of its core."""
+    readers = []
+    for path in sorted({*ROOT.glob("*/**/*.py")} - {*(SRC / "registry").glob("*.py")}):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and REGISTRY_NAME.search(ast.unparse(node.value))
+            ):
+                readers.append(f"{path.relative_to(ROOT)}:{node.lineno} {ast.unparse(node)}")
+    assert readers == []
 
 
 def test_the_registry_keeps_no_side_table_and_unwinds_no_refusal_by_hand():
-    assert [name for name in GONE if name in REGISTRY] == []
+    assert [name for name in GONE if name in REGISTRY + CORE] == []
     caught = [
         ast.unparse(handler.type)
         for handler in ast.walk(ast.parse(REGISTRY))

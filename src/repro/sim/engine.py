@@ -16,11 +16,26 @@ value is the bare event until a second arrival upgrades it to a
 use.  Batch callbacks run straight out of the bucket's own lists — the
 lists *are* the batch buffer; nothing is copied per timestamp.
 
+The *next slot* spares the heap an event that is already next.  While
+the drain loop runs the sole callback of a single-event step (a *solo
+dispatch*), :meth:`~Simulator.schedule_at` holds a NORMAL event in the
+slot, not on the heap, when it is earlier than every heap entry and
+within the drain's limit; the next ``schedule_at`` first moves it onto
+the heap, so it keeps its FIFO place at a shared instant.  The held
+event is therefore alone at the earliest pending instant, and when the
+callback returns the drain takes it before looking at the heap.  A
+process that yields the fresh event the slot holds takes that step
+itself, inside :meth:`Process._resume <repro.sim.events.Process._resume>`.
+A *step* is one timestamp taken from the heap or from the slot; either
+way it counts in ``steps`` and ``events_processed`` alike, so no
+counter tells the two apart.  An exception leaving a solo dispatch puts
+the held event back on the heap.
+
 An event costs its callback and nothing else: one loop
-(:meth:`Simulator._drain`) serves :meth:`~Simulator.run`,
-:meth:`~Simulator.run_all` and :meth:`~Simulator.step`; one method
-(:meth:`Simulator.schedule_at`) places every event; the clock and the
-running process are plain attributes.
+(:meth:`Simulator._drain`) serves :meth:`~Simulator.run` and
+:meth:`~Simulator.run_all`; one method (:meth:`Simulator.schedule_at`)
+places every event; the clock and the running process are plain
+attributes.
 
 Ordering is byte-identical to the original tuple-heap engine: URGENT
 before NORMAL at equal times, FIFO within a priority, and events
@@ -80,6 +95,13 @@ class Simulator:
         self._buckets: dict[float, Union[Event, _Bucket]] = {}
         #: heap of distinct pending timestamps (each appears once).
         self._heap: list[float] = []
+        #: The next slot: an event held off the heap during a solo
+        #: dispatch (``_solo``), due at ``_next_t``, before every heap
+        #: entry and at or before the drain's ``_limit``; else None.
+        self._next: Optional[Event] = None
+        self._next_t = 0.0
+        self._solo = False
+        self._limit = _INF
         # Engine statistics (see ``engine_stats``).  ``skipped`` counts
         # events popped with no callback list: duplicate schedules of an
         # already-processed event plus cancelled tombstones.  ``cancelled``
@@ -134,8 +156,24 @@ class Simulator:
         :class:`~repro.sim.resources.Serial` completion) get exactly the
         float ``t``, which ``now + (t - now)`` does not guarantee.
         """
-        if t < self.now:
+        # Not ``t < now``: that is False for NaN, which would poison the heap.
+        if not t >= self.now:
             raise ValueError(f"t={t} is in the past (now={self.now})")
+        if self._solo:
+            heap = self._heap
+            held = self._next
+            if held is not None:
+                # Before anything else is placed, the held event joins the
+                # heap.  Its instant is fresh there (it was earlier than
+                # every entry), and a same-instant newcomer queues behind it.
+                self._next = None
+                t0 = self._next_t
+                self._buckets[t0] = held
+                _heappush(heap, t0)
+            if priority and t <= self._limit and (not heap or t < heap[0]):
+                self._next = event
+                self._next_t = t
+                return
         buckets = self._buckets
         if t in buckets:
             b = buckets[t]
@@ -189,6 +227,7 @@ class Simulator:
         before ``limit``: the engine's one loop."""
         heap = self._heap
         buckets = self._buckets
+        self._limit = limit
         while heap and heap[0] <= limit:
             t = _heappop(heap)
             self.now = t
@@ -198,26 +237,49 @@ class Simulator:
                 # Single event.  Drop the dict entry *before* callbacks so
                 # a delay-0 reschedule lands in a fresh entry.
                 del buckets[t]
-                self.events_processed += 1
-                # Detach the list rather than copying or clearing it: the
-                # event keeps None (its "processed" marker) and dispatch
-                # reads the original allocation.
-                callbacks, bucket.callbacks = bucket.callbacks, None
-                if callbacks is None:
-                    # Already processed (duplicate schedule) or cancelled.
-                    self.skipped += 1
-                    continue
-                # One callback is the rule; unpacking finds it without a
-                # counted call, and anything else falls through to the loop.
-                try:
-                    (callback,) = callbacks
-                except ValueError:
-                    pass
-                else:
-                    callback(bucket)
-                    continue
-                for callback in callbacks:
-                    callback(bucket)
+                while True:
+                    self.events_processed += 1
+                    # Detach the list rather than copying or clearing it:
+                    # the event keeps None (its "processed" marker) and
+                    # dispatch reads the original allocation.
+                    callbacks, bucket.callbacks = bucket.callbacks, None
+                    if callbacks is None:
+                        # Already processed (duplicate schedule) or cancelled.
+                        self.skipped += 1
+                        break
+                    # One callback is the rule; unpacking finds it without
+                    # a counted call, and anything else falls through to
+                    # the loop.
+                    try:
+                        (callback,) = callbacks
+                    except ValueError:
+                        pass
+                    else:
+                        # A solo dispatch: the slot may take its successor.
+                        self._solo = True
+                        try:
+                            callback(bucket)
+                        except BaseException:
+                            self._solo = False
+                            held = self._next
+                            if held is not None:
+                                self._next = None
+                                buckets[self._next_t] = held
+                                _heappush(heap, self._next_t)
+                            raise
+                        self._solo = False
+                        bucket = self._next
+                        if bucket is None:
+                            break
+                        # The next step is the held event: no heap entry
+                        # is earlier, and none shares its instant.
+                        self._next = None
+                        self.now = self._next_t
+                        self.steps += 1
+                        continue
+                    for callback in callbacks:
+                        callback(bucket)
+                    break
                 continue
 
             # Batch: run URGENT entries first, re-checking the urgent bound
@@ -305,7 +367,7 @@ class Simulator:
             until.callbacks.append(_stop_simulation)
         elif until is not None:
             at = float(until)
-            if at < self.now:
+            if not at >= self.now:
                 raise ValueError(f"until={at} is in the past (now={self.now})")
             stop_event = Event(self)
             stop_event._ok = True

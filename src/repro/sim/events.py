@@ -126,7 +126,7 @@ class Timeout(Event):
     __slots__ = ("_delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:  # noqa: F821
-        if delay < 0:
+        if not delay >= 0:  # Not ``delay < 0``: that is False for NaN.
             raise ValueError(f"negative delay {delay}")
         # Slots set directly rather than via Event.__init__: one timeout
         # exists per costed CPU charge, so the extra call is measurable.
@@ -270,10 +270,21 @@ class Process(Event):
                 continue
 
             if callbacks is not None:
-                # Event not yet processed: wait for it.
-                callbacks.append(self._resume)
-                self._target = target
-                break
+                if callbacks or target is not sim._next:
+                    # Event not yet processed: wait for it.
+                    callbacks.append(self._resume)
+                    self._target = target
+                    break
+                # The fresh event the engine's next slot holds.  Only a
+                # solo dispatch fills the slot, and this resume is that
+                # dispatch's one callback, so the drain's next step would
+                # be this process's own resume: take it here, counted as
+                # the drain counts it.
+                sim._next = None
+                sim.now = sim._next_t
+                sim.steps += 1
+                sim.events_processed += 1
+                target.callbacks = None
             # Already-processed event: continue immediately with its value.
             event = target
         sim.active_process = None

@@ -78,7 +78,9 @@ class Serial:
         """Event that fires when a ``duration``-long turn, queued FIFO
         behind every earlier hold, completes.  ``then(event)`` runs
         first when it does: the next stage of a callback chain."""
-        if duration < 0:
+        # Not ``duration < 0``: a NaN must be refused before it reaches
+        # ``busy_until``, where it would poison every later turn.
+        if not duration >= 0:
             raise ValueError(f"negative duration {duration}")
         sim = self.sim
         start = self.busy_until

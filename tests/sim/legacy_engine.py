@@ -19,10 +19,11 @@ class LegacySimulator(Simulator):
 
     Semantics are the pre-refactor engine's, verbatim, plus the same
     stats counters the batched engine keeps.  It overrides the engine's
-    three schedule-facing methods — the one insertion path, the one
-    drain loop, ``peek`` — so ``run``, ``run_all``, ``step``,
-    ``schedule``, ``call_later`` and every event class drive it through
-    the same entry points as the bucket heap.
+    two schedule-facing methods — the one insertion path and the one
+    drain loop — so ``run``, ``run_all``, ``schedule``, ``call_later``
+    and every event class drive it through the same entry points as the
+    bucket heap.  It inherits ``__init__`` but never sets the solo flag,
+    so the next slot stays empty and no process takes its own step.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -30,11 +31,8 @@ class LegacySimulator(Simulator):
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = count()
 
-    def peek(self) -> float:
-        return self._queue[0][0] if self._queue else float("inf")
-
     def schedule_at(self, event: Event, t: float, priority: int = NORMAL) -> None:
-        if t < self.now:
+        if not t >= self.now:
             raise ValueError(f"t={t} is in the past (now={self.now})")
         heappush(self._queue, (t, priority, next(self._eid), event))
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, SimError, Simulator
+from repro.sim import CPU, Event, SimError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -155,3 +155,40 @@ def test_run_all_respects_limit():
     sim.process(ticker())
     sim.run_all(limit=3.0)
     assert seen == [1.0, 2.0, 3.0]
+
+
+NAN = float("nan")
+
+
+def test_nan_instant_is_refused_and_the_schedule_stays_whole():
+    """``t < now`` is False for NaN: a NaN instant used to reach the
+    heap, whose head then compared false with every limit, so ``run()``
+    returned with the other timers still pending."""
+    sim = Simulator()
+    fired = []
+    for delay in (0.5e-3, 1e-3, 2e-3):
+        sim.call_later(delay, fired.append, delay)
+    with pytest.raises(ValueError):
+        sim.call_later(NAN, fired.append, NAN)
+    with pytest.raises(ValueError):
+        sim.schedule_at(sim.event(), NAN)
+    with pytest.raises(ValueError):
+        sim.timeout(NAN)
+    with pytest.raises(ValueError):
+        sim.run(until=NAN)
+    sim.run()
+    assert fired == [0.5e-3, 1e-3, 2e-3]
+    assert sim.now == 2e-3
+
+
+def test_nan_charge_is_refused_before_it_reaches_busy_until():
+    sim = Simulator()
+    cpu = CPU(sim)
+    cpu.charge(1e-3)
+    with pytest.raises(ValueError):
+        cpu.charge(NAN)
+    assert cpu.busy_until == 1e-3 and cpu.busy_time == 1e-3
+    done = []
+    cpu.charge(1e-3, lambda _ev: done.append(sim.now))
+    sim.run()
+    assert done == [2e-3]

@@ -20,7 +20,9 @@ from repro.sim import (
     Simulator,
     Timeout,
 )
+from repro import testbed as testbeds
 from repro.sim.events import Event
+from repro.trace import WireTrace
 
 from .legacy_engine import LegacySimulator
 
@@ -113,13 +115,96 @@ def _timer_and_serial_ties(sim_cls):
     return order
 
 
+def _processes_on_two_cpus(sim_cls, seed):
+    """Processes the way the stack runs them: charging two CPUs, waking
+    each other with ``succeed()``, spawning, arming and cancelling
+    timers.  Charges are multiples of 2**-12 s, fine enough that many
+    events are the lone earliest one when scheduled: on
+    :class:`Simulator` they pass through the next slot, many a process
+    takes its own next step, and a wake-up the slot holds is moved onto
+    the heap by a same-instant schedule (asserted)."""
+    rng = random.Random(seed)
+    sim = sim_cls()
+    cpus = [CPU(sim), CPU(sim)]
+    tick = 2.0**-10
+    order = []
+    waiting = []
+    moved = [0]
+
+    def held_now():
+        return sim._next is not None and sim._next_t == sim.now
+
+    def worker(name, depth):
+        for k in range(rng.randrange(6, 14)):
+            how = rng.choice(["charge", "charge", "charge", "wake", "wait", "spawn", "timer"])
+            if how == "charge":
+                yield rng.choice(cpus).charge(tick * rng.randrange(0, 9) / 4)
+            elif how == "wake":
+                # Every wake-up is due now, and so is the timeout after
+                # them: each is a same-instant schedule that must move a
+                # wake-up the slot holds onto the heap.
+                for event in waiting:
+                    moved[0] += held_now()
+                    event.succeed(name)
+                waiting.clear()
+                moved[0] += held_now()
+                yield sim.timeout(0)
+            elif how == "wait":
+                event = sim.event()
+                waiting.append(event)
+                how += "=" + (yield event)
+            elif how == "spawn" and depth < 2:
+                sim.process(worker(f"{name}.{k}", depth + 1))
+            elif how == "timer":
+                timer = sim.timeout(tick * rng.randrange(0, 3))
+                if rng.random() < 0.5:
+                    timer.cancel()
+                else:
+                    yield timer
+            order.append((sim.now, f"{name}:{how}"))
+
+    for i in range(10):
+        sim.process(worker(f"p{i}", 0))
+    sim.run()
+    if sim_cls is Simulator:
+        assert moved[0] >= 1
+    return order, sim.engine_stats()
+
+
+def _process_race(sim_cls, seed):
+    """:func:`_processes_on_two_cpus` with every engine count but the
+    three the oracle keeps per event by design."""
+    order, stats = _processes_on_two_cpus(sim_cls, seed)
+    del stats["steps"], stats["batched"], stats["max_batch"]
+    return order, stats
+
+
+class _HeapOnly(Simulator):
+    """The engine with its next slot shut: the flag a solo dispatch
+    sets never reads true, so every event takes the heap."""
+
+    _solo = property(lambda self: False, lambda self, value: None)
+
+
 @pytest.mark.parametrize(
     "script",
     [pytest.param(partial(_run_script, seed=seed), id=str(seed)) for seed in range(8)]
-    + [pytest.param(_timer_and_serial_ties, id="call_later-charge-ties")],
+    + [pytest.param(_timer_and_serial_ties, id="call_later-charge-ties")]
+    + [
+        pytest.param(partial(_process_race, seed=seed), id=f"processes-{seed}")
+        for seed in range(4)
+    ],
 )
 def test_batched_order_identical_to_legacy(script):
     assert script(Simulator) == script(LegacySimulator)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_next_slot_counts_steps_as_the_heap_does(seed):
+    """Every ``engine_stats()`` count, ``steps`` included, reads the
+    same whether an event already next waits in the slot or takes the
+    heap: the ledger's outcome digests cover these counts."""
+    assert _processes_on_two_cpus(Simulator, seed) == _processes_on_two_cpus(_HeapOnly, seed)
 
 
 @pytest.mark.parametrize("sim_cls", [Simulator, LegacySimulator])
@@ -272,6 +357,127 @@ def test_stop_mid_batch_preserves_same_time_remainder():
     assert batched == legacy
     assert batched[0] == ["a"]  # Stopped before b and c...
     assert batched[1] == ["a", "b", "c"]  # ...which survive the stop.
+
+
+def test_error_after_the_slot_took_an_event_keeps_it_scheduled():
+    """A callback that raises once the next slot holds its successor (a
+    timer that wakes a waiting process) leaves that event on the heap,
+    not in the slot, and no solo dispatch is left open: an earlier
+    event scheduled before the next run fires, that run stops at its
+    limit, and the process wakes at the timer's exact instant — as on
+    the oracle."""
+    results = {}
+    for sim_cls in (Simulator, LegacySimulator):
+        sim = sim_cls()
+        cpu = CPU(sim)
+        order = []
+        held = []
+        woken = sim.event()
+
+        def record(label):
+            order.append((sim.now, label))
+
+        def sleeper():
+            record((yield woken))
+            yield cpu.charge(0.25e-3)
+            record("charged")
+
+        def ring(label):
+            record(label)
+            woken.succeed("woken")
+
+        def stage(_ev):
+            sim.call_later(0.5e-3, ring, "timer")
+            held.append(sim._next is not None)
+            raise RuntimeError("stage failed")
+
+        sim.process(sleeper())
+        cpu.charge(1e-3, stage)
+        sim.call_later(2e-3, record, "later")
+        with pytest.raises(RuntimeError, match="stage failed"):
+            sim.run()
+        assert sim.now == 1e-3 and order == []
+        sim.call_later(0.25e-3, record, "between")
+        sim.run_all(1e-3 + 0.3e-3)
+        assert order == [(1e-3 + 0.25e-3, "between")]
+        sim.run()
+        stats = sim.engine_stats()
+        results[sim_cls] = (order, stats["events"], stats["skipped"])
+        assert held == [sim_cls is Simulator]
+
+    assert results[Simulator] == results[LegacySimulator]
+    woke = 1e-3 + 0.5e-3
+    assert results[Simulator][0] == [
+        (1e-3 + 0.25e-3, "between"),
+        (woke, "timer"),
+        (woke, "woken"),
+        (woke + 0.25e-3, "charged"),
+        (2e-3, "later"),
+    ]
+
+
+@pytest.mark.parametrize("sim_cls", [Simulator, LegacySimulator])
+def test_a_held_event_with_a_waiter_resumes_every_waiter(sim_cls):
+    """A process that yields the event the slot holds takes that step
+    itself only when nobody else waits on it: here the waiter resumes
+    first, then the process, as the tuple heap orders them."""
+    sim = sim_cls()
+    order = []
+    shared = sim.event()
+
+    def waiter():
+        order.append(("waiter", (yield shared), sim.now))
+
+    def waker():
+        yield sim.timeout(1e-3)
+        shared.succeed("go")
+        assert (sim._next is shared) == (sim_cls is Simulator)
+        order.append(("waker", (yield shared), sim.now))
+
+    sim.process(waiter())
+    sim.process(waker())
+    sim.run()
+    assert order == [("waiter", "go", 1e-3), ("waker", "go", 1e-3)]
+
+
+@pytest.mark.parametrize("network", ["ethernet", "an1"])
+def test_full_stack_wire_identical_to_legacy(network, monkeypatch):
+    """A bulk transfer and a ping-pong through the whole stack put the
+    same frames on the wire at the same instants, and deliver the same
+    bytes, whichever engine runs them."""
+
+    def run(sim_cls):
+        monkeypatch.setattr(testbeds, "Simulator", sim_cls)
+        bed = testbeds.Testbed(network=network)
+        assert type(bed.sim) is sim_cls
+        trace = WireTrace(bed.link)
+        payload = bytes(range(256)) * 64
+        delivered = []
+
+        def server():
+            listener = yield from bed.service_b.listen(9300)
+            conn = yield from listener.accept()
+            delivered.append((yield from conn.recv_exactly(len(payload))))
+            for _ in range(8):
+                byte = yield from conn.recv_exactly(1)
+                yield from conn.send(byte)
+            yield from conn.close()
+
+        def client():
+            conn = yield from bed.service_a.connect(testbeds.IP_B, 9300)
+            yield from conn.send(payload)
+            for k in range(8):
+                yield from conn.send(bytes([k]))
+                delivered.append((yield from conn.recv_exactly(1)))
+            yield from conn.close()
+
+        bed.spawn(server(), name="server")
+        bed.run(until=bed.spawn(client(), name="client"))
+        bed.run(until=bed.sim.now + 0.5)
+        assert delivered[0] == payload and len(delivered) == 9
+        return [(r.time, r.raw) for r in trace.records], delivered
+
+    assert run(Simulator) == run(LegacySimulator)
 
 
 def test_engine_stats_track_batching():

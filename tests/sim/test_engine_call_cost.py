@@ -1,24 +1,32 @@
-"""What one engine event costs, in profiled calls, for the three shapes
-the stack is made of.
+"""What one engine event costs, in profiled calls, for the shapes the
+stack is made of.
 
 Every call cProfile sees, Python and C, while one :class:`Simulator`
-runs a thousand events of one shape, divided by the events run.  Each
-shape's floor, per event: the heap pop, the callback, whatever it calls
-to make the next event, the insertion (``schedule_at``) and the heap
-push.
+runs a thousand events of one shape, divided by the events run.  When
+the new event is the lone earliest one, the engine's next slot holds it
+off the heap, so each shape's floor, per event, is the callback,
+whatever it calls to make the next event, and the insertion
+(``schedule_at``):
 
 * a process yielding ``cpu.charge(cost)`` — thread context:
-  ``Process._resume``, ``generator.send``, the generator, ``hold``, the
-  insertion, ``list.append`` of the resume callback;
+  ``generator.send``, the generator, ``hold``, the insertion; the
+  process takes its own next step, so ``Process._resume`` is entered
+  once for the whole run and no resume callback is appended;
 * an interrupt-context chain, ``cpu.charge(cost, then)`` — the stage,
   ``hold``, the insertion;
 * a ``call_later`` chain — its lambda, the callee, ``call_later``, the
-  insertion.
+  insertion;
+* a *contended* pair of processes charging one CPU, whose turns
+  interleave so no new event is ever the lone earliest one: every
+  event pays the heap pop and push, ``Process._resume`` and
+  ``list.append`` as before the slot — the slot costs nothing where it
+  never fires.
 
 Before the engine dropped its per-event plumbing (an ``Event.__init__``
 frame per charge and timer, a ``dict.get`` and a ``len()`` per
 insertion and dispatch, a ``step()`` frame per timestamp, the ``now``
-property) these read 12.0, 9.0 and 11.0.
+property) the first three read 12.0, 9.0 and 11.0; before the next
+slot, 8.0, 5.0 and 6.0.
 """
 
 import cProfile
@@ -63,10 +71,26 @@ def _call_later_chain(sim):
     sim.call_later(1e-6, tick, None)
 
 
+def _contended_charges(sim):
+    cpu = CPU(sim)
+
+    def worker():
+        for _ in range(EVENTS // 2):
+            yield cpu.charge(1e-6)
+
+    sim.process(worker())
+    sim.process(worker())
+
+
 @pytest.mark.parametrize(
     "build, ceiling",
-    [(_process_charges, 8.1), (_callback_chain, 5.1), (_call_later_chain, 6.1)],
-    ids=["process-charge", "charge-then-chain", "call-later-chain"],
+    [
+        (_process_charges, 4.1),
+        (_callback_chain, 3.1),
+        (_call_later_chain, 4.1),
+        (_contended_charges, 8.1),
+    ],
+    ids=["process-charge", "charge-then-chain", "call-later-chain", "contended"],
 )
 def test_engine_calls_per_event_gate(build, ceiling):
     sim = Simulator()

@@ -8,11 +8,13 @@ of the parent commit and the working tree).  Each pair runs
 ``BENCHMARK.json``'s command for ``WORKLOAD`` with the manifest's
 ``run_seconds`` once in each checkout, both on the pair's seed (1994,
 1995, ...), alternating which side goes first.  Each run's last stdout
-line is its JSON result.  Printed: every pair's ``host_us_per_op`` and
-``py_calls_per_op``, each side's median and quartiles, how many pairs
-the change won (ties count for neither), and whether the gain rule
-holds — the change wins at least nine tenths of the pairs and the
-medians differ by more than the distance between the base's quartiles.
+line is its JSON result.  Printed, for each end-to-end metric the
+manifest declares (its ``end_to_end`` names, each judged in its
+``better`` direction): every pair's two values, each side's median and
+quartiles, how many pairs the change won (ties count for neither), and
+whether the gain rule holds — the change wins at least nine tenths of
+the pairs and the medians differ by more than the distance between the
+base's quartiles.
 
 No flags: the run length is the benchmark's, and the seeds are fixed so
 two invocations compare like with like.
@@ -25,7 +27,6 @@ import subprocess
 import sys
 
 FIRST_SEED = 1994
-METRICS = ("host_us_per_op", "py_calls_per_op")
 
 
 def _manifest(checkout: str) -> dict:
@@ -66,7 +67,7 @@ def main(argv=None) -> int:
     runs = {"base": [], "change": []}
     print(f"{workload}: {pairs} pairs, {manifest['run_seconds']} s a run")
     print(f"{'pair':>4} {'seed':>5} {'first':>6}  " + "  ".join(
-        f"{m + ' base':>22} {'change':>10}" for m in METRICS))
+        f"{m + ' base':>22} {'change':>10}" for m in better))
     for k in range(pairs):
         seed = FIRST_SEED + k
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
@@ -74,8 +75,8 @@ def main(argv=None) -> int:
             runs[side].append(_run(
                 sides[side], manifest["command"], workload, manifest["run_seconds"], seed))
         print(f"{k + 1:>4} {seed:>5} {order[0]:>6}  " + "  ".join(
-            f"{runs['base'][k][m]:>22.2f} {runs['change'][k][m]:>10.2f}" for m in METRICS))
-    for metric in METRICS:
+            f"{runs['base'][k][m]:>22.4g} {runs['change'][k][m]:>10.4g}" for m in better))
+    for metric in better:
         base = [run[metric] for run in runs["base"]]
         change = [run[metric] for run in runs["change"]]
         sign = 1 if better[metric] == "lower" else -1
@@ -83,8 +84,9 @@ def main(argv=None) -> int:
         (bq1, bmed, bq3), (cq1, cmed, cq3) = _quartiles(base), _quartiles(change)
         rule = wins >= 0.9 * pairs and sign * (bmed - cmed) > bq3 - bq1
         print(
-            f"{metric}: base median {bmed:.2f} (q1 {bq1:.2f}, q3 {bq3:.2f}), "
-            f"change median {cmed:.2f} (q1 {cq1:.2f}, q3 {cq3:.2f}), "
+            f"{metric} ({better[metric]} is better): "
+            f"base median {bmed:.4g} (q1 {bq1:.4g}, q3 {bq3:.4g}), "
+            f"change median {cmed:.4g} (q1 {cq1:.4g}, q3 {cq3:.4g}), "
             f"{(cmed - bmed) / bmed:+.1%}; change wins {wins}/{pairs}; "
             f"gain rule {'holds' if rule else 'does not hold'}"
         )

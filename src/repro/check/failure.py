@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..netio.demux import DemuxError
+from ..org.monolithic import MonolithicTcpStack
 from ..protocols.tcp import TcpConfig
 from ..tenancy import QuotaExceeded
 from ..testbed import IP_B, Testbed
@@ -287,13 +288,18 @@ def failure_specs(quick: bool = False) -> list[FailureSpec]:
     ] + [FailureSpec(cell, "ethernet", "ultrix") for cell in ULTRIX_CELLS]
 
 
+def _end_points(name, core, now):
+    """An end-point table's holdings: a registry's core, or a stack's."""
+    yield name, "leases", sorted(core.leases)
+    yield name, "ports bound or lingering", sorted(core.held(now))
+
+
 def _held(bed, handshakes):
     """Every resource of either host: (subject, resource, what is held)."""
     now = bed.sim.now
     for registry in bed.registries:
         name = f"{registry.host.name} registry"
-        yield name, "leases", sorted(registry.core.leases)
-        yield name, "ports bound or lingering", sorted(registry.core.held(now))
+        yield from _end_points(name, registry.core, now)
         # A worker that ended with an exception may have died holding a lease.
         failed = [t.name for t in registry.task.threads if not (t.is_alive or t.ok)]
         yield name, "failed workers", failed
@@ -301,8 +307,12 @@ def _held(bed, handshakes):
         main = f"{registry.task.name}/main"
         yield name, "live workers", [t.name for t in registry.task.threads if t.is_alive and t.name != main]
     for service in bed.services:
-        connections = getattr(service, "_connections", None) or ()
-        yield service.host.name, "library connections", len(connections)
+        if isinstance(service, MonolithicTcpStack):
+            yield from _end_points(f"{service.host.name} stack", service.core, now)
+        else:  # A library's connections: the leases granted to its application.
+            leases = service.registry.core.leases.items()
+            granted = [k for k, lease in leases if lease.grant is not None and lease.owner is service.app]
+            yield service.host.name, "library connections", sorted(granted)
     for host in bed.hosts:
         netio = host.netio
         yield host.name, "channels", len(netio.channels)

@@ -2,11 +2,12 @@
 
 Because the protocol state lives in user-level libraries and a trusted
 registry — not buried in a kernel — a management tool can walk it
-directly.  :func:`connection_table` lists every TCP connection the
-registries know about, with live TCB state; :func:`channel_table` lists
-the network I/O modules' protected channels; :func:`link_table` and
-:func:`switch_table` cover the fabric — per-link fault accounting and
-per-switch-port queue behaviour (depth, drops, occupancy).
+directly.  :func:`connection_table` lists every TCP connection in the
+hosts' end-point tables (a registry's core, or a kernel stack's), with
+live TCB state; :func:`channel_table` lists the network I/O modules'
+protected channels; :func:`link_table` and :func:`switch_table` cover
+the fabric — per-link fault accounting and per-switch-port queue
+behaviour (depth, drops, occupancy).
 
 Works over anything exposing the testbed surface: ``hosts``,
 ``registries``, ``services``, ``links``, ``switches``, ``routers`` (both
@@ -19,6 +20,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .net.headers import ip_to_str
+from .org.monolithic import MonolithicTcpStack
 from . import obs
 
 if TYPE_CHECKING:
@@ -90,30 +92,37 @@ class DemuxEntry:
         )
 
 
-def connection_table(testbed: "Testbed") -> list[ConnectionEntry]:
-    """All TCP connections the registries have granted (userlib only)."""
-    entries: list[ConnectionEntry] = []
+def _connections(testbed):
+    """(host, lease, machine) for every TCP connection in every host's
+    end-point table: a registry's once it has granted the connection,
+    a kernel stack's from its first segment on."""
     for registry in testbed.registries:
-        host = registry.host
         for lease in registry.core.leases.values():
-            grant = lease.grant
-            if grant is None:
-                continue  # Not granted yet, a listener, or a UDP binding.
-            machine = grant.machine
-            tcb = machine.tcb
-            entries.append(
-                ConnectionEntry(
-                    host=host.name,
-                    owner=lease.owner.name,
-                    local=f"{ip_to_str(host.ip)}:{grant.local_port}",
-                    remote=f"{ip_to_str(grant.remote_ip)}:{grant.remote_port}",
-                    state=machine.state.value,
-                    snd_in_flight=tcb.flight_size,
-                    rcv_buffered=tcb.rcv_user,
-                    retransmits=machine.stats["retransmits"],
-                )
-            )
-    return entries
+            if lease.grant is not None:  # Not a handshake, a listener or a UDP binding.
+                yield registry.host, lease, lease.grant.machine
+    for service in testbed.services:
+        if isinstance(service, MonolithicTcpStack):
+            for lease in service.core.leases.values():
+                if lease.runner is not None:  # Not a listener.
+                    yield service.host, lease, lease.runner.machine
+
+
+def connection_table(testbed: "Testbed") -> list[ConnectionEntry]:
+    """All TCP connections: each registry's grants and each kernel
+    stack's PCBs."""
+    return [
+        ConnectionEntry(
+            host=host.name,
+            owner=lease.owner.name,
+            local=f"{ip_to_str(host.ip)}:{lease.local_port}",
+            remote=f"{ip_to_str(lease.remote_ip)}:{lease.remote_port}",
+            state=machine.state.value,
+            snd_in_flight=machine.tcb.flight_size,
+            rcv_buffered=machine.tcb.rcv_user,
+            retransmits=machine.stats["retransmits"],
+        )
+        for host, lease, machine in _connections(testbed)
+    ]
 
 
 def channel_table(testbed: "Testbed") -> list[ChannelEntry]:
@@ -213,19 +222,8 @@ def fastpath_table(testbed) -> list[FastpathEntry]:
     """Per-node fast-path counters: header-prediction hits/misses and
     demux memo hits for hosts, next-hop cache behaviour for routers."""
     machines_by_host: dict[str, list] = {}
-    for registry in testbed.registries:
-        rows = machines_by_host.setdefault(registry.host.name, [])
-        rows.extend(
-            lease.grant.machine
-            for lease in registry.core.leases.values()
-            if lease.grant is not None
-        )
-    for service in testbed.services:
-        connections = getattr(service, "_connections", None)
-        if connections is None:
-            continue  # Library service: its machines came via the registry.
-        rows = machines_by_host.setdefault(service.host.name, [])
-        rows.extend(c.runner.machine for c in connections.values())
+    for host, _, machine in _connections(testbed):
+        machines_by_host.setdefault(host.name, []).append(machine)
     entries: list[FastpathEntry] = []
     for host in testbed.hosts:
         ack = data = miss = 0

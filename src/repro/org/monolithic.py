@@ -37,7 +37,8 @@ from ..protocols.tcp import (
     reset_for,
 )
 from ..net.headers import HeaderError
-from ..sim import Event, Store
+from ..registry.core import Lease, RegistryCore
+from ..sim import Store
 from .base import PathProfile, TcpConnection, TcpListener, TcpService, no_cost
 from .runner import MachineRunner
 
@@ -121,7 +122,15 @@ DEDICATED_SERVERS = PathProfile(
 
 
 class MonolithicTcpStack(TcpService):
-    """TCP living in one trusted place (kernel or server)."""
+    """TCP living in one trusted place (kernel or server).
+
+    Its PCBs are leases in a :class:`~repro.registry.core.RegistryCore`,
+    the table the registry keeps for the library: one port namespace,
+    one ISS source and one input routing rule for every organization.
+    A connection's lease holds its runner, a listener's its backlog.
+    The stack gives a lease back without a linger: its machine has
+    already served TIME-WAIT when it reaches CLOSED.
+    """
 
     def __init__(
         self,
@@ -134,10 +143,7 @@ class MonolithicTcpStack(TcpService):
         self.config = config or TcpConfig()
         self.kernel = host.kernel
         self.sim = host.sim
-        self._connections: dict[tuple[int, int, int], "MonoConnection"] = {}
-        self._listeners: dict[int, "MonoListener"] = {}
-        self._next_port = 1024
-        self._next_iss = 1
+        self.core = RegistryCore(msl=self.config.msl)
         host.tcp_kernel_handler = self._tcp_rx
         self.stats = Counters()
 
@@ -146,30 +152,30 @@ class MonolithicTcpStack(TcpService):
     # ------------------------------------------------------------------
 
     def listen(self, port: int) -> Generator:
-        if port in self._listeners:
-            raise OSError(f"port {port} already listening")
-        listener = MonoListener(self, port)
-        self._listeners[port] = listener
+        # No thread works on a PCB: every lease's worker is None.
+        lease = self.core.open(self.profile, None, self.sim.now, port, backlog=Store(self.sim))
         cost = self.kernel.costs.socket_op
         if cost:
             yield self.kernel.cpu.charge(cost)
-        return listener
+        return MonoListener(self, lease)
 
     def connect(self, remote_ip: int, remote_port: int, local_port: int = 0) -> Generator:
         costs = self.kernel.costs
-        if local_port == 0:
-            local_port = self._allocate_port()
+        lease = self.core.open(self.profile, None, self.sim.now, local_port, remote_ip, remote_port)
         # Crossings to reach the stack with the request.
         cost = self.profile.setup_overhead + costs.socket_op
         if cost:
             yield self.kernel.cpu.charge(cost)
-        link_dst = yield from self.host.resolve_link(remote_ip)
-        connection = self._make_connection(
-            local_port, remote_ip, remote_port, link_dst
-        )
+        try:
+            link_dst = yield from self.host.resolve_link(remote_ip)
+        except LookupError:  # No route or no ARP answer: the port goes back.
+            self.core.release(lease, self.sim.now)
+            raise
+        connection = MonoConnection(self, lease, link_dst)
         yield from connection.runner.start(active=True)
         ok = yield from connection.runner.wait_connected()
         if not ok:
+            self.core.release(lease, self.sim.now)
             reason = connection.runner.closed_reason
             raise ConnectionError(f"connect failed: {reason}")
         return connection
@@ -177,44 +183,6 @@ class MonolithicTcpStack(TcpService):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _allocate_port(self) -> int:
-        for _ in range(0xFFFF):
-            port = self._next_port
-            self._next_port = self._next_port + 1
-            if self._next_port >= 0x10000:
-                self._next_port = 1024
-            if (
-                port not in self._listeners
-                and not any(key[0] == port for key in self._connections)
-            ):
-                return port
-        raise OSError("out of ports")
-
-    def _iss(self) -> int:
-        iss = self._next_iss
-        self._next_iss = (self._next_iss + 64_000) % (1 << 32)
-        return iss
-
-    def _make_connection(
-        self, local_port: int, remote_ip: int, remote_port: int, link_dst: object
-    ) -> "MonoConnection":
-        machine = TcpMachine(
-            local_port, remote_port, config=self.config, iss=self._iss()
-        )
-        connection = MonoConnection(
-            self, machine, local_port, remote_ip, remote_port, link_dst
-        )
-        self._connections[(local_port, remote_ip, remote_port)] = connection
-        return connection
-
-    def _remove_connection(self, connection: "MonoConnection") -> None:
-        key = (
-            connection.local_port,
-            connection.remote_ip,
-            connection.remote_port,
-        )
-        self._connections.pop(key, None)
 
     def _tcp_rx(self, payload: bytes, src_ip: int, link_info: LinkInfo) -> Generator:
         """Kernel TCP input: checksum, PCB lookup, machine dispatch."""
@@ -238,28 +206,26 @@ class MonolithicTcpStack(TcpService):
         )
         if cost:
             yield self.kernel.cpu.charge(cost)
-        key = (segment.dport, src_ip, segment.sport)
-        connection = self._connections.get(key)
-        if connection is not None:
-            yield from connection.runner.feed_segment(segment)
-            return
-        listener = self._listeners.get(segment.dport)
-        if listener is not None and segment.syn and not segment.has_ack:
-            yield from self._passive_open(listener, segment, src_ip, link_info)
-            return
-        self.stats["rx_no_match"] += 1
-        yield from self._respond_rst(segment, src_ip)
+        route, lease = self.core.route(segment, src_ip)
+        if route == "handshake":  # A PCB's runner, in any state.
+            yield from lease.runner.feed_segment(segment)
+        elif route == "passive":
+            yield from self._passive_open(lease, segment, src_ip, link_info)
+        else:
+            self.stats["rx_no_match"] += 1
+            yield from self._respond_rst(segment, src_ip)
 
     def _passive_open(
         self,
-        listener: "MonoListener",
+        listener: Lease,
         syn: Segment,
         src_ip: int,
         link_info: LinkInfo,
     ) -> Generator:
-        connection = self._make_connection(
-            syn.dport, src_ip, syn.sport, link_info.src
+        lease = self.core.open(
+            self.profile, None, self.sim.now, syn.dport, src_ip, syn.sport, holds_port=False
         )
+        connection = MonoConnection(self, lease, link_info.src)
         yield from connection.runner.start(active=False)
         yield from connection.runner.feed_segment(syn)
         # Hand the connection to accept() once established.
@@ -268,16 +234,16 @@ class MonolithicTcpStack(TcpService):
             name=f"{self.host.name}-accept",
         )
 
-    def _complete_accept(self, listener: "MonoListener", connection: "MonoConnection") -> Generator:
+    def _complete_accept(self, listener: Lease, connection: "MonoConnection") -> Generator:
         ok = yield from connection.runner.wait_connected()
-        if ok and not listener.closed:
+        if ok and not listener.released:
             yield listener.backlog.put(connection)
         elif ok:
             # Established on a listener closed meanwhile: nobody will
             # accept it, so the peer is reset rather than left hanging.
             yield from connection.abort()
         else:
-            self._remove_connection(connection)
+            self.core.release(connection.lease, self.sim.now)
 
     def _respond_rst(self, segment: Segment, src_ip: int) -> Generator:
         """RFC 793: segments for nonexistent connections draw a RST."""
@@ -303,25 +269,21 @@ class MonolithicTcpStack(TcpService):
 class MonoConnection(TcpConnection):
     """A connection whose machine runs inside the monolithic stack."""
 
-    def __init__(
-        self,
-        stack: MonolithicTcpStack,
-        machine: TcpMachine,
-        local_port: int,
-        remote_ip: int,
-        remote_port: int,
-        link_dst: object,
-    ) -> None:
+    def __init__(self, stack: MonolithicTcpStack, lease: Lease, link_dst: object) -> None:
         self.stack = stack
-        self.local_port = local_port
-        self.remote_ip = remote_ip
-        self.remote_port = remote_port
+        self.lease = lease
+        self.local_port = lease.local_port
+        self.remote_ip = lease.remote_ip
+        self.remote_port = lease.remote_port
         self.link_dst = link_dst
-        self.runner = MachineRunner(
+        machine = TcpMachine(
+            lease.local_port, lease.remote_port, config=stack.config, iss=stack.core.iss()
+        )
+        self.runner = lease.runner = MachineRunner(
             stack.kernel,
             machine,
             emit_fn=self._emit,
-            name=f"{stack.host.name}:{local_port}",
+            name=f"{stack.host.name}:{lease.local_port}",
         )
 
     def _emit(self, segment: Segment) -> Generator:
@@ -372,29 +334,32 @@ class MonoConnection(TcpConnection):
 
     def _finalize(self) -> Generator:
         yield from self.runner.wait_closed()
-        self.stack._remove_connection(self)
+        self.stack.core.release(self.lease, self.stack.sim.now)
 
     def abort(self) -> Generator:
         yield from self.runner.app_abort()
-        self.stack._remove_connection(self)
+        self.stack.core.release(self.lease, self.stack.sim.now)
 
 
 class MonoListener(TcpListener):
-    def __init__(self, stack: MonolithicTcpStack, port: int) -> None:
+    def __init__(self, stack: MonolithicTcpStack, lease: Lease) -> None:
         self.stack = stack
-        self.port = port
-        self.backlog: Store = Store(stack.sim)
-        self.closed = False
+        self.lease = lease
+        self.port = lease.local_port
+
+    @property
+    def closed(self) -> bool:
+        return self.lease.released
 
     def accept(self) -> Generator:
         if self.closed:
             raise ConnectionError(f"listener on port {self.port} closed")
-        connection = yield self.backlog.get()
+        connection = yield self.lease.backlog.get()
         return connection
 
     def close(self) -> None:
-        self.closed = True
-        self.stack._listeners.pop(self.port, None)
-        while self.backlog.items:  # Established, never accepted: reset.
-            self.stack.sim.process(self.backlog.items.popleft().abort())
-        self.backlog.fail_getters(ConnectionError(f"listener on port {self.port} closed"))
+        backlog = self.lease.backlog
+        while backlog.items:  # Established, never accepted: reset.
+            self.stack.sim.process(backlog.items.popleft().abort())
+        self.stack.core.release(self.lease, self.stack.sim.now)
+        backlog.fail_getters(ConnectionError(f"listener on port {self.port} closed"))

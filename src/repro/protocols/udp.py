@@ -71,36 +71,21 @@ def decode_datagram(
 
 
 class UdpPortTable:
-    """Port allocation and demultiplexing for one host's UDP."""
-
-    EPHEMERAL_START = 1024
+    """Port binding and demultiplexing for one host's kernel UDP.  Every
+    binder names its port: the one ephemeral-port allocator is
+    :class:`~repro.registry.core.RegistryCore`."""
 
     def __init__(self) -> None:
         self._bound: dict[int, Callable[[UdpDatagram], None]] = {}
-        self._next_ephemeral = self.EPHEMERAL_START
         self.stats = Counters()
 
-    def bind(self, port: int, handler: Callable[[UdpDatagram], None]) -> int:
-        """Bind ``handler`` to ``port`` (0 picks an ephemeral port)."""
-        if port == 0:
-            port = self.allocate_ephemeral()
+    def bind(self, port: int, handler: Callable[[UdpDatagram], None]) -> None:
+        """Bind ``handler`` to ``port``."""
+        if not 0 < port < 0x10000:
+            raise UdpError(f"bad port {port}")
         if port in self._bound:
             raise UdpError(f"port {port} already bound")
         self._bound[port] = handler
-        return port
-
-    def unbind(self, port: int) -> None:
-        self._bound.pop(port, None)
-
-    def allocate_ephemeral(self) -> int:
-        for _ in range(0x10000 - self.EPHEMERAL_START):
-            port = self._next_ephemeral
-            self._next_ephemeral += 1
-            if self._next_ephemeral >= 0x10000:
-                self._next_ephemeral = self.EPHEMERAL_START
-            if port not in self._bound:
-                return port
-        raise UdpError("no ephemeral ports left")
 
     def deliver(self, data: bytes, src_ip: int, dst_ip: int) -> bool:
         """Decode and dispatch; returns True if a handler consumed it."""

@@ -10,6 +10,7 @@ from repro.host import Host
 from repro.net.headers import str_to_ip, str_to_mac
 from repro.net.link import EthernetLink
 from repro.org.monolithic import MonolithicTcpStack, ULTRIX
+from repro.protocols.tcp import TcpConfig
 from repro.sim import Simulator
 from repro.testbed import IP_B, Testbed
 
@@ -53,6 +54,49 @@ def test_connection_table_shows_live_state():
         assert entry.exact_hits > 0  # The data path went through it.
         assert entry.scan_hits == 0
     assert "Demux engine" in report
+
+
+def test_connection_table_lists_a_kernel_stacks_connections():
+    """An in-kernel stack's PCBs live in its core as the registry's
+    grants live in its own: one row per live connection on each host,
+    until the connection is reaped."""
+    testbed = Testbed(network="ethernet", organization="ultrix", config=TcpConfig(msl=0.1))
+    conns = []
+
+    def server():
+        listener = yield from testbed.service_b.listen(9900)
+        for _ in range(2):
+            conns.append((yield from listener.accept()))
+
+    def client():
+        for _ in range(2):
+            conn = yield from testbed.service_a.connect(IP_B, 9900)
+            yield from conn.send(b"visible")
+            conns.append(conn)
+        yield testbed.sim.timeout(0.5)
+
+    testbed.spawn(server(), name="server")
+    testbed.run(until=testbed.spawn(client(), name="client"))
+
+    rows = sorted((entry.host, entry.local, entry.remote) for entry in netstat.connection_table(testbed))
+    assert rows == [
+        ("alice", "10.0.0.1:1024", "10.0.0.2:9900"),
+        ("alice", "10.0.0.1:1025", "10.0.0.2:9900"),
+        ("bob", "10.0.0.2:9900", "10.0.0.1:1024"),
+        ("bob", "10.0.0.2:9900", "10.0.0.1:1025"),
+    ]
+    assert {(entry.owner, entry.state) for entry in netstat.connection_table(testbed)} == {
+        ("ultrix-inkernel", "ESTABLISHED")
+    }
+    assert all(row.ack_hits + row.data_hits > 0 for row in netstat.fastpath_table(testbed))
+
+    def close_all():
+        for conn in conns:
+            yield from conn.close()
+
+    testbed.spawn(close_all(), name="closer")
+    testbed.run(until=testbed.sim.now + 2.0)  # Past TIME-WAIT: every PCB reaped.
+    assert netstat.connection_table(testbed) == []
 
 
 def test_channel_table_shows_bqi_on_an1():

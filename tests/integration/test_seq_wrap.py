@@ -1,6 +1,6 @@
-"""Sequence wrap through the whole stack: the ISS allocators started
-just below 2**32, so every connection's TCB crosses it 20,000 bytes in
-— on the receive fast path, the header pack and the registry's
+"""Sequence wrap through the whole stack: every end-point table's ISS
+started just below 2**32, so every connection's TCB crosses it 20,000
+bytes in — on the receive fast path, the header pack and the registry's
 hand-over, none of which the sans-io wrap tests reach."""
 
 import pytest
@@ -16,11 +16,8 @@ WRAP_ISS = MOD - 20000
 
 def wrapping_testbed(organization: str, network: str) -> Testbed:
     bed = Testbed(network=network, organization=organization)
-    for registry in bed.registries:
-        registry.core.next_iss = WRAP_ISS
-    if not bed.registries:
-        for stack in (bed.service_a, bed.service_b):
-            stack._next_iss = WRAP_ISS
+    for owner in bed.registries or bed.services:  # Every core owner.
+        owner.core.next_iss = WRAP_ISS
     return bed
 
 

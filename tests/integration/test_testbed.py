@@ -9,8 +9,10 @@ import pytest
 
 from repro.costs import DECSTATION_5000_200
 from repro.net.faults import FaultInjector
+from repro.net.headers import TCP_RST
 from repro.protocols.tcp import TcpConfig
 from repro.testbed import IP_A, IP_B, ORGANIZATIONS, Testbed
+from repro.trace import WireTrace
 
 ALL_CONFIGS = [
     pytest.param(net, org, id=f"{net}-{org}")
@@ -133,6 +135,64 @@ def test_multiple_sequential_connections_same_port_pair():
     client_proc = testbed.spawn(client(), name="client")
     testbed.run(until=client_proc)
     assert results == [b"msg-0", b"msg-1", b"msg-2"]
+
+
+@pytest.mark.parametrize("organization", ["ultrix", "userlib"])
+def test_explicit_port_in_time_wait_is_refused(organization):
+    """A connect naming a local port whose last connection is still in
+    TIME-WAIT is refused on every organization.  The connection made
+    instead outlives that TIME-WAIT unharmed: when the old PCB goes, it
+    takes no live connection with it, and no segment draws a RST."""
+    testbed = Testbed(network="ethernet", organization=organization,
+                      config=TcpConfig(msl=0.5))
+    trace = WireTrace(testbed.link)
+    got, refused = [], []
+
+    def server():
+        listener = yield from testbed.service_b.listen(6000)
+        for _ in range(2):
+            conn = yield from listener.accept()
+            got.append(b"")
+            while data := (yield from conn.recv(4096)):
+                got[-1] += data
+            yield from conn.close()
+
+    def client():
+        conn = yield from testbed.service_a.connect(IP_B, 6000, local_port=5000)
+        yield from conn.close()  # Active close: port 5000 waits out 2·MSL.
+        yield testbed.sim.timeout(0.05)
+        try:
+            conn = yield from testbed.service_a.connect(IP_B, 6000, local_port=5000)
+        except OSError as error:
+            refused.append(error)
+            conn = yield from testbed.service_a.connect(IP_B, 6000)
+        for _ in range(10):  # 2 s of traffic, across the old TIME-WAIT's end.
+            yield from conn.send(b"x" * 300)
+            yield testbed.sim.timeout(0.2)
+        yield from conn.close()
+
+    testbed.spawn(server(), name="server")
+    testbed.run(until=testbed.spawn(client(), name="client"))
+    testbed.run(until=testbed.sim.now + 1.0)
+    assert len(refused) == 1
+    assert got == [b"", b"x" * 3000]
+    resets = [r for r in trace.records if r.protocol == "tcp" and r.layers[-1].flags & TCP_RST]
+    assert resets == []
+
+
+def test_kernel_connect_to_an_unknown_station_gives_its_port_back():
+    testbed = Testbed(network="an1", organization="ultrix")
+    stack, errors = testbed.service_a, []
+
+    def client():
+        try:
+            yield from stack.connect(IP_B + 1, 80, local_port=5000)
+        except LookupError as error:
+            errors.append(error)
+
+    testbed.run(until=testbed.spawn(client(), name="client"))
+    assert len(errors) == 1
+    assert (stack.core.leases, stack.core.held(testbed.sim.now)) == ({}, {})
 
 
 def test_concurrent_connections_different_apps():

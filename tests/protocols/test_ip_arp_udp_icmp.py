@@ -261,8 +261,7 @@ def test_udp_checksum_detects_corruption():
 def test_udp_port_table_dispatch():
     table = UdpPortTable()
     got = []
-    port = table.bind(53, got.append)
-    assert port == 53
+    table.bind(53, got.append)
     wire = encode_datagram(999, 53, b"ask", IP_A, IP_B)
     assert table.deliver(wire, IP_A, IP_B)
     assert got[0].payload == b"ask"
@@ -282,19 +281,9 @@ def test_udp_double_bind_rejected():
         table.bind(53, lambda d: None)
 
 
-def test_udp_ephemeral_allocation():
-    table = UdpPortTable()
-    p1 = table.bind(0, lambda d: None)
-    p2 = table.bind(0, lambda d: None)
-    assert p1 != p2
-    assert p1 >= UdpPortTable.EPHEMERAL_START
-
-
-def test_udp_unbind_frees_port():
-    table = UdpPortTable()
-    table.bind(53, lambda d: None)
-    table.unbind(53)
-    table.bind(53, lambda d: None)  # No error.
+def test_udp_bind_names_its_port():
+    with pytest.raises(UdpError):
+        UdpPortTable().bind(0, lambda d: None)
 
 
 @given(payload=st.binary(max_size=1000))

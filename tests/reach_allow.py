@@ -80,10 +80,6 @@ ALLOWED = {
         "tested-only", "tests/integration/test_testbed.py::test_icmp_ping_works_alongside_tcp[userlib]"),
     "repro.protocols.icmp:make_reply": (
         "tested-only", "tests/integration/test_testbed.py::test_icmp_ping_works_alongside_tcp[userlib]"),
-    "repro.protocols.udp:UdpPortTable.allocate_ephemeral": (
-        "tested-only", "tests/protocols/test_ip_arp_udp_icmp.py::test_udp_ephemeral_allocation"),
-    "repro.protocols.udp:UdpPortTable.unbind": (
-        "tested-only", "tests/protocols/test_ip_arp_udp_icmp.py::test_udp_unbind_frees_port"),
     "repro.trace:WireTrace._decode_icmp": (
         "tested-only", "tests/integration/test_trace.py::test_trace_decodes_icmp_echo"),
     "repro.tenancy.tenant:Tenant.admit_ring": (

@@ -7,11 +7,13 @@ ownership leaked — a hung ``connect()``, a port reserved for good, a
 peer left ESTABLISHED to a dead application — so it is written once:
 a lease records what an operation holds, ``RegistryCore.release`` is
 the only rule that hands any of it back, and ``RegistryServer._give_back``
-the only code that applies what it hands back (DESIGN.md "Leases").  A
-second hand-back path, a side table beside the lease, a read of the
-registry's private state from outside ``registry/``, or a tenancy
-refusal acted on outside ``TenantManager.admit`` fails this test until
-it says why.
+the only code that applies what it hands back (DESIGN.md "Leases").
+The kernel stacks keep their PCBs in the same core, so it is every
+organization's end-point table: the one port allocator and ISS source.
+A second hand-back path, a side table beside the lease (in the registry
+or in a stack), a read of a core's or the registry's private state from
+outside ``registry/``, or a tenancy refusal acted on outside
+``TenantManager.admit`` fails this test until it says why.
 """
 
 import ast
@@ -23,6 +25,7 @@ SRC = ROOT / "src" / "repro"
 REGISTRY = (SRC / "registry" / "server.py").read_text()
 CORE = (SRC / "registry" / "core.py").read_text()
 NETIO = (SRC / "netio" / "module.py").read_text()
+STACK = (SRC / "org" / "monolithic.py").read_text()
 
 #: Each occurs once in the shell, inside ``_give_back``.
 HAND_BACKS = ("release_ring(", "destroy_channel(", "remove_listener(", "stop_timers(", "self._send_rst(")
@@ -32,13 +35,17 @@ HAND_BACKS = ("release_ring(", "destroy_channel(", "remove_listener(", "stop_tim
 PORT_CALLS = {
     "self.reserve(": {"open"}, "self.allocate(": {"open"}, "self.free(": {"open", "release"},
 }
-#: The side tables the lease replaced, and the sabotage knob only the
-#: tenant manager and the two data-path sites may read.
-GONE = ("_peer_bqi", "self._pending", "self._records", "self._listeners", "enforcing")
+#: The side tables the lease replaced (the stack's PCB dicts and
+#: counters among them), and the sabotage knob only the tenant manager
+#: and the two data-path sites may read.
+GONE = (
+    "_peer_bqi", "self._pending", "self._records", "self._listeners", "enforcing",
+    "self._connections", "_next_port", "_next_iss",
+)
 #: The data-path sites that log what they would have refused.
 ENFORCING_READERS = {"send", "_deliver"}
 #: An expression naming a registry (``registry``, ``bed.registry_a``)
-#: or its core.
+#: or a core (a registry's, or a kernel stack's ``stack.core``).
 REGISTRY_NAME = re.compile(r"(\bregistr(y|ies)\w*|\bcore)$")
 
 
@@ -74,31 +81,55 @@ def test_the_core_moves_ports_only_in_its_lease_rules():
     assert [call for call in PORT_CALLS if call.replace("self.", "core.") in REGISTRY] == []
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def test_nothing_outside_the_registry_reads_its_private_state():
-    """The registry's one read surface is its core's ``leases`` and
-    ``held(now)``: no module outside ``registry/`` reads an
-    ``_``-prefixed attribute of a registry or of its core."""
+    """A core's one read surface is ``leases`` and ``held(now)``: no
+    module outside ``registry/`` reads an ``_``-prefixed attribute of a
+    registry or of a core, the stack's included, and none fishes for
+    one by name with ``getattr``."""
     readers = []
     for path in sorted({*ROOT.glob("*/**/*.py")} - {*(SRC / "registry").glob("*.py")}):
         for node in ast.walk(ast.parse(path.read_text())):
             if (
                 isinstance(node, ast.Attribute)
-                and node.attr.startswith("_")
-                and not node.attr.startswith("__")
+                and _private(node.attr)
                 and REGISTRY_NAME.search(ast.unparse(node.value))
+            ) or (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "getattr"
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and _private(str(node.args[1].value))
             ):
                 readers.append(f"{path.relative_to(ROOT)}:{node.lineno} {ast.unparse(node)}")
     assert readers == []
 
 
 def test_the_registry_keeps_no_side_table_and_unwinds_no_refusal_by_hand():
-    assert [name for name in GONE if name in REGISTRY + CORE] == []
+    assert [name for name in GONE if name in REGISTRY + CORE + STACK] == []
     caught = [
         ast.unparse(handler.type)
         for handler in ast.walk(ast.parse(REGISTRY))
         if isinstance(handler, ast.ExceptHandler) and handler.type is not None
     ]
     assert [name for name in caught if "TenantViolation" in name] == []
+
+
+def test_every_machine_takes_its_iss_from_a_core():
+    """The ISS of every TcpMachine under ``src/`` is ``<core>.iss()``."""
+    sources = {
+        f"{path.relative_to(SRC)}: "
+        + next((ast.unparse(k.value) for k in node.keywords if k.arg == "iss"), "none")
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "TcpMachine"
+    }
+    assert sources == {
+        "org/monolithic.py: stack.core.iss()", "registry/server.py: self.core.iss()",
+    }
 
 
 def test_only_the_data_path_reads_the_enforcing_flag_in_netio():

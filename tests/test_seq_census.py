@@ -29,7 +29,6 @@ LITERALS = {
     ("protocols/tcp/machine.py", "_emit"): "TCB state masked into a segment",
     ("protocols/tcp/wire.py", "reset_for"): "wire seq + seg_len, for a segment no TCB claims",
     ("registry/core.py", "iss"): "ISS allocator",
-    ("org/monolithic.py", "_iss"): "ISS allocator",
     # Not sequence numbers: 32 bits of something else.
     ("net/fabric/routing.py", "prefix_mask"): "IPv4 prefix mask",
     ("net/fabric/topology.py", "fabric_mac"): "host number packed into a MAC",

@@ -2,7 +2,8 @@
 
 Provides exactly the facilities the paper says user-level protocols need
 from a contemporary OS: tasks, unforgeable port capabilities, costed IPC,
-user-level threads and synchronization, and shared/pinned VM regions.
+user-level threads, and shared/pinned VM regions.  The user-level
+semaphore lives with its one user, :class:`repro.netio.channels.Channel`.
 """
 
 from .ipc import Message, receive, reply_to, rpc, send
@@ -14,7 +15,6 @@ from .ports import (
     PortRight,
     RightType,
 )
-from .sync import Semaphore
 from .task import Task
 from .vm import PAGE_SIZE, SharedRegion, vm_wire
 
@@ -31,7 +31,6 @@ __all__ = [
     "receive",
     "rpc",
     "reply_to",
-    "Semaphore",
     "SharedRegion",
     "PAGE_SIZE",
     "vm_wire",

@@ -101,7 +101,7 @@ def send(task: Task, dest: PortRight, message: Message) -> Generator:
         receiver._rights.add(reply)
 
     message.sender = task
-    yield port.queue.put(message)
+    port.queue.put(message)
 
 
 def receive(task: Task, receive_right: PortRight) -> Generator:

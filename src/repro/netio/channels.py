@@ -5,7 +5,9 @@ A channel owns the shared buffer region, the receive queue, the
 lightweight notification semaphore (with the paper's packet batching:
 "our implementation attempts, where possible, to batch multiple network
 packets per semaphore notification in order to amortize the cost of
-signaling"), and the send-side capability (template).
+signaling"), and the send-side capability (template).  The semaphore
+is C-Threads' user-level one: its P charges the small sync cost, and the
+network I/O module charges the kernel-to-user signal.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from ..counters import Counters
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Generator, Optional
 
-from ..mach.sync import Semaphore
 from ..mach.task import Task
 from ..mach.vm import SharedRegion
+from ..sim import Event
 from .template import HeaderTemplate
 
 if TYPE_CHECKING:
@@ -73,7 +75,11 @@ class Channel:
         #: can sweep leaked channels through the one release path.
         self.module = None
         self.name = name or f"channel-{Channel._counter}"
-        self.sem = Semaphore(owner.kernel, name=f"{self.name}-sem")
+        self.kernel = owner.kernel
+        #: The semaphore: banked signals (readers park rather than take
+        #: it negative) and the parked readers, woken FIFO.
+        self.banked = 0
+        self._waiters: Deque[Event] = deque()
         self.rx_queue: Deque[bytes] = deque()
         self._notified = False
         #: True when the last receive_batch had to block (the waiter was
@@ -105,26 +111,57 @@ class Channel:
             frame = (frame, link_info)
         self.rx_queue.append(frame)
         self.stats["delivered"] += 1
-        if not self.batching:
-            self.stats["signals"] += 1
-            self.sem.signal()
-            return True
-        if not self._notified:
+        if self.batching:
+            if self._notified:
+                return False
             self._notified = True
-            self.stats["signals"] += 1
-            self.sem.signal()
-            return True
-        return False
+        self.stats["signals"] += 1
+        self.signal()
+        return True
+
+    @property
+    def waiting(self) -> int:
+        """Number of readers parked in :meth:`receive_batch`."""
+        return len(self._waiters)
+
+    def signal(self, n: int = 1) -> None:
+        """V: wake ``n`` parked readers or bank the count (free here:
+        the caller charges a kernel-to-user signal)."""
+        for _ in range(n):
+            if self._waiters:
+                self._waiters.popleft().succeed()
+            else:
+                self.banked += 1
 
     def receive_batch(self) -> Generator:
-        """Library side: wait for the semaphore, drain everything queued.
+        """Library side: P on the semaphore, then drain everything queued.
 
         Returns the list of frames (possibly many per one signal).
         """
         if self.closed:
             raise ChannelClosed(self.name)
-        self.last_wait_blocked = self.sem.value == 0
-        yield from self.sem.wait()
+        kernel = self.kernel
+        self.last_wait_blocked = not self.banked
+        cost = kernel.costs.cthread_sync_op
+        if cost:
+            yield kernel.cpu.charge(cost)
+        if self.banked:
+            self.banked -= 1
+        else:
+            event = kernel.sim.event()
+            self._waiters.append(event)
+            try:
+                yield event
+            except BaseException:
+                # Interrupted while parked: withdraw, so a later signal
+                # is not swallowed by a dead event.  If a signal already
+                # picked this reader, pass it on to the next.
+                try:
+                    self._waiters.remove(event)
+                except ValueError:
+                    if event.triggered:
+                        self.signal()
+                raise
         if self.closed:
             raise ChannelClosed(self.name)
         if self.batching:
@@ -153,4 +190,4 @@ class Channel:
             return
         self.closed = True
         self.rx_queue.clear()
-        self.sem.signal(max(1, self.sem.waiting))
+        self.signal(max(1, self.waiting))

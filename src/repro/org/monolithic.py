@@ -237,7 +237,7 @@ class MonolithicTcpStack(TcpService):
     def _complete_accept(self, listener: Lease, connection: "MonoConnection") -> Generator:
         ok = yield from connection.runner.wait_connected()
         if ok and not listener.released:
-            yield listener.backlog.put(connection)
+            listener.backlog.put(connection)
         elif ok:
             # Established on a listener closed meanwhile: nobody will
             # accept it, so the peer is reset rather than left hanging.
@@ -251,7 +251,9 @@ class MonolithicTcpStack(TcpService):
         if rst is not None:
             yield from self._transmit(rst, src_ip, None)
 
-    def _transmit(self, segment: Segment, remote_ip: int, link_dst: object) -> Generator:
+    def _transmit(self, segment: Segment, remote_ip: int, link_dst: object, lead=0.0) -> Generator:
+        if lead:  # The emitting step's timer work.
+            yield self.kernel.cpu.charge(lead)
         costs = self.kernel.costs
         if self.profile.ipc_counts[1]:
             self.kernel.counters["ipc_messages"] += self.profile.ipc_counts[1]
@@ -286,8 +288,8 @@ class MonoConnection(TcpConnection):
             name=f"{stack.host.name}:{lease.local_port}",
         )
 
-    def _emit(self, segment: Segment) -> Generator:
-        yield from self.stack._transmit(segment, self.remote_ip, self.link_dst)
+    def _emit(self, segment: Segment, lead_cost: float, retransmit: bool) -> Generator:
+        return self.stack._transmit(segment, self.remote_ip, self.link_dst, lead_cost)
 
     @property
     def _costs(self):
@@ -295,32 +297,28 @@ class MonoConnection(TcpConnection):
 
     def send(self, data: bytes) -> Generator:
         profile = self.stack.profile
-        kernel = self.stack.kernel
+        counters = self.stack.kernel.counters
         if profile.ipc_counts[0]:
-            kernel.counters["ipc_messages"] += profile.ipc_counts[0]
+            counters["ipc_messages"] += profile.ipc_counts[0]
         else:
-            kernel.counters["traps"] += 1
-        cost = profile.send_entry(self._costs, len(data))
-        if cost:
-            yield kernel.cpu.charge(cost)
-        yield from self.runner.app_send(data)
+            counters["traps"] += 1
+        return self.runner.app_send(data, profile.send_entry(self._costs, len(data)))
 
     def recv(self, max_bytes: int) -> Generator:
-        blocked = not self.runner.rx_buffer
-        data = yield from self.runner.app_recv(max_bytes)
+        return self.runner.app_recv(max_bytes, self._recv_exit)
+
+    def _recv_exit(self, nbytes: int, blocked: bool) -> float:
         profile = self.stack.profile
-        kernel = self.stack.kernel
+        counters = self.stack.kernel.counters
         if profile.ipc_counts[3]:
-            kernel.counters["ipc_messages"] += profile.ipc_counts[3]
+            counters["ipc_messages"] += profile.ipc_counts[3]
         else:
-            kernel.counters["traps"] += 1
-        cost = profile.recv_exit(self._costs, len(data))
+            counters["traps"] += 1
+        cost = profile.recv_exit(self._costs, nbytes)
         if blocked:
             # The reader slept; waking it costs a context switch.
             cost += self._costs.context_switch
-        if cost:
-            yield kernel.cpu.charge(cost)
-        return data
+        return cost
 
     def close(self) -> Generator:
         """Orderly release.  Returns once the close is initiated (BSD

@@ -34,8 +34,9 @@ from ..protocols.tcp import (
 )
 from ..sim import Event, Simulator
 
-#: Costed transmission path: generator sending one segment to the peer.
-EmitFn = Callable[[Segment], Generator]
+#: Costed transmission path: ``emit_fn(segment, lead_cost, retransmit)``
+#: charges ``lead_cost`` (the step's timer work) first, then sends.
+EmitFn = Callable[[Segment, float, bool], Generator]
 
 
 class MachineRunner:
@@ -68,11 +69,6 @@ class MachineRunner:
         #: first SetTimer: cancelling a never-armed name charges no
         #: timer_op.
         self._timers: dict[str, Optional[tuple[float, Event]]] = {}
-        #: True while the emit_fn started by _execute is for a segment
-        #: the machine flagged as a retransmission.  Set immediately
-        #: before the emit generator's first resumption, so an emit_fn
-        #: reading it before its first yield sees its own flag.
-        self.emitting_retransmit = False
 
     # ------------------------------------------------------------------
     # Event entry points (``yield from`` each; costs ride on emit_fn)
@@ -116,8 +112,11 @@ class MachineRunner:
             obs.profiler.charge(site, 0.0, perf_counter() - t0)
         return self._execute(actions, now)
 
-    def app_send(self, data: bytes) -> Generator:
-        """Blocking write: waits for send-buffer space, then queues."""
+    def app_send(self, data: bytes, entry_cost: float) -> Generator:
+        """Blocking write: the organization's ``entry_cost``, then waits
+        for send-buffer space and queues."""
+        if entry_cost:
+            yield self.kernel.cpu.charge(entry_cost)
         offset = 0
         total = len(data)
         while offset < total:
@@ -135,20 +134,27 @@ class MachineRunner:
             offset += len(chunk)
             yield from self.handle(AppSend(chunk))
 
-    def app_recv(self, max_bytes: int) -> Generator:
-        """Blocking read: returns up to ``max_bytes`` (b'' at EOF)."""
+    def app_recv(self, max_bytes: int, exit_cost: Callable[[int, bool], float]) -> Generator:
+        """Blocking read: up to ``max_bytes`` (b'' at EOF), then the
+        organization's ``exit_cost(len(data), blocked on entry)``."""
         if max_bytes <= 0:
             raise ValueError("max_bytes must be positive")
+        blocked = not self.rx_buffer
         while not self.rx_buffer:
             if self.eof or self.closed_reason is not None:
-                return b""
+                break
             event = self.sim.event()
             self._readers.append(event)
             yield event
         data = bytes(self.rx_buffer[:max_bytes])
-        del self.rx_buffer[: len(data)]
-        # Tell the machine the app consumed data (window update logic).
-        yield from self.handle(AppRead(len(data)))
+        nbytes = len(data)
+        if nbytes:
+            del self.rx_buffer[:nbytes]
+            # Tell the machine the app consumed data (window update logic).
+            yield from self.handle(AppRead(nbytes))
+        cost = exit_cost(nbytes, blocked)
+        if cost:
+            yield self.kernel.cpu.charge(cost)
         return data
 
     def app_close(self) -> Generator:
@@ -180,7 +186,8 @@ class MachineRunner:
     # ------------------------------------------------------------------
 
     def _execute(self, actions, now: float) -> Generator:
-        """Run the actions one handle() returned at ``now``.
+        """Apply the actions one handle() returned at ``now``; return
+        what ``yield from`` runs for their costed work.
 
         Bookkeeping (timers, buffers, wakeups) is applied
         *synchronously*, before any simulated time passes, so it always
@@ -189,7 +196,8 @@ class MachineRunner:
         same runner; if a CancelTimer were executed after its handle
         yielded for CPU, it could race a SetTimer issued by a later
         handle and silently kill the fresh timer.  Only the costed work
-        (timer-op CPU charges and segment emission) yields.
+        (timer-op CPU charges and segment emission) yields: a lone
+        emission is its ``emit_fn``, with no runner frame above it.
         """
         emissions: list[EmitSegment] = []
         timer_ops = 0
@@ -234,19 +242,27 @@ class MachineRunner:
             for waiters in woken:
                 while waiters:
                     waiters.pop().succeed()
+        lead = 0.0
         if timer_ops:
-            cost = self.kernel.costs.timer_op * timer_ops
+            lead = self.kernel.costs.timer_op * timer_ops
             obs = _obs.SESSION
             if obs is not None:
-                obs.profiler.charge("tcp.timer_op", cost)
-            if cost:
-                yield self.kernel.cpu.charge(cost)
+                obs.profiler.charge("tcp.timer_op", lead)
+        if not emissions:
+            if lead:
+                # Timers only: the one charge, for the caller to yield.
+                return (self.kernel.cpu.charge(lead),)
+            return ()
+        if len(emissions) == 1:
+            (action,) = emissions
+            return self.emit_fn(action.segment, lead, action.retransmit)
+        return self._emit_all(emissions, lead)
+
+    def _emit_all(self, emissions: list[EmitSegment], lead: float) -> Generator:
+        """A step that emits several segments."""
         for action in emissions:
-            self.emitting_retransmit = action.retransmit
-            try:
-                yield from self.emit_fn(action.segment)
-            finally:
-                self.emitting_retransmit = False
+            yield from self.emit_fn(action.segment, lead, action.retransmit)
+            lead = 0.0
 
     def _arm_timer(self, name: str, now: float, delay: float) -> None:
         """(Re-)arm one named timer: one cancellable engine event, any

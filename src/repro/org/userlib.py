@@ -183,12 +183,10 @@ class LibraryConnection(TcpConnection):
     # Send path: library code + specialized trap into the I/O module
     # ------------------------------------------------------------------
 
-    def _emit(self, segment: Segment) -> Generator:
+    def _emit(self, segment: Segment, lead_cost: float, retransmit: bool) -> Generator:
+        if lead_cost:
+            yield self.kernel.cpu.charge(lead_cost)
         costs = self.kernel.costs
-        # Latched before the first yield: the runner sets it immediately
-        # before starting this generator, so the read cannot race other
-        # simulation processes.
-        retransmit = self.runner.emitting_retransmit
         payload = encode_segment(segment, self.service.host.ip, self.remote_ip)
         cost = (
             costs.tcp_output
@@ -294,23 +292,23 @@ class LibraryConnection(TcpConnection):
     # ------------------------------------------------------------------
 
     def send(self, data: bytes) -> Generator:
-        cost = self.kernel.costs.socket_op
+        costs = self.kernel.costs
+        cost = costs.socket_op
         if not self.service.zero_copy:
-            cost += self.kernel.costs.copy_cost(len(data))
-        if cost:
-            yield self.kernel.cpu.charge(cost)
-        yield from self.runner.app_send(data)
+            cost += costs.copy_cost(len(data))
+        return self.runner.app_send(data, cost)
 
     def recv(self, max_bytes: int) -> Generator:
-        data = yield from self.runner.app_recv(max_bytes)
+        return self.runner.app_recv(max_bytes, self._recv_exit)
+
+    def _recv_exit(self, nbytes: int, blocked: bool) -> float:
         # Shared-region buffer organization: no kernel->user copy
         # (unless the ablation re-enables conventional copying).
-        cost = self.kernel.costs.socket_op
+        costs = self.kernel.costs
+        cost = costs.socket_op
         if not self.service.zero_copy:
-            cost += self.kernel.costs.copy_cost(len(data))
-        if cost:
-            yield self.kernel.cpu.charge(cost)
-        return data
+            cost += costs.copy_cost(nbytes)
+        return cost
 
     def close(self) -> Generator:
         """Orderly release.  Returns once the close is initiated (BSD

@@ -299,7 +299,9 @@ class RegistryServer:
         remote_ip = lease.remote_ip
         adv_bqi = lease.ring.bqi if lease.ring is not None else 0
 
-        def emit(segment: Segment) -> Generator:
+        def emit(segment: Segment, lead_cost: float, retransmit: bool) -> Generator:
+            if lead_cost:
+                yield self.kernel.cpu.charge(lead_cost)
             costs = self.kernel.costs
             self.stats["handshake_segments"] += 1
             # The registry reaches the device through standard Mach IPC,
@@ -387,7 +389,7 @@ class RegistryServer:
             )
             if listener.released:
                 raise ConnectionError("listener closed")
-            yield listener.backlog.put(lease)
+            listener.backlog.put(lease)
         except Exception:
             # Failed, refused a channel, or nobody left to accept it:
             # the listening port itself stays its listener's.

@@ -22,22 +22,22 @@ from .events import Event, Triggered
 
 
 class Store:
-    """An unbounded FIFO of items with event-based put/get."""
+    """An unbounded FIFO of items: ``put`` is a plain call, ``get`` an
+    event."""
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
 
-    def put(self, item: Any) -> Event:
-        """Event that fires when ``item`` has entered the store — ahead
-        of the event of a getter that was waiting for it."""
-        event = Event(self.sim).succeed()
+    def put(self, item: Any) -> None:
+        """Hand ``item`` to the longest-waiting getter, whose event
+        fires at this instant, or queue it.  Schedules nothing else:
+        an unbounded store never makes its producer wait."""
         if self._getters:
             self._getters.popleft().succeed(item)
         else:
             self.items.append(item)
-        return event
 
     def get(self) -> Event:
         """Event that fires with the next item."""

@@ -1,4 +1,10 @@
-"""Tests for user-level synchronization and VM regions."""
+"""Tests for user-level synchronization and VM regions.
+
+The C-Threads-style semaphore the library waits on for packets has one
+user, the network channel, and lives there: its P operation is the
+start of :meth:`Channel.receive_batch`, its V operation
+:meth:`Channel.signal`.
+"""
 
 import pytest
 
@@ -6,11 +12,11 @@ from repro.costs import DECSTATION_5000_200, FREE
 from repro.mach import (
     Kernel,
     PAGE_SIZE,
-    Semaphore,
     SharedRegion,
     vm_wire,
 )
-from repro.sim import Simulator
+from repro.netio.channels import Channel
+from repro.sim import Interrupt, Simulator
 
 
 def make_kernel(costs=FREE):
@@ -18,97 +24,147 @@ def make_kernel(costs=FREE):
     return sim, Kernel(sim, costs, name="h")
 
 
+def make_channel(costs=FREE):
+    """A channel whose template and region the semaphore never reads."""
+    sim, kernel = make_kernel(costs)
+    return sim, Channel(kernel.create_task("app"), template=None, region=None)
+
+
 # ----------------------------------------------------------------------
-# Semaphore
+# Semaphore (the channel's)
 # ----------------------------------------------------------------------
 
 
 def test_semaphore_banked_signal():
-    sim, kernel = make_kernel()
-    sem = Semaphore(kernel)
-    sem.signal()
-    assert sem.value == 1
+    sim, channel = make_channel()
+    channel.signal()
+    assert channel.banked == 1
 
-    def waiter():
-        yield from sem.wait()
+    def reader():
+        yield from channel.receive_batch()
         return sim.now
 
-    assert sim.run(until=sim.process(waiter())) == 0.0
-    assert sem.value == 0
+    assert sim.run(until=sim.process(reader())) == 0.0
+    assert channel.banked == 0
+    assert not channel.last_wait_blocked
 
 
 def test_semaphore_blocks_until_signal():
-    sim, kernel = make_kernel()
-    sem = Semaphore(kernel)
+    sim, channel = make_channel()
     woke = []
 
-    def waiter():
-        yield from sem.wait()
-        woke.append(sim.now)
+    def reader():
+        batch = yield from channel.receive_batch()
+        woke.append((sim.now, batch))
 
-    def signaler():
+    def deliverer():
         yield sim.timeout(4.0)
-        sem.signal()
+        assert channel.deliver(b"x")
 
-    sim.process(waiter())
-    sim.process(signaler())
+    sim.process(reader())
+    sim.process(deliverer())
     sim.run()
-    assert woke == [4.0]
+    assert woke == [(4.0, [b"x"])]
+    assert channel.last_wait_blocked
 
 
 def test_semaphore_fifo_wakeup():
-    sim, kernel = make_kernel()
-    sem = Semaphore(kernel)
+    sim, channel = make_channel()
     order = []
 
-    def waiter(tag):
-        yield from sem.wait()
+    def reader(tag):
+        yield from channel.receive_batch()
         order.append(tag)
 
     for tag in ("a", "b", "c"):
-        sim.process(waiter(tag))
+        sim.process(reader(tag))
 
     def signaler():
         yield sim.timeout(1.0)
-        sem.signal(3)
+        channel.signal(3)
 
     sim.process(signaler())
     sim.run()
     assert order == ["a", "b", "c"]
 
 
-def test_semaphore_initial_value_validation():
-    _, kernel = make_kernel()
-    with pytest.raises(ValueError):
-        Semaphore(kernel, value=-1)
-
-
 def test_semaphore_wait_charges_sync_cost():
-    sim = Simulator()
-    kernel = Kernel(sim, DECSTATION_5000_200)
-    sem = Semaphore(kernel, value=1)
+    sim, channel = make_channel(DECSTATION_5000_200)
+    channel.signal()
 
-    def proc():
-        yield from sem.wait()
+    def reader():
+        yield from channel.receive_batch()
 
-    sim.run(until=sim.process(proc()))
+    sim.run(until=sim.process(reader()))
     assert sim.now == pytest.approx(DECSTATION_5000_200.cthread_sync_op)
 
 
 def test_semaphore_waiting_count():
-    sim, kernel = make_kernel()
-    sem = Semaphore(kernel)
+    sim, channel = make_channel()
 
-    def waiter():
-        yield from sem.wait()
+    def reader():
+        yield from channel.receive_batch()
 
-    sim.process(waiter())
-    sim.process(waiter())
+    sim.process(reader())
+    sim.process(reader())
     sim.run_all(limit=0.0)
-    assert sem.waiting == 2
-    sem.signal(2)
+    assert channel.waiting == 2
+    channel.signal(2)
     sim.run()
-    assert sem.waiting == 0
+    assert channel.waiting == 0
+
+
+def test_semaphore_interrupted_reader_withdraws():
+    """A reader interrupted while parked leaves the queue: the next
+    signal is banked, not swallowed by its dead event."""
+    sim, channel = make_channel()
+
+    def reader():
+        with pytest.raises(Interrupt):
+            yield from channel.receive_batch()
+
+    parked = sim.process(reader())
+
+    def interrupter():
+        yield sim.timeout(1.0)
+        parked.interrupt("terminated")
+        yield sim.timeout(1.0)
+        channel.signal()
+
+    sim.process(interrupter())
+    sim.run()
+    assert parked.ok
+    assert channel.waiting == 0
+    assert channel.banked == 1
+
+
+def test_semaphore_signal_taken_by_an_interrupted_reader_passes_on():
+    """A signal that already picked a reader, which is interrupted
+    before it runs, goes to the next parked reader."""
+    sim, channel = make_channel()
+    woke = []
+
+    def reader(tag):
+        try:
+            yield from channel.receive_batch()
+        except Interrupt:
+            woke.append((tag, "interrupted"))
+        else:
+            woke.append((tag, sim.now))
+
+    first = sim.process(reader("first"))
+    sim.process(reader("second"))
+
+    def signaler():
+        yield sim.timeout(1.0)
+        channel.signal()  # Picks "first" ...
+        first.interrupt("handed-off")  # ... which never takes it.
+
+    sim.process(signaler())
+    sim.run()
+    assert woke == [("first", "interrupted"), ("second", 1.0)]
+    assert channel.waiting == 0
+    assert channel.banked == 0
 
 
 # ----------------------------------------------------------------------

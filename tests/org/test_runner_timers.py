@@ -31,7 +31,7 @@ class ScriptedMachine:
 def make_runner():
     sim = Simulator()
 
-    def emit(segment):
+    def emit(segment, lead_cost, retransmit):
         raise AssertionError("no test here emits a segment")
         yield
 

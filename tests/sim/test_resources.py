@@ -34,7 +34,8 @@ def test_store_fifo_order():
 
     def producer():
         for item in ("a", "b", "c"):
-            yield store.put(item)
+            assert store.put(item) is None
+            yield sim.timeout(0)
 
     def consumer():
         for _ in range(3):
@@ -58,7 +59,7 @@ def test_store_get_blocks_until_put():
 
     def producer():
         yield sim.timeout(5.0)
-        yield store.put("late")
+        store.put("late")
 
     sim.process(consumer())
     sim.process(producer())
@@ -75,15 +76,30 @@ def test_store_len():
     assert len(store.items) == 2
 
 
-def test_store_put_event_fires_before_the_waiting_getters():
+def test_store_put_with_no_getter_schedules_nothing():
     sim = Simulator()
     store = Store(sim)
-    order = []
-    store.get().callbacks.append(lambda event: order.append(("got", event.value)))
-    store.put("x").callbacks.append(lambda event: order.append("put"))
-    assert len(store.items) == 0  # Handed to the getter, never queued.
+    store.put("x")
+    store.put("y")
+    assert list(store.items) == ["x", "y"]
     sim.run()
-    assert order == ["put", ("got", "x")]
+    assert sim.engine_stats()["events"] == 0
+
+
+def test_store_waiting_getter_fires_at_the_puts_instant():
+    sim = Simulator()
+    store = Store(sim)
+    got = []
+    store.get().callbacks.append(lambda event: got.append((sim.now, event.value)))
+
+    def producer():
+        yield sim.timeout(3.0)
+        store.put("x")
+        assert len(store.items) == 0  # Handed to the getter, never queued.
+
+    sim.process(producer())
+    sim.run()
+    assert got == [(3.0, "x")]
 
 
 def test_store_waiting_getter_receives_direct_put():
@@ -97,12 +113,10 @@ def test_store_waiting_getter_receives_direct_put():
 
     sim.process(consumer("first"))
     sim.process(consumer("second"))
-
-    def producer():
-        yield store.put("A")
-        yield store.put("B")
-
-    sim.process(producer())
+    sim.run_all(limit=0.0)  # Both getters wait.
+    store.put("A")
+    store.put("B")
+    assert len(store.items) == 0
     sim.run()
     assert got == [("first", "A"), ("second", "B")]
 

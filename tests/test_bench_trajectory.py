@@ -30,6 +30,14 @@ DIGEST_MOVED = {
         "events than the processes it replaced; no simulated instant or "
         "wire byte moved (sansio has no engine and kept its digest)",
     ),
+    "BENCH_42": (
+        {"bulk", "pingpong", "churn", "dumbbell"},
+        "put-events left the schedule: Store.put hands its item over and "
+        "schedules nothing, so a Mach message or an accepted connection is "
+        "one engine event fewer in engine_stats(); no simulated instant or "
+        "wire byte moved (no fabric datagram passes a Store, and sansio has no "
+        "engine: both kept their digests)",
+    ),
 }
 
 

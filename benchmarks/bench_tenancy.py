@@ -23,7 +23,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.metrics import jain_fairness, measure_fabric_transfers
-from repro.netstat import tenant_table
+from repro.netstat import held, tenant_table
 from repro.tenancy import PortGrant, TenantBudget, attach_tenancy
 from repro.testbed import FabricTestbed
 
@@ -56,7 +56,6 @@ def build_fabric(tenants: int, flows_per_tenant: int, tenanted: bool):
                     # for the handshake-time pre-allocations.
                     region_bytes=(2 * flows_per_tenant + 1) * 64 * 1024,
                     max_channels=2 * flows_per_tenant + 2,
-                    max_templates=2 * flows_per_tenant + 2,
                     ports=PortGrant.of(*per_tenant_ports[t]),
                 ),
             )
@@ -86,10 +85,12 @@ def run_arm(tenants: int, flows_per_tenant: int, bytes_per_flow: int,
     }
     if manager is not None:
         arm["profiles"] = [asdict(row) for row in tenant_table(fabric)]
+        for t in manager:
+            t.teardown()
         arm["leaks"] = {
-            t.tenant_id: leaks
+            t.tenant_id: rows
             for t in manager
-            if (leaks := t.teardown())
+            if (rows := [row for row in held(fabric, t.tenant_id) if row[2]])
         }
     return arm
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import netstat
 from ..netio.demux import DemuxError
-from ..org.monolithic import MonolithicTcpStack
 from ..protocols.tcp import TcpConfig
 from ..tenancy import QuotaExceeded
 from ..testbed import IP_B, Testbed
@@ -288,38 +288,10 @@ def failure_specs(quick: bool = False) -> list[FailureSpec]:
     ] + [FailureSpec(cell, "ethernet", "ultrix") for cell in ULTRIX_CELLS]
 
 
-def _end_points(name, core, now):
-    """An end-point table's holdings: a registry's core, or a stack's."""
-    yield name, "leases", sorted(core.leases)
-    yield name, "ports bound or lingering", sorted(core.held(now))
-
-
 def _held(bed, handshakes):
-    """Every resource of either host: (subject, resource, what is held)."""
-    now = bed.sim.now
-    for registry in bed.registries:
-        name = f"{registry.host.name} registry"
-        yield from _end_points(name, registry.core, now)
-        # A worker that ended with an exception may have died holding a lease.
-        failed = [t.name for t in registry.task.threads if not (t.is_alive or t.ok)]
-        yield name, "failed workers", failed
-        # A worker still parked (an accept on a closed listener) holds its requester.
-        main = f"{registry.task.name}/main"
-        yield name, "live workers", [t.name for t in registry.task.threads if t.is_alive and t.name != main]
-    for service in bed.services:
-        if isinstance(service, MonolithicTcpStack):
-            yield from _end_points(f"{service.host.name} stack", service.core, now)
-        else:  # A library's connections: the leases granted to its application.
-            leases = service.registry.core.leases.items()
-            granted = [k for k, lease in leases if lease.grant is not None and lease.owner is service.app]
-            yield service.host.name, "library connections", sorted(granted)
-    for host in bed.hosts:
-        netio = host.netio
-        yield host.name, "channels", len(netio.channels)
-        yield host.name, "flows", netio.flow_table.exact_count + netio.flow_table.wildcard_count
-        yield host.name, "wired bytes", netio.region_pool_used
-        if host.is_an1:
-            yield host.name, "BQIs", sorted(set(host.nic.bqi_table) - {0})
+    """Every table's holdings (:func:`repro.netstat.held`), then the
+    cell's own: each recorded handshake's armed timers."""
+    yield from netstat.held(bed)
     for runner in handshakes:
         armed = sorted(name for name, timer in runner._timers.items() if timer)
         yield runner.name, "armed handshake timers", armed

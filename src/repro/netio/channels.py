@@ -71,9 +71,6 @@ class Channel:
         #: a channel handed off across the tenant boundary stops
         #: working instead of leaking the flow.
         self.tenant_id: Optional[str] = None
-        #: Back-reference to the creating module so Tenant.teardown()
-        #: can sweep leaked channels through the one release path.
-        self.module = None
         self.name = name or f"channel-{Channel._counter}"
         self.kernel = owner.kernel
         #: The semaphore: banked signals (readers park rather than take

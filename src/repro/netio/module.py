@@ -153,7 +153,7 @@ class NetworkIoModule:
         audited as ``kind`` (see :meth:`TenantManager.admit`)."""
         if self.tenants is None or task is None:
             return None
-        return self.tenants.admit(task, self.kernel.sim.now, kind, check)
+        return self.tenants.admit(task, kind, check)
 
     def _reserve_region(self, nbytes: int) -> None:
         """Debit the physical wired-memory pool (independent of tenant
@@ -173,16 +173,37 @@ class NetworkIoModule:
         if self.region_pool_bytes is not None:
             self.region_pool_used -= nbytes
 
-    def _allocate_bqi(self, capacity: int) -> BufferRing:
-        """Claim a hardware ring.  Like the region pool this is real
+    def _allocate_bqi(self, capacity: int, tenant) -> BufferRing:
+        """Claim a hardware ring, attributed to ``tenant`` (or None)
+        from this moment on.  Like the region pool this is real
         scarcity, not policy: a full BQI table refuses tenanted and
         untenanted callers alike, as the quota refusal the registry
         already unwinds."""
         try:
-            return self.nic.allocate_bqi(capacity=capacity)
+            ring = self.nic.allocate_bqi(capacity=capacity)
         except BqiTableFull as exc:
             self.stats["bqi_refused"] += 1
             raise QuotaExceeded(str(exc)) from None
+        if tenant is not None:
+            ring.tenant_id = tenant.tenant_id
+        return ring
+
+    def holdings(self, tenant_id: Optional[str] = None) -> tuple[int, int, int]:
+        """What this module holds for ``tenant_id`` (for everyone when
+        None), read off its own tables: the channels, their region
+        bytes, and the buffers of the BQI rings it handed out.  This is
+        the only account of who holds what; a tenant's usage is its sum
+        over the modules it shares."""
+        channels = [
+            c for c in self.channels if tenant_id is None or c.tenant_id == tenant_id
+        ]
+        rings = self.nic.bqi_table.values() if self.is_an1 else ()
+        buffers = sum(
+            ring.capacity
+            for ring in rings
+            if ring.bqi and (tenant_id is None or ring.tenant_id == tenant_id)
+        )
+        return len(channels), sum(c.region.size for c in channels), buffers
 
     # ------------------------------------------------------------------
     # Channel setup (privileged)
@@ -246,7 +267,7 @@ class NetworkIoModule:
             if self.is_an1:
                 if ring is None:
                     ring = own_ring = self._allocate_bqi(
-                        self.DEFAULT_RING_CAPACITY
+                        self.DEFAULT_RING_CAPACITY, tenant
                     )
                     if costs.bqi_setup:
                         yield self.kernel.cpu.charge(costs.bqi_setup)
@@ -272,14 +293,10 @@ class NetworkIoModule:
             )
             channel.link_dst = link_dst
             channel.peer_bqi = peer_bqi
-            channel.module = self
             if tenant is not None:
                 channel.tenant_id = tenant.tenant_id
             if ring is not None:
                 ring.owner = channel
-                if tenant is not None:
-                    ring.tenant_id = tenant.tenant_id
-                    tenant.attach_ring(ring)  # no-op if charged at pre-alloc
             # The flow entry is installed on every network and style:
             # on Ethernet it *is* the demux; on AN1 (hardware demux) and
             # under interpreted styles it still serves kernel-side flow
@@ -298,30 +315,25 @@ class NetworkIoModule:
             if channel is not None:
                 channel.close()
             if tenant is not None and isinstance(exc, DemuxError):
-                self.tenants.note(
-                    self.kernel.sim.now,
-                    "flow_install_refused",
-                    tenant.tenant_id,
-                    str(flow_key),
-                )
+                self.tenants.audit["flow_install_refused"] += 1
             raise
         channel.flow_key = flow_key
         if demux is not None:
             self.flow_table.add_filter(flow_key, demux, channel)
+        self.channels.append(channel)
         if tenant is not None:
-            tenant.attach_channel(channel, region_size)
+            tenant.note_peaks()
             tenant.counters["channels_created"] += 1
             tenant.note_bound(local_port)
-        self.channels.append(channel)
         return channel
 
     def destroy_channel(self, caller: Task, channel: Channel) -> None:
         """Tear a channel down (privileged, or the owner itself).
 
         This is the *single* release path for everything a channel
-        holds: flow entry (exact or wildcard), filter program, BQI ring,
-        wired region bytes, and every tenant-attributed charge — so a
-        crashed tenant swept through here leaks nothing.
+        holds: flow entry (exact or wildcard), filter program, BQI ring
+        and wired region bytes — so a crashed tenant swept through here
+        leaks nothing.
         """
         if not caller.privileged and caller is not channel.owner:
             raise SecurityViolation(
@@ -339,7 +351,6 @@ class NetworkIoModule:
         if self.tenants is not None and channel.tenant_id is not None:
             tenant = self.tenants.get(channel.tenant_id)
             if tenant is not None:
-                tenant.release_channel(channel)
                 tenant.counters["channels_destroyed"] += 1
         channel.close()
 
@@ -392,9 +403,9 @@ class NetworkIoModule:
         The registry needs the index *before* sending the SYN so the
         remote side can be told which BQI to use; the ring is later
         bound to the channel at create_channel(ring=...).  ``owner``
-        attributes the ring to a tenant, whose BQI-buffer quota is
-        debited immediately (not at bind time: the scarce resource is
-        the hardware ring, held from this moment on).
+        attributes the ring to a tenant, whose BQI-buffer quota counts
+        it immediately (not at bind time: the scarce resource is the
+        hardware ring, held from this moment on).
         """
         if not caller.privileged:
             raise SecurityViolation("only the registry may allocate rings")
@@ -403,16 +414,14 @@ class NetworkIoModule:
         tenant = self._admit(
             owner, "ring_refused", lambda t: t.admit_ring(capacity)
         )
-        ring = self._allocate_bqi(capacity)
+        ring = self._allocate_bqi(capacity, tenant)
         if tenant is not None:
-            ring.tenant_id = tenant.tenant_id
-            tenant.attach_ring(ring)
+            tenant.note_peaks()
         return ring
 
     def release_ring(self, caller: Task, ring: BufferRing) -> None:
         """Release a pre-allocated ring that never made it onto a
-        channel (failed handshake): BQI back to the NIC, charge back to
-        the tenant."""
+        channel (failed handshake): BQI back to the NIC."""
         if not caller.privileged:
             raise SecurityViolation("only the registry may release rings")
         self._drop_ring(ring)
@@ -424,10 +433,6 @@ class NetworkIoModule:
         # recycled index must land in the kernel, never in a closed
         # channel.
         ring.owner = None
-        if self.tenants is not None and ring.tenant_id is not None:
-            tenant = self.tenants.get(ring.tenant_id)
-            if tenant is not None:
-                tenant.release_ring(ring)
         if self.nic.bqi_table.get(ring.bqi) is ring:
             self.nic.release_bqi(ring.bqi)
 
@@ -474,12 +479,7 @@ class NetworkIoModule:
                 # A channel capability that crossed the tenant boundary
                 # (leaked hand-off / stolen port right) stops working at
                 # the trap, not at some library-side honour check.
-                manager.note(
-                    self.kernel.sim.now,
-                    "cross_tenant_send",
-                    sender_id,
-                    f"channel {channel.name} belongs to {channel.tenant_id}",
-                )
+                manager.audit["cross_tenant_send"] += 1
                 if manager.enforcing:
                     self.stats["tx_refused"] += 1
                     raise SecurityViolation(
@@ -742,15 +742,11 @@ class NetworkIoModule:
                 )
             )
             if owner_id != channel.tenant_id:
-                manager.note(
-                    self.kernel.sim.now,
+                manager.audit[
                     "cross_tenant_delivery_blocked"
                     if manager.enforcing
-                    else "cross_tenant_delivery",
-                    owner_id,
-                    f"flow of tenant {channel.tenant_id} on channel"
-                    f" {channel.name}",
-                )
+                    else "cross_tenant_delivery"
+                ] += 1
                 if manager.enforcing:
                     self.stats["rx_refused"] += 1
                     flow_tenant = manager.get(channel.tenant_id)

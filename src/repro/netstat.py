@@ -5,9 +5,11 @@ registry — not buried in a kernel — a management tool can walk it
 directly.  :func:`connection_table` lists every TCP connection in the
 hosts' end-point tables (a registry's core, or a kernel stack's), with
 live TCB state; :func:`channel_table` lists the network I/O modules'
-protected channels; :func:`link_table` and :func:`switch_table` cover
-the fabric — per-link fault accounting and per-switch-port queue
-behaviour (depth, drops, occupancy).
+protected channels; :func:`held` lists what every table still holds
+(the one leak judge, of the failure axis and of a tenant's teardown);
+:func:`link_table` and :func:`switch_table` cover the fabric — per-link
+fault accounting and per-switch-port queue behaviour (depth, drops,
+occupancy).
 
 Works over anything exposing the testbed surface: ``hosts``,
 ``registries``, ``services``, ``links``, ``switches``, ``routers`` (both
@@ -105,6 +107,57 @@ def _connections(testbed):
             for lease in service.core.leases.values():
                 if lease.runner is not None:  # Not a listener.
                     yield service.host, lease, lease.runner.machine
+
+
+def _end_points(name, core, now):
+    """An end-point table's holdings: a registry's core, or a stack's."""
+    yield name, "leases", sorted(core.leases)
+    yield name, "ports bound or lingering", sorted(core.held(now))
+
+
+def held(testbed, tenant: Optional[str] = None):
+    """What the testbed still holds, as ``(subject, resource, what is
+    held)`` rows; a falsy ``what`` holds nothing.  This is the one leak
+    judge: the failure axis reads every row as "nothing held", and
+    after a tenant's teardown its rows must all be empty.
+
+    Untenanted, it walks every table: each registry's core and workers,
+    each kernel stack's core, the connections granted to each library,
+    and each network I/O module's channels, flows, wired bytes and BQIs.
+    With ``tenant`` (an id) it yields only what the modules' tables
+    attribute to that tenant: its channels, region bytes and ring
+    buffers on each host.
+    """
+    now = testbed.sim.now
+    if tenant is None:
+        for registry in testbed.registries:
+            name = f"{registry.host.name} registry"
+            yield from _end_points(name, registry.core, now)
+            # A worker that ended with an exception may have died holding a lease.
+            threads = registry.task.threads
+            yield name, "failed workers", [t.name for t in threads if not (t.is_alive or t.ok)]
+            # A worker still parked (an accept on a closed listener) holds its requester.
+            main = f"{registry.task.name}/main"
+            yield name, "live workers", [t.name for t in threads if t.is_alive and t.name != main]
+        for service in testbed.services:
+            if isinstance(service, MonolithicTcpStack):
+                yield from _end_points(f"{service.host.name} stack", service.core, now)
+            else:  # A library's connections: the leases granted to its application.
+                leases = service.registry.core.leases.items()
+                granted = [k for k, lease in leases if lease.grant is not None and lease.owner is service.app]
+                yield service.host.name, "library connections", sorted(granted)
+    for host in testbed.hosts:
+        netio = host.netio
+        channels, region_bytes, ring_buffers = netio.holdings(tenant)
+        yield host.name, "channels", channels
+        if tenant is not None:
+            yield host.name, "region bytes", region_bytes
+            yield host.name, "ring buffers", ring_buffers
+            continue
+        yield host.name, "flows", netio.flow_table.exact_count + netio.flow_table.wildcard_count
+        yield host.name, "wired bytes", netio.region_pool_used
+        if host.is_an1:
+            yield host.name, "BQIs", sorted(set(host.nic.bqi_table) - {0})
 
 
 def connection_table(testbed: "Testbed") -> list[ConnectionEntry]:
@@ -439,13 +492,14 @@ def tenant_table(testbed, tenant: Optional[str] = None) -> list[TenantEntry]:
         if tenant is not None and t.tenant_id != tenant:
             continue
         counters = t.counters
+        channels, region_used, bqi_used = t.usage()
         entries.append(
             TenantEntry(
                 tenant=t.tenant_id,
-                channels=t.channel_count,
-                region_used=t.region_bytes_used,
+                channels=channels,
+                region_used=region_used,
                 region_quota=t.budget.region_bytes,
-                bqi_used=t.bqi_buffers_used,
+                bqi_used=bqi_used,
                 bqi_quota=t.budget.bqi_buffers,
                 tx_bytes=counters["tx_bytes"],
                 rx_bytes=counters["rx_bytes"],

@@ -107,7 +107,7 @@ class RegistryServer:
         """One tenancy admission check for ``app``, audited as ``kind``
         (see :meth:`TenantManager.admit`)."""
         if self.tenants is not None:
-            self.tenants.admit(app, self.sim.now, kind, check)
+            self.tenants.admit(app, kind, check)
 
     def _open(self, owner: Task, local_port: int, *addressing, **fields) -> Lease:
         """The core's lease for the running thread, tied to its owner's

@@ -37,6 +37,7 @@ from typing import Generator, Optional
 
 from ..check.campaign import Axis, CellResult, Spec
 from ..net.headers import PROTO_UDP
+from ..netstat import held
 from ..org.udplib import LibraryUdpService
 from ..protocols.ip import encapsulate
 from ..protocols.udp import encode_datagram
@@ -299,19 +300,19 @@ def run_cell(spec: IsolationSpec, keep_evidence: bool = False) -> IsolationCell:
 
     snapshots = []
     for tenant in sorted(manager, key=lambda t: t.tenant_id):
-        leaks = tenant.teardown()
+        tenant.teardown()
         snapshots.append(
             TenantSnapshot(
                 tenant_id=tenant.tenant_id,
-                grant_ranges=tenant.budget.ports.ranges,
+                budget=tenant.budget,
                 ephemeral_ports=frozenset(tenant._ephemeral_ports),
                 bound_ports=tuple(tenant.bound_ports),
-                region_quota=tenant.budget.region_bytes,
-                bqi_quota=tenant.budget.bqi_buffers,
-                tx_rate=tenant.budget.tx_rate,
-                tx_burst=tenant.budget.tx_burst,
                 counters=dict(tenant.counters),
-                leaks=leaks,
+                leaks={
+                    f"{subject} {what}": holding
+                    for subject, what, holding in held(bed, tenant.tenant_id)
+                    if holding
+                },
             )
         )
 

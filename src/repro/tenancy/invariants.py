@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..check.invariants import CheckResult, Violation
+from .tenant import TenantBudget
 
 #: Victim goodput must stay within this fraction of its solo baseline.
 GOODPUT_EPSILON = 0.10
@@ -51,21 +52,14 @@ class TenantSnapshot:
     """One tenant's end-of-run facts, detached from live objects."""
 
     tenant_id: str
-    grant_ranges: tuple  # ((lo, hi), ...) inclusive port ranges.
+    budget: TenantBudget  # Frozen: quotas, token bucket, port grant.
     ephemeral_ports: frozenset  # Registry-minted ports (always legal).
     bound_ports: tuple  # Ports actually bound/listened/connected.
-    region_quota: int
-    bqi_quota: int
-    tx_rate: float  # bytes/sec; <= 0 means unlimited.
-    tx_burst: int
     counters: dict  # Tenant counter snapshot (peaks, tx/rx, audits).
-    leaks: dict  # Outstanding attribution after teardown; {} = clean.
+    leaks: dict  # Still held after teardown, by row; {} = clean.
 
     def port_granted(self, port: int) -> bool:
-        return (
-            any(lo <= port <= hi for lo, hi in self.grant_ranges)
-            or port in self.ephemeral_ports
-        )
+        return self.budget.ports.allows(port) or port in self.ephemeral_ports
 
 
 @dataclass
@@ -154,7 +148,7 @@ def check_grants(evidence: IsolationEvidence) -> CheckResult:
                         f"tenant={snapshot.tenant_id}",
                         0.0,
                         f"bound port {port} outside grant"
-                        f" {snapshot.grant_ranges} (and not ephemeral)",
+                        f" {snapshot.budget.ports.ranges} (and not ephemeral)",
                     )
                 )
     return result
@@ -182,26 +176,27 @@ def check_conservation(evidence: IsolationEvidence) -> CheckResult:
 
     for snapshot in evidence.tenants:
         counters = snapshot.counters
+        budget = snapshot.budget
         result.checked += 3
         peak_region = counters.get("peak_region_bytes", 0)
-        if peak_region > snapshot.region_quota:
+        if peak_region > budget.region_bytes:
             violate(
                 snapshot,
                 f"peak region attribution {peak_region}B exceeds quota"
-                f" {snapshot.region_quota}B",
+                f" {budget.region_bytes}B",
             )
         peak_bqi = counters.get("peak_bqi_buffers", 0)
-        if peak_bqi > snapshot.bqi_quota:
+        if peak_bqi > budget.bqi_buffers:
             violate(
                 snapshot,
                 f"peak BQI attribution {peak_bqi} buffers exceeds quota"
-                f" {snapshot.bqi_quota}",
+                f" {budget.bqi_buffers}",
             )
-        if snapshot.tx_rate > 0:
+        if budget.tx_rate > 0:
             result.checked += 1
             allowed = (
-                snapshot.tx_rate * evidence.duration
-                + snapshot.tx_burst
+                budget.tx_rate * evidence.duration
+                + budget.tx_burst
                 + RATE_SLACK_BYTES
             )
             tx = counters.get("tx_bytes", 0)
@@ -210,7 +205,7 @@ def check_conservation(evidence: IsolationEvidence) -> CheckResult:
                     snapshot,
                     f"transmitted {tx}B in {evidence.duration:.3f}s, over"
                     f" the token bucket's {allowed:.0f}B"
-                    f" ({snapshot.tx_rate:.0f} B/s + {snapshot.tx_burst}B"
+                    f" ({budget.tx_rate:.0f} B/s + {budget.tx_burst}B"
                     " burst)",
                 )
         if snapshot.leaks:

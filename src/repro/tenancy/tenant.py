@@ -6,12 +6,13 @@ server and the network I/O module) on behalf of untrusted libraries.
 This module turns that boundary into real multi-tenancy: a
 :class:`Tenant` is a principal owning tasks; a :class:`TenantBudget`
 caps what the trusted layers will allocate or transmit on its behalf —
-shared-region bytes, BQI ring buffers, channel and template counts, a
-token-bucket transmit rate, and a port grant set.
+shared-region bytes, BQI ring buffers, a channel count, a token-bucket
+transmit rate, and a port grant set.
 
 Enforcement lives in the trusted layers, never in library code:
 
-* the network I/O module debits budgets at channel creation, verifies
+* the network I/O module checks budgets at channel creation against
+  what its tables attribute to the tenant (the only account), verifies
   templates and flow keys against the grant set at registration time,
   rate-limits ``send`` (refusing — not queueing — over-budget packets),
   and refuses delivery into a channel whose owning task no longer
@@ -145,8 +146,9 @@ class TenantBudget:
     region_bytes: int = 1 << 20
     #: AN1 BQI ring buffer quota (buffers across all rings).
     bqi_buffers: int = 256
+    #: Every channel carries exactly one send template, so this caps
+    #: templates too.
     max_channels: int = 32
-    max_templates: int = 32
     #: Token-bucket transmit limiter; rate in bytes/second (<= 0 means
     #: unlimited), burst in bytes.
     tx_rate: float = 0.0
@@ -155,20 +157,20 @@ class TenantBudget:
 
 
 class Tenant:
-    """One principal and its live resource attribution."""
+    """One principal: its budget, its tasks and its audit counters.
 
-    def __init__(self, tenant_id: str, budget: Optional[TenantBudget] = None) -> None:
+    What it holds is not kept here: :meth:`usage` sums the tables of
+    the network I/O modules it shares (``modules``, which
+    :func:`attach_tenancy` fills)."""
+
+    def __init__(
+        self, tenant_id: str, budget: Optional[TenantBudget] = None, modules=()
+    ) -> None:
         self.tenant_id = tenant_id
         self.budget = budget or TenantBudget()
         self.bucket = TokenBucket(self.budget.tx_rate, self.budget.tx_burst)
         self.counters = Counters()
-        #: Live channels attributed to this tenant, with their charges.
-        self._channel_charges: dict = {}  # Channel -> (region_bytes, templates)
-        #: Live BQI rings attributed to this tenant.
-        self._rings: dict = {}  # BufferRing -> buffers charged
-        self.region_bytes_used = 0
-        self.bqi_buffers_used = 0
-        self.templates_used = 0
+        self.modules = modules
         #: Ports this tenant successfully bound/listened (evidence for
         #: the grant-respected invariant; recorded even when enforcement
         #: is off so a sabotaged stack leaves a judgeable trail).
@@ -179,14 +181,14 @@ class Tenant:
         self.tasks: list = []
 
     def __repr__(self) -> str:
-        return (
-            f"<Tenant {self.tenant_id} channels={self.channel_count}"
-            f" region={self.region_bytes_used}/{self.budget.region_bytes}>"
-        )
+        return f"<Tenant {self.tenant_id} holds={self.usage()}>"
 
-    @property
-    def channel_count(self) -> int:
-        return len(self._channel_charges)
+    def usage(self) -> tuple[int, int, int]:
+        """Channels, region bytes and ring buffers the modules' tables
+        attribute to this tenant (see
+        :meth:`~repro.netio.module.NetworkIoModule.holdings`)."""
+        rows = [module.holdings(self.tenant_id) for module in self.modules]
+        return tuple(sum(column) for column in zip((0, 0, 0), *rows))
 
     # ------------------------------------------------------------------
     # Admission (called by the trusted layers; raise to refuse)
@@ -253,64 +255,31 @@ class Tenant:
         self._ephemeral_ports.add(port)
 
     def precheck_channel(self, region_bytes: int, ring_buffers: int = 0) -> None:
-        """Non-debiting admission check (before an expensive handshake)."""
-        if self.channel_count + 1 > self.budget.max_channels:
+        """Admission check for one more channel (and its ring)."""
+        channels, region_used, _ = self.usage()
+        if channels + 1 > self.budget.max_channels:
             self._refuse(
                 QuotaExceeded,
                 "quota_channels",
                 f"channel cap {self.budget.max_channels} reached",
             )
-        if self.templates_used + 1 > self.budget.max_templates:
-            self._refuse(
-                QuotaExceeded,
-                "quota_templates",
-                f"template cap {self.budget.max_templates} reached",
-            )
-        if self.region_bytes_used + region_bytes > self.budget.region_bytes:
+        if region_used + region_bytes > self.budget.region_bytes:
             self._refuse(
                 QuotaExceeded,
                 "quota_region",
                 f"region quota {self.budget.region_bytes}B exhausted "
-                f"({self.region_bytes_used}B used, {region_bytes}B asked)",
+                f"({region_used}B used, {region_bytes}B asked)",
             )
         if ring_buffers:
             self.admit_ring(ring_buffers)
 
-    def attach_channel(self, channel, region_bytes: int) -> None:
-        """Debit and record one created channel (+ its template)."""
-        self.region_bytes_used += region_bytes
-        self.templates_used += 1
-        self._channel_charges[channel] = region_bytes
-        self._note_peaks()
-
-    def release_channel(self, channel) -> None:
-        """Credit everything a channel held (idempotent)."""
-        region_bytes = self._channel_charges.pop(channel, None)
-        if region_bytes is None:
-            return
-        self.region_bytes_used -= region_bytes
-        self.templates_used -= 1
-
     def admit_ring(self, buffers: int) -> None:
-        if self.bqi_buffers_used + buffers > self.budget.bqi_buffers:
+        if self.usage()[2] + buffers > self.budget.bqi_buffers:
             self._refuse(
                 QuotaExceeded,
                 "quota_bqi",
                 f"BQI buffer quota {self.budget.bqi_buffers} exhausted",
             )
-
-    def attach_ring(self, ring) -> None:
-        if ring in self._rings:  # pre-allocated, then bound to a channel
-            return
-        self.bqi_buffers_used += ring.capacity
-        self._rings[ring] = ring.capacity
-        self._note_peaks()
-
-    def release_ring(self, ring) -> None:
-        buffers = self._rings.pop(ring, None)
-        if buffers is None:
-            return
-        self.bqi_buffers_used -= buffers
 
     def admit_tx(self, nbytes: int, now: float) -> float:
         """Rate-limiter gate: 0.0 admits; positive is the retry hint."""
@@ -329,60 +298,34 @@ class Tenant:
     def note_bound(self, port: int) -> None:
         self.bound_ports.append(port)
 
-    def _note_peaks(self) -> None:
-        if self.region_bytes_used > self.counters["peak_region_bytes"]:
-            self.counters["peak_region_bytes"] = self.region_bytes_used
-        if self.bqi_buffers_used > self.counters["peak_bqi_buffers"]:
-            self.counters["peak_bqi_buffers"] = self.bqi_buffers_used
-        if self.channel_count > self.counters["peak_channels"]:
-            self.counters["peak_channels"] = self.channel_count
+    def note_peaks(self) -> None:
+        """Raise the peak counters to the current usage (the module
+        calls this once a channel or a ring exists)."""
+        counters = self.counters
+        for name, held in zip(
+            ("peak_channels", "peak_region_bytes", "peak_bqi_buffers"), self.usage()
+        ):
+            if held > counters[name]:
+                counters[name] = held
 
     # ------------------------------------------------------------------
     # Teardown: one sweep releases everything a crashed tenant held
     # ------------------------------------------------------------------
 
-    def teardown(self) -> dict:
-        """Terminate the tenant's tasks and sweep every attributed
-        resource through the single release path
-        (:meth:`NetworkIoModule.destroy_channel`), then report leaks.
+    def teardown(self) -> None:
+        """Terminate the tenant's tasks, then destroy each channel the
+        modules' tables still attribute to it, for its current owner.
 
-        Task termination fires the registry's inheritance hooks (which
-        destroy channels and release ports); anything still attributed
-        afterwards is destroyed directly.  Returns :meth:`leaks` — an
-        empty dict is the clean bill of health tests assert on.
+        The tasks' exit hooks in the registry already hand back their
+        channels, ports and handshake rings; what is held afterwards is
+        a leak, judged by :func:`repro.netstat.held`.
         """
         for task in list(self.tasks):
             if task.alive:
                 task.terminate()
-        for channel in list(self._channel_charges):
-            module = getattr(channel, "module", None)
-            if module is not None and not channel.closed:
+        for module in self.modules:
+            for channel in [c for c in module.channels if c.tenant_id == self.tenant_id]:
                 module.destroy_channel(channel.owner, channel)
-            else:
-                self.release_channel(channel)
-        for ring in list(self._rings):
-            owner = getattr(ring, "owner", None)
-            module = getattr(owner, "module", None) if owner is not None else None
-            if module is not None:
-                module.destroy_channel(owner.owner, owner)
-            else:
-                self.release_ring(ring)
-        return self.leaks()
-
-    def leaks(self) -> dict:
-        """Outstanding attribution after teardown; empty means clean."""
-        leaks = {}
-        if self.region_bytes_used:
-            leaks["region_bytes"] = self.region_bytes_used
-        if self.bqi_buffers_used:
-            leaks["bqi_buffers"] = self.bqi_buffers_used
-        if self.templates_used:
-            leaks["templates"] = self.templates_used
-        if self._channel_charges:
-            leaks["channels"] = len(self._channel_charges)
-        if self._rings:
-            leaks["rings"] = len(self._rings)
-        return leaks
 
 
 class TenantManager:
@@ -405,17 +348,16 @@ class TenantManager:
         #: cross-tenant delivery from this log, the way the netcheck
         #: invariants judge from the wire trace.
         self.delivery_log: list = []
-        #: Audited refusals and suspicious facts: ``(time, kind,
-        #: tenant_id, detail)`` — recorded whether or not enforcement
-        #: acted on them, so a sabotaged stack still leaves evidence.
-        self.fact_log: list = []
+        #: The network I/O modules this manager is wired into: every
+        #: tenant's usage is summed over their tables.
+        self.modules: list = []
 
     def create_tenant(
         self, tenant_id: str, budget: Optional[TenantBudget] = None
     ) -> Tenant:
         if tenant_id in self.tenants:
             raise ValueError(f"tenant {tenant_id!r} already exists")
-        tenant = Tenant(tenant_id, budget)
+        tenant = Tenant(tenant_id, budget, self.modules)
         self.tenants[tenant_id] = tenant
         return tenant
 
@@ -437,7 +379,7 @@ class TenantManager:
     # Enforcement (a no-op when not enforcing, but audited)
     # ------------------------------------------------------------------
 
-    def admit(self, task, time: float, kind: str, check) -> Optional[Tenant]:
+    def admit(self, task, kind: str, check) -> Optional[Tenant]:
         """Run one admission ``check(tenant)`` for ``task``'s tenant on
         behalf of a trusted layer; returns the tenant (None for a task
         no tenant owns).  A refusal is an audited fact of ``kind``
@@ -447,16 +389,11 @@ class TenantManager:
         if tenant is not None:
             try:
                 check(tenant)
-            except TenantViolation as exc:
-                self.note(time, kind, tenant.tenant_id, str(exc))
+            except TenantViolation:
+                self.audit[kind] += 1
                 if self.enforcing:
                     raise
         return tenant
-
-    def note(self, time: float, kind: str, tenant_id, detail: str = "") -> None:
-        """Record one audited fact for the invariant checkers."""
-        self.audit[kind] += 1
-        self.fact_log.append((time, kind, tenant_id, detail))
 
 
 def attach_tenancy(bed, enforcing: bool = True) -> TenantManager:
@@ -466,6 +403,7 @@ def attach_tenancy(bed, enforcing: bool = True) -> TenantManager:
     manager = TenantManager(enforcing=enforcing)
     for host in bed.hosts:
         host.netio.tenants = manager
+        manager.modules.append(host.netio)
     for registry in getattr(bed, "registries", []):
         registry.tenants = manager
     bed.tenants = manager

@@ -84,10 +84,6 @@ ALLOWED = {
         "tested-only", "tests/integration/test_trace.py::test_trace_decodes_icmp_echo"),
     "repro.tenancy.tenant:Tenant.admit_ring": (
         "tested-only", "tests/tenancy/test_enforcement.py::test_an1_channel_charges_and_releases_bqi"),
-    "repro.tenancy.tenant:Tenant.attach_ring": (
-        "tested-only", "tests/tenancy/test_enforcement.py::test_an1_channel_charges_and_releases_bqi"),
-    "repro.tenancy.tenant:Tenant.release_ring": (
-        "tested-only", "tests/tenancy/test_enforcement.py::test_an1_channel_charges_and_releases_bqi"),
     # -- tested-only: safety paths (refusals, and the report of a violation)
     "repro.net.headers:_refused": (
         "tested-only", "tests/protocols/test_headers.py::test_ipv4_field_validation"),

@@ -53,6 +53,7 @@ class TwoTenantWorld:
         self.mallory_app = self.kernel.create_task("mallory-app")
         self.manager = TenantManager(enforcing=enforcing)
         self.io.tenants = self.manager
+        self.manager.modules.append(self.io)
         self.victim = self.manager.create_tenant(
             "victim", TenantBudget(ports=PortGrant.of((4000, 4999)))
         )
@@ -279,12 +280,12 @@ def test_bqi_exhaustion_contained_by_quota():
     mallory_rings = [r for r in results["mallory"] if r is not None]
     assert len(mallory_rings) == 2
     assert results["mallory"].count(None) == 4
-    assert world.mallory.bqi_buffers_used == 64
+    assert world.mallory.usage()[2] == 64
     assert world.mallory.counters["rejections"] == 4
     assert len(results["victim"]) == 1 and results["victim"][0] is not None
     # Release restores capacity for the refused tenant.
     world.io.release_ring(world.registry, mallory_rings[0])
-    assert world.mallory.bqi_buffers_used == 32
+    assert world.mallory.usage()[2] == 32
     ring = world.io.allocate_ring(world.registry, owner=world.mallory_app)
     assert ring is not None
 

@@ -10,6 +10,7 @@ from repro.net import An1Link, An1Nic, EthernetLink, PmaddNic, str_to_mac
 from repro.netio import NetworkIoModule, tcp_send_template
 from repro.netio.demux import DemuxError, FlowKey, FlowTable
 from repro.net.headers import PROTO_TCP, PROTO_UDP
+from repro.netstat import held
 from repro.org.udplib import LibraryUdpService
 from repro.sim import Simulator
 from repro.tenancy import (
@@ -30,9 +31,10 @@ GRANT = PortGrant.of((4000, 4999))
 
 
 class World:
-    """One host with a netio module and a tenant directory."""
+    """One host with a netio module and a tenant directory; ``budget``
+    overrides the tenant's budget fields."""
 
-    def __init__(self, an1: bool = False):
+    def __init__(self, an1: bool = False, **budget):
         self.sim = Simulator()
         self.kernel = Kernel(self.sim, FREE, name="A")
         if an1:
@@ -46,8 +48,9 @@ class World:
         self.app = self.kernel.create_task("app")
         self.manager = TenantManager()
         self.io.tenants = self.manager
+        self.manager.modules.append(self.io)
         self.tenant = self.manager.create_tenant(
-            "t", TenantBudget(region_bytes=128 * 1024, ports=GRANT)
+            "t", TenantBudget(**{"region_bytes": 128 * 1024, "ports": GRANT, **budget})
         )
         self.manager.bind_task(self.app, self.tenant)
 
@@ -81,7 +84,7 @@ def test_quota_refusal_allocates_nothing():
         world.create_channel(region_size=256 * 1024)
     assert len(world.io.channels) == 0
     assert world.io.region_pool_used == 0
-    assert world.tenant.region_bytes_used == 0
+    assert world.tenant.usage() == (0, 0, 0)
     assert world.tenant.counters["rejections"] == 1
     assert world.manager.audit["admission_refused"] == 1
 
@@ -102,32 +105,31 @@ def test_destroy_channel_releases_everything():
     world = World()
     world.io.region_pool_bytes = 128 * 1024
     channel = world.create_channel()
-    assert world.tenant.region_bytes_used > 0
-    assert world.io.region_pool_used > 0
+    assert world.tenant.usage() == (1, 64 * 1024, 0)
+    assert world.io.region_pool_used == 64 * 1024
     world.io.destroy_channel(world.app, channel)
     world.io.destroy_channel(world.app, channel)  # Idempotent.
-    assert world.tenant.region_bytes_used == 0
+    assert world.tenant.usage() == (0, 0, 0)
     assert world.io.region_pool_used == 0
-    assert world.tenant.leaks() == {}
 
 
 def test_an1_channel_charges_and_releases_bqi():
     world = World(an1=True)
     channel = world.create_channel()
     assert channel.ring is not None
-    assert world.tenant.bqi_buffers_used == channel.ring.capacity
+    assert world.tenant.usage() == (1, 64 * 1024, channel.ring.capacity)
     world.io.destroy_channel(world.app, channel)
-    assert world.tenant.bqi_buffers_used == 0
+    assert world.tenant.usage() == (0, 0, 0)
     assert channel.ring.bqi not in world.nic.bqi_table
-    assert world.tenant.leaks() == {}
 
 
 def test_teardown_sweeps_channels_through_module():
     world = World()
     world.create_channel(port=4000)
     world.create_channel(port=4001)
-    assert world.tenant.channel_count == 2
-    assert world.tenant.teardown() == {}
+    assert world.tenant.usage()[0] == 2
+    world.tenant.teardown()
+    assert world.tenant.usage() == (0, 0, 0)
     assert len(world.io.channels) == 0
     assert world.io.region_pool_used == 0
 
@@ -162,6 +164,11 @@ def test_wildcard_allowed_after_exact_flows_removed():
 # ----------------------------------------------------------------------
 # Registry paths (testbed level)
 # ----------------------------------------------------------------------
+
+
+def leaks(bed, tenant_id):
+    """The tenant's non-empty :func:`repro.netstat.held` rows."""
+    return {(subject, what): n for subject, what, n in held(bed, tenant_id) if n}
 
 
 def tenanted_bed(enforcing=True):
@@ -204,7 +211,8 @@ def test_failed_connect_releases_port_and_leaves_no_leaks():
 
     bed.spawn(scenario())
     bed.run(until=30.0)  # Past SYN retry exhaustion.
-    assert alpha.teardown() == {}
+    alpha.teardown()
+    assert leaks(bed, "alpha") == {}
     assert bed.host_a.netio.region_pool_used == 0
 
 
@@ -222,5 +230,6 @@ def test_udp_bind_respects_grant_and_teardown_is_clean():
     bed.run(until=1.0)
     assert state["ep"].channel in bed.host_a.netio.channels
     assert alpha.bound_ports == [4500]
-    assert alpha.teardown() == {}
+    alpha.teardown()
+    assert leaks(bed, "alpha") == {}
     assert bed.host_a.netio.region_pool_used == 0

@@ -1,8 +1,12 @@
 """Unit tests for the tenancy primitives: token bucket, port grants,
-budgets, and the teardown/leak sweep."""
+budgets, usage as a sum over the module's tables, and the teardown/leak
+sweep."""
 
 import pytest
 
+from repro.net.nic.an1ctrl import BqiTableFull
+from repro.netio.demux import DemuxError
+from repro.org.udplib import LibraryUdpService
 from repro.tenancy import (
     GrantViolation,
     PortGrant,
@@ -12,6 +16,8 @@ from repro.tenancy import (
     TokenBucket,
 )
 from repro.netio.template import udp_send_template, tcp_send_template
+
+from .test_enforcement import World, leaks, tenanted_bed
 
 IP = 0x0A000001
 
@@ -88,7 +94,6 @@ def make_tenant(**kwargs):
         region_bytes=128 * 1024,
         bqi_buffers=64,
         max_channels=2,
-        max_templates=2,
         ports=PortGrant.of((4000, 4999)),
     )
     defaults.update(kwargs)
@@ -105,34 +110,87 @@ def test_precheck_channel_enforces_caps():
 
 
 def test_channel_cap_counts_live_channels():
-    tenant = make_tenant(max_channels=1)
-
-    class FakeChannel:
-        pass
-
-    first = FakeChannel()
-    tenant.precheck_channel(1024)
-    tenant.attach_channel(first, 1024)
+    world = World(max_channels=1)
+    first = world.create_channel(port=4000)
     with pytest.raises(QuotaExceeded):
-        tenant.precheck_channel(1024)
-    tenant.release_channel(first)
-    tenant.precheck_channel(1024)  # Freed capacity is reusable.
+        world.create_channel(port=4001)
+    assert world.tenant.counters["quota_channels"] == 1
+    world.io.destroy_channel(world.app, first)
+    world.create_channel(port=4001)  # Freed capacity is reusable.
 
 
 def test_region_attribution_and_peaks():
-    tenant = make_tenant()
+    world = World()
+    a = world.create_channel(port=4000, region_size=64 * 1024)
+    world.create_channel(port=4001, region_size=32 * 1024)
+    assert world.tenant.usage()[1] == 96 * 1024
+    world.io.destroy_channel(world.app, a)
+    world.io.destroy_channel(world.app, a)  # Idempotent.
+    assert world.tenant.usage()[1] == 32 * 1024
+    assert world.tenant.counters["peak_region_bytes"] == 96 * 1024
 
-    class FakeChannel:
-        pass
 
-    a, b = FakeChannel(), FakeChannel()
-    tenant.attach_channel(a, 64 * 1024)
-    tenant.attach_channel(b, 32 * 1024)
-    assert tenant.region_bytes_used == 96 * 1024
-    tenant.release_channel(a)
-    tenant.release_channel(a)  # Idempotent.
-    assert tenant.region_bytes_used == 32 * 1024
-    assert tenant.counters["peak_region_bytes"] == 96 * 1024
+@pytest.mark.parametrize("an1", [False, True], ids=["ethernet", "an1"])
+def test_usage_is_the_module_tables_sum(an1):
+    """After every step that makes, refuses, unwinds or gives back a
+    channel or a ring, the tenant's usage is what the module's tables
+    attribute to it, and the peaks are the highest usage seen at the
+    end of a create or an allocate."""
+    world = World(an1=an1)
+    world.io.region_pool_bytes = 1 << 20
+    cap = world.io.DEFAULT_RING_CAPACITY if an1 else 0
+
+    def table_sum():
+        channels = [c for c in world.io.channels if c.tenant_id == "t"]
+        rings = [r for r in getattr(world.nic, "bqi_table", {}).values() if r.tenant_id == "t"]
+        return (
+            len(channels),
+            sum(c.region.size for c in channels),
+            sum(r.capacity for r in rings),
+        )
+
+    def step(usage, peaks):
+        assert world.tenant.usage() == table_sum() == usage
+        assert world.io.region_pool_used == usage[1]  # The pool's one running total.
+        counters = world.tenant.counters
+        assert (
+            counters["peak_channels"],
+            counters["peak_region_bytes"],
+            counters["peak_bqi_buffers"],
+        ) == peaks
+
+    a = world.create_channel(port=4000)
+    step((1, 64 * 1024, cap), (1, 64 * 1024, cap))
+    world.create_channel(port=4001, region_size=32 * 1024)
+    step((2, 96 * 1024, 2 * cap), (2, 96 * 1024, 2 * cap))
+    world.io.destroy_channel(world.app, a)
+    step((1, 32 * 1024, cap), (2, 96 * 1024, 2 * cap))
+
+    ring = world.io.allocate_ring(world.registry, owner=world.app)
+    assert (ring is not None) == an1
+    if an1:
+        step((1, 32 * 1024, 2 * cap), (2, 96 * 1024, 2 * cap))
+        world.io.allocate_ring(world.registry, capacity=3 * cap, owner=world.app)
+        step((1, 32 * 1024, 5 * cap), (2, 96 * 1024, 5 * cap))
+        world.io.release_ring(world.registry, ring)
+        step((1, 32 * 1024, 4 * cap), (2, 96 * 1024, 5 * cap))
+
+    before = world.tenant.usage()
+    with pytest.raises(QuotaExceeded):  # Refused: over the region quota.
+        world.create_channel(port=4002, region_size=256 * 1024)
+    step(before, (2, 96 * 1024, 5 * cap))
+    with pytest.raises(DemuxError):  # Unwound: port 4001's flow is taken.
+        world.create_channel(port=4001)
+    step(before, (2, 96 * 1024, 5 * cap))
+    if an1:
+
+        def full(capacity, owner=None):
+            raise BqiTableFull("all BQIs are live")
+
+        world.nic.allocate_bqi = full
+        with pytest.raises(QuotaExceeded):  # Unwound: no ring to spare.
+            world.create_channel(port=4002)
+        step(before, (2, 96 * 1024, 5 * cap))
 
 
 def test_check_port_and_ephemeral_grant():
@@ -176,25 +234,21 @@ def test_check_template_rejects_unpinned_source():
 
 
 def test_leaks_reports_outstanding_attribution():
-    tenant = make_tenant()
-
-    class FakeChannel:
-        closed = True  # Not registered with any module: swept locally.
-        module = None
-
-    tenant.attach_channel(FakeChannel(), 1024)
-    leaks = tenant.leaks()
-    assert leaks["channels"] == 1
-    assert leaks["region_bytes"] == 1024
+    bed, manager, alpha = tenanted_bed()
+    service = LibraryUdpService(bed.host_a, bed.app_a, bed.registry_a)
+    bed.spawn(service.bind(4500))
+    bed.run(until=1.0)
+    assert leaks(bed, "alpha") == {
+        ("alice", "channels"): 1,
+        ("alice", "region bytes"): 64 * 1024,
+    }
 
 
 def test_clean_tenant_has_no_leaks():
-    tenant = make_tenant()
-
-    class FakeChannel:
-        pass
-
-    chan = FakeChannel()
-    tenant.attach_channel(chan, 1024)
-    tenant.release_channel(chan)
-    assert tenant.leaks() == {}
+    bed, manager, alpha = tenanted_bed()
+    service = LibraryUdpService(bed.host_a, bed.app_a, bed.registry_a)
+    bed.spawn(service.bind(4500))
+    bed.run(until=1.0)
+    alpha.teardown()
+    assert leaks(bed, "alpha") == {}
+    assert bed.host_a.netio.channels == []

@@ -34,16 +34,16 @@ def main() -> None:
     udp_b = LibraryUdpService(testbed.host_b, testbed.app_b, testbed.registry_b)
 
     def via(endpoint, before):
-        ring = endpoint.channel.ring
+        ring = endpoint.channel.region
         return "hardware ring" if ring.stats["delivered"] > before else "kernel fallback"
 
     paths = []
 
     def server():
         endpoint = yield from udp_b.bind(9999)
-        print(f"server bound port 9999; its ring is BQI {endpoint.channel.ring.bqi}")
+        print(f"server bound port 9999; its ring is BQI {endpoint.channel.region.bqi}")
         while True:
-            before = endpoint.channel.ring.stats["delivered"]
+            before = endpoint.channel.region.stats["delivered"]
             data, (src_ip, src_port) = yield from endpoint.recvfrom()
             paths.append(via(endpoint, before))
             print(
@@ -54,7 +54,7 @@ def main() -> None:
 
     def client():
         endpoint = yield from udp_a.bind(0)
-        print(f"client bound; its ring is BQI {endpoint.channel.ring.bqi}")
+        print(f"client bound; its ring is BQI {endpoint.channel.region.bqi}")
         for i in range(4):
             stamped = endpoint.peer_bqi.get(IP_B, 0)
             print(
@@ -73,7 +73,7 @@ def main() -> None:
 
     print()
     print("ring statistics after the exchange:")
-    print(f"  client ring: {endpoint.channel.ring.stats}")
+    print(f"  client ring: {endpoint.channel.region.stats}")
     print("only the very first datagram in each direction needed the kernel;")
     print("every subsequent one was demultiplexed by the AN1 hardware.")
     assert paths == ["kernel fallback"] + ["hardware ring"] * 3, paths

@@ -1,48 +1,66 @@
-"""Virtual-memory operations for shared packet-buffer regions.
+"""The shared region: one channel's pinned receive buffers.
 
 The network I/O module and the protocol library share a pinned region
 that packets move through without copies — the paper's central buffering
-mechanism.  We model a region's identity, size, pinning, and the tasks it
-is mapped into.  Wiring charges its (setup-time-only) cost here; the
-network I/O module charges the mapping when it builds a channel.
+mechanism (§3.3).  A region holds a fixed number of receive buffers; on
+AN1 it *is* the ring a BQI names.  Placing a frame takes a buffer (the
+AN1 controller at DMA, the network I/O module otherwise), a full region
+drops the frame, and the library gives one back per frame it consumes.
+Wiring charges its (setup-time-only) cost here; the network I/O module
+charges the mapping when it builds a channel.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Set
+from typing import Any, Generator
 
+from ..counters import Counters
 from .kernel import Kernel
-from .task import Task
 
 PAGE_SIZE = 4096
+#: Bytes in one receive buffer.
+BUFFER_BYTES = 2048
 
 
 class SharedRegion:
-    """A pinned, shareable buffer region.
+    """A pinned region of ``capacity`` receive buffers, ``available``
+    of them free.  ``bqi`` is its index in the AN1 controller's table
+    (0 when no table holds it), ``owner`` the channel it serves (opaque
+    to the controller), ``tenant_id`` the tenant its buffers are
+    charged to."""
 
-    The actual packet bytes travel in frame objects through the ring
-    structures (see :mod:`repro.netio.channels`); the region tracks the
-    memory-management state (size, wiring, mappings) and is the unit the
-    registry server sets up at connection-establishment time.
-    """
-
-    _counter = 0
-
-    def __init__(self, kernel: Kernel, size: int, name: str = "") -> None:
-        if size <= 0:
-            raise ValueError("region size must be positive")
-        SharedRegion._counter += 1
-        self.kernel = kernel
-        self.size = size
-        #: Number of pages the region spans.
-        self.pages = (size + PAGE_SIZE - 1) // PAGE_SIZE
-        self.name = name or f"region-{SharedRegion._counter}"
+    def __init__(self, capacity: int, owner: Any = None) -> None:
+        if capacity <= 0:
+            raise ValueError("region capacity must be positive")
+        self.capacity = capacity
+        self.available = capacity
+        self.bqi = 0
+        self.owner = owner
+        self.tenant_id: Any = None
         self.pinned = False
-        self.mapped: Set[Task] = set()
+        self.size = capacity * BUFFER_BYTES
+        self.pages = (self.size + PAGE_SIZE - 1) // PAGE_SIZE
+        self.stats = Counters()
 
     def __repr__(self) -> str:
         wired = " pinned" if self.pinned else ""
-        return f"<SharedRegion {self.name} {self.size}B{wired} maps={len(self.mapped)}>"
+        return f"<SharedRegion bqi={self.bqi} {self.available}/{self.capacity} free{wired}>"
+
+    def take(self) -> bool:
+        """Claim one buffer for an arriving frame; a full region drops
+        it (counted) and returns False."""
+        if self.available == 0:
+            self.stats["dropped"] += 1
+            return False
+        self.available -= 1
+        self.stats["delivered"] += 1
+        return True
+
+    def replenish(self) -> None:
+        """Give one consumed buffer back (paper: "When the library is
+        done with the buffer it hands it back to the network module
+        which adds it to the BQI ring")."""
+        self.available += 1
 
 
 def vm_wire(kernel: Kernel, region: SharedRegion) -> Generator:

@@ -35,7 +35,7 @@ from .headers import (
     str_to_mac,
 )
 from .link import An1Link, DuplexLink, EthernetLink, Link, Transmitter
-from .nic import AN1_BROADCAST, An1Nic, BufferRing, Nic, PmaddNic
+from .nic import AN1_BROADCAST, An1Nic, Nic, PmaddNic
 
 __all__ = [
     "PacketBuffer",
@@ -75,6 +75,5 @@ __all__ = [
     "Nic",
     "PmaddNic",
     "An1Nic",
-    "BufferRing",
     "AN1_BROADCAST",
 ]

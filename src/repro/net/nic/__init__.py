@@ -1,7 +1,7 @@
 """Host-network interfaces: PMADD-AA (PIO Ethernet) and AN1 (DMA + BQI)."""
 
-from .an1ctrl import AN1_BROADCAST, An1Nic, BufferRing
+from .an1ctrl import AN1_BROADCAST, An1Nic
 from .base import Nic, RxHandler
 from .pmadd import PmaddNic
 
-__all__ = ["Nic", "RxHandler", "PmaddNic", "An1Nic", "BufferRing", "AN1_BROADCAST"]
+__all__ = ["Nic", "RxHandler", "PmaddNic", "An1Nic", "AN1_BROADCAST"]

@@ -2,24 +2,24 @@
 
 The paper (§2.2, §3.3): the controller keeps a table indexed by the
 *buffer queue index* (BQI) carried in the link header.  Each entry names
-a ring of pinned host buffers; an arriving packet is DMAed directly into
-the next buffer of the ring its BQI selects — hardware packet
-demultiplexing to the final destination process, with "strict access
-control to the index ... maintained through memory protection".
+a ring of pinned host buffers, a channel's :class:`SharedRegion`; an
+arriving packet takes a buffer of the region its BQI selects and is
+DMAed straight into it (dropped when the region is full) — hardware
+packet demultiplexing to the final destination process, with "strict
+access control to the index ... maintained through memory protection".
 
-BQI zero is the default and refers to protected kernel memory.  Rings
+BQI zero is the default and refers to protected kernel memory.  Regions
 for non-zero BQIs are installed only by the (privileged) network I/O
 module on the registry server's instruction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Generator, Optional
+from typing import Generator
 
-from ...counters import Counters
 from ...mach.kernel import Kernel
+from ...mach.vm import SharedRegion
 from ... import obs as _obs
 from ..headers import An1Header
 from ..link import An1Link, Transmitter
@@ -34,51 +34,15 @@ class BqiTableFull(Exception):
     """Every index the link header can carry names a live ring."""
 
 
-@dataclass(eq=False)  # identity semantics: rings are charged/attributed by object
-class BufferRing:
-    """One BQI table entry: a ring of receive buffers in host memory.
-
-    ``available`` counts free buffers; the owner replenishes by handing
-    consumed buffers back (paper: "When the library is done with the
-    buffer it hands it back to the network module which adds it to the
-    BQI ring").
-    """
-
-    bqi: int
-    capacity: int
-    available: int = 0
-    #: Identifies the owning channel (opaque to the controller).
-    owner: Any = None
-    #: Tenant attribution (a tenant_id string), stamped by the network
-    #: I/O module when the ring is charged against a tenant's BQI quota.
-    tenant_id: Any = None
-    stats: Counters = field(default_factory=Counters)
-
-    def __post_init__(self) -> None:
-        if self.available == 0:
-            self.available = self.capacity
-
-    def take(self) -> bool:
-        """Consume one buffer for an incoming packet, if any is free."""
-        if self.available == 0:
-            self.stats["dropped"] += 1
-            return False
-        self.available -= 1
-        self.stats["delivered"] += 1
-        return True
-
-    def replenish(self, n: int = 1) -> None:
-        """Return ``n`` buffers to the ring."""
-        self.available = min(self.capacity, self.available + n)
-
-
 class An1Nic(Nic):
-    """DMA-capable AN1 controller with a BQI ring table."""
+    """DMA-capable AN1 controller with a BQI table of shared regions."""
 
     #: DMA engine latency per packet (bus arbitration + transfer start).
     DMA_LATENCY = 5e-6
     #: Transmit descriptors the driver may have outstanding.
     TX_DESCRIPTORS = 32
+    #: Receive buffers in the kernel's region, BQI 0.
+    KERNEL_BUFFERS = 64
 
     def __init__(
         self,
@@ -103,9 +67,10 @@ class An1Nic(Nic):
             link, self, capacity=self.TX_DESCRIPTORS,
             fetch_delay=self.DMA_LATENCY,
         )
-        #: The hardware BQI table.  Entry 0 (kernel default) is installed
-        #: by the network I/O module at boot.
-        self.bqi_table: dict[int, BufferRing] = {}
+        #: The hardware BQI table.  Entry 0 is the kernel's region.
+        self.bqi_table: dict[int, SharedRegion] = {
+            0: SharedRegion(self.KERNEL_BUFFERS, "kernel")
+        }
         self._next_bqi = 1
 
     @property
@@ -124,8 +89,9 @@ class An1Nic(Nic):
     # BQI table management (privileged; called via the netio module)
     # ------------------------------------------------------------------
 
-    def allocate_bqi(self, capacity: int, owner: Any = None) -> BufferRing:
-        """Install a fresh ring and return it (its index is ring.bqi).
+    def allocate_bqi(self, region: SharedRegion) -> SharedRegion:
+        """Install ``region`` under a fresh index and return it (its
+        index is then ``region.bqi``).
 
         Indices go round 1…``An1Header.MAX_BQI`` — the link header field
         is 16 bits — skipping those still live, so a released index is
@@ -140,15 +106,9 @@ class An1Nic(Nic):
                     f"{self.name}: all {An1Header.MAX_BQI} BQIs are live"
                 )
         self._next_bqi = bqi % An1Header.MAX_BQI + 1
-        ring = BufferRing(bqi=bqi, capacity=capacity, owner=owner)
-        self.bqi_table[bqi] = ring
-        return ring
-
-    def install_default_ring(self, capacity: int = 64) -> BufferRing:
-        """BQI 0: the protected kernel ring."""
-        ring = BufferRing(bqi=0, capacity=capacity, owner="kernel")
-        self.bqi_table[0] = ring
-        return ring
+        region.bqi = bqi
+        table[bqi] = region
+        return region
 
     def release_bqi(self, bqi: int) -> None:
         if bqi == 0:
@@ -179,7 +139,7 @@ class An1Nic(Nic):
         self.stats["tx_bytes"] += length
 
     # ------------------------------------------------------------------
-    # Receive: hardware BQI demux straight into a host ring.
+    # Receive: hardware BQI demux straight into a host region.
     # ------------------------------------------------------------------
 
     def wire_deliver(self, frame: bytes) -> None:
@@ -188,12 +148,10 @@ class An1Nic(Nic):
         if len(frame) < An1Header.LENGTH:
             self.stats["rx_ignored"] += 1
             return
-        ring = self.bqi_table.get(frame[6] << 8 | frame[7])
-        if ring is None:
-            # Unknown BQI: hardware falls back to the kernel's ring.
-            ring = self.bqi_table.get(0)
+        # An unknown BQI falls back to the kernel's region.
+        region = self.bqi_table.get(frame[6] << 8 | frame[7]) or self.bqi_table[0]
         obs = _obs.SESSION
-        if ring is None or not ring.take():
+        if not region.take():
             self.stats["rx_dropped_no_buffer"] += 1
             if obs is not None:
                 obs.spans.touch(frame, "nic.drop", self.sim.now, self.name,
@@ -201,12 +159,12 @@ class An1Nic(Nic):
             return
         if obs is not None:
             obs.spans.touch(frame, "nic.rx", self.sim.now, self.name,
-                            detail=f"bqi={ring.bqi}")
-        # DMA into the ring, then the interrupt.  Frames are independent
-        # on this controller, so each carries its own state along.
-        self.sim.call_later(self.DMA_LATENCY, self._rx_arrived, (frame, ring))
+                            detail=f"bqi={region.bqi}")
+        # DMA into the region, then the interrupt.  Frames are
+        # independent on this controller, so each carries its own state.
+        self.sim.call_later(self.DMA_LATENCY, self._rx_arrived, (frame, region))
 
-    def _rx_arrived(self, arrival: tuple[bytes, BufferRing]) -> None:
+    def _rx_arrived(self, arrival: tuple[bytes, SharedRegion]) -> None:
         stage = partial(self._rx_dispatch, *arrival)
         cost = self.kernel.costs.interrupt
         if cost:
@@ -214,14 +172,14 @@ class An1Nic(Nic):
         else:
             stage(None)
 
-    def _rx_dispatch(self, frame: bytes, ring: BufferRing, _event: object) -> None:
+    def _rx_dispatch(self, frame: bytes, region: SharedRegion, _event: object) -> None:
         self.stats["rx_frames"] += 1
         self.stats["rx_bytes"] += len(frame)
         handler = self.rx_handler
         if handler is None:
             self.stats["rx_ignored"] += 1
         else:
-            handler(frame, ring, _consumed)
+            handler(frame, region, _consumed)
 
 
 def _consumed() -> None:

@@ -1,13 +1,16 @@
 """Channels: the per-connection conduit between the network I/O module
 and a protocol library.
 
-A channel owns the shared buffer region, the receive queue, the
-lightweight notification semaphore (with the paper's packet batching:
-"our implementation attempts, where possible, to batch multiple network
-packets per semaphore notification in order to amortize the cost of
-signaling"), and the send-side capability (template).  The semaphore
-is C-Threads' user-level one: its P charges the small sync cost, and the
-network I/O module charges the kernel-to-user signal.
+A channel owns the shared region (its pinned receive buffers; on AN1
+the ring a BQI names), the receive queue, the lightweight notification
+semaphore (with the paper's packet batching: "our implementation
+attempts, where possible, to batch multiple network packets per
+semaphore notification in order to amortize the cost of signaling"),
+and the send-side capability (template).  The semaphore is C-Threads'
+user-level one: its P charges the small sync cost, and the network I/O
+module charges the kernel-to-user signal.  Every queued frame holds one
+of the region's buffers; :meth:`Channel.receive_batch` gives one back
+for each frame it returns.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from ..sim import Event
 from .template import HeaderTemplate
 
 if TYPE_CHECKING:
-    from ..net.nic.an1ctrl import BufferRing
     from .demux import FlowKey
     from .pktfilter import FilterProgram
 
@@ -42,7 +44,6 @@ class Channel:
         template: HeaderTemplate,
         region: SharedRegion,
         demux_filter: "Optional[FilterProgram]" = None,
-        ring: "Optional[BufferRing]" = None,
         name: str = "",
         batching: bool = True,
         with_link_info: bool = False,
@@ -64,7 +65,6 @@ class Channel:
         #: The flow-table entry this channel owns, set by the network
         #: I/O module when the flow is registered.
         self.flow_key: "Optional[FlowKey]" = None
-        self.ring = ring  # AN1 hardware ring, if any.
         #: Tenant attribution, stamped by the network I/O module at
         #: creation (None on untenanted stacks).  Compared against the
         #: *current* owner task's tenant on every send and delivery, so
@@ -167,11 +167,11 @@ class Channel:
         else:
             batch = [self.rx_queue.popleft()] if self.rx_queue else []
         self._notified = False
+        taken = len(batch)
         self.stats["batches"] += 1
-        self.stats["batched_packets"] += len(batch)
-        if self.ring is not None:
-            # Hand consumed buffers back to the hardware ring.
-            self.ring.replenish(len(batch))
+        self.stats["batched_packets"] += taken
+        # One ``region.replenish()`` per frame of the batch, inlined.
+        self.region.available += taken
         return batch
 
     @property

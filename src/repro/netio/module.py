@@ -6,13 +6,14 @@ One module per host-network interface (paper §3.3).  It provides:
   trap; the module verifies the packet against the header template
   bound to the channel's capability before it touches the wire.
 * **Protected input delivery** — software demux (synthesized or
-  interpreted, per configuration) on Ethernet; hardware BQI rings on
-  AN1.  Matched packets land in the channel's shared region and the
+  interpreted, per configuration) on Ethernet; hardware BQI demux on
+  AN1.  Matched packets land in the channel's shared region, each
+  taking one of its buffers (a full region drops the packet), and the
   library is signalled through the lightweight semaphore, with
   batching.
 * **Channel setup** — privileged-only: creating a channel maps and
-  wires the shared region, installs the demux filter or allocates the
-  BQI ring, and registers the send template.
+  wires the shared region, installs the demux filter or the region
+  under a BQI, and registers the send template.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Generator, Optional
 from .. import obs as _obs
 from ..mach.kernel import Kernel
 from ..mach.task import Task
-from ..mach.vm import SharedRegion, vm_wire
+from ..mach.vm import BUFFER_BYTES, SharedRegion, vm_wire
 from ..net.buf import prepend, slice_view
 from ..net.headers import (
     ETHERTYPE_IP,
@@ -35,7 +36,7 @@ from ..net.headers import (
     An1Header,
     EthernetHeader,
 )
-from ..net.nic.an1ctrl import An1Nic, BqiTableFull, BufferRing
+from ..net.nic.an1ctrl import An1Nic, BqiTableFull
 from ..net.nic.base import Nic
 from .channels import Channel
 from .demux import DemuxDecision, DemuxError, FlowKey, FlowTable, KERNEL_FLOW
@@ -95,8 +96,9 @@ DemuxStyle = str  # "synthesized" | "cspf" | "bpf"
 class NetworkIoModule:
     """Kernel service co-located with one device driver."""
 
-    DEFAULT_REGION_SIZE = 64 * 1024
-    DEFAULT_RING_CAPACITY = 32
+    #: Receive buffers in every channel's shared region.
+    RING_BUFFERS = 32
+    DEFAULT_REGION_SIZE = RING_BUFFERS * BUFFER_BYTES
     #: Packed link headers kept per interface; BQIs come and go with
     #: connections, so the memo is emptied when it fills.
     LINK_HEADER_MEMO = 256
@@ -138,8 +140,6 @@ class NetworkIoModule:
         #: Cached once: the abc isinstance check is too slow to repeat
         #: per received frame.
         self.is_an1: bool = isinstance(nic, An1Nic)
-        if self.is_an1 and 0 not in nic.bqi_table:
-            nic.install_default_ring()
         self.stats = Counters()
         self._link_headers: dict[tuple, bytes] = {}
 
@@ -173,35 +173,35 @@ class NetworkIoModule:
         if self.region_pool_bytes is not None:
             self.region_pool_used -= nbytes
 
-    def _allocate_bqi(self, capacity: int, tenant) -> BufferRing:
-        """Claim a hardware ring, attributed to ``tenant`` (or None)
-        from this moment on.  Like the region pool this is real
+    def _allocate_bqi(self, region: SharedRegion, tenant) -> SharedRegion:
+        """Install ``region`` under a BQI, attributed to ``tenant`` (or
+        None) from this moment on.  Like the region pool this is real
         scarcity, not policy: a full BQI table refuses tenanted and
         untenanted callers alike, as the quota refusal the registry
         already unwinds."""
         try:
-            ring = self.nic.allocate_bqi(capacity=capacity)
+            self.nic.allocate_bqi(region)
         except BqiTableFull as exc:
             self.stats["bqi_refused"] += 1
             raise QuotaExceeded(str(exc)) from None
         if tenant is not None:
-            ring.tenant_id = tenant.tenant_id
-        return ring
+            region.tenant_id = tenant.tenant_id
+        return region
 
     def holdings(self, tenant_id: Optional[str] = None) -> tuple[int, int, int]:
         """What this module holds for ``tenant_id`` (for everyone when
         None), read off its own tables: the channels, their region
-        bytes, and the buffers of the BQI rings it handed out.  This is
+        bytes, and the buffers of the regions it installed under BQIs.  This is
         the only account of who holds what; a tenant's usage is its sum
         over the modules it shares."""
         channels = [
             c for c in self.channels if tenant_id is None or c.tenant_id == tenant_id
         ]
-        rings = self.nic.bqi_table.values() if self.is_an1 else ()
+        regions = self.nic.bqi_table.values() if self.is_an1 else ()
         buffers = sum(
-            ring.capacity
-            for ring in rings
-            if ring.bqi and (tenant_id is None or ring.tenant_id == tenant_id)
+            region.capacity
+            for region in regions
+            if region.bqi and (tenant_id is None or region.tenant_id == tenant_id)
         )
         return len(channels), sum(c.region.size for c in channels), buffers
 
@@ -220,8 +220,7 @@ class NetworkIoModule:
         remote_port: int = 0,
         link_dst: object = None,
         peer_bqi: int = 0,
-        region_size: int = DEFAULT_REGION_SIZE,
-        ring: Optional[BufferRing] = None,
+        ring: Optional[SharedRegion] = None,
         protocol: str = "tcp",
         with_link_info: bool = False,
     ) -> Generator:
@@ -229,7 +228,10 @@ class NetworkIoModule:
 
         Only privileged tasks (the registry server) may call this; the
         checks are what keeps untrusted libraries from granting
-        themselves network access.  Returns the new :class:`Channel`.
+        themselves network access.  ``ring`` is a region
+        :meth:`allocate_ring` installed before the handshake, adopted
+        here; otherwise the channel gets a fresh region, installed under
+        a BQI on AN1 once it is wired.  Returns the new :class:`Channel`.
         """
         if not caller.privileged:
             raise SecurityViolation(
@@ -242,23 +244,20 @@ class NetworkIoModule:
         # Tenancy admission: template and flow key vetted against the
         # owner's grant, quotas checked — all before any resource is
         # built, so a refusal allocates nothing.
-        ring_buffers = self.DEFAULT_RING_CAPACITY if (
-            self.is_an1 and ring is None
-        ) else 0
+        region = SharedRegion(self.RING_BUFFERS) if ring is None else ring
+        ring_buffers = region.capacity if self.is_an1 and ring is None else 0
 
         def vet(tenant) -> None:
             tenant.check_template(template)
             tenant.check_flow_key(flow_key)
-            tenant.precheck_channel(region_size, ring_buffers)
+            tenant.precheck_channel(region.size, ring_buffers)
 
         tenant = self._admit(owner, "admission_refused", vet)
         # Physical pool admission is unconditional: memory is memory.
-        self._reserve_region(region_size)
-        own_ring = channel = None
+        self._reserve_region(region.size)
+        channel = None
         try:
-            # Shared, pinned packet-buffer region mapped into the library.
-            region = SharedRegion(self.kernel, region_size)
-            region.mapped.add(owner)
+            # The shared, pinned region, mapped into the library.
             if costs.vm_map_region:
                 yield self.kernel.cpu.charge(costs.vm_map_region)
             yield from vm_wire(self.kernel, region)
@@ -266,9 +265,7 @@ class NetworkIoModule:
             demux: Optional[FilterProgram] = None
             if self.is_an1:
                 if ring is None:
-                    ring = own_ring = self._allocate_bqi(
-                        self.DEFAULT_RING_CAPACITY, tenant
-                    )
+                    self._allocate_bqi(region, tenant)
                     if costs.bqi_setup:
                         yield self.kernel.cpu.charge(costs.bqi_setup)
             elif self.demux_style != "synthesized":
@@ -286,7 +283,6 @@ class NetworkIoModule:
                 template=template,
                 region=region,
                 demux_filter=demux,
-                ring=ring,
                 name=f"{owner.name}:{local_port}",
                 batching=self.batching,
                 with_link_info=with_link_info,
@@ -295,8 +291,7 @@ class NetworkIoModule:
             channel.peer_bqi = peer_bqi
             if tenant is not None:
                 channel.tenant_id = tenant.tenant_id
-            if ring is not None:
-                ring.owner = channel
+            region.owner = channel
             # The flow entry is installed on every network and style:
             # on Ethernet it *is* the demux; on AN1 (hardware demux) and
             # under interpreted styles it still serves kernel-side flow
@@ -308,10 +303,11 @@ class NetworkIoModule:
             # region was being wired: a refused channel allocates
             # nothing.  A ring the caller pre-allocated is disowned and
             # stays the caller's to release.
-            self._release_region(region_size)
-            if ring is not None:
+            self._release_region(region.size)
+            if ring is None:
+                self._drop_ring(region)
+            else:
                 ring.owner = None
-            self._drop_ring(own_ring)
             if channel is not None:
                 channel.close()
             if tenant is not None and isinstance(exc, DemuxError):
@@ -331,8 +327,8 @@ class NetworkIoModule:
         """Tear a channel down (privileged, or the owner itself).
 
         This is the *single* release path for everything a channel
-        holds: flow entry (exact or wildcard), filter program, BQI ring
-        and wired region bytes — so a crashed tenant swept through here
+        holds: flow entry (exact or wildcard), filter program, the
+        region's BQI and its wired bytes — so a crashed tenant swept through here
         leaks nothing.
         """
         if not caller.privileged and caller is not channel.owner:
@@ -346,7 +342,7 @@ class NetworkIoModule:
         if channel.flow_key is not None:
             self.flow_table.remove(channel.flow_key)
             channel.flow_key = None
-        self._drop_ring(channel.ring)
+        self._drop_ring(channel.region)
         self._release_region(channel.region.size)
         if self.tenants is not None and channel.tenant_id is not None:
             tenant = self.tenants.get(channel.tenant_id)
@@ -392,49 +388,45 @@ class NetworkIoModule:
             raise SecurityViolation("only the registry may remove listeners")
         self.flow_table.remove(FlowKey(proto, local_ip, local_port))
 
-    def allocate_ring(
-        self,
-        caller: Task,
-        capacity: int = DEFAULT_RING_CAPACITY,
-        owner: Optional[Task] = None,
-    ):
-        """Pre-allocate a BQI ring before the handshake (privileged).
+    def allocate_ring(self, caller: Task, owner: Optional[Task] = None):
+        """Pre-allocate a channel's region under a BQI before the
+        handshake (privileged; None on Ethernet).
 
         The registry needs the index *before* sending the SYN so the
-        remote side can be told which BQI to use; the ring is later
-        bound to the channel at create_channel(ring=...).  ``owner``
-        attributes the ring to a tenant, whose BQI-buffer quota counts
-        it immediately (not at bind time: the scarce resource is the
-        hardware ring, held from this moment on).
+        remote side can be told which BQI to use; the region is later
+        adopted by the channel at create_channel(ring=...).  ``owner``
+        attributes it to a tenant, whose BQI-buffer quota counts it
+        immediately (not at bind time: the scarce resource is the
+        hardware index, held from this moment on).
         """
         if not caller.privileged:
             raise SecurityViolation("only the registry may allocate rings")
         if not self.is_an1:
             return None
         tenant = self._admit(
-            owner, "ring_refused", lambda t: t.admit_ring(capacity)
+            owner, "ring_refused", lambda t: t.admit_ring(self.RING_BUFFERS)
         )
-        ring = self._allocate_bqi(capacity, tenant)
+        ring = self._allocate_bqi(SharedRegion(self.RING_BUFFERS), tenant)
         if tenant is not None:
             tenant.note_peaks()
         return ring
 
-    def release_ring(self, caller: Task, ring: BufferRing) -> None:
+    def release_ring(self, caller: Task, ring: Optional[SharedRegion]) -> None:
         """Release a pre-allocated ring that never made it onto a
         channel (failed handshake): BQI back to the NIC."""
         if not caller.privileged:
             raise SecurityViolation("only the registry may release rings")
         self._drop_ring(ring)
 
-    def _drop_ring(self, ring: Optional[BufferRing]) -> None:
-        if ring is None or not self.is_an1:
+    def _drop_ring(self, region: Optional[SharedRegion]) -> None:
+        if region is None:
             return
         # Disowned before the BQI goes back: frames in flight toward a
         # recycled index must land in the kernel, never in a closed
         # channel.
-        ring.owner = None
-        if self.nic.bqi_table.get(ring.bqi) is ring:
-            self.nic.release_bqi(ring.bqi)
+        region.owner = None
+        if region.bqi and self.nic.bqi_table.get(region.bqi) is region:
+            self.nic.release_bqi(region.bqi)
 
     # ------------------------------------------------------------------
     # Transmission
@@ -672,17 +664,18 @@ class NetworkIoModule:
             self._kernel_input(ETHERTYPE_IP, payload, link_info, done)
 
     def _rx_ring(
-        self, frame: bytes, ring: object, done: Done, _event: object
+        self, frame: bytes, region: SharedRegion, done: Done, _event: object
     ) -> None:
-        """AN1: the hardware already chose ``ring`` by the frame's BQI."""
+        """AN1: the hardware already chose ``region`` by the frame's
+        BQI and took one of its buffers."""
         header = An1Header.unpack(frame)
         payload = slice_view(frame, An1Header.LENGTH)
         link_info = LinkInfo(header.src, header.bqi, header.adv_bqi)
-        owner = getattr(ring, "owner", None)
+        owner = region.owner
         if isinstance(owner, Channel):
-            # Hardware demuxed straight to the channel's ring: the
-            # ring buffer receives a view of the DMAed frame, not a
-            # fresh copy.
+            # Hardware demuxed straight to the channel's region: the
+            # buffer receives a view of the DMAed frame, not a fresh
+            # copy.
             obs = _obs.SESSION
             if obs is not None:
                 obs.spans.touch(
@@ -690,14 +683,12 @@ class NetworkIoModule:
                     detail=f"bqi={header.bqi}",
                     cost=self.kernel.costs.an1_bqi_bookkeeping,
                 )
-            self._deliver(owner, payload, link_info, done)
-        elif ring is None:
-            self._kernel_input(header.ethertype, payload, link_info, done)
+            self._deliver(owner, payload, link_info, done, placed=True)
         else:
-            # The kernel's (or an unowned) ring lent the buffer; hand
+            # The kernel's (or an unowned) region lent the buffer; hand
             # it back once the kernel path has consumed the packet.
             def consumed() -> None:
-                ring.replenish(1)
+                region.replenish()
                 done()
 
             self._kernel_input(header.ethertype, payload, link_info, consumed)
@@ -719,9 +710,15 @@ class NetworkIoModule:
         payload: bytes,
         link_info: Optional[LinkInfo],
         done: Done,
+        placed: bool = False,
     ) -> None:
-        """Place ``payload`` in ``channel``'s ring and signal its owner
-        (also the kernel UDP input's relay into a bound channel)."""
+        """Place ``payload`` in ``channel``'s region and signal its
+        owner (also the kernel UDP input's relay into a bound channel).
+
+        ``placed`` says the AN1 controller already took the buffer at
+        DMA; every other placement takes one here, after the tenancy
+        check, and a full region drops the frame."""
+        region = channel.region
         manager = self.tenants
         if manager is not None and channel.tenant_id is not None:
             # The flow matched the tenant the registry installed it
@@ -752,10 +749,21 @@ class NetworkIoModule:
                     flow_tenant = manager.get(channel.tenant_id)
                     if flow_tenant is not None:
                         flow_tenant.counters["rx_dropped"] += 1
+                    if placed:
+                        region.available += 1
                     done()
                     return
             elif owner_tenant is not None:
                 owner_tenant.note_rx(len(payload))
+        if not placed:
+            # ``region.take()`` inlined, one call fewer per frame; the
+            # channel counts the delivery, the region's ``delivered``
+            # only what the controller placed.
+            if not region.available:
+                region.stats["dropped"] += 1
+                done()
+                return
+            region.available -= 1
         self.stats["rx_demuxed"] += 1
         # Ethernet-only: the staging/placement premium of user-level
         # delivery without hardware demux (see costs.eth_user_delivery).

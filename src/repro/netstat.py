@@ -183,8 +183,8 @@ def channel_table(testbed: "Testbed") -> list[ChannelEntry]:
     entries: list[ChannelEntry] = []
     for host in testbed.hosts:
         for channel in host.netio.channels:
-            if channel.ring is not None:
-                kind = f"bqi {channel.ring.bqi}"
+            if channel.region.bqi:
+                kind = f"bqi {channel.region.bqi}"
             elif channel.demux_filter is not None:
                 kind = "scan"
             elif channel.flow_key is not None:

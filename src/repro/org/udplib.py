@@ -115,7 +115,6 @@ class UdpEndpoint:
         )
         packet = encapsulate(self.service.host.ip, dst_ip, PROTO_UDP, udp)
         link_dst = yield from self.service.host.resolve_link(dst_ip)
-        own_bqi = self.channel.ring.bqi if self.channel.ring else 0
         try:
             yield from self.service.host.netio.send(
                 self.service.app,
@@ -125,7 +124,7 @@ class UdpEndpoint:
                 # Known peer ring -> hardware demux; else BQI 0 (kernel path).
                 bqi=self.peer_bqi.get(dst_ip, 0),
                 # Advertise our own ring so the peer can discover it.
-                adv_bqi=own_bqi,
+                adv_bqi=self.channel.region.bqi,
             )
         except RateLimited:
             # Datagram semantics: an over-budget send is dropped and

@@ -206,7 +206,7 @@ def _demux_cost_us(network: str) -> float:
             tcp_send_template(IP_A, 5000, IP_B, 6000),
             local_ip=IP_A, local_port=5000,
             remote_ip=IP_B, remote_port=6000, link_dst=link_a,
-            peer_bqi=chan_b.ring.bqi if network == "an1" else 0,
+            peer_bqi=chan_b.region.bqi,
         )
         before = testbed.host_b.kernel.cpu.busy_time
         for _ in range(TABLE5_PACKETS):

@@ -9,6 +9,7 @@ from repro.check.failure import (
     FailureSpec,
     run_cell,
 )
+from repro.mach import SharedRegion
 from repro.net.headers import An1Header
 from repro.netio import SecurityViolation, TemplateViolation
 from repro.protocols.tcp import TcpConfig
@@ -331,7 +332,7 @@ def test_exhausted_bqi_table_refuses_the_connect_and_leaks_nothing():
     testbed = Testbed(network="an1", organization="userlib")
     nic = testbed.host_a.nic
     registry = testbed.registry_a
-    filler = nic.allocate_bqi(capacity=1)
+    filler = nic.allocate_bqi(SharedRegion(1))
     nic.bqi_table.update(
         dict.fromkeys(range(1, An1Header.MAX_BQI + 1), filler)
     )
@@ -350,7 +351,7 @@ def test_exhausted_bqi_table_refuses_the_connect_and_leaks_nothing():
         outcome["ports_after_refusal"] = len(registry.core.held(testbed.sim.now))
         nic.release_bqi(7)
         conn = yield from testbed.service_a.connect(IP_B, 8000)
-        outcome["bqi"] = conn.channel.ring.bqi
+        outcome["bqi"] = conn.channel.region.bqi
         yield from conn.send(b"after the refusal")
         yield testbed.sim.timeout(0.3)
 

@@ -70,29 +70,29 @@ def test_udp_an1_bqi_discovery():
         endpoint_b = yield from udp_b.bind(7000)
         endpoint_a = yield from udp_a.bind(0)
         assert endpoint_a.peer_bqi == {}  # Nothing discovered yet.
-        ring_deliveries_before = endpoint_b.channel.ring.stats["delivered"]
+        ring_deliveries_before = endpoint_b.channel.region.stats["delivered"]
 
         # First request: the sender knows no BQI -> kernel path.
         yield from endpoint_a.sendto(IP_B, 7000, b"first")
         data, (src_ip, src_port) = yield from endpoint_b.recvfrom()
         state["first_via_ring"] = (
-            endpoint_b.channel.ring.stats["delivered"]
+            endpoint_b.channel.region.stats["delivered"]
             > ring_deliveries_before
         )
         # B learned A's ring from the datagram's advertised BQI.
-        assert endpoint_b.peer_bqi.get(IP_A) == endpoint_a.channel.ring.bqi
+        assert endpoint_b.peer_bqi.get(IP_A) == endpoint_a.channel.region.bqi
 
         # Response: B now stamps A's ring; A learns B's ring from it.
         yield from endpoint_b.sendto(src_ip, src_port, b"pong")
         yield from endpoint_a.recvfrom()
-        assert endpoint_a.peer_bqi.get(IP_B) == endpoint_b.channel.ring.bqi
+        assert endpoint_a.peer_bqi.get(IP_B) == endpoint_b.channel.region.bqi
 
         # Second request: hardware demux straight into B's ring.
-        before = endpoint_b.channel.ring.stats["delivered"]
+        before = endpoint_b.channel.region.stats["delivered"]
         yield from endpoint_a.sendto(IP_B, 7000, b"second")
         yield from endpoint_b.recvfrom()
         state["second_via_ring"] = (
-            endpoint_b.channel.ring.stats["delivered"] == before + 1
+            endpoint_b.channel.region.stats["delivered"] == before + 1
         )
 
     proc = testbed.spawn(scenario(), name="scenario")

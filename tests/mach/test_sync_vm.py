@@ -15,6 +15,7 @@ from repro.mach import (
     SharedRegion,
     vm_wire,
 )
+from repro.mach.vm import BUFFER_BYTES
 from repro.netio.channels import Channel
 from repro.sim import Interrupt, Simulator
 
@@ -25,9 +26,9 @@ def make_kernel(costs=FREE):
 
 
 def make_channel(costs=FREE):
-    """A channel whose template and region the semaphore never reads."""
+    """A channel whose template the semaphore never reads."""
     sim, kernel = make_kernel(costs)
-    return sim, Channel(kernel.create_task("app"), template=None, region=None)
+    return sim, Channel(kernel.create_task("app"), template=None, region=SharedRegion(4))
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +178,7 @@ def test_vm_wire_pins_and_charges_per_page():
     kernel = Kernel(sim, DECSTATION_5000_200)
 
     def proc():
-        region = SharedRegion(kernel, 3 * PAGE_SIZE)
+        region = SharedRegion(3 * PAGE_SIZE // BUFFER_BYTES)
         before = sim.now
         yield from vm_wire(kernel, region)
         return region, sim.now - before
@@ -191,7 +192,7 @@ def test_vm_wire_idempotent():
     sim, kernel = make_kernel()
 
     def proc():
-        region = SharedRegion(kernel, PAGE_SIZE)
+        region = SharedRegion(PAGE_SIZE // BUFFER_BYTES)
         yield from vm_wire(kernel, region)
         yield from vm_wire(kernel, region)
         return region
@@ -201,6 +202,7 @@ def test_vm_wire_idempotent():
 
 
 def test_region_size_validation():
-    _, kernel = make_kernel()
     with pytest.raises(ValueError):
-        SharedRegion(kernel, 0)
+        SharedRegion(0)
+    region = SharedRegion(3)
+    assert (region.size, region.pages, region.available) == (3 * BUFFER_BYTES, 2, 3)

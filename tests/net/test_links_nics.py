@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.costs import DECSTATION_5000_200, FREE
-from repro.mach import Kernel
+from repro.mach import Kernel, SharedRegion
 from repro.net import (
     An1Header,
     An1Link,
@@ -389,8 +389,6 @@ def make_an1_world(costs=FREE, driver_mtu=1500):
     k1 = Kernel(sim, costs, name="h1")
     n0 = An1Nic(k0, link, station=1, name="an1-0", driver_mtu_data=driver_mtu)
     n1 = An1Nic(k1, link, station=2, name="an1-1", driver_mtu_data=driver_mtu)
-    n0.install_default_ring()
-    n1.install_default_ring()
     return sim, link, (k0, k1), (n0, n1)
 
 
@@ -430,7 +428,7 @@ def test_an1_runt_frame_is_dropped_and_the_run_goes_on():
 
 def test_an1_nonzero_bqi_selects_ring():
     sim, link, kernels, nics = make_an1_world()
-    ring = nics[1].allocate_bqi(capacity=4, owner="app")
+    ring = nics[1].allocate_bqi(SharedRegion(4, owner="app"))
     got = []
     nics[1].rx_handler = collect_handler(got)
 
@@ -460,7 +458,7 @@ def test_an1_unknown_bqi_falls_back_to_kernel_ring():
 
 def test_an1_ring_exhaustion_drops():
     sim, link, kernels, nics = make_an1_world()
-    ring = nics[1].allocate_bqi(capacity=2, owner="app")
+    ring = nics[1].allocate_bqi(SharedRegion(2, owner="app"))
     got = []
     nics[1].rx_handler = collect_handler(got)
 
@@ -476,7 +474,7 @@ def test_an1_ring_exhaustion_drops():
 
 def test_an1_ring_replenish_resumes_delivery():
     sim, link, kernels, nics = make_an1_world()
-    ring = nics[1].allocate_bqi(capacity=1, owner="app")
+    ring = nics[1].allocate_bqi(SharedRegion(1, owner="app"))
     got = []
 
     def handler(frame, ctx, done):
@@ -554,7 +552,7 @@ def test_an1_full_duplex():
 
 def test_an1_bqi_release():
     sim, link, kernels, nics = make_an1_world()
-    ring = nics[1].allocate_bqi(capacity=2)
+    ring = nics[1].allocate_bqi(SharedRegion(2))
     nics[1].release_bqi(ring.bqi)
     assert ring.bqi not in nics[1].bqi_table
     with pytest.raises(ValueError):
@@ -567,12 +565,12 @@ def test_an1_bqi_allocation_wraps_onto_a_freed_index():
     0x10000, which no frame can be stamped with."""
     sim, link, kernels, nics = make_an1_world()
     nic = nics[1]
-    live = nic.allocate_bqi(capacity=1)
-    freed = nic.allocate_bqi(capacity=1)
+    live = nic.allocate_bqi(SharedRegion(1))
+    freed = nic.allocate_bqi(SharedRegion(1))
     nic.release_bqi(freed.bqi)
     nic._next_bqi = An1Header.MAX_BQI
-    assert nic.allocate_bqi(capacity=1).bqi == An1Header.MAX_BQI
-    ring = nic.allocate_bqi(capacity=1, owner="app")
+    assert nic.allocate_bqi(SharedRegion(1)).bqi == An1Header.MAX_BQI
+    ring = nic.allocate_bqi(SharedRegion(1, owner="app"))
     # Round past the kernel's 0 and the still-live 1 onto the freed 2.
     assert (live.bqi, ring.bqi) == (1, 2)
     assert nic.bqi_table[ring.bqi] is ring
@@ -590,15 +588,15 @@ def test_an1_bqi_allocation_wraps_onto_a_freed_index():
 def test_an1_full_bqi_table_refuses_allocation():
     sim, link, kernels, nics = make_an1_world()
     nic = nics[1]
-    first = nic.allocate_bqi(capacity=1)
+    first = nic.allocate_bqi(SharedRegion(1))
     nic.bqi_table.update(
         dict.fromkeys(range(1, An1Header.MAX_BQI + 1), first)
     )
     with pytest.raises(BqiTableFull):
-        nic.allocate_bqi(capacity=1)
+        nic.allocate_bqi(SharedRegion(1))
     assert len(nic.bqi_table) == An1Header.MAX_BQI + 1  # nothing installed
     nic.release_bqi(40_000)
-    assert nic.allocate_bqi(capacity=1).bqi == 40_000
+    assert nic.allocate_bqi(SharedRegion(1)).bqi == 40_000
 
 
 def test_link_stats_read_through_to_injector():

@@ -117,7 +117,8 @@ def test_channel_region_is_mapped_and_pinned():
     world = EthWorld()
     chan_a, _ = world.channel_pair()
     assert chan_a.region.pinned
-    assert world.app_a in chan_a.region.mapped
+    assert chan_a.region.owner is chan_a
+    assert chan_a.region.available == chan_a.region.capacity == NetworkIoModule.RING_BUFFERS
 
 
 def test_send_and_demux_to_peer_channel():
@@ -304,6 +305,27 @@ class An1World:
         self.app_a = self.k_a.create_task("appA")
         self.app_b = self.k_b.create_task("appB")
 
+    def channel_pair(self):
+        """Channels for an A:5000 <-> B:80 connection, A stamping B's BQI."""
+        chan_b = self.run(
+            self.io_b.create_channel(
+                self.registry_b, self.app_b,
+                tcp_send_template(IP_B, 80, IP_A, 5000),
+                local_ip=IP_B, local_port=80,
+                remote_ip=IP_A, remote_port=5000, link_dst=1,
+            )
+        )
+        chan_a = self.run(
+            self.io_a.create_channel(
+                self.registry_a, self.app_a,
+                tcp_send_template(IP_A, 5000, IP_B, 80),
+                local_ip=IP_A, local_port=5000,
+                remote_ip=IP_B, remote_port=80, link_dst=2,
+                peer_bqi=chan_b.region.bqi,
+            )
+        )
+        return chan_a, chan_b
+
     def run(self, generator):
         return self.sim.run(until=self.sim.process(generator))
 
@@ -320,8 +342,8 @@ def test_an1_channel_uses_hardware_ring():
             link_dst=1,
         )
     )
-    assert chan_b.ring is not None
-    assert chan_b.ring.bqi > 0
+    assert chan_b.region.bqi > 0
+    assert world.nic_b.bqi_table[chan_b.region.bqi] is chan_b.region
     # Create the sender channel stamped with b's BQI.
     chan_a = world.run(
         world.io_a.create_channel(
@@ -331,7 +353,7 @@ def test_an1_channel_uses_hardware_ring():
             local_ip=IP_A, local_port=5000,
             remote_ip=IP_B, remote_port=80,
             link_dst=2,
-            peer_bqi=chan_b.ring.bqi,
+            peer_bqi=chan_b.region.bqi,
         )
     )
     packet = ip_packet(IP_A, IP_B, 5000, 80)
@@ -343,7 +365,7 @@ def test_an1_channel_uses_hardware_ring():
 
     batch = world.run(scenario())
     assert batch == [packet]
-    assert chan_b.ring.stats["delivered"] == 1
+    assert chan_b.region.stats["delivered"] == 1
     # Hardware demux: the software-filter path never ran.
     assert chan_b.demux_filter is None
 
@@ -364,10 +386,10 @@ def test_an1_ring_replenished_by_receive_batch():
             tcp_send_template(IP_A, 5000, IP_B, 80),
             local_ip=IP_A, local_port=5000,
             remote_ip=IP_B, remote_port=80, link_dst=2,
-            peer_bqi=chan_b.ring.bqi,
+            peer_bqi=chan_b.region.bqi,
         )
     )
-    capacity = chan_b.ring.capacity
+    capacity = chan_b.region.capacity
     packet = ip_packet(IP_A, IP_B, 5000, 80)
 
     def scenario():
@@ -380,7 +402,7 @@ def test_an1_ring_replenished_by_receive_batch():
     world.sim.run()
     assert len(batch) >= 1
     # All buffers the batch consumed were handed back.
-    assert chan_b.ring.available == capacity - (3 - len(batch))
+    assert chan_b.region.available == capacity - (3 - len(batch))
 
 
 def test_an1_bqi_zero_goes_to_kernel():
@@ -412,10 +434,91 @@ def test_an1_channel_teardown_releases_bqi():
             remote_ip=IP_A, remote_port=5000, link_dst=1,
         )
     )
-    bqi = chan_b.ring.bqi
+    bqi = chan_b.region.bqi
     assert bqi in world.nic_b.bqi_table
     world.io_b.destroy_channel(world.registry_b, chan_b)
     assert bqi not in world.nic_b.bqi_table
+
+
+# ----------------------------------------------------------------------
+# The shared region is the bound: placing a frame takes a buffer
+# ----------------------------------------------------------------------
+
+WORLDS = {"ethernet": EthWorld, "an1": An1World}
+
+
+def send_frames(world, chan_a, count):
+    packet = ip_packet(IP_A, IP_B, 5000, 80)
+
+    def sender():
+        for _ in range(count):
+            yield from world.io_a.send(world.app_a, chan_a, packet)
+
+    world.run(sender())
+    world.sim.run()
+    return packet
+
+
+@pytest.mark.parametrize("network", WORLDS)
+def test_unread_channel_is_bounded_by_its_region(network):
+    """Frames for a channel nobody reads stop at its region's capacity:
+    the rest are dropped and counted, and one batch read makes room."""
+    world = WORLDS[network]()
+    chan_a, chan_b = world.channel_pair()
+    region = chan_b.region
+    assert region.capacity == NetworkIoModule.RING_BUFFERS == 32
+    packet = send_frames(world, chan_a, 40)
+    assert len(chan_b.rx_queue) == 32
+    assert region.stats["dropped"] == 8
+    assert region.available == 0
+    assert len(world.run(chan_b.receive_batch())) == 32
+    assert region.available == region.capacity
+    send_frames(world, chan_a, 1)  # Delivery resumes.
+    assert list(chan_b.rx_queue) == [packet]
+    assert region.available == region.capacity - 1
+
+
+@pytest.mark.parametrize("network", WORLDS)
+def test_relayed_frame_takes_a_buffer(network):
+    """The kernel UDP relay places through the same rule: on a full
+    region its frame is dropped, so every queued frame holds a buffer."""
+    world = WORLDS[network]()
+    chan_a, chan_b = world.channel_pair()
+    region = chan_b.region
+    packet = send_frames(world, chan_a, region.capacity)
+    done = []
+
+    def relay():
+        # What ``Host._relay_udp`` does with a datagram bound for the
+        # channel's port.
+        world.io_b._deliver(chan_b, packet, LinkInfo(1), lambda: done.append(1))
+        world.sim.run()
+
+    relay()
+    assert done == [1]
+    assert region.stats["dropped"] == 1
+    assert len(chan_b.rx_queue) == region.capacity
+    assert region.available + len(chan_b.rx_queue) == region.capacity
+    world.run(chan_b.receive_batch())
+    relay()
+    assert done == [1, 1] and list(chan_b.rx_queue) == [packet]
+    assert region.available + len(chan_b.rx_queue) == region.capacity
+
+
+def test_an1_refused_delivery_gives_its_buffer_back():
+    """The controller took a buffer at DMA; a delivery the tenancy check
+    refuses queues nothing, so the buffer goes straight back."""
+    world = An1World()
+    manager = TenantManager()
+    world.io_b.tenants = manager
+    manager.bind_task(world.app_b, manager.create_tenant("victim"))
+    chan_a, chan_b = world.channel_pair()
+    chan_b.owner = world.k_b.create_task("thief-app")
+    manager.bind_task(chan_b.owner, manager.create_tenant("thief"))
+    send_frames(world, chan_a, 3)
+    assert world.io_b.stats["rx_refused"] == 3
+    assert chan_b.region.stats["delivered"] == 3  # Taken at DMA ...
+    assert chan_b.region.available == chan_b.region.capacity  # ... and given back.
 
 
 # ----------------------------------------------------------------------
@@ -528,8 +631,8 @@ def test_rx_handler_an1_channel_ring_is_done():
     )
     held = holding_consumer(world)
     packet = ip_packet(IP_A, IP_B, 5000, 80)
-    frame = An1Header(2, 1, ETHERTYPE_IP, chan_b.ring.bqi).pack() + packet
-    assert len(rx_once(world, frame, chan_b.ring)) == 1
+    frame = An1Header(2, 1, ETHERTYPE_IP, chan_b.region.bqi).pack() + packet
+    assert len(rx_once(world, frame, chan_b.region)) == 1
     assert held == [] and list(chan_b.rx_queue) == [packet]
 
 

@@ -28,6 +28,7 @@ MAC_A = str_to_mac("02:00:00:00:00:01")
 MAC_B = str_to_mac("02:00:00:00:00:02")
 
 GRANT = PortGrant.of((4000, 4999))
+REGION = NetworkIoModule.DEFAULT_REGION_SIZE
 
 
 class World:
@@ -79,12 +80,14 @@ class World:
 
 
 def test_quota_refusal_allocates_nothing():
-    world = World()
+    world = World(region_bytes=REGION)  # One channel's region.
+    world.io.region_pool_bytes = 4 * REGION
+    world.create_channel(port=4000)
     with pytest.raises(QuotaExceeded):
-        world.create_channel(region_size=256 * 1024)
-    assert len(world.io.channels) == 0
-    assert world.io.region_pool_used == 0
-    assert world.tenant.usage() == (0, 0, 0)
+        world.create_channel(port=4001)
+    assert len(world.io.channels) == 1
+    assert world.io.region_pool_used == REGION
+    assert world.tenant.usage() == (1, REGION, 0)
     assert world.tenant.counters["rejections"] == 1
     assert world.manager.audit["admission_refused"] == 1
 
@@ -116,11 +119,12 @@ def test_destroy_channel_releases_everything():
 def test_an1_channel_charges_and_releases_bqi():
     world = World(an1=True)
     channel = world.create_channel()
-    assert channel.ring is not None
-    assert world.tenant.usage() == (1, 64 * 1024, channel.ring.capacity)
+    region = channel.region
+    assert world.nic.bqi_table[region.bqi] is region
+    assert world.tenant.usage() == (1, 64 * 1024, region.capacity)
     world.io.destroy_channel(world.app, channel)
     assert world.tenant.usage() == (0, 0, 0)
-    assert channel.ring.bqi not in world.nic.bqi_table
+    assert region.bqi not in world.nic.bqi_table
 
 
 def test_teardown_sweeps_channels_through_module():

@@ -17,7 +17,7 @@ from repro.tenancy import (
 )
 from repro.netio.template import udp_send_template, tcp_send_template
 
-from .test_enforcement import World, leaks, tenanted_bed
+from .test_enforcement import REGION, World, leaks, tenanted_bed
 
 IP = 0x0A000001
 
@@ -120,14 +120,15 @@ def test_channel_cap_counts_live_channels():
 
 
 def test_region_attribution_and_peaks():
-    world = World()
-    a = world.create_channel(port=4000, region_size=64 * 1024)
-    world.create_channel(port=4001, region_size=32 * 1024)
-    assert world.tenant.usage()[1] == 96 * 1024
+    world = World(region_bytes=3 * REGION)
+    a = world.create_channel(port=4000)
+    world.create_channel(port=4001)
+    world.create_channel(port=4002)
+    assert world.tenant.usage()[1] == 3 * REGION
     world.io.destroy_channel(world.app, a)
     world.io.destroy_channel(world.app, a)  # Idempotent.
-    assert world.tenant.usage()[1] == 32 * 1024
-    assert world.tenant.counters["peak_region_bytes"] == 96 * 1024
+    assert world.tenant.usage()[1] == 2 * REGION
+    assert world.tenant.counters["peak_region_bytes"] == 3 * REGION
 
 
 @pytest.mark.parametrize("an1", [False, True], ids=["ethernet", "an1"])
@@ -138,7 +139,7 @@ def test_usage_is_the_module_tables_sum(an1):
     end of a create or an allocate."""
     world = World(an1=an1)
     world.io.region_pool_bytes = 1 << 20
-    cap = world.io.DEFAULT_RING_CAPACITY if an1 else 0
+    cap = world.io.RING_BUFFERS if an1 else 0
 
     def table_sum():
         channels = [c for c in world.io.channels if c.tenant_id == "t"]
@@ -160,37 +161,39 @@ def test_usage_is_the_module_tables_sum(an1):
         ) == peaks
 
     a = world.create_channel(port=4000)
-    step((1, 64 * 1024, cap), (1, 64 * 1024, cap))
-    world.create_channel(port=4001, region_size=32 * 1024)
-    step((2, 96 * 1024, 2 * cap), (2, 96 * 1024, 2 * cap))
+    step((1, REGION, cap), (1, REGION, cap))
+    world.create_channel(port=4001)
+    step((2, 2 * REGION, 2 * cap), (2, 2 * REGION, 2 * cap))
+    before = world.tenant.usage()
+    with pytest.raises(QuotaExceeded):  # Refused: two regions are the quota.
+        world.create_channel(port=4002)
+    step(before, (2, 2 * REGION, 2 * cap))
     world.io.destroy_channel(world.app, a)
-    step((1, 32 * 1024, cap), (2, 96 * 1024, 2 * cap))
+    step((1, REGION, cap), (2, 2 * REGION, 2 * cap))
 
     ring = world.io.allocate_ring(world.registry, owner=world.app)
     assert (ring is not None) == an1
     if an1:
-        step((1, 32 * 1024, 2 * cap), (2, 96 * 1024, 2 * cap))
-        world.io.allocate_ring(world.registry, capacity=3 * cap, owner=world.app)
-        step((1, 32 * 1024, 5 * cap), (2, 96 * 1024, 5 * cap))
+        step((1, REGION, 2 * cap), (2, 2 * REGION, 2 * cap))
+        for _ in range(3):
+            world.io.allocate_ring(world.registry, owner=world.app)
+        step((1, REGION, 5 * cap), (2, 2 * REGION, 5 * cap))
         world.io.release_ring(world.registry, ring)
-        step((1, 32 * 1024, 4 * cap), (2, 96 * 1024, 5 * cap))
+        step((1, REGION, 4 * cap), (2, 2 * REGION, 5 * cap))
 
     before = world.tenant.usage()
-    with pytest.raises(QuotaExceeded):  # Refused: over the region quota.
-        world.create_channel(port=4002, region_size=256 * 1024)
-    step(before, (2, 96 * 1024, 5 * cap))
     with pytest.raises(DemuxError):  # Unwound: port 4001's flow is taken.
         world.create_channel(port=4001)
-    step(before, (2, 96 * 1024, 5 * cap))
+    step(before, (2, 2 * REGION, 5 * cap))
     if an1:
 
-        def full(capacity, owner=None):
+        def full(region):
             raise BqiTableFull("all BQIs are live")
 
         world.nic.allocate_bqi = full
         with pytest.raises(QuotaExceeded):  # Unwound: no ring to spare.
             world.create_channel(port=4002)
-        step(before, (2, 96 * 1024, 5 * cap))
+        step(before, (2, 2 * REGION, 5 * cap))
 
 
 def test_check_port_and_ephemeral_grant():

@@ -99,12 +99,12 @@ CENSUS = {
         "batching": BATCHING,
     },
     # The privileged call, not a constructor: every argument says whose
-    # connection is being granted (tasks, addresses, ring, region size).
+    # connection is being granted (tasks, addresses, ring).
     # Listed so the next one arrives with a tag.
     NetworkIoModule.create_channel: {
         "caller": D, "owner": D, "template": D, "local_ip": D,
         "local_port": D, "remote_ip": D, "remote_port": D, "link_dst": D,
-        "peer_bqi": D, "region_size": D, "ring": D, "protocol": D,
+        "peer_bqi": D, "ring": D, "protocol": D,
         "with_link_info": D,
     },
     FlowTable: {},

@@ -14,8 +14,9 @@ faulted link:
   :class:`~repro.metrics.CheckedTransfer` records of
   :func:`~repro.metrics.run_transfers`: payload offered, bytes the
   receiving socket saw, endpoint machines, close reasons;
-* the **counters** — fault-injector and link statistics plus switch
-  queue drops, for the conservation invariant.
+* the **counters** — fault-injector and link statistics, what the
+  faulted link's NICs received, and netstat's drop table, for the
+  checksum and conservation invariants.
 
 Checkers consume a :class:`RunEvidence`; tests build one synthetically
 (hand-written :class:`WireSegment` lists, stub machines) to prove each
@@ -25,11 +26,10 @@ a live testbed.
 
 from __future__ import annotations
 
-from ..counters import Counters
-
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..counters import Counters
 from ..metrics import run_transfers
 from ..net.headers import (
     ETHERTYPE_IP,
@@ -44,6 +44,7 @@ from ..net.headers import (
     ip_to_str,
 )
 from ..net.link import An1Link
+from ..netstat import drop_table
 from ..trace import FaultEvent, WireTrace
 
 
@@ -121,7 +122,11 @@ class RunEvidence:
         }
     )
     link_stats: dict = field(default_factory=dict)
-    queue_drops: int = 0
+    #: Frames the faulted link's NICs received (None: not measured).
+    arrivals: Optional[int] = None
+    #: :func:`repro.netstat.drop_table` rows at the end of the run
+    #: (None: not measured).
+    drops: Optional[list] = None
     min_rto: float = 0.5
     an1: bool = False
     #: Raw trace records (kept for failure dumps; not used by checkers).
@@ -181,17 +186,18 @@ def collect_evidence(bed, **transfer_kwargs) -> RunEvidence:
         trace.detach()
 
     an1 = isinstance(link, An1Link)
-    queue_drops = sum(
-        port.drops for switch in bed.switches for port in switch.ports
-    )
     return RunEvidence(
         segments=segments_from_trace(trace.records, an1=an1),
         transfers=transfers,
         machines=machines_from_transfers(transfers),
         fault_events=trace.fault_events,
-        injector_stats=link.faults.snapshot(),
+        injector_stats=Counters(link.faults.stats),
         link_stats=Counters(link.stats),
-        queue_drops=queue_drops,
+        arrivals=sum(
+            nic.stats["rx_frames"] + nic.stats["rx_dropped_no_buffer"] + nic.stats["rx_runt"]
+            for nic in link.nics
+        ),
+        drops=drop_table(bed),
         min_rto=bed.config.min_rto,
         an1=an1,
         trace_records=list(trace.records),

@@ -33,12 +33,15 @@ The seven invariants:
 ``checksum-rejection``
     Every frame the injector corrupted is rejected by the receive path
     (link/IP/TCP header validation or checksum); a corrupted frame that
-    re-decodes cleanly to the same connection is a checksum escape.
+    re-decodes cleanly to the same connection is a checksum escape.  And
+    every rejected copy appears in netstat's drop table as a header,
+    checksum or address drop.
 ``fault-conservation``
-    The injector's counters, the link's counters, and the observed
-    fault log all agree; a fault-free, drop-free run retransmits
-    nothing; and the wire never shows more retransmissions than the
-    machines account for.
+    The injector's counters and the observed fault log agree; the
+    faulted link's wire balances (frames − dropped + duplicated =
+    frames its NICs received + unaddressed copies); a fault-free run
+    with nothing in the drop table retransmits nothing; and the wire
+    never shows more retransmissions than the machines account for.
 ``cc-sanity``
     Congestion control stays sane whatever the algorithm: no data
     segment overruns the largest window edge (ack + window) the peer
@@ -116,6 +119,10 @@ class CheckResult:
     def ok(self) -> bool:
         return not self.violations
 
+    def fail(self, subject: str, time: float, detail: str) -> None:
+        """Record one breach of this invariant."""
+        self.violations.append(Violation(self.invariant, subject, time, detail))
+
 
 # ----------------------------------------------------------------------
 # 1. RFC 793 state-transition legality
@@ -154,14 +161,7 @@ def check_state_transitions(evidence: RunEvidence) -> CheckResult:
             if new is State.CLOSED:
                 continue  # Any state may fall to CLOSED (reset/abort).
             if (old, new) not in LEGAL_TRANSITIONS:
-                result.violations.append(
-                    Violation(
-                        result.invariant,
-                        name,
-                        0.0,
-                        f"illegal transition {old.value} -> {new.value}",
-                    )
-                )
+                result.fail(name, 0.0, f"illegal transition {old.value} -> {new.value}")
     return result
 
 
@@ -238,14 +238,10 @@ def check_seq_ack(evidence: RunEvidence) -> CheckResult:
             rel_seq = d.rel(seg.seq)
             if seg.has_ack and not seg.rst:
                 if d.max_ack is not None and seq_diff(seg.ack, d.max_ack) < 0:
-                    result.violations.append(
-                        Violation(
-                            result.invariant,
-                            conn,
-                            seg.time,
-                            f"ACK moved backwards: {seg.ack} after "
-                            f"{d.max_ack} ({seg.describe()})",
-                        )
+                    result.fail(
+                        conn, seg.time,
+                        f"ACK moved backwards: {seg.ack} after "
+                        f"{d.max_ack} ({seg.describe()})"
                     )
                 if d.max_ack is None or seq_diff(seg.ack, d.max_ack) > 0:
                     d.max_ack = seg.ack
@@ -262,15 +258,11 @@ def check_seq_ack(evidence: RunEvidence) -> CheckResult:
                         d.rel(peer.max_ack) + MAX_WINDOW + 1
                     )
                     if rel_end > limit:
-                        result.violations.append(
-                            Violation(
-                                result.invariant,
-                                conn,
-                                seg.time,
-                                f"data beyond the offered window: seq end "
-                                f"{rel_end} > acked+{MAX_WINDOW + 1} "
-                                f"({seg.describe()})",
-                            )
+                        result.fail(
+                            conn, seg.time,
+                            f"data beyond the offered window: seq end "
+                            f"{rel_end} > acked+{MAX_WINDOW + 1} "
+                            f"({seg.describe()})"
                         )
     return result
 
@@ -300,14 +292,10 @@ def check_socket_integrity(evidence: RunEvidence) -> CheckResult:
                 if len(t.received) > len(t.payload)
                 else "corrupted or reordered data"
             )
-            result.violations.append(
-                Violation(
-                    result.invariant,
-                    subject,
-                    0.0,
-                    f"{kind} reached the socket at offset {diverge} "
-                    f"(sent {len(t.payload)} bytes, got {len(t.received)})",
-                )
+            result.fail(
+                subject, 0.0,
+                f"{kind} reached the socket at offset {diverge} "
+                f"(sent {len(t.payload)} bytes, got {len(t.received)})"
             )
             continue
         cleanly_closed = (
@@ -318,14 +306,10 @@ def check_socket_integrity(evidence: RunEvidence) -> CheckResult:
             and t.server_close_reason == "done"
         )
         if cleanly_closed and len(t.received) != len(t.payload):
-            result.violations.append(
-                Violation(
-                    result.invariant,
-                    subject,
-                    0.0,
-                    f"clean close but only {len(t.received)} of "
-                    f"{len(t.payload)} bytes delivered",
-                )
+            result.fail(
+                subject, 0.0,
+                f"clean close but only {len(t.received)} of "
+                f"{len(t.payload)} bytes delivered"
             )
     return result
 
@@ -399,15 +383,11 @@ def check_retransmissions(evidence: RunEvidence) -> CheckResult:
             continue
         if r["elapsed"] >= floor:
             continue
-        result.violations.append(
-            Violation(
-                result.invariant,
-                _describe_conn(r["conn"]),
-                seg.time,
-                f"unjustified retransmission after {r['elapsed'] * 1e3:.3f}ms "
-                f"with only {r['dup_acks']} duplicate ACK(s) "
-                f"({seg.describe()})",
-            )
+        result.fail(
+            _describe_conn(r["conn"]), seg.time,
+            f"unjustified retransmission after {r['elapsed'] * 1e3:.3f}ms "
+            f"with only {r['dup_acks']} duplicate ACK(s) "
+            f"({seg.describe()})"
         )
     return result
 
@@ -417,8 +397,13 @@ def check_retransmissions(evidence: RunEvidence) -> CheckResult:
 # ----------------------------------------------------------------------
 
 
+#: The drop-table reasons a receiver gives a corrupted frame it rejects.
+REJECTION_REASONS = frozenset({"header", "checksum", "address"})
+
+
 def check_checksums(evidence: RunEvidence) -> CheckResult:
     result = CheckResult("checksum-rejection", 0)
+    rejected = 0
     for event in evidence.fault_events:
         if not event.plan.corrupted or not event.plan.deliveries:
             continue
@@ -427,7 +412,9 @@ def check_checksums(evidence: RunEvidence) -> CheckResult:
         try:
             decoded = strict_decode(mutated, an1=evidence.an1)
         except (HeaderError, ChecksumError, ValueError, IndexError):
-            continue  # Rejected, as required.
+            # Rejected, as required: every copy delivered must be counted.
+            rejected += len(event.plan.deliveries)
+            continue
         if decoded is None:
             continue  # Corruption turned it into non-TCP traffic.
         try:
@@ -441,16 +428,19 @@ def check_checksums(evidence: RunEvidence) -> CheckResult:
             for k in ("link_dst", "src_ip", "dst_ip", "sport", "dport")
         )
         if same_path and decoded["segment"] != original["segment"]:
-            result.violations.append(
-                Violation(
-                    result.invariant,
-                    f"{decoded['src_ip']}:{decoded['sport']}->"
-                    f"{decoded['dst_ip']}:{decoded['dport']}",
-                    event.time,
-                    "corrupted frame passed every checksum and decoded "
-                    f"to a different segment: {decoded['segment']!r}",
-                )
+            result.fail(
+                f"{decoded['src_ip']}:{decoded['sport']}->"
+                f"{decoded['dst_ip']}:{decoded['dport']}",
+                event.time,
+                "corrupted frame passed every checksum and decoded "
+                f"to a different segment: {decoded['segment']!r}",
             )
+    # The other half: a receiver that rejects a frame says so.
+    rows = evidence.drops or ()
+    counted = sum(row.count for row in rows if row.reason in REJECTION_REASONS)
+    if evidence.drops is not None and counted < rejected:
+        result.fail("drop-table", 0.0, f"{rejected} corrupted deliveries fail the strict "
+                    f"decode; the drop table has {counted} header, checksum or address drops")
     return result
 
 
@@ -475,32 +465,24 @@ def check_conservation(evidence: RunEvidence) -> CheckResult:
         }
         for kind, count in observed.items():
             if count != inj.get(kind, 0):
-                result.violations.append(
-                    Violation(
-                        result.invariant,
-                        "fault-log",
-                        0.0,
-                        f"observed {count} {kind} frames but the injector "
-                        f"counted {inj.get(kind, 0)}",
-                    )
+                result.fail(
+                    "fault-log", 0.0,
+                    f"observed {count} {kind} frames but the injector "
+                    f"counted {inj.get(kind, 0)}"
                 )
-    # (b) Link counters are the injector's counters (one source of truth).
-    for kind in ("dropped", "corrupted", "duplicated"):
-        if kind in evidence.link_stats and evidence.link_stats[kind] != inj.get(
-            kind, 0
-        ):
-            result.violations.append(
-                Violation(
-                    result.invariant,
-                    "link-stats",
-                    0.0,
-                    f"link reports {evidence.link_stats[kind]} {kind} but "
-                    f"the injector counted {inj.get(kind, 0)}",
-                )
-            )
-    # (c) Retransmissions need a cause: on a fault-free, drop-free run
-    # nothing may be retransmitted (the RTO floor exceeds the delayed-ACK
-    # interval, so there is no benign timeout to excuse it).
+    # (b) The wire balances: every frame the link carried, less the
+    # injector's drops and plus its duplicates, reached a receiving NIC
+    # or was counted as addressed to none.
+    if evidence.arrivals is not None:
+        link = evidence.link_stats
+        copies = link.get("frames", 0) - inj.get("dropped", 0) + inj.get("duplicated", 0)
+        landed = evidence.arrivals + link.get("unaddressed", 0)
+        if copies != landed:
+            result.fail("wire", 0.0, f"the link delivered {copies} copies, "
+                        f"{landed} of them received or unaddressed")
+    # (c) Retransmissions need a cause: on a fault-free run that dropped
+    # nothing anywhere, nothing may be retransmitted (the RTO floor exceeds
+    # the delayed-ACK interval: no benign timeout excuses it).
     total_faults = sum(
         inj.get(k, 0) for k in ("dropped", "corrupted", "duplicated", "delayed")
     )
@@ -509,15 +491,12 @@ def check_conservation(evidence: RunEvidence) -> CheckResult:
         for _, m in evidence.machines
     )
     wire_retx = len(classify_retransmissions(evidence.segments))
-    if total_faults == 0 and evidence.queue_drops == 0 and machine_retx > 0:
-        result.violations.append(
-            Violation(
-                result.invariant,
-                "run",
-                0.0,
-                f"{machine_retx} retransmission(s) on a fault-free, "
-                "drop-free network",
-            )
+    dropped = sum(row.count for row in evidence.drops or ())
+    if total_faults == 0 and dropped == 0 and machine_retx > 0:
+        result.fail(
+            "run", 0.0,
+            f"{machine_retx} retransmission(s) on a fault-free, "
+            "drop-free network"
         )
     # (d) The wire cannot show more retransmissions than the machines
     # performed (only meaningful when every endpoint was captured).
@@ -526,14 +505,10 @@ def check_conservation(evidence: RunEvidence) -> CheckResult:
         for t in evidence.transfers
     )
     if all_machines_known and wire_retx > machine_retx:
-        result.violations.append(
-            Violation(
-                result.invariant,
-                "run",
-                0.0,
-                f"{wire_retx} retransmissions on the wire but the machines "
-                f"only account for {machine_retx}",
-            )
+        result.fail(
+            "run", 0.0,
+            f"{wire_retx} retransmissions on the wire but the machines "
+            f"only account for {machine_retx}"
         )
     return result
 
@@ -580,15 +555,11 @@ def check_cc_sanity(evidence: RunEvidence) -> CheckResult:
                 edge = edges.get(seg.endpoint)
                 rel_end = rel_seq + seg.data_len
                 if edge is not None and rel_end > edge + est + 1:
-                    result.violations.append(
-                        Violation(
-                            result.invariant,
-                            conn,
-                            seg.time,
-                            f"data burst beyond the advertised window: "
-                            f"seq end {rel_end} > edge {edge} + mss "
-                            f"{est} slack ({seg.describe()})",
-                        )
+                    result.fail(
+                        conn, seg.time,
+                        f"data burst beyond the advertised window: "
+                        f"seq end {rel_end} > edge {edge} + mss "
+                        f"{est} slack ({seg.describe()})"
                     )
 
     # (b) Machine-side window response: every convicted loss in the
@@ -601,29 +572,21 @@ def check_cc_sanity(evidence: RunEvidence) -> CheckResult:
             if kind == "timeout":
                 # Every algorithm collapses to one segment on RTO.
                 if ev.get("cwnd_after", 0) > mss:
-                    result.violations.append(
-                        Violation(
-                            result.invariant,
-                            name,
-                            ev.get("time", 0.0),
-                            f"RTO did not collapse cwnd to one segment: "
-                            f"cwnd {ev.get('cwnd_after')} > mss {mss}",
-                        )
+                    result.fail(
+                        name, ev.get("time", 0.0),
+                        f"RTO did not collapse cwnd to one segment: "
+                        f"cwnd {ev.get('cwnd_after')} > mss {mss}"
                     )
                 continue
             if kind == "fast_retransmit" and ev.get("loss_based", True):
                 window = max(ev.get("cwnd_before", 0), ev.get("flight", 0))
                 limit = max(int(MD_FACTOR * window), 2 * mss)
                 if ev.get("ssthresh_after", 0) > limit:
-                    result.violations.append(
-                        Violation(
-                            result.invariant,
-                            name,
-                            ev.get("time", 0.0),
-                            f"no multiplicative decrease on convicted "
-                            f"loss: ssthresh {ev.get('ssthresh_after')} > "
-                            f"{limit} (window was {window})",
-                        )
+                    result.fail(
+                        name, ev.get("time", 0.0),
+                        f"no multiplicative decrease on convicted "
+                        f"loss: ssthresh {ev.get('ssthresh_after')} > "
+                        f"{limit} (window was {window})"
                     )
     return result
 

@@ -18,8 +18,6 @@ from .mach import Kernel, Task
 from .net.headers import (
     ETHERTYPE_ARP,
     ETHERTYPE_IP,
-    ArpPacket,
-    HeaderError,
     Ipv4Header,
     PROTO_ICMP,
     PROTO_TCP,
@@ -206,6 +204,7 @@ class Host:
             work = self._icmp_rx(datagram.payload, datagram.src, link_info)
             self.sim.process(work_then(work, done))
         else:
+            self.stats["no_protocol"] += 1
             done()
 
     def _udp_input(
@@ -280,11 +279,7 @@ class Host:
         self.netio._deliver(channel, packet, link_info, done)
 
     def _arp_rx(self, payload: bytes) -> Generator:
-        try:
-            packet = ArpPacket.unpack(payload)
-        except HeaderError:
-            return
-        for reply in self.arp.receive(packet, self.sim.now):
+        for reply in self.arp.receive(payload, self.sim.now):
             yield from self.netio.kernel_send(
                 reply.packet.pack(), reply.dst_mac, ETHERTYPE_ARP
             )
@@ -292,6 +287,7 @@ class Host:
     def _icmp_rx(self, payload: bytes, src_ip: int, link_info: LinkInfo) -> Generator:
         echo = decode_echo(payload)
         if echo is None or not echo.is_request:
+            self.stats["no_protocol"] += 1
             return
         reply = make_reply(echo)
         yield from self.ip_send(src_ip, PROTO_ICMP, reply, link_info.src)

@@ -3,9 +3,10 @@
 The network I/O module and the protocol library share a pinned region
 that packets move through without copies — the paper's central buffering
 mechanism (§3.3).  A region holds a fixed number of receive buffers; on
-AN1 it *is* the ring a BQI names.  Placing a frame takes a buffer (the
-AN1 controller at DMA, the network I/O module otherwise), a full region
-drops the frame, and the library gives one back per frame it consumes.
+AN1 it *is* the ring a BQI names.  Placing a frame takes a buffer
+(``available`` goes down by one: the AN1 controller takes at DMA, the
+network I/O module otherwise), a full region drops the frame and the
+taker counts it, and the library gives one back per frame it consumes.
 Wiring charges its (setup-time-only) cost here; the network I/O module
 charges the mapping when it builds a channel.
 """
@@ -27,7 +28,8 @@ class SharedRegion:
     of them free.  ``bqi`` is its index in the AN1 controller's table
     (0 when no table holds it), ``owner`` the channel it serves (opaque
     to the controller), ``tenant_id`` the tenant its buffers are
-    charged to."""
+    charged to.  ``stats["delivered"]`` counts what the controller
+    placed."""
 
     def __init__(self, capacity: int, owner: Any = None) -> None:
         if capacity <= 0:
@@ -45,16 +47,6 @@ class SharedRegion:
     def __repr__(self) -> str:
         wired = " pinned" if self.pinned else ""
         return f"<SharedRegion bqi={self.bqi} {self.available}/{self.capacity} free{wired}>"
-
-    def take(self) -> bool:
-        """Claim one buffer for an arriving frame; a full region drops
-        it (counted) and returns False."""
-        if self.available == 0:
-            self.stats["dropped"] += 1
-            return False
-        self.available -= 1
-        self.stats["delivered"] += 1
-        return True
 
     def replenish(self) -> None:
         """Give one consumed buffer back (paper: "When the library is

@@ -233,7 +233,7 @@ class FabricResult:
 
     flows: list[CheckedTransfer]
     bottleneck_drops: int
-    other_drops: int
+    other_drops: int  # Every other row of netstat's drop table.
     organization: str
 
     @property
@@ -294,18 +294,17 @@ def measure_fabric_transfers(
         for flow in flows:
             if flow.bytes_moved and flow.elapsed > 0:
                 session.histograms.record("flow.completion", flow.elapsed)
+    # Not at module level: ``import repro`` must not load netstat before
+    # ``python -m repro.netstat`` runs it.
+    from .netstat import drop_table
+
     bottleneck = getattr(fabric, "bottleneck", None)
-    bottleneck_drops = bottleneck.drops if bottleneck is not None else 0
-    other_drops = sum(
-        port.drops
-        for switch in fabric.switches
-        for port in switch.ports
-        if port is not bottleneck
-    )
+    at_bottleneck = bottleneck.name if bottleneck is not None else None
+    drops = drop_table(fabric)
     return FabricResult(
         flows=flows,
-        bottleneck_drops=bottleneck_drops,
-        other_drops=other_drops,
+        bottleneck_drops=bottleneck.queue.stats["dropped"] if bottleneck is not None else 0,
+        other_drops=sum(row.count for row in drops if row.node != at_bottleneck),
         organization=fabric.organization,
     )
 

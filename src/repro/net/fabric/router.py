@@ -46,7 +46,6 @@ from ..buf import slice_view
 from ..headers import (
     ETHERTYPE_ARP,
     ETHERTYPE_IP,
-    ArpPacket,
     HeaderError,
     Ipv4Header,
     PROTO_ICMP,
@@ -186,12 +185,8 @@ class Router:
         try:
             header = Ipv4Header.unpack(payload)
         except HeaderError:
-            # Bad checksum, not version 4, options, or short.
+            # Bad checksum or total length, not version 4, options, or short.
             self.stats["bad_header"] += 1
-            done()
-            return
-        if not Ipv4Header.LENGTH <= header.total_length <= len(payload):
-            self.stats["bad_length"] += 1
             done()
             return
         stage = partial(self._ip_input, iface, header, payload, link_info, done)
@@ -226,11 +221,7 @@ class Router:
         done()
 
     def _arp_rx(self, iface: RouterInterface, payload: bytes) -> Generator:
-        try:
-            packet = ArpPacket.unpack(payload)
-        except HeaderError:
-            return
-        for reply in iface.arp.receive(packet, self.sim.now):
+        for reply in iface.arp.receive(payload, self.sim.now):
             yield from iface.netio.kernel_send(
                 reply.packet.pack(), reply.dst_mac, ETHERTYPE_ARP
             )
@@ -242,14 +233,17 @@ class Router:
         packet: bytes,
         link_info: LinkInfo,
     ) -> Generator:
-        """Traffic addressed to the router itself: answer ICMP echo."""
+        """Traffic addressed to the router itself: answer ICMP echo;
+        anything else is counted as ``no_protocol`` and dropped."""
         self.stats["delivered_local"] += 1
-        if header.protocol != PROTO_ICMP:
-            return
-        if header.frag_offset != 0 or header.more_fragments:
-            return  # Routers don't reassemble; ping payloads fit the MTU.
-        echo = decode_echo(packet[Ipv4Header.LENGTH : header.total_length])
+        # Routers don't reassemble; ping payloads fit the MTU.
+        echo = None
+        if header.protocol == PROTO_ICMP and not (
+            header.frag_offset or header.more_fragments
+        ):
+            echo = decode_echo(packet[Ipv4Header.LENGTH : header.total_length])
         if echo is None or not echo.is_request:
+            self.stats["no_protocol"] += 1
             return
         # Reply straight out the ingress interface: the querier (or the
         # previous-hop gateway) is by definition reachable there.

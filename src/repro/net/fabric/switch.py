@@ -55,11 +55,6 @@ class SwitchPort:
     def __repr__(self) -> str:
         return f"<SwitchPort {self.name}>"
 
-    @property
-    def drops(self) -> int:
-        """Frames this port's egress queue has discarded."""
-        return self.queue.stats["dropped"]
-
     # The link-facing NIC protocol -------------------------------------
 
     def accepts(self, frame: bytes) -> bool:

@@ -28,12 +28,9 @@ class FaultPlan:
 class FaultInjector:
     """Per-link fault model with independent event probabilities.
 
-    The injector's ``stats`` counters are the *authoritative* fault
-    accounting: they are incremented exactly once, inside :meth:`plan`,
-    at the moment the fate of a frame is decided.  Links expose them
-    read-only through ``Link.stats`` rather than keeping a second set of
-    counters — the conformance checkers (:mod:`repro.check`) rely on
-    there being one source of truth to conserve against.
+    The injector's ``stats`` counters are the one fault account: they
+    are incremented exactly once, inside :meth:`plan`, at the moment the
+    fate of a frame is decided, and a link keeps no second count.
     """
 
     def __init__(
@@ -70,10 +67,6 @@ class FaultInjector:
             or self.duplicate_rate
             or self.max_extra_delay
         )
-
-    def snapshot(self) -> dict:
-        """A copy of the fault counters (for reports and evidence)."""
-        return Counters(self.stats)
 
     def plan(self, data: bytes) -> FaultPlan:
         """Decide the fate of one frame."""

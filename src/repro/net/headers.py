@@ -19,8 +19,9 @@ value:
 * *Wire values* are checked by ``unpack()``, which reads the header
   with one ``unpack_from`` and builds its record from that tuple in one
   step.  A slot read off the wire cannot overflow, so only what the
-  protocol forbids is tested: short headers, IPv4 version, IHL and
-  checksum, ARP hardware types and operation, a UDP length below eight.
+  protocol forbids is tested: short headers, IPv4 version, IHL, total
+  length and checksum, ARP hardware types and operation, a UDP length
+  below eight.
 """
 
 from __future__ import annotations
@@ -277,8 +278,9 @@ class Ipv4Header(NamedTuple):
     def unpack(cls, data: bytes, verify: bool = True) -> "Ipv4Header":
         if type(data) not in _FLAT:
             data = as_wire_bytes(data)
-        if len(data) < cls.LENGTH:
-            raise HeaderError(f"short IPv4 header ({len(data)} bytes)")
+        length = len(data)
+        if length < cls.LENGTH:
+            raise HeaderError(f"short IPv4 header ({length} bytes)")
         (
             ver_ihl,
             tos,
@@ -298,6 +300,9 @@ class Ipv4Header(NamedTuple):
         if ihl != 5:
             raise HeaderError(f"IPv4 options unsupported (ihl={ihl})")
         if verify:
+            # A header-only parse (no packet behind it) passes ``verify=False``.
+            if not cls.LENGTH <= total_length <= length:
+                raise HeaderError(f"bad IPv4 total length {total_length}")
             # ``internet_checksum(header) == 0`` in one read: the header
             # as a little-endian integer sums to 0xFFFF exactly when it
             # is non-zero with zero residue mod 0xFFFF (net/checksum.py).

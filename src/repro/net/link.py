@@ -60,22 +60,10 @@ class Link:
         #: its turn ends and the fault injector has decided its fate.
         self.watchers: list[Any] = []
         self._medium = Serial(sim) if self.SHARED_MEDIUM else None
-        #: Live traffic counters: frames, bytes, busy_time.
-        self._traffic = Counters()
-
-    @property
-    def stats(self) -> Counters:
-        """A copy of the traffic counters plus the injector's
-        authoritative fault counters.  The fault numbers are *read* from
-        the injector rather than counted a second time here, so
-        ``Link.stats`` and ``FaultInjector.stats`` can never disagree —
-        which makes this the one ``stats`` in the tree that is a fresh
-        dict per read (watch it through ``lambda: link.stats``)."""
-        merged = Counters(self._traffic)
-        fault_stats = self.faults.stats
-        for kind in ("dropped", "corrupted", "duplicated"):
-            merged[kind] = fault_stats[kind]
-        return merged
+        #: Traffic: frames, bytes, busy_time, and the ``unaddressed``
+        #: copies no attached NIC's filter accepted.  What the injector
+        #: did to them is counted once, in ``faults.stats``.
+        self.stats = Counters()
 
     def attach(self, nic: "Nic") -> None:
         """Register a NIC on this segment.
@@ -89,6 +77,11 @@ class Link:
         for other in peers:
             peers[other] += (nic,)
         peers[nic] = tuple(peers)
+
+    @property
+    def nics(self) -> tuple["Nic", ...]:
+        """Every attached NIC, in attach order."""
+        return tuple(self._peers)
 
     def receivers(self, sender: "Nic", frame: bytes) -> list["Nic"]:
         """The attached NICs, other than ``sender``, whose address
@@ -106,6 +99,12 @@ class Link:
             watcher.planned(frame, plan)
         if obs is not None:
             obs.wire(frame, plan, self.sim.now, type(self).__name__)
+        if not receivers and (self.watchers or not self.faults.inert):
+            # Every copy is lost to the address filters (a frame for a
+            # station not on the segment).  A quiet link, planned only
+            # for the obs plane, does not count this: there such a copy
+            # is a learning switch's flood.
+            self.stats["unaddressed"] += len(plan.deliveries)
         for extra_delay, data in plan.deliveries:
             for nic in receivers:
                 self.sim.call_later(
@@ -252,7 +251,7 @@ class Transmitter:
     def _turn_over(self, _event: Event) -> None:
         link = self.link
         frame = self._frame
-        traffic = link._traffic
+        traffic = link.stats
         traffic["frames"] += 1
         traffic["bytes"] += self._length
         traffic["busy_time"] += self._wire_time

@@ -146,17 +146,19 @@ class An1Nic(Nic):
         # The hardware demuxes on one header field, the BQI at bytes 6-7;
         # the network I/O module decodes the header once, at the ring.
         if len(frame) < An1Header.LENGTH:
-            self.stats["rx_ignored"] += 1
+            self.stats["rx_runt"] += 1
             return
         # An unknown BQI falls back to the kernel's region.
         region = self.bqi_table.get(frame[6] << 8 | frame[7]) or self.bqi_table[0]
         obs = _obs.SESSION
-        if not region.take():
+        if not region.available:
             self.stats["rx_dropped_no_buffer"] += 1
             if obs is not None:
                 obs.spans.touch(frame, "nic.drop", self.sim.now, self.name,
                                 detail="no ring buffer")
             return
+        region.available -= 1
+        region.stats["delivered"] += 1
         if obs is not None:
             obs.spans.touch(frame, "nic.rx", self.sim.now, self.name,
                             detail=f"bqi={region.bqi}")

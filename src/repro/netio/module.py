@@ -612,7 +612,7 @@ class NetworkIoModule:
         # straight out of the octets instead of decoding a full header
         # object per frame.
         if len(frame) < EthernetHeader.LENGTH:
-            self.stats["rx_dropped"] += 1
+            self.stats["rx_runt"] += 1
             done()
             return
         ethertype = (frame[12] << 8) | frame[13]
@@ -698,7 +698,7 @@ class NetworkIoModule:
     ) -> None:
         kernel_rx = self.kernel_rx
         if kernel_rx is None:
-            self.stats["rx_dropped"] += 1
+            self.stats["rx_no_consumer"] += 1
             done()
             return
         self.stats["rx_to_kernel"] += 1
@@ -717,7 +717,8 @@ class NetworkIoModule:
 
         ``placed`` says the AN1 controller already took the buffer at
         DMA; every other placement takes one here, after the tenancy
-        check, and a full region drops the frame."""
+        check, and a full region drops the frame as ``rx_region_full``
+        (this module's count, which outlives the channel)."""
         region = channel.region
         manager = self.tenants
         if manager is not None and channel.tenant_id is not None:
@@ -756,11 +757,10 @@ class NetworkIoModule:
             elif owner_tenant is not None:
                 owner_tenant.note_rx(len(payload))
         if not placed:
-            # ``region.take()`` inlined, one call fewer per frame; the
-            # channel counts the delivery, the region's ``delivered``
-            # only what the controller placed.
+            # The channel counts the delivery, the region's
+            # ``delivered`` only what the controller placed.
             if not region.available:
-                region.stats["dropped"] += 1
+                self.stats["rx_region_full"] += 1
                 done()
                 return
             region.available -= 1

@@ -9,7 +9,8 @@ protected channels; :func:`held` lists what every table still holds
 (the one leak judge, of the failure axis and of a tenant's teardown);
 :func:`link_table` and :func:`switch_table` cover the fabric — per-link
 fault accounting and per-switch-port queue behaviour (depth, drops,
-occupancy).
+occupancy); :func:`drop_table` says where and why every discarded frame
+was dropped.
 
 Works over anything exposing the testbed surface: ``hosts``,
 ``registries``, ``services``, ``links``, ``switches``, ``routers`` (both
@@ -359,15 +360,15 @@ def link_table(testbed) -> list[LinkEntry]:
     """Per-link frame counts and fault-injection accounting."""
     entries: list[LinkEntry] = []
     for i, link in enumerate(testbed.links):
-        stats = link.stats
+        stats, faults = link.stats, link.faults.stats
         entries.append(
             LinkEntry(
                 name=f"link{i}",
                 frames=stats["frames"],
                 bytes=stats["bytes"],
-                dropped=stats["dropped"],
-                corrupted=stats["corrupted"],
-                duplicated=stats["duplicated"],
+                dropped=faults["dropped"],
+                corrupted=faults["corrupted"],
+                duplicated=faults["duplicated"],
             )
         )
     return entries
@@ -394,6 +395,90 @@ def switch_table(testbed) -> list[SwitchPortEntry]:
                 )
             )
     return entries
+
+
+@dataclass(frozen=True)
+class DropEntry:
+    """Frames one node discarded for one reason."""
+
+    node: str
+    reason: str
+    count: int
+
+    def __str__(self) -> str:
+        return f"{self.node:12s} {self.reason:18s} {self.count}"
+
+
+#: The one map from the ``stats`` key a discarding place counts a
+#: received frame under to the reason it names, by kind of place.  Each
+#: discard is counted once, where it happens; a key not here is not a
+#: frame drop (DESIGN.md "Counting" lists the ones that look like one).
+DROP_REASONS = {
+    "link": {"unaddressed": "address"},
+    "fault": {"dropped": "fault"},
+    "switch": {"malformed": "header"},
+    "queue": {"dropped": "queue"},
+    "nic": {"rx_runt": "header", "rx_dropped_no_buffer": "no buffer", "rx_ignored": "no consumer"},
+    "netio": {
+        "rx_runt": "header", "rx_no_consumer": "no consumer",
+        "rx_region_full": "no buffer", "rx_refused": "tenancy",
+    },
+    "host": {"unknown_ethertype": "no protocol", "no_protocol": "no protocol"},
+    "router": {
+        "unknown_ethertype": "no protocol", "no_protocol": "no protocol", "bad_header": "header",
+        "input_dropped": "input queue", "no_route": "no route", "ttl_expired": "ttl expired",
+        "arp_failed": "no neighbour",
+    },
+    "arp": {"bad_header": "header"},
+    "ip": {"bad_header": "header", "not_ours": "address", "expired": "reassembly timeout"},
+    "udp": {"bad_datagram": "header", "no_port": "no port"},
+    "tcp": {"rx_bad_checksum": "checksum"},
+}
+
+
+def _drop_sources(testbed):
+    """(node, kind, stats) for every place that discards received
+    frames: links, switches and their queues, routers, hosts, and the
+    NIC, network I/O module and ARP of each, registries, and the TCP
+    services with each library's own IP."""
+    for i, link in enumerate(testbed.links):
+        yield f"link{i}", "link", link.stats
+        yield f"link{i}", "fault", link.faults.stats
+    for switch in testbed.switches:
+        yield switch.name, "switch", switch.stats
+        for port in switch.ports:
+            yield port.name, "queue", port.queue.stats
+    interfaces = [iface for router in testbed.routers for iface in router.interfaces]
+    for node in [*testbed.hosts, *interfaces]:
+        yield node.name, "nic", node.nic.stats
+        yield node.name, "netio", node.netio.stats
+        if node.arp is not None:
+            yield node.name, "arp", node.arp.stats
+    for router in testbed.routers:
+        yield router.name, "router", router.stats
+    for host in testbed.hosts:
+        yield host.name, "host", host.stats
+        yield host.name, "ip", host.ip_stack.stats
+        yield host.name, "udp", host.udp_ports.stats
+    # A bare topology has no registries or services.
+    for registry in getattr(testbed, "registries", ()):
+        yield registry.host.name, "tcp", registry.stats
+    for service in getattr(testbed, "services", ()):
+        yield service.host.name, "tcp", service.stats
+        ip_lib = getattr(service, "ip_lib", None)
+        if ip_lib is not None:
+            yield service.host.name, "ip", ip_lib.stats
+
+
+def drop_table(testbed) -> list[DropEntry]:
+    """Every discarded frame, as one row per node and reason: the one
+    place that knows which ``stats`` key names which reason."""
+    counts: dict[tuple[str, str], int] = {}
+    for node, kind, stats in _drop_sources(testbed):
+        for key, reason in DROP_REASONS[kind].items():
+            if stats[key]:
+                counts[node, reason] = counts.get((node, reason), 0) + stats[key]
+    return [DropEntry(node, reason, count) for (node, reason), count in counts.items()]
 
 
 @dataclass(frozen=True)
@@ -736,6 +821,7 @@ def as_json(testbed: "Testbed", tenant: Optional[str] = None) -> dict:
         "copy": [asdict(e) for e in copy_table(testbed)],
         "links": [asdict(e) for e in link_table(testbed)],
         "switch_ports": [asdict(e) for e in switch_table(testbed)],
+        "drops": [asdict(e) for e in drop_table(testbed)],
         "tenants": [asdict(e) for e in tenant_table(testbed, tenant=tenant)],
         "engine": [asdict(e) for e in engine_table(testbed)],
         "spans": {
@@ -755,56 +841,30 @@ def render(testbed: "Testbed", tenant: Optional[str] = None) -> str:
     ``tenant`` filters the tenant table to one id (the CLI's
     ``--tenant`` flag); the other tables are unaffected.
     """
-    lines = ["Active TCP connections (registry view)"]
-    connections = connection_table(testbed)
-    if connections:
-        lines.extend(str(entry) for entry in connections)
-    else:
-        lines.append("  (none)")
-    lines.append("")
-    lines.append("Protected channels (network I/O module view)")
-    channels = channel_table(testbed)
-    if channels:
-        lines.extend(str(entry) for entry in channels)
-    else:
-        lines.append("  (none)")
-    lines.append("")
-    lines.append(
-        "Demux engine (flows exact/wildcard/scan · hits per tier)"
-    )
-    lines.extend(str(entry) for entry in demux_table(testbed))
-    lines.append("")
-    lines.append(
-        "Fast paths (header prediction · demux memo · next-hop cache)"
-    )
-    lines.extend(str(entry) for entry in fastpath_table(testbed))
-    lines.append("")
-    lines.append("Copy accounting (bytes moved vs avoided)")
-    lines.extend(str(entry) for entry in copy_table(testbed))
-    links = link_table(testbed)
-    if links:
-        lines.append("")
-        lines.append("Links (traffic · injected faults)")
-        lines.extend(str(entry) for entry in links)
-    switch_ports = switch_table(testbed)
-    if switch_ports:
-        lines.append("")
-        lines.append("Switch ports (egress queues)")
-        lines.extend(str(entry) for entry in switch_ports)
-    tenants = tenant_table(testbed, tenant=tenant)
-    if tenants or tenant is not None:
-        lines.append("")
-        lines.append(
-            "Tenants (occupancy vs quota · throttles · rejections)"
-        )
-        if tenants:
-            lines.extend(str(entry) for entry in tenants)
-        else:
-            lines.append(f"  (no tenant {tenant!r})")
-    lines.append("")
-    lines.append("Event engine (batching · skip accounting)")
-    lines.extend(str(entry) for entry in engine_table(testbed))
-    return "\n".join(lines)
+    none = "  (none)"
+    sections = [  # (title, rows, what an empty table prints: None omits it)
+        ("Active TCP connections (registry view)", connection_table(testbed), none),
+        ("Protected channels (network I/O module view)", channel_table(testbed), none),
+        ("Demux engine (flows exact/wildcard/scan · hits per tier)", demux_table(testbed), ""),
+        ("Fast paths (header prediction · demux memo · next-hop cache)", fastpath_table(testbed), ""),
+        ("Copy accounting (bytes moved vs avoided)", copy_table(testbed), ""),
+        ("Links (traffic · injected faults)", link_table(testbed), None),
+        ("Switch ports (egress queues)", switch_table(testbed), None),
+        ("Dropped frames (where · why · how many)", drop_table(testbed), None),
+        (
+            "Tenants (occupancy vs quota · throttles · rejections)",
+            tenant_table(testbed, tenant=tenant),
+            None if tenant is None else f"  (no tenant {tenant!r})",
+        ),
+        ("Event engine (batching · skip accounting)", engine_table(testbed), ""),
+    ]
+    lines = []
+    for title, rows, empty in sections:
+        if rows:
+            lines += ["", title, *map(str, rows)]
+        elif empty is not None:
+            lines += ["", title] + ([empty] if empty else [])
+    return "\n".join(lines[1:])
 
 
 def main(argv: Optional[list[str]] = None) -> int:

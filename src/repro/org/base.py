@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from ..costs import CostModel
+from ..counters import Counters
 
 if TYPE_CHECKING:
     from ..host import Host
@@ -68,6 +69,10 @@ class TcpListener(abc.ABC):
 
 class TcpService(abc.ABC):
     """The per-host (or per-application) transport API."""
+
+    def __init__(self, host: "Host") -> None:
+        self.host = host
+        self.stats = Counters()  # Receive-path counts; outlives every connection.
 
     @abc.abstractmethod
     def listen(self, port: int) -> Generator:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..costs import CostModel
-from ..counters import Counters
 from ..host import Host
 from ..net.headers import PROTO_TCP
 from ..netio.module import LinkInfo
@@ -138,14 +137,13 @@ class MonolithicTcpStack(TcpService):
         profile: PathProfile,
         config: Optional[TcpConfig] = None,
     ) -> None:
-        self.host = host
+        super().__init__(host)
         self.profile = profile
         self.config = config or TcpConfig()
         self.kernel = host.kernel
         self.sim = host.sim
         self.core = RegistryCore(msl=self.config.msl)
         host.tcp_kernel_handler = self._tcp_rx
-        self.stats = Counters()
 
     # ------------------------------------------------------------------
     # Service API

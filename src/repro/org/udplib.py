@@ -180,13 +180,10 @@ class UdpEndpoint:
                     # Locally forwarded chains (the kernel UDP relay)
                     # fuse here — the one copy the legacy concat made.
                     packet = packet.tobytes()
-                # Wire input, untrusted like any other: the IP header
-                # bounds the datagram, as ``IpStack.receive`` bounds it.
+                # Wire input, untrusted like any other: the IP header,
+                # its total length checked, bounds the datagram.
                 try:
                     header = Ipv4Header.unpack(packet)
-                    if not Ipv4Header.LENGTH <= header.total_length <= len(packet):
-                        self.stats["bad_length"] += 1
-                        continue
                     datagram = decode_datagram(
                         slice_view(packet, Ipv4Header.LENGTH, header.total_length),
                         header.src,

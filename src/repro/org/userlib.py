@@ -51,7 +51,7 @@ class LibraryTcpService(TcpService):
         config: Optional[TcpConfig] = None,
         zero_copy: bool = True,
     ) -> None:
-        self.host = host
+        super().__init__(host)
         self.app = app
         self.registry = registry
         #: Ablation switch: when False, the library copies data between
@@ -263,6 +263,7 @@ class LibraryConnection(TcpConnection):
                         datagram.payload, datagram.src, self.service.host.ip
                     )
                 except (ChecksumError, HeaderError):
+                    self.service.stats["rx_bad_checksum"] += 1
                     continue
                 # Header-prediction fast path for pure ACKs; no PCB
                 # lookup either way (per-connection upcall threads).

@@ -3,8 +3,8 @@
 The paper's applications link an ARP library alongside TCP and IP; this
 is that library's core.  A caller polls ``lookup`` and, on a miss, asks
 ``resolve`` for a broadcast request (rate-limited per destination);
-``receive`` processes requests/replies, learning bindings and answering
-requests for the local address.
+``receive`` decodes and processes requests/replies, learning bindings
+and answering requests for the local address.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from ..net.headers import (
     ARP_REQUEST,
     BROADCAST_MAC,
     ArpPacket,
+    HeaderError,
 )
 
 
@@ -83,9 +84,15 @@ class ArpStack:
     # Input
     # ------------------------------------------------------------------
 
-    def receive(self, packet: ArpPacket, now: float) -> list[SendArp]:
-        """Process an incoming ARP packet; returns the reply to send, if
-        it asked for the local address."""
+    def receive(self, payload: bytes, now: float) -> list[SendArp]:
+        """Process an incoming ARP packet's octets; returns the reply to
+        send, if it asked for the local address.  A malformed packet is
+        counted as ``bad_header`` and answered with nothing."""
+        try:
+            packet = ArpPacket.unpack(payload)
+        except HeaderError:
+            self.stats["bad_header"] += 1
+            return []
         # Opportunistically learn the sender's binding (RFC 826).
         if packet.sender_ip != 0:
             self._cache[packet.sender_ip] = _CacheEntry(packet.sender_mac, now)

@@ -169,14 +169,11 @@ class IpStack:
         try:
             header = Ipv4Header.unpack(packet)
         except HeaderError:
-            # Bad checksum, not version 4, options, or short.
+            # Bad checksum or total length, not version 4, options, or short.
             self.stats["bad_header"] += 1
             return None
         if header.dst != self.local_ip:
             self.stats["not_ours"] += 1
-            return None
-        if not Ipv4Header.LENGTH <= header.total_length <= len(packet):
-            self.stats["bad_length"] += 1
             return None
         payload = slice_view(packet, Ipv4Header.LENGTH, header.total_length)
         self.stats["received"] += 1
@@ -218,15 +215,16 @@ class IpStack:
         )
 
     def expire(self, now: float) -> int:
-        """Drop reassembly state older than the timeout.  Returns count."""
+        """Drop reassembly state older than the timeout, counting the
+        fragments it held as ``expired``.  Returns the reassemblies
+        dropped."""
         stale = [
             key
             for key, state in self._reassembly.items()
             if now - state.first_seen > self.REASSEMBLY_TIMEOUT
         ]
         for key in stale:
-            del self._reassembly[key]
-        self.stats["expired"] += len(stale)
+            self.stats["expired"] += len(self._reassembly.pop(key).fragments)
         return len(stale)
 
     @property

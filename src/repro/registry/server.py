@@ -330,6 +330,7 @@ class RegistryServer:
         try:
             segment = decode_segment(payload, src_ip, self.host.ip)
         except (ChecksumError, HeaderError):
+            self.stats["rx_bad_checksum"] += 1
             return
         if costs.tcp_input:
             yield cpu.charge(costs.tcp_input)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..check.invariants import CheckResult, Violation
+from ..check.invariants import CheckResult
 from .tenant import TenantBudget
 
 #: Victim goodput must stay within this fraction of its solo baseline.
@@ -89,14 +89,10 @@ def check_isolation(evidence: IsolationEvidence) -> CheckResult:
         evidence.delivery_log
     ):
         if delivered and owner_tenant != flow_tenant:
-            result.violations.append(
-                Violation(
-                    "tenant-isolation",
-                    f"flow={flow_tenant}",
-                    time,
-                    f"{nbytes}B of tenant {flow_tenant}'s flow delivered"
-                    f" to a channel owned by tenant {owner_tenant}",
-                )
+            result.fail(
+                f"flow={flow_tenant}", time,
+                f"{nbytes}B of tenant {flow_tenant}'s flow delivered"
+                f" to a channel owned by tenant {owner_tenant}",
             )
     return result
 
@@ -117,15 +113,12 @@ def check_goodput(
     result.checked = 1
     floor = (1.0 - epsilon) * evidence.solo_goodput
     if evidence.victim_goodput < floor:
-        result.violations.append(
-            Violation(
-                "tenant-goodput",
-                f"victim={evidence.victim} adversary={evidence.adversary}",
-                evidence.duration,
-                f"goodput {evidence.victim_goodput:.0f} B/s below"
-                f" {floor:.0f} B/s ({(1 - epsilon):.0%} of solo baseline"
-                f" {evidence.solo_goodput:.0f} B/s)",
-            )
+        result.fail(
+            f"victim={evidence.victim} adversary={evidence.adversary}",
+            evidence.duration,
+            f"goodput {evidence.victim_goodput:.0f} B/s below"
+            f" {floor:.0f} B/s ({(1 - epsilon):.0%} of solo baseline"
+            f" {evidence.solo_goodput:.0f} B/s)",
         )
     return result
 
@@ -142,14 +135,10 @@ def check_grants(evidence: IsolationEvidence) -> CheckResult:
         for port in snapshot.bound_ports:
             result.checked += 1
             if not snapshot.port_granted(port):
-                result.violations.append(
-                    Violation(
-                        "tenant-grants",
-                        f"tenant={snapshot.tenant_id}",
-                        0.0,
-                        f"bound port {port} outside grant"
-                        f" {snapshot.budget.ports.ranges} (and not ephemeral)",
-                    )
+                result.fail(
+                    f"tenant={snapshot.tenant_id}", 0.0,
+                    f"bound port {port} outside grant"
+                    f" {snapshot.budget.ports.ranges} (and not ephemeral)",
                 )
     return result
 
@@ -165,14 +154,7 @@ def check_conservation(evidence: IsolationEvidence) -> CheckResult:
     result = CheckResult("tenant-conservation", checked=0)
 
     def violate(snapshot, detail):
-        result.violations.append(
-            Violation(
-                "tenant-conservation",
-                f"tenant={snapshot.tenant_id}",
-                evidence.duration,
-                detail,
-            )
-        )
+        result.fail(f"tenant={snapshot.tenant_id}", evidence.duration, detail)
 
     for snapshot in evidence.tenants:
         counters = snapshot.counters

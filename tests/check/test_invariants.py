@@ -22,7 +22,7 @@ from repro.net.headers import (
     str_to_ip,
     str_to_mac,
 )
-from repro.netstat import invariant_table, render_invariants
+from repro.netstat import DropEntry, invariant_table, render_invariants
 from repro.protocols.tcp import Segment, State
 from repro.protocols.tcp.wire import encode_segment
 
@@ -259,20 +259,43 @@ def test_checksum_checker_accepts_detectable_corruption():
     assert result.ok
 
 
+def test_checksum_checker_fires_on_a_rejection_the_drop_table_lacks():
+    # The receiver must also say that it dropped the frame: a corrupted
+    # copy the strict decode rejects needs a header, checksum or address
+    # row in the drop table.
+    original = _tcp_frame(b"hello")
+    flipped = bytearray(original)
+    flipped[-3] ^= 0x10
+    event = FaultEvent(
+        time=0.01, frame=original,
+        plan=FaultPlan(deliveries=((0.0, bytes(flipped)),), corrupted=True),
+    )
+    silent = check_checksums(RunEvidence(fault_events=[event], drops=[]))
+    assert [v.subject for v in silent.violations] == ["drop-table"]
+    unrelated = [DropEntry("bob", "queue", 1)]
+    assert not check_checksums(RunEvidence(fault_events=[event], drops=unrelated)).ok
+    counted = [DropEntry("bob", "checksum", 1)]
+    assert check_checksums(RunEvidence(fault_events=[event], drops=counted)).ok
+
+
 # ----------------------------------------------------------------------
 # fault-conservation
 # ----------------------------------------------------------------------
 
 
-def test_conservation_fires_on_link_injector_disagreement():
-    ev = RunEvidence(
-        injector_stats={
-            "dropped": 2, "corrupted": 0, "duplicated": 0, "delayed": 0,
-        },
-        link_stats={"dropped": 1, "corrupted": 0, "duplicated": 0},
-    )
-    result = check_conservation(ev)
-    assert any("link reports" in v.detail for v in result.violations)
+def test_conservation_fires_on_wire_imbalance():
+    # 10 frames, 2 dropped, 1 duplicated: 9 copies, but the NICs saw 7
+    # and 1 was unaddressed.
+    link = {"frames": 10, "unaddressed": 1}
+    injector = {"dropped": 2, "corrupted": 0, "duplicated": 1, "delayed": 0}
+
+    def run(arrivals):
+        return check_conservation(
+            RunEvidence(link_stats=link, injector_stats=injector, arrivals=arrivals)
+        )
+
+    assert [v.subject for v in run(7).violations] == ["wire"]
+    assert run(8).ok
 
 
 def test_conservation_fires_on_retransmit_without_cause():
@@ -280,6 +303,9 @@ def test_conservation_fires_on_retransmit_without_cause():
     ev = RunEvidence(machines=[("m", machine)])
     result = check_conservation(ev)
     assert any("fault-free" in v.detail for v in result.violations)
+    # A drop anywhere in the table is a cause.
+    ev.drops = [DropEntry("r0-eth1", "no buffer", 1)]
+    assert check_conservation(ev).ok
 
 
 def test_conservation_fires_on_fault_log_mismatch():
@@ -330,7 +356,7 @@ def test_taildrop_congestion_satisfies_all_invariants():
     ]
     # The loss really happened — at the queue, not the injector — and the
     # conservation checker must attribute retransmits to it.
-    assert evidence.queue_drops > 0
+    assert any(row.reason == "queue" for row in evidence.drops)
     assert evidence.injector_stats["dropped"] == 0
     queue = bed.bottleneck.queue
     assert queue.stats["dropped"] > 0
@@ -343,7 +369,7 @@ def test_red_congestion_satisfies_all_invariants():
     assert all(r.ok for r in results), [
         str(v) for r in results for v in r.violations
     ]
-    assert evidence.queue_drops > 0
+    assert any(row.reason == "queue" for row in evidence.drops)
     # RED drops early, before the queue is full.
     assert bed.bottleneck.queue.stats.get("early_dropped", 0) > 0
 

@@ -1,13 +1,17 @@
 """The counting rule (DESIGN.md, "Counting"): ``obj.stats`` is the live
 :class:`~repro.counters.Counters` the object increments — so a reader
 that keeps the reference (the flight recorder's ``watch``) sees every
-later increment — and a derived view is netstat's job.  ``Link`` is the
-one documented exception."""
+later increment — and a derived view is netstat's job.  And the drop
+rule: a key that looks like a frame drop is a reason in netstat's drop
+table, or on the list below of the counts that only look like one."""
+
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.counters import Counters
-from repro.net.link import Link
+from repro.netstat import DROP_REASONS
 from repro.org.udplib import LibraryUdpService
 from repro.protocols.rrp import Complete, RrpClient, RrpServer
 from repro.testbed import IP_B, FabricTestbed, Testbed
@@ -72,17 +76,41 @@ def _udplib_rrp():
     return bed, extras
 
 
+#: Counts that look like frame drops and are not: refused or throttled
+#: sends, refused setup, lookups that fell through to a slower path, a
+#: segment that matched no connection (answered by a RST), a switch
+#: declining to forward a frame its destination already heard or
+#: flooding one, and two breakdowns of a queue's ``dropped``.
+NOT_FRAME_DROPS = {
+    "tx_refused", "tx_throttled", "throttled", "bqi_refused",
+    "region_pool_refused", "misses", "wildcard_rejected", "fastpath_misses",
+    "cache_misses", "rx_no_match", "filtered", "flooded",
+    "early_dropped", "dropped_bytes",
+}
+
+_REASONS = {key for keys in DROP_REASONS.values() for key in keys}
+
+DROP_LIKE = re.compile(
+    r"drop|bad|refus|reject|ignor|miss|expire|runt|malformed|unaddressed"
+    r"|not_ours|no_|unknown|fail|throttl|filtered|flood|full"
+)
+
+
 def _counting_objects(bed):
     """Everything under ``bed`` that counts, labelled."""
     nodes = list(bed.hosts)
+    for i, link in enumerate(bed.links):
+        yield f"link{i} link", link
+        yield f"link{i} faults", link.faults
+    for host in bed.hosts:
+        yield f"{host.name} host", host
     for router in getattr(bed, "routers", []):
         yield f"{router.name} router", router
         nodes.extend(router.interfaces)
     for registry in bed.registries:
         yield f"{registry.host.name} registry", registry
     for service in bed.services:
-        if hasattr(service, "stats"):  # the in-kernel stacks count rx
-            yield f"{service.host.name} service", service
+        yield f"{service.host.name} service", service
     for node in nodes:
         yield f"{node.name} nic", node.nic
         for ring in getattr(node.nic, "bqi_table", {}).values():
@@ -115,6 +143,9 @@ def _counting_objects(bed):
     ids=["ethernet", "an1", "dumbbell", "chain", "ultrix", "udplib-rrp"],
 )
 def test_stats_is_the_live_counters_everywhere_but_link(build):
+    """Everywhere: links too, since a link's ``stats`` stopped being a
+    fresh merge of its injector's counts per read (the ids keep the old
+    name)."""
     bed, extras = build()
     labels = []
     for label, obj in [*_counting_objects(bed), *extras]:
@@ -129,7 +160,8 @@ def test_stats_is_the_live_counters_everywhere_but_link(build):
     kinds = {
         " channel ": bed.organization == "userlib",
         " registry": bed.organization == "userlib",
-        " service": bed.organization != "userlib",
+        " service": True,
+        " link": True,
         " bqi ring ": bed.network == "an1",
         " queue": bool(bed.switches),
         " udp endpoint": bool(extras),
@@ -137,9 +169,23 @@ def test_stats_is_the_live_counters_everywhere_but_link(build):
     }
     for kind, expected in kinds.items():
         assert any(kind in label for label in labels) == expected, kind
-    # Link folds the fault injector's authoritative counts over its
-    # live traffic dict on every read: the one fresh-copy ``stats``.
-    for link in bed.links:
-        assert link.stats is not link.stats
-        assert link.stats == link.stats
-    assert isinstance(vars(Link)["stats"], property)
+    # Every drop-like key is a drop-table reason or a listed look-alike.
+    for label, obj in _counting_objects(bed):
+        for key in obj.stats:
+            if DROP_LIKE.search(key):
+                assert key in _REASONS or key in NOT_FRAME_DROPS, (label, key)
+
+
+def test_every_drop_like_key_the_source_counts_is_a_reason_or_listed():
+    """The same rule over every ``stats[...]`` key a ``src/`` line
+    increments, touched by a run or not."""
+    src = Path(__file__).resolve().parents[2] / "src" / "repro"
+    counted = set()
+    for path in src.rglob("*.py"):
+        counted.update(re.findall(r'stats\["(\w+)"\] \+=', path.read_text()))
+    assert {"rx_bad_checksum", "rx_region_full", "unaddressed"} <= counted
+    strays = sorted(
+        key for key in counted
+        if DROP_LIKE.search(key) and key not in _REASONS and key not in NOT_FRAME_DROPS
+    )
+    assert not strays

@@ -136,7 +136,7 @@ def test_udp_ignores_bytes_beyond_ip_total_length():
     header claiming ``total_length`` 28 (eight bytes of UDP) is cut to
     eight bytes, which cannot hold what its UDP length claims, so the
     endpoint drops it instead of delivering ``b"hello"``.  A
-    ``total_length`` past the packet's end is dropped before decoding."""
+    ``total_length`` past the packet's end fails the IP header check."""
     from repro.net.headers import Ipv4Header, PROTO_UDP
     from repro.protocols.udp import encode_datagram
     from repro.testbed import MAC_B
@@ -164,8 +164,7 @@ def test_udp_ignores_bytes_beyond_ip_total_length():
     endpoint = testbed.run(until=proc)
     assert got == []
     assert endpoint.stats["received"] == 0
-    assert endpoint.stats["bad_header"] == 1
-    assert endpoint.stats["bad_length"] == 1
+    assert endpoint.stats["bad_header"] == 2
 
 
 def test_udp_port_conflict_via_registry():

@@ -142,12 +142,13 @@ def test_forwarded_copy_of_a_negative_zero_checksum(ttl):
     """A sender may store 0xFFFF where the sum calls for 0x0000; the
     header verifies either way and must still verify a hop later."""
     header = _header_with_checksum(random.Random(ttl), ttl, 0x0000)
-    packet = bytearray(header.pack() + b"tail")
+    tail = b"tail".ljust(header.total_length - Ipv4Header.LENGTH, b".")
+    packet = bytearray(header.pack() + tail)
     packet[10:12] = b"\xff\xff"
     assert Ipv4Header.unpack(packet, verify=True) == header
     rewritten = forwarded_header(header, bytes(packet))
     assert len(rewritten) == Ipv4Header.LENGTH
-    assert Ipv4Header.unpack(rewritten + b"tail", verify=True).ttl == ttl - 1
+    assert Ipv4Header.unpack(rewritten + tail, verify=True).ttl == ttl - 1
     assert rewritten[12:] == bytes(packet[12:20])
 
 

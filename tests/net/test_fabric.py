@@ -17,6 +17,7 @@ from repro.net.faults import FaultInjector
 from repro.net.headers import (
     ETHERTYPE_IP,
     PROTO_ICMP,
+    PROTO_TCP,
     PROTO_UDP,
     Ipv4Header,
     str_to_ip,
@@ -64,10 +65,10 @@ def test_link_counts_injected_faults():
     Transmitter(link, sender).start(b"x" * 100)
     sim.run(until=0.1)
     assert receiver.received == []
-    # The plan's outcome is visible on the link itself, not only
-    # inside the injector.
-    assert link.stats["dropped"] == 1
-    assert link.stats["corrupted"] == 0
+    # The plan's outcome is counted once, in the link's injector.
+    assert link.faults.stats["dropped"] == 1
+    assert link.faults.stats["corrupted"] == 0
+    assert link.stats["frames"] == 1
 
     faults2 = FaultInjector(corrupt_rate=1.0, duplicate_rate=1.0, seed=2)
     link2 = DuplexLink(sim, faults=faults2)
@@ -75,8 +76,8 @@ def test_link_counts_injected_faults():
     receiver2 = FakeNic(link2, "rx2")
     Transmitter(link2, sender2).start(b"y" * 100)
     sim.run(until=0.2)
-    assert link2.stats["corrupted"] == 1
-    assert link2.stats["duplicated"] == 1
+    assert link2.faults.stats["corrupted"] == 1
+    assert link2.faults.stats["duplicated"] == 1
     assert len(receiver2.received) == 2  # Original + duplicate.
 
 
@@ -264,10 +265,10 @@ def test_saturated_port_tail_drops():
     sim.run(until=2.0)
 
     victim_port = switch.ports[3]  # h2's edge; port 0 is the trunk.
-    assert victim_port.drops > 0
+    assert victim_port.queue.stats["dropped"] > 0
     for port in switch.ports:
         if port is not victim_port:
-            assert port.drops == 0
+            assert port.queue.stats["dropped"] == 0
     # The queue saw deep occupancy while saturated.
     assert victim_port.queue.peak_bytes > victim_port.queue.capacity // 2
 
@@ -311,13 +312,13 @@ def test_router_drops_packets_whose_total_length_lies():
     arrive(5)    # Below the header length.
     arrive(51)   # One byte more than arrived.
     sim.run(until=0.1)
-    assert router.stats["bad_length"] == 2
+    assert router.stats["bad_header"] == 2
     assert router.stats["forwarded"] == 0
     assert host_b.ip_stack.stats["received"] == 0
 
     arrive(50)   # The control: an honest packet still goes through.
     sim.run(until=0.2)
-    assert router.stats["bad_length"] == 2
+    assert router.stats["bad_header"] == 2
     assert host_b.ip_stack.stats["received"] == 1
     assert consumed == [5, 51, 50]  # ``done`` once each, dropped or not.
 
@@ -383,6 +384,37 @@ def test_host_books_every_frame_its_kernel_drops():
     assert host_b.stats["unknown_ethertype"] == 1
     assert host_b.ip_stack.stats["received"] == 0
     assert consumed == ["corrupted", "foreign"]
+
+
+def test_a_packet_no_protocol_takes_is_booked():
+    """A host with no TCP consumer, and a router, which answers ICMP
+    echo only, book a packet addressed to them that nothing takes as
+    ``no_protocol``."""
+    sim = Simulator()
+    topo = chain(sim, n_routers=1)
+    host_a, host_b = topo.hosts
+    router = topo.routers[0]
+    iface = router.interfaces[0]
+    consumed = []
+
+    def tcp_to(dst):
+        return Ipv4Header(
+            src=host_a.ip, dst=dst, protocol=PROTO_TCP,
+            total_length=Ipv4Header.LENGTH + 20,
+        ).pack() + bytes(20)
+
+    host_b._kernel_rx(
+        ETHERTYPE_IP, tcp_to(host_b.ip), LinkInfo(host_a.nic.mac),
+        lambda: consumed.append("host"),
+    )
+    router._rx(
+        iface, ETHERTYPE_IP, tcp_to(iface.ip), LinkInfo(host_a.nic.mac),
+        lambda: consumed.append("router"),
+    )
+    sim.run(until=0.1)
+    assert host_b.stats["no_protocol"] == 1
+    assert router.stats["no_protocol"] == 1
+    assert sorted(consumed) == ["host", "router"]
 
 
 # ----------------------------------------------------------------------

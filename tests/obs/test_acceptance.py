@@ -34,9 +34,7 @@ def session_artifacts(tmp_path_factory):
     flight = FlightRecorder(bed.sim, interval=0.02)
     queue = bed.bottleneck.queue
     flight.watch("trunk.queue", lambda: {"depth": queue.depth_bytes})
-    # Link.stats is a merged *copy* per access — watch via a callable so
-    # each tick sees fresh numbers.
-    flight.watch("trunk.faults", lambda: bed.faulted_link.stats)
+    flight.watch("trunk.faults", bed.faulted_link.faults.stats)
     flight.start()
     result = measure_fabric_transfers(bed, bytes_per_flow=80_000)
     flight.stop()

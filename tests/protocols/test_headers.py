@@ -173,7 +173,10 @@ def test_ipv4_round_trip_and_checksum():
     )
     data = header.pack()
     assert len(data) == Ipv4Header.LENGTH
-    parsed = Ipv4Header.unpack(data)
+    # A verified parse reads a whole packet: ``total_length`` must fit it.
+    with pytest.raises(HeaderError):
+        Ipv4Header.unpack(data)
+    parsed = Ipv4Header.unpack(data + bytes(20))
     assert parsed.src == header.src
     assert parsed.ident == 99
     assert parsed.ttl == 32
@@ -204,7 +207,7 @@ def test_ipv4_fragment_fields():
         flags=0x1,
         frag_offset=185,
     )
-    parsed = Ipv4Header.unpack(header.pack())
+    parsed = Ipv4Header.unpack(header.pack(), verify=False)
     assert parsed.more_fragments
     assert parsed.frag_offset == 185
 

@@ -55,9 +55,9 @@ def test_ip_total_length_below_header_is_dropped():
     """A valid header checksum does not vouch for ``total_length``: a
     packet claiming fewer bytes than its own header used to come back as
     an empty-payload datagram and be counted ``received``.  One claiming
-    a byte more than arrived is the same lie, booked under the same
-    reason (it used to be counted ``bad_checksum``), as the router books
-    both."""
+    a byte more than arrived is the same lie.  The header decode refuses
+    both, so both are booked as ``bad_header``, as the router books
+    them."""
     receiver = IpStack(IP_B)
 
     def arrive(total_length):
@@ -67,8 +67,7 @@ def test_ip_total_length_below_header_is_dropped():
 
     assert arrive(5) is None     # Below the header length.
     assert arrive(51) is None    # One byte more than arrived.
-    assert receiver.stats["bad_length"] == 2
-    assert receiver.stats["bad_header"] == 0
+    assert receiver.stats["bad_header"] == 2
     assert receiver.stats["received"] == 0
     assert arrive(50) is not None  # The control: every byte is there.
     # The boundary: a bare header is a legal (empty) datagram.
@@ -125,10 +124,13 @@ def test_ip_missing_fragment_blocks():
 
 def test_ip_reassembly_expiry():
     ip = IpStack(IP_A)
-    packets = ip.send(IP_B, PROTO_TCP, b"m" * 3000, mtu=1500)
+    packets = ip.send(IP_B, PROTO_TCP, b"m" * 4000, mtu=1500)
+    assert len(packets) == 3
     receiver = IpStack(IP_B)
     receiver.receive(packets[0], now=0.0)
-    assert receiver.expire(now=100.0) == 1
+    receiver.receive(packets[2], now=0.0)
+    assert receiver.expire(now=100.0) == 1  # One reassembly ...
+    assert receiver.stats["expired"] == 2  # ... of two fragments, each a dropped frame.
     assert receiver.pending_reassemblies == 0
 
 
@@ -190,13 +192,13 @@ def test_arp_request_reply_cycle():
     assert request.dst_mac == BROADCAST_MAC
     assert request.packet.oper == ARP_REQUEST and request.packet.target_ip == IP_B
     # b answers and learns a's binding.
-    (reply,) = b.receive(request.packet, now=0.0)
+    (reply,) = b.receive(request.packet.pack(), now=0.0)
     assert reply.packet.oper == ARP_REPLY
     assert reply.dst_mac == MAC_A
     assert b.lookup(IP_A, now=0.0) == MAC_A
     # a learns b from the reply, sends nothing back, and the next
     # lookup hits the cache.
-    assert a.receive(reply.packet, now=0.1) == []
+    assert a.receive(reply.packet.pack(), now=0.1) == []
     assert a.lookup(IP_B, now=0.2) == MAC_B
     assert a.stats["requests_sent"] == 1
     assert a.stats["replies_received"] == 1
@@ -212,7 +214,7 @@ def test_arp_request_rate_limited():
 
 def test_arp_cache_expiry():
     a = ArpStack(IP_A, MAC_A)
-    a.receive(ArpPacket(ARP_REPLY, MAC_B, IP_B, MAC_A, IP_A), now=0.0)
+    a.receive(ArpPacket(ARP_REPLY, MAC_B, IP_B, MAC_A, IP_A).pack(), now=0.0)
     assert a.lookup(IP_B, now=100.0) == MAC_B
     assert a.lookup(IP_B, now=ArpStack.CACHE_TTL + 1) is None
 
@@ -220,7 +222,7 @@ def test_arp_cache_expiry():
 def test_arp_learns_from_requests():
     b = ArpStack(IP_B, MAC_B)
     b.receive(
-        ArpPacket(ARP_REQUEST, MAC_A, IP_A, b"\x00" * 6, IP_B), now=0.0
+        ArpPacket(ARP_REQUEST, MAC_A, IP_A, b"\x00" * 6, IP_B).pack(), now=0.0
     )
     assert b.lookup(IP_A, now=1.0) == MAC_A
 
@@ -230,10 +232,20 @@ def test_arp_ignores_requests_for_others():
     actions = b.receive(
         ArpPacket(
             ARP_REQUEST, MAC_A, IP_A, b"\x00" * 6, str_to_ip("10.0.0.77")
-        ),
+        ).pack(),
         now=0.0,
     )
     assert not any(isinstance(x, SendArp) for x in actions)
+    assert b.lookup(IP_A, now=1.0) == MAC_A  # Learned all the same.
+
+
+def test_arp_counts_a_malformed_packet():
+    b = ArpStack(IP_B, MAC_B)
+    assert b.receive(b"\x00" * 10, now=0.0) == []  # Short.
+    request = ArpPacket(ARP_REQUEST, MAC_A, IP_A, b"\x00" * 6, IP_B).pack()
+    assert b.receive(request[:7] + b"\x09" + request[8:], now=0.0) == []  # No such operation.
+    assert b.stats["bad_header"] == 2
+    assert b.lookup(IP_A, now=1.0) is None
 
 
 # ----------------------------------------------------------------------

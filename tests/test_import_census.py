@@ -23,6 +23,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: to import, or None for any function in it.
 ALLOWED = {
     "mach/kernel.py": {"create_task"},
+    "metrics.py": {"measure_fabric_transfers"},
     "netstat.py": {"copy_table", "main"},
     "specialize.py": {"specialize"},
     "testbed.py": {"__init__"},

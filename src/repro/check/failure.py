@@ -293,7 +293,7 @@ def _held(bed, handshakes):
     cell's own: each recorded handshake's armed timers."""
     yield from netstat.held(bed)
     for runner in handshakes:
-        armed = sorted(name for name, timer in runner._timers.items() if timer)
+        armed = sorted(name for name, t in runner._timers.items() if t and t[0] is not None)
         yield runner.name, "armed handshake timers", armed
 
 

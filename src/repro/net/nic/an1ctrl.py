@@ -180,6 +180,7 @@ class An1Nic(Nic):
         handler = self.rx_handler
         if handler is None:
             self.stats["rx_ignored"] += 1
+            region.replenish()  # Nobody takes the frame: its buffer goes back.
         else:
             handler(frame, region, _consumed)
 

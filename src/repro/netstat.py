@@ -430,7 +430,8 @@ DROP_REASONS = {
         "arp_failed": "no neighbour",
     },
     "arp": {"bad_header": "header"},
-    "ip": {"bad_header": "header", "not_ours": "address", "expired": "reassembly timeout"},
+    "ip": {"bad_header": "header", "not_ours": "address", "expired": "reassembly timeout",
+           "duplicate": "duplicate"},
     "udp": {"bad_datagram": "header", "no_port": "no port"},
     "tcp": {"rx_bad_checksum": "checksum"},
 }

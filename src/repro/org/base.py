@@ -24,13 +24,25 @@ if TYPE_CHECKING:
 class TcpConnection(abc.ABC):
     """One established connection, as the application sees it."""
 
+    #: The machine's runner: both reads are its own.
+    runner: "MachineRunner"
+
     @abc.abstractmethod
     def send(self, data: bytes) -> Generator:
         """Blocking write of all of ``data``."""
 
-    @abc.abstractmethod
     def recv(self, max_bytes: int) -> Generator:
         """Blocking read of up to ``max_bytes``; b'' at EOF."""
+        return self.runner.app_recv(max_bytes, self._recv_exit)
+
+    def recv_exactly(self, nbytes: int) -> Generator:
+        """Blocking read of exactly ``nbytes`` (raises on early EOF)."""
+        return self.runner.app_recv(nbytes, self._recv_exit, exact=True)
+
+    @abc.abstractmethod
+    def _recv_exit(self, nbytes: int, blocked: bool) -> float:
+        """The organization's charge for handing one read's ``nbytes``
+        to the application (``blocked``: the reader slept first)."""
 
     @abc.abstractmethod
     def close(self) -> Generator:
@@ -39,20 +51,6 @@ class TcpConnection(abc.ABC):
     @abc.abstractmethod
     def abort(self) -> Generator:
         """Abortive release (RST)."""
-
-    def recv_exactly(self, nbytes: int) -> Generator:
-        """Convenience: read exactly ``nbytes`` (raises on early EOF)."""
-        chunks = []
-        remaining = nbytes
-        while remaining:
-            chunk = yield from self.recv(remaining)
-            if not chunk:
-                raise ConnectionError(
-                    f"EOF after {nbytes - remaining} of {nbytes} bytes"
-                )
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
 
 
 class TcpListener(abc.ABC):

@@ -27,13 +27,7 @@ from ..host import Host
 from ..net.headers import PROTO_TCP
 from ..netio.module import LinkInfo
 from ..protocols.tcp import (
-    ChecksumError,
-    Segment,
-    TcpConfig,
-    TcpMachine,
-    decode_segment,
-    encode_segment,
-    reset_for,
+    ChecksumError, Segment, TcpConfig, TcpMachine, decode_segment, encode_segment, reset_for,
 )
 from ..net.headers import HeaderError
 from ..registry.core import Lease, RegistryCore
@@ -301,9 +295,6 @@ class MonoConnection(TcpConnection):
         else:
             counters["traps"] += 1
         return self.runner.app_send(data, profile.send_entry(self._costs, len(data)))
-
-    def recv(self, max_bytes: int) -> Generator:
-        return self.runner.app_recv(max_bytes, self._recv_exit)
 
     def _recv_exit(self, nbytes: int, blocked: bool) -> float:
         profile = self.stack.profile

@@ -15,22 +15,9 @@ from typing import Callable, Generator, Optional
 from ..mach.kernel import Kernel
 from .. import obs as _obs
 from ..protocols.tcp import (
-    AppAbort,
-    AppClose,
-    AppRead,
-    AppSend,
-    CancelTimer,
-    DeliverData,
-    DeliverFin,
-    EmitSegment,
-    NotifyClosed,
-    NotifyConnected,
-    Segment,
-    SegmentArrives,
-    SendSpaceAvailable,
-    SetTimer,
-    TcpMachine,
-    TimerExpires,
+    AppAbort, AppClose, AppRead, AppSend, CancelTimer, DeliverData, DeliverFin, EmitSegment,
+    NotifyClosed, NotifyConnected, Segment, SegmentArrives, SendSpaceAvailable, SetTimer,
+    TcpMachine, TimerExpires,
 )
 from ..sim import Event, Simulator
 
@@ -64,11 +51,11 @@ class MachineRunner:
         self.closed_reason: Optional[str] = None
         self._connect_waiters: list[Event] = []
         self._close_waiters: list[Event] = []
-        #: name -> (deadline, the engine event that will fire it), or
-        #: None once it fired or was cancelled.  A name enters on its
-        #: first SetTimer: cancelling a never-armed name charges no
-        #: timer_op.
-        self._timers: dict[str, Optional[tuple[float, Event]]] = {}
+        #: name -> [deadline, instant, event] while an engine event is
+        #: kept for it (``event`` comes up at ``instant``; ``deadline`` is
+        #: None once cancelled), None while none is.  A name enters on its
+        #: first SetTimer: cancelling a never-armed name charges no timer_op.
+        self._timers: dict[str, Optional[list]] = {}
 
     # ------------------------------------------------------------------
     # Event entry points (``yield from`` each; costs ride on emit_fn)
@@ -134,28 +121,43 @@ class MachineRunner:
             offset += len(chunk)
             yield from self.handle(AppSend(chunk))
 
-    def app_recv(self, max_bytes: int, exit_cost: Callable[[int, bool], float]) -> Generator:
+    def app_recv(
+        self, max_bytes: int, exit_cost: Callable[[int, bool], float], exact: bool = False
+    ) -> Generator:
         """Blocking read: up to ``max_bytes`` (b'' at EOF), then the
-        organization's ``exit_cost(len(data), blocked on entry)``."""
-        if max_bytes <= 0:
+        organization's ``exit_cost(len(data), blocked on entry)``.  An
+        ``exact`` read repeats that, a chunk a read, until it has all of
+        ``max_bytes``, and raises ConnectionError at an early EOF."""
+        if max_bytes <= 0 and not (exact and max_bytes == 0):
             raise ValueError("max_bytes must be positive")
-        blocked = not self.rx_buffer
-        while not self.rx_buffer:
-            if self.eof or self.closed_reason is not None:
-                break
-            event = self.sim.event()
-            self._readers.append(event)
-            yield event
-        data = bytes(self.rx_buffer[:max_bytes])
-        nbytes = len(data)
-        if nbytes:
-            del self.rx_buffer[:nbytes]
-            # Tell the machine the app consumed data (window update logic).
-            yield from self.handle(AppRead(nbytes))
-        cost = exit_cost(nbytes, blocked)
-        if cost:
-            yield self.kernel.cpu.charge(cost)
-        return data
+        chunks = []
+        remaining = max_bytes
+        while remaining:
+            blocked = not self.rx_buffer
+            while not self.rx_buffer:
+                if self.eof or self.closed_reason is not None:
+                    break
+                event = self.sim.event()
+                self._readers.append(event)
+                yield event
+            data = bytes(self.rx_buffer[:remaining])
+            nbytes = len(data)
+            if nbytes:
+                del self.rx_buffer[:nbytes]
+                # Tell the machine the app consumed data (window update logic).
+                yield from self.handle(AppRead(nbytes))
+            cost = exit_cost(nbytes, blocked)
+            if cost:
+                yield self.kernel.cpu.charge(cost)
+            if not exact:
+                return data
+            if not nbytes:
+                raise ConnectionError(f"EOF after {max_bytes - remaining} of {max_bytes} bytes")
+            remaining -= nbytes
+            if not (remaining or chunks):
+                return data  # All of it in one chunk.
+            chunks.append(data)
+        return b"".join(chunks)
 
     def app_close(self) -> Generator:
         return self.handle(AppClose())
@@ -209,14 +211,20 @@ class MachineRunner:
                 emissions.append(action)
             elif kind is SetTimer:
                 timer_ops += 1
-                self._arm_timer(action.name, now, action.delay)
+                name = action.name
+                deadline = now + action.delay
+                timer = timers[name] if name in timers else None
+                if timer is not None and deadline >= timer[1]:
+                    # The kept event carries the timer on when it comes up.
+                    timer[0] = deadline
+                else:
+                    self._arm_timer(name, now, action.delay)
             elif kind is CancelTimer:
                 if action.name in timers:
                     timer_ops += 1
                     timer = timers[action.name]
                     if timer is not None:
-                        timer[1].cancel()
-                        timers[action.name] = None
+                        timer[0] = None
             elif kind is DeliverData:
                 self.rx_buffer.extend(action.data)
                 woken = (self._readers,)
@@ -265,25 +273,31 @@ class MachineRunner:
             lead = 0.0
 
     def _arm_timer(self, name: str, now: float, delay: float) -> None:
-        """(Re-)arm one named timer: one cancellable engine event, any
-        horizon.  A re-armed or cancelled timer leaves a tombstone the
-        engine skips; its callback never runs."""
+        """Arm one named timer on a fresh engine event, any horizon.  A
+        kept event here is due after the new deadline: it is cancelled,
+        a tombstone the engine skips."""
         old = self._timers.get(name)
         if old is not None:
-            old[1].cancel()
-        self._timers[name] = (
-            now + delay,
-            self.sim.call_later(delay, self._timer_fired, name),
-        )
+            old[2].cancel()
+        event = self.sim.call_later(delay, self._timer_fired, name)
+        self._timers[name] = [now + delay, now + delay, event]
 
     def _timer_fired(self, name: str) -> None:
-        """Engine callback, so it must not block: feed ``TimerExpires``
-        to the machine in a fresh process, which the engine resumes
-        right after this event (spawns are urgent at the current
-        timestamp)."""
+        """Engine callback, so it must not block.  A re-armed timer's
+        event is placed again, at its deadline's exact float; a
+        cancelled one's retires; a due one feeds ``TimerExpires`` to the
+        machine in a fresh process, which the engine resumes right after
+        this event (spawns are urgent at the current timestamp)."""
+        timer = self._timers[name]
+        deadline = timer[0]
+        if deadline is not None and deadline > self.sim.now:
+            timer[1] = deadline
+            timer[2].callbacks = [lambda _: self._timer_fired(name)]
+            self.sim.schedule_at(timer[2], deadline)
+            return
         self._timers[name] = None
-        if self.closed_reason is not None:
-            return  # Armed by the machine's last actions, after close.
+        if deadline is None or self.closed_reason is not None:
+            return  # Cancelled, or armed by the machine's last actions, after close.
         self.sim.process(self._expire(name), name=f"{self.name}-{name}")
 
     def _expire(self, name: str) -> Generator:
@@ -292,14 +306,15 @@ class MachineRunner:
         yield from self.handle(TimerExpires(name))
 
     def stop_timers(self) -> dict[str, float]:
-        """Cancel every armed timer.  Returns name -> deadline of those
-        that were live: the machine still expects them, so whoever takes
+        """Cancel every kept timer event.  Returns name -> deadline of
+        the live timers: the machine still expects them, so whoever takes
         the machine over passes them to :meth:`resume_timers`."""
         live = {}
         for name, timer in self._timers.items():
             if timer is not None:
-                live[name], event = timer
-                event.cancel()
+                if timer[0] is not None:
+                    live[name] = timer[0]
+                timer[2].cancel()
                 self._timers[name] = None
         return live
 

@@ -25,12 +25,7 @@ from ..protocols.ip import IpStack
 from ..registry.core import ConnectionGrant
 from ..tenancy.tenant import RateLimited
 from ..protocols.tcp import (
-    ChecksumError,
-    Segment,
-    TcpConfig,
-    TcpMachine,
-    decode_segment,
-    encode_segment,
+    ChecksumError, Segment, TcpConfig, TcpMachine, decode_segment, encode_segment,
 )
 from ..sim import Interrupt
 from .base import TcpConnection, TcpListener, TcpService
@@ -298,9 +293,6 @@ class LibraryConnection(TcpConnection):
         if not self.service.zero_copy:
             cost += costs.copy_cost(len(data))
         return self.runner.app_send(data, cost)
-
-    def recv(self, max_bytes: int) -> Generator:
-        return self.runner.app_recv(max_bytes, self._recv_exit)
 
     def _recv_exit(self, nbytes: int, blocked: bool) -> float:
         # Shared-region buffer organization: no kernel->user copy

@@ -191,7 +191,11 @@ class IpStack:
         if state is None:
             state = _Reassembly(first_seen=now)
             self._reassembly[key] = state
-        state.fragments[header.frag_offset * 8] = payload
+        offset = header.frag_offset * 8
+        if offset in state.fragments:  # A duplicate: the first copy stays.
+            self.stats["duplicate"] += 1
+            return None
+        state.fragments[offset] = payload
         if not header.more_fragments:
             state.total_length = header.frag_offset * 8 + len(payload)
         if state.total_length is None:

@@ -104,14 +104,10 @@ class Socket:
 
     def recv(self, max_bytes: int) -> Generator:
         """Read up to ``max_bytes``; b'' at EOF (like read())."""
-        conn = self._connected()
-        data = yield from conn.recv(max_bytes)
-        return data
+        return self._connected().recv(max_bytes)
 
     def recv_exactly(self, nbytes: int) -> Generator:
-        conn = self._connected()
-        data = yield from conn.recv_exactly(nbytes)
-        return data
+        return self._connected().recv_exactly(nbytes)
 
     # ------------------------------------------------------------------
     # Teardown

@@ -6,7 +6,7 @@ import pytest
 from repro import netstat
 from repro.net.fabric import fat_tree
 from repro.net.faults import FaultInjector, FaultPlan
-from repro.net.headers import PROTO_UDP, str_to_mac
+from repro.net.headers import ETHERTYPE_IP, PROTO_UDP, str_to_mac
 from repro.protocols.udp import encode_datagram
 from repro.sim import Simulator
 from repro.testbed import IP_B, Testbed
@@ -76,6 +76,50 @@ def test_a_frame_no_nic_accepts_is_one_row_on_the_link(network):
     bed.run(until=bed.spawn(send(), name="send"))
     assert bed.link.stats["unaddressed"] == 1
     assert netstat.drop_table(bed) == [netstat.DropEntry("link0", "address", 1)]
+
+
+class DuplicateFirstFragment(FaultInjector):
+    """Delivers the first IPv4 frame it sees twice."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fired = False
+
+    @property
+    def inert(self) -> bool:
+        return False
+
+    def plan(self, data: bytes) -> FaultPlan:
+        if self.fired or data[12:14] != ETHERTYPE_IP.to_bytes(2, "big"):
+            return FaultPlan(deliveries=((0.0, data),))
+        self.fired = True
+        self.stats["duplicated"] += 1
+        return FaultPlan(deliveries=((0.0, data), (0.0, data)))
+
+
+def test_a_duplicate_fragment_is_one_row_and_the_datagram_is_whole():
+    """Fragments 0, 0, 1, 2 of one UDP datagram: one reassembly, the
+    second copy of fragment 0 a ``duplicate`` row, and sent +
+    duplicated = delivered + drops, in fragments."""
+    faults = DuplicateFirstFragment()
+    bed = Testbed(network="ethernet", organization="ultrix", faults=faults)
+    got = []
+    bed.host_b.udp_ports.bind(9000, got.append)
+    datagram = encode_datagram(9001, 9000, bytes(4000), bed.host_a.ip, IP_B)
+
+    def send():
+        yield from bed.host_a.ip_send(IP_B, PROTO_UDP, datagram)
+        yield bed.sim.timeout(0.05)
+
+    bed.run(until=bed.spawn(send(), name="send"))
+    ip = bed.host_b.ip_stack.stats
+    rows = netstat.drop_table(bed)
+    assert len(got) == 1 and ip["reassembled"] == 1
+    assert rows == [netstat.DropEntry(bed.host_b.name, "duplicate", 1)]
+    sent = bed.host_a.ip_stack.stats["fragments_sent"]
+    assert sent + faults.stats["duplicated"] == ip["fragments_received"] == 4
+    assert ip["fragments_received"] == 3 * ip["reassembled"] + sum(row.count for row in rows)
+    assert bed.host_b.ip_stack.pending_reassemblies == 0
 
 
 def test_udp_fat_tree_conserves_every_datagram():

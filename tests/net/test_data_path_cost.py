@@ -58,19 +58,21 @@ def echo(bed: Testbed, on_send=None):
 
 
 @pytest.mark.parametrize(
-    "network, ceiling", [("ethernet", 982), ("an1", 998)], ids=["ethernet", "an1"]
+    "network, ceiling", [("ethernet", 957), ("an1", 958)], ids=["ethernet", "an1"]
 )
 def test_echo_round_trip_call_gate(network, ceiling):
     """The third round trip (the connect, the ARP and the first trip
     done) and the delayed ACK the pinger's timer sends, in profiled
-    calls: 978 on Ethernet and 994 on AN1.  Later trips differ by a
+    calls: 953 on Ethernet and 954 on AN1.  Later trips differ by a
     few calls: a counter's first increment, two engine events sharing
     an instant.
 
     History: 1011 and 1027 while the library's send and receive, the
     runner's action executor and the channel's semaphore wait were
     generator frames that only delegated, and a timer-only step ran a
-    generator of its own.
+    generator of its own; 975 and 976 while every timer re-arm and
+    cancel retired an engine event and ``recv_exactly`` was a frame
+    above the runner's read.
     """
     bed = Testbed(network=network, organization="userlib")
     echo(bed)

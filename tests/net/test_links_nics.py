@@ -442,6 +442,23 @@ def test_an1_counts_a_runt_apart_from_a_frame_nobody_takes():
     assert nics[0].stats["rx_frames"] == nics[0].stats["rx_ignored"] == 1
 
 
+def test_an1_frame_nobody_takes_gives_its_buffer_back():
+    """The controller takes a region buffer at DMA; with no handler
+    installed the frame is counted ``rx_ignored`` and the buffer is
+    back in the region."""
+    sim, link, kernels, nics = make_an1_world()
+
+    def send():
+        for _ in range(3):
+            yield from nics[0].driver_transmit(an1_frame(2, 1))
+
+    sim.process(send())
+    sim.run()
+    region = nics[1].bqi_table[0]
+    assert nics[1].stats["rx_ignored"] == 3
+    assert (region.available, region.capacity) == (64, 64)
+
+
 def test_an1_nonzero_bqi_selects_ring():
     sim, link, kernels, nics = make_an1_world()
     ring = nics[1].allocate_bqi(SharedRegion(4, owner="app"))

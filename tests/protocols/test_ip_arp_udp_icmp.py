@@ -108,10 +108,11 @@ def test_ip_duplicate_fragment_harmless():
     packets = ip.send(IP_B, PROTO_TCP, payload, mtu=1500)
     receiver = IpStack(IP_B)
     receiver.receive(packets[0])
-    receiver.receive(packets[0])  # Duplicate.
+    receiver.receive(packets[0][:-1] + b"x")  # A duplicate offset: the first copy stays.
     results = [receiver.receive(p) for p in packets[1:]]
     final = [r for r in results if r is not None]
     assert len(final) == 1 and final[0].payload == payload
+    assert receiver.stats["duplicate"] == 1
 
 
 def test_ip_missing_fragment_blocks():

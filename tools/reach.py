@@ -52,6 +52,7 @@ DRIVERS = {
     "failure campaign": [
         ["-m", "repro.check", "run", "--axis", "failure", "--quick", "--out", "{tmp}/failure.json"],
         ["-m", "repro.check", "replay", "{tmp}/failure.json", "--cell", "0"],
+        ["-m", "repro.check", "replay", "{tmp}/failure.json", "--cell", "29"],
     ],
     "tour": [["-m", "repro"]],
     "netstat": [["-m", "repro.netstat", "--spans", "--profile", "--hist"]],

@@ -18,12 +18,13 @@ lists *are* the batch buffer; nothing is copied per timestamp.
 
 The *next slot* spares the heap an event that is already next.  While
 the drain loop runs the sole callback of a single-event step (a *solo
-dispatch*), :meth:`~Simulator.schedule_at` holds a NORMAL event in the
-slot, not on the heap, when it is earlier than every heap entry and
-within the drain's limit; the next ``schedule_at`` first moves it onto
-the heap, so it keeps its FIFO place at a shared instant.  The held
-event is therefore alone at the earliest pending instant, and when the
-callback returns the drain takes it before looking at the heap.  A
+dispatch*), the insertion holds a NORMAL event in the slot, not on the
+heap, when it is earlier than every heap entry and within the drain's
+limit.  A later newcomer leaves the held event in place; one at or
+before its instant first moves it onto the heap, so it keeps its FIFO
+place at a shared instant and an URGENT newcomer there runs first.  The
+held event is therefore alone at the earliest pending instant, and when
+the callback returns the drain takes it before looking at the heap.  A
 process that yields the fresh event the slot holds takes that step
 itself, inside :meth:`Process._resume <repro.sim.events.Process._resume>`.
 A *step* is one timestamp taken from the heap or from the slot; either
@@ -33,9 +34,11 @@ the held event back on the heap.
 
 An event costs its callback and nothing else: one loop
 (:meth:`Simulator._drain`) serves :meth:`~Simulator.run` and
-:meth:`~Simulator.run_all`; one method (:meth:`Simulator.schedule_at`)
-places every event; the clock and the running process are plain
-attributes.
+:meth:`~Simulator.run_all`; two insertion paths place every event,
+:meth:`Simulator.schedule_at` for an event a caller made and
+:meth:`Simulator._turn` for a :class:`~repro.sim.resources.Serial` turn
+the engine makes itself (a CPU charge, a link turn: built and placed in
+one frame); the clock and the running process are plain attributes.
 
 Ordering is byte-identical to the original tuple-heap engine: URGENT
 before NORMAL at equal times, FIFO within a priority, and events
@@ -71,8 +74,8 @@ _INF = float("inf")
 class _Bucket:
     """All events due at one timestamp, split by priority.
 
-    Both lists always exist (possibly empty): :meth:`Simulator.schedule_at`,
-    the only place a bucket is made, sets them as it creates it — no
+    Both lists always exist (possibly empty): the insertion paths, the
+    only places a bucket is made, set them as they create it — no
     ``__init__`` frame.  Their identity is stable for the bucket's
     lifetime — schedulers append in place, never replace — which lets the
     drain loop bind them to locals once per batch instead of re-reading
@@ -112,6 +115,8 @@ class Simulator:
         self.max_batch = 0
         self.skipped = 0
         self.cancelled = 0
+        #: Processes failed, not by Interrupt, with nobody waiting on them.
+        self.crashed: list[Process] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -151,9 +156,9 @@ class Simulator:
     def schedule_at(self, event: Event, t: float, priority: int = NORMAL) -> None:
         """Place a triggered event on the schedule at absolute time ``t``.
 
-        The one insertion path: every event the engine runs arrives
-        here.  Callers that computed the instant themselves (a
-        :class:`~repro.sim.resources.Serial` completion) get exactly the
+        The insertion path for an event a caller made (``_turn`` makes
+        and places a ``Serial`` turn's own).  Callers that computed the
+        instant themselves (a TCP timer's deadline) get exactly the
         float ``t``, which ``now + (t - now)`` does not guarantee.
         """
         # Not ``t < now``: that is False for NaN, which would poison the heap.
@@ -162,15 +167,14 @@ class Simulator:
         if self._solo:
             heap = self._heap
             held = self._next
-            if held is not None:
-                # Before anything else is placed, the held event joins the
-                # heap.  Its instant is fresh there (it was earlier than
-                # every entry), and a same-instant newcomer queues behind it.
-                self._next = None
-                t0 = self._next_t
-                self._buckets[t0] = held
-                _heappush(heap, t0)
-            if priority and t <= self._limit and (not heap or t < heap[0]):
+            if held is not None and t <= self._next_t:
+                # Not later than the held event: that joins the heap first,
+                # at a fresh instant (it was earlier than every entry), so a
+                # same-instant newcomer queues behind it.
+                self._buckets[self._next_t] = held
+                _heappush(heap, self._next_t)
+                self._next = held = None
+            if held is None and priority and t <= self._limit and (not heap or t < heap[0]):
                 self._next = event
                 self._next_t = t
                 return
@@ -203,6 +207,52 @@ class Simulator:
             nb.urgent = [event]
             nb.normal = []
         _heappush(self._heap, t)
+
+    @staticmethod
+    def _turn(serial, duration: float, then=None) -> Triggered:
+        """``serial.hold(duration, then=None)``: a ``duration``-long turn
+        of ``serial``, FIFO behind every earlier one, made and placed as
+        :meth:`schedule_at` places a NORMAL event, in one frame."""
+        # Not ``duration < 0``: a NaN must be refused before it reaches
+        # ``busy_until``, where it would poison every later turn.
+        if not duration >= 0:
+            raise ValueError(f"negative duration {duration}")
+        sim = serial.sim
+        t = serial.busy_until
+        if t < sim.now:
+            t = sim.now
+        serial.busy_until = t = t + duration
+        serial.busy_time += duration
+        event = Triggered()
+        event.sim = sim
+        event.callbacks = [] if then is None else [then]
+        event._value = None
+        event._ok = True
+        event._cancelled = False
+        if sim._solo:
+            heap = sim._heap
+            held = sim._next
+            if held is not None and t <= sim._next_t:
+                sim._buckets[sim._next_t] = held
+                _heappush(heap, sim._next_t)
+                sim._next = held = None
+            if held is None and t <= sim._limit and (not heap or t < heap[0]):
+                sim._next = event
+                sim._next_t = t
+                return event
+        buckets = sim._buckets
+        if t in buckets:
+            b = buckets[t]
+            if type(b) is _Bucket:
+                b.normal.append(event)
+            else:
+                nb = buckets[t] = _Bucket()
+                nb.urgent = []
+                nb.normal = [b, event]
+        else:
+            buckets[t] = event
+            _heappush(sim._heap, t)
+        return event
 
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Place a triggered event on the schedule ``delay`` from now."""
@@ -292,7 +342,8 @@ class Simulator:
             u = bucket.urgent
             n = bucket.normal
             ui = ni = skipped = 0
-            ln = len(n)
+            # An URGENT-only bucket (a process start) reads no len().
+            ln = len(n) if n else 0
             try:
                 while True:
                     # ``u`` is re-examined every iteration (an URGENT
@@ -307,7 +358,7 @@ class Simulator:
                         event = n[ni]
                         ni += 1
                     else:
-                        ln = len(n)
+                        ln = len(n) if n else 0
                         if ni < ln:
                             event = n[ni]
                             ni += 1

@@ -298,11 +298,14 @@ class Process(Event):
         is *processed* here and now: no engine event is spent
         on a completion nobody observes, and a later ``yield proc`` or
         ``run(until=proc)`` sees a processed event and continues at
-        once with its value or exception.
+        once with its value or exception.  A failure nobody waits on is
+        kept in ``sim.crashed``, unless an :class:`Interrupt` ended it.
         """
         if self.callbacks:
             sim = self.sim
             sim.schedule_at(self, sim.now)
         else:
             self.callbacks = None
+            if not self._ok and not isinstance(self._value, Interrupt):
+                self.sim.crashed.append(self)
 

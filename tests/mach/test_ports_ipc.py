@@ -258,6 +258,7 @@ def test_interrupted_rpc_gives_back_its_reply_port():
     assert server.holds(request.reply_to) and request.reply_to.port.dead
 
 
+@pytest.mark.crashes(raises=RuntimeError)
 def test_threads_keep_the_live_and_the_failed_only():
     """A task forgets a thread that ended cleanly at its next spawn; a
     live thread and one that died of an exception stay listed."""

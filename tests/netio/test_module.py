@@ -691,6 +691,7 @@ def icmp_echo_packet():
     ).pack() + echo
 
 
+@pytest.mark.crashes(raises=RuntimeError)
 def test_kernel_rx_is_done_once_on_every_exit():
     pair = HostPair()
     got = []

@@ -19,11 +19,13 @@ class LegacySimulator(Simulator):
 
     Semantics are the pre-refactor engine's, verbatim, plus the same
     stats counters the batched engine keeps.  It overrides the engine's
-    two schedule-facing methods — the one insertion path and the one
-    drain loop — so ``run``, ``run_all``, ``schedule``, ``call_later``
-    and every event class drive it through the same entry points as the
-    bucket heap.  It inherits ``__init__`` but never sets the solo flag,
-    so the next slot stays empty and no process takes its own step.
+    three schedule-facing methods — the insertion of an event a caller
+    made, the turn the engine makes for a ``Serial`` and the one drain
+    loop — so ``run``, ``run_all``, ``schedule``, ``call_later``, every
+    event class and ``cpu.charge`` drive it through the same entry
+    points as the bucket heap.  It inherits ``__init__`` but never sets
+    the solo flag, so the next slot stays empty and no process takes
+    its own step.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -35,6 +37,21 @@ class LegacySimulator(Simulator):
         if not t >= self.now:
             raise ValueError(f"t={t} is in the past (now={self.now})")
         heappush(self._queue, (t, priority, next(self._eid), event))
+
+    @staticmethod
+    def _turn(serial, duration: float, then=None) -> Event:
+        if not duration >= 0:
+            raise ValueError(f"negative duration {duration}")
+        sim = serial.sim
+        serial.busy_until = t = max(serial.busy_until, sim.now) + duration
+        serial.busy_time += duration
+        event = Event(sim)
+        event._ok = True
+        event._value = None
+        if then is not None:
+            event.callbacks.append(then)
+        heappush(sim._queue, (t, NORMAL, next(sim._eid), event))
+        return event
 
     def _drain(self, limit: float) -> None:
         queue = self._queue

@@ -207,6 +207,157 @@ def test_next_slot_counts_steps_as_the_heap_does(seed):
     assert _processes_on_two_cpus(Simulator, seed) == _processes_on_two_cpus(_HeapOnly, seed)
 
 
+class _Boom(Exception):
+    """Raised by a script's callback, out of a solo dispatch."""
+
+
+def _slot_script(sim_cls, seed):
+    """Every way the stack places an event, seeded: ``cpu.charge`` on
+    two or three CPUs with and without ``then`` and at zero length,
+    ``call_later``, ``Event.succeed`` waking parked processes, process
+    spawns (an URGENT ``Initialize`` at ``now``), a ``run(until=event)``
+    that stops inside a batch, a ``run_all`` limit, and a charge stage
+    that places an event and then raises.  Costs are multiples of
+    2**-11 s, so instants collide.  Returns the ``(instant, label)``
+    trace, each CPU's ``busy_time``, the engine counts, and how often
+    a later newcomer left the held event in the next slot (``kept``)
+    and a spawn found an event held at ``now`` (``urgent``)."""
+    rng = random.Random(seed)
+    sim = sim_cls()
+    cpus = [CPU(sim) for _ in range(rng.choice([2, 3]))]
+    tick = 2.0**-11
+    trace = []
+    waiting = []
+    cases = {"kept": 0, "urgent": 0}
+    budget = [300]
+
+    def record(label):
+        trace.append((sim.now, label))
+
+    def fire(label, depth, _arg):
+        record(label)
+        if depth < 4:
+            for k in range(rng.randrange(0, 4)):
+                act(f"{label}.{k}", depth + 1)
+
+    def boom(label, depth, _event):
+        record(label)
+        act(f"{label}.0", depth + 1)
+        raise _Boom(label)
+
+    def act(label, depth):
+        if budget[0] <= 0:
+            return
+        budget[0] -= 1
+        how = rng.choice(
+            ["charge", "charge", "bare", "later", "later", "succeed", "spawn", "raise"]
+        )
+        label = f"{label}:{how}"
+        cost = tick * rng.choice([0, rng.randrange(1, 17) / 8])
+        held = sim._next
+        if how == "charge":
+            rng.choice(cpus).charge(cost, partial(fire, label, depth))
+        elif how == "bare":
+            rng.choice(cpus).charge(cost)
+        elif how == "later":
+            sim.call_later(cost, partial(fire, label, depth), None)
+        elif how == "succeed":
+            event = sim.event()
+            event.callbacks.append(partial(fire, label, depth))
+            event.succeed()
+            for parked in waiting:
+                parked.succeed(label)
+            waiting.clear()
+        elif how == "spawn":
+            if rng.random() < 0.5:
+                # A call due now, then the start: the slot may hold the
+                # one, and the other is an URGENT newcomer at its instant.
+                sim.call_later(0.0, partial(fire, f"{label}/now", depth), None)
+            cases["urgent"] += sim._next is not None and sim._next_t == sim.now
+            sim.process(worker(label, depth + 1))
+        else:
+            rng.choice(cpus).charge(cost, partial(boom, label, depth))
+        cases["kept"] += held is not None and sim._next is held
+
+    def worker(name, depth):
+        for k in range(rng.randrange(4, 12)):
+            how = rng.choice(["charge", "charge", "zero", "act", "act", "wait", "timeout"])
+            if how == "charge":
+                yield rng.choice(cpus).charge(tick * rng.randrange(1, 5))
+            elif how == "zero":
+                yield rng.choice(cpus).charge(0.0)
+            elif how == "act":
+                act(f"{name}.{k}", depth)
+            elif how == "wait":
+                event = sim.event()
+                waiting.append(event)
+                how += "=" + (yield event)
+            else:
+                yield sim.timeout(tick * rng.randrange(0, 3))
+            record(f"{name}:{how}")
+
+    for i in range(rng.randrange(3, 7)):
+        act(f"s{i}", 0)
+    for i in range(rng.randrange(1, 4)):
+        sim.process(worker(f"p{i}", 0))
+    # The stop sits inside a batch: "a" runs before it, "b" after.
+    stop_at = tick * rng.randrange(1, 12)
+    sim.call_later(stop_at, record, "a")
+    stop = sim.timeout(stop_at)
+    sim.call_later(stop_at, record, "b")
+    phases = [
+        partial(sim.run, stop),
+        partial(sim.run_all, stop_at + tick * rng.randrange(0, 12)),
+        sim.run,
+    ]
+    for phase in phases:
+        while True:
+            try:
+                phase()
+            except _Boom as exc:
+                record(f"raised {exc}")
+            else:
+                record("phase")
+                break
+    busy = [(cpu.busy_time, cpu.busy_until) for cpu in cpus]
+    return trace, busy, sim.engine_stats(), cases
+
+
+SLOT_SEEDS = range(40)
+
+
+@pytest.mark.parametrize("seed", SLOT_SEEDS)
+def test_placement_matches_the_oracle(seed):
+    """The next slot's placement rule against the tuple heap and the
+    heap-only engine: a newcomer at or before the held instant moves
+    the held event onto the heap (a same-instant URGENT one must run
+    first), and a later one leaves it in the slot.  The trace and the
+    CPUs' busy time match both; every engine count matches the
+    heap-only engine, and all but the three the oracle keeps per event
+    by design match the tuple heap."""
+    trace, busy, stats, _ = _slot_script(Simulator, seed)
+    legacy_trace, legacy_busy, legacy_stats, _ = _slot_script(LegacySimulator, seed)
+    heap_trace, heap_busy, heap_stats, _ = _slot_script(_HeapOnly, seed)
+    assert (trace, busy) == (legacy_trace, legacy_busy) == (heap_trace, heap_busy)
+    assert stats == heap_stats
+    for name in ("steps", "batched", "max_batch"):
+        del stats[name], legacy_stats[name]
+    assert stats == legacy_stats
+
+
+def test_placement_scripts_reach_both_slot_cases():
+    """The seeds above exercise what they are there for: a later
+    newcomer that left the held event in the slot, a spawn that found
+    an event held at ``now``, and a stage that raised."""
+    kept = urgent = raised = 0
+    for seed in SLOT_SEEDS:
+        trace, _, _, cases = _slot_script(Simulator, seed)
+        kept += cases["kept"] > 0
+        urgent += cases["urgent"] > 0
+        raised += any(label.startswith("raised") for _, label in trace)
+    assert kept >= 25 and urgent >= 25 and raised >= 30
+
+
 @pytest.mark.parametrize("sim_cls", [Simulator, LegacySimulator])
 def test_urgent_before_normal_fifo_within_priority(sim_cls):
     sim = sim_cls()

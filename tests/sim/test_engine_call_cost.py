@@ -6,14 +6,16 @@ runs a thousand events of one shape, divided by the events run.  When
 the new event is the lone earliest one, the engine's next slot holds it
 off the heap, so each shape's floor, per event, is the callback,
 whatever it calls to make the next event, and the insertion
-(``schedule_at``):
+(``schedule_at``, or ``Simulator._turn`` for a CPU charge, which makes
+the turn and places it in one frame, bound to the CPU as a method
+object cProfile does not count):
 
 * a process yielding ``cpu.charge(cost)`` — thread context:
-  ``generator.send``, the generator, ``hold``, the insertion; the
-  process takes its own next step, so ``Process._resume`` is entered
-  once for the whole run and no resume callback is appended;
+  ``generator.send``, the generator, the turn; the process takes its
+  own next step, so ``Process._resume`` is entered once for the whole
+  run and no resume callback is appended;
 * an interrupt-context chain, ``cpu.charge(cost, then)`` — the stage,
-  ``hold``, the insertion;
+  the turn;
 * a ``call_later`` chain — its lambda, the callee, ``call_later``, the
   insertion;
 * a *contended* pair of processes charging one CPU, whose turns
@@ -26,7 +28,9 @@ Before the engine dropped its per-event plumbing (an ``Event.__init__``
 frame per charge and timer, a ``dict.get`` and a ``len()`` per
 insertion and dispatch, a ``step()`` frame per timestamp, the ``now``
 property) the first three read 12.0, 9.0 and 11.0; before the next
-slot, 8.0, 5.0 and 6.0.
+slot, 8.0, 5.0 and 6.0; before a charge was one ``_turn`` frame (a
+``Serial.hold`` frame, then ``schedule_at``), 4.0, 3.0 and 4.0, and the
+contended pair 8.0.
 """
 
 import cProfile
@@ -85,10 +89,10 @@ def _contended_charges(sim):
 @pytest.mark.parametrize(
     "build, ceiling",
     [
-        (_process_charges, 4.1),
-        (_callback_chain, 3.1),
+        (_process_charges, 3.1),
+        (_callback_chain, 2.1),
         (_call_later_chain, 4.1),
-        (_contended_charges, 8.1),
+        (_contended_charges, 7.1),
     ],
     ids=["process-charge", "charge-then-chain", "call-later-chain", "contended"],
 )

@@ -259,6 +259,7 @@ def test_joined_process_still_fires_as_an_event(sim_cls):
     assert sim.engine_stats()["events"] == 4
 
 
+@pytest.mark.crashes(raises=KeyError)
 @pytest.mark.parametrize("sim_cls", ENGINES)
 def test_late_yield_of_finished_process_continues_immediately(sim_cls):
     sim = sim_cls()
@@ -289,6 +290,51 @@ def test_late_yield_of_finished_process_continues_immediately(sim_cls):
     assert sim.engine_stats()["events"] == events_before + 2
 
 
+@pytest.mark.crashes(raises=ValueError)
+@pytest.mark.parametrize("sim_cls", ENGINES)
+def test_a_failure_nobody_waits_on_is_kept_in_crashed(sim_cls):
+    """A driver that dies ends ``run()`` as if it had finished: the
+    failure is kept in ``sim.crashed``, the one place it shows."""
+    sim = sim_cls()
+
+    def driver():
+        yield sim.timeout(1.0)
+        raise ValueError("driver died")
+
+    proc = sim.process(driver())
+    assert sim.run() is None and sim.now == 1.0
+    assert not proc.ok and sim.crashed == [proc]
+
+
+@pytest.mark.parametrize("sim_cls", ENGINES)
+def test_a_failure_someone_sees_is_not_a_crash(sim_cls):
+    """Neither a failure a waiter is handed nor an interrupt that ends
+    a process is kept in ``sim.crashed``, and nor is a success."""
+    sim = sim_cls()
+
+    def fails():
+        yield sim.timeout(1.0)
+        raise KeyError("seen")
+
+    def parked():
+        yield sim.event()
+
+    def waiter(child):
+        try:
+            yield child
+        except KeyError:
+            return "caught"
+
+    caught = sim.process(waiter(sim.process(fails())))
+    stopped = sim.process(parked())
+    sim.process(parked())  # Never ends: no entry either.
+    sim.call_later(2.0, lambda proc: proc.interrupt("stop"), stopped)
+    sim.run()
+    assert caught.value == "caught" and isinstance(stopped.value, Interrupt)
+    assert sim.crashed == []
+
+
+@pytest.mark.crashes(raises=ValueError)
 @pytest.mark.parametrize("sim_cls", ENGINES)
 def test_run_until_finished_process_returns_or_raises(sim_cls):
     sim = sim_cls()

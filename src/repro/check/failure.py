@@ -4,8 +4,9 @@ The paper's §3 registry contract: when an operation stops, an exiting
 application's connections are inherited for 2MSL, an aborted one is
 reset, and nothing else is kept.  Each cell stops a connection set-up
 at one point, runs the two-host testbed to quiescence and judges it by
-``nothing-held``, ``requesters-answered``, ``no-hung-connection`` and
-the cell's ``expected-outcome`` (who was reset, who inherited what).
+``nothing-held``, ``requesters-answered``, ``no-hung-connection``,
+the cell's ``expected-outcome`` (who was reset, who inherited what)
+and ``no-process-crashed`` (``sim.crashed`` is empty).
 Fourteen cells run against the registry on both networks; two hold the
 in-kernel stack to the same contract for a closing listener.
 """
@@ -84,7 +85,7 @@ def request(bed, seen, port=80, then=drain, **kwargs):
 
 def at(bed, delay, action):
     """Run ``action()`` ``delay`` seconds after the request starts."""
-    bed.sim.call_later(0.05 + delay, lambda _: action(), None)
+    bed.sim.call_later(0.05 + delay, lambda _event: action())
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +143,7 @@ def requester_dies_before_the_reply(bed, seen):
     def create_then_kill(*args, **kwargs):
         channel = yield from create_channel(*args, **kwargs)
         # At the registry's next wait, the channel in its lease.
-        bed.sim.call_later(0.0, lambda _: bed.app_a.terminate(), None)
+        bed.sim.call_later(0.0, lambda _event: bed.app_a.terminate())
         return channel
 
     netio.create_channel = create_then_kill
@@ -377,6 +378,8 @@ def run_cell(spec: FailureSpec, keep_evidence: bool = False) -> CellResult:
             (spec.cell, f"expected {e}", not holds)
             for e, holds in _expected(spec, bed, seen, handshakes)
         ],
+        "no-process-crashed": [("processes", "crashed: " + "; ".join(
+            f"{p.name}: {p.value!r}" for p in bed.sim.crashed), bool(bed.sim.crashed))],
     }
     results = [
         CheckResult(name, len(facts), [Violation(name, s, now, w) for s, w, bad in facts if bad])

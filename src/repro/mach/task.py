@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Generator, Optional
 
 from ..sim import Process
@@ -132,7 +133,7 @@ class Task:
             if thread is active:
                 # exit() from one of the task's own threads: a process
                 # cannot interrupt itself, so it ends at its next wait.
-                self.sim.call_later(0.0, _stop, thread)
+                self.sim.call_later(0.0, partial(_stop, thread))
             elif thread.is_alive:
                 thread.interrupt("task-terminated")
         for right in list(self._rights):
@@ -143,6 +144,6 @@ class Task:
             hook(self)
 
 
-def _stop(thread: Process) -> None:
+def _stop(thread: Process, _event: object) -> None:
     if thread.is_alive:
         thread.interrupt("task-terminated")

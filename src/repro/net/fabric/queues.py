@@ -66,7 +66,7 @@ class EgressQueue:
         """Discipline hook: may ``frame`` enter the queue right now?"""
         return self.depth_bytes + len(frame) <= self.capacity
 
-    def offer(self, frame: bytes) -> bool:
+    def offer(self, frame: bytes, _event: object = None) -> bool:
         """Kernel side: enqueue ``frame`` or drop it.  Never blocks."""
         bucket = min(
             self.BUCKETS - 1,
@@ -91,7 +91,7 @@ class EgressQueue:
             # The transmitter is idle: hand the frame straight over
             # without it ever occupying the queue.
             self.stats["dequeued"] += 1
-            transmitter.start(frame)
+            transmitter.submit(frame)
             return True
         self._frames.append(frame)
         self.depth_bytes += len(frame)

@@ -19,6 +19,7 @@ drains one frame at a time through the egress link.
 from __future__ import annotations
 
 from ...counters import Counters
+from functools import partial
 from typing import Callable, Optional
 
 from ...sim import Simulator
@@ -60,7 +61,7 @@ class SwitchPort:
     def accepts(self, frame: bytes) -> bool:
         return True  # Promiscuous: a bridge sees every frame.
 
-    def wire_deliver(self, frame: bytes) -> None:
+    def wire_deliver(self, frame: bytes, _event: object = None) -> None:
         # Links deliver the flat bytes a sender's transmitter made, so
         # the whole store-and-forward path — ingress, egress queue,
         # retransmission — holds that one buffer by reference and never
@@ -139,7 +140,7 @@ class Switch:
             targets = [out]
         for target in targets:
             # Store-and-forward latency, then the egress queue.
-            self.sim.call_later(self.forward_latency, target.queue.offer, frame)
+            self.sim.call_later(self.forward_latency, partial(target.queue.offer, frame))
 
     def _learn(self, src: bytes, port: SwitchPort) -> None:
         if src == BROADCAST_MAC:

@@ -25,6 +25,9 @@ class FaultPlan:
     corrupted: bool = False
 
 
+_RATES = ("drop_rate", "corrupt_rate", "duplicate_rate", "max_extra_delay")
+
+
 class FaultInjector:
     """Per-link fault model with independent event probabilities.
 
@@ -50,6 +53,9 @@ class FaultInjector:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
         if max_extra_delay < 0:
             raise ValueError("max_extra_delay must be non-negative")
+        #: True when every fault rate is zero: :meth:`plan` would return
+        #: one on-time, unmodified delivery, so links may skip planning.
+        self.inert = True
         self.drop_rate = drop_rate
         self.corrupt_rate = corrupt_rate
         self.duplicate_rate = duplicate_rate
@@ -57,16 +63,12 @@ class FaultInjector:
         self._rng = random.Random(seed)
         self.stats = Counters()
 
-    @property
-    def inert(self) -> bool:
-        """True when every fault rate is zero: :meth:`plan` would return
-        one on-time, unmodified delivery, so links may skip planning."""
-        return not (
-            self.drop_rate
-            or self.corrupt_rate
-            or self.duplicate_rate
-            or self.max_extra_delay
-        )
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name in _RATES:
+            # ``inert`` is read once per frame per hop, so it is kept
+            # as an attribute, exact after any rate is assigned.
+            object.__setattr__(self, "inert", not any(getattr(self, r, 0.0) for r in _RATES))
 
     def plan(self, data: bytes) -> FaultPlan:
         """Decide the fate of one frame."""

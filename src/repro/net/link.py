@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from ..counters import Counters
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
 
 from .. import obs as _obs
@@ -26,16 +27,22 @@ if TYPE_CHECKING:
 class Link:
     """Base class for simulated network segments.
 
-    A link class says how long a frame occupies the wire
-    (:meth:`wire_time`).  Who hears a frame is learned at attach — each
-    NIC's peers, the other attached NICs — and narrowed per frame by
-    each peer's own address filter, ``accepts(frame)``.  Taking turns on
-    the wire is the :class:`Transmitter`'s job.
+    A link class says how long a frame occupies the wire by its framing
+    constants, which one formula reads (:meth:`wire_time`).  Who hears
+    a frame is learned at attach — each NIC's peers, the other attached
+    NICs — and narrowed per frame by each peer's own address filter,
+    ``accepts(frame)``.  Taking turns on the wire is the
+    :class:`Transmitter`'s job.
     """
 
     #: True when every sender contends for one medium; otherwise each
     #: transmitter serializes on a timeline of its own (full duplex).
     SHARED_MEDIUM = False
+    #: Framing (:meth:`wire_time`): a runt is padded to ``MIN_FRAME`` bytes,
+    #: ``OVERHEAD`` bytes go with each frame, ``GAP`` idle seconds follow it.
+    MIN_FRAME = 0
+    OVERHEAD = 0
+    GAP = 0.0
 
     def __init__(
         self,
@@ -83,6 +90,11 @@ class Link:
         """Every attached NIC, in attach order."""
         return tuple(self._peers)
 
+    def wire_time(self, length: int) -> float:
+        """How long a frame of ``length`` bytes holds the wire, the gap
+        after it included."""
+        return (max(length, self.MIN_FRAME) + self.OVERHEAD) * 8 / self.bit_rate + self.GAP
+
     def receivers(self, sender: "Nic", frame: bytes) -> list["Nic"]:
         """The attached NICs, other than ``sender``, whose address
         filter accepts the flat ``frame``."""
@@ -108,7 +120,7 @@ class Link:
         for extra_delay, data in plan.deliveries:
             for nic in receivers:
                 self.sim.call_later(
-                    self.propagation_delay + extra_delay, nic.wire_deliver, data
+                    self.propagation_delay + extra_delay, partial(nic.wire_deliver, data)
                 )
 
 
@@ -128,11 +140,8 @@ class Transmitter:
     frame is pulled — from the transmitter's own bounded staging, or
     from ``pull`` when the owner queues frames itself (a switch port's
     egress queue).  No engine event is spent on a hand-off; the only
-    events are the turns themselves.
-
-    Two entries: :meth:`start` for an owner that has seen ``busy``
-    false, :meth:`submit` for a driver that wants FIFO staging and
-    back-pressure.
+    events are the turns themselves.  A turn is two frames,
+    :meth:`_wire` and :meth:`_turn_over`.
     """
 
     def __init__(
@@ -164,7 +173,8 @@ class Transmitter:
         self._staged: Deque[Any] = deque()
         #: ``(frame, admitted_event)`` of senders waiting for a slot.
         self._blocked: Deque[tuple[Any, Event]] = deque()
-        self._pull = pull if pull is not None else self._next_staged
+        #: The owner's queue, or None: the transmitter's own staging.
+        self._pull = pull
         self._fetch_delay = fetch_delay
         # The frame in flight, its length and wire time (one at a time,
         # so plain attributes rather than a closure per frame).
@@ -172,43 +182,31 @@ class Transmitter:
         self._length = 0
         self._wire_time = 0.0
 
-    def _oversized(self, length: int) -> ValueError:
-        return ValueError(
-            f"frame of {length} bytes exceeds {type(self.link).__name__} "
-            f"maximum {self._max_frame}"
-        )
-
-    def start(self, frame: Any) -> None:
-        """Offer ``frame`` to the wire now; only while ``busy`` is false.
-
-        Raises ``ValueError`` for a frame larger than the link accepts,
-        in the caller, leaving the transmitter idle and usable.  Frames
-        a ``pull`` source hands over later are not checked again.
-        """
-        length = len(frame)
-        if length > self._max_frame:
-            raise self._oversized(length)
-        self.busy = True
-        if self._fetch_delay:
-            self.link.sim.call_later(self._fetch_delay, self._wire, frame)
-        else:
-            self._wire(frame)
-
     def submit(self, frame: Any) -> Optional[Event]:
-        """Send ``frame`` after everything submitted earlier.
+        """Send ``frame`` after everything submitted earlier; an idle
+        transmitter offers it to the wire now.
 
         Returns None when the frame was admitted — on the wire, or in
         one of the ``capacity`` staging slots — and otherwise an event
         the sender must wait on: it fires when a slot has been assigned,
         strictly in arrival order.  An oversized frame raises
-        ``ValueError`` before anything is staged.
+        ``ValueError`` in the caller before anything is staged, leaving
+        the transmitter as it was.  Frames a ``pull`` source hands over
+        later are not checked again.
         """
-        if not self.busy:
-            self.start(frame)
-            return None
         length = len(frame)
         if length > self._max_frame:
-            raise self._oversized(length)
+            raise ValueError(
+                f"frame of {length} bytes exceeds {type(self.link).__name__} "
+                f"maximum {self._max_frame}"
+            )
+        if not self.busy:
+            self.busy = True
+            if self._fetch_delay:
+                self.link.sim.call_later(self._fetch_delay, partial(self._wire, frame, length))
+            else:
+                self._wire(frame, length)
+            return None
         staged = self._staged
         if len(staged) >= self._capacity:
             admitted = Event(self.link.sim)
@@ -218,20 +216,18 @@ class Transmitter:
         return None
 
     def _next_staged(self) -> Any:
-        staged = self._staged
-        if not staged:
-            return None
-        frame = staged.popleft()
+        """The oldest staged frame; only while one is staged."""
+        frame = self._staged.popleft()
         if self._blocked:
             # The freed slot goes to the longest-blocked sender *now*,
             # not when that sender next runs: one arriving later in this
             # same instant finds staging full again and waits behind it.
             waiting, admitted = self._blocked.popleft()
-            staged.append(waiting)
+            self._staged.append(waiting)
             admitted.succeed()
         return frame
 
-    def _wire(self, frame: Any) -> None:
+    def _wire(self, frame: Any, length: int, _event: Optional[Event] = None) -> None:
         link = self.link
         if type(frame) is not bytes:
             # The controller's DMA fetch (AN1): the chain becomes octets
@@ -241,11 +237,14 @@ class Transmitter:
         for watcher in link.watchers:
             watcher.offered(frame)
         self._frame = frame
-        self._length = length = len(frame)
+        self._length = length
         stats = self.stats
         stats["tx_frames"] += 1
         stats["tx_bytes"] += length
-        self._wire_time = wire_time = link.wire_time(length)
+        # ``link.wire_time(length)``, spelled out: this runs once per
+        # frame per hop.
+        padded = link.MIN_FRAME if length < link.MIN_FRAME else length
+        self._wire_time = wire_time = (padded + link.OVERHEAD) * 8 / link.bit_rate + link.GAP
         self._serial.hold(wire_time, self._turn_over)
 
     def _turn_over(self, _event: Event) -> None:
@@ -264,17 +263,22 @@ class Transmitter:
             call_later = link.sim.call_later
             for peer in link._peers[self.sender]:
                 if peer.accepts(frame):
-                    call_later(delay, peer.wire_deliver, frame)
+                    call_later(delay, partial(peer.wire_deliver, frame))
         else:
             link._deliver_later(self.sender, frame, obs)
-        frame = self._pull()
+        if self._pull is not None:
+            frame = self._pull()
+        elif self._staged:
+            frame = self._next_staged()
+        else:
+            frame = None
         if frame is None:
             self.busy = False
             self._frame = None
         elif self._fetch_delay:
-            link.sim.call_later(self._fetch_delay, self._wire, frame)
+            link.sim.call_later(self._fetch_delay, partial(self._wire, frame, len(frame)))
         else:
-            self._wire(frame)
+            self._wire(frame, len(frame))
 
 
 class EthernetLink(Link):
@@ -291,8 +295,9 @@ class EthernetLink(Link):
     SHARED_MEDIUM = True
     PREAMBLE = 8
     FCS = 4
+    OVERHEAD = PREAMBLE + FCS
     MIN_FRAME = 64
-    IFG = 9.6e-6
+    IFG = GAP = 9.6e-6
     MTU_DATA = 1500  # Payload after the 14-byte link header.
 
     def __init__(
@@ -310,16 +315,7 @@ class EthernetLink(Link):
 
     def frame_time(self, length: int) -> float:
         """Wire occupancy for a frame of ``length`` bytes (ex. IFG)."""
-        on_wire = self.PREAMBLE + max(length, self.MIN_FRAME) + self.FCS
-        return on_wire * 8 / self.bit_rate
-
-    def wire_time(self, length: int) -> float:
-        # ``frame_time(length) + IFG`` spelled out, the runt padding
-        # without a ``max`` call (same float): this runs once per frame
-        # per hop.
-        if length < self.MIN_FRAME:
-            length = self.MIN_FRAME
-        return (self.PREAMBLE + length + self.FCS) * 8 / self.bit_rate + self.IFG
+        return (max(length, self.MIN_FRAME) + self.OVERHEAD) * 8 / self.bit_rate
 
 
 class DuplexLink(EthernetLink):
@@ -374,7 +370,3 @@ class An1Link(Link):
     @property
     def max_frame(self) -> int:
         return An1Header.LENGTH + self.HARDWARE_MAX_DATA
-
-    def wire_time(self, length: int) -> float:
-        # Serialization of the frame and its overhead, then the gap.
-        return (length + self.OVERHEAD) * 8 / self.bit_rate + self.GAP

@@ -142,7 +142,7 @@ class An1Nic(Nic):
     # Receive: hardware BQI demux straight into a host region.
     # ------------------------------------------------------------------
 
-    def wire_deliver(self, frame: bytes) -> None:
+    def wire_deliver(self, frame: bytes, _event: object = None) -> None:
         # The hardware demuxes on one header field, the BQI at bytes 6-7;
         # the network I/O module decodes the header once, at the ring.
         if len(frame) < An1Header.LENGTH:
@@ -164,10 +164,10 @@ class An1Nic(Nic):
                             detail=f"bqi={region.bqi}")
         # DMA into the region, then the interrupt.  Frames are
         # independent on this controller, so each carries its own state.
-        self.sim.call_later(self.DMA_LATENCY, self._rx_arrived, (frame, region))
+        self.sim.call_later(self.DMA_LATENCY, partial(self._rx_arrived, frame, region))
 
-    def _rx_arrived(self, arrival: tuple[bytes, SharedRegion]) -> None:
-        stage = partial(self._rx_dispatch, *arrival)
+    def _rx_arrived(self, frame: bytes, region: SharedRegion, _event: object) -> None:
+        stage = partial(self._rx_dispatch, frame, region)
         cost = self.kernel.costs.interrupt
         if cost:
             self.kernel.cpu.charge(cost, stage)

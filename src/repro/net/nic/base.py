@@ -47,5 +47,6 @@ class Nic(abc.ABC):
         """Send ``frame``; charges the driver-side device costs."""
 
     @abc.abstractmethod
-    def wire_deliver(self, frame: bytes) -> None:
-        """Called by the link when a frame arrives at this NIC."""
+    def wire_deliver(self, frame: bytes, _event: object = None) -> None:
+        """Called by the link when a frame arrives at this NIC (its
+        delivery event is ``_event``)."""

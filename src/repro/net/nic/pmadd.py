@@ -89,7 +89,7 @@ class PmaddNic(Nic):
     # interrupt context, so callbacks chained on the CPU charges.
     # ------------------------------------------------------------------
 
-    def wire_deliver(self, frame: bytes) -> None:
+    def wire_deliver(self, frame: bytes, _event: object = None) -> None:
         obs = _obs.SESSION
         if len(self._rx_buffers) >= self.BOARD_BUFFERS:
             self.stats["rx_dropped_no_buffer"] += 1

@@ -9,6 +9,7 @@ costs charged around it.
 
 from __future__ import annotations
 
+from functools import partial
 from time import perf_counter
 from typing import Callable, Generator, Optional
 
@@ -279,10 +280,10 @@ class MachineRunner:
         old = self._timers.get(name)
         if old is not None:
             old[2].cancel()
-        event = self.sim.call_later(delay, self._timer_fired, name)
+        event = self.sim.call_later(delay, partial(self._timer_fired, name))
         self._timers[name] = [now + delay, now + delay, event]
 
-    def _timer_fired(self, name: str) -> None:
+    def _timer_fired(self, name: str, _event: Event) -> None:
         """Engine callback, so it must not block.  A re-armed timer's
         event is placed again, at its deadline's exact float; a
         cancelled one's retires; a due one feeds ``TimerExpires`` to the
@@ -292,7 +293,7 @@ class MachineRunner:
         deadline = timer[0]
         if deadline is not None and deadline > self.sim.now:
             timer[1] = deadline
-            timer[2].callbacks = [lambda _: self._timer_fired(name)]
+            timer[2].callbacks = [partial(self._timer_fired, name)]
             self.sim.schedule_at(timer[2], deadline)
             return
         self._timers[name] = None

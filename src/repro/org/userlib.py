@@ -61,6 +61,13 @@ class LibraryTcpService(TcpService):
         #: The library links its own IP instance (paper: an application
         #: using TCP links the TCP, IP, and ARP libraries).
         self.ip_lib = IpStack(host.ip)
+        #: Unreleased connections, whose timers stop when the task exits.
+        self.live: set["LibraryConnection"] = set()
+        app.on_exit(self._app_exited)
+
+    def _app_exited(self, _app: Task) -> None:
+        for conn in self.live:
+            conn.runner.stop_timers()
 
     # ------------------------------------------------------------------
     # Service API (all registry interactions are real Mach RPCs)
@@ -121,10 +128,11 @@ class LibraryListener(TcpListener):
 
     def close(self) -> None:
         self.closed = True
-        # Fire-and-forget unlisten RPC.
-        self.service.app.spawn(
-            _unlisten(self.service, self.port), name=f"unlisten-{self.port}"
-        )
+        # Fire-and-forget unlisten RPC (a dead task's went in its exit hook).
+        if self.service.app.alive:
+            self.service.app.spawn(
+                _unlisten(self.service, self.port), name=f"unlisten-{self.port}"
+            )
 
 
 def _unlisten(service: LibraryTcpService, port: int) -> Generator:
@@ -166,6 +174,7 @@ class LibraryConnection(TcpConnection):
         self.runner.connected = True
         self.runner.rx_buffer.extend(grant.rx_pending)
         self.runner.resume_timers(grant.timers)
+        service.live.add(self)
         self._released = False
         #: The per-connection upcalled receive thread (paper §3.2:
         #: "protocol control block lookups are eliminated by having
@@ -325,6 +334,7 @@ class LibraryConnection(TcpConnection):
         if self._released:
             return iter(())
         self._released = True
+        self.service.live.discard(self)
         return self.service._release(self.channel)
 
     # ------------------------------------------------------------------
@@ -348,4 +358,5 @@ class LibraryConnection(TcpConnection):
             self.remote_port, None,
         )
         self._released = True  # The new owner releases, not us.
+        self.service.live.discard(self)
         return LibraryConnection(new_service, grant)

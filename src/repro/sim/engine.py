@@ -34,11 +34,13 @@ the held event back on the heap.
 
 An event costs its callback and nothing else: one loop
 (:meth:`Simulator._drain`) serves :meth:`~Simulator.run` and
-:meth:`~Simulator.run_all`; two insertion paths place every event,
-:meth:`Simulator.schedule_at` for an event a caller made and
-:meth:`Simulator._turn` for a :class:`~repro.sim.resources.Serial` turn
-the engine makes itself (a CPU charge, a link turn: built and placed in
-one frame); the clock and the running process are plain attributes.
+:meth:`~Simulator.run_all`; three insertion paths place every event:
+:meth:`Simulator.schedule_at` one a caller made, and, built and placed
+in one frame, :meth:`Simulator._turn` a :class:`~repro.sim.resources.Serial`
+turn and :meth:`Simulator.call_later` a delayed callback.  Every engine
+callback takes the event (a stage with an argument is a ``partial`` of
+a callee ending in ``_event``); the clock and the running process are
+plain attributes.
 
 Ordering is byte-identical to the original tuple-heap engine: URGENT
 before NORMAL at equal times, FIFO within a priority, and events
@@ -156,8 +158,8 @@ class Simulator:
     def schedule_at(self, event: Event, t: float, priority: int = NORMAL) -> None:
         """Place a triggered event on the schedule at absolute time ``t``.
 
-        The insertion path for an event a caller made (``_turn`` makes
-        and places a ``Serial`` turn's own).  Callers that computed the
+        The insertion path for an event a caller made (``_turn`` and
+        ``call_later`` make and place their own).  Callers that computed the
         instant themselves (a TCP timer's deadline) get exactly the
         float ``t``, which ``now + (t - now)`` does not guarantee.
         """
@@ -258,18 +260,43 @@ class Simulator:
         """Place a triggered event on the schedule ``delay`` from now."""
         self.schedule_at(event, self.now + delay, priority)
 
-    def call_later(self, delay: float, fn, arg: Any) -> Event:
-        """Run ``fn(arg)`` ``delay`` seconds from now: one event, one
-        callback, no process (a frame's propagation, a switch's
-        forwarding latency, a controller's DMA fetch, a TCP timer).
-        The returned event's ``cancel()`` retires the call."""
+    def call_later(self, delay: float, then) -> Triggered:
+        """Run ``then(event)`` ``delay`` seconds from now (a frame's
+        propagation, a switch's forwarding latency, a DMA fetch, a TCP
+        timer): one event, placed as :meth:`schedule_at` places a NORMAL
+        one, in one frame.  Its ``cancel()`` retires the call."""
+        t = self.now + delay
+        if not t >= self.now:  # As in ``schedule_at``: NaN is refused too.
+            raise ValueError(f"t={t} is in the past (now={self.now})")
         event = Triggered()
         event.sim = self
-        event.callbacks = [lambda _: fn(arg)]
+        event.callbacks = [then]
         event._value = None
         event._ok = True
         event._cancelled = False
-        self.schedule_at(event, self.now + delay)
+        if self._solo:
+            heap = self._heap
+            held = self._next
+            if held is not None and t <= self._next_t:
+                self._buckets[self._next_t] = held
+                _heappush(heap, self._next_t)
+                self._next = held = None
+            if held is None and t <= self._limit and (not heap or t < heap[0]):
+                self._next = event
+                self._next_t = t
+                return event
+        buckets = self._buckets
+        if t in buckets:
+            b = buckets[t]
+            if type(b) is _Bucket:
+                b.normal.append(event)
+            else:
+                nb = buckets[t] = _Bucket()
+                nb.urgent = []
+                nb.normal = [b, event]
+        else:
+            buckets[t] = event
+            _heappush(self._heap, t)
         return event
 
     def _drain(self, limit: float) -> None:

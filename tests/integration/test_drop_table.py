@@ -20,10 +20,7 @@ class CorruptFirstData(FaultInjector):
     def __init__(self) -> None:
         super().__init__()
         self.fired = False
-
-    @property
-    def inert(self) -> bool:
-        return False
+        self.inert = False
 
     def plan(self, data: bytes) -> FaultPlan:
         if self.fired or len(data) < 100:
@@ -84,10 +81,7 @@ class DuplicateFirstFragment(FaultInjector):
     def __init__(self) -> None:
         super().__init__()
         self.fired = False
-
-    @property
-    def inert(self) -> bool:
-        return False
+        self.inert = False
 
     def plan(self, data: bytes) -> FaultPlan:
         if self.fired or data[12:14] != ETHERTYPE_IP.to_bytes(2, "big"):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.check.failure import (
+    CELLS,
     NETWORKS,
     REGISTRY_CELLS,
     ULTRIX_CELLS,
@@ -372,29 +373,33 @@ def test_exhausted_bqi_table_refuses_the_connect_and_leaks_nothing():
 # ----------------------------------------------------------------------
 
 
-#: Known defects, declared so the cells still run: a library terminated
-#: from its own thread leaves its ``rexmt`` timer process alive, to die on
-#: "channel app-a:1024 is not active"; and a process dies on "task app-b
-#: has terminated" when the listener's owner dies mid-handshake.
-_CRASHING_CELLS = {
-    "terminate_from_own_thread": SecurityViolation,
-    "listener_owner_dies_mid_handshake": RuntimeError,
-}
-
-
 @pytest.mark.parametrize("network", NETWORKS)
-@pytest.mark.parametrize(
-    "cell",
-    [
-        pytest.param(cell, marks=pytest.mark.crashes(raises=_CRASHING_CELLS[cell]))
-        if cell in _CRASHING_CELLS
-        else cell
-        for cell in REGISTRY_CELLS
-    ],
-)
+@pytest.mark.parametrize("cell", REGISTRY_CELLS)
 def test_failure_leaves_nothing_held(network, cell):
     result = run_cell(FailureSpec(cell, network))
     assert result.ok, [str(v) for v in result.violations]
+
+
+@pytest.mark.crashes(raises=RuntimeError)
+def test_a_crashed_process_fails_its_cell(monkeypatch):
+    """The axis judges ``sim.crashed``: a cell that otherwise passes,
+    with one process dying unwatched beside it, reports exactly one
+    violation, of ``no-process-crashed``, naming the process."""
+    passing = CELLS["peer_refuses"]
+
+    def with_a_crash(bed, seen):
+        passing(bed, seen)
+
+        def doomed():
+            yield bed.sim.timeout(0.1)
+            raise RuntimeError("unwatched")
+
+        bed.spawn(doomed(), name="doomed")
+
+    monkeypatch.setitem(CELLS, "peer_refuses", with_a_crash)
+    violations = run_cell(FailureSpec("peer_refuses", "ethernet")).violations
+    assert [v.invariant for v in violations] == ["no-process-crashed"]
+    assert "doomed" in violations[0].detail and "unwatched" in violations[0].detail
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ import pytest
 
 from repro.metrics import measure_throughput
 from repro.net.headers import TCP_RST
-from repro.netio import SecurityViolation
 from repro.protocols.tcp.seq import MOD
 from repro.testbed import IP_A, IP_B, Testbed
 from repro.trace import WireTrace
@@ -35,9 +34,6 @@ def test_goodput_is_the_same_across_the_wrap(organization, network):
     assert max(seqs) > WRAP_ISS and min(seqs) < 200_000  # Both sides of it.
 
 
-# A known defect: the terminated library's ``rexmt`` timer process
-# outlives it and dies on "channel app-a:1024 is not active".
-@pytest.mark.crashes(raises=SecurityViolation)
 @pytest.mark.parametrize("network", ["ethernet", "an1"])
 def test_registry_reset_is_sequenced_on_the_wire_circle(network):
     """The registry, inheriting a dead application's connection, builds

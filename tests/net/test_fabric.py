@@ -39,7 +39,7 @@ class FakeNic:
     def accepts(self, frame):
         return True
 
-    def wire_deliver(self, frame):
+    def wire_deliver(self, frame, _event=None):
         self.received.append(frame)
 
 
@@ -62,7 +62,7 @@ def test_link_counts_injected_faults():
     link = DuplexLink(sim, faults=faults)
     sender = FakeNic(link, "tx")
     receiver = FakeNic(link, "rx")
-    Transmitter(link, sender).start(b"x" * 100)
+    Transmitter(link, sender).submit(b"x" * 100)
     sim.run(until=0.1)
     assert receiver.received == []
     # The plan's outcome is counted once, in the link's injector.
@@ -74,7 +74,7 @@ def test_link_counts_injected_faults():
     link2 = DuplexLink(sim, faults=faults2)
     sender2 = FakeNic(link2, "tx2")
     receiver2 = FakeNic(link2, "rx2")
-    Transmitter(link2, sender2).start(b"y" * 100)
+    Transmitter(link2, sender2).submit(b"y" * 100)
     sim.run(until=0.2)
     assert link2.faults.stats["corrupted"] == 1
     assert link2.faults.stats["duplicated"] == 1

@@ -222,10 +222,10 @@ def test_ethernet_oversized_frame_rejected():
     sim, link, kernels, nics = make_eth_world()
     transmitter = Transmitter(link, nics[0], capacity=1)
     with pytest.raises(ValueError):
-        transmitter.start(b"z" * 2000)
+        transmitter.submit(b"z" * 2000)
     assert not transmitter.busy
     # Rejected on the staging path too, before anything is staged.
-    transmitter.start(b"a" * 100)
+    transmitter.submit(b"a" * 100)
     with pytest.raises(ValueError):
         transmitter.submit(b"z" * 2000)
     sim.run()

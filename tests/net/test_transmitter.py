@@ -40,7 +40,7 @@ class Endpoint:
     def accepts(self, frame):
         return True
 
-    def wire_deliver(self, frame):
+    def wire_deliver(self, frame, _event=None):
         self.received.append((self.sim.now, frame))
 
 
@@ -109,14 +109,18 @@ def test_idle_hand_off_costs_no_engine_event():
 
 def test_link_turn_call_gate():
     """One 78-byte frame across a quiet ``DuplexLink``, from
-    ``Transmitter.start`` to the peer's ``wire_deliver``, ``sim.run``
+    ``Transmitter.submit`` to the peer's ``wire_deliver``, ``sim.run``
     included, in profiled calls (cProfile's count, the ledger's
-    ``py_calls_per_op`` currency): 26.  The link delivers to the peers
-    it learned at attach, each filtering the frame itself.
+    ``py_calls_per_op`` currency): 17.  The link delivers to the peers
+    it learned at attach, each filtering the frame itself, and a turn
+    is two frames, ``_wire`` and ``_turn_over``.
 
     History: 30 while each turn built a receiver list — one
     ``receivers`` call, its list comprehension, one ``_deliver_later``
-    — and ``wire_time`` padded a runt with ``max``.
+    — and ``wire_time`` padded a runt with ``max``; 23 while the
+    delivery was a ``call_later`` frame, a ``schedule_at`` frame and a
+    lambda, and the turn paid ``start``, ``wire_time``, the
+    ``faults.inert`` property, ``_next_staged`` and a second ``len``.
     """
     sim = Simulator()
     link = DuplexLink(sim)
@@ -126,14 +130,14 @@ def test_link_turn_call_gate():
     assert len(frame) == 78
 
     def turn():
-        transmitter.start(frame)
+        transmitter.submit(frame)
         sim.run()
 
     turn()  # The steady state: every counter has been touched once.
     profiler = cProfile.Profile()
     profiler.runcall(turn)
     assert [received for _, received in peer.received] == [frame, frame]
-    assert sum(entry.callcount for entry in profiler.getstats()) <= 27
+    assert sum(entry.callcount for entry in profiler.getstats()) <= 18
 
 
 def test_watchers_see_flat_frame_at_the_instant_its_turn_begins():
@@ -163,8 +167,8 @@ def test_shared_medium_senders_serialize_on_one_medium():
     link = EthernetLink(sim)
     a, b, listener = Endpoint(link, sim), Endpoint(link, sim), Endpoint(link, sim)
     frame_a, frame_b = eth_frame(1, size=1000), eth_frame(2, size=1000)
-    Transmitter(link, a).start(frame_a)
-    Transmitter(link, b).start(frame_b)
+    Transmitter(link, a).submit(frame_a)
+    Transmitter(link, b).submit(frame_b)
     sim.run()
     turn = link.wire_time(len(frame_a))
     arrivals = [(at, frame) for at, frame in listener.received]
@@ -179,8 +183,8 @@ def test_full_duplex_senders_do_not_contend():
     link = DuplexLink(sim)
     a, b = Endpoint(link, sim), Endpoint(link, sim)
     frame = eth_frame(1, size=1000)
-    Transmitter(link, a).start(frame)
-    Transmitter(link, b).start(frame)
+    Transmitter(link, a).submit(frame)
+    Transmitter(link, b).submit(frame)
     sim.run()
     both = link.wire_time(len(frame)) + link.propagation_delay
     assert [at for at, _ in a.received] == [pytest.approx(both)]

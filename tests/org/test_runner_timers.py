@@ -16,6 +16,7 @@ import random
 import subprocess
 import sys
 import weakref
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -67,9 +68,9 @@ class EagerRunner(MachineRunner):
         old = self._timers.get(name)
         if old is not None:
             old[1].cancel()
-        self._timers[name] = (now + delay, self.sim.call_later(delay, self._eager_fired, name))
+        self._timers[name] = (now + delay, self.sim.call_later(delay, partial(self._eager_fired, name)))
 
-    def _eager_fired(self, name):
+    def _eager_fired(self, name, _event):
         self._timers[name] = None
         self.sim.process(self._expire(name))
 
@@ -113,9 +114,9 @@ def watch_firings(runner):
     fired = []
     callback = runner._timer_fired
 
-    def logged(name):
+    def logged(name, _event):
         fired.append((name, runner.sim.now))
-        callback(name)
+        callback(name, _event)
 
     runner._timer_fired = logged
     return fired

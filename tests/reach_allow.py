@@ -38,6 +38,7 @@ ALLOWED = {
     "repro.sim.events:Event.cancelled": ("oracle", "the engine tests' read of a retired event"),
     "repro.trace:read_pcap": ("oracle", "reads back what write_pcap wrote"),
     "repro.obs.hist:HistogramRegistry.get": ("oracle", "the obs tests' read of one histogram"),
+    "repro.net.link:Link.wire_time": ("oracle", "the link tests' wire time of a frame; Transmitter._wire evaluates it inline"),
     # -- paper-arm ---------------------------------------------------------
     "repro.netio.pktfilter:udp_filter_program": ("paper-arm", "a UDP binding under the Table 5 scan arm"),
     "repro.netio.pktfilter:ScanTable.remove": ("paper-arm", "a channel torn down under the Table 5 scan arm"),
@@ -87,8 +88,6 @@ ALLOWED = {
     # -- tested-only: safety paths (refusals, and the report of a violation)
     "repro.net.headers:_refused": (
         "tested-only", "tests/protocols/test_headers.py::test_ipv4_field_validation"),
-    "repro.net.link:Transmitter._oversized": (
-        "tested-only", "tests/net/test_links_nics.py::test_ethernet_oversized_frame_rejected"),
     "repro.check.evidence:WireSegment.describe": (
         "tested-only", "tests/check/test_campaign.py::test_sabotaged_stack_is_caught"),
     "repro.check.invariants:Violation.as_dict": (

@@ -19,13 +19,13 @@ class LegacySimulator(Simulator):
 
     Semantics are the pre-refactor engine's, verbatim, plus the same
     stats counters the batched engine keeps.  It overrides the engine's
-    three schedule-facing methods — the insertion of an event a caller
-    made, the turn the engine makes for a ``Serial`` and the one drain
-    loop — so ``run``, ``run_all``, ``schedule``, ``call_later``, every
-    event class and ``cpu.charge`` drive it through the same entry
-    points as the bucket heap.  It inherits ``__init__`` but never sets
-    the solo flag, so the next slot stays empty and no process takes
-    its own step.
+    four schedule-facing methods — the insertion of an event a caller
+    made, the two the engine makes itself (a ``Serial`` turn and a
+    ``call_later``) and the one drain loop — so ``run``, ``run_all``,
+    ``schedule``, every event class and ``cpu.charge`` drive it through
+    the same entry points as the bucket heap.  It inherits ``__init__``
+    but never sets the solo flag, so the next slot stays empty and no
+    process takes its own step.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -51,6 +51,17 @@ class LegacySimulator(Simulator):
         if then is not None:
             event.callbacks.append(then)
         heappush(sim._queue, (t, NORMAL, next(sim._eid), event))
+        return event
+
+    def call_later(self, delay: float, then) -> Event:
+        t = self.now + delay
+        if not t >= self.now:
+            raise ValueError(f"t={t} is in the past (now={self.now})")
+        event = Event(self)
+        event._ok = True
+        event._value = None
+        event.callbacks.append(then)
+        heappush(self._queue, (t, NORMAL, next(self._eid), event))
         return event
 
     def _drain(self, limit: float) -> None:

@@ -167,9 +167,11 @@ def test_nan_instant_is_refused_and_the_schedule_stays_whole():
     sim = Simulator()
     fired = []
     for delay in (0.5e-3, 1e-3, 2e-3):
-        sim.call_later(delay, fired.append, delay)
+        sim.call_later(delay, lambda _event, delay=delay: fired.append(delay))
     with pytest.raises(ValueError):
-        sim.call_later(NAN, fired.append, NAN)
+        sim.call_later(NAN, lambda _event: fired.append(NAN))
+    with pytest.raises(ValueError):
+        sim.call_later(-1e-3, lambda _event: fired.append(-1e-3))
     with pytest.raises(ValueError):
         sim.schedule_at(sim.event(), NAN)
     with pytest.raises(ValueError):

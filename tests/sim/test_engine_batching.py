@@ -89,14 +89,14 @@ def _timer_and_serial_ties(sim_cls):
         delay = tick * rng.randrange(0, 3)
         label = f"{label}:{how}"
 
-        def callback(_arg):
+        def callback(_event):
             order.append((sim.now, label))
             if depth < 3:
                 for k in range(rng.randrange(0, 3)):
                     start(f"{label}.{k}", depth + 1)
 
         if how == "later":
-            sim.call_later(delay, callback, None)
+            sim.call_later(delay, callback)
         elif how == "charge":
             rng.choice(cpus).charge(delay, callback)
         else:
@@ -220,21 +220,23 @@ def _slot_script(sim_cls, seed):
     that places an event and then raises.  Costs are multiples of
     2**-11 s, so instants collide.  Returns the ``(instant, label)``
     trace, each CPU's ``busy_time``, the engine counts, and how often
-    a later newcomer left the held event in the next slot (``kept``)
-    and a spawn found an event held at ``now`` (``urgent``)."""
+    a later newcomer left the held event in the next slot (``kept``),
+    a ``call_later`` did so (``later_kept``) or, at or before the held
+    instant, moved it onto the heap (``later_moved``), and a spawn
+    found an event held at ``now`` (``urgent``)."""
     rng = random.Random(seed)
     sim = sim_cls()
     cpus = [CPU(sim) for _ in range(rng.choice([2, 3]))]
     tick = 2.0**-11
     trace = []
     waiting = []
-    cases = {"kept": 0, "urgent": 0}
+    cases = {"kept": 0, "later_kept": 0, "later_moved": 0, "urgent": 0}
     budget = [300]
 
     def record(label):
         trace.append((sim.now, label))
 
-    def fire(label, depth, _arg):
+    def fire(label, depth, _event):
         record(label)
         if depth < 4:
             for k in range(rng.randrange(0, 4)):
@@ -260,7 +262,9 @@ def _slot_script(sim_cls, seed):
         elif how == "bare":
             rng.choice(cpus).charge(cost)
         elif how == "later":
-            sim.call_later(cost, partial(fire, label, depth), None)
+            sim.call_later(cost, partial(fire, label, depth))
+            if held is not None:
+                cases["later_kept" if sim._next is held else "later_moved"] += 1
         elif how == "succeed":
             event = sim.event()
             event.callbacks.append(partial(fire, label, depth))
@@ -272,7 +276,7 @@ def _slot_script(sim_cls, seed):
             if rng.random() < 0.5:
                 # A call due now, then the start: the slot may hold the
                 # one, and the other is an URGENT newcomer at its instant.
-                sim.call_later(0.0, partial(fire, f"{label}/now", depth), None)
+                sim.call_later(0.0, partial(fire, f"{label}/now", depth))
             cases["urgent"] += sim._next is not None and sim._next_t == sim.now
             sim.process(worker(label, depth + 1))
         else:
@@ -302,9 +306,9 @@ def _slot_script(sim_cls, seed):
         sim.process(worker(f"p{i}", 0))
     # The stop sits inside a batch: "a" runs before it, "b" after.
     stop_at = tick * rng.randrange(1, 12)
-    sim.call_later(stop_at, record, "a")
+    sim.call_later(stop_at, lambda _event: record("a"))
     stop = sim.timeout(stop_at)
-    sim.call_later(stop_at, record, "b")
+    sim.call_later(stop_at, lambda _event: record("b"))
     phases = [
         partial(sim.run, stop),
         partial(sim.run_all, stop_at + tick * rng.randrange(0, 12)),
@@ -347,15 +351,17 @@ def test_placement_matches_the_oracle(seed):
 
 def test_placement_scripts_reach_both_slot_cases():
     """The seeds above exercise what they are there for: a later
-    newcomer that left the held event in the slot, a spawn that found
-    an event held at ``now``, and a stage that raised."""
-    kept = urgent = raised = 0
+    newcomer that left the held event in the slot, a ``call_later``
+    in each slot case (later: kept; at or before: moved), a spawn that
+    found an event held at ``now``, and a stage that raised."""
+    reached = dict.fromkeys(["kept", "later_kept", "later_moved", "urgent", "raised"], 0)
     for seed in SLOT_SEEDS:
         trace, _, _, cases = _slot_script(Simulator, seed)
-        kept += cases["kept"] > 0
-        urgent += cases["urgent"] > 0
-        raised += any(label.startswith("raised") for _, label in trace)
-    assert kept >= 25 and urgent >= 25 and raised >= 30
+        for case in ("kept", "later_kept", "later_moved", "urgent"):
+            reached[case] += cases[case] > 0
+        reached["raised"] += any(label.startswith("raised") for _, label in trace)
+    assert reached["kept"] >= 25 and reached["urgent"] >= 25 and reached["raised"] >= 30
+    assert reached["later_kept"] >= 10 and reached["later_moved"] >= 10
 
 
 @pytest.mark.parametrize("sim_cls", [Simulator, LegacySimulator])
@@ -533,22 +539,22 @@ def test_error_after_the_slot_took_an_event_keeps_it_scheduled():
             yield cpu.charge(0.25e-3)
             record("charged")
 
-        def ring(label):
-            record(label)
+        def ring(_event):
+            record("timer")
             woken.succeed("woken")
 
         def stage(_ev):
-            sim.call_later(0.5e-3, ring, "timer")
+            sim.call_later(0.5e-3, ring)
             held.append(sim._next is not None)
             raise RuntimeError("stage failed")
 
         sim.process(sleeper())
         cpu.charge(1e-3, stage)
-        sim.call_later(2e-3, record, "later")
+        sim.call_later(2e-3, lambda _event: record("later"))
         with pytest.raises(RuntimeError, match="stage failed"):
             sim.run()
         assert sim.now == 1e-3 and order == []
-        sim.call_later(0.25e-3, record, "between")
+        sim.call_later(0.25e-3, lambda _event: record("between"))
         sim.run_all(1e-3 + 0.3e-3)
         assert order == [(1e-3 + 0.25e-3, "between")]
         sim.run()

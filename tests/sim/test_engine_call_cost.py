@@ -6,9 +6,10 @@ runs a thousand events of one shape, divided by the events run.  When
 the new event is the lone earliest one, the engine's next slot holds it
 off the heap, so each shape's floor, per event, is the callback,
 whatever it calls to make the next event, and the insertion
-(``schedule_at``, or ``Simulator._turn`` for a CPU charge, which makes
+(``schedule_at``; ``Simulator._turn`` for a CPU charge, which makes
 the turn and places it in one frame, bound to the CPU as a method
-object cProfile does not count):
+object cProfile does not count; or ``call_later``, which does the same
+for a delayed callback):
 
 * a process yielding ``cpu.charge(cost)`` — thread context:
   ``generator.send``, the generator, the turn; the process takes its
@@ -16,8 +17,8 @@ object cProfile does not count):
   run and no resume callback is appended;
 * an interrupt-context chain, ``cpu.charge(cost, then)`` — the stage,
   the turn;
-* a ``call_later`` chain — its lambda, the callee, ``call_later``, the
-  insertion;
+* a ``call_later`` chain — the callee and ``call_later``, which makes
+  the event and places it in one frame;
 * a *contended* pair of processes charging one CPU, whose turns
   interleave so no new event is ever the lone earliest one: every
   event pays the heap pop and push, ``Process._resume`` and
@@ -30,7 +31,9 @@ insertion and dispatch, a ``step()`` frame per timestamp, the ``now``
 property) the first three read 12.0, 9.0 and 11.0; before the next
 slot, 8.0, 5.0 and 6.0; before a charge was one ``_turn`` frame (a
 ``Serial.hold`` frame, then ``schedule_at``), 4.0, 3.0 and 4.0, and the
-contended pair 8.0.
+contended pair 8.0; the ``call_later`` chain read 4.0 while
+``call_later`` took ``(delay, fn, arg)`` and paid a ``schedule_at``
+frame and a lambda per event.
 """
 
 import cProfile
@@ -67,12 +70,12 @@ def _callback_chain(sim):
 def _call_later_chain(sim):
     left = [EVENTS]
 
-    def tick(_arg):
+    def tick(_event):
         left[0] -= 1
         if left[0]:
-            sim.call_later(1e-6, tick, None)
+            sim.call_later(1e-6, tick)
 
-    sim.call_later(1e-6, tick, None)
+    sim.call_later(1e-6, tick)
 
 
 def _contended_charges(sim):
@@ -91,7 +94,7 @@ def _contended_charges(sim):
     [
         (_process_charges, 3.1),
         (_callback_chain, 2.1),
-        (_call_later_chain, 4.1),
+        (_call_later_chain, 2.1),
         (_contended_charges, 7.1),
     ],
     ids=["process-charge", "charge-then-chain", "call-later-chain", "contended"],

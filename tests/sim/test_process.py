@@ -328,7 +328,7 @@ def test_a_failure_someone_sees_is_not_a_crash(sim_cls):
     caught = sim.process(waiter(sim.process(fails())))
     stopped = sim.process(parked())
     sim.process(parked())  # Never ends: no entry either.
-    sim.call_later(2.0, lambda proc: proc.interrupt("stop"), stopped)
+    sim.call_later(2.0, lambda _event: stopped.interrupt("stop"))
     sim.run()
     assert caught.value == "caught" and isinstance(stopped.value, Interrupt)
     assert sim.crashed == []

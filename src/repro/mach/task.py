@@ -113,11 +113,12 @@ class Task:
 
     def on_exit(self, hook: Callable[["Task"], None]) -> None:
         """Register a callback to run when the task terminates — at
-        once if it already has."""
-        if self.alive:
-            self._exit_hooks.append(hook)
-        else:
+        once if it already has.  A hook already registered (an equal
+        bound method) is not added again: it runs once."""
+        if not self.alive:
             hook(self)
+        elif hook not in self._exit_hooks:
+            self._exit_hooks.append(hook)
 
     def terminate(self) -> None:
         """Kill the task: interrupt threads, drop rights, run exit hooks.

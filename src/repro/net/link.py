@@ -270,6 +270,11 @@ class Transmitter:
             frame = self._pull()
         elif self._staged:
             frame = self._next_staged()
+        elif self._blocked:
+            # Nothing staged (no staging at all, ``capacity=0``): the
+            # longest-blocked sender's frame goes on the wire itself.
+            frame, admitted = self._blocked.popleft()
+            admitted.succeed()
         else:
             frame = None
         if frame is None:

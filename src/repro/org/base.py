@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator
 
 from ..costs import CostModel
 from ..counters import Counters
@@ -68,9 +68,8 @@ class TcpListener(abc.ABC):
 class TcpService(abc.ABC):
     """The per-host (or per-application) transport API."""
 
-    def __init__(self, host: "Host") -> None:
-        self.host = host
-        self.stats = Counters()  # Receive-path counts; outlives every connection.
+    host: "Host"
+    stats: Counters  # Receive-path counts; outlives every connection.
 
     @abc.abstractmethod
     def listen(self, port: int) -> Generator:

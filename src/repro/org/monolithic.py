@@ -25,12 +25,9 @@ from typing import Generator, Optional
 from ..costs import CostModel
 from ..host import Host
 from ..net.headers import PROTO_TCP
-from ..netio.module import LinkInfo
-from ..protocols.tcp import (
-    ChecksumError, Segment, TcpConfig, TcpMachine, decode_segment, encode_segment, reset_for,
-)
-from ..net.headers import HeaderError
-from ..registry.core import Lease, RegistryCore
+from ..protocols.tcp import Segment, TcpConfig, TcpMachine, encode_segment
+from ..registry.core import Lease
+from ..registry.kernelpath import KernelPath
 from ..sim import Store
 from .base import PathProfile, TcpConnection, TcpListener, TcpService, no_cost
 from .runner import MachineRunner
@@ -114,15 +111,15 @@ DEDICATED_SERVERS = PathProfile(
 # ----------------------------------------------------------------------
 
 
-class MonolithicTcpStack(TcpService):
+class MonolithicTcpStack(KernelPath, TcpService):
     """TCP living in one trusted place (kernel or server).
 
-    Its PCBs are leases in a :class:`~repro.registry.core.RegistryCore`,
-    the table the registry keeps for the library: one port namespace,
-    one ISS source and one input routing rule for every organization.
-    A connection's lease holds its runner, a listener's its backlog.
-    The stack gives a lease back without a linger: its machine has
-    already served TIME-WAIT when it reaches CLOSED.
+    Its kernel-path input and PCB table are the registry's
+    (:class:`KernelPath`), but where the registry stops at ESTABLISHED
+    the stack keeps the connection: a lease holds its runner and, as
+    its grant, the :class:`MonoConnection`; a listener's its backlog.
+    A lease goes back without a linger: its machine has already served
+    TIME-WAIT when it reaches CLOSED.
     """
 
     def __init__(
@@ -131,20 +128,15 @@ class MonolithicTcpStack(TcpService):
         profile: PathProfile,
         config: Optional[TcpConfig] = None,
     ) -> None:
-        super().__init__(host)
         self.profile = profile
-        self.config = config or TcpConfig()
-        self.kernel = host.kernel
-        self.sim = host.sim
-        self.core = RegistryCore(msl=self.config.msl)
-        host.tcp_kernel_handler = self._tcp_rx
+        super().__init__(host, config)
+        self._spawn = self.sim.process
 
     # ------------------------------------------------------------------
     # Service API
     # ------------------------------------------------------------------
 
     def listen(self, port: int) -> Generator:
-        # No thread works on a PCB: every lease's worker is None.
         lease = self.core.open(self.profile, None, self.sim.now, port, backlog=Store(self.sim))
         cost = self.kernel.costs.socket_op
         if cost:
@@ -159,89 +151,52 @@ class MonolithicTcpStack(TcpService):
         if cost:
             yield self.kernel.cpu.charge(cost)
         try:
-            link_dst = yield from self.host.resolve_link(remote_ip)
+            lease.link_dst = yield from self.host.resolve_link(remote_ip)
         except LookupError:  # No route or no ARP answer: the port goes back.
-            self.core.release(lease, self.sim.now)
+            self._give_back(self.core.release(lease, self.sim.now))
             raise
-        connection = MonoConnection(self, lease, link_dst)
+        connection = MonoConnection(self, lease)
         yield from connection.runner.start(active=True)
         ok = yield from connection.runner.wait_connected()
         if not ok:
-            self.core.release(lease, self.sim.now)
+            self._give_back(self.core.release(lease, self.sim.now))
             reason = connection.runner.closed_reason
             raise ConnectionError(f"connect failed: {reason}")
         return connection
 
     # ------------------------------------------------------------------
-    # Internals
+    # The kernel path's steps (KernelPath)
     # ------------------------------------------------------------------
 
-    def _tcp_rx(self, payload: bytes, src_ip: int, link_info: LinkInfo) -> Generator:
-        """Kernel TCP input: checksum, PCB lookup, machine dispatch."""
-        costs = self.kernel.costs
+    def _rx_costs(self, segment: Optional[Segment], nbytes: int) -> tuple:
+        """The checksum; then the dispatch to TCP input, the PCB lookup
+        and TCP input."""
+        profile, costs = self.profile, self.kernel.costs
         self.stats["rx_segments"] += 1
-        if self.profile.ipc_counts[2]:
-            self.kernel.counters["ipc_messages"] += self.profile.ipc_counts[2]
-        cost = costs.checksum_cost(len(payload))
-        if cost:
-            yield self.kernel.cpu.charge(cost)
-        try:
-            segment = decode_segment(payload, src_ip, self.host.ip)
-        except (ChecksumError, HeaderError):
-            self.stats["rx_bad_checksum"] += 1
-            return
-        tcp_cost = costs.tcp_input if segment.payload else costs.tcp_input_ack
-        cost = (
-            self.profile.recv_dispatch(costs, len(payload))
-            + (costs.tcp_pcb_lookup if self.profile.pcb_lookup else 0.0)
-            + tcp_cost
-        )
-        if cost:
-            yield self.kernel.cpu.charge(cost)
-        route, lease = self.core.route(segment, src_ip)
-        if route == "handshake":  # A PCB's runner, in any state.
-            yield from lease.runner.feed_segment(segment)
-        elif route == "passive":
-            yield from self._passive_open(lease, segment, src_ip, link_info)
-        else:
-            self.stats["rx_no_match"] += 1
-            yield from self._respond_rst(segment, src_ip)
-
-    def _passive_open(
-        self,
-        listener: Lease,
-        syn: Segment,
-        src_ip: int,
-        link_info: LinkInfo,
-    ) -> Generator:
-        lease = self.core.open(
-            self.profile, None, self.sim.now, syn.dport, src_ip, syn.sport, holds_port=False
-        )
-        connection = MonoConnection(self, lease, link_info.src)
-        yield from connection.runner.start(active=False)
-        yield from connection.runner.feed_segment(syn)
-        # Hand the connection to accept() once established.
-        self.sim.process(
-            self._complete_accept(listener, connection),
-            name=f"{self.host.name}-accept",
+        if profile.ipc_counts[2]:
+            self.kernel.counters["ipc_messages"] += profile.ipc_counts[2]
+        if segment is None:
+            return costs.checksum_cost(nbytes), 0.0
+        return costs.checksum_cost(nbytes), (
+            profile.recv_dispatch(costs, nbytes)
+            + (costs.tcp_pcb_lookup if profile.pcb_lookup else 0.0)
+            + (costs.tcp_input if segment.payload else costs.tcp_input_ack)
         )
 
-    def _complete_accept(self, listener: Lease, connection: "MonoConnection") -> Generator:
-        ok = yield from connection.runner.wait_connected()
-        if ok and not listener.released:
-            listener.backlog.put(connection)
-        elif ok:
-            # Established on a listener closed meanwhile: nobody will
-            # accept it, so the peer is reset rather than left hanging.
-            yield from connection.abort()
-        else:
-            self.core.release(connection.lease, self.sim.now)
+    def _handshake(self, lease: Lease) -> tuple:
+        MonoConnection(self, lease)  # The lease's runner, and its grant.
+        return ()
 
-    def _respond_rst(self, segment: Segment, src_ip: int) -> Generator:
-        """RFC 793: segments for nonexistent connections draw a RST."""
-        rst = reset_for(segment, segment.dport, segment.sport)
-        if rst is not None:
-            yield from self._transmit(rst, src_ip, None)
+    def _respond_rst(self, segment: Segment, src_ip: int, link_src: object) -> Generator:
+        self.stats["rx_no_match"] += 1
+        return super()._respond_rst(segment, src_ip, link_src)
+
+    def _send_reset(self, rst: Segment, src_ip: int, link_src: object) -> Generator:
+        return self._transmit(rst, src_ip, None)
+
+    def _hand_back(self, lease: Lease, rst_seq: Optional[int]) -> None:
+        if rst_seq is not None:  # Never accepted: the machine's own RST.
+            self.sim.process(lease.grant.abort())
 
     def _transmit(self, segment: Segment, remote_ip: int, link_dst: object, lead=0.0) -> Generator:
         if lead:  # The emitting step's timer work.
@@ -263,13 +218,14 @@ class MonolithicTcpStack(TcpService):
 class MonoConnection(TcpConnection):
     """A connection whose machine runs inside the monolithic stack."""
 
-    def __init__(self, stack: MonolithicTcpStack, lease: Lease, link_dst: object) -> None:
+    def __init__(self, stack: MonolithicTcpStack, lease: Lease) -> None:
         self.stack = stack
         self.lease = lease
+        lease.grant = self
         self.local_port = lease.local_port
         self.remote_ip = lease.remote_ip
         self.remote_port = lease.remote_port
-        self.link_dst = link_dst
+        self.link_dst = lease.link_dst
         machine = TcpMachine(
             lease.local_port, lease.remote_port, config=stack.config, iss=stack.core.iss()
         )
@@ -321,11 +277,11 @@ class MonoConnection(TcpConnection):
 
     def _finalize(self) -> Generator:
         yield from self.runner.wait_closed()
-        self.stack.core.release(self.lease, self.stack.sim.now)
+        self.stack._give_back(self.stack.core.release(self.lease, self.stack.sim.now))
 
     def abort(self) -> Generator:
         yield from self.runner.app_abort()
-        self.stack.core.release(self.lease, self.stack.sim.now)
+        self.stack._give_back(self.stack.core.release(self.lease, self.stack.sim.now))
 
 
 class MonoListener(TcpListener):
@@ -341,12 +297,9 @@ class MonoListener(TcpListener):
     def accept(self) -> Generator:
         if self.closed:
             raise ConnectionError(f"listener on port {self.port} closed")
-        connection = yield self.lease.backlog.get()
-        return connection
+        lease = yield self.lease.backlog.get()
+        return lease.grant
 
     def close(self) -> None:
-        backlog = self.lease.backlog
-        while backlog.items:  # Established, never accepted: reset.
-            self.stack.sim.process(backlog.items.popleft().abort())
-        self.stack.core.release(self.lease, self.stack.sim.now)
-        backlog.fail_getters(ConnectionError(f"listener on port {self.port} closed"))
+        # Its backlog goes with it: established, never accepted, reset.
+        self.stack._give_back(self.stack.core.release(self.lease, self.stack.sim.now))

@@ -29,12 +29,10 @@ with the strict protection its own design adds.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, Optional, TYPE_CHECKING
+from typing import Deque, Generator
 
 from ..counters import Counters
-from ..host import Host
-from ..mach.ipc import Message, rpc, send
-from ..mach.task import Task
+from ..mach.ipc import Message
 from ..net.buf import STATS, PacketBuffer, slice_view
 from ..net.headers import HeaderError, Ipv4Header, PROTO_UDP
 from ..netio.channels import Channel, ChannelClosed
@@ -43,34 +41,19 @@ from ..protocols.rrp import Complete, RrpClient, RrpServer, SendDatagram, SetRet
 from ..protocols.udp import UdpDatagram, decode_datagram, encode_datagram
 from ..sim import Event, Interrupt
 from ..tenancy.tenant import RateLimited
-
-if TYPE_CHECKING:
-    from ..registry.server import RegistryServer
+from .userlib import RegistryClient
 
 
-class LibraryUdpService:
+class LibraryUdpService(RegistryClient):
     """The UDP library instance linked into one application."""
-
-    def __init__(self, host: Host, app: Task, registry: "RegistryServer") -> None:
-        self.host = host
-        self.app = app
-        self.registry = registry
-        self.kernel = host.kernel
-        self.sim = host.sim
-        self._registry_right = registry.client_right(app)
 
     def bind(self, port: int = 0) -> Generator:
         """Bind a UDP port through the registry; returns a
         :class:`UdpEndpoint` backed by a protected channel."""
-        reply = yield from rpc(
-            self.app,
-            self._registry_right,
-            Message("bind_udp", body={"port": port}),
-        )
+        reply = yield from self._rpc(Message("bind_udp", body={"port": port}))
         if reply.op != "grant":
             raise OSError(str(reply.body))
-        grant = reply.body
-        return UdpEndpoint(self, grant["port"], grant["channel"])
+        return UdpEndpoint(self, reply.body["port"], reply.body["channel"])
 
 
 class UdpEndpoint:
@@ -210,11 +193,7 @@ class UdpEndpoint:
         if self._closed:
             return
         self._closed = True
-        yield from send(
-            self.service.app,
-            self.service._registry_right,
-            Message("release", body={"channel": self.channel}),
-        )
+        yield from self.service._release(self.channel)
         while self._readers:
             self._readers.pop().succeed()
 

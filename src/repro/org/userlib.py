@@ -13,9 +13,11 @@ upcall threads (no PCB lookup).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Generator, Optional
 
 from .. import obs as _obs
+from ..counters import Counters
 from ..host import Host
 from ..mach.ipc import Message, rpc, send
 from ..mach.task import Task
@@ -25,7 +27,7 @@ from ..protocols.ip import IpStack
 from ..registry.core import ConnectionGrant
 from ..tenancy.tenant import RateLimited
 from ..protocols.tcp import (
-    ChecksumError, Segment, TcpConfig, TcpMachine, decode_segment, encode_segment,
+    ChecksumError, Segment, TcpConfig, decode_segment, encode_segment,
 )
 from ..sim import Interrupt
 from .base import TcpConnection, TcpListener, TcpService
@@ -35,7 +37,24 @@ if TYPE_CHECKING:  # Breaks the registry<->userlib import cycle.
     from ..registry.server import RegistryServer
 
 
-class LibraryTcpService(TcpService):
+class RegistryClient:
+    """An application's protocol library as its registry's client: every
+    request is a real Mach message on the send right the registry mints."""
+
+    def __init__(self, host: Host, app: Task, registry: "RegistryServer") -> None:
+        self.host, self.app, self.registry = host, app, registry
+        self.kernel, self.sim = host.kernel, host.sim
+        self._registry_right = registry.client_right(app)
+        #: ``_rpc(message)``: the RPC's generator, for the caller to ``yield from``.
+        self._rpc = partial(rpc, app, self._registry_right)
+
+    def _release(self, channel: Channel) -> Generator:
+        """Tell the registry ``channel`` is done with: :func:`send`'s
+        generator, returned."""
+        return send(self.app, self._registry_right, Message("release", body={"channel": channel}))
+
+
+class LibraryTcpService(RegistryClient, TcpService):
     """The protocol library instance linked into one application."""
 
     def __init__(
@@ -46,18 +65,14 @@ class LibraryTcpService(TcpService):
         config: Optional[TcpConfig] = None,
         zero_copy: bool = True,
     ) -> None:
-        super().__init__(host)
-        self.app = app
-        self.registry = registry
+        super().__init__(host, app, registry)
+        self.stats = Counters()
         #: Ablation switch: when False, the library copies data between
         #: the application buffers and the packet buffers the way a
         #: conventional buffer layer would, instead of building/reading
         #: packets in the shared region directly.
         self.zero_copy = zero_copy
         self.config = config or registry.config
-        self.kernel = host.kernel
-        self.sim = host.sim
-        self._registry_right = registry.client_right(app)
         #: The library links its own IP instance (paper: an application
         #: using TCP links the TCP, IP, and ARP libraries).
         self.ip_lib = IpStack(host.ip)
@@ -69,43 +84,19 @@ class LibraryTcpService(TcpService):
         for conn in self.live:
             conn.runner.stop_timers()
 
-    # ------------------------------------------------------------------
-    # Service API (all registry interactions are real Mach RPCs)
-    # ------------------------------------------------------------------
-
     def connect(self, remote_ip: int, remote_port: int, local_port: int = 0) -> Generator:
-        reply = yield from rpc(
-            self.app,
-            self._registry_right,
-            Message(
-                "connect",
-                body={
-                    "remote_ip": remote_ip,
-                    "remote_port": remote_port,
-                    "local_port": local_port,
-                },
-            ),
-        )
+        reply = yield from self._rpc(Message("connect", body={
+            "remote_ip": remote_ip, "remote_port": remote_port, "local_port": local_port,
+        }))
         if reply.op != "grant":
             raise ConnectionError(str(reply.body))
         return LibraryConnection(self, reply.body)
 
     def listen(self, port: int) -> Generator:
-        reply = yield from rpc(
-            self.app, self._registry_right, Message("listen", body={"port": port})
-        )
+        reply = yield from self._rpc(Message("listen", body={"port": port}))
         if reply.op != "ok":
             raise OSError(str(reply.body))
         return LibraryListener(self, port)
-
-    def _release(self, channel: Channel) -> Generator:
-        """Tell the registry ``channel`` is done with: :func:`send`'s
-        generator, returned."""
-        return send(
-            self.app,
-            self._registry_right,
-            Message("release", body={"channel": channel}),
-        )
 
 
 class LibraryListener(TcpListener):
@@ -117,11 +108,7 @@ class LibraryListener(TcpListener):
         self.closed = False
 
     def accept(self) -> Generator:
-        reply = yield from rpc(
-            self.service.app,
-            self.service._registry_right,
-            Message("accept", body={"port": self.port}),
-        )
+        reply = yield from self.service._rpc(Message("accept", body={"port": self.port}))
         if reply.op != "grant":
             raise ConnectionError(str(reply.body))
         return LibraryConnection(self.service, reply.body)
@@ -131,14 +118,9 @@ class LibraryListener(TcpListener):
         # Fire-and-forget unlisten RPC (a dead task's went in its exit hook).
         if self.service.app.alive:
             self.service.app.spawn(
-                _unlisten(self.service, self.port), name=f"unlisten-{self.port}"
+                self.service._rpc(Message("unlisten", body={"port": self.port})),
+                name=f"unlisten-{self.port}",
             )
-
-
-def _unlisten(service: LibraryTcpService, port: int) -> Generator:
-    yield from rpc(
-        service.app, service._registry_right, Message("unlisten", body={"port": port})
-    )
 
 
 class LibraryConnection(TcpConnection):

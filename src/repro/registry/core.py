@@ -76,8 +76,9 @@ class Lease:
     #: The handshake's machine and its timers, until the grant is built.
     runner: Any = None
     channel: Any = None
-    #: What the library is handed once the channel exists.
-    grant: Optional[ConnectionGrant] = None
+    #: What ``accept()`` hands over: the library's grant once the
+    #: channel exists, or a kernel stack's connection from its start.
+    grant: Any = None
     #: A listener's established, not yet accepted leases (the shell's
     #: ``Store``; the core drains its ``items``).
     backlog: Any = None

@@ -22,50 +22,44 @@ A privileged task, one per protocol per host, that:
 What is held, for whom, and what goes back when is decided by
 :class:`~repro.registry.core.RegistryCore`.  This module is the
 Mach-IPC shell around it: the request threads with their waits and CPU
-charges, the handshake's wire, and :meth:`RegistryServer._give_back`,
-which applies what the core hands back.
+charges, the handshake's wire, and the registry's share of applying
+what the core hands back.  Its kernel-path input is the in-kernel
+stack's (:class:`~repro.registry.kernelpath.KernelPath`).
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Generator, Optional
 
-from ..counters import Counters
 from ..host import Host
 from ..mach.ipc import Message, receive, reply_to
 from ..mach.task import Task
-from ..net.headers import PROTO_TCP, TCP_RST, HeaderError
-from ..netio.module import LinkInfo
+from ..net.headers import PROTO_TCP, TCP_RST
 from ..netio.template import tcp_send_template, udp_send_template
 from ..org.runner import MachineRunner
-from ..protocols.tcp import ChecksumError, Segment, TcpConfig, TcpMachine
-from ..protocols.tcp import decode_segment, encode_segment, reset_for
+from ..protocols.tcp import Segment, TcpConfig, TcpMachine, encode_segment
 from ..sim import Store
-from .core import ConnectionGrant, HandBack, Lease, RegistryCore
+from .core import ConnectionGrant, Lease
+from .kernelpath import KernelPath
 
 
-class RegistryServer:
-    """One host's TCP registry."""
+class RegistryServer(KernelPath):
+    """One host's TCP registry: the kernel-path TCP input
+    (:class:`KernelPath`) that stops at ESTABLISHED."""
 
     #: Modelled size of the TCP state crossing to the library.
     STATE_BYTES = 512
 
     def __init__(self, host: Host, config: Optional[TcpConfig] = None) -> None:
-        self.host = host
-        self.sim = host.sim
-        self.kernel = host.kernel
-        self.config = config or TcpConfig()
+        super().__init__(host, config)
         self.task = host.create_task("registry", privileged=True)
+        self._spawn = self.task.spawn
         self._service_rx = self.task.allocate_port("registry-svc")
-        self.core = RegistryCore(msl=self.config.msl)
         #: TenantManager when the host is shared among principals; the
         #: registry is the second enforcement point (port grants), the
         #: network I/O module the first (quotas, templates, rate).
         self.tenants = None
-        host.tcp_kernel_handler = self._tcp_rx
         self.task.spawn(self._main_loop(), name="main")
-        self.stats = Counters()
         #: Phase timings of the most recent active open, in seconds —
         #: the paper's Table 4 breakdown (measured, not assumed).
         self.last_breakdown: dict[str, float] = {}
@@ -110,8 +104,9 @@ class RegistryServer:
             self.tenants.admit(app, kind, check)
 
     def _open(self, owner: Task, local_port: int, *addressing, **fields) -> Lease:
-        """The core's lease for the running thread, tied to its owner's
-        exit from this instant."""
+        """The core's lease for the running thread, its owner's exit
+        hooked from this instant (one hook per owner, however many
+        leases it opens)."""
         if not owner.alive:
             raise ConnectionError(f"{owner.name} has exited")
         lease = self.core.open(
@@ -120,46 +115,42 @@ class RegistryServer:
         tenant = not local_port and self.tenants and self.tenants.tenant_of(owner)
         if tenant:
             tenant.grant_ephemeral(lease.local_port)  # Minted here.
-        owner.on_exit(partial(self._owner_exited, lease))
+        owner.on_exit(self._owner_exited)
         return lease
 
-    def _give_back(self, records: list[HandBack]) -> None:
-        """Apply what the core handed back: the only code here that
-        stops a dead handshake's timers, sends an unsolicited RST, or
-        returns a channel, a ring or a listener's flow to the network
-        I/O module."""
+    def _hand_back(self, lease: Lease, rst_seq: Optional[int]) -> None:
+        """The registry's share of giving back one lease: the only code
+        here that sends an unsolicited RST, or returns a channel, a ring
+        or a listener's flow to the network I/O module."""
         netio = self.host.netio
-        for lease, stop_timers, rst_seq, _ in records:
-            if stop_timers:
-                lease.runner.stop_timers()
-            if rst_seq is not None:
-                self.task.spawn(self._send_rst(lease, rst_seq), name="rst")
-            if lease.backlog is not None:
-                netio.remove_listener(
-                    self.task, PROTO_TCP, lease.local_port, local_ip=self.host.ip
-                )
-                lease.backlog.fail_getters(
-                    ConnectionError(f"listener on port {lease.local_port} closed")
-                )
-            if lease.channel is not None:
-                netio.destroy_channel(self.task, lease.channel)  # and its ring
-            else:
-                netio.release_ring(self.task, lease.ring)
-            # Its owner's exit hook outlives it: hold nothing through that.
-            lease.runner = lease.channel = lease.grant = None
+        if rst_seq is not None:
+            # To the peer's ring: BQI 0 would land in its kernel, whose
+            # registry no longer owns the connection.
+            rst = Segment(lease.local_port, lease.remote_port, rst_seq, 0, TCP_RST, 0)
+            self.task.spawn(self._send_reset(
+                rst, lease.remote_ip, lease.link_dst, lease.peer_bqi,
+                self.kernel.costs.registry_device_access,
+            ), name="rst")
+        if lease.backlog is not None:
+            netio.remove_listener(self.task, PROTO_TCP, lease.local_port, local_ip=self.host.ip)
+        if lease.channel is not None:
+            netio.destroy_channel(self.task, lease.channel)  # and its ring
+        else:
+            netio.release_ring(self.task, lease.ring)
 
-    def _owner_exited(self, lease: Lease, task: Task) -> None:
-        """Exit hook: what the core inherits goes back, and the
-        operation still working on it, if any, is stopped; a lease that
-        followed its channel to a new owner waits for that one's exit."""
-        records = self.core.exited(lease, task, self.sim.now)
-        if records:
-            self.stats["inherited"] += 1
-            self._give_back(records)
-            if lease.worker.is_alive:
-                lease.worker.interrupt("owner-exited")
-        elif lease.owner is not task:
-            lease.owner.on_exit(partial(self._owner_exited, lease))
+    def _owner_exited(self, task: Task) -> None:
+        """Exit hook: each lease ``task`` still owns goes back, and the
+        operation working on it is stopped, unless the lease followed its
+        channel to a new owner, whose own exit hook then covers it."""
+        for lease in [lease for lease in self.core.leases.values() if lease.owner is task]:
+            records = self.core.exited(lease, task, self.sim.now)
+            if records:
+                self.stats["inherited"] += 1
+                self._give_back(records)
+                if lease.worker.is_alive:
+                    lease.worker.interrupt("owner-exited")
+            elif lease.owner is not task:
+                lease.owner.on_exit(self._owner_exited)
 
     # ------------------------------------------------------------------
     # Operations
@@ -219,14 +210,11 @@ class RegistryServer:
         region = self.host.netio.DEFAULT_REGION_SIZE
         self._admit(app, "connect_refused", lambda t: t.precheck_channel(region))
         lease = self._open(app, local_port, body["remote_ip"], body["remote_port"])
-        addressing = (lease.local_port, lease.remote_ip, lease.remote_port)
         lease.link_dst = yield from self.host.resolve_link(lease.remote_ip)
-        lease.ring = self.host.netio.allocate_ring(self.task, owner=app)
-        if lease.ring is not None and costs.bqi_setup:
-            yield self.kernel.cpu.charge(costs.bqi_setup)
+        yield from self._handshake(lease)
         breakdown["non_overlapped_outbound"] = self.sim.now - mark
 
-        runner = lease.runner = self.handshake_runner(lease)
+        runner = lease.runner
         mark = self.sim.now
         yield from runner.start(active=True)
         if not (yield from runner.wait_connected()):
@@ -234,17 +222,7 @@ class RegistryServer:
         breakdown["remote_and_back"] = self.sim.now - mark
         # Channel setup (breakdown item 3).
         mark = self.sim.now
-        lease.channel = yield from self.host.netio.create_channel(
-            self.task, app, tcp_send_template(self.host.ip, *addressing),
-            local_ip=self.host.ip, local_port=lease.local_port, remote_ip=lease.remote_ip,
-            remote_port=lease.remote_port, link_dst=lease.link_dst, peer_bqi=lease.peer_bqi,
-            ring=lease.ring,
-        )
-        if costs.registry_channel_misc:
-            yield self.kernel.cpu.charge(costs.registry_channel_misc)
-        if runner.closed_reason is not None:  # The peer gave up meanwhile.
-            raise ConnectionError(f"connect: {runner.closed_reason}")
-        lease.grant = ConnectionGrant.take_over(runner, lease.channel, *addressing, lease.link_dst)
+        yield from self._established(lease)
         breakdown["channel_setup"] = self.sim.now - mark
         # Move the established connection's state to the library
         # (breakdown item 5), then answer the app's RPC (item 4).
@@ -288,7 +266,7 @@ class RegistryServer:
         yield from reply_to(self.task, message, grant)
 
     # ------------------------------------------------------------------
-    # Handshake machinery and resets
+    # The kernel path's steps (KernelPath): handshakes and resets
     # ------------------------------------------------------------------
 
     def handshake_runner(self, lease: Lease) -> MachineRunner:
@@ -318,103 +296,46 @@ class RegistryServer:
 
         return MachineRunner(self.kernel, machine, emit, name=f"registry:{lease.local_port}")
 
-    def _tcp_rx(self, payload: bytes, src_ip: int, link_info: LinkInfo) -> Generator:
-        """Kernel-path TCP segments: handshakes and strays only — the
-        demultiplexer sends established-connection traffic straight to
-        library channels, bypassing this entirely."""
-        costs = self.kernel.costs
-        cpu = self.kernel.cpu
-        cost = costs.registry_device_access + costs.checksum_cost(len(payload))
-        if cost:
-            yield cpu.charge(cost)
-        try:
-            segment = decode_segment(payload, src_ip, self.host.ip)
-        except (ChecksumError, HeaderError):
-            self.stats["rx_bad_checksum"] += 1
-            return
-        if costs.tcp_input:
-            yield cpu.charge(costs.tcp_input)
-        self.stats["handshake_segments"] += 1
-        route, lease = self.core.route(segment, src_ip, link_info.adv_bqi)
-        if route == "handshake":
-            yield from lease.runner.feed_segment(segment)
-        elif route == "passive":
-            yield from self._passive_open(lease, segment, src_ip, link_info)
-        else:
-            yield from self._respond_rst(segment, src_ip, link_info.src)
+    def _handshake(self, lease: Lease) -> Generator:
+        """The lease's ring, then its handshake's runner."""
+        lease.ring = self.host.netio.allocate_ring(self.task, owner=lease.owner)
+        cost = self.kernel.costs.bqi_setup
+        if lease.ring is not None and cost:
+            yield self.kernel.cpu.charge(cost)
+        lease.runner = self.handshake_runner(lease)
 
-    def _passive_open(
-        self, listener: Lease, syn: Segment, src_ip: int, link_info: LinkInfo
-    ) -> Generator:
-        lease = self._open(
-            listener.owner, syn.dport, src_ip, syn.sport,
-            link_dst=link_info.src, peer_bqi=link_info.adv_bqi, holds_port=False,
+    def _established(self, lease: Lease) -> Generator:
+        """Channel setup (breakdown item 3), then the grant that moves
+        the connection to its library."""
+        runner = lease.runner
+        addressing = (lease.local_port, lease.remote_ip, lease.remote_port)
+        lease.channel = yield from self.host.netio.create_channel(
+            self.task, lease.owner, tcp_send_template(self.host.ip, *addressing),
+            local_ip=self.host.ip, local_port=lease.local_port, remote_ip=lease.remote_ip,
+            remote_port=lease.remote_port, link_dst=lease.link_dst, peer_bqi=lease.peer_bqi,
+            ring=lease.ring,
         )
-        try:
-            lease.ring = self.host.netio.allocate_ring(self.task, owner=lease.owner)
-            cost = self.kernel.costs.bqi_setup
-            if lease.ring is not None and cost:
-                yield self.kernel.cpu.charge(cost)
-            lease.runner = self.handshake_runner(lease)
-            yield from lease.runner.start(active=False)
-            yield from lease.runner.feed_segment(syn)
-        except Exception:
-            # No ring within the listener's budget, or its owner gone
-            # mid-answer: the SYN is refused like one to a closed port.
-            self._give_back(self.core.release(lease, self.sim.now, reset=True))
-            yield from self._respond_rst(syn, src_ip, link_info.src)
-            return
-        self.core.assign(lease, self.task.spawn(
-            self._complete_passive(lease, listener), name=f"passive-{syn.sport}"
-        ))
-
-    def _complete_passive(self, lease: Lease, listener: Lease) -> Generator:
-        try:
-            runner = lease.runner
-            if not (yield from runner.wait_connected()):
-                raise ConnectionError(runner.closed_reason)
-            addressing = (lease.local_port, lease.remote_ip, lease.remote_port)
-            lease.channel = yield from self.host.netio.create_channel(
-                self.task, lease.owner, tcp_send_template(self.host.ip, *addressing),
-                local_ip=self.host.ip, local_port=lease.local_port, remote_ip=lease.remote_ip,
-                remote_port=lease.remote_port, link_dst=lease.link_dst,
-                peer_bqi=lease.peer_bqi, ring=lease.ring,
-            )
-            cost = self.kernel.costs.registry_channel_misc
-            if cost:
-                yield self.kernel.cpu.charge(cost)
-            if runner.closed_reason is not None:
-                raise ConnectionError(f"connect: {runner.closed_reason}")
-            lease.grant = ConnectionGrant.take_over(
-                runner, lease.channel, *addressing, lease.link_dst
-            )
-            if listener.released:
-                raise ConnectionError("listener closed")
-            listener.backlog.put(lease)
-        except Exception:
-            # Failed, refused a channel, or nobody left to accept it:
-            # the listening port itself stays its listener's.
-            self._give_back(self.core.release(lease, self.sim.now, reset=True))
-
-    def _send_rst(self, lease: Lease, seq: int) -> Generator:
-        self.stats["resets_sent"] += 1
-        rst = Segment(
-            sport=lease.local_port, dport=lease.remote_port, seq=seq, ack=0, flags=TCP_RST, window=0
-        )
-        payload = encode_segment(rst, self.host.ip, lease.remote_ip)
-        cost = self.kernel.costs.registry_device_access
+        cost = self.kernel.costs.registry_channel_misc
         if cost:
             yield self.kernel.cpu.charge(cost)
-        # To the peer's ring: BQI 0 would land in its kernel, whose
-        # registry no longer owns the connection.
-        yield from self.host.ip_send(
-            lease.remote_ip, PROTO_TCP, payload, lease.link_dst, bqi=lease.peer_bqi
-        )
+        if runner.closed_reason is not None:  # The peer gave up meanwhile.
+            raise ConnectionError(f"connect: {runner.closed_reason}")
+        lease.grant = ConnectionGrant.take_over(runner, lease.channel, *addressing, lease.link_dst)
 
-    def _respond_rst(self, segment: Segment, src_ip: int, link_src: object) -> Generator:
-        rst = reset_for(segment, segment.dport, segment.sport)
-        if rst is None:
-            return
+    def _rx_costs(self, segment: Optional[Segment], nbytes: int) -> tuple:
+        """Reaching the device by Mach IPC, and the checksum; then TCP input."""
+        costs = self.kernel.costs
+        if segment is not None:
+            self.stats["handshake_segments"] += 1
+        return costs.registry_device_access + costs.checksum_cost(nbytes), costs.tcp_input
+
+    def _send_reset(
+        self, rst: Segment, remote_ip: int, link_dst: object, bqi: int = 0, cost: float = 0.0
+    ) -> Generator:
+        """A stray's RST, or (to the peer's ring ``bqi``, after the Mach IPC
+        ``cost`` of reaching the device) one a given-back lease's peer is owed."""
         self.stats["resets_sent"] += 1
-        payload = encode_segment(rst, self.host.ip, src_ip)
-        yield from self.host.ip_send(src_ip, PROTO_TCP, payload, link_src)
+        payload = encode_segment(rst, self.host.ip, remote_ip)
+        if cost:
+            yield self.kernel.cpu.charge(cost)
+        yield from self.host.ip_send(remote_ip, PROTO_TCP, payload, link_dst, bqi=bqi)

@@ -209,6 +209,30 @@ def test_clean_exit_does_not_reset():
     assert testbed.registry_a.stats["resets_sent"] == 0
 
 
+def test_one_exit_hook_per_owner_however_many_connections():
+    """The registry hooks an application's exit once, not once per
+    lease: 20 connect/close cycles leave both applications' exit hooks
+    where one cycle left them (the library's and the registry's)."""
+    testbed = Testbed(network="ethernet", organization="userlib", config=TcpConfig(msl=0.5))
+    apps = (testbed.app_a, testbed.app_b)
+    counts = []
+
+    def scenario():
+        listener = yield from testbed.service_b.listen(8400)
+        for _ in range(20):
+            conn_proc = testbed.spawn(testbed.service_a.connect(IP_B, 8400), name="c")
+            server_conn = yield from listener.accept()
+            client_conn = yield conn_proc
+            yield from client_conn.close()
+            yield from server_conn.close()
+            yield testbed.sim.timeout(2.0)  # Past TIME-WAIT: released.
+            counts.append([len(app._exit_hooks) for app in apps])
+
+    testbed.run(until=testbed.spawn(scenario(), name="scenario"))
+    assert counts == [[2, 2]] * 20
+    assert list(testbed.registry_a.core.leases) == []
+
+
 def test_listen_port_conflict_between_apps():
     testbed = Testbed(network="ethernet", organization="userlib")
     service_b2 = testbed.library_service("bob", "app-b2")

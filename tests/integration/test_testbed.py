@@ -7,6 +7,7 @@ network I/O module channels.
 
 import pytest
 
+from repro import netstat
 from repro.costs import DECSTATION_5000_200
 from repro.net.faults import FaultInjector
 from repro.net.headers import TCP_RST
@@ -193,6 +194,31 @@ def test_kernel_connect_to_an_unknown_station_gives_its_port_back():
     testbed.run(until=testbed.spawn(client(), name="client"))
     assert len(errors) == 1
     assert (stack.core.leases, stack.core.held(testbed.sim.now)) == ({}, {})
+
+
+@pytest.mark.parametrize("organization", ["ultrix", "userlib"])
+def test_an_aborted_connection_holds_nothing(organization):
+    """``abort()`` gives its end back with its RST; the reset end goes
+    back when it closes, the listener when it does."""
+    testbed = Testbed(network="ethernet", organization=organization, config=TcpConfig(msl=0.5))
+
+    def server():
+        listener = yield from testbed.service_b.listen(7200)
+        conn = yield from listener.accept()
+        while (yield from conn.recv(1024)):
+            pass
+        yield from conn.close()
+        listener.close()
+
+    def client():
+        conn = yield from testbed.service_a.connect(IP_B, 7200)
+        yield from conn.send(b"bye")
+        yield from conn.abort()
+
+    testbed.spawn(server(), name="server")
+    testbed.spawn(client(), name="client")
+    testbed.run(until=5.0)
+    assert [(subject, what) for subject, what, held in netstat.held(testbed) if held] == []
 
 
 def test_concurrent_connections_different_apps():

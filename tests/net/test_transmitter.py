@@ -140,6 +140,27 @@ def test_link_turn_call_gate():
     assert sum(entry.callcount for entry in profiler.getstats()) <= 18
 
 
+def test_unstaged_transmitter_puts_a_blocked_sender_on_the_wire():
+    """With no staging (``capacity=0``) and no ``pull``, a sender that
+    submits while a frame is in flight waits for the wire itself: its
+    frame follows when the turn ends, and its event fires then."""
+    sim = Simulator()
+    link = DuplexLink(sim)
+    sender, peer = Endpoint(link, sim), Endpoint(link, sim)
+    transmitter = Transmitter(link, sender)
+    first, second = eth_frame(1), eth_frame(2)
+    assert transmitter.submit(first) is None
+    admitted = transmitter.submit(second)
+    assert admitted is not None and not admitted.triggered
+    sim.run()
+    assert admitted.triggered
+    assert [frame for _, frame in peer.received] == [first, second]
+    assert peer.received[1][0] == pytest.approx(
+        2 * link.wire_time(len(first)) + link.propagation_delay
+    )
+    assert not transmitter.busy
+
+
 def test_watchers_see_flat_frame_at_the_instant_its_turn_begins():
     sim = Simulator()
     link = DuplexLink(sim)

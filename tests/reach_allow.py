@@ -27,6 +27,9 @@ ALLOWED = {
     "repro.check.golden:wire_digest": ("oracle", "reno_wire_golden.json's digest"),
     "repro.check.golden:golden_cell_key": ("oracle", "reno_wire_golden.json's cell key"),
     "repro.check.golden:digest_cell": ("oracle", "reno_wire_golden.json's cell run"),
+    "repro.check.golden:_axis.<locals>.cells": ("oracle", "test_goldens: a campaign report golden"),
+    "repro.check.golden:_grid": ("oracle", "test_goldens: the grid golden"),
+    "repro.check.golden:_examples": ("oracle", "test_goldens: the examples golden"),
     "repro.check.invariants:CheckResult.ok": ("oracle", "the checker tests' verdict"),
     "repro.counters:Counters.snapshot": ("oracle", "what the flight-recorder tests compare samples with"),
     "repro.mach.task:Task.holds": ("oracle", "the capability tests' query"),

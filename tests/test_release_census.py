@@ -6,10 +6,12 @@ takes everything back at exit.  Written once per failure site, that
 ownership leaked — a hung ``connect()``, a port reserved for good, a
 peer left ESTABLISHED to a dead application — so it is written once:
 a lease records what an operation holds, ``RegistryCore.release`` is
-the only rule that hands any of it back, and ``RegistryServer._give_back``
-the only code that applies what it hands back (DESIGN.md "Leases").
-The kernel stacks keep their PCBs in the same core, so it is every
-organization's end-point table: the one port allocator and ISS source.
+the only rule that hands any of it back, and ``KernelPath._give_back``
+the only code that applies what it hands back (DESIGN.md "Leases"),
+with one ``_hand_back`` per shell for that shell's own share.
+The kernel stacks keep their PCBs in the same core and share the
+registry's kernel-path input, so it is every organization's end-point
+table: the one port allocator and ISS source.
 A second hand-back path, a side table beside the lease (in the registry
 or in a stack), a read of a core's or the registry's private state from
 outside ``registry/``, or a tenancy refusal acted on outside
@@ -23,15 +25,27 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 REGISTRY = (SRC / "registry" / "server.py").read_text()
 CORE = (SRC / "registry" / "core.py").read_text()
+KERNEL_PATH = (SRC / "registry" / "kernelpath.py").read_text()
 NETIO = (SRC / "netio" / "module.py").read_text()
 STACK = (SRC / "org" / "monolithic.py").read_text()
 
-#: Each occurs once in the shell, inside ``_give_back``.
-HAND_BACKS = ("release_ring(", "destroy_channel(", "remove_listener(", "stop_timers(", "self._send_rst(")
+#: The kernel path's shared give-back: each occurs once in its module,
+#: inside ``_give_back``.
+HAND_BACKS = ("stop_timers(", "fail_getters(", "self._hand_back(")
+#: Each shell's own share: each occurs once in the shell, inside its
+#: ``_hand_back`` (the stack's is the reset of a connection never accepted).
+SHELL_HAND_BACKS = {
+    "registry": (
+        REGISTRY, ("release_ring(", "destroy_channel(", "remove_listener(", "self._send_reset(")
+    ),
+    "stack": (STACK, (".abort(",)),
+}
 #: The core's port namespace: call -> the lease rules that make it
 #: (``open`` frees only the port it has just taken for a four-tuple
 #: a live lease already names).
@@ -73,10 +87,30 @@ def _callers(source: str, call: str) -> set[str]:
 
 
 def test_the_registry_hands_back_through_one_function():
-    counts = {call: REGISTRY.count(call) for call in HAND_BACKS}
+    """The registry's ``_give_back`` is ``KernelPath``'s, which the
+    kernel stacks share."""
+    counts = {call: KERNEL_PATH.count(call) for call in HAND_BACKS}
     assert counts == dict.fromkeys(HAND_BACKS, 1), counts
-    callers = set().union(*(_callers(REGISTRY, call) for call in HAND_BACKS))
+    callers = set().union(*(_callers(KERNEL_PATH, call) for call in HAND_BACKS))
     assert callers == {"_give_back"}, callers
+    # Neither shell applies a shared step of its own.
+    for source in (REGISTRY, STACK):
+        assert {call: source.count(call) for call in HAND_BACKS} == dict.fromkeys(HAND_BACKS, 0)
+    # Every release, in either shell or the shared input, is applied by it.
+    for source in (REGISTRY, STACK, KERNEL_PATH):
+        calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+        applied = [call.args[0] for call in calls if ast.unparse(call.func).endswith("._give_back")]
+        released = [call for call in calls if ast.unparse(call.func).endswith("core.release")]
+        assert [ast.unparse(call) for call in released if call not in applied] == []
+
+
+@pytest.mark.parametrize("shell", SHELL_HAND_BACKS)
+def test_each_shell_has_one_hand_back_function(shell):
+    source, calls = SHELL_HAND_BACKS[shell]
+    counts = {call: source.count(call) for call in calls}
+    assert counts == dict.fromkeys(calls, 1), counts
+    callers = set().union(*(_callers(source, call) for call in calls))
+    assert callers == {"_hand_back"}, callers
 
 
 def test_the_core_moves_ports_only_in_its_lease_rules():
@@ -112,7 +146,7 @@ def test_nothing_outside_the_registry_reads_its_private_state():
 
 
 def test_the_registry_keeps_no_side_table_and_unwinds_no_refusal_by_hand():
-    assert [name for name in GONE if name in REGISTRY + CORE + STACK] == []
+    assert [name for name in GONE if name in REGISTRY + CORE + KERNEL_PATH + STACK] == []
     caught = [
         ast.unparse(handler.type)
         for handler in ast.walk(ast.parse(REGISTRY))

@@ -5,7 +5,7 @@ nowhere else: the TCB counts in plain integers, so the stack compares
 with ``<`` and adds with ``+``, and wraparound is not a code path
 through every comparison.  The circle is met where a segment arrives
 (``unwrap``) and where one is built (``TcpMachine._emit`` masks; the
-registry hands ``_send_rst`` a wire value) — DESIGN.md "Sequence
+registry builds its owed RST from a wire value) — DESIGN.md "Sequence
 space".  A modular helper creeping back into the stack, or a mask
 applied anywhere else, fails this test until it is listed with its
 reason; the helpers themselves live on as a test oracle

@@ -104,11 +104,17 @@ class Task:
         # Threads that ended cleanly are forgotten here, so a long-lived
         # task holds its live threads and the ones that died of an
         # exception — never its history.  A thread's ``callbacks`` go
-        # None once it has ended and its end has been processed.
-        self.threads = [
-            thread for thread in self.threads
-            if thread.callbacks is not None or not thread.ok
-        ] + [process]
+        # None once it has ended and its end has been processed; the
+        # list is rebuilt only when the scan meets such a thread.
+        threads = self.threads
+        for thread in threads:
+            if thread.callbacks is None:
+                threads = self.threads = [
+                    thread for thread in threads
+                    if thread.callbacks is not None or not thread.ok
+                ]
+                break
+        threads += (process,)  # In place; ``append`` would be one more call.
         return process
 
     def on_exit(self, hook: Callable[["Task"], None]) -> None:

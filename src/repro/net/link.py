@@ -97,7 +97,7 @@ class Link:
 
     def receivers(self, sender: "Nic", frame: bytes) -> list["Nic"]:
         """The attached NICs, other than ``sender``, whose address
-        filter accepts the flat ``frame``."""
+        filter accepts the flat ``frame`` (a planned copy)."""
         return [nic for nic in self._peers[sender] if nic.accepts(frame)]
 
     def _deliver_later(self, sender: "Nic", frame: bytes, obs) -> None:
@@ -105,19 +105,20 @@ class Link:
         shown to the link's watchers and to ``obs``, the plane's session
         (or ``None``).  A quiet link never comes here
         (:meth:`Transmitter._turn_over`)."""
-        receivers = self.receivers(sender, frame)
         plan = self.faults.plan(frame)
         for watcher in self.watchers:
             watcher.planned(frame, plan)
         if obs is not None:
             obs.wire(frame, plan, self.sim.now, type(self).__name__)
-        if not receivers and (self.watchers or not self.faults.inert):
-            # Every copy is lost to the address filters (a frame for a
-            # station not on the segment).  A quiet link, planned only
-            # for the obs plane, does not count this: there such a copy
-            # is a learning switch's flood.
-            self.stats["unaddressed"] += len(plan.deliveries)
+        counted = self.watchers or not self.faults.inert
         for extra_delay, data in plan.deliveries:
+            # Filtered as planned: a copy whose destination the injector
+            # corrupted reaches whoever it now names, if anyone.  A quiet
+            # link, planned only for the obs plane, does not count one
+            # that reaches nobody: there it is a learning switch's flood.
+            receivers = self.receivers(sender, data)
+            if not receivers and counted:
+                self.stats["unaddressed"] += 1
             for nic in receivers:
                 self.sim.call_later(
                     self.propagation_delay + extra_delay, partial(nic.wire_deliver, data)

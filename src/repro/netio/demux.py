@@ -204,6 +204,14 @@ class FlowTable:
             self._wildcard.pop((key.proto, key.local_port), None)
         self._memo_key = None
 
+    def listener_ports(self, owner: object) -> list[int]:
+        """The ports of the listeners (wildcard flows to the kernel)
+        attributed to ``owner``."""
+        return [
+            port for (_, port), entry in self._wildcard.items()
+            if entry.target is KERNEL_FLOW and entry.owner == owner
+        ]
+
     def wildcard_target(
         self, proto: int, local_port: int, local_ip: int = 0
     ) -> object:

@@ -188,22 +188,22 @@ class NetworkIoModule:
             region.tenant_id = tenant.tenant_id
         return region
 
-    def holdings(self, tenant_id: Optional[str] = None) -> tuple[int, int, int]:
+    def holdings(self, tenant_id: Optional[str] = None) -> tuple[int, int]:
         """What this module holds for ``tenant_id`` (for everyone when
-        None), read off its own tables: the channels, their region
-        bytes, and the buffers of the regions it installed under BQIs.  This is
+        None), read off its own tables: the channels, and the bytes of
+        the distinct regions held — the channels' regions and the rings
+        installed under BQIs that no channel has adopted yet.  This is
         the only account of who holds what; a tenant's usage is its sum
         over the modules it shares."""
         channels = [
             c for c in self.channels if tenant_id is None or c.tenant_id == tenant_id
         ]
-        regions = self.nic.bqi_table.values() if self.is_an1 else ()
-        buffers = sum(
-            region.capacity
-            for region in regions
-            if region.bqi and (tenant_id is None or region.tenant_id == tenant_id)
+        # A ring is adopted exactly when a channel owns it (BQI 0 is the kernel's).
+        rings = sum(
+            r.size for r in (self.nic.bqi_table.values() if self.is_an1 else ())
+            if r.bqi and r.owner is None and (tenant_id is None or r.tenant_id == tenant_id)
         )
-        return len(channels), sum(c.region.size for c in channels), buffers
+        return len(channels), sum(c.region.size for c in channels) + rings
 
     # ------------------------------------------------------------------
     # Channel setup (privileged)
@@ -243,14 +243,14 @@ class NetworkIoModule:
 
         # Tenancy admission: template and flow key vetted against the
         # owner's grant, quotas checked — all before any resource is
-        # built, so a refusal allocates nothing.
+        # built, so a refusal allocates nothing.  An adopted ring's
+        # bytes were counted when it was allocated.
         region = SharedRegion(self.RING_BUFFERS) if ring is None else ring
-        ring_buffers = region.capacity if self.is_an1 and ring is None else 0
 
         def vet(tenant) -> None:
-            tenant.check_template(template)
-            tenant.check_flow_key(flow_key)
-            tenant.precheck_channel(region.size, ring_buffers)
+            tenant.check_template(template, self)
+            tenant.check_flow_key(flow_key, self)
+            tenant.precheck_channel(0 if ring is not None else region.size)
 
         tenant = self._admit(owner, "admission_refused", vet)
         # Physical pool admission is unconditional: memory is memory.
@@ -319,8 +319,6 @@ class NetworkIoModule:
         self.channels.append(channel)
         if tenant is not None:
             tenant.note_peaks()
-            tenant.counters["channels_created"] += 1
-            tenant.note_bound(local_port)
         return channel
 
     def destroy_channel(self, caller: Task, channel: Channel) -> None:
@@ -344,10 +342,6 @@ class NetworkIoModule:
             channel.flow_key = None
         self._drop_ring(channel.region)
         self._release_region(channel.region.size)
-        if self.tenants is not None and channel.tenant_id is not None:
-            tenant = self.tenants.get(channel.tenant_id)
-            if tenant is not None:
-                tenant.counters["channels_destroyed"] += 1
         channel.close()
 
     def install_listener(
@@ -378,8 +372,6 @@ class NetworkIoModule:
             KERNEL_FLOW,
             owner=tenant.tenant_id if tenant is not None else None,
         )
-        if tenant is not None:
-            tenant.note_bound(local_port)
 
     def remove_listener(
         self, caller: Task, proto: int, local_port: int, local_ip: int = 0
@@ -395,16 +387,17 @@ class NetworkIoModule:
         The registry needs the index *before* sending the SYN so the
         remote side can be told which BQI to use; the region is later
         adopted by the channel at create_channel(ring=...).  ``owner``
-        attributes it to a tenant, whose BQI-buffer quota counts it
-        immediately (not at bind time: the scarce resource is the
-        hardware index, held from this moment on).
+        attributes it to a tenant, whose region quota counts it
+        immediately (not at bind time: the memory and the hardware index
+        are held from this moment on) and once: the channel asks for no
+        more.
         """
         if not caller.privileged:
             raise SecurityViolation("only the registry may allocate rings")
         if not self.is_an1:
             return None
         tenant = self._admit(
-            owner, "ring_refused", lambda t: t.admit_ring(self.RING_BUFFERS)
+            owner, "ring_refused", lambda t: t.admit_region(self.DEFAULT_REGION_SIZE)
         )
         ring = self._allocate_bqi(SharedRegion(self.RING_BUFFERS), tenant)
         if tenant is not None:
@@ -747,7 +740,7 @@ class NetworkIoModule:
                 ] += 1
                 if manager.enforcing:
                     self.stats["rx_refused"] += 1
-                    flow_tenant = manager.get(channel.tenant_id)
+                    flow_tenant = manager.tenants.get(channel.tenant_id)
                     if flow_tenant is not None:
                         flow_tenant.counters["rx_dropped"] += 1
                     if placed:

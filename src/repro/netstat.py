@@ -126,8 +126,7 @@ def held(testbed, tenant: Optional[str] = None):
     each kernel stack's core, the connections granted to each library,
     and each network I/O module's channels, flows, wired bytes and BQIs.
     With ``tenant`` (an id) it yields only what the modules' tables
-    attribute to that tenant: its channels, region bytes and ring
-    buffers on each host.
+    attribute to that tenant: its channels and region bytes on each host.
     """
     now = testbed.sim.now
     if tenant is None:
@@ -149,11 +148,10 @@ def held(testbed, tenant: Optional[str] = None):
                 yield service.host.name, "library connections", sorted(granted)
     for host in testbed.hosts:
         netio = host.netio
-        channels, region_bytes, ring_buffers = netio.holdings(tenant)
+        channels, region_bytes = netio.holdings(tenant)
         yield host.name, "channels", channels
         if tenant is not None:
             yield host.name, "region bytes", region_bytes
-            yield host.name, "ring buffers", ring_buffers
             continue
         yield host.name, "flows", netio.flow_table.exact_count + netio.flow_table.wildcard_count
         yield host.name, "wired bytes", netio.region_pool_used
@@ -548,8 +546,6 @@ class TenantEntry:
     channels: int
     region_used: int
     region_quota: int
-    bqi_used: int
-    bqi_quota: int
     tx_bytes: int
     rx_bytes: int
     throttles: int
@@ -560,7 +556,6 @@ class TenantEntry:
         return (
             f"{self.tenant:10s} chan={self.channels:<3d}"
             f" region={self.region_used}/{self.region_quota}"
-            f" bqi={self.bqi_used}/{self.bqi_quota}"
             f" tx={self.tx_bytes:<9d} rx={self.rx_bytes:<9d}"
             f" throttle={self.throttles:<5d} reject={self.rejections:<4d}"
             f" drop={self.drops}"
@@ -578,15 +573,13 @@ def tenant_table(testbed, tenant: Optional[str] = None) -> list[TenantEntry]:
         if tenant is not None and t.tenant_id != tenant:
             continue
         counters = t.counters
-        channels, region_used, bqi_used = t.usage()
+        channels, region_used = t.usage()
         entries.append(
             TenantEntry(
                 tenant=t.tenant_id,
                 channels=channels,
                 region_used=region_used,
                 region_quota=t.budget.region_bytes,
-                bqi_used=bqi_used,
-                bqi_quota=t.budget.bqi_buffers,
                 tx_bytes=counters["tx_bytes"],
                 rx_bytes=counters["rx_bytes"],
                 throttles=counters["throttle_events"],

@@ -68,6 +68,8 @@ class Lease:
     remote_port: int = 0
     #: False for a passive open: the port is its listener's.
     holds_port: bool = True
+    #: The registry allocated ``local_port``: the caller named none.
+    minted: bool = False
     link_dst: object = None
     #: The peer registry's ring, read off the link header of a segment
     #: that reached this lease (AN1 BQI exchange).
@@ -177,6 +179,7 @@ class RegistryCore:
                 self.reserve(local_port, owner.name, now)
             else:
                 local_port = self.allocate(owner.name, now)
+                fields["minted"] = True
             if (local_port, remote_ip, remote_port) in self.leases:
                 # A passive open's connection, on a port its listener gave up.
                 self.free(local_port, now, linger=False)

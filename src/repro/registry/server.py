@@ -112,9 +112,6 @@ class RegistryServer(KernelPath):
         lease = self.core.open(
             owner, self.sim.active_process, self.sim.now, local_port, *addressing, **fields
         )
-        tenant = not local_port and self.tenants and self.tenants.tenant_of(owner)
-        if tenant:
-            tenant.grant_ephemeral(lease.local_port)  # Minted here.
         owner.on_exit(self._owner_exited)
         return lease
 

@@ -58,14 +58,12 @@ ADVERSARIES = ("none", "forger", "flooder", "leaker", "hoarder")
 #: The victim may use ports 4000-5999; the adversary 7000-7999.
 VICTIM_BUDGET = TenantBudget(
     region_bytes=1 << 20,
-    bqi_buffers=256,
     max_channels=16,
     tx_rate=0.0,
     ports=PortGrant.of((4000, 5999)),
 )
 ADVERSARY_BUDGET = TenantBudget(
     region_bytes=64 * 1024,  # exactly one channel's region
-    bqi_buffers=64,
     max_channels=4,
     tx_rate=30_000.0,  # ~2.4% of the 10 Mb/s shared link
     tx_burst=8 * 1024,
@@ -300,13 +298,13 @@ def run_cell(spec: IsolationSpec, keep_evidence: bool = False) -> IsolationCell:
 
     snapshots = []
     for tenant in sorted(manager, key=lambda t: t.tenant_id):
+        ports = tuple(tenant.held_ports())  # While the leases live.
         tenant.teardown()
         snapshots.append(
             TenantSnapshot(
                 tenant_id=tenant.tenant_id,
                 budget=tenant.budget,
-                ephemeral_ports=frozenset(tenant._ephemeral_ports),
-                bound_ports=tuple(tenant.bound_ports),
+                ports=ports,
                 counters=dict(tenant.counters),
                 leaks={
                     f"{subject} {what}": holding

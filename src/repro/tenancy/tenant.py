@@ -6,8 +6,8 @@ server and the network I/O module) on behalf of untrusted libraries.
 This module turns that boundary into real multi-tenancy: a
 :class:`Tenant` is a principal owning tasks; a :class:`TenantBudget`
 caps what the trusted layers will allocate or transmit on its behalf —
-shared-region bytes, BQI ring buffers, a channel count, a token-bucket
-transmit rate, and a port grant set.
+shared-region bytes (an AN1 BQI ring *is* a region), a channel count, a
+token-bucket transmit rate, and a port grant set.
 
 Enforcement lives in the trusted layers, never in library code:
 
@@ -18,7 +18,8 @@ Enforcement lives in the trusted layers, never in library code:
   and refuses delivery into a channel whose owning task no longer
   belongs to the tenant the flow was installed for;
 * the registry server refuses ``listen``/``bind``/``connect`` on ports
-  outside the caller's grant;
+  outside the caller's grant; a port its allocator minted passes the
+  module's vetting only while the lease it was minted for lives;
 * the flow table's wildcard tier records an owner so an out-of-grant
   wildcard listen is rejected instead of shadowing another tenant's
   exact-match flows.
@@ -88,9 +89,7 @@ class TokenBucket:
         if self.rate <= 0:
             return 0.0
         if now > self.stamp:
-            self.tokens = min(
-                self.burst, self.tokens + (now - self.stamp) * self.rate
-            )
+            self.tokens = min(self.burst, self.tokens + (now - self.stamp) * self.rate)
             self.stamp = now
         needed = min(float(nbytes), self.burst)
         if self.tokens >= needed:
@@ -101,12 +100,13 @@ class TokenBucket:
 
 @dataclass(frozen=True)
 class PortGrant:
-    """The set of ports a tenant may explicitly bind or listen on.
+    """The set of ports a tenant may explicitly bind, listen or connect
+    from.
 
     A tuple of inclusive ``(lo, hi)`` ranges; the empty tuple grants
-    nothing.  Ephemeral ports handed out by the registry's own
-    allocator are always permitted — the trusted allocator mints them,
-    so no forgery is possible.
+    nothing.  A port the registry's own allocator minted is not in the
+    grant: it is the tenant's only while the lease it was minted for
+    lives (:meth:`Tenant.minted`).
     """
 
     ranges: tuple = ()
@@ -142,10 +142,9 @@ class PortGrant:
 class TenantBudget:
     """Everything the trusted layers will spend for one tenant."""
 
-    #: Shared packet-buffer region quota (bytes of wired memory).
+    #: Shared packet-buffer region quota (bytes of wired memory): the
+    #: channels' regions and the AN1 rings not yet adopted by one.
     region_bytes: int = 1 << 20
-    #: AN1 BQI ring buffer quota (buffers across all rings).
-    bqi_buffers: int = 256
     #: Every channel carries exactly one send template, so this caps
     #: templates too.
     max_channels: int = 32
@@ -159,36 +158,53 @@ class TenantBudget:
 class Tenant:
     """One principal: its budget, its tasks and its audit counters.
 
-    What it holds is not kept here: :meth:`usage` sums the tables of
-    the network I/O modules it shares (``modules``, which
+    What it holds is not kept here: :meth:`usage` and
+    :meth:`held_ports` read the tables of the network I/O modules it
+    shares, and :meth:`minted` the live leases of each module's host
+    registry (``modules``, and ``registries`` keyed by module, which
     :func:`attach_tenancy` fills)."""
 
     def __init__(
-        self, tenant_id: str, budget: Optional[TenantBudget] = None, modules=()
+        self, tenant_id: str, budget: Optional[TenantBudget] = None, modules=(), registries=None
     ) -> None:
         self.tenant_id = tenant_id
         self.budget = budget or TenantBudget()
         self.bucket = TokenBucket(self.budget.tx_rate, self.budget.tx_burst)
         self.counters = Counters()
         self.modules = modules
-        #: Ports this tenant successfully bound/listened (evidence for
-        #: the grant-respected invariant; recorded even when enforcement
-        #: is off so a sabotaged stack leaves a judgeable trail).
-        self.bound_ports: list = []
-        #: Ephemeral ports the trusted registry minted for this tenant:
-        #: implicitly granted, since no forgery is possible.
-        self._ephemeral_ports: set = set()
+        self.registries = {} if registries is None else registries
         self.tasks: list = []
 
     def __repr__(self) -> str:
         return f"<Tenant {self.tenant_id} holds={self.usage()}>"
 
-    def usage(self) -> tuple[int, int, int]:
-        """Channels, region bytes and ring buffers the modules' tables
-        attribute to this tenant (see
-        :meth:`~repro.netio.module.NetworkIoModule.holdings`)."""
+    def usage(self) -> tuple[int, int]:
+        """Channels and region bytes the modules' tables attribute to this
+        tenant (:meth:`~repro.netio.module.NetworkIoModule.holdings`)."""
         rows = [module.holdings(self.tenant_id) for module in self.modules]
-        return tuple(sum(column) for column in zip((0, 0, 0), *rows))
+        return tuple(sum(column) for column in zip((0, 0), *rows))
+
+    def minted(self, port: int, module) -> bool:
+        """Whether a live lease the registry on ``module``'s host minted
+        ``port`` for (the caller named none) holds it for one of this
+        tenant's tasks: a minted port is granted on its own host only."""
+        registry = self.registries.get(module)
+        return registry is not None and any(
+            lease.minted and lease.local_port == port and lease.owner in self.tasks
+            for lease in registry.core.leases.values()
+        )
+
+    def held_ports(self) -> list[tuple[int, bool]]:
+        """``(port, minted)`` for each channel, then each listener flow,
+        the modules' tables attribute to this tenant: the evidence the
+        grants invariant judges, read while the leases live."""
+        mine = self.tenant_id
+        return [
+            (port, self.minted(port, module))
+            for module in self.modules
+            for port in [c.flow_key.local_port for c in module.channels if c.tenant_id == mine]
+            + module.flow_table.listener_ports(mine)
+        ]
 
     # ------------------------------------------------------------------
     # Admission (called by the trusted layers; raise to refuse)
@@ -200,23 +216,23 @@ class Tenant:
         raise exc_type(f"tenant {self.tenant_id}: {detail}")
 
     def check_port(self, port: int) -> None:
-        """An explicit bind/listen/reserve must be inside the grant (or
-        a port the registry's trusted allocator already minted)."""
-        if not self._granted(port):
+        """An explicit bind/listen/connect port must be inside the grant:
+        a port the caller names was never minted for it."""
+        if not self.budget.ports.allows(port):
             self._refuse(
                 GrantViolation,
                 "out_of_grant_binds",
                 f"port {port} outside grant {self.budget.ports}",
             )
 
-    def check_template(self, template) -> None:
-        """Registration-time template vetting.
+    def check_template(self, template, module) -> None:
+        """Registration-time template vetting on ``module``.
 
         A send template must pin the IP source address (offset 12) and
         the transport source port (first two bytes at the IP payload),
-        and the pinned port must be inside the grant — otherwise the
-        capability would let the holder impersonate out-of-grant
-        endpoints.
+        and the pinned port must be inside the grant, or minted for the
+        tenant on ``module``'s host — otherwise the capability would let
+        the holder impersonate out-of-grant endpoints.
         """
         pins_src = False
         local_port = None
@@ -232,7 +248,7 @@ class Tenant:
                 f"template {template.name!r} does not pin source "
                 "address and port",
             )
-        if not self._granted(local_port):
+        if not self._granted(local_port, module):
             self._refuse(
                 GrantViolation,
                 "forged_templates",
@@ -240,45 +256,38 @@ class Tenant:
                 f"{local_port}",
             )
 
-    def check_flow_key(self, flow_key) -> None:
-        if not self._granted(flow_key.local_port):
+    def check_flow_key(self, flow_key, module) -> None:
+        if not self._granted(flow_key.local_port, module):
             self._refuse(
                 GrantViolation,
                 "out_of_grant_flows",
                 f"flow {flow_key} outside grant {self.budget.ports}",
             )
 
-    def _granted(self, port: int) -> bool:
-        return port in self._ephemeral_ports or self.budget.ports.allows(port)
+    def _granted(self, port: int, module) -> bool:
+        return self.budget.ports.allows(port) or self.minted(port, module)
 
-    def grant_ephemeral(self, port: int) -> None:
-        self._ephemeral_ports.add(port)
-
-    def precheck_channel(self, region_bytes: int, ring_buffers: int = 0) -> None:
-        """Admission check for one more channel (and its ring)."""
-        channels, region_used, _ = self.usage()
-        if channels + 1 > self.budget.max_channels:
+    def precheck_channel(self, region_bytes: int) -> None:
+        """Admission check for one more channel and ``region_bytes``
+        more of region (0 for a ring it adopts, already counted)."""
+        if self.usage()[0] + 1 > self.budget.max_channels:
             self._refuse(
                 QuotaExceeded,
                 "quota_channels",
                 f"channel cap {self.budget.max_channels} reached",
             )
+        self.admit_region(region_bytes)
+
+    def admit_region(self, region_bytes: int) -> None:
+        """Admission check for ``region_bytes`` more of region: a
+        channel's, or a ring installed before its handshake."""
+        region_used = self.usage()[1]
         if region_used + region_bytes > self.budget.region_bytes:
             self._refuse(
                 QuotaExceeded,
                 "quota_region",
                 f"region quota {self.budget.region_bytes}B exhausted "
                 f"({region_used}B used, {region_bytes}B asked)",
-            )
-        if ring_buffers:
-            self.admit_ring(ring_buffers)
-
-    def admit_ring(self, buffers: int) -> None:
-        if self.usage()[2] + buffers > self.budget.bqi_buffers:
-            self._refuse(
-                QuotaExceeded,
-                "quota_bqi",
-                f"BQI buffer quota {self.budget.bqi_buffers} exhausted",
             )
 
     def admit_tx(self, nbytes: int, now: float) -> float:
@@ -295,15 +304,12 @@ class Tenant:
         self.counters["rx_bytes"] += nbytes
         self.counters["rx_frames"] += 1
 
-    def note_bound(self, port: int) -> None:
-        self.bound_ports.append(port)
-
     def note_peaks(self) -> None:
         """Raise the peak counters to the current usage (the module
         calls this once a channel or a ring exists)."""
         counters = self.counters
         for name, held in zip(
-            ("peak_channels", "peak_region_bytes", "peak_bqi_buffers"), self.usage()
+            ("peak_channels", "peak_region_bytes"), self.usage()
         ):
             if held > counters[name]:
                 counters[name] = held
@@ -351,13 +357,16 @@ class TenantManager:
         #: The network I/O modules this manager is wired into: every
         #: tenant's usage is summed over their tables.
         self.modules: list = []
+        #: Each module's host registry, whose live leases say which of
+        #: the host's ports were minted.
+        self.registries: dict = {}
 
     def create_tenant(
         self, tenant_id: str, budget: Optional[TenantBudget] = None
     ) -> Tenant:
         if tenant_id in self.tenants:
             raise ValueError(f"tenant {tenant_id!r} already exists")
-        tenant = Tenant(tenant_id, budget, self.modules)
+        tenant = Tenant(tenant_id, budget, self.modules, self.registries)
         self.tenants[tenant_id] = tenant
         return tenant
 
@@ -368,9 +377,6 @@ class TenantManager:
 
     def tenant_of(self, task) -> Optional[Tenant]:
         return self._task_tenant.get(task)
-
-    def get(self, tenant_id) -> Optional[Tenant]:
-        return self.tenants.get(tenant_id)
 
     def __iter__(self):
         return iter(self.tenants.values())
@@ -406,5 +412,6 @@ def attach_tenancy(bed, enforcing: bool = True) -> TenantManager:
         manager.modules.append(host.netio)
     for registry in getattr(bed, "registries", []):
         registry.tenants = manager
+        manager.registries[registry.host.netio] = registry
     bed.tenants = manager
     return manager

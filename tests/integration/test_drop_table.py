@@ -27,8 +27,21 @@ class CorruptFirstData(FaultInjector):
             return FaultPlan(deliveries=((0.0, data),))
         self.fired = True
         self.stats["corrupted"] += 1
-        damaged = data[:-1] + bytes([data[-1] ^ 1])
-        return FaultPlan(deliveries=((0.0, damaged),), corrupted=True)
+        return FaultPlan(deliveries=((0.0, self.damage(data)),), corrupted=True)
+
+    @staticmethod
+    def damage(data: bytes) -> bytes:
+        return data[:-1] + bytes([data[-1] ^ 1])
+
+
+class MisaddressFirstData(CorruptFirstData):
+    """Flips one bit of the destination station (the frame's second
+    octet, on both networks) instead: the copy names nobody on the
+    segment."""
+
+    @staticmethod
+    def damage(data: bytes) -> bytes:
+        return data[:1] + bytes([data[1] ^ 1]) + data[2:]
 
 
 def _transfer(bed, payload=bytes(range(256)) * 4):
@@ -71,6 +84,19 @@ def test_a_frame_no_nic_accepts_is_one_row_on_the_link(network):
         yield bed.sim.timeout(0.01)
 
     bed.run(until=bed.spawn(send(), name="send"))
+    assert bed.link.stats["unaddressed"] == 1
+    assert netstat.drop_table(bed) == [netstat.DropEntry("link0", "address", 1)]
+
+
+@pytest.mark.parametrize("network", ["ethernet", "an1"])
+def test_a_copy_whose_destination_was_flipped_is_one_row_on_the_link(network):
+    """The link filters the copy the injector planned, not the frame as
+    sent: a flipped destination bit loses the copy to the address
+    filters, and retransmission repairs the transfer."""
+    faults = MisaddressFirstData()
+    bed = Testbed(network=network, organization="userlib", faults=faults)
+    _transfer(bed)
+    assert faults.fired
     assert bed.link.stats["unaddressed"] == 1
     assert netstat.drop_table(bed) == [netstat.DropEntry("link0", "address", 1)]
 

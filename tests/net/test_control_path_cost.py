@@ -54,13 +54,15 @@ def churn(bed: Testbed, cycles: int) -> None:
 
 
 @pytest.mark.parametrize(
-    "network, ceiling", [("ethernet", 2855), ("an1", 2845)], ids=["ethernet", "an1"]
+    "network, ceiling", [("ethernet", 2610), ("an1", 2546)], ids=["ethernet", "an1"]
 )
 def test_connect_send_close_cycle_call_gate(network, ceiling):
     """One steady-state cycle (the first primed ARP and the listener),
-    in profiled calls: 2850 on Ethernet and 2841 on AN1.
+    in profiled calls: 2602 on Ethernet and 2538 on AN1.
 
-    History: 3302 and 3345 while every set-up charge went through the
+    History: 2607 and 2543 under ceilings of 2855 and 2845 (set at 2850
+    and 2841), while every ``Task.spawn`` rebuilt its task's thread
+    list in a comprehension; 3302 and 3345 while every set-up charge went through the
     ``CPU.consume`` generator, Mach IPC checked rights through a
     property and a method per right, ``Kernel.fast_trap`` was a
     generator, and a send template was a loop over its constraints;

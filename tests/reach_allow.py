@@ -86,8 +86,6 @@ ALLOWED = {
         "tested-only", "tests/integration/test_testbed.py::test_icmp_ping_works_alongside_tcp[userlib]"),
     "repro.trace:WireTrace._decode_icmp": (
         "tested-only", "tests/integration/test_trace.py::test_trace_decodes_icmp_echo"),
-    "repro.tenancy.tenant:Tenant.admit_ring": (
-        "tested-only", "tests/tenancy/test_enforcement.py::test_an1_channel_charges_and_releases_bqi"),
     # -- tested-only: safety paths (refusals, and the report of a violation)
     "repro.net.headers:_refused": (
         "tested-only", "tests/protocols/test_headers.py::test_ipv4_field_validation"),

@@ -3,6 +3,7 @@ trusted layers when enforcement is on, and leaves evidence the
 isolation invariants convict on when it is off."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.check.campaign import replay_cell
 from repro.tenancy.campaign import ISOLATION, IsolationSpec, run_cell
 from repro.testbed import Testbed
 
+REGION = NetworkIoModule.DEFAULT_REGION_SIZE
 IP_1 = 0x0A000001
 IP_2 = 0x0A000002
 MAC_A = str_to_mac("02:00:00:00:00:01")
@@ -60,7 +62,7 @@ class TwoTenantWorld:
         self.mallory = self.manager.create_tenant(
             "mallory",
             TenantBudget(
-                bqi_buffers=64,
+                region_bytes=2 * REGION,
                 tx_rate=1000.0,
                 tx_burst=2000,
                 ports=PortGrant.of((7000, 7999)),
@@ -240,7 +242,7 @@ def test_bind_into_other_tenants_grant_refused():
     bed.run(until=1.0)
     assert outcome == {"bound": False, "own": True}
     assert beta.counters["out_of_grant_binds"] == 1
-    assert beta.bound_ports == [7500]
+    assert beta.held_ports() == [(7500, False)]
     assert manager.audit["bind_refused"] == 1
 
 
@@ -254,7 +256,7 @@ def test_bqi_exhaustion_contained_by_quota():
     results = {"mallory": [], "victim": []}
 
     def hoard():
-        # Mallory's 64-buffer quota admits exactly two 32-buffer rings;
+        # Mallory's two-region quota admits exactly two rings;
         # attempts three..six must be refused however fast they arrive.
         for _ in range(6):
             try:
@@ -280,12 +282,13 @@ def test_bqi_exhaustion_contained_by_quota():
     mallory_rings = [r for r in results["mallory"] if r is not None]
     assert len(mallory_rings) == 2
     assert results["mallory"].count(None) == 4
-    assert world.mallory.usage()[2] == 64
+    assert world.mallory.usage() == (0, 2 * REGION)
     assert world.mallory.counters["rejections"] == 4
+    assert world.mallory.counters["quota_region"] == 4
     assert len(results["victim"]) == 1 and results["victim"][0] is not None
     # Release restores capacity for the refused tenant.
     world.io.release_ring(world.registry, mallory_rings[0])
-    assert world.mallory.usage()[2] == 32
+    assert world.mallory.usage() == (0, REGION)
     ring = world.io.allocate_ring(world.registry, owner=world.mallory_app)
     assert ring is not None
 
@@ -314,3 +317,50 @@ def test_sabotaged_adversary_is_caught(adversary):
     # conviction back.
     recorded = json.loads(json.dumps(cell.as_dict()))
     assert replay_cell(ISOLATION, recorded).as_dict() == recorded
+
+
+#: The quick grid's solo baseline, as its golden records it.
+QUICK_SOLO = json.loads(
+    (Path(__file__).parents[1] / "protocols/data/isolation_golden.json").read_text()
+)["cells"]["forger/enforced"]["solo_goodput"]
+
+#: The verdicts of the two sabotaged cells the quick grid leaves out.
+SABOTAGED_VERDICTS = {
+    "forger": {
+        "tenant-isolation": [],
+        "tenant-goodput": [
+            "[tenant-goodput] t=3000.000ms victim=victim adversary=forger: goodput"
+            " 0 B/s below 541198 B/s (90% of solo baseline 601331 B/s)"
+        ],
+        "tenant-grants": [
+            f"[tenant-grants] t=0.000ms tenant=mallory: bound port {port} outside"
+            " grant ((7000, 7999),) (and not ephemeral)"
+            for port in (4400, 4600, 4700)
+        ],
+        "tenant-conservation": [
+            "[tenant-conservation] t=3000.000ms tenant=mallory: peak region"
+            " attribution 196608B exceeds quota 65536B"
+        ],
+    },
+    "hoarder": {
+        "tenant-isolation": [],
+        "tenant-goodput": [
+            "[tenant-goodput] t=3000.000ms victim=victim adversary=hoarder: goodput"
+            " 0 B/s below 541198 B/s (90% of solo baseline 601331 B/s)"
+        ],
+        "tenant-grants": [],
+        "tenant-conservation": [
+            "[tenant-conservation] t=3000.000ms tenant=mallory: peak region"
+            " attribution 196608B exceeds quota 65536B"
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("adversary", sorted(SABOTAGED_VERDICTS))
+def test_sabotaged_verdicts_outside_the_quick_grid(adversary):
+    """``--quick`` sabotages only the flooder and the leaker: these pin
+    the other two convictions, ``tenant-grants`` among them."""
+    cell = run_cell(IsolationSpec(adversary, False, 3.0, QUICK_SOLO))
+    assert cell.as_dict()["checks"] == SABOTAGED_VERDICTS[adversary]
+    assert not cell.ok and cell.passed

@@ -87,7 +87,7 @@ def test_quota_refusal_allocates_nothing():
         world.create_channel(port=4001)
     assert len(world.io.channels) == 1
     assert world.io.region_pool_used == REGION
-    assert world.tenant.usage() == (1, REGION, 0)
+    assert world.tenant.usage() == (1, REGION)
     assert world.tenant.counters["rejections"] == 1
     assert world.manager.audit["admission_refused"] == 1
 
@@ -108,11 +108,11 @@ def test_destroy_channel_releases_everything():
     world = World()
     world.io.region_pool_bytes = 128 * 1024
     channel = world.create_channel()
-    assert world.tenant.usage() == (1, 64 * 1024, 0)
+    assert world.tenant.usage() == (1, 64 * 1024)
     assert world.io.region_pool_used == 64 * 1024
     world.io.destroy_channel(world.app, channel)
     world.io.destroy_channel(world.app, channel)  # Idempotent.
-    assert world.tenant.usage() == (0, 0, 0)
+    assert world.tenant.usage() == (0, 0)
     assert world.io.region_pool_used == 0
 
 
@@ -121,9 +121,10 @@ def test_an1_channel_charges_and_releases_bqi():
     channel = world.create_channel()
     region = channel.region
     assert world.nic.bqi_table[region.bqi] is region
-    assert world.tenant.usage() == (1, 64 * 1024, region.capacity)
+    # The ring is the region: its bytes are counted once.
+    assert world.tenant.usage() == (1, region.size) == (1, 64 * 1024)
     world.io.destroy_channel(world.app, channel)
-    assert world.tenant.usage() == (0, 0, 0)
+    assert world.tenant.usage() == (0, 0)
     assert region.bqi not in world.nic.bqi_table
 
 
@@ -133,7 +134,7 @@ def test_teardown_sweeps_channels_through_module():
     world.create_channel(port=4001)
     assert world.tenant.usage()[0] == 2
     world.tenant.teardown()
-    assert world.tenant.usage() == (0, 0, 0)
+    assert world.tenant.usage() == (0, 0)
     assert len(world.io.channels) == 0
     assert world.io.region_pool_used == 0
 
@@ -233,7 +234,112 @@ def test_udp_bind_respects_grant_and_teardown_is_clean():
     bed.spawn(scenario())
     bed.run(until=1.0)
     assert state["ep"].channel in bed.host_a.netio.channels
-    assert alpha.bound_ports == [4500]
+    assert alpha.held_ports() == [(4500, False)]
     alpha.teardown()
     assert leaks(bed, "alpha") == {}
     assert bed.host_a.netio.region_pool_used == 0
+
+
+# ----------------------------------------------------------------------
+# What a tenant holds is read off the live tables
+# ----------------------------------------------------------------------
+
+
+def test_a_minted_port_is_not_granted_once_its_lease_is_gone():
+    """A port the registry minted for a connect passes vetting only while
+    that connection's lease lives: after close and linger, an explicit
+    listen on it is an out-of-grant listen like any other."""
+    bed, manager, alpha = tenanted_bed()
+    state = {}
+
+    def server():
+        listener = yield from bed.service_b.listen(4000)
+        conn = yield from listener.accept()
+        yield from conn.close()
+
+    def client():
+        conn = yield from bed.service_a.connect(IP_B, 4000)
+        state["minted"] = conn.local_port
+        yield from conn.close()
+        yield bed.sim.timeout(200.0)  # Past TIME-WAIT and the port's linger.
+        try:
+            yield from bed.service_a.listen(conn.local_port)
+            state["listened"] = True
+        except OSError as exc:
+            state["refused"] = str(exc)
+
+    bed.spawn(server())
+    bed.spawn(client())
+    bed.run(until=300.0)
+    assert not GRANT.allows(state["minted"])
+    assert f"port {state['minted']} outside grant" in state["refused"]
+    assert alpha.counters["out_of_grant_binds"] == 1
+    assert manager.audit["listen_refused"] == 1
+
+
+def test_an1_handshake_ring_is_the_channel_region_counted_once():
+    """On AN1 the handshake's ring *is* the channel's region: a tenant
+    whose quota is one region gets its ring, the channel adopts it with
+    no second charge, and a second ring is refused against the same
+    bytes."""
+    bed = Testbed(network="an1", organization="userlib")
+    manager = attach_tenancy(bed)
+    alpha = manager.create_tenant("alpha", TenantBudget(region_bytes=REGION, ports=GRANT))
+    manager.bind_task(bed.app_a, alpha)  # The listening side is untenanted.
+    state = {}
+
+    def server():
+        listener = yield from bed.service_b.listen(4000)
+        state["server"] = yield from listener.accept()
+
+    def client():
+        state["client"] = yield from bed.service_a.connect(IP_B, 4000)
+
+    bed.spawn(server())
+    bed.spawn(client())
+    bed.run(until=1.0)
+    channel = state["client"].channel
+    assert bed.host_a.nic.bqi_table[channel.region.bqi] is channel.region
+    assert alpha.counters["rejections"] == 0
+    with pytest.raises(QuotaExceeded):
+        bed.host_a.netio.allocate_ring(bed.registry_a.task, owner=bed.app_a)
+    assert alpha.counters["quota_region"] == 1
+    assert manager.audit["ring_refused"] == 1
+    assert alpha.usage() == (1, REGION)
+
+
+def test_connect_close_cycles_leave_no_port_record():
+    """Twenty connect/close cycles: the tenant keeps no port it was
+    minted, and once every lease is gone it holds nothing."""
+    bed = Testbed(network="ethernet", organization="userlib")
+    manager = attach_tenancy(bed)
+    # Room for every cycle's two channels at once: each lingers in TIME-WAIT.
+    budget = TenantBudget(region_bytes=40 * REGION, max_channels=40, ports=GRANT)
+    alpha = manager.create_tenant("alpha", budget)
+    manager.bind_task(bed.app_a, alpha)
+    manager.bind_task(bed.app_b, alpha)
+    minted = set()
+
+    def server():
+        listener = yield from bed.service_b.listen(4000)
+        while True:
+            conn = yield from listener.accept()
+            yield from conn.close()
+
+    def client():
+        for _ in range(20):
+            conn = yield from bed.service_a.connect(IP_B, 4000)
+            minted.add(conn.local_port)
+            yield from conn.close()
+            yield bed.sim.timeout(0.05)
+
+    bed.spawn(server())
+    bed.spawn(client())
+    bed.run(until=300.0)
+    assert len(minted) == 20
+    for value in vars(alpha).values():
+        if isinstance(value, (set, frozenset, list, tuple, dict)):
+            assert not minted & set(value)
+    bed.app_b.terminate()  # Its listener's channels go with it.
+    bed.run(until=301.0)
+    assert alpha.usage() == (0, 0)

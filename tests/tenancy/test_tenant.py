@@ -2,10 +2,14 @@
 budgets, usage as a sum over the module's tables, and the teardown/leak
 sweep."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.net.headers import PROTO_UDP
 from repro.net.nic.an1ctrl import BqiTableFull
-from repro.netio.demux import DemuxError
+from repro.netio.demux import DemuxError, FlowKey
+from repro.registry.core import RegistryCore
 from repro.org.udplib import LibraryUdpService
 from repro.tenancy import (
     GrantViolation,
@@ -92,7 +96,6 @@ def test_port_grant_any_allows_everything():
 def make_tenant(**kwargs):
     defaults = dict(
         region_bytes=128 * 1024,
-        bqi_buffers=64,
         max_channels=2,
         ports=PortGrant.of((4000, 4999)),
     )
@@ -106,7 +109,8 @@ def test_precheck_channel_enforces_caps():
     with pytest.raises(QuotaExceeded):
         tenant.precheck_channel(256 * 1024)  # Region quota.
     with pytest.raises(QuotaExceeded):
-        tenant.precheck_channel(1024, ring_buffers=128)  # BQI quota.
+        tenant.admit_region(256 * 1024)  # A ring: the same quota.
+    assert tenant.counters["quota_region"] == 2
 
 
 def test_channel_cap_counts_live_channels():
@@ -135,56 +139,55 @@ def test_region_attribution_and_peaks():
 def test_usage_is_the_module_tables_sum(an1):
     """After every step that makes, refuses, unwinds or gives back a
     channel or a ring, the tenant's usage is what the module's tables
-    attribute to it, and the peaks are the highest usage seen at the
-    end of a create or an allocate."""
+    attribute to it — each distinct region once, a ring from its
+    allocation on — and the peaks are the highest usage seen at the end
+    of a create or an allocate."""
     world = World(an1=an1)
     world.io.region_pool_bytes = 1 << 20
-    cap = world.io.RING_BUFFERS if an1 else 0
 
     def table_sum():
         channels = [c for c in world.io.channels if c.tenant_id == "t"]
-        rings = [r for r in getattr(world.nic, "bqi_table", {}).values() if r.tenant_id == "t"]
-        return (
-            len(channels),
-            sum(c.region.size for c in channels),
-            sum(r.capacity for r in rings),
-        )
+        rings = [
+            r for r in getattr(world.nic, "bqi_table", {}).values()
+            if r.tenant_id == "t" and r.owner is None  # Not adopted yet.
+        ]
+        return len(channels), sum(r.size for r in [c.region for c in channels] + rings)
 
     def step(usage, peaks):
         assert world.tenant.usage() == table_sum() == usage
-        assert world.io.region_pool_used == usage[1]  # The pool's one running total.
+        # The pool's one running total: the channels' wired regions.
+        assert world.io.region_pool_used == sum(c.region.size for c in world.io.channels)
         counters = world.tenant.counters
-        assert (
-            counters["peak_channels"],
-            counters["peak_region_bytes"],
-            counters["peak_bqi_buffers"],
-        ) == peaks
+        assert (counters["peak_channels"], counters["peak_region_bytes"]) == peaks
 
     a = world.create_channel(port=4000)
-    step((1, REGION, cap), (1, REGION, cap))
+    step((1, REGION), (1, REGION))
     world.create_channel(port=4001)
-    step((2, 2 * REGION, 2 * cap), (2, 2 * REGION, 2 * cap))
+    step((2, 2 * REGION), (2, 2 * REGION))
     before = world.tenant.usage()
     with pytest.raises(QuotaExceeded):  # Refused: two regions are the quota.
         world.create_channel(port=4002)
-    step(before, (2, 2 * REGION, 2 * cap))
+    step(before, (2, 2 * REGION))
     world.io.destroy_channel(world.app, a)
-    step((1, REGION, cap), (2, 2 * REGION, 2 * cap))
+    step((1, REGION), (2, 2 * REGION))
 
     ring = world.io.allocate_ring(world.registry, owner=world.app)
     assert (ring is not None) == an1
     if an1:
-        step((1, REGION, 2 * cap), (2, 2 * REGION, 2 * cap))
-        for _ in range(3):
+        step((1, 2 * REGION), (2, 2 * REGION))
+        with pytest.raises(QuotaExceeded):  # The ring's bytes fill the quota...
             world.io.allocate_ring(world.registry, owner=world.app)
-        step((1, REGION, 5 * cap), (2, 2 * REGION, 5 * cap))
-        world.io.release_ring(world.registry, ring)
-        step((1, REGION, 4 * cap), (2, 2 * REGION, 5 * cap))
+        adopted = world.create_channel(port=4002, ring=ring)  # ...and adopting asks no more.
+        step((2, 2 * REGION), (2, 2 * REGION))
+        world.io.destroy_channel(world.app, adopted)  # Its ring goes with it.
+        step((1, REGION), (2, 2 * REGION))
+        world.io.release_ring(world.registry, world.io.allocate_ring(world.registry, owner=world.app))
+        step((1, REGION), (2, 2 * REGION))
 
     before = world.tenant.usage()
     with pytest.raises(DemuxError):  # Unwound: port 4001's flow is taken.
         world.create_channel(port=4001)
-    step(before, (2, 2 * REGION, 5 * cap))
+    step(before, (2, 2 * REGION))
     if an1:
 
         def full(region):
@@ -193,7 +196,7 @@ def test_usage_is_the_module_tables_sum(an1):
         world.nic.allocate_bqi = full
         with pytest.raises(QuotaExceeded):  # Unwound: no ring to spare.
             world.create_channel(port=4002)
-        step(before, (2, 2 * REGION, 5 * cap))
+        step(before, (2, 2 * REGION))
 
 
 def test_check_port_and_ephemeral_grant():
@@ -202,21 +205,42 @@ def test_check_port_and_ephemeral_grant():
     with pytest.raises(GrantViolation):
         tenant.check_port(80)
     assert tenant.counters["rejections"] == 1
-    # The registry's ephemeral allocator mints ports into the grant.
-    tenant.grant_ephemeral(33000)
-    tenant.check_port(33000)
+    # A port the registry's allocator minted passes flow vetting while
+    # its lease lives, and is never a port the tenant may name.
+    core = RegistryCore()
+    here, elsewhere = "module A", "module B"  # Two hosts' modules.
+    tenant.registries = {here: SimpleNamespace(core=core)}
+    app = SimpleNamespace(name="app")
+    tenant.tasks.append(app)
+    lease = core.open(app, "worker", 0.0, 0)
+    flow = FlowKey(PROTO_UDP, IP, lease.local_port)
+    assert tenant.minted(lease.local_port, here)
+    tenant.check_flow_key(flow, here)
+    with pytest.raises(GrantViolation):
+        tenant.check_port(lease.local_port)
+    # Only on the host whose registry minted it.
+    assert not tenant.minted(lease.local_port, elsewhere)
+    with pytest.raises(GrantViolation):
+        tenant.check_flow_key(flow, elsewhere)
+    core.release(lease, 0.0)
+    with pytest.raises(GrantViolation):
+        tenant.check_flow_key(flow, here)
+    assert tenant.counters["out_of_grant_flows"] == 2
+    # Nor does a port minted for another tenant's task.
+    other = core.open(SimpleNamespace(name="other"), "worker", 0.0, 0)
+    assert not tenant.minted(other.local_port, here)
 
 
 def test_check_template_accepts_conforming_udp_and_tcp():
     tenant = make_tenant()
-    tenant.check_template(udp_send_template(IP, 4500))
-    tenant.check_template(tcp_send_template(IP, 4000, IP + 1, 80))
+    tenant.check_template(udp_send_template(IP, 4500), None)
+    tenant.check_template(tcp_send_template(IP, 4000, IP + 1, 80), None)
 
 
 def test_check_template_rejects_out_of_grant_port():
     tenant = make_tenant()
     with pytest.raises(GrantViolation):
-        tenant.check_template(udp_send_template(IP, 80))
+        tenant.check_template(udp_send_template(IP, 80), None)
     assert tenant.counters["forged_templates"] == 1
 
 
@@ -228,7 +252,7 @@ def test_check_template_rejects_unpinned_source():
     loose = HeaderTemplate._packed(b"\x45", 0xFF, ((0, 1),), "loose")
     tenant = make_tenant()
     with pytest.raises(GrantViolation):
-        tenant.check_template(loose)
+        tenant.check_template(loose, None)
 
 
 # ----------------------------------------------------------------------

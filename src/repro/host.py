@@ -305,15 +305,17 @@ class Host:
         bqi: int = 0,
         adv_bqi: int = 0,
         ttl: int = 64,
+        head: bytes = b"",
     ) -> Generator:
         """Encapsulate and transmit one transport payload from kernel
-        context, fragmenting to the device MTU if needed."""
+        context, fragmenting to the device MTU if needed; ``head`` is a
+        transport header packed by the sender (``IpStack.send``)."""
         costs = self.kernel.costs
         if link_dst is None:
             link_dst = yield from self.resolve_link(dst_ip)
         if costs.ip_output:
             yield self.kernel.cpu.charge(costs.ip_output)
-        packets = self.ip_stack.send(dst_ip, protocol, payload, mtu=self.mtu, ttl=ttl)
+        packets = self.ip_stack.send(dst_ip, protocol, payload, self.mtu, ttl, head)
         for packet in packets:
             yield from self.netio.kernel_send(
                 packet, link_dst, bqi=bqi, adv_bqi=adv_bqi

@@ -7,11 +7,7 @@ from .buf import (
     prepend,
     slice_view,
 )
-from .checksum import (
-    checksum_parts,
-    internet_checksum,
-    pseudo_header,
-)
+from .checksum import internet_checksum, transport_sum
 from .faults import FaultInjector, FaultPlan, PERFECT
 from .headers import (
     ARP_REPLY,
@@ -43,8 +39,7 @@ __all__ = [
     "slice_view",
     "as_wire_bytes",
     "internet_checksum",
-    "pseudo_header",
-    "checksum_parts",
+    "transport_sum",
     "FaultInjector",
     "FaultPlan",
     "PERFECT",

@@ -66,9 +66,9 @@ class PacketBuffer:
     wire image, once made, stays valid.
 
     A chain is built only by :func:`prepend`.  The surface is what the
-    datapath reads: the length, an index or a slice (the send-template
-    check) and the fused image.  A chain has no value equality, hash or
-    concatenation; compare ``tobytes()``.
+    datapath reads: the length, an index or a slice, a :meth:`prefix`
+    (the send-template check) and the fused image.  A chain has no value
+    equality, hash or concatenation; compare ``tobytes()``.
     """
 
     __slots__ = ("_frags", "_length", "_fused", "trace_id")
@@ -94,17 +94,7 @@ class PacketBuffer:
         return self._length
 
     def __getitem__(self, key):
-        if isinstance(key, int):
-            if key < 0:
-                key += self._length
-            if not 0 <= key < self._length:
-                raise IndexError("PacketBuffer index out of range")
-            for frag in self._frags:
-                if key < len(frag):
-                    return frag[key]
-                key -= len(frag)
-            raise IndexError("PacketBuffer index out of range")
-        if isinstance(key, slice):
+        if type(key) is slice:
             start, stop, step = key.indices(self._length)
             if step != 1:
                 raise ValueError("PacketBuffer slices must be contiguous")
@@ -123,7 +113,25 @@ class PacketBuffer:
                 want -= len(piece)
                 start = 0
             return bytes(out)
+        if isinstance(key, int):
+            if key < 0:
+                key += self._length
+            if not 0 <= key < self._length:
+                raise IndexError("PacketBuffer index out of range")
+            for frag in self._frags:
+                if key < len(frag):
+                    return frag[key]
+                key -= len(frag)
+            raise IndexError("PacketBuffer index out of range")
         raise TypeError(f"bad PacketBuffer index {key!r}")
+
+    def prefix(self, n: int):
+        """``self[:n]``: in place from a first fragment of ``bytes`` that
+        covers it (a sender's header image), else by a walk."""
+        head = self._frags[0]
+        if type(head) is bytes and len(head) >= n:
+            return head[:n]
+        return self[:n]
 
     def __repr__(self) -> str:
         return (
@@ -145,7 +153,7 @@ def prepend(header: Fragment, payload) -> PacketBuffer:
     read off its fields, not re-walked — because every frame pays for it
     once per layer.
     """
-    chain = object.__new__(PacketBuffer)  # The four slots are set below.
+    chain = PacketBuffer()  # No __init__: the four slots are set below.
     if type(payload) is PacketBuffer:
         length = payload._length
         chain._frags = [header, *payload._frags]

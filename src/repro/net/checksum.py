@@ -18,16 +18,16 @@ so a zero residue of non-zero data stands for 0xFFFF.  ``bytes``,
 ``bytearray`` and ``memoryview`` (of any item format) are all summed
 in place.
 
-:func:`checksum_parts` checksums a scatter-gather sequence of fragments
-without joining them (RFC 1071 §2(C): a part starting at an odd offset
-contributes the byte-swap of its own sum).
+:func:`internet_checksum` sums a scatter-gather sequence of fragments
+without joining them.
+
+A header packer sums its own fields (a 32-bit field adds itself: its
+halves sum to it modulo 0xFFFF) and stores ``0xFFFF - (total % 0xFFFF
+or 0xFFFF)``, a header never summing to zero; :func:`transport_sum`
+adds a TCP or UDP segment's pseudo-header and bytes.
 """
 
 from __future__ import annotations
-
-import struct
-
-_PSEUDO = struct.Struct("!IIBBH")
 
 
 def _unswap(total: int) -> int:
@@ -40,23 +40,14 @@ def _unswap(total: int) -> int:
     return total and 0xFFFF
 
 
-def internet_checksum(data) -> int:
-    """RFC 1071 checksum of ``data``: 16-bit one's-complement of the sum.
+def internet_checksum(*parts) -> int:
+    """RFC 1071 checksum of the concatenation of ``parts`` (bytes-like
+    objects): the 16-bit one's complement of their sum, the value a
+    header summed with a zero checksum field stores.
 
-    Returns the checksum value as an int in [0, 0xFFFF].  The returned
-    value is what should be *stored* in a header whose checksum field was
-    zero while summing.
-    """
-    return 0xFFFF - _unswap(int.from_bytes(data, "little"))
-
-
-def checksum_parts(*parts) -> int:
-    """RFC 1071 checksum of the concatenation of ``parts``, unjoined.
-
-    Equivalent to ``internet_checksum(b"".join(parts))`` but never
-    builds the joined buffer: each part is read where it lies, and a
-    part that begins at an odd global offset is weighted by 256 — its
-    sum byte-swapped (RFC 1071 §2(C)).  Parts are bytes-like objects.
+    The parts are never joined: each is read where it lies, and one that
+    begins at an odd offset of the whole is weighted by 256 — its sum
+    byte-swapped (RFC 1071 §2(C)).
     """
     total = 0
     shift = 0  # 8 while the running offset is odd.
@@ -67,6 +58,10 @@ def checksum_parts(*parts) -> int:
     return 0xFFFF - _unswap(total)
 
 
-def pseudo_header(src_ip: int, dst_ip: int, protocol: int, length: int) -> bytes:
-    """IPv4 pseudo-header used by TCP and UDP checksums (RFC 793 §3.1)."""
-    return _PSEUDO.pack(src_ip, dst_ip, 0, protocol, length)
+def transport_sum(src_ip: int, dst_ip: int, protocol: int, length: int, data) -> int:
+    """The word sum, unfolded, of the IPv4 pseudo-header (RFC 793 §3.1)
+    of a ``length``-octet segment and of ``data`` at an even offset in
+    it: ``data`` read little-endian and times 256, which swaps the
+    residue's octets back.  An intact segment's whole sum has residue 0.
+    """
+    return src_ip + dst_ip + protocol + length + (int.from_bytes(data, "little") << 8)

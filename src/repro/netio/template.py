@@ -10,6 +10,8 @@ A template is a set of byte-range constraints checked against the IP
 packet a library asks the module to transmit.  The check really
 compares bytes — compiled to one masked compare of the constrained
 prefix; impersonation tests flip header fields and must be refused.
+The prefix is read in place from a library's header image; a chain
+split inside it is walked, and judged the same.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from ..net.buf import PacketBuffer
 from ..net.headers import Ipv4Header, PROTO_TCP, PROTO_UDP
 
 
@@ -81,12 +84,13 @@ class HeaderTemplate:
     def verify(self, packet: bytes) -> None:
         """Raise :class:`TemplateViolation` if the packet doesn't match.
 
-        The constrained prefix is read out of ``packet`` once — one
-        walk of a fragment chain — and compared in one operation.
+        The constrained prefix is read out of ``packet`` once — in
+        place from a chain's header image, by one walk of any other
+        chain — and compared in one operation.
         """
         self.checks += 1
         span = self._span
-        prefix = packet[:span]
+        prefix = packet.prefix(span) if type(packet) is PacketBuffer else packet[:span]
         if len(prefix) != span or int.from_bytes(prefix, "big") & self._mask != self._want:
             self.violations += 1
             raise TemplateViolation(

@@ -25,7 +25,7 @@ from typing import Generator, Optional
 from ..costs import CostModel
 from ..host import Host
 from ..net.headers import PROTO_TCP
-from ..protocols.tcp import Segment, TcpConfig, TcpMachine, encode_segment
+from ..protocols.tcp import Segment, TcpConfig, TcpMachine, encode_header
 from ..registry.core import Lease
 from ..registry.kernelpath import KernelPath
 from ..sim import Store
@@ -204,15 +204,15 @@ class MonolithicTcpStack(KernelPath, TcpService):
         costs = self.kernel.costs
         if self.profile.ipc_counts[1]:
             self.kernel.counters["ipc_messages"] += self.profile.ipc_counts[1]
-        payload = encode_segment(segment, self.host.ip, remote_ip)
+        head, length = encode_header(segment, self.host.ip, remote_ip)
         cost = (
             costs.tcp_output
-            + costs.checksum_cost(len(payload))
-            + self.profile.send_device(costs, len(payload))
+            + costs.checksum_cost(length)
+            + self.profile.send_device(costs, length)
         )
         if cost:
             yield self.kernel.cpu.charge(cost)
-        yield from self.host.ip_send(remote_ip, PROTO_TCP, payload, link_dst)
+        yield from self.host.ip_send(remote_ip, PROTO_TCP, segment.payload, link_dst, head=head)
 
 
 class MonoConnection(TcpConnection):

@@ -27,7 +27,7 @@ from ..protocols.ip import IpStack
 from ..registry.core import ConnectionGrant
 from ..tenancy.tenant import RateLimited
 from ..protocols.tcp import (
-    ChecksumError, Segment, TcpConfig, decode_segment, encode_segment,
+    ChecksumError, Segment, TcpConfig, decode_segment, encode_header,
 )
 from ..sim import Interrupt
 from .base import TcpConnection, TcpListener, TcpService
@@ -173,11 +173,13 @@ class LibraryConnection(TcpConnection):
         if lead_cost:
             yield self.kernel.cpu.charge(lead_cost)
         costs = self.kernel.costs
-        payload = encode_segment(segment, self.service.host.ip, self.remote_ip)
-        cost = (
-            costs.tcp_output
-            + costs.checksum_cost(len(payload))
-            + costs.ip_output
+        host = self.service.host
+        head, length = encode_header(segment, host.ip, self.remote_ip)
+        cost = costs.tcp_output + costs.checksum_cost(length) + costs.ip_output
+        # Built in the shared region, IP and TCP headers one image in
+        # front of the payload: no extra copy toward the kernel.
+        packets = self.service.ip_lib.send(
+            self.remote_ip, PROTO_TCP, segment.payload, mtu=host.mtu, head=head
         )
         obs = _obs.SESSION
         if obs is not None:
@@ -185,19 +187,15 @@ class LibraryConnection(TcpConnection):
             # retransmission) gets its own id, so one seq number can be
             # followed through several wire attempts.
             obs.mint(
-                "tcp.output", payload, self.sim.now, self.service.app.name, cost,
+                "tcp.output", packets[0], self.sim.now, self.service.app.name, cost,
                 f"seq={segment.seq} len={len(segment.payload)}"
                 f" flags={segment.flags:#04x}"
                 + (" retransmit" if retransmit else ""),
             )
-        # TCP output + checksum run in the library (application CPU
-        # time); the segment is built directly in the shared region, so
-        # there is no extra copy toward the kernel.
+        # TCP output, checksum and IP output run in the library
+        # (application CPU time).
         if cost:
             yield self.kernel.cpu.charge(cost)
-        packets = self.service.ip_lib.send(
-            self.remote_ip, PROTO_TCP, payload, mtu=self.service.host.mtu
-        )
         for packet in packets:
             while True:
                 try:

@@ -6,7 +6,7 @@ a particular protocol organization lives in :mod:`repro.org`.
 """
 
 from .arp import ArpStack, SendArp
-from ..net.checksum import internet_checksum, pseudo_header
+from ..net.checksum import internet_checksum
 from .icmp import (
     EchoMessage,
     ErrorMessage,
@@ -29,7 +29,6 @@ from .udp import (
 
 __all__ = [
     "internet_checksum",
-    "pseudo_header",
     "IpStack",
     "IpDatagram",
     "IpError",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..net.buf import prepend, slice_view
-from ..net.headers import IP_FLAG_MF, HeaderError, Ipv4Header
+from ..net.headers import IP_FLAG_MF, HeaderError, Ipv4Header, pack_ipv4
 
 
 class IpError(ValueError):
@@ -69,14 +69,10 @@ def encapsulate(
     frag_offset: int = 0,
     ttl: int = 64,
 ):
-    """``payload`` behind an IPv4 header — the one place a header is
-    built.  The header is prepended onto the unsliced payload as a
-    fragment chain, fused when it reaches a wire."""
-    header = Ipv4Header(
-        src, dst, protocol, Ipv4Header.LENGTH + len(payload),
-        ident, flags, frag_offset, ttl,
-    )
-    return prepend(header.pack(), payload)
+    """``payload`` behind an IPv4 header, prepended onto the unsliced
+    payload as a fragment chain, fused when it reaches a wire."""
+    length = Ipv4Header.LENGTH + len(payload)
+    return prepend(pack_ipv4(src, dst, protocol, length, ident, flags, frag_offset, ttl), payload)
 
 
 @dataclass(frozen=True)
@@ -127,26 +123,31 @@ class IpStack:
         payload: bytes,
         mtu: int = 1500,
         ttl: int = 64,
+        head: bytes = b"",
     ) -> list:
-        """Build the wire packet(s) for one transport payload.
-
-        Each packet is the IP header prepended onto the (unsliced)
-        transport payload — a fragment chain in zero-copy mode."""
+        """Build the wire packet(s) for ``head`` (a transport header its
+        sender packed, TCP's) and ``payload``: one image, the IPv4 header
+        and ``head``, prepended onto the unsliced payload, or fragments
+        of the two when they exceed ``mtu``."""
         if mtu < Ipv4Header.LENGTH + 8:
             raise IpError(f"absurd MTU {mtu}")
-        self._ident = (self._ident + 1) % 0x10000
-        ident = self._ident
+        self._ident = ident = (self._ident + 1) % 0x10000
         self.stats["sent"] += 1
-        max_data = mtu - Ipv4Header.LENGTH
-        if len(payload) <= max_data:
-            return [encapsulate(self.local_ip, dst, protocol, payload, ident, ttl=ttl)]
+        length = len(head) + len(payload) if head else len(payload)
+        if length <= mtu - Ipv4Header.LENGTH:
+            header = pack_ipv4(
+                self.local_ip, dst, protocol, Ipv4Header.LENGTH + length, ident, 0, 0, ttl
+            )
+            return [prepend(header + head, payload)]
+        if head:
+            payload = prepend(head, payload)
         # Fragment: each fragment's data length a multiple of 8 except the last.
-        chunk = (max_data // 8) * 8
+        chunk = ((mtu - Ipv4Header.LENGTH) // 8) * 8
         packets = []
         offset = 0
-        while offset < len(payload):
-            data = slice_view(payload, offset, min(offset + chunk, len(payload)))
-            last = offset + len(data) >= len(payload)
+        while offset < length:
+            data = slice_view(payload, offset, min(offset + chunk, length))
+            last = offset + len(data) >= length
             packets.append(encapsulate(
                 self.local_ip, dst, protocol, data, ident,
                 0 if last else IP_FLAG_MF, offset // 8, ttl,

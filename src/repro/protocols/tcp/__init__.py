@@ -45,6 +45,7 @@ from .wire import (
     Segment,
     TcpSegmentEncoder,
     decode_segment,
+    encode_header,
     encode_segment,
     reset_for,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "State",
     "SYNCHRONIZED_STATES",
     "Segment",
+    "encode_header",
     "encode_segment",
     "decode_segment",
     "reset_for",

@@ -8,10 +8,11 @@ and verifying the genuine pseudo-header checksum — corrupted segments
 fail to decode and the plumbing drops them, exactly as a real input
 path would.
 
-Encoding is zero-copy: the 20-byte header is built once and *prepended*
-onto the caller's payload as a fragment chain (no payload copy), with
-the checksum computed over the unjoined parts.  Every header is packed
-by ``_build_header``; no header image is cached between segments.
+Encoding is zero-copy and packs once: :func:`encode_header` packs the
+header with a closed-form checksum, reading the payload once where it
+lies.  A sender hands it to ``IpStack.send(head=)``, which puts the
+IPv4 and TCP headers in front of the payload as one image;
+:func:`encode_segment` is that TCP slice alone.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ...net.buf import PacketBuffer, prepend, slice_view
-from ...net.checksum import checksum_parts, pseudo_header
+from ...net.checksum import transport_sum
 from ...net.headers import (
     PROTO_TCP,
     TCP_ACK,
@@ -99,12 +100,6 @@ class Segment:
         """Sequence space the segment occupies (SYN and FIN count 1)."""
         return len(self.payload) + (1 if self.syn else 0) + (1 if self.fin else 0)
 
-    @property
-    def wire_length(self) -> int:
-        """Bytes of TCP header + payload on the wire."""
-        header = HEADER_LENGTH + (4 if self.mss is not None else 0)
-        return header + len(self.payload)
-
 
 def reset_for(segment: Segment, sport: int, dport: int) -> Optional[Segment]:
     """The reset RFC 793 p.36 prescribes for a segment no connection
@@ -125,44 +120,43 @@ def reset_for(segment: Segment, sport: int, dport: int) -> Optional[Segment]:
     )
 
 
-def _build_header(segment: Segment, src_ip: int, dst_ip: int) -> bytes:
-    """The segment's TCP header bytes with a correct checksum in place.
+def encode_header(segment: Segment, src_ip: int, dst_ip: int) -> tuple[bytes, int]:
+    """The one TCP header packer: the segment's header, packed once with
+    its checksum in place — a closed-form word sum (net/checksum.py) of
+    the fields, the pseudo-header and the payload — and its TCP length.
 
     ``struct`` refuses a field wider than its slot; that refusal is the
     alarm for a sequence number nobody masked, raised as
     :class:`HeaderError` rather than written as a silently wrong byte.
     """
-    mss = segment.mss
+    mss, payload = segment.mss, segment.payload
+    if mss is None:
+        packer, options = _HEADER, ()
+    elif 0 < mss <= 0xFFFF:
+        packer, options = _SYN_HEADER, (TCPOPT_MSS, 4, mss)
+    else:
+        raise HeaderError(f"bad TCP MSS {mss}")
+    size = packer.size  # Octets; the data-offset octet, (size / 4) << 4, is size << 2.
+    length = size + len(payload)
+    total = transport_sum(src_ip, dst_ip, PROTO_TCP, length, payload) + segment.sport
+    total += segment.dport + segment.seq + segment.ack + (size << 10 | segment.flags)
+    total += segment.window + ((TCPOPT_MSS << 8 | 4) + mss if options else 0)
     try:
-        if mss is None:
-            head = _HEADER.pack(
-                segment.sport, segment.dport, segment.seq, segment.ack,
-                5 << 4, segment.flags, segment.window, 0, 0,
-            )
-        else:
-            if not 0 < mss <= 0xFFFF:
-                raise HeaderError(f"bad TCP MSS {mss}")
-            head = _SYN_HEADER.pack(
-                segment.sport, segment.dport, segment.seq, segment.ack,
-                6 << 4, segment.flags, segment.window, 0, 0,
-                TCPOPT_MSS, 4, mss,
-            )
+        return packer.pack(
+            segment.sport, segment.dport, segment.seq, segment.ack, size << 2, segment.flags,
+            segment.window, 0xFFFF - (total % 0xFFFF or 0xFFFF), 0, *options,
+        ), length
     except struct.error as exc:
         raise HeaderError(f"TCP header field out of range: {exc}") from None
-    pseudo = pseudo_header(
-        src_ip, dst_ip, PROTO_TCP, len(head) + len(segment.payload)
-    )
-    checksum = checksum_parts(pseudo, head, segment.payload)
-    return head[:16] + checksum.to_bytes(2, "big") + head[18:]
 
 
 def encode_segment(segment: Segment, src_ip: int, dst_ip: int):
     """Serialize with a correct pseudo-header checksum.
 
     Returns the header prepended onto the *unsliced* payload as a
-    fragment chain.
+    fragment chain: the TCP slice of the one image a sender builds.
     """
-    return prepend(_build_header(segment, src_ip, dst_ip), segment.payload)
+    return prepend(encode_header(segment, src_ip, dst_ip)[0], segment.payload)
 
 
 def decode_segment(data, src_ip: int, dst_ip: int, verify: bool = True) -> Segment:
@@ -173,19 +167,18 @@ def decode_segment(data, src_ip: int, dst_ip: int, verify: bool = True) -> Segme
     failure and :class:`~repro.net.headers.HeaderError` on malformed
     headers.
     """
-    if verify:
-        pseudo = pseudo_header(src_ip, dst_ip, PROTO_TCP, len(data))
-        if checksum_parts(pseudo, data) != 0:
-            raise ChecksumError("TCP checksum mismatch")
     if type(data) is PacketBuffer:
         data = data.tobytes()
-    if len(data) < HEADER_LENGTH:
-        raise HeaderError(f"short TCP header ({len(data)} bytes)")
+    length = len(data)
+    if verify and transport_sum(src_ip, dst_ip, PROTO_TCP, length, data) % 0xFFFF:
+        raise ChecksumError("TCP checksum mismatch")
+    if length < HEADER_LENGTH:
+        raise HeaderError(f"short TCP header ({length} bytes)")
     sport, dport, seq, ack, offset, flags, window, _, _ = _HEADER.unpack_from(data)
     header_length = (offset >> 4) * 4
     mss = None
     if header_length != HEADER_LENGTH:
-        if header_length < HEADER_LENGTH or header_length > len(data):
+        if header_length < HEADER_LENGTH or header_length > length:
             raise HeaderError(f"bad TCP data offset {header_length}")
         mss = _parse_mss(data[HEADER_LENGTH:header_length])
     return Segment(
@@ -219,7 +212,7 @@ def _parse_mss(options) -> Optional[int]:
 class TcpSegmentEncoder:
     """:func:`encode_segment` with one connection's address pair bound.
 
-    It caches nothing: every header is packed by :func:`_build_header`.
+    It caches nothing: every header is packed by :func:`encode_header`.
     Nothing under ``src/`` constructs one; it stays only because the
     ledger's ``sansio.py`` and ``probes.py`` import it.
     """

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..net.buf import STATS, prepend, slice_view
-from ..net.checksum import checksum_parts, pseudo_header
+from ..net.checksum import transport_sum
 from ..net.headers import PROTO_UDP, HeaderError, UdpHeader
 
 
@@ -39,14 +39,10 @@ def encode_datagram(
     The header is prepended onto the unsliced payload: the result is
     a fragment chain, fused when it reaches a wire."""
     length = UdpHeader.LENGTH + len(payload)
-    header = UdpHeader(sport=sport, dport=dport, length=length, checksum=0)
-    head = bytearray(header.pack())
-    pseudo = pseudo_header(src_ip, dst_ip, PROTO_UDP, length)
-    checksum = checksum_parts(pseudo, head, payload)
-    if checksum == 0:
-        checksum = 0xFFFF  # RFC 768: zero means "no checksum".
-    head[6:8] = checksum.to_bytes(2, "big")
-    return prepend(bytes(head), payload)
+    total = transport_sum(src_ip, dst_ip, PROTO_UDP, length, payload) + sport + dport + length
+    # RFC 768: a computed zero is sent as 0xFFFF, zero meaning "no checksum".
+    checksum = 0xFFFF - (total % 0xFFFF or 0xFFFF) or 0xFFFF
+    return prepend(UdpHeader(sport, dport, length, checksum).pack(), payload)
 
 
 def decode_datagram(
@@ -59,8 +55,8 @@ def decode_datagram(
     if header.length > len(data):
         raise HeaderError(f"UDP length {header.length} exceeds data")
     if verify and header.checksum != 0:
-        pseudo = pseudo_header(src_ip, dst_ip, PROTO_UDP, header.length)
-        if checksum_parts(pseudo, slice_view(data, 0, header.length)) != 0:
+        datagram = slice_view(data, 0, header.length)
+        if transport_sum(src_ip, dst_ip, PROTO_UDP, header.length, datagram) % 0xFFFF:
             raise HeaderError("UDP checksum mismatch")
     return UdpDatagram(
         src_ip=src_ip,

@@ -37,7 +37,7 @@ from ..mach.task import Task
 from ..net.headers import PROTO_TCP, TCP_RST
 from ..netio.template import tcp_send_template, udp_send_template
 from ..org.runner import MachineRunner
-from ..protocols.tcp import Segment, TcpConfig, TcpMachine, encode_segment
+from ..protocols.tcp import Segment, TcpConfig, TcpMachine, encode_header
 from ..sim import Store
 from .core import ConnectionGrant, Lease
 from .kernelpath import KernelPath
@@ -281,14 +281,14 @@ class RegistryServer(KernelPath):
             self.stats["handshake_segments"] += 1
             # The registry reaches the device through standard Mach IPC,
             # not shared memory (paper breakdown item 1).
+            head, length = encode_header(segment, self.host.ip, remote_ip)
             cost = costs.registry_device_access + costs.tcp_output
-            cost += costs.checksum_cost(segment.wire_length)
+            cost += costs.checksum_cost(length)
             if cost:
                 yield self.kernel.cpu.charge(cost)
-            payload = encode_segment(segment, self.host.ip, remote_ip)
             yield from self.host.ip_send(
-                remote_ip, PROTO_TCP, payload, lease.link_dst,
-                bqi=lease.peer_bqi, adv_bqi=adv_bqi,
+                remote_ip, PROTO_TCP, segment.payload, lease.link_dst,
+                bqi=lease.peer_bqi, adv_bqi=adv_bqi, head=head,
             )
 
         return MachineRunner(self.kernel, machine, emit, name=f"registry:{lease.local_port}")
@@ -332,7 +332,9 @@ class RegistryServer(KernelPath):
         """A stray's RST, or (to the peer's ring ``bqi``, after the Mach IPC
         ``cost`` of reaching the device) one a given-back lease's peer is owed."""
         self.stats["resets_sent"] += 1
-        payload = encode_segment(rst, self.host.ip, remote_ip)
+        head, _ = encode_header(rst, self.host.ip, remote_ip)
         if cost:
             yield self.kernel.cpu.charge(cost)
-        yield from self.host.ip_send(remote_ip, PROTO_TCP, payload, link_dst, bqi=bqi)
+        yield from self.host.ip_send(
+            remote_ip, PROTO_TCP, rst.payload, link_dst, bqi=bqi, head=head
+        )

@@ -1,6 +1,8 @@
 """Every invariant checker must *fire*: one known-violating synthetic
 trace per invariant, plus the conformant shape it must not flag."""
 
+from repro import netstat
+from repro.check.campaign import grid_specs, run_cell
 from repro.check.evidence import FaultEvent, RunEvidence, WireSegment
 from repro.check.invariants import (
     check_all,
@@ -276,6 +278,33 @@ def test_checksum_checker_fires_on_a_rejection_the_drop_table_lacks():
     assert not check_checksums(RunEvidence(fault_events=[event], drops=unrelated)).ok
     counted = [DropEntry("bob", "checksum", 1)]
     assert check_checksums(RunEvidence(fault_events=[event], drops=counted)).ok
+
+
+#: The full reno grid's first userlib corruption cell: one corrupted
+#: copy reaches the library, which rejects it on its TCP checksum.
+CHECKSUM_CELL = "loopback/userlib cc=reno seed=98 drop=0.0 corrupt=0.01 "
+
+
+def _checksum_cell():
+    (spec,) = [s for s in grid_specs() if s.label.startswith(CHECKSUM_CELL)]
+    return spec
+
+
+def test_checksum_rejection_passes_the_full_grid_cell():
+    """The campaign cell this gate is shown failing on below passes as
+    the library is."""
+    assert run_cell(_checksum_cell()).ok
+
+
+def test_checksum_rejection_convicts_a_library_that_drops_silently(monkeypatch):
+    """The same cell with the TCP checksum row taken out of netstat's
+    drop table — a receiver that discards a corrupted segment without
+    saying so — is convicted on ``checksum-rejection``.  The quick
+    grid's userlib cells pass under this sabotage (the library rejects
+    nothing in them), so this cell is the gate's demonstration."""
+    monkeypatch.setitem(netstat.DROP_REASONS, "tcp", {})
+    result = run_cell(_checksum_cell())
+    assert [v.invariant for v in result.violations] == ["checksum-rejection"]
 
 
 # ----------------------------------------------------------------------

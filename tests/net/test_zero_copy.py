@@ -10,15 +10,18 @@ per delivered segment on a Table 2 bulk transfer, chain vs oracle.
 """
 
 import random
+import struct
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.costs import FREE
 from repro.mach import Kernel
 from repro.net import buf
 from repro.net.buf import PacketBuffer, as_wire_bytes, prepend, slice_view
-from repro.net.checksum import checksum_parts, internet_checksum
+from repro.net.checksum import internet_checksum
 from repro.net.headers import (
     BROADCAST_MAC,
     ETHERTYPE_IP,
@@ -27,7 +30,9 @@ from repro.net.headers import (
     TCP_PSH,
     An1Header,
     EthernetHeader,
+    IP_FLAG_MF,
     Ipv4Header,
+    PROTO_TCP,
     PROTO_UDP,
 )
 from repro.net.link import An1Link, EthernetLink
@@ -38,6 +43,7 @@ from repro.protocols.tcp.wire import (
     Segment,
     TcpSegmentEncoder,
     decode_segment,
+    encode_header,
     encode_segment,
 )
 from repro.metrics import measure_throughput
@@ -46,6 +52,7 @@ from repro.sim import Simulator
 from repro.testbed import Testbed
 
 from . import eager_datapath as eager
+from . import legacy_checksum as legacy
 
 IP_A = 0x0A000001
 IP_B = 0x0A000002
@@ -180,7 +187,7 @@ def test_checksum_parts_matches_flat_sum(trial):
         memoryview(p) if i % 3 == 1 else bytearray(p) if i % 3 == 2 else p
         for i, p in enumerate(parts)
     ]
-    assert checksum_parts(*parts) == internet_checksum(data)
+    assert internet_checksum(*parts) == internet_checksum(data)
 
 
 @pytest.mark.parametrize("trial", range(40))
@@ -324,6 +331,148 @@ def test_template_encoder_fuzz_matches_full_encode(trial):
         )
         assert bytes(decoded.payload) == segment.payload
     assert retransmits > 0, "fuzz traffic never retransmitted"
+
+
+# ----------------------------------------------------------------------
+# One header image == the IPv4 record + the concatenating TCP encode
+# ----------------------------------------------------------------------
+
+_PSEUDO = struct.Struct("!IIBBH")
+_TCP = struct.Struct("!HHIIBBHHH")
+
+
+def legacy_tcp(segment: Segment, src_ip: int, dst_ip: int) -> bytes:
+    """The concatenating TCP encode: the header packed with a zero
+    checksum, the pseudo-header, header and payload joined and summed
+    by the word-sum oracle, the checksum spliced in."""
+    options = b"" if segment.mss is None else struct.pack("!BBH", 2, 4, segment.mss)
+    head = _TCP.pack(
+        segment.sport, segment.dport, segment.seq, segment.ack,
+        (20 + len(options)) // 4 << 4, segment.flags, segment.window, 0, 0,
+    ) + options
+    payload = bytes(segment.payload)
+    pseudo = _PSEUDO.pack(src_ip, dst_ip, 0, PROTO_TCP, len(head) + len(payload))
+    checksum = legacy.internet_checksum(pseudo + head + payload)
+    return head[:16] + checksum.to_bytes(2, "big") + head[18:] + payload
+
+
+def one_image(ip: IpStack, segment: Segment, dst_ip: int, mtu: int = 1500) -> list:
+    """A sender's packets for ``segment``: ``encode_header``'s bytes
+    handed to ``IpStack.send`` with the unsliced payload."""
+    head, length = encode_header(segment, ip.local_ip, dst_ip)
+    assert length == len(head) + len(segment.payload)
+    return ip.send(dst_ip, PROTO_TCP, segment.payload, mtu, 64, head)
+
+
+def record(ident: int, segment: Segment, tcp: bytes) -> bytes:
+    """The packet the IPv4 record and the legacy TCP bytes make."""
+    header = Ipv4Header(IP_A, IP_B, PROTO_TCP, Ipv4Header.LENGTH + len(tcp), ident)
+    packed = header.pack()
+    assert legacy.internet_checksum(packed) == 0
+    return packed + tcp
+
+
+def folded_to_ffff(segment: Segment) -> Segment:
+    """``segment`` with two payload octets appended that make its TCP
+    sum fold to 0xFFFF, so the checksum it carries is 0x0000."""
+    payload = bytes(segment.payload)
+    if len(payload) % 2:
+        payload += b"\0"
+    probe = legacy_tcp(Segment(**{**vars(segment), "payload": payload + bytes(2)}), IP_A, IP_B)
+    partial = 0xFFFF - int.from_bytes(probe[16:18], "big")
+    word = (0xFFFF - partial) % 0xFFFF
+    return Segment(**{**vars(segment), "payload": payload + word.to_bytes(2, "big")})
+
+
+#: One stack for every example, its idents read back from a mirror: a
+#: hypothesis replay or shrink sends once per run, as the first did.
+_STACK = IpStack(IP_A)
+_SENT = [0]
+
+
+@settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    payload=st.binary(max_size=301),
+    view=st.booleans(),
+    mss=st.one_of(st.none(), st.integers(1, 0xFFFF)),
+    seq=st.integers(0, (1 << 32) - 1),
+    ack=st.integers(0, (1 << 32) - 1),
+    flags=st.integers(0, 0x3F),
+    window=st.integers(0, 0xFFFF),
+    fold=st.sampled_from(["none", "tcp-ffff", "payload-0000", "payload-ffff"]),
+)
+def test_one_image_equals_the_record_and_the_concatenating_encode(
+    payload, view, mss, seq, ack, flags, window, fold
+):
+    """Odd lengths, views, a SYN's MSS option, and payloads whose own
+    sum folds to 0x0000 (all zero) or 0xFFFF, or that fold the whole TCP
+    sum to 0xFFFF (checksum 0x0000): the one image is the IPv4 record's
+    bytes followed by the concatenating TCP encode, and
+    ``encode_segment`` is its TCP slice."""
+    if fold == "payload-0000":
+        payload = bytes(len(payload))
+    elif fold == "payload-ffff":
+        payload = b"\xff" * (len(payload) | 2)
+    segment = Segment(5000, 80, seq, ack, flags, window, payload, mss)
+    if fold == "tcp-ffff":
+        segment = folded_to_ffff(segment)
+        assert legacy_tcp(segment, IP_A, IP_B)[16:18] == b"\0\0"
+    if view:
+        segment = Segment(**{**vars(segment), "payload": memoryview(bytes(segment.payload))})
+    tcp = legacy_tcp(segment, IP_A, IP_B)
+    (packet,) = one_image(_STACK, segment, IP_B)
+    _SENT[0] += 1
+    assert as_wire_bytes(packet) == record(_SENT[0] % 0x10000, segment, tcp)
+    assert as_wire_bytes(encode_segment(segment, IP_A, IP_B)) == tcp
+
+
+def test_one_image_idents_wrap_and_an_ip_sum_that_folds_to_ffff():
+    """The stack's idents run 1 … 0xFFFF and wrap to 0, each packed in
+    the image as the record packs it — including the ident whose IPv4
+    header sum folds to 0xFFFF, its checksum 0x0000."""
+    segment = Segment(5000, 80, 1, 7, TCP_ACK, 8192, b"x")
+    tcp = legacy_tcp(segment, IP_A, IP_B)
+    # The header with ident and checksum zero, summed: the ident that
+    # makes up the rest of 0xFFFF folds the whole sum there.
+    zero = struct.pack(
+        "!BBHHHBBHII", 0x45, 0, Ipv4Header.LENGTH + len(tcp), 0, 0, 64, PROTO_TCP, 0, IP_A, IP_B
+    )
+    folding = 0xFFFF - legacy.fold(legacy.sum16(zero))
+    ip = IpStack(IP_A)
+    checked = set()
+    for ident in [*range(1, 0x10000), 0, 1]:
+        (packet,) = one_image(ip, segment, IP_B)
+        if ident in (1, folding, 0xFFFF, 0):
+            wire = as_wire_bytes(packet)
+            assert wire == record(ident, segment, tcp)
+            checked.add(ident)
+    assert checked == {0, 1, folding, 0xFFFF}
+    assert record(folding, segment, tcp)[10:12] == b"\0\0"
+
+
+@pytest.mark.parametrize("mtu", [576, 1006])
+def test_a_segment_over_the_mtu_fragments_at_the_sender_as_before(mtu):
+    """A segment larger than ``mtu`` − 40 (an MSS the MTU cannot carry)
+    leaves as fragments of its TCP bytes, byte for byte what the stack
+    sent when the TCP chain went to ``IpStack.send`` whole."""
+    segment = Segment(5000, 80, 1, 7, TCP_ACK, 8192, payload_of(1460), None)
+    image = one_image(IpStack(IP_A), segment, IP_B, mtu)
+    chained = IpStack(IP_A).send(IP_B, PROTO_TCP, encode_segment(segment, IP_A, IP_B), mtu)
+    assert len(image) == len(chained) > 1
+    assert [as_wire_bytes(p) for p in image] == [as_wire_bytes(p) for p in chained]
+    tcp = legacy_tcp(segment, IP_A, IP_B)
+    chunk = (mtu - Ipv4Header.LENGTH) // 8 * 8
+    for i, packet in enumerate(image):
+        data = tcp[i * chunk : (i + 1) * chunk]
+        last = (i + 1) * chunk >= len(tcp)
+        header = Ipv4Header(
+            IP_A, IP_B, PROTO_TCP, Ipv4Header.LENGTH + len(data), 1,
+            0 if last else IP_FLAG_MF, i * chunk // 8,
+        )
+        assert as_wire_bytes(packet) == header.pack() + data
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,8 @@ the readable definition and the oracle here: the packed verdict must
 be theirs on any packet, a flip of any constrained byte must be
 refused and a flip of any other accepted, and the two factories must
 list one constraint per field (tenancy vets the source address and
-port by offset).
+port by offset).  A chain is judged as its flat image is, wherever its
+fragment boundaries fall.
 """
 
 import struct
@@ -14,6 +15,7 @@ import struct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net.buf import PacketBuffer, prepend
 from repro.net.headers import PROTO_TCP, PROTO_UDP, Ipv4Header
 from repro.netio.template import (
     ByteConstraint,
@@ -102,3 +104,36 @@ def test_the_factories_list_one_constraint_per_field(local_ip, local_port, remot
         # The packed form is the definition's: same verdict from both.
         packet = bytes(satisfying(template, b""))
         assert matches(template, packet) and oracle(template, packet)
+
+
+def chained(packet: bytes, cuts: list) -> PacketBuffer:
+    """``packet`` as a chain of ``bytes`` fragments cut at ``cuts``
+    (empty fragments where two cuts meet), built back to front."""
+    bounds = [0, *sorted(min(cut, len(packet)) for cut in cuts), len(packet)]
+    pieces = [packet[a:b] for a, b in zip(bounds, bounds[1:])]
+    chain = prepend(pieces[-2], pieces[-1]) if len(pieces) > 1 else prepend(pieces[0], b"")
+    for piece in reversed(pieces[:-2]):
+        chain = prepend(piece, chain)
+    return chain
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    template=factory_templates(),
+    filler=tails,
+    cuts=st.lists(st.integers(0, 30), max_size=4),
+    flip=st.integers(0, 40),
+    xor=st.integers(0, 0xFF),
+    keep=st.integers(0, 64),
+)
+def test_a_chain_is_judged_as_its_flat_image(template, filler, cuts, flip, xor, keep):
+    """Fragment boundaries inside the constrained prefix (the one-image
+    read is skipped and the chain walked) or past it (the prefix read in
+    place from the head fragment), on matching, flipped and short
+    packets: ``verify`` on the chain accepts or refuses exactly as on
+    the flat bytes."""
+    packet = satisfying(template, filler)
+    if flip < len(packet):
+        packet[flip] ^= xor
+    flat = bytes(packet[:keep])
+    assert matches(template, chained(flat, cuts)) is matches(template, flat)

@@ -1,9 +1,11 @@
 """Tests for the RFC 1071 Internet checksum."""
 
+import struct
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.checksum import internet_checksum, pseudo_header
+from repro.net.checksum import internet_checksum, transport_sum
 
 
 def verify_checksum(data) -> bool:
@@ -74,9 +76,18 @@ def test_single_bit_flips_detected(data, bit):
     assert not verify_checksum(bytes(packet))
 
 
-def test_pseudo_header_layout():
-    ph = pseudo_header(0x0A000001, 0x0A000002, 6, 20)
-    assert ph == bytes(
-        [10, 0, 0, 1, 10, 0, 0, 2, 0, 6, 0, 20]
-    )
-    assert len(ph) == 12
+@given(
+    src=st.integers(0, 0xFFFFFFFF),
+    dst=st.integers(0, 0xFFFFFFFF),
+    protocol=st.integers(1, 0xFF),
+    length=st.integers(0, 0xFFFF),
+    data=st.binary(max_size=64),
+)
+def test_transport_sum_closes_to_the_pseudo_header_checksum(src, dst, protocol, length, data):
+    """The sum closes to the checksum of the pseudo-header's RFC 793
+    layout (two addresses, a zero octet, the protocol, the length)
+    followed by ``data``."""
+    pseudo = struct.pack("!IIBBH", src, dst, 0, protocol, length)
+    assert pseudo[8:10] == bytes([0, protocol]) and len(pseudo) == 12
+    total = transport_sum(src, dst, protocol, length, data)
+    assert 0xFFFF - (total % 0xFFFF or 0xFFFF) == internet_checksum(pseudo + data)

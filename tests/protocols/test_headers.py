@@ -348,7 +348,10 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 def test_every_header_is_a_record_checked_where_packed():
     """``net/headers.py`` holds records, not dataclasses re-checking
     ranges on every construction and every decode, and one function,
-    ``protocols/ip.py``'s ``encapsulate``, builds every IPv4 header."""
+    ``pack_ipv4``, packs every IPv4 header: only ``protocols/ip.py``
+    (its ``encapsulate`` and ``IpStack.send``) and ``Ipv4Header.pack``
+    call it, and nothing under ``src/`` builds an ``Ipv4Header`` to
+    pack."""
     tree = ast.parse((SRC / "net" / "headers.py").read_text())
     classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     decorated = {
@@ -359,10 +362,13 @@ def test_every_header_is_a_record_checked_where_packed():
         node.name for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
     }
-    builders = {
-        path.relative_to(SRC).as_posix()
+    calls = [
+        (path.relative_to(SRC).as_posix(), ast.unparse(node.func))
         for path in sorted(SRC.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "Ipv4Header"
-    }
-    assert (decorated, post_inits, builders) == (set(), set(), {"protocols/ip.py"})
+        if isinstance(node, ast.Call)
+    ]
+    builders = {path for path, func in calls if func == "Ipv4Header"}
+    packers = {path for path, func in calls if func == "pack_ipv4"}
+    assert (decorated, post_inits, builders) == (set(), set(), set())
+    assert packers == {"protocols/ip.py", "net/headers.py"}

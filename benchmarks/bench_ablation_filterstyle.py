@@ -38,7 +38,7 @@ def add_background_channels(testbed: Testbed, count: int) -> None:
                 link_dst=MAC_A,
             )
 
-    proc = testbed.spawn(setup(), name="bg-channels")
+    proc = testbed.registry_b.task.spawn(setup(), name="bg-channels")
     testbed.run(until=proc)
 
 

@@ -42,8 +42,8 @@ def run_structured_transfer() -> dict:
         marks["demuxed_b"] = testbed.host_b.netio.stats["rx_demuxed"]
         marks["to_kernel_b"] = testbed.host_b.netio.stats["rx_to_kernel"]
 
-    testbed.spawn(server(), name="server")
-    proc = testbed.spawn(client(), name="client")
+    testbed.app_b.spawn(server(), name="server")
+    proc = testbed.app_a.spawn(client(), name="client")
     testbed.run(until=proc)
     return marks
 

@@ -52,19 +52,20 @@ def run_mechanism_benchmark(npackets: int = 300) -> dict:
     marks = {}
 
     def setup_and_run():
-        chan_a = yield from netio_a.create_channel(
+        # Each registry installs its channel on a thread of its own.
+        chan_a = yield registry_a.task.spawn(netio_a.create_channel(
             registry_a.task, testbed.app_a,
             tcp_send_template(IP_A, 5000, IP_B, 6000),
             local_ip=IP_A, local_port=5000,
             remote_ip=IP_B, remote_port=6000, link_dst=MAC_B,
-        )
-        chan_b = yield from netio_b.create_channel(
+        ), name="channel")
+        chan_b = yield registry_b.task.spawn(netio_b.create_channel(
             registry_b.task, testbed.app_b,
             tcp_send_template(IP_B, 6000, IP_A, 5000),
             local_ip=IP_B, local_port=6000,
             remote_ip=IP_A, remote_port=5000, link_dst=MAC_A,
-        )
-        testbed.spawn(receiver(chan_b), name="rx")
+        ), name="channel")
+        testbed.app_b.spawn(receiver(chan_b), name="rx")
         marks["t0"] = testbed.sim.now
         for _ in range(npackets):
             yield from netio_a.send(testbed.app_a, chan_a, packet)
@@ -77,7 +78,7 @@ def run_mechanism_benchmark(npackets: int = 300) -> dict:
         marks["t1"] = testbed.sim.now
         marks["received"] = got
 
-    proc = testbed.spawn(setup_and_run(), name="tx")
+    proc = testbed.app_a.spawn(setup_and_run(), name="tx")
     testbed.run(until=proc)
     testbed.run(until=testbed.sim.now + 1.0)
     elapsed = marks["t1"] - marks["t0"]

@@ -67,8 +67,8 @@ def main() -> None:
             print(f"[{sim.now * 1e3:7.2f} ms] client: got {data!r}")
         return endpoint
 
-    testbed.spawn(server(), name="server")
-    done = testbed.spawn(client(), name="client")
+    testbed.app_b.spawn(server(), name="server")
+    done = testbed.app_a.spawn(client(), name="client")
     endpoint = testbed.run(until=done)
 
     print()

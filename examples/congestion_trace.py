@@ -63,9 +63,9 @@ def main() -> None:
                 samples.append((sim.now, state["tcb"].cc.cwnd,
                                 state["tcb"].cc.ssthresh))
 
-    testbed.spawn(receiver(), name="rx")
-    testbed.spawn(sender(), name="tx")
-    sampler_proc = testbed.spawn(sampler(), name="sampler")
+    testbed.app_b.spawn(receiver(), name="rx")
+    testbed.app_a.spawn(sender(), name="tx")
+    sampler_proc = testbed.app_a.spawn(sampler(), name="sampler")
     testbed.run(until=sampler_proc)
 
     print(f"transferred {TOTAL} bytes in {state['done']:.2f} simulated s "

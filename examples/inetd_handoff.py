@@ -51,7 +51,7 @@ def main() -> None:
                 f"[{sim.now * 1e3:7.2f} ms] inetd: handed {service.decode()}"
                 f" connection to {worker_service.app.name}"
             )
-            testbed.spawn(worker(handed, service), name=f"w-{service}")
+            worker_service.app.spawn(worker(handed, service), name=f"w-{service}")
 
     def worker(conn, service):
         generator = SERVICES[service]
@@ -84,8 +84,8 @@ def main() -> None:
         echoed = yield from client(b"ECHO", b" say it back")
         assert echoed == b" say it back"
 
-    testbed.spawn(inetd(), name="inetd")
-    done = testbed.spawn(clients(), name="clients")
+    testbed.app_b.spawn(inetd(), name="inetd")
+    done = testbed.app_a.spawn(clients(), name="clients")
     testbed.run(until=done)
     print("\nall three services ran in separate worker tasks; the registry")
     print("saw only the three connection handshakes, never the hand-offs.")

@@ -63,9 +63,12 @@ def main() -> None:
         yield from conn.close()
 
     def latency_client():
-        endpoints = [(yield from udp_b.bind(RR_PORT)), (yield from udp_a.bind(0))]
-        run_rrp(endpoints[0], rr_server)
-        call = run_rrp(endpoints[1], rr_client)
+        # The server's endpoint is bob's: bound, and later closed, by a
+        # thread of bob's application.
+        served = yield testbed.app_b.spawn(udp_b.bind(RR_PORT), name="rr-bind")
+        endpoint = yield from udp_a.bind(0)
+        run_rrp(served, rr_server)
+        call = run_rrp(endpoint, rr_client)
         # Fire request/response calls *while* the bulk transfer runs.
         yield sim.timeout(0.05)
         for i in range(CALLS):
@@ -75,12 +78,13 @@ def main() -> None:
             assert reply == f"answered:req-{i}".encode()
             yield sim.timeout(0.02)
         stats["rr_done"] = sim.now
-        for endpoint in endpoints:  # Unbinds, and ends each receive loop.
-            yield from endpoint.close()
+        # Unbinds, and ends each receive loop.
+        yield testbed.app_b.spawn(served.close(), name="rr-unbind")
+        yield from endpoint.close()
 
-    testbed.spawn(bulk_receiver(), name="bulk-rx")
-    testbed.spawn(bulk_sender(), name="bulk-tx")
-    rr_done = testbed.spawn(latency_client(), name="rr")
+    testbed.app_b.spawn(bulk_receiver(), name="bulk-rx")
+    testbed.app_a.spawn(bulk_sender(), name="bulk-tx")
+    rr_done = testbed.app_a.spawn(latency_client(), name="rr")
     testbed.run(until=rr_done)
     testbed.run(until=sim.now + 2.0)
 

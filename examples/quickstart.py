@@ -53,8 +53,8 @@ def main() -> None:
         yield from sock.close()
         assert not sock.connected
 
-    testbed.spawn(server(), name="server")
-    done = testbed.spawn(client(), name="client")
+    testbed.app_b.spawn(server(), name="server")
+    done = testbed.app_a.spawn(client(), name="client")
     testbed.run(until=done)
     testbed.run(until=sim.now + 0.5)  # Let the close handshake drain.
 

@@ -65,8 +65,8 @@ def measure_keystroke_bursts(config: Optional[TcpConfig], bursts: int = 10) -> f
             yield from conn.recv_exactly(3)
         out["mean"] = (sim.now - start) / bursts
 
-    testbed.spawn(server(), name="server")
-    proc = testbed.spawn(client(), name="client")
+    testbed.app_b.spawn(server(), name="server")
+    proc = testbed.app_a.spawn(client(), name="client")
     testbed.run(until=proc)
     return out["mean"]
 

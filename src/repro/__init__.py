@@ -25,8 +25,9 @@ Quick start::
         yield from conn.send(b"hello")
         print((yield from conn.recv_exactly(5)))
 
-    testbed.spawn(server())
-    done = testbed.spawn(client())
+    # Application code runs as threads of each host's application task.
+    testbed.app_b.spawn(server())
+    done = testbed.app_a.spawn(client())
     testbed.run(until=done)
 """
 

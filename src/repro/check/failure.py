@@ -50,18 +50,17 @@ def serve(bed, seen):
             except ConnectionError:  # The listener closed under it.
                 return
             seen["conns"].append(conn)
-            bed.spawn(drain(conn))
+            bed.app_b.spawn(drain(conn))
 
     def server():
         listener = seen["listener"] = yield from bed.service_b.listen(80)
         # A requester too: an accept still parked at the end was never answered.
-        spawn = bed.app_b.spawn if bed.registries else bed.spawn
-        seen["requesters"].append(spawn(acceptor(listener)))
+        seen["requesters"].append(bed.app_b.spawn(acceptor(listener)))
         yield bed.sim.timeout(8.0)
         if not listener.closed:
             listener.close()
 
-    bed.spawn(server())
+    bed.app_b.spawn(server())
 
 
 def request(bed, seen, port=80, then=drain, **kwargs):
@@ -79,8 +78,7 @@ def request(bed, seen, port=80, then=drain, **kwargs):
         seen["conns"].append(conn)
         yield from then(conn)
 
-    spawn = bed.app_a.spawn if bed.registries else bed.spawn
-    seen["requesters"].append(spawn(client()))
+    seen["requesters"].append(bed.app_a.spawn(client()))
 
 
 def at(bed, delay, action):
@@ -161,7 +159,7 @@ def listener_closed_with_a_connection_in_its_backlog(bed, seen):
     def server():  # Listens, never accepts.
         seen["listener"] = yield from bed.service_b.listen(80)
 
-    bed.spawn(server())
+    bed.app_b.spawn(server())
     request(bed, seen)
     at(bed, 0.1, lambda: seen["listener"].close())
 
@@ -180,7 +178,7 @@ def handoff_then_first_owner_exits(bed, seen):
         conn = yield from listener.accept()
         handed = conn.hand_off(worker_service.app, worker_service)
         seen["conns"].append(handed)
-        bed.spawn(worker(handed))
+        worker_service.app.spawn(worker(handed))
         bed.app_b.terminate()  # inetd exits; the worker serves on.
 
     def worker(conn):
@@ -195,7 +193,7 @@ def handoff_then_first_owner_exits(bed, seen):
         seen["echo"] = yield from conn.recv_exactly(5)
         yield from drain(conn)
 
-    bed.spawn(inetd())
+    bed.app_b.spawn(inetd())
     request(bed, seen, then=client)
 
 

@@ -2,8 +2,8 @@
 
 One :class:`Kernel` exists per simulated host.  It owns the host CPU (all
 costed work funnels through it, so concurrent activity serializes as on
-the paper's uniprocessor DECstations), the task list, and the device
-registry that network I/O modules attach to.
+the paper's uniprocessor DECstations), the tasks it creates, and the
+device registry that network I/O modules attach to.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class Kernel:
         self.costs = costs
         self.name = name
         self.cpu = CPU(sim, name=f"{name}.cpu")
-        self.tasks: list["Task"] = []
         #: Named kernel-resident services (device drivers, network I/O
         #: modules) reachable via traps.
         self.devices: dict[str, Any] = {}
@@ -41,9 +40,7 @@ class Kernel:
         """Create a new task (address space + capability namespace)."""
         from .task import Task
 
-        task = Task(self, name, privileged=privileged)
-        self.tasks.append(task)
-        return task
+        return Task(self, name, privileged=privileged)
 
     def register_device(self, name: str, device: Any) -> None:
         """Attach a kernel-resident device service under ``name``."""

@@ -207,8 +207,9 @@ def run_transfers(
 
     receivers = []
     for i in range(transfers):
-        receivers.append(bed.spawn(server(i), name=f"srv{i}"))
-        bed.spawn(client(i), name=f"cli{i}")
+        server_app = bed.app(servers[i % len(servers)].host)
+        receivers.append(server_app.spawn(server(i), name=f"srv{i}"))
+        bed.app(clients[i % len(clients)].host).spawn(client(i), name=f"cli{i}")
     if deadline is None:
         for proc in receivers:
             sim.run(until=proc)
@@ -366,8 +367,8 @@ def measure_throughput(
                 marks["received"] = received
         yield from conn.close()
 
-    rx = testbed.spawn(receiver(), name="rx")
-    testbed.spawn(sender(), name="tx")
+    rx = testbed.app_b.spawn(receiver(), name="rx")
+    testbed.app_a.spawn(sender(), name="tx")
     testbed.run(until=rx)
     timed_bytes = marks["received"] - marks.get("sent0", 0)
     elapsed = marks["t1"] - marks.get("t0", 0.0)
@@ -408,8 +409,8 @@ def measure_latency(
         marks["total"] = testbed.sim.now - start
         yield from conn.close()
 
-    testbed.spawn(echo_server(), name="echo")
-    ping = testbed.spawn(pinger(), name="ping")
+    testbed.app_b.spawn(echo_server(), name="echo")
+    ping = testbed.app_a.spawn(pinger(), name="ping")
     testbed.run(until=ping)
     return LatencyResult(
         message_size=message_size,
@@ -452,8 +453,8 @@ def measure_setup(
             # Space the rounds out so closes fully drain.
             yield testbed.sim.timeout(0.5)
 
-    testbed.spawn(acceptor(), name="accept")
-    conn_proc = testbed.spawn(connector(), name="connect")
+    testbed.app_b.spawn(acceptor(), name="accept")
+    conn_proc = testbed.app_a.spawn(connector(), name="connect")
     testbed.run(until=conn_proc)
     return SetupResult(
         rounds=rounds,

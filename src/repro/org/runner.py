@@ -14,6 +14,7 @@ from time import perf_counter
 from typing import Callable, Generator, Optional
 
 from ..mach.kernel import Kernel
+from ..mach.task import Task
 from .. import obs as _obs
 from ..protocols.tcp import (
     AppAbort, AppClose, AppRead, AppSend, CancelTimer, DeliverData, DeliverFin, EmitSegment,
@@ -36,12 +37,16 @@ class MachineRunner:
         machine: TcpMachine,
         emit_fn: EmitFn,
         name: str = "tcp",
+        task: Optional[Task] = None,
     ) -> None:
         self.kernel = kernel
         self.sim: Simulator = kernel.sim
         self.machine = machine
         self.emit_fn = emit_fn
         self.name = name
+        #: The task whose thread runs a timer expiry; None for a kernel
+        #: stack's connection, whose expiries run in kernel context.
+        self.task = task
         # Receive side.
         self.rx_buffer = bytearray()
         self.eof = False
@@ -288,7 +293,9 @@ class MachineRunner:
         event is placed again, at its deadline's exact float; a
         cancelled one's retires; a due one feeds ``TimerExpires`` to the
         machine in a fresh process, which the engine resumes right after
-        this event (spawns are urgent at the current timestamp)."""
+        this event (spawns are urgent at the current timestamp): a
+        thread of the runner's task, and nothing once that task has
+        exited."""
         timer = self._timers[name]
         deadline = timer[0]
         if deadline is not None and deadline > self.sim.now:
@@ -299,7 +306,11 @@ class MachineRunner:
         self._timers[name] = None
         if deadline is None or self.closed_reason is not None:
             return  # Cancelled, or armed by the machine's last actions, after close.
-        self.sim.process(self._expire(name), name=f"{self.name}-{name}")
+        task = self.task
+        if task is None:
+            self.sim.process(self._expire(name), name=f"{self.name}-{name}")
+        elif task.alive:
+            task.spawn(self._expire(name), name=f"{self.name}-{name}")
 
     def _expire(self, name: str) -> Generator:
         # A generator, so the machine runs when the process first

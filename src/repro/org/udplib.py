@@ -145,11 +145,9 @@ class UdpEndpoint:
         while True:
             try:
                 batch = yield from self.channel.receive_batch()
-            except (ChannelClosed, GeneratorExit):
-                return
-            except Interrupt:
-                # Task terminated.  Anything else is a real bug and
-                # surfaces, not hangs the endpoint.
+            except (ChannelClosed, GeneratorExit, Interrupt):
+                # Closed or task terminated.  Anything else is a real bug
+                # and surfaces, not hangs the endpoint.
                 return
             cost = costs.user_wakeup + 2 * costs.cthread_switch
             if cost:
@@ -208,6 +206,7 @@ def run_rrp(endpoint: UdpEndpoint, engine: "RrpClient | RrpServer"):
     gives up.  The loop ends when the endpoint closes.
     """
     sim = endpoint.sim
+    spawn = endpoint.service.app.spawn  # The endpoint's application runs it all.
     waiting: dict[int, Event] = {}
 
     def execute(actions):
@@ -215,7 +214,7 @@ def run_rrp(endpoint: UdpEndpoint, engine: "RrpClient | RrpServer"):
             if isinstance(action, SendDatagram):
                 yield from endpoint.sendto(action.ip, action.port, action.data)
             elif isinstance(action, SetRetry):
-                sim.process(retry(action.transaction, action.delay))
+                spawn(retry(action.transaction, action.delay), name="rrp-retry")
             else:  # Complete or Failed: the transaction is over.
                 done = waiting.pop(action.transaction, None)
                 if done is not None:
@@ -244,5 +243,5 @@ def run_rrp(endpoint: UdpEndpoint, engine: "RrpClient | RrpServer"):
         yield from execute(actions)
         return (yield done)
 
-    sim.process(receive_loop(), name=f"rrp-rx-{endpoint.port}")
+    spawn(receive_loop(), name=f"rrp-rx-{endpoint.port}")
     return call

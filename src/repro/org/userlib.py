@@ -76,13 +76,6 @@ class LibraryTcpService(RegistryClient, TcpService):
         #: The library links its own IP instance (paper: an application
         #: using TCP links the TCP, IP, and ARP libraries).
         self.ip_lib = IpStack(host.ip)
-        #: Unreleased connections, whose timers stop when the task exits.
-        self.live: set["LibraryConnection"] = set()
-        app.on_exit(self._app_exited)
-
-    def _app_exited(self, _app: Task) -> None:
-        for conn in self.live:
-            conn.runner.stop_timers()
 
     def connect(self, remote_ip: int, remote_port: int, local_port: int = 0) -> Generator:
         reply = yield from self._rpc(Message("connect", body={
@@ -152,11 +145,11 @@ class LibraryConnection(TcpConnection):
             grant.machine,
             emit_fn=self._emit,
             name=f"{service.app.name}:{grant.local_port}",
+            task=service.app,
         )
         self.runner.connected = True
         self.runner.rx_buffer.extend(grant.rx_pending)
         self.runner.resume_timers(grant.timers)
-        service.live.add(self)
         self._released = False
         #: The per-connection upcalled receive thread (paper §3.2:
         #: "protocol control block lookups are eliminated by having
@@ -219,10 +212,8 @@ class LibraryConnection(TcpConnection):
         while True:
             try:
                 batch = yield from self.channel.receive_batch()
-            except (ChannelClosed, GeneratorExit):
-                return
-            except Interrupt:
-                # Task terminated or connection handed off.  Anything
+            except (ChannelClosed, GeneratorExit, Interrupt):
+                # Closed, task terminated or connection handed off.  Anything
                 # else is a real bug and surfaces, not hangs the reader.
                 return
             # Per-notification costs, amortized over the whole batch:
@@ -314,7 +305,6 @@ class LibraryConnection(TcpConnection):
         if self._released:
             return iter(())
         self._released = True
-        self.service.live.discard(self)
         return self.service._release(self.channel)
 
     # ------------------------------------------------------------------
@@ -338,5 +328,4 @@ class LibraryConnection(TcpConnection):
             self.remote_port, None,
         )
         self._released = True  # The new owner releases, not us.
-        self.service.live.discard(self)
         return LibraryConnection(new_service, grant)

@@ -156,8 +156,8 @@ def _setup_breakdown() -> dict:
         done["total_ms"] = (testbed.sim.now - start) * 1e3
         yield from conn.send(b"ok")
 
-    testbed.spawn(server(), name="server")
-    proc = testbed.spawn(client(), name="client")
+    testbed.app_b.spawn(server(), name="server")
+    proc = testbed.app_a.spawn(client(), name="client")
     testbed.run(until=proc)
     b = testbed.registry_a.last_breakdown
     out = {
@@ -195,19 +195,20 @@ def _demux_cost_us(network: str) -> float:
     busy = {}
 
     def scenario():
-        chan_b = yield from netio_b.create_channel(
+        # Only a registry installs channels: each on a thread of its own.
+        chan_b = yield testbed.registry_b.task.spawn(netio_b.create_channel(
             testbed.registry_b.task, testbed.app_b,
             tcp_send_template(IP_B, 6000, IP_A, 5000),
             local_ip=IP_B, local_port=6000,
             remote_ip=IP_A, remote_port=5000, link_dst=link_b,
-        )
-        chan_a = yield from netio_a.create_channel(
+        ), name="channel")
+        chan_a = yield testbed.registry_a.task.spawn(netio_a.create_channel(
             testbed.registry_a.task, testbed.app_a,
             tcp_send_template(IP_A, 5000, IP_B, 6000),
             local_ip=IP_A, local_port=5000,
             remote_ip=IP_B, remote_port=6000, link_dst=link_a,
             peer_bqi=chan_b.region.bqi,
-        )
+        ), name="channel")
         before = testbed.host_b.kernel.cpu.busy_time
         for _ in range(TABLE5_PACKETS):
             yield from netio_a.send(testbed.app_a, chan_a, packet)
@@ -215,7 +216,7 @@ def _demux_cost_us(network: str) -> float:
             yield from chan_b.receive_batch()
         busy["per_packet"] = (testbed.host_b.kernel.cpu.busy_time - before) / TABLE5_PACKETS
 
-    testbed.run(until=testbed.spawn(scenario(), name="bench"))
+    testbed.run(until=testbed.app_a.spawn(scenario(), name="bench"))
     non_demux = COSTS.semaphore_signal + COSTS.cthread_sync_op
     if network == "ethernet":
         non_demux += (

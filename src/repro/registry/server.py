@@ -291,7 +291,9 @@ class RegistryServer(KernelPath):
                 bqi=lease.peer_bqi, adv_bqi=adv_bqi, head=head,
             )
 
-        return MachineRunner(self.kernel, machine, emit, name=f"registry:{lease.local_port}")
+        return MachineRunner(
+            self.kernel, machine, emit, name=f"registry:{lease.local_port}", task=self.task
+        )
 
     def _handshake(self, lease: Lease) -> Generator:
         """The lease's ring, then its handshake's runner."""

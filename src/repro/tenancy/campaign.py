@@ -206,12 +206,13 @@ def run_cell(spec: IsolationSpec, keep_evidence: bool = False) -> IsolationCell:
             except OSError:
                 pass
             yield bed.sim.timeout(0.002)
-        # An out-of-grant *source* port on an active open.
+        # An out-of-grant *source* port on an active open, from a
+        # thread of mallory's TCP application.
         try:
             mallory_tcp = bed.library_service("alice", "mallory-tcp")
             manager.bind_task(mallory_tcp.app, mallory)
-            yield from mallory_tcp.connect(
-                IP_B, VICTIM_PORT, local_port=4700
+            yield mallory_tcp.app.spawn(
+                mallory_tcp.connect(IP_B, VICTIM_PORT, local_port=4700), name="connect"
             )
         except Exception:
             pass
@@ -275,13 +276,13 @@ def run_cell(spec: IsolationSpec, keep_evidence: bool = False) -> IsolationCell:
     if spec.adversary not in actors:
         raise ValueError(f"unknown adversary {spec.adversary!r}")
 
-    bed.spawn(receiver(), name="victim-rx")
-    bed.spawn(sender(), name="victim-tx")
-    bed.spawn(telemetry_rx(), name="telemetry-rx")
-    bed.spawn(telemetry_tx(), name="telemetry-tx")
+    bed.app_b.spawn(receiver(), name="victim-rx")
+    bed.app_a.spawn(sender(), name="victim-tx")
+    bed.app_a.spawn(telemetry_rx(), name="telemetry-rx")
+    bed.app_b.spawn(telemetry_tx(), name="telemetry-tx")
     actor = actors[spec.adversary]
     if actor is not None:
-        bed.spawn(actor(), name=spec.adversary)
+        mallory_task.spawn(actor(), name=spec.adversary)
     bed.run(until=spec.deadline)
     duration = bed.sim.now
 

@@ -15,6 +15,7 @@ from typing import Generator, Optional
 
 from .costs import CostModel, DECSTATION_5000_200
 from .host import Host
+from .mach.task import Task
 from .net.faults import FaultInjector
 from .net.headers import str_to_ip, str_to_mac
 from .net.link import An1Link, EthernetLink
@@ -47,6 +48,15 @@ MONOLITHIC_PROFILES = {
 
 ORGANIZATIONS = tuple(MONOLITHIC_PROFILES) + ("userlib",)
 NETWORKS = ("ethernet", "an1")
+
+
+def _attach(host: Host, organization: str, app: Task, config: TcpConfig, zero_copy: bool):
+    """``organization`` on ``host``: its TCP service, and its registry
+    (None for a kernel stack)."""
+    if organization == "userlib":
+        registry = RegistryServer(host, config=config)
+        return LibraryTcpService(host, app, registry, zero_copy=zero_copy), registry
+    return MonolithicTcpStack(host, MONOLITHIC_PROFILES[organization], config=config), None
 
 
 class Testbed:
@@ -96,26 +106,13 @@ class Testbed:
             self.host_a.an1_neighbors[IP_B] = STATION_B
             self.host_b.an1_neighbors[IP_A] = STATION_A
 
-        self.registry_a = self.registry_b = None
-        if organization == "userlib":
-            self.registry_a = RegistryServer(self.host_a, config=self.config)
-            self.registry_b = RegistryServer(self.host_b, config=self.config)
-            self.app_a = self.host_a.create_task("app-a")
-            self.app_b = self.host_b.create_task("app-b")
-            self.service_a: TcpService = LibraryTcpService(
-                self.host_a, self.app_a, self.registry_a, zero_copy=zero_copy
-            )
-            self.service_b: TcpService = LibraryTcpService(
-                self.host_b, self.app_b, self.registry_b, zero_copy=zero_copy
-            )
-        else:
-            profile = MONOLITHIC_PROFILES[organization]
-            self.service_a = MonolithicTcpStack(
-                self.host_a, profile, config=self.config
-            )
-            self.service_b = MonolithicTcpStack(
-                self.host_b, profile, config=self.config
-            )
+        #: Each host's application task: what runs application code on
+        #: a host is a thread of it (``testbed.app_a.spawn(...)``).
+        self.app_a = self.host_a.create_task("app-a")
+        self.app_b = self.host_b.create_task("app-b")
+        side_a = _attach(self.host_a, organization, self.app_a, self.config, zero_copy)
+        side_b = _attach(self.host_b, organization, self.app_b, self.config, zero_copy)
+        (self.service_a, self.registry_a), (self.service_b, self.registry_b) = side_a, side_b
 
     # ------------------------------------------------------------------
     # Conveniences
@@ -164,6 +161,10 @@ class Testbed:
         """Where transfer ``i`` connects: always host b."""
         return IP_B
 
+    def app(self, host: Host) -> Task:
+        """``host``'s application task."""
+        return self.app_a if host is self.host_a else self.app_b
+
     def spawn(self, generator: Generator, name: str = "proc"):
         return self.sim.process(generator, name=name)
 
@@ -193,7 +194,7 @@ class FabricTestbed:
     and the transfer drivers walk on :class:`Testbed` (``hosts`` /
     ``registries`` / ``services`` / ``links`` / ``switches`` /
     ``routers``; index-paired ``client_services`` / ``server_services``
-    / ``server_ip`` — empty off dumbbells), plus per-host service lookup.
+    / ``server_ip`` — empty off dumbbells; ``app(host)``), and ``service(host)``.
     """
 
     __test__ = False  # Not a pytest test class despite the name.
@@ -238,22 +239,16 @@ class FabricTestbed:
             self._faulted_link.faults = faults
         self._registry_by_host: dict[str, RegistryServer] = {}
         self._service_by_host: dict[str, TcpService] = {}
+        self._app_by_host: dict[str, Task] = {}
         for host in self.topology.hosts:
             host_config = self.config
             if config_for is not None:
                 host_config = config_for(host.name) or self.config
-            if organization == "userlib":
-                registry = RegistryServer(host, config=host_config)
+            app = self._app_by_host[host.name] = host.create_task(f"app-{host.name}")
+            service, registry = _attach(host, organization, app, host_config, zero_copy)
+            self._service_by_host[host.name] = service
+            if registry is not None:
                 self._registry_by_host[host.name] = registry
-                app = host.create_task(f"app-{host.name}")
-                self._service_by_host[host.name] = LibraryTcpService(
-                    host, app, registry, zero_copy=zero_copy
-                )
-            else:
-                profile = MONOLITHIC_PROFILES[organization]
-                self._service_by_host[host.name] = MonolithicTcpStack(
-                    host, profile, config=host_config
-                )
 
     # Duck-typed surface shared with Testbed ---------------------------
 
@@ -293,6 +288,10 @@ class FabricTestbed:
     def service(self, host: Host) -> TcpService:
         """The TCP service attached to ``host``."""
         return self._service_by_host[host.name]
+
+    def app(self, host: Host) -> Task:
+        """``host``'s application task."""
+        return self._app_by_host[host.name]
 
     @property
     def client_services(self) -> list[TcpService]:

@@ -212,7 +212,7 @@ def test_clean_exit_does_not_reset():
 def test_one_exit_hook_per_owner_however_many_connections():
     """The registry hooks an application's exit once, not once per
     lease: 20 connect/close cycles leave both applications' exit hooks
-    where one cycle left them (the library's and the registry's)."""
+    where one cycle left them (the registry's, the only one)."""
     testbed = Testbed(network="ethernet", organization="userlib", config=TcpConfig(msl=0.5))
     apps = (testbed.app_a, testbed.app_b)
     counts = []
@@ -229,7 +229,7 @@ def test_one_exit_hook_per_owner_however_many_connections():
             counts.append([len(app._exit_hooks) for app in apps])
 
     testbed.run(until=testbed.spawn(scenario(), name="scenario"))
-    assert counts == [[2, 2]] * 20
+    assert counts == [[1, 1]] * 20
     assert list(testbed.registry_a.core.leases) == []
 
 

@@ -27,12 +27,18 @@ TRIPS = 4
 
 def profiled_calls(work) -> int:
     """Every call cProfile sees under ``work()``, itself included.  The
-    garbage earlier tests left is collected first: a suspended process
-    of an abandoned testbed runs its ``finally`` when collected, and
-    must not do so inside the count."""
+    garbage earlier tests left is collected first, and no collection
+    runs inside the count: a suspended process of an abandoned testbed
+    runs its ``finally`` when collected, and a ``gc.callbacks`` hook
+    (hypothesis installs one once its tests have run) is called at each
+    collection; neither may count."""
     gc.collect()
-    profiler = cProfile.Profile()
-    profiler.runcall(work)
+    gc.disable()
+    try:
+        profiler = cProfile.Profile()
+        profiler.runcall(work)
+    finally:
+        gc.enable()
     return sum(entry.callcount for entry in profiler.getstats())
 
 

@@ -2,7 +2,6 @@
 staging and back-pressure, watchers, and the hand-offs that cost no engine
 event."""
 
-import cProfile
 from types import SimpleNamespace
 
 import pytest
@@ -23,6 +22,8 @@ from repro.net.fabric import TailDropQueue
 from repro.net.link import DuplexLink, Transmitter
 from repro import obs
 from repro.sim import Simulator
+
+from .test_data_path_cost import profiled_calls
 
 MAC_A = str_to_mac("02:00:00:00:00:01")
 MAC_B = str_to_mac("02:00:00:00:00:02")
@@ -134,10 +135,9 @@ def test_link_turn_call_gate():
         sim.run()
 
     turn()  # The steady state: every counter has been touched once.
-    profiler = cProfile.Profile()
-    profiler.runcall(turn)
+    calls = profiled_calls(turn)
     assert [received for _, received in peer.received] == [frame, frame]
-    assert sum(entry.callcount for entry in profiler.getstats()) <= 18
+    assert calls <= 18
 
 
 def test_unstaged_transmitter_puts_a_blocked_sender_on_the_wire():

@@ -177,6 +177,28 @@ def test_close_cancels_everything_and_a_later_firing_is_dropped():
     assert sim.engine_stats()["cancelled"] == 2
 
 
+def test_an_expiry_is_a_thread_of_the_runner_task_and_none_after_it_exits():
+    """A timer expiry runs on a thread of the runner's task; one that
+    comes due after the task exited runs nothing and crashes nothing."""
+    sim, runner = make_runner()
+    task = runner.task = runner.kernel.create_task("app")
+    on_its_thread = []
+    handle = runner.machine.handle
+
+    def handled(event, now):
+        if isinstance(event, TimerExpires):
+            on_its_thread.append(sim.active_process in task.threads)
+        return handle(event, now)
+
+    runner.machine.handle = handled
+    feed(sim, runner, SetTimer("rexmt", 1.0), SetTimer("keepalive", 2.0))
+    sim.call_later(1.5, lambda _event: task.terminate())
+    sim.run()
+    assert runner.machine.expired == [("rexmt", 1.0)]
+    assert on_its_thread == [True]
+    assert sim.now == 2.0 and not sim.crashed
+
+
 def test_stopped_timers_resume_in_another_runner_at_their_deadlines():
     sim, old = make_runner()
     new = MachineRunner(old.kernel, ScriptedMachine(), old.emit_fn)

@@ -36,11 +36,11 @@ contended pair 8.0; the ``call_later`` chain read 4.0 while
 frame and a lambda per event.
 """
 
-import cProfile
-
 import pytest
 
 from repro.sim import CPU, Simulator
+
+from ..net.test_data_path_cost import profiled_calls
 
 EVENTS = 1000
 
@@ -102,13 +102,7 @@ def _contended_charges(sim):
 def test_engine_calls_per_event_gate(build, ceiling):
     sim = Simulator()
     build(sim)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        sim.run()
-    finally:
-        profiler.disable()
-    calls = sum(entry.callcount for entry in profiler.getstats())
+    calls = profiled_calls(sim.run)
     events = sim.engine_stats()["events"]
     assert events >= EVENTS
     assert calls / events <= ceiling

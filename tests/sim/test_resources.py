@@ -1,6 +1,5 @@
 """Unit tests for Store, Serial, and CPU primitives."""
 
-import cProfile
 import random
 from collections import deque
 
@@ -19,6 +18,7 @@ from repro.sim import (
     Timeout,
 )
 
+from ..net.test_data_path_cost import profiled_calls
 from .legacy_engine import LegacySimulator
 
 
@@ -372,14 +372,9 @@ def test_fat_tree_calls_per_datagram_gate():
     once with a closed-form checksum, a UDP checksum summed the
     pseudo-header arithmetically, and ``prepend`` made its chain
     without ``object.__new__``."""
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        _, delivered = _fat_tree_arm()
-    finally:
-        profiler.disable()
-    calls = sum(entry.callcount for entry in profiler.getstats())
-    assert calls / delivered <= 479.0
+    delivered = []
+    calls = profiled_calls(lambda: delivered.append(_fat_tree_arm()[1]))
+    assert calls / delivered[0] <= 479.0
 
 
 # ----------------------------------------------------------------------

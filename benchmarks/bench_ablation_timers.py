@@ -1,60 +1,93 @@
-"""Ablation: timer facility implementations.
+"""Ablation: the TCP timer rule, raced on the stack itself.
 
 Paper §2.1: "practically every message arrival and departure involves
 timer operations.  Once again, fast implementations of timer events are
 well known, e.g., using hierarchical timing wheels."
 
-We benchmark the heap baseline against the hashed and hierarchical
-wheels on a TCP-like workload — many short-lived timers that are
-usually cancelled before firing (retransmission timers on a healthy
-connection) — in both wall-clock time and abstract basic operations.
+The stack's answer is the kept engine event (``MachineRunner``): an
+armed timer keeps one event, a re-arm to a later deadline stores it and
+a cancel clears it.  Its rival is the eager rule
+(``tests/org/eager_timers.py``): a fresh event per arm and a cancelled
+one per re-arm or cancel, each a tombstone the engine skips.  This
+bench runs the ledger's own ``pingpong`` and ``churn`` worlds at a
+reduced scale under each rule and reports, per rule, the ledger's
+``sim.events_per_op`` and ``sim.cancelled_share`` and the Python calls
+per op (every call cProfile sees in the run, as the ledger counts
+``py_calls_per_op``).
+
+Gates: the two rules deliver the same bytes and the same simulated
+results; on ``pingpong``, where every trip re-arms the retransmit and
+delayed-ACK timers at both ends, kept takes strictly fewer events and
+calls per op; on ``churn`` it takes no more.
 """
+
+import cProfile
+import gc
 
 import pytest
 
-from repro.timers import HashedWheel, HeapTimers, HierarchicalWheel
+from benchmarks.ledger.workloads import build_churn, build_pingpong
+from tests.org.eager_timers import eager_timers
 
-FACTORIES = {
-    "heap": HeapTimers,
-    "hashed-wheel": lambda: HashedWheel(tick=0.01, slots=256),
-    "hierarchical": lambda: HierarchicalWheel(tick=0.01, slots=32, levels=3),
+SEED = 1993
+#: world -> (builder, scale): 150 trips and 30 connect-send-close
+#: cycles per network.
+WORLDS = {
+    "pingpong": (build_pingpong, 0.1),
+    "churn": (build_churn, 0.1),
 }
 
 
-def tcp_like_workload(factory, connections: int = 50, rounds: int = 200):
-    """Each round arms a retransmission timer per connection, cancels
-    most of them (the ACK arrived), lets a few fire, plus a spread of
-    long-lived keepalive-style timers."""
-    timers = factory()
-    fired = []
-    # Long-lived timers sprinkled over the horizon.
-    for i in range(connections):
-        timers.schedule(0.01 + (i % 20) * 0.15, lambda: fired.append("keep"))
-    now = 0.0
-    handles = []
-    for round_index in range(rounds):
-        now += 0.005
-        for handle in handles:
-            if round_index % 10:  # 90% of timers are cancelled (ACKed).
-                handle.cancel()
-        handles = [
-            timers.schedule(0.5, lambda: fired.append("rexmt"))
-            for _ in range(connections)
-        ]
-        timers.advance_to(now)
-    timers.advance_to(now + 2.0)
-    return timers.ops, len(fired)
+def run_rule(world_name: str) -> dict:
+    """Build and run one world under the rule in force; its outputs and
+    costs.  Garbage earlier worlds left is collected first and none is
+    collected inside the count, so no other world's finaliser counts."""
+    build, scale = WORLDS[world_name]
+    world = build(SEED, scale)
+    profiler = cProfile.Profile()
+    gc.collect()
+    gc.disable()
+    try:
+        profiler.runcall(world.run)
+    finally:
+        gc.enable()
+    outcome = world.outcome()
+    engines = [arm.bed.sim.engine_stats() for arm in world.arms]
+    events = sum(stats["events"] for stats in engines)
+    cancelled = sum(stats["cancelled"] for stats in engines)
+    return {
+        "digests": [arm.result().digests for arm in world.arms],
+        "sim": outcome.sim,
+        "failed": outcome.failed,
+        "problems": outcome.problems,
+        "events_per_op": events / outcome.ops,
+        "cancelled_share": cancelled / events,
+        "calls_per_op": sum(entry.callcount for entry in profiler.getstats()) / outcome.ops,
+    }
 
 
-@pytest.mark.parametrize("name", list(FACTORIES))
-def test_ablation_timer_facility(benchmark, name):
-    ops, fired = benchmark.pedantic(
-        tcp_like_workload, args=(FACTORIES[name],), rounds=3, iterations=1
-    )
-    heap_ops, heap_fired = tcp_like_workload(FACTORIES["heap"])
-    # All facilities fire the same timers.
-    assert fired == heap_fired
-    if name != "heap":
-        # Wheels do O(1) starts/cancels: fewer basic operations than the
-        # heap's O(log n) sift per operation on this workload.
-        assert ops < heap_ops
+def race(world_name: str) -> dict:
+    kept = run_rule(world_name)
+    with eager_timers():
+        eager = run_rule(world_name)
+    return {"kept": kept, "eager": eager}
+
+
+@pytest.mark.parametrize("world_name", list(WORLDS))
+def test_ablation_timer_rule(benchmark, world_name):
+    rules = benchmark.pedantic(race, args=(world_name,), rounds=1, iterations=1)
+    kept, eager = rules["kept"], rules["eager"]
+    for rule, result in rules.items():
+        benchmark.extra_info[rule] = {
+            key: result[key] for key in ("events_per_op", "cancelled_share", "calls_per_op")
+        }
+        assert result["failed"] == 0 and result["problems"] == [], rule
+    # The rule is bookkeeping: what the applications saw is unchanged.
+    assert kept["digests"] == eager["digests"]
+    assert kept["sim"] == eager["sim"]
+    if world_name == "pingpong":
+        assert kept["events_per_op"] < eager["events_per_op"]
+        assert kept["calls_per_op"] < eager["calls_per_op"]
+    else:
+        assert kept["events_per_op"] <= eager["events_per_op"]
+        assert kept["calls_per_op"] <= eager["calls_per_op"]

@@ -14,7 +14,6 @@ Quick start::
 """
 
 from .evidence import FaultEvent, RunEvidence, WireSegment, collect_evidence
-from .golden import digest_cell, golden_cell_key, wire_digest
 from .invariants import (
     CheckResult,
     INVARIANTS,
@@ -43,10 +42,7 @@ __all__ = [
     "WireSegment",
     "check_all",
     "collect_evidence",
-    "digest_cell",
-    "golden_cell_key",
     "replay_cell",
-    "wire_digest",
     "run_campaign",
     "run_cell",
     "shrink_cell",

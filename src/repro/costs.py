@@ -150,7 +150,7 @@ class CostModel:
     #: allocating/walking small mbufs instead of a single cluster.
     mbuf_small: float = 100e-6
 
-    #: One timer set/cancel on the hashed timing wheel.
+    #: One TCP timer set or cancel (§2.1's per-message timer operation).
     timer_op: float = 6e-6
 
     # ------------------------------------------------------------------

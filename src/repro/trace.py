@@ -333,41 +333,3 @@ def write_pcap(path, records, linktype: int = LINKTYPE_ETHERNET) -> int:
             fh.write(raw)
             written += 1
     return written
-
-
-def read_pcap(path) -> tuple[int, list[tuple[float, bytes]]]:
-    """Read a classic pcap file back: ``(linktype, [(time, frame), ...])``.
-
-    Understands both byte orders and nanosecond-magic variants — enough
-    for round-trip tests and for re-decoding captures with
-    :meth:`WireTrace.decode`.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _PCAP_GLOBAL.size:
-        raise ValueError("truncated pcap: missing global header")
-    magic = struct.unpack("<I", data[:4])[0]
-    if magic in (0xA1B2C3D4, 0xA1B23C4D):
-        endian = "<"
-    elif magic in (0xD4C3B2A1, 0x4D3CB2A1):
-        endian = ">"
-    else:
-        raise ValueError(f"not a pcap file (magic {magic:#010x})")
-    nanos = struct.unpack(endian + "I", data[:4])[0] in (0xA1B23C4D, 0x4D3CB2A1)
-    header = struct.Struct(endian + "IHHiIII")
-    record = struct.Struct(endian + "IIII")
-    linktype = header.unpack_from(data)[6]
-    frames: list[tuple[float, bytes]] = []
-    offset = header.size
-    while offset < len(data):
-        if offset + record.size > len(data):
-            raise ValueError("truncated pcap: partial record header")
-        ts_sec, ts_frac, incl_len, _orig = record.unpack_from(data, offset)
-        offset += record.size
-        if offset + incl_len > len(data):
-            raise ValueError("truncated pcap: partial record")
-        frame = data[offset : offset + incl_len]
-        offset += incl_len
-        scale = 1e-9 if nanos else 1e-6
-        frames.append((ts_sec + ts_frac * scale, frame))
-    return linktype, frames

@@ -5,7 +5,7 @@ answer handshakes and strays on a host's kernel path.  Each scenario
 below drives that path through one edge of a connection's life — a
 refused SYN, a corrupted SYN, a closing listener, a dead listener owner
 — on both networks, and compares what went over the wire (the fields of
-``repro.check.golden.wire_digest``, in time order), what the
+``wire_digest`` in ``tools/golden.py``, in time order), what the
 applications were told, what each host's kernel path and TCP service
 counted, and what is still held at the end, with the values recorded
 in ``data/kernel_path_lifecycle.json``.  Nothing a refactor of that
@@ -19,11 +19,13 @@ import pytest
 
 from repro import netstat
 from repro.check.evidence import RunEvidence, segments_from_trace
-from repro.check.golden import wire_digest
 from repro.net.headers import PROTO_TCP, TCP_SYN
 from repro.protocols.tcp import Segment, TcpConfig, encode_segment
 from repro.testbed import IP_A, IP_B, Testbed
 from repro.trace import WireTrace
+from tests.tools import tool
+
+wire_digest = tool("golden").wire_digest
 
 RECORDED = json.loads((Path(__file__).parent / "data" / "kernel_path_lifecycle.json").read_text())
 #: Short lingers, so every scenario has settled well before the end.

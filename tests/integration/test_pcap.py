@@ -10,12 +10,48 @@ from repro.trace import (
     LINKTYPE_ETHERNET,
     PCAP_MAGIC,
     WireTrace,
-    read_pcap,
     write_pcap,
 )
 from repro.testbed import Testbed
 
 from .test_trace import run_small_transfer
+
+
+def read_pcap(path) -> tuple[int, list[tuple[float, bytes]]]:
+    """Read a classic pcap file back: ``(linktype, [(time, frame), ...])``.
+
+    Understands both byte orders and nanosecond-magic variants, so what
+    ``write_pcap`` wrote is judged as any reader of the format reads it,
+    not by the writer's own constants.
+    """
+    data = path.read_bytes()
+    if len(data) < 24:  # The global header.
+        raise ValueError("truncated pcap: missing global header")
+    magic = struct.unpack("<I", data[:4])[0]
+    if magic in (0xA1B2C3D4, 0xA1B23C4D):
+        endian = "<"
+    elif magic in (0xD4C3B2A1, 0x4D3CB2A1):
+        endian = ">"
+    else:
+        raise ValueError(f"not a pcap file (magic {magic:#010x})")
+    nanos = struct.unpack(endian + "I", data[:4])[0] in (0xA1B23C4D, 0x4D3CB2A1)
+    header = struct.Struct(endian + "IHHiIII")
+    record = struct.Struct(endian + "IIII")
+    linktype = header.unpack_from(data)[6]
+    frames: list[tuple[float, bytes]] = []
+    offset = header.size
+    while offset < len(data):
+        if offset + record.size > len(data):
+            raise ValueError("truncated pcap: partial record header")
+        ts_sec, ts_frac, incl_len, _orig = record.unpack_from(data, offset)
+        offset += record.size
+        if offset + incl_len > len(data):
+            raise ValueError("truncated pcap: partial record")
+        frame = data[offset : offset + incl_len]
+        offset += incl_len
+        scale = 1e-9 if nanos else 1e-6
+        frames.append((ts_sec + ts_frac * scale, frame))
+    return linktype, frames
 
 
 def test_pcap_round_trip_ethernet(tmp_path):

@@ -40,8 +40,8 @@ def run_echo(testbed, payload: bytes, port: int = 7000) -> dict:
         out["echo"] = echo
         yield from conn.close()
 
-    testbed.spawn(server(), name="server")
-    client_proc = testbed.spawn(client(), name="client")
+    testbed.app_b.spawn(server(), name="server")
+    client_proc = testbed.app_a.spawn(client(), name="client")
     testbed.run(until=client_proc)
     return out
 
@@ -92,20 +92,20 @@ def test_bidirectional_concurrent_streams():
     def side_b():
         listener = yield from testbed.service_b.listen(5555)
         conn = yield from listener.accept()
-        send_done = testbed.spawn(conn.send(b_data), name="b-send")
+        send_done = testbed.app_b.spawn(conn.send(b_data), name="b-send")
         got["at_b"] = yield from conn.recv_exactly(len(a_data))
         yield send_done
         yield from conn.close()
 
     def side_a():
         conn = yield from testbed.service_a.connect(IP_B, 5555)
-        send_done = testbed.spawn(conn.send(a_data), name="a-send")
+        send_done = testbed.app_a.spawn(conn.send(a_data), name="a-send")
         got["at_a"] = yield from conn.recv_exactly(len(b_data))
         yield send_done
         yield from conn.close()
 
-    b_proc = testbed.spawn(side_b(), name="B")
-    a_proc = testbed.spawn(side_a(), name="A")
+    b_proc = testbed.app_b.spawn(side_b(), name="B")
+    a_proc = testbed.app_a.spawn(side_a(), name="A")
     testbed.run(until=a_proc)
     testbed.run(until=b_proc)
     assert got["at_b"] == a_data
@@ -132,8 +132,8 @@ def test_multiple_sequential_connections_same_port_pair():
             yield from conn.close()
             yield testbed.sim.timeout(1.0)
 
-    testbed.spawn(server(), name="server")
-    client_proc = testbed.spawn(client(), name="client")
+    testbed.app_b.spawn(server(), name="server")
+    client_proc = testbed.app_a.spawn(client(), name="client")
     testbed.run(until=client_proc)
     assert results == [b"msg-0", b"msg-1", b"msg-2"]
 
@@ -172,8 +172,8 @@ def test_explicit_port_in_time_wait_is_refused(organization):
             yield testbed.sim.timeout(0.2)
         yield from conn.close()
 
-    testbed.spawn(server(), name="server")
-    testbed.run(until=testbed.spawn(client(), name="client"))
+    testbed.app_b.spawn(server(), name="server")
+    testbed.run(until=testbed.app_a.spawn(client(), name="client"))
     testbed.run(until=testbed.sim.now + 1.0)
     assert len(refused) == 1
     assert got == [b"", b"x" * 3000]
@@ -191,7 +191,7 @@ def test_kernel_connect_to_an_unknown_station_gives_its_port_back():
         except LookupError as error:
             errors.append(error)
 
-    testbed.run(until=testbed.spawn(client(), name="client"))
+    testbed.run(until=testbed.app_a.spawn(client(), name="client"))
     assert len(errors) == 1
     assert (stack.core.leases, stack.core.held(testbed.sim.now)) == ({}, {})
 
@@ -215,8 +215,8 @@ def test_an_aborted_connection_holds_nothing(organization):
         yield from conn.send(b"bye")
         yield from conn.abort()
 
-    testbed.spawn(server(), name="server")
-    testbed.spawn(client(), name="client")
+    testbed.app_b.spawn(server(), name="server")
+    testbed.app_a.spawn(client(), name="client")
     testbed.run(until=5.0)
     assert [(subject, what) for subject, what, held in netstat.held(testbed) if held] == []
 
@@ -231,7 +231,7 @@ def test_concurrent_connections_different_apps():
         listener = yield from testbed.service_b.listen(7070)
         for _ in range(2):
             conn = yield from listener.accept()
-            testbed.spawn(handle(conn), name="handler")
+            testbed.app_b.spawn(handle(conn), name="handler")
 
     def handle(conn):
         data = yield from conn.recv_exactly(6)
@@ -244,9 +244,9 @@ def test_concurrent_connections_different_apps():
         got[tag] = yield from conn.recv_exactly(6)
         yield from conn.close()
 
-    testbed.spawn(server(), name="server")
-    c1 = testbed.spawn(client(testbed.service_a, "first!"), name="c1")
-    c2 = testbed.spawn(client(service_a2, "second"), name="c2")
+    testbed.app_b.spawn(server(), name="server")
+    c1 = testbed.app_a.spawn(client(testbed.service_a, "first!"), name="c1")
+    c2 = service_a2.app.spawn(client(service_a2, "second"), name="c2")
     testbed.run(until=c1)
     testbed.run(until=c2)
     assert got["first!"] == b"FIRST!"
@@ -261,7 +261,7 @@ def test_connect_to_closed_port_refused():
             yield from testbed.service_a.connect(IP_B, 9999)
         return True
 
-    proc = testbed.spawn(client(), name="client")
+    proc = testbed.app_a.spawn(client(), name="client")
     assert testbed.run(until=proc)
 
 
@@ -281,12 +281,12 @@ def test_closing_a_listener_fails_its_parked_accept(organization):
 
     def server():
         listener = yield from testbed.service_b.listen(7100)
-        testbed.spawn(acceptor(listener), name="acceptor")
+        testbed.app_b.spawn(acceptor(listener), name="acceptor")
         yield testbed.sim.timeout(0.1)
         out["closed_at"] = testbed.sim.now
         listener.close()
 
-    testbed.spawn(server(), name="server")
+    testbed.app_b.spawn(server(), name="server")
     testbed.run(until=5.0)
     assert "closed" in out.get("error", ""), out
     assert out["at"] - out["closed_at"] < 0.1
@@ -323,7 +323,7 @@ def test_icmp_ping_works_alongside_tcp(organization):
         yield from testbed.host_a.ip_send(IP_B, PROTO_ICMP, request)
         yield testbed.sim.timeout(0.1)
 
-    proc = testbed.spawn(pinger(), name="ping")
+    proc = testbed.app_a.spawn(pinger(), name="ping")
     testbed.run(until=proc)
     testbed.run(until=testbed.sim.now + 0.2)
     assert len(replies) == 1
@@ -342,7 +342,7 @@ def test_udp_datagram_between_hosts():
         wire = encode_datagram(1234, 53, b"query", IP_A, IP_B)
         yield from testbed.host_a.ip_send(IP_B, PROTO_UDP, wire)
 
-    proc = testbed.spawn(sender(), name="udp")
+    proc = testbed.app_a.spawn(sender(), name="udp")
     testbed.run(until=proc)
     testbed.run(until=testbed.sim.now + 0.1)
     assert len(got) == 1

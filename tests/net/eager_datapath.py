@@ -44,7 +44,7 @@ def slice_view(data, start: int, stop: "int | None" = None) -> bytes:
     return piece
 
 
-def _rebind(old, new) -> None:
+def rebind(old, new) -> None:
     """Point every ``repro`` module global that is ``old`` at ``new``."""
     for name, module in list(sys.modules.items()):
         if name == "repro" or name.startswith("repro."):
@@ -65,9 +65,9 @@ def eager_datapath():
     """
     swaps = [(buf.prepend, prepend), (buf.slice_view, slice_view)]
     for original, oracle in swaps:
-        _rebind(original, oracle)
+        rebind(original, oracle)
     try:
         yield
     finally:
         for original, oracle in swaps:
-            _rebind(oracle, original)
+            rebind(oracle, original)

@@ -7,17 +7,13 @@ A scripted machine stands in for ``TcpMachine``: ``handle`` hands back
 whatever action list the test fed it and logs each ``TimerExpires`` with
 the instant it arrived, so the tests see exactly what the runner did
 with ``SetTimer`` / ``CancelTimer`` / ``NotifyClosed``.  ``EagerRunner``
-keeps the earlier rule, one fresh event per arm and a cancel per re-arm,
-as the oracle the kept-event rule must match.
+(``eager_timers.py``) keeps the earlier rule, one fresh event per arm
+and a cancel per re-arm, as the oracle the kept-event rule must match.
 """
 
 import gc
 import random
-import subprocess
-import sys
 import weakref
-from functools import partial
-from pathlib import Path
 
 import pytest
 
@@ -27,6 +23,8 @@ from repro.org.runner import MachineRunner
 from repro.protocols.tcp import CancelTimer, NotifyClosed, SetTimer, TimerExpires
 from repro.sim import Simulator
 from repro.testbed import IP_B, Testbed
+
+from .eager_timers import EagerRunner, eager_timers
 
 
 class ScriptedMachine:
@@ -38,55 +36,6 @@ class ScriptedMachine:
             self.expired.append((event.name, now))
             return []
         return event
-
-
-class EagerRunner(MachineRunner):
-    """The eager rule: every SetTimer cancels the name's event and arms a
-    fresh one, every CancelTimer cancels it.  Only the timer actions the
-    scripts here feed are executed."""
-
-    def _execute(self, actions, now):
-        timer_ops = 0
-        for action in actions:
-            if isinstance(action, SetTimer):
-                timer_ops += 1
-                self._eager_arm(action.name, now, action.delay)
-            elif isinstance(action, CancelTimer):
-                if action.name in self._timers:
-                    timer_ops += 1
-                    timer = self._timers[action.name]
-                    if timer is not None:
-                        timer[1].cancel()
-                        self._timers[action.name] = None
-            else:
-                raise AssertionError(f"the oracle runs timers only, not {action!r}")
-        if timer_ops:
-            return (self.kernel.cpu.charge(self.kernel.costs.timer_op * timer_ops),)
-        return ()
-
-    def _eager_arm(self, name, now, delay):
-        old = self._timers.get(name)
-        if old is not None:
-            old[1].cancel()
-        self._timers[name] = (now + delay, self.sim.call_later(delay, partial(self._eager_fired, name)))
-
-    def _eager_fired(self, name, _event):
-        self._timers[name] = None
-        self.sim.process(self._expire(name))
-
-    def stop_timers(self):
-        live = {}
-        for name, timer in self._timers.items():
-            if timer is not None:
-                live[name], event = timer
-                event.cancel()
-                self._timers[name] = None
-        return live
-
-    def resume_timers(self, deadlines):
-        now = self.sim.now
-        for name, deadline in deadlines.items():
-            self._eager_arm(name, now, max(0.0, deadline - now))
 
 
 def make_runner(runner_class=MachineRunner):
@@ -314,66 +263,51 @@ def test_a_closed_runner_is_not_held_by_its_timers():
     assert sim.now == 2.0
 
 
+def pingpong(network, trips=20):
+    """A userlib 1-byte echo, driven from each host's application task:
+    the bytes echoed, the instant the last echo arrived, and the
+    engine's cancelled count after each trip."""
+    bed = Testbed(network=network, organization="userlib")
+    echoes, cancelled, runners = bytearray(), {}, set()
+
+    def server():
+        listener = yield from bed.service_b.listen(4200)
+        conn = yield from listener.accept()
+        for _ in range(trips):
+            yield from conn.send((yield from conn.recv_exactly(1)))
+
+    def client():
+        conn = yield from bed.service_a.connect(IP_B, 4200)
+        runners.add(type(conn.runner))
+        for trip in range(1, trips + 1):
+            yield from conn.send(bytes([trip]))
+            echoes.extend((yield from conn.recv_exactly(1)))
+            cancelled[trip] = bed.sim.engine_stats()["cancelled"]
+
+    bed.app_b.spawn(server(), name="server")
+    bed.run(until=bed.app_a.spawn(client(), name="client"))
+    return bytes(echoes), bed.sim.now, cancelled, runners
+
+
 @pytest.mark.parametrize("network", ["ethernet", "an1"])
 def test_steady_pingpong_leaves_no_tombstones(network):
     """A userlib 1-byte echo re-arms and cancels its retransmit and
     delayed-ACK timers on every trip at both ends: from the second
     trip to the twentieth, no engine event is cancelled."""
-    bed = Testbed(network=network, organization="userlib")
-    cancelled = {}
-
-    def server():
-        listener = yield from bed.service_b.listen(4200)
-        conn = yield from listener.accept()
-        for _ in range(20):
-            yield from conn.send((yield from conn.recv_exactly(1)))
-
-    def client():
-        conn = yield from bed.service_a.connect(IP_B, 4200)
-        for trip in range(1, 21):
-            yield from conn.send(b"p")
-            assert (yield from conn.recv_exactly(1)) == b"p"
-            cancelled[trip] = bed.sim.engine_stats()["cancelled"]
-
-    bed.spawn(server())
-    bed.run(until=bed.spawn(client()))
+    _, _, cancelled, _ = pingpong(network)
     assert cancelled[20] == cancelled[2]
 
 
-def test_a_tcp_transfer_never_imports_the_timer_facilities():
-    """``repro.timers`` holds the §2.1 ablation arms and nothing else:
-    a fresh interpreter that builds a testbed and moves data over TCP
-    must finish without it."""
-    script = """
-import sys
-from repro.testbed import IP_B, Testbed
-
-bed = Testbed(organization="userlib")
-
-def server():
-    listener = yield from bed.service_b.listen(7000)
-    conn = yield from listener.accept()
-    data = yield from conn.recv_exactly(4096)
-    yield from conn.send(data[:1])
-    yield from conn.close()
-
-def client():
-    conn = yield from bed.service_a.connect(IP_B, 7000)
-    yield from conn.send(bytes(4096))
-    yield from conn.recv_exactly(1)
-    yield from conn.close()
-
-bed.spawn(server())
-bed.run(until=bed.spawn(client()))
-assert bed.sim.engine_stats()["cancelled"] > 0  # timers were armed
-print(sorted(m for m in sys.modules if m.startswith("repro.timers")))
-"""
-    src = Path(__file__).resolve().parents[2] / "src"
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        env={"PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout.strip() == "[]"
+def test_the_eager_rule_moves_nothing_but_the_tombstones():
+    """The same ping-pong with every runner swapped for the eager rule:
+    the same bytes at the same instant, but every re-arm and cancel
+    from trip 2 to trip 20 leaves a tombstone.  A swap that did not take
+    effect would read 0 there."""
+    kept, kept_end, kept_cancelled, kept_runners = pingpong("ethernet")
+    with eager_timers():
+        eager, eager_end, eager_cancelled, eager_runners = pingpong("ethernet")
+    assert (kept_runners, eager_runners) == ({MachineRunner}, {EagerRunner})
+    assert eager == kept == bytes(range(1, 21))
+    assert eager_end == kept_end
+    assert kept_cancelled[20] - kept_cancelled[2] == 0
+    assert eager_cancelled[20] - eager_cancelled[2] > 0

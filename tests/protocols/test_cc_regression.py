@@ -15,7 +15,10 @@ from pathlib import Path
 import pytest
 
 from repro.check.campaign import quick_specs
-from repro.check.golden import digest_cell, golden_cell_key
+from tests.tools import tool
+
+GOLDEN_TOOL = tool("golden")
+digest_cell, golden_cell_key = GOLDEN_TOOL.digest_cell, GOLDEN_TOOL.golden_cell_key
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "reno_wire_golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())

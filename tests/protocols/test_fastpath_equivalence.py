@@ -15,7 +15,6 @@ same.  This suite holds them to it:
 
 import pytest
 
-from repro.check import wire_digest
 from repro.check.campaign import CellSpec, cell_evidence
 from repro.costs import DECSTATION_5000_200
 from repro.net.fabric.routing import RouteTable
@@ -31,7 +30,9 @@ from repro.net.headers import (
 from repro.netio import FlowKey, FlowTable, ScanTable
 from repro.netio.pktfilter import tcp_filter_program
 from repro.protocols.tcp import Segment, TcpMachine, encode_segment
+from tests.tools import tool
 
+wire_digest = tool("golden").wire_digest
 COSTS = DECSTATION_5000_200
 IP_A = str_to_ip("10.0.0.1")
 IP_B = str_to_ip("10.0.0.2")

@@ -24,12 +24,6 @@ ALLOWED = {
     "repro.check.campaign:shrink_cell": ("cli", "what `repro.check shrink` runs"),
     "repro.check.campaign:ShrinkResult.as_dict": ("cli", "what `repro.check shrink` prints"),
     # -- oracle ------------------------------------------------------------
-    "repro.check.golden:wire_digest": ("oracle", "reno_wire_golden.json's digest"),
-    "repro.check.golden:golden_cell_key": ("oracle", "reno_wire_golden.json's cell key"),
-    "repro.check.golden:digest_cell": ("oracle", "reno_wire_golden.json's cell run"),
-    "repro.check.golden:_axis.<locals>.cells": ("oracle", "test_goldens: a campaign report golden"),
-    "repro.check.golden:_grid": ("oracle", "test_goldens: the grid golden"),
-    "repro.check.golden:_examples": ("oracle", "test_goldens: the examples golden"),
     "repro.check.invariants:CheckResult.ok": ("oracle", "the checker tests' verdict"),
     "repro.counters:Counters.snapshot": ("oracle", "what the flight-recorder tests compare samples with"),
     "repro.mach.task:Task.holds": ("oracle", "the capability tests' query"),
@@ -39,7 +33,6 @@ ALLOWED = {
     "repro.protocols.tcp.tcb:Tcb.unsent_bytes": ("oracle", "test_tcp_inlined_arithmetic's reference"),
     "repro.sim.events:Event.value": ("oracle", "the engine tests' read of a fired event"),
     "repro.sim.events:Event.cancelled": ("oracle", "the engine tests' read of a retired event"),
-    "repro.trace:read_pcap": ("oracle", "reads back what write_pcap wrote"),
     "repro.obs.hist:HistogramRegistry.get": ("oracle", "the obs tests' read of one histogram"),
     "repro.net.link:Link.wire_time": ("oracle", "the link tests' wire time of a frame; Transmitter._wire evaluates it inline"),
     # -- paper-arm ---------------------------------------------------------

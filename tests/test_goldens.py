@@ -1,6 +1,6 @@
 """The "unchanged" test: the grid, the three ``--quick`` campaign
 reports and the examples' output are pinned in goldens
-(``repro.check.golden.GOLDENS``), and a change that moves any of them
+(``GOLDENS`` in ``tools/golden.py``), and a change that moves any of them
 fails here naming the cells that moved.  A golden is re-recorded with
 ``python tools/golden.py update NAME --pr N --stage "<what moved>"``,
 at most once per change: its log keeps one entry per PR."""
@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.golden import GOLDENS
+from tests.tools import tool
 
+GOLDENS = tool("golden").GOLDENS
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "protocols" / "data"
 

@@ -7,27 +7,20 @@ four kinds, and a ``tested-only`` entry names a tier-1 test that pytest
 collects — the test that keeps the path honest until a campaign does.
 """
 
-import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 from tests.reach_allow import ALLOWED
+from tests.tools import tool
 
 ROOT = Path(__file__).resolve().parents[1]
 #: The list only shrinks from here: a new entry must push one out.
 MAX_ENTRIES = 65
 
 
-def _reach_tool():
-    spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_entry_names_a_src_function_with_a_kind():
-    reach = _reach_tool()
+    reach = tool("reach")
     defined = {name for name, _ in reach.census().values()}
     assert not sorted(set(ALLOWED) - defined)
     assert not [name for name, (kind, _) in ALLOWED.items() if kind not in reach.KINDS]

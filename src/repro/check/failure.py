@@ -100,7 +100,7 @@ def ring_refused(bed, seen):
 
 
 def handshake_times_out(bed, seen):
-    bed.host_b.tcp_kernel_handler = lambda payload, src_ip, link_info: iter(())
+    bed.host_b.tcp_kernel_handler = lambda payload, src_ip, link_info, done: done()
     request(bed, seen)
 
 

@@ -42,10 +42,9 @@ from .protocols.ip import IpStack, encapsulate
 from .protocols.udp import UdpPortTable
 from .sim import Simulator
 
-#: Kernel-side TCP consumer installed by the organization:
-#: ``handler(tcp_payload, src_ip, link_info)`` as a generator, run as
-#: a kernel thread (it transmits).
-TcpKernelHandler = Callable[[bytes, int, LinkInfo], Generator]
+#: Kernel-side TCP consumer installed by the organization: a plain call
+#: ``handler(tcp_payload, src_ip, link_info, done)`` in interrupt context.
+TcpKernelHandler = Callable[[bytes, int, LinkInfo, Done], None]
 
 
 class Host:
@@ -198,8 +197,7 @@ class Host:
             else:
                 stage(None)
         elif protocol == PROTO_TCP and self.tcp_kernel_handler is not None:
-            work = self.tcp_kernel_handler(datagram.payload, datagram.src, link_info)
-            self.sim.process(work_then(work, done))
+            self.tcp_kernel_handler(datagram.payload, datagram.src, link_info, done)
         elif protocol == PROTO_ICMP and self.icmp_echo_enabled:
             work = self._icmp_rx(datagram.payload, datagram.src, link_info)
             self.sim.process(work_then(work, done))
@@ -306,16 +304,18 @@ class Host:
         adv_bqi: int = 0,
         ttl: int = 64,
         head: bytes = b"",
+        length: Optional[int] = None,
     ) -> Generator:
         """Encapsulate and transmit one transport payload from kernel
         context, fragmenting to the device MTU if needed; ``head`` is a
-        transport header packed by the sender (``IpStack.send``)."""
+        transport header packed by the sender and ``length`` the two
+        together, as the sender measured them (``IpStack.send``)."""
         costs = self.kernel.costs
         if link_dst is None:
             link_dst = yield from self.resolve_link(dst_ip)
         if costs.ip_output:
             yield self.kernel.cpu.charge(costs.ip_output)
-        packets = self.ip_stack.send(dst_ip, protocol, payload, self.mtu, ttl, head)
+        packets = self.ip_stack.send(dst_ip, protocol, payload, self.mtu, ttl, head, length)
         for packet in packets:
             yield from self.netio.kernel_send(
                 packet, link_dst, bqi=bqi, adv_bqi=adv_bqi

@@ -74,13 +74,13 @@ Done = Callable[[], None]
 #: stack, the registry server's handshake path, ARP): a plain call
 #: ``kernel_rx(ethertype, payload, link_info, done)`` in interrupt
 #: context.  It never blocks; work that transmits or may wait runs as
-#: a kernel thread through :func:`work_then`.
+#: a kernel thread (:func:`work_then`, or TCP's own ``_tcp_rx``).
 KernelRx = Callable[[int, bytes, LinkInfo, Done], None]
 
 
 def work_then(work: Generator, done: Done) -> Generator:
     """Body of a kernel thread: the part of a kernel consumer that
-    answers on the wire (ARP, ICMP, the organization's TCP input) runs
+    answers on the wire (ARP, ICMP, a router's local input) runs
     as the generator ``work``; the interface is held until it ends."""
     try:
         yield from work

@@ -136,7 +136,7 @@ def held(testbed, tenant: Optional[str] = None):
             # A worker that ended with an exception may have died holding a lease.
             threads = registry.task.threads
             yield name, "failed workers", [t.name for t in threads if not (t.is_alive or t.ok)]
-            # A worker still parked (an accept on a closed listener) holds its requester.
+            # A worker still running holds its requester.
             main = f"{registry.task.name}/main"
             yield name, "live workers", [t.name for t in threads if t.is_alive and t.name != main]
         for service in testbed.services:
@@ -431,7 +431,7 @@ DROP_REASONS = {
     "ip": {"bad_header": "header", "not_ours": "address", "expired": "reassembly timeout",
            "duplicate": "duplicate"},
     "udp": {"bad_datagram": "header", "no_port": "no port"},
-    "tcp": {"rx_bad_checksum": "checksum"},
+    "tcp": {"rx_bad_checksum": "checksum", "rx_no_task": "no consumer"},
 }
 
 

@@ -20,6 +20,7 @@ organization runs — the paper's "apples to apples" setup.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Generator, Optional
 
 from ..costs import CostModel
@@ -28,7 +29,7 @@ from ..net.headers import PROTO_TCP
 from ..protocols.tcp import Segment, TcpConfig, TcpMachine, encode_header
 from ..registry.core import Lease
 from ..registry.kernelpath import KernelPath
-from ..sim import Store
+from ..sim import Event
 from .base import PathProfile, TcpConnection, TcpListener, TcpService, no_cost
 from .runner import MachineRunner
 
@@ -137,7 +138,9 @@ class MonolithicTcpStack(KernelPath, TcpService):
     # ------------------------------------------------------------------
 
     def listen(self, port: int) -> Generator:
-        lease = self.core.open(self.profile, None, self.sim.now, port, backlog=Store(self.sim))
+        lease = self.core.open(
+            self.profile, None, self.sim.now, port, backlog=deque(), parked=deque()
+        )
         cost = self.kernel.costs.socket_op
         if cost:
             yield self.kernel.cpu.charge(cost)
@@ -187,6 +190,16 @@ class MonolithicTcpStack(KernelPath, TcpService):
         MonoConnection(self, lease)  # The lease's runner, and its grant.
         return ()
 
+    def _grant(self, parked: Event, lease: Lease) -> tuple:
+        parked.succeed(lease)
+        return ()
+
+    def _stale(self, parked: Event) -> bool:
+        return not parked.callbacks  # Its acceptor was interrupted.
+
+    def _turn_away(self, parked: Event, error: Exception) -> None:
+        parked.fail(error)
+
     def _respond_rst(self, segment: Segment, src_ip: int, link_src: object) -> Generator:
         self.stats["rx_no_match"] += 1
         return super()._respond_rst(segment, src_ip, link_src)
@@ -212,7 +225,9 @@ class MonolithicTcpStack(KernelPath, TcpService):
         )
         if cost:
             yield self.kernel.cpu.charge(cost)
-        yield from self.host.ip_send(remote_ip, PROTO_TCP, segment.payload, link_dst, head=head)
+        yield from self.host.ip_send(
+            remote_ip, PROTO_TCP, segment.payload, link_dst, head=head, length=length
+        )
 
 
 class MonoConnection(TcpConnection):
@@ -295,10 +310,13 @@ class MonoListener(TcpListener):
         return self.lease.released
 
     def accept(self) -> Generator:
-        if self.closed:
+        listener = self.lease
+        if listener.released:
             raise ConnectionError(f"listener on port {self.port} closed")
-        lease = yield self.lease.backlog.get()
-        return lease.grant
+        if listener.backlog:
+            return listener.backlog.popleft().grant
+        listener.parked.append(Event(self.stack.sim))
+        return (yield listener.parked[-1]).grant
 
     def close(self) -> None:
         # Its backlog goes with it: established, never accepted, reset.

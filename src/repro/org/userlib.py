@@ -172,7 +172,7 @@ class LibraryConnection(TcpConnection):
         # Built in the shared region, IP and TCP headers one image in
         # front of the payload: no extra copy toward the kernel.
         packets = self.service.ip_lib.send(
-            self.remote_ip, PROTO_TCP, segment.payload, mtu=host.mtu, head=head
+            self.remote_ip, PROTO_TCP, segment.payload, mtu=host.mtu, head=head, length=length
         )
         obs = _obs.SESSION
         if obs is not None:

@@ -124,16 +124,18 @@ class IpStack:
         mtu: int = 1500,
         ttl: int = 64,
         head: bytes = b"",
+        length: Optional[int] = None,
     ) -> list:
         """Build the wire packet(s) for ``head`` (a transport header its
         sender packed, TCP's) and ``payload``: one image, the IPv4 header
         and ``head``, prepended onto the unsliced payload, or fragments
-        of the two when they exceed ``mtu``."""
+        of the two when they exceed ``mtu``; ``length``, the two's, if measured."""
         if mtu < Ipv4Header.LENGTH + 8:
             raise IpError(f"absurd MTU {mtu}")
         self._ident = ident = (self._ident + 1) % 0x10000
         self.stats["sent"] += 1
-        length = len(head) + len(payload) if head else len(payload)
+        if length is None:
+            length = len(head) + len(payload) if head else len(payload)
         if length <= mtu - Ipv4Header.LENGTH:
             header = pack_ipv4(
                 self.local_ip, dst, protocol, Ipv4Header.LENGTH + length, ident, 0, 0, ttl

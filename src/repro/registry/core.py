@@ -81,15 +81,17 @@ class Lease:
     #: What ``accept()`` hands over: the library's grant once the
     #: channel exists, or a kernel stack's connection from its start.
     grant: Any = None
-    #: A listener's established, not yet accepted leases (the shell's
-    #: ``Store``; the core drains its ``items``).
+    #: A listener's established, not yet accepted leases (a ``deque``),
+    #: and the accepts waiting for one (the shell's requests or events).
     backlog: Any = None
+    parked: Any = None
     released: bool = False
 
 
 class HandBack(NamedTuple):
     """One lease going back.  The shell also destroys its channel (or
-    releases its ring) and closes a listener's flow and backlog."""
+    releases its ring), removes a listener's flow and answers its
+    parked accepts."""
 
     lease: Lease
     #: The handshake's runner still holds its timers: no grant took them.
@@ -219,7 +221,7 @@ class RegistryCore:
             until = self.free(lease.local_port, now, linger and runner is not None)
         records = [HandBack(lease, runner is not None and lease.grant is None, rst_seq, until)]
         if lease.backlog is not None:
-            queued = lease.backlog.items
+            queued = lease.backlog
             while queued:
                 records += self.release(queued.popleft(), now, reset=True)
         return records

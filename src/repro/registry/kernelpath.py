@@ -9,7 +9,9 @@ is the kernel stack that stops at ESTABLISHED.  A subclass supplies
 (None: its checksum failed) and before TCP input; a passive open's
 ``_handshake`` (sets ``lease.runner``) and ``_established`` (sets
 ``lease.grant``, unless the handshake did); ``_send_reset``; its share
-of a hand-back (``_hand_back``); and ``_spawn`` for background work.
+of a hand-back (``_hand_back``); ``_grant``, ``_stale`` and
+``_turn_away`` for an accept parked on a listener; and ``_spawn`` for
+the input's threads.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Generator, Optional
 from ..counters import Counters
 from ..host import Host
 from ..net.headers import HeaderError
-from ..netio.module import LinkInfo
+from ..netio.module import Done, LinkInfo
 from ..protocols.tcp import ChecksumError, Segment, TcpConfig, decode_segment, reset_for
 from ..sim import Interrupt
 from .core import HandBack, Lease, RegistryCore
@@ -37,28 +39,42 @@ class KernelPath:
         self.config = config or TcpConfig()
         self.core = RegistryCore(msl=self.config.msl)
         self.stats = Counters()  # Kernel-path counts; outlives every lease.
-        host.tcp_kernel_handler = self._tcp_rx
+        host.tcp_kernel_handler = self._tcp_input
 
-    def _tcp_rx(self, payload: bytes, src_ip: int, link_info: LinkInfo) -> Generator:
+    def _tcp_input(self, payload: bytes, src_ip: int, link_info: LinkInfo, done: Done) -> None:
+        """Interrupt context: the segment's input runs on a thread of its
+        own, which lets go of the interface when it ends."""
         try:
-            segment = decode_segment(payload, src_ip, self.host.ip)
-        except (ChecksumError, HeaderError):
-            segment = None
-        cost, input_cost = self._rx_costs(segment, len(payload))
-        if cost:
-            yield self.kernel.cpu.charge(cost)
-        if segment is None:
-            self.stats["rx_bad_checksum"] += 1
-            return
-        if input_cost:
-            yield self.kernel.cpu.charge(input_cost)
-        route, lease = self.core.route(segment, src_ip, link_info.adv_bqi)
-        if route == "handshake":
-            yield from lease.runner.feed_segment(segment)
-        elif route == "passive":
-            yield from self._passive_open(lease, segment, src_ip, link_info)
-        else:
-            yield from self._respond_rst(segment, src_ip, link_info.src)
+            self._spawn(self._tcp_rx(payload, src_ip, link_info, done), name="tcp-rx")
+        except RuntimeError:  # The registry's task has exited: nobody runs it.
+            self.stats["rx_no_task"] += 1
+            done()
+
+    def _tcp_rx(self, payload: bytes, src_ip: int, link_info: LinkInfo, done: Done) -> Generator:
+        try:
+            try:
+                segment = decode_segment(payload, src_ip, self.host.ip)
+            except (ChecksumError, HeaderError):
+                segment = None
+            cost, input_cost = self._rx_costs(segment, len(payload))
+            if cost:
+                yield self.kernel.cpu.charge(cost)
+            if segment is None:
+                self.stats["rx_bad_checksum"] += 1
+            else:
+                if input_cost:
+                    yield self.kernel.cpu.charge(input_cost)
+                route, lease = self.core.route(segment, src_ip, link_info.adv_bqi)
+                if route == "handshake":
+                    yield from lease.runner.feed_segment(segment)
+                elif route == "passive":
+                    yield from self._passive_open(lease, segment, src_ip, link_info)
+                else:
+                    yield from self._respond_rst(segment, src_ip, link_info.src)
+        except Exception:
+            done()
+            raise
+        done()
 
     def _passive_open(
         self, listener: Lease, syn: Segment, src_ip: int, link_info: LinkInfo
@@ -87,7 +103,13 @@ class KernelPath:
                 yield from self._established(lease)
             if listener.released:
                 raise ConnectionError("listener closed")
-            listener.backlog.put(lease)
+            parked = listener.parked
+            while parked and self._stale(parked[0]):  # Its acceptor is gone.
+                parked.popleft()
+            if parked:  # An accept waits on the listener: grant it here.
+                yield from self._grant(parked.popleft(), lease)
+            else:
+                listener.backlog.append(lease)
         except REFUSED:
             # Nobody left to accept it: the listening port stays its listener's.
             self._give_back(self.core.release(lease, self.sim.now, reset=True))
@@ -100,15 +122,15 @@ class KernelPath:
 
     def _give_back(self, records: list[HandBack]) -> None:
         """Apply what the core handed back: the only code that stops a
-        dead handshake's timers or closes a listener's backlog."""
+        dead handshake's timers or answers a closed listener's parked
+        accepts."""
         for lease, stop_timers, rst_seq, _ in records:
             if stop_timers:
                 lease.runner.stop_timers()
             self._hand_back(lease, rst_seq)
-            if lease.backlog is not None:
-                lease.backlog.fail_getters(
-                    ConnectionError(f"listener on port {lease.local_port} closed")
-                )
+            while lease.parked:
+                closed = ConnectionError(f"listener on port {lease.local_port} closed")
+                self._turn_away(lease.parked.popleft(), closed)
             # A handshake's runner refers back to its lease: break the
             # cycle, so what a released lease held goes at once.
             lease.runner = lease.channel = lease.grant = None

@@ -29,16 +29,17 @@ stack's (:class:`~repro.registry.kernelpath.KernelPath`).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Generator, Optional
 
 from ..host import Host
 from ..mach.ipc import Message, receive, reply_to
+from ..mach.ports import DeadPortError
 from ..mach.task import Task
 from ..net.headers import PROTO_TCP, TCP_RST
 from ..netio.template import tcp_send_template, udp_send_template
 from ..org.runner import MachineRunner
 from ..protocols.tcp import Segment, TcpConfig, TcpMachine, encode_header
-from ..sim import Store
 from .core import ConnectionGrant, Lease
 from .kernelpath import KernelPath
 
@@ -72,30 +73,38 @@ class RegistryServer(KernelPath):
         return right
 
     def _main_loop(self) -> Generator:
+        """A release (one-way) and an accept (it parks, or hands a ready
+        connection to a worker) are served here and return no work; any
+        other op's body, and a refusal, is a thread of its own."""
         while True:
             message = yield from receive(self.task, self._service_rx)
-            self.task.spawn(self._dispatch(message), name=f"req-{message.op}")
+            op = message.op
+            try:
+                body = getattr(self, f"_op_{op}", None)
+                if body is None:
+                    raise LookupError("bad op")
+                work = body(message)
+                if work is not None:
+                    self.task.spawn(work, name=f"req-{op}")
+            except Exception as exc:
+                self.task.spawn(self._refuse(message, exc), name=f"req-{op}")
 
-    def _dispatch(self, message: Message) -> Generator:
-        """One request worker.  Whatever escapes the operation — a
-        refusal, a failed handshake, the requester's exit interrupting
-        it, a bug — gives back the lease it was working on and, while
-        the requester can still hear it, is answered with an error: a
-        worker never ends holding anything."""
+    def _refuse(self, message: Message, exc: Exception) -> Generator:
+        """Whatever escaped an operation — a refusal, a failed handshake,
+        the requester's exit interrupting it, a bug — gives back the lease
+        it was working on and, while the requester can still hear it, is
+        answered with an error: a worker never ends holding anything."""
+        self._give_back(self.core.failed(self.sim.active_process, self.sim.now))
+        reply = message.reply_to
+        if reply is None:
+            return
         try:
-            handler = getattr(self, f"_op_{message.op}", None)
-            if handler is None:
-                raise LookupError("bad op")
-            yield from handler(message)
-        except Exception as exc:
-            self._give_back(self.core.failed(self.sim.active_process, self.sim.now))
-            reply = message.reply_to
-            if reply is not None:
-                if reply.port.dead:
-                    # Nobody is left to answer: drop the dead name.
-                    self.task.remove_right(reply)
-                else:
-                    yield from reply_to(self.task, message, Message("error", body=str(exc)))
+            if reply.is_send and not reply.port.dead:
+                yield from reply_to(self.task, message, Message("error", body=str(exc)))
+                return
+        except DeadPortError:  # The requester went while it was answered.
+            pass
+        self.task.remove_right(reply)  # Nobody can hear it: drop the name.
 
     def _admit(self, app: Task, kind: str, check) -> None:
         """One tenancy admission check for ``app``, audited as ``kind``
@@ -154,113 +163,147 @@ class RegistryServer(KernelPath):
     # ------------------------------------------------------------------
 
     def _op_listen(self, message: Message) -> Generator:
-        app = message.sender
-        lease = self._open(app, message.body["port"])
-        # Wildcard flow to the kernel: SYNs for this port classify as a
-        # listener hit feeding the handshake path, not a stray miss (the
-        # module vets the owner's port grant and attributes the entry).
-        self.host.netio.install_listener(
-            self.task, PROTO_TCP, lease.local_port, local_ip=self.host.ip, owner=app
-        )
-        lease.backlog = Store(self.sim)
-        yield from reply_to(self.task, message, Message("ok"))
+        try:
+            app = message.sender
+            lease = self._open(app, message.body["port"])
+            # Wildcard flow to the kernel: SYNs for this port classify as a
+            # listener hit feeding the handshake path, not a stray miss (the
+            # module vets the owner's port grant and attributes the entry).
+            self.host.netio.install_listener(
+                self.task, PROTO_TCP, lease.local_port, local_ip=self.host.ip, owner=app
+            )
+            lease.backlog, lease.parked = deque(), deque()
+            yield from reply_to(self.task, message, Message("ok"))
+        except Exception as exc:
+            yield from self._refuse(message, exc)
 
     def _op_unlisten(self, message: Message) -> Generator:
-        lease = self.core.listener(message.body["port"])
-        if lease is not None:
-            self._give_back(self.core.release(lease, self.sim.now))
-        yield from reply_to(self.task, message, Message("ok"))
+        try:
+            lease = self.core.listener(message.body["port"])
+            if lease is not None:
+                self._give_back(self.core.release(lease, self.sim.now))
+            yield from reply_to(self.task, message, Message("ok"))
+        except Exception as exc:
+            yield from self._refuse(message, exc)
 
-    def _op_accept(self, message: Message) -> Generator:
+    def _op_accept(self, message: Message) -> None:
+        """An accept takes a ready connection on a worker of its own, or
+        parks on its listener as a message, with no thread, until the
+        passive open that completes one grants it (``_grant``)."""
         port = message.body["port"]
         listener = self.core.listener(port)
         if listener is None:
             raise LookupError(f"not listening on {port}")
-        lease = yield listener.backlog.get()
-        self.stats["accepts"] += 1
-        # Breakdown items 5 and 4, as in a connect.
-        cost = self.kernel.costs.registry_state_transfer
-        if cost:
-            yield self.kernel.cpu.charge(cost)
-        grant = Message("grant", body=lease.grant, inline_bytes=self.STATE_BYTES)
-        yield from reply_to(self.task, message, grant)
+        if listener.backlog:
+            lease = listener.backlog.popleft()
+            self.core.assign(lease, self.task.spawn(self._grant(message, lease), name="req-accept"))
+        else:
+            listener.parked.append(message)
+
+    def _grant(self, message: Message, lease: Lease) -> Generator:
+        """Hand ``lease`` to an accept (breakdown items 5 and 4, as in a
+        connect) on the lease's worker: a grant that fails gives it back."""
+        try:
+            self.stats["accepts"] += 1
+            cost = self.kernel.costs.registry_state_transfer
+            if cost:
+                yield self.kernel.cpu.charge(cost)
+            grant = Message("grant", body=lease.grant, inline_bytes=self.STATE_BYTES)
+            yield from reply_to(self.task, message, grant)
+        except Exception as exc:
+            yield from self._refuse(message, exc)
+
+    def _stale(self, message: Message) -> bool:
+        """A parked accept nobody can hear any more: drop its dead name."""
+        reply = message.reply_to
+        if reply is not None and reply.port.dead:
+            self.task.remove_right(reply)
+        return reply is None or reply.port.dead
+
+    def _turn_away(self, message: Message, error: Exception) -> None:
+        self.task.spawn(self._refuse(message, error), name="req-accept")
 
     def _op_connect(self, message: Message) -> Generator:
-        body = message.body
-        local_port = body.get("local_port", 0)
-        app = message.sender
-        costs = self.kernel.costs
-        self.stats["connects"] += 1
-        breakdown = {"request_at": self.sim.now}
+        try:
+            body = message.body
+            local_port = body.get("local_port", 0)
+            app = message.sender
+            costs = self.kernel.costs
+            self.stats["connects"] += 1
+            breakdown = {"request_at": self.sim.now}
 
-        # Paper breakdown item 2: allocating connection identifiers and
-        # the non-overlappable start of connection setup.
-        mark = self.sim.now
-        if costs.registry_alloc:
-            yield self.kernel.cpu.charge(costs.registry_alloc)
-        # Tenancy admission *before* any handshake traffic: an explicit
-        # source port must be in the caller's grant, and the channel the
-        # connection will need must fit the budget — refusing now costs
-        # the network nothing.
-        if local_port:
-            self._admit(app, "connect_refused", lambda t: t.check_port(local_port))
-        region = self.host.netio.DEFAULT_REGION_SIZE
-        self._admit(app, "connect_refused", lambda t: t.precheck_channel(region))
-        lease = self._open(app, local_port, body["remote_ip"], body["remote_port"])
-        lease.link_dst = yield from self.host.resolve_link(lease.remote_ip)
-        yield from self._handshake(lease)
-        breakdown["non_overlapped_outbound"] = self.sim.now - mark
+            # Paper breakdown item 2: allocating connection identifiers and
+            # the non-overlappable start of connection setup.
+            mark = self.sim.now
+            if costs.registry_alloc:
+                yield self.kernel.cpu.charge(costs.registry_alloc)
+            # Tenancy admission *before* any handshake traffic: an explicit
+            # source port must be in the caller's grant, and the channel the
+            # connection will need must fit the budget — refusing now costs
+            # the network nothing.
+            if local_port:
+                self._admit(app, "connect_refused", lambda t: t.check_port(local_port))
+            region = self.host.netio.DEFAULT_REGION_SIZE
+            self._admit(app, "connect_refused", lambda t: t.precheck_channel(region))
+            lease = self._open(app, local_port, body["remote_ip"], body["remote_port"])
+            lease.link_dst = yield from self.host.resolve_link(lease.remote_ip)
+            yield from self._handshake(lease)
+            breakdown["non_overlapped_outbound"] = self.sim.now - mark
 
-        runner = lease.runner
-        mark = self.sim.now
-        yield from runner.start(active=True)
-        if not (yield from runner.wait_connected()):
-            raise ConnectionError(f"connect: {runner.closed_reason}")
-        breakdown["remote_and_back"] = self.sim.now - mark
-        # Channel setup (breakdown item 3).
-        mark = self.sim.now
-        yield from self._established(lease)
-        breakdown["channel_setup"] = self.sim.now - mark
-        # Move the established connection's state to the library
-        # (breakdown item 5), then answer the app's RPC (item 4).
-        mark = self.sim.now
-        if costs.registry_state_transfer:
-            yield self.kernel.cpu.charge(costs.registry_state_transfer)
-        grant = Message("grant", body=lease.grant, inline_bytes=self.STATE_BYTES)
-        yield from reply_to(self.task, message, grant)
-        breakdown["state_transfer"] = self.sim.now - mark
-        breakdown["reply_at"] = self.sim.now
-        self.last_breakdown = breakdown
+            runner = lease.runner
+            mark = self.sim.now
+            yield from runner.start(active=True)
+            if not (yield from runner.wait_connected()):
+                raise ConnectionError(f"connect: {runner.closed_reason}")
+            breakdown["remote_and_back"] = self.sim.now - mark
+            # Channel setup (breakdown item 3).
+            mark = self.sim.now
+            yield from self._established(lease)
+            breakdown["channel_setup"] = self.sim.now - mark
+            # Move the established connection's state to the library
+            # (breakdown item 5), then answer the app's RPC (item 4).
+            mark = self.sim.now
+            if costs.registry_state_transfer:
+                yield self.kernel.cpu.charge(costs.registry_state_transfer)
+            grant = Message("grant", body=lease.grant, inline_bytes=self.STATE_BYTES)
+            yield from reply_to(self.task, message, grant)
+            breakdown["state_transfer"] = self.sim.now - mark
+            breakdown["reply_at"] = self.sim.now
+            self.last_breakdown = breakdown
+        except Exception as exc:
+            yield from self._refuse(message, exc)
 
-    def _op_release(self, message: Message) -> Generator:
+    def _op_release(self, message: Message) -> None:
         """The library is done with a connection or a UDP binding."""
         channel = message.body["channel"]
         flow = channel.flow_key  # None once destroyed: nothing left to name.
         lease = flow and self.core.leases.get((flow.local_port, flow.remote_ip, flow.remote_port))
         if lease and lease.channel is channel:
             self._give_back(self.core.release(lease, self.sim.now, linger=True))
-        yield from ()  # One-way message; no reply.
 
     def _op_bind_udp(self, message: Message) -> Generator:
         """Bind a UDP port and build its protected channel: the paper's §5
         'address binding phase', after which datagrams bypass every server."""
-        port = message.body.get("port", 0)
-        app = message.sender
-        cost = self.kernel.costs.registry_alloc / 2
-        if cost:
-            yield self.kernel.cpu.charge(cost)
-        if port:
-            self._admit(app, "bind_refused", lambda t: t.check_port(port))
-        lease = self._open(app, port)
-        port = lease.local_port
-        # The channel's wildcard flow entry doubles as the kernel path's
-        # forwarder lookup (BQI 0 on AN1, pre-filter races).
-        lease.channel = yield from self.host.netio.create_channel(
-            self.task, app, udp_send_template(self.host.ip, port),
-            local_ip=self.host.ip, local_port=port, protocol="udp", with_link_info=True,
-        )
-        grant = Message("grant", body={"port": port, "channel": lease.channel})
-        yield from reply_to(self.task, message, grant)
+        try:
+            port = message.body.get("port", 0)
+            app = message.sender
+            cost = self.kernel.costs.registry_alloc / 2
+            if cost:
+                yield self.kernel.cpu.charge(cost)
+            if port:
+                self._admit(app, "bind_refused", lambda t: t.check_port(port))
+            lease = self._open(app, port)
+            port = lease.local_port
+            # The channel's wildcard flow entry doubles as the kernel path's
+            # forwarder lookup (BQI 0 on AN1, pre-filter races).
+            lease.channel = yield from self.host.netio.create_channel(
+                self.task, app, udp_send_template(self.host.ip, port),
+                local_ip=self.host.ip, local_port=port, protocol="udp", with_link_info=True,
+            )
+            grant = Message("grant", body={"port": port, "channel": lease.channel})
+            yield from reply_to(self.task, message, grant)
+        except Exception as exc:
+            yield from self._refuse(message, exc)
 
     # ------------------------------------------------------------------
     # The kernel path's steps (KernelPath): handshakes and resets
@@ -288,7 +331,7 @@ class RegistryServer(KernelPath):
                 yield self.kernel.cpu.charge(cost)
             yield from self.host.ip_send(
                 remote_ip, PROTO_TCP, segment.payload, lease.link_dst,
-                bqi=lease.peer_bqi, adv_bqi=adv_bqi, head=head,
+                bqi=lease.peer_bqi, adv_bqi=adv_bqi, head=head, length=length,
             )
 
         return MachineRunner(
@@ -334,9 +377,9 @@ class RegistryServer(KernelPath):
         """A stray's RST, or (to the peer's ring ``bqi``, after the Mach IPC
         ``cost`` of reaching the device) one a given-back lease's peer is owed."""
         self.stats["resets_sent"] += 1
-        head, _ = encode_header(rst, self.host.ip, remote_ip)
+        head, length = encode_header(rst, self.host.ip, remote_ip)
         if cost:
             yield self.kernel.cpu.charge(cost)
         yield from self.host.ip_send(
-            remote_ip, PROTO_TCP, rst.payload, link_dst, bqi=bqi, head=head
+            remote_ip, PROTO_TCP, rst.payload, link_dst, bqi=bqi, head=head, length=length
         )

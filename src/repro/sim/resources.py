@@ -3,7 +3,7 @@
 Three primitives cover everything the substrate needs:
 
 * :class:`Store` — an unbounded FIFO of items; the mailbox behind Mach
-  ports and accept backlogs.
+  ports.
 * :class:`Serial` — a capacity-1 FIFO timeline whose holders know their
   hold time up front, so a turn costs one engine event; link media and
   transmit channels are these.
@@ -48,12 +48,6 @@ class Store:
         else:
             self._getters.append(event)
         return event
-
-    def fail_getters(self, exception: BaseException) -> None:
-        """Fail every waiting getter with ``exception``: the consumer
-        side is gone (a listener closed), and nothing will be put."""
-        while self._getters:
-            self._getters.popleft().fail(exception)
 
 
 class Serial:

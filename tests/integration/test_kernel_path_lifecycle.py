@@ -103,11 +103,14 @@ def listener_closed_mid_handshake(bed, seen):
     listeners = []
     kernel_rx = bed.host_b.tcp_kernel_handler
 
-    def closing_after_the_syn(payload, src_ip, link_info):
-        yield from kernel_rx(payload, src_ip, link_info)
-        if listeners and not listeners[0].closed:
-            listeners[0].close()
-            seen.append("listener closed")
+    def closing_after_the_syn(payload, src_ip, link_info, done):
+        def then():
+            done()
+            if listeners and not listeners[0].closed:
+                listeners[0].close()
+                seen.append("listener closed")
+
+        kernel_rx(payload, src_ip, link_info, then)
 
     def keep(listener):
         listeners.append(listener)

@@ -32,6 +32,7 @@ from repro.netio.module import LinkInfo
 from repro.protocols.icmp import encode_echo
 from repro.protocols.tcp import Segment, encode_segment
 from repro.protocols.udp import encode_datagram
+from repro.registry.server import RegistryServer
 from repro.sim import Simulator
 from repro.tenancy.tenant import TenantManager
 
@@ -715,14 +716,24 @@ def test_kernel_rx_is_done_once_on_every_exit():
     # ARP reply, port-unreachable and echo reply all left the host.
     assert pair.b.nic.stats["tx_frames"] == 3
 
-    def failing_tcp_input(payload, src_ip, link_info):
-        yield pair.sim.timeout(1e-3)
+    # A kernel thread that dies still lets go of the interface: the real
+    # kernel-path TCP input fails on its own thread, and the frame
+    # staged behind the failing one is still taken.
+    kernel_path = RegistryServer(pair.b)
+
+    def failing_rx_costs(segment, nbytes):
         raise RuntimeError("organization bug")
 
-    # A kernel thread that dies still lets go of the interface.
-    pair.b.tcp_kernel_handler = failing_tcp_input
+    kernel_path._rx_costs = failing_rx_costs
     tcp = ip_packet(IP_A, IP_B, 5000, 80)
     assert len(pair.kernel_rx_once(ETHERTYPE_IP, tcp)) == 1
+    nic = pair.b.nic
+    nic.wire_deliver(eth_frame(tcp))
+    nic.wire_deliver(eth_frame(udp_packet(53)))
+    pair.sim.run()
+    assert len(got) == 2
+    assert nic.stats["rx_frames"] == 2 and not nic._rx_interrupt_pending
+    assert [str(p.value) for p in pair.sim.crashed] == ["organization bug"] * 2
 
 
 def test_kernel_consumer_that_transmits_holds_the_next_frame_back():

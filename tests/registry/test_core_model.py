@@ -118,7 +118,7 @@ class RegistryModel(RuleBasedStateMachine):
         if app is None:
             return
         try:
-            self.open(app, port, backlog=SimpleNamespace(items=deque()))
+            self.open(app, port, backlog=deque())
         except PortInUse:
             assert port in self.core.held(self.now)
 
@@ -177,11 +177,11 @@ class RegistryModel(RuleBasedStateMachine):
             if listener is None:  # Closed meanwhile: nobody will accept it.
                 self.give_back(self.core.release(lease, self.now, reset=True))
             else:
-                listener.backlog.items.append(lease)
+                listener.backlog.append(lease)
 
     @rule(data=st.data())
     def accept(self, data):
-        queues = [x.backlog.items for x in self.live(lambda lease: lease.backlog) if x.backlog.items]
+        queues = [x.backlog for x in self.live(lambda lease: lease.backlog is not None) if x.backlog]
         if queues:
             data.draw(st.sampled_from(queues)).popleft()
 
@@ -195,7 +195,7 @@ class RegistryModel(RuleBasedStateMachine):
         if lease.backlog is not None:
             self.give_back(self.core.release(lease, self.now))
             return
-        for queue in [x.backlog.items for x in self.live(lambda x: x.backlog)]:
+        for queue in [x.backlog for x in self.live(lambda x: x.backlog is not None)]:
             if lease in queue:
                 return  # Not accepted yet: the library does not have it.
         lease.runner.machine.state = State.CLOSED
@@ -232,7 +232,7 @@ class RegistryModel(RuleBasedStateMachine):
     def exited(self, lease, task):
         owed = {
             id(x): x.runner.machine.tcb.snd_nxt % MOD
-            for x in [lease, *(lease.backlog.items if lease.backlog else ())]
+            for x in [lease, *(lease.backlog or ())]
             if x.runner is not None and x.runner.machine.state not in QUIET
         }
         records = self.core.exited(lease, task, self.now)

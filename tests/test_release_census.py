@@ -37,7 +37,7 @@ STACK = (SRC / "org" / "monolithic.py").read_text()
 
 #: The kernel path's shared give-back: each occurs once in its module,
 #: inside ``_give_back``.
-HAND_BACKS = ("stop_timers(", "fail_getters(", "self._hand_back(")
+HAND_BACKS = ("stop_timers(", "self._turn_away(", "self._hand_back(")
 #: Each shell's own share: each occurs once in the shell, inside its
 #: ``_hand_back`` (the stack's is the reset of a connection never accepted).
 SHELL_HAND_BACKS = {

@@ -14,14 +14,11 @@ task (``Task.spawn``).  This census wraps the entry points over the
 failure, isolation and chaos ``--quick`` cells and ``repro.paper.grid()``
 and requires the named task to hold the running thread.
 
-Three exceptions are named, counted and printed; each must occur on
-these runs, so none passes vacuously:
+Two exceptions are named, counted and printed; each must occur on
+these runs, so neither passes vacuously:
 
 * **kernel context** — no process runs: an engine callback, or a
   teardown after the run;
-* **kernel receive work** — a host's or a router's ``work_then``
-  process, where the registry's passive open allocates its ring inside
-  the receive path;
 * **exit hooks** — calls made while ``Task.terminate`` runs its exit
   hooks: the kernel delivers the exit, in whatever process terminated
   the task.
@@ -29,7 +26,9 @@ these runs, so none passes vacuously:
 The ledger arms (``benchmarks/ledger/workloads.py``) still drive the
 library from processes of no task and are outside this census; they
 wait for the step that makes the trap read its caller from the running
-thread, which must also settle the second and third exceptions above.
+thread, which must also settle the second exception above.  The
+registry's kernel-path TCP input runs on the registry's own threads, so
+the passive open's ``allocate_ring`` is judged like any other call.
 """
 
 import inspect
@@ -44,10 +43,11 @@ from repro.check.campaign import CHAOS
 from repro.check.failure import CELLS, FAILURE, FailureSpec, serve
 from repro.mach import ipc
 from repro.mach.task import Task
-from repro.netio.module import NetworkIoModule, work_then
+from repro.mach.ipc import Message, send
+from repro.netio.module import NetworkIoModule
 from repro.sim import Simulator
 from repro.tenancy.campaign import ISOLATION
-from repro.testbed import IP_B
+from repro.testbed import IP_B, Testbed
 
 #: (owner, name, index of the task argument) of each trusted entry point.
 ENTRY_POINTS = [
@@ -59,9 +59,8 @@ ENTRY_POINTS = [
 ] + [(ipc, name, 0) for name in ("send", "receive", "rpc", "reply_to")]
 
 KERNEL_CONTEXT = "kernel context"
-RECEIVE_WORK = "kernel receive work"
 EXIT_HOOK = "exit hooks"
-EXCEPTIONS = (KERNEL_CONTEXT, RECEIVE_WORK, EXIT_HOOK)
+EXCEPTIONS = (KERNEL_CONTEXT, EXIT_HOOK)
 
 
 class Census:
@@ -79,8 +78,6 @@ class Census:
         process = task.sim.active_process
         if process is None:
             self.exceptions[KERNEL_CONTEXT, entry] += 1
-        elif process._generator.gi_code is work_then.__code__:
-            self.exceptions[RECEIVE_WORK, entry] += 1
         elif self.exiting:
             self.exceptions[EXIT_HOOK, entry] += 1
         elif process not in task.threads:
@@ -136,10 +133,13 @@ def census():
             if isinstance(owner, type):
                 patch.setattr(owner, name, wrapper)
                 continue
-            # A function imported by name is judged in every module that holds it.
-            for key, module in list(sys.modules.items()):
-                if key.startswith("repro") and getattr(module, name, None) is fn:
-                    patch.setattr(module, name, wrapper)
+            # A function imported by name is judged in every loaded module
+            # that holds it, under whatever name: the tree's, a test's, a
+            # bench's or an example's.
+            for module in list(sys.modules.values()):
+                for attr, value in list(getattr(module, "__dict__", {}).items()):
+                    if value is fn:
+                        patch.setattr(module, attr, wrapper)
         yield taken
 
 
@@ -193,3 +193,18 @@ def test_the_census_names_a_driver_outside_its_task(monkeypatch):
         FAILURE.run(FailureSpec("planted"))
     named = {(entry, task) for entry, process, task in taken.mismatches if process == "planted-driver"}
     assert ("ipc.rpc", "app-a") in named
+
+
+def test_the_census_judges_a_call_through_a_name_a_test_imported():
+    """``send`` as this module imported it, not as ``repro`` holds it: a
+    driver of no task sending in app-a's name is a mismatch."""
+    bed = Testbed(network="ethernet", organization="userlib")
+    right = bed.registries[0].client_right(bed.app_a)
+
+    def planted():
+        yield from send(bed.app_a, right, Message("bogus"))
+
+    with census() as taken:
+        bed.spawn(planted(), name="planted-send")
+        bed.run(until=0.01)
+    assert taken.mismatches == Counter({("ipc.send", "planted-send", "app-a"): 1})

@@ -25,8 +25,10 @@ class Task:
         self.privileged = privileged
         #: Capability space: the set of rights this task may exercise.
         self._rights: set[PortRight] = set()
-        #: Live threads, and those that died of an exception.
-        self.threads: list[Process] = []
+        #: Every thread spawned since the last prune (:attr:`threads`),
+        #: and the spawns left before :meth:`spawn` prunes.
+        self._threads: list[Process] = []
+        self._spawns_to_prune = 8
         self.alive = True
         #: Callbacks run when the task terminates (the registry uses this
         #: to inherit connections of exiting applications).
@@ -101,21 +103,27 @@ class Task:
             raise RuntimeError(f"task {self.name} has terminated")
         label = f"{self.name}/{name or 'thread'}"
         process = self.sim.process(generator, name=label)
-        # Threads that ended cleanly are forgotten here, so a long-lived
-        # task holds its live threads and the ones that died of an
-        # exception — never its history.  A thread's ``callbacks`` go
-        # None once it has ended and its end has been processed; the
-        # list is rebuilt only when the scan meets such a thread.
-        threads = self.threads
-        for thread in threads:
-            if thread.callbacks is None:
-                threads = self.threads = [
-                    thread for thread in threads
-                    if thread.callbacks is not None or not thread.ok
-                ]
-                break
-        threads += (process,)  # In place; ``append`` would be one more call.
+        self._threads += (process,)  # In place; ``append`` would be one more call.
+        self._spawns_to_prune -= 1
+        if not self._spawns_to_prune:
+            self._prune()
         return process
+
+    @property
+    def threads(self) -> list[Process]:
+        """Live threads, and those that died of an exception."""
+        self._prune()
+        return self._threads
+
+    def _prune(self) -> None:
+        """Forget the threads that ended cleanly (``callbacks`` None: the
+        end processed), never the failed.  :meth:`spawn` prunes once the
+        list has doubled (and holds 8): a scan per spawn cost as much as
+        the spawn on a task with hundreds of threads."""
+        threads = self._threads = [
+            thread for thread in self._threads if thread.callbacks is not None or not thread.ok
+        ]
+        self._spawns_to_prune = max(len(threads), 8)
 
     def on_exit(self, hook: Callable[["Task"], None]) -> None:
         """Register a callback to run when the task terminates — at
@@ -136,7 +144,7 @@ class Task:
             return
         self.alive = False
         active = self.sim.active_process
-        for thread in self.threads:
+        for thread in self._threads:
             if thread is active:
                 # exit() from one of the task's own threads: a process
                 # cannot interrupt itself, so it ends at its next wait.

@@ -18,15 +18,16 @@ value:
   sharing its 16-bit slot with the flags.
 * *Wire values* are checked by ``unpack()``, which reads the header
   with one ``unpack_from`` and builds its record from that tuple in one
-  step.  A slot read off the wire cannot overflow, so only what the
-  protocol forbids is tested: short headers, IPv4 version, IHL, total
-  length and checksum, ARP hardware types and operation, a UDP length
-  below eight.
+  step (``Cls.build``, :func:`record`).  A slot read off the wire
+  cannot overflow, so only what the protocol forbids is tested: short
+  headers, IPv4 version, IHL, total length and checksum, ARP hardware
+  types and operation, a UDP length below eight.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import partial
 from typing import NamedTuple
 
 from .buf import as_wire_bytes
@@ -37,9 +38,14 @@ from .buf import as_wire_bytes
 #: fused image, which the chain caches.
 _FLAT = (bytes, memoryview, bytearray)
 
-#: A record straight from an ``unpack_from`` tuple, with no ``__new__``
-#: frame in between.
-_record = tuple.__new__
+
+def record(cls):
+    """Class decorator for a ``NamedTuple``: ``cls.build(fields)`` makes
+    the record from one tuple of all its fields, in order, in C — no
+    ``__new__`` frame and no profiled call, where the keyword
+    constructor (kept for tests and cold code) runs both."""
+    cls.build = partial(tuple.__new__, cls)
+    return cls
 
 
 # ----------------------------------------------------------------------
@@ -101,6 +107,7 @@ def _refused(name: str, exc: struct.error) -> HeaderError:
 # ----------------------------------------------------------------------
 
 
+@record
 class EthernetHeader(NamedTuple):
     """Classic DIX Ethernet II header: dst, src, ethertype."""
 
@@ -126,9 +133,10 @@ class EthernetHeader(NamedTuple):
             data = as_wire_bytes(data)
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short Ethernet header ({len(data)} bytes)")
-        return _record(cls, cls._STRUCT.unpack_from(data))
+        return cls.build(cls._STRUCT.unpack_from(data))
 
 
+@record
 class An1Header(NamedTuple):
     """DEC SRC AN1 link header.
 
@@ -172,7 +180,7 @@ class An1Header(NamedTuple):
             data = as_wire_bytes(data)
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short AN1 header ({len(data)} bytes)")
-        return _record(cls, cls._STRUCT.unpack_from(data))
+        return cls.build(cls._STRUCT.unpack_from(data))
 
 
 # ----------------------------------------------------------------------
@@ -183,6 +191,7 @@ ARP_REQUEST = 1
 ARP_REPLY = 2
 
 
+@record
 class ArpPacket(NamedTuple):
     """ARP for IPv4-over-Ethernet (RFC 826)."""
 
@@ -220,7 +229,7 @@ class ArpPacket(NamedTuple):
             raise HeaderError("unsupported ARP hardware/protocol types")
         if oper not in (ARP_REQUEST, ARP_REPLY):
             raise HeaderError(f"bad ARP operation {oper}")
-        return _record(cls, (oper, sha, spa, tha, tpa))
+        return cls.build((oper, sha, spa, tha, tpa))
 
 
 # ----------------------------------------------------------------------
@@ -230,6 +239,7 @@ class ArpPacket(NamedTuple):
 IP_FLAG_MF = 0x1
 
 
+@record
 class Ipv4Header(NamedTuple):
     """IPv4 header without options (RFC 791)."""
 
@@ -288,7 +298,7 @@ class Ipv4Header(NamedTuple):
             total = int.from_bytes(data[: cls.LENGTH], "little")
             if not total or total % 0xFFFF:
                 raise HeaderError("IPv4 header checksum mismatch")
-        return _record(cls, (
+        return cls.build((
             src, dst, protocol, total_length, ident,
             flags_frag >> 13, flags_frag & 0x1FFF, ttl, tos,
         ))
@@ -318,6 +328,7 @@ def pack_ipv4(
 # ----------------------------------------------------------------------
 
 
+@record
 class UdpHeader(NamedTuple):
     """UDP header (RFC 768)."""
 
@@ -344,7 +355,7 @@ class UdpHeader(NamedTuple):
         fields = cls._STRUCT.unpack_from(data)
         if fields[2] < cls.LENGTH:
             raise HeaderError(f"bad UDP length {fields[2]}")
-        return _record(cls, fields)
+        return cls.build(fields)
 
 
 # ----------------------------------------------------------------------
@@ -369,6 +380,7 @@ ICMP_DEST_UNREACHABLE = 3
 ICMP_TIME_EXCEEDED = 11
 
 
+@record
 class IcmpHeader(NamedTuple):
     """ICMP header (RFC 792): type, code, and the echo identifier and
     sequence number, which error messages leave zero."""
@@ -397,4 +409,4 @@ class IcmpHeader(NamedTuple):
         if len(data) < cls.LENGTH:
             raise HeaderError(f"short ICMP header ({len(data)} bytes)")
         icmp_type, code, checksum, ident, seq = cls._STRUCT.unpack_from(data)
-        return _record(cls, (icmp_type, code, ident, seq, checksum))
+        return cls.build((icmp_type, code, ident, seq, checksum))

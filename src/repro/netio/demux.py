@@ -35,11 +35,11 @@ from __future__ import annotations
 
 from ..counters import Counters
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..costs import CostModel
 from ..net.buf import as_wire_bytes
-from ..net.headers import EthernetHeader, Ipv4Header, PROTO_TCP, PROTO_UDP
+from ..net.headers import EthernetHeader, Ipv4Header, PROTO_TCP, PROTO_UDP, record
 
 _ETH = EthernetHeader.LENGTH
 _IP_OFF = _ETH + Ipv4Header.LENGTH
@@ -53,8 +53,8 @@ class DemuxError(ValueError):
     """Invalid flow installation (duplicate key, malformed key)."""
 
 
-@dataclass(frozen=True)
-class FlowKey:
+@record
+class FlowKey(NamedTuple):
     """The 5-tuple naming one flow.
 
     ``remote_ip``/``remote_port`` of zero mean "any" — such a key lives
@@ -82,8 +82,8 @@ class FlowKey:
         return f"{proto} *->:{self.local_port}"
 
 
-@dataclass
-class DemuxDecision:
+@record
+class DemuxDecision(NamedTuple):
     """Outcome of classifying one frame.
 
     ``target`` is the matched channel, :data:`KERNEL_FLOW`, or ``None``
@@ -238,13 +238,14 @@ class FlowTable:
         """
         if len(frame) < _IP_OFF + 4 or frame[12:14] != b"\x08\x00":
             return None
-        return FlowKey(
-            proto=frame[_ETH + 9],
-            local_ip=int.from_bytes(frame[_ETH + 16 : _ETH + 20], "big"),
-            local_port=int.from_bytes(frame[_IP_OFF + 2 : _IP_OFF + 4], "big"),
-            remote_ip=int.from_bytes(frame[_ETH + 12 : _ETH + 16], "big"),
-            remote_port=int.from_bytes(frame[_IP_OFF : _IP_OFF + 2], "big"),
-        )
+        # proto, local_ip, local_port, remote_ip, remote_port:
+        return FlowKey.build((
+            frame[_ETH + 9],
+            int.from_bytes(frame[_ETH + 16 : _ETH + 20], "big"),
+            int.from_bytes(frame[_IP_OFF + 2 : _IP_OFF + 4], "big"),
+            int.from_bytes(frame[_ETH + 12 : _ETH + 16], "big"),
+            int.from_bytes(frame[_IP_OFF : _IP_OFF + 2], "big"),
+        ))
 
     def classify(self, frame: bytes, costs: CostModel) -> DemuxDecision:
         """Resolve one IP frame to its flow target: one indexed lookup
@@ -256,13 +257,13 @@ class FlowTable:
             # binds kernel ports, not channels): the lookup is charged
             # and misses, with no key to read and nothing to remember.
             self.stats["misses"] += 1
-            return DemuxDecision(None, "miss", cost)
+            return DemuxDecision.build((None, "miss", cost, 0))
         frame = as_wire_bytes(frame)  # keys are read off the flat image
         if len(frame) < _IP_OFF + 4 or frame[12] != 0x08 or frame[13] != 0x00:
             # Too short to carry both ports, or not IPv4: no key, and
             # nothing to remember the frame by.
             self.stats["misses"] += 1
-            return DemuxDecision(None, "miss", cost)
+            return DemuxDecision.build((None, "miss", cost, 0))
         mkey = (frame[_ETH + 9], frame[_ETH + 12 : _IP_OFF + 4])
         if mkey == self._memo_key:
             tier = self._memo_tier
@@ -271,9 +272,9 @@ class FlowTable:
                 # A repeated miss is as memoable as a hit (same fixed
                 # lookup charge).
                 self.stats["misses"] += 1
-                return DemuxDecision(None, "miss", cost)
+                return DemuxDecision.build((None, "miss", cost, 0))
             self.stats[tier + "_hits"] += 1
-            return DemuxDecision(self._memo_target, tier, cost)
+            return DemuxDecision.build((self._memo_target, tier, cost, 0))
         key = self.extract_key(frame)
         target = self._exact.get(key)
         if target is not None:
@@ -291,7 +292,7 @@ class FlowTable:
         self._memo_key = mkey
         self._memo_target = target
         self._memo_tier = tier
-        return DemuxDecision(target, tier, cost)
+        return DemuxDecision.build((target, tier, cost, 0))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -19,10 +19,9 @@ One module per host-network interface (paper §3.3).  It provides:
 from __future__ import annotations
 
 from ..counters import Counters
-from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, NamedTuple, Optional
 
 from .. import obs as _obs
 from ..mach.kernel import Kernel
@@ -35,6 +34,7 @@ from ..net.headers import (
     PROTO_UDP,
     An1Header,
     EthernetHeader,
+    record,
 )
 from ..net.nic.an1ctrl import An1Nic, BqiTableFull
 from ..net.nic.base import Nic
@@ -54,8 +54,8 @@ class SecurityViolation(Exception):
     """An unprivileged or unauthorized operation was refused."""
 
 
-@dataclass(frozen=True)
-class LinkInfo:
+@record
+class LinkInfo(NamedTuple):
     """Link-level facts about a received frame the kernel may need:
     the source address, and (on AN1) the BQI the sender stamped —
     that is how registries exchange BQIs during connection setup."""
@@ -239,7 +239,7 @@ class NetworkIoModule:
             )
         costs = self.kernel.costs
         proto = PROTO_UDP if protocol == "udp" else PROTO_TCP
-        flow_key = FlowKey(proto, local_ip, local_port, remote_ip, remote_port)
+        flow_key = FlowKey.build((proto, local_ip, local_port, remote_ip, remote_port))
 
         # Tenancy admission: template and flow key vetted against the
         # owner's grant, quotas checked — all before any resource is
@@ -368,7 +368,7 @@ class NetworkIoModule:
             owner, "listen_refused", lambda t: t.check_port(local_port)
         )
         self.flow_table.install(
-            FlowKey(proto, local_ip, local_port),
+            FlowKey.build((proto, local_ip, local_port, 0, 0)),
             KERNEL_FLOW,
             owner=tenant.tenant_id if tenant is not None else None,
         )
@@ -378,7 +378,7 @@ class NetworkIoModule:
     ) -> None:
         if not caller.privileged:
             raise SecurityViolation("only the registry may remove listeners")
-        self.flow_table.remove(FlowKey(proto, local_ip, local_port))
+        self.flow_table.remove(FlowKey.build((proto, local_ip, local_port, 0, 0)))
 
     def allocate_ring(self, caller: Task, owner: Optional[Task] = None):
         """Pre-allocate a channel's region under a BQI before the
@@ -614,7 +614,7 @@ class NetworkIoModule:
             self._kernel_input(
                 ethertype,
                 slice_view(frame, EthernetHeader.LENGTH),
-                LinkInfo(frame[6:12]),
+                LinkInfo.build((frame[6:12], 0, 0)),
                 done,
             )
             return
@@ -650,7 +650,7 @@ class NetworkIoModule:
         table_stats = self.flow_table.stats
         table_stats["payload_views"] += 1
         table_stats["bytes_copy_avoided"] += len(payload)
-        link_info = LinkInfo(frame[6:12])
+        link_info = LinkInfo.build((frame[6:12], 0, 0))
         if matched is not None:
             self._deliver(matched, payload, link_info, done)
         else:
@@ -663,7 +663,7 @@ class NetworkIoModule:
         BQI and took one of its buffers."""
         header = An1Header.unpack(frame)
         payload = slice_view(frame, An1Header.LENGTH)
-        link_info = LinkInfo(header.src, header.bqi, header.adv_bqi)
+        link_info = LinkInfo.build((header.src, header.bqi, header.adv_bqi))
         owner = region.owner
         if isinstance(owner, Channel):
             # Hardware demuxed straight to the channel's region: the

@@ -254,4 +254,4 @@ class ScanTable(FlowTable):
             stats["filters_scanned"] += scanned
             if scanned > stats["max_scan_len"]:
                 stats["max_scan_len"] = scanned
-        return DemuxDecision(target, tier, cost, scanned)
+        return DemuxDecision.build((target, tier, cost, scanned))

@@ -17,10 +17,11 @@ from ..mach.kernel import Kernel
 from ..mach.task import Task
 from .. import obs as _obs
 from ..protocols.tcp import (
-    AppAbort, AppClose, AppRead, AppSend, CancelTimer, DeliverData, DeliverFin, EmitSegment,
-    NotifyClosed, NotifyConnected, Segment, SegmentArrives, SendSpaceAvailable, SetTimer,
-    TcpMachine, TimerExpires,
+    AppRead, AppSend, CancelTimer, DeliverData, DeliverFin, EmitSegment, NotifyClosed,
+    NotifyConnected, Segment, SegmentArrives, SendSpaceAvailable, SetTimer, TcpMachine,
+    TimerExpires,
 )
+from ..protocols.tcp.events import APP_ABORT, APP_CLOSE
 from ..sim import Event, Simulator
 
 #: Costed transmission path: ``emit_fn(segment, lead_cost, retransmit)``
@@ -99,7 +100,7 @@ class MachineRunner:
         actions = machine.fast_input(segment, now)
         site = "tcp.machine.fastpath"
         if actions is None:
-            actions = machine.handle(SegmentArrives(segment), now)
+            actions = machine.handle(SegmentArrives.build((segment,)), now)
             site = "tcp.machine.input"
         if obs is not None:
             obs.profiler.charge(site, 0.0, perf_counter() - t0)
@@ -125,7 +126,7 @@ class MachineRunner:
                 continue
             chunk = bytes(data[offset : offset + space])
             offset += len(chunk)
-            yield from self.handle(AppSend(chunk))
+            yield from self.handle(AppSend.build((chunk,)))
 
     def app_recv(
         self, max_bytes: int, exit_cost: Callable[[int, bool], float], exact: bool = False
@@ -151,7 +152,7 @@ class MachineRunner:
             if nbytes:
                 del self.rx_buffer[:nbytes]
                 # Tell the machine the app consumed data (window update logic).
-                yield from self.handle(AppRead(nbytes))
+                yield from self.handle(AppRead.build((nbytes,)))
             cost = exit_cost(nbytes, blocked)
             if cost:
                 yield self.kernel.cpu.charge(cost)
@@ -166,10 +167,10 @@ class MachineRunner:
         return b"".join(chunks)
 
     def app_close(self) -> Generator:
-        return self.handle(AppClose())
+        return self.handle(APP_CLOSE)
 
     def app_abort(self) -> Generator:
-        return self.handle(AppAbort())
+        return self.handle(APP_ABORT)
 
     def wait_connected(self) -> Generator:
         if self.connected:
@@ -315,7 +316,7 @@ class MachineRunner:
     def _expire(self, name: str) -> Generator:
         # A generator, so the machine runs when the process first
         # resumes, not in the engine callback that spawned it.
-        yield from self.handle(TimerExpires(name))
+        yield from self.handle(TimerExpires.build((name,)))
 
     def stop_timers(self) -> dict[str, float]:
         """Cancel every kept timer event.  Returns name -> deadline of

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from ..counters import Counters
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..net.buf import prepend, slice_view
-from ..net.headers import IP_FLAG_MF, HeaderError, Ipv4Header, pack_ipv4
+from ..net.headers import IP_FLAG_MF, HeaderError, Ipv4Header, pack_ipv4, record
 
 
 class IpError(ValueError):
@@ -75,8 +75,8 @@ def encapsulate(
     return prepend(pack_ipv4(src, dst, protocol, length, ident, flags, frag_offset, ttl), payload)
 
 
-@dataclass(frozen=True)
-class IpDatagram:
+@record
+class IpDatagram(NamedTuple):
     """A reassembled datagram handed up to the transport."""
 
     src: int
@@ -182,7 +182,7 @@ class IpStack:
         self.stats["received"] += 1
 
         if header.frag_offset == 0 and not header.more_fragments:
-            return IpDatagram(header.src, header.dst, header.protocol, payload)
+            return IpDatagram.build((header.src, header.dst, header.protocol, payload))
         return self._reassemble(header, payload, now)
 
     def _reassemble(
@@ -217,9 +217,7 @@ class IpStack:
             return None
         del self._reassembly[key]
         self.stats["reassembled"] += 1
-        return IpDatagram(
-            header.src, header.dst, header.protocol, bytes(data)
-        )
+        return IpDatagram.build((header.src, header.dst, header.protocol, bytes(data)))
 
     def expire(self, now: float) -> int:
         """Drop reassembly state older than the timeout, counting the

@@ -1,7 +1,7 @@
 """Sans-io TCP: RFC 793 + the 4.3BSD-era algorithms the paper's stack used.
 
 The public surface is :class:`TcpMachine` (events in, actions out),
-:class:`TcpConfig`, the event/action dataclasses, and
+:class:`TcpConfig`, the event/action records, and
 :class:`~repro.protocols.tcp.wire.Segment` with its codec.
 """
 

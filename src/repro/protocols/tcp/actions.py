@@ -7,8 +7,9 @@ data to the socket buffer, and surfacing connection lifecycle events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple, Union
 
+from .events import distinct
 from .wire import Segment
 
 #: Timer names the machine uses with SetTimer/CancelTimer.
@@ -20,12 +21,8 @@ TIMER_CONN = "conn-estab"
 TIMER_KEEPALIVE = "keepalive"
 
 
-class TcpAction:
-    """Base class for machine outputs."""
-
-
-@dataclass(frozen=True)
-class EmitSegment(TcpAction):
+@distinct
+class EmitSegment(NamedTuple):
     """Transmit ``segment`` to the connection's peer."""
 
     segment: Segment
@@ -33,47 +30,55 @@ class EmitSegment(TcpAction):
     retransmit: bool = False
 
 
-@dataclass(frozen=True)
-class DeliverData(TcpAction):
+@distinct
+class DeliverData(NamedTuple):
     """In-order payload for the application."""
 
     data: bytes
 
 
-@dataclass(frozen=True)
-class DeliverFin(TcpAction):
+@distinct
+class DeliverFin(NamedTuple):
     """The peer finished sending; EOF after all delivered data."""
 
 
-@dataclass(frozen=True)
-class SetTimer(TcpAction):
+@distinct
+class SetTimer(NamedTuple):
     """Arm (or re-arm) the named timer ``delay`` seconds from now."""
 
     name: str
     delay: float
 
 
-@dataclass(frozen=True)
-class CancelTimer(TcpAction):
+@distinct
+class CancelTimer(NamedTuple):
     """Disarm the named timer if armed."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class NotifyConnected(TcpAction):
+@distinct
+class NotifyConnected(NamedTuple):
     """Three-way handshake completed; the connection is ESTABLISHED."""
 
 
-@dataclass(frozen=True)
-class NotifyClosed(TcpAction):
+@distinct
+class NotifyClosed(NamedTuple):
     """The connection reached CLOSED; ``reason`` explains how."""
 
     reason: str  # "done", "reset", "refused", "timeout", "aborted"
 
 
-@dataclass(frozen=True)
-class SendSpaceAvailable(TcpAction):
+@distinct
+class SendSpaceAvailable(NamedTuple):
     """ACKed data freed send-buffer space; blocked writers may resume."""
 
     nbytes: int
+
+
+#: The field-less actions, one each.
+DELIVER_FIN, NOTIFY_CONNECTED = DeliverFin(), NotifyConnected()
+
+#: Any machine output.
+TcpAction = Union[EmitSegment, DeliverData, DeliverFin, SetTimer, CancelTimer,
+                  NotifyConnected, NotifyClosed, SendSpaceAvailable]

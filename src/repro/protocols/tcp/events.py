@@ -7,31 +7,40 @@ the machine owns no clock).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple, Union
 
+from ...net.headers import record
 from .wire import Segment
 
 
-class TcpInputEvent:
-    """Base class for machine inputs."""
+def distinct(cls):
+    """A :func:`~repro.net.headers.record` equal only to its own class:
+    ``CancelTimer("x")`` is not ``NotifyClosed("x")``.  Same hash."""
+    cls.__eq__ = _same
+    cls.__ne__ = object.__ne__
+    return record(cls)
 
 
-@dataclass(frozen=True)
-class SegmentArrives(TcpInputEvent):
+def _same(self, other) -> bool:
+    return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+
+@distinct
+class SegmentArrives(NamedTuple):
     """A (checksum-valid) segment was demultiplexed to this connection."""
 
     segment: Segment
 
 
-@dataclass(frozen=True)
-class AppSend(TcpInputEvent):
+@distinct
+class AppSend(NamedTuple):
     """The application wrote ``data`` to the connection."""
 
     data: bytes
 
 
-@dataclass(frozen=True)
-class AppRead(TcpInputEvent):
+@distinct
+class AppRead(NamedTuple):
     """The application consumed ``nbytes`` of delivered data.
 
     Opens the receive window; the machine decides whether the opening
@@ -41,18 +50,25 @@ class AppRead(TcpInputEvent):
     nbytes: int
 
 
-@dataclass(frozen=True)
-class AppClose(TcpInputEvent):
+@distinct
+class AppClose(NamedTuple):
     """Orderly release: FIN after queued data drains."""
 
 
-@dataclass(frozen=True)
-class AppAbort(TcpInputEvent):
+@distinct
+class AppAbort(NamedTuple):
     """Abortive release: RST now, discard everything."""
 
 
-@dataclass(frozen=True)
-class TimerExpires(TcpInputEvent):
+@distinct
+class TimerExpires(NamedTuple):
     """A timer the machine armed via SetTimer has fired."""
 
     name: str
+
+
+#: The field-less events, one each.
+APP_CLOSE, APP_ABORT = AppClose(), AppAbort()
+
+#: Any machine input.
+TcpInputEvent = Union[SegmentArrives, AppSend, AppRead, AppClose, AppAbort, TimerExpires]

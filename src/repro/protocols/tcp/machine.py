@@ -23,11 +23,11 @@ from typing import Optional
 from ...net.headers import TCP_ACK, TCP_FIN, TCP_PSH, TCP_RST, TCP_SYN
 from .actions import (
     CancelTimer,
+    DELIVER_FIN,
     DeliverData,
-    DeliverFin,
     EmitSegment,
+    NOTIFY_CONNECTED,
     NotifyClosed,
-    NotifyConnected,
     SendSpaceAvailable,
     SetTimer,
     TcpAction,
@@ -124,8 +124,8 @@ class TcpMachine:
         tcb.buf_base = tcb.iss + 1
         self._set_state(State.SYN_SENT)
         self._emit_syn(actions, with_ack=False)
-        actions.append(SetTimer(TIMER_REXMT, tcb.rtt.rto))
-        actions.append(SetTimer(TIMER_CONN, tcb.config.conn_timeout))
+        actions.append(SetTimer.build((TIMER_REXMT, tcb.rtt.rto)))
+        actions.append(SetTimer.build((TIMER_CONN, tcb.config.conn_timeout)))
         return actions
 
     def handle(self, event: TcpInputEvent, now: float) -> list[TcpAction]:
@@ -230,21 +230,21 @@ class TcpMachine:
             tcb.snd_wl2 = ack
             if old_wnd == 0 and tcb.snd_wnd > 0:
                 tcb.persist_shift = 0
-                actions.append(CancelTimer(TIMER_PERSIST))
+                actions.append(CancelTimer.build((TIMER_PERSIST,)))
         if size:
             # Direct delivery, as _process_payload's empty-queue arm.
             tcb.rcv_nxt += size
             tcb.rcv_user += size
             self.stats["bytes_delivered"] += size
-            actions.append(DeliverData(payload))
+            actions.append(DeliverData.build((payload,)))
             if tcb.delack_pending:
                 tcb.delack_pending = False
-                actions.append(CancelTimer(TIMER_DELACK))
+                actions.append(CancelTimer.build((TIMER_DELACK,)))
                 self._emit_ack(actions)
             else:
                 tcb.delack_pending = True
                 self.stats["acks_delayed"] += 1
-                actions.append(SetTimer(TIMER_DELACK, tcb.config.delack_time))
+                actions.append(SetTimer.build((TIMER_DELACK, tcb.config.delack_time)))
         self._try_output(actions, now)
         return actions
 
@@ -307,26 +307,20 @@ class TcpMachine:
         elif window > self._MAX_WINDOW:
             window = self._MAX_WINDOW
         tcb.rcv_adv = tcb.rcv_nxt + window
-        segment = Segment(
-            sport=tcb.local_port,
-            dport=tcb.remote_port,
-            seq=seq & 0xFFFFFFFF,
-            ack=tcb.rcv_nxt & 0xFFFFFFFF if flags & TCP_ACK else 0,
-            flags=flags,
-            window=window,
-            payload=payload,
-            mss=mss,
-        )
+        segment = Segment.build((
+            tcb.local_port, tcb.remote_port, seq & 0xFFFFFFFF,
+            tcb.rcv_nxt & 0xFFFFFFFF if flags & TCP_ACK else 0, flags, window, payload, mss,
+        ))
         stats["segments_sent"] += 1
         if payload:
             stats["bytes_sent"] += len(payload)
         if retransmit:
             stats["retransmits"] += 1
-        actions.append(EmitSegment(segment, retransmit=retransmit))
+        actions.append(EmitSegment.build((segment, retransmit)))
         # Any segment carrying an ACK satisfies a pending delayed ACK.
         if flags & TCP_ACK and tcb.delack_pending:
             tcb.delack_pending = False
-            actions.append(CancelTimer(TIMER_DELACK))
+            actions.append(CancelTimer.build((TIMER_DELACK,)))
 
     def _emit_syn(self, actions: list[TcpAction], with_ack: bool, retransmit: bool = False) -> None:
         tcb = self.tcb
@@ -353,7 +347,7 @@ class TcpMachine:
         )
         if rst is not None:
             self.stats["segments_sent"] += 1
-            actions.append(EmitSegment(rst))
+            actions.append(EmitSegment.build((rst, False)))
 
     # ------------------------------------------------------------------
     # Application events
@@ -417,13 +411,13 @@ class TcpMachine:
             return actions
         if tcb.state is State.LISTEN:
             self._set_state(State.CLOSED)
-            actions.append(NotifyClosed("done"))
+            actions.append(NotifyClosed.build(("done",)))
             return actions
         if tcb.state is State.SYN_SENT:
             self._set_state(State.CLOSED)
-            actions.append(CancelTimer(TIMER_REXMT))
-            actions.append(CancelTimer(TIMER_CONN))
-            actions.append(NotifyClosed("done"))
+            actions.append(CancelTimer.build((TIMER_REXMT,)))
+            actions.append(CancelTimer.build((TIMER_CONN,)))
+            actions.append(NotifyClosed.build(("done",)))
             return actions
         if tcb.fin_pending or tcb.fin_sent:
             return actions  # Already closing.
@@ -451,8 +445,8 @@ class TcpMachine:
             TIMER_TIME_WAIT,
             TIMER_KEEPALIVE,
         ):
-            actions.append(CancelTimer(name))
-        actions.append(NotifyClosed(reason))
+            actions.append(CancelTimer.build((name,)))
+        actions.append(NotifyClosed.build((reason,)))
 
     # ------------------------------------------------------------------
     # Timers
@@ -488,7 +482,7 @@ class TcpMachine:
         tcb.cc.on_timeout(flight, now)
         self._note_cc_event("timeout", now, cwnd_before, flight)
         self._retransmit_head(actions, now)
-        actions.append(SetTimer(TIMER_REXMT, tcb.rtt.rto))
+        actions.append(SetTimer.build((TIMER_REXMT, tcb.rtt.rto)))
         return actions
 
     def _retransmit_head(self, actions: list[TcpAction], now: float) -> None:
@@ -552,7 +546,7 @@ class TcpMachine:
             # The only thing left to probe with is the FIN itself.
             self._send_fin(actions)
         tcb.persist_shift = min(tcb.persist_shift + 1, 6)
-        actions.append(SetTimer(TIMER_PERSIST, self._persist_interval()))
+        actions.append(SetTimer.build((TIMER_PERSIST, self._persist_interval())))
         return actions
 
     def _persist_interval(self) -> float:
@@ -571,7 +565,7 @@ class TcpMachine:
         actions: list[TcpAction] = []
         if self.tcb.state is State.TIME_WAIT:
             self._set_state(State.CLOSED)
-            actions.append(NotifyClosed("done"))
+            actions.append(NotifyClosed.build(("done",)))
         return actions
 
     def _on_conn_timeout(self, now: float) -> list[TcpAction]:
@@ -582,7 +576,7 @@ class TcpMachine:
 
     def _arm_keepalive(self, actions: list[TcpAction]) -> None:
         if self.tcb.config.keepalive:
-            actions.append(SetTimer(TIMER_KEEPALIVE, self.tcb.config.keepalive_idle))
+            actions.append(SetTimer.build((TIMER_KEEPALIVE, self.tcb.config.keepalive_idle)))
 
     def _on_keepalive(self, now: float) -> list[TcpAction]:
         """BSD keepalive: probe an idle connection with a segment one
@@ -597,7 +591,7 @@ class TcpMachine:
         # subtraction leaves the idle time infinitesimally short.
         if remaining > 1e-6 and tcb.keepalive_count == 0:
             # Activity since arming: re-arm for the remaining idle time.
-            actions.append(SetTimer(TIMER_KEEPALIVE, remaining))
+            actions.append(SetTimer.build((TIMER_KEEPALIVE, remaining)))
             return actions
         if tcb.keepalive_count >= tcb.config.keepalive_probes:
             self._teardown(actions, "timeout")
@@ -606,7 +600,7 @@ class TcpMachine:
         self.stats["probes_sent"] += 1
         # The classic garbage-seq probe: seq = snd_una - 1, no data.
         self._emit(actions, seq=tcb.snd_una - 1, flags=TCP_ACK)
-        actions.append(SetTimer(TIMER_KEEPALIVE, tcb.config.keepalive_interval))
+        actions.append(SetTimer.build((TIMER_KEEPALIVE, tcb.config.keepalive_interval)))
         return actions
 
     # ------------------------------------------------------------------
@@ -658,8 +652,8 @@ class TcpMachine:
         tcb.buf_base = tcb.iss + 1
         self._set_state(State.SYN_RCVD)
         self._emit_syn(actions, with_ack=True)
-        actions.append(SetTimer(TIMER_REXMT, tcb.rtt.rto))
-        actions.append(SetTimer(TIMER_CONN, tcb.config.conn_timeout))
+        actions.append(SetTimer.build((TIMER_REXMT, tcb.rtt.rto)))
+        actions.append(SetTimer.build((TIMER_CONN, tcb.config.conn_timeout)))
         return actions
 
     def _arrives_syn_sent(self, segment: Segment, ack: int, now: float) -> list[TcpAction]:
@@ -691,9 +685,9 @@ class TcpMachine:
         if tcb.snd_una > tcb.iss:
             # Our SYN is acknowledged: connection established.
             self._set_state(State.ESTABLISHED)
-            actions.append(CancelTimer(TIMER_REXMT))
-            actions.append(CancelTimer(TIMER_CONN))
-            actions.append(NotifyConnected())
+            actions.append(CancelTimer.build((TIMER_REXMT,)))
+            actions.append(CancelTimer.build((TIMER_CONN,)))
+            actions.append(NOTIFY_CONNECTED)
             self._arm_keepalive(actions)
             self._emit_ack(actions)
             self._try_output(actions, now)
@@ -757,8 +751,8 @@ class TcpMachine:
         if tcb.state is State.SYN_RCVD:
             if tcb.snd_una <= ack <= tcb.snd_nxt:
                 self._set_state(State.ESTABLISHED)
-                actions.append(CancelTimer(TIMER_CONN))
-                actions.append(NotifyConnected())
+                actions.append(CancelTimer.build((TIMER_CONN,)))
+                actions.append(NOTIFY_CONNECTED)
                 self._arm_keepalive(actions)
                 tcb.snd_wnd = segment.window
                 tcb.snd_wl1 = seq
@@ -788,7 +782,7 @@ class TcpMachine:
                 self._note_cc_event("fast_retransmit", now, cwnd_before, flight)
                 tcb.rtt.cancel_timing()  # Karn: retransmitted data.
                 self._retransmit_head(actions, now)
-                actions.append(SetTimer(TIMER_REXMT, tcb.rtt.rto))
+                actions.append(SetTimer.build((TIMER_REXMT, tcb.rtt.rto)))
 
         # Window update (RFC 793 p.72).
         if tcb.snd_wl1 < seq or (tcb.snd_wl1 == seq and tcb.snd_wl2 <= ack):
@@ -798,7 +792,7 @@ class TcpMachine:
             tcb.snd_wl2 = ack
             if old_wnd == 0 and tcb.snd_wnd > 0:
                 tcb.persist_shift = 0
-                actions.append(CancelTimer(TIMER_PERSIST))
+                actions.append(CancelTimer.build((TIMER_PERSIST,)))
 
         # FIN-driven state machine advances that depend on our FIN being
         # acknowledged are handled inside _ack_advances.
@@ -843,16 +837,16 @@ class TcpMachine:
             drop = min(drop, len(tcb.send_buffer))
             del tcb.send_buffer[:drop]
             tcb.buf_base += drop
-            actions.append(SendSpaceAvailable(drop))
+            actions.append(SendSpaceAvailable.build((drop,)))
 
         if left < 0:
             tcb.snd_nxt = ack
 
         # Retransmission timer: restart while data remains outstanding.
         if left > 0:
-            actions.append(SetTimer(TIMER_REXMT, tcb.rtt.rto))
+            actions.append(SetTimer.build((TIMER_REXMT, tcb.rtt.rto)))
         else:
-            actions.append(CancelTimer(TIMER_REXMT))
+            actions.append(CancelTimer.build((TIMER_REXMT,)))
 
         # Our FIN acknowledged?
         if tcb.fin_sent and tcb.fin_seq is not None and ack > tcb.fin_seq:
@@ -863,8 +857,8 @@ class TcpMachine:
             elif tcb.state is State.LAST_ACK:
                 self._set_state(State.CLOSED)
                 for name in (TIMER_REXMT, TIMER_PERSIST, TIMER_DELACK):
-                    actions.append(CancelTimer(name))
-                actions.append(NotifyClosed("done"))
+                    actions.append(CancelTimer.build((name,)))
+                actions.append(NotifyClosed.build(("done",)))
 
     # ------------------------------------------------------------------
     # Receive path
@@ -893,16 +887,16 @@ class TcpMachine:
         tcb.rcv_nxt += size
         tcb.rcv_user += size
         self.stats["bytes_delivered"] += size
-        actions.append(DeliverData(data))
+        actions.append(DeliverData.build((data,)))
         # Delayed ACK: every second segment, or after delack_time.
         if tcb.delack_pending:
             tcb.delack_pending = False
-            actions.append(CancelTimer(TIMER_DELACK))
+            actions.append(CancelTimer.build((TIMER_DELACK,)))
             self._emit_ack(actions)
         else:
             tcb.delack_pending = True
             self.stats["acks_delayed"] += 1
-            actions.append(SetTimer(TIMER_DELACK, tcb.config.delack_time))
+            actions.append(SetTimer.build((TIMER_DELACK, tcb.config.delack_time)))
 
     def _process_fin(self, fin_seq: int, actions: list[TcpAction]) -> None:
         tcb = self.tcb
@@ -913,7 +907,7 @@ class TcpMachine:
         if not tcb.fin_rcvd:
             tcb.fin_rcvd = True
             tcb.rcv_nxt += 1
-            actions.append(DeliverFin())
+            actions.append(DELIVER_FIN)
         self._emit_ack(actions)
         if tcb.state is State.ESTABLISHED:
             self._set_state(State.CLOSE_WAIT)
@@ -923,13 +917,13 @@ class TcpMachine:
         elif tcb.state is State.FIN_WAIT_2:
             self._enter_time_wait(actions)
         elif tcb.state is State.TIME_WAIT:
-            actions.append(SetTimer(TIMER_TIME_WAIT, 2 * tcb.config.msl))
+            actions.append(SetTimer.build((TIMER_TIME_WAIT, 2 * tcb.config.msl)))
 
     def _enter_time_wait(self, actions: list[TcpAction]) -> None:
         self._set_state(State.TIME_WAIT)
         for name in (TIMER_REXMT, TIMER_PERSIST, TIMER_DELACK, TIMER_KEEPALIVE):
-            actions.append(CancelTimer(name))
-        actions.append(SetTimer(TIMER_TIME_WAIT, 2 * self.tcb.config.msl))
+            actions.append(CancelTimer.build((name,)))
+        actions.append(SetTimer.build((TIMER_TIME_WAIT, 2 * self.tcb.config.msl)))
 
     # ------------------------------------------------------------------
     # Output engine (tcp_output)
@@ -1020,10 +1014,10 @@ class TcpMachine:
             sent_any = True
 
         if sent_any:
-            actions.append(SetTimer(TIMER_REXMT, tcb.rtt.rto))
+            actions.append(SetTimer.build((TIMER_REXMT, tcb.rtt.rto)))
         elif tcb.snd_wnd == 0 and flight == 0 and (unsent > 0 or fin_due):
             # Zero window with data waiting: persist.
-            actions.append(SetTimer(TIMER_PERSIST, self._persist_interval()))
+            actions.append(SetTimer.build((TIMER_PERSIST, self._persist_interval())))
 
     def _send_fin(self, actions: list[TcpAction]) -> None:
         tcb = self.tcb
@@ -1031,7 +1025,7 @@ class TcpMachine:
         self._mark_fin_sent(tcb.snd_nxt)
         tcb.snd_nxt += 1
         tcb.snd_max = max(tcb.snd_max, tcb.snd_nxt)
-        actions.append(SetTimer(TIMER_REXMT, tcb.rtt.rto))
+        actions.append(SetTimer.build((TIMER_REXMT, tcb.rtt.rto)))
 
     def _mark_fin_sent(self, fin_seq: int) -> None:
         tcb = self.tcb

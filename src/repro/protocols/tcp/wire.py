@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import struct
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ...net.buf import PacketBuffer, prepend, slice_view
 from ...net.checksum import transport_sum
@@ -32,6 +31,7 @@ from ...net.headers import (
     TCP_RST,
     TCP_SYN,
     HeaderError,
+    record,
 )
 
 TCPOPT_END = 0
@@ -49,8 +49,8 @@ class ChecksumError(ValueError):
     """A TCP segment failed its checksum."""
 
 
-@dataclass(frozen=True)
-class Segment:
+@record
+class Segment(NamedTuple):
     """One TCP segment as the protocol machine sees it."""
 
     sport: int
@@ -109,15 +109,9 @@ def reset_for(segment: Segment, sport: int, dport: int) -> Optional[Segment]:
     if segment.rst:
         return None
     if segment.has_ack:
-        return Segment(
-            sport=sport, dport=dport,
-            seq=segment.ack, ack=0, flags=TCP_RST, window=0,
-        )
-    return Segment(
-        sport=sport, dport=dport,
-        seq=0, ack=(segment.seq + segment.seg_len) & 0xFFFFFFFF,
-        flags=TCP_RST | TCP_ACK, window=0,
-    )
+        return Segment.build((sport, dport, segment.ack, 0, TCP_RST, 0, b"", None))
+    ack = (segment.seq + segment.seg_len) & 0xFFFFFFFF
+    return Segment.build((sport, dport, 0, ack, TCP_RST | TCP_ACK, 0, b"", None))
 
 
 def encode_header(segment: Segment, src_ip: int, dst_ip: int) -> tuple[bytes, int]:
@@ -181,8 +175,8 @@ def decode_segment(data, src_ip: int, dst_ip: int, verify: bool = True) -> Segme
         if header_length < HEADER_LENGTH or header_length > length:
             raise HeaderError(f"bad TCP data offset {header_length}")
         mss = _parse_mss(data[HEADER_LENGTH:header_length])
-    return Segment(
-        sport, dport, seq, ack, flags, window, slice_view(data, header_length), mss
+    return Segment.build(
+        (sport, dport, seq, ack, flags, window, slice_view(data, header_length), mss)
     )
 
 

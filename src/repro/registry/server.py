@@ -132,7 +132,9 @@ class RegistryServer(KernelPath):
         if rst_seq is not None:
             # To the peer's ring: BQI 0 would land in its kernel, whose
             # registry no longer owns the connection.
-            rst = Segment(lease.local_port, lease.remote_port, rst_seq, 0, TCP_RST, 0)
+            rst = Segment.build(
+                (lease.local_port, lease.remote_port, rst_seq, 0, TCP_RST, 0, b"", None)
+            )
             self.task.spawn(self._send_reset(
                 rst, lease.remote_ip, lease.link_dst, lease.peer_bqi,
                 self.kernel.costs.registry_device_access,

@@ -183,6 +183,11 @@ class Interruption(Event):
         self._ok = False
         self._value = Interrupt(cause)
         self._process = process
+        target = process._target
+        if target.__class__ is Initialize and target.callbacks:
+            # Not started: the interrupt, not its pending Initialize, is
+            # its first resume, so no step of it runs.
+            target.callbacks.clear()
         sim = self.sim
         sim.schedule_at(self, sim.now, URGENT)
 

@@ -296,6 +296,17 @@ def test_closing_a_listener_fails_its_parked_accept(organization):
         assert [t.name for t in registry.task.threads if t.is_alive] == ["registry/main"]
 
 
+def test_a_registry_terminated_before_its_first_step_runs_nothing():
+    """A task terminated before ``sim.run()`` stops its threads before
+    their first step: the registry's main loop used to take it on the
+    dead task and fail with ``CapabilityViolation``."""
+    bed = Testbed(network="ethernet", organization="userlib")
+    bed.registry_a.task.terminate()
+    bed.run()
+    assert bed.sim.crashed == []
+    assert not any(thread.is_alive for thread in bed.registry_a.task.threads)
+
+
 @pytest.mark.parametrize("organization", ["ultrix", "userlib"])
 def test_icmp_ping_works_alongside_tcp(organization):
     from repro.net.headers import PROTO_ICMP

@@ -54,7 +54,7 @@ def profiled_calls(work) -> int:
 
 
 @pytest.mark.parametrize(
-    "case, ceiling", [("hop", 20), ("send", 27), ("receive", 24)],
+    "case, ceiling", [("hop", 19), ("send", 27), ("receive", 21)],
     ids=["hop", "send", "receive"],
 )
 def test_router_hop_byte_work_call_gate(case, ceiling):
@@ -64,11 +64,13 @@ def test_router_hop_byte_work_call_gate(case, ceiling):
     ``hop`` — strip the link header, unpack and verify the IP header,
     patch the TTL, put the next hop's link header and the patched IP
     header on in one chain (``kernel_send(head=)``), fuse for the wire —
-    costs 19.  ``send`` — ``encode_datagram``, ``IpStack.send``, the
+    costs 18.  ``send`` — ``encode_datagram``, ``IpStack.send``, the
     link header, the fuse — costs 26.  ``receive`` — ``IpStack.receive``
-    and ``decode_datagram`` — costs 23.
+    and ``decode_datagram`` — costs 20.
 
-    History: ``send`` 47 and ``receive`` 29 while the IPv4 header went
+    History: ``hop`` 19 and ``receive`` 23 while every decode built its
+    record through ``tuple.__new__`` and the datagram was a frozen
+    dataclass; ``send`` 47 and ``receive`` 29 while the IPv4 header went
     through a record, a field list, ``internet_checksum`` and two packs
     and the UDP checksum through ``pseudo_header`` and
     ``checksum_parts``, and ``hop`` 20 while ``prepend`` made its chain
@@ -159,19 +161,21 @@ def test_an1_frame_decodes_its_link_header_once():
 @pytest.mark.parametrize(
     "flags, payload, mss, advance, ceiling",
     [
-        (TCP_ACK, (bytes(range(256)) * 6)[:1460], None, "seq", 24),
-        (TCP_SYN, b"", 1460, "seq", 29),
-        (TCP_ACK, b"", None, "ack", 24),
+        (TCP_ACK, (bytes(range(256)) * 6)[:1460], None, "seq", 22),
+        (TCP_SYN, b"", 1460, "seq", 27),
+        (TCP_ACK, b"", None, "ack", 22),
     ],
     ids=["data", "syn-mss", "ack"],
 )
 def test_tcp_segment_byte_work_call_gate(flags, payload, mss, advance, ceiling):
-    """One segment through ``encode_segment`` and, as flat wire bytes,
-    ``decode_segment(verify=True)``: a 1460-byte data segment costs 23
-    profiled calls, a SYN carrying the MSS option 28, and a pure ACK —
-    ``seq`` fixed, ``ack`` advancing — 23.
+    """One segment built as the TCP machine builds it, through
+    ``encode_segment`` and, as flat wire bytes,
+    ``decode_segment(verify=True)``: a 1460-byte data segment costs 21
+    profiled calls, a SYN carrying the MSS option 26, and a pure ACK —
+    ``seq`` fixed, ``ack`` advancing — 21.
 
-    History: 41, 47 and 41 (under ceilings of 45, 50 and 44) while the
+    History: 23, 28 and 23 while ``Segment`` was a frozen dataclass,
+    one ``__init__`` frame at each build and each decode; 41, 47 and 41 (under ceilings of 45, 50 and 44) while the
     checksum went through ``pseudo_header`` and ``checksum_parts`` and
     was spliced into a second image of the header; the data segment cost 126 (and this gate failed by 63)
     when each checksum part went through the ``array`` word sum and a
@@ -189,9 +193,8 @@ def test_tcp_segment_byte_work_call_gate(flags, payload, mss, advance, ceiling):
     def segment_round_trip():
         numbers = {"seq": 1, "ack": 7}
         numbers[advance] = next(step)
-        segment = Segment(
-            sport=5000, dport=80, flags=flags, window=8192,
-            payload=payload, mss=mss, **numbers,
+        segment = Segment.build(
+            (5000, 80, numbers["seq"], numbers["ack"], flags, 8192, payload, mss)
         )
         wire = as_wire_bytes(encode_segment(segment, IP_A, IP_B))
         return decode_segment(wire, IP_A, IP_B, verify=True)

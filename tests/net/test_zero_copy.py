@@ -378,10 +378,10 @@ def folded_to_ffff(segment: Segment) -> Segment:
     payload = bytes(segment.payload)
     if len(payload) % 2:
         payload += b"\0"
-    probe = legacy_tcp(Segment(**{**vars(segment), "payload": payload + bytes(2)}), IP_A, IP_B)
+    probe = legacy_tcp(segment._replace(payload=payload + bytes(2)), IP_A, IP_B)
     partial = 0xFFFF - int.from_bytes(probe[16:18], "big")
     word = (0xFFFF - partial) % 0xFFFF
-    return Segment(**{**vars(segment), "payload": payload + word.to_bytes(2, "big")})
+    return segment._replace(payload=payload + word.to_bytes(2, "big"))
 
 
 #: One stack for every example, its idents read back from a mirror: a
@@ -421,7 +421,7 @@ def test_one_image_equals_the_record_and_the_concatenating_encode(
         segment = folded_to_ffff(segment)
         assert legacy_tcp(segment, IP_A, IP_B)[16:18] == b"\0\0"
     if view:
-        segment = Segment(**{**vars(segment), "payload": memoryview(bytes(segment.payload))})
+        segment = segment._replace(payload=memoryview(bytes(segment.payload)))
     tcp = legacy_tcp(segment, IP_A, IP_B)
     (packet,) = one_image(_STACK, segment, IP_B)
     _SENT[0] += 1

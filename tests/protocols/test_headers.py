@@ -9,6 +9,8 @@ unpacks crafted bytes.
 """
 
 import ast
+import cProfile
+import dataclasses
 import struct
 from pathlib import Path
 
@@ -38,6 +40,17 @@ from repro.net.headers import (
     str_to_ip,
     str_to_mac,
 )
+from repro.netio.demux import DemuxDecision, FlowKey
+from repro.netio.module import LinkInfo
+from repro.protocols.ip import IpDatagram
+from repro.protocols.tcp.actions import (
+    DELIVER_FIN, NOTIFY_CONNECTED, CancelTimer, DeliverData, DeliverFin, EmitSegment,
+    NotifyClosed, NotifyConnected, SendSpaceAvailable, SetTimer,
+)
+from repro.protocols.tcp.events import (
+    APP_ABORT, APP_CLOSE, AppAbort, AppClose, AppRead, AppSend, SegmentArrives, TimerExpires,
+)
+from repro.protocols.tcp.wire import Segment
 from repro.protocols.tcp.wire import (
     HEADER_LENGTH,
     Segment,
@@ -372,3 +385,52 @@ def test_every_header_is_a_record_checked_where_packed():
     packers = {path for path, func in calls if func == "pack_ipv4"}
     assert (decorated, post_inits, builders) == (set(), set(), set())
     assert packers == {"protocols/ip.py", "net/headers.py"}
+
+
+#: Every record the data path builds for a packet.
+PER_PACKET_RECORDS = (
+    EthernetHeader, An1Header, ArpPacket, Ipv4Header, UdpHeader, IcmpHeader,
+    Segment, SegmentArrives, AppSend, AppRead, AppClose, AppAbort, TimerExpires,
+    EmitSegment, DeliverData, DeliverFin, SetTimer, CancelTimer, NotifyConnected,
+    NotifyClosed, SendSpaceAvailable, IpDatagram, LinkInfo, FlowKey, DemuxDecision,
+)
+
+
+@pytest.mark.parametrize("cls", PER_PACKET_RECORDS, ids=lambda cls: cls.__name__)
+def test_every_per_packet_record_is_a_tuple_built_in_c(cls):
+    """No per-packet record is a dataclass, whose build runs an
+    ``__init__`` frame and sets each field through ``object.__setattr__``:
+    each is a ``NamedTuple``, and ``cls.build`` makes it from one tuple
+    of its fields with no profiled call: as many as a lambda returning
+    the tuple itself."""
+    assert issubclass(cls, tuple) and not dataclasses.is_dataclass(cls)
+    fields = tuple(range(len(cls._fields)))
+    built = cls.build(fields)
+    assert type(built) is cls and built == cls(*fields)
+
+    def calls(work):
+        profiler = cProfile.Profile()
+        profiler.runcall(work)
+        return sum(entry.callcount for entry in profiler.getstats())
+
+    assert calls(lambda: cls.build(fields)) == calls(lambda: fields)
+
+
+def test_machine_events_and_actions_equal_only_their_own_class():
+    """Tuples compare by contents; the TCP machine's events and actions
+    also compare by class, and keep the tuple's hash."""
+    assert CancelTimer("rexmt") != NotifyClosed("rexmt")
+    assert not CancelTimer("rexmt") == NotifyClosed("rexmt")
+    assert AppSend(b"x") != DeliverData(b"x") and AppRead(5) != SendSpaceAvailable(5)
+    assert TimerExpires("delack") != CancelTimer("delack")
+    assert NotifyConnected() != DeliverFin() and AppClose() != AppAbort()
+    assert len({NOTIFY_CONNECTED, DELIVER_FIN, APP_CLOSE, APP_ABORT}) == 4
+    assert (DELIVER_FIN, NOTIFY_CONNECTED, APP_CLOSE, APP_ABORT) == (
+        DeliverFin(), NotifyConnected(), AppClose(), AppAbort()
+    )
+    timer = SetTimer("rexmt", 1.5)
+    assert timer == SetTimer.build(("rexmt", 1.5)) and not timer != SetTimer("rexmt", 1.5)
+    assert hash(timer) == hash(("rexmt", 1.5))
+    segment = Segment(5000, 80, 1, 2, TCP_ACK, 8192)
+    assert SegmentArrives(segment) == SegmentArrives.build((segment,))
+    assert EmitSegment(segment) == EmitSegment.build((segment, False))

@@ -35,6 +35,7 @@ ALLOWED = {
     "repro.sim.events:Event.cancelled": ("oracle", "the engine tests' read of a retired event"),
     "repro.obs.hist:HistogramRegistry.get": ("oracle", "the obs tests' read of one histogram"),
     "repro.net.link:Link.wire_time": ("oracle", "the link tests' wire time of a frame; Transmitter._wire evaluates it inline"),
+    "repro.protocols.tcp.events:_same": ("oracle", "the TCP tests' equality of events and actions; the stack dispatches by class"),
     # -- paper-arm ---------------------------------------------------------
     "repro.netio.pktfilter:udp_filter_program": ("paper-arm", "a UDP binding under the Table 5 scan arm"),
     "repro.netio.pktfilter:ScanTable.remove": ("paper-arm", "a channel torn down under the Table 5 scan arm"),

@@ -131,6 +131,27 @@ def test_interrupted_process_not_resumed_by_original_event():
     assert sim.now == 11.0
 
 
+@pytest.mark.parametrize("sim_cls", [Simulator, LegacySimulator])
+def test_an_interrupt_before_the_first_step_is_the_first_resume(sim_cls):
+    """A process interrupted before its first step never takes it: the
+    interrupt is thrown in where the generator starts, and the pending
+    ``Initialize`` resumes nothing.  It used to run the first step and
+    meet the interrupt at its first wait."""
+    sim = sim_cls()
+    steps = []
+
+    def worker():
+        steps.append("first step")
+        yield sim.timeout(1.0)
+
+    victim = sim.process(worker())
+    victim.interrupt("stop")
+    victim.interrupt("again")  # A second one finds it ended.
+    sim.run()
+    assert steps == [] and not victim.is_alive and sim.now == 0.0
+    assert sim.crashed == []
+
+
 def test_interrupt_on_finished_process_rejected():
     sim = Simulator()
 

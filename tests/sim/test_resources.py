@@ -371,10 +371,12 @@ def test_fat_tree_calls_per_datagram_gate():
     ``_wire`` and ``_turn_over``; 475.7 once an IPv4 header was packed
     once with a closed-form checksum, a UDP checksum summed the
     pseudo-header arithmetically, and ``prepend`` made its chain
-    without ``object.__new__``."""
+    without ``object.__new__``; 461.2 once every link fact, datagram
+    and demux decision was a tuple built in C, not a dataclass, and a
+    header decode's build was no ``tuple.__new__`` call."""
     delivered = []
     calls = profiled_calls(lambda: delivered.append(_fat_tree_arm()[1]))
-    assert calls / delivered[0] <= 479.0
+    assert calls / delivered[0] <= 464.0
 
 
 # ----------------------------------------------------------------------

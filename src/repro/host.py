@@ -252,8 +252,8 @@ class Host:
             expired = self.ip_stack.expire(self.sim.now)
             if expired:
                 cost = self.kernel.costs.timer_op * expired
-                if cost:
-                    yield self.kernel.cpu.charge(cost)
+                if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+                    yield turn
         self._slow_timer_armed = False
 
     def _udp_channel(self, udp_payload: bytes) -> Optional[Channel]:
@@ -313,8 +313,8 @@ class Host:
         costs = self.kernel.costs
         if link_dst is None:
             link_dst = yield from self.resolve_link(dst_ip)
-        if costs.ip_output:
-            yield self.kernel.cpu.charge(costs.ip_output)
+        if costs.ip_output and (turn := self.kernel.cpu.spend(costs.ip_output)) is not None:
+            yield turn
         packets = self.ip_stack.send(dst_ip, protocol, payload, self.mtu, ttl, head, length)
         for packet in packets:
             yield from self.netio.kernel_send(

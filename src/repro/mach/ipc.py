@@ -79,8 +79,8 @@ def send(task: Task, dest: PortRight, message: Message) -> Generator:
         task.check_right(reply)
 
     cost = kernel.costs.ipc_cost(message.inline_bytes)
-    if cost:
-        yield kernel.cpu.charge(cost)
+    if cost and (turn := kernel.cpu.spend(cost)) is not None:
+        yield turn
     kernel.counters["ipc_messages"] += 1
 
     if port.dead:

@@ -54,8 +54,9 @@ class Kernel:
 
     def fast_trap(self) -> Optional[Event]:
         """Specialized entry point used by the library→device path:
-        counts the trap and returns its CPU charge for the caller to
-        yield, or None when the cost model makes the trap free."""
+        counts the trap and returns its CPU turn for the caller to
+        yield at once, or None when the cost model makes the trap free
+        or the turn was taken in place (``CPU.spend``)."""
         self.counters["fast_traps"] += 1
         cost = self.costs.fast_trap
-        return self.cpu.charge(cost) if cost else None
+        return self.cpu.spend(cost) if cost else None

@@ -60,7 +60,7 @@ def vm_wire(kernel: Kernel, region: SharedRegion) -> Generator:
     if region.pinned:
         return region
     cost = kernel.costs.vm_wire_page * region.pages
-    if cost:
-        yield kernel.cpu.charge(cost)
+    if cost and (turn := kernel.cpu.spend(cost)) is not None:
+        yield turn
     region.pinned = True
     return region

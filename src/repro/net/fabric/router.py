@@ -274,8 +274,8 @@ class Router:
                     "router.forward", packet, self.sim.now, self.name, cost,
                     f"ttl={header.ttl}",
                 )
-            if cost:
-                yield cpu.charge(cost)
+            if cost and (turn := cpu.spend(cost)) is not None:
+                yield turn
             # Forwarding logic lives inline (not in a helper generator):
             # every CPU charge and transmit below resumes through this
             # frame, and the extra delegation hop is measurable at
@@ -351,8 +351,9 @@ class Router:
             if link_dst is None:
                 self.stats["arp_failed"] += 1
                 return
-        if self.kernel.costs.ip_output:
-            yield self.kernel.cpu.charge(self.kernel.costs.ip_output)
+        cost = self.kernel.costs.ip_output
+        if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+            yield turn
         ip_packet = encapsulate(out_iface.ip, dst_ip, PROTO_ICMP, icmp_payload)
         yield from out_iface.netio.kernel_send(ip_packet, link_dst)
 

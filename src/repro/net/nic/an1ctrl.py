@@ -130,8 +130,8 @@ class An1Nic(Nic):
         obs = _obs.SESSION
         if obs is not None:
             obs.spans.touch(frame, "nic.tx", self.sim.now, self.name, cost=cost)
-        if cost:
-            yield self.kernel.cpu.charge(cost)
+        if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+            yield turn
         descriptors_full = self._tx.submit(frame)
         if descriptors_full is not None:
             yield descriptors_full

@@ -75,8 +75,8 @@ class PmaddNic(Nic):
         obs = _obs.SESSION
         if obs is not None:
             obs.spans.touch(frame, "nic.tx", self.sim.now, self.name, cost=cost)
-        if cost:
-            yield self.kernel.cpu.charge(cost)
+        if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+            yield turn
         # Blocks when all staging buffers are full: natural backpressure.
         staging_full = self._tx.submit(frame)
         if staging_full is not None:

@@ -140,8 +140,8 @@ class Channel:
         kernel = self.kernel
         self.last_wait_blocked = not self.banked
         cost = kernel.costs.cthread_sync_op
-        if cost:
-            yield kernel.cpu.charge(cost)
+        if cost and (turn := kernel.cpu.spend(cost)) is not None:
+            yield turn
         if self.banked:
             self.banked -= 1
         else:

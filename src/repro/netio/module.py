@@ -258,16 +258,18 @@ class NetworkIoModule:
         channel = None
         try:
             # The shared, pinned region, mapped into the library.
-            if costs.vm_map_region:
-                yield self.kernel.cpu.charge(costs.vm_map_region)
+            cost = costs.vm_map_region
+            if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+                yield turn
             yield from vm_wire(self.kernel, region)
 
             demux: Optional[FilterProgram] = None
             if self.is_an1:
                 if ring is None:
                     self._allocate_bqi(region, tenant)
-                    if costs.bqi_setup:
-                        yield self.kernel.cpu.charge(costs.bqi_setup)
+                    cost = costs.bqi_setup
+                    if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+                        yield turn
             elif self.demux_style != "synthesized":
                 # Interpreted styles carry a real filter program for the
                 # scan table, with its per-instruction costs.
@@ -488,8 +490,9 @@ class NetworkIoModule:
                     # bucket would have admitted.
                     tenant.counters["tx_bytes"] += len(ip_packet)
                     tenant.counters["tx_packets"] += 1
-        if costs.template_check:
-            yield self.kernel.cpu.charge(costs.template_check)
+        cost = costs.template_check
+        if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+            yield turn
         try:
             channel.template.verify(ip_packet)
         except TemplateViolation:

@@ -142,8 +142,8 @@ class MonolithicTcpStack(KernelPath, TcpService):
             self.profile, None, self.sim.now, port, backlog=deque(), parked=deque()
         )
         cost = self.kernel.costs.socket_op
-        if cost:
-            yield self.kernel.cpu.charge(cost)
+        if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+            yield turn
         return MonoListener(self, lease)
 
     def connect(self, remote_ip: int, remote_port: int, local_port: int = 0) -> Generator:
@@ -151,8 +151,8 @@ class MonolithicTcpStack(KernelPath, TcpService):
         lease = self.core.open(self.profile, None, self.sim.now, local_port, remote_ip, remote_port)
         # Crossings to reach the stack with the request.
         cost = self.profile.setup_overhead + costs.socket_op
-        if cost:
-            yield self.kernel.cpu.charge(cost)
+        if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+            yield turn
         try:
             lease.link_dst = yield from self.host.resolve_link(remote_ip)
         except LookupError:  # No route or no ARP answer: the port goes back.
@@ -212,8 +212,9 @@ class MonolithicTcpStack(KernelPath, TcpService):
             self.sim.process(lease.grant.abort())
 
     def _transmit(self, segment: Segment, remote_ip: int, link_dst: object, lead=0.0) -> Generator:
-        if lead:  # The emitting step's timer work.
-            yield self.kernel.cpu.charge(lead)
+        # The emitting step's timer work.
+        if lead and (turn := self.kernel.cpu.spend(lead)) is not None:
+            yield turn
         costs = self.kernel.costs
         if self.profile.ipc_counts[1]:
             self.kernel.counters["ipc_messages"] += self.profile.ipc_counts[1]
@@ -223,8 +224,8 @@ class MonolithicTcpStack(KernelPath, TcpService):
             + costs.checksum_cost(length)
             + self.profile.send_device(costs, length)
         )
-        if cost:
-            yield self.kernel.cpu.charge(cost)
+        if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+            yield turn
         yield from self.host.ip_send(
             remote_ip, PROTO_TCP, segment.payload, link_dst, head=head, length=length
         )
@@ -285,8 +286,8 @@ class MonoConnection(TcpConnection):
         semantics: close() does not wait out TIME-WAIT); the connection
         is reaped in the background when it reaches CLOSED."""
         cost = self._costs.syscall_trap + self._costs.socket_op
-        if cost:
-            yield self.stack.kernel.cpu.charge(cost)
+        if cost and (turn := self.stack.kernel.cpu.spend(cost)) is not None:
+            yield turn
         yield from self.runner.app_close()
         self.stack.sim.process(self._finalize(), name="close-reap")
 

@@ -109,8 +109,8 @@ class MachineRunner:
     def app_send(self, data: bytes, entry_cost: float) -> Generator:
         """Blocking write: the organization's ``entry_cost``, then waits
         for send-buffer space and queues."""
-        if entry_cost:
-            yield self.kernel.cpu.charge(entry_cost)
+        if entry_cost and (turn := self.kernel.cpu.spend(entry_cost)) is not None:
+            yield turn
         offset = 0
         total = len(data)
         while offset < total:
@@ -154,8 +154,8 @@ class MachineRunner:
                 # Tell the machine the app consumed data (window update logic).
                 yield from self.handle(AppRead.build((nbytes,)))
             cost = exit_cost(nbytes, blocked)
-            if cost:
-                yield self.kernel.cpu.charge(cost)
+            if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+                yield turn
             if not exact:
                 return data
             if not nbytes:
@@ -265,8 +265,9 @@ class MachineRunner:
                 obs.profiler.charge("tcp.timer_op", lead)
         if not emissions:
             if lead:
-                # Timers only: the one charge, for the caller to yield.
-                return (self.kernel.cpu.charge(lead),)
+                # Timers only: the one turn, for the caller to yield.
+                turn = self.kernel.cpu.spend(lead)
+                return () if turn is None else (turn,)
             return ()
         if len(emissions) == 1:
             (action,) = emissions

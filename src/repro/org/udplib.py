@@ -91,8 +91,8 @@ class UdpEndpoint:
             costs.socket_op + costs.udp_packet
             + costs.checksum_cost(len(data) + 8)
         )
-        if cost:
-            yield self.kernel.cpu.charge(cost)
+        if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+            yield turn
         udp = encode_datagram(
             self.port, dst_port, data, self.service.host.ip, dst_ip
         )
@@ -131,8 +131,8 @@ class UdpEndpoint:
             yield event
         datagram = self._datagrams.popleft()
         cost = self.kernel.costs.socket_op
-        if cost:
-            yield self.kernel.cpu.charge(cost)
+        if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+            yield turn
         # Application boundary: the read hands back owned bytes — the
         # single user copy the receive path still pays.
         payload = bytes(datagram.payload)
@@ -150,13 +150,13 @@ class UdpEndpoint:
                 # and surfaces, not hangs the endpoint.
                 return
             cost = costs.user_wakeup + 2 * costs.cthread_switch
-            if cost:
-                yield cpu.charge(cost)
+            if cost and (turn := cpu.spend(cost)) is not None:
+                yield turn
             for item in batch:
                 packet, link_info = item
                 cost = costs.ip_input + costs.udp_packet
-                if cost:
-                    yield cpu.charge(cost)
+                if cost and (turn := cpu.spend(cost)) is not None:
+                    yield turn
                 if isinstance(packet, PacketBuffer):
                     # Locally forwarded chains (the kernel UDP relay)
                     # fuse here — the one copy the legacy concat made.

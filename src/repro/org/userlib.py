@@ -163,8 +163,8 @@ class LibraryConnection(TcpConnection):
     # ------------------------------------------------------------------
 
     def _emit(self, segment: Segment, lead_cost: float, retransmit: bool) -> Generator:
-        if lead_cost:
-            yield self.kernel.cpu.charge(lead_cost)
+        if lead_cost and (turn := self.kernel.cpu.spend(lead_cost)) is not None:
+            yield turn
         costs = self.kernel.costs
         host = self.service.host
         head, length = encode_header(segment, host.ip, self.remote_ip)
@@ -187,8 +187,8 @@ class LibraryConnection(TcpConnection):
             )
         # TCP output, checksum and IP output run in the library
         # (application CPU time).
-        if cost:
-            yield self.kernel.cpu.charge(cost)
+        if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+            yield turn
         for packet in packets:
             while True:
                 try:
@@ -227,8 +227,8 @@ class LibraryConnection(TcpConnection):
             obs = _obs.SESSION
             if obs is not None:
                 obs.profiler.charge("lib.wakeup", wakeup_cost)
-            if wakeup_cost:
-                yield self.kernel.cpu.charge(wakeup_cost)
+            if wakeup_cost and (turn := self.kernel.cpu.spend(wakeup_cost)) is not None:
+                yield turn
             for packet in batch:
                 datagram = self.service.ip_lib.receive(packet, now=self.sim.now)
                 if datagram is None:
@@ -257,8 +257,8 @@ class LibraryConnection(TcpConnection):
                         self.service.app.name, rx_cost,
                         f"seq={segment.seq} ack={segment.ack}",
                     )
-                if rx_cost:
-                    yield self.kernel.cpu.charge(rx_cost)
+                if rx_cost and (turn := self.kernel.cpu.spend(rx_cost)) is not None:
+                    yield turn
                 yield from self.runner.feed_segment(segment)
             if self.runner.closed_reason is not None and not self.channel.rx_queue:
                 return

@@ -79,6 +79,14 @@ class SendSpaceAvailable(NamedTuple):
 #: The field-less actions, one each.
 DELIVER_FIN, NOTIFY_CONNECTED = DeliverFin(), NotifyConnected()
 
+#: Timer name -> its cancel, one each: every cancel names a constant timer.
+CANCEL_TIMER = {
+    name: CancelTimer(name)
+    for name in (
+        TIMER_REXMT, TIMER_PERSIST, TIMER_DELACK, TIMER_TIME_WAIT, TIMER_CONN, TIMER_KEEPALIVE
+    )
+}
+
 #: Any machine output.
 TcpAction = Union[EmitSegment, DeliverData, DeliverFin, SetTimer, CancelTimer,
                   NotifyConnected, NotifyClosed, SendSpaceAvailable]

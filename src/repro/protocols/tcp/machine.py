@@ -22,7 +22,7 @@ from typing import Optional
 
 from ...net.headers import TCP_ACK, TCP_FIN, TCP_PSH, TCP_RST, TCP_SYN
 from .actions import (
-    CancelTimer,
+    CANCEL_TIMER,
     DELIVER_FIN,
     DeliverData,
     EmitSegment,
@@ -230,7 +230,7 @@ class TcpMachine:
             tcb.snd_wl2 = ack
             if old_wnd == 0 and tcb.snd_wnd > 0:
                 tcb.persist_shift = 0
-                actions.append(CancelTimer.build((TIMER_PERSIST,)))
+                actions.append(CANCEL_TIMER[TIMER_PERSIST])
         if size:
             # Direct delivery, as _process_payload's empty-queue arm.
             tcb.rcv_nxt += size
@@ -239,7 +239,7 @@ class TcpMachine:
             actions.append(DeliverData.build((payload,)))
             if tcb.delack_pending:
                 tcb.delack_pending = False
-                actions.append(CancelTimer.build((TIMER_DELACK,)))
+                actions.append(CANCEL_TIMER[TIMER_DELACK])
                 self._emit_ack(actions)
             else:
                 tcb.delack_pending = True
@@ -320,7 +320,7 @@ class TcpMachine:
         # Any segment carrying an ACK satisfies a pending delayed ACK.
         if flags & TCP_ACK and tcb.delack_pending:
             tcb.delack_pending = False
-            actions.append(CancelTimer.build((TIMER_DELACK,)))
+            actions.append(CANCEL_TIMER[TIMER_DELACK])
 
     def _emit_syn(self, actions: list[TcpAction], with_ack: bool, retransmit: bool = False) -> None:
         tcb = self.tcb
@@ -415,8 +415,8 @@ class TcpMachine:
             return actions
         if tcb.state is State.SYN_SENT:
             self._set_state(State.CLOSED)
-            actions.append(CancelTimer.build((TIMER_REXMT,)))
-            actions.append(CancelTimer.build((TIMER_CONN,)))
+            actions.append(CANCEL_TIMER[TIMER_REXMT])
+            actions.append(CANCEL_TIMER[TIMER_CONN])
             actions.append(NotifyClosed.build(("done",)))
             return actions
         if tcb.fin_pending or tcb.fin_sent:
@@ -445,7 +445,7 @@ class TcpMachine:
             TIMER_TIME_WAIT,
             TIMER_KEEPALIVE,
         ):
-            actions.append(CancelTimer.build((name,)))
+            actions.append(CANCEL_TIMER[name])
         actions.append(NotifyClosed.build((reason,)))
 
     # ------------------------------------------------------------------
@@ -685,8 +685,8 @@ class TcpMachine:
         if tcb.snd_una > tcb.iss:
             # Our SYN is acknowledged: connection established.
             self._set_state(State.ESTABLISHED)
-            actions.append(CancelTimer.build((TIMER_REXMT,)))
-            actions.append(CancelTimer.build((TIMER_CONN,)))
+            actions.append(CANCEL_TIMER[TIMER_REXMT])
+            actions.append(CANCEL_TIMER[TIMER_CONN])
             actions.append(NOTIFY_CONNECTED)
             self._arm_keepalive(actions)
             self._emit_ack(actions)
@@ -751,7 +751,7 @@ class TcpMachine:
         if tcb.state is State.SYN_RCVD:
             if tcb.snd_una <= ack <= tcb.snd_nxt:
                 self._set_state(State.ESTABLISHED)
-                actions.append(CancelTimer.build((TIMER_CONN,)))
+                actions.append(CANCEL_TIMER[TIMER_CONN])
                 actions.append(NOTIFY_CONNECTED)
                 self._arm_keepalive(actions)
                 tcb.snd_wnd = segment.window
@@ -792,7 +792,7 @@ class TcpMachine:
             tcb.snd_wl2 = ack
             if old_wnd == 0 and tcb.snd_wnd > 0:
                 tcb.persist_shift = 0
-                actions.append(CancelTimer.build((TIMER_PERSIST,)))
+                actions.append(CANCEL_TIMER[TIMER_PERSIST])
 
         # FIN-driven state machine advances that depend on our FIN being
         # acknowledged are handled inside _ack_advances.
@@ -846,7 +846,7 @@ class TcpMachine:
         if left > 0:
             actions.append(SetTimer.build((TIMER_REXMT, tcb.rtt.rto)))
         else:
-            actions.append(CancelTimer.build((TIMER_REXMT,)))
+            actions.append(CANCEL_TIMER[TIMER_REXMT])
 
         # Our FIN acknowledged?
         if tcb.fin_sent and tcb.fin_seq is not None and ack > tcb.fin_seq:
@@ -857,7 +857,7 @@ class TcpMachine:
             elif tcb.state is State.LAST_ACK:
                 self._set_state(State.CLOSED)
                 for name in (TIMER_REXMT, TIMER_PERSIST, TIMER_DELACK):
-                    actions.append(CancelTimer.build((name,)))
+                    actions.append(CANCEL_TIMER[name])
                 actions.append(NotifyClosed.build(("done",)))
 
     # ------------------------------------------------------------------
@@ -891,7 +891,7 @@ class TcpMachine:
         # Delayed ACK: every second segment, or after delack_time.
         if tcb.delack_pending:
             tcb.delack_pending = False
-            actions.append(CancelTimer.build((TIMER_DELACK,)))
+            actions.append(CANCEL_TIMER[TIMER_DELACK])
             self._emit_ack(actions)
         else:
             tcb.delack_pending = True
@@ -922,7 +922,7 @@ class TcpMachine:
     def _enter_time_wait(self, actions: list[TcpAction]) -> None:
         self._set_state(State.TIME_WAIT)
         for name in (TIMER_REXMT, TIMER_PERSIST, TIMER_DELACK, TIMER_KEEPALIVE):
-            actions.append(CancelTimer.build((name,)))
+            actions.append(CANCEL_TIMER[name])
         actions.append(SetTimer.build((TIMER_TIME_WAIT, 2 * self.tcb.config.msl)))
 
     # ------------------------------------------------------------------

@@ -57,13 +57,13 @@ class KernelPath:
             except (ChecksumError, HeaderError):
                 segment = None
             cost, input_cost = self._rx_costs(segment, len(payload))
-            if cost:
-                yield self.kernel.cpu.charge(cost)
+            if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+                yield turn
             if segment is None:
                 self.stats["rx_bad_checksum"] += 1
             else:
-                if input_cost:
-                    yield self.kernel.cpu.charge(input_cost)
+                if input_cost and (turn := self.kernel.cpu.spend(input_cost)) is not None:
+                    yield turn
                 route, lease = self.core.route(segment, src_ip, link_info.adv_bqi)
                 if route == "handshake":
                     yield from lease.runner.feed_segment(segment)

@@ -208,8 +208,8 @@ class RegistryServer(KernelPath):
         try:
             self.stats["accepts"] += 1
             cost = self.kernel.costs.registry_state_transfer
-            if cost:
-                yield self.kernel.cpu.charge(cost)
+            if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+                yield turn
             grant = Message("grant", body=lease.grant, inline_bytes=self.STATE_BYTES)
             yield from reply_to(self.task, message, grant)
         except Exception as exc:
@@ -237,8 +237,9 @@ class RegistryServer(KernelPath):
             # Paper breakdown item 2: allocating connection identifiers and
             # the non-overlappable start of connection setup.
             mark = self.sim.now
-            if costs.registry_alloc:
-                yield self.kernel.cpu.charge(costs.registry_alloc)
+            cost = costs.registry_alloc
+            if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+                yield turn
             # Tenancy admission *before* any handshake traffic: an explicit
             # source port must be in the caller's grant, and the channel the
             # connection will need must fit the budget — refusing now costs
@@ -265,8 +266,9 @@ class RegistryServer(KernelPath):
             # Move the established connection's state to the library
             # (breakdown item 5), then answer the app's RPC (item 4).
             mark = self.sim.now
-            if costs.registry_state_transfer:
-                yield self.kernel.cpu.charge(costs.registry_state_transfer)
+            cost = costs.registry_state_transfer
+            if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+                yield turn
             grant = Message("grant", body=lease.grant, inline_bytes=self.STATE_BYTES)
             yield from reply_to(self.task, message, grant)
             breakdown["state_transfer"] = self.sim.now - mark
@@ -290,8 +292,8 @@ class RegistryServer(KernelPath):
             port = message.body.get("port", 0)
             app = message.sender
             cost = self.kernel.costs.registry_alloc / 2
-            if cost:
-                yield self.kernel.cpu.charge(cost)
+            if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+                yield turn
             if port:
                 self._admit(app, "bind_refused", lambda t: t.check_port(port))
             lease = self._open(app, port)
@@ -320,8 +322,8 @@ class RegistryServer(KernelPath):
         adv_bqi = lease.ring.bqi if lease.ring is not None else 0
 
         def emit(segment: Segment, lead_cost: float, retransmit: bool) -> Generator:
-            if lead_cost:
-                yield self.kernel.cpu.charge(lead_cost)
+            if lead_cost and (turn := self.kernel.cpu.spend(lead_cost)) is not None:
+                yield turn
             costs = self.kernel.costs
             self.stats["handshake_segments"] += 1
             # The registry reaches the device through standard Mach IPC,
@@ -329,8 +331,8 @@ class RegistryServer(KernelPath):
             head, length = encode_header(segment, self.host.ip, remote_ip)
             cost = costs.registry_device_access + costs.tcp_output
             cost += costs.checksum_cost(length)
-            if cost:
-                yield self.kernel.cpu.charge(cost)
+            if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+                yield turn
             yield from self.host.ip_send(
                 remote_ip, PROTO_TCP, segment.payload, lease.link_dst,
                 bqi=lease.peer_bqi, adv_bqi=adv_bqi, head=head, length=length,
@@ -344,8 +346,8 @@ class RegistryServer(KernelPath):
         """The lease's ring, then its handshake's runner."""
         lease.ring = self.host.netio.allocate_ring(self.task, owner=lease.owner)
         cost = self.kernel.costs.bqi_setup
-        if lease.ring is not None and cost:
-            yield self.kernel.cpu.charge(cost)
+        if lease.ring is not None and cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+            yield turn
         lease.runner = self.handshake_runner(lease)
 
     def _established(self, lease: Lease) -> Generator:
@@ -360,8 +362,8 @@ class RegistryServer(KernelPath):
             ring=lease.ring,
         )
         cost = self.kernel.costs.registry_channel_misc
-        if cost:
-            yield self.kernel.cpu.charge(cost)
+        if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+            yield turn
         if runner.closed_reason is not None:  # The peer gave up meanwhile.
             raise ConnectionError(f"connect: {runner.closed_reason}")
         lease.grant = ConnectionGrant.take_over(runner, lease.channel, *addressing, lease.link_dst)
@@ -380,8 +382,8 @@ class RegistryServer(KernelPath):
         ``cost`` of reaching the device) one a given-back lease's peer is owed."""
         self.stats["resets_sent"] += 1
         head, length = encode_header(rst, self.host.ip, remote_ip)
-        if cost:
-            yield self.kernel.cpu.charge(cost)
+        if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
+            yield turn
         yield from self.host.ip_send(
             remote_ip, PROTO_TCP, rst.payload, link_dst, bqi=bqi, head=head, length=length
         )

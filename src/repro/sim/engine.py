@@ -25,19 +25,21 @@ before its instant first moves it onto the heap, so it keeps its FIFO
 place at a shared instant and an URGENT newcomer there runs first.  The
 held event is therefore alone at the earliest pending instant, and when
 the callback returns the drain takes it before looking at the heap.  A
-process that yields the fresh event the slot holds takes that step
-itself, inside :meth:`Process._resume <repro.sim.events.Process._resume>`.
-A *step* is one timestamp taken from the heap or from the slot; either
-way it counts in ``steps`` and ``events_processed`` alike, so no
-counter tells the two apart.  An exception leaving a solo dispatch puts
-the held event back on the heap.
+thread's CPU turn the slot would hold is the process's own next step,
+so :meth:`Simulator._spend` (``cpu.spend``) takes it in place: no event,
+no yield, no resume through the thread's ``yield from`` chain.
+A *step* is one timestamp taken from the heap or from the slot, or
+taken in place; each counts in ``steps`` and ``events_processed``
+alike, so no counter tells them apart.  An exception leaving a solo
+dispatch puts the held event back on the heap.
 
 An event costs its callback and nothing else: one loop
 (:meth:`Simulator._drain`) serves :meth:`~Simulator.run` and
-:meth:`~Simulator.run_all`; three insertion paths place every event:
+:meth:`~Simulator.run_all`; four insertion paths place every event:
 :meth:`Simulator.schedule_at` one a caller made, and, built and placed
 in one frame, :meth:`Simulator._turn` a :class:`~repro.sim.resources.Serial`
-turn and :meth:`Simulator.call_later` a delayed callback.  Every engine
+turn, :meth:`Simulator._spend` a thread's turn and
+:meth:`Simulator.call_later` a delayed callback.  Every engine
 callback takes the event (a stage with an argument is a ``partial`` of
 a callee ending in ``_event``); the clock and the running process are
 plain attributes.
@@ -242,6 +244,66 @@ class Simulator:
                 sim._next = event
                 sim._next_t = t
                 return event
+        buckets = sim._buckets
+        if t in buckets:
+            b = buckets[t]
+            if type(b) is _Bucket:
+                b.normal.append(event)
+            else:
+                nb = buckets[t] = _Bucket()
+                nb.urgent = []
+                nb.normal = [b, event]
+        else:
+            buckets[t] = event
+            _heappush(sim._heap, t)
+        return event
+
+    @staticmethod
+    def _spend(serial, duration: float) -> Optional[Triggered]:
+        """``serial.spend(duration)``: a thread's ``duration``-long turn
+        of ``serial``, for the caller to yield at once, or None when the
+        turn is already taken.
+
+        :meth:`_turn`'s arithmetic and placement, except during a solo
+        dispatch of a running process: there a turn the next slot would
+        hold is the drain's next step, the process's own resume, so it
+        is taken in place (the clock moves and the step counts as the
+        drain counts it) and no event is made.  The caller yields what
+        comes back, at once: ``if cost and (turn := cpu.spend(cost)) is
+        not None: yield turn``."""
+        if not duration >= 0:
+            raise ValueError(f"negative duration {duration}")
+        sim = serial.sim
+        t = serial.busy_until
+        if t < sim.now:
+            t = sim.now
+        serial.busy_until = t = t + duration
+        serial.busy_time += duration
+        slot = False
+        if sim._solo:
+            heap = sim._heap
+            held = sim._next
+            if held is not None and t <= sim._next_t:
+                sim._buckets[sim._next_t] = held
+                _heappush(heap, sim._next_t)
+                sim._next = held = None
+            if held is None and t <= sim._limit and (not heap or t < heap[0]):
+                if sim.active_process is not None:
+                    sim.now = t
+                    sim.steps += 1
+                    sim.events_processed += 1
+                    return None
+                slot = True
+        event = Triggered()
+        event.sim = sim
+        event.callbacks = []
+        event._value = None
+        event._ok = True
+        event._cancelled = False
+        if slot:
+            sim._next = event
+            sim._next_t = t
+            return event
         buckets = sim._buckets
         if t in buckets:
             b = buckets[t]

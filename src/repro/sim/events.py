@@ -275,21 +275,10 @@ class Process(Event):
                 continue
 
             if callbacks is not None:
-                if callbacks or target is not sim._next:
-                    # Event not yet processed: wait for it.
-                    callbacks.append(self._resume)
-                    self._target = target
-                    break
-                # The fresh event the engine's next slot holds.  Only a
-                # solo dispatch fills the slot, and this resume is that
-                # dispatch's one callback, so the drain's next step would
-                # be this process's own resume: take it here, counted as
-                # the drain counts it.
-                sim._next = None
-                sim.now = sim._next_t
-                sim.steps += 1
-                sim.events_processed += 1
-                target.callbacks = None
+                # Event not yet processed: wait for it.
+                callbacks.append(self._resume)
+                self._target = target
+                break
             # Already-processed event: continue immediately with its value.
             event = target
         sim.active_process = None

@@ -62,7 +62,7 @@ class Serial:
     instants they reserved, and ``busy_time`` keeps the duration.
     """
 
-    __slots__ = ("sim", "busy_until", "busy_time", "hold", "charge")
+    __slots__ = ("sim", "busy_until", "busy_time", "hold", "charge", "spend")
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
@@ -74,6 +74,9 @@ class Serial:
         #: first callback.  ``Simulator._turn`` bound as a method object,
         #: which cProfile does not count (a partial would be four objects).
         self.hold = self.charge = MethodType(sim._turn, self)
+        #: ``spend(duration)``: a thread's turn, ``Simulator._spend``
+        #: bound the same way; None when it is taken in place.
+        self.spend = MethodType(sim._spend, self)
 
 
 class CPU(Serial):
@@ -82,11 +85,12 @@ class CPU(Serial):
     handling, protocol processing, application copies) serialize
     exactly as they would on the paper's uniprocessor DECstations.
 
-    ``yield host.cpu.charge(costs.trap)`` spends ``cost`` seconds of
-    this CPU, FIFO behind everything charged earlier; interrupt context,
-    which cannot yield, passes its next stage instead
-    (``cpu.charge(cost, stage)``).  Callers skip zero costs (``if
-    cost:``): a zero-length turn would still wait its place in line.
+    A thread spends ``cost`` seconds of this CPU, FIFO behind everything
+    charged earlier, with ``if cost and (turn := cpu.spend(cost)) is not
+    None: yield turn``: a turn that is the engine's next step is taken
+    in place.  Interrupt context, which cannot yield, passes its next
+    stage instead (``cpu.charge(cost, stage)``).  Callers skip zero
+    costs: a zero-length turn would still wait its place in line.
     """
 
     __slots__ = ("name",)

@@ -84,7 +84,8 @@ class EagerRunner(MachineRunner):
                 obs.profiler.charge("tcp.timer_op", lead)
         if not emissions:
             if lead:
-                return (self.kernel.cpu.charge(lead),)
+                turn = self.kernel.cpu.spend(lead)
+                return () if turn is None else (turn,)
             return ()
         if len(emissions) == 1:
             (action,) = emissions

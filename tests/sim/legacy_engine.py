@@ -19,13 +19,14 @@ class LegacySimulator(Simulator):
 
     Semantics are the pre-refactor engine's, verbatim, plus the same
     stats counters the batched engine keeps.  It overrides the engine's
-    four schedule-facing methods — the insertion of an event a caller
-    made, the two the engine makes itself (a ``Serial`` turn and a
+    five schedule-facing methods — the insertion of an event a caller
+    made, the three the engine makes itself (a ``Serial`` turn, a
+    thread's ``spend``, which here always returns its turn, and a
     ``call_later``) and the one drain loop — so ``run``, ``run_all``,
-    ``schedule``, every event class and ``cpu.charge`` drive it through
-    the same entry points as the bucket heap.  It inherits ``__init__``
-    but never sets the solo flag, so the next slot stays empty and no
-    process takes its own step.
+    ``schedule``, every event class, ``cpu.charge`` and ``cpu.spend``
+    drive it through the same entry points as the bucket heap.  It
+    inherits ``__init__`` but never sets the solo flag, so the next
+    slot stays empty and no process takes its own step.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -52,6 +53,10 @@ class LegacySimulator(Simulator):
             event.callbacks.append(then)
         heappush(sim._queue, (t, NORMAL, next(sim._eid), event))
         return event
+
+    @staticmethod
+    def _spend(serial, duration: float) -> Event:
+        return LegacySimulator._turn(serial, duration)
 
     def call_later(self, delay: float, then) -> Event:
         t = self.now + delay

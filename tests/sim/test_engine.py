@@ -189,6 +189,8 @@ def test_nan_charge_is_refused_before_it_reaches_busy_until():
     cpu.charge(1e-3)
     with pytest.raises(ValueError):
         cpu.charge(NAN)
+    with pytest.raises(ValueError):
+        cpu.spend(NAN)
     assert cpu.busy_until == 1e-3 and cpu.busy_time == 1e-3
     done = []
     cpu.charge(1e-3, lambda _ev: done.append(sim.now))

@@ -10,6 +10,7 @@ have put them — and its lazy-cancellation bookkeeping must add up.
 
 import random
 from functools import partial
+from math import inf
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.sim import (
     NORMAL,
     URGENT,
     Simulator,
+    StopSimulation,
     Timeout,
 )
 from repro import testbed as testbeds
@@ -116,13 +118,13 @@ def _timer_and_serial_ties(sim_cls):
 
 
 def _processes_on_two_cpus(sim_cls, seed):
-    """Processes the way the stack runs them: charging two CPUs, waking
-    each other with ``succeed()``, spawning, arming and cancelling
-    timers.  Charges are multiples of 2**-12 s, fine enough that many
-    events are the lone earliest one when scheduled: on
-    :class:`Simulator` they pass through the next slot, many a process
-    takes its own next step, and a wake-up the slot holds is moved onto
-    the heap by a same-instant schedule (asserted)."""
+    """Processes the way the stack runs them: charging and spending two
+    CPUs, waking each other with ``succeed()``, spawning, arming and
+    cancelling timers.  Charges are multiples of 2**-12 s, fine enough
+    that many events are the lone earliest one when scheduled: on
+    :class:`Simulator` they pass through the next slot, many a spend is
+    taken in place, and a wake-up the slot holds is moved onto the heap
+    by a same-instant schedule (asserted)."""
     rng = random.Random(seed)
     sim = sim_cls()
     cpus = [CPU(sim), CPU(sim)]
@@ -136,9 +138,13 @@ def _processes_on_two_cpus(sim_cls, seed):
 
     def worker(name, depth):
         for k in range(rng.randrange(6, 14)):
-            how = rng.choice(["charge", "charge", "charge", "wake", "wait", "spawn", "timer"])
+            how = rng.choice(["charge", "spend", "spend", "wake", "wait", "spawn", "timer"])
             if how == "charge":
                 yield rng.choice(cpus).charge(tick * rng.randrange(0, 9) / 4)
+            elif how == "spend":
+                cost = tick * rng.randrange(0, 9) / 4
+                if cost and (turn := rng.choice(cpus).spend(cost)) is not None:
+                    yield turn
             elif how == "wake":
                 # Every wake-up is due now, and so is the timeout after
                 # them: each is a same-instant schedule that must move a
@@ -217,21 +223,32 @@ def _slot_script(sim_cls, seed):
     ``call_later``, ``Event.succeed`` waking parked processes, process
     spawns (an URGENT ``Initialize`` at ``now``), a ``run(until=event)``
     that stops inside a batch, a ``run_all`` limit, and a charge stage
-    that places an event and then raises.  Costs are multiples of
-    2**-11 s, so instants collide.  Returns the ``(instant, label)``
-    trace, each CPU's ``busy_time``, the engine counts, and how often
-    a later newcomer left the held event in the next slot (``kept``),
-    a ``call_later`` did so (``later_kept``) or, at or before the held
-    instant, moved it onto the heap (``later_moved``), and a spawn
-    found an event held at ``now`` (``urgent``)."""
+    that places an event and then raises; and processes that spend,
+    inside a ``run(until=t)`` too.  Costs are multiples of 2**-11 s, so
+    instants collide.  Returns the ``(instant, label)`` trace, each
+    CPU's ``busy_time``, the engine counts, and how often a later
+    newcomer left the held event in the next slot (``kept``), a
+    ``call_later`` did so (``later_kept``) or, at or before the held
+    instant, moved it onto the heap (``later_moved``), a spawn found an
+    event held at ``now`` (``urgent``), and a spend moved the held
+    event onto the heap (``spend_moved``), was taken in place
+    (``spend_taken``), ended past a ``run(until=t)`` stop
+    (``spend_until``) or a ``run_all`` limit (``spend_limit``), or was
+    made in a batch step (``spend_batch``).  Two last processes spend
+    alone, past a ``run(until=t)`` stop and a ``run_all`` limit."""
     rng = random.Random(seed)
     sim = sim_cls()
     cpus = [CPU(sim) for _ in range(rng.choice([2, 3]))]
     tick = 2.0**-11
     trace = []
     waiting = []
-    cases = {"kept": 0, "later_kept": 0, "later_moved": 0, "urgent": 0}
+    cases = dict.fromkeys(
+        ["kept", "later_kept", "later_moved", "urgent", "spend_moved", "spend_taken",
+         "spend_until", "spend_limit", "spend_batch"],
+        0,
+    )
     budget = [300]
+    until = [inf]
 
     def record(label):
         trace.append((sim.now, label))
@@ -283,11 +300,50 @@ def _slot_script(sim_cls, seed):
             rng.choice(cpus).charge(cost, partial(boom, label, depth))
         cases["kept"] += held is not None and sim._next is held
 
+    def spend(cpu, cost):
+        end = max(cpu.busy_until, sim.now) + cost
+        held = sim._next
+        first = sim._heap[0] if sim._heap else inf
+        if not sim._solo:
+            cases["spend_batch"] += 1
+        elif first == until[0] <= end:
+            cases["spend_until"] += 1
+        elif sim._limit < end < first and (held is None or end <= sim._next_t):
+            cases["spend_limit"] += 1
+        turn = cpu.spend(cost)
+        cases["spend_moved"] += held is not None and sim._next is not held
+        if turn is None:
+            cases["spend_taken"] += 1
+        else:
+            yield turn
+
+    def alone(run):
+        """A process alone on the schedule, run to just after ``now``:
+        the stop is all that keeps its first turn from being taken in
+        place."""
+
+        def tail():
+            yield sim.timeout(tick / 4)  # Out of its start's URGENT batch.
+            for k in range(3):
+                yield from spend(rng.choice(cpus), tick * rng.randrange(1, 5))
+                record(f"{run.__name__}:{k}")
+
+        sim.process(tail())
+        run(sim.now + tick / 2)
+
     def worker(name, depth):
         for k in range(rng.randrange(4, 12)):
-            how = rng.choice(["charge", "charge", "zero", "act", "act", "wait", "timeout"])
+            how = rng.choice(["charge", "spend", "zero", "act", "act", "wait", "timeout"])
             if how == "charge":
                 yield rng.choice(cpus).charge(tick * rng.randrange(1, 5))
+            elif how == "spend":
+                cpu = rng.choice(cpus)
+                cost = tick * rng.randrange(1, 5)
+                if rng.random() < 0.5:
+                    # A call due when an idle CPU's turn would end: the
+                    # slot may hold it, and the spend then moves it.
+                    sim.call_later(cost, partial(fire, f"{name}.{k}:due", depth))
+                yield from spend(cpu, cost)
             elif how == "zero":
                 yield rng.choice(cpus).charge(0.0)
             elif how == "act":
@@ -309,9 +365,23 @@ def _slot_script(sim_cls, seed):
     sim.call_later(stop_at, lambda _event: record("a"))
     stop = sim.timeout(stop_at)
     sim.call_later(stop_at, lambda _event: record("b"))
+    until_at = stop_at + tick * rng.randrange(1, 12)
+
+    def run_until(at):
+        until[0] = at
+        try:
+            sim.run(at)
+        finally:
+            until[0] = inf
+
     phases = [
         partial(sim.run, stop),
-        partial(sim.run_all, stop_at + tick * rng.randrange(0, 12)),
+        partial(run_until, until_at),
+        partial(sim.run_all, until_at + tick * rng.randrange(0, 12)),
+        sim.run,
+        partial(alone, run_until),
+        sim.run,
+        partial(alone, sim.run_all),
         sim.run,
     ]
     for phase in phases:
@@ -320,6 +390,9 @@ def _slot_script(sim_cls, seed):
                 phase()
             except _Boom as exc:
                 record(f"raised {exc}")
+            except StopSimulation:
+                # A run(until=t) a raise cut short left its stop behind.
+                record("stale stop")
             else:
                 record("phase")
                 break
@@ -335,7 +408,8 @@ def test_placement_matches_the_oracle(seed):
     """The next slot's placement rule against the tuple heap and the
     heap-only engine: a newcomer at or before the held instant moves
     the held event onto the heap (a same-instant URGENT one must run
-    first), and a later one leaves it in the slot.  The trace and the
+    first), a later one leaves it in the slot, and a spend the slot
+    would hold is taken in place, as its step.  The trace and the
     CPUs' busy time match both; every engine count matches the
     heap-only engine, and all but the three the oracle keeps per event
     by design match the tuple heap."""
@@ -353,15 +427,21 @@ def test_placement_scripts_reach_both_slot_cases():
     """The seeds above exercise what they are there for: a later
     newcomer that left the held event in the slot, a ``call_later``
     in each slot case (later: kept; at or before: moved), a spawn that
-    found an event held at ``now``, and a stage that raised."""
-    reached = dict.fromkeys(["kept", "later_kept", "later_moved", "urgent", "raised"], 0)
+    found an event held at ``now``, a stage that raised, and a spend in
+    each of its cases: one that moved the held event, one taken in
+    place, one past a ``run(until=t)`` stop or a ``run_all`` limit, and
+    one made in a batch step."""
+    reached = {}
     for seed in SLOT_SEEDS:
         trace, _, _, cases = _slot_script(Simulator, seed)
-        for case in ("kept", "later_kept", "later_moved", "urgent"):
-            reached[case] += cases[case] > 0
-        reached["raised"] += any(label.startswith("raised") for _, label in trace)
+        cases["raised"] = any(label.startswith("raised") for _, label in trace)
+        for case, count in cases.items():
+            reached[case] = reached.get(case, 0) + (count > 0)
     assert reached["kept"] >= 25 and reached["urgent"] >= 25 and reached["raised"] >= 30
     assert reached["later_kept"] >= 10 and reached["later_moved"] >= 10
+    assert reached["spend_moved"] >= 5 and reached["spend_taken"] >= 30
+    assert reached["spend_until"] >= 30 and reached["spend_limit"] >= 30
+    assert reached["spend_batch"] >= 30
 
 
 @pytest.mark.parametrize("sim_cls", [Simulator, LegacySimulator])
@@ -575,9 +655,9 @@ def test_error_after_the_slot_took_an_event_keeps_it_scheduled():
 
 @pytest.mark.parametrize("sim_cls", [Simulator, LegacySimulator])
 def test_a_held_event_with_a_waiter_resumes_every_waiter(sim_cls):
-    """A process that yields the event the slot holds takes that step
-    itself only when nobody else waits on it: here the waiter resumes
-    first, then the process, as the tuple heap orders them."""
+    """A process that yields the event the slot holds waits on it like
+    any other: here the waiter resumes first, then the process, as the
+    tuple heap orders them."""
     sim = sim_cls()
     order = []
     shared = sim.event()

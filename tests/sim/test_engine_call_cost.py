@@ -11,10 +11,10 @@ the turn and places it in one frame, bound to the CPU as a method
 object cProfile does not count; or ``call_later``, which does the same
 for a delayed callback):
 
-* a process yielding ``cpu.charge(cost)`` — thread context:
-  ``generator.send``, the generator, the turn; the process takes its
-  own next step, so ``Process._resume`` is entered once for the whole
-  run and no resume callback is appended;
+* a process spending ``cpu.spend(cost)`` — thread context: the turn
+  alone; each turn is the drain's next step, so ``spend`` takes it in
+  place and the generator never yields, and ``Process._resume`` is
+  entered once for the whole run;
 * an interrupt-context chain, ``cpu.charge(cost, then)`` — the stage,
   the turn;
 * a ``call_later`` chain — the callee and ``call_later``, which makes
@@ -33,7 +33,10 @@ slot, 8.0, 5.0 and 6.0; before a charge was one ``_turn`` frame (a
 ``Serial.hold`` frame, then ``schedule_at``), 4.0, 3.0 and 4.0, and the
 contended pair 8.0; the ``call_later`` chain read 4.0 while
 ``call_later`` took ``(delay, fn, arg)`` and paid a ``schedule_at``
-frame and a lambda per event.
+frame and a lambda per event.  A process yielding ``cpu.charge(cost)``
+read 3.0 (ceiling 3.1) while ``Process._resume`` took a yielded event
+the slot held in place; it reads 5.0 without that, and no thread
+yields a bare ``charge`` since ``spend`` (1.017, ceiling 1.1).
 """
 
 import pytest
@@ -45,12 +48,13 @@ from ..net.test_data_path_cost import profiled_calls
 EVENTS = 1000
 
 
-def _process_charges(sim):
+def _process_spends(sim):
     cpu = CPU(sim)
 
     def worker():
         for _ in range(EVENTS):
-            yield cpu.charge(1e-6)
+            if (turn := cpu.spend(1e-6)) is not None:
+                yield turn
 
     sim.process(worker())
 
@@ -92,12 +96,12 @@ def _contended_charges(sim):
 @pytest.mark.parametrize(
     "build, ceiling",
     [
-        (_process_charges, 3.1),
+        (_process_spends, 1.1),
         (_callback_chain, 2.1),
         (_call_later_chain, 2.1),
         (_contended_charges, 7.1),
     ],
-    ids=["process-charge", "charge-then-chain", "call-later-chain", "contended"],
+    ids=["process-spend", "charge-then-chain", "call-later-chain", "contended"],
 )
 def test_engine_calls_per_event_gate(build, ceiling):
     sim = Simulator()

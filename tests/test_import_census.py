@@ -68,8 +68,9 @@ def test_no_import_inside_a_function_outside_the_census():
 
 
 def test_src_charges_without_the_consume_frame():
-    """Every CPU charge under ``src/`` reads ``if cost: yield
-    cpu.charge(cost)``.  ``CPU.consume`` was the same two lines as a
+    """Every thread's CPU charge under ``src/`` is made in place, as
+    :func:`test_no_thread_yields_a_charge` words it.  ``CPU.consume`` was
+    the same two lines as a
     generator, and a ``yield from`` frame under a charge is entered
     twice per charge by cProfile (and CPython): 42 calls per
     ``pingpong`` round trip before the per-segment sites went in place,
@@ -82,4 +83,24 @@ def test_src_charges_without_the_consume_frame():
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if ".consume(" in line
     ]
-    assert not strays, "charge in place (if cost: yield cpu.charge(cost)):\n" + "\n".join(strays)
+    assert not strays, "charge in place (if cost: ... cpu.spend(cost)):\n" + "\n".join(strays)
+
+
+def test_no_thread_yields_a_charge():
+    """A thread charges its CPU with ``if cost and (turn :=
+    cpu.spend(cost)) is not None: yield turn``, never ``yield
+    cpu.charge(cost)``.  A turn the engine would take next is then taken
+    in place, and the process is not resumed through its whole ``yield
+    from`` chain for a step fixed when the charge was made: 12 a
+    ``pingpong`` round trip and 31 a ``churn`` cycle before ``spend``.
+    ``charge(cost, then)`` is interrupt context's, which cannot yield."""
+    strays = [
+        f"src/repro/{path.relative_to(SRC).as_posix()}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Yield)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Attribute)
+        and node.value.func.attr == "charge"
+    ]
+    assert not strays, "spend, not yield charge:\n" + "\n".join(strays)

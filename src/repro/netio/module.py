@@ -134,7 +134,6 @@ class NetworkIoModule:
         #: enforcement off a hoarder can genuinely starve its
         #: neighbours.  None models an unbounded host.
         self.region_pool_bytes: Optional[int] = None
-        self.region_pool_used = 0
         kernel.register_device(self.name, self)
         nic.rx_handler = self._rx_handler
         #: Cached once: the abc isinstance check is too slow to repeat
@@ -155,23 +154,18 @@ class NetworkIoModule:
             return None
         return self.tenants.admit(task, kind, check)
 
-    def _reserve_region(self, nbytes: int) -> None:
-        """Debit the physical wired-memory pool (independent of tenant
-        quotas: this is real scarcity, not policy)."""
+    def _check_pool(self, nbytes: int) -> None:
+        """Refuse ``nbytes`` more wired region if the pool cannot hold
+        them beside :meth:`holdings` (real scarcity, not policy)."""
         if self.region_pool_bytes is None:
             return
-        if self.region_pool_used + nbytes > self.region_pool_bytes:
+        used = self.holdings()[1]
+        if used + nbytes > self.region_pool_bytes:
             self.stats["region_pool_refused"] += 1
             raise QuotaExceeded(
                 f"wired packet-buffer pool exhausted "
-                f"({self.region_pool_used}/{self.region_pool_bytes}B used,"
-                f" {nbytes}B asked)"
+                f"({used}/{self.region_pool_bytes}B used, {nbytes}B asked)"
             )
-        self.region_pool_used += nbytes
-
-    def _release_region(self, nbytes: int) -> None:
-        if self.region_pool_bytes is not None:
-            self.region_pool_used -= nbytes
 
     def _allocate_bqi(self, region: SharedRegion, tenant) -> SharedRegion:
         """Install ``region`` under a BQI, attributed to ``tenant`` (or
@@ -246,15 +240,16 @@ class NetworkIoModule:
         # built, so a refusal allocates nothing.  An adopted ring's
         # bytes were counted when it was allocated.
         region = SharedRegion(self.RING_BUFFERS) if ring is None else ring
+        fresh = 0 if ring is not None else region.size
 
         def vet(tenant) -> None:
             tenant.check_template(template, self)
             tenant.check_flow_key(flow_key, self)
-            tenant.precheck_channel(0 if ring is not None else region.size)
+            tenant.precheck_channel(fresh)
 
         tenant = self._admit(owner, "admission_refused", vet)
         # Physical pool admission is unconditional: memory is memory.
-        self._reserve_region(region.size)
+        self._check_pool(fresh)
         channel = None
         try:
             # The shared, pinned region, mapped into the library.
@@ -262,6 +257,8 @@ class NetworkIoModule:
             if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
                 yield turn
             yield from vm_wire(self.kernel, region)
+            if fresh:  # Asked again as it enters the tables: another may have taken the pool.
+                self._check_pool(fresh)
 
             demux: Optional[FilterProgram] = None
             if self.is_an1:
@@ -305,7 +302,6 @@ class NetworkIoModule:
             # region was being wired: a refused channel allocates
             # nothing.  A ring the caller pre-allocated is disowned and
             # stays the caller's to release.
-            self._release_region(region.size)
             if ring is None:
                 self._drop_ring(region)
             else:
@@ -328,8 +324,8 @@ class NetworkIoModule:
 
         This is the *single* release path for everything a channel
         holds: flow entry (exact or wildcard), filter program, the
-        region's BQI and its wired bytes — so a crashed tenant swept through here
-        leaks nothing.
+        region's BQI and, with the region off the tables, its wired
+        bytes — so a crashed tenant swept through here leaks nothing.
         """
         if not caller.privileged and caller is not channel.owner:
             raise SecurityViolation(
@@ -343,7 +339,6 @@ class NetworkIoModule:
             self.flow_table.remove(channel.flow_key)
             channel.flow_key = None
         self._drop_ring(channel.region)
-        self._release_region(channel.region.size)
         channel.close()
 
     def install_listener(
@@ -392,7 +387,7 @@ class NetworkIoModule:
         attributes it to a tenant, whose region quota counts it
         immediately (not at bind time: the memory and the hardware index
         are held from this moment on) and once: the channel asks for no
-        more.
+        more.  The host's wired pool counts it from here on too.
         """
         if not caller.privileged:
             raise SecurityViolation("only the registry may allocate rings")
@@ -401,6 +396,7 @@ class NetworkIoModule:
         tenant = self._admit(
             owner, "ring_refused", lambda t: t.admit_region(self.DEFAULT_REGION_SIZE)
         )
+        self._check_pool(self.DEFAULT_REGION_SIZE)
         ring = self._allocate_bqi(SharedRegion(self.RING_BUFFERS), tenant)
         if tenant is not None:
             tenant.note_peaks()

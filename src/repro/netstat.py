@@ -124,7 +124,7 @@ def held(testbed, tenant: Optional[str] = None):
 
     Untenanted, it walks every table: each registry's core and workers,
     each kernel stack's core, the connections granted to each library,
-    and each network I/O module's channels, flows, wired bytes and BQIs.
+    and each network I/O module's channels, region bytes, flows and BQIs.
     With ``tenant`` (an id) it yields only what the modules' tables
     attribute to that tenant: its channels and region bytes on each host.
     """
@@ -150,11 +150,10 @@ def held(testbed, tenant: Optional[str] = None):
         netio = host.netio
         channels, region_bytes = netio.holdings(tenant)
         yield host.name, "channels", channels
+        yield host.name, "region bytes", region_bytes
         if tenant is not None:
-            yield host.name, "region bytes", region_bytes
             continue
         yield host.name, "flows", netio.flow_table.exact_count + netio.flow_table.wildcard_count
-        yield host.name, "wired bytes", netio.region_pool_used
         if host.is_an1:
             yield host.name, "BQIs", sorted(set(host.nic.bqi_table) - {0})
 

@@ -498,29 +498,33 @@ class Simulator:
         * ``until=<Event>`` — run until that event is processed and
           return its value (re-raising if the event failed).
         """
+        stop = until
         if isinstance(until, Event):
             if until.callbacks is None:
                 # Already processed: nothing to run.
                 if until._ok:
                     return until._value
                 raise until._value
-            until.callbacks.append(_stop_simulation)
         elif until is not None:
             at = float(until)
             if not at >= self.now:
                 raise ValueError(f"until={at} is in the past (now={self.now})")
-            stop_event = Event(self)
-            stop_event._ok = True
-            stop_event._value = None
-            stop_event.callbacks.append(_stop_simulation)
+            stop = Event(self)
+            stop._ok, stop._value = True, None
             # ``now + (at - now)``, not ``at``: the instant a run stops at
             # has always been this float, and later delays count from it.
-            self.schedule(stop_event, at - self.now)
+            self.schedule(stop, at - self.now)
+        if stop is not None:
+            stop.callbacks.append(_stop_simulation)
 
         try:
             self._drain(_INF)
-        except StopSimulation as stop:
-            return stop.value
+        except StopSimulation as stopped:
+            return stopped.value
+        finally:
+            # Ended short of its stop (a raise, no events left): take it back.
+            if stop is not None and stop.callbacks is not None:
+                stop.callbacks.remove(_stop_simulation)
         if isinstance(until, Event):
             raise RuntimeError(
                 "simulation ran out of events before the target event fired"

@@ -4,6 +4,8 @@ import pytest
 
 from repro.sim import CPU, Event, SimError, Simulator
 
+from .legacy_engine import LegacySimulator
+
 
 def test_clock_starts_at_zero():
     sim = Simulator()
@@ -59,6 +61,35 @@ def test_run_until_unreachable_event_raises():
     ev = sim.event()  # Never triggered.
     with pytest.raises(RuntimeError):
         sim.run(until=ev)
+
+
+def _boom(_event):
+    raise KeyError("boom")
+
+
+@pytest.mark.parametrize("engine", [Simulator, LegacySimulator], ids=["bucket", "legacy"])
+def test_a_raised_run_leaves_no_stop_behind(engine):
+    """A callback that raises out of ``run(until=...)`` takes the run's
+    stop with it: a later run neither ends at the stale stop nor meets
+    it as the internal ``StopSimulation``."""
+    for later in ("run", "run_all"):
+        sim = engine()
+        fired = []
+        sim.call_later(1.0, _boom)
+        sim.call_later(10.0, lambda _event: fired.append(sim.now))
+        with pytest.raises(KeyError):
+            sim.run(until=5.0)
+        assert sim.now == 1.0
+        getattr(sim, later)()
+        assert fired == [10.0], later
+    # The same for a run until an event: its stop is not left on it.
+    target = sim.event()
+    sim.call_later(1.0, _boom)
+    sim.call_later(2.0, lambda _event: target.succeed("late"))
+    with pytest.raises(KeyError):
+        sim.run(until=target)
+    assert sim.run() is None and sim.now == 12.0
+    assert target.value == "late"
 
 
 def test_events_fire_in_time_order():

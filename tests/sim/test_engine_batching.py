@@ -19,7 +19,6 @@ from repro.sim import (
     NORMAL,
     URGENT,
     Simulator,
-    StopSimulation,
     Timeout,
 )
 from repro import testbed as testbeds
@@ -390,9 +389,6 @@ def _slot_script(sim_cls, seed):
                 phase()
             except _Boom as exc:
                 record(f"raised {exc}")
-            except StopSimulation:
-                # A run(until=t) a raise cut short left its stop behind.
-                record("stale stop")
             else:
                 record("phase")
                 break

@@ -27,7 +27,8 @@ from repro.tenancy import (
     attach_tenancy,
 )
 from repro.check.campaign import replay_cell
-from repro.tenancy.campaign import ISOLATION, IsolationSpec, run_cell
+from repro.tenancy.campaign import ADVERSARY_BUDGET, ISOLATION, IsolationSpec, run_cell
+from repro.tenancy.invariants import IsolationEvidence, TenantSnapshot, check_grants
 from repro.testbed import Testbed
 
 REGION = NetworkIoModule.DEFAULT_REGION_SIZE
@@ -244,6 +245,40 @@ def test_bind_into_other_tenants_grant_refused():
     assert beta.counters["out_of_grant_binds"] == 1
     assert beta.held_ports() == [(7500, False)]
     assert manager.audit["bind_refused"] == 1
+
+
+def test_grants_judge_the_tables_at_the_end_not_the_bind_history():
+    """The narrowed ``tenant-grants`` guarantee, on a sabotaged bed: an
+    out-of-grant bind released before the end leaves the tables clean,
+    so the invariant does not convict it, while the tenant's counters
+    still record it; one still held at the end is convicted."""
+    bed = Testbed(network="ethernet", organization="userlib")
+    manager = attach_tenancy(bed, enforcing=False)
+    mallory = manager.create_tenant("mallory", ADVERSARY_BUDGET)
+    mallory_task = bed.host_a.create_task("mallory")
+    manager.bind_task(mallory_task, mallory)
+    service = LibraryUdpService(bed.host_a, mallory_task, bed.registry_a)
+
+    def forger(keep):
+        endpoint = yield from service.bind(4400)  # Out of grant, not refused.
+        if not keep:
+            yield from endpoint.close()
+
+    def grants_verdict(keep):
+        mallory_task.spawn(forger(keep))
+        bed.run(until=bed.sim.now + 1.0)
+        snapshot = TenantSnapshot(
+            "mallory", mallory.budget, tuple(mallory.held_ports()), dict(mallory.counters), {}
+        )
+        evidence = IsolationEvidence("forger", "victim", 1.0, 0.0, 0.0, tenants=[snapshot])
+        return snapshot, check_grants(evidence)
+
+    snapshot, verdict = grants_verdict(keep=False)
+    assert snapshot.ports == () and verdict.checked == 0 and verdict.ok
+    assert snapshot.counters["out_of_grant_binds"] == 1
+    snapshot, verdict = grants_verdict(keep=True)
+    assert snapshot.ports == ((4400, False),) and not verdict.ok
+    assert snapshot.counters["out_of_grant_binds"] == 2
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ release everything through one path."""
 
 import pytest
 
-from repro.costs import FREE
+from repro.costs import FREE, CostModel
 from repro.mach import Kernel
 from repro.net import An1Link, An1Nic, EthernetLink, PmaddNic, str_to_mac
 from repro.netio import NetworkIoModule, tcp_send_template
@@ -86,7 +86,7 @@ def test_quota_refusal_allocates_nothing():
     with pytest.raises(QuotaExceeded):
         world.create_channel(port=4001)
     assert len(world.io.channels) == 1
-    assert world.io.region_pool_used == REGION
+    assert world.io.holdings()[1] == REGION
     assert world.tenant.usage() == (1, REGION)
     assert world.tenant.counters["rejections"] == 1
     assert world.manager.audit["admission_refused"] == 1
@@ -104,16 +104,60 @@ def test_pool_exhaustion_refuses_even_unenforced():
     assert world.io.stats["region_pool_refused"] == 1
 
 
+def test_pool_counts_a_ring_from_allocation_even_unenforced():
+    # An AN1 ring is wired from allocate_ring on: the pool refuses one
+    # that would overfill it before any handshake, enforcement or not.
+    world = World(an1=True)
+    world.manager.enforcing = False
+    world.io.region_pool_bytes = REGION
+    ring = world.io.allocate_ring(world.registry, owner=world.app)
+    assert world.io.holdings()[1] == REGION
+    with pytest.raises(QuotaExceeded):
+        world.io.allocate_ring(world.registry, owner=world.app)
+    assert world.io.stats["region_pool_refused"] == 1
+    assert set(world.nic.bqi_table) == {0, ring.bqi}  # The refusal installed nothing.
+    world.create_channel(ring=ring)  # Adopting it asks the pool for no more.
+    assert world.io.holdings() == (1, REGION)
+
+
+def test_pool_refuses_a_create_that_lost_the_race_while_wiring():
+    # Two creates admitted together: the pool is asked again where each
+    # region enters the tables, so the one that finishes wiring second
+    # cannot overfill it.
+    world = World()
+    world.manager.enforcing = False
+    world.kernel.costs = CostModel()  # Wiring takes time: the creates overlap.
+    world.io.region_pool_bytes = REGION
+    outcomes = []
+
+    def create(port):
+        try:
+            yield from world.io.create_channel(
+                world.registry, world.app, tcp_send_template(IP_1, port, IP_2, 80),
+                local_ip=IP_1, local_port=port, remote_ip=IP_2, remote_port=80,
+            )
+            outcomes.append(port)
+        except QuotaExceeded:
+            outcomes.append("refused")
+
+    world.sim.process(create(4000))
+    world.sim.process(create(4001))
+    world.sim.run()
+    assert outcomes == [4000, "refused"]
+    assert world.io.holdings() == (1, REGION)
+    assert world.io.stats["region_pool_refused"] == 1
+
+
 def test_destroy_channel_releases_everything():
     world = World()
     world.io.region_pool_bytes = 128 * 1024
     channel = world.create_channel()
     assert world.tenant.usage() == (1, 64 * 1024)
-    assert world.io.region_pool_used == 64 * 1024
+    assert world.io.holdings()[1] == 64 * 1024
     world.io.destroy_channel(world.app, channel)
     world.io.destroy_channel(world.app, channel)  # Idempotent.
     assert world.tenant.usage() == (0, 0)
-    assert world.io.region_pool_used == 0
+    assert world.io.holdings()[1] == 0
 
 
 def test_an1_channel_charges_and_releases_bqi():
@@ -136,7 +180,7 @@ def test_teardown_sweeps_channels_through_module():
     world.tenant.teardown()
     assert world.tenant.usage() == (0, 0)
     assert len(world.io.channels) == 0
-    assert world.io.region_pool_used == 0
+    assert world.io.holdings()[1] == 0
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +262,7 @@ def test_failed_connect_releases_port_and_leaves_no_leaks():
     bed.run(until=30.0)  # Past SYN retry exhaustion.
     alpha.teardown()
     assert leaks(bed, "alpha") == {}
-    assert bed.host_a.netio.region_pool_used == 0
+    assert bed.host_a.netio.holdings()[1] == 0
 
 
 def test_udp_bind_respects_grant_and_teardown_is_clean():
@@ -237,7 +281,7 @@ def test_udp_bind_respects_grant_and_teardown_is_clean():
     assert alpha.held_ports() == [(4500, False)]
     alpha.teardown()
     assert leaks(bed, "alpha") == {}
-    assert bed.host_a.netio.region_pool_used == 0
+    assert bed.host_a.netio.holdings()[1] == 0
 
 
 # ----------------------------------------------------------------------

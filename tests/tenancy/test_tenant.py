@@ -155,8 +155,8 @@ def test_usage_is_the_module_tables_sum(an1):
 
     def step(usage, peaks):
         assert world.tenant.usage() == table_sum() == usage
-        # The pool's one running total: the channels' wired regions.
-        assert world.io.region_pool_used == sum(c.region.size for c in world.io.channels)
+        # The wired pool reads the same tables: the pool and the quota agree.
+        assert world.io.holdings()[1] == world.tenant.usage()[1] == usage[1]
         counters = world.tenant.counters
         assert (counters["peak_channels"], counters["peak_region_bytes"]) == peaks
 

@@ -17,8 +17,9 @@ or in a stack), a read of a core's or the registry's private state from
 outside ``registry/``, or a tenancy refusal acted on outside
 ``TenantManager.admit`` fails this test until it says why.  What is
 held is counted in one place too: the network I/O module's tables are
-the only account, so no running ``*_used`` total lives outside
-``netio/`` (a tenant's usage is a sum over those tables).
+the only account, so no running ``*_used`` total lives anywhere under
+``src/`` (a tenant's usage and the host's wired pool are sums over
+those tables).
 """
 
 import ast
@@ -178,13 +179,13 @@ def test_only_the_data_path_reads_the_enforcing_flag_in_netio():
     assert "TenantViolation" not in NETIO
 
 
-def test_no_running_used_total_outside_netio():
-    """No ``*_used`` attribute is moved with ``+=`` or ``-=`` under
-    ``src/`` outside ``netio/``: a second running total beside the
-    module's tables is a second account that can drift from them."""
+def test_no_running_used_total():
+    """No ``*_used`` attribute is moved with ``+=`` or ``-=`` anywhere
+    under ``src/``: a running total beside the module's tables is a
+    second account that can drift from them."""
     totals = [
         f"{path.relative_to(SRC)}:{node.lineno} {ast.unparse(node)}"
-        for path in sorted({*SRC.rglob("*.py")} - {*(SRC / "netio").rglob("*.py")})
+        for path in sorted(SRC.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.AugAssign)
         and isinstance(node.op, (ast.Add, ast.Sub))

@@ -39,7 +39,7 @@ from ..net.headers import (
 from ..net.nic.an1ctrl import An1Nic, BqiTableFull
 from ..net.nic.base import Nic
 from .channels import Channel
-from .demux import DemuxDecision, DemuxError, FlowKey, FlowTable, KERNEL_FLOW
+from .demux import DemuxDecision, FlowKey, FlowTable, KERNEL_FLOW
 from .pktfilter import (
     FilterProgram,
     ScanTable,
@@ -146,26 +146,37 @@ class NetworkIoModule:
     # Tenancy plumbing
     # ------------------------------------------------------------------
 
-    def _admit(self, task: Optional[Task], kind: str, check):
+    def _admit(self, task: Optional[Task], check):
         """Tenancy admission for ``task`` before anything is built for
-        it: its tenant, or None (untenanted stack); a refusal is
-        audited as ``kind`` (see :meth:`TenantManager.admit`)."""
-        if self.tenants is None or task is None:
+        it (:meth:`TenantManager.admit`): its tenant, or None."""
+        manager = self.tenants
+        if manager is None or task is None:
             return None
-        return self.tenants.admit(task, kind, check)
+        manager.admit(task, check)
+        return manager.tenant_of(task)
 
-    def _check_pool(self, nbytes: int) -> None:
-        """Refuse ``nbytes`` more wired region if the pool cannot hold
-        them beside :meth:`holdings` (real scarcity, not policy)."""
-        if self.region_pool_bytes is None:
-            return
-        used = self.holdings()[1]
-        if used + nbytes > self.region_pool_bytes:
-            self.stats["region_pool_refused"] += 1
-            raise QuotaExceeded(
-                f"wired packet-buffer pool exhausted "
-                f"({used}/{self.region_pool_bytes}B used, {nbytes}B asked)"
-            )
+    def check_room(self, owner, region_bytes: int, channels: int = 1) -> Optional[bool]:
+        """Refuse ``channels`` more channels and ``region_bytes`` more
+        wired region past ``owner``'s tenant's budget (through
+        :meth:`TenantManager.admit`) or past the host's wired pool, which
+        is real scarcity and refuses enforcing or not; both read
+        :meth:`holdings`.  None when nothing bounds the room, else whether
+        the tenant found it (True for an untenanted owner)."""
+        manager, pool = self.tenants, self.region_pool_bytes
+        if manager is None and pool is None:
+            return None
+        roomy = manager is None or manager.admit(
+            owner, lambda tenant: tenant.check_room(region_bytes, channels)
+        )
+        if pool is not None:
+            used = self.holdings()[1]
+            if used + region_bytes > pool:
+                self.stats["region_pool_refused"] += 1
+                raise QuotaExceeded(
+                    f"wired packet-buffer pool exhausted "
+                    f"({used}/{pool}B used, {region_bytes}B asked)"
+                )
+        return roomy
 
     def _allocate_bqi(self, region: SharedRegion, tenant) -> SharedRegion:
         """Install ``region`` under a BQI, attributed to ``tenant`` (or
@@ -236,8 +247,8 @@ class NetworkIoModule:
         flow_key = FlowKey.build((proto, local_ip, local_port, remote_ip, remote_port))
 
         # Tenancy admission: template and flow key vetted against the
-        # owner's grant, quotas checked — all before any resource is
-        # built, so a refusal allocates nothing.  An adopted ring's
+        # owner's grant, then the room checked — all before any resource
+        # is built, so a refusal allocates nothing.  An adopted ring's
         # bytes were counted when it was allocated.
         region = SharedRegion(self.RING_BUFFERS) if ring is None else ring
         fresh = 0 if ring is not None else region.size
@@ -245,11 +256,9 @@ class NetworkIoModule:
         def vet(tenant) -> None:
             tenant.check_template(template, self)
             tenant.check_flow_key(flow_key, self)
-            tenant.precheck_channel(fresh)
 
-        tenant = self._admit(owner, "admission_refused", vet)
-        # Physical pool admission is unconditional: memory is memory.
-        self._check_pool(fresh)
+        tenant = self._admit(owner, vet)
+        roomy = self.check_room(owner, fresh)
         channel = None
         try:
             # The shared, pinned region, mapped into the library.
@@ -257,8 +266,11 @@ class NetworkIoModule:
             if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
                 yield turn
             yield from vm_wire(self.kernel, region)
-            if fresh:  # Asked again as it enters the tables: another may have taken the pool.
-                self._check_pool(fresh)
+            if roomy is not None:
+                # Asked again as the region enters the tables: another
+                # create may have taken the room while this one wired (a
+                # tenant's refusal counted at admission is not asked twice).
+                self.check_room(owner if roomy else None, fresh)
 
             demux: Optional[FilterProgram] = None
             if self.is_an1:
@@ -296,7 +308,7 @@ class NetworkIoModule:
             # under interpreted styles it still serves kernel-side flow
             # resolution (the UDP forwarder) and observability.
             self.flow_table.install(flow_key, channel, owner=channel.tenant_id)
-        except Exception as exc:
+        except Exception:
             # One unwind for whatever stopped the build — a full BQI
             # table, a refused flow, the caller interrupted while the
             # region was being wired: a refused channel allocates
@@ -308,8 +320,6 @@ class NetworkIoModule:
                 ring.owner = None
             if channel is not None:
                 channel.close()
-            if tenant is not None and isinstance(exc, DemuxError):
-                self.tenants.audit["flow_install_refused"] += 1
             raise
         channel.flow_key = flow_key
         if demux is not None:
@@ -361,9 +371,7 @@ class NetworkIoModule:
         """
         if not caller.privileged:
             raise SecurityViolation("only the registry may install listeners")
-        tenant = self._admit(
-            owner, "listen_refused", lambda t: t.check_port(local_port)
-        )
+        tenant = self._admit(owner, lambda t: t.check_port(local_port))
         self.flow_table.install(
             FlowKey.build((proto, local_ip, local_port, 0, 0)),
             KERNEL_FLOW,
@@ -393,10 +401,8 @@ class NetworkIoModule:
             raise SecurityViolation("only the registry may allocate rings")
         if not self.is_an1:
             return None
-        tenant = self._admit(
-            owner, "ring_refused", lambda t: t.admit_region(self.DEFAULT_REGION_SIZE)
-        )
-        self._check_pool(self.DEFAULT_REGION_SIZE)
+        self.check_room(owner, self.DEFAULT_REGION_SIZE, channels=0)
+        tenant = None if self.tenants is None else self.tenants.tenant_of(owner)
         ring = self._allocate_bqi(SharedRegion(self.RING_BUFFERS), tenant)
         if tenant is not None:
             tenant.note_peaks()
@@ -457,35 +463,31 @@ class NetworkIoModule:
         manager = self.tenants
         if manager is not None and channel.tenant_id is not None:
             tenant = manager.tenant_of(task)
-            sender_id = tenant.tenant_id if tenant is not None else None
-            if sender_id != channel.tenant_id:
+            if tenant is None or tenant.tenant_id != channel.tenant_id:
                 # A channel capability that crossed the tenant boundary
                 # (leaked hand-off / stolen port right) stops working at
                 # the trap, not at some library-side honour check.
-                manager.audit["cross_tenant_send"] += 1
+                manager.tenants[channel.tenant_id].counters["cross_tenant_send"] += 1
                 if manager.enforcing:
                     self.stats["tx_refused"] += 1
                     raise SecurityViolation(
-                        f"task {task.name!r} (tenant {sender_id}) may not"
-                        f" send on tenant {channel.tenant_id}'s channel"
+                        f"task {task.name!r} (tenant {tenant and tenant.tenant_id})"
+                        f" may not send on tenant {channel.tenant_id}'s channel"
                     )
-            elif tenant is not None:
-                retry_after = tenant.admit_tx(
-                    len(ip_packet), self.kernel.sim.now
-                )
+            else:
+                retry_after = tenant.bucket.try_consume(len(ip_packet), self.kernel.sim.now)
                 if retry_after > 0:
+                    tenant.counters["throttle_events"] += 1
                     if manager.enforcing:
                         # Refused, not queued: the module holds no
                         # tenant state beyond the bucket; the *library*
                         # decides whether to retry after the hint.
                         self.stats["tx_throttled"] += 1
                         raise RateLimited(retry_after)
-                    # Sabotaged stack: the frame goes out anyway, so
-                    # the tx ledger must say so — rate conformance is
-                    # judged from what hit the wire, not what the
-                    # bucket would have admitted.
-                    tenant.counters["tx_bytes"] += len(ip_packet)
-                    tenant.counters["tx_packets"] += 1
+                # What goes out is counted, admitted or (on a sabotaged
+                # stack) not: rate conformance is judged from the wire.
+                tenant.counters["tx_bytes"] += len(ip_packet)
+                tenant.counters["tx_packets"] += 1
         cost = costs.template_check
         if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
             yield turn
@@ -713,41 +715,23 @@ class NetworkIoModule:
         (this module's count, which outlives the channel)."""
         region = channel.region
         manager = self.tenants
+        foreign = None
         if manager is not None and channel.tenant_id is not None:
             # The flow matched the tenant the registry installed it
             # for; verify the channel is *still* owned by that tenant
             # before any byte lands in its shared region.
             owner_tenant = manager.tenant_of(channel.owner)
-            owner_id = (
-                owner_tenant.tenant_id if owner_tenant is not None else None
-            )
-            delivered = owner_id == channel.tenant_id or not manager.enforcing
-            manager.delivery_log.append(
-                (
-                    self.kernel.sim.now,
-                    channel.tenant_id,
-                    owner_id,
-                    len(payload),
-                    delivered,
-                )
-            )
-            if owner_id != channel.tenant_id:
-                manager.audit[
-                    "cross_tenant_delivery_blocked"
-                    if manager.enforcing
-                    else "cross_tenant_delivery"
-                ] += 1
+            if owner_tenant is not None and owner_tenant.tenant_id == channel.tenant_id:
+                owner_tenant.note_rx(len(payload))
+            else:
+                foreign = manager.tenants[channel.tenant_id]
                 if manager.enforcing:
                     self.stats["rx_refused"] += 1
-                    flow_tenant = manager.tenants.get(channel.tenant_id)
-                    if flow_tenant is not None:
-                        flow_tenant.counters["rx_dropped"] += 1
+                    foreign.counters["rx_dropped"] += 1
                     if placed:
                         region.available += 1
                     done()
                     return
-            elif owner_tenant is not None:
-                owner_tenant.note_rx(len(payload))
         if not placed:
             # The channel counts the delivery, the region's
             # ``delivered`` only what the controller placed.
@@ -756,6 +740,11 @@ class NetworkIoModule:
                 done()
                 return
             region.available -= 1
+        if foreign is not None:
+            # Sabotaged: the flow's tenant's frame lands in a channel
+            # another tenant owns — the evidence ``tenant-isolation`` judges.
+            foreign.counters["foreign_rx_frames"] += 1
+            foreign.counters["foreign_rx_bytes"] += len(payload)
         self.stats["rx_demuxed"] += 1
         # Ethernet-only: the staging/placement premium of user-level
         # delivery without hardware demux (see costs.eth_user_delivery).

@@ -538,7 +538,7 @@ def copy_table(testbed: "Testbed") -> list[CopyEntry]:
 
 @dataclass(frozen=True)
 class TenantEntry:
-    """One tenant's row: occupancy against quota plus the audited
+    """One tenant's row: occupancy against quota plus its counted
     enforcement history (throttles, rejections, cross-tenant blocks)."""
 
     tenant: str

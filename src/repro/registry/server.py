@@ -106,11 +106,11 @@ class RegistryServer(KernelPath):
             pass
         self.task.remove_right(reply)  # Nobody can hear it: drop the name.
 
-    def _admit(self, app: Task, kind: str, check) -> None:
-        """One tenancy admission check for ``app``, audited as ``kind``
-        (see :meth:`TenantManager.admit`)."""
+    def _admit(self, app: Task, check) -> None:
+        """One tenancy admission check for ``app``
+        (:meth:`TenantManager.admit`)."""
         if self.tenants is not None:
-            self.tenants.admit(app, kind, check)
+            self.tenants.admit(app, check)
 
     def _open(self, owner: Task, local_port: int, *addressing, **fields) -> Lease:
         """The core's lease for the running thread, its owner's exit
@@ -240,14 +240,14 @@ class RegistryServer(KernelPath):
             cost = costs.registry_alloc
             if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
                 yield turn
-            # Tenancy admission *before* any handshake traffic: an explicit
-            # source port must be in the caller's grant, and the channel the
-            # connection will need must fit the budget — refusing now costs
-            # the network nothing.
+            # Admission *before* any handshake traffic: an explicit source
+            # port must be in the caller's grant, and the channel the
+            # connection will need must fit its tenant's budget and the
+            # host's wired pool — refusing now costs the network nothing.
             if local_port:
-                self._admit(app, "connect_refused", lambda t: t.check_port(local_port))
-            region = self.host.netio.DEFAULT_REGION_SIZE
-            self._admit(app, "connect_refused", lambda t: t.precheck_channel(region))
+                self._admit(app, lambda t: t.check_port(local_port))
+            netio = self.host.netio
+            netio.check_room(app, netio.DEFAULT_REGION_SIZE)
             lease = self._open(app, local_port, body["remote_ip"], body["remote_port"])
             lease.link_dst = yield from self.host.resolve_link(lease.remote_ip)
             yield from self._handshake(lease)
@@ -295,7 +295,7 @@ class RegistryServer(KernelPath):
             if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
                 yield turn
             if port:
-                self._admit(app, "bind_refused", lambda t: t.check_port(port))
+                self._admit(app, lambda t: t.check_port(port))
             lease = self._open(app, port)
             port = lease.local_port
             # The channel's wildcard flow entry doubles as the kernel path's

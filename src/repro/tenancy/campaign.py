@@ -321,7 +321,6 @@ def run_cell(spec: IsolationSpec, keep_evidence: bool = False) -> IsolationCell:
         duration=duration,
         victim_goodput=goodput,
         solo_goodput=goodput if spec.solo_goodput is None else spec.solo_goodput,
-        delivery_log=list(manager.delivery_log),
         tenants=snapshots,
     )
     return IsolationCell(

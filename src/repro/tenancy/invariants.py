@@ -1,8 +1,8 @@
 """Isolation invariants: machine-checkable tenancy properties.
 
 Like the six conformance checkers in :mod:`repro.check.invariants`,
-these consume *evidence* — the tenant manager's delivery log,
-per-tenant counters and facts, and the measured victim goodput — and
+these consume *evidence* — per-tenant counters and facts, and the
+measured victim goodput — and
 return :class:`~repro.check.invariants.CheckResult` rows.  They only
 read; the campaign's isolation axis (:mod:`repro.tenancy.campaign`)
 drives the simulation and hands them the bundle, and a sabotaged stack
@@ -12,10 +12,11 @@ make at least one of them fire.
 The four invariants:
 
 ``tenant-isolation``
-    Tenant A's bytes never reach tenant B's channels: every frame the
-    module delivered went to a channel whose *current* owner belongs to
-    the tenant the flow was installed for.  Blocked cross-tenant
-    deliveries are evidence of enforcement working, not violations.
+    Tenant A's bytes never reach tenant B's channels: the module counts
+    on the flow's tenant (``foreign_rx_frames``, ``foreign_rx_bytes``)
+    each frame that landed in a channel whose *current* owner belongs
+    to another tenant.  Blocked cross-tenant deliveries (``rx_dropped``)
+    are evidence of enforcement working, not violations.
 ``tenant-goodput``
     Tenant A misbehaving (or merely being throttled) never costs tenant
     B its service: the victim's measured goodput stays within ε of its
@@ -57,7 +58,7 @@ class TenantSnapshot:
     tenant_id: str
     budget: TenantBudget  # Frozen: quotas, token bucket, port grant.
     ports: tuple  # (port, minted) per channel and listener, before teardown.
-    counters: dict  # Tenant counter snapshot (peaks, tx/rx, audits).
+    counters: dict  # Tenant counter snapshot (peaks, tx/rx, refusals).
     leaks: dict  # Still held after teardown, by row; {} = clean.
 
 
@@ -70,9 +71,6 @@ class IsolationEvidence:
     duration: float  # Sim seconds the cell ran.
     victim_goodput: float  # bytes/sec achieved by the victim transfer.
     solo_goodput: float  # Same transfer with no adversary present.
-    #: (time, flow_tenant, owner_tenant, nbytes, delivered) per frame
-    #: the module classified to a tenanted channel.
-    delivery_log: list = field(default_factory=list)
     tenants: list = field(default_factory=list)  # TenantSnapshot rows.
 
 
@@ -83,15 +81,15 @@ class IsolationEvidence:
 
 def check_isolation(evidence: IsolationEvidence) -> CheckResult:
     """Tenant A's bytes never *reach* tenant B's channels."""
-    result = CheckResult("tenant-isolation", checked=len(evidence.delivery_log))
-    for time, flow_tenant, owner_tenant, nbytes, delivered in (
-        evidence.delivery_log
-    ):
-        if delivered and owner_tenant != flow_tenant:
+    result = CheckResult("tenant-isolation", checked=len(evidence.tenants))
+    for snapshot in evidence.tenants:
+        frames = snapshot.counters.get("foreign_rx_frames", 0)
+        if frames:
             result.fail(
-                f"flow={flow_tenant}", time,
-                f"{nbytes}B of tenant {flow_tenant}'s flow delivered"
-                f" to a channel owned by tenant {owner_tenant}",
+                f"flow={snapshot.tenant_id}", evidence.duration,
+                f"{snapshot.counters['foreign_rx_bytes']}B in {frames} frames"
+                f" of tenant {snapshot.tenant_id}'s flows delivered to"
+                " channels another tenant owns",
             )
     return result
 

@@ -24,9 +24,9 @@ Enforcement lives in the trusted layers, never in library code:
   wildcard listen is rejected instead of shadowing another tenant's
   exact-match flows.
 
-Every refusal increments an audit counter (per-tenant and on the
-:class:`TenantManager`), which is what the isolation invariants and
-``netstat``'s tenant table read.
+Every refusal is counted once, by reason, in the tenant's counters,
+which is what the isolation invariants and ``netstat``'s tenant table
+read.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ class TenantBudget:
 
 
 class Tenant:
-    """One principal: its budget, its tasks and its audit counters.
+    """One principal: its budget, its tasks and its counters.
 
     What it holds is not kept here: :meth:`usage` and
     :meth:`held_ports` read the tables of the network I/O modules it
@@ -267,38 +267,24 @@ class Tenant:
     def _granted(self, port: int, module) -> bool:
         return self.budget.ports.allows(port) or self.minted(port, module)
 
-    def precheck_channel(self, region_bytes: int) -> None:
-        """Admission check for one more channel and ``region_bytes``
-        more of region (0 for a ring it adopts, already counted)."""
-        if self.usage()[0] + 1 > self.budget.max_channels:
+    def check_room(self, region_bytes: int, channels: int) -> None:
+        """Refuse ``channels`` more channels and ``region_bytes`` more of
+        region past the budget: a ring installed before its handshake
+        asks for no channel, the channel that adopts it for no bytes."""
+        held_channels, held_bytes = self.usage()
+        if held_channels + channels > self.budget.max_channels:
             self._refuse(
                 QuotaExceeded,
                 "quota_channels",
                 f"channel cap {self.budget.max_channels} reached",
             )
-        self.admit_region(region_bytes)
-
-    def admit_region(self, region_bytes: int) -> None:
-        """Admission check for ``region_bytes`` more of region: a
-        channel's, or a ring installed before its handshake."""
-        region_used = self.usage()[1]
-        if region_used + region_bytes > self.budget.region_bytes:
+        if held_bytes + region_bytes > self.budget.region_bytes:
             self._refuse(
                 QuotaExceeded,
                 "quota_region",
                 f"region quota {self.budget.region_bytes}B exhausted "
-                f"({region_used}B used, {region_bytes}B asked)",
+                f"({held_bytes}B used, {region_bytes}B asked)",
             )
-
-    def admit_tx(self, nbytes: int, now: float) -> float:
-        """Rate-limiter gate: 0.0 admits; positive is the retry hint."""
-        retry_after = self.bucket.try_consume(nbytes, now)
-        if retry_after > 0:
-            self.counters["throttle_events"] += 1
-            return retry_after
-        self.counters["tx_bytes"] += nbytes
-        self.counters["tx_packets"] += 1
-        return 0.0
 
     def note_rx(self, nbytes: int) -> None:
         self.counters["rx_bytes"] += nbytes
@@ -338,8 +324,8 @@ class TenantManager:
     """The per-testbed tenant directory the trusted layers consult.
 
     ``enforcing`` is the campaign's sabotage knob: when False every
-    admission check silently passes (attribution and audit evidence are
-    still recorded), modelling a stack whose enforcement was compiled
+    admission check silently passes (attribution and the tenants'
+    counters still record it), modelling a stack whose enforcement was compiled
     out — the isolation invariants must catch the consequences.
     """
 
@@ -347,13 +333,6 @@ class TenantManager:
         self.enforcing = enforcing
         self.tenants: dict[str, Tenant] = {}
         self._task_tenant: dict = {}  # Task -> Tenant
-        self.audit = Counters()
-        #: Delivery evidence: one ``(time, flow_tenant, owner_tenant,
-        #: nbytes, delivered)`` record per frame the module classified
-        #: to a tenanted channel.  The isolation invariants judge
-        #: cross-tenant delivery from this log, the way the netcheck
-        #: invariants judge from the wire trace.
-        self.delivery_log: list = []
         #: The network I/O modules this manager is wired into: every
         #: tenant's usage is summed over their tables.
         self.modules: list = []
@@ -382,24 +361,24 @@ class TenantManager:
         return iter(self.tenants.values())
 
     # ------------------------------------------------------------------
-    # Enforcement (a no-op when not enforcing, but audited)
+    # Enforcement (a no-op when not enforcing, but counted)
     # ------------------------------------------------------------------
 
-    def admit(self, task, kind: str, check) -> Optional[Tenant]:
+    def admit(self, task, check) -> bool:
         """Run one admission ``check(tenant)`` for ``task``'s tenant on
-        behalf of a trusted layer; returns the tenant (None for a task
-        no tenant owns).  A refusal is an audited fact of ``kind``
+        behalf of a trusted layer: whether it passed (a task no tenant
+        owns always does).  The tenant counts a refusal by reason
         regardless; it only *raises* — and so reaches the application —
         when this manager enforces."""
         tenant = self._task_tenant.get(task)
-        if tenant is not None:
-            try:
+        try:
+            if tenant is not None:
                 check(tenant)
-            except TenantViolation:
-                self.audit[kind] += 1
-                if self.enforcing:
-                    raise
-        return tenant
+        except TenantViolation:
+            if self.enforcing:
+                raise
+            return False
+        return True
 
 
 def attach_tenancy(bed, enforcing: bool = True) -> TenantManager:

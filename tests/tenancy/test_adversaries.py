@@ -142,7 +142,8 @@ def test_sabotaged_registration_still_audited():
         )
     )
     assert channel is not None  # The sabotaged stack let it through...
-    assert world.manager.audit["admission_refused"] == 1  # ...on record.
+    assert world.mallory.counters["forged_templates"] == 1  # ...on record,
+    assert world.mallory.counters["rejections"] == 1  # counted once.
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +245,8 @@ def test_bind_into_other_tenants_grant_refused():
     assert outcome == {"bound": False, "own": True}
     assert beta.counters["out_of_grant_binds"] == 1
     assert beta.held_ports() == [(7500, False)]
-    assert manager.audit["bind_refused"] == 1
+    assert beta.counters["rejections"] == 1
+    assert alpha.counters["rejections"] == 0
 
 
 def test_grants_judge_the_tables_at_the_end_not_the_bind_history():

@@ -2,6 +2,8 @@
 table, registry) enforce tenant budgets, refuse rather than queue, and
 release everything through one path."""
 
+from collections import deque
+
 import pytest
 
 from repro.costs import FREE, CostModel
@@ -88,8 +90,8 @@ def test_quota_refusal_allocates_nothing():
     assert len(world.io.channels) == 1
     assert world.io.holdings()[1] == REGION
     assert world.tenant.usage() == (1, REGION)
+    assert world.tenant.counters["quota_region"] == 1
     assert world.tenant.counters["rejections"] == 1
-    assert world.manager.audit["admission_refused"] == 1
 
 
 def test_pool_exhaustion_refuses_even_unenforced():
@@ -120,14 +122,20 @@ def test_pool_counts_a_ring_from_allocation_even_unenforced():
     assert world.io.holdings() == (1, REGION)
 
 
-def test_pool_refuses_a_create_that_lost_the_race_while_wiring():
-    # Two creates admitted together: the pool is asked again where each
-    # region enters the tables, so the one that finishes wiring second
-    # cannot overfill it.
-    world = World()
-    world.manager.enforcing = False
+#: Each limit two overlapping creates can race past while they wire:
+#: the tenant's budget fields, the host's wired pool, and the counter
+#: of the refusal.
+RACES = {
+    "pool": ({}, REGION, lambda world: world.io.stats["region_pool_refused"]),
+    "quota": ({"region_bytes": REGION}, None, lambda world: world.tenant.counters["quota_region"]),
+    "cap": ({"max_channels": 1}, None, lambda world: world.tenant.counters["quota_channels"]),
+}
+
+
+def overlapping_creates(world):
+    """Two creates for the tenant, admitted together: the port each
+    built, or "refused"."""
     world.kernel.costs = CostModel()  # Wiring takes time: the creates overlap.
-    world.io.region_pool_bytes = REGION
     outcomes = []
 
     def create(port):
@@ -143,9 +151,42 @@ def test_pool_refuses_a_create_that_lost_the_race_while_wiring():
     world.sim.process(create(4000))
     world.sim.process(create(4001))
     world.sim.run()
-    assert outcomes == [4000, "refused"]
-    assert world.io.holdings() == (1, REGION)
-    assert world.io.stats["region_pool_refused"] == 1
+    return outcomes
+
+
+@pytest.mark.parametrize("enforcing", [True, False], ids=["enforced", "unenforced"])
+@pytest.mark.parametrize("limit", RACES)
+def test_pool_refuses_a_create_that_lost_the_race_while_wiring(limit, enforcing):
+    """The room is asked again where each region enters the tables, so
+    the create that finishes wiring second cannot pass the pool, the
+    region quota or the channel cap.  Unenforced, the tenant's limits
+    let it through, counted once; the pool refuses either way."""
+    budget, pool, refusals = RACES[limit]
+    world = World(**budget)
+    world.manager.enforcing = enforcing
+    world.io.region_pool_bytes = pool
+    outcomes = overlapping_creates(world)
+    assert refusals(world) == 1
+    if enforcing or limit == "pool":
+        assert outcomes == [4000, "refused"]
+        assert world.io.holdings() == (1, REGION)
+    else:
+        assert outcomes == [4000, 4001]
+        assert world.io.holdings() == (2, 2 * REGION)
+
+
+@pytest.mark.parametrize("limit", ["quota", "cap"])
+def test_an_unenforced_refusal_is_counted_once(limit):
+    """A create over the tenant's limit is counted where it is admitted,
+    and not again as its region enters the tables."""
+    budget, _, refusals = RACES[limit]
+    world = World(**budget)
+    world.manager.enforcing = False
+    world.create_channel(port=4000)
+    world.create_channel(port=4001)
+    assert world.io.holdings() == (2, 2 * REGION)
+    assert refusals(world) == 1
+    assert world.tenant.counters["rejections"] == 1
 
 
 def test_destroy_channel_releases_everything():
@@ -229,6 +270,40 @@ def tenanted_bed(enforcing=True):
     manager.bind_task(bed.app_a, alpha)
     manager.bind_task(bed.app_b, alpha)
     return bed, manager, alpha
+
+
+def tenancy_lengths(writes):
+    """The length of each container in the tenant manager and in each
+    tenant after a tenanted transfer of ``writes`` one-segment writes."""
+    bed, manager, alpha = tenanted_bed()
+    size = 512
+
+    def server():
+        listener = yield from bed.service_b.listen(4000)
+        conn = yield from listener.accept()
+        yield from conn.recv_exactly(writes * size)
+
+    def client():
+        conn = yield from bed.service_a.connect(IP_B, 4000)
+        for _ in range(writes):
+            yield from conn.send(bytes(size))
+
+    bed.app_b.spawn(server())
+    bed.app_a.spawn(client())
+    bed.run(until=5.0)
+    assert alpha.counters["rx_bytes"] >= writes * size
+    return {
+        f"{name}.{attr}": len(value)
+        for name, holder in [("manager", manager), *((t.tenant_id, t) for t in manager)]
+        for attr, value in vars(holder).items()
+        if isinstance(value, (list, tuple, dict, set, deque))
+    }
+
+
+def test_tenancy_keeps_nothing_per_frame():
+    """Twice the frames leave every tenancy container as long: the
+    evidence is counters, not a log."""
+    assert tenancy_lengths(20) == tenancy_lengths(40)
 
 
 def test_listener_cleanup_on_task_exit():
@@ -318,7 +393,7 @@ def test_a_minted_port_is_not_granted_once_its_lease_is_gone():
     assert not GRANT.allows(state["minted"])
     assert f"port {state['minted']} outside grant" in state["refused"]
     assert alpha.counters["out_of_grant_binds"] == 1
-    assert manager.audit["listen_refused"] == 1
+    assert alpha.counters["rejections"] == 1
 
 
 def test_an1_handshake_ring_is_the_channel_region_counted_once():
@@ -348,7 +423,7 @@ def test_an1_handshake_ring_is_the_channel_region_counted_once():
     with pytest.raises(QuotaExceeded):
         bed.host_a.netio.allocate_ring(bed.registry_a.task, owner=bed.app_a)
     assert alpha.counters["quota_region"] == 1
-    assert manager.audit["ring_refused"] == 1
+    assert alpha.counters["rejections"] == 1
     assert alpha.usage() == (1, REGION)
 
 

@@ -103,14 +103,19 @@ def make_tenant(**kwargs):
     return Tenant("t", TenantBudget(**defaults))
 
 
-def test_precheck_channel_enforces_caps():
+def test_check_room_enforces_caps():
     tenant = make_tenant()
-    tenant.precheck_channel(64 * 1024)
+    tenant.check_room(64 * 1024, 1)
     with pytest.raises(QuotaExceeded):
-        tenant.precheck_channel(256 * 1024)  # Region quota.
+        tenant.check_room(256 * 1024, 1)  # Region quota.
     with pytest.raises(QuotaExceeded):
-        tenant.admit_region(256 * 1024)  # A ring: the same quota.
+        tenant.check_room(256 * 1024, 0)  # A ring: the same quota.
+    with pytest.raises(QuotaExceeded):
+        tenant.check_room(0, 3)  # Channel cap.
+    tenant.check_room(128 * 1024, 2)  # Both caps reached, not passed.
     assert tenant.counters["quota_region"] == 2
+    assert tenant.counters["quota_channels"] == 1
+    assert tenant.counters["rejections"] == 3
 
 
 def test_channel_cap_counts_live_channels():

@@ -14,8 +14,10 @@ registry's kernel-path input, so it is every organization's end-point
 table: the one port allocator and ISS source.
 A second hand-back path, a side table beside the lease (in the registry
 or in a stack), a read of a core's or the registry's private state from
-outside ``registry/``, or a tenancy refusal acted on outside
-``TenantManager.admit`` fails this test until it says why.  What is
+outside ``registry/``, or a tenancy refusal caught, or let through by
+the ``enforcing`` switch, anywhere but ``TenantManager.admit`` and the
+module's two data-path sites fails this test until it says why; the
+tenant counts each refusal once, by reason, and nothing else does.  What is
 held is counted in one place too: the network I/O module's tables are
 the only account, so no running ``*_used`` total lives anywhere under
 ``src/`` (a tenant's usage and the host's wired pool are sums over

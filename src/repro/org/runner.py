@@ -90,9 +90,11 @@ class MachineRunner:
     def feed_segment(self, segment: Segment) -> Generator:
         """Deliver one received segment to the machine: header
         prediction first (:meth:`TcpMachine.fast_input`: pure in-window
-        ACK, next-in-sequence data), the full :meth:`handle` machinery
-        on a miss.  The profiler attributes the two outcomes to distinct
-        sites, so the fast/slow split is visible in its report."""
+        ACK, next-in-sequence data whose ACK stays within sent
+        territory, as each segment of an echo does), the full
+        :meth:`handle` machinery on a miss.  The profiler attributes
+        the two outcomes to distinct sites, so the fast/slow split is
+        visible in its report."""
         machine = self.machine
         now = self.sim.now
         obs = _obs.SESSION
@@ -118,7 +120,8 @@ class MachineRunner:
             # so a writer woken by it would find space on a dead machine.
             if self.closed_reason is not None:
                 raise ConnectionResetError(f"connection closed ({self.closed_reason})")
-            space = self.machine.tcb.send_buffer_space
+            tcb = self.machine.tcb
+            space = tcb.config.snd_buffer - len(tcb.send_buffer)  # send_buffer_space
             if space == 0:
                 event = self.sim.event()
                 self._writers.append(event)

@@ -160,9 +160,16 @@ class TcpMachine:
 
         * a **pure ACK** advancing ``snd_una`` within what we have sent
           (the sender side of a bulk transfer), and
-        * **next-in-sequence data** whose ACK advances nothing, fitting
-          the receive window while the reassembly queue is empty (the
-          receiver side).
+        * **next-in-sequence data** whose ACK stays within sent
+          territory (``snd_una <= ack <= snd_max``), fitting the
+          receive window while the reassembly queue is empty: the
+          receiver side of a bulk transfer, and both sides of a
+          request/response exchange, where each request or answer ACKs
+          the last one sent the other way.
+
+        An ACK that advances ``snd_una`` runs :meth:`_ack_advances`
+        before the window update and the delivery, in the slow path's
+        order.
 
         Hits run the short path below — the slow path's bookkeeping in
         the same order, so the emitted action list is identical; event
@@ -202,13 +209,14 @@ class TcpMachine:
                 return None
             self.stats["fastpath_ack_hits"] += 1
         elif (
-            ack != tcb.snd_una
+            not tcb.snd_una <= ack <= tcb.snd_max
             or size > tcb.config.rcv_buffer - tcb.rcv_user  # > rcv_wnd
             or tcb.reassembly.runs
         ):
             self.stats["fastpath_misses"] += 1
             return None
         else:
+            advancing = ack != tcb.snd_una
             self.stats["fastpath_data_hits"] += 1
 
         self.stats["segments_received"] += 1
@@ -360,11 +368,11 @@ class TcpMachine:
             raise TcpError(f"send in state {tcb.state}")
         if tcb.fin_pending:
             raise TcpError("send after close")
-        if len(data) > tcb.send_buffer_space:
+        space = tcb.config.snd_buffer - len(tcb.send_buffer)  # send_buffer_space
+        if len(data) > space:
             raise TcpError(
                 f"send of {len(data)} bytes exceeds buffer space "
-                f"({tcb.send_buffer_space}); callers must respect "
-                "send_buffer_space"
+                f"({space}); callers must respect send_buffer_space"
             )
         tcb.send_buffer.extend(data)
         actions: list[TcpAction] = []

@@ -59,14 +59,16 @@ def churn(bed: Testbed, cycles: int) -> None:
 
 
 @pytest.mark.parametrize(
-    "network, ceiling", [("ethernet", 1994), ("an1", 1929)], ids=["ethernet", "an1"]
+    "network, ceiling", [("ethernet", 1990), ("an1", 1925)], ids=["ethernet", "an1"]
 )
 def test_connect_send_close_cycle_call_gate(network, ceiling):
     """One steady-state cycle (the first primed ARP and the listener),
-    in profiled calls: 1990 on Ethernet and 1925 on AN1.
+    in profiled calls: 1986 on Ethernet and 1921 on AN1.
 
-    History: 2099 and 2048 (under ceilings of 2111 and 2060) while
-    every thread's CPU charge was an event its process yielded and was
+    History: 1990 and 1925 (under ceilings of 1994 and 1929) while a
+    write read the send room through the ``Tcb.send_buffer_space``
+    property twice; 2099 and 2048 (under ceilings of 2111 and 2060)
+    while every thread's CPU charge was an event its process yielded and was
     resumed from; 2224 and 2158 (under ceilings of 2296 and 2232) while
     every segment, TCP event and action, datagram, link fact and demux
     decision was a dataclass built through ``__init__``, and every

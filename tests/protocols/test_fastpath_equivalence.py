@@ -9,11 +9,17 @@ same.  This suite holds them to it:
   fast path on vs off — off meaning every segment takes the general
   path, :meth:`TcpMachine.handle`, which is the oracle here — and must
   produce identical wire digests and identical delivered byte streams;
+* request/response traffic is raced step by step: a machine that takes
+  every segment through header prediction first and a twin that takes
+  every one through the general path must return the same actions and
+  land in the same TCB after each step;
 * the next-hop cache and the demux memo (including the miss memo) get
   unit coverage of their invalidation rules.
 """
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.check.campaign import CellSpec, cell_evidence
 from repro.costs import DECSTATION_5000_200
@@ -29,8 +35,19 @@ from repro.net.headers import (
 )
 from repro.netio import FlowKey, FlowTable, ScanTable
 from repro.netio.pktfilter import tcp_filter_program
-from repro.protocols.tcp import Segment, TcpMachine, encode_segment
+from repro.protocols.tcp import (
+    Segment,
+    SegmentArrives,
+    State,
+    TcpConfig,
+    TcpMachine,
+    encode_segment,
+)
+from repro.protocols.tcp.seq import unwrap
 from tests.tools import tool
+
+from .tcp_harness import TcpPair
+from .test_tcp_inlined_arithmetic import CONFIGS, FAST, Twin, picture, play
 
 wire_digest = tool("golden").wire_digest
 COSTS = DECSTATION_5000_200
@@ -118,6 +135,118 @@ def test_fastpath_actually_engages_on_clean_run():
         misses += machine.stats["fastpath_misses"]
     assert hits > 0
     assert hits / (hits + misses) >= 0.5
+
+
+# ----------------------------------------------------------------------
+# Header prediction raced against the general path, step by step
+# ----------------------------------------------------------------------
+
+
+class PredictedTwin(Twin):
+    """The shipped machine takes each segment through ``fast_input``
+    first, as ``MachineRunner.feed_segment`` does; its twin, a plain
+    ``TcpMachine``, takes every segment through
+    ``handle(SegmentArrives(...))``.  Only the prediction counters may
+    differ between them."""
+
+    oracle_class = TcpMachine
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        #: Predicted data segments whose ACK advanced ``snd_una``.
+        self.advancing_hits = 0
+
+    def view(self, machine) -> dict:
+        view = picture(machine)
+        view["stats"] = {
+            name: value
+            for name, value in view["stats"].items()
+            if not name.startswith("fastpath_")
+        }
+        return view
+
+    def handle(self, event, now):
+        def feed(machine):
+            if machine is self.shipped and event.__class__ is SegmentArrives:
+                segment = event.segment
+                tcb = machine.tcb
+                advancing = unwrap(segment.ack, tcb.snd_una) > tcb.snd_una
+                actions = machine.fast_input(segment, now)
+                if actions is not None:
+                    self.advancing_hits += bool(segment.payload) and advancing
+                    return actions
+            return machine.handle(event, now)
+
+        return self._both(feed)
+
+
+class EchoPair(TcpPair):
+    """A ``TcpPair`` whose ``server`` endpoint (if any) answers every
+    byte delivered to it at once, as an echo server does: each answer
+    ACKs the request it answers."""
+
+    def __init__(self, server: str, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.server = server
+        self.echoed = 0
+
+    def _do(self, endpoint, actions) -> None:
+        super()._do(endpoint, actions)
+        if endpoint.name != self.server:
+            return
+        tcb = endpoint.machine.tcb
+        size = min(len(endpoint.received) - self.echoed, tcb.send_buffer_space)
+        writable = tcb.state in (State.ESTABLISHED, State.CLOSE_WAIT)
+        if writable and size > 0 and not tcb.fin_pending:
+            answer = bytes(endpoint.received[self.echoed : self.echoed + size])
+            self.echoed += size  # Before the send, which comes back here.
+            self.app_send(endpoint.name, answer)
+
+
+ECHO_STEPS = [("send", "a", 1), ("run", "a", 20)] * 4
+
+
+# (Seeded: tests/conftest.py derandomizes every property in the suite.)
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    config_a=CONFIGS,
+    config_b=CONFIGS,
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["send", "send", "read", "run", "run", "close"]),
+            st.sampled_from(["a", "b"]),
+            # Requests and pauses mostly short: an answer outruns the
+            # delayed ACK only if it comes within its 200 ms.
+            st.one_of(
+                st.integers(min_value=1, max_value=64),
+                st.integers(min_value=1, max_value=9000),
+            ),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+    drops=st.sets(st.integers(min_value=0, max_value=60), max_size=8),
+    dups=st.sets(st.integers(min_value=0, max_value=60), max_size=4),
+    stalled=st.sampled_from(["", "a", "b", "ab"]),
+    server=st.sampled_from(["b", "b", "a", ""]),
+)
+# A clean echo: every request and every answer ACKs the last segment
+# sent the other way, so its prediction advances snd_una.
+@example(
+    config_a=TcpConfig(**FAST), config_b=TcpConfig(nagle=False, **FAST),
+    steps=ECHO_STEPS, drops=set(), dups=set(), stalled="", server="b",
+)
+def test_prediction_agrees_with_the_general_path_under_request_response(
+    config_a, config_b, steps, drops, dups, stalled, server
+):
+    pair = play(
+        EchoPair, PredictedTwin, config_a, config_b, steps, drops, dups, stalled,
+        server=server,
+    )
+    if steps == ECHO_STEPS and not (drops or dups or stalled):
+        # Each answer ACKs its request; each later request, the answer.
+        assert pair.a.machine.advancing_hits == 4
+        assert pair.b.machine.advancing_hits == 3
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """The ``Tcb`` properties as the oracle for the code that stopped
 calling them.
 
-``TcpMachine._try_output``, ``_emit``, ``_app_read``, ``_ack_advances``
-and ``_acceptable`` spell ``Tcb.flight_size`` / ``send_window`` /
-``unsent_bytes`` / ``rcv_wnd`` / ``mss`` as plain arithmetic (a property
-chain costs 16 profiled calls per output-loop turn).  ``OracleMachine``
-below keeps those five methods as they read *through the properties*;
-every event of a random scenario — loss, duplication, differing MSS, a
-receive buffer beyond the 16-bit window field, stalled readers, zero
-windows, Nagle on and off, closes — goes to a shipped machine and an
+``TcpMachine._try_output``, ``_emit``, ``_app_read``, ``_ack_advances``,
+``_acceptable`` and ``_app_send`` spell ``Tcb.flight_size`` /
+``send_window`` / ``unsent_bytes`` / ``rcv_wnd`` / ``mss`` /
+``send_buffer_space`` as plain arithmetic (a property chain costs 16
+profiled calls per output-loop turn).  ``OracleMachine`` below keeps
+those methods as they read *through the properties*; every event of a
+random scenario — loss, duplication, differing MSS, a receive buffer
+beyond the 16-bit window field, stalled readers, zero windows, Nagle
+on and off, closes — goes to a shipped machine and an
 oracle side by side, and they must return the same actions and land in
 the same TCB, step for step.
 """
@@ -38,8 +39,8 @@ from .tcp_harness import TcpPair
 
 
 class OracleMachine(TcpMachine):
-    """The five methods as they read before PR 24: every derived
-    quantity through its ``Tcb`` property."""
+    """The inlined methods as they read before the inlining: every
+    derived quantity through its ``Tcb`` property."""
 
     def _advertised_window(self):
         tcb = self.tcb
@@ -67,6 +68,24 @@ class OracleMachine(TcpMachine):
         if flags & TCP_ACK and tcb.delack_pending:
             tcb.delack_pending = False
             actions.append(CancelTimer(TIMER_DELACK))
+
+    def _app_send(self, data, now):
+        tcb = self.tcb
+        writable = (State.ESTABLISHED, State.CLOSE_WAIT, State.SYN_SENT, State.SYN_RCVD)
+        if tcb.state not in writable:
+            raise TcpError(f"send in state {tcb.state}")
+        if tcb.fin_pending:
+            raise TcpError("send after close")
+        if len(data) > tcb.send_buffer_space:
+            raise TcpError(
+                f"send of {len(data)} bytes exceeds buffer space "
+                f"({tcb.send_buffer_space}); callers must respect send_buffer_space"
+            )
+        tcb.send_buffer.extend(data)
+        actions = []
+        if tcb.state in (State.ESTABLISHED, State.CLOSE_WAIT):
+            self._try_output(actions, now)
+        return actions
 
     def _app_read(self, nbytes, now):
         tcb = self.tcb
@@ -208,10 +227,16 @@ class Twin:
     """A shipped machine and an oracle fed the same inputs; it answers
     as the shipped one after checking the oracle agrees."""
 
+    oracle_class = OracleMachine
+
     def __init__(self, local_port, remote_port, config, iss) -> None:
         self.shipped = TcpMachine(local_port, remote_port, config=config, iss=iss)
-        self.oracle = OracleMachine(local_port, remote_port, config=config, iss=iss)
+        self.oracle = self.oracle_class(local_port, remote_port, config=config, iss=iss)
         self.steps = 0
+
+    def view(self, machine) -> dict:
+        """What must agree between the two machines after every step."""
+        return picture(machine)
 
     @property
     def tcb(self):
@@ -226,7 +251,7 @@ class Twin:
                 results.append(("TcpError", str(exc)))
         self.steps += 1
         assert results[0] == results[1], f"step {self.steps}: actions differ"
-        assert picture(self.shipped) == picture(self.oracle), f"step {self.steps}: TCBs differ"
+        assert self.view(self.shipped) == self.view(self.oracle), f"step {self.steps}: TCBs differ"
         if isinstance(results[0], tuple):
             raise TcpError(results[0][1])
         return results[0]
@@ -244,6 +269,44 @@ class Twin:
             return machine.handle(event, now)
 
         return self._both(feed)
+
+
+def play(pair_class, twin_class, config_a, config_b, steps, drops, dups, stalled, **kwargs):
+    """Connect two ``twin_class`` machines over a ``pair_class`` wire
+    that drops and duplicates the segments indexed in ``drops`` /
+    ``dups``, play ``steps``, run the pair out and return it."""
+    pair = pair_class(
+        config_a=config_a,
+        config_b=config_b,
+        drop=lambda direction, index, segment: index in drops,
+        dup=lambda direction, index, segment: index in dups,
+        **kwargs,
+    )
+    pair.a.machine = twin_class(5000, 80, config_a, 1000)
+    pair.b.machine = twin_class(80, 5000, config_b, 0xFFFFF000)  # Wraps in-flight.
+    # A stalled reader consumes only on "read" steps: its window shuts.
+    pair.a.auto_read = "a" not in stalled
+    pair.b.auto_read = "b" not in stalled
+    pair.connect(run=False)
+    pair.run(until=30.0)
+    for kind, who, amount in steps:
+        endpoint = pair.a if who == "a" else pair.b
+        tcb = endpoint.machine.tcb
+        if kind == "send":
+            writable = tcb.state in (State.ESTABLISHED, State.CLOSE_WAIT)
+            size = min(amount, tcb.send_buffer_space)
+            if writable and size and not tcb.fin_pending:
+                pair.app_send(who, bytes(size))
+        elif kind == "read":
+            if tcb.rcv_user:
+                pair.app_read(who, min(amount, tcb.rcv_user))
+        elif kind == "close":
+            pair.app_close(who)
+        else:
+            pair.step_time(amount / 1000.0)
+    pair.run(until=pair.now + 120.0)
+    assert pair.a.machine.steps + pair.b.machine.steps > 4
+    return pair
 
 
 #: Short timers, so losses and closes play out inside a scenario.
@@ -297,33 +360,5 @@ STEPS = st.lists(
 def test_inlined_arithmetic_agrees_with_the_tcb_properties(
     config_a, config_b, steps, drops, dups, stalled
 ):
-    pair = TcpPair(
-        config_a=config_a,
-        config_b=config_b,
-        drop=lambda direction, index, segment: index in drops,
-        dup=lambda direction, index, segment: index in dups,
-    )
-    pair.a.machine = Twin(5000, 80, config_a, 1000)
-    pair.b.machine = Twin(80, 5000, config_b, 0xFFFFF000)  # Wraps in-flight.
-    # A stalled reader consumes only on "read" steps: its window shuts.
-    pair.a.auto_read = "a" not in stalled
-    pair.b.auto_read = "b" not in stalled
-    pair.connect(run=False)
-    pair.run(until=30.0)
-    for kind, who, amount in steps:
-        endpoint = pair.a if who == "a" else pair.b
-        tcb = endpoint.machine.tcb
-        if kind == "send":
-            writable = tcb.state in (State.ESTABLISHED, State.CLOSE_WAIT)
-            size = min(amount, tcb.send_buffer_space)
-            if writable and size and not tcb.fin_pending:
-                pair.app_send(who, bytes(size))
-        elif kind == "read":
-            if tcb.rcv_user:
-                pair.app_read(who, min(amount, tcb.rcv_user))
-        elif kind == "close":
-            pair.app_close(who)
-        else:
-            pair.step_time(amount / 1000.0)
-    pair.run(until=pair.now + 120.0)
-    assert pair.a.machine.steps + pair.b.machine.steps > 4
+    play(TcpPair, Twin, config_a, config_b, steps, drops, dups, stalled)
+

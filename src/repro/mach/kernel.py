@@ -54,9 +54,10 @@ class Kernel:
 
     def fast_trap(self) -> Optional[Event]:
         """Specialized entry point used by the library→device path:
-        counts the trap and returns its CPU turn for the caller to
-        yield at once, or None when the cost model makes the trap free
-        or the turn was taken in place (``CPU.spend``)."""
+        counts the trap and returns its CPU turn, registered to the
+        running process, for the caller to yield at once, or None when
+        the cost model makes the trap free or the turn was taken in
+        place (``CPU.spend``)."""
         self.counters["fast_traps"] += 1
         cost = self.costs.fast_trap
         return self.cpu.spend(cost) if cost else None

@@ -102,7 +102,7 @@ class Task:
         if not self.alive:
             raise RuntimeError(f"task {self.name} has terminated")
         label = f"{self.name}/{name or 'thread'}"
-        process = self.sim.process(generator, name=label)
+        process = Process(self.sim, generator, name=label)
         self._threads += (process,)  # In place; ``append`` would be one more call.
         self._spawns_to_prune -= 1
         if not self._spawns_to_prune:

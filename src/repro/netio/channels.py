@@ -145,8 +145,7 @@ class Channel:
         if self.banked:
             self.banked -= 1
         else:
-            event = kernel.sim.event()
-            self._waiters.append(event)
+            event = kernel.sim.park(self._waiters)
             try:
                 yield event
             except BaseException:

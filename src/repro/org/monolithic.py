@@ -316,8 +316,7 @@ class MonoListener(TcpListener):
             raise ConnectionError(f"listener on port {self.port} closed")
         if listener.backlog:
             return listener.backlog.popleft().grant
-        listener.parked.append(Event(self.stack.sim))
-        return (yield listener.parked[-1]).grant
+        return (yield self.stack.sim.park(listener.parked)).grant
 
     def close(self) -> None:
         # Its backlog goes with it: established, never accepted, reset.

@@ -123,9 +123,7 @@ class MachineRunner:
             tcb = self.machine.tcb
             space = tcb.config.snd_buffer - len(tcb.send_buffer)  # send_buffer_space
             if space == 0:
-                event = self.sim.event()
-                self._writers.append(event)
-                yield event
+                yield self.sim.park(self._writers)
                 continue
             chunk = bytes(data[offset : offset + space])
             offset += len(chunk)
@@ -147,9 +145,7 @@ class MachineRunner:
             while not self.rx_buffer:
                 if self.eof or self.closed_reason is not None:
                     break
-                event = self.sim.event()
-                self._readers.append(event)
-                yield event
+                yield self.sim.park(self._readers)
             data = bytes(self.rx_buffer[:remaining])
             nbytes = len(data)
             if nbytes:
@@ -180,17 +176,13 @@ class MachineRunner:
             return True
         if self.closed_reason is not None:
             return False
-        event = self.sim.event()
-        self._connect_waiters.append(event)
-        yield event
+        yield self.sim.park(self._connect_waiters)
         return self.connected
 
     def wait_closed(self) -> Generator:
         if self.closed_reason is not None:
             return self.closed_reason
-        event = self.sim.event()
-        self._close_waiters.append(event)
-        yield event
+        yield self.sim.park(self._close_waiters)
         return self.closed_reason
 
     # ------------------------------------------------------------------

@@ -126,9 +126,7 @@ class UdpEndpoint:
         while not self._datagrams:
             if self._closed:
                 raise OSError("endpoint is closed")
-            event = self.sim.event()
-            self._readers.append(event)
-            yield event
+            yield self.sim.park(self._readers)
         datagram = self._datagrams.popleft()
         cost = self.kernel.costs.socket_op
         if cost and (turn := self.kernel.cpu.spend(cost)) is not None:

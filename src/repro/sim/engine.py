@@ -39,7 +39,11 @@ An event costs its callback and nothing else: one loop
 :meth:`Simulator.schedule_at` one a caller made, and, built and placed
 in one frame, :meth:`Simulator._turn` a :class:`~repro.sim.resources.Serial`
 turn, :meth:`Simulator._spend` a thread's turn and
-:meth:`Simulator.call_later` a delayed callback.  Every engine
+:meth:`Simulator.call_later` a delayed callback.  A turn ``_spend``
+makes while a process runs comes back registered to that process, and
+so does the pending event :meth:`Simulator.park` makes, so its resume
+appends nothing: the caller must yield either at once, as a dropped one
+would still fire and resume the process a second time.  Every engine
 callback takes the event (a stage with an argument is a ``partial`` of
 a callee ending in ``_event``); the clock and the running process are
 plain attributes.
@@ -57,10 +61,12 @@ from __future__ import annotations
 import heapq
 from typing import Any, Generator, Optional, Union
 
-from .errors import StopSimulation
+from .errors import SimError, StopSimulation
 from .events import (
     NORMAL,
+    PENDING,
     Event,
+    Parked,
     Process,
     Timeout,
     Triggered,
@@ -152,6 +158,25 @@ class Simulator:
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
+
+    def park(self, waiters) -> Parked:
+        """A pending event, appended to ``waiters``, for the running
+        process to yield at once: ``yield sim.park(waiters)`` is a
+        thread's wait on a list whose owner wakes it with ``succeed``.
+        The event comes back registered to the process, so its resume
+        appends nothing."""
+        process = self.active_process
+        if process is None:
+            raise SimError("park() needs a running process to register")
+        event = Parked()
+        event.sim = self
+        event.callbacks = [process._resume]
+        event._value = PENDING
+        event._ok = None
+        event._cancelled = False
+        process._target = event
+        waiters.append(event)
+        return event
 
     # ------------------------------------------------------------------
     # Scheduling and execution
@@ -268,9 +293,10 @@ class Simulator:
         dispatch of a running process: there a turn the next slot would
         hold is the drain's next step, the process's own resume, so it
         is taken in place (the clock moves and the step counts as the
-        drain counts it) and no event is made.  The caller yields what
-        comes back, at once: ``if cost and (turn := cpu.spend(cost)) is
-        not None: yield turn``."""
+        drain counts it) and no event is made.  A turn made while a
+        process runs is registered to it already, so the caller must
+        yield what comes back, at once: ``if cost and (turn :=
+        cpu.spend(cost)) is not None: yield turn``."""
         if not duration >= 0:
             raise ValueError(f"negative duration {duration}")
         sim = serial.sim
@@ -296,10 +322,17 @@ class Simulator:
                 slot = True
         event = Triggered()
         event.sim = sim
-        event.callbacks = []
         event._value = None
         event._ok = True
         event._cancelled = False
+        process = sim.active_process
+        if process is None:
+            event.callbacks = []
+        else:
+            # The caller yields the turn at once: register it now, so
+            # its ``_resume`` appends nothing.
+            event.callbacks = [process._resume]
+            process._target = event
         if slot:
             sim._next = event
             sim._next_t = t

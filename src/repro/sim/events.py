@@ -154,18 +154,22 @@ class Triggered(Event):
     __init__ = object.__init__
 
 
-class Initialize(Event):
-    """Internal event used to start a freshly created process."""
+class Parked(Event):
+    """A pending event ``Simulator.park`` builds with the running
+    process already registered on it: ``Parked()`` runs no ``__init__``
+    frame, as :class:`Triggered` does, and ``park`` sets the five slots."""
 
     __slots__ = ()
+    __init__ = object.__init__
 
-    def __init__(self, sim: "Simulator", process: "Process") -> None:  # noqa: F821
-        self.sim = sim
-        self.callbacks = [process._resume]
-        self._value = None
-        self._ok = True
-        self._cancelled = False
-        sim.schedule_at(self, sim.now, URGENT)
+
+class Initialize(Event):
+    """Internal event used to start a freshly created process:
+    :class:`Process` sets its slots and places it, with no ``__init__``
+    frame, one per thread spawned."""
+
+    __slots__ = ()
+    __init__ = object.__init__
 
 
 class Interruption(Event):
@@ -203,6 +207,9 @@ class Interruption(Event):
                 target.callbacks.remove(process._resume)
             except ValueError:
                 pass
+        # Registered nowhere now: yielding the same pending event again
+        # must register it afresh (``_resume`` skips its own target).
+        process._target = None
         process._resume(self)
 
 
@@ -216,15 +223,28 @@ class Process(Event):
     __slots__ = ("_generator", "_target", "name")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: Optional[str] = None) -> None:  # noqa: F821
-        if not hasattr(generator, "throw"):
-            raise ValueError(f"{generator!r} is not a generator")
+        try:
+            generator.throw
+        except AttributeError:
+            raise ValueError(f"{generator!r} is not a generator") from None
         self.sim = sim
         self.callbacks = []
         self._value = PENDING
         self._ok = None
         self._cancelled = False
         self._generator = generator
-        self._target: Optional[Event] = Initialize(sim, self)
+        start = Initialize()
+        start.sim = sim
+        start.callbacks = [self._resume]
+        start._value = None
+        start._ok = True
+        start._cancelled = False
+        sim.schedule_at(start, sim.now, URGENT)
+        #: The event this process waits on, registered on it: by this
+        #: process when it yields the event, or by the engine when it
+        #: makes one for the process to yield at once (a ``spend`` turn,
+        #: a ``park``).  Cleared when an interrupt detaches it.
+        self._target: Optional[Event] = start
         self.name = name or getattr(generator, "__name__", "process")
 
     def __repr__(self) -> str:
@@ -275,9 +295,12 @@ class Process(Event):
                 continue
 
             if callbacks is not None:
-                # Event not yet processed: wait for it.
-                callbacks.append(self._resume)
-                self._target = target
+                # Event not yet processed: wait for it.  An event the
+                # engine made for this process to yield (``_target``
+                # already) carries its resume.
+                if target is not self._target:
+                    callbacks.append(self._resume)
+                    self._target = target
                 break
             # Already-processed event: continue immediately with its value.
             event = target

@@ -74,8 +74,9 @@ class Serial:
         #: first callback.  ``Simulator._turn`` bound as a method object,
         #: which cProfile does not count (a partial would be four objects).
         self.hold = self.charge = MethodType(sim._turn, self)
-        #: ``spend(duration)``: a thread's turn, ``Simulator._spend``
-        #: bound the same way; None when it is taken in place.
+        #: ``spend(duration)``: a thread's turn, registered to the running
+        #: process, ``Simulator._spend`` bound the same way; None when it
+        #: is taken in place.
         self.spend = MethodType(sim._spend, self)
 
 
@@ -88,9 +89,11 @@ class CPU(Serial):
     A thread spends ``cost`` seconds of this CPU, FIFO behind everything
     charged earlier, with ``if cost and (turn := cpu.spend(cost)) is not
     None: yield turn``: a turn that is the engine's next step is taken
-    in place.  Interrupt context, which cannot yield, passes its next
-    stage instead (``cpu.charge(cost, stage)``).  Callers skip zero
-    costs: a zero-length turn would still wait its place in line.
+    in place, and any other comes back registered to the running
+    process, so it must be yielded at once.  Interrupt context, which
+    cannot yield, passes its next stage instead (``cpu.charge(cost,
+    stage)``).  Callers skip zero costs: a zero-length turn would still
+    wait its place in line.
     """
 
     __slots__ = ("name",)

@@ -59,13 +59,17 @@ def churn(bed: Testbed, cycles: int) -> None:
 
 
 @pytest.mark.parametrize(
-    "network, ceiling", [("ethernet", 1990), ("an1", 1925)], ids=["ethernet", "an1"]
+    "network, ceiling", [("ethernet", 1893), ("an1", 1836)], ids=["ethernet", "an1"]
 )
 def test_connect_send_close_cycle_call_gate(network, ceiling):
     """One steady-state cycle (the first primed ARP and the listener),
-    in profiled calls: 1986 on Ethernet and 1921 on AN1.
+    in profiled calls: 1889 on Ethernet and 1832 on AN1.
 
-    History: 1990 and 1925 (under ceilings of 1994 and 1929) while a
+    History: 1986 and 1921 (under ceilings of 1990 and 1925) while a
+    thread's resume registered it on every spend turn and parked wait,
+    each wait paid ``Simulator.event`` and ``Event.__init__``, and a
+    spawn ``Simulator.process``, ``hasattr`` and ``Initialize.__init__``;
+    1990 and 1925 (under ceilings of 1994 and 1929) while a
     write read the send room through the ``Tcb.send_buffer_space``
     property twice; 2099 and 2048 (under ceilings of 2111 and 2060)
     while every thread's CPU charge was an event its process yielded and was

@@ -18,6 +18,7 @@ from repro.sim import (
     CPU,
     NORMAL,
     URGENT,
+    Interrupt,
     Simulator,
     Timeout,
 )
@@ -116,14 +117,19 @@ def _timer_and_serial_ties(sim_cls):
     return order
 
 
-def _processes_on_two_cpus(sim_cls, seed):
+def _processes_on_two_cpus(sim_cls, seed, cases=None):
     """Processes the way the stack runs them: charging and spending two
-    CPUs, waking each other with ``succeed()``, spawning, arming and
-    cancelling timers.  Charges are multiples of 2**-12 s, fine enough
-    that many events are the lone earliest one when scheduled: on
-    :class:`Simulator` they pass through the next slot, many a spend is
-    taken in place, and a wake-up the slot holds is moved onto the heap
-    by a same-instant schedule (asserted)."""
+    CPUs, parking and waking each other with ``succeed()``, spawning,
+    arming and cancelling timers, and interrupting a worker that waits
+    on a spend turn or a park.  Charges are multiples of 2**-12 s, fine
+    enough that many events are the lone earliest one when scheduled:
+    on :class:`Simulator` they pass through the next slot, many a spend
+    is taken in place, and a wake-up the slot holds is moved onto the
+    heap by a same-instant schedule (asserted).  ``cases`` counts, on
+    :class:`Simulator`, the turns a spend came back registered with
+    (``registered``), and the interrupts of a worker waiting on a turn
+    (``turn_interrupted``) or parked (``park_interrupted``), and the
+    parks yielded again after one (``park_again``)."""
     rng = random.Random(seed)
     sim = sim_cls()
     cpus = [CPU(sim), CPU(sim)]
@@ -131,19 +137,49 @@ def _processes_on_two_cpus(sim_cls, seed):
     order = []
     waiting = []
     moved = [0]
+    #: Process -> "turn" or "park" while it waits on one.
+    waits = {}
+    cases = {} if cases is None else cases
+
+    def count(case):
+        if sim_cls is Simulator:
+            cases[case] = cases.get(case, 0) + 1
 
     def held_now():
         return sim._next is not None and sim._next_t == sim.now
 
+    def wait_on(me, kind, event):
+        """Yield ``event``, a "turn" or a "park", where an "interrupt"
+        finds it; returns what the label gains.  An interrupted parker
+        yields its parked event again half the time."""
+        waits[me] = kind
+        try:
+            value = yield event
+        except Interrupt as stop:
+            gained = "!" + stop.args[0]
+            if kind == "park" and rng.random() < 0.5:
+                # Still on ``waiting``: the next wake resumes it.
+                count("park_again")
+                gained += "=" + (yield event)
+            return gained
+        finally:
+            waits.pop(me, None)
+        return "" if value is None else "=" + value
+
     def worker(name, depth):
+        me = sim.active_process
         for k in range(rng.randrange(6, 14)):
-            how = rng.choice(["charge", "spend", "spend", "wake", "wait", "spawn", "timer"])
+            how = rng.choice(
+                ["charge", "spend", "spend", "wake", "wait", "spawn", "timer", "interrupt"]
+            )
             if how == "charge":
                 yield rng.choice(cpus).charge(tick * rng.randrange(0, 9) / 4)
             elif how == "spend":
                 cost = tick * rng.randrange(0, 9) / 4
                 if cost and (turn := rng.choice(cpus).spend(cost)) is not None:
-                    yield turn
+                    if turn.callbacks == [me._resume]:
+                        count("registered")
+                    how += yield from wait_on(me, "turn", turn)
             elif how == "wake":
                 # Every wake-up is due now, and so is the timeout after
                 # them: each is a same-instant schedule that must move a
@@ -155,9 +191,7 @@ def _processes_on_two_cpus(sim_cls, seed):
                 moved[0] += held_now()
                 yield sim.timeout(0)
             elif how == "wait":
-                event = sim.event()
-                waiting.append(event)
-                how += "=" + (yield event)
+                how += yield from wait_on(me, "park", sim.park(waiting))
             elif how == "spawn" and depth < 2:
                 sim.process(worker(f"{name}.{k}", depth + 1))
             elif how == "timer":
@@ -166,6 +200,10 @@ def _processes_on_two_cpus(sim_cls, seed):
                     timer.cancel()
                 else:
                     yield timer
+            elif how == "interrupt" and waits:
+                victim = rng.choice(list(waits))
+                count(waits.pop(victim) + "_interrupted")
+                victim.interrupt(name)
             order.append((sim.now, f"{name}:{how}"))
 
     for i in range(10):
@@ -202,6 +240,18 @@ class _HeapOnly(Simulator):
 )
 def test_batched_order_identical_to_legacy(script):
     assert script(Simulator) == script(LegacySimulator)
+
+
+def test_the_process_race_interrupts_registered_turns_and_parks():
+    """The race above reaches what the engine's registration changes: a
+    spend turn made for a running process carries its resume, and an
+    interrupt detaches a worker from such a turn or from a park, after
+    which a re-yielded park registers afresh."""
+    cases = {}
+    for seed in range(4):
+        _processes_on_two_cpus(Simulator, seed, cases)
+    assert set(cases) == {"registered", "turn_interrupted", "park_interrupted", "park_again"}
+    assert min(cases.values()) >= 1, cases
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -19,11 +19,11 @@ for a delayed callback):
   the turn;
 * a ``call_later`` chain — the callee and ``call_later``, which makes
   the event and places it in one frame;
-* a *contended* pair of processes charging one CPU, whose turns
+* a *contended* pair of processes spending one CPU, whose turns
   interleave so no new event is ever the lone earliest one: every
-  event pays the heap pop and push, ``Process._resume`` and
-  ``list.append`` as before the slot — the slot costs nothing where it
-  never fires.
+  event pays the heap pop and push and ``Process._resume`` as before
+  the slot — the slot costs nothing where it never fires — but no
+  ``list.append``: ``spend`` registers the process on the turn it makes.
 
 Before the engine dropped its per-event plumbing (an ``Event.__init__``
 frame per charge and timer, a ``dict.get`` and a ``len()`` per
@@ -31,7 +31,9 @@ insertion and dispatch, a ``step()`` frame per timestamp, the ``now``
 property) the first three read 12.0, 9.0 and 11.0; before the next
 slot, 8.0, 5.0 and 6.0; before a charge was one ``_turn`` frame (a
 ``Serial.hold`` frame, then ``schedule_at``), 4.0, 3.0 and 4.0, and the
-contended pair 8.0; the ``call_later`` chain read 4.0 while
+contended pair 8.0; the contended pair read 7.0 (ceiling 7.1) while
+its process's resume registered it on each turn, as on a yielded
+``charge``, which still reads 7.0; the ``call_later`` chain read 4.0 while
 ``call_later`` took ``(delay, fn, arg)`` and paid a ``schedule_at``
 frame and a lambda per event.  A process yielding ``cpu.charge(cost)``
 read 3.0 (ceiling 3.1) while ``Process._resume`` took a yielded event
@@ -82,12 +84,13 @@ def _call_later_chain(sim):
     sim.call_later(1e-6, tick)
 
 
-def _contended_charges(sim):
+def _contended_spends(sim):
     cpu = CPU(sim)
 
     def worker():
         for _ in range(EVENTS // 2):
-            yield cpu.charge(1e-6)
+            if (turn := cpu.spend(1e-6)) is not None:
+                yield turn
 
     sim.process(worker())
     sim.process(worker())
@@ -99,7 +102,7 @@ def _contended_charges(sim):
         (_process_spends, 1.1),
         (_callback_chain, 2.1),
         (_call_later_chain, 2.1),
-        (_contended_charges, 7.1),
+        (_contended_spends, 6.1),
     ],
     ids=["process-spend", "charge-then-chain", "call-later-chain", "contended"],
 )

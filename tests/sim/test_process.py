@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, SimError, Simulator
+from repro.sim import CPU, Interrupt, SimError, Simulator
 
 from .legacy_engine import LegacySimulator
 
@@ -402,6 +402,121 @@ def test_generator_may_catch_the_non_event_complaint_and_go_on(sim_cls):
         except SimError:
             pass
         yield sim.timeout(1.0)
+        return sim.now
+
+    assert sim.run(until=sim.process(proc())) == 1.0
+
+
+# ----------------------------------------------------------------------
+# The engine registers a process on the event it is about to yield
+# ----------------------------------------------------------------------
+
+
+def _interrupted_waiter(sim, wait):
+    """A process that waits on ``wait()`` (which must come back
+    pending), is interrupted at 0.5 and then sleeps to 5.0; returns the
+    process, the event it waited on and its log of (instant, what)."""
+    log = []
+    waited = []
+
+    def waiter():
+        event = wait()
+        waited.append(event)
+        try:
+            yield event
+            log.append((sim.now, "woken"))
+        except Interrupt as stop:
+            log.append((sim.now, stop.args[0]))
+        yield sim.timeout(5.0 - sim.now)
+        log.append((sim.now, "slept"))
+
+    victim = sim.process(waiter())
+
+    def interrupter():
+        yield sim.timeout(0.5)
+        victim.interrupt("interrupted")
+
+    sim.process(interrupter())
+    sim.run(until=0.25)
+    return victim, waited[0], log
+
+
+@pytest.mark.parametrize("sim_cls", ENGINES)
+def test_a_process_interrupted_on_a_spend_turn_is_resumed_once(sim_cls):
+    """The turn ``spend`` made for the running process carries its
+    resume; the interrupt detaches it, so the turn's end at 1.0 resumes
+    nothing and the process wakes once, at 0.5."""
+    sim = sim_cls()
+    cpu = CPU(sim)
+    victim, turn, log = _interrupted_waiter(sim, lambda: cpu.spend(1.0))
+    assert turn.callbacks == [victim._resume]
+    sim.run()
+    assert log == [(0.5, "interrupted"), (5.0, "slept")]
+    assert turn.processed and cpu.busy_time == 1.0
+
+
+@pytest.mark.parametrize("sim_cls", ENGINES)
+def test_a_process_interrupted_while_parked_is_resumed_once(sim_cls):
+    sim = sim_cls()
+    waiters = []
+    victim, parked, log = _interrupted_waiter(sim, lambda: sim.park(waiters))
+    assert waiters == [parked] and parked.callbacks == [victim._resume]
+    sim.run(until=1.0)
+    parked.succeed("late")  # Its waiter left: it wakes nobody.
+    sim.run()
+    assert log == [(0.5, "interrupted"), (5.0, "slept")]
+
+
+@pytest.mark.parametrize("sim_cls", ENGINES)
+def test_a_park_yielded_again_after_an_interrupt_resumes_its_process(sim_cls):
+    """The interrupt clears the process's registration, so yielding the
+    same pending event again registers it afresh."""
+    sim = sim_cls()
+    waiters = []
+    log = []
+
+    def waiter():
+        event = sim.park(waiters)
+        try:
+            yield event
+        except Interrupt:
+            log.append((sim.now, "interrupted"))
+        value = yield event
+        log.append((sim.now, value))
+
+    victim = sim.process(waiter())
+
+    def other():
+        yield sim.timeout(0.5)
+        victim.interrupt()
+        yield sim.timeout(0.5)
+        waiters.pop().succeed("woken")
+
+    sim.process(other())
+    sim.run()
+    assert log == [(0.5, "interrupted"), (1.0, "woken")]
+    assert not victim.is_alive
+
+
+def test_park_outside_a_process_raises_sim_error():
+    sim = Simulator()
+    waiters = []
+    with pytest.raises(SimError, match="running process"):
+        sim.park(waiters)
+    assert waiters == []
+
+
+@pytest.mark.parametrize("sim_cls", ENGINES)
+def test_a_spend_outside_any_process_is_an_unregistered_turn(sim_cls):
+    """Made with no process running, the turn carries no resume; a
+    process yielding it later registers as on any event."""
+    sim = sim_cls()
+    cpu = CPU(sim)
+    turn = cpu.spend(1.0)
+    assert turn is not None and turn.callbacks == []
+
+    def proc():
+        yield turn
         return sim.now
 
     assert sim.run(until=sim.process(proc())) == 1.0

@@ -4,8 +4,8 @@ An ``import`` statement inside a function body runs on every call: a
 function reading a module global takes 0.02 µs, one whose body is
 ``from .seq import unwrap`` 1.0 µs (a relative import re-resolves the
 package from ``__spec__`` each time), and four of them on per-segment
-paths were 5 % of the ``sansio`` workload's calls (EXPERIMENTS.md
-"Simulator at scale").  Imports belong at module level; the ones
+paths were 5 % of the ``sansio`` workload's calls (CHANGES.md, PR
+20).  Imports belong at module level; the ones
 listed here break an import cycle or keep a heavy dependency off a
 cold path (connection setup, a reset, a command, a campaign's
 evidence pass); none is on the per-packet path of a workload.  A new
@@ -75,7 +75,7 @@ def test_src_charges_without_the_consume_frame():
     twice per charge by cProfile (and CPython): 42 calls per
     ``pingpong`` round trip before the per-segment sites went in place,
     and 50.9 per ``churn`` cycle on the set-up paths after (DESIGN.md
-    "Serial").  It is gone, and does not come back as a call site."""
+    "Scaling the simulator").  It is gone, and does not come back as a call site."""
     assert not hasattr(CPU, "consume")
     strays = [
         f"src/repro/{path.relative_to(SRC).as_posix()}:{number}"

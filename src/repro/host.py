@@ -29,7 +29,7 @@ from .net.link import An1Link, EthernetLink, Link
 from .net.nic.an1ctrl import An1Nic
 from .net.nic.pmadd import PmaddNic
 from .netio.channels import Channel
-from .netio.module import Done, LinkInfo, NetworkIoModule, work_then
+from .netio.module import Done, LinkInfo, NetworkIoModule
 from . import obs as _obs
 from .protocols.arp import ArpStack
 from .protocols.icmp import (
@@ -160,9 +160,10 @@ class Host:
         self, ethertype: int, payload: bytes, link_info: LinkInfo, done: Done
     ) -> None:
         """Interrupt context up to a port handler or a channel's ring;
-        whatever answers on the wire runs as a kernel thread."""
+        an ARP or ICMP answer is sent from here too, by the NIC's
+        callback transmit, and ``done`` is its completion."""
         if ethertype == ETHERTYPE_ARP and self.arp is not None:
-            self.sim.process(work_then(self._arp_rx(payload), done))
+            self._arp_rx(payload, done)
             return
         if ethertype != ETHERTYPE_IP:
             self.stats["unknown_ethertype"] += 1
@@ -199,8 +200,7 @@ class Host:
         elif protocol == PROTO_TCP and self.tcp_kernel_handler is not None:
             self.tcp_kernel_handler(datagram.payload, datagram.src, link_info, done)
         elif protocol == PROTO_ICMP and self.icmp_echo_enabled:
-            work = self._icmp_rx(datagram.payload, datagram.src, link_info)
-            self.sim.process(work_then(work, done))
+            self._icmp_rx(datagram.payload, datagram.src, link_info, done)
         else:
             self.stats["no_protocol"] += 1
             done()
@@ -228,13 +228,10 @@ class Host:
         # RFC 1122: a datagram to a closed port draws an ICMP
         # port-unreachable quoting the offender.
         original = payload[: Ipv4Header.LENGTH + 8]
-        work = self.ip_send(
-            datagram.src,
-            PROTO_ICMP,
-            encode_unreachable(UNREACH_PORT, original),
-            link_info.src,
+        self._icmp_reply(
+            datagram.src, encode_unreachable(UNREACH_PORT, original),
+            link_info.src, done,
         )
-        self.sim.process(work_then(work, done))
 
     def _arm_slow_timer(self) -> None:
         if not self._slow_timer_armed:
@@ -276,19 +273,50 @@ class Host:
         packet = encapsulate(datagram.src, self.ip, PROTO_UDP, datagram.payload)
         self.netio._deliver(channel, packet, link_info, done)
 
-    def _arp_rx(self, payload: bytes) -> Generator:
-        for reply in self.arp.receive(payload, self.sim.now):
-            yield from self.netio.kernel_send(
-                reply.packet.pack(), reply.dst_mac, ETHERTYPE_ARP
+    def _arp_rx(self, payload: bytes, done: Done) -> None:
+        for reply in self.arp.receive(payload, self.sim.now):  # At most one.
+            self.netio.kernel_send(
+                reply.packet.pack(), reply.dst_mac, ETHERTYPE_ARP, then=done
             )
+            return
+        done()
 
-    def _icmp_rx(self, payload: bytes, src_ip: int, link_info: LinkInfo) -> Generator:
+    def _icmp_rx(
+        self, payload: bytes, src_ip: int, link_info: LinkInfo, done: Done
+    ) -> None:
         echo = decode_echo(payload)
         if echo is None or not echo.is_request:
             self.stats["no_protocol"] += 1
+            done()
             return
-        reply = make_reply(echo)
-        yield from self.ip_send(src_ip, PROTO_ICMP, reply, link_info.src)
+        self._icmp_reply(src_ip, make_reply(echo), link_info.src, done)
+
+    def _icmp_reply(
+        self, dst_ip: int, icmp_payload: bytes, link_dst: object, done: Done
+    ) -> None:
+        """``ip_send`` of an ICMP answer, in interrupt context: it goes
+        back to the link source of the frame it answers, so nothing is
+        resolved, and ``done()`` follows the last fragment's transmit."""
+        stage = partial(self._icmp_output, dst_ip, icmp_payload, link_dst, done)
+        cost = self.kernel.costs.ip_output
+        if cost:
+            self.kernel.cpu.charge(cost, stage)
+        else:
+            stage(None)
+
+    def _icmp_output(
+        self, dst_ip: int, icmp_payload: bytes, link_dst: object, done: Done,
+        _event: object,
+    ) -> None:
+        packets = self.ip_stack.send(dst_ip, PROTO_ICMP, icmp_payload, self.mtu)
+        self._transmit(packets, link_dst, done)
+
+    def _transmit(self, packets: list, link_dst: object, done: Done) -> None:
+        """Send ``packets`` one after another, then ``done()``."""
+        then = done
+        if len(packets) > 1:
+            then = partial(self._transmit, packets[1:], link_dst, done)
+        self.netio.kernel_send(packets[0], link_dst, then=then)
 
     # ------------------------------------------------------------------
     # Kernel IP transmission (used by organizations and the registry)

@@ -9,28 +9,28 @@ whose kernel forwards between interfaces: longest-prefix route lookup,
 TTL decrement (ICMP time-exceeded on expiry), ICMP network-unreachable
 when no route matches.
 
-Forwarding is decoupled from the receive interrupt through a bounded
-input queue drained by a worker process.  The NIC's receive interrupt
-must never block (an ARP resolution there would deadlock the very
-interrupt path that delivers the ARP reply), so rx context only
-classifies the packet, charges ``ip_input``, and enqueues; the worker
-pays ``ip_forward``, resolves the next hop, and transmits.  A full
-input queue tail-drops — a router under overload sheds load exactly
-like a switch port does.
+Forwarding runs in interrupt context, as BSD's ``ipintr`` does, as a
+chain of CPU-charge callbacks: ``ip_input``, then ``ip_forward``, the
+route and the ARP-cache hit, and the NIC's callback transmit, whose
+completion takes the next job from a bounded input queue (full, it
+tail-drops, as a switch port does).  An idle router starts a job in a
+same-instant event.  ARP and ICMP replies are chains too; only an ARP
+miss runs a process, ``_resolve``, holding the jobs behind it while the
+receive interrupt that brings the ARP reply runs on.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Deque, Generator, Optional
+from typing import Callable, Deque, Generator, Optional
 
 from ...counters import Counters
 
 from ... import obs as _obs
 from ...costs import CostModel, DECSTATION_5000_200
 from ...mach import Kernel
-from ...netio.module import Done, LinkInfo, NetworkIoModule, work_then
+from ...netio.module import Done, LinkInfo, NetworkIoModule
 from ...protocols.arp import ArpStack
 from ...protocols.icmp import (
     UNREACH_NET,
@@ -41,7 +41,7 @@ from ...protocols.icmp import (
     make_reply,
 )
 from ...protocols.ip import encapsulate, forwarded_header
-from ...sim import Event, Simulator
+from ...sim import Simulator
 from ..buf import slice_view
 from ..headers import (
     ETHERTYPE_ARP,
@@ -87,8 +87,8 @@ class RouterInterface:
 class Router:
     """A multi-homed host that forwards IP between its interfaces."""
 
-    #: Bound on packets awaiting the forwarding worker; arrivals beyond
-    #: it are tail-dropped in rx context (counted as ``input_dropped``).
+    #: Bound on packets awaiting the job in flight; arrivals beyond it
+    #: are tail-dropped in rx context (counted as ``input_dropped``).
     INPUT_QUEUE_PACKETS = 64
 
     def __init__(
@@ -110,11 +110,10 @@ class Router:
         # routers deeper input queues than the class default.
         self._input_limit = input_queue_packets or self.INPUT_QUEUE_PACKETS
         self._input: Deque[tuple] = deque()
-        #: The event the idle worker waits on; the next arrival is
-        #: handed over through it without occupying a queue slot.
-        self._parked: Optional[Event] = None
+        #: True from a job's start until its transmit completes with
+        #: the queue empty; an idle router's next arrival takes no slot.
+        self.forwarding = False
         self.stats = Counters()
-        sim.process(self._worker(), name=f"{name}-fwd")
 
     def __repr__(self) -> str:
         return f"<Router {self.name} ifaces={len(self.interfaces)}>"
@@ -176,7 +175,7 @@ class Router:
         done: Done,
     ) -> None:
         if ethertype == ETHERTYPE_ARP:
-            self.sim.process(work_then(self._arp_rx(iface, payload), done))
+            self._arp_rx(iface, payload, done)
             return
         if ethertype != ETHERTYPE_IP:
             self.stats["unknown_ethertype"] += 1
@@ -206,25 +205,28 @@ class Router:
         _event: object,
     ) -> None:
         if header.dst in self.local_ips:
-            work = self._local_rx(iface, header, payload, link_info)
-            self.sim.process(work_then(work, done))
+            self._local_rx(iface, header, payload, link_info, done)
             return
-        job = (iface, header, payload)
-        parked = self._parked
-        if parked is not None:
-            self._parked = None
-            parked.succeed(job)
+        if not self.forwarding:
+            # The job starts in its own event at this instant, behind
+            # every event already due now and whatever ``done`` charges
+            # for the next received frame: started in place, it would
+            # claim the CPU ahead of them.
+            self.forwarding = True
+            self.sim.call_later(0, partial(self._take, (iface, header, payload)))
         elif len(self._input) < self._input_limit:
-            self._input.append(job)
+            self._input.append((iface, header, payload))
         else:
             self.stats["input_dropped"] += 1
         done()
 
-    def _arp_rx(self, iface: RouterInterface, payload: bytes) -> Generator:
-        for reply in iface.arp.receive(payload, self.sim.now):
-            yield from iface.netio.kernel_send(
-                reply.packet.pack(), reply.dst_mac, ETHERTYPE_ARP
+    def _arp_rx(self, iface: RouterInterface, payload: bytes, done: Done) -> None:
+        for reply in iface.arp.receive(payload, self.sim.now):  # At most one.
+            iface.netio.kernel_send(
+                reply.packet.pack(), reply.dst_mac, ETHERTYPE_ARP, then=done
             )
+            return
+        done()
 
     def _local_rx(
         self,
@@ -232,7 +234,8 @@ class Router:
         header: Ipv4Header,
         packet: bytes,
         link_info: LinkInfo,
-    ) -> Generator:
+        done: Done,
+    ) -> None:
         """Traffic addressed to the router itself: answer ICMP echo;
         anything else is counted as ``no_protocol`` and dropped."""
         self.stats["delivered_local"] += 1
@@ -244,72 +247,92 @@ class Router:
             echo = decode_echo(packet[Ipv4Header.LENGTH : header.total_length])
         if echo is None or not echo.is_request:
             self.stats["no_protocol"] += 1
+            done()
             return
         # Reply straight out the ingress interface: the querier (or the
         # previous-hop gateway) is by definition reachable there.
-        yield from self._emit(
-            iface, header.src, make_reply(echo), link_dst=link_info.src
+        self._emit(iface, header.src, make_reply(echo), done, link_dst=link_info.src)
+
+    # ------------------------------------------------------------------
+    # Forwarding: one job at a time, each a chain of CPU charges
+    # ------------------------------------------------------------------
+
+    def _take(self, job: Optional[tuple] = None, _event: object = None) -> None:
+        """Start a forwarding job by charging ``ip_forward``: ``job``, or
+        when the last job's transmit completes (a call with no
+        arguments) the oldest queued one; with none queued, go idle."""
+        if job is None:
+            if not self._input:
+                self.forwarding = False
+                return
+            job = self._input.popleft()
+        iface, header, packet = job
+        cost = self.kernel.costs.ip_forward
+        obs = _obs.SESSION
+        if obs is not None:
+            obs.book(
+                "router.forward", packet, self.sim.now, self.name, cost,
+                f"ttl={header.ttl}",
+            )
+        stage = partial(self._forward, iface, header, packet)
+        if cost:
+            self.kernel.cpu.charge(cost, stage)
+        else:
+            stage(None)
+
+    def _forward(
+        self,
+        iface: RouterInterface,
+        header: Ipv4Header,
+        packet: bytes,
+        _event: object,
+    ) -> None:
+        route = self.routes.lookup(header.dst)
+        if route is None:
+            self.stats["no_route"] += 1
+            self._icmp_error(
+                iface, header, packet, encode_unreachable(UNREACH_NET, packet)
+            )
+            return
+        if header.ttl <= 1:
+            self.stats["ttl_expired"] += 1
+            self._icmp_error(iface, header, packet, encode_time_exceeded(packet))
+            return
+        head = forwarded_header(header, packet)
+        out_iface = route.interface
+        next_hop = route.gateway if route.gateway is not None else header.dst
+        # The ARP cache hit inline; only a miss enters the resolver.
+        link_dst = out_iface.arp.lookup(next_hop, self.sim.now)
+        if link_dst is None:
+            self.sim.process(self._resolve(
+                out_iface, next_hop, partial(self._send, out_iface, head, packet)
+            ))
+            return
+        self.stats["forwarded"] += 1
+        # One chain per hop: the next hop's link header and the patched
+        # IP header in front of a view of the rest.
+        out_iface.netio.kernel_send(
+            slice_view(packet, Ipv4Header.LENGTH), link_dst, head=head,
+            then=self._take,
         )
 
-    # ------------------------------------------------------------------
-    # Forwarding worker (process context — free to block on ARP)
-    # ------------------------------------------------------------------
-
-    def _worker(self) -> Generator:
-        cpu = self.kernel.cpu
-        while True:
-            # Packets that arrived while the last one was being
-            # forwarded are taken directly; only an empty queue parks
-            # the worker on an event.
-            if self._input:
-                job = self._input.popleft()
-            else:
-                self._parked = Event(self.sim)
-                job = yield self._parked
-            iface, header, packet = job
-            cost = self.kernel.costs.ip_forward
-            obs = _obs.SESSION
-            if obs is not None:
-                obs.book(
-                    "router.forward", packet, self.sim.now, self.name, cost,
-                    f"ttl={header.ttl}",
-                )
-            if cost and (turn := cpu.spend(cost)) is not None:
-                yield turn
-            # Forwarding logic lives inline (not in a helper generator):
-            # every CPU charge and transmit below resumes through this
-            # frame, and the extra delegation hop is measurable at
-            # fabric scale.
-            route = self.routes.lookup(header.dst)
-            if route is None:
-                self.stats["no_route"] += 1
-                yield from self._icmp_error(
-                    iface, header, packet,
-                    encode_unreachable(UNREACH_NET, packet),
-                )
-                continue
-            if header.ttl <= 1:
-                self.stats["ttl_expired"] += 1
-                yield from self._icmp_error(
-                    iface, header, packet, encode_time_exceeded(packet)
-                )
-                continue
-            head = forwarded_header(header, packet)
-            out_iface = route.interface
-            next_hop = route.gateway if route.gateway is not None else header.dst
-            # The ARP cache hit inline; only a miss enters the resolver.
-            link_dst = out_iface.arp.lookup(next_hop, self.sim.now)
-            if link_dst is None:
-                link_dst = yield from self._resolve(out_iface, next_hop)
-                if link_dst is None:
-                    self.stats["arp_failed"] += 1
-                    continue
-            self.stats["forwarded"] += 1
-            # One chain per hop: the next hop's link header and the
-            # patched IP header in front of a view of the rest.
-            yield from out_iface.netio.kernel_send(
-                slice_view(packet, Ipv4Header.LENGTH), link_dst, head=head
-            )
+    def _send(
+        self,
+        out_iface: RouterInterface,
+        head: bytes,
+        packet: bytes,
+        link_dst: object,
+    ) -> None:
+        """The end of a forward whose next hop missed in the ARP cache."""
+        if link_dst is None:
+            self.stats["arp_failed"] += 1
+            self._take()
+            return
+        self.stats["forwarded"] += 1
+        out_iface.netio.kernel_send(
+            slice_view(packet, Ipv4Header.LENGTH), link_dst, head=head,
+            then=self._take,
+        )
 
     def _icmp_error(
         self,
@@ -317,24 +340,28 @@ class Router:
         header: Ipv4Header,
         packet: bytes,
         message: bytes,
-    ) -> Generator:
+    ) -> None:
         """Send an ICMP error about ``packet`` back toward its source —
         unless the packet is itself an ICMP error (RFC 1122 forbids
-        answering errors with errors, which would loop)."""
+        answering errors with errors, which would loop) — and end the
+        job."""
         if header.protocol == PROTO_ICMP and is_icmp_error(
             packet[Ipv4Header.LENGTH :]
         ):
+            self._take()
             return
-        yield from self._emit(in_iface, header.src, message)
+        self._emit(in_iface, header.src, message, self._take)
 
     def _emit(
         self,
         iface: RouterInterface,
         dst_ip: int,
         icmp_payload: bytes,
+        then: Done,
         link_dst: object = None,
-    ) -> Generator:
-        """Originate an ICMP message from ``iface`` toward ``dst_ip``.
+    ) -> None:
+        """Originate an ICMP message from ``iface`` toward ``dst_ip``,
+        then ``then()``.
 
         Routed toward the source like any other packet: if a route says
         the destination is beyond another gateway, follow it; otherwise
@@ -347,32 +374,68 @@ class Router:
             if route.gateway is not None:
                 next_hop = route.gateway
         if link_dst is None:
-            link_dst = yield from self._resolve(out_iface, next_hop)
+            link_dst = out_iface.arp.lookup(next_hop, self.sim.now)
             if link_dst is None:
-                self.stats["arp_failed"] += 1
+                self.sim.process(self._resolve(
+                    out_iface, next_hop,
+                    partial(self._output, out_iface, dst_ip, icmp_payload, then),
+                ))
                 return
+        self._output(out_iface, dst_ip, icmp_payload, then, link_dst)
+
+    def _output(
+        self,
+        out_iface: RouterInterface,
+        dst_ip: int,
+        icmp_payload: bytes,
+        then: Done,
+        link_dst: object,
+    ) -> None:
+        if link_dst is None:
+            self.stats["arp_failed"] += 1
+            then()
+            return
+        stage = partial(self._encapsulate, out_iface, dst_ip, icmp_payload, link_dst, then)
         cost = self.kernel.costs.ip_output
-        if cost and (turn := self.kernel.cpu.spend(cost)) is not None:
-            yield turn
+        if cost:
+            self.kernel.cpu.charge(cost, stage)
+        else:
+            stage(None)
+
+    def _encapsulate(
+        self,
+        out_iface: RouterInterface,
+        dst_ip: int,
+        icmp_payload: bytes,
+        link_dst: object,
+        then: Done,
+        _event: object,
+    ) -> None:
         ip_packet = encapsulate(out_iface.ip, dst_ip, PROTO_ICMP, icmp_payload)
-        yield from out_iface.netio.kernel_send(ip_packet, link_dst)
+        out_iface.netio.kernel_send(ip_packet, link_dst, then=then)
 
     def _resolve(
-        self, iface: RouterInterface, next_hop: int
+        self,
+        iface: RouterInterface,
+        next_hop: int,
+        then: Callable[[object], None],
     ) -> Generator:
-        """ARP ``next_hop`` on ``iface``'s segment; None after timeout.
+        """ARP ``next_hop`` on ``iface``'s segment, then ``then(mac)``,
+        or ``then(None)`` after the timeout.
 
-        Runs only in worker context — blocking here stalls the
-        forwarding queue, not the receive interrupt.
+        The router's one process, started only on a cache miss: it
+        polls until the reply lands, and the jobs queued behind the one
+        it holds wait for it, not the receive interrupt.
         """
         for _ in range(100):
             mac = iface.arp.lookup(next_hop, self.sim.now)
             if mac is not None:
-                return mac
+                then(mac)
+                return
             request = iface.arp.resolve(next_hop, self.sim.now)
             if request is not None:
                 yield from iface.netio.kernel_send(
                     request.packet.pack(), request.dst_mac, ETHERTYPE_ARP
                 )
             yield self.sim.timeout(0.5e-3)
-        return None
+        then(None)

@@ -16,7 +16,7 @@ module on the registry server's instruction.
 from __future__ import annotations
 
 from functools import partial
-from typing import Generator
+from typing import Callable, Generator
 
 from ...mach.kernel import Kernel
 from ...mach.vm import SharedRegion
@@ -137,6 +137,25 @@ class An1Nic(Nic):
             yield descriptors_full
         self.stats["tx_frames"] += 1
         self.stats["tx_bytes"] += length
+
+    def transmit(self, frame: bytes, then: Callable[[], None]) -> None:
+        # ``driver_transmit``'s check, cost and span, with the charge's
+        # completion in place of the thread's resume.
+        length = len(frame)
+        if length > self.mtu_data + An1Header.LENGTH:
+            raise ValueError(
+                f"frame of {length} bytes exceeds driver MTU "
+                f"{self.mtu_data}"
+            )
+        cost = self.kernel.costs.an1_dma_setup
+        obs = _obs.SESSION
+        if obs is not None:
+            obs.spans.touch(frame, "nic.tx", self.sim.now, self.name, cost=cost)
+        stage = partial(self._submit, frame, length, then)
+        if cost:
+            self.kernel.cpu.charge(cost, stage)
+        else:
+            stage(None)
 
     # ------------------------------------------------------------------
     # Receive: hardware BQI demux straight into a host region.

@@ -2,13 +2,15 @@
 
 A NIC sits between a host kernel (CPU costs, interrupt handlers) and a
 link (wire time).  The network I/O module installs ``rx_handler``; the
-driver side calls :meth:`driver_transmit` from within a host process.
+driver side calls :meth:`driver_transmit` from within a host process,
+or :meth:`transmit` from interrupt context.
 """
 
 from __future__ import annotations
 
 from ...counters import Counters
 import abc
+from functools import partial
 from typing import Any, Callable, Generator, Optional
 
 from ...mach.kernel import Kernel
@@ -23,7 +25,8 @@ RxHandler = Callable[[bytes, Any, Callable[[], None]], None]
 
 
 class Nic(abc.ABC):
-    """One host-network interface attached to one link."""
+    """One host-network interface attached to one link; a subclass
+    sends through its :class:`~repro.net.link.Transmitter`, ``_tx``."""
 
     def __init__(self, kernel: Kernel, link: Link, name: str) -> None:
         self.kernel = kernel
@@ -47,6 +50,34 @@ class Nic(abc.ABC):
         """Send ``frame``; charges the driver-side device costs."""
 
     @abc.abstractmethod
+    def transmit(self, frame: bytes, then: Callable[[], None]) -> None:
+        """:meth:`driver_transmit` in interrupt context: the driver cost
+        is a ``cpu.charge`` whose completion submits ``frame``, and
+        ``then()`` runs once the frame is admitted (at once, or when a
+        full staging or descriptor ring frees a slot)."""
+
+    @abc.abstractmethod
     def wire_deliver(self, frame: bytes, _event: object = None) -> None:
         """Called by the link when a frame arrives at this NIC (its
         delivery event is ``_event``)."""
+
+    def _submit(
+        self, frame: bytes, length: int, then: Callable[[], None], _event: object
+    ) -> None:
+        """:meth:`transmit`'s second stage, once the driver cost is paid:
+        hand ``frame`` (``length`` octets) to the transmitter and count
+        it, then ``then()`` now or when the transmitter's slot event
+        fires.  In interrupt context nothing can withdraw a frame that
+        waits for a slot, so it is counted as it is handed over."""
+        admitted = self._tx.submit(frame)
+        stats = self.stats
+        stats["tx_frames"] += 1
+        stats["tx_bytes"] += length
+        if admitted is None:
+            then()
+        else:
+            admitted.callbacks.append(partial(_admitted, then))
+
+
+def _admitted(then: Callable[[], None], _event: object) -> None:
+    then()

@@ -13,7 +13,8 @@ path, and the reason AN1 (DMA) changes the balance in Tables 2/3.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from functools import partial
+from typing import Callable, Generator, Optional
 
 from ...mach.kernel import Kernel
 from ... import obs as _obs
@@ -83,6 +84,23 @@ class PmaddNic(Nic):
             yield staging_full
         self.stats["tx_frames"] += 1
         self.stats["tx_bytes"] += length
+
+    def transmit(self, frame: bytes, then: Callable[[], None]) -> None:
+        # ``driver_transmit``'s copy, cost and span, with the charge's
+        # completion in place of the thread's resume.
+        if type(frame) is not bytes:
+            frame = as_wire_bytes(frame)
+        length = len(frame)
+        costs = self.kernel.costs
+        cost = costs.pmadd_pio_per_byte * length + costs.pmadd_per_packet
+        obs = _obs.SESSION
+        if obs is not None:
+            obs.spans.touch(frame, "nic.tx", self.sim.now, self.name, cost=cost)
+        stage = partial(self._submit, frame, length, then)
+        if cost:
+            self.kernel.cpu.charge(cost, stage)
+        else:
+            stage(None)
 
     # ------------------------------------------------------------------
     # Receive: stage on board, interrupt, PIO copy to host, hand off —

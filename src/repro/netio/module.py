@@ -73,21 +73,10 @@ Done = Callable[[], None]
 #: Kernel-side consumer for packets no channel claims (the monolithic
 #: stack, the registry server's handshake path, ARP): a plain call
 #: ``kernel_rx(ethertype, payload, link_info, done)`` in interrupt
-#: context.  It never blocks; work that transmits or may wait runs as
-#: a kernel thread (:func:`work_then`, or TCP's own ``_tcp_rx``).
+#: context.  It never blocks: an answer on the wire (ARP, ICMP) is sent
+#: with ``kernel_send(..., then=done)``, and only work that may wait
+#: (an ARP miss, TCP's own ``_tcp_rx``) runs as a kernel thread.
 KernelRx = Callable[[int, bytes, LinkInfo, Done], None]
-
-
-def work_then(work: Generator, done: Done) -> Generator:
-    """Body of a kernel thread: the part of a kernel consumer that
-    answers on the wire (ARP, ICMP, a router's local input) runs
-    as the generator ``work``; the interface is held until it ends."""
-    try:
-        yield from work
-    except Exception:
-        done()
-        raise
-    done()
 
 
 DemuxStyle = str  # "synthesized" | "cspf" | "bpf"
@@ -523,7 +512,8 @@ class NetworkIoModule:
         bqi: int = 0,
         adv_bqi: int = 0,
         head: bytes = b"",
-    ) -> Generator:
+        then: Optional[Done] = None,
+    ) -> Optional[Generator]:
         """Trusted in-kernel transmission (monolithic stacks, registry,
         ARP, a router's forwarding).  No trap, no template.
 
@@ -532,10 +522,12 @@ class NetworkIoModule:
         a view of the packet's unchanged rest as ``payload``, so a hop
         builds one chain.
 
-        A plain function returning the driver's generator: under
-        ``yield from`` this behaves identically to a delegating
-        generator but removes one frame from every resume of the
-        transmit path beneath it.
+        From a thread, a plain function returning the driver's
+        generator: under ``yield from`` this behaves identically to a
+        delegating generator but removes one frame from every resume of
+        the transmit path beneath it.  From interrupt context, pass
+        ``then``: the NIC's callback transmit sends the frame and calls
+        ``then()`` once it is admitted, and None comes back.
         """
         self.stats["tx"] += 1
         key = (link_dst, ethertype, bqi, adv_bqi)
@@ -553,7 +545,10 @@ class NetworkIoModule:
                 payload, "netio.send", self.kernel.sim.now, self.name,
                 detail="kernel",
             )
-        return self.nic.driver_transmit(frame)
+        if then is None:
+            return self.nic.driver_transmit(frame)
+        self.nic.transmit(frame, then)
+        return None
 
     def _link_header(self, key: tuple) -> bytes:
         """Pack and remember the link header ``send`` and

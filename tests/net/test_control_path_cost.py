@@ -9,9 +9,6 @@ currency).  The same driver checks that a long run of cycles leaves
 each task's thread list where one cycle left it.
 """
 
-import cProfile
-import gc
-
 import pytest
 
 from repro.net.buf import prepend
@@ -20,21 +17,12 @@ from repro.netio.template import tcp_send_template
 from repro.protocols.tcp import TcpConfig
 from repro.testbed import IP_A, IP_B, Testbed
 
+from .test_data_path_cost import profiled_calls
+
 #: Simulated seconds between cycles, so each close drains first.
 GAP = 0.5
 PORT = 4200
 MESSAGE = bytes(64)
-
-
-def profiled_calls(work) -> int:
-    """Every call cProfile sees under ``work()``, itself included.  The
-    garbage earlier tests left is collected first: a suspended process
-    of an abandoned testbed runs its ``finally`` when collected, and
-    must not do so inside the count."""
-    gc.collect()
-    profiler = cProfile.Profile()
-    profiler.runcall(work)
-    return sum(entry.callcount for entry in profiler.getstats())
 
 
 def churn(bed: Testbed, cycles: int) -> None:

@@ -418,7 +418,7 @@ def test_a_packet_no_protocol_takes_is_booked():
 
 
 # ----------------------------------------------------------------------
-# Router input queue: a deque plus the event the idle worker waits on
+# Router input queue: one forwarding job in flight, a deque behind it
 # ----------------------------------------------------------------------
 
 
@@ -431,19 +431,19 @@ def _forwardable(topo, ident):
     return header.pack() + b"x" * 30
 
 
-def test_router_parked_worker_takes_a_packet_without_using_a_slot():
+def test_idle_router_takes_a_packet_without_using_a_slot():
     sim = Simulator()
     topo = chain(sim, n_routers=1)
     router = topo.routers[0]
     iface = router.interfaces[0]
     link_info = LinkInfo(topo.hosts[0].nic.mac)
-    sim.run(until=0.001)  # The worker has started and found nothing.
-    assert router._parked is not None
+    assert not router.forwarding and not router._input
     consumed = []
     limit = router.INPUT_QUEUE_PACKETS
-    # The worker's ``ip_forward`` charge queues behind every ``ip_input``
-    # charged here, so it takes nothing more meanwhile: the first packet
-    # is handed to it directly, ``limit`` more fill the queue, one is shed.
+    # The first job's ``ip_forward`` charge queues behind every
+    # ``ip_input`` charged here, so it ends nothing meanwhile: the first
+    # packet starts the job without a slot, ``limit`` more fill the
+    # queue, one is shed.
     for ident in range(limit + 2):
         router._rx(
             iface, ETHERTYPE_IP, _forwardable(topo, ident), link_info,
@@ -454,7 +454,47 @@ def test_router_parked_worker_takes_a_packet_without_using_a_slot():
     assert router.stats["input_dropped"] == 1
     sim.run(until=5.0)
     assert topo.hosts[1].ip_stack.stats["received"] == limit + 1
-    assert router._parked is not None and not router._input
+    assert not router.forwarding and not router._input
+
+
+def test_packets_behind_an_arp_miss_stay_queued_in_arrival_order():
+    """The first job misses in the router's ARP cache: its resolution
+    holds the router, and the packets behind it wait in the queue —
+    none is forwarded, none is dropped — until the reply lands; then
+    all leave, in the order they arrived."""
+    sim = Simulator()
+    topo = chain(sim, n_routers=1)
+    host_a, host_b = topo.hosts
+    router = topo.routers[0]
+    wire = []
+
+    def offered(frame):
+        if frame[12:14] == b"\x08\x06":
+            wire.append("arp")
+        elif frame[23] == PROTO_UDP:
+            wire.append(int.from_bytes(frame[18:20], "big"))
+
+    topo.links[-1].watchers.append(
+        SimpleNamespace(offered=offered, planned=lambda frame, plan: None)
+    )
+    for ident in range(1, 6):
+        router._rx(
+            router.interfaces[0], ETHERTYPE_IP, _forwardable(topo, ident),
+            LinkInfo(host_a.nic.mac), lambda: None,
+        )
+    # Until the ARP request has gone out and its reply come back, but
+    # before the resolver's next poll finds it.
+    while "arp" not in wire:
+        sim.run(until=sim.now + 1e-5)
+    sim.run(until=sim.now + 0.4e-3)
+    assert wire == ["arp", "arp"]  # The request, and host B's reply.
+    assert router.forwarding and len(router._input) == 4
+    assert router.stats["forwarded"] == 0
+    sim.run(until=5.0)
+    assert wire == ["arp", "arp", 1, 2, 3, 4, 5]
+    assert router.stats["input_dropped"] == 0
+    assert host_b.ip_stack.stats["received"] == 5
+    assert not router.forwarding and not router._input
 
 
 def test_router_queue_neither_loses_nor_reorders():

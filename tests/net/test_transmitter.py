@@ -2,6 +2,7 @@
 staging and back-pressure, watchers, and the hand-offs that cost no engine
 event."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -53,17 +54,17 @@ def an1_frame(tag: int, size: int = 100) -> bytes:
     return An1Header(2, 1, ETHERTYPE_IP, 0).pack() + bytes([tag]) * size
 
 
-def pmadd_world():
+def pmadd_world(costs=FREE):
     sim = Simulator()
     link = EthernetLink(sim)
-    nic = PmaddNic(Kernel(sim, FREE, name="h0"), link, MAC_A, name="nic0")
+    nic = PmaddNic(Kernel(sim, costs, name="h0"), link, MAC_A, name="nic0")
     return sim, link, nic, Endpoint(link, sim), eth_frame, PmaddNic.BOARD_BUFFERS
 
 
-def an1_world():
+def an1_world(costs=FREE):
     sim = Simulator()
     link = An1Link(sim)
-    nic = An1Nic(Kernel(sim, FREE, name="h0"), link, station=1, name="an1-0")
+    nic = An1Nic(Kernel(sim, costs, name="h0"), link, station=1, name="an1-0")
     return sim, link, nic, Endpoint(link, sim), an1_frame, An1Nic.TX_DESCRIPTORS
 
 
@@ -284,6 +285,50 @@ def test_blocked_senders_admitted_fifo_and_never_overtaken(world):
     sim.run()
     assert order == list(range(capacity + 4))
     assert [frame[-1] for _, frame in peer.received] == list(range(capacity + 4))
+
+
+#: A driver cost far below a frame's wire time, so staging fills.
+QUICK_DRIVER = replace(FREE, pmadd_per_packet=1e-6, an1_dma_setup=1e-6)
+
+
+@pytest.mark.parametrize("world", [pmadd_world, an1_world])
+def test_callback_transmit_matches_the_thread_transmit(world):
+    """``transmit(frame, then)``, the interrupt-context transmit, puts
+    on the wire what a thread's ``driver_transmit`` does, at the same
+    instants, through a full staging or descriptor ring; ``then`` runs
+    once per frame, where the thread would resume."""
+
+    def run(from_callbacks):
+        sim, link, nic, peer, make_frame, capacity = world(QUICK_DRIVER)
+        admitted = []
+        blocked = []
+        submit = nic._tx.submit
+
+        def counted_submit(frame):
+            full = submit(frame)
+            if full is not None:
+                blocked.append(frame[-1])
+            return full
+
+        nic._tx.submit = counted_submit
+
+        def sender(tag, frame):
+            yield from nic.driver_transmit(frame)
+            admitted.append((tag, sim.now))
+
+        for tag in range(capacity + 4):
+            frame = make_frame(tag)
+            if from_callbacks:
+                nic.transmit(frame, lambda tag=tag: admitted.append((tag, sim.now)))
+            else:
+                sim.process(sender(tag, frame))
+        sim.run()
+        return admitted, peer.received, dict(nic.stats), blocked
+
+    admitted, received, stats, blocked = run(from_callbacks=True)
+    assert (admitted, received, stats, blocked) == run(from_callbacks=False)
+    assert blocked  # A frame found the ring full and waited for a slot.
+    assert [tag for tag, _ in admitted] == [frame[-1] for _, frame in received]
 
 
 def test_pmadd_oversized_frame_leaves_staged_traffic_flowing():

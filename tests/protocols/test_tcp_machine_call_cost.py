@@ -19,7 +19,7 @@ from repro.protocols.tcp import (
     TcpMachine,
 )
 
-from ..net.test_byte_path_cost import profiled_calls
+from ..net.test_data_path_cost import profiled_calls
 
 WRITE = bytes(range(256)) * 16  # 4096 bytes: 1460 + 1460 + 1176.
 

@@ -66,6 +66,12 @@ ALLOWED = {
         "tested-only", "tests/integration/test_multihop.py::test_ttl_expiry_draws_time_exceeded"),
     "repro.net.fabric.router:Router._emit": (
         "tested-only", "tests/integration/test_multihop.py::test_ttl_expiry_draws_time_exceeded"),
+    "repro.net.fabric.router:Router._output": (
+        "tested-only", "tests/integration/test_multihop.py::test_ttl_expiry_draws_time_exceeded"),
+    "repro.net.fabric.router:Router._encapsulate": (
+        "tested-only", "tests/integration/test_multihop.py::test_ttl_expiry_draws_time_exceeded"),
+    "repro.net.nic.an1ctrl:An1Nic.transmit": (
+        "tested-only", "tests/net/test_transmitter.py::test_callback_transmit_matches_the_thread_transmit[an1_world]"),
     "repro.protocols.icmp:encode_time_exceeded": (
         "tested-only", "tests/integration/test_multihop.py::test_ttl_expiry_draws_time_exceeded"),
     "repro.protocols.icmp:decode_time_exceeded": (
@@ -83,6 +89,8 @@ ALLOWED = {
     # -- tested-only: safety paths (refusals, and the report of a violation)
     "repro.net.headers:_refused": (
         "tested-only", "tests/protocols/test_headers.py::test_ipv4_field_validation"),
+    "repro.net.nic.base:_admitted": (
+        "tested-only", "tests/net/test_transmitter.py::test_callback_transmit_matches_the_thread_transmit[pmadd_world]"),
     "repro.check.evidence:WireSegment.describe": (
         "tested-only", "tests/check/test_campaign.py::test_sabotaged_stack_is_caught"),
     "repro.check.invariants:Violation.as_dict": (

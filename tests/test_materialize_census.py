@@ -18,8 +18,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: (file, innermost function) holding a fusion call, and why.
 SITES = {
-    # The two device boundaries: once per frame.
+    # The two device boundaries: once per frame.  The PMADD copies in
+    # a thread (``driver_transmit``) or in interrupt context
+    # (``transmit``), DESIGN.md "Parallel implementations".
     ("net/nic/pmadd.py", "driver_transmit"): "the PMADD's PIO copy onto the board",
+    ("net/nic/pmadd.py", "transmit"): "the same copy, for a kernel sending from interrupt context",
     ("net/link.py", "_wire"): "AN1's DMA fetch; a PMADD frame arrives flat",
     # The fusion itself, and the helpers that read through it.
     ("net/buf.py", "as_wire_bytes"): "the one fusion: PacketBuffer.tobytes, cached",
